@@ -13,7 +13,8 @@
 //! * is republished to the vertex's own topic as ordinary fact records
 //!   whenever it changes, so downstream consumers can subscribe to a
 //!   query the way they subscribe to any fact;
-//! * serves [`crate::service::Apollo::query`] directly (the planner's
+//! * serves [`crate::service::Apollo::query`] and
+//!   [`crate::service::ApolloHandle::query`] directly (the planner's
 //!   [`apollo_query::AccessPlan::Incremental`] tier) whenever the fold
 //!   has caught up with every input topic's tail — a standing query
 //!   answers in O(rows) with no scan and no cache probe.
@@ -79,10 +80,22 @@ struct Inner {
     last: Option<QueryResult>,
 }
 
+impl Inner {
+    fn caught_up(&self, broker: &Broker) -> bool {
+        self.arms.iter().all(|a| {
+            let (epoch, last) = broker.scan_meta(&a.table);
+            epoch == a.seed_epoch && last == a.folded_through
+        })
+    }
+}
+
 /// A registered standing query: consumer-group feeds, the incremental
 /// fold, and change-filtered republication of result rows.
 pub struct ContinuousVertex {
     name: String,
+    /// The standing query's AST, outside the lock: the query path
+    /// compares every incoming query against it.
+    query: Query,
     broker: Arc<Broker>,
     inner: Mutex<Inner>,
     folds: Counter,
@@ -130,6 +143,7 @@ impl ContinuousVertex {
         }
         Self {
             name,
+            query: cq.query().clone(),
             broker,
             inner: Mutex::new(Inner { cq, arms, last: None }),
             folds: registry.counter("query.continuous.folds"),
@@ -145,7 +159,7 @@ impl ContinuousVertex {
     /// Clone of the underlying query AST (for rescan comparisons and
     /// planner matching).
     pub fn query(&self) -> Query {
-        self.inner.lock().cq.query().clone()
+        self.query.clone()
     }
 
     /// Records folded so far, seed included.
@@ -155,23 +169,31 @@ impl ContinuousVertex {
 
     /// Does `q` name exactly this standing query?
     pub fn matches(&self, q: &Query) -> bool {
-        self.inner.lock().cq.query() == q
+        self.query == *q
     }
 
     /// Has the fold consumed every record published to every input topic,
     /// with no eviction since the seed? Only then may the standing result
     /// substitute for a fresh scan.
     pub fn caught_up(&self) -> bool {
-        let inner = self.inner.lock();
-        inner.arms.iter().all(|a| {
-            let (epoch, last) = self.broker.scan_meta(&a.table);
-            epoch == a.seed_epoch && last == a.folded_through
-        })
+        self.inner.lock().caught_up(&self.broker)
     }
 
     /// The standing result, in O(rows).
     pub fn result(&self) -> Result<QueryResult, ExecError> {
         self.inner.lock().cq.result()
+    }
+
+    /// The incremental tier: the standing result if `q` is this standing
+    /// query and the fold is caught up, checked and read under one hold
+    /// of the vertex lock (which [`ContinuousVertex::pump`] also holds
+    /// while it folds, so the result is never a half-folded one).
+    pub(crate) fn serve(&self, q: &Query) -> Option<Result<QueryResult, ExecError>> {
+        if !self.matches(q) {
+            return None;
+        }
+        let inner = self.inner.lock();
+        inner.caught_up(&self.broker).then(|| inner.cq.result())
     }
 
     /// Drain every arm's consumer group, fold the new records, and — when

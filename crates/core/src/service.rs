@@ -27,7 +27,9 @@ use apollo_cluster::metrics::MetricSource;
 use apollo_delphi::predictor::OnlinePredictor;
 use apollo_delphi::stack::Delphi;
 use apollo_obs::Registry;
-use apollo_query::exec::{CachedBroker, ExecSqlError, QueryEngine, QueryResult, ScanCache};
+use apollo_query::exec::{
+    CachedBroker, ExecSqlError, QueryEngine, QueryMetrics, QueryResult, ScanCache,
+};
 use apollo_runtime::event_loop::{EventLoop, TimerAction};
 use apollo_runtime::pool::WorkerPool;
 use apollo_runtime::time::{AnyClock, Clock};
@@ -254,6 +256,43 @@ impl Default for SlabLifecycle {
     }
 }
 
+/// The one AQE query path behind [`Apollo::query`] and
+/// [`ApolloHandle::query`]. `spawn` gives the handle a clone; the list of
+/// standing queries only changes through `&mut Apollo`, which nobody
+/// holds while a handle exists, so the clone never goes out of date.
+#[derive(Clone)]
+struct QueryPath {
+    broker: Arc<Broker>,
+    /// Epoch-invalidated decoded-scan cache shared by every AQE query
+    /// (engines are per-call; the cache outlives them here).
+    scan_cache: Arc<ScanCache>,
+    /// Registered standing queries ([`Apollo::register_continuous`]).
+    continuous: Vec<Arc<ContinuousVertex>>,
+    /// `query.{executed,arm_ns,arm_errors}`, resolved once at wiring.
+    metrics: Option<QueryMetrics>,
+    /// Queries served from a standing fold with no scan at all
+    /// (`query.planner.incremental`).
+    incremental: apollo_obs::Counter,
+}
+
+impl QueryPath {
+    /// Parse → incremental tier → cached-or-fresh scan → fold.
+    fn query(&self, sql: &str) -> Result<QueryResult, ExecSqlError> {
+        let query = apollo_query::parse(sql).map_err(ExecSqlError::Parse)?;
+        if let Some(standing) = self.continuous.iter().find_map(|c| c.serve(&query)) {
+            self.incremental.inc();
+            if let Some(m) = &self.metrics {
+                m.queries.inc();
+            }
+            return standing.map_err(ExecSqlError::Exec);
+        }
+        let provider = CachedBroker::new(&self.broker, &self.scan_cache);
+        QueryEngine::with_resolved_metrics(&provider, self.metrics.as_ref())
+            .execute(&query)
+            .map_err(ExecSqlError::Exec)
+    }
+}
+
 /// The assembled Apollo service.
 pub struct Apollo {
     broker: Arc<Broker>,
@@ -274,17 +313,11 @@ pub struct Apollo {
     pumps: Vec<PredictionPump>,
     /// The self-observation metrics registry every subsystem reports into.
     registry: Registry,
-    /// Epoch-invalidated decoded-scan cache shared by every AQE query
-    /// (engines are per-call; the cache outlives them on the service).
-    scan_cache: ScanCache,
-    /// Registered standing queries ([`Apollo::register_continuous`]).
-    continuous: Vec<Arc<ContinuousVertex>>,
+    /// What [`Apollo::query`] runs on.
+    query_path: QueryPath,
     /// Live registered-standing-query count, exported as
     /// `query.continuous.registered` and read by the self-observer.
     continuous_registered: Arc<AtomicU64>,
-    /// Queries served from a standing fold with no scan at all
-    /// (`query.planner.incremental`).
-    continuous_served: apollo_obs::Counter,
     /// Durable slab store driving tiered consolidation off the timer
     /// wheel (see [`Apollo::attach_slab`]).
     slab: Option<Arc<SlabStore>>,
@@ -318,12 +351,18 @@ impl Apollo {
         let broker = Arc::new(Broker::new(streams));
         el.instrument(&registry);
         broker.instrument(&registry);
-        let scan_cache = ScanCache::new();
+        let scan_cache = Arc::new(ScanCache::new());
         scan_cache.instrument(&registry);
         let continuous_registered = Arc::new(AtomicU64::new(0));
         registry
             .counter_backed_by("query.continuous.registered", Arc::clone(&continuous_registered));
-        let continuous_served = registry.counter("query.planner.incremental");
+        let query_path = QueryPath {
+            broker: Arc::clone(&broker),
+            scan_cache,
+            continuous: Vec::new(),
+            metrics: QueryMetrics::resolve(&registry),
+            incremental: registry.counter("query.planner.incremental"),
+        };
         Self {
             broker,
             el,
@@ -335,10 +374,8 @@ impl Apollo {
             component_members: std::collections::HashMap::new(),
             pumps: Vec::new(),
             registry,
-            scan_cache,
-            continuous: Vec::new(),
+            query_path,
             continuous_registered,
-            continuous_served,
             slab: None,
         }
     }
@@ -730,10 +767,10 @@ impl Apollo {
         }
         self.facts.retain(|f| f.name() != name);
         self.insights.retain(|i| i.name() != name);
-        let before = self.continuous.len();
-        self.continuous.retain(|c| c.name() != name);
-        self.continuous_registered
-            .fetch_sub((before - self.continuous.len()) as u64, Ordering::SeqCst);
+        let continuous = &mut self.query_path.continuous;
+        let before = continuous.len();
+        continuous.retain(|c| c.name() != name);
+        self.continuous_registered.fetch_sub((before - continuous.len()) as u64, Ordering::SeqCst);
         for pump in &self.pumps {
             pump.retire(name);
         }
@@ -827,13 +864,13 @@ impl Apollo {
         self.new_component(&name);
         self.merge_components(&name, &inputs);
         self.continuous_registered.fetch_add(1, Ordering::SeqCst);
-        self.continuous.push(Arc::clone(&vertex));
+        self.query_path.continuous.push(Arc::clone(&vertex));
         Ok(vertex)
     }
 
     /// Registered continuous queries, in registration order.
     pub fn continuous(&self) -> &[Arc<ContinuousVertex>] {
-        &self.continuous
+        &self.query_path.continuous
     }
 
     /// Live registered-standing-query count cell (self-observer hook).
@@ -857,35 +894,21 @@ impl Apollo {
     }
 
     /// Execute an AQE query (instrumented: `query.executed`,
-    /// `query.arm_ns`, `query.arm_errors`). Range scans are served
-    /// through the service's epoch-invalidated decoded-scan cache
-    /// (`query.scan_cache.{hits,misses,invalidations}`): a repeat scan
-    /// of a topic whose content has not changed skips the stitch and the
-    /// per-payload decode entirely.
-    /// Before any scan, the planner's incremental tier is consulted: a
-    /// registered continuous query whose AST matches `sql` and whose fold
-    /// has caught up with every input topic's tail answers from its
-    /// standing result in O(rows) (`query.planner.incremental`), with no
-    /// scan and no cache probe.
+    /// `query.arm_ns`, `query.arm_errors`) on the one query path this
+    /// service and its [`ApolloHandle`] share. A registered continuous
+    /// query whose AST matches `sql` and whose fold has caught up with
+    /// every input's tail answers from its standing result in O(rows)
+    /// (`query.planner.incremental`). Otherwise range scans go through
+    /// the epoch-invalidated scan cache
+    /// (`query.scan_cache.{hits,misses,invalidations}`): a repeat scan of
+    /// an unchanged topic skips the stitch and the per-payload decode.
     pub fn query(&self, sql: &str) -> Result<QueryResult, ExecSqlError> {
-        if !self.continuous.is_empty() {
-            if let Ok(parsed) = apollo_query::parse(sql) {
-                if let Some(cv) =
-                    self.continuous.iter().find(|c| c.matches(&parsed) && c.caught_up())
-                {
-                    self.continuous_served.inc();
-                    self.registry.counter("query.executed").inc();
-                    return cv.result().map_err(ExecSqlError::Exec);
-                }
-            }
-        }
-        let provider = CachedBroker::new(self.broker.as_ref(), &self.scan_cache);
-        QueryEngine::with_metrics(&provider, &self.registry).execute_sql(sql)
+        self.query_path.query(sql)
     }
 
-    /// The shared decoded-scan cache behind [`Apollo::query`].
+    /// The decoded-scan cache behind both `query` entry points.
     pub fn scan_cache(&self) -> &ScanCache {
-        &self.scan_cache
+        &self.query_path.scan_cache
     }
 
     /// Approximate memory held by all SCoRe queues (Figure 5).
@@ -931,7 +954,7 @@ impl Apollo {
     /// keeps running until [`ApolloHandle::stop`].
     pub fn spawn(mut self) -> ApolloHandle {
         let stop = Arc::new(AtomicBool::new(false));
-        let broker = Arc::clone(&self.broker);
+        let query_path = self.query_path.clone();
         // Canary timer bounds the stop latency even when all hooks run at
         // long intervals.
         let stop2 = Arc::clone(&stop);
@@ -954,7 +977,7 @@ impl Apollo {
                 self
             })
             .expect("spawn apollo service thread");
-        ApolloHandle { stop, join: Some(join), broker }
+        ApolloHandle { stop, join: Some(join), query_path }
     }
 }
 
@@ -1011,18 +1034,18 @@ impl ServiceStats {
 pub struct ApolloHandle {
     stop: Arc<AtomicBool>,
     join: Option<std::thread::JoinHandle<Apollo>>,
-    broker: Arc<Broker>,
+    query_path: QueryPath,
 }
 
 impl ApolloHandle {
     /// The pub-sub fabric (for live queries/subscriptions).
     pub fn broker(&self) -> Arc<Broker> {
-        Arc::clone(&self.broker)
+        Arc::clone(&self.query_path.broker)
     }
 
-    /// Execute an AQE query against the live service.
+    /// [`Apollo::query`] against the live service, from any thread.
     pub fn query(&self, sql: &str) -> Result<QueryResult, ExecSqlError> {
-        QueryEngine::new(self.broker.as_ref()).execute_sql(sql)
+        self.query_path.query(sql)
     }
 
     /// Stop the service and get the `Apollo` back for inspection.

@@ -1,0 +1,121 @@
+//! Reader-vs-pump interleaving on the one query path.
+//!
+//! Two reader threads go through [`ApolloHandle::query`] while the
+//! service thread publishes, pumps the continuous vertex and evicts into
+//! the archive. A reader takes the vertex lock and then reads the broker
+//! (`serve` → `scan_meta`); the pump takes the vertex lock and then
+//! writes the broker (fold → `publish`) — the same order on both sides,
+//! so the run finishing at all is the no-deadlock check.
+//!
+//! The fact publishes the sequence 1, 2, 3, …, one record per sample, so
+//! every consistent snapshot of the topic is a prefix `1..=k` and a
+//! result can be checked against the rescan *of its own snapshot* without
+//! stopping the publisher: a full-span `SUM` over `k` records must be
+//! exactly `k(k+1)/2` whichever tier answered it, and a window must hold
+//! consecutive numbers even where it stitches archive and live window.
+
+use apollo_cluster::metrics::{MetricError, MetricSource};
+use apollo_core::service::{Apollo, ApolloHandle, FactVertexSpec};
+use apollo_query::QueryEngine;
+use apollo_runtime::event_loop::EventLoop;
+use apollo_streams::StreamConfig;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+/// Live window, in entries: evictions start about half a second in, so
+/// the incremental tier (which stands down after the first eviction)
+/// and the scanning tier both serve under the pump.
+const WINDOW: usize = 256;
+const STANDING: &str = "SELECT SUM(metric) FROM seq";
+const RUN: Duration = Duration::from_millis(2_200);
+
+/// Sample `n` returns `n`: every sample differs from the last, so the
+/// change filter publishes each one.
+struct Sequence(AtomicU64);
+
+impl MetricSource for Sequence {
+    fn sample(&self, _now_ns: u64) -> Result<f64, MetricError> {
+        Ok((self.0.fetch_add(1, Ordering::Relaxed) + 1) as f64)
+    }
+
+    fn name(&self) -> String {
+        "seq".into()
+    }
+
+    fn samples_taken(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+}
+
+/// Hammer the standing SQL; returns how many answers were checked.
+fn standing_reader(handle: &ApolloHandle, until: Instant) -> u64 {
+    let (mut last_k, mut checked) = (0u64, 0u64);
+    while Instant::now() < until {
+        let Ok(out) = handle.query(STANDING) else { continue }; // before the first sample
+        let row = &out.rows[0];
+        let k = row.counts.expect("aggregate rows carry counts").measured;
+        assert_eq!(row.value, (k * (k + 1) / 2) as f64, "SUM over {k} records is not a prefix sum");
+        assert!(k >= last_k, "the topic went backwards: {k} records after {last_k}");
+        last_k = k;
+        checked += 1;
+    }
+    checked
+}
+
+/// Slide a window over the newest records; returns how many scans were
+/// checked.
+fn sliding_reader(handle: &ApolloHandle, until: Instant) -> u64 {
+    let (mut last_seq, mut checked) = (0u64, 0u64);
+    while Instant::now() < until {
+        let Ok(newest) = handle.query("SELECT MAX(Timestamp), metric FROM seq") else { continue };
+        let lo = newest.rows[0].timestamp_ms.saturating_sub(400);
+        let out = handle.query(&format!("SELECT metric FROM seq WHERE Timestamp >= {lo}")).unwrap();
+        let seqs: Vec<u64> = out.rows.iter().map(|r| r.value as u64).collect();
+        assert!(seqs.windows(2).all(|w| w[1] == w[0] + 1), "gap or duplicate in {seqs:?}");
+        let newest_seq = *seqs.last().expect("the window ends at the newest record");
+        assert!(newest_seq >= newest.rows[0].value as u64, "scan older than the read before it");
+        assert!(newest_seq >= last_seq, "sequence went backwards: {newest_seq} < {last_seq}");
+        last_seq = newest_seq;
+        checked += 1;
+    }
+    checked
+}
+
+#[test]
+fn readers_interleave_with_pump_and_eviction() {
+    let mut apollo = Apollo::with_config(EventLoop::new_real(), StreamConfig::bounded(WINDOW));
+    apollo
+        .register_fact(FactVertexSpec::fixed(
+            "seq",
+            Arc::new(Sequence(AtomicU64::new(0))),
+            Duration::from_millis(2),
+        ))
+        .unwrap();
+    apollo.register_continuous("cq/sum", STANDING, Duration::from_millis(3)).unwrap();
+    let handle = apollo.spawn();
+
+    let until = Instant::now() + RUN;
+    let (standing, sliding) = std::thread::scope(|s| {
+        let a = s.spawn(|| standing_reader(&handle, until));
+        let b = s.spawn(|| sliding_reader(&handle, until));
+        (a.join().expect("standing reader"), b.join().expect("sliding reader"))
+    });
+    assert!(standing > 0 && sliding > 0, "readers starved: {standing} / {sliding}");
+
+    let apollo = handle.stop();
+    let broker = apollo.broker();
+    let (epoch, _) = broker.scan_meta("seq");
+    assert!(epoch > 0, "the run never evicted: {} records", broker.topic_len("seq"));
+    let snap = apollo.metrics_snapshot();
+    let incremental = snap.counter("query.planner.incremental");
+    assert!(incremental > 0, "the incremental tier never served under the pump");
+    assert!(snap.counter("query.executed") > incremental, "the scanning tier never served");
+    assert!(snap.counter("query.continuous.folds") > WINDOW as u64, "the pump stopped folding");
+    // Quiescent now: once the fold has drained what the last pump left,
+    // the path, the standing result and the oracle agree bit for bit.
+    apollo.continuous()[0].pump(apollo.now() / 1_000_000);
+    let rescan = QueryEngine::row_oracle(broker.as_ref()).execute_sql(STANDING).unwrap();
+    assert_eq!(apollo.query(STANDING).unwrap(), rescan);
+    assert_eq!(apollo.continuous()[0].result().unwrap(), rescan);
+}

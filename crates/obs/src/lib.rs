@@ -32,8 +32,10 @@
 //! `query.scan_cache.{hits,misses,invalidations}` report the
 //! epoch-invalidated scan cache; the cost-aware planner tallies its
 //! access decisions as `query.planner.{cached_scan,fresh_batch}` plus
-//! `query.planner.incremental` for `Apollo::query` calls served from a
-//! caught-up continuous query with no scan at all; and standing queries
+//! `query.planner.incremental` for queries (through `Apollo::query` or
+//! a spawned service's `ApolloHandle::query` — one path, one set of
+//! counters) served from a caught-up continuous query with no scan at
+//! all; and standing queries
 //! export `query.continuous.registered` (gauge-like counter backed by
 //! the service's registration cell), `query.continuous.folds` /
 //! `query.continuous.emitted_rows` counters, and the

@@ -22,9 +22,10 @@ use apollo_streams::codec::{Provenance, Record};
 use apollo_streams::{Broker, ColumnBatch, StreamId};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// Provenance breakdown of the records a scan aggregate looked at.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -147,19 +148,17 @@ impl TableProvider for Broker {
 /// set (simple bound, no LRU bookkeeping on the query hot path).
 const MAX_CACHED_SCANS: usize = 256;
 
-/// One cached decoded scan, tagged with the `(epoch, last_id)` snapshot
-/// key it was taken under. Both representations are kept: the row form
-/// for `SELECT metric`/`Latest`, the columnar form for vectorized
-/// aggregates — one scan feeds both.
+/// One cached scan, stored once: as the [`ColumnBatch`], which carries
+/// the `(epoch, last_id)` snapshot key it was taken under. The row form
+/// is derived from it on the entry's first `range()` and memoised, so a
+/// warm `range()` hit is an `Arc` clone like a warm `columns()` hit.
 struct CachedScan {
-    epoch: u64,
-    last_id: Option<StreamId>,
-    records: Arc<Vec<Record>>,
     columns: Arc<ColumnBatch>,
+    rows: OnceLock<Arc<Vec<Record>>>,
 }
 
 /// Cached scans of one topic, keyed by `(start_ms, end_ms)` window.
-type TopicScans = HashMap<(u64, u64), CachedScan>;
+type TopicScans = HashMap<(u64, u64), Arc<CachedScan>>;
 
 /// An epoch-invalidated cache of decoded range scans, keyed by
 /// `(topic, start_ms, end_ms)`.
@@ -171,14 +170,14 @@ type TopicScans = HashMap<(u64, u64), CachedScan>;
 /// the decoded records for any sub-range are byte-for-byte identical, so
 /// the query path can skip both the stitch and the per-payload decode.
 /// The pair is captured *inside* the scan's consistent snapshot
-/// ([`apollo_streams::ScanBatch`]), never re-read afterwards, so a racing
-/// append can only make the cache conservatively re-scan — never serve
-/// newer content under an older key.
+/// ([`ColumnBatch`]), never re-read afterwards, so a racing append can
+/// only make the cache conservatively re-scan — never serve newer content
+/// under an older key.
 ///
-/// The cache also keeps per-topic hit/invalidation tallies that feed the
-/// cost-aware planner ([`ScanCache::plan`]): a topic whose cache entries
-/// are invalidated faster than they are reused stops paying the
-/// store-and-tag overhead and scans fresh batches instead.
+/// The cache also keeps per-topic hit/miss tallies that feed the
+/// cost-aware planner ([`ScanCache::plan`]): a topic whose lookups do not
+/// hit stops paying the store-and-tag overhead and scans fresh batches
+/// instead.
 ///
 /// The cache is shared across queries (it lives on the service, not the
 /// per-query engine) and is safe for the executor's parallel arms.
@@ -189,6 +188,9 @@ pub struct ScanCache {
     /// (proved by `tests/alloc_free.rs`); the owned key `String` is only
     /// built when a miss stores a new scan.
     scans: Mutex<HashMap<String, TopicScans>>,
+    /// Scans held across all topics, kept beside the map (and only moved
+    /// under its lock) so the size bound is an O(1) check per store.
+    len: AtomicUsize,
     topic_stats: Mutex<HashMap<String, TopicStats>>,
     hits: Arc<AtomicU64>,
     misses: Arc<AtomicU64>,
@@ -227,7 +229,7 @@ impl ScanCache {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Range lookups that had to scan (no entry for the key).
+    /// Range lookups that had to scan (no valid entry for the key).
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
@@ -250,7 +252,7 @@ impl ScanCache {
 
     /// Cached scans currently held.
     pub fn len(&self) -> usize {
-        self.scans.lock().values().map(|windows| windows.len()).sum()
+        self.len.load(Ordering::Relaxed)
     }
 
     /// True when nothing is cached.
@@ -258,7 +260,7 @@ impl ScanCache {
         self.len() == 0
     }
 
-    /// Per-topic cache statistics, if the topic has hit or invalidated at
+    /// Per-topic cache statistics, if the topic has been looked up at
     /// least once.
     pub fn topic_stats(&self, table: &str) -> Option<TopicStats> {
         self.topic_stats.lock().get(table).copied()
@@ -286,66 +288,60 @@ impl ScanCache {
         plan
     }
 
-    fn bump_topic(&self, table: &str, hit: bool) {
-        let mut stats = self.topic_stats.lock();
-        let s = match stats.get_mut(table) {
-            Some(s) => s,
-            None => stats.entry(table.to_string()).or_default(),
-        };
-        if hit {
-            s.hits += 1;
-        } else {
-            s.invalidations += 1;
-        }
-    }
-
+    /// Every probe lands in the topic's planner tally — a plain miss (no
+    /// entry for the key) like an invalidated entry, or a sliding window,
+    /// which never probes a key twice, would never look like a thrash.
     fn lookup(
         &self,
         table: &str,
         window: (u64, u64),
         meta: (u64, Option<StreamId>),
-    ) -> Option<(Arc<Vec<Record>>, Arc<ColumnBatch>)> {
-        let mut scans = self.scans.lock();
-        let windows = scans.get_mut(table)?;
-        match windows.get(&window) {
-            Some(c) if (c.epoch, c.last_id) == meta => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                let out = (Arc::clone(&c.records), Arc::clone(&c.columns));
-                drop(scans);
-                self.bump_topic(table, true);
-                Some(out)
-            }
-            Some(_) => {
-                windows.remove(&window);
-                self.invalidations.fetch_add(1, Ordering::Relaxed);
-                drop(scans);
-                self.bump_topic(table, false);
-                None
-            }
-            None => None,
-        }
+    ) -> Option<Arc<CachedScan>> {
+        let hit = {
+            let mut scans = self.scans.lock();
+            scans.get_mut(table).and_then(|windows| match windows.get(&window) {
+                Some(c) if (c.columns.epoch, c.columns.last_id) == meta => Some(Arc::clone(c)),
+                Some(_) => {
+                    windows.remove(&window);
+                    self.len.fetch_sub(1, Ordering::Relaxed);
+                    self.invalidations.fetch_add(1, Ordering::Relaxed);
+                    None
+                }
+                None => None,
+            })
+        };
+        let mut stats = self.topic_stats.lock();
+        let s = match stats.get_mut(table) {
+            Some(s) => s,
+            None => stats.entry(table.to_string()).or_default(),
+        };
+        let (total, of_topic) =
+            if hit.is_some() { (&self.hits, &mut s.hits) } else { (&self.misses, &mut s.misses) };
+        total.fetch_add(1, Ordering::Relaxed);
+        *of_topic += 1;
+        hit
     }
 
-    fn store(&self, table: &str, window: (u64, u64), scan: CachedScan) {
+    fn store(&self, table: &str, window: (u64, u64), scan: Arc<CachedScan>) {
         let mut scans = self.scans.lock();
-        let total: usize = scans.values().map(|windows| windows.len()).sum();
         let replacing = scans.get(table).is_some_and(|windows| windows.contains_key(&window));
-        if total >= MAX_CACHED_SCANS && !replacing {
+        if self.len.load(Ordering::Relaxed) >= MAX_CACHED_SCANS && !replacing {
             scans.clear();
+            self.len.store(0, Ordering::Relaxed);
         }
-        scans.entry(table.to_string()).or_default().insert(window, scan);
+        if scans.entry(table.to_string()).or_default().insert(window, scan).is_none() {
+            self.len.fetch_add(1, Ordering::Relaxed);
+        }
     }
 }
 
 /// A [`TableProvider`] wrapping a [`Broker`] with a shared [`ScanCache`]:
 /// `latest` passes straight through (an O(1) tail-read is cheaper than
 /// any cache probe); `range`/`columns` serve repeat scans of an unchanged
-/// topic straight from the decoded cache (an `Arc` clone — no
-/// allocation) and otherwise take one consistent
-/// [`Broker::scan_batch_by_time`], storing both the row and columnar
-/// forms under the batch's own snapshot key. Topics the planner has
-/// flagged as cache-thrashing skip the cache entirely
-/// ([`AccessPlan::FreshBatch`]).
+/// topic straight from the cache (an `Arc` clone — no allocation) and
+/// otherwise take one consistent [`Broker::scan_columns_by_time`], stored
+/// under the batch's own snapshot key. Topics the planner has flagged as
+/// cache-thrashing skip the cache entirely ([`AccessPlan::FreshBatch`]).
 pub struct CachedBroker<'a> {
     broker: &'a Broker,
     cache: &'a ScanCache,
@@ -357,37 +353,22 @@ impl<'a> CachedBroker<'a> {
         Self { broker, cache }
     }
 
-    /// One consistent scan of the window, both representations.
-    fn fetch(
-        &self,
-        table: &str,
-        start_ms: u64,
-        end_ms: u64,
-    ) -> (Arc<Vec<Record>>, Arc<ColumnBatch>) {
-        if self.cache.plan(table, self.broker.topic_len(table)) == AccessPlan::FreshBatch {
-            let batch = self.broker.scan_batch_by_time(table, start_ms, end_ms);
-            let columns = Arc::new(batch.to_columns());
-            return (Arc::new(batch.records), columns);
+    /// The window's scan: a still-valid cached one, or one consistent
+    /// fresh scan (stored unless the planner bypassed the cache).
+    fn fetch(&self, table: &str, start_ms: u64, end_ms: u64) -> Arc<CachedScan> {
+        let window = (start_ms, end_ms);
+        let cached = self.cache.plan(table, self.broker.topic_len(table)) == AccessPlan::CachedScan;
+        if cached {
+            if let Some(hit) = self.cache.lookup(table, window, self.broker.scan_meta(table)) {
+                return hit;
+            }
         }
-        let meta = self.broker.scan_meta(table);
-        if let Some(cached) = self.cache.lookup(table, (start_ms, end_ms), meta) {
-            return cached;
+        let columns = Arc::new(self.broker.scan_columns_by_time(table, start_ms, end_ms));
+        let scan = Arc::new(CachedScan { columns, rows: OnceLock::new() });
+        if cached {
+            self.cache.store(table, window, Arc::clone(&scan));
         }
-        self.cache.misses.fetch_add(1, Ordering::Relaxed);
-        let batch = self.broker.scan_batch_by_time(table, start_ms, end_ms);
-        let columns = Arc::new(batch.to_columns());
-        let records = Arc::new(batch.records);
-        self.cache.store(
-            table,
-            (start_ms, end_ms),
-            CachedScan {
-                epoch: batch.epoch,
-                last_id: batch.last_id,
-                records: Arc::clone(&records),
-                columns: Arc::clone(&columns),
-            },
-        );
-        (records, columns)
+        scan
     }
 }
 
@@ -397,11 +378,13 @@ impl TableProvider for CachedBroker<'_> {
     }
 
     fn range(&self, table: &str, start_ms: u64, end_ms: u64) -> Arc<Vec<Record>> {
-        self.fetch(table, start_ms, end_ms).0
+        let scan = self.fetch(table, start_ms, end_ms);
+        let derive = || Arc::new((0..scan.columns.len()).map(|i| scan.columns.record(i)).collect());
+        Arc::clone(scan.rows.get_or_init(derive))
     }
 
     fn columns(&self, table: &str, start_ms: u64, end_ms: u64) -> Option<Arc<ColumnBatch>> {
-        Some(self.fetch(table, start_ms, end_ms).1)
+        Some(Arc::clone(&self.fetch(table, start_ms, end_ms).columns))
     }
 }
 
@@ -598,20 +581,32 @@ pub(crate) fn merge_arm_results(
     Ok(QueryResult { rows, arm_errors })
 }
 
-/// Pre-resolved instrument handles for query execution.
-struct QueryObs {
-    /// Queries executed.
-    queries: apollo_obs::Counter,
+/// Instrument handles for query execution, resolved by name once.
+#[derive(Clone)]
+pub struct QueryMetrics {
+    /// Queries executed (`query.executed`).
+    pub queries: apollo_obs::Counter,
     /// Wall-clock latency of each UNION arm (`query.arm_ns`).
-    arm_ns: apollo_obs::Histogram,
-    /// Arms that returned an error.
-    arm_errors: apollo_obs::Counter,
+    pub arm_ns: apollo_obs::Histogram,
+    /// Arms that returned an error (`query.arm_errors`).
+    pub arm_errors: apollo_obs::Counter,
+}
+
+impl QueryMetrics {
+    /// Look the instruments up in `registry`; `None` when it is disabled.
+    pub fn resolve(registry: &apollo_obs::Registry) -> Option<Self> {
+        registry.enabled().then(|| Self {
+            queries: registry.counter("query.executed"),
+            arm_ns: registry.histogram("query.arm_ns"),
+            arm_errors: registry.counter("query.arm_errors"),
+        })
+    }
 }
 
 /// The Apollo Query Engine.
 pub struct QueryEngine<'a, P: TableProvider> {
     provider: &'a P,
-    obs: Option<QueryObs>,
+    obs: Option<Cow<'a, QueryMetrics>>,
     vectorized: bool,
 }
 
@@ -632,12 +627,13 @@ impl<'a, P: TableProvider> QueryEngine<'a, P> {
     /// (`query.arm_ns`), executed-query and arm-error counters into
     /// `registry`. A disabled registry yields an uninstrumented engine.
     pub fn with_metrics(provider: &'a P, registry: &apollo_obs::Registry) -> Self {
-        let obs = registry.enabled().then(|| QueryObs {
-            queries: registry.counter("query.executed"),
-            arm_ns: registry.histogram("query.arm_ns"),
-            arm_errors: registry.counter("query.arm_errors"),
-        });
-        Self { provider, obs, vectorized: true }
+        Self { provider, obs: QueryMetrics::resolve(registry).map(Cow::Owned), vectorized: true }
+    }
+
+    /// [`QueryEngine::with_metrics`] over handles the caller resolved
+    /// earlier: a per-call engine then pays no by-name lookup per query.
+    pub fn with_resolved_metrics(provider: &'a P, metrics: Option<&'a QueryMetrics>) -> Self {
+        Self { provider, obs: metrics.map(Cow::Borrowed), vectorized: true }
     }
 
     /// [`QueryEngine::run_select`] with per-arm latency accounting.
@@ -1418,6 +1414,45 @@ mod tests {
         assert_eq!(after.rows[0].value, 160.0, "stale cache entry served after append");
         assert_eq!(cache.invalidations(), 1);
         assert_eq!(cache.misses(), 2);
+        assert_eq!(cache.len(), 1, "the rescan replaced the discarded entry");
+    }
+
+    #[test]
+    fn sliding_windows_over_a_written_topic_go_fresh() {
+        // A dashboard's read: the topic is appended between queries and
+        // the window's lower bound moves each time, so no key is ever
+        // probed twice — no probe finds an entry to invalidate, every one
+        // is a plain miss.
+        let b = Broker::new(StreamConfig::default());
+        let publish =
+            |ms: u64| b.publish("t", ms, Record::measured(ms * 1_000_000, ms as f64).encode());
+        for ms in 1..=200 {
+            publish(ms);
+        }
+        let cache = ScanCache::new();
+        let cached = CachedBroker::new(&b, &cache);
+        let engine = QueryEngine::new(&cached);
+        let oracle = QueryEngine::row_oracle(&b);
+        const QUERIES: u64 = 64;
+        for i in 0..QUERIES {
+            publish(201 + i);
+            let sql = format!("SELECT AVG(metric) FROM t WHERE Timestamp >= {}", 100 + i);
+            assert_eq!(engine.execute_sql(&sql).ok(), oracle.execute_sql(&sql).ok(), "{sql}");
+        }
+        assert_eq!(cache.hits(), 0);
+        // The first BYPASS_MISSES lookups are stored; after that only the
+        // periodic re-probes are.
+        let reprobes = QUERIES / planner::REPROBE_EVERY;
+        assert!(
+            cache.planner_fresh() >= QUERIES - planner::BYPASS_MISSES - reprobes,
+            "sliding windows never reached FreshBatch: {:?}",
+            cache.topic_stats("t")
+        );
+        assert!(
+            cache.len() as u64 <= planner::BYPASS_MISSES + reprobes,
+            "{} dead scans retained",
+            cache.len()
+        );
     }
 
     #[test]

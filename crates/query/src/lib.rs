@@ -26,7 +26,9 @@
 //! * [`exec`] — the parallel executor over a [`exec::TableProvider`]
 //!   (implemented for the pub-sub [`apollo_streams::Broker`], reading the
 //!   live queue or the archived log via timestamp indexing), with an
-//!   epoch-invalidated scan cache whose warm hits are allocation-free.
+//!   epoch-invalidated scan cache that stores each scan once, as columns
+//!   (rows are derived on demand and memoised), and whose warm hits are
+//!   allocation-free.
 //! * [`vector`] — columnar kernels: scan aggregates run over the
 //!   provider's [`apollo_streams::ColumnBatch`] snapshot, bit-identical
 //!   to the row-at-a-time oracle ([`exec::QueryEngine::row_oracle`]).
@@ -34,7 +36,8 @@
 //!   incrementally and read out in O(rows), bit-identical to a full
 //!   rescan at any quiescent point.
 //! * [`planner`] — the cost-aware choice between cached scans, fresh
-//!   batches, and a continuous query's standing result.
+//!   batches (topics whose lookups do not hit), and a continuous query's
+//!   standing result.
 
 pub mod ast;
 pub mod continuous;
@@ -45,7 +48,9 @@ pub mod vector;
 
 pub use ast::{Aggregate, CmpOp, Join, Query, Select, ValuePred};
 pub use continuous::{ContinuousError, ContinuousQuery};
-pub use exec::{CachedBroker, QueryEngine, QueryResult, Row, ScanCache, TableProvider};
+pub use exec::{
+    CachedBroker, QueryEngine, QueryMetrics, QueryResult, Row, ScanCache, TableProvider,
+};
 pub use parser::{parse, ParseError, ParseErrorKind};
 pub use planner::AccessPlan;
 pub use vector::{JoinIndex, ScanAccumulator};

@@ -5,23 +5,25 @@
 //!
 //! * [`AccessPlan::Incremental`] — a registered continuous query already
 //!   folds this exact query; its standing result is read out with no scan
-//!   at all. Chosen at the service layer
-//!   (`apollo_core::Apollo::query`) when a registered continuous query's
-//!   AST matches and its fold has caught up with the topic tail; the
-//!   cache-level planner here never returns it.
+//!   at all. Chosen by the service's query path (the one function behind
+//!   `apollo_core::Apollo::query` and `ApolloHandle::query`) when a
+//!   registered continuous query's AST matches and its fold has caught up
+//!   with the topic tail; the cache-level planner here never returns it.
 //! * [`AccessPlan::CachedScan`] — probe the epoch-keyed
 //!   [`ScanCache`](crate::exec::ScanCache); a warm hit is an `Arc` clone.
 //! * [`AccessPlan::FreshBatch`] — skip the cache and take one consistent
 //!   snapshot scan. Cheaper than the cached path when the cache never
-//!   hits: a store-and-invalidate cycle pays the key allocation, the
-//!   columnar transpose and the map churn for nothing.
+//!   hits: a store that is never read back pays the key allocation, the
+//!   map churn and a retained batch for nothing.
 //!
 //! [`choose`] picks between the latter two from the per-topic hit and
-//! invalidation tallies the cache already keeps, plus the topic's live
-//! depth gauge: a topic that is written between every read invalidates
-//! each entry before reuse, so once invalidations dominate hits the
-//! planner routes it to fresh batches, re-probing periodically in case
-//! the access pattern turns read-heavy again.
+//! miss tallies the cache already keeps, plus the topic's live depth
+//! gauge. Two access patterns never hit: a topic written between every
+//! read invalidates each entry before reuse, and a sliding window
+//! (`WHERE Timestamp >= newest − span`) never probes the same key twice.
+//! Both show up as lookups that did not hit, so once those dominate hits
+//! the planner routes the topic to fresh batches, re-probing periodically
+//! in case the access pattern turns read-heavy again.
 
 use serde::{Deserialize, Serialize};
 
@@ -41,17 +43,17 @@ pub enum AccessPlan {
 pub struct TopicStats {
     /// Warm lookups served from the cache.
     pub hits: u64,
-    /// Cached entries discarded because the topic's `(epoch, last_id)`
-    /// moved underneath them.
-    pub invalidations: u64,
+    /// Lookups that did not hit: no entry under the key, or an entry
+    /// discarded because the topic's `(epoch, last_id)` moved underneath.
+    pub misses: u64,
     /// Planner consults made while the topic was in bypass territory
     /// (fresh-batch scans plus the periodic re-probes).
     pub bypasses: u64,
 }
 
-/// Invalidations a topic must accumulate before the planner will consider
+/// Misses a topic must accumulate before the planner will consider
 /// bypassing its cache — below this the sample is too small to indict.
-pub const BYPASS_INVALIDATIONS: u64 = 32;
+pub const BYPASS_MISSES: u64 = 32;
 
 /// A thrashing topic still probes the cache every Nth bypass, so a topic
 /// that turns read-heavy is re-admitted instead of bypassed forever.
@@ -61,11 +63,11 @@ pub const REPROBE_EVERY: u64 = 16;
 /// trivially cheap either way, so history can't justify the bypass.
 pub const SMALL_TOPIC_DEPTH: usize = 64;
 
-/// Is the topic invalidating cached scans faster than it reuses them?
-/// (The cache is earning its keep if at least ~20% of lookups hit.)
+/// Is the cache failing to earn its keep on this topic? The one rule:
+/// at least [`BYPASS_MISSES`] lookups that did not hit, and fewer than
+/// 1 lookup in 5 hitting.
 pub fn thrashing(stats: &TopicStats) -> bool {
-    stats.invalidations >= BYPASS_INVALIDATIONS
-        && stats.hits.saturating_mul(4) < stats.invalidations
+    stats.misses >= BYPASS_MISSES && stats.hits.saturating_mul(4) < stats.misses
 }
 
 /// Pick the access path for one scan of a topic with cache history
@@ -98,32 +100,32 @@ mod tests {
 
     #[test]
     fn small_topics_always_use_the_cache() {
-        let thrashing = TopicStats { hits: 0, invalidations: 10_000, bypasses: 0 };
+        let thrashing = TopicStats { hits: 0, misses: 10_000, bypasses: 0 };
         assert_eq!(choose(&thrashing, SMALL_TOPIC_DEPTH), AccessPlan::CachedScan);
         assert_eq!(choose(&thrashing, 1), AccessPlan::CachedScan);
     }
 
     #[test]
     fn invalidation_heavy_topics_bypass() {
-        let s = TopicStats { hits: 0, invalidations: BYPASS_INVALIDATIONS, bypasses: 0 };
+        let s = TopicStats { hits: 0, misses: BYPASS_MISSES, bypasses: 0 };
         assert_eq!(choose(&s, 10_000), AccessPlan::FreshBatch);
-        // One invalidation short of the threshold still caches.
-        let s = TopicStats { hits: 0, invalidations: BYPASS_INVALIDATIONS - 1, bypasses: 0 };
+        // One miss short of the threshold still caches.
+        let s = TopicStats { hits: 0, misses: BYPASS_MISSES - 1, bypasses: 0 };
         assert_eq!(choose(&s, 10_000), AccessPlan::CachedScan);
     }
 
     #[test]
     fn a_working_hit_rate_keeps_the_cache() {
-        // 25% hit rate: 4 * hits >= invalidations.
-        let s = TopicStats { hits: 25, invalidations: 100, bypasses: 0 };
+        // 1 lookup in 5 hitting: 4 * hits >= misses.
+        let s = TopicStats { hits: 25, misses: 100, bypasses: 0 };
         assert_eq!(choose(&s, 10_000), AccessPlan::CachedScan);
-        let s = TopicStats { hits: 24, invalidations: 100, bypasses: 0 };
+        let s = TopicStats { hits: 24, misses: 100, bypasses: 0 };
         assert_eq!(choose(&s, 10_000), AccessPlan::FreshBatch);
     }
 
     #[test]
     fn bypassed_topics_reprobe_periodically() {
-        let mut s = TopicStats { hits: 0, invalidations: 1000, bypasses: 0 };
+        let mut s = TopicStats { hits: 0, misses: 1000, bypasses: 0 };
         let mut probes = 0;
         // Mirror ScanCache::plan: the bypass counter advances on every
         // consult while the topic is thrashing, probe or not.

@@ -239,8 +239,8 @@ impl ColumnBatch {
         self.timestamps_ns.is_empty()
     }
 
-    /// Re-materialize record `i` (test/oracle convenience — the point of
-    /// the batch is *not* doing this on the hot path).
+    /// Re-materialize record `i` — how the row form is derived from the
+    /// columnar one (the vectorized hot path never does this).
     pub fn record(&self, i: usize) -> Record {
         Record {
             timestamp_ns: self.timestamps_ns[i],
@@ -248,28 +248,6 @@ impl ColumnBatch {
             provenance: crate::codec::Provenance::from_wire(self.provenance[i])
                 .expect("column batch holds only valid wire bytes"),
         }
-    }
-}
-
-impl ScanBatch {
-    /// Transpose the decoded records into a [`ColumnBatch`] carrying the
-    /// same snapshot key — how a cache layer derives the columnar view
-    /// from a row scan it already paid for.
-    pub fn to_columns(&self) -> ColumnBatch {
-        let mut out = ColumnBatch {
-            timestamps_ns: Vec::with_capacity(self.records.len()),
-            values: Vec::with_capacity(self.records.len()),
-            provenance: Vec::with_capacity(self.records.len()),
-            corrupt: self.corrupt,
-            epoch: self.epoch,
-            last_id: self.last_id,
-        };
-        for r in &self.records {
-            out.timestamps_ns.push(r.timestamp_ns);
-            out.values.push(r.value);
-            out.provenance.push(r.provenance.wire());
-        }
-        out
     }
 }
 

@@ -9,6 +9,7 @@ use apollo_cluster::metrics::{DeviceMetric, MetricKind, TraceSource};
 use apollo_cluster::series::TimeSeries;
 use apollo_cluster::workloads::hacc::{HaccConfig, HaccWorkload};
 use apollo_core::service::{Apollo, FactVertexSpec, InsightVertexSpec};
+use apollo_query::QueryEngine;
 use apollo_runtime::event_loop::EventLoop;
 use apollo_streams::StreamConfig;
 use std::sync::Arc;
@@ -130,20 +131,33 @@ fn adaptive_interval_saves_hook_calls_on_real_workload() {
 #[test]
 fn live_service_serves_concurrent_queries() {
     let mut apollo = Apollo::new_real();
-    let trace =
-        TimeSeries::from_points((0..10_000u64).map(|i| (i * 1_000_000, i as f64)).collect());
-    apollo
-        .register_fact(FactVertexSpec::fixed(
-            "m",
-            Arc::new(TraceSource::new("m", trace)),
-            Duration::from_millis(1),
-        ))
-        .unwrap();
+    // Ramps that end within half a second: once a trace holds its last
+    // value the change filter suppresses every sample, the topics go
+    // quiet, and what the handle answers can be compared with a rescan.
+    for (name, points) in [("m", 300u64), ("n", 200)] {
+        let trace =
+            TimeSeries::from_points((0..points).map(|i| (i * 1_000_000, i as f64)).collect());
+        apollo
+            .register_fact(FactVertexSpec::fixed(
+                name,
+                Arc::new(TraceSource::new(name, trace)),
+                Duration::from_millis(1),
+            ))
+            .unwrap();
+    }
+    let standing = "SELECT AVG(metric) FROM m";
+    apollo.register_continuous("cq/avg_m", standing, Duration::from_millis(5)).unwrap();
+    let registry = apollo.metrics().clone();
     let handle = apollo.spawn();
+    let asked = std::cell::Cell::new(0u64);
+    let ask = |sql: &str| {
+        asked.set(asked.get() + 1);
+        handle.query(sql)
+    };
 
     // Wait for data.
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while handle.query("SELECT MAX(Timestamp), metric FROM m").is_err() {
+    while ask("SELECT MAX(Timestamp), metric FROM m").is_err() {
         assert!(std::time::Instant::now() < deadline, "no data within 5s");
         std::thread::sleep(Duration::from_millis(2));
     }
@@ -159,9 +173,56 @@ fn live_service_serves_concurrent_queries() {
             });
         }
     });
+    asked.set(asked.get() + 8 * 50);
 
+    // Wait for both ramps to end.
+    for (table, last) in [("m", 299.0), ("n", 199.0)] {
+        let sql = format!("SELECT MAX(Timestamp), metric FROM {table}");
+        while ask(&sql).is_ok_and(|out| out.rows[0].value < last) {
+            assert!(std::time::Instant::now() < deadline, "{table} still ramping after 5s");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+
+    // Parity: the handle runs the service's query path, whose answers are
+    // the row oracle's. Each is asked twice; the second scan of a quiet
+    // topic is a cache hit.
+    let broker = handle.broker();
+    let oracle = QueryEngine::row_oracle(broker.as_ref());
+    let newest_ms = ask("SELECT MAX(Timestamp), metric FROM n").unwrap().rows[0].timestamp_ms;
+    let parity = [
+        "SELECT MAX(Timestamp), metric FROM m".to_string(),
+        format!("SELECT AVG(metric) FROM n WHERE Timestamp >= {}", newest_ms.saturating_sub(100)),
+        "SELECT MAX(metric) FROM m GROUP BY BUCKET(Timestamp, 50)".to_string(),
+        "SELECT SUM(metric) FROM n UNION SELECT COUNT(*) FROM m".to_string(),
+    ];
+    for sql in parity.iter().chain(&parity) {
+        assert_eq!(ask(sql).unwrap(), oracle.execute_sql(sql).unwrap(), "{sql}");
+    }
+    // The standing SQL is answered by the incremental tier once the
+    // fold's next pump has caught up; either tier equals a rescan.
+    while registry.snapshot().counter("query.planner.incremental") == 0 {
+        assert!(std::time::Instant::now() < deadline, "standing query never served incrementally");
+        assert_eq!(ask(standing).unwrap(), oracle.execute_sql(standing).unwrap());
+        std::thread::sleep(Duration::from_millis(2));
+    }
+
+    // Visibility: everything asked through the handle is in the service's
+    // own metrics and its scan cache.
     let apollo = handle.stop();
     assert!(apollo.total_hook_calls() > 0);
+    let snap = apollo.metrics_snapshot();
+    let asked = asked.get();
+    assert_eq!(snap.counter("query.executed"), asked, "handle queries missing from query.*");
+    let arms = snap.histograms.get("query.arm_ns").map_or(0, |h| h.count);
+    assert!(arms >= asked - snap.counter("query.planner.incremental"), "{arms} arms timed");
+    // Four scan arms over three keys (the union's COUNT shares m's full
+    // span with the bucketed MAX): three misses and a hit on the first
+    // pass, four hits on the second.
+    let cache = apollo.scan_cache();
+    assert_eq!(snap.counter("query.scan_cache.misses"), cache.misses());
+    assert!(cache.misses() >= 3, "{} misses", cache.misses());
+    assert!(cache.hits() >= 5, "repeat scans of quiet topics must hit: {} hits", cache.hits());
 }
 
 #[test]
