@@ -3,7 +3,7 @@
 //! batched multi-vertex sweep, at the batch sizes a prediction-pump tick
 //! actually sees.
 
-use apollo_delphi::stack::{Delphi, DelphiConfig, DelphiScratch};
+use apollo_delphi::stack::{Delphi, DelphiConfig, DelphiScratch, InferencePrecision};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
@@ -15,6 +15,8 @@ fn trained() -> Delphi {
         combiner_epochs: 10,
         ..DelphiConfig::default()
     })
+    // The three f64 kernels are this bench's subject.
+    .with_precision(InferencePrecision::Exact)
 }
 
 fn windows(n: usize, w: usize) -> Vec<Vec<f64>> {

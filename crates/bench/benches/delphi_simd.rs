@@ -24,12 +24,12 @@ fn windows(n: usize, w: usize) -> Vec<Vec<f64>> {
 }
 
 fn bench_lowered(c: &mut Criterion) {
-    let exact = trained();
-    let w = exact.window();
+    let simd = trained(); // training returns the SIMD f32 serving path
+    let w = simd.window();
     let paths = [
-        ("exact", exact.clone()),
-        ("simd", exact.clone().with_precision(InferencePrecision::SimdF32)),
-        ("int8", exact.clone().with_precision(InferencePrecision::Int8)),
+        ("exact", simd.clone().with_precision(InferencePrecision::Exact)),
+        ("simd", simd.clone()),
+        ("int8", simd.with_precision(InferencePrecision::Int8)),
     ];
     let mut group = c.benchmark_group("delphi_simd");
     for batch in [1usize, 16, 64] {

@@ -12,47 +12,16 @@
 //!   matrix: the whole pump tick is a single kernel sweep.
 //!
 //! The report records predictions/sec per batch size plus the measured
-//! heap allocations per prediction (counted by a wrapping global
-//! allocator) — `allocs_per_prediction_fused` must be exactly zero, and
+//! heap allocations per prediction (counted by `apollo-alloc-count`) — `allocs_per_prediction_fused` must be exactly zero, and
 //! CI requires `fused_speedup_b16 >= 2`.
 //!
 //! Run: `cargo run --release -p apollo-bench --bin delphi_inference`
 
+use apollo_alloc_count::allocs;
 use apollo_bench::report::{Report, Series};
-use apollo_delphi::stack::{Delphi, DelphiConfig, DelphiScratch};
-use std::alloc::{GlobalAlloc, Layout, System};
+use apollo_delphi::stack::{Delphi, DelphiConfig, DelphiScratch, InferencePrecision};
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-struct Counting;
-
-// SAFETY: pure delegation to `System` plus a side counter.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
 
 const ITERS: u32 = 2_000;
 const BATCHES: &[usize] = &[1, 4, 16, 64];
@@ -60,7 +29,7 @@ const BATCHES: &[usize] = &[1, 4, 16, 64];
 /// Run `f` `ITERS` times; returns (predictions/sec, allocations/call).
 fn measure(batch: usize, mut f: impl FnMut() -> f64) -> (f64, f64) {
     f(); // warm-up sizes every scratch buffer
-    let allocs_before = ALLOCS.load(Ordering::Relaxed);
+    let allocs_before = allocs();
     let t = Instant::now();
     let mut acc = 0.0;
     for _ in 0..ITERS {
@@ -68,7 +37,7 @@ fn measure(batch: usize, mut f: impl FnMut() -> f64) -> (f64, f64) {
     }
     let secs = t.elapsed().as_secs_f64();
     black_box(acc);
-    let allocs = ALLOCS.load(Ordering::Relaxed) - allocs_before;
+    let allocs = allocs() - allocs_before;
     ((batch as f64) * f64::from(ITERS) / secs, allocs as f64 / f64::from(ITERS))
 }
 
@@ -80,7 +49,10 @@ fn main() {
         combiner_samples: 150,
         combiner_epochs: 10,
         ..DelphiConfig::default()
-    });
+    })
+    // This report compares the three f64 kernels; the lowered serving
+    // path is `delphi_simd`'s subject.
+    .with_precision(InferencePrecision::Exact);
     let w = delphi.window();
 
     let mut report = Report::new(

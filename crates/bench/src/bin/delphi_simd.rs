@@ -20,45 +20,15 @@
 //!
 //! Run: `cargo run --release -p apollo-bench --bin delphi_simd`
 
+use apollo_alloc_count::allocs;
 use apollo_bench::report::{Report, Series};
 use apollo_cluster::device::DeviceKind;
 use apollo_cluster::workloads::fio::{self, SarMetric};
 use apollo_delphi::eval::one_step_eval;
 use apollo_delphi::simd::{active_tier, budget, LANES};
 use apollo_delphi::stack::{Delphi, DelphiConfig, DelphiScratch, InferencePrecision};
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-struct Counting;
-
-// SAFETY: pure delegation to `System` plus a side counter.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
 
 const ITERS: u32 = 2_000;
 const BATCHES: &[usize] = &[1, 16, 64];
@@ -66,7 +36,7 @@ const BATCHES: &[usize] = &[1, 16, 64];
 /// Run `f` `ITERS` times; returns (predictions/sec, allocations/call).
 fn measure(batch: usize, mut f: impl FnMut() -> f64) -> (f64, f64) {
     f(); // warm-up sizes every scratch buffer
-    let allocs_before = ALLOCS.load(Ordering::Relaxed);
+    let allocs_before = allocs();
     let t = Instant::now();
     let mut acc = 0.0;
     for _ in 0..ITERS {
@@ -74,7 +44,7 @@ fn measure(batch: usize, mut f: impl FnMut() -> f64) -> (f64, f64) {
     }
     let secs = t.elapsed().as_secs_f64();
     black_box(acc);
-    let allocs = ALLOCS.load(Ordering::Relaxed) - allocs_before;
+    let allocs = allocs() - allocs_before;
     ((batch as f64) * f64::from(ITERS) / secs, allocs as f64 / f64::from(ITERS))
 }
 
@@ -106,15 +76,18 @@ fn run_path(model: &Delphi, windows: &[Vec<f64>], w: usize) -> (f64, f64, f64, f
 
 fn main() {
     println!("Training Delphi…");
-    let exact = Delphi::train(DelphiConfig {
+    // Training returns the serving path (SIMD f32); the f64 baseline is
+    // asked for by name.
+    let simd = Delphi::train(DelphiConfig {
         feature_samples: 300,
         feature_epochs: 50,
         combiner_samples: 150,
         combiner_epochs: 10,
         ..DelphiConfig::default()
     });
-    let simd = exact.clone().with_precision(InferencePrecision::SimdF32);
-    let int8 = exact.clone().with_precision(InferencePrecision::Int8);
+    assert_eq!(simd.precision(), InferencePrecision::SimdF32);
+    let exact = simd.clone().with_precision(InferencePrecision::Exact);
+    let int8 = simd.clone().with_precision(InferencePrecision::Int8);
     let w = exact.window();
 
     let mut report = Report::new(

@@ -10,7 +10,7 @@
 //!   same warm cached snapshot so the difference is pure execution. CI
 //!   requires the vectorized path to win at full span.
 //! * **warm hit cost** — per-call latency and heap allocations (counted
-//!   by a wrapping global allocator) of a repeat `TableProvider::range`
+//!   by `apollo-alloc-count`) of a repeat `TableProvider::range`
 //!   against an unchanged topic. `warm_hit_allocs` must be exactly zero:
 //!   a warm hit is two `Arc` clones.
 //! * **sustained qps under churn** — a writer thread keeps publishing
@@ -20,44 +20,15 @@
 //!
 //! Run: `cargo run --release -p apollo-bench --bin query_engine`
 
+use apollo_alloc_count::allocs;
 use apollo_bench::report::{Report, Series};
 use apollo_query::{CachedBroker, QueryEngine, ScanCache, TableProvider};
 use apollo_streams::codec::Record;
 use apollo_streams::{Broker, StreamConfig};
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-struct Counting;
-
-// SAFETY: pure delegation to `System` plus a side counter.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
 
 const ROWS: u64 = 100_000;
 const ITERS: u32 = 200;
@@ -123,13 +94,13 @@ fn main() {
     // is two `Arc` clones — zero heap traffic.
     provider.range("node_0_metric", 0, u64::MAX);
     provider.range("node_0_metric", 0, u64::MAX);
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     let t = Instant::now();
     for _ in 0..WARM_ITERS {
         black_box(provider.range("node_0_metric", 0, u64::MAX));
     }
     let warm_ns = t.elapsed().as_nanos() as f64 / f64::from(WARM_ITERS);
-    let warm_allocs = (ALLOCS.load(Ordering::Relaxed) - before) / u64::from(WARM_ITERS);
+    let warm_allocs = (allocs() - before) / u64::from(WARM_ITERS);
     report.note("warm_hit_ns", warm_ns);
     report.note("warm_hit_allocs", warm_allocs);
 

@@ -17,43 +17,13 @@
 //!
 //! Run: `cargo run --release -p apollo-bench --bin slab_lifecycle`
 
+use apollo_alloc_count::allocs;
 use apollo_bench::report::{Report, Series};
 use apollo_streams::codec::Record;
 use apollo_streams::{CompactPolicy, SlabConfig, SlabStore, StreamId};
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-struct Counting;
-
-// SAFETY: delegates every operation to `System`; the added atomic
-// counter has no effect on layout or pointer validity.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
 
 const BATCH: usize = 8;
 const BATCHES: usize = 50_000;
@@ -99,12 +69,12 @@ fn main() {
         assert!(series.record(StreamId::new(i, 0), &payload));
     }
 
-    let allocs_before = ALLOCS.load(Ordering::Relaxed);
+    let allocs_before = allocs();
     let base = 100_000u64;
     for i in 0..10_000u64 {
         assert!(series.record(StreamId::new(base + i, 0), &payload));
     }
-    let record_allocs = ALLOCS.load(Ordering::Relaxed) - allocs_before;
+    let record_allocs = allocs() - allocs_before;
 
     let lat_base = 1_000_000u64;
     let mut baseline_ns = batched_latency_ns(|i| {

@@ -4,55 +4,17 @@
 //! The slab's contract is that archiving an evicted entry is a bounded
 //! mmap slot write: copy the payload into a pre-allocated slot, write
 //! three header words, publish with one `Release` store. That has to
-//! mean **zero heap allocations** per record (proved here with a
-//! counting `#[global_allocator]`) and a sub-50 ns p99 (timed in batches
+//! mean **zero heap allocations** per record (proved here with the
+//! `apollo-alloc-count` allocator) and a sub-50 ns p99 (timed in batches
 //! of 8 so the clock read stays out of the measured path).
 //!
 //! Run: `cargo run --release -p apollo-bench --bin slab_store`
 
+use apollo_alloc_count::allocs_during;
 use apollo_bench::report::{Report, Series};
 use apollo_streams::codec::Record;
 use apollo_streams::{ArchiveLog, Entry, SlabConfig, SlabStore, StreamId};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-struct Counting;
-
-// SAFETY: delegates every operation to `System`; the added atomic
-// counter has no effect on layout or pointer validity.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-/// Allocations performed while running `f`.
-fn allocs_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.load(Ordering::Relaxed);
-    f();
-    ALLOCS.load(Ordering::Relaxed) - before
-}
 
 const BATCH: usize = 8;
 const BATCHES: usize = 50_000;

@@ -27,7 +27,7 @@ use crate::graph::GraphError;
 use apollo_obs::{Counter, Registry};
 use apollo_query::exec::{ExecError, QueryResult};
 use apollo_query::{ContinuousError, ContinuousQuery, ParseError, Query};
-use apollo_streams::{Broker, ConsumerGroup, Record, StreamId};
+use apollo_streams::{Broker, ConsumerGroup, Publisher, Record, StreamId};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -92,7 +92,8 @@ impl Inner {
 /// A registered standing query: consumer-group feeds, the incremental
 /// fold, and change-filtered republication of result rows.
 pub struct ContinuousVertex {
-    name: String,
+    /// The output topic, resolved on the first republication.
+    publisher: Publisher,
     /// The standing query's AST, outside the lock: the query path
     /// compares every incoming query against it.
     query: Query,
@@ -104,7 +105,7 @@ pub struct ContinuousVertex {
 
 impl std::fmt::Debug for ContinuousVertex {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ContinuousVertex").field("name", &self.name).finish_non_exhaustive()
+        f.debug_struct("ContinuousVertex").field("name", &self.name()).finish_non_exhaustive()
     }
 }
 
@@ -142,7 +143,7 @@ impl ContinuousVertex {
             });
         }
         Self {
-            name,
+            publisher: broker.publisher(name),
             query: cq.query().clone(),
             broker,
             inner: Mutex::new(Inner { cq, arms, last: None }),
@@ -153,7 +154,7 @@ impl ContinuousVertex {
 
     /// Vertex (and output topic) name.
     pub fn name(&self) -> &str {
-        &self.name
+        self.publisher.topic()
     }
 
     /// Clone of the underlying query AST (for rescan comparisons and
@@ -234,8 +235,7 @@ impl ContinuousVertex {
             return false;
         }
         for row in &result.rows {
-            self.broker.publish(
-                &self.name,
+            self.publisher.publish(
                 now_ms,
                 Record::measured(row.timestamp_ms * 1_000_000, row.value).encode(),
             );

@@ -155,11 +155,6 @@ impl HealthMonitor {
         self.state
     }
 
-    /// The configuration this monitor runs under.
-    pub fn config(&self) -> &SupervisorConfig {
-        &self.config
-    }
-
     /// Consecutive failed polls (0 after any success).
     pub fn consecutive_failures(&self) -> u32 {
         self.consecutive_failures

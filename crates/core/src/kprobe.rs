@@ -15,7 +15,7 @@
 
 use apollo_cluster::device::{Device, IoEvent, IoEventKind};
 use apollo_streams::codec::Record;
-use apollo_streams::Broker;
+use apollo_streams::{Broker, Publisher};
 use crossbeam::channel::Receiver;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -34,11 +34,10 @@ pub enum EventMetric {
 /// An event-driven Fact vertex: consumes a device's I/O event stream and
 /// publishes facts at event granularity — no polling at all.
 pub struct EventFactVertex {
-    name: String,
     capacity: u64,
     metric: EventMetric,
     events: Receiver<IoEvent>,
-    broker: Arc<Broker>,
+    publisher: Publisher,
     last_published: parking_lot::Mutex<Option<f64>>,
     published: AtomicU64,
     consumed: AtomicU64,
@@ -53,11 +52,10 @@ impl EventFactVertex {
         broker: Arc<Broker>,
     ) -> Self {
         Self {
-            name: name.into(),
             capacity: device.spec.capacity_bytes,
             metric,
             events: device.subscribe_events(),
-            broker,
+            publisher: broker.publisher(name),
             last_published: parking_lot::Mutex::new(None),
             published: AtomicU64::new(0),
             consumed: AtomicU64::new(0),
@@ -66,7 +64,7 @@ impl EventFactVertex {
 
     /// Topic name.
     pub fn name(&self) -> &str {
-        &self.name
+        self.publisher.topic()
     }
 
     fn value_of(&self, e: &IoEvent) -> f64 {
@@ -92,11 +90,7 @@ impl EventFactVertex {
             let value = self.value_of(&e);
             let mut last = self.last_published.lock();
             if last.is_none_or(|prev| prev != value) {
-                self.broker.publish(
-                    &self.name,
-                    ts / 1_000_000,
-                    Record::measured(ts, value).encode(),
-                );
+                self.publisher.publish(ts / 1_000_000, Record::measured(ts, value).encode());
                 self.published.fetch_add(1, Ordering::Relaxed);
                 *last = Some(value);
             }

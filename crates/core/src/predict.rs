@@ -21,7 +21,7 @@
 //! Batches are staged at a capacity rounded up to the model's
 //! [`Delphi::lane_width`] and the due rows padded with zero windows to
 //! the next lane multiple, so every tick runs entirely on the vector
-//! path when a SIMD precision is selected (padding rows' outputs are
+//! path on the serving (`SimdF32`) precision (padding rows' outputs are
 //! computed and discarded; each row's value is independent of the
 //! rest of the batch, so padding never changes a published
 //! prediction).
@@ -56,7 +56,9 @@ struct PumpObs {
 }
 
 /// Reusable per-tick buffers: after the first tick at a given batch size,
-/// a pump tick performs zero heap allocations on the prediction path.
+/// staging, the kernel call and its outputs allocate nothing — a tick's
+/// only heap allocations are the published payloads, one per predicted
+/// record (pinned by `tests/pump_allocations.rs`).
 #[derive(Default)]
 struct TickScratch {
     ds: DelphiScratch,
@@ -121,7 +123,9 @@ impl PumpShared {
                 continue;
             }
             let mut tracker = slot.tracker.lock();
-            let Some((normalized, lo, span)) = tracker.normalized() else {
+            // Normalize straight into the next free staged row; a row
+            // that is not kept (flat window) is simply overwritten.
+            let Some((lo, span)) = tracker.normalized_into(scratch.ds.row_mut(staged_rows)) else {
                 continue;
             };
             if span == 0.0 {
@@ -129,7 +133,6 @@ impl PumpShared {
                 slot.vertex.publish_predicted(now, lo);
                 tracker.observe(lo);
             } else {
-                scratch.ds.set_row(staged_rows, normalized);
                 scratch.staged.push((idx, lo, span));
                 staged_rows += 1;
             }

@@ -534,11 +534,11 @@ impl Apollo {
     /// time and batch sizes report as `delphi.predict_ns` /
     /// `delphi.batch_size`.
     ///
-    /// The pump inherits the model's `InferencePrecision` (select it
-    /// with `Delphi::with_precision` before creating the pump): `Exact`
-    /// keeps the bit-exact f64 path, `SimdF32`/`Int8` run the lowered
-    /// kernels with batches padded to the model's SIMD lane width so
-    /// ticks stay on the vector path. The active path reports as the
+    /// The pump serves on the model's `InferencePrecision`: a trained
+    /// model arrives on the lowered `SimdF32` lanes, and batches are
+    /// padded to the model's SIMD lane width so ticks stay on the vector
+    /// path (`Exact`, the f64 oracle, is reachable only through an
+    /// explicit `Delphi::with_precision`). The active path reports as the
     /// `delphi.simd_lanes` / `delphi.precision` gauges, and any rows
     /// that fall off the vector path count on `delphi.batch_tail_scalar`
     /// (held at 0 by the padding).
@@ -1544,6 +1544,69 @@ mod tests {
         assert!(apollo.total_hook_calls() >= 12);
         apollo.unregister("b").unwrap();
         assert_eq!(pump.enrolled(), 0);
+    }
+
+    #[test]
+    fn a_registered_vertex_has_no_topic_until_it_publishes() {
+        let mut apollo = Apollo::new_virtual();
+        apollo
+            .register_fact(FactVertexSpec::fixed(
+                "slow",
+                Arc::new(ConstSource::new("slow", 1.0)),
+                Duration::from_secs(10),
+            ))
+            .unwrap();
+        apollo
+            .register_insight(InsightVertexSpec::sum_of(
+                "sum",
+                vec!["slow".into()],
+                Duration::from_secs(1),
+            ))
+            .unwrap();
+        // Five seconds in: the insight pumped (on nothing), the fact was
+        // never polled. The insight's *subscription* created its input
+        // topic; nothing created the outputs, and querying creates nothing.
+        apollo.run_for(Duration::from_secs(5));
+        assert!(apollo.query("SELECT MAX(Timestamp), metric FROM sum").is_err());
+        let broker = apollo.broker();
+        assert!(!broker.has_topic("sum"), "an insight that never published has no topic");
+        assert_eq!(broker.topic_names(), ["slow"], "the subscribed-to input, empty");
+        assert_eq!(broker.topic_len("slow"), 0);
+        apollo.run_for(Duration::from_secs(6));
+        assert_eq!(broker.topic_len("slow"), 1);
+        assert!(broker.has_topic("sum"));
+    }
+
+    #[test]
+    fn a_reregistered_name_publishes_into_the_new_topic() {
+        let mut apollo = Apollo::new_virtual();
+        let spec = |value| {
+            FactVertexSpec::fixed(
+                "cap",
+                Arc::new(ConstSource::new("cap", value)),
+                Duration::from_secs(1),
+            )
+            .publish_always()
+        };
+        let old = apollo.register_fact(spec(1.0)).unwrap();
+        apollo.run_for(Duration::from_secs(3));
+        let broker = apollo.broker();
+        assert_eq!(broker.topic_len("cap"), 3);
+
+        apollo.unregister("cap").unwrap();
+        assert!(!broker.has_topic("cap"));
+        apollo.register_fact(spec(2.0)).unwrap();
+        assert!(!broker.has_topic("cap"), "registration alone creates no topic");
+        apollo.run_for(Duration::from_secs(2));
+        let rows = apollo.query("SELECT metric FROM cap").unwrap().rows;
+        assert_eq!(rows.iter().map(|r| r.value).collect::<Vec<_>>(), [2.0, 2.0]);
+
+        // A retained handle to the retired vertex still resolves the name
+        // rather than writing into the removed topic nobody can read.
+        old.poll(apollo.now());
+        let latest =
+            apollo_streams::Record::decode(&broker.latest("cap").unwrap().payload).unwrap();
+        assert_eq!((latest.value, broker.topic_len("cap")), (1.0, 3));
     }
 
     #[test]

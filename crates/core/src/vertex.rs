@@ -19,7 +19,7 @@ use apollo_adaptive::controller::IntervalController;
 use apollo_cluster::metrics::{MetricError, MetricSource};
 use apollo_runtime::time::PhaseTimer;
 use apollo_streams::codec::Record;
-use apollo_streams::{Broker, Subscription};
+use apollo_streams::{Broker, Publisher, Subscription};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -77,10 +77,11 @@ struct InsightObs {
 
 /// A Fact Vertex: monitor hook + fact builder + fact queue.
 pub struct FactVertex {
-    name: String,
     source: Arc<dyn MetricSource>,
     controller: parking_lot::Mutex<Box<dyn IntervalController>>,
-    broker: Arc<Broker>,
+    /// This vertex's fact queue, resolved on first publish: a vertex that
+    /// never published has no topic.
+    publisher: Publisher,
     timer: PhaseTimer,
     last_published: parking_lot::Mutex<Option<f64>>,
     published: AtomicU64,
@@ -89,6 +90,10 @@ pub struct FactVertex {
     retries: AtomicU64,
     stale_published: AtomicU64,
     health: parking_lot::Mutex<HealthMonitor>,
+    /// `SupervisorConfig::poll_timeout` / `max_retries`, copied out at
+    /// construction: immutable, and read on every poll.
+    poll_timeout: Duration,
+    max_retries: u32,
     /// When false (ablation), every sample publishes even if unchanged.
     publish_on_change_only: bool,
     obs: OnceLock<FactObs>,
@@ -124,10 +129,9 @@ impl FactVertex {
         supervision: SupervisorConfig,
     ) -> Self {
         Self {
-            name: name.into(),
             source,
             controller: parking_lot::Mutex::new(controller),
-            broker,
+            publisher: broker.publisher(name),
             timer: PhaseTimer::new(),
             last_published: parking_lot::Mutex::new(None),
             published: AtomicU64::new(0),
@@ -135,6 +139,8 @@ impl FactVertex {
             failures: AtomicU64::new(0),
             retries: AtomicU64::new(0),
             stale_published: AtomicU64::new(0),
+            poll_timeout: supervision.poll_timeout,
+            max_retries: supervision.max_retries,
             health: parking_lot::Mutex::new(HealthMonitor::new(supervision)),
             publish_on_change_only,
             obs: OnceLock::new(),
@@ -151,20 +157,20 @@ impl FactVertex {
         if !registry.enabled() {
             return;
         }
+        let name = self.name();
         let _ = self.obs.set(FactObs {
-            poll_ns: registry.histogram(&format!("core.vertex.{}.poll_ns", self.name)),
+            poll_ns: registry.histogram(&format!("core.vertex.{name}.poll_ns")),
             poll_ns_all: registry.histogram("score.poll_ns"),
-            suppressed: registry.counter(&format!("core.vertex.{}.suppressed", self.name)),
-            health_transitions: registry
-                .counter(&format!("core.vertex.{}.health_transitions", self.name)),
+            suppressed: registry.counter(&format!("core.vertex.{name}.suppressed")),
+            health_transitions: registry.counter(&format!("core.vertex.{name}.health_transitions")),
             quarantine_recoveries: registry.counter("health.quarantine_recoveries"),
-            health_state: registry.gauge(&format!("core.vertex.{}.health_state", self.name)),
+            health_state: registry.gauge(&format!("core.vertex.{name}.health_state")),
         });
     }
 
     /// Topic / table name of this vertex's queue.
     pub fn name(&self) -> &str {
-        &self.name
+        self.publisher.topic()
     }
 
     /// Execute one monitoring cycle at time `now_ns`: sample (with bounded
@@ -195,10 +201,7 @@ impl FactVertex {
     }
 
     fn poll_inner(&self, now_ns: u64) -> Duration {
-        let (poll_timeout, max_retries) = {
-            let h = self.health.lock();
-            (h.config().poll_timeout, h.config().max_retries)
-        };
+        let (poll_timeout, max_retries) = (self.poll_timeout, self.max_retries);
 
         // ① Monitor hook. An attempt whose modelled cost exceeds the poll
         // timeout counts as a timeout even though it returned a value: a
@@ -233,7 +236,7 @@ impl FactVertex {
         let changed = last.is_none_or(|prev| prev != value);
         if changed || !self.publish_on_change_only {
             self.timer.time(phases::PUBLISH, || {
-                self.broker.publish(&self.name, now_ns / 1_000_000, record);
+                self.publisher.publish(now_ns / 1_000_000, record);
             });
             self.published.fetch_add(1, Ordering::Relaxed);
             *last = Some(value);
@@ -257,7 +260,7 @@ impl FactVertex {
         if let Some(prev) = *self.last_published.lock() {
             let record = self.timer.time(phases::BUILD, || Record::stale(now_ns, prev).encode());
             self.timer.time(phases::PUBLISH, || {
-                self.broker.publish(&self.name, now_ns / 1_000_000, record);
+                self.publisher.publish(now_ns / 1_000_000, record);
             });
             self.stale_published.fetch_add(1, Ordering::Relaxed);
         }
@@ -271,22 +274,20 @@ impl FactVertex {
     /// prediction path of Figure 1b). Not change-filtered: a prediction is
     /// only emitted when the model believes the value moved.
     pub fn publish_predicted(&self, now_ns: u64, value: f64) {
-        self.publish_predicted_batch(&[(now_ns, value)]);
+        self.publisher.publish(now_ns / 1_000_000, Record::predicted(now_ns, value).encode());
+        self.published.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Publish several predicted `(timestamp_ns, value)` records in one
-    /// batched flush (one topic lookup, one stream-lock acquisition, one
-    /// fan-out pass — see [`apollo_streams::Broker::publish_batch`]).
-    /// Multi-step Delphi horizons emit their whole forecast this way
-    /// instead of paying per-record publish overhead.
+    /// batched flush (one stream-lock acquisition, one fan-out pass — see
+    /// [`apollo_streams::Broker::publish_batch`]). Multi-step Delphi
+    /// horizons emit their whole forecast this way instead of paying
+    /// per-record publish overhead.
     pub fn publish_predicted_batch(&self, records: &[(u64, f64)]) {
-        if records.is_empty() {
-            return;
-        }
         let encoded = records.iter().map(|&(now_ns, value)| {
             (now_ns / 1_000_000, Record::predicted(now_ns, value).encode())
         });
-        self.broker.publish_batch(&self.name, encoded);
+        self.publisher.publish_batch(encoded);
         self.published.fetch_add(records.len() as u64, Ordering::Relaxed);
     }
 
@@ -350,7 +351,7 @@ impl FactVertex {
 impl std::fmt::Debug for FactVertex {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FactVertex")
-            .field("name", &self.name)
+            .field("name", &self.name())
             .field("published", &self.published())
             .field("suppressed", &self.suppressed())
             .field("health", &self.health())
@@ -393,12 +394,12 @@ type Builder = Box<dyn FnMut(&InsightInputs) -> Option<f64> + Send>;
 
 /// An Insight Vertex: subscriptions + insight builder + insight queue.
 pub struct InsightVertex {
-    name: String,
     inputs: Vec<String>,
     subscriptions: Vec<Subscription>,
     builder: parking_lot::Mutex<Builder>,
     state: parking_lot::Mutex<InsightInputs>,
-    broker: Arc<Broker>,
+    /// This vertex's insight queue, resolved on first publish.
+    publisher: Publisher,
     timer: PhaseTimer,
     last_published: parking_lot::Mutex<Option<f64>>,
     published: AtomicU64,
@@ -436,12 +437,11 @@ impl InsightVertex {
     ) -> Self {
         let subscriptions = inputs.iter().map(|t| broker.subscribe(t)).collect();
         Self {
-            name: name.into(),
             inputs,
             subscriptions,
             builder: parking_lot::Mutex::new(builder),
             state: parking_lot::Mutex::new(InsightInputs::default()),
-            broker,
+            publisher: broker.publisher(name),
             timer: PhaseTimer::new(),
             last_published: parking_lot::Mutex::new(None),
             published: AtomicU64::new(0),
@@ -461,14 +461,14 @@ impl InsightVertex {
             return;
         }
         let _ = self.obs.set(InsightObs {
-            pump_ns: registry.histogram(&format!("core.vertex.{}.pump_ns", self.name)),
+            pump_ns: registry.histogram(&format!("core.vertex.{}.pump_ns", self.name())),
             pump_ns_all: registry.histogram("score.pump_ns"),
         });
     }
 
     /// Topic / table name of this vertex's insight queue.
     pub fn name(&self) -> &str {
-        &self.name
+        self.publisher.topic()
     }
 
     /// The input topic names.
@@ -531,7 +531,7 @@ impl InsightVertex {
                 let record =
                     self.timer.time(phases::BUILD, || Record::measured(now_ns, v).encode());
                 self.timer.time(phases::PUBLISH, || {
-                    self.broker.publish(&self.name, now_ns / 1_000_000, record);
+                    self.publisher.publish(now_ns / 1_000_000, record);
                 });
                 self.published.fetch_add(1, Ordering::Relaxed);
                 *last = Some(v);
@@ -559,7 +559,7 @@ impl InsightVertex {
 impl std::fmt::Debug for InsightVertex {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("InsightVertex")
-            .field("name", &self.name)
+            .field("name", &self.name())
             .field("inputs", &self.inputs)
             .field("published", &self.published())
             .finish()

@@ -1,0 +1,123 @@
+//! Allocation teeth for the prediction path: a predicted record costs
+//! **one** heap allocation — its refcounted payload, which the stream
+//! window owns — and nothing else. Counted by the workspace's counting
+//! allocator (`apollo-alloc-count`); the count is process-wide, so this
+//! file deliberately holds a single `#[test]`.
+//!
+//! With `B` vertices enrolled in one pump, windows at their retention
+//! bound (so no `VecDeque` grows) and the pump warm (scratch sized,
+//! trackers full), one tick performs exactly `B` allocations. With a
+//! two-object payload (`Arc<Vec<u8>>`) published as a batch of one
+//! through intermediate `Vec`s it was `5·B`.
+
+use apollo_alloc_count::allocs_during;
+use apollo_cluster::metrics::{MetricError, MetricSource};
+use apollo_core::service::{Apollo, FactVertexSpec};
+use apollo_delphi::{Delphi, DelphiConfig};
+use apollo_runtime::event_loop::EventLoop;
+use apollo_streams::codec::Record;
+use apollo_streams::{Broker, SpillBackend, StreamConfig};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
+
+/// A metric that never repeats a window: a phase-shifted sine, so every
+/// enrolled vertex stages a non-flat row each tick.
+struct Sine {
+    phase: f64,
+    samples: AtomicU64,
+}
+
+impl MetricSource for Sine {
+    fn sample(&self, now_ns: u64) -> Result<f64, MetricError> {
+        self.samples.fetch_add(1, Ordering::Relaxed);
+        Ok(100.0 + (now_ns as f64 / 1e9 * 0.7 + self.phase).sin())
+    }
+
+    fn name(&self) -> String {
+        "sine".into()
+    }
+
+    fn samples_taken(&self) -> u64 {
+        self.samples.load(Ordering::Relaxed)
+    }
+}
+
+/// Windows bounded at 8 entries and evictions dropped, not archived: at
+/// the bound an append frees one entry and grows nothing.
+fn bounded() -> StreamConfig {
+    StreamConfig { max_len: Some(8), archive_evicted: false, spill: SpillBackend::Heap }
+}
+
+#[test]
+fn a_predicted_record_costs_one_allocation() {
+    a_warm_pump_tick_allocates_one_payload_per_predicted_record();
+    publishing_an_encoded_record_allocates_nothing_beyond_the_payload();
+}
+
+fn a_warm_pump_tick_allocates_one_payload_per_predicted_record() {
+    const B: usize = 24; // three full SIMD lanes
+    let mut apollo = Apollo::with_config(EventLoop::new_virtual(), bounded());
+    let model = Delphi::train(DelphiConfig {
+        feature_samples: 80,
+        feature_epochs: 5,
+        combiner_samples: 60,
+        combiner_epochs: 5,
+        ..DelphiConfig::default()
+    });
+    let pump = apollo.prediction_pump(model, Duration::from_millis(100));
+    for i in 0..B {
+        apollo
+            .register_fact(
+                FactVertexSpec::fixed(
+                    format!("v{i}"),
+                    Arc::new(Sine { phase: i as f64 * 0.37, samples: AtomicU64::new(0) }),
+                    Duration::from_secs(1),
+                )
+                .with_batched_prediction(&pump),
+            )
+            .unwrap();
+    }
+    // Five polls fill the trackers; by 6.05 s every window is at its
+    // bound and the pump has ticked at full batch ten times.
+    apollo.run_for(Duration::from_millis(6_050));
+    let broker = apollo.broker();
+    for i in 0..B {
+        assert_eq!(broker.topic_info(&format!("v{i}")).unwrap().window_len, 8);
+    }
+
+    // 6.05 s → 6.95 s: nine pump ticks (6.1 … 6.9), no poll.
+    let before = apollo.stats().facts_published;
+    let allocs = allocs_during(|| apollo.run_for(Duration::from_millis(900)));
+    let predicted = apollo.stats().facts_published - before;
+    assert_eq!(predicted, 9 * B as u64, "every enrolled vertex predicts on every tick");
+    assert_eq!(
+        allocs, predicted,
+        "a tick allocates one payload per predicted record and nothing else"
+    );
+    let batch = &apollo.metrics_snapshot().histograms["delphi.batch_size"];
+    assert_eq!(batch.max, B as u64, "the ticks ran as whole batches through the kernel");
+}
+
+fn publishing_an_encoded_record_allocates_nothing_beyond_the_payload() {
+    let broker = Arc::new(Broker::new(bounded()));
+    let publisher = broker.publisher("by-handle");
+    let record = |i: u64| Record::measured(i * 1_000_000, i as f64);
+    // Warm: create both topics and fill their windows to the bound.
+    for i in 0..16 {
+        broker.publish("by-name", i, record(i).encode());
+        broker.publish_batch("by-name", [(i, record(i).encode())]);
+        publisher.publish(i, record(i).encode());
+    }
+
+    assert_eq!(allocs_during(|| drop(record(99).encode())), 1, "the payload is one allocation");
+    // Payloads are built outside the counted regions.
+    let [p, q, r, s] = [100, 101, 102, 103].map(|i| record(i).encode());
+    let mut ids = [None; 2];
+    assert_eq!(allocs_during(|| ids[0] = Some(broker.publish("by-name", 100, p))), 0);
+    assert_eq!(allocs_during(|| ids[1] = Some(publisher.publish(100, q))), 0);
+    assert!(ids.iter().all(Option::is_some));
+    // A batch returns its IDs in a `Vec`: its only allocation.
+    assert_eq!(allocs_during(|| drop(broker.publish_batch("by-name", [(101, r)]))), 1);
+    assert_eq!(allocs_during(|| drop(publisher.publish_batch([(101, s)]))), 1);
+}

@@ -129,22 +129,47 @@ impl WindowTracker {
         if !self.ready() {
             return None;
         }
-        let lo = self.history.iter().cloned().fold(f64::INFINITY, f64::min);
-        let hi = self.history.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let span = hi - lo;
-        self.normalized.clear();
-        if span == 0.0 {
-            self.normalized.extend(self.history.iter().map(|_| 0.0));
-        } else {
-            self.normalized.extend(self.history.iter().map(|v| (v - lo) / span));
-        }
+        self.normalized.resize(self.window, 0.0);
+        let (lo, span) = normalize(&self.history, &mut self.normalized);
         Some((&self.normalized, lo, span))
+    }
+
+    /// [`WindowTracker::normalized`] written into a caller-owned row —
+    /// how the batched pump normalizes straight into its staged batch
+    /// instead of into a side buffer that is then copied. Returns
+    /// `(lo, span)`; `None` (and `out` untouched) until the window is
+    /// full.
+    ///
+    /// # Panics
+    /// Panics if `out.len()` differs from the window length.
+    pub fn normalized_into(&self, out: &mut [f64]) -> Option<(f64, f64)> {
+        if !self.ready() {
+            return None;
+        }
+        assert_eq!(out.len(), self.window, "row length differs from the window");
+        Some(normalize(&self.history, out))
     }
 
     /// Map a normalized prediction back onto the metric's real scale.
     pub fn denormalize(lo: f64, span: f64, p: f64) -> f64 {
         lo + p * span
     }
+}
+
+/// Min-max normalize `history` into `out` (same length); returns
+/// `(lo, span)`. A flat window (span == 0) zero-fills `out`.
+fn normalize(history: &VecDeque<f64>, out: &mut [f64]) -> (f64, f64) {
+    let lo = history.iter().cloned().fold(f64::INFINITY, f64::min);
+    let hi = history.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+    let span = hi - lo;
+    if span == 0.0 {
+        out.fill(0.0);
+    } else {
+        for (o, v) in out.iter_mut().zip(history) {
+            *o = (v - lo) / span;
+        }
+    }
+    (lo, span)
 }
 
 /// Scale-invariant online wrapper around a [`WindowModel`].
@@ -310,6 +335,21 @@ mod tests {
         let (w, lo, span) = flat.normalized().unwrap();
         assert_eq!(w, &[0.0, 0.0]);
         assert_eq!(WindowTracker::denormalize(lo, span, 0.9), 7.0);
+    }
+
+    #[test]
+    fn normalized_into_writes_the_same_window_into_a_caller_row() {
+        let mut t = WindowTracker::new(3);
+        let mut row = [9.0; 3];
+        t.observe(4.0);
+        assert_eq!(t.normalized_into(&mut row), None);
+        assert_eq!(row, [9.0; 3], "untouched until the window is full");
+        for v in [1.0, 7.0, 3.0] {
+            t.observe(v);
+        }
+        assert_eq!(t.normalized_into(&mut row), Some((1.0, 6.0)));
+        let (w, lo, span) = t.normalized().unwrap();
+        assert_eq!((w, lo, span), (&row[..], 1.0, 6.0));
     }
 
     #[test]

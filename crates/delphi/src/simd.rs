@@ -645,6 +645,14 @@ mod tests {
             let tail =
                 stack_forward(window, nfeat, &fw, &fb, &cw, cb, &xt, rows, &mut ft, &mut out);
             assert_eq!(tail, rows % LANES, "tail count at rows={rows}");
+            // The serving kernel's two tiers: dispatched (AVX2 where the
+            // host has it) vs the scalar compilation of the same body.
+            let mut out_body = vec![0.0f32; rows];
+            stack_forward_body(window, nfeat, &fw, &fb, &cw, cb, &xt, rows, &mut ft, &mut out_body);
+            assert!(
+                out.iter().zip(&out_body).all(|(a, b)| a.to_bits() == b.to_bits()),
+                "dispatch tiers diverge at rows={rows}"
+            );
             if reference.is_nan() {
                 reference = out[0];
             }

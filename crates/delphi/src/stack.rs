@@ -27,21 +27,25 @@ use std::sync::{Arc, Mutex};
 /// stay bit-identical.
 const COMBINER_SHARDS: usize = 4;
 
-/// Numeric path used by Delphi inference. The default, [`Exact`], is
-/// the f64 scalar reference every bit-exactness suite pins; the lowered
-/// paths trade bounded precision (budgets in
-/// [`crate::simd::budget`]) for speed and are built **once** at
-/// [`Delphi::set_precision`] time — never per call.
+/// Numeric path used by Delphi inference. The default, [`SimdF32`], is
+/// the serving path: every `Delphi::train*` constructor returns a model
+/// on it, with the lowered tables built **once** after training — never
+/// per call. [`Exact`] is the f64 implementation training runs on and
+/// the oracle every equivalence suite compares the lowered paths against
+/// (budgets in [`crate::simd::budget`]); it serves only when asked for
+/// by name through [`Delphi::with_precision`].
 ///
 /// [`Exact`]: InferencePrecision::Exact
+/// [`SimdF32`]: InferencePrecision::SimdF32
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum InferencePrecision {
-    /// f64 scalar kernels — the bit-exact reference path.
-    #[default]
+    /// f64 scalar kernels — the training implementation and the
+    /// reference oracle.
     Exact,
     /// Lowered f32 kernels on 8-wide SIMD lanes with runtime AVX2
     /// dispatch ([`crate::simd`]); error bounded by
-    /// [`crate::simd::budget::STACK_F32`].
+    /// [`crate::simd::budget::STACK_F32`]. The serving default.
+    #[default]
     SimdF32,
     /// Symmetric per-row int8 weights with i32 accumulation and f32
     /// requantization ([`crate::quant`]); error bounded by
@@ -134,6 +138,15 @@ impl DelphiScratch {
     /// the one given to [`DelphiScratch::begin_batch`].
     pub fn set_row(&mut self, i: usize, window: &[f64]) {
         self.input.row_mut(i).copy_from_slice(window);
+    }
+
+    /// Staged row `i`, for a caller that writes a window in place (the
+    /// prediction pump normalizes straight into it).
+    ///
+    /// # Panics
+    /// Panics if `i` is out of range.
+    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
+        self.input.row_mut(i)
     }
 
     /// Number of rows currently staged.
@@ -269,7 +282,7 @@ pub struct Delphi {
     combiner: Sequential,
     precision: InferencePrecision,
     /// `Some` iff `precision != Exact` (invariant kept by
-    /// [`Delphi::set_precision`]).
+    /// [`Delphi::set_precision`]); cloned with the model.
     lowered: Option<Lowered>,
 }
 
@@ -369,7 +382,8 @@ impl Delphi {
             }
         }
 
-        Self { config, features, combiner, precision: InferencePrecision::default(), lowered: None }
+        Self { config, features, combiner, precision: InferencePrecision::Exact, lowered: None }
+            .with_precision(InferencePrecision::default())
     }
 
     /// Window length the model expects.
@@ -391,7 +405,9 @@ impl Delphi {
     /// Select the numeric inference path. Lowered tables (f32 packing
     /// and int8 quantization) are built here, **once** — never on the
     /// per-prediction path. Training always runs on the exact f64
-    /// weights; only inference is rerouted.
+    /// weights; only inference is rerouted. Models come out of training
+    /// on [`InferencePrecision::default`]; pass
+    /// [`InferencePrecision::Exact`] to get the f64 oracle.
     pub fn set_precision(&mut self, precision: InferencePrecision) {
         self.precision = precision;
         self.lowered = match precision {
@@ -790,7 +806,7 @@ mod tests {
 
     #[test]
     fn predict_into_matches_predict_bitwise() {
-        let d = Delphi::train(fast_config());
+        let d = Delphi::train(fast_config()).with_precision(InferencePrecision::Exact);
         let mut scratch = DelphiScratch::default();
         for w in [[0.4, 0.4, 0.4, 0.4, 0.4], [0.2, 0.3, 0.4, 0.5, 0.6], [0.9, 0.1, 0.8, 0.2, 0.7]] {
             assert_eq!(d.predict_into(&w, &mut scratch), d.predict(&w));
@@ -799,7 +815,7 @@ mod tests {
 
     #[test]
     fn predict_batch_matches_per_row_predict_bitwise() {
-        let d = Delphi::train(fast_config());
+        let d = Delphi::train(fast_config()).with_precision(InferencePrecision::Exact);
         let windows: Vec<Vec<f64>> = (0..7)
             .map(|i| (0..5).map(|j| ((i * 5 + j) as f64 * 0.173).sin() * 0.5 + 0.5).collect())
             .collect();
@@ -814,22 +830,35 @@ mod tests {
     }
 
     #[test]
-    fn precision_defaults_to_exact_with_unit_lane() {
-        let d = Delphi::train(fast_config());
-        assert_eq!(d.precision(), InferencePrecision::Exact);
-        assert_eq!(d.lane_width(), 1);
-        let s = d.clone().with_precision(InferencePrecision::SimdF32);
-        assert_eq!(s.precision(), InferencePrecision::SimdF32);
-        assert_eq!(s.lane_width(), crate::simd::LANES);
-        assert_eq!(s.clone().precision(), InferencePrecision::SimdF32);
-        let q = s.with_precision(InferencePrecision::Int8);
-        assert_eq!(q.lane_width(), 1);
+    fn training_returns_the_lowered_serving_path() {
+        assert_eq!(InferencePrecision::default(), InferencePrecision::SimdF32);
+        let pool = WorkerPool::new(2);
+        let registry = apollo_obs::Registry::new();
+        for d in [
+            Delphi::train(fast_config()),
+            Delphi::train_with_pool(fast_config(), Some(&pool)),
+            Delphi::train_observed(fast_config(), None, &registry),
+        ] {
+            assert_eq!(d.precision(), InferencePrecision::SimdF32);
+            assert_eq!(d.lane_width(), crate::simd::LANES);
+            assert!(d.lowered.is_some(), "tables are built once, after training");
+            // A clone (one per `with_prediction` vertex) carries the
+            // tables: it never rebuilds them and never falls back.
+            let c = d.clone();
+            assert_eq!(c.precision(), InferencePrecision::SimdF32);
+            assert!(c.lowered.is_some());
+        }
+        // `Exact` is reachable only by name, and carries no tables.
+        let e = Delphi::train(fast_config()).with_precision(InferencePrecision::Exact);
+        assert_eq!((e.precision(), e.lane_width()), (InferencePrecision::Exact, 1));
+        assert!(e.lowered.is_none());
+        assert_eq!(e.with_precision(InferencePrecision::Int8).lane_width(), 1);
     }
 
     #[test]
     fn simd_precision_tracks_exact_within_budget() {
-        let exact = Delphi::train(fast_config());
-        let simd = exact.clone().with_precision(InferencePrecision::SimdF32);
+        let simd = Delphi::train(fast_config());
+        let exact = simd.clone().with_precision(InferencePrecision::Exact);
         let budget = crate::simd::budget::STACK_F32;
         let mut scratch = DelphiScratch::default();
         for i in 0..50 {
@@ -846,7 +875,7 @@ mod tests {
 
     #[test]
     fn int8_precision_tracks_exact_within_budget() {
-        let exact = Delphi::train(fast_config());
+        let exact = Delphi::train(fast_config()).with_precision(InferencePrecision::Exact);
         let int8 = exact.clone().with_precision(InferencePrecision::Int8);
         let budget = crate::simd::budget::STACK_INT8;
         let mut scratch = DelphiScratch::default();
@@ -868,8 +897,9 @@ mod tests {
     #[test]
     fn lowered_batches_match_single_rows_bitwise() {
         let base = Delphi::train(fast_config());
-        for precision in [InferencePrecision::SimdF32, InferencePrecision::Int8] {
-            let d = base.clone().with_precision(precision);
+        assert_eq!(base.precision(), InferencePrecision::SimdF32);
+        for d in [base.clone(), base.with_precision(InferencePrecision::Int8)] {
+            let precision = d.precision();
             let windows: Vec<Vec<f64>> = (0..13)
                 .map(|i| (0..5).map(|j| ((i * 5 + j) as f64 * 0.37).sin() * 0.5 + 0.5).collect())
                 .collect();
@@ -884,7 +914,7 @@ mod tests {
 
     #[test]
     fn simd_tail_rows_are_reported_and_vanish_when_padded() {
-        let d = Delphi::train(fast_config()).with_precision(InferencePrecision::SimdF32);
+        let d = Delphi::train(fast_config());
         let w = d.window();
         let window: Vec<f64> = (0..w).map(|i| 0.1 + 0.1 * i as f64).collect();
         let mut scratch = DelphiScratch::default();

@@ -1,53 +1,15 @@
-//! Proof of the zero-allocation inference claim: a counting
-//! `#[global_allocator]` wraps the system allocator, and the steady-state
-//! prediction paths (`Delphi::predict_into`, `Delphi::predict_batch_into`
-//! after one warm-up call at each batch size) must perform **exactly
-//! zero** heap allocations per call.
+//! Proof of the zero-allocation inference claim, counted by the
+//! workspace's counting allocator (`apollo-alloc-count`): the
+//! steady-state prediction paths (`Delphi::predict_into`,
+//! `Delphi::predict_batch_into` after one warm-up call at each batch
+//! size) must perform **exactly zero** heap allocations per call — on the
+//! `Exact` f64 oracle and on both lowered paths.
 //!
-//! This file deliberately holds a single `#[test]`: the allocator is
-//! process-global, so a second concurrently-running test would pollute
-//! the counts.
+//! This file deliberately holds a single `#[test]`: the count is
+//! process-wide, so a second concurrently-running test would pollute it.
 
+use apollo_alloc_count::allocs_during;
 use apollo_delphi::stack::{Delphi, DelphiConfig, DelphiScratch, InferencePrecision};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-struct Counting;
-
-// SAFETY: delegates every operation to `System`; the added atomic
-// counter has no effect on layout or pointer validity.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::SeqCst);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::SeqCst);
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::SeqCst);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-/// Allocations performed while running `f`.
-fn allocs_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.load(Ordering::SeqCst);
-    f();
-    ALLOCS.load(Ordering::SeqCst) - before
-}
 
 #[test]
 fn steady_state_prediction_allocates_nothing() {
@@ -57,7 +19,8 @@ fn steady_state_prediction_allocates_nothing() {
         combiner_samples: 60,
         combiner_epochs: 5,
         ..DelphiConfig::default()
-    });
+    })
+    .with_precision(InferencePrecision::Exact);
     let w = delphi.window();
     let window: Vec<f64> = (0..w).map(|i| 0.1 + 0.08 * i as f64).collect();
 

@@ -195,7 +195,9 @@ proptest! {
 }
 
 /// One tiny stack per process, shared across proptest cases; lowered
-/// variants are clones with their tables built once.
+/// variants are clones with their tables built once. The oracle asks for
+/// `Exact` by name: training returns the lowered serving path, and an
+/// oracle left on it would compare f32 with f32.
 fn exact() -> &'static Delphi {
     static MODEL: OnceLock<Delphi> = OnceLock::new();
     MODEL.get_or_init(|| {
@@ -206,6 +208,7 @@ fn exact() -> &'static Delphi {
             combiner_epochs: 5,
             ..DelphiConfig::default()
         })
+        .with_precision(InferencePrecision::Exact)
     })
 }
 

@@ -1,5 +1,5 @@
-//! Proof of the warm-scan-cache zero-allocation claim: a counting
-//! `#[global_allocator]` wraps the system allocator, and a repeat
+//! Proof of the warm-scan-cache zero-allocation claim, counted by the
+//! workspace's counting allocator (`apollo-alloc-count`): a repeat
 //! [`TableProvider::range`] / [`TableProvider::columns`] call against an
 //! unchanged topic must be served as a pure `Arc` clone — **exactly
 //! zero** heap allocations.
@@ -10,52 +10,13 @@
 //! topic name. Every hit after that touches only borrowed keys, atomics,
 //! and `Arc` reference counts.
 //!
-//! This file deliberately holds a single `#[test]`: the allocator is
-//! process-global, so a second concurrently-running test would pollute
-//! the counts.
+//! This file deliberately holds a single `#[test]`: the count is
+//! process-wide, so a second concurrently-running test would pollute it.
 
+use apollo_alloc_count::allocs_during;
 use apollo_query::exec::{CachedBroker, ScanCache, TableProvider};
 use apollo_streams::codec::Record;
 use apollo_streams::{Broker, StreamConfig};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-struct Counting;
-
-// SAFETY: delegates every operation to `System`; the added atomic
-// counter has no effect on layout or pointer validity.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::SeqCst);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::SeqCst);
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::SeqCst);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-/// Allocations performed while running `f`.
-fn allocs_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.load(Ordering::SeqCst);
-    f();
-    ALLOCS.load(Ordering::SeqCst) - before
-}
 
 #[test]
 fn warm_range_hits_allocate_nothing() {

@@ -30,7 +30,7 @@ use crate::stream::{ColumnBatch, ScanBatch, SpillBackend, Stream, StreamConfig};
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -277,6 +277,10 @@ struct Topic {
     dead_lettered: AtomicU64,
     /// Shared with the owning broker (0 = unlimited).
     max_deliveries: Arc<AtomicU32>,
+    /// Set by [`Broker::remove_topic`]: a [`Publisher`] still holding this
+    /// topic resolves the name again instead of publishing into a topic
+    /// nobody can read.
+    removed: AtomicBool,
     /// Registry handles, set once by [`Broker::instrument`] (or at topic
     /// creation on an instrumented broker). A plain atomic load on the
     /// publish hot path when absent.
@@ -610,6 +614,7 @@ impl Broker {
                 dropped_entries: AtomicU64::new(0),
                 dead_lettered: AtomicU64::new(0),
                 max_deliveries: Arc::clone(&self.max_deliveries),
+                removed: AtomicBool::new(false),
                 obs,
             })
         }))
@@ -641,9 +646,23 @@ impl Broker {
     }
 
     /// Remove a topic and all its state. Existing subscriptions stop
-    /// receiving. Returns whether the topic existed.
+    /// receiving, and a [`Publisher`] resolved to the topic creates it
+    /// anew on its next publish, as a by-name publish would. Returns
+    /// whether the topic existed.
     pub fn remove_topic(&self, name: &str) -> bool {
-        self.shard_write(name).remove(name).is_some()
+        let removed = self.shard_write(name).remove(name);
+        if let Some(t) = &removed {
+            // Release pairs with the Acquire load in `Publisher::with_topic`.
+            t.removed.store(true, Ordering::Release);
+        }
+        removed.is_some()
+    }
+
+    /// A publisher resolved to `topic`: what a vertex that owns a topic
+    /// holds instead of the name, so its publishes skip the namespace
+    /// lookup (see [`Publisher`]). Creating one does not create the topic.
+    pub fn publisher(self: &Arc<Self>, topic: impl Into<String>) -> Publisher {
+        Publisher { broker: Arc::clone(self), name: topic.into(), topic: Mutex::new(None) }
     }
 
     /// Publish a payload on `topic` at millisecond timestamp `ms`.
@@ -651,38 +670,26 @@ impl Broker {
     /// applying each subscriber's backpressure policy.
     ///
     /// Delivery happens on a snapshot of the subscriber list taken under
-    /// the lock, with the lock *released* while queues are pushed — so a
-    /// subscriber blocked on a full [`BackpressurePolicy::Block`] queue
-    /// stalls only publishers of its own entry, never subscription churn
-    /// or healthy siblings of a concurrent publish.
+    /// the lock **after the append**, with the lock *released* while
+    /// queues are pushed — so a `subscribe()` that returned before this
+    /// call began receives the entry, and a subscriber blocked on a full
+    /// [`BackpressurePolicy::Block`] queue stalls only publishers of its
+    /// own entry, never subscription churn or healthy siblings of a
+    /// concurrent publish.
     pub fn publish(&self, topic: &str, ms: u64, payload: impl Into<Bytes>) -> StreamId {
-        let t = self.topic(topic);
+        self.publish_to(&self.topic(topic), ms, payload.into())
+    }
+
+    fn publish_to(&self, t: &Topic, ms: u64, payload: Bytes) -> StreamId {
         let seq = t.published.fetch_add(1, Ordering::Relaxed);
         self.published_total.fetch_add(1, Ordering::Relaxed);
-        let obs = self.obs.get();
         // A clock read costs more than the rest of an uncontended publish,
         // so the latency histogram samples 1-in-64 publishes; counters
         // stay exact.
-        let start = match obs {
-            Some(_) if seq & 63 == 0 => Some(Instant::now()),
-            _ => None,
-        };
-        let payload = payload.into();
+        let start = (self.obs.get().is_some() && seq & 63 == 0).then(Instant::now);
         let id = t.stream.append(ms, payload.clone());
-        let deepest = Self::fan_out(&t, &[Entry::new(id, payload)]);
-        if let Some(obs) = obs {
-            // Publish counts ride `t.published` / `Broker::published_total`
-            // (exported via `counter_backed_by`), so the instrumented hot
-            // path adds only branches plus the 1-in-64 sample below.
-            if let Some(start) = start {
-                obs.publish_ns.observe(start.elapsed().as_nanos() as u64);
-                // The backlog gauge rides the same 1-in-64 sample: it is a
-                // point-in-time depth reading, not an exact count.
-                if let Some(tobs) = t.obs.get() {
-                    tobs.backlog.set(deepest as f64);
-                }
-            }
-        }
+        let deepest = Self::fan_out(t, &[Entry::new(id, payload)]);
+        self.observe_sample(t, start, deepest);
         id
     }
 
@@ -693,41 +700,67 @@ impl Broker {
     /// at once. Semantically identical to calling [`Broker::publish`]
     /// per record (same IDs, same per-subscriber ordering, same exact
     /// counters); only the lock traffic is amortized. Returns the
-    /// assigned IDs in record order.
+    /// assigned IDs in record order — the only allocation when the topic
+    /// has no subscribers.
     pub fn publish_batch(
         &self,
         topic: &str,
         records: impl IntoIterator<Item = (u64, Bytes)>,
     ) -> Vec<StreamId> {
-        let records: Vec<(u64, Bytes)> = records.into_iter().collect();
-        if records.is_empty() {
+        let mut records = records.into_iter().peekable();
+        if records.peek().is_none() {
             return Vec::new();
         }
-        let t = self.topic(topic);
-        let n = records.len() as u64;
-        let seq = t.published.fetch_add(n, Ordering::Relaxed);
-        self.published_total.fetch_add(n, Ordering::Relaxed);
-        let obs = self.obs.get();
+        self.publish_batch_to(&self.topic(topic), records)
+    }
+
+    fn publish_batch_to(
+        &self,
+        t: &Topic,
+        records: impl Iterator<Item = (u64, Bytes)>,
+    ) -> Vec<StreamId> {
         // Same 1-in-64 sampling policy as `publish`: sample when the
-        // batch's sequence span crosses a multiple of 64.
-        let start = match obs {
-            Some(_) if seq.next_multiple_of(64) < seq + n => Some(Instant::now()),
-            _ => None,
-        };
-        let payloads: Vec<Bytes> = records.iter().map(|(_, p)| p.clone()).collect();
-        let ids = t.stream.append_batch(records);
-        let entries: Vec<Entry> =
-            ids.iter().zip(payloads).map(|(id, p)| Entry::new(*id, p)).collect();
-        let deepest = Self::fan_out(&t, &entries);
-        if let Some(obs) = obs {
-            if let Some(start) = start {
-                obs.publish_ns.observe(start.elapsed().as_nanos() as u64);
-                if let Some(tobs) = t.obs.get() {
-                    tobs.backlog.set(deepest as f64);
-                }
+        // batch's sequence span crosses a multiple of 64. The records are
+        // consumed under the window lock, so the span is sized from the
+        // iterator's lower bound — exact for slices, arrays and `Vec`s.
+        let seq = t.published.load(Ordering::Relaxed);
+        let expect = records.size_hint().0.max(1) as u64;
+        let start = (self.obs.get().is_some() && seq.next_multiple_of(64) < seq + expect)
+            .then(Instant::now);
+        // The entry list exists only for subscribers; their IDs are
+        // filled in once the append has assigned them. A `subscribe()`
+        // that returned before this call is seen here, and `fan_out`
+        // snapshots the list again after the append.
+        let fan = !t.subscribers.lock().is_empty();
+        let mut entries: Vec<Entry> = Vec::new();
+        let ids = t.stream.append_batch(records.inspect(|(_, payload)| {
+            if fan {
+                entries.push(Entry::new(StreamId::MIN, payload.clone()));
             }
+        }));
+        let n = ids.len() as u64;
+        t.published.fetch_add(n, Ordering::Relaxed);
+        self.published_total.fetch_add(n, Ordering::Relaxed);
+        for (entry, id) in entries.iter_mut().zip(&ids) {
+            entry.id = *id;
         }
+        let deepest = if fan { Self::fan_out(t, &entries) } else { 0 };
+        self.observe_sample(t, start, deepest);
         ids
+    }
+
+    /// Record a sampled publish: latency since `start` and the deepest
+    /// subscriber queue seen. Publish counts ride `t.published` /
+    /// `Broker::published_total` (exported via `counter_backed_by`), so
+    /// the instrumented hot path adds only a branch when unsampled; the
+    /// backlog gauge rides the same sample — it is a point-in-time depth
+    /// reading, not an exact count.
+    fn observe_sample(&self, t: &Topic, start: Option<Instant>, deepest: usize) {
+        let (Some(start), Some(obs)) = (start, self.obs.get()) else { return };
+        obs.publish_ns.observe(start.elapsed().as_nanos() as u64);
+        if let Some(tobs) = t.obs.get() {
+            tobs.backlog.set(deepest as f64);
+        }
     }
 
     /// Deliver `entries` in order to a snapshot of `t`'s subscribers
@@ -738,6 +771,9 @@ impl Broker {
     fn fan_out(t: &Topic, entries: &[Entry]) -> usize {
         let targets: Vec<(SubscriptionId, Arc<SubQueue>)> =
             t.subscribers.lock().iter().map(|s| (s.id, Arc::clone(&s.queue))).collect();
+        if targets.is_empty() {
+            return 0;
+        }
         let mut gone: Vec<SubscriptionId> = Vec::new();
         for entry in entries {
             for (sid, queue) in &targets {
@@ -960,6 +996,68 @@ impl Broker {
             }
             None => false,
         }
+    }
+}
+
+/// A publisher resolved to one topic, created by [`Broker::publisher`]:
+/// the topic's `Arc` plus the broker's shared counters and instruments,
+/// so a publish is the counter `fetch_add`s, the window append and the
+/// fan-out — no name hash, stripe lock or map probe. Records land exactly
+/// as a by-name [`Broker::publish`] would put them (same IDs, counters,
+/// instruments and append-then-snapshot delivery order).
+///
+/// * **Lazy**: the topic is resolved (and, if absent, created) on the
+///   first publish, so a vertex that never published has no topic.
+/// * **Never stale**: once [`Broker::remove_topic`] has flagged the held
+///   topic removed, the next publish resolves the name again and lands in
+///   the topic a by-name publish would create.
+///
+/// Publishes through one handle are serialized (the handle is held
+/// locked for the duration of a publish); a vertex owns its handle and
+/// never publishes concurrently with itself.
+pub struct Publisher {
+    broker: Arc<Broker>,
+    name: String,
+    topic: Mutex<Option<Arc<Topic>>>,
+}
+
+impl Publisher {
+    /// The topic name this publisher writes to.
+    pub fn topic(&self) -> &str {
+        &self.name
+    }
+
+    /// Run `f` on the live topic, resolving the name first when nothing is
+    /// held yet or the held topic was removed.
+    fn with_topic<R>(&self, f: impl FnOnce(&Broker, &Topic) -> R) -> R {
+        let mut held = self.topic.lock();
+        // Acquire pairs with the Release store in `Broker::remove_topic`.
+        let live = held.as_ref().is_some_and(|t| !t.removed.load(Ordering::Acquire));
+        if !live {
+            *held = Some(self.broker.topic(&self.name));
+        }
+        f(&self.broker, held.as_ref().expect("resolved above"))
+    }
+
+    /// [`Broker::publish`] on the resolved topic.
+    pub fn publish(&self, ms: u64, payload: impl Into<Bytes>) -> StreamId {
+        let payload = payload.into();
+        self.with_topic(|broker, t| broker.publish_to(t, ms, payload))
+    }
+
+    /// [`Broker::publish_batch`] on the resolved topic.
+    pub fn publish_batch(&self, records: impl IntoIterator<Item = (u64, Bytes)>) -> Vec<StreamId> {
+        let mut records = records.into_iter().peekable();
+        if records.peek().is_none() {
+            return Vec::new();
+        }
+        self.with_topic(|broker, t| broker.publish_batch_to(t, records))
+    }
+}
+
+impl std::fmt::Debug for Publisher {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Publisher").field("topic", &self.name).finish()
     }
 }
 

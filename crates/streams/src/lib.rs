@@ -43,8 +43,8 @@ pub mod stream;
 
 pub use archiver::{ArchiveLog, LoadReport};
 pub use broker::{
-    BackpressurePolicy, Broker, ConsumerGroup, GroupError, SubscribeOptions, Subscription,
-    TopicInfo,
+    BackpressurePolicy, Broker, ConsumerGroup, GroupError, Publisher, SubscribeOptions,
+    Subscription, TopicInfo,
 };
 pub use codec::{Provenance, Record};
 pub use entry::Entry;

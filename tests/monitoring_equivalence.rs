@@ -213,17 +213,29 @@ fn bounded_window_serves_full_history() {
 /// coincides with a poll inside the run (poll 10 s, predict 3 s — ties
 /// land on 30 s multiples, and the window only fills at t = 50 s, so the
 /// run stops at 59 s before the t = 60 s tie).
+///
+/// Pinned on the path training returns (the lowered `SimdF32` lanes —
+/// the one production behaviour) and on the explicit `Exact` f64 oracle.
 #[test]
 fn batched_pump_matches_per_vertex_prediction_bitwise() {
-    use apollo_delphi::stack::{Delphi, DelphiConfig};
+    use apollo_delphi::stack::{Delphi, DelphiConfig, InferencePrecision};
 
-    let delphi = Delphi::train(DelphiConfig {
+    let serving = Delphi::train(DelphiConfig {
         feature_samples: 300,
         feature_epochs: 50,
         combiner_samples: 100,
         combiner_epochs: 50,
         ..DelphiConfig::default()
     });
+    assert_eq!(serving.precision(), InferencePrecision::SimdF32);
+    let oracle = serving.clone().with_precision(InferencePrecision::Exact);
+    for delphi in [serving, oracle] {
+        pump_matches_per_vertex(delphi);
+    }
+}
+
+fn pump_matches_per_vertex(delphi: apollo_delphi::stack::Delphi) {
+    let precision = delphi.precision();
     let traces: Vec<TimeSeries> = (0..3u64)
         .map(|k| {
             TimeSeries::from_points(
@@ -281,7 +293,7 @@ fn batched_pump_matches_per_vertex_prediction_bitwise() {
         };
         let a = decode(&solo);
         let b = decode(&pumped);
-        assert_eq!(a, b, "vertex {name} streams diverge");
+        assert_eq!(a, b, "{precision:?}: vertex {name} streams diverge");
         let predicted = a.iter().filter(|r| !r.is_measured()).count();
         assert!(predicted >= 2, "vertex {name}: no predictions exercised ({predicted})");
     }
@@ -289,6 +301,7 @@ fn batched_pump_matches_per_vertex_prediction_bitwise() {
     // The pump ran whole batches: every tick predicted all three vertices
     // in one kernel call.
     let snap = pumped.metrics_snapshot();
+    assert_eq!(snap.gauges["delphi.precision"], precision.metric_code() as f64);
     let batch = &snap.histograms["delphi.batch_size"];
     assert!(batch.count >= 2, "pump never ticked a batch");
     assert_eq!(batch.max, traces.len() as u64, "full batch never formed");
