@@ -1,5 +1,5 @@
 //! Criterion counterpart of the `delphi_simd` report: the exact f64
-//! fused path vs the lowered SIMD f32 and int8 paths, fused (per-row)
+//! fused path vs the lowered SIMD f32 path, fused (per-row)
 //! and batched pump-style (padded to the lane width), at the batch
 //! sizes a prediction-pump tick actually sees.
 
@@ -26,11 +26,7 @@ fn windows(n: usize, w: usize) -> Vec<Vec<f64>> {
 fn bench_lowered(c: &mut Criterion) {
     let simd = trained(); // training returns the SIMD f32 serving path
     let w = simd.window();
-    let paths = [
-        ("exact", simd.clone().with_precision(InferencePrecision::Exact)),
-        ("simd", simd.clone()),
-        ("int8", simd.with_precision(InferencePrecision::Int8)),
-    ];
+    let paths = [("exact", simd.clone().with_precision(InferencePrecision::Exact)), ("simd", simd)];
     let mut group = c.benchmark_group("delphi_simd");
     for batch in [1usize, 16, 64] {
         let wins = windows(batch, w);

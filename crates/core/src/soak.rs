@@ -16,7 +16,7 @@
 //!    bounded, configured number of probe cycles
 //!    ([`SoakConfig::recovery_deadline`]).
 //! 3. **`bounded_memory`** — the broker's live-window memory stays under
-//!    a ceiling proportional to `topics × stream_bound`, and no sampled
+//!    a ceiling proportional to `topics × window bound`, and no sampled
 //!    stream's window exceeds its configured bound (eviction works under
 //!    churn; slow subscribers stay inside their queue capacity).
 //! 4. **`no_escaped_panics`** — zero event-loop callbacks panic past
@@ -63,9 +63,10 @@ pub struct SoakConfig {
     pub poll_interval: Duration,
     /// How often invariants are evaluated and a sample is recorded.
     pub checkpoint_every: Duration,
-    /// Per-topic live-window bound ([`StreamConfig::bounded`]); small
-    /// enough that steady publishing causes continuous eviction.
-    pub stream_bound: usize,
+    /// Per-topic retention and spill backend. The live-window bound
+    /// (`max_len`, required) is small enough that steady publishing
+    /// causes continuous eviction.
+    pub stream: StreamConfig,
     /// Worker-pool threads (0 = inline dispatch).
     pub workers: usize,
     /// When set, a batched Delphi prediction pump ticks at this cadence.
@@ -129,7 +130,7 @@ impl Default for SoakConfig {
             horizon: Duration::from_secs(120),
             poll_interval: Duration::from_secs(1),
             checkpoint_every: Duration::from_secs(10),
-            stream_bound: 24,
+            stream: StreamConfig::bounded(24),
             workers: 4,
             pump_every: None,
             pump_stride: 32,
@@ -157,12 +158,17 @@ impl Default for SoakConfig {
 }
 
 impl SoakConfig {
+    /// The per-topic live-window bound the memory invariants check.
+    fn window_bound(&self) -> usize {
+        self.stream.max_len.expect("soak streams are bounded")
+    }
+
     /// Live-window memory ceiling for `topics` streams: every window
-    /// holds at most `stream_bound` entries of roughly `payload + Entry`
+    /// holds at most `stream.max_len` entries of roughly `payload + Entry`
     /// bytes, padded by [`SoakConfig::memory_slack`].
     pub fn memory_ceiling_bytes(&self, topics: usize) -> usize {
         const EST_ENTRY_BYTES: usize = 160;
-        ((topics * self.stream_bound * EST_ENTRY_BYTES) as f64 * self.memory_slack.max(1.0))
+        ((topics * self.window_bound() * EST_ENTRY_BYTES) as f64 * self.memory_slack.max(1.0))
             as usize
     }
 }
@@ -328,10 +334,7 @@ pub fn run(config: &SoakConfig, schedule: &ChaosSchedule) -> Result<SoakOutcome,
 /// [`run`] over an already-compiled schedule.
 pub fn run_compiled(config: &SoakConfig, compiled: &CompiledChaos) -> SoakOutcome {
     // --- Build the service -------------------------------------------
-    let mut apollo = Apollo::with_config(
-        EventLoop::new_virtual(),
-        StreamConfig::bounded(config.stream_bound.max(1)),
-    );
+    let mut apollo = Apollo::with_config(EventLoop::new_virtual(), config.stream.clone());
     if config.workers > 0 {
         apollo.use_worker_pool(config.workers);
     }
@@ -570,9 +573,9 @@ pub fn run_compiled(config: &SoakConfig, compiled: &CompiledChaos) -> SoakOutcom
             }
             for (topic, _) in &groups {
                 let len = broker.topic_info(topic).map_or(0, |i| i.window_len);
-                if len > config.stream_bound {
+                if len > config.window_bound() {
                     depth_violations
-                        .push(format!("{topic}: window {len} > {}", config.stream_bound));
+                        .push(format!("{topic}: window {len} > {}", config.window_bound()));
                 }
             }
             // Monotone recovery: healed sources must be Healthy again

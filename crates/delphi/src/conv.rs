@@ -178,22 +178,6 @@ impl CnnModel {
         err * err
     }
 
-    /// Lower to a frozen `f32` inference-only model ([`CnnF32`]) whose
-    /// conv inner loops run on the vectorized
-    /// [`crate::simd::conv1d`] kernel. Predictions track this model's
-    /// within [`crate::simd::budget::CONV`].
-    pub fn freeze_f32(&self) -> CnnF32 {
-        CnnF32 {
-            channels: self.conv.channels,
-            kernel: self.conv.kernel,
-            window: self.window,
-            w: self.conv.weights.data().iter().map(|&v| v as f32).collect(),
-            b: self.conv.bias.iter().map(|&v| v as f32).collect(),
-            head_w: self.head_w.data().iter().map(|&v| v as f32).collect(),
-            head_b: self.head_b as f32,
-        }
-    }
-
     /// Train on a series with sliding windows; returns final-epoch mean
     /// loss.
     pub fn fit_series(&mut self, series: &[f64], epochs: usize, lr: f64) -> f64 {
@@ -208,82 +192,6 @@ impl CnnModel {
             last = total / xs.len() as f64;
         }
         last
-    }
-}
-
-/// Frozen `f32` lowering of [`CnnModel`] for fast inference: the conv
-/// inner loops run on the vectorized [`crate::simd::conv1d`] kernel,
-/// the ReLU'd head on [`crate::simd::dot`].
-#[derive(Debug, Clone)]
-pub struct CnnF32 {
-    channels: usize,
-    kernel: usize,
-    window: usize,
-    /// Filters, row-major `channels × kernel`.
-    w: Vec<f32>,
-    /// Per-channel bias.
-    b: Vec<f32>,
-    /// Head weights over the flattened feature map.
-    head_w: Vec<f32>,
-    /// Head bias.
-    head_b: f32,
-}
-
-/// Reusable buffers for [`CnnF32::predict_into`].
-#[derive(Debug, Clone, Default)]
-pub struct CnnScratch32 {
-    x: Vec<f32>,
-    pre: crate::simd::Mat32,
-}
-
-impl CnnF32 {
-    /// Window length the model expects.
-    pub fn window(&self) -> usize {
-        self.window
-    }
-
-    /// Predict the next value of a window.
-    pub fn predict(&self, window: &[f64]) -> f64 {
-        self.predict_into(window, &mut CnnScratch32::default())
-    }
-
-    /// [`CnnF32::predict`] through caller-owned scratch: steady-state
-    /// calls allocate nothing.
-    ///
-    /// # Panics
-    /// Panics if `window.len()` differs from the model's window.
-    pub fn predict_into(&self, window: &[f64], scratch: &mut CnnScratch32) -> f64 {
-        assert_eq!(window.len(), self.window, "window length mismatch");
-        scratch.x.clear();
-        scratch.x.extend(window.iter().map(|&v| v as f32));
-        crate::simd::conv1d(
-            &scratch.x,
-            &self.w,
-            &self.b,
-            self.channels,
-            self.kernel,
-            &mut scratch.pre,
-        );
-        for v in scratch.pre.data_mut() {
-            *v = v.max(0.0);
-        }
-        (self.head_b + crate::simd::dot(scratch.pre.data(), &self.head_w)) as f64
-    }
-}
-
-impl crate::predictor::WindowModel for CnnF32 {
-    type Scratch = CnnScratch32;
-
-    fn window(&self) -> usize {
-        self.window
-    }
-
-    fn predict_normalized(&self, window: &[f64]) -> f64 {
-        self.predict(window)
-    }
-
-    fn predict_normalized_into(&self, window: &[f64], scratch: &mut Self::Scratch) -> f64 {
-        self.predict_into(window, scratch)
     }
 }
 
@@ -381,25 +289,6 @@ mod tests {
         let mut scratch = CnnScratch::default();
         for w in [[0.1, 0.2, 0.3, 0.4, 0.5], [0.5, 0.4, 0.3, 0.2, 0.1], [0.5; 5]] {
             assert_eq!(m.predict_into(&w, &mut scratch), m.predict(&w));
-        }
-    }
-
-    #[test]
-    fn frozen_f32_tracks_f64_within_budget() {
-        let mut m = CnnModel::new(5, 3, 8, 13);
-        let series: Vec<f64> = (0..120).map(|i| (i as f64 * 0.17).sin() * 0.3 + 0.5).collect();
-        m.fit_series(&series, 40, 0.02);
-        let frozen = m.freeze_f32();
-        assert_eq!(frozen.window(), 5);
-        let budget = crate::simd::budget::CONV;
-        let mut scratch = CnnScratch32::default();
-        for i in 0..30 {
-            let w: Vec<f64> =
-                (0..5).map(|j| ((i * 5 + j) as f64 * 0.23).cos() * 0.5 + 0.5).collect();
-            let oracle = m.predict(&w);
-            let got = frozen.predict_into(&w, &mut scratch);
-            assert!(budget.within(oracle, got), "window {i}: f64 {oracle} vs f32 {got}");
-            assert_eq!(got, frozen.predict(&w), "scratch path must match allocating path");
         }
     }
 

@@ -31,14 +31,12 @@ pub mod features;
 pub mod lstm;
 pub mod nn;
 pub mod predictor;
-pub mod quant;
 pub mod simd;
 pub mod stack;
 pub mod tensor;
 
-pub use conv::{CnnF32, CnnModel, CnnScratch, CnnScratch32};
+pub use conv::{CnnModel, CnnScratch};
 pub use features::Feature;
-pub use lstm::{LstmF32, LstmModel, LstmScratch32};
+pub use lstm::LstmModel;
 pub use predictor::{OnlinePredictor, WindowTracker};
-pub use quant::{QuantizedDense, QuantizedModel};
 pub use stack::{Delphi, DelphiConfig, DelphiScratch, InferencePrecision};

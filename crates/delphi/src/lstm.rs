@@ -23,10 +23,6 @@ fn sigmoid(x: f64) -> f64 {
     1.0 / (1.0 + (-x).exp())
 }
 
-fn sigmoid32(x: f32) -> f32 {
-    1.0 / (1.0 + (-x).exp())
-}
-
 /// Cached per-timestep state for BPTT.
 struct StepCache {
     x: Matrix,      // 1×in
@@ -279,23 +275,6 @@ impl LstmModel {
         Activation::Linear
     }
 
-    /// Lower to a frozen `f32` inference-only model ([`LstmF32`]) whose
-    /// gate matvec runs on the vectorized
-    /// [`crate::simd::lstm_gates`] kernel. Training stays on the f64
-    /// path; predictions track this model's within
-    /// [`crate::simd::budget::LSTM`].
-    pub fn freeze_f32(&self) -> LstmF32 {
-        LstmF32 {
-            hidden: self.hidden,
-            window: self.window,
-            wx: self.wx.data().iter().map(|&v| v as f32).collect(),
-            wh: self.wh.data().iter().map(|&v| v as f32).collect(),
-            b: self.b.data().iter().map(|&v| v as f32).collect(),
-            wy: self.wy.data().iter().map(|&v| v as f32).collect(),
-            by: self.by.get(0, 0) as f32,
-        }
-    }
-
     /// Deterministic pooled training: each epoch shards the sliding
     /// windows into contiguous blocks, computes per-sample clipped BPTT
     /// gradients against an epoch-start snapshot (on `pool` workers when
@@ -379,82 +358,6 @@ impl LstmModel {
             loss *= inv;
         }
         loss
-    }
-}
-
-/// Frozen `f32` lowering of [`LstmModel`] for fast inference: the
-/// per-timestep gate pre-activations (`z = b + x·wx + h·wh`, the
-/// `H×4H` matvec that dominates the forward pass) run on the
-/// vectorized [`crate::simd::lstm_gates`] kernel, the head on
-/// [`crate::simd::dot`]. Unlike [`LstmModel::predict`], steady-state
-/// prediction through [`LstmF32::predict_into`] allocates nothing.
-#[derive(Debug, Clone)]
-pub struct LstmF32 {
-    hidden: usize,
-    window: usize,
-    /// Gate input weights, len `4H` (input size 1).
-    wx: Vec<f32>,
-    /// Gate recurrent weights, row-major `H×4H`.
-    wh: Vec<f32>,
-    /// Gate bias, len `4H`.
-    b: Vec<f32>,
-    /// Head weights, len `H`.
-    wy: Vec<f32>,
-    /// Head bias.
-    by: f32,
-}
-
-/// Reusable state buffers for [`LstmF32::predict_into`].
-#[derive(Debug, Clone, Default)]
-pub struct LstmScratch32 {
-    h: Vec<f32>,
-    c: Vec<f32>,
-    z: Vec<f32>,
-}
-
-impl LstmF32 {
-    /// Window length the model expects.
-    pub fn window(&self) -> usize {
-        self.window
-    }
-
-    /// Forward pass over a window, returning the scalar prediction.
-    pub fn predict(&self, window: &[f64]) -> f64 {
-        self.predict_into(window, &mut LstmScratch32::default())
-    }
-
-    /// [`LstmF32::predict`] through caller-owned scratch: steady-state
-    /// calls allocate nothing.
-    ///
-    /// # Panics
-    /// Panics if `window.len()` differs from the model's window.
-    pub fn predict_into(&self, window: &[f64], scratch: &mut LstmScratch32) -> f64 {
-        assert_eq!(window.len(), self.window, "window length mismatch");
-        let h = self.hidden;
-        scratch.h.resize(h, 0.0);
-        scratch.h.fill(0.0);
-        scratch.c.resize(h, 0.0);
-        scratch.c.fill(0.0);
-        scratch.z.resize(4 * h, 0.0);
-        for &v in window {
-            crate::simd::lstm_gates(
-                v as f32,
-                &scratch.h,
-                &self.wx,
-                &self.wh,
-                &self.b,
-                &mut scratch.z,
-            );
-            for j in 0..h {
-                let i = sigmoid32(scratch.z[j]);
-                let f = sigmoid32(scratch.z[h + j]);
-                let o = sigmoid32(scratch.z[2 * h + j]);
-                let g = scratch.z[3 * h + j].tanh();
-                scratch.c[j] = f * scratch.c[j] + i * g;
-                scratch.h[j] = o * scratch.c[j].tanh();
-            }
-        }
-        (self.by + crate::simd::dot(&scratch.h, &self.wy)) as f64
     }
 }
 
@@ -553,25 +456,6 @@ mod tests {
         assert!(loss < 1e-2, "pooled constant loss {loss}");
         let p = m.predict(&[0.5; 5]);
         assert!((p - 0.5).abs() < 0.1, "prediction {p}");
-    }
-
-    #[test]
-    fn frozen_f32_tracks_f64_within_budget() {
-        let mut m = LstmModel::new(16, 5, 21);
-        let series: Vec<f64> = (0..120).map(|i| (i as f64 * 0.21).sin() * 0.4 + 0.5).collect();
-        m.fit_series(&series, 20, 0.05);
-        let frozen = m.freeze_f32();
-        assert_eq!(frozen.window(), 5);
-        let budget = crate::simd::budget::LSTM;
-        let mut scratch = LstmScratch32::default();
-        for i in 0..30 {
-            let w: Vec<f64> =
-                (0..5).map(|j| ((i * 5 + j) as f64 * 0.19).sin() * 0.5 + 0.5).collect();
-            let oracle = m.predict(&w);
-            let got = frozen.predict_into(&w, &mut scratch);
-            assert!(budget.within(oracle, got), "window {i}: f64 {oracle} vs f32 {got}");
-            assert_eq!(got, frozen.predict(&w), "scratch path must match allocating path");
-        }
     }
 
     #[test]

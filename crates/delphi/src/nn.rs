@@ -36,18 +36,6 @@ impl Activation {
         }
     }
 
-    /// [`Activation::apply`] in `f32`, for the lowered SIMD kernels.
-    /// Computed natively in f32 (not via a rounded f64 round trip) so
-    /// the lowered path costs no double-precision transcendentals.
-    pub fn apply_f32(&self, x: f32) -> f32 {
-        match self {
-            Activation::Linear => x,
-            Activation::Relu => x.max(0.0),
-            Activation::Sigmoid => 1.0 / (1.0 + (-x).exp()),
-            Activation::Tanh => x.tanh(),
-        }
-    }
-
     /// Derivative expressed in terms of the activation *output* `y`.
     pub fn derivative_from_output(&self, y: f64) -> f64 {
         match self {

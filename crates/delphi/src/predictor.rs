@@ -57,22 +57,6 @@ impl WindowModel for crate::lstm::LstmModel {
     }
 }
 
-impl WindowModel for crate::lstm::LstmF32 {
-    type Scratch = crate::lstm::LstmScratch32;
-
-    fn window(&self) -> usize {
-        self.window()
-    }
-
-    fn predict_normalized(&self, window: &[f64]) -> f64 {
-        self.predict(window)
-    }
-
-    fn predict_normalized_into(&self, window: &[f64], scratch: &mut Self::Scratch) -> f64 {
-        self.predict_into(window, scratch)
-    }
-}
-
 /// Sliding min-max window state: the last `window` observations plus a
 /// reusable normalization buffer. Extracted from [`OnlinePredictor`] so
 /// the batched prediction pump in `apollo-core` can stage many vertices'

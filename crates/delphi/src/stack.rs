@@ -14,7 +14,6 @@
 
 use crate::features::{mixed_dataset, windows, Feature};
 use crate::nn::{Activation, Dense, Scratch, Sequential};
-use crate::quant::{QuantScratch, QuantizedDense, QuantizedModel};
 use crate::simd;
 use crate::tensor::Matrix;
 use apollo_runtime::pool::WorkerPool;
@@ -31,8 +30,8 @@ const COMBINER_SHARDS: usize = 4;
 /// the serving path: every `Delphi::train*` constructor returns a model
 /// on it, with the lowered tables built **once** after training — never
 /// per call. [`Exact`] is the f64 implementation training runs on and
-/// the oracle every equivalence suite compares the lowered paths against
-/// (budgets in [`crate::simd::budget`]); it serves only when asked for
+/// the oracle every equivalence suite compares the lowered path against
+/// (budget in [`crate::simd::budget`]); it serves only when asked for
 /// by name through [`Delphi::with_precision`].
 ///
 /// [`Exact`]: InferencePrecision::Exact
@@ -47,10 +46,6 @@ pub enum InferencePrecision {
     /// [`crate::simd::budget::STACK_F32`]. The serving default.
     #[default]
     SimdF32,
-    /// Symmetric per-row int8 weights with i32 accumulation and f32
-    /// requantization ([`crate::quant`]); error bounded by
-    /// [`crate::simd::budget::STACK_INT8`].
-    Int8,
 }
 
 impl InferencePrecision {
@@ -59,28 +54,24 @@ impl InferencePrecision {
         match self {
             InferencePrecision::Exact => "exact",
             InferencePrecision::SimdF32 => "simd-f32",
-            InferencePrecision::Int8 => "int8",
         }
     }
 
     /// Code published on the `delphi.precision` gauge (0 exact /
-    /// 1 simd-f32 / 2 int8).
+    /// 1 simd-f32).
     pub fn metric_code(self) -> u64 {
         match self {
             InferencePrecision::Exact => 0,
             InferencePrecision::SimdF32 => 1,
-            InferencePrecision::Int8 => 2,
         }
     }
 }
 
-/// Frozen lowered inference tables for the non-[`Exact`] paths, built
-/// once by [`Delphi::set_precision`]. The stack is eight `window → 1`
-/// linear Dense layers plus an `8 → 1` linear combiner by construction,
-/// so lowering packs them into flat `f32` rows (for the transposed
-/// SIMD batch kernel) and one [`QuantizedModel`].
-///
-/// [`Exact`]: InferencePrecision::Exact
+/// Frozen lowered inference tables for the [`InferencePrecision::SimdF32`]
+/// path, built once by [`Delphi::set_precision`]. The stack is eight
+/// `window → 1` linear Dense layers plus an `8 → 1` linear combiner by
+/// construction, so lowering packs them into flat `f32` rows for the
+/// transposed SIMD batch kernel.
 #[derive(Debug, Clone)]
 struct Lowered {
     /// Feature weights, `nfeat × window` row-major.
@@ -91,8 +82,6 @@ struct Lowered {
     cw: Vec<f32>,
     /// Combiner bias.
     cb: f32,
-    /// Int8 tables for [`InferencePrecision::Int8`].
-    quant: QuantizedModel,
 }
 
 /// Reusable buffers for [`Delphi::predict_into`] /
@@ -117,8 +106,6 @@ pub struct DelphiScratch {
     ft: Vec<f32>,
     /// f32 combiner outputs for the SIMD path.
     out32: Vec<f32>,
-    /// Per-row int8 staging for the quantized path.
-    quant: QuantScratch,
     /// Scalar-tail rows of the last SIMD batched call.
     tail_rows: usize,
 }
@@ -166,7 +153,7 @@ impl DelphiScratch {
     }
 
     /// Rows the last [`Delphi::predict_batch_into`] call processed on
-    /// the SIMD path's scalar tail — 0 on the `Exact`/`Int8` paths and
+    /// the SIMD path's scalar tail — 0 on the `Exact` path and
     /// whenever the staged batch is a lane-width multiple (which the
     /// prediction pump guarantees by padding). Feeds the
     /// `delphi.batch_tail_scalar` counter.
@@ -402,8 +389,8 @@ impl Delphi {
         self
     }
 
-    /// Select the numeric inference path. Lowered tables (f32 packing
-    /// and int8 quantization) are built here, **once** — never on the
+    /// Select the numeric inference path. The lowered f32 tables are
+    /// built here, **once** — never on the
     /// per-prediction path. Training always runs on the exact f64
     /// weights; only inference is rerouted. Models come out of training
     /// on [`InferencePrecision::default`]; pass
@@ -412,18 +399,17 @@ impl Delphi {
         self.precision = precision;
         self.lowered = match precision {
             InferencePrecision::Exact => None,
-            _ => Some(self.build_lowered()),
+            InferencePrecision::SimdF32 => Some(self.build_lowered()),
         };
     }
 
     /// SIMD lane width of the active path: staging batch capacities
     /// should be rounded up to a multiple of this so tail batches don't
-    /// fall off the vector path. 1 on the `Exact` and `Int8` (per-row)
-    /// paths.
+    /// fall off the vector path. 1 on the `Exact` path.
     pub fn lane_width(&self) -> usize {
         match self.precision {
             InferencePrecision::SimdF32 => simd::LANES,
-            _ => 1,
+            InferencePrecision::Exact => 1,
         }
     }
 
@@ -452,23 +438,11 @@ impl Delphi {
         assert_eq!(comb.weights.rows(), nfeat, "combiner width mismatch");
         let cw: Vec<f32> = (0..nfeat).map(|j| comb.weights.get(j, 0) as f32).collect();
         let cb = comb.bias.get(0, 0) as f32;
-
-        // Int8: the eight window→1 feature rows pack into one window→8
-        // QuantizedDense (stacking single linear layers is exact).
-        let fmat = Matrix::from_fn(window, nfeat, |k, j| {
-            self.features[j].net.layers()[0].weights.get(k, 0)
-        });
-        let fbias =
-            Matrix::from_fn(1, nfeat, |_, j| self.features[j].net.layers()[0].bias.get(0, 0));
-        let quant = QuantizedModel {
-            features: QuantizedDense::from_dense(&fmat, &fbias),
-            combiner: QuantizedDense::from_dense(&comb.weights, &comb.bias),
-        };
-        Lowered { fw, fb, cw, cb, quant }
+        Lowered { fw, fb, cw, cb }
     }
 
     fn lowered(&self) -> &Lowered {
-        self.lowered.as_ref().expect("lowered tables exist for non-Exact precision")
+        self.lowered.as_ref().expect("lowered tables exist on the SimdF32 path")
     }
 
     /// Predict the next normalized value from a normalized window, on
@@ -483,7 +457,7 @@ impl Delphi {
                 let feats: Vec<f64> = self.features.iter().map(|m| m.predict(window)).collect();
                 self.combiner.infer(&Matrix::row_vector(feats)).get(0, 0)
             }
-            _ => self.predict_into(window, &mut DelphiScratch::default()),
+            InferencePrecision::SimdF32 => self.predict_into(window, &mut DelphiScratch::default()),
         }
     }
 
@@ -530,10 +504,6 @@ impl Delphi {
                     &mut scratch.out32,
                 );
                 scratch.out32[0] as f64
-            }
-            InferencePrecision::Int8 => {
-                scratch.tail_rows = 0;
-                self.lowered().quant.forward_window(window, &mut scratch.quant)
             }
         }
     }
@@ -598,14 +568,6 @@ impl Delphi {
                     &mut scratch.out32,
                 );
                 out.extend(scratch.out32[..b].iter().map(|&v| v as f64));
-            }
-            InferencePrecision::Int8 => {
-                scratch.tail_rows = 0;
-                let low = self.lowered();
-                let b = scratch.input.rows();
-                for r in 0..b {
-                    out.push(low.quant.forward_window(scratch.input.row(r), &mut scratch.quant));
-                }
             }
         }
     }
@@ -852,7 +814,6 @@ mod tests {
         let e = Delphi::train(fast_config()).with_precision(InferencePrecision::Exact);
         assert_eq!((e.precision(), e.lane_width()), (InferencePrecision::Exact, 1));
         assert!(e.lowered.is_none());
-        assert_eq!(e.with_precision(InferencePrecision::Int8).lane_width(), 1);
     }
 
     #[test]
@@ -873,42 +834,21 @@ mod tests {
         }
     }
 
-    #[test]
-    fn int8_precision_tracks_exact_within_budget() {
-        let exact = Delphi::train(fast_config()).with_precision(InferencePrecision::Exact);
-        let int8 = exact.clone().with_precision(InferencePrecision::Int8);
-        let budget = crate::simd::budget::STACK_INT8;
-        let mut scratch = DelphiScratch::default();
-        for i in 0..50 {
-            let w: Vec<f64> =
-                (0..5).map(|j| ((i * 7 + j) as f64 * 0.173).cos() * 0.5 + 0.5).collect();
-            let oracle = exact.predict(&w);
-            let got = int8.predict_into(&w, &mut scratch);
-            assert!(
-                budget.within(oracle, got),
-                "window {i}: exact {oracle} vs int8 {got} (budget {budget:?})"
-            );
-        }
-    }
-
-    /// On the lowered paths each row's value is independent of batch
+    /// On the lowered path each row's value is independent of batch
     /// size and lane placement, so batched == per-row **bitwise** (same
-    /// property the Exact path pins, at f32/int8 precision).
+    /// property the Exact path pins, at f32 precision).
     #[test]
     fn lowered_batches_match_single_rows_bitwise() {
-        let base = Delphi::train(fast_config());
-        assert_eq!(base.precision(), InferencePrecision::SimdF32);
-        for d in [base.clone(), base.with_precision(InferencePrecision::Int8)] {
-            let precision = d.precision();
-            let windows: Vec<Vec<f64>> = (0..13)
-                .map(|i| (0..5).map(|j| ((i * 5 + j) as f64 * 0.37).sin() * 0.5 + 0.5).collect())
-                .collect();
-            let batched = d.predict_batch(&windows);
-            let mut scratch = DelphiScratch::default();
-            for (w, &p) in windows.iter().zip(&batched) {
-                assert_eq!(p, d.predict_into(w, &mut scratch), "{precision:?}");
-                assert_eq!(p, d.predict(w), "{precision:?}");
-            }
+        let d = Delphi::train(fast_config());
+        assert_eq!(d.precision(), InferencePrecision::SimdF32);
+        let windows: Vec<Vec<f64>> = (0..13)
+            .map(|i| (0..5).map(|j| ((i * 5 + j) as f64 * 0.37).sin() * 0.5 + 0.5).collect())
+            .collect();
+        let batched = d.predict_batch(&windows);
+        let mut scratch = DelphiScratch::default();
+        for (w, &p) in windows.iter().zip(&batched) {
+            assert_eq!(p, d.predict_into(w, &mut scratch));
+            assert_eq!(p, d.predict(w));
         }
     }
 

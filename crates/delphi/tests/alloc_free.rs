@@ -3,7 +3,7 @@
 //! steady-state prediction paths (`Delphi::predict_into`,
 //! `Delphi::predict_batch_into` after one warm-up call at each batch
 //! size) must perform **exactly zero** heap allocations per call — on the
-//! `Exact` f64 oracle and on both lowered paths.
+//! `Exact` f64 oracle and on the lowered serving path.
 //!
 //! This file deliberately holds a single `#[test]`: the count is
 //! process-wide, so a second concurrently-running test would pollute it.
@@ -70,54 +70,45 @@ fn steady_state_prediction_allocates_nothing() {
     });
     assert_eq!(n, 0, "shrinking batches allocated {n} times");
 
-    // --- Lowered paths (SIMD f32 and int8) -------------------------------
-    // Lowering tables (f32 packing, int8 quantization) are built once at
-    // `set_precision`; after one warm-up sizing pass, both `predict_into`
-    // and the pump-style padded `predict_batch_into` must be alloc-free.
-    for precision in [InferencePrecision::SimdF32, InferencePrecision::Int8] {
-        let model = delphi.clone().with_precision(precision);
-        let lane = model.lane_width();
-        let mut scratch = DelphiScratch::default();
-        let expected = model.predict_into(&window, &mut scratch); // warm-up
-        let n = allocs_during(|| {
-            for _ in 0..100 {
-                let p = model.predict_into(&window, &mut scratch);
-                assert_eq!(p, expected);
-            }
-        });
-        assert_eq!(
-            n,
-            0,
-            "{} predict_into allocated {n} times over 100 steady-state calls",
-            precision.name()
-        );
+    // --- Lowered path (SIMD f32) -----------------------------------------
+    // The lowered f32 tables are built once at `set_precision`; after one
+    // warm-up sizing pass, both `predict_into` and the pump-style padded
+    // `predict_batch_into` must be alloc-free.
+    let model = delphi.clone().with_precision(InferencePrecision::SimdF32);
+    let lane = model.lane_width();
+    let mut scratch = DelphiScratch::default();
+    let expected = model.predict_into(&window, &mut scratch); // warm-up
+    let n = allocs_during(|| {
+        for _ in 0..100 {
+            let p = model.predict_into(&window, &mut scratch);
+            assert_eq!(p, expected);
+        }
+    });
+    assert_eq!(n, 0, "simd-f32 predict_into allocated {n} times over 100 steady-state calls");
 
-        // Pump-style padded batch: capacity and staged rows rounded up to
-        // the lane width, padding rows zeroed, outputs past the staged
-        // prefix discarded.
-        let padded = batch.next_multiple_of(lane);
-        let stage = |scratch: &mut DelphiScratch| {
-            scratch.begin_batch(padded, w);
-            for i in 0..batch {
-                scratch.set_row(i, &window);
-            }
-            scratch.pad_rows(batch);
-        };
-        stage(&mut scratch);
-        model.predict_batch_into(&mut scratch, &mut out); // warm-up at this size
-        let n = allocs_during(|| {
-            for _ in 0..100 {
-                stage(&mut scratch);
-                model.predict_batch_into(&mut scratch, &mut out);
-                assert_eq!(out[0], expected);
-                assert_eq!(scratch.tail_rows(), 0, "padded batch fell off the vector path");
-            }
-        });
-        assert_eq!(
-            n,
-            0,
-            "{} padded predict_batch_into allocated {n} times over 100 steady-state calls",
-            precision.name()
-        );
-    }
+    // Pump-style padded batch: capacity and staged rows rounded up to
+    // the lane width, padding rows zeroed, outputs past the staged
+    // prefix discarded.
+    let padded = batch.next_multiple_of(lane);
+    let stage = |scratch: &mut DelphiScratch| {
+        scratch.begin_batch(padded, w);
+        for i in 0..batch {
+            scratch.set_row(i, &window);
+        }
+        scratch.pad_rows(batch);
+    };
+    stage(&mut scratch);
+    model.predict_batch_into(&mut scratch, &mut out); // warm-up at this size
+    let n = allocs_during(|| {
+        for _ in 0..100 {
+            stage(&mut scratch);
+            model.predict_batch_into(&mut scratch, &mut out);
+            assert_eq!(out[0], expected);
+            assert_eq!(scratch.tail_rows(), 0, "padded batch fell off the vector path");
+        }
+    });
+    assert_eq!(
+        n, 0,
+        "simd-f32 padded predict_batch_into allocated {n} times over 100 steady-state calls"
+    );
 }

@@ -5,15 +5,8 @@
 //! The fused kernels reproduce the naive path's ascending-`k`
 //! accumulation order and its exact-zero skip, so equality is exact —
 //! any reordering of the reduction shows up here as a hard failure.
-//!
-//! The lowered f32 SIMD kernels (`apollo_delphi::simd`) get the
-//! **tolerance-bounded** variant at the bottom of this file: same
-//! seeded shapes, same f64 oracle, but compared under the per-kernel
-//! budgets in `simd::budget` — the f64 path stays the bit-exact
-//! reference, the lowered path is only required to track it.
 
 use apollo_delphi::nn::Activation;
-use apollo_delphi::simd::{self, budget, Mat32};
 use apollo_delphi::stack::{Delphi, DelphiConfig, InferencePrecision};
 use apollo_delphi::tensor::Matrix;
 use rand::rngs::StdRng;
@@ -144,63 +137,5 @@ fn predict_batch_matches_single_row_predictions() {
             let singles: Vec<f64> = windows.iter().map(|win| d.predict(win)).collect();
             assert_eq!(batched, singles, "{:?} batch size {batch}", d.precision());
         }
-    }
-}
-
-/// Assert every element of a lowered f32 result is within `b` of the
-/// f64 oracle.
-fn assert_within(oracle: &Matrix, got: &Mat32, b: budget::Budget, ctx: &str) {
-    assert_eq!((got.rows(), got.cols()), (oracle.rows(), oracle.cols()), "{ctx}: shape");
-    for r in 0..oracle.rows() {
-        for c in 0..oracle.cols() {
-            let (want, have) = (oracle.get(r, c), got.get(r, c) as f64);
-            assert!(b.within(want, have), "{ctx} ({r},{c}): want {want}, got {have}");
-        }
-    }
-}
-
-/// Tolerance-bounded variant of the suite above: the lowered f32 SIMD
-/// kernels over the same seeded shapes, judged against the f64 oracle
-/// under their per-kernel budgets rather than bitwise.
-#[test]
-fn lowered_simd_kernels_track_f64_oracle_within_budgets() {
-    let mut rng = StdRng::seed_from_u64(0xFACADE);
-    let mut out = Mat32::default();
-    for &(m, k, n) in SHAPES {
-        for act in [Activation::Linear, Activation::Relu, Activation::Sigmoid, Activation::Tanh] {
-            let a = rand_matrix(m, k, &mut rng);
-            let b = rand_matrix(k, n, &mut rng);
-            let bias = rand_matrix(1, n, &mut rng);
-            let oracle = a.matmul(&b).add_row_broadcast(&bias).map(|v| act.apply(v));
-            let b32: Vec<f32> = bias.data().iter().map(|&v| v as f32).collect();
-            simd::matmul_bias_act(
-                &Mat32::from_matrix(&a),
-                &Mat32::from_matrix(&b),
-                &b32,
-                act,
-                &mut out,
-            );
-            assert_within(&oracle, &out, budget::DENSE, &format!("dense ({m},{k},{n}) {act:?}"));
-        }
-
-        let at = rand_matrix(k, m, &mut rng);
-        let b = rand_matrix(k, n, &mut rng);
-        simd::matmul_at(&Mat32::from_matrix(&at), &Mat32::from_matrix(&b), &mut out);
-        assert_within(
-            &at.transpose().matmul(&b),
-            &out,
-            budget::MATMUL_AT,
-            &format!("matmul_at ({m},{k},{n})"),
-        );
-
-        let a = rand_matrix(m, k, &mut rng);
-        let bt = rand_matrix(n, k, &mut rng);
-        simd::matmul_bt(&Mat32::from_matrix(&a), &Mat32::from_matrix(&bt), &mut out);
-        assert_within(
-            &a.matmul(&bt.transpose()),
-            &out,
-            budget::MATMUL_BT,
-            &format!("matmul_bt ({m},{k},{n})"),
-        );
     }
 }

@@ -15,9 +15,6 @@
 //! * [`Histogram`] — fixed upper-bound buckets with atomic per-bucket
 //!   counts, built for nanosecond latencies; quantiles are estimated from
 //!   the bucket upper bounds.
-//! * [`Tracer`] / [`Span`] — lightweight span tracing for the
-//!   publish → propagate → query pipeline: a bounded ring buffer of recent
-//!   [`SpanRecord`]s plus a per-span-name latency histogram in the registry.
 //!
 //! Metric families by convention share a dotted prefix with the subsystem
 //! that emits them: `runtime.*` (timer dispatch, worker pool), `streams.*`
@@ -41,12 +38,8 @@
 //! `query.continuous.emitted_rows` counters, and the
 //! `query.continuous.fold_ns` pump-latency histogram.
 //!
-//! Durability surfaces its own families. `streams.archive.*` reports
-//! crash recovery of the archive snapshot format:
-//! `streams.archive.recovered_frames` counts entries salvaged from the
-//! valid prefix of a truncated snapshot and
-//! `streams.archive.truncated_tail` counts loads that hit (and dropped) a
-//! torn tail. `streams.slab.*` reports the memory-mapped slab spill:
+//! Durability surfaces its own family. `streams.slab.*` reports the
+//! memory-mapped slab spill:
 //! gauges `streams.slab.occupied_slots` (live ring entries),
 //! `streams.slab.consolidation_lag` (committed entries the tier roll-ups
 //! have not folded yet), `streams.slab.series` (live series dirents),
@@ -74,9 +67,7 @@
 //! instrumentation overhead ≤ 5%.
 
 mod metrics;
-mod trace;
 
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, Registry, Snapshot, DEFAULT_LATENCY_BOUNDS_NS,
 };
-pub use trace::{Span, SpanRecord, Tracer};

@@ -10,33 +10,22 @@
 //!
 //! * **Heap** (default): segmented in-memory runs — a closed segment is an
 //!   immutable sorted run, which keeps range reads a binary search per
-//!   segment.
+//!   segment. Gone on restart.
 //! * **Slab** ([`ArchiveLog::with_slab`]): evicted entries are recorded
 //!   into a durable [`crate::slab::SlabSeries`] ring — a zero-alloc mmap
-//!   slot write. Payloads too large for a slot overflow into the heap
-//!   segments (counted by [`ArchiveLog::overflowed`]); reads merge the
-//!   ring and the overflow by ID.
-//!
-//! The log can be persisted to and reloaded from a frame file for
-//! durability. `persist` is atomic (temp file + fsync + rename) and `load`
-//! recovers the valid prefix when the file's tail was truncated by a crash
-//! mid-write, while hard-erroring on interior corruption.
+//!   slot write, and the only durable format. Payloads too large for a
+//!   slot overflow into the heap segments (counted by
+//!   [`ArchiveLog::overflowed`]); reads merge the ring and the overflow
+//!   by ID.
 
 use crate::entry::Entry;
 use crate::id::StreamId;
 use crate::slab::SlabSeries;
 use parking_lot::RwLock;
-use std::io::{BufReader, BufWriter, Read, Write};
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
 
 /// Number of entries per closed segment.
 const SEGMENT_CAPACITY: usize = 4096;
-
-/// Largest payload accepted when reloading a persisted log; anything
-/// bigger means the length prefix is garbage.
-const MAX_FRAME_BYTES: usize = 64 << 20;
 
 #[derive(Debug, Default)]
 struct Segments {
@@ -61,30 +50,6 @@ impl Segments {
     fn runs(&self) -> impl Iterator<Item = &[Entry]> {
         self.closed.iter().map(Vec::as_slice).chain(std::iter::once(self.open.as_slice()))
     }
-}
-
-/// What [`ArchiveLog::load_report`] found while reloading a persisted log.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LoadReport {
-    /// Frames successfully loaded.
-    pub frames: usize,
-    /// True when the file ended mid-frame (crash mid-write) and the valid
-    /// prefix was recovered instead of erroring.
-    pub truncated_tail: bool,
-}
-
-/// Process-wide count of frames recovered from truncated archive files —
-/// exported as `streams.archive.recovered_frames`.
-pub(crate) fn recovered_frames_cell() -> Arc<AtomicU64> {
-    static CELL: OnceLock<Arc<AtomicU64>> = OnceLock::new();
-    Arc::clone(CELL.get_or_init(|| Arc::new(AtomicU64::new(0))))
-}
-
-/// Process-wide count of truncated-tail recoveries — exported as
-/// `streams.archive.truncated_tail`.
-pub(crate) fn truncated_tail_cell() -> Arc<AtomicU64> {
-    static CELL: OnceLock<Arc<AtomicU64>> = OnceLock::new();
-    Arc::clone(CELL.get_or_init(|| Arc::new(AtomicU64::new(0))))
 }
 
 /// An append-only archival log of evicted stream entries.
@@ -283,137 +248,6 @@ impl ArchiveLog {
         self.range_into(start, end, &mut out);
         out
     }
-
-    /// The scratch file `persist` writes before renaming over `path` —
-    /// exposed so crash tests can simulate a persist dying mid-write.
-    pub fn persist_scratch_path(path: &Path) -> PathBuf {
-        let name = path.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default();
-        path.with_file_name(format!("{name}.tmp.{}", std::process::id()))
-    }
-
-    /// Persist the whole log to `path` as length-prefixed frames.
-    ///
-    /// Atomic and durable: frames are written to a scratch file in the
-    /// same directory, `sync_all`ed, then renamed over `path` (and the
-    /// directory fsynced where supported). A crash at any point leaves
-    /// either the previous complete archive or the new one — never a
-    /// half-written file under the target name.
-    pub fn persist(&self, path: &Path) -> std::io::Result<()> {
-        let scratch = Self::persist_scratch_path(path);
-        let result = (|| {
-            let file = std::fs::File::create(&scratch)?;
-            let mut w = BufWriter::new(file);
-            let write_frame =
-                |w: &mut BufWriter<std::fs::File>, e: &Entry| -> std::io::Result<()> {
-                    w.write_all(&e.id.ms.to_le_bytes())?;
-                    w.write_all(&e.id.seq.to_le_bytes())?;
-                    w.write_all(&(e.payload.len() as u32).to_le_bytes())?;
-                    w.write_all(&e.payload)
-                };
-            if self.slab.is_some() {
-                // Slab reads need the ring merge; bounded by the ring size.
-                for e in self.range(StreamId::MIN, StreamId::MAX) {
-                    write_frame(&mut w, &e)?;
-                }
-            } else {
-                let seg = self.segments.read();
-                for run in seg.runs() {
-                    for e in run {
-                        write_frame(&mut w, e)?;
-                    }
-                }
-            }
-            w.flush()?;
-            w.into_inner().map_err(|e| e.into_error())?.sync_all()?;
-            std::fs::rename(&scratch, path)?;
-            // Make the rename itself durable. Directories cannot be
-            // fsynced everywhere; best-effort by design.
-            if let Some(parent) = path.parent() {
-                if !parent.as_os_str().is_empty() {
-                    if let Ok(dir) = std::fs::File::open(parent) {
-                        let _ = dir.sync_all();
-                    }
-                }
-            }
-            Ok(())
-        })();
-        if result.is_err() {
-            let _ = std::fs::remove_file(&scratch);
-        }
-        result
-    }
-
-    /// Load a log previously written by [`ArchiveLog::persist`].
-    ///
-    /// A file whose **tail** was truncated mid-frame (the normal
-    /// crash-mid-write shape) yields the valid prefix; interior corruption
-    /// — a garbage length prefix or out-of-order IDs — yields
-    /// `InvalidData` instead of panicking, so a damaged archive cannot
-    /// take the observer down.
-    pub fn load(path: &Path) -> std::io::Result<Self> {
-        Self::load_report(path).map(|(log, _)| log)
-    }
-
-    /// [`ArchiveLog::load`] plus what recovery found. Truncated-tail
-    /// recoveries bump the process-wide `streams.archive.recovered_frames`
-    /// and `streams.archive.truncated_tail` counters.
-    pub fn load_report(path: &Path) -> std::io::Result<(Self, LoadReport)> {
-        let corrupt =
-            |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string());
-        let log = ArchiveLog::new();
-        let mut report = LoadReport::default();
-        let mut r = BufReader::new(std::fs::File::open(path)?);
-        loop {
-            let mut header = [0u8; 20];
-            match read_full(&mut r, &mut header)? {
-                0 => break, // clean end on a frame boundary
-                20 => {}
-                _ => {
-                    report.truncated_tail = true;
-                    break;
-                }
-            }
-            let id = StreamId::new(
-                u64::from_le_bytes(header[0..8].try_into().unwrap()),
-                u64::from_le_bytes(header[8..16].try_into().unwrap()),
-            );
-            let len = u32::from_le_bytes(header[16..20].try_into().unwrap()) as usize;
-            if len > MAX_FRAME_BYTES {
-                return Err(corrupt("archive frame length exceeds sanity bound"));
-            }
-            if log.last_id().is_some_and(|last| id <= last) {
-                return Err(corrupt("archive frames out of ID order"));
-            }
-            let mut payload = vec![0u8; len];
-            if read_full(&mut r, &mut payload)? != len {
-                report.truncated_tail = true;
-                break;
-            }
-            log.append(Entry::new(id, payload));
-            report.frames += 1;
-        }
-        if report.truncated_tail {
-            recovered_frames_cell().fetch_add(report.frames as u64, Ordering::Relaxed);
-            truncated_tail_cell().fetch_add(1, Ordering::Relaxed);
-        }
-        Ok((log, report))
-    }
-}
-
-/// Read as many bytes as possible into `buf`; returns how many were read
-/// (short only at end-of-file). Lets `load` distinguish a clean frame
-/// boundary from a truncated tail.
-fn read_full(r: &mut impl Read, buf: &mut [u8]) -> std::io::Result<usize> {
-    let mut at = 0;
-    while at < buf.len() {
-        match r.read(&mut buf[at..]) {
-            Ok(0) => break,
-            Ok(n) => at += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(at)
 }
 
 #[cfg(test)]
@@ -492,43 +326,6 @@ mod tests {
         assert_eq!(log.last_id(), Some(StreamId::new(3, 0)));
     }
 
-    #[test]
-    fn persist_and_load_round_trip() {
-        let dir = std::env::temp_dir().join(format!("apollo-archive-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("log.bin");
-        let log = ArchiveLog::new();
-        for i in 0..500 {
-            log.append(Entry::new(StreamId::new(i, 1), vec![(i % 251) as u8; 3]));
-        }
-        log.persist(&path).unwrap();
-        let loaded = ArchiveLog::load(&path).unwrap();
-        assert_eq!(loaded.len(), 500);
-        assert_eq!(
-            loaded.range(StreamId::MIN, StreamId::MAX),
-            log.range(StreamId::MIN, StreamId::MAX)
-        );
-        assert!(!ArchiveLog::persist_scratch_path(&path).exists(), "scratch file renamed away");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn persist_overwrites_previous_archive_atomically() {
-        let dir = std::env::temp_dir().join(format!("apollo-archive-ow-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("log.bin");
-        let small = ArchiveLog::new();
-        small.append(e(1, 1));
-        small.persist(&path).unwrap();
-        let big = ArchiveLog::new();
-        for i in 0..100 {
-            big.append(e(i, 0));
-        }
-        big.persist(&path).unwrap();
-        assert_eq!(ArchiveLog::load(&path).unwrap().len(), 100);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
     mod slab_backed {
         use super::*;
         use crate::slab::{SlabConfig, SlabStore};
@@ -589,26 +386,6 @@ mod tests {
             let log = ArchiveLog::with_slab(store.series("m").unwrap());
             log.append(e(5, 0));
             log.append(e(4, 0));
-        }
-
-        #[test]
-        fn slab_persist_round_trips_through_frame_file() {
-            let store = store("persist", 256);
-            let dir = std::env::temp_dir()
-                .join(format!("apollo-archive-slab-persist-{}", std::process::id()));
-            std::fs::create_dir_all(&dir).unwrap();
-            let path = dir.join("log.bin");
-            let log = ArchiveLog::with_slab(store.series("m").unwrap());
-            for i in 0..50 {
-                log.append(e(i, i as u8));
-            }
-            log.persist(&path).unwrap();
-            let loaded = ArchiveLog::load(&path).unwrap();
-            assert_eq!(
-                loaded.range(StreamId::MIN, StreamId::MAX),
-                log.range(StreamId::MIN, StreamId::MAX)
-            );
-            std::fs::remove_dir_all(&dir).ok();
         }
     }
 }

@@ -250,7 +250,7 @@ struct GroupState {
     /// id -> (consumer, delivery count, delivered_at_ms).
     pending: HashMap<StreamId, (String, u32, u64)>,
     /// Durable cursor slot in the broker's slab store, when topics spill
-    /// to an attached slab — delivery positions then survive restart
+    /// to a slab — delivery positions then survive restart
     /// (at-least-once: a crash between delivery and save redelivers).
     persist: Option<SlabCursor>,
 }
@@ -504,16 +504,6 @@ impl Broker {
         });
         let _ = registry
             .counter_backed_by("streams.shard_contention", Arc::clone(&self.shard_contention));
-        // Archive crash-recovery counters (process-wide cells bumped by
-        // `ArchiveLog::load` when it salvages a truncated file).
-        let _ = registry.counter_backed_by(
-            "streams.archive.recovered_frames",
-            crate::archiver::recovered_frames_cell(),
-        );
-        let _ = registry.counter_backed_by(
-            "streams.archive.truncated_tail",
-            crate::archiver::truncated_tail_cell(),
-        );
         // Slab-exhaustion fallbacks (process-wide cell bumped whenever a
         // stream or consumer group wanted slab durability and couldn't
         // get it — directory full or name too long).
@@ -946,8 +936,9 @@ impl Broker {
     /// Create (or fetch) a consumer group positioned at the current end of
     /// the topic — it sees only entries published after creation.
     ///
-    /// On a broker whose topics spill to an **attached** slab store, the
-    /// group's cursor is persisted there: re-creating the group after a
+    /// On a broker whose topics spill to a slab store
+    /// ([`SpillBackend::Slab`]), the group's cursor is persisted there
+    /// alongside the topic's series: re-creating the group after a
     /// restart resumes delivery right after the last position saved before
     /// the crash (at-least-once), instead of starting at end-of-topic.
     pub fn consumer_group(&self, topic: &str, group: &str) -> ConsumerGroup {
@@ -956,7 +947,7 @@ impl Broker {
             let mut groups = t.groups.lock();
             if !groups.contains_key(group) {
                 let mut state = GroupState { cursor: t.stream.last_id(), ..GroupState::default() };
-                if let SpillBackend::Slab { store, attach: true } = &self.default_config.spill {
+                if let SpillBackend::Slab(store) = &self.default_config.spill {
                     match store.cursor(topic, group) {
                         Ok(cell) => {
                             if let Some(saved) = cell.load() {

@@ -22,8 +22,9 @@
 //!   pre-allocated memory-mapped slab file (series directory + fixed
 //!   columnar slot rings + tiered consolidation buckets) so steady-state
 //!   eviction is a zero-alloc mmap slot write and history plus
-//!   consumer-group cursors survive restarts. Select it per stream via
-//!   [`stream::SpillBackend`] or process-wide with `APOLLO_SLAB_DIR`.
+//!   consumer-group cursors survive restarts. Select it through
+//!   [`stream::StreamConfig`]'s [`stream::SpillBackend`]; the slab is the
+//!   only durable format.
 //! * **Pub-Sub fan-out** ([`broker::Broker`]): subscribers receive new
 //!   entries over bounded queues with explicit [`broker::BackpressurePolicy`];
 //!   consumer groups provide exactly-once-per-group delivery with
@@ -41,7 +42,7 @@ pub mod id;
 pub mod slab;
 pub mod stream;
 
-pub use archiver::{ArchiveLog, LoadReport};
+pub use archiver::ArchiveLog;
 pub use broker::{
     BackpressurePolicy, Broker, ConsumerGroup, GroupError, Publisher, SubscribeOptions,
     Subscription, TopicInfo,

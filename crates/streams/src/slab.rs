@@ -1,8 +1,9 @@
 //! Durable memory-mapped slab store (rondo-style).
 //!
-//! ROADMAP item 1: streams today are heap `VecDeque` windows plus an
-//! in-memory archive — unbounded by data volume and gone on restart. The
-//! [`SlabStore`] is a pre-allocated, memory-mapped file holding
+//! A stream's hot window is a heap `VecDeque`; by default its evictions
+//! land in an in-memory archive that is unbounded by data volume and gone
+//! on restart. The [`SlabStore`] is the durable alternative — and the only
+//! on-disk format: a pre-allocated, memory-mapped file holding
 //!
 //! * a **header page** (magic, version, geometry, config hash),
 //! * a **series directory** (fixed-size dirents naming each ring),
@@ -857,21 +858,6 @@ impl SlabStore {
 
     /// Attach to the series named `name`, creating it if absent.
     pub fn series(self: &Arc<Self>, name: &str) -> Result<SlabSeries, SlabDirError> {
-        self.series_inner(name, true)
-    }
-
-    /// Allocate a brand-new series dirent (never attaches to an existing
-    /// name) — the ephemeral mode the `APOLLO_SLAB_DIR` env swap uses so
-    /// concurrent tests reusing stream names never share a ring.
-    pub fn fresh_series(self: &Arc<Self>, name: &str) -> Result<SlabSeries, SlabDirError> {
-        self.series_inner(name, false)
-    }
-
-    fn series_inner(
-        self: &Arc<Self>,
-        name: &str,
-        attach: bool,
-    ) -> Result<SlabSeries, SlabDirError> {
         let fail = |store: &Self, e: SlabDirError| {
             store.series_fallbacks.fetch_add(1, Ordering::Relaxed);
             Err(e)
@@ -895,7 +881,7 @@ impl SlabStore {
                     continue;
                 }
             }
-            if attach && self.dirent_name(d) == name.as_bytes() {
+            if self.dirent_name(d) == name.as_bytes() {
                 return Ok(SlabSeries::new(Arc::clone(self), idx));
             }
         }
@@ -1721,11 +1707,11 @@ mod tests {
         let again = store.series("x").unwrap();
         assert_eq!(again.index(), a.index(), "attach finds the same ring");
         assert_eq!(again.last_id(), Some(StreamId::new(7, 0)));
-        let fresh = store.fresh_series("x").unwrap();
-        assert_ne!(fresh.index(), a.index(), "fresh always allocates");
+        let fresh = store.series("w").unwrap();
+        assert_ne!(fresh.index(), a.index(), "a new name allocates a new ring");
         assert_eq!(fresh.last_id(), None);
-        store.fresh_series("y").unwrap();
-        store.fresh_series("z").unwrap();
+        store.series("y").unwrap();
+        store.series("z").unwrap();
         assert!(
             matches!(
                 store.series("overflow"),
@@ -1959,7 +1945,7 @@ mod tests {
     fn pressure_tracks_the_fullest_axis() {
         let store = SlabStore::create(tmp("pressure"), small_cfg()).unwrap();
         assert_eq!(store.stats().pressure(), 0.0);
-        let _s: Vec<_> = (0..4).map(|i| store.fresh_series(&format!("s{i}")).unwrap()).collect();
+        let _s: Vec<_> = (0..4).map(|i| store.series(&format!("s{i}")).unwrap()).collect();
         let st = store.stats();
         assert_eq!(st.pressure(), 1.0, "series directory saturated");
         assert_eq!(st.cursors_live, 0);

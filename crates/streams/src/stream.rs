@@ -12,56 +12,43 @@ use crate::archiver::ArchiveLog;
 use crate::codec::Record;
 use crate::entry::Entry;
 use crate::id::StreamId;
-use crate::slab::{SlabConfig, SlabStore};
+use crate::slab::SlabStore;
 use bytes::Bytes;
 use parking_lot::RwLock;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Where a stream's evicted entries go.
 #[derive(Clone)]
 pub enum SpillBackend {
     /// In-memory heap archive segments (gone on restart).
     Heap,
-    /// A durable memory-mapped slab store ([`crate::slab::SlabStore`]).
-    Slab {
-        /// The shared store; many streams record into one file.
-        store: Arc<SlabStore>,
-        /// `true`: attach to the series named after the stream, restoring
-        /// archived history (and, via the broker, consumer-group cursors)
-        /// across restarts. `false`: allocate a fresh ring per stream —
-        /// the ephemeral mode the `APOLLO_SLAB_DIR` env swap uses so
-        /// independent streams reusing a name never share state.
-        attach: bool,
-    },
+    /// A durable memory-mapped slab store ([`crate::slab::SlabStore`]),
+    /// shared by many streams. Each stream attaches to the series named
+    /// after it, restoring archived history (and, via the broker,
+    /// consumer-group cursors) across restarts.
+    Slab(Arc<SlabStore>),
 }
 
 impl std::fmt::Debug for SpillBackend {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SpillBackend::Heap => f.write_str("Heap"),
-            SpillBackend::Slab { attach, .. } => {
-                f.debug_struct("Slab").field("attach", attach).finish_non_exhaustive()
-            }
-        }
+        f.write_str(match self {
+            SpillBackend::Heap => "Heap",
+            SpillBackend::Slab(_) => "Slab",
+        })
     }
 }
 
 impl SpillBackend {
-    /// Durable slab spill with restart-survival (attach-by-name) semantics.
+    /// Durable slab spill into `store`.
     pub fn slab(store: Arc<SlabStore>) -> Self {
-        SpillBackend::Slab { store, attach: true }
-    }
-
-    /// Durable slab spill with a fresh ring per stream (no reattach).
-    pub fn slab_ephemeral(store: Arc<SlabStore>) -> Self {
-        SpillBackend::Slab { store, attach: false }
+        SpillBackend::Slab(store)
     }
 
     /// True when evictions land in a slab store.
     pub fn is_slab(&self) -> bool {
-        matches!(self, SpillBackend::Slab { .. })
+        matches!(self, SpillBackend::Slab(_))
     }
 }
 
@@ -79,7 +66,7 @@ pub struct StreamConfig {
 
 impl Default for StreamConfig {
     fn default() -> Self {
-        Self { max_len: Some(65_536), archive_evicted: true, spill: default_spill() }
+        Self::bounded(65_536)
     }
 }
 
@@ -89,75 +76,15 @@ impl StreamConfig {
         Self { max_len: None, archive_evicted: false, spill: SpillBackend::Heap }
     }
 
-    /// Keep at most `n` entries in memory, archiving evictions.
+    /// Keep at most `n` entries in memory, archiving evictions on the heap.
     pub fn bounded(n: usize) -> Self {
-        Self { max_len: Some(n), archive_evicted: true, spill: default_spill() }
+        Self { max_len: Some(n), archive_evicted: true, spill: SpillBackend::Heap }
     }
 
-    /// `self` with evictions spilling into `store` (restart-survival
-    /// attach-by-name semantics).
+    /// `self` with evictions spilling into `store`.
     pub fn with_slab(mut self, store: Arc<SlabStore>) -> Self {
         self.spill = SpillBackend::slab(store);
         self
-    }
-}
-
-/// The process-wide spill backend `StreamConfig::default()`/`bounded()`
-/// use. Heap, unless `APOLLO_SLAB_DIR` points at a directory — then every
-/// default-configured stream records evictions into
-/// `$APOLLO_SLAB_DIR/apollo.slab` (geometry via `APOLLO_SLAB_SLOTS` /
-/// `APOLLO_SLAB_SERIES`), which is how CI proves the whole existing suite
-/// passes unchanged against the slab backend. Ephemeral mode: fresh ring
-/// per stream, no cursor persistence.
-///
-/// Setting `APOLLO_SLAB_DIR` is an explicit request for durability, so
-/// misconfiguration **panics** instead of silently degrading to heap
-/// archives: an unparseable `APOLLO_SLAB_SLOTS`/`APOLLO_SLAB_SERIES`, an
-/// uncreatable directory, or an unopenable store would otherwise run the
-/// whole process without the durability it asked for. An *empty*
-/// `APOLLO_SLAB_DIR` remains the documented opt-out.
-fn default_spill() -> SpillBackend {
-    fn env_u32(key: &str, default: u32) -> u32 {
-        match std::env::var(key) {
-            Ok(v) => v.trim().parse().unwrap_or_else(|_| {
-                panic!(
-                    "apollo-streams: {key}={v:?} is not a valid u32; refusing to silently \
-                     disable the slab backend"
-                )
-            }),
-            Err(std::env::VarError::NotPresent) => default,
-            Err(e) => panic!("apollo-streams: {key} is unreadable ({e})"),
-        }
-    }
-    fn init() -> Option<Arc<SlabStore>> {
-        let dir = std::env::var("APOLLO_SLAB_DIR").ok().filter(|d| !d.is_empty())?;
-        let cfg = SlabConfig {
-            max_series: env_u32("APOLLO_SLAB_SERIES", 2_048),
-            slots: env_u32("APOLLO_SLAB_SLOTS", 32_768),
-            ..SlabConfig::default()
-        };
-        let dir = std::path::Path::new(&dir);
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            panic!(
-                "apollo-streams: cannot create APOLLO_SLAB_DIR {} ({e}); refusing to fall \
-                 back to heap archives",
-                dir.display()
-            );
-        }
-        let path = dir.join("apollo.slab");
-        match SlabStore::open_or_create(&path, cfg) {
-            Ok((store, _)) => Some(store),
-            Err(e) => panic!(
-                "apollo-streams: APOLLO_SLAB_DIR is set but the slab store at {} is \
-                 unavailable ({e}); refusing to fall back to heap archives",
-                path.display()
-            ),
-        }
-    }
-    static ENV_STORE: OnceLock<Option<Arc<SlabStore>>> = OnceLock::new();
-    match ENV_STORE.get_or_init(init) {
-        Some(store) => SpillBackend::Slab { store: Arc::clone(store), attach: false },
-        None => SpillBackend::Heap,
     }
 }
 
@@ -286,9 +213,9 @@ impl Stream {
     /// Create a stream with the given retention config.
     ///
     /// With a [`SpillBackend::Slab`] spill (and archiving enabled), the
-    /// archive records into a slab series — named after the stream when
-    /// attaching, so a restarted stream finds its archived history and
-    /// resumes ID assignment after it. If the slab's series directory is
+    /// archive records into the slab series named after the stream, so a
+    /// restarted stream finds its archived history and resumes ID
+    /// assignment after it. If the slab's series directory is
     /// exhausted the stream falls back to a heap archive **loudly**: a
     /// one-shot WARN, the process-wide `streams.slab.dir_full` counter,
     /// and the store's `series_fallbacks` stat all record that this
@@ -296,20 +223,17 @@ impl Stream {
     pub fn new(name: impl Into<String>, config: StreamConfig) -> Self {
         let name = name.into();
         let archive = match &config.spill {
-            SpillBackend::Slab { store, attach } if config.archive_evicted => {
-                let series = if *attach { store.series(&name) } else { store.fresh_series(&name) };
-                match series {
-                    Ok(series) => ArchiveLog::with_slab(series),
-                    Err(e) => {
-                        crate::slab::record_exhaustion(&format!(
-                            "stream '{name}' wanted a slab series but got \"{e}\"; its evicted \
+            SpillBackend::Slab(store) if config.archive_evicted => match store.series(&name) {
+                Ok(series) => ArchiveLog::with_slab(series),
+                Err(e) => {
+                    crate::slab::record_exhaustion(&format!(
+                        "stream '{name}' wanted a slab series but got \"{e}\"; its evicted \
                              entries fall back to the in-memory heap archive and will NOT \
                              survive a restart"
-                        ));
-                        ArchiveLog::new()
-                    }
+                    ));
+                    ArchiveLog::new()
                 }
-            }
+            },
             _ => ArchiveLog::new(),
         };
         // Restart survival: resume ID assignment after the archived

@@ -1,6 +1,6 @@
 //! Lifecycle teeth for the memory-mapped slab spill: loud directory
-//! exhaustion, the bounded machine-crash loss window, env misconfig
-//! panics, and series GC under seeded churn with restarts.
+//! exhaustion, the bounded machine-crash loss window, and series GC
+//! under seeded churn with restarts.
 //!
 //! The two "teeth" tests first re-enact the pre-fix behavior (silent heap
 //! fallback; no background msync) and demonstrate the durable-history
@@ -146,37 +146,6 @@ fn flush_cadence_bounds_the_machine_crash_loss_window() {
 
     let _ = fs::remove_file(&path);
     let _ = fs::remove_file(&snapshot);
-}
-
-/// Satellite: garbage in `APOLLO_SLAB_SLOTS` must abort the process, not
-/// silently hand every default-configured stream a heap archive. The test
-/// re-invokes its own binary so the panic happens in a child process.
-#[test]
-fn invalid_slab_env_panics_instead_of_silently_disabling() {
-    if std::env::var("APOLLO_SLAB_ENV_CHILD").is_ok() {
-        // Child: building any default-spill stream forces env parsing.
-        let _ = Stream::new("child", StreamConfig::default());
-        return; // only reached if the bug is back
-    }
-    let dir = std::env::temp_dir().join(format!("apollo-slabenv-{}", std::process::id()));
-    let out = std::process::Command::new(std::env::current_exe().unwrap())
-        .args(["invalid_slab_env_panics_instead_of_silently_disabling", "--exact", "--nocapture"])
-        .env("APOLLO_SLAB_ENV_CHILD", "1")
-        .env("APOLLO_SLAB_DIR", &dir)
-        .env("APOLLO_SLAB_SLOTS", "a-lot")
-        .output()
-        .expect("re-invoke test binary");
-    assert!(
-        !out.status.success(),
-        "a misconfigured slab env must abort, not degrade: {}",
-        String::from_utf8_lossy(&out.stdout)
-    );
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("APOLLO_SLAB_SLOTS"),
-        "the abort names the offending variable: {stderr}"
-    );
-    let _ = fs::remove_dir_all(&dir);
 }
 
 /// Seeded register/retire churn across three "process restarts": dirent

@@ -60,6 +60,33 @@ fn soak_is_deterministic_per_seed_and_diverges_across_seeds() {
     assert_ne!(first.digest, third.digest, "different seeds must diverge");
 }
 
+/// The same seeded smoke with every topic window spilling into a
+/// temp-dir slab store instead of the heap archive: the four verdicts
+/// must hold unchanged on the durable backend.
+#[test]
+fn slab_backed_soak_holds_the_same_verdicts() {
+    use apollo_streams::{SlabConfig, SlabStore};
+    let path = std::env::temp_dir().join(format!("apollo-chaos-spill-{}.slab", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let store =
+        SlabStore::create(&path, SlabConfig { slots: 1_024, ..SlabConfig::default() }).unwrap();
+    let mut config = small_config(11);
+    config.stream = config.stream.with_slab(store.clone());
+    let schedule = soak::standard_schedule(config.vertices, config.seed, config.horizon);
+    let out = soak::run(&config, &schedule).unwrap();
+    let _ = std::fs::remove_file(&path);
+
+    for name in ["scan_exactly_once", "monotone_recovery", "bounded_memory", "no_escaped_panics"] {
+        let verdict = out.verdict(name).expect("verdict present");
+        assert!(verdict.pass, "{name}: {}", verdict.detail);
+    }
+    // Teeth against a silently skipped arm: evictions really landed in
+    // the store, and none fell back to a heap archive.
+    let stats = store.stats();
+    assert!(stats.appended > 0, "no eviction was recorded into the slab");
+    assert_eq!(stats.series_fallbacks, 0, "a topic fell back to the heap archive");
+}
+
 #[test]
 fn churned_soak_gc_is_deterministic_and_holds_the_fixed_point() {
     use apollo_core::{SlabChurnConfig, SlabLifecycle};
