@@ -175,7 +175,8 @@ fn main() {
     let apollo = build_apollo(16, per_node);
     let ldms = build_ldms(16, per_node);
     // Apollo per-vertex work (hook + build + publish), summed.
-    let apollo_work_ns: u64 = apollo.facts().iter().map(|f| f.phase_timer().total()).sum();
+    let apollo_work_ns: u64 =
+        apollo.facts().iter().map(|f| f.phase_timer().estimated_total()).sum();
     // LDMS per-sampler work: samples × the same modelled 0.5 ms hook cost.
     let ldms_work_ns = ldms.total_samples() * 500_000;
     let overhead = apollo_work_ns as f64 / ldms_work_ns as f64 - 1.0;

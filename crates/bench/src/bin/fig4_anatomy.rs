@@ -6,6 +6,10 @@
 //! dominates the Fact vertex (~97.5%) with publish ~1.8%; the Insight
 //! vertex splits across consume/build/publish/other.
 //!
+//! The anatomy is built from the vertices' sampled calls (the first, then
+//! one in `apollo_obs::SAMPLE_PERIOD`), so the run is ten virtual hours:
+//! ~560 timed calls a vertex, so the first publish's topic creation fades.
+//!
 //! Run: `cargo run --release -p apollo-bench --bin fig4_anatomy`
 
 use apollo_bench::report::{Report, Series};
@@ -20,7 +24,7 @@ fn main() {
 
     // A capacity metric that changes every second (so publishes happen).
     let trace = TimeSeries::from_points(
-        (0..4000u64).map(|i| (i * 1_000_000_000, 2.5e11 - (i as f64) * 38_000.0)).collect(),
+        (0..40_000u64).map(|i| (i * 1_000_000_000, 2.5e11 - (i as f64) * 38_000.0)).collect(),
     );
     apollo
         .register_fact(FactVertexSpec::fixed(
@@ -38,7 +42,7 @@ fn main() {
         ))
         .expect("register insight");
 
-    apollo.run_for(Duration::from_secs(3600));
+    apollo.run_for(Duration::from_secs(36_000));
 
     let mut report = Report::new("fig4", "vertex operation anatomy (% of time per component)");
 

@@ -82,8 +82,8 @@ fn main() {
     let apollo_work_ns: u64 = apollo
         .facts()
         .iter()
-        .map(|f| f.phase_timer().total())
-        .chain(apollo.insights().iter().map(|i| i.phase_timer().total()))
+        .map(|f| f.phase_timer().estimated_total())
+        .chain(apollo.insights().iter().map(|i| i.phase_timer().estimated_total()))
         .sum();
     // Application I/O work: bytes over NVMe bandwidth (the IOR pie slice).
     let app_work_ns = (app_io_bytes as f64 / 2.0e9 * 1e9) as u64;

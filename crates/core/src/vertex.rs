@@ -13,31 +13,18 @@
 //!
 //! Both vertex types are instrumented with a [`PhaseTimer`] so the share
 //! of time spent in each internal component can be reported (Figure 4).
+//! One sampling decision per `poll`/`pump` gates every clock read of that
+//! call, phases and latency histograms alike; counters are exact.
 
 use crate::health::{HealthMonitor, HealthState, SupervisorConfig};
 use apollo_adaptive::controller::IntervalController;
 use apollo_cluster::metrics::{MetricError, MetricSource};
-use apollo_runtime::time::PhaseTimer;
+use apollo_runtime::time::{Phase, PhaseTimer};
 use apollo_streams::codec::Record;
 use apollo_streams::{Broker, Publisher, Subscription};
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
-
-/// Phase labels used by the anatomy instrumentation.
-pub mod phases {
-    /// Sampling the resource (the monitor hook).
-    pub const MONITOR_HOOK: &str = "monitor_hook";
-    /// Building the fact/insight record.
-    pub const BUILD: &str = "build";
-    /// Publishing onto the queue.
-    pub const PUBLISH: &str = "publish";
-    /// Draining input subscriptions (insight vertices).
-    pub const CONSUME: &str = "consume";
-    /// Everything else (thread management, insight computation).
-    pub const OTHER: &str = "other";
-}
 
 /// Numeric encoding of a [`HealthState`] for gauge export.
 fn health_code(state: HealthState) -> f64 {
@@ -150,9 +137,9 @@ impl FactVertex {
     /// Attach metric instruments: per-vertex poll latency
     /// (`core.vertex.<name>.poll_ns`), fleet-wide poll latency
     /// (`score.poll_ns`), change-filter suppression and health-transition
-    /// counters, and a health-state gauge. A disabled registry leaves the
-    /// vertex uninstrumented (not even the `Instant` reads run).
-    /// Idempotent; the first call wins.
+    /// counters, and a health-state gauge. The histograms hold the sampled
+    /// polls; counters are exact. A disabled registry leaves the vertex
+    /// uninstrumented. Idempotent; the first call wins.
     pub fn instrument(&self, registry: &apollo_obs::Registry) {
         if !registry.enabled() {
             return;
@@ -178,29 +165,23 @@ impl FactVertex {
     /// interval until the next cycle — the controller's choice while
     /// Healthy, a supervised backoff/probe interval otherwise.
     ///
-    /// The monitor-hook phase is charged the modelled `sample_cost` of the
-    /// source (a real hook does syscalls; a simulated one is a lookup), so
-    /// anatomy fractions match a live deployment's shape.
+    /// A sampled poll also charges the monitor-hook phase the modelled
+    /// `sample_cost` of the source (a real hook does syscalls; a simulated
+    /// one is a lookup), so anatomy fractions match a live deployment's.
     pub fn poll(&self, now_ns: u64) -> Duration {
-        let Some(obs) = self.obs.get() else { return self.poll_inner(now_ns) };
-        let before = self.health.lock().state();
-        let start = std::time::Instant::now();
-        let next = self.poll_inner(now_ns);
-        let dur = start.elapsed().as_nanos() as u64;
-        obs.poll_ns.observe(dur);
-        obs.poll_ns_all.observe(dur);
-        let after = self.health.lock().state();
-        if after != before {
-            obs.health_transitions.inc();
-            if before == HealthState::Quarantined && after == HealthState::Healthy {
-                obs.quarantine_recoveries.inc();
-            }
+        let sampled = self.timer.begin_call();
+        let obs = self.obs.get();
+        let start = (sampled && obs.is_some()).then(std::time::Instant::now);
+        let next = self.poll_inner(now_ns, sampled, obs);
+        if let (Some(start), Some(obs)) = (start, obs) {
+            let dur = start.elapsed().as_nanos() as u64;
+            obs.poll_ns.observe(dur);
+            obs.poll_ns_all.observe(dur);
         }
-        obs.health_state.set(health_code(after));
         next
     }
 
-    fn poll_inner(&self, now_ns: u64) -> Duration {
+    fn poll_inner(&self, now_ns: u64, sampled: bool, obs: Option<&FactObs>) -> Duration {
         let (poll_timeout, max_retries) = (self.poll_timeout, self.max_retries);
 
         // ① Monitor hook. An attempt whose modelled cost exceeds the poll
@@ -208,10 +189,13 @@ impl FactVertex {
         // live deployment would have abandoned the hook call.
         let mut outcome: Result<f64, MetricError> = Err(MetricError::Unavailable);
         for attempt in 0..=max_retries {
-            let sampled = self.timer.time(phases::MONITOR_HOOK, || self.source.sample(now_ns));
+            let reading =
+                self.timer.time(sampled, Phase::MonitorHook, || self.source.sample(now_ns));
             let cost = self.source.sample_cost();
-            self.timer.record(phases::MONITOR_HOOK, cost.as_nanos() as u64);
-            outcome = match sampled {
+            if sampled {
+                self.timer.record(Phase::MonitorHook, cost.as_nanos() as u64);
+            }
+            outcome = match reading {
                 Ok(_) if cost > poll_timeout => Err(MetricError::Timeout(cost)),
                 other => other,
             };
@@ -225,49 +209,74 @@ impl FactVertex {
 
         let value = match outcome {
             Ok(v) => v,
-            Err(_) => return self.on_poll_failure(now_ns),
+            Err(_) => return self.on_poll_failure(now_ns, sampled, obs),
         };
 
         // Fact builder.
-        let record = self.timer.time(phases::BUILD, || Record::measured(now_ns, value).encode());
+        let record =
+            self.timer.time(sampled, Phase::Build, || Record::measured(now_ns, value).encode());
 
         // ② Publish, change-filtered.
         let mut last = self.last_published.lock();
         let changed = last.is_none_or(|prev| prev != value);
         if changed || !self.publish_on_change_only {
-            self.timer.time(phases::PUBLISH, || {
+            self.timer.time(sampled, Phase::Publish, || {
                 self.publisher.publish(now_ns / 1_000_000, record);
             });
             self.published.fetch_add(1, Ordering::Relaxed);
             *last = Some(value);
         } else {
             self.suppressed.fetch_add(1, Ordering::Relaxed);
-            if let Some(obs) = self.obs.get() {
+            if let Some(obs) = obs {
                 obs.suppressed.inc();
             }
         }
         drop(last);
 
-        self.health.lock().on_success();
+        self.health_step(obs, HealthMonitor::on_success);
         self.controller.lock().on_sample(value)
     }
 
     /// All retries exhausted: republish the last-known value marked stale
     /// (downstream consumers see an explicit degraded signal, not silence),
     /// advance the health machine, and let it pick the next interval.
-    fn on_poll_failure(&self, now_ns: u64) -> Duration {
+    fn on_poll_failure(&self, now_ns: u64, sampled: bool, obs: Option<&FactObs>) -> Duration {
         self.failures.fetch_add(1, Ordering::Relaxed);
         if let Some(prev) = *self.last_published.lock() {
-            let record = self.timer.time(phases::BUILD, || Record::stale(now_ns, prev).encode());
-            self.timer.time(phases::PUBLISH, || {
+            let record =
+                self.timer.time(sampled, Phase::Build, || Record::stale(now_ns, prev).encode());
+            self.timer.time(sampled, Phase::Publish, || {
                 self.publisher.publish(now_ns / 1_000_000, record);
             });
             self.stale_published.fetch_add(1, Ordering::Relaxed);
         }
         let normal = self.controller.lock().current_interval();
+        self.health_step(obs, |h| {
+            h.on_failure();
+            h.next_interval(normal)
+        })
+    }
+
+    /// Advance the health machine and export a state change read off the
+    /// same lock hold (the gauge starts at 0, the code of Healthy).
+    fn health_step<R>(
+        &self,
+        obs: Option<&FactObs>,
+        step: impl FnOnce(&mut HealthMonitor) -> R,
+    ) -> R {
         let mut health = self.health.lock();
-        health.on_failure();
-        health.next_interval(normal)
+        let before = health.state();
+        let out = step(&mut health);
+        let after = health.state();
+        drop(health);
+        if let Some(obs) = obs.filter(|_| after != before) {
+            obs.health_transitions.inc();
+            if before == HealthState::Quarantined && after == HealthState::Healthy {
+                obs.quarantine_recoveries.inc();
+            }
+            obs.health_state.set(health_code(after));
+        }
+        out
     }
 
     /// Publish a Delphi-predicted value between polls (flow ① with the
@@ -359,34 +368,41 @@ impl std::fmt::Debug for FactVertex {
     }
 }
 
-/// The inputs handed to an insight builder on each recomputation.
+/// The inputs handed to an insight builder on each recomputation, keyed
+/// by slot: the position of an input topic in [`InsightVertex::inputs`].
 #[derive(Debug, Default)]
 pub struct InsightInputs {
-    /// Latest record seen per input topic. Ordered map so aggregations
-    /// that fold over all inputs (e.g. [`InsightInputs::sum`]) visit them
-    /// in a stable order — float accumulation is not associative, and a
-    /// hash-randomized iteration order would make "identical" runs differ
-    /// in the low mantissa bits.
-    pub latest: BTreeMap<String, Record>,
-    /// Records newly consumed in this cycle, in arrival order.
-    pub fresh: Vec<(String, Record)>,
+    /// The input topics, sorted by name: the order aggregations over all
+    /// inputs (e.g. [`InsightInputs::sum`]) fold in — float accumulation
+    /// is not associative, so it must not depend on arrival.
+    topics: Vec<String>,
+    /// Latest record seen per slot.
+    latest: Vec<Option<Record>>,
+    /// Records newly consumed in this cycle as `(slot, record)`, in the
+    /// order they were drained (per topic, arrival order).
+    pub fresh: Vec<(usize, Record)>,
+    /// Entries received but not yet network-visible, as `(slot, record)`.
+    in_flight: Vec<(usize, Record)>,
+    /// The pump's drain buffer, empty between pumps.
+    drained: Vec<apollo_streams::Entry>,
 }
 
 impl InsightInputs {
     /// Latest value of an input topic, if seen.
     pub fn value(&self, topic: &str) -> Option<f64> {
-        self.latest.get(topic).map(|r| r.value)
+        let slot = self.topics.binary_search_by(|t| t.as_str().cmp(topic)).ok()?;
+        self.latest[slot].map(|r| r.value)
     }
 
     /// True when every listed topic has been seen at least once.
     pub fn all_present(&self, topics: &[String]) -> bool {
-        topics.iter().all(|t| self.latest.contains_key(t))
+        topics.iter().all(|t| self.value(t).is_some())
     }
 
     /// Sum of the latest values of all inputs (the classic capacity
     /// aggregation insight).
     pub fn sum(&self) -> f64 {
-        self.latest.values().map(|r| r.value).sum()
+        self.latest.iter().flatten().map(|r| r.value).sum()
     }
 }
 
@@ -394,6 +410,7 @@ type Builder = Box<dyn FnMut(&InsightInputs) -> Option<f64> + Send>;
 
 /// An Insight Vertex: subscriptions + insight builder + insight queue.
 pub struct InsightVertex {
+    /// Sorted and de-duplicated; a topic's position is its slot.
     inputs: Vec<String>,
     subscriptions: Vec<Subscription>,
     builder: parking_lot::Mutex<Builder>,
@@ -408,8 +425,6 @@ pub struct InsightVertex {
     /// (vertices are "distinct processes in the cluster", §3.1): an
     /// entry becomes visible only `link_delay` after its timestamp.
     link_delay_ms: u64,
-    /// Entries received but not yet network-visible.
-    in_flight: parking_lot::Mutex<Vec<(String, Record)>>,
     obs: OnceLock<InsightObs>,
 }
 
@@ -435,27 +450,34 @@ impl InsightVertex {
         broker: Arc<Broker>,
         link_delay: Duration,
     ) -> Self {
+        let mut inputs = inputs;
+        inputs.sort();
+        inputs.dedup();
         let subscriptions = inputs.iter().map(|t| broker.subscribe(t)).collect();
+        let state = InsightInputs {
+            latest: vec![None; inputs.len()],
+            topics: inputs.clone(),
+            ..InsightInputs::default()
+        };
         Self {
             inputs,
             subscriptions,
             builder: parking_lot::Mutex::new(builder),
-            state: parking_lot::Mutex::new(InsightInputs::default()),
+            state: parking_lot::Mutex::new(state),
             publisher: broker.publisher(name),
             timer: PhaseTimer::new(),
             last_published: parking_lot::Mutex::new(None),
             published: AtomicU64::new(0),
             recomputes: AtomicU64::new(0),
             link_delay_ms: link_delay.as_millis() as u64,
-            in_flight: parking_lot::Mutex::new(Vec::new()),
             obs: OnceLock::new(),
         }
     }
 
     /// Attach metric instruments: per-vertex pump latency
     /// (`core.vertex.<name>.pump_ns`) and the fleet-wide `score.pump_ns`
-    /// histogram. A disabled registry leaves the vertex uninstrumented.
-    /// Idempotent; the first call wins.
+    /// histogram, over the sampled pumps. A disabled registry leaves the
+    /// vertex uninstrumented. Idempotent; the first call wins.
     pub fn instrument(&self, registry: &apollo_obs::Registry) {
         if !registry.enabled() {
             return;
@@ -471,7 +493,7 @@ impl InsightVertex {
         self.publisher.topic()
     }
 
-    /// The input topic names.
+    /// The input topic names, sorted and de-duplicated.
     pub fn inputs(&self) -> &[String] {
         &self.inputs
     }
@@ -480,42 +502,46 @@ impl InsightVertex {
     /// insight, publish when it changed. Returns true when something new
     /// was consumed.
     pub fn pump(&self, now_ns: u64) -> bool {
-        let Some(obs) = self.obs.get() else { return self.pump_inner(now_ns) };
-        let start = std::time::Instant::now();
-        let consumed = self.pump_inner(now_ns);
-        let dur = start.elapsed().as_nanos() as u64;
-        obs.pump_ns.observe(dur);
-        obs.pump_ns_all.observe(dur);
+        let sampled = self.timer.begin_call();
+        let obs = self.obs.get();
+        let start = (sampled && obs.is_some()).then(std::time::Instant::now);
+        let consumed = self.pump_inner(now_ns, sampled);
+        if let (Some(start), Some(obs)) = (start, obs) {
+            let dur = start.elapsed().as_nanos() as u64;
+            obs.pump_ns.observe(dur);
+            obs.pump_ns_all.observe(dur);
+        }
         consumed
     }
 
-    fn pump_inner(&self, now_ns: u64) -> bool {
+    fn pump_inner(&self, now_ns: u64, sampled: bool) -> bool {
         let mut state = self.state.lock();
-        state.fresh.clear();
-        let consumed = self.timer.time(phases::CONSUME, || {
-            let mut any = false;
-            let mut in_flight = self.in_flight.lock();
-            for (topic, sub) in self.inputs.iter().zip(&self.subscriptions) {
-                for entry in sub.drain() {
+        let consumed = self.timer.time(sampled, Phase::Consume, || {
+            let InsightInputs { latest, fresh, in_flight, drained, .. } = &mut *state;
+            for (slot, sub) in self.subscriptions.iter().enumerate() {
+                sub.drain_into(drained);
+                for entry in drained.drain(..) {
                     if let Ok(r) = Record::decode(&entry.payload) {
-                        in_flight.push((topic.clone(), r));
+                        in_flight.push((slot, r));
                     }
                 }
             }
+            // Nothing arrived and nothing is waiting out its link delay.
+            if in_flight.is_empty() {
+                return false;
+            }
             // Deliver entries whose network latency has elapsed.
             let now_ms = now_ns / 1_000_000;
-            let mut still_flying = Vec::new();
-            for (topic, r) in in_flight.drain(..) {
-                if r.timestamp_ns / 1_000_000 + self.link_delay_ms <= now_ms {
-                    state.latest.insert(topic.clone(), r);
-                    state.fresh.push((topic, r));
-                    any = true;
-                } else {
-                    still_flying.push((topic, r));
+            fresh.clear();
+            in_flight.retain(|&(slot, r)| {
+                let visible = r.timestamp_ns / 1_000_000 + self.link_delay_ms <= now_ms;
+                if visible {
+                    latest[slot] = Some(r);
+                    fresh.push((slot, r));
                 }
-            }
-            *in_flight = still_flying;
-            any
+                !visible
+            });
+            !fresh.is_empty()
         });
         if !consumed {
             return false;
@@ -523,14 +549,14 @@ impl InsightVertex {
         self.recomputes.fetch_add(1, Ordering::Relaxed);
         let value = {
             let mut builder = self.builder.lock();
-            self.timer.time(phases::OTHER, || (builder)(&state))
+            self.timer.time(sampled, Phase::Other, || (builder)(&state))
         };
         if let Some(v) = value {
             let mut last = self.last_published.lock();
             if last.is_none_or(|prev| prev != v) {
                 let record =
-                    self.timer.time(phases::BUILD, || Record::measured(now_ns, v).encode());
-                self.timer.time(phases::PUBLISH, || {
+                    self.timer.time(sampled, Phase::Build, || Record::measured(now_ns, v).encode());
+                self.timer.time(sampled, Phase::Publish, || {
                     self.publisher.publish(now_ns / 1_000_000, record);
                 });
                 self.published.fetch_add(1, Ordering::Relaxed);
@@ -650,11 +676,12 @@ mod tests {
     fn anatomy_is_dominated_by_the_monitor_hook() {
         let b = broker();
         let v = FactVertex::new("cap", Arc::new(ConstSource::new("c", 1.0)), fixed(1), b, true);
-        for i in 0..100 {
+        // Ten sampled polls.
+        for i in 0..10 * apollo_obs::SAMPLE_PERIOD {
             v.poll(i * 1_000_000_000);
         }
         let rows = v.phase_timer().breakdown();
-        assert_eq!(rows[0].0, phases::MONITOR_HOOK, "hook dominates: {rows:?}");
+        assert_eq!(rows[0].0, "monitor_hook", "hook dominates: {rows:?}");
         assert!(rows[0].2 > 0.9, "hook share {:.3} should be ~97.5%", rows[0].2);
     }
 

@@ -1,8 +1,8 @@
-//! Allocation teeth for the prediction path: a predicted record costs
-//! **one** heap allocation — its refcounted payload, which the stream
-//! window owns — and nothing else. Counted by the workspace's counting
-//! allocator (`apollo-alloc-count`); the count is process-wide, so this
-//! file deliberately holds a single `#[test]`.
+//! Allocation teeth for the record path: a record — predicted, polled or
+//! derived by an insight — costs **one** heap allocation, its refcounted
+//! payload, which the stream window owns, and nothing else. Counted by
+//! the workspace's counting allocator (`apollo-alloc-count`); the count is
+//! process-wide, so this file deliberately holds a single `#[test]`.
 //!
 //! With `B` vertices enrolled in one pump, windows at their retention
 //! bound (so no `VecDeque` grows) and the pump warm (scratch sized,
@@ -10,9 +10,11 @@
 //! two-object payload (`Arc<Vec<u8>>`) published as a batch of one
 //! through intermediate `Vec`s it was `5·B`.
 
+use apollo_adaptive::controller::FixedInterval;
 use apollo_alloc_count::allocs_during;
 use apollo_cluster::metrics::{MetricError, MetricSource};
 use apollo_core::service::{Apollo, FactVertexSpec};
+use apollo_core::vertex::{FactVertex, InsightInputs, InsightVertex};
 use apollo_delphi::{Delphi, DelphiConfig};
 use apollo_runtime::event_loop::EventLoop;
 use apollo_streams::codec::Record;
@@ -53,6 +55,7 @@ fn bounded() -> StreamConfig {
 fn a_predicted_record_costs_one_allocation() {
     a_warm_pump_tick_allocates_one_payload_per_predicted_record();
     publishing_an_encoded_record_allocates_nothing_beyond_the_payload();
+    a_warm_poll_and_a_warm_insight_pump_allocate_one_payload_each();
 }
 
 fn a_warm_pump_tick_allocates_one_payload_per_predicted_record() {
@@ -120,4 +123,60 @@ fn publishing_an_encoded_record_allocates_nothing_beyond_the_payload() {
     // A batch returns its IDs in a `Vec`: its only allocation.
     assert_eq!(allocs_during(|| drop(broker.publish_batch("by-name", [(101, r)]))), 1);
     assert_eq!(allocs_during(|| drop(publisher.publish_batch([(101, s)]))), 1);
+}
+
+fn a_warm_poll_and_a_warm_insight_pump_allocate_one_payload_each() {
+    const NS: u64 = 1_000_000_000;
+    let broker = Arc::new(Broker::new(bounded()));
+    let facts: Vec<FactVertex> = (0..2)
+        .map(|i| {
+            FactVertex::new(
+                format!("f{i}"),
+                Arc::new(Sine { phase: i as f64, samples: AtomicU64::new(0) }),
+                Box::new(FixedInterval::new(Duration::from_secs(1))),
+                Arc::clone(&broker),
+                false,
+            )
+        })
+        .collect();
+    let insight = InsightVertex::new(
+        "sum",
+        vec!["f0".into(), "f1".into()],
+        Box::new(|i: &InsightInputs| Some(i.sum() + i.fresh.len() as f64)),
+        Arc::clone(&broker),
+    );
+    let tap = broker.subscribe("f0");
+    // Warm: windows at their bound, subscriber queues and the pump's
+    // buffers at the size a round of eight polls per fact needs.
+    let mut now = 0;
+    let mut polls = |n: usize| {
+        for _ in 0..n {
+            now += NS;
+            for f in &facts {
+                f.poll(now);
+            }
+        }
+        now
+    };
+    for _ in 0..3 {
+        let now = polls(8);
+        assert!(insight.pump(now));
+        drop(tap.drain());
+    }
+
+    // Poll 29 of each fact: not a sampled one, one subscriber each (f0 two).
+    let now = polls(4) + NS;
+    for f in &facts {
+        let allocs = allocs_during(|| {
+            f.poll(now);
+        });
+        assert_eq!(allocs, 1, "a poll allocates its payload");
+    }
+    // The pump consumes ten records from two inputs it has seen before.
+    let published = insight.published();
+    assert_eq!(allocs_during(|| assert!(insight.pump(now))), 1, "a pump allocates its payload");
+    assert_eq!(insight.published(), published + 1);
+    assert_eq!(allocs_during(|| assert!(!insight.pump(now))), 0, "an idle pump allocates nothing");
+    // Five entries leave the queue in the one `Vec` that carries them.
+    assert_eq!(allocs_during(|| assert_eq!(tap.drain().len(), 5)), 1);
 }

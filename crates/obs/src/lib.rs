@@ -13,8 +13,9 @@
 //! * [`Counter`] / [`Gauge`] — single `AtomicU64` cells (gauges store f64
 //!   bits).
 //! * [`Histogram`] — fixed upper-bound buckets with atomic per-bucket
-//!   counts, built for nanosecond latencies; quantiles are estimated from
-//!   the bucket upper bounds.
+//!   counts, built for nanosecond latencies; an observation is two atomic
+//!   adds, the count is the sum of the buckets when read, and quantiles
+//!   are estimated from the bucket upper bounds.
 //!
 //! Metric families by convention share a dotted prefix with the subsystem
 //! that emits them: `runtime.*` (timer dispatch, worker pool), `streams.*`
@@ -60,6 +61,15 @@
 //! durable series/cursor and fell back to heap-only state — losses on
 //! restart).
 //!
+//! **Counters are exact; wall-clock histograms are sampled.** A call site
+//! that times itself — a timer's callback (`runtime.timer.callback_ns`), a
+//! vertex's poll or pump (`core.vertex.<name>.{poll,pump}_ns`,
+//! `score.*_ns`), a topic's publish (`streams.publish_ns`, the backlog
+//! gauge) — times its first call, then one in [`SAMPLE_PERIOD`]
+//! ([`sampled`]). There `count` is the number of timed calls, and
+//! `runtime.timer.overruns` is judged on them. Everything counted is
+//! exact, as is `runtime.timer.dispatch_lag_ns` (no clock read).
+//!
 //! Every instrument carries an `enabled` flag captured at construction. A
 //! registry built with [`Registry::noop`] hands out disabled handles whose
 //! update methods compile down to a branch on an immutable bool — this is
@@ -69,5 +79,6 @@
 mod metrics;
 
 pub use metrics::{
-    Counter, Gauge, Histogram, HistogramSnapshot, Registry, Snapshot, DEFAULT_LATENCY_BOUNDS_NS,
+    sampled, Counter, Gauge, Histogram, HistogramSnapshot, Registry, Snapshot,
+    DEFAULT_LATENCY_BOUNDS_NS, SAMPLE_PERIOD,
 };

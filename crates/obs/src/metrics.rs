@@ -28,6 +28,17 @@ pub const DEFAULT_LATENCY_BOUNDS_NS: [u64; 13] = [
     4_294_967_296,
 ];
 
+/// A call site that times itself reads the clock on one call in this many
+/// (see [`sampled`]); counters are never sampled. A power of two: a mask.
+pub const SAMPLE_PERIOD: u64 = 64;
+
+/// Whether call number `n` (counted from zero) of a call site is one of its
+/// timed calls. The first call is, so a short run still holds data.
+#[inline]
+pub fn sampled(n: u64) -> bool {
+    n.is_multiple_of(SAMPLE_PERIOD)
+}
+
 // ---------------------------------------------------------------------------
 // Counter
 // ---------------------------------------------------------------------------
@@ -136,13 +147,13 @@ struct HistogramInner {
     /// (the last bucket is the overflow bucket).
     bounds: Vec<u64>,
     buckets: Vec<AtomicU64>,
-    count: AtomicU64,
     sum: AtomicU64,
     max: AtomicU64,
 }
 
 /// Fixed-bucket latency histogram. Observation is two relaxed atomic adds
-/// plus a branchless-ish bucket search over ≤ a few dozen bounds.
+/// (bucket and sum) plus a bucket search over ≤ a few dozen bounds; the
+/// observation count is the sum of the buckets, taken when read.
 #[derive(Clone, Debug)]
 pub struct Histogram {
     inner: Arc<HistogramInner>,
@@ -157,7 +168,6 @@ impl Histogram {
             inner: Arc::new(HistogramInner {
                 bounds: bounds.to_vec(),
                 buckets,
-                count: AtomicU64::new(0),
                 sum: AtomicU64::new(0),
                 max: AtomicU64::new(0),
             }),
@@ -180,15 +190,19 @@ impl Histogram {
         let idx = inner.bounds.partition_point(|&b| b < v);
         inner.buckets[idx].fetch_add(1, Ordering::Relaxed);
         inner.sum.fetch_add(v, Ordering::Relaxed);
-        inner.max.fetch_max(v, Ordering::Relaxed);
-        // Count is bumped last with Release so a snapshot that reads it first
-        // with Acquire sees every bucket/sum update of the counted ops.
-        inner.count.fetch_add(1, Ordering::Release);
+        if v > inner.max.load(Ordering::Relaxed) {
+            inner.max.fetch_max(v, Ordering::Relaxed);
+        }
     }
 
-    /// Total observations recorded.
+    fn bucket_counts(&self) -> impl Iterator<Item = u64> + '_ {
+        self.inner.buckets.iter().map(|b| b.load(Ordering::Relaxed))
+    }
+
+    /// Total observations recorded. On a sampled call site (see
+    /// [`SAMPLE_PERIOD`]) this is the number of timed calls, not of calls.
     pub fn count(&self) -> u64 {
-        self.inner.count.load(Ordering::Relaxed)
+        self.bucket_counts().sum()
     }
 
     /// Sum of all observed values.
@@ -211,40 +225,38 @@ impl Histogram {
     /// when empty. Conservative: never under-reports a latency tail by more
     /// than one bucket width.
     pub fn quantile(&self, q: f64) -> u64 {
+        self.quantile_of(&self.bucket_counts().collect::<Vec<_>>(), q)
+    }
+
+    /// [`Histogram::quantile`] over bucket counts already read.
+    fn quantile_of(&self, buckets: &[u64], q: f64) -> u64 {
         let inner = &*self.inner;
-        let total = inner.count.load(Ordering::Relaxed);
+        let total: u64 = buckets.iter().sum();
         if total == 0 {
             return 0;
         }
         let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
         let mut seen = 0u64;
-        for (i, b) in inner.buckets.iter().enumerate() {
-            seen += b.load(Ordering::Relaxed);
-            if seen >= rank {
-                return if i < inner.bounds.len() {
-                    inner.bounds[i]
-                } else {
-                    inner.max.load(Ordering::Relaxed)
-                };
-            }
+        let at = buckets.iter().position(|b| {
+            seen += b;
+            seen >= rank
+        });
+        match at.and_then(|i| inner.bounds.get(i)) {
+            Some(&bound) => bound,
+            None => inner.max.load(Ordering::Relaxed),
         }
-        inner.max.load(Ordering::Relaxed)
     }
 
     fn snapshot(&self) -> HistogramSnapshot {
-        let inner = &*self.inner;
-        // Acquire pairs with the Release in `observe`: reading count first
-        // guarantees bucket totals in this snapshot cover at least `count`
-        // observations (they may additionally include in-flight ones).
-        let count = inner.count.load(Ordering::Acquire);
+        let buckets: Vec<u64> = self.bucket_counts().collect();
         HistogramSnapshot {
-            bounds: inner.bounds.clone(),
-            buckets: inner.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
-            count,
+            bounds: self.inner.bounds.clone(),
+            count: buckets.iter().sum(),
             sum: self.sum(),
-            max: inner.max.load(Ordering::Relaxed),
-            p50: self.quantile(0.50),
-            p99: self.quantile(0.99),
+            max: self.inner.max.load(Ordering::Relaxed),
+            p50: self.quantile_of(&buckets, 0.50),
+            p99: self.quantile_of(&buckets, 0.99),
+            buckets,
         }
     }
 }
@@ -610,9 +622,8 @@ mod tests {
 
     #[test]
     fn snapshot_is_consistent_under_concurrent_writes() {
-        // Each snapshot must see internally-sane histograms: the bucket
-        // total never exceeds the count read afterwards, and counters only
-        // grow between snapshots.
+        // Each snapshot must see internally-sane histograms: the count is
+        // the bucket total, and counters only grow between snapshots.
         let reg = Registry::new();
         let c = reg.counter("ops");
         let h = reg.histogram_with("lat", &[8, 64, 512]);
@@ -636,11 +647,8 @@ mod tests {
                 assert!(ops >= last_ops, "counter went backwards");
                 last_ops = ops;
                 if let Some(hs) = snap.histograms.get("lat") {
-                    let bucket_total: u64 = hs.buckets.iter().sum();
-                    // count is incremented after the bucket, so a snapshot
-                    // may observe bucket_total >= count but never a bucket
-                    // total that lags the count by more than in-flight ops.
-                    assert!(bucket_total >= hs.count);
+                    // count is derived from the buckets the snapshot read.
+                    assert_eq!(hs.buckets.iter().sum::<u64>(), hs.count);
                 }
             }
         });

@@ -151,10 +151,11 @@ struct LoopObs {
     fires: apollo_obs::Counter,
     /// `now - deadline` at pop time: how late each expiration was serviced.
     dispatch_lag: apollo_obs::Histogram,
-    /// Wall-clock runtime of each callback.
+    /// Wall-clock runtime of each timer's sampled callbacks.
     callback_ns: apollo_obs::Histogram,
-    /// Callbacks whose wall-clock runtime exceeded their own interval (the
-    /// timer can never keep its schedule).
+    /// Sampled callbacks whose wall-clock runtime exceeded their own
+    /// interval (the timer can never keep its schedule). Judged on the
+    /// fires `callback_ns` timed, so it undercounts by the sampling period.
     overruns: apollo_obs::Counter,
     /// Caught callback panics.
     panics: apollo_obs::Counter,
@@ -173,8 +174,7 @@ pub struct EventLoop<C: Clock = AnyClock> {
     /// loop). Shared with worker lanes in pool dispatch.
     panics: Arc<AtomicU64>,
     /// Metrics handles; `None` until [`EventLoop::instrument`] is called
-    /// with an enabled registry (the uninstrumented hot path stays free of
-    /// even the `Instant::now` calls).
+    /// with an enabled registry.
     obs: Option<Arc<LoopObs>>,
     dispatch: Dispatch,
 }
@@ -243,8 +243,9 @@ impl<C: Clock> EventLoop<C> {
     }
 
     /// Wire the dispatch path into `registry`: timer fire counts, dispatch
-    /// lag (`runtime.timer.dispatch_lag_ns`), per-callback wall runtime
-    /// (`runtime.timer.callback_ns`), interval overruns, and caught panics.
+    /// lag (`runtime.timer.dispatch_lag_ns`) and caught panics, exact, plus
+    /// callback runtime (`runtime.timer.callback_ns`) and interval overruns
+    /// on each timer's sampled fires.
     /// Passing a no-op registry removes the instrumentation again.
     pub fn instrument(&mut self, registry: &apollo_obs::Registry) {
         self.obs = registry.enabled().then(|| {
@@ -348,21 +349,24 @@ impl<C: Clock> EventLoop<C> {
             slot.retired.store(true, Ordering::SeqCst);
             return;
         }
-        slot.control.fires.fetch_add(1, Ordering::SeqCst);
+        let fire = slot.control.fires.fetch_add(1, Ordering::SeqCst);
+        // Counters are exact; only this timer's sampled fires are timed.
+        let start = (obs.is_some() && apollo_obs::sampled(fire)).then(std::time::Instant::now);
         // A panicking callback (buggy monitor hook, bad insight builder)
         // must not take the whole service down: isolate it and retire the
         // timer. The mutexes this crate hands out are non-poisoning, so
         // state shared with other callbacks stays usable.
-        let start = obs.map(|_| std::time::Instant::now());
         let mut cb = slot.callback.lock();
         let action = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| (cb)(&slot.control)));
         drop(cb);
-        if let (Some(obs), Some(start)) = (obs, start) {
-            let dur = start.elapsed().as_nanos() as u64;
+        if let Some(obs) = obs {
             obs.fires.inc();
-            obs.callback_ns.observe(dur);
-            if dur > slot.control.interval.load(Ordering::SeqCst) {
-                obs.overruns.inc();
+            if let Some(start) = start {
+                let dur = start.elapsed().as_nanos() as u64;
+                obs.callback_ns.observe(dur);
+                if dur > slot.control.interval.load(Ordering::SeqCst) {
+                    obs.overruns.inc();
+                }
             }
             if action.is_err() {
                 obs.panics.inc();
@@ -641,9 +645,23 @@ mod tests {
         assert_eq!(snap.counter("runtime.timer.fires"), 6);
         assert_eq!(snap.counter("runtime.timer.panics"), 1);
         assert_eq!(snap.histograms["runtime.timer.dispatch_lag_ns"].count, 6);
-        assert_eq!(snap.histograms["runtime.timer.callback_ns"].count, 6);
+        // Timed: the first fire of each of the two timers.
+        assert_eq!(snap.histograms["runtime.timer.callback_ns"].count, 2);
         // Virtual-time intervals dwarf real callback runtimes: no overruns.
         assert_eq!(snap.counter("runtime.timer.overruns"), 0);
+    }
+
+    #[test]
+    fn fires_are_exact_and_callback_timing_is_sampled() {
+        let mut el = EventLoop::new_virtual();
+        let reg = apollo_obs::Registry::new();
+        el.instrument(&reg);
+        el.add_timer(Duration::from_millis(1), |_| TimerAction::Continue);
+        el.run_for(Duration::from_millis(640));
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("runtime.timer.fires"), 640);
+        assert_eq!(snap.histograms["runtime.timer.dispatch_lag_ns"].count, 640);
+        assert_eq!(snap.histograms["runtime.timer.callback_ns"].count, 10);
     }
 
     #[test]
@@ -787,7 +805,7 @@ mod tests {
         let snap = reg.snapshot();
         assert_eq!(snap.counter("runtime.timer.fires"), 6);
         assert_eq!(snap.counter("runtime.timer.panics"), 1);
-        assert_eq!(snap.histograms["runtime.timer.callback_ns"].count, 6);
+        assert_eq!(snap.histograms["runtime.timer.callback_ns"].count, 2);
         // Every turn's batch went through the pool.
         assert!(snap.histograms["runtime.pool.exec_ns"].count >= 5);
         assert!(snap.gauges.contains_key("runtime.pool.queued"));

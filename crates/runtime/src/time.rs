@@ -10,7 +10,6 @@
 //!   replays (e.g. the HACC traces of §4.3.1) complete in milliseconds and
 //!   produce bit-identical series run-to-run.
 
-use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -169,11 +168,33 @@ pub fn duration_to_nanos(d: Duration) -> Nanos {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// A tiny stopwatch used by the anatomy instrumentation (Figure 4) to
-/// attribute time to named phases of vertex work.
+/// A component of vertex work the anatomy instrumentation (Figure 4)
+/// attributes time to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Phase {
+    /// Sampling the resource (the monitor hook).
+    MonitorHook,
+    /// Building the fact/insight record.
+    Build,
+    /// Publishing onto the queue.
+    Publish,
+    /// Draining input subscriptions (insight vertices).
+    Consume,
+    /// Everything else (thread management, insight computation).
+    Other,
+}
+
+/// Report labels, by `Phase as usize`.
+const PHASE_NAMES: [&str; 5] = ["monitor_hook", "build", "publish", "consume", "other"];
+
+/// A tiny stopwatch used by the anatomy instrumentation (Figure 4): one
+/// slot of accumulated nanoseconds per [`Phase`], filled by the sampled
+/// calls only (one poll/pump in [`apollo_obs::SAMPLE_PERIOD`] reads the
+/// clock: [`PhaseTimer::begin_call`]), which leaves the shares as they were.
 #[derive(Debug, Default)]
 pub struct PhaseTimer {
-    phases: RwLock<Vec<(String, u64)>>,
+    calls: AtomicU64,
+    slots: [AtomicU64; PHASE_NAMES.len()],
 }
 
 impl PhaseTimer {
@@ -182,37 +203,53 @@ impl PhaseTimer {
         Self::default()
     }
 
-    /// Record `nanos` of time against phase `name`.
-    pub fn record(&self, name: &str, nanos: u64) {
-        let mut phases = self.phases.write();
-        if let Some(entry) = phases.iter_mut().find(|(n, _)| n == name) {
-            entry.1 += nanos;
-        } else {
-            phases.push((name.to_string(), nanos));
-        }
+    /// Count one call of the owning vertex and decide whether it is a
+    /// sampled one (the first is).
+    #[inline]
+    pub fn begin_call(&self) -> bool {
+        apollo_obs::sampled(self.calls.fetch_add(1, Ordering::Relaxed))
     }
 
-    /// Run `f`, attributing its wall time to phase `name`.
-    pub fn time<T>(&self, name: &str, f: impl FnOnce() -> T) -> T {
+    /// Record `nanos` of time against `phase`.
+    pub fn record(&self, phase: Phase, nanos: u64) {
+        self.slots[phase as usize].fetch_add(nanos, Ordering::Relaxed);
+    }
+
+    /// Run `f`; on a sampled call, attribute its wall time to `phase`.
+    #[inline]
+    pub fn time<T>(&self, sampled: bool, phase: Phase, f: impl FnOnce() -> T) -> T {
+        if !sampled {
+            return f();
+        }
         let start = Instant::now();
         let out = f();
-        self.record(name, start.elapsed().as_nanos() as u64);
+        self.record(phase, start.elapsed().as_nanos() as u64);
         out
     }
 
-    /// Total recorded time across all phases.
+    /// Total recorded time across all phases (sampled calls only).
     pub fn total(&self) -> u64 {
-        self.phases.read().iter().map(|(_, t)| *t).sum()
+        self.slots.iter().map(|t| t.load(Ordering::Relaxed)).sum()
     }
 
-    /// Snapshot of `(phase, nanos, fraction_of_total)` rows, ordered by
-    /// descending time.
+    /// [`PhaseTimer::total`] scaled from the sampled calls to every call
+    /// counted by [`PhaseTimer::begin_call`].
+    pub fn estimated_total(&self) -> u64 {
+        let calls = self.calls.load(Ordering::Relaxed);
+        let timed = calls.div_ceil(apollo_obs::SAMPLE_PERIOD).max(1);
+        (self.total() as u128 * calls.max(1) as u128 / timed as u128) as u64
+    }
+
+    /// Snapshot of `(phase, nanos, fraction_of_total)` rows for the phases
+    /// that recorded anything, ordered by descending time.
     pub fn breakdown(&self) -> Vec<(String, u64, f64)> {
-        let phases = self.phases.read();
-        let total: u64 = phases.iter().map(|(_, t)| *t).sum();
-        let mut rows: Vec<(String, u64, f64)> = phases
+        let total = self.total();
+        let mut rows: Vec<(String, u64, f64)> = PHASE_NAMES
             .iter()
-            .map(|(n, t)| (n.clone(), *t, if total == 0 { 0.0 } else { *t as f64 / total as f64 }))
+            .zip(&self.slots)
+            .map(|(name, t)| (name.to_string(), t.load(Ordering::Relaxed)))
+            .filter(|&(_, t)| t > 0)
+            .map(|(name, t)| (name, t, t as f64 / total as f64))
             .collect();
         rows.sort_by_key(|r| std::cmp::Reverse(r.1));
         rows
@@ -299,11 +336,12 @@ mod tests {
     #[test]
     fn phase_timer_accumulates_and_orders() {
         let pt = PhaseTimer::new();
-        pt.record("hook", 975);
-        pt.record("publish", 18);
-        pt.record("hook", 25);
+        pt.record(Phase::MonitorHook, 975);
+        pt.record(Phase::Publish, 18);
+        pt.record(Phase::MonitorHook, 25);
         let rows = pt.breakdown();
-        assert_eq!(rows[0].0, "hook");
+        assert_eq!(rows.len(), 2, "phases that recorded nothing are left out");
+        assert_eq!(rows[0].0, "monitor_hook");
         assert_eq!(rows[0].1, 1000);
         assert!((rows[0].2 - 1000.0 / 1018.0).abs() < 1e-12);
         assert_eq!(pt.total(), 1018);
@@ -312,9 +350,15 @@ mod tests {
     #[test]
     fn phase_timer_times_closures() {
         let pt = PhaseTimer::new();
-        let v = pt.time("work", || 21 * 2);
-        assert_eq!(v, 42);
-        assert!(pt.total() > 0);
+        let period = apollo_obs::SAMPLE_PERIOD;
+        let sampled: Vec<bool> = (0..2 * period).map(|_| pt.begin_call()).collect();
+        assert!(sampled[0] && sampled[period as usize], "the first call of each period");
+        assert_eq!(sampled.iter().filter(|&&s| s).count(), 2);
+        assert_eq!(pt.time(false, Phase::Other, || 21 * 2), 42);
+        assert_eq!(pt.total(), 0, "an unsampled call reads no clock");
+        pt.time(true, Phase::Other, || pt.record(Phase::Other, 100));
+        assert!(pt.total() >= 100);
+        assert_eq!(pt.estimated_total(), pt.total() * period, "two timed calls stand for 128");
     }
 
     #[test]

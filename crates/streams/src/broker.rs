@@ -22,6 +22,14 @@
 //! * **Backpressure** — subscriber queues are bounded; a
 //!   [`BackpressurePolicy`] decides whether a slow subscriber blocks the
 //!   publisher, loses its oldest entries, or is disconnected.
+//!
+//! A condvar notify is a futex syscall whether or not anyone waits, so
+//! wake-ups are **waiter-gated**: a subscriber queue counts its parked
+//! receivers and publishers under its own mutex, around the wait, and
+//! notifies a side only when its count is non-zero (closing always
+//! notifies). A topic's subscriber list is **copy-on-write**: an
+//! `Arc<[Subscriber]>` that `subscribe` and `Subscription::drop` replace
+//! and a publish clones after its append; no subscriber, no entry built.
 
 use crate::entry::Entry;
 use crate::id::StreamId;
@@ -114,6 +122,10 @@ struct SubQueueState {
     disconnected: bool,
     /// Entries discarded by [`BackpressurePolicy::DropOldest`].
     dropped: u64,
+    /// Receivers parked on `not_empty` / publishers parked on `not_full`,
+    /// counted under this mutex so a notifier holding it sees every waiter.
+    parked_receivers: usize,
+    parked_senders: usize,
 }
 
 /// A bounded MPSC queue between the publisher and one subscriber.
@@ -144,6 +156,19 @@ impl SubQueue {
         self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
+    /// Wake parked receivers / publishers, if any, with the state lock held.
+    fn wake_receivers(&self, st: &SubQueueState) {
+        if st.parked_receivers > 0 {
+            self.not_empty.notify_all();
+        }
+    }
+
+    fn wake_senders(&self, st: &SubQueueState) {
+        if st.parked_senders > 0 {
+            self.not_full.notify_all();
+        }
+    }
+
     fn push(&self, entry: Entry) -> SendOutcome {
         let mut st = self.lock();
         if st.closed || st.disconnected {
@@ -153,10 +178,12 @@ impl SubQueue {
             match self.policy {
                 BackpressurePolicy::Block => {
                     while st.buf.len() >= self.capacity && !st.closed {
+                        st.parked_senders += 1;
                         st = self
                             .not_full
                             .wait(st)
                             .unwrap_or_else(std::sync::PoisonError::into_inner);
+                        st.parked_senders -= 1;
                     }
                     if st.closed {
                         return SendOutcome::Gone;
@@ -166,19 +193,19 @@ impl SubQueue {
                     st.buf.pop_front();
                     st.dropped += 1;
                     st.buf.push_back(entry);
-                    self.not_empty.notify_all();
+                    self.wake_receivers(&st);
                     return SendOutcome::DroppedOldest;
                 }
                 BackpressurePolicy::DisconnectSlow => {
                     st.disconnected = true;
                     // Wake a blocked receiver so it observes the disconnect.
-                    self.not_empty.notify_all();
+                    self.wake_receivers(&st);
                     return SendOutcome::Gone;
                 }
             }
         }
         st.buf.push_back(entry);
-        self.not_empty.notify_all();
+        self.wake_receivers(&st);
         SendOutcome::Delivered
     }
 
@@ -186,7 +213,7 @@ impl SubQueue {
         let mut st = self.lock();
         let e = st.buf.pop_front();
         if e.is_some() {
-            self.not_full.notify_all();
+            self.wake_senders(&st);
         }
         e
     }
@@ -196,7 +223,7 @@ impl SubQueue {
         let mut st = self.lock();
         loop {
             if let Some(e) = st.buf.pop_front() {
-                self.not_full.notify_all();
+                self.wake_senders(&st);
                 return Some(e);
             }
             if st.disconnected {
@@ -206,11 +233,13 @@ impl SubQueue {
             if now >= deadline {
                 return None;
             }
+            st.parked_receivers += 1;
             let (guard, res) = self
                 .not_empty
                 .wait_timeout(st, deadline - now)
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
             st = guard;
+            st.parked_receivers -= 1;
             if res.timed_out() && st.buf.is_empty() {
                 return None;
             }
@@ -236,6 +265,7 @@ impl SubQueue {
     }
 }
 
+#[derive(Clone)]
 struct Subscriber {
     id: SubscriptionId,
     queue: Arc<SubQueue>,
@@ -266,7 +296,9 @@ struct Topic {
     /// Poison entries routed off the hot path after exceeding the
     /// delivery cap.
     dead: Stream,
-    subscribers: Mutex<Vec<Subscriber>>,
+    /// Copy-on-write: `subscribe` and `Subscription::drop` swap in a new
+    /// list, a publish clones the `Arc` and delivers with the lock released.
+    subscribers: Mutex<Arc<[Subscriber]>>,
     groups: Mutex<HashMap<String, GroupState>>,
     /// Behind an `Arc` so [`Broker::instrument`] can export the same cell
     /// as `streams.topic.<name>.published` without a second increment on
@@ -285,6 +317,17 @@ struct Topic {
     /// creation on an instrumented broker). A plain atomic load on the
     /// publish hot path when absent.
     obs: OnceLock<TopicObs>,
+}
+
+impl Topic {
+    /// Swap in the subscriber list without those `keep` rejects; returns
+    /// how many went.
+    fn prune_subscribers(&self, keep: impl Fn(&Subscriber) -> bool) -> usize {
+        let mut subs = self.subscribers.lock();
+        let before = subs.len();
+        *subs = subs.iter().filter(|s| keep(s)).cloned().collect();
+        before - subs.len()
+    }
 }
 
 /// Pre-resolved per-topic instrument handles. Each holds both the
@@ -359,10 +402,18 @@ impl Subscription {
     /// Drain everything currently buffered.
     pub fn drain(&self) -> Vec<Entry> {
         let mut out = Vec::new();
-        while let Some(e) = self.try_recv() {
-            out.push(e);
-        }
+        self.drain_into(&mut out);
         out
+    }
+
+    /// [`Subscription::drain`] onto the end of a buffer the caller reuses:
+    /// one queue-lock hold, no allocation once `out` has the capacity.
+    pub fn drain_into(&self, out: &mut Vec<Entry>) {
+        let mut st = self.queue.lock();
+        if !st.buf.is_empty() {
+            out.extend(st.buf.drain(..));
+            self.queue.wake_senders(&st);
+        }
     }
 
     /// Entries buffered but not yet received.
@@ -386,7 +437,7 @@ impl Subscription {
 impl Drop for Subscription {
     fn drop(&mut self) {
         self.queue.close();
-        self.topic.subscribers.lock().retain(|s| s.id != self.id);
+        self.topic.prune_subscribers(|s| s.id != self.id);
     }
 }
 
@@ -597,7 +648,7 @@ impl Broker {
             Arc::new(Topic {
                 stream,
                 dead: Stream::new(format!("{name}::dead"), self.default_config.clone()),
-                subscribers: Mutex::new(Vec::new()),
+                subscribers: Mutex::new(Arc::new([])),
                 groups: Mutex::new(HashMap::new()),
                 published,
                 dropped: AtomicU64::new(0),
@@ -674,11 +725,20 @@ impl Broker {
         let seq = t.published.fetch_add(1, Ordering::Relaxed);
         self.published_total.fetch_add(1, Ordering::Relaxed);
         // A clock read costs more than the rest of an uncontended publish,
-        // so the latency histogram samples 1-in-64 publishes; counters
-        // stay exact.
-        let start = (self.obs.get().is_some() && seq & 63 == 0).then(Instant::now);
-        let id = t.stream.append(ms, payload.clone());
-        let deepest = Self::fan_out(t, &[Entry::new(id, payload)]);
+        // so the latency histogram and the backlog gauge sample one publish
+        // in `apollo_obs::SAMPLE_PERIOD`; counters stay exact.
+        let start = (self.obs.get().is_some() && apollo_obs::sampled(seq)).then(Instant::now);
+        // Only subscribers need an entry, so the payload is kept only when
+        // the topic had one before the append. Delivery is still decided on
+        // the list as it stands after it; a late arrival's is read back.
+        let kept = (!t.subscribers.lock().is_empty()).then(|| payload.clone());
+        let id = t.stream.append(ms, payload);
+        let targets = Arc::clone(&t.subscribers.lock());
+        let read_back = || t.stream.range(id, id).pop().map(|e| e.payload);
+        let kept = if targets.is_empty() { None } else { kept.or_else(read_back) };
+        let deepest = kept.map_or(0, |payload| {
+            Self::fan_out(t, &targets, &[Entry::new(id, payload)], start.is_some())
+        });
         self.observe_sample(t, start, deepest);
         id
     }
@@ -709,18 +769,19 @@ impl Broker {
         t: &Topic,
         records: impl Iterator<Item = (u64, Bytes)>,
     ) -> Vec<StreamId> {
-        // Same 1-in-64 sampling policy as `publish`: sample when the
-        // batch's sequence span crosses a multiple of 64. The records are
+        // Same sampling policy as `publish`: sample when the batch's
+        // sequence span crosses a multiple of the period. The records are
         // consumed under the window lock, so the span is sized from the
         // iterator's lower bound — exact for slices, arrays and `Vec`s.
         let seq = t.published.load(Ordering::Relaxed);
         let expect = records.size_hint().0.max(1) as u64;
-        let start = (self.obs.get().is_some() && seq.next_multiple_of(64) < seq + expect)
+        let start = (self.obs.get().is_some()
+            && seq.next_multiple_of(apollo_obs::SAMPLE_PERIOD) < seq + expect)
             .then(Instant::now);
         // The entry list exists only for subscribers; their IDs are
         // filled in once the append has assigned them. A `subscribe()`
-        // that returned before this call is seen here, and `fan_out`
-        // snapshots the list again after the append.
+        // that returned before this call is seen here, and the list is
+        // snapshotted again after the append.
         let fan = !t.subscribers.lock().is_empty();
         let mut entries: Vec<Entry> = Vec::new();
         let ids = t.stream.append_batch(records.inspect(|(_, payload)| {
@@ -734,7 +795,12 @@ impl Broker {
         for (entry, id) in entries.iter_mut().zip(&ids) {
             entry.id = *id;
         }
-        let deepest = if fan { Self::fan_out(t, &entries) } else { 0 };
+        let deepest = if fan {
+            let targets = Arc::clone(&t.subscribers.lock());
+            Self::fan_out(t, &targets, &entries, start.is_some())
+        } else {
+            0
+        };
         self.observe_sample(t, start, deepest);
         ids
     }
@@ -753,24 +819,19 @@ impl Broker {
         }
     }
 
-    /// Deliver `entries` in order to a snapshot of `t`'s subscribers
-    /// (lock released during delivery — see [`Broker::publish`]),
-    /// applying backpressure policies, pruning subscribers that went
-    /// away, and returning the deepest queue observed (for the sampled
-    /// backlog gauge).
-    fn fan_out(t: &Topic, entries: &[Entry]) -> usize {
-        let targets: Vec<(SubscriptionId, Arc<SubQueue>)> =
-            t.subscribers.lock().iter().map(|s| (s.id, Arc::clone(&s.queue))).collect();
-        if targets.is_empty() {
-            return 0;
-        }
+    /// Deliver `entries` in order to `targets`, a snapshot of `t`'s
+    /// subscribers taken after the append (lock released during delivery
+    /// — see [`Broker::publish`]), applying backpressure policies and
+    /// pruning subscribers that went away. Returns the deepest queue
+    /// observed (for the backlog gauge) on a `sampled` publish, else 0.
+    fn fan_out(t: &Topic, targets: &[Subscriber], entries: &[Entry], sampled: bool) -> usize {
         let mut gone: Vec<SubscriptionId> = Vec::new();
         for entry in entries {
-            for (sid, queue) in &targets {
-                if gone.contains(sid) {
+            for sub in targets {
+                if gone.contains(&sub.id) {
                     continue;
                 }
-                match queue.push(entry.clone()) {
+                match sub.queue.push(entry.clone()) {
                     SendOutcome::Delivered => {}
                     SendOutcome::DroppedOldest => {
                         t.dropped_entries.fetch_add(1, Ordering::Relaxed);
@@ -779,7 +840,7 @@ impl Broker {
                             tobs.dropped_entries_total.inc();
                         }
                     }
-                    SendOutcome::Gone => gone.push(*sid),
+                    SendOutcome::Gone => gone.push(sub.id),
                 }
             }
         }
@@ -787,11 +848,7 @@ impl Broker {
             // Re-acquire briefly to prune; count only subscribers this call
             // actually removed (a racing `Subscription::drop` may have
             // already pruned itself).
-            let mut subs = t.subscribers.lock();
-            let before = subs.len();
-            subs.retain(|s| !gone.contains(&s.id));
-            let removed = (before - subs.len()) as u64;
-            drop(subs);
+            let removed = t.prune_subscribers(|s| !gone.contains(&s.id)) as u64;
             if removed > 0 {
                 t.dropped.fetch_add(removed, Ordering::Relaxed);
                 if let Some(tobs) = t.obs.get() {
@@ -799,7 +856,10 @@ impl Broker {
                 }
             }
         }
-        targets.iter().map(|(_, q)| q.len()).max().unwrap_or(0)
+        if !sampled {
+            return 0;
+        }
+        targets.iter().map(|s| s.queue.len()).max().unwrap_or(0)
     }
 
     /// Subscribe to a topic with default options (bounded queue,
@@ -813,7 +873,10 @@ impl Broker {
         let t = self.topic(topic);
         let queue = Arc::new(SubQueue::new(opts));
         let id = SubscriptionId(self.next_sub_id.fetch_add(1, Ordering::Relaxed));
-        t.subscribers.lock().push(Subscriber { id, queue: Arc::clone(&queue) });
+        let mut subs = t.subscribers.lock();
+        *subs =
+            subs.iter().cloned().chain([Subscriber { id, queue: Arc::clone(&queue) }]).collect();
+        drop(subs);
         Subscription { id, topic: t, queue }
     }
 
