@@ -1,14 +1,13 @@
 //! Dev-only support: the one counting `#[global_allocator]` behind every
-//! "this path performs N heap allocations" test and bench report in the
-//! workspace (the pipeline benchmark keeps its own copy — it must build
-//! from outside the workspace).
+//! "this path performs N heap allocations" test in the workspace (the
+//! pipeline benchmark keeps its own copy — it must build from outside
+//! the workspace).
 //!
-//! Linking this crate **installs** the allocator: a test or bin that
-//! calls [`allocs`] / [`allocs_during`] cannot forget to, and so cannot
-//! pass a "zero allocations" assertion vacuously.
+//! Linking this crate **installs** the allocator: a test that calls
+//! [`allocs`] / [`allocs_during`] cannot forget to, and so cannot pass a
+//! "zero allocations" assertion vacuously.
 //!
-//! The count is process-wide — one relaxed `fetch_add` per allocation,
-//! the cost the bench reports' allocating baselines have always carried.
+//! The count is process-wide — one relaxed `fetch_add` per allocation.
 //! A test binary that counts therefore holds a **single** `#[test]`:
 //! libtest runs tests on parallel threads, and a second one would pollute
 //! the counts.

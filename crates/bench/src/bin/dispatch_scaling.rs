@@ -11,17 +11,11 @@
 //! seeded pooled run is **bit-identical** to a second pooled run and to
 //! the inline run (per-vertex sequences preserved).
 //!
-//! A final micro-phase pins the two timer-wheel fixes: the cached
-//! earliest-deadline (`next_deadline` no longer scans 8×64 slots per
-//! call) and the occupied-tick skip in `pop_expired` (a long idle gap no
-//! longer walks millions of empty 1 µs ticks).
-//!
 //! Run: `cargo run --release -p apollo-bench --bin dispatch_scaling`
 
 use apollo_bench::report::{Report, Series};
 use apollo_cluster::metrics::{MetricError, MetricSource};
 use apollo_core::service::{Apollo, FactVertexSpec};
-use apollo_runtime::timer::{EntryId, TimerQueue, TimerWheel};
 use apollo_streams::StreamId;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -147,34 +141,6 @@ fn main() {
     report.note("speedup", speedup);
     report.note("deterministic", 1u64);
     report.note("digest", format!("{digest_pool:016x}"));
-
-    // Timer-wheel regression micro-phase ① — cached earliest-deadline:
-    // peeking next_deadline between pops must not re-scan the wheel.
-    let mut wheel = TimerWheel::new();
-    for i in 0..512u64 {
-        wheel.insert(EntryId(i), (i + 1) * 1_000_000);
-    }
-    let baseline_scans = wheel.full_scans();
-    for _ in 0..10_000 {
-        let _ = wheel.next_deadline();
-    }
-    let peek_scans = wheel.full_scans() - baseline_scans;
-    assert!(peek_scans <= 1, "next_deadline must be cached, saw {peek_scans} full scans");
-    report.note("wheel_full_scans_per_10k_peeks", peek_scans);
-
-    // Timer-wheel regression micro-phase ② — occupied-tick skip: popping
-    // across a one-hour idle gap must be instant (the pre-fix wheel
-    // walked 3.6 G one-microsecond ticks).
-    let mut wheel = TimerWheel::new();
-    wheel.insert(EntryId(1), 3_600_000_000_000);
-    let t = Instant::now();
-    let mut out = Vec::new();
-    wheel.pop_expired(3_600_000_000_000, &mut out);
-    let gap_ms = t.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(out.len(), 1);
-    assert!(gap_ms < 1_000.0, "1h-gap pop took {gap_ms:.1}ms — skip-ahead regressed");
-    report.note("wheel_1h_gap_pop_ms", gap_ms);
-
     report.attach_metrics(&pool_metrics);
     report.finish("workers", "hooks/sec");
 }

@@ -45,16 +45,6 @@ pub enum DispatchTier {
     Avx2,
 }
 
-impl DispatchTier {
-    /// Stable name for logs/bench reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            DispatchTier::Scalar => "scalar",
-            DispatchTier::Avx2 => "avx2",
-        }
-    }
-}
-
 /// The dispatch tier [`stack_forward`] runs on, resolved once
 /// per process: `APOLLO_DELPHI_FORCE_SCALAR=1` pins [`DispatchTier::Scalar`],
 /// otherwise AVX2 is used when the CPU reports it.

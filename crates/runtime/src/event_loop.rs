@@ -25,7 +25,7 @@
 
 use crate::pool::WorkerPool;
 use crate::time::{duration_to_nanos, AnyClock, Clock, Nanos, RealClock, VirtualClock};
-use crate::timer::{EntryId, Expired, TimerHeap, TimerQueue};
+use crate::timer::{EntryId, Expired, TimerHeap};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -10,14 +10,13 @@
 //! * [`time`] — a pluggable time source. Experiments run against either the
 //!   wall clock ([`time::RealClock`]) or a deterministic virtual clock
 //!   ([`time::VirtualClock`]) so figure-regeneration is reproducible.
-//! * [`timer`] — timer queues: a binary-heap implementation
-//!   ([`timer::TimerHeap`]) and a hierarchical hashed timer wheel
-//!   ([`timer::TimerWheel`]) with O(1) insertion, plus a shared-handle API
-//!   that lets a running callback re-program its own interval — the exact
-//!   primitive the adaptive-interval module (§3.4.1) needs.
-//! * [`event_loop`] — a libuv-style loop that drives repeating timers,
-//!   supports interval mutation from inside callbacks, and can run either
-//!   in real time or by jumping the virtual clock between deadlines.
+//! * [`timer`] — the timer queue: a deadline-ordered binary heap
+//!   ([`timer::TimerHeap`]).
+//! * [`event_loop`] — a libuv-style loop that drives repeating timers off
+//!   that heap, lets a running callback re-program its own interval — the
+//!   exact primitive the adaptive-interval module (§3.4.1) needs — and can
+//!   run either in real time or by jumping the virtual clock between
+//!   deadlines.
 //! * [`pool`] — a fixed worker pool used by vertices to offload insight
 //!   computation off the event-loop thread.
 //!

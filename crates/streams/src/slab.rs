@@ -42,7 +42,7 @@
 //! ([`OpenReport::reclaimed_tombstones`]), so a reclaimed ring can never
 //! resurface a dead series' (still-checksummed) payloads under a new
 //! name. Background msync cadence is a [`FlushPolicy`] driven by
-//! `apollo-core`'s timer wheel; directory exhaustion surfaces as typed
+//! `apollo-core`'s event loop; directory exhaustion surfaces as typed
 //! [`SlabDirError`]s plus the process-wide `streams.slab.dir_full`
 //! counter ([`dir_full_cell`]) instead of silent heap fallback.
 //!
@@ -504,7 +504,7 @@ pub fn exhaustion_warned() -> bool {
 
 /// Background msync cadence for an attached store: how often the bounded
 /// crash-loss window ("committed prefix as of the last flush") is closed.
-/// Applied by `apollo-core`'s timer wheel via `Apollo::attach_slab`;
+/// Applied by `apollo-core`'s event loop via `Apollo::attach_slab`;
 /// triggers compose (any satisfied trigger flushes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlushPolicy {
@@ -960,7 +960,7 @@ impl SlabStore {
     /// completes — a reclaimed ring is never reusable before its old
     /// payloads are durably gone.
     ///
-    /// Runs off the same timer wheel as [`SlabStore::consolidate`]; both
+    /// Runs on the same service loop as [`SlabStore::consolidate`]; both
     /// directory locks are held so allocation and consolidation cannot
     /// race a reclaim.
     pub fn compact(&self, now_ms: u64, policy: CompactPolicy) -> io::Result<CompactReport> {

@@ -1,0 +1,61 @@
+//! Proof of the slab spill's zero-allocation claim, counted by the
+//! workspace's counting allocator (`apollo-alloc-count`): archiving an
+//! evicted entry is a bounded mmap slot write — copy the payload into a
+//! pre-allocated slot, write three header words, publish with one
+//! `Release` store, bump the dirty counter — so a warm
+//! [`SlabSeries::record`](apollo_streams::SlabSeries::record), and the
+//! slab-backed [`ArchiveLog::append`] in front of it, must perform
+//! **exactly zero** heap allocations per entry.
+//!
+//! This file deliberately holds a single `#[test]`: the count is
+//! process-wide, so a second concurrently-running test would pollute it.
+
+use apollo_alloc_count::allocs_during;
+use apollo_streams::{ArchiveLog, Entry, Record, SlabConfig, SlabStore, StreamId};
+
+#[test]
+fn warm_slab_records_allocate_nothing() {
+    let dir = std::env::temp_dir().join(format!("apollo-slab-allocs-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let path = dir.join("allocs.slab");
+    let _ = std::fs::remove_file(&path);
+
+    // Default geometry (4096 × 64 B per series): 10 000 records lap the
+    // ring more than twice.
+    let cfg = SlabConfig { max_series: 4, ..SlabConfig::default() };
+    let ring_slots = u64::from(cfg.slots);
+    let store = SlabStore::create(&path, cfg).expect("create slab");
+    let payload = Record::measured(1_000_000, 42.5).encode();
+
+    // --- SlabSeries::record ------------------------------------------------
+    let series = store.series("direct").expect("series");
+    // Warm one full lap so the measured calls overwrite a wrapped ring.
+    for i in 0..ring_slots {
+        assert!(series.record(StreamId::new(i, 0), &payload));
+    }
+    let dirty_before = store.dirty_records();
+    let n = allocs_during(|| {
+        for i in 0..10_000u64 {
+            assert!(series.record(StreamId::new(ring_slots + i, 0), &payload));
+        }
+    });
+    assert_eq!(n, 0, "record() allocated {n} times over 10 000 warm calls");
+    assert_eq!(series.appended(), ring_slots + 10_000);
+    assert_eq!(series.live_len(), ring_slots, "the ring wrapped during the measured calls");
+    assert_eq!(store.dirty_records() - dirty_before, 10_000, "dirty tracking was live");
+
+    // --- ArchiveLog::append over a slab series -------------------------------
+    // An inline-sized payload goes straight to the ring: the ordering
+    // check reads the slab's last id, never the heap segments.
+    let log = ArchiveLog::with_slab(store.series("archive").expect("series"));
+    log.append(Entry::new(StreamId::new(1, 0), payload.clone()));
+    let n = allocs_during(|| {
+        for i in 0..10_000u64 {
+            log.append(Entry::new(StreamId::new(2 + i, 0), payload.clone()));
+        }
+    });
+    assert_eq!(n, 0, "slab-backed append() allocated {n} times over 10 000 calls");
+    assert_eq!(log.overflowed(), 0, "nothing fell back to the heap overflow");
+
+    let _ = std::fs::remove_file(&path);
+}

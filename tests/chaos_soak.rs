@@ -127,7 +127,7 @@ fn churned_soak_gc_is_deterministic_and_holds_the_fixed_point() {
     assert!(verdict.pass, "{}", verdict.detail);
     assert!(first.slab_reclaimed_series > 0, "the compact timer reclaimed churned series");
     assert!(first.slab_peak_series <= 18, "peak {}", first.slab_peak_series);
-    // Series GC runs off the virtual-clock timer wheel, so a churned soak
+    // Series GC runs as a timer on the virtual-clock event loop, so a churned soak
     // must still replay bit-identically — including the GC's own work.
     assert_eq!(first.digest, second.digest, "churn must not perturb the replayable surface");
     assert_eq!(first.slab_reclaimed_series, second.slab_reclaimed_series);
