@@ -414,8 +414,14 @@ pub(crate) struct ScanState {
     pub(crate) acc: ScanAccumulator,
     /// Largest record timestamp among the included records.
     pub(crate) max_ts_included: u64,
-    /// Per-bucket accumulators when `GROUP BY BUCKET` is present.
-    pub(crate) buckets: Option<BTreeMap<u64, BucketState>>,
+    /// Per-bucket accumulators when `GROUP BY BUCKET` is present — every
+    /// bucket but the open one.
+    buckets: Option<BTreeMap<u64, BucketState>>,
+    /// The bucket the last bucketed record fell in, held *beside* the map
+    /// so a run of rows in one bucket costs a key compare, not a probe. A
+    /// key that re-occurs (a clock regression) takes its state back out of
+    /// the map, so each bucket still folds its rows in stream order.
+    open: Option<(u64, BucketState)>,
     bucket_ms: u64,
 }
 
@@ -429,6 +435,7 @@ impl ScanState {
             acc: ScanAccumulator::new(),
             max_ts_included: 0,
             buckets: bucket_ms.map(|_| BTreeMap::new()),
+            open: None,
             bucket_ms: bucket_ms.unwrap_or(0),
         }
     }
@@ -458,7 +465,14 @@ impl ScanState {
         }
         let include = select.include_stale || provenance != Provenance::Stale;
         if let Some(buckets) = &mut self.buckets {
-            let b = buckets.entry(ts_ms - ts_ms % self.bucket_ms).or_default();
+            let key = ts_ms - ts_ms % self.bucket_ms;
+            if self.open.as_ref().is_none_or(|(open, _)| *open != key) {
+                let state = buckets.remove(&key).unwrap_or_default();
+                if let Some((closed, state)) = self.open.replace((key, state)) {
+                    buckets.insert(closed, state);
+                }
+            }
+            let (_, b) = self.open.as_mut().expect("opened above");
             match provenance {
                 Provenance::Measured => b.counts.measured += 1,
                 Provenance::Predicted => b.counts.predicted += 1,
@@ -491,7 +505,9 @@ impl ScanState {
             // start. COUNT emits zero-valued rows for stale-only buckets;
             // other aggregates skip them.
             let mut rows = Vec::new();
-            for (&start, b) in buckets {
+            let open = self.open.as_ref().map(|(start, b)| (start, b));
+            let at = open.map_or(0, |(start, _)| *start);
+            for (&start, b) in buckets.range(..at).chain(open).chain(buckets.range(at..)) {
                 if agg != Aggregate::Count && b.acc.count == 0 {
                     continue;
                 }
@@ -1026,6 +1042,36 @@ mod tests {
             avg.rows.iter().map(|r| (r.timestamp_ms, r.value)).collect::<Vec<_>>(),
             vec![(0, 15.0), (300, 30.0)],
             "stale-only bucket is skipped for value aggregates"
+        );
+    }
+
+    #[test]
+    fn a_revisited_bucket_keeps_folding_in_stream_order() {
+        // Record timestamps regress (publish order is ID order): bucket 0
+        // is left for bucket 200 and revisited twice. Its SUM must fold
+        // 1e16, 1.0, -1e16 in stream order — (1e16 + 1.0) + -1e16 == 0.0,
+        // any other order gives 1.0 — and finalize must still emit the
+        // buckets in ascending order with the open one in its place.
+        let b = Broker::new(StreamConfig::default());
+        let rows = [(100u64, 1e16), (300, 7.0), (150, 1.0), (350, 8.0), (120, -1e16), (500, 2.0)];
+        for (i, (ts, v)) in rows.iter().enumerate() {
+            b.publish("skewed", 1_000 + i as u64, Record::measured(ts * 1_000_000, *v).encode());
+        }
+        let sql = "SELECT SUM(metric) FROM skewed GROUP BY BUCKET(Timestamp, 200)";
+        for engine in [QueryEngine::new(&b), QueryEngine::row_oracle(&b)] {
+            let out = engine.execute_sql(sql).unwrap();
+            assert_eq!(
+                out.rows.iter().map(|r| (r.timestamp_ms, r.value.to_bits())).collect::<Vec<_>>(),
+                vec![(0, 0.0f64.to_bits()), (200, 15.0f64.to_bits()), (400, 2.0f64.to_bits())]
+            );
+            assert_eq!(out.rows[0].counts.unwrap().measured, 3);
+        }
+        // Ending on a revisit leaves an interior bucket open at finalize.
+        b.publish("skewed", 2_000, Record::measured(360 * 1_000_000, 1.0).encode());
+        let out = QueryEngine::new(&b).execute_sql(sql).unwrap();
+        assert_eq!(
+            out.rows.iter().map(|r| (r.timestamp_ms, r.value)).collect::<Vec<_>>(),
+            vec![(0, 0.0), (200, 16.0), (400, 2.0)]
         );
     }
 

@@ -15,10 +15,10 @@
 //!   into a durable [`crate::slab::SlabSeries`] ring — a zero-alloc mmap
 //!   slot write, and the only durable format. Payloads too large for a
 //!   slot overflow into the heap segments (counted by
-//!   [`ArchiveLog::overflowed`]); reads merge the ring and the overflow
-//!   by ID.
+//!   [`ArchiveLog::overflowed`]); the ring walk merges them in by ID.
+//!   Reads are generic over a crate-private row sink (`entry::RowSink`).
 
-use crate::entry::Entry;
+use crate::entry::{Entry, RowSink};
 use crate::id::StreamId;
 use crate::slab::SlabSeries;
 use parking_lot::RwLock;
@@ -181,65 +181,38 @@ impl ArchiveLog {
         max: usize,
         out: &mut Vec<Entry>,
     ) {
-        if start > end || max == 0 {
-            return;
-        }
-        if let Some(slab) = &self.slab {
-            if !self.overflow_nonempty.load(Ordering::Relaxed) {
-                slab.range_limited_into(start, end, max, out);
-                return;
-            }
-            // Merge the slab ring and the heap overflow by ID. Both sides
-            // are bounded (the ring by `slots`), so collecting is cheap.
-            let mut ring = Vec::new();
-            slab.range_into(start, end, &mut ring);
-            let mut heap = Vec::new();
-            self.heap_range_limited_into(start, end, usize::MAX, &mut heap);
-            let mut a = ring.into_iter().peekable();
-            let mut b = heap.into_iter().peekable();
-            let mut remaining = max;
-            while remaining > 0 {
-                let take_a = match (a.peek(), b.peek()) {
-                    (Some(x), Some(y)) => x.id < y.id,
-                    (Some(_), None) => true,
-                    (None, Some(_)) => false,
-                    (None, None) => break,
-                };
-                let e = if take_a { a.next() } else { b.next() };
-                out.push(e.expect("peeked entry present"));
-                remaining -= 1;
-            }
-            return;
-        }
-        self.heap_range_limited_into(start, end, max, out);
+        self.walk(start, end, max, out);
     }
 
-    fn heap_range_limited_into(
+    /// The oldest `max` archived rows with `start <= id <= end` into
+    /// `sink`, in ID order: the heap runs, or the ring walk with any
+    /// oversize-payload overflow rows (few) merged in by ID.
+    pub(crate) fn walk<S: RowSink>(
         &self,
         start: StreamId,
         end: StreamId,
         max: usize,
-        out: &mut Vec<Entry>,
+        sink: &mut S,
     ) {
-        let mut remaining = max;
-        let seg = self.segments.read();
-        for run in seg.runs() {
-            if remaining == 0 {
-                return;
-            }
-            if run.is_empty() {
-                continue;
-            }
-            if run.last().is_some_and(|e| e.id < start) || run[0].id > end {
-                continue;
-            }
-            let lo = run.partition_point(|e| e.id < start);
-            // `lo + remaining` must not overflow for drain-everything
-            // callers passing `max = usize::MAX`.
-            let hi = run.partition_point(|e| e.id <= end).min(lo.saturating_add(remaining));
-            out.extend_from_slice(&run[lo..hi]);
-            remaining -= hi - lo;
+        let Some(slab) = &self.slab else { return self.walk_heap(start, end, max, sink) };
+        let mut overflow = Vec::new();
+        if self.overflow_nonempty.load(Ordering::Relaxed) {
+            self.walk_heap(start, end, max, &mut overflow);
         }
+        slab.walk(start, end, max, &overflow, sink);
+    }
+
+    fn walk_heap<S: RowSink>(&self, start: StreamId, end: StreamId, max: usize, sink: &mut S) {
+        let seg = self.segments.read();
+        // Each run's rows in range (an inverted range selects nothing).
+        let spans = || {
+            seg.runs().map(|run| {
+                let lo = run.partition_point(|e| e.id < start);
+                &run[lo..run.partition_point(|e| e.id <= end).max(lo)]
+            })
+        };
+        sink.reserve(spans().map(<[Entry]>::len).sum::<usize>().min(max));
+        sink.push_entries(spans().flatten().take(max));
     }
 
     /// Convenience wrapper over [`ArchiveLog::range_into`].

@@ -33,6 +33,46 @@ impl Entry {
     }
 }
 
+/// Where a range walk lands its rows: the slab ring, the heap archive and
+/// the stream window are each walked once, generically over the sink. A
+/// `Vec<Entry>` materialises entries; a [`crate::ColumnBatch`] decodes each
+/// payload where the walk finds it and never builds one.
+pub(crate) trait RowSink {
+    /// What [`RowSink::rewind`] needs to undo every push since `mark`.
+    type Mark: Copy;
+    fn mark(&self) -> Self::Mark;
+    /// Drop every row (and side count) pushed since `mark`: a lapped ring
+    /// read or an epoch that moved mid-stitch starts over from there.
+    fn rewind(&mut self, mark: Self::Mark);
+    /// Make room for exactly `rows` more (no slack: batches are cached).
+    fn reserve(&mut self, rows: usize);
+    /// A row borrowed from the walker's scratch: copy or decode it now.
+    fn push_row(&mut self, id: StreamId, payload: &[u8]);
+    /// Rows that already exist as entries (window, heap archive), in bulk.
+    fn push_entries<'a>(&mut self, entries: impl Iterator<Item = &'a Entry>) {
+        entries.for_each(|e| self.push_row(e.id, &e.payload));
+    }
+}
+
+impl RowSink for Vec<Entry> {
+    type Mark = usize;
+    fn mark(&self) -> usize {
+        self.len()
+    }
+    fn rewind(&mut self, mark: usize) {
+        self.truncate(mark);
+    }
+    fn reserve(&mut self, rows: usize) {
+        self.reserve_exact(rows);
+    }
+    fn push_row(&mut self, id: StreamId, payload: &[u8]) {
+        self.push(Entry::new(id, Bytes::copy_from_slice(payload)));
+    }
+    fn push_entries<'a>(&mut self, entries: impl Iterator<Item = &'a Entry>) {
+        self.extend(entries.cloned());
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

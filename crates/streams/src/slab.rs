@@ -17,7 +17,11 @@
 //! mapping: copy the payload, write the `(ms, seq, len, checksum)` slot
 //! words, then **publish** by storing the bumped per-series `head` with
 //! `Release` ordering. The head is the commit word: entries below it are
-//! committed, the slot at `head % slots` is scratch. Crash recovery in
+//! committed, the slot at `head % slots` is scratch. The checksum folds
+//! 8-byte words (format version 2; a version-1 file is refused, not
+//! migrated). Reads are one walk, generic over where the rows land: each
+//! slot is copied into one scratch buffer, verified there, and lent to the
+//! sink — entries copy it, columns decode it in place. Crash recovery in
 //! [`SlabStore::open`] re-validates every committed slot (checksum +
 //! strictly increasing IDs) and rolls torn or unsynced slots out of the
 //! committed range — a torn tail shrinks `head`, a destroyed oldest slot
@@ -46,14 +50,12 @@
 //! [`SlabDirError`]s plus the process-wide `streams.slab.dir_full`
 //! counter ([`dir_full_cell`]) instead of silent heap fallback.
 //!
-//! The store is wired beneath [`crate::ArchiveLog`] via
-//! [`crate::StreamConfig`]'s `spill` backend, so a stream's eviction path
-//! lands entries in the slab instead of the heap archive while the
-//! eviction-epoch exactly-once scan contract is preserved unchanged: the
-//! slab write happens under the stream's window write lock *before* the
-//! epoch bump, exactly where the heap archive append used to be.
+//! The store sits beneath [`crate::ArchiveLog`], selected by
+//! [`crate::StreamConfig`]'s `spill` backend. The eviction-epoch
+//! exactly-once scan contract holds unchanged: the slab write happens under
+//! the stream's window write lock, *before* the epoch bump.
 
-use crate::entry::Entry;
+use crate::entry::{Entry, RowSink};
 use crate::id::StreamId;
 use parking_lot::Mutex;
 use std::fs::{File, OpenOptions};
@@ -66,7 +68,7 @@ use std::time::Duration;
 /// File magic, first 8 bytes of the header page.
 pub const SLAB_MAGIC: [u8; 8] = *b"APOLSLB1";
 /// On-disk format version.
-pub const SLAB_VERSION: u32 = 1;
+pub const SLAB_VERSION: u32 = 2;
 /// Size of the header page.
 pub const HEADER_BYTES: usize = 4096;
 /// Size of one series/cursor directory entry.
@@ -193,35 +195,47 @@ impl SlabConfig {
         self.slot_bytes as usize - SLOT_HEADER_BYTES
     }
 
-    /// FNV-1a over the geometry — the header's config hash.
+    /// Word fold ([`fold`]) over the version and the geometry — the
+    /// header's config hash.
     pub fn hash(&self) -> u64 {
-        let mut h = fnv(0xcbf2_9ce4_8422_2325, SLAB_VERSION as u64);
+        let mut h = fold(FOLD_BASIS, SLAB_VERSION as u64);
         for w in [self.max_series, self.slots, self.slot_bytes, self.max_cursors] {
-            h = fnv(h, w as u64);
+            h = fold(h, w as u64);
         }
-        h = fnv(h, self.tiers.len() as u64);
+        h = fold(h, self.tiers.len() as u64);
         for t in &self.tiers {
-            h = fnv(h, t.interval_ms);
-            h = fnv(h, t.buckets as u64);
+            h = fold(fold(h, t.interval_ms), t.buckets as u64);
         }
         h
     }
 }
 
-fn fnv(h: u64, w: u64) -> u64 {
-    let mut h = h;
-    for b in w.to_le_bytes() {
-        h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
-    }
-    h
+const FOLD_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// One hash step over a 64-bit word: a multiply, then a half rotation so
+/// the next step's multiply spreads this word's high bits too.
+fn fold(h: u64, word: u64) -> u64 {
+    (h ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(32)
 }
 
-/// Checksum guarding one slot against torn writes: covers the ID, the
-/// length, and the payload bytes.
+/// Checksum guarding one slot against torn writes: [`fold`], from
+/// [`FOLD_BASIS`], over `ms`, `seq`, `len`, then the payload as
+/// little-endian 8-byte words (the last one zero-padded); the stored field
+/// is the low 32 bits of `(h >> 32) ^ h`. `len` is a word of its own, so a
+/// payload never aliases its zero-extended neighbour.
 fn slot_checksum(ms: u64, seq: u64, len: u32, payload: &[u8]) -> u32 {
-    let mut h = fnv(fnv(fnv(0xcbf2_9ce4_8422_2325, ms), seq), len as u64);
-    for &b in payload {
-        h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
+    let (words, tail) = payload.as_chunks::<8>();
+    let h = fold(fold(fold(FOLD_BASIS, ms), seq), len as u64);
+    let mut h = words.iter().fold(h, |h, w| fold(h, u64::from_le_bytes(*w)));
+    if !tail.is_empty() {
+        // The last 8 bytes shifted down (no variable-length copy per
+        // record); a payload shorter than a word is padded instead.
+        let mut last = [0u8; 8];
+        match payload.last_chunk::<8>() {
+            Some(w) => last = (u64::from_le_bytes(*w) >> (64 - 8 * tail.len())).to_le_bytes(),
+            None => last[..tail.len()].copy_from_slice(tail),
+        }
+        h = fold(h, u64::from_le_bytes(last));
     }
     ((h >> 32) ^ h) as u32
 }
@@ -989,8 +1003,7 @@ impl SlabStore {
                 continue;
             }
             if head > 0 {
-                let slot = self.layout.slot(idx, ((head - 1) % slots) as usize);
-                let newest_ms = self.atom(slot).load(Ordering::Relaxed);
+                let newest_ms = self.atom(self.slot_of(idx, head - 1)).load(Ordering::Relaxed);
                 if newest_ms.saturating_add(policy.retention_ms) > now_ms {
                     report.kept_fresh += 1;
                     continue;
@@ -1059,7 +1072,7 @@ impl SlabStore {
             self.lapped.fetch_add(from - done, Ordering::Relaxed);
             let mut payload = Vec::with_capacity(self.cfg.payload_cap());
             for i in from..head {
-                let Some((id, _)) = self.read_slot(idx, i, &mut payload) else {
+                let Some(id) = self.read_slot(self.slot_of(idx, i), &mut payload) else {
                     report.skipped += 1;
                     continue;
                 };
@@ -1188,16 +1201,14 @@ impl SlabStore {
         self.atom(H_CONFIG_HASH).store(self.cfg.hash(), Ordering::Relaxed);
     }
 
-    /// Read slot `logical` of series `idx` into `payload`. Returns the ID
-    /// and payload length, or `None` when the slot fails its checksum (torn
-    /// or mid-overwrite).
-    fn read_slot(
-        &self,
-        idx: usize,
-        logical: u64,
-        payload: &mut Vec<u8>,
-    ) -> Option<(StreamId, usize)> {
-        let slot = self.layout.slot(idx, (logical % self.cfg.slots as u64) as usize);
+    /// Byte offset of logical slot `logical` of series `idx`.
+    fn slot_of(&self, idx: usize, logical: u64) -> usize {
+        self.layout.slot(idx, (logical % self.cfg.slots as u64) as usize)
+    }
+
+    /// Copy the slot at byte offset `slot` into `payload`. Returns its ID,
+    /// or `None` when the slot fails its checksum (torn or mid-overwrite).
+    fn read_slot(&self, slot: usize, payload: &mut Vec<u8>) -> Option<StreamId> {
         let ms = self.atom(slot).load(Ordering::Relaxed);
         let seq = self.atom(slot + 8).load(Ordering::Relaxed);
         let meta = self.atom(slot + 16).load(Ordering::Relaxed);
@@ -1220,7 +1231,7 @@ impl SlabStore {
         if slot_checksum(ms, seq, len as u32, payload) != xsum {
             return None;
         }
-        Some((StreamId::new(ms, seq), len))
+        Some(StreamId::new(ms, seq))
     }
 
     /// Validate the committed range of series `idx` after a reopen,
@@ -1235,7 +1246,7 @@ impl SlabStore {
         let mut payload = Vec::with_capacity(self.cfg.payload_cap());
         // Torn / unsynced tail: the newest slots may have missed their
         // flush even though the head word made it out.
-        while head > floor && self.read_slot(idx, head - 1, &mut payload).is_none() {
+        while head > floor && self.read_slot(self.slot_of(idx, head - 1), &mut payload).is_none() {
             head -= 1;
             rolled_back += 1;
         }
@@ -1245,8 +1256,8 @@ impl SlabStore {
         let mut tail = floor;
         let mut prev: Option<StreamId> = None;
         for i in (floor..head).rev() {
-            match self.read_slot(idx, i, &mut payload) {
-                Some((id, _)) if prev.is_none_or(|p| id < p) => prev = Some(id),
+            match self.read_slot(self.slot_of(idx, i), &mut payload) {
+                Some(id) if prev.is_none_or(|p| id < p) => prev = Some(id),
                 _ => {
                     rolled_back += i + 1 - floor;
                     tail = i + 1;
@@ -1441,17 +1452,19 @@ impl SlabSeries {
         if head == self.floor_for(head) {
             return None;
         }
-        let slot =
-            self.store.layout.slot(self.idx, ((head - 1) % self.store.cfg.slots as u64) as usize);
+        Some(self.id_at(head - 1))
+    }
+
+    fn id_at(&self, at: u64) -> StreamId {
+        let slot = self.slot_offset(at);
         let ms = self.store.atom(slot).load(Ordering::Relaxed);
-        let seq = self.store.atom(slot + 8).load(Ordering::Relaxed);
-        Some(StreamId::new(ms, seq))
+        StreamId::new(ms, self.store.atom(slot + 8).load(Ordering::Relaxed))
     }
 
     /// All committed entries with `start <= id <= end`, appended to `out`
     /// in ID order.
     pub fn range_into(&self, start: StreamId, end: StreamId, out: &mut Vec<Entry>) {
-        self.range_limited_into(start, end, usize::MAX, out);
+        self.walk(start, end, usize::MAX, &[], out);
     }
 
     /// Like [`SlabSeries::range_into`] but stops after `max` entries (the
@@ -1463,41 +1476,57 @@ impl SlabSeries {
         max: usize,
         out: &mut Vec<Entry>,
     ) {
-        if start > end || max == 0 {
-            return;
-        }
-        let base = out.len();
-        for attempt in 0..=RING_READ_ATTEMPTS {
-            out.truncate(base);
+        self.walk(start, end, max, &[], out);
+    }
+
+    /// The one ring walk: the oldest `max` rows with `start <= id <= end`
+    /// go to `sink` in ID order, with `merge` (the archive's heap-overflow
+    /// rows of that range) interleaved by ID. Each slot is copied into one
+    /// scratch, checksum-verified there, and lent to the sink.
+    pub(crate) fn walk<S: RowSink>(
+        &self,
+        start: StreamId,
+        end: StreamId,
+        max: usize,
+        merge: &[Entry],
+        sink: &mut S,
+    ) {
+        let mark = sink.mark();
+        let mut payload = Vec::new();
+        'attempt: for attempt in 0..=RING_READ_ATTEMPTS {
+            sink.rewind(mark);
             let verify = attempt == RING_READ_ATTEMPTS;
             let head = self.head_cell().load(Ordering::Acquire);
             let floor = self.floor_for(head);
-            if head == floor {
-                return;
-            }
             let lo = self.partition(floor, head, |id| id < start);
+            // `hi >= lo` even for an inverted range, which selects nothing.
             let hi = self.partition(floor, head, |id| id <= end);
-            let hi = hi.min(lo.saturating_add(max as u64));
-            let mut payload = Vec::new();
-            let mut ok = true;
+            let hi = hi.clamp(lo, lo.saturating_add(max as u64));
+            sink.reserve(((hi - lo) as usize + merge.len()).min(max));
+            let (mut merge, mut left) = (merge, max);
             for i in lo..hi {
-                match self.store.read_slot(self.idx, i, &mut payload) {
-                    Some((id, _)) => out.push(Entry::new(id, payload.as_slice().to_vec())),
-                    None if verify => {} // torn mid-overwrite: drop just that slot
-                    None => {
-                        ok = false;
-                        break;
+                match self.store.read_slot(self.slot_offset(i), &mut payload) {
+                    Some(id) => {
+                        // Overflow rows older than this one go first.
+                        let older = merge.partition_point(|e| e.id < id).min(left);
+                        sink.push_entries(merge[..older].iter());
+                        (merge, left) = (&merge[older..], left - older);
+                        if left == 0 {
+                            break;
+                        }
+                        sink.push_row(id, &payload);
+                        left -= 1;
                     }
+                    None if verify => {} // torn mid-overwrite: drop just that slot
+                    None => continue 'attempt,
                 }
-            }
-            if !ok {
-                continue;
             }
             // If the writer lapped the ring past our oldest copied slot,
             // some copies may be torn — retry (or, on the final verified
             // attempt, trust the per-slot checksums).
             let head_now = self.head_cell().load(Ordering::Acquire);
             if verify || lo >= head_now.saturating_sub(self.store.cfg.slots as u64) {
+                sink.push_entries(merge.iter().take(left));
                 return;
             }
         }
@@ -1516,11 +1545,7 @@ impl SlabSeries {
         let (mut lo, mut hi) = (lo, hi);
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            let slot =
-                self.store.layout.slot(self.idx, (mid % self.store.cfg.slots as u64) as usize);
-            let ms = self.store.atom(slot).load(Ordering::Relaxed);
-            let seq = self.store.atom(slot + 8).load(Ordering::Relaxed);
-            if pred(StreamId::new(ms, seq)) {
+            if pred(self.id_at(mid)) {
                 lo = mid + 1;
             } else {
                 hi = mid;
@@ -1751,6 +1776,83 @@ mod tests {
         let other = SlabConfig { slots: 16, ..small_cfg() };
         assert!(SlabStore::open_or_create(&path, other).is_err());
         assert!(SlabStore::open_or_create(&path, small_cfg()).is_ok());
+    }
+
+    #[test]
+    fn checksum_changes_on_every_single_bit_flip() {
+        let (ms, seq, len) = (1_700_000_000_123u64, 42u64, 17u32);
+        let payload: [u8; 17] = std::array::from_fn(|i| (i as u8).wrapping_mul(37) ^ 0x5a);
+        let base = slot_checksum(ms, seq, len, &payload);
+        let mut flips = 0;
+        for bit in 0..64 {
+            assert_ne!(slot_checksum(ms ^ (1 << bit), seq, len, &payload), base, "ms bit {bit}");
+            assert_ne!(slot_checksum(ms, seq ^ (1 << bit), len, &payload), base, "seq bit {bit}");
+            flips += 2;
+        }
+        for bit in 0..32 {
+            assert_ne!(slot_checksum(ms, seq, len ^ (1 << bit), &payload), base, "len bit {bit}");
+            flips += 1;
+        }
+        for bit in 0..17 * 8 {
+            let mut torn = payload;
+            torn[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(slot_checksum(ms, seq, len, &torn), base, "payload bit {bit}");
+            flips += 1;
+        }
+        assert_eq!(flips, 8 * (8 + 8 + 4 + 17));
+    }
+
+    #[test]
+    fn checksum_tail_word_does_not_alias_zero_extension() {
+        // `len` is folded in as a word of its own: a payload and the same
+        // payload followed by zeros pad to the same tail word, and must
+        // still hash apart — as must two all-zero payloads of any two
+        // lengths, and one payload under two claimed lengths.
+        let lens = [0usize, 1, 7, 8, 9, 17, 40];
+        let zeros = [0u8; 48];
+        let bytes: [u8; 48] = std::array::from_fn(|i| i as u8 + 1);
+        for &n in &lens {
+            for longer in n + 1..=48 {
+                let mut extended = [0u8; 48];
+                extended[..n].copy_from_slice(&bytes[..n]);
+                assert_ne!(
+                    slot_checksum(5, 6, n as u32, &bytes[..n]),
+                    slot_checksum(5, 6, longer as u32, &extended[..longer]),
+                    "{n} bytes vs zero-extended to {longer}"
+                );
+                assert_ne!(
+                    slot_checksum(5, 6, n as u32, &zeros[..n]),
+                    slot_checksum(5, 6, longer as u32, &zeros[..longer]),
+                    "{n} zeros vs {longer} zeros"
+                );
+            }
+            assert_ne!(
+                slot_checksum(5, 6, n as u32, &bytes[..n]),
+                slot_checksum(5, 6, n as u32 + 1, &bytes[..n]),
+                "len {n} is part of the hash"
+            );
+        }
+        // The overlapping-read tail (payloads of a word or more) and the
+        // padded-copy tail (shorter ones) define the same zero-padded word.
+        let nine = slot_checksum(1, 2, 9, &bytes[..9]);
+        let mut padded = [0u8; 16];
+        padded[..9].copy_from_slice(&bytes[..9]);
+        assert_eq!(nine, slot_checksum(1, 2, 9, &padded), "tail == explicit zero padding");
+    }
+
+    #[test]
+    fn version_1_file_is_refused_not_migrated() {
+        let path = tmp("v1");
+        drop(SlabStore::create(&path, small_cfg()).unwrap());
+        let mut raw = std::fs::read(&path).unwrap();
+        assert_eq!(raw[H_VERSION..H_VERSION + 4], SLAB_VERSION.to_le_bytes());
+        assert_eq!(SLAB_VERSION, 2);
+        raw[H_VERSION..H_VERSION + 4].copy_from_slice(&1u32.to_le_bytes());
+        std::fs::write(&path, raw).unwrap();
+        let err = SlabStore::open(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("unsupported slab format version"), "{err}");
+        assert!(SlabStore::open_or_create(&path, small_cfg()).is_err(), "nor silently recreated");
     }
 
     #[test]

@@ -6,11 +6,12 @@
 //! [`ArchiveLog`]. Range reads transparently stitch the archive and the
 //! live window together, which is exactly how the Query Executor "parses
 //! the queue (or the persisted log for evicted entries) using
-//! timestamp-based indexing".
+//! timestamp-based indexing" — one walk with two destinations: entries
+//! ([`Stream::range`]) or decoded columns ([`Stream::scan_columns`]).
 
 use crate::archiver::ArchiveLog;
 use crate::codec::Record;
-use crate::entry::Entry;
+use crate::entry::{Entry, RowSink};
 use crate::id::StreamId;
 use crate::slab::SlabStore;
 use bytes::Bytes;
@@ -153,6 +154,34 @@ pub struct ColumnBatch {
     pub epoch: u64,
     /// The stream's last assigned ID at the snapshot point.
     pub last_id: Option<StreamId>,
+}
+
+impl RowSink for ColumnBatch {
+    type Mark = (usize, u64);
+    fn mark(&self) -> (usize, u64) {
+        (self.len(), self.corrupt)
+    }
+    fn rewind(&mut self, (rows, corrupt): (usize, u64)) {
+        self.timestamps_ns.truncate(rows);
+        self.values.truncate(rows);
+        self.provenance.truncate(rows);
+        self.corrupt = corrupt;
+    }
+    fn reserve(&mut self, rows: usize) {
+        self.timestamps_ns.reserve_exact(rows);
+        self.values.reserve_exact(rows);
+        self.provenance.reserve_exact(rows);
+    }
+    fn push_row(&mut self, _id: StreamId, payload: &[u8]) {
+        match Record::decode(payload) {
+            Ok(r) => {
+                self.timestamps_ns.push(r.timestamp_ns);
+                self.values.push(r.value);
+                self.provenance.push(r.provenance.wire());
+            }
+            Err(_) => self.corrupt += 1,
+        }
+    }
 }
 
 impl ColumnBatch {
@@ -386,28 +415,29 @@ impl Stream {
     /// reads — evictions need the write lock, so that view is consistent
     /// by construction.
     pub fn range(&self, start: StreamId, end: StreamId) -> Vec<Entry> {
-        self.range_with_meta(start, end).0
+        let mut out = Vec::new();
+        self.walk(start, end, &mut out);
+        out
     }
 
-    /// [`Stream::range`] plus the `(epoch, last_id)` pair observed at the
-    /// snapshot point — the invalidation key cache layers compare against
-    /// [`Stream::scan_meta`].
-    fn range_with_meta(
+    /// The stitch behind [`Stream::range`], generic over where the rows
+    /// land. Returns the `(epoch, last_id)` pair observed at the snapshot
+    /// point — the invalidation key cache layers compare against
+    /// [`Stream::scan_meta`]; a retried attempt first rewinds the sink, so
+    /// what it gained on return is exactly one snapshot's rows and counts.
+    fn walk<S: RowSink>(
         &self,
         start: StreamId,
         end: StreamId,
-    ) -> (Vec<Entry>, u64, Option<StreamId>) {
-        let mut out = Vec::new();
-        if start > end {
-            let w = self.window.read();
-            return (out, self.epoch.load(Ordering::Acquire), w.last_id);
-        }
+        sink: &mut S,
+    ) -> (u64, Option<StreamId>) {
+        let mark = sink.mark();
         for attempt in 0.. {
-            out.clear();
+            sink.rewind(mark);
             let optimistic = attempt < RANGE_OPTIMISTIC_ATTEMPTS;
             let before = self.epoch.load(Ordering::Acquire);
             if optimistic {
-                self.archive.range_into(start, end, &mut out);
+                self.archive.walk(start, end, usize::MAX, sink);
             }
             let w = self.window.read();
             let epoch = self.epoch.load(Ordering::Acquire);
@@ -424,13 +454,14 @@ impl Stream {
                 // write lock, so the archive is frozen while we hold the
                 // read lock (lock order window -> archive matches the
                 // eviction path).
-                self.archive.range_into(start, end, &mut out);
+                self.archive.walk(start, end, usize::MAX, sink);
             }
-            let entries = &w.entries;
-            let lo = partition_point_deque(entries, |e| e.id < start);
-            let hi = partition_point_deque(entries, |e| e.id <= end);
-            out.extend(entries.iter().skip(lo).take(hi - lo).cloned());
-            return (out, epoch, w.last_id);
+            let lo = partition_point_deque(&w.entries, |e| e.id < start);
+            // `hi >= lo` even for an inverted range, which selects nothing.
+            let hi = partition_point_deque(&w.entries, |e| e.id <= end).max(lo);
+            sink.reserve(hi - lo);
+            sink.push_entries(w.entries.range(lo..hi));
+            return (epoch, w.last_id);
         }
         unreachable!("range loop always returns")
     }
@@ -515,7 +546,8 @@ impl Stream {
     /// `(epoch, last_id)` snapshot key in one call, so the query path
     /// decodes each payload exactly once per cache generation.
     pub fn scan_batch(&self, start: StreamId, end: StreamId) -> ScanBatch {
-        let (entries, epoch, last_id) = self.range_with_meta(start, end);
+        let mut entries = Vec::new();
+        let (epoch, last_id) = self.walk(start, end, &mut entries);
         let mut records = Vec::with_capacity(entries.len());
         let mut corrupt = 0u64;
         for e in &entries {
@@ -535,28 +567,11 @@ impl Stream {
 
     /// Consistent range scan decoded straight into columns — same
     /// snapshot and same corrupt-skipping as [`Stream::scan_batch`], but
-    /// the decode loop writes field vectors directly instead of building
-    /// `Record` structs (the input of the vectorized query path).
+    /// the batch is itself the walk's sink: each payload is decoded where
+    /// the walk finds it (slot scratch, window entry) and no entry is built.
     pub fn scan_columns(&self, start: StreamId, end: StreamId) -> ColumnBatch {
-        let (entries, epoch, last_id) = self.range_with_meta(start, end);
-        let mut out = ColumnBatch {
-            timestamps_ns: Vec::with_capacity(entries.len()),
-            values: Vec::with_capacity(entries.len()),
-            provenance: Vec::with_capacity(entries.len()),
-            corrupt: 0,
-            epoch,
-            last_id,
-        };
-        for e in &entries {
-            match Record::decode(&e.payload) {
-                Ok(r) => {
-                    out.timestamps_ns.push(r.timestamp_ns);
-                    out.values.push(r.value);
-                    out.provenance.push(r.provenance.wire());
-                }
-                Err(_) => out.corrupt += 1,
-            }
-        }
+        let mut out = ColumnBatch::default();
+        (out.epoch, out.last_id) = self.walk(start, end, &mut out);
         out
     }
 

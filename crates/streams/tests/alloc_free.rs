@@ -7,11 +7,21 @@
 //! slab-backed [`ArchiveLog::append`] in front of it, must perform
 //! **exactly zero** heap allocations per entry.
 //!
+//! The read side has the same kind of bound. A scan is one walk whose rows
+//! land in a sink: [`Stream::scan_columns`] decodes every archived row
+//! straight out of the checksum-verified slot scratch, so a full scan
+//! allocates a constant handful of blocks (the column vectors and the
+//! scratch) however many rows it covers; [`Stream::range`] pays exactly
+//! one block per archived row — the entry's payload — and none per window
+//! row (an `Arc` clone).
+//!
 //! This file deliberately holds a single `#[test]`: the count is
 //! process-wide, so a second concurrently-running test would pollute it.
 
 use apollo_alloc_count::allocs_during;
-use apollo_streams::{ArchiveLog, Entry, Record, SlabConfig, SlabStore, StreamId};
+use apollo_streams::{
+    ArchiveLog, Entry, Record, SlabConfig, SlabStore, Stream, StreamConfig, StreamId,
+};
 
 #[test]
 fn warm_slab_records_allocate_nothing() {
@@ -56,6 +66,33 @@ fn warm_slab_records_allocate_nothing() {
     });
     assert_eq!(n, 0, "slab-backed append() allocated {n} times over 10 000 calls");
     assert_eq!(log.overflowed(), 0, "nothing fell back to the heap overflow");
+
+    // --- Stream scans over 4 096 archived + 256 window rows -----------------
+    const ARCHIVED: u64 = 4_096;
+    const WINDOW: u64 = 256;
+    let stream =
+        Stream::new("scan", StreamConfig::bounded(WINDOW as usize).with_slab(store.clone()));
+    for i in 0..ARCHIVED + WINDOW {
+        stream.append(i, Record::measured(i * 1_000_000, i as f64).encode());
+    }
+    assert_eq!(stream.archive().slab_series().expect("slab-backed").live_len(), ARCHIVED);
+    assert_eq!(stream.len() as u64, WINDOW);
+
+    let mut columns = None;
+    let n = allocs_during(|| columns = Some(stream.scan_columns(StreamId::MIN, StreamId::MAX)));
+    let columns = columns.expect("scanned");
+    assert_eq!(columns.len() as u64, ARCHIVED + WINDOW);
+    assert_eq!((columns.values[0], columns.values[4_351]), (0.0, 4_351.0));
+    assert_eq!(columns.values.capacity(), columns.len(), "a cached batch carries no slack");
+    assert!(n <= 8, "scan_columns allocated {n} blocks for {} rows", columns.len());
+
+    let mut entries = Vec::new();
+    let n = allocs_during(|| entries = stream.range(StreamId::MIN, StreamId::MAX));
+    assert_eq!(entries.len() as u64, ARCHIVED + WINDOW);
+    assert_eq!(entries.capacity(), entries.len(), "the entry vector is sized exactly");
+    // One payload block per archived row, plus the slot scratch and the
+    // `Vec` (sized once for the ring rows, once more for the window rows).
+    assert_eq!(n, ARCHIVED + 3, "range allocates one block per archived row and three more");
 
     let _ = std::fs::remove_file(&path);
 }
