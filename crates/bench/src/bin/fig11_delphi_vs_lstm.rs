@@ -15,11 +15,11 @@
 //!
 //! Run: `cargo run --release -p apollo-bench --bin fig11_delphi_vs_lstm`
 
+use apollo_bench::conv::CnnModel;
+use apollo_bench::lstm::LstmModel;
 use apollo_bench::report::{Report, Series};
 use apollo_cluster::workloads::fio;
-use apollo_delphi::conv::CnnModel;
 use apollo_delphi::eval::one_step_eval;
-use apollo_delphi::lstm::LstmModel;
 use apollo_delphi::stack::{Delphi, DelphiConfig};
 use std::time::Instant;
 

@@ -8,8 +8,8 @@
 //! backprop, so the Figure 11 comparison can include all three model
 //! families (Delphi stack / LSTM / CNN).
 
-use crate::nn::Activation;
-use crate::tensor::Matrix;
+use apollo_delphi::nn::Activation;
+use apollo_delphi::tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -181,7 +181,7 @@ impl CnnModel {
     /// Train on a series with sliding windows; returns final-epoch mean
     /// loss.
     pub fn fit_series(&mut self, series: &[f64], epochs: usize, lr: f64) -> f64 {
-        let (xs, ys) = crate::features::windows(series, self.window);
+        let (xs, ys) = apollo_delphi::features::windows(series, self.window);
         assert!(!xs.is_empty(), "series shorter than window");
         let mut last = f64::INFINITY;
         for _ in 0..epochs {
@@ -195,7 +195,7 @@ impl CnnModel {
     }
 }
 
-impl crate::predictor::WindowModel for CnnModel {
+impl apollo_delphi::predictor::WindowModel for CnnModel {
     type Scratch = CnnScratch;
 
     fn window(&self) -> usize {

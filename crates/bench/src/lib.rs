@@ -23,6 +23,10 @@
 //! | `gate` | evaluates the rows of `bench_gates.md` over `bench_results/` |
 //!
 //! Binaries print human-readable tables and write machine-readable JSON
-//! into `bench_results/` (see [`report`]).
+//! into `bench_results/` (see [`report`]). [`lstm`] and [`conv`] are the
+//! Figure 11 comparators Delphi is evaluated against; nothing serves on
+//! them.
 
+pub mod conv;
+pub mod lstm;
 pub mod report;

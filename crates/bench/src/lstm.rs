@@ -12,8 +12,8 @@
 //! parameters — the same scale as the paper's 71 851 (whose exact layer
 //! shapes are unpublished).
 
-use crate::nn::Activation;
-use crate::tensor::Matrix;
+use apollo_delphi::nn::Activation;
+use apollo_delphi::tensor::Matrix;
 use apollo_runtime::pool::WorkerPool;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -256,7 +256,7 @@ impl LstmModel {
     /// Train on a series with sliding windows for `epochs` passes.
     /// Returns the mean loss of the final epoch.
     pub fn fit_series(&mut self, series: &[f64], epochs: usize, lr: f64) -> f64 {
-        let (xs, ys) = crate::features::windows(series, self.window);
+        let (xs, ys) = apollo_delphi::features::windows(series, self.window);
         assert!(!xs.is_empty(), "series shorter than window");
         let mut last = f64::INFINITY;
         for _ in 0..epochs {
@@ -299,7 +299,7 @@ impl LstmModel {
         shards: usize,
         pool: Option<&WorkerPool>,
     ) -> f64 {
-        let (xs, ys) = crate::features::windows(series, self.window);
+        let (xs, ys) = apollo_delphi::features::windows(series, self.window);
         assert!(!xs.is_empty(), "series shorter than window");
         let n = xs.len();
         let shards = shards.clamp(1, n);
@@ -358,6 +358,18 @@ impl LstmModel {
             loss *= inv;
         }
         loss
+    }
+}
+
+impl apollo_delphi::predictor::WindowModel for LstmModel {
+    type Scratch = ();
+
+    fn window(&self) -> usize {
+        self.window()
+    }
+
+    fn predict_normalized(&self, window: &[f64]) -> f64 {
+        self.predict(window)
     }
 }
 

@@ -64,9 +64,9 @@ pub enum MetricKind {
     BlocksRead,
     /// Cumulative blocks written.
     BlocksWritten,
-    /// Device health fraction [0,1].
+    /// Device health fraction in `[0, 1]`.
     DeviceHealth,
-    /// Node CPU load [0,1].
+    /// Node CPU load in `[0, 1]`.
     CpuLoad,
     /// Node RAM used (bytes).
     RamUsed,

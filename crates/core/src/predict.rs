@@ -1,30 +1,25 @@
-//! Batched Delphi prediction: one kernel call per pump tick.
+//! Delphi prediction between polls: one kernel call per pump tick.
 //!
-//! The per-vertex prediction path (`FactVertexSpec::with_prediction`)
-//! gives every fact vertex its own predictor timer, so a turn with `B`
-//! stale vertices runs `B` separate `1×window` forward passes. A
-//! [`PredictionPump`] instead shares one trained [`Delphi`] model across
-//! its enrolled vertices: each tick packs every due vertex's normalized
-//! window into one `B×window` matrix and runs a **single batched forward
-//! sweep** ([`Delphi::predict_batch_into`]), then denormalizes and
-//! publishes per vertex. Row `i` of the batched pass is bit-identical to
-//! the `1×window` pass, so enrolling a vertex changes only the cost of
-//! prediction, never its value.
+//! A [`PredictionPump`] shares one trained [`Delphi`] model across its
+//! enrolled fact vertices — it is the only way a vertex gets prediction,
+//! and a single vertex is a one-row batch. Each tick packs every due
+//! vertex's normalized window into one `B×window` staging matrix, runs a
+//! **single** kernel call ([`Delphi::predict_batch_into`]), then
+//! denormalizes and publishes per vertex. A row's value is independent of
+//! the rest of its batch, so what a vertex publishes is bit-for-bit what
+//! [`Delphi::predict_into`] returns for its window, whoever else is
+//! enrolled.
 //!
-//! Self-observation: `delphi.predict_ns` (wall time of each batched
-//! kernel call), `delphi.batch_size` (rows per call),
-//! `delphi.batch_tail_scalar` (rows that fell off the SIMD vector path
-//! onto the kernel's scalar tail — held at 0 by the pump's lane-width
-//! padding), and the `delphi.simd_lanes` / `delphi.precision` gauges
-//! describing the model's `InferencePrecision` path.
+//! Self-observation: `delphi.predict_ns` (wall time of each kernel
+//! call), `delphi.batch_size` (rows per call), `delphi.batch_tail_scalar`
+//! (rows that fell off the kernel's vector path onto its scalar tail —
+//! held at 0 by the pump's lane-width padding), and the
+//! `delphi.simd_lanes` gauge.
 //!
 //! Batches are staged at a capacity rounded up to the model's
 //! [`Delphi::lane_width`] and the due rows padded with zero windows to
-//! the next lane multiple, so every tick runs entirely on the vector
-//! path on the serving (`SimdF32`) precision (padding rows' outputs are
-//! computed and discarded; each row's value is independent of the
-//! rest of the batch, so padding never changes a published
-//! prediction).
+//! the next lane multiple, so every tick runs entirely on the vector path
+//! (padding rows' outputs are computed and discarded).
 
 use crate::vertex::FactVertex;
 use apollo_delphi::predictor::WindowTracker;
@@ -90,9 +85,7 @@ impl PumpShared {
         if !registry.enabled() {
             return;
         }
-        // One-shot gauges describing the model's inference path.
         registry.gauge("delphi.simd_lanes").set(self.model.lane_width() as f64);
-        registry.gauge("delphi.precision").set(self.model.precision().metric_code() as f64);
         let _ = self.obs.set(PumpObs {
             predict_ns: registry.histogram("delphi.predict_ns"),
             batch_size: registry.histogram("delphi.batch_size"),
@@ -168,10 +161,9 @@ impl PumpShared {
 ///
 /// Scheduling note: the pump's timer is registered when the pump is
 /// created — before its vertices' poll timers — so when a poll and a
-/// pump tick land on the same instant the pump runs first and may emit a
-/// prediction the per-vertex path would have suppressed. Pick a
-/// prediction cadence that does not divide the poll interval if exact
-/// equivalence with `with_prediction` timers matters.
+/// pump tick land on the same instant the pump runs first: the vertex
+/// still looks stale to it, and a prediction is published just ahead of
+/// the measurement for that instant.
 #[derive(Clone)]
 pub struct PredictionPump {
     pub(crate) shared: Arc<PumpShared>,

@@ -24,7 +24,6 @@ use apollo_adaptive::controller::{
     AimdParams, ComplexAimd, FixedInterval, IntervalController, SimpleAimd,
 };
 use apollo_cluster::metrics::MetricSource;
-use apollo_delphi::predictor::OnlinePredictor;
 use apollo_delphi::stack::Delphi;
 use apollo_obs::Registry;
 use apollo_query::exec::{
@@ -39,14 +38,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Delphi prediction attachment for a fact vertex.
-pub struct PredictionSpec {
-    /// The trained model.
-    pub model: Delphi,
-    /// Emit a predicted record when no measurement is newer than this.
-    pub every: Duration,
-}
-
 /// Specification of a Fact vertex to register.
 pub struct FactVertexSpec {
     /// Topic / table name.
@@ -57,11 +48,8 @@ pub struct FactVertexSpec {
     pub controller: Box<dyn IntervalController>,
     /// Publish only on value change (§3.2.1). Disable for ablation.
     pub publish_on_change_only: bool,
-    /// Optional Delphi prediction between polls.
-    pub prediction: Option<PredictionSpec>,
-    /// Optional shared batched-prediction pump (see
-    /// [`Apollo::prediction_pump`]). Mutually exclusive with
-    /// `prediction`.
+    /// Optional Delphi prediction between polls, through a shared
+    /// batched-prediction pump (see [`Apollo::prediction_pump`]).
     pub batched_prediction: Option<PredictionPump>,
     /// Supervision policy; `None` uses [`SupervisorConfig::default`].
     pub supervision: Option<SupervisorConfig>,
@@ -75,7 +63,6 @@ impl FactVertexSpec {
             source,
             controller: Box::new(FixedInterval::new(every)),
             publish_on_change_only: true,
-            prediction: None,
             batched_prediction: None,
             supervision: None,
         }
@@ -103,7 +90,6 @@ impl FactVertexSpec {
             source,
             controller: Box::new(SimpleAimd::new(params)),
             publish_on_change_only: true,
-            prediction: None,
             batched_prediction: None,
             supervision: None,
         }
@@ -129,21 +115,15 @@ impl FactVertexSpec {
             source,
             controller: Box::new(ComplexAimd::new(params, window)),
             publish_on_change_only: true,
-            prediction: None,
             batched_prediction: None,
             supervision: None,
         }
     }
 
-    /// Attach Delphi prediction between polls.
-    pub fn with_prediction(mut self, model: Delphi, every: Duration) -> Self {
-        self.prediction = Some(PredictionSpec { model, every });
-        self
-    }
-
-    /// Enroll this vertex in a shared batched prediction pump (see
-    /// [`Apollo::prediction_pump`]): one kernel call per pump tick
-    /// predicts every due vertex, instead of one model pass per vertex.
+    /// Attach Delphi prediction between polls by enrolling this vertex
+    /// in a prediction pump (see [`Apollo::prediction_pump`]): one kernel
+    /// call per pump tick predicts every due vertex. A single vertex that
+    /// wants prediction is a one-vertex batch.
     pub fn with_batched_prediction(mut self, pump: &PredictionPump) -> Self {
         self.batched_prediction = Some(pump.clone());
         self
@@ -534,13 +514,9 @@ impl Apollo {
     /// time and batch sizes report as `delphi.predict_ns` /
     /// `delphi.batch_size`.
     ///
-    /// The pump serves on the model's `InferencePrecision`: a trained
-    /// model arrives on the lowered `SimdF32` lanes, and batches are
-    /// padded to the model's SIMD lane width so ticks stay on the vector
-    /// path (`Exact`, the f64 oracle, is reachable only through an
-    /// explicit `Delphi::with_precision`). The active path reports as the
-    /// `delphi.simd_lanes` / `delphi.precision` gauges, and any rows
-    /// that fall off the vector path count on `delphi.batch_tail_scalar`
+    /// Batches are padded to the model's SIMD lane width
+    /// (`delphi.simd_lanes`) so ticks stay on the kernel's vector path;
+    /// any rows that fall off it count on `delphi.batch_tail_scalar`
     /// (held at 0 by the padding).
     pub fn prediction_pump(&mut self, model: Delphi, every: Duration) -> PredictionPump {
         let name = format!("delphi.pump.{}", self.pumps.len());
@@ -604,13 +580,40 @@ impl Apollo {
             self.component_members.entry(win.clone()).or_default().extend(moved);
             root = win;
         }
-        let key = name_seed(&root);
-        for member in self.component_members.get(&root).cloned().unwrap_or_default() {
-            if let Some(handles) = self.timers.get(&member) {
-                for h in handles {
-                    self.el.set_timer_key(h.id(), key);
-                }
+        self.rekey_component(&root);
+    }
+
+    /// Give every timer of `root`'s members the component's dispatch key.
+    fn rekey_component(&mut self, root: &str) {
+        let key = name_seed(root);
+        for member in self.component_members.get(root).into_iter().flatten() {
+            for h in self.timers.get(member).into_iter().flatten() {
+                self.el.set_timer_key(h.id(), key);
             }
+        }
+    }
+
+    /// Take `name` out of its dispatch component. The remaining members
+    /// stay one component; when `name` was its root, the first of them
+    /// becomes the root and their timers move to its key. Every member is
+    /// re-pointed at the root directly, so no parent chain is left
+    /// running through the removed name.
+    fn leave_component(&mut self, name: &str) {
+        let root = self.component_root(name);
+        self.component_parent.remove(name);
+        let mut members = self.component_members.remove(&root).unwrap_or_default();
+        members.retain(|m| m != name);
+        let Some(first) = members.first() else {
+            return;
+        };
+        let rerooted = root == name;
+        let new_root = if rerooted { first.clone() } else { root };
+        for m in &members {
+            self.component_parent.insert(m.clone(), new_root.clone());
+        }
+        self.component_members.insert(new_root.clone(), members);
+        if rerooted {
+            self.rekey_component(&new_root);
         }
     }
 
@@ -653,21 +656,9 @@ impl Apollo {
     }
 
     /// Register a fact vertex; returns its handle.
-    ///
-    /// # Panics
-    /// Panics when the spec carries both a per-vertex prediction and a
-    /// batched pump enrollment — the vertex would double-publish.
     pub fn register_fact(&mut self, spec: FactVertexSpec) -> Result<Arc<FactVertex>, GraphError> {
-        assert!(
-            spec.prediction.is_none() || spec.batched_prediction.is_none(),
-            "vertex {}: with_prediction and with_batched_prediction are mutually exclusive",
-            spec.name
-        );
         self.graph.add_fact(&spec.name)?;
         let initial = spec.controller.current_interval();
-        // One dispatch key per vertex: under pool dispatch its poll and
-        // prediction timers share a lane, so the vertex never runs
-        // concurrently with itself.
         let dispatch_key = name_seed(&spec.name);
         let mut supervision = spec.supervision.unwrap_or_default();
         supervision.seed ^= name_seed(&spec.name);
@@ -683,62 +674,32 @@ impl Apollo {
         let clock = self.el.clock().clone();
         let last_poll = Arc::new(AtomicU64::new(0));
 
-        // Optional Delphi prediction state shared between the two timers.
-        let predictor: Option<Arc<Mutex<OnlinePredictor<Delphi>>>> = spec
-            .prediction
-            .as_ref()
-            .map(|p| Arc::new(Mutex::new(OnlinePredictor::new(p.model.clone()))));
-        // Optional batched-pump window state fed by the poll timer.
+        // Pump window state fed by the poll timer.
         let pump_tracker: Option<Arc<Mutex<apollo_delphi::WindowTracker>>> = spec
             .batched_prediction
             .as_ref()
             .map(|p| Arc::new(Mutex::new(apollo_delphi::WindowTracker::new(p.window()))));
 
-        let mut handles = Vec::new();
-        {
+        let handle = {
             let vertex = Arc::clone(&vertex);
-            let clock = clock.clone();
             let last_poll = Arc::clone(&last_poll);
-            let predictor = predictor.clone();
             let pump_tracker = pump_tracker.clone();
-            handles.push(self.el.add_timer_keyed(dispatch_key, initial, move |ctl| {
+            self.el.add_timer_keyed(dispatch_key, initial, move |ctl| {
                 let now = clock.now();
                 let next = vertex.poll(now);
                 last_poll.store(now, Ordering::SeqCst);
-                if predictor.is_some() || pump_tracker.is_some() {
-                    // Re-anchor the predictor on the measured value.
+                if let Some(t) = &pump_tracker {
+                    // Re-anchor the pump's window on the measured value.
                     if let Some(v) = vertex.last_value() {
-                        if let Some(p) = &predictor {
-                            p.lock().observe(v);
-                        }
-                        if let Some(t) = &pump_tracker {
-                            t.lock().observe(v);
-                        }
+                        t.lock().observe(v);
                     }
                 }
                 ctl.set_interval(next);
                 TimerAction::Continue
-            }));
-        }
+            })
+        };
 
-        if let Some(pspec) = spec.prediction {
-            let vertex = Arc::clone(&vertex);
-            let predictor = predictor.expect("created above");
-            let every = pspec.every;
-            let last_poll = Arc::clone(&last_poll);
-            handles.push(self.el.add_timer_keyed(dispatch_key, every, move |_ctl| {
-                let now = clock.now();
-                // Only predict when the latest record is stale.
-                if now.saturating_sub(last_poll.load(Ordering::SeqCst)) >= every.as_nanos() as u64 {
-                    if let Some(v) = predictor.lock().predict_and_advance() {
-                        vertex.publish_predicted(now, v);
-                    }
-                }
-                TimerAction::Continue
-            }));
-        }
-
-        self.timers.insert(vertex.name().to_string(), handles);
+        self.timers.insert(vertex.name().to_string(), vec![handle]);
         self.new_component(vertex.name());
         if let Some(pump) = spec.batched_prediction {
             pump.enroll(PumpSlot {
@@ -774,6 +735,7 @@ impl Apollo {
         for pump in &self.pumps {
             pump.retire(name);
         }
+        self.leave_component(name);
         self.broker.remove_topic(name);
         Ok(())
     }
@@ -1546,6 +1508,63 @@ mod tests {
         assert_eq!(pump.enrolled(), 0);
     }
 
+    /// `component_members[r]` lists exactly the names whose
+    /// `component_root` is `r`, and every listed timer carries
+    /// `name_seed(r)`.
+    fn assert_component_maps_agree(apollo: &mut Apollo) {
+        let names: Vec<String> = apollo.component_parent.keys().cloned().collect();
+        let mut by_root = std::collections::HashMap::<String, Vec<String>>::new();
+        for name in names {
+            by_root.entry(apollo.component_root(&name)).or_default().push(name);
+        }
+        let mut listed = apollo.component_members.clone();
+        for members in by_root.values_mut().chain(listed.values_mut()) {
+            members.sort();
+        }
+        assert_eq!(listed, by_root);
+        for (root, members) in &apollo.component_members {
+            for m in members {
+                let handles = apollo.timers.get(m);
+                for h in handles.unwrap_or_else(|| panic!("{root} lists retired {m}")) {
+                    assert_eq!(apollo.el.timer_key(h.id()), Some(name_seed(root)), "{m} in {root}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn unregistering_a_component_root_keeps_the_pump_on_its_vertices_lane() {
+        let mut apollo = Apollo::new_virtual();
+        let pump = apollo.prediction_pump(tiny_delphi(), Duration::from_secs(3));
+        let enrol = |apollo: &mut Apollo, name: &str| {
+            apollo
+                .register_fact(
+                    FactVertexSpec::fixed(
+                        name,
+                        Arc::new(ConstSource::new(name, 1.0)),
+                        Duration::from_secs(10),
+                    )
+                    .with_batched_prediction(&pump),
+                )
+                .unwrap();
+            assert_component_maps_agree(apollo);
+        };
+        enrol(&mut apollo, "a");
+        enrol(&mut apollo, "b");
+        assert_eq!(apollo.component_root(pump.name()), "a");
+        // The root leaves: the pump and `b` stay one component, re-rooted.
+        apollo.unregister("a").unwrap();
+        assert_component_maps_agree(&mut apollo);
+        assert_eq!(apollo.component_root(pump.name()), apollo.component_root("b"));
+        // The name comes back and the pump keeps growing: one lane still.
+        enrol(&mut apollo, "a");
+        enrol(&mut apollo, "c");
+        let lane = apollo.component_root(pump.name());
+        for name in ["a", "b", "c"] {
+            assert_eq!(apollo.component_root(name), lane, "{name} left the pump's lane");
+        }
+    }
+
     #[test]
     fn a_registered_vertex_has_no_topic_until_it_publishes() {
         let mut apollo = Apollo::new_virtual();
@@ -1607,23 +1626,6 @@ mod tests {
         let latest =
             apollo_streams::Record::decode(&broker.latest("cap").unwrap().payload).unwrap();
         assert_eq!((latest.value, broker.topic_len("cap")), (1.0, 3));
-    }
-
-    #[test]
-    #[should_panic(expected = "mutually exclusive")]
-    fn per_vertex_and_batched_prediction_are_mutually_exclusive() {
-        let mut apollo = Apollo::new_virtual();
-        let model = tiny_delphi();
-        let pump = apollo.prediction_pump(model.clone(), Duration::from_secs(3));
-        let _ = apollo.register_fact(
-            FactVertexSpec::fixed(
-                "x",
-                Arc::new(ConstSource::new("x", 1.0)),
-                Duration::from_secs(10),
-            )
-            .with_prediction(model, Duration::from_secs(3))
-            .with_batched_prediction(&pump),
-        );
     }
 
     #[test]

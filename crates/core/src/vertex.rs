@@ -287,19 +287,6 @@ impl FactVertex {
         self.published.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Publish several predicted `(timestamp_ns, value)` records in one
-    /// batched flush (one stream-lock acquisition, one fan-out pass — see
-    /// [`apollo_streams::Broker::publish_batch`]). Multi-step Delphi
-    /// horizons emit their whole forecast this way instead of paying
-    /// per-record publish overhead.
-    pub fn publish_predicted_batch(&self, records: &[(u64, f64)]) {
-        let encoded = records.iter().map(|&(now_ns, value)| {
-            (now_ns / 1_000_000, Record::predicted(now_ns, value).encode())
-        });
-        self.publisher.publish_batch(encoded);
-        self.published.fetch_add(records.len() as u64, Ordering::Relaxed);
-    }
-
     /// The most recently sampled value (the change filter guarantees the
     /// cached publish value equals the latest sample).
     pub fn last_value(&self) -> Option<f64> {
@@ -694,26 +681,6 @@ mod tests {
         let r = Record::decode(&b.latest("cap").unwrap().payload).unwrap();
         assert!(!r.is_measured());
         assert_eq!(r.value, 3.5);
-    }
-
-    #[test]
-    fn predicted_batch_publishes_every_record_in_order() {
-        let b = broker();
-        let v =
-            FactVertex::new("cap", Arc::new(ConstSource::new("c", 1.0)), fixed(1), b.clone(), true);
-        v.publish_predicted_batch(&[
-            (1_000_000_000, 1.5),
-            (2_000_000_000, 2.5),
-            (3_000_000_000, 3.5),
-        ]);
-        assert_eq!(v.published(), 3);
-        let entries = b.range_by_time("cap", 0, u64::MAX);
-        assert_eq!(entries.len(), 3);
-        for (e, want) in entries.iter().zip([1.5, 2.5, 3.5]) {
-            let r = Record::decode(&e.payload).unwrap();
-            assert!(!r.is_measured());
-            assert_eq!(r.value, want);
-        }
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! # apollo-delphi
 //!
-//! The **Delphi** predictive model of Apollo (HPDC '21, §3.4.2) and the
-//! LSTM baseline it is evaluated against (Figure 11), built from scratch —
-//! this crate is the stand-in for the TensorFlow 2.3.1 + C-API dependency
-//! of the original implementation.
+//! The **Delphi** predictive model of Apollo (HPDC '21, §3.4.2), built
+//! from scratch — this crate is the stand-in for the TensorFlow 2.3.1 +
+//! C-API dependency of the original implementation.
 //!
 //! Architecture (paper, Figure 3a):
 //!
@@ -17,26 +16,27 @@
 //!    untrainable") and stacked; a final **one-Dense trainable layer**
 //!    learns to combine their predictions ([`stack::Delphi`]).
 //!
-//! The baseline ([`lstm`]) is a full LSTM (input/forget/output gates,
-//! BPTT) sized to ~71 k parameters like the paper's per-metric baselines.
+//! Serving is one path: training packs the frozen stack into lowered
+//! f32 tables once and every prediction — a single window or the
+//! prediction pump's batch — runs the [`simd`] kernel over them. The f64
+//! weights training produced stay reachable as one function,
+//! [`Delphi::predict_exact`], the oracle the equivalence suites hold the
+//! kernel to.
 //!
 //! Supporting modules: [`tensor`] (matrix math), [`nn`] (dense layers,
 //! SGD, gradient checking), [`predictor`] (the online scale-invariant
 //! wrapper monitor hooks call between polls), [`eval`] (RMSE/R²/inference
-//! timing).
+//! timing). The Figure 11 comparators (LSTM, CNN) live beside their
+//! harness in `apollo-bench`.
 
-pub mod conv;
 pub mod eval;
 pub mod features;
-pub mod lstm;
 pub mod nn;
 pub mod predictor;
 pub mod simd;
 pub mod stack;
 pub mod tensor;
 
-pub use conv::{CnnModel, CnnScratch};
 pub use features::Feature;
-pub use lstm::LstmModel;
 pub use predictor::{OnlinePredictor, WindowTracker};
-pub use stack::{Delphi, DelphiConfig, DelphiScratch, InferencePrecision};
+pub use stack::{Delphi, DelphiConfig, DelphiScratch};

@@ -197,15 +197,6 @@ impl Dense {
     }
 }
 
-/// Ping-pong scratch for allocation-free multi-layer inference. Owned by
-/// the caller so steady-state [`Sequential::infer_into`] calls perform
-/// zero heap allocations; buffers size themselves on first use.
-#[derive(Debug, Clone, Default)]
-pub struct Scratch {
-    a: Matrix,
-    b: Matrix,
-}
-
 /// Per-layer activation and gradient buffers for one full-batch backprop
 /// pass. Caller-owned and reused across epochs/shards so pooled training
 /// does not allocate per epoch beyond first-use sizing.
@@ -280,28 +271,10 @@ impl Sequential {
 
     /// Forward without caching (inference).
     pub fn infer(&self, x: &Matrix) -> Matrix {
-        let mut out = Matrix::default();
-        self.infer_into(x, &mut out, &mut Scratch::default());
-        out
-    }
-
-    /// Allocation-free inference: the fused per-layer kernels write into
-    /// the caller-owned ping-pong [`Scratch`] and final `out` buffer.
-    /// After a first sizing call, steady-state calls perform **zero** heap
-    /// allocations (asserted by the counting-allocator test).
-    pub fn infer_into(&self, x: &Matrix, out: &mut Matrix, scratch: &mut Scratch) {
-        match self.layers.len() {
-            0 => out.copy_from(x),
-            1 => self.layers[0].infer_into(x, out),
-            n => {
-                self.layers[0].infer_into(x, &mut scratch.a);
-                for l in &self.layers[1..n - 1] {
-                    l.infer_into(&scratch.a, &mut scratch.b);
-                    std::mem::swap(&mut scratch.a, &mut scratch.b);
-                }
-                self.layers[n - 1].infer_into(&scratch.a, out);
-            }
-        }
+        let Some((first, rest)) = self.layers.split_first() else {
+            return x.clone();
+        };
+        rest.iter().fold(first.infer(x), |a, layer| layer.infer(&a))
     }
 
     /// Full-batch forward + backward against the **current** weights with
@@ -709,23 +682,6 @@ mod tests {
     }
 
     #[test]
-    fn infer_into_matches_infer_and_zero_layer_passthrough() {
-        let mut r = rng();
-        let mut m = Sequential::new();
-        m.push(Dense::new(2, 4, Activation::Tanh, &mut r));
-        m.push(Dense::new(4, 3, Activation::Sigmoid, &mut r));
-        m.push(Dense::new(3, 1, Activation::Linear, &mut r));
-        let x = Matrix::from_vec(2, 2, vec![0.3, -0.7, 0.1, 0.9]);
-        let mut out = Matrix::default();
-        let mut scratch = Scratch::default();
-        m.infer_into(&x, &mut out, &mut scratch);
-        assert_eq!(out, m.infer(&x));
-        let empty = Sequential::new();
-        empty.infer_into(&x, &mut out, &mut scratch);
-        assert_eq!(out, x);
-    }
-
-    #[test]
     fn batch_grads_plus_apply_matches_train_step() {
         let mut r = rng();
         let mut a = Sequential::new();
@@ -767,5 +723,6 @@ mod tests {
         let a = m.infer(&x);
         let b = m.forward(&x);
         assert_eq!(a, b);
+        assert_eq!(Sequential::new().infer(&x), x, "no layers: passthrough");
     }
 }

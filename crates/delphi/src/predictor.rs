@@ -45,18 +45,6 @@ impl WindowModel for crate::stack::Delphi {
     }
 }
 
-impl WindowModel for crate::lstm::LstmModel {
-    type Scratch = ();
-
-    fn window(&self) -> usize {
-        self.window()
-    }
-
-    fn predict_normalized(&self, window: &[f64]) -> f64 {
-        self.predict(window)
-    }
-}
-
 /// Sliding min-max window state: the last `window` observations plus a
 /// reusable normalization buffer. Extracted from [`OnlinePredictor`] so
 /// the batched prediction pump in `apollo-core` can stage many vertices'

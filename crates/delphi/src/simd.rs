@@ -1,11 +1,12 @@
 //! The lowered `f32` serving kernel, with runtime dispatch.
 //!
 //! The f64 [`crate::tensor::Matrix`] kernels are the repo's **bit-exact
-//! reference**: training runs on them and every equivalence/monitoring
-//! suite pins them, so they must never change. This module is the
-//! serving path next to them — one fused kernel, [`stack_forward`],
-//! selected through [`crate::stack::InferencePrecision::SimdF32`] and
-//! verified against the f64 oracle under [`budget::STACK_F32`].
+//! reference**: training runs on them and
+//! [`crate::stack::Delphi::predict_exact`] evaluates the trained stack on
+//! them, so they must never change. This module is the serving path —
+//! one fused kernel, [`stack_forward`], which every prediction runs and
+//! every equivalence suite verifies against that f64 oracle under
+//! [`budget::STACK_F32`].
 //!
 //! # Lanes and dispatch tiers
 //!
@@ -16,8 +17,9 @@
 //! the lane loops into `ymm` ops) and once without (the scalar fallback).
 //! [`active_tier`] picks the wrapper at runtime via
 //! `is_x86_feature_detected!("avx2")`, resolved once per process;
-//! setting `APOLLO_DELPHI_FORCE_SCALAR=1` pins the scalar tier (the CI
-//! concurrency-stress job runs the whole delphi suite that way).
+//! setting `APOLLO_DELPHI_FORCE_SCALAR=1` pins the scalar tier — the
+//! only tier on a host without AVX2, so the CI concurrency-stress job
+//! runs the whole delphi suite that way.
 //!
 //! # Determinism contract
 //!
@@ -233,7 +235,7 @@ pub mod budget {
         }
     }
 
-    /// `InferencePrecision::SimdF32` stack predictions vs `Exact`.
+    /// Lowered stack predictions vs `Delphi::predict_exact`.
     pub const STACK_F32: Budget = Budget { abs: 1e-4, ulps: 1024.0 };
 }
 

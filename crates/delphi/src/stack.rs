@@ -13,7 +13,7 @@
 //! down its exact layer shapes; EXPERIMENTS.md records both counts).
 
 use crate::features::{mixed_dataset, windows, Feature};
-use crate::nn::{Activation, Dense, Scratch, Sequential};
+use crate::nn::{Activation, Dense, Sequential};
 use crate::simd;
 use crate::tensor::Matrix;
 use apollo_runtime::pool::WorkerPool;
@@ -26,52 +26,10 @@ use std::sync::{Arc, Mutex};
 /// stay bit-identical.
 const COMBINER_SHARDS: usize = 4;
 
-/// Numeric path used by Delphi inference. The default, [`SimdF32`], is
-/// the serving path: every `Delphi::train*` constructor returns a model
-/// on it, with the lowered tables built **once** after training — never
-/// per call. [`Exact`] is the f64 implementation training runs on and
-/// the oracle every equivalence suite compares the lowered path against
-/// (budget in [`crate::simd::budget`]); it serves only when asked for
-/// by name through [`Delphi::with_precision`].
-///
-/// [`Exact`]: InferencePrecision::Exact
-/// [`SimdF32`]: InferencePrecision::SimdF32
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum InferencePrecision {
-    /// f64 scalar kernels — the training implementation and the
-    /// reference oracle.
-    Exact,
-    /// Lowered f32 kernels on 8-wide SIMD lanes with runtime AVX2
-    /// dispatch ([`crate::simd`]); error bounded by
-    /// [`crate::simd::budget::STACK_F32`]. The serving default.
-    #[default]
-    SimdF32,
-}
-
-impl InferencePrecision {
-    /// Stable name for logs/bench reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            InferencePrecision::Exact => "exact",
-            InferencePrecision::SimdF32 => "simd-f32",
-        }
-    }
-
-    /// Code published on the `delphi.precision` gauge (0 exact /
-    /// 1 simd-f32).
-    pub fn metric_code(self) -> u64 {
-        match self {
-            InferencePrecision::Exact => 0,
-            InferencePrecision::SimdF32 => 1,
-        }
-    }
-}
-
-/// Frozen lowered inference tables for the [`InferencePrecision::SimdF32`]
-/// path, built once by [`Delphi::set_precision`]. The stack is eight
-/// `window → 1` linear Dense layers plus an `8 → 1` linear combiner by
-/// construction, so lowering packs them into flat `f32` rows for the
-/// transposed SIMD batch kernel.
+/// Frozen lowered inference tables, built once when training ends. The
+/// stack is eight `window → 1` linear Dense layers plus an `8 → 1` linear
+/// combiner by construction, so lowering packs them into flat `f32` rows
+/// for the transposed SIMD batch kernel ([`crate::simd`]).
 #[derive(Debug, Clone)]
 struct Lowered {
     /// Feature weights, `nfeat × window` row-major.
@@ -86,27 +44,19 @@ struct Lowered {
 
 /// Reusable buffers for [`Delphi::predict_into`] /
 /// [`Delphi::predict_batch_into`]. Owning one of these per call site
-/// makes steady-state prediction allocation-free: every matrix inside is
+/// makes steady-state prediction allocation-free: every buffer inside is
 /// `resize`d (capacity-reusing) rather than rebuilt.
 #[derive(Debug, Default, Clone)]
 pub struct DelphiScratch {
     /// Packed input windows, one per row (`B×window`).
     input: Matrix,
-    /// Feature-model outputs (`B×8`), the combiner's input.
-    feats: Matrix,
-    /// One feature model's batched output column (`B×1`).
-    col: Matrix,
-    /// Combiner output (`B×1`).
-    out: Matrix,
-    /// Ping-pong buffers for [`Sequential::infer_into`].
-    seq: Scratch,
-    /// Transposed f32 staging (`window × B`) for the SIMD path.
+    /// Transposed f32 staging (`window × B`).
     xt: Vec<f32>,
-    /// Transposed f32 feature outputs (`nfeat × B`) for the SIMD path.
+    /// Transposed f32 feature outputs (`nfeat × B`).
     ft: Vec<f32>,
-    /// f32 combiner outputs for the SIMD path.
+    /// f32 combiner outputs.
     out32: Vec<f32>,
-    /// Scalar-tail rows of the last SIMD batched call.
+    /// Scalar-tail rows of the last kernel call.
     tail_rows: usize,
 }
 
@@ -153,10 +103,9 @@ impl DelphiScratch {
     }
 
     /// Rows the last [`Delphi::predict_batch_into`] call processed on
-    /// the SIMD path's scalar tail — 0 on the `Exact` path and
-    /// whenever the staged batch is a lane-width multiple (which the
-    /// prediction pump guarantees by padding). Feeds the
-    /// `delphi.batch_tail_scalar` counter.
+    /// the kernel's scalar tail — 0 whenever the staged batch is a
+    /// lane-width multiple (which the prediction pump guarantees by
+    /// padding). Feeds the `delphi.batch_tail_scalar` counter.
     pub fn tail_rows(&self) -> usize {
         self.tail_rows
     }
@@ -246,15 +195,6 @@ impl FeatureModel {
         self.net.infer(&x).get(0, 0)
     }
 
-    /// Batched prediction: run the model over every row of `input`
-    /// (`B×window`) in one fused forward pass, writing the `B×1` result
-    /// into `col`. Row `i` of the output is bit-identical to
-    /// `self.predict(input.row(i))` — a batched matmul reduces each row
-    /// with the same dot-product order as the `1×window` pass.
-    pub fn predict_batch_into(&self, input: &Matrix, col: &mut Matrix, seq: &mut Scratch) {
-        self.net.infer_into(input, col, seq);
-    }
-
     /// Parameter count (all frozen once stacked).
     pub fn param_count(&self) -> usize {
         self.net.param_count()
@@ -267,10 +207,7 @@ pub struct Delphi {
     config: DelphiConfig,
     features: Vec<FeatureModel>,
     combiner: Sequential,
-    precision: InferencePrecision,
-    /// `Some` iff `precision != Exact` (invariant kept by
-    /// [`Delphi::set_precision`]); cloned with the model.
-    lowered: Option<Lowered>,
+    lowered: Lowered,
 }
 
 impl Delphi {
@@ -369,8 +306,8 @@ impl Delphi {
             }
         }
 
-        Self { config, features, combiner, precision: InferencePrecision::Exact, lowered: None }
-            .with_precision(InferencePrecision::default())
+        let lowered = Self::build_lowered(config.window, &features, &combiner);
+        Self { config, features, combiner, lowered }
     }
 
     /// Window length the model expects.
@@ -378,46 +315,17 @@ impl Delphi {
         self.config.window
     }
 
-    /// The active [`InferencePrecision`].
-    pub fn precision(&self) -> InferencePrecision {
-        self.precision
-    }
-
-    /// Builder-style [`Delphi::set_precision`].
-    pub fn with_precision(mut self, precision: InferencePrecision) -> Self {
-        self.set_precision(precision);
-        self
-    }
-
-    /// Select the numeric inference path. The lowered f32 tables are
-    /// built here, **once** — never on the
-    /// per-prediction path. Training always runs on the exact f64
-    /// weights; only inference is rerouted. Models come out of training
-    /// on [`InferencePrecision::default`]; pass
-    /// [`InferencePrecision::Exact`] to get the f64 oracle.
-    pub fn set_precision(&mut self, precision: InferencePrecision) {
-        self.precision = precision;
-        self.lowered = match precision {
-            InferencePrecision::Exact => None,
-            InferencePrecision::SimdF32 => Some(self.build_lowered()),
-        };
-    }
-
-    /// SIMD lane width of the active path: staging batch capacities
-    /// should be rounded up to a multiple of this so tail batches don't
-    /// fall off the vector path. 1 on the `Exact` path.
+    /// SIMD lane width of the kernel: staging batch capacities should be
+    /// rounded up to a multiple of this so tail batches don't fall off
+    /// the vector path.
     pub fn lane_width(&self) -> usize {
-        match self.precision {
-            InferencePrecision::SimdF32 => simd::LANES,
-            InferencePrecision::Exact => 1,
-        }
+        simd::LANES
     }
 
     /// Pack the frozen stack into flat lowered tables. Relies on the
     /// construction invariant that every tier is a single linear Dense.
-    fn build_lowered(&self) -> Lowered {
-        let window = self.config.window;
-        let nfeat = self.features.len();
+    fn build_lowered(window: usize, features: &[FeatureModel], combiner: &Sequential) -> Lowered {
+        let nfeat = features.len();
         let single_linear = |net: &Sequential| {
             let layers = net.layers();
             assert_eq!(layers.len(), 1, "lowering expects single-layer tiers");
@@ -425,7 +333,7 @@ impl Delphi {
         };
         let mut fw = Vec::with_capacity(nfeat * window);
         let mut fb = Vec::with_capacity(nfeat);
-        for m in &self.features {
+        for m in features {
             single_linear(&m.net);
             let layer = &m.net.layers()[0];
             assert_eq!(layer.weights.rows(), window, "feature window mismatch");
@@ -433,86 +341,61 @@ impl Delphi {
             fw.extend((0..window).map(|k| layer.weights.get(k, 0) as f32));
             fb.push(layer.bias.get(0, 0) as f32);
         }
-        single_linear(&self.combiner);
-        let comb = &self.combiner.layers()[0];
+        single_linear(combiner);
+        let comb = &combiner.layers()[0];
         assert_eq!(comb.weights.rows(), nfeat, "combiner width mismatch");
         let cw: Vec<f32> = (0..nfeat).map(|j| comb.weights.get(j, 0) as f32).collect();
         let cb = comb.bias.get(0, 0) as f32;
         Lowered { fw, fb, cw, cb }
     }
 
-    fn lowered(&self) -> &Lowered {
-        self.lowered.as_ref().expect("lowered tables exist on the SimdF32 path")
-    }
-
-    /// Predict the next normalized value from a normalized window, on
-    /// the active [`InferencePrecision`] path.
+    /// Predict the next normalized value from a normalized window
+    /// (allocating convenience over [`Delphi::predict_into`]).
     ///
     /// # Panics
     /// Panics if `window.len()` differs from the configured window.
     pub fn predict(&self, window: &[f64]) -> f64 {
-        match self.precision {
-            InferencePrecision::Exact => {
-                assert_eq!(window.len(), self.config.window, "window length mismatch");
-                let feats: Vec<f64> = self.features.iter().map(|m| m.predict(window)).collect();
-                self.combiner.infer(&Matrix::row_vector(feats)).get(0, 0)
-            }
-            InferencePrecision::SimdF32 => self.predict_into(window, &mut DelphiScratch::default()),
-        }
+        self.predict_into(window, &mut DelphiScratch::default())
+    }
+
+    /// The f64 reference: the stack evaluated on the f64 weights training
+    /// produced, one `1×window` pass per feature model. Nothing serves on
+    /// it — it is the oracle the equivalence suites hold the lowered
+    /// kernel to, within [`crate::simd::budget::STACK_F32`].
+    ///
+    /// # Panics
+    /// Panics if `window.len()` differs from the configured window.
+    pub fn predict_exact(&self, window: &[f64]) -> f64 {
+        assert_eq!(window.len(), self.config.window, "window length mismatch");
+        let feats: Vec<f64> = self.features.iter().map(|m| m.predict(window)).collect();
+        self.combiner.infer(&Matrix::row_vector(feats)).get(0, 0)
     }
 
     /// [`Delphi::predict`] through caller-owned scratch buffers: after
     /// the first call warms the scratch, steady-state calls perform
-    /// **zero heap allocations** on every precision path. Bit-identical
-    /// to [`Delphi::predict`].
+    /// **zero heap allocations**. Bit-identical to [`Delphi::predict`].
     ///
     /// # Panics
     /// Panics if `window.len()` differs from the configured window.
     pub fn predict_into(&self, window: &[f64], scratch: &mut DelphiScratch) -> f64 {
         assert_eq!(window.len(), self.config.window, "window length mismatch");
-        match self.precision {
-            InferencePrecision::Exact => {
-                scratch.begin_batch(1, window.len());
-                scratch.set_row(0, window);
-                self.run_staged(scratch);
-                scratch.out.get(0, 0)
-            }
-            InferencePrecision::SimdF32 => {
-                // Stage the single window as one full zero-padded lane so
-                // even B=1 rides the vector path (row values are
-                // placement-independent, so padding never changes them).
-                let low = self.lowered();
-                let w = self.config.window;
-                let rows = simd::LANES;
-                scratch.xt.resize(w * rows, 0.0);
-                scratch.xt.fill(0.0);
-                for (k, &v) in window.iter().enumerate() {
-                    scratch.xt[k * rows] = v as f32;
-                }
-                scratch.ft.resize(low.fb.len() * rows, 0.0);
-                scratch.out32.resize(rows, 0.0);
-                scratch.tail_rows = simd::stack_forward(
-                    w,
-                    low.fb.len(),
-                    &low.fw,
-                    &low.fb,
-                    &low.cw,
-                    low.cb,
-                    &scratch.xt,
-                    rows,
-                    &mut scratch.ft,
-                    &mut scratch.out32,
-                );
-                scratch.out32[0] as f64
-            }
+        // Stage the single window as one full zero-padded lane so even
+        // B=1 rides the vector path (row values are placement-independent,
+        // so padding never changes them).
+        let rows = simd::LANES;
+        scratch.xt.resize(window.len() * rows, 0.0);
+        scratch.xt.fill(0.0);
+        for (k, &v) in window.iter().enumerate() {
+            scratch.xt[k * rows] = v as f32;
         }
+        self.forward(scratch, rows);
+        scratch.out32[0] as f64
     }
 
-    /// Predict every staged window in one batched forward sweep: the
-    /// stack runs each feature model once over the whole `B×window`
-    /// input and the combiner once over the packed `B×8` feature matrix
-    /// — `2 + |features|` kernel calls total, instead of `B` separate
-    /// `1×window` passes. Results land in `out` (cleared first), row `i`
+    /// Predict every staged window in one kernel call: the rows are
+    /// packed transposed and the feature tier and the combiner each run
+    /// once across the whole batch, instead of `B` separate `1×window`
+    /// passes. Results land in `out` (cleared first), row `i`
     /// bit-identical to `self.predict(row_i)`.
     ///
     /// Stage rows with [`DelphiScratch::begin_batch`] /
@@ -523,53 +406,49 @@ impl Delphi {
     /// Panics if the staged window length differs from the configured
     /// window.
     pub fn predict_batch_into(&self, scratch: &mut DelphiScratch, out: &mut Vec<f64>) {
-        assert_eq!(scratch.input.cols(), self.config.window, "staged window length mismatch");
+        let w = self.config.window;
+        assert_eq!(scratch.input.cols(), w, "staged window length mismatch");
         out.clear();
-        match self.precision {
-            InferencePrecision::Exact => {
-                scratch.tail_rows = 0;
-                self.run_staged(scratch);
-                let b = scratch.out.rows();
-                out.extend((0..b).map(|i| scratch.out.get(i, 0)));
-            }
-            InferencePrecision::SimdF32 => {
-                let b = scratch.input.rows();
-                scratch.tail_rows = 0;
-                if b == 0 {
-                    return;
-                }
-                let low = self.lowered();
-                let w = self.config.window;
-                let nfeat = low.fb.len();
-                // Pack the staged rows transposed (window × B) so the
-                // kernel's lanes run across batch rows. Rows staged but
-                // not a lane multiple run on the kernel's scalar tail —
-                // reported via `DelphiScratch::tail_rows`; the prediction
-                // pump avoids that by padding to `lane_width()`.
-                scratch.xt.resize(w * b, 0.0);
-                for r in 0..b {
-                    let row = scratch.input.row(r);
-                    for (k, &v) in row.iter().enumerate() {
-                        scratch.xt[k * b + r] = v as f32;
-                    }
-                }
-                scratch.ft.resize(nfeat * b, 0.0);
-                scratch.out32.resize(b, 0.0);
-                scratch.tail_rows = simd::stack_forward(
-                    w,
-                    nfeat,
-                    &low.fw,
-                    &low.fb,
-                    &low.cw,
-                    low.cb,
-                    &scratch.xt,
-                    b,
-                    &mut scratch.ft,
-                    &mut scratch.out32,
-                );
-                out.extend(scratch.out32[..b].iter().map(|&v| v as f64));
+        let b = scratch.input.rows();
+        scratch.tail_rows = 0;
+        if b == 0 {
+            return;
+        }
+        // Pack the staged rows transposed (window × B) so the kernel's
+        // lanes run across batch rows. Rows staged but not a lane
+        // multiple run on the kernel's scalar tail — reported via
+        // `DelphiScratch::tail_rows`; the prediction pump avoids that by
+        // padding to `lane_width()`.
+        scratch.xt.resize(w * b, 0.0);
+        for r in 0..b {
+            let row = scratch.input.row(r);
+            for (k, &v) in row.iter().enumerate() {
+                scratch.xt[k * b + r] = v as f32;
             }
         }
+        self.forward(scratch, b);
+        out.extend(scratch.out32[..b].iter().map(|&v| v as f64));
+    }
+
+    /// One kernel call over the `rows` windows transposed into
+    /// `scratch.xt`; outputs land in `scratch.out32[..rows]`.
+    fn forward(&self, scratch: &mut DelphiScratch, rows: usize) {
+        let low = &self.lowered;
+        let nfeat = low.fb.len();
+        scratch.ft.resize(nfeat * rows, 0.0);
+        scratch.out32.resize(rows, 0.0);
+        scratch.tail_rows = simd::stack_forward(
+            self.config.window,
+            nfeat,
+            &low.fw,
+            &low.fb,
+            &low.cw,
+            low.cb,
+            &scratch.xt,
+            rows,
+            &mut scratch.ft,
+            &mut scratch.out32,
+        );
     }
 
     /// Allocating convenience over [`Delphi::predict_batch_into`].
@@ -583,21 +462,6 @@ impl Delphi {
         let mut out = Vec::with_capacity(windows.len());
         self.predict_batch_into(&mut scratch, &mut out);
         out
-    }
-
-    /// Shared forward sweep over `scratch.input`: feature models fill
-    /// the columns of `scratch.feats`, the combiner reduces them into
-    /// `scratch.out`.
-    fn run_staged(&self, scratch: &mut DelphiScratch) {
-        let b = scratch.input.rows();
-        scratch.feats.resize(b, self.features.len());
-        for (j, m) in self.features.iter().enumerate() {
-            m.predict_batch_into(&scratch.input, &mut scratch.col, &mut scratch.seq);
-            for i in 0..b {
-                scratch.feats.set(i, j, scratch.col.get(i, 0));
-            }
-        }
-        self.combiner.infer_into(&scratch.feats, &mut scratch.out, &mut scratch.seq);
     }
 
     /// Total parameter count (frozen feature models + combiner).
@@ -768,7 +632,7 @@ mod tests {
 
     #[test]
     fn predict_into_matches_predict_bitwise() {
-        let d = Delphi::train(fast_config()).with_precision(InferencePrecision::Exact);
+        let d = Delphi::train(fast_config());
         let mut scratch = DelphiScratch::default();
         for w in [[0.4, 0.4, 0.4, 0.4, 0.4], [0.2, 0.3, 0.4, 0.5, 0.6], [0.9, 0.1, 0.8, 0.2, 0.7]] {
             assert_eq!(d.predict_into(&w, &mut scratch), d.predict(&w));
@@ -777,7 +641,7 @@ mod tests {
 
     #[test]
     fn predict_batch_matches_per_row_predict_bitwise() {
-        let d = Delphi::train(fast_config()).with_precision(InferencePrecision::Exact);
+        let d = Delphi::train(fast_config());
         let windows: Vec<Vec<f64>> = (0..7)
             .map(|i| (0..5).map(|j| ((i * 5 + j) as f64 * 0.173).sin() * 0.5 + 0.5).collect())
             .collect();
@@ -793,40 +657,52 @@ mod tests {
 
     #[test]
     fn training_returns_the_lowered_serving_path() {
-        assert_eq!(InferencePrecision::default(), InferencePrecision::SimdF32);
         let pool = WorkerPool::new(2);
         let registry = apollo_obs::Registry::new();
+        let w = [0.3, 0.35, 0.4, 0.45, 0.5];
         for d in [
             Delphi::train(fast_config()),
             Delphi::train_with_pool(fast_config(), Some(&pool)),
             Delphi::train_observed(fast_config(), None, &registry),
         ] {
-            assert_eq!(d.precision(), InferencePrecision::SimdF32);
             assert_eq!(d.lane_width(), crate::simd::LANES);
-            assert!(d.lowered.is_some(), "tables are built once, after training");
-            // A clone (one per `with_prediction` vertex) carries the
-            // tables: it never rebuilds them and never falls back.
-            let c = d.clone();
-            assert_eq!(c.precision(), InferencePrecision::SimdF32);
-            assert!(c.lowered.is_some());
+            // Served from the f32 tables, not the f64 weights they were
+            // packed from.
+            let p = d.predict(&w);
+            assert_eq!(p, f64::from(p as f32));
+            assert_ne!(p, d.predict_exact(&w));
         }
-        // `Exact` is reachable only by name, and carries no tables.
-        let e = Delphi::train(fast_config()).with_precision(InferencePrecision::Exact);
-        assert_eq!((e.precision(), e.lane_width()), (InferencePrecision::Exact, 1));
-        assert!(e.lowered.is_none());
+    }
+
+    /// Bits recorded from the f64 stack for this seeded model, on the
+    /// first windows of the budget test below: the oracle the lowered
+    /// kernel is held to must itself not drift.
+    #[test]
+    fn predict_exact_is_the_pinned_f64_reference() {
+        let d = Delphi::train(fast_config());
+        let pinned: [u64; 4] = [
+            0x3feb_59bc_915f_c7db,
+            0x3fee_f894_16fc_492f,
+            0x3fe3_73f2_d13d_0b4a,
+            0x3fc1_e1a8_6f6d_a9da,
+        ];
+        for (i, want) in pinned.into_iter().enumerate() {
+            let w: Vec<f64> =
+                (0..5).map(|j| ((i * 5 + j) as f64 * 0.211).sin() * 0.5 + 0.5).collect();
+            assert_eq!(d.predict_exact(&w).to_bits(), want, "window {i}");
+        }
     }
 
     #[test]
     fn simd_precision_tracks_exact_within_budget() {
-        let simd = Delphi::train(fast_config());
-        let exact = simd.clone().with_precision(InferencePrecision::Exact);
+        let d = Delphi::train(fast_config());
         let budget = crate::simd::budget::STACK_F32;
         let mut scratch = DelphiScratch::default();
         for i in 0..50 {
             let w: Vec<f64> =
                 (0..5).map(|j| ((i * 5 + j) as f64 * 0.211).sin() * 0.5 + 0.5).collect();
-            let oracle = exact.predict(&w);
-            let got = simd.predict_into(&w, &mut scratch);
+            let oracle = d.predict_exact(&w);
+            let got = d.predict_into(&w, &mut scratch);
             assert!(
                 budget.within(oracle, got),
                 "window {i}: exact {oracle} vs simd {got} (budget {budget:?})"
@@ -834,13 +710,11 @@ mod tests {
         }
     }
 
-    /// On the lowered path each row's value is independent of batch
-    /// size and lane placement, so batched == per-row **bitwise** (same
-    /// property the Exact path pins, at f32 precision).
+    /// Each row's value is independent of batch size and lane placement,
+    /// so batched == per-row **bitwise**.
     #[test]
     fn lowered_batches_match_single_rows_bitwise() {
         let d = Delphi::train(fast_config());
-        assert_eq!(d.precision(), InferencePrecision::SimdF32);
         let windows: Vec<Vec<f64>> = (0..13)
             .map(|i| (0..5).map(|j| ((i * 5 + j) as f64 * 0.37).sin() * 0.5 + 0.5).collect())
             .collect();

@@ -1,8 +1,8 @@
 //! Property-based equivalence for the lowered SIMD inference path
 //! (`apollo_delphi::simd`).
 //!
-//! The f64 stack is the bit-exact reference; the lowered f32 stack is
-//! *tolerance-bounded* against that oracle under
+//! The f64 stack (`Delphi::predict_exact`) is the reference; the lowered
+//! f32 stack is *tolerance-bounded* against that oracle under
 //! [`apollo_delphi::simd::budget::STACK_F32`]. The properties pin the
 //! contract the prediction pump relies on: lowered batch rows are
 //! bit-identical to the single-row path regardless of batch placement
@@ -10,16 +10,13 @@
 //! tail length is exactly `B % LANES` until padding removes it.
 
 use apollo_delphi::simd::{self, budget};
-use apollo_delphi::stack::{Delphi, DelphiConfig, DelphiScratch, InferencePrecision};
+use apollo_delphi::stack::{Delphi, DelphiConfig, DelphiScratch};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
-/// One tiny stack per process, shared across proptest cases; the lowered
-/// model is a clone with its tables built once. The oracle asks for
-/// `Exact` by name: training returns the lowered serving path, and an
-/// oracle left on it would compare f32 with f32.
-fn exact() -> &'static Delphi {
+/// One tiny stack per process, shared across proptest cases.
+fn model() -> &'static Delphi {
     static MODEL: OnceLock<Delphi> = OnceLock::new();
     MODEL.get_or_init(|| {
         Delphi::train(DelphiConfig {
@@ -29,13 +26,7 @@ fn exact() -> &'static Delphi {
             combiner_epochs: 5,
             ..DelphiConfig::default()
         })
-        .with_precision(InferencePrecision::Exact)
     })
-}
-
-fn lowered() -> &'static Delphi {
-    static SIMD: OnceLock<Delphi> = OnceLock::new();
-    SIMD.get_or_init(|| exact().clone().with_precision(InferencePrecision::SimdF32))
 }
 
 proptest! {
@@ -43,8 +34,8 @@ proptest! {
     /// f64 stack on arbitrary normalized windows.
     #[test]
     fn lowered_stacks_track_exact_within_budget(window in vec(0.0f64..1.0, 5)) {
-        let want = exact().predict(&window);
-        let simd = lowered().predict(&window);
+        let want = model().predict_exact(&window);
+        let simd = model().predict(&window);
         prop_assert!(
             budget::STACK_F32.within(want, simd),
             "simd-f32: want {want}, got {simd}"
@@ -60,7 +51,7 @@ proptest! {
         windows in vec(vec(0.0f64..1.0, 5), 0usize..=20)
     ) {
         let b = windows.len();
-        let model = lowered();
+        let model = model();
         let singles: Vec<f64> = windows.iter().map(|w| model.predict(w)).collect();
 
         let mut scratch = DelphiScratch::default();

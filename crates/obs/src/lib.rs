@@ -21,8 +21,10 @@
 //! that emits them: `runtime.*` (timer dispatch, worker pool), `streams.*`
 //! (pub-sub fabric), `core.*` / `score.*` (vertex polling and
 //! publication), `query.*` (AQE), and `delphi.*` for the ML layer —
-//! `delphi.predict_ns` and `delphi.batch_size` time and size each batched
-//! prediction-pump kernel call, and `delphi.train_epoch_ns` times each
+//! `delphi.predict_ns` and `delphi.batch_size` time and size each
+//! prediction-pump kernel call, `delphi.batch_tail_scalar` counts rows
+//! that fell off its vector path (0 while the pump pads to the
+//! `delphi.simd_lanes` gauge), and `delphi.train_epoch_ns` times each
 //! pooled combiner training epoch.
 //!
 //! The AQE family breaks down further. `query.executed` / `query.arm_ns`

@@ -9,8 +9,8 @@
 //! **Equivalence contract:** at any quiescent point (all published
 //! records folded), `result()` is **bit-identical** to executing the same
 //! query from scratch over the broker. This holds because the fold
-//! reuses the executor's own machinery — [`ScanState`] for aggregates,
-//! [`apply_order_limit`]/[`merge_arm_results`] for row shaping — and
+//! reuses the executor's own machinery — `ScanState` for aggregates,
+//! `apply_order_limit`/`merge_arm_results` for row shaping — and
 //! records arrive in the same stream order a fresh range scan would
 //! yield. The soak harness checks the contract at every checkpoint.
 //!

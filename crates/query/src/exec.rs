@@ -13,7 +13,7 @@
 //! provenance columns) instead of materializing per-row [`Record`]s. The
 //! row-at-a-time path is kept as an equivalence oracle
 //! ([`QueryEngine::row_oracle`]); both paths share one fold order
-//! ([`ScanState`]) so their results are bit-identical.
+//! (`ScanState`) so their results are bit-identical.
 
 use crate::ast::{Aggregate, OrderBy, Query, Select};
 use crate::planner::{self, AccessPlan, TopicStats};

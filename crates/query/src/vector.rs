@@ -3,7 +3,7 @@
 //! The vectorized executor runs scan aggregates over a
 //! [`ColumnBatch`] — the provider's struct-of-arrays snapshot (timestamp,
 //! value and provenance columns) — instead of materializing per-row
-//! [`Record`](apollo_streams::codec::Record)s. On the common unfiltered
+//! [`Record`]s. On the common unfiltered
 //! path the fold is a branch-free pass over the contiguous `f64` column,
 //! which the compiler auto-vectorizes; filtered/bucketed scans fall back
 //! to the shared sequential [`ScanState`](crate::exec) machinery.

@@ -322,6 +322,11 @@ impl<C: Clock> EventLoop<C> {
         }
     }
 
+    /// The dispatch key a registered timer currently carries.
+    pub fn timer_key(&self, id: TimerId) -> Option<u64> {
+        self.timers.get(&id).map(|slot| slot.key.load(Ordering::SeqCst))
+    }
+
     /// Number of live (non-cancelled) timers.
     pub fn timer_count(&self) -> usize {
         self.timers.len()

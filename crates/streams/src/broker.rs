@@ -882,7 +882,7 @@ impl Broker {
 
     /// The latest entry on a topic (pull path). Reading a topic that was
     /// never published or subscribed to returns `None` without creating
-    /// it (see [`Broker::lookup`]).
+    /// it (`Broker::lookup`).
     pub fn latest(&self, topic: &str) -> Option<Entry> {
         self.lookup(topic).and_then(|t| t.stream.last())
     }

@@ -195,7 +195,7 @@ impl SlabConfig {
         self.slot_bytes as usize - SLOT_HEADER_BYTES
     }
 
-    /// Word fold ([`fold`]) over the version and the geometry — the
+    /// Word fold (`fold`) over the version and the geometry — the
     /// header's config hash.
     pub fn hash(&self) -> u64 {
         let mut h = fold(FOLD_BASIS, SLAB_VERSION as u64);

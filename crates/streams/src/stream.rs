@@ -145,7 +145,7 @@ pub struct ColumnBatch {
     pub timestamps_ns: Vec<u64>,
     /// Record values, in entry order.
     pub values: Vec<f64>,
-    /// Record provenance wire bytes ([`Provenance::wire`]), in entry
+    /// Record provenance wire bytes ([`crate::codec::Provenance::wire`]), in entry
     /// order.
     pub provenance: Vec<u8>,
     /// Payloads that were not valid [`Record`] frames.

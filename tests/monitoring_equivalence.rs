@@ -157,6 +157,7 @@ fn provenance_flags_survive_the_full_pipeline() {
         combiner_epochs: 50,
         ..DelphiConfig::default()
     });
+    let pump = apollo.prediction_pump(delphi, Duration::from_secs(2));
     apollo
         .register_fact(
             FactVertexSpec::fixed(
@@ -164,10 +165,10 @@ fn provenance_flags_survive_the_full_pipeline() {
                 Arc::new(TraceSource::new("m", trace)),
                 Duration::from_secs(10),
             )
-            .with_prediction(delphi, Duration::from_secs(2)),
+            .with_batched_prediction(&pump),
         )
         .unwrap();
-    // The predictor needs five measured polls (50 s at the 10 s interval)
+    // The pump needs five measured polls (50 s at the 10 s interval)
     // before it can fill gaps; run long enough for the steady state.
     apollo.run_for(Duration::from_secs(200));
 
@@ -207,104 +208,96 @@ fn bounded_window_serves_full_history() {
     }
 }
 
-/// The batched prediction pump must publish **bit-identical** records to
-/// the per-vertex `with_prediction` path: same timestamps, same values,
-/// same provenance flags. Intervals are chosen so no pump tick ever
-/// coincides with a poll inside the run (poll 10 s, predict 3 s — ties
-/// land on 30 s multiples, and the window only fills at t = 50 s, so the
-/// run stops at 59 s before the t = 60 s tie).
-///
-/// Pinned on the path training returns (the lowered `SimdF32` lanes —
-/// the one production behaviour) and on the explicit `Exact` f64 oracle.
+/// Every predicted record the pump publishes is **bit-identical** to a
+/// per-vertex replay: feed the vertex's measured records to an
+/// `OnlinePredictor` over the same model, and each predicted record in
+/// the stream is what `predict_and_advance` — `Delphi::predict_into` on
+/// that vertex's window, denormalized — returns at that point. Predicted
+/// records sit on pump ticks, and only where the last measurement is at
+/// least one cadence old. Intervals are chosen so no pump tick coincides
+/// with a poll inside the run (poll 10 s, predict 3 s — ties land on 30 s
+/// multiples, the window only fills at t = 50 s, and the run stops at
+/// 59 s before the t = 60 s tie).
 #[test]
 fn batched_pump_matches_per_vertex_prediction_bitwise() {
-    use apollo_delphi::stack::{Delphi, DelphiConfig, InferencePrecision};
+    pump_matches_per_vertex_replay(3);
+}
 
-    let serving = Delphi::train(DelphiConfig {
+/// The case that lets the pump be the only prediction path: one enrolled
+/// vertex is a one-row batch, padded to the lane width like any other —
+/// no row on the kernel's scalar tail — and publishes what the
+/// single-window call returns.
+#[test]
+fn one_vertex_pump_publishes_what_predict_into_returns() {
+    pump_matches_per_vertex_replay(1);
+}
+
+fn pump_matches_per_vertex_replay(vertices: usize) {
+    use apollo_delphi::predictor::OnlinePredictor;
+    use apollo_delphi::stack::{Delphi, DelphiConfig};
+
+    let delphi = Delphi::train(DelphiConfig {
         feature_samples: 300,
         feature_epochs: 50,
         combiner_samples: 100,
         combiner_epochs: 50,
         ..DelphiConfig::default()
     });
-    assert_eq!(serving.precision(), InferencePrecision::SimdF32);
-    let oracle = serving.clone().with_precision(InferencePrecision::Exact);
-    for delphi in [serving, oracle] {
-        pump_matches_per_vertex(delphi);
-    }
-}
-
-fn pump_matches_per_vertex(delphi: apollo_delphi::stack::Delphi) {
-    let precision = delphi.precision();
-    let traces: Vec<TimeSeries> = (0..3u64)
-        .map(|k| {
-            TimeSeries::from_points(
-                (0..200u64)
-                    .map(|t| (t * NS, 1_000.0 + 100.0 * k as f64 - (t as f64) * (3.0 + k as f64)))
-                    .collect(),
-            )
-        })
-        .collect();
     let poll = Duration::from_secs(10);
     let every = Duration::from_secs(3);
+    let every_ns = every.as_nanos() as u64;
 
-    // Per-vertex path: one predictor timer per vertex.
-    let mut solo = Apollo::new_virtual();
-    for (k, trace) in traces.iter().enumerate() {
-        solo.register_fact(
-            FactVertexSpec::fixed(
-                format!("m{k}"),
-                Arc::new(TraceSource::new("m", trace.clone())),
-                poll,
-            )
-            .with_prediction(delphi.clone(), every),
-        )
-        .unwrap();
-    }
-    solo.run_for(Duration::from_secs(59));
-
-    // Batched path: one pump, one kernel call per tick.
-    let mut pumped = Apollo::new_virtual();
-    let pump = pumped.prediction_pump(delphi, every);
-    for (k, trace) in traces.iter().enumerate() {
-        pumped
+    let mut apollo = Apollo::new_virtual();
+    let pump = apollo.prediction_pump(delphi.clone(), every);
+    for k in 0..vertices as u64 {
+        let trace = TimeSeries::from_points(
+            (0..200u64)
+                .map(|t| (t * NS, 1_000.0 + 100.0 * k as f64 - (t as f64) * (3.0 + k as f64)))
+                .collect(),
+        );
+        apollo
             .register_fact(
                 FactVertexSpec::fixed(
                     format!("m{k}"),
-                    Arc::new(TraceSource::new("m", trace.clone())),
+                    Arc::new(TraceSource::new("m", trace)),
                     poll,
                 )
                 .with_batched_prediction(&pump),
             )
             .unwrap();
     }
-    assert_eq!(pump.enrolled(), traces.len());
-    pumped.run_for(Duration::from_secs(59));
+    assert_eq!(pump.enrolled(), vertices);
+    apollo.run_for(Duration::from_secs(59));
 
-    for k in 0..traces.len() {
+    for k in 0..vertices {
         let name = format!("m{k}");
-        let decode = |apollo: &Apollo| -> Vec<Record> {
-            apollo
-                .broker()
-                .range_by_time(&name, 0, u64::MAX)
-                .iter()
-                .map(|e| Record::decode(&e.payload).unwrap())
-                .collect()
-        };
-        let a = decode(&solo);
-        let b = decode(&pumped);
-        assert_eq!(a, b, "{precision:?}: vertex {name} streams diverge");
-        let predicted = a.iter().filter(|r| !r.is_measured()).count();
+        let mut replay = OnlinePredictor::new(delphi.clone());
+        let mut last_measured_ns = 0;
+        let mut predicted = 0;
+        for entry in apollo.broker().range_by_time(&name, 0, u64::MAX) {
+            let record = Record::decode(&entry.payload).unwrap();
+            if record.is_measured() {
+                replay.observe(record.value);
+                last_measured_ns = record.timestamp_ns;
+                continue;
+            }
+            predicted += 1;
+            let want = replay.predict_and_advance().expect("predicted before the window filled");
+            assert_eq!(record.value.to_bits(), want.to_bits(), "vertex {name} diverges");
+            assert_eq!(record.timestamp_ns % every_ns, 0, "vertex {name}: off a pump tick");
+            assert!(record.timestamp_ns - last_measured_ns >= every_ns, "vertex {name}: not stale");
+        }
         assert!(predicted >= 2, "vertex {name}: no predictions exercised ({predicted})");
     }
 
-    // The pump ran whole batches: every tick predicted all three vertices
-    // in one kernel call.
-    let snap = pumped.metrics_snapshot();
-    assert_eq!(snap.gauges["delphi.precision"], precision.metric_code() as f64);
+    // The pump ran whole, lane-padded batches: every tick predicted all
+    // enrolled vertices in one kernel call, none of it on the scalar tail.
+    let snap = apollo.metrics_snapshot();
+    assert_eq!(snap.gauges["delphi.simd_lanes"], delphi.lane_width() as f64);
+    assert_eq!(snap.counter("delphi.batch_tail_scalar"), 0);
     let batch = &snap.histograms["delphi.batch_size"];
     assert!(batch.count >= 2, "pump never ticked a batch");
-    assert_eq!(batch.max, traces.len() as u64, "full batch never formed");
+    assert_eq!(batch.max, vertices as u64, "full batch never formed");
     assert_eq!(
         snap.histograms["delphi.predict_ns"].count, batch.count,
         "one timing sample per kernel call"
