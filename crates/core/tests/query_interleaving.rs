@@ -1,6 +1,6 @@
 //! Reader-vs-pump interleaving on the one query path.
 //!
-//! Two reader threads go through [`ApolloHandle::query`] while the
+//! Three reader threads go through [`ApolloHandle::query`] while the
 //! service thread publishes, pumps the continuous vertex and evicts into
 //! the archive. A reader takes the vertex lock and then reads the broker
 //! (`serve` → `scan_meta`); the pump takes the vertex lock and then
@@ -13,6 +13,12 @@
 //! stopping the publisher: a full-span `SUM` over `k` records must be
 //! exactly `k(k+1)/2` whichever tier answered it, and a window must hold
 //! consecutive numbers even where it stitches archive and live window.
+//!
+//! The third reader holds the scan cache's extended-in-place tail to the
+//! same argument: its aggregates are folded over slices of one cached
+//! batch that the other readers' lookups keep extending, so each answer
+//! must still be a run of consecutive numbers ending at its own `k`, and
+//! the run must end with cache hits to show.
 
 use apollo_cluster::metrics::{MetricError, MetricSource};
 use apollo_core::service::{Apollo, ApolloHandle, FactVertexSpec};
@@ -82,6 +88,41 @@ fn sliding_reader(handle: &ApolloHandle, until: Instant) -> u64 {
     checked
 }
 
+/// `SUM` and row count of a window of the sequence: the numbers
+/// `k - n + 1 ..= k`, for the one `k` this returns — or no whole `k` fits
+/// and a row was dropped, repeated or torn.
+fn run_ending_at(out: &apollo_query::QueryResult, what: &str) -> u64 {
+    let row = &out.rows[0];
+    let n = row.counts.expect("aggregate rows carry counts").measured;
+    let twice_sum = 2 * row.value as u64;
+    assert!(n > 0 && twice_sum.is_multiple_of(n), "{what}: {} over {n} rows", row.value);
+    // sum = n(2k - n + 1)/2  ⇒  2k = 2·sum/n + n - 1
+    let twice_k = twice_sum / n + n - 1;
+    assert!(twice_k.is_multiple_of(2) && twice_k / 2 >= n, "{what}: {} over {n} rows", row.value);
+    twice_k / 2
+}
+
+/// Aggregates over slices of the cached tail — a sliding `SUM` and a
+/// full-span `COUNT(*)`, neither of which the standing query answers —
+/// each checked against its own snapshot; returns how many were.
+fn tail_reader(handle: &ApolloHandle, until: Instant) -> u64 {
+    let (mut last_k, mut checked) = (0u64, 0u64);
+    while Instant::now() < until {
+        let Ok(newest) = handle.query("SELECT MAX(Timestamp), metric FROM seq") else { continue };
+        let lo = newest.rows[0].timestamp_ms.saturating_sub(500);
+        let sql = format!("SELECT SUM(metric) FROM seq WHERE Timestamp >= {lo}");
+        let k = run_ending_at(&handle.query(&sql).unwrap(), &sql);
+        assert!(k >= newest.rows[0].value as u64, "slice older than the read before it");
+        // Nothing is ever lost here (heap archive): the whole topic is 1..=k.
+        let count = handle.query("SELECT COUNT(*) FROM seq").unwrap();
+        let all = count.rows[0].value as u64;
+        assert!(all >= k && k >= last_k, "the tail went backwards: {last_k}, {k}, {all}");
+        last_k = all;
+        checked += 2;
+    }
+    checked
+}
+
 #[test]
 fn readers_interleave_with_pump_and_eviction() {
     let mut apollo = Apollo::with_config(EventLoop::new_real(), StreamConfig::bounded(WINDOW));
@@ -96,12 +137,17 @@ fn readers_interleave_with_pump_and_eviction() {
     let handle = apollo.spawn();
 
     let until = Instant::now() + RUN;
-    let (standing, sliding) = std::thread::scope(|s| {
+    let (standing, sliding, tail) = std::thread::scope(|s| {
         let a = s.spawn(|| standing_reader(&handle, until));
         let b = s.spawn(|| sliding_reader(&handle, until));
-        (a.join().expect("standing reader"), b.join().expect("sliding reader"))
+        let c = s.spawn(|| tail_reader(&handle, until));
+        (
+            a.join().expect("standing reader"),
+            b.join().expect("sliding reader"),
+            c.join().expect("tail reader"),
+        )
     });
-    assert!(standing > 0 && sliding > 0, "readers starved: {standing} / {sliding}");
+    assert!(standing > 0 && sliding > 0 && tail > 0, "starved: {standing} / {sliding} / {tail}");
 
     let apollo = handle.stop();
     let broker = apollo.broker();
@@ -118,4 +164,27 @@ fn readers_interleave_with_pump_and_eviction() {
     let rescan = QueryEngine::row_oracle(broker.as_ref()).execute_sql(STANDING).unwrap();
     assert_eq!(apollo.query(STANDING).unwrap(), rescan);
     assert_eq!(apollo.continuous()[0].result().unwrap(), rescan);
+
+    // The readers' scans were slices of one tail that kept being extended,
+    // not a rebuild each (which would pass every check above too).
+    let cache = apollo.scan_cache();
+    assert!(cache.hits() > cache.misses(), "{} hits, {} misses", cache.hits(), cache.misses());
+    assert_eq!(cache.invalidations(), 0, "nothing is lost here: no tail is ever rebuilt for it");
+    // Two arms over the one topic run on scoped threads and meet on its
+    // cell: whichever extends the tail, both fold the same rows.
+    let (mut k, mut ms) = (rescan.rows[0].counts.unwrap().measured, apollo.now() / 1_000_000);
+    for _ in 0..200 {
+        (k, ms) = (k + 1, ms + 1);
+        broker.publish(
+            "seq",
+            ms,
+            apollo_streams::Record::measured(ms * 1_000_000, k as f64).encode(),
+        );
+        let arms = apollo
+            .query("SELECT MAX(metric) FROM seq UNION SELECT MAX(metric) FROM seq WHERE Timestamp >= 0")
+            .unwrap();
+        assert_eq!(arms.rows.len(), 2, "{:?}", arms.arm_errors);
+        assert_eq!((arms.rows[0].value, &arms.rows[0].counts), (k as f64, &arms.rows[1].counts));
+        assert_eq!(arms.rows[0].value, arms.rows[1].value, "arms disagree over one topic");
+    }
 }

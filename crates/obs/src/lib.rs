@@ -29,9 +29,14 @@
 //!
 //! The AQE family breaks down further. `query.executed` / `query.arm_ns`
 //! / `query.arm_errors` cover per-query execution;
-//! `query.scan_cache.{hits,misses,invalidations}` report the
-//! epoch-invalidated scan cache; the cost-aware planner tallies its
-//! access decisions as `query.planner.{cached_scan,fresh_batch}` plus
+//! `query.scan_cache.{hits,misses,invalidations}` report the scan
+//! cache's per-topic tails (a hit is a window served from a tail,
+//! extended first by whatever was appended; a miss scanned and kept one;
+//! an invalidation is a tail re-scanned because the stream lost its head
+//! part-way through a millisecond or was re-created); the access path
+//! each range lookup took is tallied as
+//! `query.planner.{cached_scan,fresh_batch}` (a fresh batch is a closed
+//! window older than the tail, scanned alone and not kept) plus
 //! `query.planner.incremental` for queries (through `Apollo::query` or
 //! a spawned service's `ApolloHandle::query` — one path, one set of
 //! counters) served from a caught-up continuous query with no scan at

@@ -16,7 +16,6 @@
 //! (`ScanState`) so their results are bit-identical.
 
 use crate::ast::{Aggregate, OrderBy, Query, Select};
-use crate::planner::{self, AccessPlan, TopicStats};
 use crate::vector::{self, JoinIndex, ScanAccumulator};
 use apollo_streams::codec::{Provenance, Record};
 use apollo_streams::{Broker, ColumnBatch, StreamId};
@@ -24,8 +23,9 @@ use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Provenance breakdown of the records a scan aggregate looked at.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -110,6 +110,50 @@ pub struct QueryResult {
     pub arm_errors: Vec<ArmError>,
 }
 
+/// One window of a shared [`ColumnBatch`] (a cached tail, usually): the
+/// rows whose ID millisecond lies in the looked-up range, in stream order
+/// — what a scan of exactly that window would have decoded.
+#[derive(Debug, Clone)]
+pub struct ColumnSlice {
+    /// The batch the rows sit in; its snapshot parts are the slice's.
+    pub batch: Arc<ColumnBatch>,
+    /// Where in the batch's columns.
+    pub rows: Range<usize>,
+}
+
+impl ColumnSlice {
+    /// The rows of `batch` inside `[start_ms, end_ms]`.
+    pub fn new(batch: Arc<ColumnBatch>, start_ms: u64, end_ms: u64) -> Self {
+        let rows = batch.rows_in(start_ms, end_ms);
+        Self { batch, rows }
+    }
+
+    /// Record timestamps (ns) of the window's rows.
+    pub fn timestamps_ns(&self) -> &[u64] {
+        &self.batch.timestamps_ns[self.rows.clone()]
+    }
+
+    /// Values of the window's rows.
+    pub fn values(&self) -> &[f64] {
+        &self.batch.values[self.rows.clone()]
+    }
+
+    /// Provenance wire bytes of the window's rows.
+    pub fn provenance(&self) -> &[u8] {
+        &self.batch.provenance[self.rows.clone()]
+    }
+
+    /// The window's rows re-materialized as records, in order.
+    pub fn records(&self) -> impl DoubleEndedIterator<Item = Record> + ExactSizeIterator + '_ {
+        let fields = self.timestamps_ns().iter().zip(self.values()).zip(self.provenance());
+        fields.map(|((&timestamp_ns, &value), &wire)| Record {
+            timestamp_ns,
+            value,
+            provenance: Provenance::from_wire(wire).expect("a batch holds only decoded rows"),
+        })
+    }
+}
+
 /// Supplies table data to the executor.
 pub trait TableProvider: Sync {
     /// Most recent record of a table, if any.
@@ -120,9 +164,9 @@ pub trait TableProvider: Sync {
     /// without cloning the decoded scan.
     fn range(&self, table: &str, start_ms: u64, end_ms: u64) -> Arc<Vec<Record>>;
 
-    /// Columnar snapshot of the same window, for vectorized execution.
+    /// Columnar form of the same window, for vectorized execution.
     /// `None` makes the engine fall back to the row path.
-    fn columns(&self, table: &str, start_ms: u64, end_ms: u64) -> Option<Arc<ColumnBatch>> {
+    fn columns(&self, table: &str, start_ms: u64, end_ms: u64) -> Option<ColumnSlice> {
         let _ = (table, start_ms, end_ms);
         None
     }
@@ -139,59 +183,87 @@ impl TableProvider for Broker {
         Arc::new(Broker::scan_batch_by_time(self, table, start_ms, end_ms).records)
     }
 
-    fn columns(&self, table: &str, start_ms: u64, end_ms: u64) -> Option<Arc<ColumnBatch>> {
-        Some(Arc::new(Broker::scan_columns_by_time(self, table, start_ms, end_ms)))
+    fn columns(&self, table: &str, start_ms: u64, end_ms: u64) -> Option<ColumnSlice> {
+        let batch = Broker::scan_columns_by_time(self, table, start_ms, end_ms);
+        Some(ColumnSlice::new(Arc::new(batch), start_ms, end_ms))
     }
 }
 
-/// Scans kept before the cache wholesale-clears to re-admit the working
-/// set (simple bound, no LRU bookkeeping on the query hot path).
+/// Topics whose tails are kept before the cache wholesale-clears to
+/// re-admit the working set (no LRU bookkeeping on the query hot path).
 const MAX_CACHED_SCANS: usize = 256;
 
-/// One cached scan, stored once: as the [`ColumnBatch`], which carries
-/// the `(epoch, last_id)` snapshot key it was taken under. The row form
-/// is derived from it on the entry's first `range()` and memoised, so a
-/// warm `range()` hit is an `Arc` clone like a warm `columns()` hit.
-struct CachedScan {
-    columns: Arc<ColumnBatch>,
-    rows: OnceLock<Arc<Vec<Record>>>,
+/// The row form of one window of a tail, derived on the window's first
+/// `range()` and memoised so the next is an `Arc` clone.
+type RowsMemo = Option<((u64, u64), Arc<Vec<Record>>)>;
+
+/// One topic's cached scan: the decoded rows from `first` to the topic's
+/// `last_id` as of the last lookup.
+struct Tail {
+    /// Every row the stream retains with `first <= id <= cols.last_id`.
+    cols: Arc<ColumnBatch>,
+    /// Where the tail starts: its oldest scan's lower bound, moved up past
+    /// the head rows the stream has lost, or the tail let go of, since.
+    first: StreamId,
+    /// The widest span (ms) any lookup has asked of the tail, back from
+    /// the topic's newest row at the time.
+    reach: u64,
+    /// Row form of the last window asked for as rows ([`Aggregate::All`],
+    /// `TableProvider::range` callers); dropped whenever `cols` changes.
+    rows: RowsMemo,
 }
 
-/// Cached scans of one topic, keyed by `(start_ms, end_ms)` window.
-type TopicScans = HashMap<(u64, u64), Arc<CachedScan>>;
+impl Tail {
+    /// A scan from `lo` that ran to its topic's end, as the topic's tail.
+    fn new(cols: Arc<ColumnBatch>, lo: StreamId) -> Option<Self> {
+        let (first, last) = (cols.first_id?, cols.last_id?);
+        Some(Self { cols, first: lo.max(first), reach: last.ms.saturating_sub(lo.ms), rows: None })
+    }
 
-/// An epoch-invalidated cache of decoded range scans, keyed by
-/// `(topic, start_ms, end_ms)`.
+    /// Note the span a lookup from `lo` asks for, and let go of the rows
+    /// older than the widest span asked so far: a window that slides keeps
+    /// a tail of its own width, not of the stream's retention. Only once
+    /// those rows outnumber the rest, so each row is moved O(1) times.
+    fn keep_reach(&mut self, lo: StreamId) {
+        let Some(last) = self.cols.last_id else { return };
+        self.reach = self.reach.max(last.ms.saturating_sub(lo.ms));
+        let cut = StreamId::new(last.ms - self.reach.min(last.ms), 0);
+        let dead = || self.cols.ids_ms.partition_point(|&ms| ms < cut.ms);
+        if cut > self.first && dead() * 2 > self.cols.len() {
+            Arc::make_mut(&mut self.cols).trim_before(cut.ms);
+            (self.first, self.rows) = (cut, None);
+        }
+    }
+}
+
+/// A cache of decoded range scans: **one columnar tail per topic**, which
+/// a lookup extends by the rows appended since and serves as a slice.
 ///
-/// Validity invariant: a topic's `(eviction_epoch, last_id)` pair is
-/// unchanged **iff** the stream's content is unchanged — IDs are strictly
-/// monotonic, so a stable `last_id` rules out appends, and the epoch
-/// moves on every eviction (archiving or not). While the pair matches,
-/// the decoded records for any sub-range are byte-for-byte identical, so
-/// the query path can skip both the stitch and the per-payload decode.
-/// The pair is captured *inside* the scan's consistent snapshot
-/// ([`ColumnBatch`]), never re-read afterwards, so a racing append can
-/// only make the cache conservatively re-scan — never serve newer content
-/// under an older key.
+/// SCoRe queues only append and only ever lose their oldest rows, so a
+/// batch scanned from some ID to the topic's end stays a prefix of the
+/// same scan taken later. A lookup asks the stream for the rows after the
+/// tail's `last_id` ([`Broker::extend_columns`]: one walk, one consistent
+/// snapshot, straight into the batch) and finds its window by binary
+/// search on the rows' ID milliseconds — a repeated or sliding range query
+/// pays for the rows that arrived since, not for the span. The snapshot's
+/// `first_id` says whether the stream still retains the tail's head: lost
+/// rows are trimmed when the loss ends on a millisecond boundary and the
+/// tail is re-scanned otherwise, as it is for a topic re-created under its
+/// name. A window reaching further back than the tail rebuilds it from the
+/// older start; a closed window wholly older than it is scanned on its own
+/// and not kept; empty and unknown topics get no entry. So a tail is a
+/// decoded suffix of what the stream itself retains — no more of it than
+/// twice the widest span a lookup has asked for, back from the newest row
+/// — at 25 B a row, for at most `MAX_CACHED_SCANS` topics.
 ///
-/// The cache also keeps per-topic hit/miss tallies that feed the
-/// cost-aware planner ([`ScanCache::plan`]): a topic whose lookups do not
-/// hit stops paying the store-and-tag overhead and scans fresh batches
-/// instead.
-///
-/// The cache is shared across queries (it lives on the service, not the
-/// per-query engine) and is safe for the executor's parallel arms.
+/// Extension happens at lookup, under the topic's own lock, never on the
+/// publish path; a reader still folding the batch keeps it unchanged. The
+/// cache lives on the service, shared by every query's parallel arms.
 #[derive(Default)]
 pub struct ScanCache {
-    /// Nested by topic so the hot lookup path hashes a borrowed `&str`
-    /// and a copyable `(u64, u64)` window — a warm hit allocates nothing
-    /// (proved by `tests/alloc_free.rs`); the owned key `String` is only
-    /// built when a miss stores a new scan.
-    scans: Mutex<HashMap<String, TopicScans>>,
-    /// Scans held across all topics, kept beside the map (and only moved
-    /// under its lock) so the size bound is an O(1) check per store.
-    len: AtomicUsize,
-    topic_stats: Mutex<HashMap<String, TopicStats>>,
+    /// The map lock is held to find or insert a topic's cell only; scans
+    /// and extensions run under the cell's lock.
+    tails: Mutex<HashMap<String, Arc<Mutex<Tail>>>>,
     hits: Arc<AtomicU64>,
     misses: Arc<AtomicU64>,
     invalidations: Arc<AtomicU64>,
@@ -206,10 +278,9 @@ impl ScanCache {
     }
 
     /// Export the hit/miss/invalidation counters into `registry` as
-    /// `query.scan_cache.{hits,misses,invalidations}` and the planner's
-    /// decision tallies as `query.planner.{cached_scan,fresh_batch}`,
-    /// backed by the cells the lookup path already increments (zero added
-    /// cost).
+    /// `query.scan_cache.{hits,misses,invalidations}` and the access-path
+    /// tallies as `query.planner.{cached_scan,fresh_batch}`, backed by the
+    /// cells the lookup path already increments (zero added cost).
     pub fn instrument(&self, registry: &apollo_obs::Registry) {
         if !registry.enabled() {
             return;
@@ -224,35 +295,33 @@ impl ScanCache {
             .counter_backed_by("query.planner.fresh_batch", Arc::clone(&self.planner_fresh));
     }
 
-    /// Range lookups served from the cache without touching the stream.
+    /// Range lookups served from a topic's tail (extended or not).
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Range lookups that had to scan (no valid entry for the key).
+    /// Range lookups that scanned and kept the scan as the topic's tail:
+    /// its first, one reaching further back, or a rebuild.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Cached scans discarded because the topic's `(epoch, last_id)`
-    /// moved (an append or eviction changed the stream's content).
+    /// Tails rebuilt because the stream lost their head part-way through
+    /// a millisecond, or is no longer the stream they were scanned from.
     pub fn invalidations(&self) -> u64 {
         self.invalidations.load(Ordering::Relaxed)
     }
 
-    /// Planner decisions that kept the cached-scan path.
-    pub fn planner_cached(&self) -> u64 {
-        self.planner_cached.load(Ordering::Relaxed)
-    }
-
-    /// Planner decisions that bypassed the cache for a fresh batch.
+    /// Lookups scanned on their own with nothing kept
+    /// ([`crate::AccessPlan::FreshBatch`]): a closed window older than the tail
+    /// or short of the topic's end, an empty or unknown topic.
     pub fn planner_fresh(&self) -> u64 {
         self.planner_fresh.load(Ordering::Relaxed)
     }
 
-    /// Cached scans currently held.
+    /// Topics with a cached tail.
     pub fn len(&self) -> usize {
-        self.len.load(Ordering::Relaxed)
+        self.tails.lock().len()
     }
 
     /// True when nothing is cached.
@@ -260,88 +329,20 @@ impl ScanCache {
         self.len() == 0
     }
 
-    /// Per-topic cache statistics, if the topic has been looked up at
-    /// least once.
-    pub fn topic_stats(&self, table: &str) -> Option<TopicStats> {
-        self.topic_stats.lock().get(table).copied()
-    }
-
-    /// The cost-aware access decision for a scan of `table` whose live
-    /// window currently holds `depth` entries (see [`planner::choose`]).
-    pub fn plan(&self, table: &str, depth: usize) -> AccessPlan {
-        let mut stats = self.topic_stats.lock();
-        let plan = match stats.get_mut(table) {
-            Some(s) => {
-                let p = planner::choose(s, depth);
-                if depth > planner::SMALL_TOPIC_DEPTH && planner::thrashing(s) {
-                    s.bypasses += 1;
-                }
-                p
-            }
-            // No history: nothing to indict the cache with.
-            None => AccessPlan::CachedScan,
-        };
-        match plan {
-            AccessPlan::FreshBatch => self.planner_fresh.fetch_add(1, Ordering::Relaxed),
-            _ => self.planner_cached.fetch_add(1, Ordering::Relaxed),
-        };
-        plan
-    }
-
-    /// Every probe lands in the topic's planner tally — a plain miss (no
-    /// entry for the key) like an invalidated entry, or a sliding window,
-    /// which never probes a key twice, would never look like a thrash.
-    fn lookup(
-        &self,
-        table: &str,
-        window: (u64, u64),
-        meta: (u64, Option<StreamId>),
-    ) -> Option<Arc<CachedScan>> {
-        let hit = {
-            let mut scans = self.scans.lock();
-            scans.get_mut(table).and_then(|windows| match windows.get(&window) {
-                Some(c) if (c.columns.epoch, c.columns.last_id) == meta => Some(Arc::clone(c)),
-                Some(_) => {
-                    windows.remove(&window);
-                    self.len.fetch_sub(1, Ordering::Relaxed);
-                    self.invalidations.fetch_add(1, Ordering::Relaxed);
-                    None
-                }
-                None => None,
-            })
-        };
-        let mut stats = self.topic_stats.lock();
-        let s = match stats.get_mut(table) {
-            Some(s) => s,
-            None => stats.entry(table.to_string()).or_default(),
-        };
-        let (total, of_topic) =
-            if hit.is_some() { (&self.hits, &mut s.hits) } else { (&self.misses, &mut s.misses) };
-        total.fetch_add(1, Ordering::Relaxed);
-        *of_topic += 1;
-        hit
-    }
-
-    fn store(&self, table: &str, window: (u64, u64), scan: Arc<CachedScan>) {
-        let mut scans = self.scans.lock();
-        let replacing = scans.get(table).is_some_and(|windows| windows.contains_key(&window));
-        if self.len.load(Ordering::Relaxed) >= MAX_CACHED_SCANS && !replacing {
-            scans.clear();
-            self.len.store(0, Ordering::Relaxed);
-        }
-        if scans.entry(table.to_string()).or_default().insert(window, scan).is_none() {
-            self.len.fetch_add(1, Ordering::Relaxed);
-        }
+    /// Tally one lookup on the cached path, served with or without a scan.
+    fn count_cached(&self, scanned: bool) {
+        self.planner_cached.fetch_add(1, Ordering::Relaxed);
+        let outcome = if scanned { &self.misses } else { &self.hits };
+        outcome.fetch_add(1, Ordering::Relaxed);
     }
 }
 
 /// A [`TableProvider`] wrapping a [`Broker`] with a shared [`ScanCache`]:
 /// `latest` passes straight through (an O(1) tail-read is cheaper than
-/// any cache probe); `range`/`columns` serve repeat scans of an unchanged
-/// topic straight from the cache (an `Arc` clone — no allocation) and
-/// otherwise take one consistent [`Broker::scan_columns_by_time`], stored
-/// under the batch's own snapshot key. Topics the planner has flagged as
-/// cache-thrashing skip the cache entirely ([`AccessPlan::FreshBatch`]).
+/// any cache probe); `range`/`columns` serve a window as a slice of the
+/// topic's cached tail, extended first by whatever was appended since the
+/// last lookup, and scan only what no tail covers (see [`ScanCache`]). A
+/// repeat lookup of an unchanged topic allocates nothing.
 pub struct CachedBroker<'a> {
     broker: &'a Broker,
     cache: &'a ScanCache,
@@ -353,22 +354,83 @@ impl<'a> CachedBroker<'a> {
         Self { broker, cache }
     }
 
-    /// The window's scan: a still-valid cached one, or one consistent
-    /// fresh scan (stored unless the planner bypassed the cache).
-    fn fetch(&self, table: &str, start_ms: u64, end_ms: u64) -> Arc<CachedScan> {
-        let window = (start_ms, end_ms);
-        let cached = self.cache.plan(table, self.broker.topic_len(table)) == AccessPlan::CachedScan;
-        if cached {
-            if let Some(hit) = self.cache.lookup(table, window, self.broker.scan_meta(table)) {
-                return hit;
+    /// Bring `tail` up to the stream's present — new rows in, lost head
+    /// rows out — and back to `lo` if the window `[lo, hi]` starts before
+    /// it and reaches into it. `Some(scanned)` when the tail then covers
+    /// the window; `None` when the window is not the tail's to serve: it
+    /// lies wholly before it, or the topic is gone (and its cell with it).
+    fn refresh(&self, table: &str, tail: &mut Tail, lo: StreamId, hi: StreamId) -> Option<bool> {
+        let was = tail.cols.last_id;
+        let extended = self.broker.extend_columns(table, &mut tail.cols);
+        if tail.cols.last_id != was {
+            tail.rows = None;
+        }
+        // The oldest ID the stream retains, if the tail is still all of it.
+        let kept = match tail.cols.first_id.filter(|_| extended) {
+            Some(first) if first <= tail.first => Some(first),
+            // Rows are kept to the millisecond: which of them a loss took
+            // is only known when it ends where a millisecond does.
+            Some(first) if first.seq == 0 => {
+                Arc::make_mut(&mut tail.cols).trim_before(first.ms);
+                (tail.first, tail.rows) = (first, None);
+                Some(first)
+            }
+            _ => None,
+        };
+        match kept {
+            Some(first) if lo.max(first) >= tail.first => {
+                tail.keep_reach(lo);
+                return Some(false);
+            }
+            Some(_) if hi < tail.first => return None,
+            Some(_) => {}
+            None => drop(self.cache.invalidations.fetch_add(1, Ordering::Relaxed)),
+        }
+        let cols = self.broker.scan_columns(table, lo, StreamId::MAX);
+        let Some(rebuilt) = Tail::new(Arc::new(cols), lo) else {
+            self.cache.tails.lock().remove(table);
+            return None;
+        };
+        *tail = rebuilt;
+        Some(true)
+    }
+
+    /// Hand `f` the window's rows — a slice of the topic's tail with the
+    /// tail's row memo, or a scan of the window alone.
+    fn serve<R>(
+        &self,
+        table: &str,
+        (start_ms, end_ms): (u64, u64),
+        f: impl FnOnce(ColumnSlice, Option<&mut RowsMemo>) -> R,
+    ) -> R {
+        let (lo, hi) = (StreamId::new(start_ms, 0), StreamId::new(end_ms, u64::MAX));
+        let cell = self.cache.tails.lock().get(table).cloned();
+        if let Some(cell) = cell {
+            let tail = &mut *cell.lock();
+            if let Some(scanned) = self.refresh(table, tail, lo, hi) {
+                self.cache.count_cached(scanned);
+                let slice = ColumnSlice::new(Arc::clone(&tail.cols), start_ms, end_ms);
+                return f(slice, Some(&mut tail.rows));
             }
         }
-        let columns = Arc::new(self.broker.scan_columns_by_time(table, start_ms, end_ms));
-        let scan = Arc::new(CachedScan { columns, rows: OnceLock::new() });
-        if cached {
-            self.cache.store(table, window, Arc::clone(&scan));
+        let cols = Arc::new(self.broker.scan_columns(table, lo, hi));
+        let slice = ColumnSlice::new(Arc::clone(&cols), start_ms, end_ms);
+        // A scan that reached the topic's end is the topic's tail from now
+        // on; anything else (a window closed in the past, an empty or
+        // unknown topic) is served and forgotten.
+        let reached_end = cols.last_id.is_some_and(|last| last <= hi);
+        let Some(mut tail) = Tail::new(cols, lo).filter(|_| reached_end) else {
+            self.cache.planner_fresh.fetch_add(1, Ordering::Relaxed);
+            return f(slice, None);
+        };
+        self.cache.count_cached(true);
+        let out = f(slice, Some(&mut tail.rows));
+        let mut tails = self.cache.tails.lock();
+        if tails.len() >= MAX_CACHED_SCANS && !tails.contains_key(table) {
+            tails.clear();
         }
-        scan
+        tails.insert(table.to_string(), Arc::new(Mutex::new(tail)));
+        out
     }
 }
 
@@ -378,13 +440,21 @@ impl TableProvider for CachedBroker<'_> {
     }
 
     fn range(&self, table: &str, start_ms: u64, end_ms: u64) -> Arc<Vec<Record>> {
-        let scan = self.fetch(table, start_ms, end_ms);
-        let derive = || Arc::new((0..scan.columns.len()).map(|i| scan.columns.record(i)).collect());
-        Arc::clone(scan.rows.get_or_init(derive))
+        let window = (start_ms, end_ms);
+        self.serve(table, window, |slice, memo| match memo {
+            Some(Some((of, rows))) if *of == window => Arc::clone(rows),
+            memo => {
+                let rows = Arc::new(slice.records().collect::<Vec<_>>());
+                if let Some(memo) = memo {
+                    *memo = Some((window, Arc::clone(&rows)));
+                }
+                rows
+            }
+        })
     }
 
-    fn columns(&self, table: &str, start_ms: u64, end_ms: u64) -> Option<Arc<ColumnBatch>> {
-        Some(Arc::clone(&self.fetch(table, start_ms, end_ms).columns))
+    fn columns(&self, table: &str, start_ms: u64, end_ms: u64) -> Option<ColumnSlice> {
+        Some(self.serve(table, (start_ms, end_ms), |slice, _| slice))
     }
 }
 
@@ -664,15 +734,29 @@ impl<'a, P: TableProvider> QueryEngine<'a, P> {
         result
     }
 
+    /// The provider's columnar form of a window, unless this is the row
+    /// oracle.
+    fn columns(&self, table: &str, lo: u64, hi: u64) -> Option<ColumnSlice> {
+        self.provider.columns(table, lo, hi).filter(|_| self.vectorized)
+    }
+
     /// Build the timestamp semi-join index for an arm, if it has one: the
     /// joined table's record timestamps over the arm's window widened by
-    /// the tolerance, sorted for binary-search matching.
+    /// the tolerance, sorted for binary-search matching. Only that one
+    /// column is read.
     fn join_index(&self, select: &Select, lo: u64, hi: u64) -> Option<JoinIndex> {
         select.join.as_ref().map(|j| {
             let rlo = lo.saturating_sub(j.tolerance_ms);
             let rhi = hi.saturating_add(j.tolerance_ms);
-            let right = self.provider.range(&j.table, rlo, rhi);
-            JoinIndex::from_records(&right, j.tolerance_ms)
+            match self.columns(&j.table, rlo, rhi) {
+                Some(right) => {
+                    JoinIndex::new(right.timestamps_ns().iter().copied(), j.tolerance_ms)
+                }
+                None => {
+                    let right = self.provider.range(&j.table, rlo, rhi);
+                    JoinIndex::new(right.iter().map(|r| r.timestamp_ns), j.tolerance_ms)
+                }
+            }
         })
     }
 
@@ -683,7 +767,10 @@ impl<'a, P: TableProvider> QueryEngine<'a, P> {
             Aggregate::Latest => {
                 let record = match select.time_range {
                     None => self.provider.latest(table),
-                    Some((lo, hi)) => self.provider.range(table, lo, hi).last().cloned(),
+                    Some((lo, hi)) => match self.columns(table, lo, hi) {
+                        Some(window) => window.records().next_back(),
+                        None => self.provider.range(table, lo, hi).last().cloned(),
+                    },
                 };
                 let r = record.ok_or_else(|| ExecError::EmptyTable(table.clone()))?;
                 Ok(vec![Row {
@@ -718,10 +805,8 @@ impl<'a, P: TableProvider> QueryEngine<'a, P> {
             agg => {
                 let (lo, hi) = select.time_range.unwrap_or((0, u64::MAX));
                 let join = self.join_index(select, lo, hi);
-                if self.vectorized {
-                    if let Some(cols) = self.provider.columns(table, lo, hi) {
-                        return vector::run_scan_columns(table, select, agg, &cols, join.as_ref());
-                    }
+                if let Some(cols) = self.columns(table, lo, hi) {
+                    return vector::run_scan_columns(table, select, agg, &cols, join.as_ref());
                 }
                 let records = self.provider.range(table, lo, hi);
                 let mut st = ScanState::new(select.bucket_ms);
@@ -1423,8 +1508,9 @@ mod tests {
         let second = cached.range("capacity", 0, u64::MAX);
         assert!(Arc::ptr_eq(&first, &second), "warm hit must clone the Arc, not the Vec");
         let c1 = cached.columns("capacity", 0, u64::MAX).unwrap();
-        let c2 = cached.columns("capacity", 0, u64::MAX).unwrap();
-        assert!(Arc::ptr_eq(&c1, &c2));
+        let c2 = cached.columns("capacity", 150, 350).unwrap();
+        assert!(Arc::ptr_eq(&c1.batch, &c2.batch), "every window is a slice of the one tail");
+        assert_eq!((c1.rows.len(), c2.values()), (4, &[20.0, 30.0][..]));
     }
 
     #[test]
@@ -1438,12 +1524,13 @@ mod tests {
         engine.execute_sql("SELECT AVG(metric) FROM capacity").unwrap();
         engine.execute_sql("SELECT AVG(metric) FROM capacity").unwrap();
         assert_eq!((cache.hits(), cache.misses()), (2, 1));
-        // A different time window is a different key: its own miss.
-        engine
+        // A different time window is another slice of the same tail.
+        let avg = engine
             .execute_sql("SELECT AVG(metric) FROM capacity WHERE Timestamp BETWEEN 100 AND 200")
             .unwrap();
-        assert_eq!((cache.hits(), cache.misses()), (2, 2));
-        assert_eq!(cache.invalidations(), 0);
+        assert_eq!(avg.rows[0].value, 15.0);
+        assert_eq!((cache.hits(), cache.misses()), (3, 1));
+        assert_eq!((cache.invalidations(), cache.planner_fresh(), cache.len()), (0, 0, 1));
     }
 
     #[test]
@@ -1454,21 +1541,26 @@ mod tests {
         let engine = QueryEngine::new(&cached);
         let before = engine.execute_sql("SELECT SUM(metric) FROM capacity").unwrap();
         assert_eq!(before.rows[0].value, 100.0);
-        // New data moves last_id: the cached scan must not be served.
+        let tail = cached.columns("capacity", 0, u64::MAX).unwrap();
+        // New data moves last_id: the tail is extended by exactly the
+        // appended rows — nothing it held is decoded again — and the
+        // batch a reader still holds is not written under.
         b.publish("capacity", 500, Record::measured(500_000_000, 60.0).encode());
+        b.publish("capacity", 500, vec![0xde, 0xad]);
         let after = engine.execute_sql("SELECT SUM(metric) FROM capacity").unwrap();
         assert_eq!(after.rows[0].value, 160.0, "stale cache entry served after append");
-        assert_eq!(cache.invalidations(), 1);
-        assert_eq!(cache.misses(), 2);
-        assert_eq!(cache.len(), 1, "the rescan replaced the discarded entry");
+        let extended = cached.columns("capacity", 0, u64::MAX).unwrap();
+        assert_eq!((tail.rows.len(), extended.rows.len(), extended.batch.corrupt), (4, 5, 1));
+        assert_eq!(extended.batch.last_id, Some(StreamId::new(500, 1)));
+        assert_eq!((cache.misses(), cache.invalidations(), cache.len()), (1, 0, 1));
+        assert_eq!(cache.hits(), 3, "an extended tail serves as a hit");
     }
 
     #[test]
-    fn sliding_windows_over_a_written_topic_go_fresh() {
+    fn sliding_windows_over_a_written_topic_hit_the_extended_tail() {
         // A dashboard's read: the topic is appended between queries and
-        // the window's lower bound moves each time, so no key is ever
-        // probed twice — no probe finds an entry to invalidate, every one
-        // is a plain miss.
+        // the window's lower bound moves each time, so no window is ever
+        // asked for twice — and only the first lookup scans.
         let b = Broker::new(StreamConfig::default());
         let publish =
             |ms: u64| b.publish("t", ms, Record::measured(ms * 1_000_000, ms as f64).encode());
@@ -1479,33 +1571,50 @@ mod tests {
         let cached = CachedBroker::new(&b, &cache);
         let engine = QueryEngine::new(&cached);
         let oracle = QueryEngine::row_oracle(&b);
-        const QUERIES: u64 = 64;
+        const QUERIES: u64 = 640;
         for i in 0..QUERIES {
             publish(201 + i);
             let sql = format!("SELECT AVG(metric) FROM t WHERE Timestamp >= {}", 100 + i);
             assert_eq!(engine.execute_sql(&sql).ok(), oracle.execute_sql(&sql).ok(), "{sql}");
+            // However long it slides, the tail holds the 102 rows asked
+            // for (at most twice that), not all appended since the scan.
+            let tail = cached.columns("t", 100 + i, u64::MAX).unwrap();
+            assert!(tail.rows.len() == 102 && tail.batch.len() <= 204, "{}", tail.batch.len());
         }
-        assert_eq!(cache.hits(), 0);
-        // The first BYPASS_MISSES lookups are stored; after that only the
-        // periodic re-probes are.
-        let reprobes = QUERIES / planner::REPROBE_EVERY;
-        assert!(
-            cache.planner_fresh() >= QUERIES - planner::BYPASS_MISSES - reprobes,
-            "sliding windows never reached FreshBatch: {:?}",
-            cache.topic_stats("t")
-        );
-        assert!(
-            cache.len() as u64 <= planner::BYPASS_MISSES + reprobes,
-            "{} dead scans retained",
-            cache.len()
-        );
+        assert_eq!((cache.hits(), cache.misses()), (2 * QUERIES - 1, 1));
+        assert_eq!((cache.planner_fresh(), cache.len()), (0, 1), "one tail, nothing dead kept");
+        // A closed window wholly before the tail is scanned on its own…
+        let old = "SELECT COUNT(*) FROM t WHERE Timestamp BETWEEN 10 AND 50";
+        assert_eq!(engine.execute_sql(old).ok(), oracle.execute_sql(old).ok());
+        assert_eq!((cache.planner_fresh(), cache.misses()), (1, 1));
+        // …and one reaching into it rebuilds the tail from the older start.
+        let straddling = "SELECT COUNT(*) FROM t WHERE Timestamp BETWEEN 10 AND 800";
+        assert_eq!(engine.execute_sql(straddling).ok(), oracle.execute_sql(straddling).ok());
+        assert_eq!(engine.execute_sql(old).ok(), oracle.execute_sql(old).ok());
+        assert_eq!((cache.planner_fresh(), cache.misses(), cache.hits()), (1, 2, 2 * QUERIES));
+    }
+
+    #[test]
+    fn unknown_tables_leave_no_cache_state() {
+        // SQL arrives from outside: a name nobody publishes under must not
+        // cost the cache anything, however many of them arrive.
+        let b = seeded_broker();
+        let cache = ScanCache::new();
+        let cached = CachedBroker::new(&b, &cache);
+        let engine = QueryEngine::new(&cached);
+        for i in 0..10_000 {
+            let out = engine.execute_sql(&format!("SELECT AVG(metric) FROM ghost/{i}"));
+            let missing = matches!(&out, Err(ExecSqlError::Exec(ExecError::EmptyTable(_))));
+            assert!(missing && cache.is_empty(), "table {i}: {out:?}, {} cells", cache.len());
+        }
+        assert_eq!((cache.hits(), cache.misses(), cache.planner_fresh()), (0, 0, 10_000));
     }
 
     #[test]
     fn scan_cache_invalidates_on_archiveless_eviction() {
         // archive_evicted=false drops entries on eviction: range content
-        // shrinks even though the data went nowhere readable. The epoch
-        // bump must still invalidate, or the cache would serve vanished
+        // shrinks even though the data went nowhere readable. The tail
+        // must lose the same rows, or the cache would serve vanished
         // records.
         let b = Broker::new(StreamConfig {
             max_len: Some(2),
@@ -1528,7 +1637,11 @@ mod tests {
         assert_eq!(out.rows[0].value, 2.0, "evicted records must be gone from cached scans");
         let count = engine.execute_sql("SELECT COUNT(*) FROM t").unwrap();
         assert_eq!(count.rows[0].value, 2.0);
-        assert_eq!(cache.invalidations(), 1, "the COUNT re-scan displaced the stale entry");
+        assert_eq!(
+            (cache.misses(), cache.invalidations()),
+            (1, 0),
+            "the loss ended on a millisecond boundary: trimmed, not re-scanned"
+        );
     }
 
     #[test]
@@ -1552,13 +1665,16 @@ mod tests {
     #[test]
     fn scan_cache_bounds_its_size() {
         let b = Broker::new(StreamConfig::default());
-        b.publish("t", 1, Record::measured(1_000_000, 1.0).encode());
         let cache = ScanCache::new();
         let cached = CachedBroker::new(&b, &cache);
-        // Distinct windows → distinct keys; the cache must stay bounded.
+        // One tail per topic, however many windows; topics are bounded.
         for i in 0..600u64 {
-            TableProvider::range(&cached, "t", 0, i);
+            let topic = format!("t{i}");
+            b.publish(&topic, 1, Record::measured(1_000_000, 1.0).encode());
+            TableProvider::range(&cached, &topic, 0, i + 1);
+            TableProvider::range(&cached, "t0", 0, i);
+            assert!(cache.len() <= 256, "cache grew past its bound: {}", cache.len());
         }
-        assert!(cache.len() <= 256, "cache grew past its bound: {}", cache.len());
+        assert!(cache.len() > 1);
     }
 }

@@ -25,19 +25,20 @@
 //!   errors (reversed time bounds are rejected, not silently empty).
 //! * [`exec`] — the parallel executor over a [`exec::TableProvider`]
 //!   (implemented for the pub-sub [`apollo_streams::Broker`], reading the
-//!   live queue or the archived log via timestamp indexing), with an
-//!   epoch-invalidated scan cache that stores each scan once, as columns
-//!   (rows are derived on demand and memoised), and whose warm hits are
-//!   allocation-free.
-//! * [`vector`] — columnar kernels: scan aggregates run over the
-//!   provider's [`apollo_streams::ColumnBatch`] snapshot, bit-identical
-//!   to the row-at-a-time oracle ([`exec::QueryEngine::row_oracle`]).
+//!   live queue or the archived log via timestamp indexing), with a scan
+//!   cache of one decoded columnar tail per topic, extended in place by
+//!   the rows appended since the last lookup and served a slice per
+//!   window (rows derived on demand); warm hits are allocation-free.
+//! * [`vector`] — columnar kernels: scan aggregates run over an
+//!   [`exec::ColumnSlice`] of the provider's
+//!   [`apollo_streams::ColumnBatch`], bit-identical to the
+//!   row-at-a-time oracle ([`exec::QueryEngine::row_oracle`]).
 //! * [`continuous`] — standing queries that fold newly published records
 //!   incrementally and read out in O(rows), bit-identical to a full
 //!   rescan at any quiescent point.
-//! * [`planner`] — the cost-aware choice between cached scans, fresh
-//!   batches (topics whose lookups do not hit), and a continuous query's
-//!   standing result.
+//! * [`planner`] — the three access paths: a slice of a cached tail, a
+//!   fresh batch of the window alone, and a continuous query's standing
+//!   result.
 
 pub mod ast;
 pub mod continuous;
@@ -49,7 +50,8 @@ pub mod vector;
 pub use ast::{Aggregate, CmpOp, Join, Query, Select, ValuePred};
 pub use continuous::{ContinuousError, ContinuousQuery};
 pub use exec::{
-    CachedBroker, QueryEngine, QueryMetrics, QueryResult, Row, ScanCache, TableProvider,
+    CachedBroker, ColumnSlice, QueryEngine, QueryMetrics, QueryResult, Row, ScanCache,
+    TableProvider,
 };
 pub use parser::{parse, ParseError, ParseErrorKind};
 pub use planner::AccessPlan;

@@ -1,9 +1,9 @@
 //! Columnar (vectorized) scan kernels.
 //!
-//! The vectorized executor runs scan aggregates over a
-//! [`ColumnBatch`] — the provider's struct-of-arrays snapshot (timestamp,
-//! value and provenance columns) — instead of materializing per-row
-//! [`Record`]s. On the common unfiltered
+//! The vectorized executor runs scan aggregates over a [`ColumnSlice`] —
+//! one window of the provider's struct-of-arrays batch (timestamp, value
+//! and provenance columns), usually a cached tail — instead of
+//! materializing per-row records. On the common unfiltered
 //! path the fold is a branch-free pass over the contiguous `f64` column,
 //! which the compiler auto-vectorizes; filtered/bucketed scans fall back
 //! to the shared sequential [`ScanState`](crate::exec) machinery.
@@ -14,9 +14,8 @@
 //! the oracle suite.
 
 use crate::ast::{Aggregate, Select};
-use crate::exec::{ExecError, Row, ScanState};
-use apollo_streams::codec::{Provenance, Record};
-use apollo_streams::ColumnBatch;
+use crate::exec::{ColumnSlice, ExecError, Row, ScanState};
+use apollo_streams::codec::Provenance;
 
 /// The sequential fold shared by the row path, the vectorized path, and
 /// continuous queries: one code path, one fold order, so all three are
@@ -78,9 +77,11 @@ pub struct JoinIndex {
 }
 
 impl JoinIndex {
-    /// Index `records`' timestamps with the given match tolerance.
-    pub fn from_records(records: &[Record], tolerance_ms: u64) -> Self {
-        let mut ts_ms: Vec<u64> = records.iter().map(|r| r.timestamp_ns / 1_000_000).collect();
+    /// Index the partner rows' record timestamps (ns) with the given
+    /// match tolerance. Sorted here: rows arrive in ID order, and a record
+    /// timestamp may regress where an ID may not.
+    pub fn new(timestamps_ns: impl Iterator<Item = u64>, tolerance_ms: u64) -> Self {
+        let mut ts_ms: Vec<u64> = timestamps_ns.map(|ns| ns / 1_000_000).collect();
         ts_ms.sort_unstable();
         Self { ts_ms, tolerance_ms }
     }
@@ -91,16 +92,6 @@ impl JoinIndex {
         let lo = ts_ms.saturating_sub(self.tolerance_ms);
         let i = self.ts_ms.partition_point(|&t| t < lo);
         self.ts_ms.get(i).is_some_and(|&t| t <= ts_ms.saturating_add(self.tolerance_ms))
-    }
-
-    /// Number of indexed partner timestamps.
-    pub fn len(&self) -> usize {
-        self.ts_ms.len()
-    }
-
-    /// True when the partner table had no records in the widened window.
-    pub fn is_empty(&self) -> bool {
-        self.ts_ms.is_empty()
     }
 }
 
@@ -130,7 +121,7 @@ fn fold_columns(timestamps_ns: &[u64], values: &[f64]) -> (ScanAccumulator, u64)
     (acc, max_ts)
 }
 
-/// Run a scan aggregate over a columnar snapshot. The unfiltered path
+/// Run a scan aggregate over a columnar window. The unfiltered path
 /// (no predicates, no join, no buckets) uses the tight column kernels;
 /// everything else streams the columns through the shared [`ScanState`],
 /// which is also what the row path uses — same fold order either way.
@@ -138,29 +129,31 @@ pub(crate) fn run_scan_columns(
     table: &str,
     select: &Select,
     agg: Aggregate,
-    cols: &ColumnBatch,
+    cols: &ColumnSlice,
     join: Option<&JoinIndex>,
 ) -> Result<Vec<Row>, ExecError> {
+    let (timestamps_ns, values, provenance) =
+        (cols.timestamps_ns(), cols.values(), cols.provenance());
     let fast = select.value_preds.is_empty() && join.is_none() && select.bucket_ms.is_none();
     if fast {
         let mut st = ScanState::new(None);
-        st.total_in_window = cols.len() as u64;
-        st.admitted = cols.len() as u64;
-        st.counts = provenance_counts(&cols.provenance);
+        st.total_in_window = values.len() as u64;
+        st.admitted = values.len() as u64;
+        st.counts = provenance_counts(provenance);
         if select.include_stale || st.counts.stale == 0 {
             // Nothing is skipped: fold the whole value column branch-free.
-            let (acc, max_ts_ns) = fold_columns(&cols.timestamps_ns, &cols.values);
+            let (acc, max_ts_ns) = fold_columns(timestamps_ns, values);
             st.acc = acc;
             st.max_ts_all = max_ts_ns / 1_000_000;
             st.max_ts_included = st.max_ts_all;
         } else {
             // Stale rows are excluded: one predicated pass.
             let stale_wire = Provenance::Stale.wire();
-            for i in 0..cols.len() {
-                let ts_ms = cols.timestamps_ns[i] / 1_000_000;
+            for i in 0..values.len() {
+                let ts_ms = timestamps_ns[i] / 1_000_000;
                 st.max_ts_all = st.max_ts_all.max(ts_ms);
-                if cols.provenance[i] != stale_wire {
-                    st.acc.push(cols.values[i]);
+                if provenance[i] != stale_wire {
+                    st.acc.push(values[i]);
                     st.max_ts_included = st.max_ts_included.max(ts_ms);
                 }
             }
@@ -168,10 +161,10 @@ pub(crate) fn run_scan_columns(
         return st.finalize(table, agg, select);
     }
     let mut st = ScanState::new(select.bucket_ms);
-    for i in 0..cols.len() {
-        let provenance = Provenance::from_wire(cols.provenance[i])
+    for i in 0..values.len() {
+        let provenance = Provenance::from_wire(provenance[i])
             .expect("ColumnBatch holds only successfully decoded records");
-        st.observe(select, join, cols.timestamps_ns[i] / 1_000_000, cols.values[i], provenance);
+        st.observe(select, join, timestamps_ns[i] / 1_000_000, values[i], provenance);
     }
     st.finalize(table, agg, select)
 }
@@ -197,27 +190,24 @@ mod tests {
 
     #[test]
     fn join_index_matches_within_tolerance() {
-        let records: Vec<Record> =
-            [100u64, 250, 900].iter().map(|&ms| Record::measured(ms * 1_000_000, 0.0)).collect();
-        let idx = JoinIndex::from_records(&records, 10);
+        let partner = || [250u64, 100, 900].into_iter().map(|ms| ms * 1_000_000);
+        let idx = JoinIndex::new(partner(), 10);
         assert!(idx.matches(100));
         assert!(idx.matches(95));
         assert!(idx.matches(110));
         assert!(!idx.matches(111));
         assert!(!idx.matches(0));
         assert!(idx.matches(890) && idx.matches(910));
-        let exact = JoinIndex::from_records(&records, 0);
+        let exact = JoinIndex::new(partner(), 0);
         assert!(exact.matches(250));
         assert!(!exact.matches(249) && !exact.matches(251));
-        let empty = JoinIndex::from_records(&[], 1000);
-        assert!(empty.is_empty());
+        let empty = JoinIndex::new(std::iter::empty(), 1000);
         assert!(!empty.matches(100));
     }
 
     #[test]
     fn join_index_saturates_at_the_origin() {
-        let records = vec![Record::measured(0, 1.0)];
-        let idx = JoinIndex::from_records(&records, 5);
+        let idx = JoinIndex::new(std::iter::once(0), 5);
         assert!(idx.matches(0), "ts 0 with tolerance must not underflow");
         assert!(idx.matches(3));
         assert!(!idx.matches(6));

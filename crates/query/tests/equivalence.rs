@@ -1,4 +1,5 @@
-//! Vectorized-vs-row equivalence oracle over seeded broker states.
+//! Vectorized-vs-row equivalence oracle over seeded broker states, and
+//! the cached-tail-vs-fresh-scan differential suite (second half).
 //!
 //! The vectorized executor ([`QueryEngine::new`]) must be **bit-identical**
 //! to the row-at-a-time oracle ([`QueryEngine::row_oracle`]) on every query
@@ -12,9 +13,10 @@
 
 use apollo_query::exec::{CachedBroker, QueryEngine, ScanCache, TableProvider};
 use apollo_streams::codec::Record;
-use apollo_streams::{Broker, StreamConfig};
+use apollo_streams::{Broker, SlabConfig, SlabStore, StreamConfig};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::sync::Arc;
 
 /// The v2 query battery over a topic `t` (and a join partner `u`).
 fn battery() -> Vec<String> {
@@ -168,5 +170,196 @@ fn eviction_epoch_churn_keeps_paths_identical() {
         let cached = CachedBroker::new(&broker, &cache);
         assert_equivalent(&cached, &format!("eviction churn, cached, round {round}"));
     }
-    assert!(cache.invalidations() > 0, "churn never invalidated the cache");
+    assert!(broker.scan_meta("t").0 > 0, "churn never evicted");
+    assert!(cache.hits() > cache.misses(), "the tail was rebuilt, not extended, under churn");
+}
+
+// ------------------------------------------------------------------------
+// The tail invariant, differentially: after any interleaving of appends,
+// evictions and lookups, the slice the cache serves for `(lo, hi)` equals
+// a fresh `Broker::scan_columns_by_time(lo, hi)` taken at the same
+// `(epoch, last_id)` — timestamps, value bits, provenance bytes, row count.
+
+/// The spill backends a tail must stay a suffix of: a heap archive and a
+/// slab archive (nothing is ever lost), a slab ring shorter than the run
+/// (lapped mid-run: the head goes a row at a time) and no archive at all
+/// (the head goes with every eviction). Windows hold 16 rows throughout.
+fn over_backends(tag: &str, case: impl Fn(&str, &Broker)) {
+    case("heap archive", &Broker::new(StreamConfig::bounded(16)));
+    let lossy = StreamConfig { archive_evicted: false, ..StreamConfig::bounded(16) };
+    case("no archive", &Broker::new(lossy));
+    for (name, slots) in [("slab archive", 8_192), ("lapped slab ring", 64)] {
+        let path =
+            std::env::temp_dir().join(format!("apollo-tail-{}-{tag}-{slots}", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let cfg = SlabConfig { max_series: 4, slots, max_cursors: 1, ..SlabConfig::default() };
+        let store = SlabStore::create(&path, cfg).expect("create slab store");
+        case(name, &Broker::new(StreamConfig::bounded(16).with_slab(Arc::clone(&store))));
+        assert!(store.stats().appended > 0, "{name}: nothing was evicted into the ring");
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
+/// The differential check for one window of topic `t`, through both
+/// forms the cache serves.
+fn assert_window_is_fresh(
+    cached: &CachedBroker<'_>,
+    broker: &Broker,
+    (lo, hi): (u64, u64),
+    at: &str,
+) {
+    let served = cached.columns("t", lo, hi).expect("the cache serves columns");
+    let fresh = broker.scan_columns_by_time("t", lo, hi);
+    let at = format!("{at}, window [{lo}, {hi}]");
+    assert_eq!(served.rows.len(), fresh.len(), "{at}: row count");
+    assert_eq!(served.timestamps_ns(), &fresh.timestamps_ns[..], "{at}: timestamps");
+    let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(served.values()), bits(&fresh.values), "{at}: value bits");
+    assert_eq!(served.provenance(), &fresh.provenance[..], "{at}: provenance");
+    let served_at = (served.batch.epoch, served.batch.last_id, served.batch.first_id);
+    assert_eq!(served_at, (fresh.epoch, fresh.last_id, fresh.first_id), "{at}: snapshot");
+    let rows = cached.range("t", lo, hi);
+    assert_eq!(*rows, broker.scan_batch_by_time("t", lo, hi).records, "{at}: row form");
+}
+
+/// What a seeded run appends: IDs advance 0–2 ms a row (so milliseconds
+/// are shared, at trim boundaries too), one payload in eight is
+/// undecodable, and one record timestamp in four runs behind its ID's
+/// millisecond (a clock that regressed: ID ms ≠ record ms).
+struct Feed {
+    rng: StdRng,
+    now_ms: u64,
+    rows: u64,
+}
+
+impl Feed {
+    fn append(&mut self, broker: &Broker, n: u64) {
+        for _ in 0..n {
+            self.now_ms += self.rng.random_range(0..3u64);
+            self.rows += 1;
+            let behind = if self.rng.random_range(0..4u32) == 0 { 40 } else { 0 };
+            let ts_ns = self.now_ms.saturating_sub(behind) * 1_000_000 + self.rows;
+            let value = self.rng.random_range(-1.0..1.0);
+            let payload = match self.rng.random_range(0..8u32) {
+                0 => vec![0xde, 0xad].into(),
+                1 | 2 => Record::predicted(ts_ns, value).encode(),
+                3 => Record::stale(ts_ns, value).encode(),
+                _ => Record::measured(ts_ns, value).encode(),
+            };
+            broker.publish("t", self.now_ms, payload);
+        }
+    }
+
+    /// A window over the run so far: open-ended or closed, anywhere from
+    /// before the first row to past the last.
+    fn window(&mut self) -> (u64, u64) {
+        let lo = match self.rng.random_range(0..4u32) {
+            0 => 0,
+            1 => self.now_ms.saturating_sub(self.rng.random_range(0..30u64)),
+            _ => self.rng.random_range(0..self.now_ms + 5),
+        };
+        match self.rng.random_range(0..3u32) {
+            0 => (lo, lo + self.rng.random_range(0..60u64)),
+            _ => (lo, u64::MAX),
+        }
+    }
+}
+
+#[test]
+fn a_cached_tail_serves_what_a_fresh_scan_would() {
+    over_backends("driver", |backend, broker| {
+        for seed in [0x7A11u64, 0x7A12, 0x7A13] {
+            let at = format!("{backend}, seed {seed:#x}");
+            let cache = ScanCache::new();
+            let cached = CachedBroker::new(broker, &cache);
+            // A second cache only ever sees one sliding window, so its
+            // tail also lets go of the rows behind the span it is asked.
+            let slid = ScanCache::new();
+            let sliding = CachedBroker::new(broker, &slid);
+            broker.remove_topic("t");
+            broker.remove_topic("u");
+            let mut feed = Feed { rng: StdRng::seed_from_u64(seed), now_ms: 1_000, rows: 0 };
+            // The window shapes one by one, from a known state: a younger
+            // start builds the tail; closed inside it, before it,
+            // straddling its start; an older start after the younger one;
+            // and the engine's own reads of a slice (ranged latest, bucket
+            // cursor, a join partner's one column) against the row oracle.
+            feed.append(broker, 150);
+            let mid = (1_000 + feed.now_ms) / 2;
+            let shapes = [
+                (mid, u64::MAX),
+                (mid + 9, mid + 20),
+                (0, mid - 20),
+                (mid - 30, mid + 5),
+                (0, u64::MAX),
+            ];
+            for window in shapes {
+                assert_window_is_fresh(&cached, broker, window, &format!("{at}, shapes"));
+            }
+            publish(broker, "u", mid, Record::measured(mid * 1_000_000, 1.0));
+            for sql in [
+                format!("SELECT MAX(Timestamp), metric FROM t WHERE Timestamp <= {mid}"),
+                format!("SELECT MAX(metric) FROM t WHERE Timestamp >= {mid} GROUP BY BUCKET(Timestamp, 20)"),
+                format!("SELECT COUNT(*) FROM u JOIN t ON Timestamp WITHIN 45ms WHERE Timestamp >= {mid}"),
+            ] {
+                let (tail, oracle) = (QueryEngine::new(&cached), QueryEngine::row_oracle(broker));
+                assert_eq!(tail.execute_sql(&sql), oracle.execute_sql(&sql), "{at}: {sql}");
+            }
+            for step in 0..400 {
+                match feed.rng.random_range(0..10u32) {
+                    // Unregistered and re-registered under the same name;
+                    // one time in two its clock (so its IDs) starts over
+                    // inside the span the old tail covers.
+                    _ if step % 100 == 50 => {
+                        broker.remove_topic("t");
+                        if feed.rng.random_range(0..2u32) == 0 {
+                            feed.now_ms = feed.now_ms.saturating_sub(200);
+                        }
+                    }
+                    0..=3 => {
+                        let n = feed.rng.random_range(1..12u64);
+                        feed.append(broker, n);
+                    }
+                    // A burst longer than window (and short ring): the
+                    // extension starts in the archive, or in rows lost.
+                    4 => feed.append(broker, 90),
+                    _ => {
+                        let at = format!("{at}, step {step}");
+                        assert_window_is_fresh(&cached, broker, feed.window(), &at);
+                        let last = (feed.now_ms.saturating_sub(25), u64::MAX);
+                        assert_window_is_fresh(&sliding, broker, last, &at);
+                    }
+                }
+            }
+            let lookups = cache.hits() + cache.misses() + cache.planner_fresh();
+            assert!(cache.hits() * 2 > lookups, "{at}: {} hits in {lookups} lookups", cache.hits());
+            assert!(cache.planner_fresh() > 0 && cache.len() == 2, "{at}: `t` and `u`");
+            assert!(cache.invalidations() > 0, "{at}: a re-created topic's tail was extended");
+            assert!(slid.hits() > slid.misses(), "{at}: {} sliding misses", slid.misses());
+        }
+    });
+}
+
+/// Trimming is by millisecond, so it is only right when the loss ends on
+/// one. Three rows share the millisecond the window's front comes to rest
+/// in: a tail trimmed there would keep the evicted one.
+#[test]
+fn a_head_lost_mid_millisecond_rebuilds_the_tail() {
+    let lossy = StreamConfig { archive_evicted: false, ..StreamConfig::bounded(4) };
+    let broker = Broker::new(lossy);
+    let cache = ScanCache::new();
+    let cached = CachedBroker::new(&broker, &cache);
+    let row = |ms: u64, v: f64| publish(&broker, "t", ms, Record::measured(ms * 1_000_000, v));
+    for (ms, v) in [(10, 0.0), (11, 1.0), (12, 2.0), (12, 3.0)] {
+        row(ms, v);
+    }
+    assert_window_is_fresh(&cached, &broker, (0, u64::MAX), "built");
+    row(12, 4.0); // evicts ms 10: the loss ends where ms 11 starts
+    row(13, 5.0); // evicts ms 11: ends where ms 12 starts
+    assert_window_is_fresh(&cached, &broker, (0, u64::MAX), "boundary loss");
+    assert_eq!((cache.misses(), cache.invalidations()), (1, 0), "trimmed in place");
+    row(14, 6.0); // evicts 12-0: the front is now 12-1, mid-millisecond
+    assert_window_is_fresh(&cached, &broker, (0, u64::MAX), "mid-millisecond loss");
+    assert_window_is_fresh(&cached, &broker, (12, 12), "the shared millisecond itself");
+    assert_eq!((cache.misses(), cache.invalidations()), (2, 1), "rebuilt");
 }

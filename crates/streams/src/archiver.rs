@@ -43,6 +43,10 @@ impl Segments {
             .or_else(|| self.closed.last().and_then(|s| s.last()).map(|e| e.id))
     }
 
+    fn first_id(&self) -> Option<StreamId> {
+        self.runs().find_map(<[Entry]>::first).map(|e| e.id)
+    }
+
     fn len(&self) -> usize {
         self.closed.iter().map(Vec::len).sum::<usize>() + self.open.len()
     }
@@ -110,6 +114,9 @@ impl ArchiveLog {
                 assert!(entry.id > last, "archive append out of order: {} after {last}", entry.id);
             }
             if slab.record(entry.id, &entry.payload) {
+                if self.overflow_nonempty.load(Ordering::Relaxed) {
+                    self.drop_lapped_overflow(slab);
+                }
                 return;
             }
             // Payload too large for an inline slot: keep it on the heap
@@ -120,6 +127,24 @@ impl ArchiveLog {
             return;
         }
         self.push_heap(entry, true);
+    }
+
+    /// A lapped ring retains a suffix of what was archived, and the log as
+    /// a whole must too ([`ArchiveLog::first_id`]): overflow rows older
+    /// than the oldest slot the ring still holds go with the slots they
+    /// sat between.
+    fn drop_lapped_overflow(&self, slab: &SlabSeries) {
+        let Some(floor) = slab.lapped_floor_id() else { return };
+        if self.segments.read().first_id().is_some_and(|first| first >= floor) {
+            return;
+        }
+        let Segments { closed, open } = &mut *self.segments.write();
+        closed.retain(|run| run.last().is_some_and(|e| e.id >= floor));
+        for run in closed.first_mut().into_iter().chain(Some(&mut *open)) {
+            run.drain(..run.partition_point(|e| e.id < floor));
+        }
+        // Nothing left: appends stop paying for the check.
+        self.overflow_nonempty.store(!(closed.is_empty() && open.is_empty()), Ordering::Relaxed);
     }
 
     fn push_heap(&self, entry: Entry, check_order: bool) {
@@ -162,6 +187,19 @@ impl ArchiveLog {
         let slab = self.slab.as_ref().and_then(|s| s.last_id());
         match (heap, slab) {
             (Some(a), Some(b)) => Some(a.max(b)),
+            (a, b) => a.or(b),
+        }
+    }
+
+    /// Oldest archived ID still readable, if any. The log only ever loses
+    /// its oldest rows (a heap log none at all), so every row archived
+    /// with an ID from here on is readable.
+    pub fn first_id(&self) -> Option<StreamId> {
+        let heap = self.slab.is_none() || self.overflow_nonempty.load(Ordering::Relaxed);
+        let heap = if heap { self.segments.read().first_id() } else { None };
+        let slab = self.slab.as_ref().and_then(|s| s.first_id());
+        match (heap, slab) {
+            (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         }
     }
@@ -350,6 +388,28 @@ mod tests {
             let mut limited = Vec::new();
             log.range_limited_into(StreamId::MIN, StreamId::MAX, 2, &mut limited);
             assert_eq!(limited.iter().map(|x| x.id.ms).collect::<Vec<_>>(), vec![1, 2]);
+        }
+
+        #[test]
+        fn a_lapped_ring_takes_older_overflow_rows_with_it() {
+            let store = store("first", 8);
+            let oversize = vec![0u8; store.config().payload_cap() + 1];
+            let log = ArchiveLog::with_slab(store.series("m").unwrap());
+            assert_eq!(log.first_id(), None);
+            for ms in 1..=10 {
+                match ms {
+                    1 | 9 => log.append(Entry::new(StreamId::new(ms, 0), oversize.clone())),
+                    _ => log.append(e(ms, 0)),
+                }
+            }
+            assert_eq!(log.first_id(), Some(StreamId::new(1, 0)), "not lapped: nothing lost");
+            assert_eq!(log.range(StreamId::MIN, StreamId::MAX).len(), 10);
+            // The ninth ring row overwrites ms 2: the overflow row older
+            // than the ring's new oldest (ms 3) is no longer a suffix row.
+            log.append(e(11, 0));
+            assert_eq!(log.first_id(), Some(StreamId::new(3, 0)));
+            let left = log.range(StreamId::MIN, StreamId::MAX);
+            assert!(left.iter().map(|x| x.id.ms).eq(3..=11), "ms 9's overflow row stays, in order");
         }
 
         #[test]

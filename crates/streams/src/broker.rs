@@ -940,6 +940,13 @@ impl Broker {
         self.scan_columns(topic, StreamId::new(start_ms, 0), StreamId::new(end_ms, u64::MAX))
     }
 
+    /// Bring a columnar scan of `topic` that ran to the topic's end up to
+    /// the present (see [`Stream::extend_columns`]). `false`, with `tail`
+    /// untouched, when the topic is gone or was re-created since.
+    pub fn extend_columns(&self, topic: &str, tail: &mut Arc<ColumnBatch>) -> bool {
+        self.lookup(topic).is_some_and(|t| t.stream.extend_columns(tail))
+    }
+
     /// A topic's `(eviction_epoch, last_id)` snapshot key (see
     /// [`Stream::scan_meta`]); `(0, None)` for an unknown topic.
     pub fn scan_meta(&self, topic: &str) -> (u64, Option<StreamId>) {

@@ -1455,6 +1455,21 @@ impl SlabSeries {
         Some(self.id_at(head - 1))
     }
 
+    /// The oldest committed ID the ring still holds, if any. Exact while
+    /// the writer is held off (the stream reads it under its window lock).
+    pub fn first_id(&self) -> Option<StreamId> {
+        let head = self.head_cell().load(Ordering::Acquire);
+        let floor = self.floor_for(head);
+        (floor < head).then(|| self.id_at(floor))
+    }
+
+    /// [`SlabSeries::first_id`] of a ring that has overwritten slots —
+    /// every ID below it is gone — and `None` for one that never wrapped.
+    pub(crate) fn lapped_floor_id(&self) -> Option<StreamId> {
+        let head = self.head_cell().load(Ordering::Acquire);
+        (head > self.store.cfg.slots as u64).then(|| self.id_at(self.floor_for(head)))
+    }
+
     fn id_at(&self, at: u64) -> StreamId {
         let slot = self.slot_offset(at);
         let ms = self.store.atom(slot).load(Ordering::Relaxed);
@@ -1498,9 +1513,12 @@ impl SlabSeries {
             let verify = attempt == RING_READ_ATTEMPTS;
             let head = self.head_cell().load(Ordering::Acquire);
             let floor = self.floor_for(head);
-            let lo = self.partition(floor, head, |id| id < start);
+            // Rows newer than any the ring holds — what extending a cached
+            // tail asks for nearly every time — need no search.
+            let all_older = floor < head && self.id_at(head - 1) < start;
+            let lo = if all_older { head } else { self.partition(floor, head, |id| id < start) };
             // `hi >= lo` even for an inverted range, which selects nothing.
-            let hi = self.partition(floor, head, |id| id <= end);
+            let hi = self.partition(lo, head, |id| id <= end);
             let hi = hi.clamp(lo, lo.saturating_add(max as u64));
             sink.reserve(((hi - lo) as usize + merge.len()).min(max));
             let (mut merge, mut left) = (merge, max);

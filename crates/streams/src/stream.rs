@@ -135,12 +135,25 @@ pub struct ScanBatch {
 /// of arrays): one vector per record field instead of a `Vec<Record>` of
 /// structs. This is the snapshot the vectorized query path iterates —
 /// tight loops over `values`/`provenance` without materializing per-row
-/// [`Record`]s. Positions align across the three columns; payloads that
+/// [`Record`]s. Positions align across the four columns; payloads that
 /// failed to decode are skipped (and counted in `corrupt`), exactly as
 /// [`ScanBatch::records`] skips them, so index *i* here is record *i*
 /// there.
+///
+/// The batch carries the **three-part snapshot** its walk took under one
+/// window lock — `epoch`, `last_id`, `first_id` — which is what lets a
+/// cache keep a batch scanned to the stream's end as a *tail*:
+/// [`Stream::extend_columns`] appends the rows published after `last_id`
+/// and refreshes the three parts, `first_id` says whether the stream
+/// still retains the batch's oldest rows ([`ColumnBatch::trim_before`]
+/// drops the ones it lost), and [`ColumnBatch::rows_in`] finds any
+/// window's rows by the ID milliseconds the window is defined on.
 #[derive(Debug, Clone, Default)]
 pub struct ColumnBatch {
+    /// Millisecond part of each row's [`StreamId`] — the key time windows
+    /// select by (it differs from the record's own timestamp when the
+    /// clock regressed: see [`Stream::range_by_time`]). Non-decreasing.
+    pub ids_ms: Vec<u64>,
     /// Record timestamps (ns), in entry order.
     pub timestamps_ns: Vec<u64>,
     /// Record values, in entry order.
@@ -154,6 +167,15 @@ pub struct ColumnBatch {
     pub epoch: u64,
     /// The stream's last assigned ID at the snapshot point.
     pub last_id: Option<StreamId>,
+    /// The oldest ID the stream still retained at the snapshot point (the
+    /// archive's oldest row, else the window's front): retention only
+    /// ever drops a stream's oldest rows, so every row appended with an
+    /// ID from here on was readable.
+    pub first_id: Option<StreamId>,
+    /// Which [`Stream`] the snapshot is of (0: none). A topic removed and
+    /// re-created under its name is a different stream whose IDs and
+    /// epochs start over, so the three parts alone cannot tell.
+    source: u64,
 }
 
 impl RowSink for ColumnBatch {
@@ -162,19 +184,22 @@ impl RowSink for ColumnBatch {
         (self.len(), self.corrupt)
     }
     fn rewind(&mut self, (rows, corrupt): (usize, u64)) {
+        self.ids_ms.truncate(rows);
         self.timestamps_ns.truncate(rows);
         self.values.truncate(rows);
         self.provenance.truncate(rows);
         self.corrupt = corrupt;
     }
     fn reserve(&mut self, rows: usize) {
+        self.ids_ms.reserve_exact(rows);
         self.timestamps_ns.reserve_exact(rows);
         self.values.reserve_exact(rows);
         self.provenance.reserve_exact(rows);
     }
-    fn push_row(&mut self, _id: StreamId, payload: &[u8]) {
+    fn push_row(&mut self, id: StreamId, payload: &[u8]) {
         match Record::decode(payload) {
             Ok(r) => {
+                self.ids_ms.push(id.ms);
                 self.timestamps_ns.push(r.timestamp_ns);
                 self.values.push(r.value);
                 self.provenance.push(r.provenance.wire());
@@ -184,7 +209,57 @@ impl RowSink for ColumnBatch {
     }
 }
 
+/// The sink of [`Stream::extend_columns`]: lands rows in a shared batch,
+/// un-sharing it (`Arc::make_mut`) only when a row does land — a reader
+/// still folding the batch keeps the rows it started with, and a lookup
+/// that finds nothing new copies nothing. Growth is amortised, unlike a
+/// one-shot scan's exact reservation: a tail is extended again and again.
+struct TailSink<'a>(&'a mut Arc<ColumnBatch>);
+
+impl RowSink for TailSink<'_> {
+    type Mark = (usize, u64);
+    fn mark(&self) -> (usize, u64) {
+        self.0.mark()
+    }
+    fn rewind(&mut self, mark: (usize, u64)) {
+        if self.0.mark() != mark {
+            Arc::make_mut(self.0).rewind(mark);
+        }
+    }
+    fn reserve(&mut self, rows: usize) {
+        if rows > 0 {
+            let b = Arc::make_mut(self.0);
+            b.ids_ms.reserve(rows);
+            b.timestamps_ns.reserve(rows);
+            b.values.reserve(rows);
+            b.provenance.reserve(rows);
+        }
+    }
+    fn push_row(&mut self, id: StreamId, payload: &[u8]) {
+        Arc::make_mut(self.0).push_row(id, payload);
+    }
+}
+
 impl ColumnBatch {
+    /// The rows whose ID millisecond lies in `[start_ms, end_ms]` — the
+    /// rows a scan of that window would have landed, in the same order.
+    /// An inverted window selects nothing.
+    pub fn rows_in(&self, start_ms: u64, end_ms: u64) -> std::ops::Range<usize> {
+        let lo = self.ids_ms.partition_point(|&ms| ms < start_ms);
+        lo..self.ids_ms.partition_point(|&ms| ms <= end_ms).max(lo)
+    }
+
+    /// Drop the leading rows whose ID millisecond is below `ms` (rows the
+    /// stream has since lost). `corrupt` keeps counting every undecodable
+    /// payload the batch ever walked past.
+    pub fn trim_before(&mut self, ms: u64) {
+        let n = self.ids_ms.partition_point(|&id_ms| id_ms < ms);
+        self.ids_ms.drain(..n);
+        self.timestamps_ns.drain(..n);
+        self.values.drain(..n);
+        self.provenance.drain(..n);
+    }
+
     /// Decoded records in the batch.
     pub fn len(&self) -> usize {
         self.timestamps_ns.len()
@@ -193,17 +268,6 @@ impl ColumnBatch {
     /// True when no record decoded.
     pub fn is_empty(&self) -> bool {
         self.timestamps_ns.is_empty()
-    }
-
-    /// Re-materialize record `i` — how the row form is derived from the
-    /// columnar one (the vectorized hot path never does this).
-    pub fn record(&self, i: usize) -> Record {
-        Record {
-            timestamp_ns: self.timestamps_ns[i],
-            value: self.values[i],
-            provenance: crate::codec::Provenance::from_wire(self.provenance[i])
-                .expect("column batch holds only valid wire bytes"),
-        }
     }
 }
 
@@ -231,6 +295,16 @@ pub struct Stream {
     /// cursor (a consumer group's, in practice) trailed the live window
     /// because retention evicted entries before they were delivered.
     group_lagged: Arc<AtomicU64>,
+    /// Process-unique, non-zero: what [`ColumnBatch`] snapshots name their
+    /// stream by.
+    incarnation: u64,
+}
+
+/// What a range walk saw of its stream, read under one window lock.
+struct Snapshot {
+    epoch: u64,
+    last_id: Option<StreamId>,
+    first_id: Option<StreamId>,
 }
 
 /// Attempts [`Stream::range`] makes optimistically (archive scanned
@@ -268,7 +342,9 @@ impl Stream {
         // Restart survival: resume ID assignment after the archived
         // history (None for a fresh or heap-backed archive).
         let window = Window { last_id: archive.last_id(), ..Window::default() };
+        static INCARNATIONS: AtomicU64 = AtomicU64::new(1);
         Self {
+            incarnation: INCARNATIONS.fetch_add(1, Ordering::Relaxed),
             name,
             config,
             window: RwLock::new(window),
@@ -421,16 +497,11 @@ impl Stream {
     }
 
     /// The stitch behind [`Stream::range`], generic over where the rows
-    /// land. Returns the `(epoch, last_id)` pair observed at the snapshot
-    /// point — the invalidation key cache layers compare against
-    /// [`Stream::scan_meta`]; a retried attempt first rewinds the sink, so
-    /// what it gained on return is exactly one snapshot's rows and counts.
-    fn walk<S: RowSink>(
-        &self,
-        start: StreamId,
-        end: StreamId,
-        sink: &mut S,
-    ) -> (u64, Option<StreamId>) {
+    /// land. Returns the three-part snapshot observed under the window
+    /// lock the rows were read under (see [`Stream::scan_meta`]); a retried
+    /// attempt first rewinds the sink, so what it gained on return is
+    /// exactly one snapshot's rows and counts.
+    fn walk<S: RowSink>(&self, start: StreamId, end: StreamId, sink: &mut S) -> Snapshot {
         let mark = sink.mark();
         for attempt in 0.. {
             sink.rewind(mark);
@@ -461,7 +532,10 @@ impl Stream {
             let hi = partition_point_deque(&w.entries, |e| e.id <= end).max(lo);
             sink.reserve(hi - lo);
             sink.push_entries(w.entries.range(lo..hi));
-            return (epoch, w.last_id);
+            // Evictions hold the window write lock, so the archive cannot
+            // lose or gain a row while this reads its oldest.
+            let first_id = self.archive.first_id().or_else(|| w.entries.front().map(|e| e.id));
+            return Snapshot { epoch, last_id: w.last_id, first_id };
         }
         unreachable!("range loop always returns")
     }
@@ -510,9 +584,11 @@ impl Stream {
         self.epoch.load(Ordering::Acquire)
     }
 
-    /// `(eviction_epoch, last_id)` read under one lock — the pair a cache
-    /// compares to decide whether a previous [`Stream::scan_batch`] is
-    /// still valid.
+    /// `(eviction_epoch, last_id)` read under one lock: while the pair
+    /// stands still the stream's content has not changed. They are two
+    /// parts of the three-part snapshot every scan takes under that same
+    /// lock; the third, the oldest retained ID, travels with the columnar
+    /// form only ([`ColumnBatch::first_id`]), whose tails need it.
     pub fn scan_meta(&self) -> (u64, Option<StreamId>) {
         let w = self.window.read();
         (self.epoch.load(Ordering::Acquire), w.last_id)
@@ -547,7 +623,7 @@ impl Stream {
     /// decodes each payload exactly once per cache generation.
     pub fn scan_batch(&self, start: StreamId, end: StreamId) -> ScanBatch {
         let mut entries = Vec::new();
-        let (epoch, last_id) = self.walk(start, end, &mut entries);
+        let Snapshot { epoch, last_id, .. } = self.walk(start, end, &mut entries);
         let mut records = Vec::with_capacity(entries.len());
         let mut corrupt = 0u64;
         for e in &entries {
@@ -570,9 +646,32 @@ impl Stream {
     /// the batch is itself the walk's sink: each payload is decoded where
     /// the walk finds it (slot scratch, window entry) and no entry is built.
     pub fn scan_columns(&self, start: StreamId, end: StreamId) -> ColumnBatch {
-        let mut out = ColumnBatch::default();
-        (out.epoch, out.last_id) = self.walk(start, end, &mut out);
+        let mut out = ColumnBatch { source: self.incarnation, ..ColumnBatch::default() };
+        let snap = self.walk(start, end, &mut out);
+        (out.epoch, out.last_id, out.first_id) = (snap.epoch, snap.last_id, snap.first_id);
         out
+    }
+
+    /// Bring `tail` — a [`Stream::scan_columns`] of this stream that ran to
+    /// its end — up to the present: the rows appended after its `last_id`
+    /// land behind the ones it holds (one walk, one snapshot, as a scan)
+    /// and its three snapshot parts are refreshed, so it equals what a
+    /// scan from the same start would return now, plus whatever head rows
+    /// the stream has lost since (the caller compares `first_id`). The
+    /// `Arc` is un-shared only if something changed. Returns `false`, and
+    /// leaves `tail` alone, when it is not a snapshot of this stream.
+    pub fn extend_columns(&self, tail: &mut Arc<ColumnBatch>) -> bool {
+        let Some(last) = tail.last_id.filter(|_| tail.source == self.incarnation) else {
+            return false;
+        };
+        // Nothing can follow the largest ID, and nothing was evicted since.
+        let Some(start) = last.successor() else { return true };
+        let snap = self.walk(start, StreamId::MAX, &mut TailSink(tail));
+        if (snap.epoch, snap.last_id, snap.first_id) != (tail.epoch, tail.last_id, tail.first_id) {
+            let t = Arc::make_mut(tail);
+            (t.epoch, t.last_id, t.first_id) = (snap.epoch, snap.last_id, snap.first_id);
+        }
+        true
     }
 
     /// [`Stream::scan_columns`] keyed by millisecond ID time.

@@ -84,7 +84,9 @@ fn warm_slab_records_allocate_nothing() {
     assert_eq!(columns.len() as u64, ARCHIVED + WINDOW);
     assert_eq!((columns.values[0], columns.values[4_351]), (0.0, 4_351.0));
     assert_eq!(columns.values.capacity(), columns.len(), "a cached batch carries no slack");
-    assert!(n <= 8, "scan_columns allocated {n} blocks for {} rows", columns.len());
+    // Four columns, each sized once for the ring rows and once more for
+    // the window rows, plus the slot scratch.
+    assert!(n <= 9, "scan_columns allocated {n} blocks for {} rows", columns.len());
 
     let mut entries = Vec::new();
     let n = allocs_during(|| entries = stream.range(StreamId::MIN, StreamId::MAX));
