@@ -2,11 +2,12 @@
 //!
 //! SCoRe is "a distributed data structure represented as a Directed
 //! Acyclic Graph (DAG) of vertices" (§3.1). This module tracks the
-//! topology: which vertices exist, who consumes whom, cycle rejection at
-//! registration time, and the structural quantities the Figure 7
-//! experiments vary — vertex **degree** (fan-in) and **height** (the
-//! maximum Hamming distance from any source to a sink, the `h` of the
-//! `O(p·h)` propagation bound of §3.2.1).
+//! topology: which vertices exist, who consumes whom (an input must be
+//! registered before its consumer and edges are never edited, so the
+//! graph is acyclic by construction), and the structural quantities the
+//! Figure 7 experiments vary — vertex **degree** (fan-in) and **height**
+//! (the maximum Hamming distance from any source to a sink, the `h` of
+//! the `O(p·h)` propagation bound of §3.2.1).
 
 use std::collections::{HashMap, HashSet};
 
@@ -33,6 +34,8 @@ pub enum GraphError {
         /// The missing input.
         input: String,
     },
+    /// No vertex with this name is registered.
+    UnknownVertex(String),
 }
 
 impl std::fmt::Display for GraphError {
@@ -43,6 +46,7 @@ impl std::fmt::Display for GraphError {
             GraphError::UnknownInput { vertex, input } => {
                 write!(f, "vertex {vertex:?} consumes unregistered input {input:?}")
             }
+            GraphError::UnknownVertex(v) => write!(f, "no vertex {v:?} is registered"),
         }
     }
 }
@@ -74,8 +78,7 @@ impl ScoreGraph {
     }
 
     /// Register an insight vertex consuming `inputs`. All inputs must be
-    /// registered already (which also guarantees acyclicity, but the cycle
-    /// check is kept for robustness against future edge editing).
+    /// registered already, which is what keeps the graph acyclic.
     pub fn add_insight(&mut self, name: &str, inputs: &[String]) -> Result<(), GraphError> {
         if self.kinds.contains_key(name) {
             return Err(GraphError::Duplicate(name.to_string()));
@@ -93,17 +96,15 @@ impl ScoreGraph {
         }
         self.kinds.insert(name.to_string(), VertexKind::Insight);
         self.inputs.insert(name.to_string(), inputs.to_vec());
-        if self.has_cycle() {
-            self.kinds.remove(name);
-            self.inputs.remove(name);
-            return Err(GraphError::Cycle(name.to_string()));
-        }
         Ok(())
     }
 
-    /// Remove a vertex (unregister at runtime, §3.1). Fails when another
-    /// vertex still consumes it.
+    /// Remove a vertex (unregister at runtime, §3.1). Fails when `name` is
+    /// not a registered vertex or another vertex still consumes it.
     pub fn remove(&mut self, name: &str) -> Result<(), GraphError> {
+        if !self.kinds.contains_key(name) {
+            return Err(GraphError::UnknownVertex(name.to_string()));
+        }
         let consumers: Vec<&String> = self
             .inputs
             .iter()
@@ -190,45 +191,6 @@ impl ScoreGraph {
             visit(self, v, &mut visited, &mut order);
         }
         order
-    }
-
-    fn has_cycle(&self) -> bool {
-        // DFS with colors.
-        #[derive(Clone, Copy, PartialEq)]
-        enum Color {
-            White,
-            Gray,
-            Black,
-        }
-        let mut colors: HashMap<&String, Color> =
-            self.kinds.keys().map(|k| (k, Color::White)).collect();
-        fn dfs<'a>(
-            g: &'a ScoreGraph,
-            v: &'a String,
-            colors: &mut HashMap<&'a String, Color>,
-        ) -> bool {
-            colors.insert(v, Color::Gray);
-            if let Some(ins) = g.inputs.get(v) {
-                for i in ins {
-                    match colors.get(i).copied() {
-                        Some(Color::Gray) => return true,
-                        Some(Color::White) if dfs(g, i, colors) => {
-                            return true;
-                        }
-                        _ => {}
-                    }
-                }
-            }
-            colors.insert(v, Color::Black);
-            false
-        }
-        let names: Vec<&String> = self.kinds.keys().collect();
-        for v in names {
-            if colors.get(&v) == Some(&Color::White) && dfs(self, v, &mut colors) {
-                return true;
-            }
-        }
-        false
     }
 }
 
@@ -322,6 +284,7 @@ mod tests {
         g.remove("i1").unwrap();
         g.remove("fact").unwrap();
         assert!(g.is_empty());
+        assert_eq!(g.remove("fact"), Err(GraphError::UnknownVertex("fact".into())));
     }
 }
 

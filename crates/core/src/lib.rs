@@ -82,6 +82,6 @@ pub use kprobe::EventFactVertex;
 pub use predict::PredictionPump;
 pub use selfobs::{deploy_self_observer, SELF_TOPICS};
 pub use selfobs::{deploy_slab_observer, SLAB_SELF_TOPICS};
-pub use service::{Apollo, ApolloHandle, FactVertexSpec, InsightVertexSpec, SlabLifecycle};
+pub use service::{Apollo, ApolloHandle, FactVertexSpec, InsightVertexSpec};
 pub use soak::{ScanLedger, SlabChurnConfig, SoakConfig, SoakOutcome};
 pub use vertex::{FactVertex, InsightInputs, InsightVertex};

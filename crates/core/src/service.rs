@@ -29,11 +29,11 @@ use apollo_obs::Registry;
 use apollo_query::exec::{
     CachedBroker, ExecSqlError, QueryEngine, QueryMetrics, QueryResult, ScanCache,
 };
-use apollo_runtime::event_loop::{EventLoop, TimerAction};
+use apollo_runtime::event_loop::{EventLoop, TimerAction, TimerControl};
 use apollo_runtime::pool::WorkerPool;
-use apollo_runtime::time::{AnyClock, Clock};
-use apollo_streams::{Broker, CompactPolicy, FlushPolicy, SlabStore, StreamConfig};
+use apollo_streams::{Broker, CompactPolicy, SlabStore, StreamConfig};
 use parking_lot::Mutex;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -205,37 +205,6 @@ impl InsightVertexSpec {
     }
 }
 
-/// How [`Apollo::attach_slab_with`] runs an attached slab store's
-/// background lifecycle as timers on the service event loop: consolidation
-/// cadence, msync flush policy (the bounded machine-crash loss window),
-/// and series GC/compaction.
-#[derive(Debug, Clone)]
-pub struct SlabLifecycle {
-    /// Tiered-consolidation pass interval.
-    pub consolidate_every: Duration,
-    /// Background msync cadence. [`FlushPolicy::disabled`] restores the
-    /// pre-lifecycle behavior (process-crash durable only).
-    pub flush: FlushPolicy,
-    /// Series GC eligibility; `None` disables compaction entirely.
-    pub compact: Option<CompactPolicy>,
-    /// Compaction pass interval.
-    pub compact_every: Duration,
-}
-
-impl Default for SlabLifecycle {
-    /// Consolidate every second; flush per [`FlushPolicy::default`]
-    /// (every second / 4096 dirty records / after consolidation); compact
-    /// every 30 s with the default 10-minute retention horizon.
-    fn default() -> Self {
-        Self {
-            consolidate_every: Duration::from_secs(1),
-            flush: FlushPolicy::default(),
-            compact: Some(CompactPolicy::default()),
-            compact_every: Duration::from_secs(30),
-        }
-    }
-}
-
 /// The one AQE query path behind [`Apollo::query`] and
 /// [`ApolloHandle::query`]. `spawn` gives the handle a clone; the list of
 /// standing queries only changes through `&mut Apollo`, which nobody
@@ -274,22 +243,31 @@ impl QueryPath {
     }
 }
 
+/// One periodic step on the service loop (see [`Apollo::schedule`]).
+struct Scheduled {
+    /// The step's timer, cancelled when the step is unregistered or
+    /// re-scheduled.
+    timer: Arc<TimerControl>,
+    /// Dispatch lane: the key the timer carries on the loop. Steps
+    /// connected through the DAG (a consumer, its producers, their pump)
+    /// share one, so they never run concurrently — the invariant that
+    /// keeps pool dispatch bit-identical to inline.
+    lane: u64,
+}
+
 /// The assembled Apollo service.
 pub struct Apollo {
     broker: Arc<Broker>,
-    el: EventLoop<AnyClock>,
+    el: EventLoop,
     graph: ScoreGraph,
     facts: Vec<Arc<FactVertex>>,
     insights: Vec<Arc<InsightVertex>>,
-    /// Timer handles per vertex, so runtime unregistration can cancel.
-    timers: std::collections::HashMap<String, Vec<Arc<apollo_runtime::event_loop::TimerControl>>>,
-    /// Dispatch components: vertex name → component root name
-    /// (union-find). Vertices connected through the DAG share a dispatch
-    /// key so a consumer never runs concurrently with its producers —
-    /// the invariant that keeps pool dispatch bit-identical to inline.
-    component_parent: std::collections::HashMap<String, String>,
-    /// Component root name → member vertex names (for re-keying on merge).
-    component_members: std::collections::HashMap<String, Vec<String>>,
+    /// Every periodic step by name: vertices, prediction pumps and the
+    /// slab lifecycle.
+    scheduled: HashMap<String, Scheduled>,
+    /// The last lane key handed out; keys are never reused, so steps
+    /// share a lane only by joining.
+    next_lane: u64,
     /// Batched Delphi prediction pumps (see [`Apollo::prediction_pump`]).
     pumps: Vec<PredictionPump>,
     /// The self-observation metrics registry every subsystem reports into.
@@ -299,8 +277,8 @@ pub struct Apollo {
     /// Live registered-standing-query count, exported as
     /// `query.continuous.registered` and read by the self-observer.
     continuous_registered: Arc<AtomicU64>,
-    /// Durable slab store whose tiered consolidation runs as a timer on
-    /// the event loop (see [`Apollo::attach_slab`]).
+    /// Durable slab store whose lifecycle runs on the event loop (see
+    /// [`Apollo::attach_slab`]).
     slab: Option<Arc<SlabStore>>,
 }
 
@@ -317,18 +295,14 @@ impl Apollo {
 
     /// Service with explicit loop and stream retention config, observed
     /// by a fresh enabled metrics registry.
-    pub fn with_config(el: EventLoop<AnyClock>, streams: StreamConfig) -> Self {
+    pub fn with_config(el: EventLoop, streams: StreamConfig) -> Self {
         Self::with_registry(el, streams, Registry::new())
     }
 
     /// [`Apollo::with_config`] with an explicit metrics registry. Pass
     /// [`Registry::noop`] to strip self-observation down to a handful of
     /// never-taken branches (the ≤5 % overhead bound of the bench suite).
-    pub fn with_registry(
-        mut el: EventLoop<AnyClock>,
-        streams: StreamConfig,
-        registry: Registry,
-    ) -> Self {
+    pub fn with_registry(mut el: EventLoop, streams: StreamConfig, registry: Registry) -> Self {
         let broker = Arc::new(Broker::new(streams));
         el.instrument(&registry);
         broker.instrument(&registry);
@@ -350,9 +324,8 @@ impl Apollo {
             graph: ScoreGraph::new(),
             facts: Vec::new(),
             insights: Vec::new(),
-            timers: std::collections::HashMap::new(),
-            component_parent: std::collections::HashMap::new(),
-            component_members: std::collections::HashMap::new(),
+            scheduled: HashMap::new(),
+            next_lane: 0,
             pumps: Vec::new(),
             registry,
             query_path,
@@ -361,45 +334,98 @@ impl Apollo {
         }
     }
 
-    /// Attach a durable slab store with the default [`SlabLifecycle`] at
-    /// consolidation cadence `every`: tiered consolidation (1s → 10s → 5m
-    /// roll-ups), background msync on the default [`FlushPolicy`] — so an
-    /// attached store has a **bounded** machine-crash loss window out of
-    /// the box — and series GC/compaction every 30 s. See
-    /// [`Apollo::attach_slab_with`] to tune or disable the pieces.
-    pub fn attach_slab(&mut self, store: Arc<SlabStore>, every: Duration) {
-        self.attach_slab_with(
-            store,
-            SlabLifecycle { consolidate_every: every, ..Default::default() },
-        );
+    /// The one way a periodic step reaches the event loop. Every `every`
+    /// (or whatever the step re-programs through its [`TimerControl`])
+    /// the loop calls `step(ctl, now_ns)` with one clock reading.
+    ///
+    /// The step runs in the dispatch lane of the steps named in `joins`
+    /// (merging their lanes when they differ), or in a fresh lane of its
+    /// own when `joins` names none. A step already scheduled under `name`
+    /// is cancelled, so a name never has two timers.
+    fn schedule(
+        &mut self,
+        name: &str,
+        joins: &[String],
+        every: Duration,
+        mut step: impl FnMut(&TimerControl, u64) + Send + 'static,
+    ) {
+        let joined: Vec<u64> =
+            joins.iter().filter_map(|j| self.scheduled.get(j)).map(|s| s.lane).collect();
+        let lane = joined.first().copied().unwrap_or_else(|| {
+            self.next_lane += 1;
+            self.next_lane
+        });
+        if joined.iter().any(|&l| l != lane) {
+            for s in self.scheduled.values_mut() {
+                if s.lane != lane && joined.contains(&s.lane) {
+                    s.lane = lane;
+                    self.el.set_timer_key(s.timer.id(), lane);
+                }
+            }
+        }
+        let clock = self.el.clock().clone();
+        let timer = self.el.add_timer_keyed(lane, every, move |ctl| {
+            step(ctl, clock.now());
+            TimerAction::Continue
+        });
+        if let Some(previous) = self.scheduled.insert(name.to_string(), Scheduled { timer, lane }) {
+            previous.timer.cancel();
+        }
     }
 
-    /// Attach a durable slab store and drive its full lifecycle as timers
-    /// on the service event loop per `lifecycle`:
+    /// [`Apollo::attach_slab_with`] keeping a retired series for
+    /// [`CompactPolicy::default`]'s 10 minutes.
+    pub fn attach_slab(&mut self, store: Arc<SlabStore>, every: Duration) {
+        self.attach_slab_with(store, every, CompactPolicy::default());
+    }
+
+    /// Attach a durable slab store and run its lifecycle as one step on
+    /// the service event loop. Every `every`, in this order:
     ///
-    /// * **Consolidation** every `consolidate_every`, exporting
-    ///   `streams.slab.occupied_slots`, `streams.slab.consolidation_lag`,
-    ///   `streams.slab.series`, `streams.slab.pressure`,
-    ///   `streams.slab.dirty_records`, and `streams.slab.lapped_entries`
-    ///   gauges plus the `streams.slab.consolidated_entries` counter.
-    /// * **Flushing** per [`FlushPolicy`]: a cadence timer (the policy's
-    ///   `every`, or `consolidate_every` when only `every_records` is
-    ///   set) msyncs whenever the policy's record/interval trigger is
-    ///   satisfied, and `on_consolidation` flushes after each
-    ///   consolidation pass. Exports `streams.slab.flushes`,
-    ///   `streams.slab.flush_ns`, and `streams.slab.flush_errors`.
-    /// * **Compaction** every `compact_every` (when a [`CompactPolicy`]
-    ///   is set), reclaiming retired series under the virtual clock's
-    ///   notion of "now". Exports `streams.slab.reclaimed_series`,
-    ///   `streams.slab.reclaimed_entries`, and `streams.slab.compact_ns`.
+    /// 1. [`SlabStore::consolidate`] folds new entries into the tiers
+    ///    (`streams.slab.consolidated_entries`).
+    /// 2. [`SlabStore::flush`] msyncs, so the folds and the entries they
+    ///    cover reach disk together (`streams.slab.{flushes, flush_ns,
+    ///    flush_errors}`).
+    /// 3. [`SlabStore::compact`] reclaims the series `retention` calls
+    ///    retired, on the loop's clock (`streams.slab.{reclaimed_series,
+    ///    reclaimed_entries, compact_ns, compact_errors}`). A pass that
+    ///    reclaims nothing reads one state word per directory entry, so
+    ///    compaction needs no cadence of its own; `retention_ms: u64::MAX`
+    ///    keeps every series that holds an entry.
+    /// 4. The `streams.slab.{occupied_slots, consolidation_lag, series,
+    ///    pressure, dirty_records, lapped_entries}` gauges are set.
+    ///
+    /// `every` is the machine-crash loss bound: a power cut can take the
+    /// records written since the last tick (`streams.slab.dirty_records`);
+    /// a process crash loses nothing. Attaching again replaces the running
+    /// lifecycle with one over the new store.
     ///
     /// Streams spill into the store when their [`StreamConfig`] selects
     /// [`apollo_streams::SpillBackend::slab`] over the same `Arc`.
-    pub fn attach_slab_with(&mut self, store: Arc<SlabStore>, lifecycle: SlabLifecycle) {
+    pub fn attach_slab_with(
+        &mut self,
+        store: Arc<SlabStore>,
+        every: Duration,
+        retention: CompactPolicy,
+    ) {
+        let folded = self.registry.counter("streams.slab.consolidated_entries");
         let flushes = self.registry.counter("streams.slab.flushes");
         let flush_errors = self.registry.counter("streams.slab.flush_errors");
         let flush_ns = self.registry.histogram("streams.slab.flush_ns");
-        let flush_now = move |store: &SlabStore| {
+        let reclaimed = self.registry.counter("streams.slab.reclaimed_series");
+        let reclaimed_entries = self.registry.counter("streams.slab.reclaimed_entries");
+        let compact_ns = self.registry.histogram("streams.slab.compact_ns");
+        let compact_errors = self.registry.counter("streams.slab.compact_errors");
+        let occupied = self.registry.gauge("streams.slab.occupied_slots");
+        let lag = self.registry.gauge("streams.slab.consolidation_lag");
+        let series = self.registry.gauge("streams.slab.series");
+        let pressure = self.registry.gauge("streams.slab.pressure");
+        let dirty = self.registry.gauge("streams.slab.dirty_records");
+        let lapped = self.registry.gauge("streams.slab.lapped_entries");
+        self.slab = Some(Arc::clone(&store));
+        self.schedule("streams.slab.lifecycle", &[], every, move |_ctl, now_ns| {
+            folded.add(store.consolidate().folded);
             let t0 = std::time::Instant::now();
             match store.flush() {
                 Ok(_) => {
@@ -408,93 +434,23 @@ impl Apollo {
                 }
                 Err(_) => flush_errors.inc(),
             }
-        };
-
-        let name = "streams.slab.consolidate".to_string();
-        let occupied = self.registry.gauge("streams.slab.occupied_slots");
-        let lag = self.registry.gauge("streams.slab.consolidation_lag");
-        let series = self.registry.gauge("streams.slab.series");
-        let pressure = self.registry.gauge("streams.slab.pressure");
-        let dirty = self.registry.gauge("streams.slab.dirty_records");
-        let lapped = self.registry.gauge("streams.slab.lapped_entries");
-        let folded = self.registry.counter("streams.slab.consolidated_entries");
-        let handle = {
-            let store = Arc::clone(&store);
-            let flush_now = flush_now.clone();
-            let on_consolidation = lifecycle.flush.on_consolidation;
-            self.el.add_timer_keyed(name_seed(&name), lifecycle.consolidate_every, move |_ctl| {
-                let report = store.consolidate();
-                folded.add(report.folded);
-                if on_consolidation {
-                    flush_now(&store);
+            let t0 = std::time::Instant::now();
+            match store.compact(now_ns / 1_000_000, retention) {
+                Ok(report) => {
+                    compact_ns.observe(t0.elapsed().as_nanos() as u64);
+                    reclaimed.add(report.reclaimed as u64);
+                    reclaimed_entries.add(report.reclaimed_entries);
                 }
-                let stats = store.stats();
-                occupied.set(stats.live_entries as f64);
-                lag.set(stats.consolidation_lag as f64);
-                series.set(stats.series_live as f64);
-                pressure.set(stats.pressure());
-                dirty.set(stats.dirty_records as f64);
-                lapped.set(stats.lapped_entries as f64);
-                TimerAction::Continue
-            })
-        };
-        self.timers.insert(name.clone(), vec![handle]);
-        self.new_component(&name);
-
-        // Cadence flushing: the policy's interval, or — when only the
-        // record-count trigger is set — checked at consolidation cadence.
-        let flush_every = match (lifecycle.flush.every, lifecycle.flush.every_records) {
-            (Some(every), _) => Some(every),
-            (None, Some(_)) => Some(lifecycle.consolidate_every),
-            (None, None) => None,
-        };
-        if let Some(every) = flush_every {
-            let name = "streams.slab.flush".to_string();
-            let policy = lifecycle.flush;
-            let handle = {
-                let store = Arc::clone(&store);
-                self.el.add_timer_keyed(name_seed(&name), every, move |_ctl| {
-                    let dirty = store.dirty_records();
-                    let due = (policy.every.is_some() && dirty > 0)
-                        || policy.every_records.is_some_and(|n| dirty >= n);
-                    if due {
-                        flush_now(&store);
-                    }
-                    TimerAction::Continue
-                })
-            };
-            self.timers.insert(name.clone(), vec![handle]);
-            self.new_component(&name);
-        }
-
-        if let Some(policy) = lifecycle.compact {
-            let name = "streams.slab.compact".to_string();
-            let reclaimed = self.registry.counter("streams.slab.reclaimed_series");
-            let reclaimed_entries = self.registry.counter("streams.slab.reclaimed_entries");
-            let compact_ns = self.registry.histogram("streams.slab.compact_ns");
-            let compact_errors = self.registry.counter("streams.slab.compact_errors");
-            let clock = self.el.clock().clone();
-            let handle = {
-                let store = Arc::clone(&store);
-                self.el.add_timer_keyed(name_seed(&name), lifecycle.compact_every, move |_ctl| {
-                    let now_ms = clock.now() / 1_000_000;
-                    let t0 = std::time::Instant::now();
-                    match store.compact(now_ms, policy) {
-                        Ok(report) => {
-                            compact_ns.observe(t0.elapsed().as_nanos() as u64);
-                            reclaimed.add(report.reclaimed as u64);
-                            reclaimed_entries.add(report.reclaimed_entries);
-                        }
-                        Err(_) => compact_errors.inc(),
-                    }
-                    TimerAction::Continue
-                })
-            };
-            self.timers.insert(name.clone(), vec![handle]);
-            self.new_component(&name);
-        }
-
-        self.slab = Some(store);
+                Err(_) => compact_errors.inc(),
+            }
+            let stats = store.stats();
+            occupied.set(stats.live_entries as f64);
+            lag.set(stats.consolidation_lag as f64);
+            series.set(stats.series_live as f64);
+            pressure.set(stats.pressure());
+            dirty.set(stats.dirty_records as f64);
+            lapped.set(stats.lapped_entries as f64);
+        });
     }
 
     /// The attached slab store, when [`Apollo::attach_slab`] was called.
@@ -509,7 +465,7 @@ impl Apollo {
     /// returned handle to [`FactVertexSpec::with_batched_prediction`]
     /// before registering them.
     ///
-    /// Each enrolled vertex joins the pump's dispatch component, so under
+    /// Each enrolled vertex joins the pump's dispatch lane, so under
     /// [`Apollo::use_worker_pool`] the pump never races its vertices'
     /// poll timers and virtual-clock runs stay deterministic. Kernel wall
     /// time and batch sizes report as `delphi.predict_ns` /
@@ -523,99 +479,10 @@ impl Apollo {
         let name = format!("delphi.pump.{}", self.pumps.len());
         let pump = PredictionPump::new(model, every, name.clone());
         pump.shared.instrument(&self.registry);
-        let clock = self.el.clock().clone();
-        let handle = {
-            let shared = Arc::clone(&pump.shared);
-            self.el.add_timer_keyed(name_seed(&name), every, move |_ctl| {
-                shared.tick(clock.now());
-                TimerAction::Continue
-            })
-        };
-        self.timers.insert(name.clone(), vec![handle]);
-        self.new_component(&name);
+        let shared = Arc::clone(&pump.shared);
+        self.schedule(&name, &[], every, move |_ctl, now| shared.tick(now));
         self.pumps.push(pump.clone());
         pump
-    }
-
-    /// Root of `name`'s dispatch component (with path compression).
-    fn component_root(&mut self, name: &str) -> String {
-        let mut root = name.to_string();
-        while let Some(p) = self.component_parent.get(&root) {
-            if *p == root {
-                break;
-            }
-            root = p.clone();
-        }
-        self.component_parent.insert(name.to_string(), root.clone());
-        root
-    }
-
-    /// Register `name` as its own single-member dispatch component.
-    fn new_component(&mut self, name: &str) {
-        self.component_parent.insert(name.to_string(), name.to_string());
-        self.component_members.insert(name.to_string(), vec![name.to_string()]);
-    }
-
-    /// Merge `name`'s component with each of `others`' and re-key every
-    /// member's timers to the merged root, so the whole connected
-    /// DAG fragment shares one dispatch lane.
-    fn merge_components(&mut self, name: &str, others: &[String]) {
-        let mut root = self.component_root(name);
-        for other in others {
-            let other_root = self.component_root(other);
-            if other_root == root {
-                continue;
-            }
-            // Keep the larger member list as the surviving root.
-            let (win, lose) = {
-                let a = self.component_members.get(&root).map_or(0, Vec::len);
-                let b = self.component_members.get(&other_root).map_or(0, Vec::len);
-                if a >= b {
-                    (root.clone(), other_root)
-                } else {
-                    (other_root, root.clone())
-                }
-            };
-            let moved = self.component_members.remove(&lose).unwrap_or_default();
-            self.component_parent.insert(lose, win.clone());
-            self.component_members.entry(win.clone()).or_default().extend(moved);
-            root = win;
-        }
-        self.rekey_component(&root);
-    }
-
-    /// Give every timer of `root`'s members the component's dispatch key.
-    fn rekey_component(&mut self, root: &str) {
-        let key = name_seed(root);
-        for member in self.component_members.get(root).into_iter().flatten() {
-            for h in self.timers.get(member).into_iter().flatten() {
-                self.el.set_timer_key(h.id(), key);
-            }
-        }
-    }
-
-    /// Take `name` out of its dispatch component. The remaining members
-    /// stay one component; when `name` was its root, the first of them
-    /// becomes the root and their timers move to its key. Every member is
-    /// re-pointed at the root directly, so no parent chain is left
-    /// running through the removed name.
-    fn leave_component(&mut self, name: &str) {
-        let root = self.component_root(name);
-        self.component_parent.remove(name);
-        let mut members = self.component_members.remove(&root).unwrap_or_default();
-        members.retain(|m| m != name);
-        let Some(first) = members.first() else {
-            return;
-        };
-        let rerooted = root == name;
-        let new_root = if rerooted { first.clone() } else { root };
-        for m in &members {
-            self.component_parent.insert(m.clone(), new_root.clone());
-        }
-        self.component_members.insert(new_root.clone(), members);
-        if rerooted {
-            self.rekey_component(&new_root);
-        }
     }
 
     /// The pub-sub fabric (for subscribing middleware).
@@ -660,7 +527,6 @@ impl Apollo {
     pub fn register_fact(&mut self, spec: FactVertexSpec) -> Result<Arc<FactVertex>, GraphError> {
         self.graph.add_fact(&spec.name)?;
         let initial = spec.controller.current_interval();
-        let dispatch_key = name_seed(&spec.name);
         let mut supervision = spec.supervision.unwrap_or_default();
         supervision.seed ^= name_seed(&spec.name);
         let vertex = Arc::new(FactVertex::supervised(
@@ -672,7 +538,6 @@ impl Apollo {
             supervision,
         ));
         vertex.instrument(&self.registry);
-        let clock = self.el.clock().clone();
         let last_poll = Arc::new(AtomicU64::new(0));
 
         // Pump window state fed by the poll timer.
@@ -681,51 +546,43 @@ impl Apollo {
             .as_ref()
             .map(|p| Arc::new(Mutex::new(apollo_delphi::WindowTracker::new(p.window()))));
 
-        let handle = {
-            let vertex = Arc::clone(&vertex);
-            let last_poll = Arc::clone(&last_poll);
-            let pump_tracker = pump_tracker.clone();
-            self.el.add_timer_keyed(dispatch_key, initial, move |ctl| {
-                let now = clock.now();
-                let next = vertex.poll(now);
-                last_poll.store(now, Ordering::SeqCst);
-                if let Some(t) = &pump_tracker {
-                    // Re-anchor the pump's window on the measured value.
-                    if let Some(v) = vertex.last_value() {
-                        t.lock().observe(v);
-                    }
+        // Share the pump's dispatch lane so a pooled-dispatch tick never
+        // races this vertex's poll.
+        let joins: Vec<String> =
+            spec.batched_prediction.iter().map(|p| p.name().to_string()).collect();
+        let (polled, polled_at, tracker) =
+            (Arc::clone(&vertex), Arc::clone(&last_poll), pump_tracker.clone());
+        self.schedule(vertex.name(), &joins, initial, move |ctl, now| {
+            let next = polled.poll(now);
+            polled_at.store(now, Ordering::SeqCst);
+            if let Some(t) = &tracker {
+                // Re-anchor the pump's window on the measured value.
+                if let Some(v) = polled.last_value() {
+                    t.lock().observe(v);
                 }
-                ctl.set_interval(next);
-                TimerAction::Continue
-            })
-        };
-
-        self.timers.insert(vertex.name().to_string(), vec![handle]);
-        self.new_component(vertex.name());
+            }
+            ctl.set_interval(next);
+        });
         if let Some(pump) = spec.batched_prediction {
             pump.enroll(PumpSlot {
                 vertex: Arc::clone(&vertex),
                 tracker: pump_tracker.expect("created above"),
                 last_poll,
             });
-            // Share the pump's dispatch lane so a pooled-dispatch tick
-            // never races this vertex's poll timer.
-            let vertex_name = vertex.name().to_string();
-            self.merge_components(&vertex_name, &[pump.name().to_string()]);
         }
         self.facts.push(Arc::clone(&vertex));
         Ok(vertex)
     }
 
-    /// Unregister a vertex at runtime (§3.1). Cancels its timers, removes
-    /// it from the DAG (rejected while other vertices consume it) and
-    /// drops its topic from the broker.
+    /// Unregister a vertex at runtime (§3.1). Cancels its timer, removes
+    /// it from the DAG (rejected while other vertices consume it, and for
+    /// a name that is not a vertex: pumps, the slab lifecycle and topics
+    /// published around Apollo are not reachable from here) and drops its
+    /// topic from the broker.
     pub fn unregister(&mut self, name: &str) -> Result<(), GraphError> {
         self.graph.remove(name)?;
-        if let Some(handles) = self.timers.remove(name) {
-            for h in handles {
-                h.cancel();
-            }
+        if let Some(step) = self.scheduled.remove(name) {
+            step.timer.cancel();
         }
         self.facts.retain(|f| f.name() != name);
         self.insights.retain(|i| i.name() != name);
@@ -736,7 +593,6 @@ impl Apollo {
         for pump in &self.pumps {
             pump.retire(name);
         }
-        self.leave_component(name);
         self.broker.remove_topic(name);
         Ok(())
     }
@@ -747,7 +603,6 @@ impl Apollo {
         spec: InsightVertexSpec,
     ) -> Result<Arc<InsightVertex>, GraphError> {
         self.graph.add_insight(&spec.name, &spec.inputs)?;
-        let dispatch_key = name_seed(&spec.name);
         let inputs = spec.inputs.clone();
         let vertex = Arc::new(InsightVertex::with_link_delay(
             spec.name,
@@ -757,21 +612,13 @@ impl Apollo {
             spec.link_delay,
         ));
         vertex.instrument(&self.registry);
-        let clock = self.el.clock().clone();
-        let handle = {
-            let vertex = Arc::clone(&vertex);
-            self.el.add_timer_keyed(dispatch_key, spec.cadence, move |_ctl| {
-                vertex.pump(clock.now());
-                TimerAction::Continue
-            })
-        };
-        self.timers.insert(vertex.name().to_string(), vec![handle]);
-        // The insight joins its producers' dispatch component: under pool
+        // The insight joins its producers' dispatch lane: under pool
         // dispatch it never races the vertices feeding it, which is what
         // keeps same-tick pump-vs-publish ordering deterministic.
-        self.new_component(vertex.name());
-        let name = vertex.name().to_string();
-        self.merge_components(&name, &inputs);
+        let pumped = Arc::clone(&vertex);
+        self.schedule(vertex.name(), &inputs, spec.cadence, move |_ctl, now| {
+            pumped.pump(now);
+        });
         self.insights.push(Arc::clone(&vertex));
         Ok(vertex)
     }
@@ -811,21 +658,14 @@ impl Apollo {
         let vertex =
             Arc::new(ContinuousVertex::seed(name.clone(), cq, self.broker(), &self.registry));
         let fold_ns = self.registry.histogram("query.continuous.fold_ns");
-        let clock = self.el.clock().clone();
-        let handle = {
-            let vertex = Arc::clone(&vertex);
-            self.el.add_timer_keyed(name_seed(&name), cadence, move |_ctl| {
-                let t0 = std::time::Instant::now();
-                vertex.pump(clock.now() / 1_000_000);
-                fold_ns.observe(t0.elapsed().as_nanos() as u64);
-                TimerAction::Continue
-            })
-        };
-        self.timers.insert(name.clone(), vec![handle]);
         // Join the producers' dispatch lane: the pump never races the
         // vertices feeding it, so virtual-clock runs stay deterministic.
-        self.new_component(&name);
-        self.merge_components(&name, &inputs);
+        let pumped = Arc::clone(&vertex);
+        self.schedule(&name, &inputs, cadence, move |_ctl, now| {
+            let t0 = std::time::Instant::now();
+            pumped.pump(now / 1_000_000);
+            fold_ns.observe(t0.elapsed().as_nanos() as u64);
+        });
         self.continuous_registered.fetch_add(1, Ordering::SeqCst);
         self.query_path.continuous.push(Arc::clone(&vertex));
         Ok(vertex)
@@ -1028,7 +868,7 @@ impl Drop for ApolloHandle {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use apollo_cluster::metrics::{ConstSource, TraceSource};
     use apollo_cluster::series::TimeSeries;
@@ -1485,6 +1325,15 @@ mod tests {
         })
     }
 
+    /// A fresh slab file under the temp dir; the test removes
+    /// `store.path()` when it is done.
+    pub(crate) fn temp_store(tag: &str, config: apollo_streams::SlabConfig) -> Arc<SlabStore> {
+        let path =
+            std::env::temp_dir().join(format!("apollo-core-{tag}-{}.slab", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        SlabStore::create(&path, config).unwrap()
+    }
+
     #[test]
     fn pump_enrolls_and_retires_with_vertex_lifecycle() {
         let mut apollo = Apollo::new_virtual();
@@ -1511,61 +1360,85 @@ mod tests {
         assert_eq!(pump.enrolled(), 0);
     }
 
-    /// `component_members[r]` lists exactly the names whose
-    /// `component_root` is `r`, and every listed timer carries
-    /// `name_seed(r)`.
-    fn assert_component_maps_agree(apollo: &mut Apollo) {
-        let names: Vec<String> = apollo.component_parent.keys().cloned().collect();
-        let mut by_root = std::collections::HashMap::<String, Vec<String>>::new();
-        for name in names {
-            by_root.entry(apollo.component_root(&name)).or_default().push(name);
+    /// `members` are exactly the steps on one lane, and every scheduled
+    /// timer carries its step's lane on the loop.
+    fn assert_one_lane(apollo: &Apollo, members: &[&str]) {
+        for (name, step) in &apollo.scheduled {
+            assert_eq!(apollo.el.timer_key(step.timer.id()), Some(step.lane), "{name}");
         }
-        let mut listed = apollo.component_members.clone();
-        for members in by_root.values_mut().chain(listed.values_mut()) {
-            members.sort();
-        }
-        assert_eq!(listed, by_root);
-        for (root, members) in &apollo.component_members {
-            for m in members {
-                let handles = apollo.timers.get(m);
-                for h in handles.unwrap_or_else(|| panic!("{root} lists retired {m}")) {
-                    assert_eq!(apollo.el.timer_key(h.id()), Some(name_seed(root)), "{m} in {root}");
-                }
-            }
-        }
+        let lane = apollo.scheduled[members[0]].lane;
+        let mut on_lane: Vec<&str> = apollo
+            .scheduled
+            .iter()
+            .filter(|(_, step)| step.lane == lane)
+            .map(|(name, _)| name.as_str())
+            .collect();
+        on_lane.sort_unstable();
+        let mut members = members.to_vec();
+        members.sort_unstable();
+        assert_eq!(on_lane, members);
     }
 
     #[test]
-    fn unregistering_a_component_root_keeps_the_pump_on_its_vertices_lane() {
+    fn unregistering_a_lane_member_keeps_the_pump_on_its_vertices_lane() {
         let mut apollo = Apollo::new_virtual();
         let pump = apollo.prediction_pump(tiny_delphi(), Duration::from_secs(3));
-        let enrol = |apollo: &mut Apollo, name: &str| {
-            apollo
-                .register_fact(
-                    FactVertexSpec::fixed(
-                        name,
-                        Arc::new(ConstSource::new(name, 1.0)),
-                        Duration::from_secs(10),
-                    )
-                    .with_batched_prediction(&pump),
-                )
-                .unwrap();
-            assert_component_maps_agree(apollo);
+        let fact = |name: &str| {
+            FactVertexSpec::fixed(
+                name,
+                Arc::new(ConstSource::new(name, 1.0)),
+                Duration::from_secs(10),
+            )
         };
-        enrol(&mut apollo, "a");
-        enrol(&mut apollo, "b");
-        assert_eq!(apollo.component_root(pump.name()), "a");
-        // The root leaves: the pump and `b` stay one component, re-rooted.
+        let p = pump.name();
+        apollo.register_fact(fact("a").with_batched_prediction(&pump)).unwrap();
+        assert_one_lane(&apollo, &[p, "a"]);
+        apollo.register_fact(fact("b").with_batched_prediction(&pump)).unwrap();
+        assert_one_lane(&apollo, &[p, "a", "b"]);
+        // The first member leaves: the pump and `b` stay on one lane.
         apollo.unregister("a").unwrap();
-        assert_component_maps_agree(&mut apollo);
-        assert_eq!(apollo.component_root(pump.name()), apollo.component_root("b"));
-        // The name comes back and the pump keeps growing: one lane still.
-        enrol(&mut apollo, "a");
-        enrol(&mut apollo, "c");
-        let lane = apollo.component_root(pump.name());
-        for name in ["a", "b", "c"] {
-            assert_eq!(apollo.component_root(name), lane, "{name} left the pump's lane");
+        assert_one_lane(&apollo, &[p, "b"]);
+        // The name comes back without the pump: a lane of its own, though
+        // the pump's lane once carried that name.
+        apollo.register_fact(fact("a")).unwrap();
+        assert_one_lane(&apollo, &["a"]);
+        apollo.register_fact(fact("c").with_batched_prediction(&pump)).unwrap();
+        assert_one_lane(&apollo, &[p, "b", "c"]);
+        // An insight over both fragments joins them, pump included.
+        apollo
+            .register_insight(InsightVertexSpec::sum_of(
+                "a+c",
+                vec!["a".into(), "c".into()],
+                Duration::from_secs(1),
+            ))
+            .unwrap();
+        assert_one_lane(&apollo, &[p, "a", "b", "c", "a+c"]);
+        apollo.register_fact(fact("z")).unwrap();
+        assert_one_lane(&apollo, &["z"]);
+    }
+
+    #[test]
+    fn unregister_rejects_names_that_are_not_vertices() {
+        use apollo_streams::{Record, SlabConfig};
+        let store = temp_store("unregister", SlabConfig::default());
+        let mut apollo = Apollo::new_virtual();
+        apollo.attach_slab(Arc::clone(&store), Duration::from_secs(1));
+        apollo.prediction_pump(tiny_delphi(), Duration::from_secs(3));
+        let broker = apollo.broker();
+        broker.publish("some/raw/topic", 1, Record::measured(1, 1.0).encode());
+        apollo.run_for(Duration::from_secs(2));
+
+        // Service steps (the lifecycle, the pump) are scheduled, not vertices.
+        let names: Vec<String> = apollo.scheduled.keys().cloned().collect();
+        assert_eq!(names.len(), 2);
+        for name in names.iter().map(String::as_str).chain(["some/raw/topic", "streams.slab.flush"])
+        {
+            assert_eq!(apollo.unregister(name), Err(GraphError::UnknownVertex(name.into())));
         }
+        assert_eq!(broker.topic_len("some/raw/topic"), 1, "a topic Apollo never registered");
+        apollo.run_for(Duration::from_secs(2));
+        assert_eq!(apollo.metrics_snapshot().counter("streams.slab.flushes"), 4);
+        let _ = std::fs::remove_file(store.path());
     }
 
     #[test]
@@ -1633,12 +1506,8 @@ mod tests {
 
     #[test]
     fn attached_slab_consolidates_on_the_service_loop() {
-        use apollo_streams::{Record, SlabConfig, SlabStore, SpillBackend};
-        let dir = std::env::temp_dir().join(format!("apollo-service-slab-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("service.slab");
-        let _ = std::fs::remove_file(&path);
-        let store = SlabStore::create(&path, SlabConfig::default()).unwrap();
+        use apollo_streams::{Record, SlabConfig, SpillBackend};
+        let store = temp_store("consolidate", SlabConfig::default());
         let mut apollo = Apollo::with_config(
             EventLoop::new_virtual(),
             StreamConfig {
@@ -1665,38 +1534,25 @@ mod tests {
         assert!(snap.gauges.contains_key("streams.slab.occupied_slots"));
         assert!(snap.gauges.contains_key("streams.slab.consolidation_lag"));
         assert!(snap.gauges["streams.slab.series"] >= 1.0, "{snap:?}");
-        // The default lifecycle also runs the background flush: the dirty
-        // window (machine-crash loss bound) must drain on the timer.
-        assert_eq!(store.dirty_records(), 0, "flush timer drained the dirty window");
+        // Every tick also flushes: the dirty window (machine-crash loss
+        // bound) drains at the same cadence.
+        assert_eq!(store.dirty_records(), 0, "the lifecycle drained the dirty window");
         assert!(snap.counter("streams.slab.flushes") >= 1, "{snap:?}");
-        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(store.path());
     }
 
     #[test]
     fn attached_lifecycle_flushes_and_compacts_on_the_service_loop() {
-        use apollo_streams::{CompactPolicy, FlushPolicy, Record, SlabConfig, SlabStore, StreamId};
-        let dir = std::env::temp_dir().join(format!("apollo-lifecycle-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("lifecycle.slab");
-        let _ = std::fs::remove_file(&path);
-        let store = SlabStore::create(
-            &path,
+        use apollo_streams::{CompactPolicy, Record, SlabConfig, StreamId};
+        let store = temp_store(
+            "lifecycle",
             SlabConfig { max_series: 8, slots: 64, ..SlabConfig::default() },
-        )
-        .unwrap();
+        );
         let mut apollo = Apollo::new_virtual();
         apollo.attach_slab_with(
             Arc::clone(&store),
-            SlabLifecycle {
-                consolidate_every: Duration::from_secs(1),
-                flush: FlushPolicy {
-                    every_records: None,
-                    every: Some(Duration::from_secs(2)),
-                    on_consolidation: false,
-                },
-                compact: Some(CompactPolicy { retention_ms: 3_000 }),
-                compact_every: Duration::from_secs(5),
-            },
+            Duration::from_secs(1),
+            CompactPolicy { retention_ms: 500 },
         );
         {
             let series = store.series("job/tmp").unwrap();
@@ -1705,24 +1561,67 @@ mod tests {
             }
         } // handle dropped: GC-eligible once consolidated and past retention
         assert_eq!(store.dirty_records(), 10);
-        apollo.run_for(Duration::from_secs(30));
+
+        // One tick. A series is reclaimable only once its entries are
+        // folded, so reclaiming it in the tick that folded them is the
+        // order consolidate → flush → compact; the gauges come last and
+        // already read the compacted directory.
+        apollo.run_for(Duration::from_secs(1));
         let snap = apollo.metrics_snapshot();
-        assert_eq!(store.dirty_records(), 0, "flush timer drained the dirty window");
-        assert!(snap.counter("streams.slab.flushes") >= 1, "{snap:?}");
-        assert!(snap.counter("streams.slab.reclaimed_series") >= 1, "{snap:?}");
-        assert!(snap.counter("streams.slab.reclaimed_entries") >= 10, "{snap:?}");
-        assert_eq!(store.stats().series_live, 0, "retired series reclaimed by the compact timer");
+        assert_eq!(snap.counter("streams.slab.consolidated_entries"), 10, "{snap:?}");
+        assert_eq!(snap.counter("streams.slab.flushes"), 1);
+        assert_eq!(store.dirty_records(), 0, "the tick drained the dirty window");
+        assert_eq!(snap.counter("streams.slab.reclaimed_series"), 1);
+        assert_eq!(snap.counter("streams.slab.reclaimed_entries"), 10);
+        assert_eq!(snap.gauges["streams.slab.series"], 0.0);
         assert_eq!(store.stats().series_tombstoned, 0, "no tombstone left mid-reclaim");
-        // Six compact passes ran on the loop and all but the reclaiming
-        // one were no-op directory scans: the median pass fits a tick.
-        let compact = &snap.histograms["streams.slab.compact_ns"];
-        assert!(compact.count >= 5, "{compact:?}");
+        for counter in ["flush_errors", "compact_errors"] {
+            assert_eq!(snap.counters.get(&format!("streams.slab.{counter}")), Some(&0));
+        }
+        for gauge in [
+            "occupied_slots",
+            "consolidation_lag",
+            "series",
+            "pressure",
+            "dirty_records",
+            "lapped_entries",
+        ] {
+            assert!(snap.gauges.contains_key(&format!("streams.slab.{gauge}")), "{gauge}");
+        }
+        assert_eq!(snap.histograms["streams.slab.flush_ns"].count, 1);
+
+        // Compaction has no cadence of its own because a pass that
+        // reclaims nothing is a directory scan: the median fits a tick.
+        apollo.run_for(Duration::from_secs(29));
+        let compact = &apollo.metrics_snapshot().histograms["streams.slab.compact_ns"];
+        assert_eq!(compact.count, 30, "{compact:?}");
         assert!(compact.p50 < 1_000_000, "no-op compact scan took {} ns", compact.p50);
-        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(store.path());
     }
 
     #[test]
-    fn pump_shares_dispatch_component_with_its_vertices() {
+    fn attaching_a_second_store_replaces_the_first_lifecycle() {
+        let create = |tag| temp_store(tag, apollo_streams::SlabConfig::default());
+        let (first, second) = (create("reattach-a"), create("reattach-b"));
+        let mut apollo = Apollo::new_virtual();
+        apollo.attach_slab(Arc::clone(&first), Duration::from_secs(1));
+        apollo.run_for(Duration::from_secs(3));
+        let (timers, flushes) =
+            (apollo.el.timer_count(), apollo.metrics_snapshot().counter("streams.slab.flushes"));
+        assert_eq!((timers, flushes), (1, 3));
+
+        apollo.attach_slab(Arc::clone(&second), Duration::from_secs(1));
+        assert!(Arc::ptr_eq(apollo.slab().unwrap(), &second));
+        apollo.run_for(Duration::from_secs(5));
+        assert_eq!(apollo.el.timer_count(), timers, "the first store's timer outlived it");
+        assert_eq!(apollo.metrics_snapshot().counter("streams.slab.flushes"), flushes + 5);
+        for store in [first, second] {
+            let _ = std::fs::remove_file(store.path());
+        }
+    }
+
+    #[test]
+    fn pump_shares_dispatch_lane_with_its_vertices() {
         let mut apollo = Apollo::new_virtual();
         apollo.use_worker_pool(4);
         let pump = apollo.prediction_pump(tiny_delphi(), Duration::from_secs(3));

@@ -28,7 +28,7 @@
 
 use crate::health::{HealthState, SupervisorConfig};
 use crate::selfobs::deploy_self_observer;
-use crate::service::{Apollo, FactVertexSpec, InsightVertexSpec, SlabLifecycle};
+use crate::service::{Apollo, FactVertexSpec, InsightVertexSpec};
 use crate::vertex::FactVertex;
 use apollo_cluster::chaos::{ChaosSchedule, CompiledChaos, PerturbationKind};
 use apollo_cluster::fault::{FaultPlanError, FlakySource};
@@ -37,7 +37,8 @@ use apollo_cluster::workloads::fio::{self, SarMetric};
 use apollo_cluster::DeviceKind;
 use apollo_runtime::event_loop::EventLoop;
 use apollo_streams::{
-    BackpressurePolicy, Record, SlabStore, StreamConfig, StreamId, SubscribeOptions, Subscription,
+    BackpressurePolicy, CompactPolicy, Record, SlabStore, StreamConfig, StreamId, SubscribeOptions,
+    Subscription,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -91,7 +92,7 @@ pub struct SoakConfig {
     pub memory_slack: f64,
     /// Optional slab-churn layer: register transient slab series at every
     /// checkpoint and drop their handles, exercising series GC under the
-    /// attached [`SlabLifecycle`] (the paper's job-scoped-metrics regime:
+    /// attached slab lifecycle (the paper's job-scoped-metrics regime:
     /// thousands of short-lived series over a long-running observer). Adds
     /// the `slab_churn_fixed_point` invariant.
     pub slab_churn: Option<SlabChurnConfig>,
@@ -108,11 +109,11 @@ pub struct SoakConfig {
 /// Tunables of the [`SoakConfig::slab_churn`] layer.
 #[derive(Debug, Clone)]
 pub struct SlabChurnConfig {
-    /// The churned store; [`Apollo::attach_slab_with`] runs `lifecycle`
-    /// on it for the duration of the soak.
+    /// The churned store; [`Apollo::attach_slab_with`] runs its lifecycle
+    /// once a second for the duration of the soak.
     pub store: Arc<SlabStore>,
-    /// Consolidation / flush / compaction cadence driving the GC.
-    pub lifecycle: SlabLifecycle,
+    /// How long the GC keeps a retired series.
+    pub retention: CompactPolicy,
     /// Transient series registered at each checkpoint.
     pub series_per_checkpoint: usize,
     /// Records written into each series before its handle drops.
@@ -352,7 +353,7 @@ pub fn run_compiled(config: &SoakConfig, compiled: &CompiledChaos) -> SoakOutcom
         apollo.prediction_pump(model, every)
     });
     if let Some(churn) = &config.slab_churn {
-        apollo.attach_slab_with(Arc::clone(&churn.store), churn.lifecycle.clone());
+        apollo.attach_slab_with(Arc::clone(&churn.store), Duration::from_secs(1), churn.retention);
     }
 
     // A small pool of trace series shared round-robin by the fleet keeps
@@ -936,18 +937,14 @@ mod tests {
         assert!(!v.pass, "a lossy fold must blow the equivalence check: {}", v.detail);
     }
 
-    #[test]
-    fn churned_soak_reaches_a_gc_fixed_point() {
-        use apollo_streams::{CompactPolicy, SlabConfig, SlabStore};
-        let dir = std::env::temp_dir().join(format!("apollo-soak-churn-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("churn.slab");
-        let _ = std::fs::remove_file(&path);
-        let store = SlabStore::create(
-            &path,
+    /// A 60 s churned soak over a fresh 64-series store keeping retired
+    /// series for `retention_ms`; the store file is removed afterwards.
+    fn churned_soak(tag: &str, retention_ms: u64) -> SoakOutcome {
+        use apollo_streams::SlabConfig;
+        let store = crate::service::tests::temp_store(
+            tag,
             SlabConfig { max_series: 64, slots: 64, ..SlabConfig::default() },
-        )
-        .unwrap();
+        );
         let config = SoakConfig {
             vertices: 24,
             horizon: Duration::from_secs(60),
@@ -955,11 +952,7 @@ mod tests {
             workers: 2,
             slab_churn: Some(SlabChurnConfig {
                 store: Arc::clone(&store),
-                lifecycle: SlabLifecycle {
-                    compact: Some(CompactPolicy { retention_ms: 2_000 }),
-                    compact_every: Duration::from_secs(3),
-                    ..SlabLifecycle::default()
-                },
+                retention: CompactPolicy { retention_ms },
                 series_per_checkpoint: 8,
                 records_per_series: 16,
                 max_live_series: 24,
@@ -968,6 +961,13 @@ mod tests {
         };
         let schedule = standard_schedule(config.vertices, config.seed, config.horizon);
         let outcome = run(&config, &schedule).unwrap();
+        let _ = std::fs::remove_file(store.path());
+        outcome
+    }
+
+    #[test]
+    fn churned_soak_reaches_a_gc_fixed_point() {
+        let outcome = churned_soak("soak-churn", 2_000);
         let v = outcome.verdict("slab_churn_fixed_point").unwrap();
         assert!(v.pass, "{}", v.detail);
         assert!(outcome.all_pass(), "verdicts: {:#?}", outcome.verdicts);
@@ -977,43 +977,16 @@ mod tests {
             "peak {}",
             outcome.slab_peak_series
         );
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn churn_without_compaction_fails_the_fixed_point_verdict() {
-        use apollo_streams::{SlabConfig, SlabStore};
-        let dir = std::env::temp_dir().join(format!("apollo-soak-teeth-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("teeth.slab");
-        let _ = std::fs::remove_file(&path);
-        let store = SlabStore::create(
-            &path,
-            SlabConfig { max_series: 64, slots: 64, ..SlabConfig::default() },
-        )
-        .unwrap();
-        let config = SoakConfig {
-            vertices: 24,
-            horizon: Duration::from_secs(60),
-            scan_topics: 4,
-            workers: 2,
-            slab_churn: Some(SlabChurnConfig {
-                store: Arc::clone(&store),
-                // GC off: churn accumulates, so the occupancy fixed point
-                // MUST fail — teeth for the invariant itself.
-                lifecycle: SlabLifecycle { compact: None, ..SlabLifecycle::default() },
-                series_per_checkpoint: 8,
-                records_per_series: 16,
-                max_live_series: 24,
-            }),
-            ..SoakConfig::default()
-        };
-        let schedule = standard_schedule(config.vertices, config.seed, config.horizon);
-        let outcome = run(&config, &schedule).unwrap();
+        // GC off: churn accumulates, so the occupancy fixed point MUST
+        // fail — teeth for the invariant itself.
+        let outcome = churned_soak("soak-teeth", u64::MAX);
         let v = outcome.verdict("slab_churn_fixed_point").unwrap();
         assert!(!v.pass, "GC disabled must blow the occupancy ceiling: {}", v.detail);
         assert_eq!(outcome.slab_reclaimed_series, 0, "nothing compacts with GC off");
         assert!(outcome.slab_peak_series > 24, "peak {}", outcome.slab_peak_series);
-        let _ = std::fs::remove_file(&path);
     }
 }

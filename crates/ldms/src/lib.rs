@@ -28,7 +28,6 @@
 
 use apollo_cluster::metrics::MetricSource;
 use apollo_runtime::event_loop::{EventLoop, TimerAction};
-use apollo_runtime::time::{AnyClock, Clock};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -82,7 +81,7 @@ impl Default for LdmsConfig {
 pub struct LdmsService {
     config: LdmsConfig,
     store: Arc<Mutex<CentralStore>>,
-    el: EventLoop<AnyClock>,
+    el: EventLoop,
     samples: Arc<AtomicU64>,
     sampler_names: Vec<String>,
 }
@@ -98,7 +97,7 @@ impl LdmsService {
         Self::with_loop(EventLoop::new_real(), config)
     }
 
-    fn with_loop(el: EventLoop<AnyClock>, config: LdmsConfig) -> Self {
+    fn with_loop(el: EventLoop, config: LdmsConfig) -> Self {
         Self {
             config,
             store: Arc::new(Mutex::new(CentralStore::default())),

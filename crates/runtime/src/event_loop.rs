@@ -6,7 +6,7 @@
 //! is built on. The callback's [`TimerAction`] return value decides whether
 //! the timer re-arms or stops.
 //!
-//! The loop is generic over a [`Clock`]: with a [`VirtualClock`] it becomes
+//! The loop runs on an [`AnyClock`]: with a [`VirtualClock`] inside it is
 //! a deterministic discrete-event scheduler (used by every figure harness);
 //! with a [`RealClock`] it sleeps between deadlines like libuv's
 //! `uv_run(UV_RUN_DEFAULT)`.
@@ -24,7 +24,7 @@
 //! bit-identical to inline dispatch.
 
 use crate::pool::WorkerPool;
-use crate::time::{duration_to_nanos, AnyClock, Clock, Nanos, RealClock, VirtualClock};
+use crate::time::{duration_to_nanos, AnyClock, Nanos, RealClock, VirtualClock};
 use crate::timer::{EntryId, Expired, TimerHeap};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -163,8 +163,8 @@ struct LoopObs {
 
 /// The event loop. Not itself `Sync`; run it on one thread and interact
 /// with timers through their [`TimerControl`] handles.
-pub struct EventLoop<C: Clock = AnyClock> {
-    clock: C,
+pub struct EventLoop {
+    clock: AnyClock,
     queue: Arc<Mutex<TimerHeap>>,
     timers: HashMap<TimerId, Arc<TimerSlot>>,
     next_id: u64,
@@ -179,7 +179,7 @@ pub struct EventLoop<C: Clock = AnyClock> {
     dispatch: Dispatch,
 }
 
-impl EventLoop<AnyClock> {
+impl EventLoop {
     /// Event loop over a fresh virtual clock.
     pub fn new_virtual() -> Self {
         Self::with_clock(AnyClock::Virtual(VirtualClock::new()))
@@ -189,11 +189,9 @@ impl EventLoop<AnyClock> {
     pub fn new_real() -> Self {
         Self::with_clock(AnyClock::Real(RealClock::new()))
     }
-}
 
-impl<C: Clock> EventLoop<C> {
     /// Event loop over the given clock.
-    pub fn with_clock(clock: C) -> Self {
+    pub fn with_clock(clock: AnyClock) -> Self {
         Self {
             clock,
             queue: Arc::new(Mutex::new(TimerHeap::new())),
@@ -260,7 +258,7 @@ impl<C: Clock> EventLoop<C> {
     }
 
     /// The clock driving this loop.
-    pub fn clock(&self) -> &C {
+    pub fn clock(&self) -> &AnyClock {
         &self.clock
     }
 
@@ -314,7 +312,7 @@ impl<C: Clock> EventLoop<C> {
     /// Re-assign a registered timer's dispatch key, merging it into
     /// another key's lane. Used when a dependency appears after
     /// registration (e.g. an insight vertex joining its producers'
-    /// dispatch component): from the next turn on, the timer serializes
+    /// lane): from the next turn on, the timer serializes
     /// with everything sharing the new key. No-op for unknown ids.
     pub fn set_timer_key(&mut self, id: TimerId, key: u64) {
         if let Some(slot) = self.timers.get(&id) {
@@ -345,7 +343,7 @@ impl<C: Clock> EventLoop<C> {
     /// *marked* here — the loop thread reaps it after the turn's barrier.
     fn run_slot(
         slot: &TimerSlot,
-        clock: &C,
+        clock: &AnyClock,
         queue: &Mutex<TimerHeap>,
         panics: &AtomicU64,
         obs: Option<&LoopObs>,
@@ -494,7 +492,7 @@ impl<C: Clock> EventLoop<C> {
     }
 }
 
-impl<C: Clock> std::fmt::Debug for EventLoop<C> {
+impl std::fmt::Debug for EventLoop {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventLoop")
             .field("timers", &self.timers.len())
@@ -679,7 +677,7 @@ mod tests {
         assert_eq!(reg.snapshot(), apollo_obs::Snapshot::default());
     }
 
-    fn pooled_loop(workers: usize, shards: usize) -> EventLoop<AnyClock> {
+    fn pooled_loop(workers: usize, shards: usize) -> EventLoop {
         let mut el = EventLoop::new_virtual();
         el.dispatch_to_pool_sharded(Arc::new(WorkerPool::new(workers)), shards);
         el

@@ -43,4 +43,4 @@ pub mod timer;
 
 pub use event_loop::{EventLoop, TimerAction, TimerControl, TimerId};
 pub use pool::WorkerPool;
-pub use time::{Clock, Nanos, RealClock, VirtualClock};
+pub use time::{Nanos, RealClock, VirtualClock};

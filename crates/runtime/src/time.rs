@@ -20,21 +20,6 @@ pub type Nanos = u64;
 /// Number of nanoseconds in one second, as used throughout the crate.
 pub const NANOS_PER_SEC: u64 = 1_000_000_000;
 
-/// A monotonic time source.
-///
-/// Implementations must be cheap to clone (handles share state) and safe to
-/// read from many threads; worker-pool dispatch hands each job a clone.
-pub trait Clock: Clone + Send + Sync + 'static {
-    /// Current time in nanoseconds since this clock's epoch.
-    fn now(&self) -> Nanos;
-
-    /// Block (or virtually advance) until `deadline`.
-    ///
-    /// For a real clock this sleeps; for a virtual clock this jumps the
-    /// clock forward. Returns the time observed after waking.
-    fn wait_until(&self, deadline: Nanos) -> Nanos;
-}
-
 /// Wall-clock time source based on [`Instant`].
 #[derive(Clone, Debug)]
 pub struct RealClock {
@@ -46,25 +31,25 @@ impl RealClock {
     pub fn new() -> Self {
         Self { epoch: Instant::now() }
     }
-}
 
-impl Default for RealClock {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Clock for RealClock {
-    fn now(&self) -> Nanos {
+    /// Current time in nanoseconds since this clock's epoch.
+    pub fn now(&self) -> Nanos {
         self.epoch.elapsed().as_nanos() as Nanos
     }
 
-    fn wait_until(&self, deadline: Nanos) -> Nanos {
+    /// Sleep until `deadline`; returns the time observed after waking.
+    pub fn wait_until(&self, deadline: Nanos) -> Nanos {
         let now = self.now();
         if deadline > now {
             std::thread::sleep(Duration::from_nanos(deadline - now));
         }
         self.now()
+    }
+}
+
+impl Default for RealClock {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -97,14 +82,14 @@ impl VirtualClock {
         let prev = self.now.swap(t, Ordering::SeqCst);
         assert!(t >= prev, "VirtualClock must not move backwards: {prev} -> {t}");
     }
-}
 
-impl Clock for VirtualClock {
-    fn now(&self) -> Nanos {
+    /// Current time in nanoseconds since this clock's epoch.
+    pub fn now(&self) -> Nanos {
         self.now.load(Ordering::SeqCst)
     }
 
-    fn wait_until(&self, deadline: Nanos) -> Nanos {
+    /// Jump the clock forward to `deadline`; returns the time observed.
+    pub fn wait_until(&self, deadline: Nanos) -> Nanos {
         // Monotonic max: never move backwards if another thread already
         // advanced past the deadline.
         let mut cur = self.now.load(Ordering::SeqCst);
@@ -118,8 +103,10 @@ impl Clock for VirtualClock {
     }
 }
 
-/// A clock handle that can wrap either implementation, letting services be
-/// built once and driven in real or virtual time.
+/// The clock handle an [`crate::event_loop::EventLoop`] runs on: either
+/// implementation, so services are built once and driven in real or
+/// virtual time. Cheap to clone (handles share state) and safe to read
+/// from many threads; worker-pool dispatch hands each job a clone.
 #[derive(Clone)]
 pub enum AnyClock {
     /// Wall-clock time.
@@ -136,17 +123,19 @@ impl AnyClock {
             AnyClock::Real(_) => None,
         }
     }
-}
 
-impl Clock for AnyClock {
-    fn now(&self) -> Nanos {
+    /// Current time in nanoseconds since this clock's epoch.
+    pub fn now(&self) -> Nanos {
         match self {
             AnyClock::Real(c) => c.now(),
             AnyClock::Virtual(c) => c.now(),
         }
     }
 
-    fn wait_until(&self, deadline: Nanos) -> Nanos {
+    /// Block (real clock: sleep) or virtually advance (virtual clock:
+    /// jump forward) until `deadline`. Returns the time observed after
+    /// waking.
+    pub fn wait_until(&self, deadline: Nanos) -> Nanos {
         match self {
             AnyClock::Real(c) => c.wait_until(deadline),
             AnyClock::Virtual(c) => c.wait_until(deadline),

@@ -51,7 +51,6 @@ pub use codec::{Provenance, Record};
 pub use entry::Entry;
 pub use id::StreamId;
 pub use slab::{
-    CompactPolicy, CompactReport, FlushPolicy, SlabConfig, SlabDirError, SlabStats, SlabStore,
-    TierConfig,
+    CompactPolicy, CompactReport, SlabConfig, SlabDirError, SlabStats, SlabStore, TierConfig,
 };
 pub use stream::{ColumnBatch, ScanBatch, SpillBackend, Stream, StreamConfig};

@@ -45,8 +45,8 @@
 //! tombstone behind; [`SlabStore::open`] completes the scrub
 //! ([`OpenReport::reclaimed_tombstones`]), so a reclaimed ring can never
 //! resurface a dead series' (still-checksummed) payloads under a new
-//! name. Background msync cadence is a [`FlushPolicy`] driven by
-//! `apollo-core`'s event loop; directory exhaustion surfaces as typed
+//! name. `apollo-core`'s event loop runs the lifecycle — consolidate,
+//! flush, compact — as one step; directory exhaustion surfaces as typed
 //! [`SlabDirError`]s plus the process-wide `streams.slab.dir_full`
 //! counter ([`dir_full_cell`]) instead of silent heap fallback.
 //!
@@ -63,7 +63,6 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
 
 /// File magic, first 8 bytes of the header page.
 pub const SLAB_MAGIC: [u8; 8] = *b"APOLSLB1";
@@ -516,50 +515,14 @@ pub fn exhaustion_warned() -> bool {
     EXHAUSTION_WARNED.load(Ordering::Relaxed)
 }
 
-/// Background msync cadence for an attached store: how often the bounded
-/// crash-loss window ("committed prefix as of the last flush") is closed.
-/// Applied by `apollo-core`'s event loop via `Apollo::attach_slab`;
-/// triggers compose (any satisfied trigger flushes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlushPolicy {
-    /// Flush when at least this many records are dirty. Evaluated on the
-    /// maintenance tick, not per record — the record hot path only bumps
-    /// a relaxed counter.
-    pub every_records: Option<u64>,
-    /// Flush on this virtual-clock interval whenever anything is dirty.
-    pub every: Option<Duration>,
-    /// Flush at the end of every consolidation pass, so tier folds and
-    /// the entries they cover reach disk together.
-    pub on_consolidation: bool,
-}
-
-impl Default for FlushPolicy {
-    /// Flush every second, or sooner once 4096 records are dirty, and
-    /// after each consolidation pass.
-    fn default() -> Self {
-        Self {
-            every_records: Some(4_096),
-            every: Some(Duration::from_secs(1)),
-            on_consolidation: true,
-        }
-    }
-}
-
-impl FlushPolicy {
-    /// Never flush in the background (the pre-lifecycle behavior:
-    /// process-crash durable only, unbounded machine-crash window).
-    pub fn disabled() -> Self {
-        Self { every_records: None, every: None, on_consolidation: false }
-    }
-}
-
 /// When [`SlabStore::compact`] may reclaim a retired series.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompactPolicy {
     /// A series is reclaimable only once its newest entry is at least
     /// this much ID time older than the pass' `now_ms` (empty series are
     /// reclaimed immediately). Guards against collecting a series a
-    /// restart is about to re-attach.
+    /// restart is about to re-attach; `u64::MAX` keeps every series that
+    /// holds an entry.
     pub retention_ms: u64,
 }
 

@@ -7,19 +7,18 @@
 //! raw 1 s entries into coarser tiers on the service event loop and exports
 //! `streams.slab.*` gauges; then the whole service is torn down and
 //! rebuilt over the same file, and both the archived history and a
-//! consumer group's read position come back. A third life drives the
-//! lifecycle layer: [`SlabLifecycle`]-tuned background msync cadence
-//! and series GC/compaction reclaiming a retired job metric's dirent.
+//! consumer group's read position come back. A third life shortens the
+//! one deployment setting of the lifecycle — how long a retired series
+//! is kept — and watches series GC reclaim a retired job metric's dirent.
 //!
 //! Run: `cargo run --release -p apollo-bench --example durable_slab`
 
 use apollo_cluster::metrics::ConstSource;
 use apollo_core::selfobs::{deploy_slab_observer, SLAB_SELF_TOPICS};
-use apollo_core::service::{Apollo, FactVertexSpec, SlabLifecycle};
+use apollo_core::service::{Apollo, FactVertexSpec};
 use apollo_runtime::event_loop::EventLoop;
 use apollo_streams::{
-    CompactPolicy, FlushPolicy, Record, SlabConfig, SlabStore, SpillBackend, StreamConfig,
-    StreamId, TierConfig,
+    CompactPolicy, Record, SlabConfig, SlabStore, SpillBackend, StreamConfig, StreamId, TierConfig,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -128,11 +127,11 @@ fn main() {
     assert!(!tiers.is_empty(), "consolidated tiers must survive restart");
     drop(apollo);
 
-    // ---- third life: the lifecycle — flush cadence + series GC --------
-    // A tuned SlabLifecycle drives background msync (bounding the
-    // machine-crash loss window) and series compaction off the timer
-    // wheel. A short-lived job metric is retired and its dirent reclaimed
-    // while the held `disk/io_pressure` handle pins that series in place.
+    // ---- third life: the lifecycle — one step per tick, series GC -----
+    // Each tick consolidates, msyncs (so the tick length bounds the
+    // machine-crash loss window) and compacts. A short-lived job metric is
+    // retired and, past the 3 s retention, its dirent reclaimed while the
+    // held `disk/io_pressure` handle pins that series in place.
     let mut apollo = Apollo::with_config(
         EventLoop::new_virtual(),
         StreamConfig {
@@ -143,16 +142,8 @@ fn main() {
     );
     apollo.attach_slab_with(
         Arc::clone(&store),
-        SlabLifecycle {
-            consolidate_every: Duration::from_secs(1),
-            flush: FlushPolicy {
-                every: Some(Duration::from_secs(2)),
-                every_records: None,
-                on_consolidation: false,
-            },
-            compact: Some(CompactPolicy { retention_ms: 3_000 }),
-            compact_every: Duration::from_secs(5),
-        },
+        Duration::from_secs(1),
+        CompactPolicy { retention_ms: 3_000 },
     );
     let pinned = store.series("disk/io_pressure").expect("pin the history series");
     let live_before = store.stats().series_live;
@@ -177,7 +168,7 @@ fn main() {
         store.dirty_records(),
         after.pressure(),
     );
-    assert!(snap.counters["streams.slab.flushes"] >= 1, "cadence flushes must have run");
+    assert_eq!(snap.counters["streams.slab.flushes"], 20, "one flush per tick");
     assert!(
         snap.counters["streams.slab.reclaimed_series"] >= 1,
         "the retired job series must be reclaimed"

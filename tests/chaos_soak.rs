@@ -89,7 +89,7 @@ fn slab_backed_soak_holds_the_same_verdicts() {
 
 #[test]
 fn churned_soak_gc_is_deterministic_and_holds_the_fixed_point() {
-    use apollo_core::{SlabChurnConfig, SlabLifecycle};
+    use apollo_core::SlabChurnConfig;
     use apollo_streams::{CompactPolicy, SlabConfig, SlabStore};
     let dir = std::env::temp_dir().join(format!("apollo-chaos-churn-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -104,11 +104,7 @@ fn churned_soak_gc_is_deterministic_and_holds_the_fixed_point() {
         let config = SoakConfig {
             slab_churn: Some(SlabChurnConfig {
                 store,
-                lifecycle: SlabLifecycle {
-                    compact: Some(CompactPolicy { retention_ms: 2_000 }),
-                    compact_every: Duration::from_secs(3),
-                    ..SlabLifecycle::default()
-                },
+                retention: CompactPolicy { retention_ms: 2_000 },
                 series_per_checkpoint: 6,
                 records_per_series: 12,
                 max_live_series: 18,
@@ -125,9 +121,9 @@ fn churned_soak_gc_is_deterministic_and_holds_the_fixed_point() {
     assert!(first.all_pass(), "verdicts: {:#?}", first.verdicts);
     let verdict = first.verdict("slab_churn_fixed_point").expect("churn verdict present");
     assert!(verdict.pass, "{}", verdict.detail);
-    assert!(first.slab_reclaimed_series > 0, "the compact timer reclaimed churned series");
+    assert!(first.slab_reclaimed_series > 0, "the lifecycle reclaimed churned series");
     assert!(first.slab_peak_series <= 18, "peak {}", first.slab_peak_series);
-    // Series GC runs as a timer on the virtual-clock event loop, so a churned soak
+    // Series GC runs on the virtual-clock event loop, so a churned soak
     // must still replay bit-identically — including the GC's own work.
     assert_eq!(first.digest, second.digest, "churn must not perturb the replayable surface");
     assert_eq!(first.slab_reclaimed_series, second.slab_reclaimed_series);
