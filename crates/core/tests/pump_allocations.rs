@@ -1,14 +1,16 @@
 //! Allocation teeth for the record path: a record — predicted, polled or
-//! derived by an insight — costs **one** heap allocation, its refcounted
-//! payload, which the stream window owns, and nothing else. Counted by
-//! the workspace's counting allocator (`apollo-alloc-count`); the count is
+//! derived by an insight — costs **no** heap allocation. Its 17-byte frame
+//! sits inside the `Bytes` handle, so the window entry that owns it and
+//! every subscriber's copy are the record itself. Counted by the
+//! workspace's counting allocator (`apollo-alloc-count`); the count is
 //! process-wide, so this file deliberately holds a single `#[test]`.
 //!
 //! With `B` vertices enrolled in one pump, windows at their retention
 //! bound (so no `VecDeque` grows) and the pump warm (scratch sized,
-//! trackers full), one tick performs exactly `B` allocations. With a
-//! two-object payload (`Arc<Vec<u8>>`) published as a batch of one
-//! through intermediate `Vec`s it was `5·B`.
+//! trackers full), one tick performs exactly zero allocations. With the
+//! payload in a refcounted heap block it was `B`; with a two-object
+//! payload (`Arc<Vec<u8>>`) published as a batch of one through
+//! intermediate `Vec`s it was `5·B`.
 
 use apollo_adaptive::controller::FixedInterval;
 use apollo_alloc_count::allocs_during;
@@ -52,13 +54,13 @@ fn bounded() -> StreamConfig {
 }
 
 #[test]
-fn a_predicted_record_costs_one_allocation() {
-    a_warm_pump_tick_allocates_one_payload_per_predicted_record();
-    publishing_an_encoded_record_allocates_nothing_beyond_the_payload();
-    a_warm_poll_and_a_warm_insight_pump_allocate_one_payload_each();
+fn a_record_costs_no_allocation() {
+    a_warm_pump_tick_allocates_nothing();
+    encoding_and_publishing_a_record_allocates_nothing();
+    a_warm_poll_and_a_warm_insight_pump_allocate_nothing();
 }
 
-fn a_warm_pump_tick_allocates_one_payload_per_predicted_record() {
+fn a_warm_pump_tick_allocates_nothing() {
     const B: usize = 24; // three full SIMD lanes
     let mut apollo = Apollo::with_config(EventLoop::new_virtual(), bounded());
     let model = Delphi::train(DelphiConfig {
@@ -94,15 +96,12 @@ fn a_warm_pump_tick_allocates_one_payload_per_predicted_record() {
     let allocs = allocs_during(|| apollo.run_for(Duration::from_millis(900)));
     let predicted = apollo.stats().facts_published - before;
     assert_eq!(predicted, 9 * B as u64, "every enrolled vertex predicts on every tick");
-    assert_eq!(
-        allocs, predicted,
-        "a tick allocates one payload per predicted record and nothing else"
-    );
+    assert_eq!(allocs, 0, "a tick of {predicted} predicted records allocated");
     let batch = &apollo.metrics_snapshot().histograms["delphi.batch_size"];
     assert_eq!(batch.max, B as u64, "the ticks ran as whole batches through the kernel");
 }
 
-fn publishing_an_encoded_record_allocates_nothing_beyond_the_payload() {
+fn encoding_and_publishing_a_record_allocates_nothing() {
     let broker = Arc::new(Broker::new(bounded()));
     let publisher = broker.publisher("by-handle");
     let record = |i: u64| Record::measured(i * 1_000_000, i as f64);
@@ -113,7 +112,7 @@ fn publishing_an_encoded_record_allocates_nothing_beyond_the_payload() {
         publisher.publish(i, record(i).encode());
     }
 
-    assert_eq!(allocs_during(|| drop(record(99).encode())), 1, "the payload is one allocation");
+    assert_eq!(allocs_during(|| drop(record(99).encode())), 0, "the payload sits in its handle");
     // Payloads are built outside the counted regions.
     let [p, q, r, s] = [100, 101, 102, 103].map(|i| record(i).encode());
     let mut ids = [None; 2];
@@ -125,7 +124,7 @@ fn publishing_an_encoded_record_allocates_nothing_beyond_the_payload() {
     assert_eq!(allocs_during(|| drop(publisher.publish_batch([(101, s)]))), 1);
 }
 
-fn a_warm_poll_and_a_warm_insight_pump_allocate_one_payload_each() {
+fn a_warm_poll_and_a_warm_insight_pump_allocate_nothing() {
     const NS: u64 = 1_000_000_000;
     let broker = Arc::new(Broker::new(bounded()));
     let facts: Vec<FactVertex> = (0..2)
@@ -170,11 +169,11 @@ fn a_warm_poll_and_a_warm_insight_pump_allocate_one_payload_each() {
         let allocs = allocs_during(|| {
             f.poll(now);
         });
-        assert_eq!(allocs, 1, "a poll allocates its payload");
+        assert_eq!(allocs, 0, "a poll allocates nothing");
     }
     // The pump consumes ten records from two inputs it has seen before.
     let published = insight.published();
-    assert_eq!(allocs_during(|| assert!(insight.pump(now))), 1, "a pump allocates its payload");
+    assert_eq!(allocs_during(|| assert!(insight.pump(now))), 0, "a pump allocates nothing");
     assert_eq!(insight.published(), published + 1);
     assert_eq!(allocs_during(|| assert!(!insight.pump(now))), 0, "an idle pump allocates nothing");
     // Five entries leave the queue in the one `Vec` that carries them.

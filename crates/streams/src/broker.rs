@@ -728,17 +728,16 @@ impl Broker {
         // so the latency histogram and the backlog gauge sample one publish
         // in `apollo_obs::SAMPLE_PERIOD`; counters stay exact.
         let start = (self.obs.get().is_some() && apollo_obs::sampled(seq)).then(Instant::now);
-        // Only subscribers need an entry, so the payload is kept only when
-        // the topic had one before the append. Delivery is still decided on
-        // the list as it stands after it; a late arrival's is read back.
-        let kept = (!t.subscribers.lock().is_empty()).then(|| payload.clone());
+        // A record's payload sits in its handle, so keeping a copy for the
+        // subscribers costs nothing; the list is read once, after the append.
+        let kept = payload.clone();
         let id = t.stream.append(ms, payload);
         let targets = Arc::clone(&t.subscribers.lock());
-        let read_back = || t.stream.range(id, id).pop().map(|e| e.payload);
-        let kept = if targets.is_empty() { None } else { kept.or_else(read_back) };
-        let deepest = kept.map_or(0, |payload| {
-            Self::fan_out(t, &targets, &[Entry::new(id, payload)], start.is_some())
-        });
+        let deepest = if targets.is_empty() {
+            0
+        } else {
+            Self::fan_out(t, &targets, &[Entry::new(id, kept)], start.is_some())
+        };
         self.observe_sample(t, start, deepest);
         id
     }
@@ -778,28 +777,29 @@ impl Broker {
         let start = (self.obs.get().is_some()
             && seq.next_multiple_of(apollo_obs::SAMPLE_PERIOD) < seq + expect)
             .then(Instant::now);
-        // The entry list exists only for subscribers; their IDs are
-        // filled in once the append has assigned them. A `subscribe()`
-        // that returned before this call is seen here, and the list is
-        // snapshotted again after the append.
-        let fan = !t.subscribers.lock().is_empty();
+        // The entry list exists only for subscribers; their IDs are filled
+        // in once the append has assigned them. The list is locked once,
+        // across the append, so the read that decides whether to build the
+        // entries is also the snapshot they are delivered to.
+        let subscribers = t.subscribers.lock();
         let mut entries: Vec<Entry> = Vec::new();
         let ids = t.stream.append_batch(records.inspect(|(_, payload)| {
-            if fan {
+            if !subscribers.is_empty() {
                 entries.push(Entry::new(StreamId::MIN, payload.clone()));
             }
         }));
+        let targets = Arc::clone(&subscribers);
+        drop(subscribers);
         let n = ids.len() as u64;
         t.published.fetch_add(n, Ordering::Relaxed);
         self.published_total.fetch_add(n, Ordering::Relaxed);
         for (entry, id) in entries.iter_mut().zip(&ids) {
             entry.id = *id;
         }
-        let deepest = if fan {
-            let targets = Arc::clone(&t.subscribers.lock());
-            Self::fan_out(t, &targets, &entries, start.is_some())
-        } else {
+        let deepest = if targets.is_empty() {
             0
+        } else {
+            Self::fan_out(t, &targets, &entries, start.is_some())
         };
         self.observe_sample(t, start, deepest);
         ids

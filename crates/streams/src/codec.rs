@@ -8,9 +8,9 @@
 //! [ timestamp_ns: u64 LE ][ value: f64 LE ][ provenance: u8 ]
 //! ```
 //!
-//! Fixed-size framing means an encoded record costs exactly one heap
-//! allocation — the refcounted payload the stream window and every
-//! subscriber share — and makes the 16 B metric-size of the Figure 6
+//! Fixed-size framing means an encoded record costs no heap allocation —
+//! 17 bytes fit inside the [`Bytes`] handle, which the stream window and
+//! every subscriber copy — and makes the 16 B metric-size of the Figure 6
 //! throughput tests realistic.
 
 use bytes::{Buf, Bytes};
@@ -119,7 +119,7 @@ impl Record {
     }
 
     /// Encode into a fresh buffer: the frame is built on the stack and
-    /// copied into its refcounted payload in one allocation.
+    /// copied into the handle, with no allocation.
     pub fn encode(&self) -> Bytes {
         let mut frame = [0u8; RECORD_WIRE_SIZE];
         frame[..8].copy_from_slice(&self.timestamp_ns.to_le_bytes());

@@ -5,9 +5,10 @@ use bytes::Bytes;
 
 /// One entry in a stream: an ID plus an opaque payload.
 ///
-/// Payloads are [`Bytes`] so fan-out to many subscribers is a cheap
-/// refcount bump, not a copy — important for the Figure 6 throughput
-/// numbers where one published fact reaches up to 40×32 subscribers.
+/// A 17-byte record frame sits inside its [`Bytes`], so an entry is 40
+/// contiguous bytes in the window and fan-out to many subscribers is a
+/// 40-byte copy — important for the Figure 6 throughput numbers where one
+/// published fact reaches up to 40×32 subscribers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Entry {
     /// Unique, monotonically increasing ID (embeds the ms timestamp).
@@ -15,6 +16,10 @@ pub struct Entry {
     /// Opaque payload; telemetry uses the [`crate::codec::Record`] encoding.
     pub payload: Bytes,
 }
+
+// A layout regression (a payload pushed back out to the heap) fails to compile.
+const _: () = assert!(std::mem::size_of::<Bytes>() == 24);
+const _: () = assert!(std::mem::size_of::<Entry>() == 40);
 
 impl Entry {
     /// Construct an entry.
@@ -54,6 +59,8 @@ pub(crate) trait RowSink {
     }
 }
 
+/// A record row, from the slot scratch or the window, is copied into the
+/// entry in place: the sink allocates only the `Vec`.
 impl RowSink for Vec<Entry> {
     type Mark = usize;
     fn mark(&self) -> usize {

@@ -679,14 +679,15 @@ impl Stream {
         self.scan_columns(StreamId::new(start_ms, 0), StreamId::new(end_ms, u64::MAX))
     }
 
-    /// Approximate bytes of memory held by the in-memory window: payload
-    /// bytes plus per-entry bookkeeping (ID + Bytes handle). Archive
-    /// segments are excluded (they model the spill log). Used by the
-    /// Figure 5 memory-overhead report.
+    /// Approximate bytes of memory held by the in-memory window: each
+    /// entry (ID + `Bytes` handle, an in-place payload included) plus the
+    /// heap block of a payload too long to sit in place. Archive segments
+    /// are excluded (they model the spill log). Used by the Figure 5
+    /// memory-overhead report.
     pub fn approx_memory_bytes(&self) -> usize {
         let w = self.window.read();
         let per_entry = std::mem::size_of::<Entry>();
-        w.entries.iter().map(|e| e.payload.len() + per_entry).sum()
+        w.entries.iter().map(|e| per_entry + e.payload.heap_size()).sum()
     }
 
     /// Entries whose **assigned ID time** lies in `[start_ms, end_ms]` —
@@ -975,6 +976,18 @@ mod tests {
         let by_time = s.scan_batch_by_time(2, 4);
         assert_eq!(by_time.entries.len(), 3);
         assert_eq!(by_time.records.len(), 3);
+    }
+
+    #[test]
+    fn window_memory_counts_the_entry_and_only_a_heap_payload() {
+        let (records, blobs) = (Stream::with_defaults("r"), Stream::with_defaults("b"));
+        for i in 0..10u64 {
+            records.append(i, Record::measured(i, 1.0).encode());
+            blobs.append(i, vec![0u8; 1024]);
+        }
+        let entry = std::mem::size_of::<Entry>();
+        assert_eq!(records.approx_memory_bytes(), 10 * entry);
+        assert_eq!(blobs.approx_memory_bytes(), 10 * (entry + 16 + 1024));
     }
 
     #[test]

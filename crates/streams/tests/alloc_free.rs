@@ -11,9 +11,9 @@
 //! land in a sink: [`Stream::scan_columns`] decodes every archived row
 //! straight out of the checksum-verified slot scratch, so a full scan
 //! allocates a constant handful of blocks (the column vectors and the
-//! scratch) however many rows it covers; [`Stream::range`] pays exactly
-//! one block per archived row — the entry's payload — and none per window
-//! row (an `Arc` clone).
+//! scratch) however many rows it covers, and [`Stream::range`] exactly
+//! three — the scratch and the entry `Vec` twice — since a record's
+//! payload is copied into its entry in place, from slot and window alike.
 //!
 //! This file deliberately holds a single `#[test]`: the count is
 //! process-wide, so a second concurrently-running test would pollute it.
@@ -92,9 +92,9 @@ fn warm_slab_records_allocate_nothing() {
     let n = allocs_during(|| entries = stream.range(StreamId::MIN, StreamId::MAX));
     assert_eq!(entries.len() as u64, ARCHIVED + WINDOW);
     assert_eq!(entries.capacity(), entries.len(), "the entry vector is sized exactly");
-    // One payload block per archived row, plus the slot scratch and the
-    // `Vec` (sized once for the ring rows, once more for the window rows).
-    assert_eq!(n, ARCHIVED + 3, "range allocates one block per archived row and three more");
+    // The slot scratch and the `Vec` (sized once for the ring rows, once
+    // more for the window rows): no block per row, archived or not.
+    assert_eq!(n, 3, "range allocated {n} blocks for {} rows", entries.len());
 
     let _ = std::fs::remove_file(&path);
 }
