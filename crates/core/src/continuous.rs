@@ -14,8 +14,8 @@
 //!   whenever it changes, so downstream consumers can subscribe to a
 //!   query the way they subscribe to any fact;
 //! * serves [`crate::service::Apollo::query`] and
-//!   [`crate::service::ApolloHandle::query`] directly (the planner's
-//!   [`apollo_query::AccessPlan::Incremental`] tier) whenever the fold
+//!   [`crate::service::ApolloHandle::query`] directly (the `incremental`
+//!   access path of [`apollo_query::ScanCache`]'s doc) whenever the fold
 //!   has caught up with every input topic's tail — a standing query
 //!   answers in O(rows) with no scan and no cache probe.
 //!

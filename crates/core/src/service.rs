@@ -1203,6 +1203,17 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn latest_query_skips_a_corrupt_newest_payload() {
+        let apollo = Apollo::new_virtual();
+        let broker = apollo.broker();
+        broker.publish("t", 1, apollo_streams::Record::measured(1_000_000, 7.0).encode());
+        broker.publish("t", 2, vec![0xde, 0xad, 0xbe, 0xef]);
+        let out = apollo.query("SELECT MAX(Timestamp), metric FROM t").unwrap();
+        let row = &out.rows[0];
+        assert_eq!((row.value, row.provenance), (7.0, Some(apollo_streams::Provenance::Measured)));
+    }
+
+    #[test]
     fn noop_registry_disables_self_observation() {
         let mut apollo = Apollo::with_registry(
             EventLoop::new_virtual(),

@@ -159,9 +159,10 @@ fn readers_interleave_with_pump_and_eviction() {
     assert!(snap.counter("query.executed") > incremental, "the scanning tier never served");
     assert!(snap.counter("query.continuous.folds") > WINDOW as u64, "the pump stopped folding");
     // Quiescent now: once the fold has drained what the last pump left,
-    // the path, the standing result and the oracle agree bit for bit.
+    // the path, the standing result and an uncached rescan agree bit for
+    // bit.
     apollo.continuous()[0].pump(apollo.now() / 1_000_000);
-    let rescan = QueryEngine::row_oracle(broker.as_ref()).execute_sql(STANDING).unwrap();
+    let rescan = QueryEngine::new(broker.as_ref()).execute_sql(STANDING).unwrap();
     assert_eq!(apollo.query(STANDING).unwrap(), rescan);
     assert_eq!(apollo.continuous()[0].result().unwrap(), rescan);
 
@@ -170,8 +171,9 @@ fn readers_interleave_with_pump_and_eviction() {
     let cache = apollo.scan_cache();
     assert!(cache.hits() > cache.misses(), "{} hits, {} misses", cache.hits(), cache.misses());
     assert_eq!(cache.invalidations(), 0, "nothing is lost here: no tail is ever rebuilt for it");
-    // Two arms over the one topic run on scoped threads and meet on its
-    // cell: whichever extends the tail, both fold the same rows.
+    // Two arms over the one topic, one after the other in one query, with
+    // a publish before each query: the first arm extends the tail and the
+    // second is served the same rows from it.
     let (mut k, mut ms) = (rescan.rows[0].counts.unwrap().measured, apollo.now() / 1_000_000);
     for _ in 0..200 {
         (k, ms) = (k + 1, ms + 1);

@@ -127,13 +127,7 @@ impl ContinuousQuery {
             ArmAcc::Latest(slot) => *slot = Some(*record),
             ArmAcc::All(rows) => {
                 if select.value_preds.iter().all(|p| p.admits(record.value)) {
-                    rows.push(Row {
-                        table: select.table.clone(),
-                        timestamp_ms: record.timestamp_ns / 1_000_000,
-                        value: record.value,
-                        provenance: Some(record.provenance),
-                        counts: None,
-                    });
+                    rows.push(Row::record(&select.table, record));
                 }
             }
             ArmAcc::Scan(st) => st.observe(
@@ -151,9 +145,6 @@ impl ContinuousQuery {
     /// exactly: single-arm errors propagate, multi-arm unions keep
     /// healthy arms, post-merge order/limit apply last.
     pub fn result(&self) -> Result<QueryResult, ExecError> {
-        if self.query.selects.is_empty() {
-            return Ok(QueryResult { rows: vec![], arm_errors: vec![] });
-        }
         let results: Vec<Result<Vec<Row>, ExecError>> = self
             .arms
             .iter()
@@ -161,22 +152,14 @@ impl ContinuousQuery {
             .map(|(acc, select)| match acc {
                 ArmAcc::Latest(slot) => slot
                     .as_ref()
-                    .map(|r| {
-                        vec![Row {
-                            table: select.table.clone(),
-                            timestamp_ms: r.timestamp_ns / 1_000_000,
-                            value: r.value,
-                            provenance: Some(r.provenance),
-                            counts: None,
-                        }]
-                    })
+                    .map(|r| vec![Row::record(&select.table, r)])
                     .ok_or_else(|| ExecError::EmptyTable(select.table.clone())),
                 ArmAcc::All(rows) => {
                     let mut rows = rows.clone();
                     apply_order_limit(&mut rows, select.order, select.limit);
                     Ok(rows)
                 }
-                ArmAcc::Scan(st) => st.finalize(&select.table, select.aggregate, select),
+                ArmAcc::Scan(st) => st.finalize(select),
             })
             .collect();
         merge_arm_results(&self.query, results)

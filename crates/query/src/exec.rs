@@ -1,19 +1,23 @@
-//! The parallel query executor.
+//! The query executor.
 //!
-//! Each SELECT of a UNION is an independent table access — "highly
-//! parallel and decoupled access to information" (§3.1) — so the executor
-//! resolves them on scoped threads and concatenates the results in source
-//! order. Table data comes from a [`TableProvider`]; the in-tree provider
-//! is the pub-sub [`Broker`], whose range reads transparently cover the
-//! live queue and the archived log ("the queue (or the persisted log for
-//! evicted entries) using timestamp-based indexing").
+//! Each SELECT of a UNION is an independent table access (§3.1): the
+//! executor answers the arms one after another on the caller's thread and
+//! concatenates the results in source order. AQE parallelism is across
+//! queries, not across one query's arms — any number of threads call
+//! `ApolloHandle::query` at once, while a hot scan arm costs a few µs,
+//! less than a thread spawn.
 //!
-//! AQE v2 adds a **vectorized** execution mode: scan aggregates run over
-//! the provider's columnar [`ColumnBatch`] snapshot (timestamp, value and
-//! provenance columns) instead of materializing per-row [`Record`]s. The
-//! row-at-a-time path is kept as an equivalence oracle
-//! ([`QueryEngine::row_oracle`]); both paths share one fold order
-//! (`ScanState`) so their results are bit-identical.
+//! Table data comes from a [`TableProvider`], whose one read is
+//! [`TableProvider::columns`]: a [`ColumnSlice`] of the window's timestamp,
+//! value and provenance columns. Every arm is answered from it: `SELECT
+//! metric` builds its rows from the slice, a ranged `Latest` takes its last
+//! row, a join reads its partner's timestamp column, and scan aggregates
+//! fold it in `vector::run_scan_columns`. The in-tree providers are the
+//! pub-sub [`Broker`], whose scans transparently cover the live queue and
+//! the archived log ("the queue (or the persisted log for evicted entries)
+//! using timestamp-based indexing"), and the [`CachedBroker`] over it.
+//! `tests/equivalence.rs` holds the results to a naive fold over the
+//! broker's decoded records, bit for bit.
 
 use crate::ast::{Aggregate, OrderBy, Query, Select};
 use crate::vector::{self, JoinIndex, ScanAccumulator};
@@ -59,6 +63,19 @@ pub struct Row {
     pub counts: Option<AggregateCounts>,
 }
 
+impl Row {
+    /// The row of one record of `table`.
+    pub(crate) fn record(table: &str, r: &Record) -> Self {
+        Row {
+            table: table.to_string(),
+            timestamp_ms: r.timestamp_ns / 1_000_000,
+            value: r.value,
+            provenance: Some(r.provenance),
+            counts: None,
+        }
+    }
+}
+
 /// Error executing a query.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ExecError {
@@ -68,8 +85,6 @@ pub enum ExecError {
     /// Every admitted record in the scanned window is a stale
     /// republication and the query did not opt in via `INCLUDE STALE`.
     StaleOnly(String),
-    /// A stored payload failed to decode as a telemetry record.
-    Corrupt(String),
 }
 
 impl std::fmt::Display for ExecError {
@@ -81,7 +96,6 @@ impl std::fmt::Display for ExecError {
                 "table {t:?} holds only stale records in the queried window \
                  (add INCLUDE STALE to aggregate them)"
             ),
-            ExecError::Corrupt(t) => write!(f, "corrupt record in table {t:?}"),
         }
     }
 }
@@ -155,20 +169,22 @@ impl ColumnSlice {
 }
 
 /// Supplies table data to the executor.
-pub trait TableProvider: Sync {
-    /// Most recent record of a table, if any.
+pub trait TableProvider {
+    /// Most recent record of a table: an O(1) tail-read. `None` for an
+    /// unknown or empty table, and for one whose newest payload does not
+    /// decode — the executor then takes the newest row that does from
+    /// [`TableProvider::columns`].
     fn latest(&self, table: &str) -> Option<Record>;
 
-    /// Records with `start_ms <= publish time <= end_ms`, time-ordered.
-    /// Returned behind an `Arc` so caching providers can serve warm hits
-    /// without cloning the decoded scan.
-    fn range(&self, table: &str, start_ms: u64, end_ms: u64) -> Arc<Vec<Record>>;
+    /// The decoded rows with `start_ms <= publish time <= end_ms`, in
+    /// stream order, as columns: the one read every arm is answered from.
+    fn columns(&self, table: &str, start_ms: u64, end_ms: u64) -> ColumnSlice;
 
-    /// Columnar form of the same window, for vectorized execution.
-    /// `None` makes the engine fall back to the row path.
-    fn columns(&self, table: &str, start_ms: u64, end_ms: u64) -> Option<ColumnSlice> {
-        let _ = (table, start_ms, end_ms);
-        None
+    /// The same window as records, collected from
+    /// [`TableProvider::columns`] into a fresh `Vec`. No query path calls
+    /// it.
+    fn range(&self, table: &str, start_ms: u64, end_ms: u64) -> Vec<Record> {
+        self.columns(table, start_ms, end_ms).records().collect()
     }
 }
 
@@ -177,25 +193,15 @@ impl TableProvider for Broker {
         Broker::latest(self, table).and_then(|e| Record::decode(&e.payload).ok())
     }
 
-    fn range(&self, table: &str, start_ms: u64, end_ms: u64) -> Arc<Vec<Record>> {
-        // One consistent batched scan: decode happens inside the stream's
-        // snapshot pass instead of per entry here.
-        Arc::new(Broker::scan_batch_by_time(self, table, start_ms, end_ms).records)
-    }
-
-    fn columns(&self, table: &str, start_ms: u64, end_ms: u64) -> Option<ColumnSlice> {
+    fn columns(&self, table: &str, start_ms: u64, end_ms: u64) -> ColumnSlice {
         let batch = Broker::scan_columns_by_time(self, table, start_ms, end_ms);
-        Some(ColumnSlice::new(Arc::new(batch), start_ms, end_ms))
+        ColumnSlice::new(Arc::new(batch), start_ms, end_ms)
     }
 }
 
 /// Topics whose tails are kept before the cache wholesale-clears to
 /// re-admit the working set (no LRU bookkeeping on the query hot path).
 const MAX_CACHED_SCANS: usize = 256;
-
-/// The row form of one window of a tail, derived on the window's first
-/// `range()` and memoised so the next is an `Arc` clone.
-type RowsMemo = Option<((u64, u64), Arc<Vec<Record>>)>;
 
 /// One topic's cached scan: the decoded rows from `first` to the topic's
 /// `last_id` as of the last lookup.
@@ -208,16 +214,13 @@ struct Tail {
     /// The widest span (ms) any lookup has asked of the tail, back from
     /// the topic's newest row at the time.
     reach: u64,
-    /// Row form of the last window asked for as rows ([`Aggregate::All`],
-    /// `TableProvider::range` callers); dropped whenever `cols` changes.
-    rows: RowsMemo,
 }
 
 impl Tail {
     /// A scan from `lo` that ran to its topic's end, as the topic's tail.
     fn new(cols: Arc<ColumnBatch>, lo: StreamId) -> Option<Self> {
         let (first, last) = (cols.first_id?, cols.last_id?);
-        Some(Self { cols, first: lo.max(first), reach: last.ms.saturating_sub(lo.ms), rows: None })
+        Some(Self { cols, first: lo.max(first), reach: last.ms.saturating_sub(lo.ms) })
     }
 
     /// Note the span a lookup from `lo` asks for, and let go of the rows
@@ -231,7 +234,7 @@ impl Tail {
         let dead = || self.cols.ids_ms.partition_point(|&ms| ms < cut.ms);
         if cut > self.first && dead() * 2 > self.cols.len() {
             Arc::make_mut(&mut self.cols).trim_before(cut.ms);
-            (self.first, self.rows) = (cut, None);
+            self.first = cut;
         }
     }
 }
@@ -258,7 +261,23 @@ impl Tail {
 ///
 /// Extension happens at lookup, under the topic's own lock, never on the
 /// publish path; a reader still folding the batch keeps it unchanged. The
-/// cache lives on the service, shared by every query's parallel arms.
+/// cache lives on the service, shared by every query on every thread.
+///
+/// A window is served by one of three access paths, in increasing
+/// freshness cost, each counted under `query.planner.*`:
+///
+/// * `incremental` — a registered continuous query whose AST matches and
+///   whose fold has caught up with the topic's tail answers from its
+///   standing result, with no scan. The service's query path (the one
+///   function behind `Apollo::query` and `ApolloHandle::query`) takes it
+///   before the cache is asked, so the cache never does.
+/// * `cached_scan` — the window is a slice of the topic's tail, which the
+///   lookup first extends by the rows appended since (a *hit*), or scans
+///   and keeps because the topic had none, the window reaches further
+///   back, or the stream lost the tail's head mid-millisecond (a *miss*).
+/// * `fresh_batch` — one consistent snapshot scan of exactly the window,
+///   nothing kept: a closed window wholly older than the tail (or, with no
+///   tail yet, short of the topic's end), an empty or unknown topic.
 #[derive(Default)]
 pub struct ScanCache {
     /// The map lock is held to find or insert a topic's cell only; scans
@@ -312,9 +331,9 @@ impl ScanCache {
         self.invalidations.load(Ordering::Relaxed)
     }
 
-    /// Lookups scanned on their own with nothing kept
-    /// ([`crate::AccessPlan::FreshBatch`]): a closed window older than the tail
-    /// or short of the topic's end, an empty or unknown topic.
+    /// Lookups scanned on their own with nothing kept (the `fresh_batch`
+    /// path): a closed window older than the tail or short of the topic's
+    /// end, an empty or unknown topic.
     pub fn planner_fresh(&self) -> u64 {
         self.planner_fresh.load(Ordering::Relaxed)
     }
@@ -339,8 +358,8 @@ impl ScanCache {
 
 /// A [`TableProvider`] wrapping a [`Broker`] with a shared [`ScanCache`]:
 /// `latest` passes straight through (an O(1) tail-read is cheaper than
-/// any cache probe); `range`/`columns` serve a window as a slice of the
-/// topic's cached tail, extended first by whatever was appended since the
+/// any cache probe); `columns` serves a window as a slice of the topic's
+/// cached tail, extended first by whatever was appended since the
 /// last lookup, and scan only what no tail covers (see [`ScanCache`]). A
 /// repeat lookup of an unchanged topic allocates nothing.
 pub struct CachedBroker<'a> {
@@ -360,11 +379,7 @@ impl<'a> CachedBroker<'a> {
     /// the window; `None` when the window is not the tail's to serve: it
     /// lies wholly before it, or the topic is gone (and its cell with it).
     fn refresh(&self, table: &str, tail: &mut Tail, lo: StreamId, hi: StreamId) -> Option<bool> {
-        let was = tail.cols.last_id;
         let extended = self.broker.extend_columns(table, &mut tail.cols);
-        if tail.cols.last_id != was {
-            tail.rows = None;
-        }
         // The oldest ID the stream retains, if the tail is still all of it.
         let kept = match tail.cols.first_id.filter(|_| extended) {
             Some(first) if first <= tail.first => Some(first),
@@ -372,7 +387,7 @@ impl<'a> CachedBroker<'a> {
             // is only known when it ends where a millisecond does.
             Some(first) if first.seq == 0 => {
                 Arc::make_mut(&mut tail.cols).trim_before(first.ms);
-                (tail.first, tail.rows) = (first, None);
+                tail.first = first;
                 Some(first)
             }
             _ => None,
@@ -394,23 +409,22 @@ impl<'a> CachedBroker<'a> {
         *tail = rebuilt;
         Some(true)
     }
+}
 
-    /// Hand `f` the window's rows — a slice of the topic's tail with the
-    /// tail's row memo, or a scan of the window alone.
-    fn serve<R>(
-        &self,
-        table: &str,
-        (start_ms, end_ms): (u64, u64),
-        f: impl FnOnce(ColumnSlice, Option<&mut RowsMemo>) -> R,
-    ) -> R {
+impl TableProvider for CachedBroker<'_> {
+    fn latest(&self, table: &str) -> Option<Record> {
+        TableProvider::latest(self.broker, table)
+    }
+
+    /// A slice of the topic's tail, or a scan of the window alone.
+    fn columns(&self, table: &str, start_ms: u64, end_ms: u64) -> ColumnSlice {
         let (lo, hi) = (StreamId::new(start_ms, 0), StreamId::new(end_ms, u64::MAX));
         let cell = self.cache.tails.lock().get(table).cloned();
         if let Some(cell) = cell {
             let tail = &mut *cell.lock();
             if let Some(scanned) = self.refresh(table, tail, lo, hi) {
                 self.cache.count_cached(scanned);
-                let slice = ColumnSlice::new(Arc::clone(&tail.cols), start_ms, end_ms);
-                return f(slice, Some(&mut tail.rows));
+                return ColumnSlice::new(Arc::clone(&tail.cols), start_ms, end_ms);
             }
         }
         let cols = Arc::new(self.broker.scan_columns(table, lo, hi));
@@ -419,42 +433,17 @@ impl<'a> CachedBroker<'a> {
         // on; anything else (a window closed in the past, an empty or
         // unknown topic) is served and forgotten.
         let reached_end = cols.last_id.is_some_and(|last| last <= hi);
-        let Some(mut tail) = Tail::new(cols, lo).filter(|_| reached_end) else {
+        let Some(tail) = Tail::new(cols, lo).filter(|_| reached_end) else {
             self.cache.planner_fresh.fetch_add(1, Ordering::Relaxed);
-            return f(slice, None);
+            return slice;
         };
         self.cache.count_cached(true);
-        let out = f(slice, Some(&mut tail.rows));
         let mut tails = self.cache.tails.lock();
         if tails.len() >= MAX_CACHED_SCANS && !tails.contains_key(table) {
             tails.clear();
         }
         tails.insert(table.to_string(), Arc::new(Mutex::new(tail)));
-        out
-    }
-}
-
-impl TableProvider for CachedBroker<'_> {
-    fn latest(&self, table: &str) -> Option<Record> {
-        TableProvider::latest(self.broker, table)
-    }
-
-    fn range(&self, table: &str, start_ms: u64, end_ms: u64) -> Arc<Vec<Record>> {
-        let window = (start_ms, end_ms);
-        self.serve(table, window, |slice, memo| match memo {
-            Some(Some((of, rows))) if *of == window => Arc::clone(rows),
-            memo => {
-                let rows = Arc::new(slice.records().collect::<Vec<_>>());
-                if let Some(memo) = memo {
-                    *memo = Some((window, Arc::clone(&rows)));
-                }
-                rows
-            }
-        })
-    }
-
-    fn columns(&self, table: &str, start_ms: u64, end_ms: u64) -> Option<ColumnSlice> {
-        Some(self.serve(table, (start_ms, end_ms), |slice, _| slice))
+        slice
     }
 }
 
@@ -465,11 +454,11 @@ pub(crate) struct BucketState {
     pub(crate) acc: ScanAccumulator,
 }
 
-/// The sequential scan-aggregate state shared by the row path, the
-/// vectorized path, and continuous queries. All three feed records in the
-/// same (stream) order through [`ScanState::observe`] and read the result
-/// out of [`ScanState::finalize`], so their `f64` folds are bit-identical
-/// by construction.
+/// The sequential scan-aggregate state shared by the column path and
+/// continuous queries. Both feed records in the same (stream) order
+/// through [`ScanState::observe`] and read the result out of
+/// [`ScanState::finalize`], so their `f64` folds are bit-identical by
+/// construction.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct ScanState {
     /// Records seen in the time window (before predicates).
@@ -511,7 +500,7 @@ impl ScanState {
     }
 
     /// Feed one in-window record (time filtering happens upstream, on the
-    /// entry's publish time, exactly as `TableProvider::range` selects).
+    /// entry's publish time, exactly as [`TableProvider::columns`] selects).
     pub(crate) fn observe(
         &mut self,
         select: &Select,
@@ -557,15 +546,11 @@ impl ScanState {
         }
     }
 
-    /// Produce the aggregate rows. Mirrors the v1 semantics exactly for
-    /// unfiltered scans: `COUNT` is an honest zero over an all-stale
+    /// Produce `select`'s aggregate rows. Mirrors the v1 semantics exactly
+    /// for unfiltered scans: `COUNT` is an honest zero over an all-stale
     /// window, other aggregates error with [`ExecError::StaleOnly`].
-    pub(crate) fn finalize(
-        &self,
-        table: &str,
-        agg: Aggregate,
-        _select: &Select,
-    ) -> Result<Vec<Row>, ExecError> {
+    pub(crate) fn finalize(&self, select: &Select) -> Result<Vec<Row>, ExecError> {
+        let (table, agg) = (&select.table, select.aggregate);
         if self.total_in_window == 0 {
             return Err(ExecError::EmptyTable(table.to_string()));
         }
@@ -693,33 +678,25 @@ impl QueryMetrics {
 pub struct QueryEngine<'a, P: TableProvider> {
     provider: &'a P,
     obs: Option<Cow<'a, QueryMetrics>>,
-    vectorized: bool,
 }
 
 impl<'a, P: TableProvider> QueryEngine<'a, P> {
-    /// Create an engine over a provider (vectorized execution when the
-    /// provider supplies columns).
+    /// Create an engine over a provider.
     pub fn new(provider: &'a P) -> Self {
-        Self { provider, obs: None, vectorized: true }
-    }
-
-    /// A row-at-a-time engine that never touches the provider's columnar
-    /// path — the equivalence oracle for the vectorized executor.
-    pub fn row_oracle(provider: &'a P) -> Self {
-        Self { provider, obs: None, vectorized: false }
+        Self { provider, obs: None }
     }
 
     /// Create an engine that records per-arm execution latency
     /// (`query.arm_ns`), executed-query and arm-error counters into
     /// `registry`. A disabled registry yields an uninstrumented engine.
     pub fn with_metrics(provider: &'a P, registry: &apollo_obs::Registry) -> Self {
-        Self { provider, obs: QueryMetrics::resolve(registry).map(Cow::Owned), vectorized: true }
+        Self { provider, obs: QueryMetrics::resolve(registry).map(Cow::Owned) }
     }
 
     /// [`QueryEngine::with_metrics`] over handles the caller resolved
     /// earlier: a per-call engine then pays no by-name lookup per query.
     pub fn with_resolved_metrics(provider: &'a P, metrics: Option<&'a QueryMetrics>) -> Self {
-        Self { provider, obs: metrics.map(Cow::Borrowed), vectorized: true }
+        Self { provider, obs: metrics.map(Cow::Borrowed) }
     }
 
     /// [`QueryEngine::run_select`] with per-arm latency accounting.
@@ -734,12 +711,6 @@ impl<'a, P: TableProvider> QueryEngine<'a, P> {
         result
     }
 
-    /// The provider's columnar form of a window, unless this is the row
-    /// oracle.
-    fn columns(&self, table: &str, lo: u64, hi: u64) -> Option<ColumnSlice> {
-        self.provider.columns(table, lo, hi).filter(|_| self.vectorized)
-    }
-
     /// Build the timestamp semi-join index for an arm, if it has one: the
     /// joined table's record timestamps over the arm's window widened by
     /// the tolerance, sorted for binary-search matching. Only that one
@@ -748,91 +719,45 @@ impl<'a, P: TableProvider> QueryEngine<'a, P> {
         select.join.as_ref().map(|j| {
             let rlo = lo.saturating_sub(j.tolerance_ms);
             let rhi = hi.saturating_add(j.tolerance_ms);
-            match self.columns(&j.table, rlo, rhi) {
-                Some(right) => {
-                    JoinIndex::new(right.timestamps_ns().iter().copied(), j.tolerance_ms)
-                }
-                None => {
-                    let right = self.provider.range(&j.table, rlo, rhi);
-                    JoinIndex::new(right.iter().map(|r| r.timestamp_ns), j.tolerance_ms)
-                }
-            }
+            let partner = self.provider.columns(&j.table, rlo, rhi);
+            JoinIndex::new(partner.timestamps_ns().iter().copied(), j.tolerance_ms)
         })
     }
 
     /// Execute one SELECT arm.
     fn run_select(&self, select: &Select) -> Result<Vec<Row>, ExecError> {
         let table = &select.table;
-        match select.aggregate {
-            Aggregate::Latest => {
-                let record = match select.time_range {
-                    None => self.provider.latest(table),
-                    Some((lo, hi)) => match self.columns(table, lo, hi) {
-                        Some(window) => window.records().next_back(),
-                        None => self.provider.range(table, lo, hi).last().cloned(),
-                    },
-                };
-                let r = record.ok_or_else(|| ExecError::EmptyTable(table.clone()))?;
-                Ok(vec![Row {
-                    table: table.clone(),
-                    timestamp_ms: r.timestamp_ns / 1_000_000,
-                    value: r.value,
-                    provenance: Some(r.provenance),
-                    counts: None,
-                }])
-            }
-            Aggregate::All => {
-                let (lo, hi) = select.time_range.unwrap_or((0, u64::MAX));
-                let join = self.join_index(select, lo, hi);
-                let records = self.provider.range(table, lo, hi);
-                let mut rows: Vec<Row> = records
-                    .iter()
-                    .filter(|r| {
-                        select.value_preds.iter().all(|p| p.admits(r.value))
-                            && join.as_ref().is_none_or(|j| j.matches(r.timestamp_ns / 1_000_000))
-                    })
-                    .map(|r| Row {
-                        table: table.clone(),
-                        timestamp_ms: r.timestamp_ns / 1_000_000,
-                        value: r.value,
-                        provenance: Some(r.provenance),
-                        counts: None,
-                    })
-                    .collect();
-                apply_order_limit(&mut rows, select.order, select.limit);
-                Ok(rows)
-            }
-            agg => {
-                let (lo, hi) = select.time_range.unwrap_or((0, u64::MAX));
-                let join = self.join_index(select, lo, hi);
-                if let Some(cols) = self.columns(table, lo, hi) {
-                    return vector::run_scan_columns(table, select, agg, &cols, join.as_ref());
-                }
-                let records = self.provider.range(table, lo, hi);
-                let mut st = ScanState::new(select.bucket_ms);
-                for r in records.iter() {
-                    st.observe(
-                        select,
-                        join.as_ref(),
-                        r.timestamp_ns / 1_000_000,
-                        r.value,
-                        r.provenance,
-                    );
-                }
-                st.finalize(table, agg, select)
-            }
+        let (lo, hi) = select.time_range.unwrap_or((0, u64::MAX));
+        if select.aggregate == Aggregate::Latest {
+            // The O(1) tail-read, unless the arm is ranged or the newest
+            // payload does not decode: then the window's newest row.
+            let tail = select.time_range.is_none().then(|| self.provider.latest(table));
+            let r = tail
+                .flatten()
+                .or_else(|| self.provider.columns(table, lo, hi).records().next_back())
+                .ok_or_else(|| ExecError::EmptyTable(table.clone()))?;
+            return Ok(vec![Row::record(table, &r)]);
         }
+        let join = self.join_index(select, lo, hi);
+        let window = self.provider.columns(table, lo, hi);
+        if select.aggregate != Aggregate::All {
+            return vector::run_scan_columns(select, &window, join.as_ref());
+        }
+        let mut rows: Vec<Row> = window
+            .records()
+            .filter(|r| {
+                select.value_preds.iter().all(|p| p.admits(r.value))
+                    && join.as_ref().is_none_or(|j| j.matches(r.timestamp_ns / 1_000_000))
+            })
+            .map(|r| Row::record(table, &r))
+            .collect();
+        apply_order_limit(&mut rows, select.order, select.limit);
+        Ok(rows)
     }
 
     /// Execute a query. Rows come back grouped by arm, in source order,
     /// with any post-merge `ORDER BY`/`LIMIT` applied to the concatenated
-    /// rows.
-    ///
-    /// Arms are resolved in parallel on scoped threads **when the work
-    /// warrants it**: `Latest` arms are O(1) indexed tail-reads for which
-    /// a thread spawn costs more than the read, so Latest-only unions run
-    /// inline; unions containing scan aggregates (`AVG`, `COUNT`, range
-    /// reads, …) fan out.
+    /// rows. Every arm runs on the caller's thread.
     ///
     /// Error semantics differ by arity. A single-SELECT query propagates
     /// its arm's error as `Err`. A multi-arm union is a dashboard-style
@@ -844,24 +769,7 @@ impl<'a, P: TableProvider> QueryEngine<'a, P> {
         if let Some(obs) = &self.obs {
             obs.queries.inc();
         }
-        if query.selects.is_empty() {
-            return Ok(QueryResult { rows: vec![], arm_errors: vec![] });
-        }
-        let heavy_arms = query.selects.iter().filter(|s| s.aggregate != Aggregate::Latest).count();
-        let results: Vec<Result<Vec<Row>, ExecError>> =
-            if query.selects.len() == 1 || heavy_arms == 0 {
-                query.selects.iter().map(|s| self.timed_select(s)).collect()
-            } else {
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = query
-                        .selects
-                        .iter()
-                        .map(|s| scope.spawn(move || self.timed_select(s)))
-                        .collect();
-                    handles.into_iter().map(|h| h.join().expect("select worker panicked")).collect()
-                })
-            };
-        merge_arm_results(query, results)
+        merge_arm_results(query, query.selects.iter().map(|s| self.timed_select(s)).collect())
     }
 
     /// Parse and execute in one call.
@@ -871,26 +779,16 @@ impl<'a, P: TableProvider> QueryEngine<'a, P> {
     }
 
     /// Describe how a query would execute without running it (the
-    /// `EXPLAIN` surface): one line per arm, the post-merge clauses, and
-    /// the chosen execution strategy.
+    /// `EXPLAIN` surface): one line per arm and the post-merge clauses.
     pub fn explain(&self, query: &Query) -> String {
-        let heavy_arms = query.selects.iter().filter(|s| s.aggregate != Aggregate::Latest).count();
-        let strategy = if query.selects.len() <= 1 || heavy_arms == 0 {
-            "inline (indexed tail-reads)"
-        } else {
-            "parallel (one scoped thread per arm)"
-        };
-        let mut out = format!(
-            "query: {} arm(s), complexity {}, strategy: {strategy}\n",
-            query.selects.len(),
-            query.complexity()
-        );
+        let mut out =
+            format!("query: {} arm(s), complexity {}\n", query.selects.len(), query.complexity());
         for (i, s) in query.selects.iter().enumerate() {
             let access = match s.aggregate {
-                Aggregate::Latest => "O(1) tail-read".to_string(),
-                Aggregate::All => "range scan".to_string(),
-                other if self.vectorized => format!("vectorized scan + {other:?}"),
-                other => format!("range scan + {other:?}"),
+                Aggregate::Latest if s.time_range.is_none() => "O(1) tail-read".to_string(),
+                Aggregate::Latest => "column scan, newest row".to_string(),
+                Aggregate::All => "column scan".to_string(),
+                other => format!("column scan + {other:?}"),
             };
             let mut filter = match s.time_range {
                 Some((lo, hi)) if hi == u64::MAX => format!(", Timestamp >= {lo}"),
@@ -1143,14 +1041,12 @@ mod tests {
             b.publish("skewed", 1_000 + i as u64, Record::measured(ts * 1_000_000, *v).encode());
         }
         let sql = "SELECT SUM(metric) FROM skewed GROUP BY BUCKET(Timestamp, 200)";
-        for engine in [QueryEngine::new(&b), QueryEngine::row_oracle(&b)] {
-            let out = engine.execute_sql(sql).unwrap();
-            assert_eq!(
-                out.rows.iter().map(|r| (r.timestamp_ms, r.value.to_bits())).collect::<Vec<_>>(),
-                vec![(0, 0.0f64.to_bits()), (200, 15.0f64.to_bits()), (400, 2.0f64.to_bits())]
-            );
-            assert_eq!(out.rows[0].counts.unwrap().measured, 3);
-        }
+        let out = QueryEngine::new(&b).execute_sql(sql).unwrap();
+        assert_eq!(
+            out.rows.iter().map(|r| (r.timestamp_ms, r.value.to_bits())).collect::<Vec<_>>(),
+            vec![(0, 0.0f64.to_bits()), (200, 15.0f64.to_bits()), (400, 2.0f64.to_bits())]
+        );
+        assert_eq!(out.rows[0].counts.unwrap().measured, 3);
         // Ending on a revisit leaves an interior bucket open at finalize.
         b.publish("skewed", 2_000, Record::measured(360 * 1_000_000, 1.0).encode());
         let out = QueryEngine::new(&b).execute_sql(sql).unwrap();
@@ -1242,7 +1138,7 @@ mod tests {
     fn union_keeps_healthy_arms_and_surfaces_failures() {
         let b = seeded_broker();
         let engine = QueryEngine::new(&b);
-        // Inline (latest-only) path.
+        // Tail-read arms.
         let out = engine
             .execute_sql(
                 "SELECT MAX(Timestamp), metric FROM capacity \
@@ -1260,8 +1156,8 @@ mod tests {
     fn three_arm_union_with_one_empty_table() {
         let b = seeded_broker();
         let engine = QueryEngine::new(&b);
-        // Parallel (scan-aggregate) path: the empty middle arm must not
-        // blank the other two panels.
+        // Scan-aggregate arms: the empty middle arm must not blank the
+        // other two panels.
         let out = engine
             .execute_sql(
                 "SELECT AVG(metric) FROM capacity \
@@ -1393,7 +1289,7 @@ mod tests {
     }
 
     #[test]
-    fn wide_union_resolves_in_parallel() {
+    fn wide_union_keeps_source_order() {
         let b = Broker::new(StreamConfig::default());
         for i in 0..32 {
             let t = format!("t{i}");
@@ -1415,30 +1311,59 @@ mod tests {
         let b = Broker::new(StreamConfig::default());
         b.publish("t", 1, vec![1, 2, 3]); // not a valid record
         b.publish("t", 2, Record::measured(2_000_000, 9.0).encode());
+        b.publish("t", 3, vec![0xde, 0xad, 0xbe, 0xef]);
         let engine = QueryEngine::new(&b);
         let out = engine.execute_sql("SELECT metric FROM t").unwrap();
         assert_eq!(out.rows.len(), 1);
         assert_eq!(out.rows[0].value, 9.0);
-        // Same through the vectorized aggregate path.
+        // Same through the aggregate path.
         let count = engine.execute_sql("SELECT COUNT(*) FROM t").unwrap();
         assert_eq!(count.rows[0].value, 1.0);
+        // The newest entry does not decode either: a latest-value read
+        // answers the newest row that does, as its ranged form does.
+        let cache = ScanCache::new();
+        let cached = CachedBroker::new(&b, &cache);
+        let want = vec![Row::record("t", &Record::measured(2_000_000, 9.0))];
+        for sql in [
+            "SELECT MAX(Timestamp), metric FROM t",
+            "SELECT MAX(Timestamp), metric FROM t WHERE Timestamp >= 0",
+        ] {
+            assert_eq!(engine.execute_sql(sql).unwrap().rows, want, "{sql}");
+            assert_eq!(QueryEngine::new(&cached).execute_sql(sql).unwrap().rows, want, "{sql}");
+        }
+    }
+
+    /// A provider that notes which thread each `columns` call ran on.
+    struct ThreadLog<'a> {
+        inner: &'a Broker,
+        reads: Mutex<Vec<std::thread::ThreadId>>,
+    }
+
+    impl TableProvider for ThreadLog<'_> {
+        fn latest(&self, table: &str) -> Option<Record> {
+            TableProvider::latest(self.inner, table)
+        }
+
+        fn columns(&self, table: &str, start_ms: u64, end_ms: u64) -> ColumnSlice {
+            self.reads.lock().push(std::thread::current().id());
+            self.inner.columns(table, start_ms, end_ms)
+        }
     }
 
     #[test]
-    fn vectorized_and_row_oracle_agree() {
-        let b = outage_broker();
-        let vec_engine = QueryEngine::new(&b);
-        let row_engine = QueryEngine::row_oracle(&b);
-        for sql in [
-            "SELECT AVG(metric) FROM disk",
-            "SELECT SUM(metric) FROM disk INCLUDE STALE",
-            "SELECT COUNT(*) FROM disk WHERE Timestamp BETWEEN 400 AND 600",
-            "SELECT MAX(metric) FROM disk WHERE metric >= 20",
-            "SELECT MIN(metric) FROM disk GROUP BY BUCKET(Timestamp, 250)",
-            "SELECT AVG(metric) FROM disk GROUP BY BUCKET(Timestamp, 300) INCLUDE STALE",
-        ] {
-            assert_eq!(vec_engine.execute_sql(sql).ok(), row_engine.execute_sql(sql).ok(), "{sql}");
-        }
+    fn scan_arms_run_on_the_callers_thread() {
+        let b = seeded_broker();
+        let provider = ThreadLog { inner: &b, reads: Mutex::new(Vec::new()) };
+        let out = QueryEngine::new(&provider)
+            .execute_sql(
+                "SELECT AVG(metric) FROM capacity UNION SELECT COUNT(*) FROM load \
+                 UNION SELECT metric FROM load JOIN capacity ON Timestamp",
+            )
+            .unwrap();
+        assert_eq!(out.rows.len(), 4, "{out:?}");
+        let reads = provider.reads.into_inner();
+        assert_eq!(reads.len(), 4, "three windows and one join partner");
+        assert!(reads.iter().all(|&id| id == std::thread::current().id()), "{reads:?}");
     }
 
     #[test]
@@ -1452,7 +1377,6 @@ mod tests {
             )
             .unwrap();
         assert!(plan.contains("2 arm(s)"), "{plan}");
-        assert!(plan.contains("inline"), "latest-only goes inline: {plan}");
         assert!(plan.contains("O(1) tail-read"), "{plan}");
 
         let plan = engine
@@ -1461,8 +1385,7 @@ mod tests {
                  UNION SELECT metric FROM load ORDER BY metric DESC LIMIT 3",
             )
             .unwrap();
-        assert!(plan.contains("parallel"), "{plan}");
-        assert!(plan.contains("Timestamp in [1, 9]"), "{plan}");
+        assert!(plan.contains("column scan + Avg, Timestamp in [1, 9]"), "{plan}");
         assert!(plan.contains("limit 3"), "{plan}");
     }
 
@@ -1504,11 +1427,8 @@ mod tests {
         let b = seeded_broker();
         let cache = ScanCache::new();
         let cached = CachedBroker::new(&b, &cache);
-        let first = cached.range("capacity", 0, u64::MAX);
-        let second = cached.range("capacity", 0, u64::MAX);
-        assert!(Arc::ptr_eq(&first, &second), "warm hit must clone the Arc, not the Vec");
-        let c1 = cached.columns("capacity", 0, u64::MAX).unwrap();
-        let c2 = cached.columns("capacity", 150, 350).unwrap();
+        let c1 = cached.columns("capacity", 0, u64::MAX);
+        let c2 = cached.columns("capacity", 150, 350);
         assert!(Arc::ptr_eq(&c1.batch, &c2.batch), "every window is a slice of the one tail");
         assert_eq!((c1.rows.len(), c2.values()), (4, &[20.0, 30.0][..]));
     }
@@ -1541,7 +1461,7 @@ mod tests {
         let engine = QueryEngine::new(&cached);
         let before = engine.execute_sql("SELECT SUM(metric) FROM capacity").unwrap();
         assert_eq!(before.rows[0].value, 100.0);
-        let tail = cached.columns("capacity", 0, u64::MAX).unwrap();
+        let tail = cached.columns("capacity", 0, u64::MAX);
         // New data moves last_id: the tail is extended by exactly the
         // appended rows — nothing it held is decoded again — and the
         // batch a reader still holds is not written under.
@@ -1549,7 +1469,7 @@ mod tests {
         b.publish("capacity", 500, vec![0xde, 0xad]);
         let after = engine.execute_sql("SELECT SUM(metric) FROM capacity").unwrap();
         assert_eq!(after.rows[0].value, 160.0, "stale cache entry served after append");
-        let extended = cached.columns("capacity", 0, u64::MAX).unwrap();
+        let extended = cached.columns("capacity", 0, u64::MAX);
         assert_eq!((tail.rows.len(), extended.rows.len(), extended.batch.corrupt), (4, 5, 1));
         assert_eq!(extended.batch.last_id, Some(StreamId::new(500, 1)));
         assert_eq!((cache.misses(), cache.invalidations(), cache.len()), (1, 0, 1));
@@ -1570,7 +1490,7 @@ mod tests {
         let cache = ScanCache::new();
         let cached = CachedBroker::new(&b, &cache);
         let engine = QueryEngine::new(&cached);
-        let oracle = QueryEngine::row_oracle(&b);
+        let oracle = QueryEngine::new(&b);
         const QUERIES: u64 = 640;
         for i in 0..QUERIES {
             publish(201 + i);
@@ -1578,7 +1498,7 @@ mod tests {
             assert_eq!(engine.execute_sql(&sql).ok(), oracle.execute_sql(&sql).ok(), "{sql}");
             // However long it slides, the tail holds the 102 rows asked
             // for (at most twice that), not all appended since the scan.
-            let tail = cached.columns("t", 100 + i, u64::MAX).unwrap();
+            let tail = cached.columns("t", 100 + i, u64::MAX);
             assert!(tail.rows.len() == 102 && tail.batch.len() <= 204, "{}", tail.batch.len());
         }
         assert_eq!((cache.hits(), cache.misses()), (2 * QUERIES - 1, 1));
@@ -1671,8 +1591,8 @@ mod tests {
         for i in 0..600u64 {
             let topic = format!("t{i}");
             b.publish(&topic, 1, Record::measured(1_000_000, 1.0).encode());
-            TableProvider::range(&cached, &topic, 0, i + 1);
-            TableProvider::range(&cached, "t0", 0, i);
+            cached.columns(&topic, 0, i + 1);
+            cached.columns("t0", 0, i);
             assert!(cache.len() <= 256, "cache grew past its bound: {}", cache.len());
         }
         assert!(cache.len() > 1);

@@ -2,9 +2,11 @@
 //!
 //! The **Apollo Query Engine** (AQE) of HPDC '21 §3.1: middleware
 //! services query Apollo with a small SQL subset; the engine "converts a
-//! client query into multiple Information access calls", resolves each
-//! table access **in parallel** against the SCoRe streams, and unions the
-//! results.
+//! client query into multiple Information access calls", answers each
+//! table access against the SCoRe streams, and unions the results. The
+//! parallelism is across queries: any number of threads call
+//! `ApolloHandle::query` at once, each answering its own query's arms
+//! inline.
 //!
 //! The supported grammar is the resource-query shape of Algorithm 4.4.1
 //! plus the aggregates middleware needs — with v2 adding value
@@ -23,28 +25,25 @@
 //! * [`ast`] — query syntax tree.
 //! * [`parser`] — hand-rolled tokenizer/parser with typed, positioned
 //!   errors (reversed time bounds are rejected, not silently empty).
-//! * [`exec`] — the parallel executor over a [`exec::TableProvider`]
-//!   (implemented for the pub-sub [`apollo_streams::Broker`], reading the
-//!   live queue or the archived log via timestamp indexing), with a scan
-//!   cache of one decoded columnar tail per topic, extended in place by
-//!   the rows appended since the last lookup and served a slice per
-//!   window (rows derived on demand); warm hits are allocation-free.
-//! * [`vector`] — columnar kernels: scan aggregates run over an
-//!   [`exec::ColumnSlice`] of the provider's
-//!   [`apollo_streams::ColumnBatch`], bit-identical to the
-//!   row-at-a-time oracle ([`exec::QueryEngine::row_oracle`]).
+//! * [`exec`] — the executor over a [`exec::TableProvider`], whose one
+//!   read is a [`exec::ColumnSlice`] of a window (implemented for the
+//!   pub-sub [`apollo_streams::Broker`], reading the live queue or the
+//!   archived log via timestamp indexing), with a scan cache of one
+//!   decoded columnar tail per topic, extended in place by the rows
+//!   appended since the last lookup and served a slice per window; warm
+//!   hits are allocation-free. The cache's doc names the three access
+//!   paths a window is served by.
+//! * [`vector`] — columnar kernels: scan aggregates fold a slice of the
+//!   provider's [`apollo_streams::ColumnBatch`] in stream order,
+//!   bit-identical to a naive fold over the same records.
 //! * [`continuous`] — standing queries that fold newly published records
 //!   incrementally and read out in O(rows), bit-identical to a full
 //!   rescan at any quiescent point.
-//! * [`planner`] — the three access paths: a slice of a cached tail, a
-//!   fresh batch of the window alone, and a continuous query's standing
-//!   result.
 
 pub mod ast;
 pub mod continuous;
 pub mod exec;
 pub mod parser;
-pub mod planner;
 pub mod vector;
 
 pub use ast::{Aggregate, CmpOp, Join, Query, Select, ValuePred};
@@ -54,5 +53,4 @@ pub use exec::{
     TableProvider,
 };
 pub use parser::{parse, ParseError, ParseErrorKind};
-pub use planner::AccessPlan;
 pub use vector::{JoinIndex, ScanAccumulator};

@@ -1,25 +1,25 @@
-//! Columnar (vectorized) scan kernels.
+//! Columnar scan kernels.
 //!
-//! The vectorized executor runs scan aggregates over a [`ColumnSlice`] —
-//! one window of the provider's struct-of-arrays batch (timestamp, value
-//! and provenance columns), usually a cached tail — instead of
-//! materializing per-row records. On the common unfiltered
-//! path the fold is a branch-free pass over the contiguous `f64` column,
-//! which the compiler auto-vectorizes; filtered/bucketed scans fall back
-//! to the shared sequential [`ScanState`](crate::exec) machinery.
+//! The executor runs scan aggregates over a [`ColumnSlice`] — one window
+//! of the provider's struct-of-arrays batch (timestamp, value and
+//! provenance columns), usually a cached tail — without materializing
+//! per-row records. On the common unfiltered path the fold is a
+//! branch-free pass over the contiguous `f64` column, which the compiler
+//! auto-vectorizes; filtered/bucketed scans stream the columns through the
+//! shared sequential [`ScanState`](crate::exec) machinery.
 //!
-//! **Equivalence contract:** every kernel folds values in stream order
-//! with the same operations as the row path, so the two produce
-//! bit-identical `f64` results. `crates/query/tests/equivalence.rs` holds
-//! the oracle suite.
+//! **Equivalence contract:** every kernel folds values in stream order,
+//! one IEEE operation per value, so its `f64` results are bit-identical to
+//! a naive fold over the window's records. The naive fold is test code,
+//! in `crates/query/tests/equivalence.rs`.
 
 use crate::ast::{Aggregate, Select};
 use crate::exec::{ColumnSlice, ExecError, Row, ScanState};
 use apollo_streams::codec::Provenance;
 
-/// The sequential fold shared by the row path, the vectorized path, and
-/// continuous queries: one code path, one fold order, so all three are
-/// bit-identical on the same value sequence. Tracks every scan aggregate
+/// The sequential fold shared by the column path and continuous queries:
+/// one code path, one fold order, so both are bit-identical on the same
+/// value sequence. Tracks every scan aggregate
 /// at once (the marginal cost over tracking one is a few ALU ops).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScanAccumulator {
@@ -121,14 +121,12 @@ fn fold_columns(timestamps_ns: &[u64], values: &[f64]) -> (ScanAccumulator, u64)
     (acc, max_ts)
 }
 
-/// Run a scan aggregate over a columnar window. The unfiltered path
+/// Run `select`'s scan aggregate over a columnar window. The unfiltered path
 /// (no predicates, no join, no buckets) uses the tight column kernels;
 /// everything else streams the columns through the shared [`ScanState`],
-/// which is also what the row path uses — same fold order either way.
+/// which continuous queries fold through too — same fold order either way.
 pub(crate) fn run_scan_columns(
-    table: &str,
     select: &Select,
-    agg: Aggregate,
     cols: &ColumnSlice,
     join: Option<&JoinIndex>,
 ) -> Result<Vec<Row>, ExecError> {
@@ -158,7 +156,7 @@ pub(crate) fn run_scan_columns(
                 }
             }
         }
-        return st.finalize(table, agg, select);
+        return st.finalize(select);
     }
     let mut st = ScanState::new(select.bucket_ms);
     for i in 0..values.len() {
@@ -166,7 +164,7 @@ pub(crate) fn run_scan_columns(
             .expect("ColumnBatch holds only successfully decoded records");
         st.observe(select, join, timestamps_ns[i] / 1_000_000, values[i], provenance);
     }
-    st.finalize(table, agg, select)
+    st.finalize(select)
 }
 
 #[cfg(test)]

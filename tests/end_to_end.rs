@@ -185,10 +185,10 @@ fn live_service_serves_concurrent_queries() {
     }
 
     // Parity: the handle runs the service's query path, whose answers are
-    // the row oracle's. Each is asked twice; the second scan of a quiet
-    // topic is a cache hit.
+    // an uncached rescan's. Each is asked twice; the second scan of a
+    // quiet topic is a cache hit.
     let broker = handle.broker();
-    let oracle = QueryEngine::row_oracle(broker.as_ref());
+    let oracle = QueryEngine::new(broker.as_ref());
     let newest_ms = ask("SELECT MAX(Timestamp), metric FROM n").unwrap().rows[0].timestamp_ms;
     let parity = [
         "SELECT MAX(Timestamp), metric FROM m".to_string(),
