@@ -12,13 +12,13 @@
 //!
 //! Run: `cargo run --release -p apollo-bench --bin fig12_vs_ldms`
 
+use apollo_bench::ldms::{LdmsConfig, LdmsService};
 use apollo_bench::report::{Report, Series};
 use apollo_cluster::device::DeviceKind;
 use apollo_cluster::metrics::{MetricSource, TraceSource};
 use apollo_cluster::series::TimeSeries;
 use apollo_cluster::workloads::fio::{self, SarMetric};
 use apollo_core::service::{Apollo, FactVertexSpec};
-use apollo_ldms::{LdmsConfig, LdmsService};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 

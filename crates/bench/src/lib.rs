@@ -24,9 +24,95 @@
 //!
 //! Binaries print human-readable tables and write machine-readable JSON
 //! into `bench_results/` (see [`report`]). [`lstm`] and [`conv`] are the
-//! Figure 11 comparators Delphi is evaluated against; nothing serves on
-//! them.
+//! Figure 11 comparators Delphi is evaluated against, [`ldms`] the
+//! Figure 12 one; nothing serves on them.
 
 pub mod conv;
+pub mod ldms;
 pub mod lstm;
 pub mod report;
+
+/// The [`ldms`] comparator's tests.
+#[cfg(test)]
+mod tests {
+    use crate::ldms::{LdmsConfig, LdmsService};
+    use apollo_cluster::metrics::{ConstSource, TraceSource};
+    use apollo_cluster::series::TimeSeries;
+    use std::sync::Arc;
+    use std::time::Duration;
+
+    const NS: u64 = 1_000_000_000;
+
+    #[test]
+    fn samplers_fill_the_central_store() {
+        let mut ldms = LdmsService::new_virtual(LdmsConfig::default());
+        ldms.register_sampler("cap", Arc::new(ConstSource::new("c", 5.0)));
+        ldms.run_for(Duration::from_secs(10));
+        assert_eq!(ldms.total_samples(), 10);
+        // LDMS has no change filter: every sample is stored.
+        assert_eq!(ldms.stored_rows(), 10);
+    }
+
+    #[test]
+    fn query_latest_returns_most_recent() {
+        let mut ldms = LdmsService::new_virtual(LdmsConfig::default());
+        let series = TimeSeries::from_points(vec![(0, 1.0), (5 * NS, 2.0)]);
+        ldms.register_sampler("m", Arc::new(TraceSource::new("t", series)));
+        ldms.run_for(Duration::from_secs(10));
+        let out = ldms.query_latest(&["m"]).unwrap();
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].value, 2.0);
+    }
+
+    #[test]
+    fn query_multiple_tables_in_order() {
+        let mut ldms = LdmsService::new_virtual(LdmsConfig::default());
+        ldms.register_sampler("a", Arc::new(ConstSource::new("a", 1.0)));
+        ldms.register_sampler("b", Arc::new(ConstSource::new("b", 2.0)));
+        ldms.run_for(Duration::from_secs(3));
+        let out = ldms.query_latest(&["b", "a"]).unwrap();
+        assert_eq!(out[0].table, "b");
+        assert_eq!(out[0].value, 2.0);
+        assert_eq!(out[1].table, "a");
+    }
+
+    #[test]
+    fn missing_table_errors() {
+        let ldms = LdmsService::new_virtual(LdmsConfig::default());
+        assert!(ldms.query_latest(&["ghost"]).is_err());
+        assert!(ldms.query_avg("ghost", 0, 100).is_err());
+    }
+
+    #[test]
+    fn retention_bounds_store() {
+        let mut ldms = LdmsService::new_virtual(LdmsConfig {
+            interval: Duration::from_secs(1),
+            retention_rows: 5,
+        });
+        ldms.register_sampler("m", Arc::new(ConstSource::new("m", 1.0)));
+        ldms.run_for(Duration::from_secs(50));
+        assert_eq!(ldms.stored_rows(), 5);
+        assert_eq!(ldms.total_samples(), 50);
+    }
+
+    #[test]
+    fn aggregate_avg_over_range() {
+        let mut ldms = LdmsService::new_virtual(LdmsConfig::default());
+        let series = TimeSeries::from_points(vec![(0, 10.0), (3 * NS, 20.0), (6 * NS, 30.0)]);
+        ldms.register_sampler("m", Arc::new(TraceSource::new("t", series)));
+        ldms.run_for(Duration::from_secs(10));
+        // Samples at 1..=10s: values 10,10,20,20,20,30,30,30,30,30
+        let avg = ldms.query_avg("m", 0, 5 * NS).unwrap();
+        assert!((avg - 16.0).abs() < 1e-9, "avg {avg}");
+    }
+
+    #[test]
+    fn no_change_filter_is_the_architectural_difference() {
+        // Same constant metric: LDMS stores every sample; Apollo's change
+        // filter stores one. This asymmetry feeds the Fig 12 overhead gap.
+        let mut ldms = LdmsService::new_virtual(LdmsConfig::default());
+        ldms.register_sampler("cap", Arc::new(ConstSource::new("c", 7.0)));
+        ldms.run_for(Duration::from_secs(100));
+        assert_eq!(ldms.stored_rows(), 100);
+    }
+}

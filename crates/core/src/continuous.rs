@@ -2,10 +2,10 @@
 //!
 //! [`crate::service::Apollo::register_continuous`] turns a registered AQE
 //! query into an insight-style vertex: the query is seeded from one
-//! consistent snapshot per input topic, then a timer on the service event
-//! loop incrementally folds every newly published record through the
-//! engine's own [`apollo_query::ContinuousQuery`] machinery. The standing
-//! result:
+//! consistent snapshot per input topic, then a step that an input's publish
+//! wakes reads each arm's topic after its cursor and incrementally folds
+//! the new records through the engine's own
+//! [`apollo_query::ContinuousQuery`] machinery. The standing result:
 //!
 //! * is **bit-identical** to a full rescan at any quiescent point (the
 //!   soak harness checks this at every checkpoint, with a teeth test
@@ -19,15 +19,15 @@
 //!   has caught up with every input topic's tail — a standing query
 //!   answers in O(rows) with no scan and no cache probe.
 //!
-//! Seeding is race-free against concurrent publishes: each arm's consumer
-//! group is created **before** the snapshot scan, so entries published in
-//! between are delivered again by the group and skipped by ID.
+//! Seeding is race-free against concurrent publishes: each arm's cursor
+//! starts at the seed snapshot's last ID, so whatever is published after
+//! the snapshot is read by the next pump, and nothing twice.
 
 use crate::graph::GraphError;
 use apollo_obs::{Counter, Registry};
 use apollo_query::exec::{ExecError, QueryResult};
 use apollo_query::{ContinuousError, ContinuousQuery, ParseError, Query};
-use apollo_streams::{Broker, ConsumerGroup, Publisher, Record, StreamId};
+use apollo_streams::{Broker, Publisher, Record, StreamId};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -55,21 +55,16 @@ impl std::fmt::Display for ContinuousRegisterError {
 
 impl std::error::Error for ContinuousRegisterError {}
 
-/// Per-arm feed: the consumer group delivering new records plus the
-/// bookkeeping that separates seeded history from live folds.
+/// Per-arm feed: the input topic and a cursor into it.
 struct ArmFeed {
     table: String,
-    group: ConsumerGroup,
     /// Topic eviction epoch at seed time. The incremental tier only
     /// serves while the epoch is unchanged: after an eviction a fresh
     /// scan may see a different window than the fold consumed, so the
     /// planner falls back to scanning rather than risk divergence.
     seed_epoch: u64,
-    /// Last entry folded by the seed snapshot; entries the group re-
-    /// delivers at or below this ID were already folded and are skipped.
-    seeded_through: Option<StreamId>,
-    /// Last entry folded (seed or pump) — caught up when this equals the
-    /// topic's live tail.
+    /// Last entry folded (seed or pump): the next pump reads after it,
+    /// and the fold is caught up when it equals the topic's live tail.
     folded_through: Option<StreamId>,
 }
 
@@ -89,8 +84,8 @@ impl Inner {
     }
 }
 
-/// A registered standing query: consumer-group feeds, the incremental
-/// fold, and change-filtered republication of result rows.
+/// A registered standing query: per-arm cursors, the incremental fold,
+/// and change-filtered republication of result rows.
 pub struct ContinuousVertex {
     /// The output topic, resolved on the first republication.
     publisher: Publisher,
@@ -110,8 +105,8 @@ impl std::fmt::Debug for ContinuousVertex {
 }
 
 impl ContinuousVertex {
-    /// Build the vertex: create each arm's consumer group, then seed the
-    /// fold from one consistent full-range snapshot per input topic.
+    /// Build the vertex: seed the fold from one consistent full-range
+    /// snapshot per input topic, and start each arm's cursor at its end.
     pub(crate) fn seed(
         name: String,
         mut cq: ContinuousQuery,
@@ -121,10 +116,6 @@ impl ContinuousVertex {
         let mut arms = Vec::with_capacity(cq.arm_count());
         for i in 0..cq.arm_count() {
             let table = cq.table(i).to_string();
-            // Group first: its cursor starts at the topic tail *now*, so
-            // anything the snapshot below also covers is re-delivered and
-            // deduplicated by `seeded_through`, never lost.
-            let group = broker.consumer_group(&table, &format!("cq/{name}/{i}"));
             let batch = broker.scan_batch(&table, StreamId::MIN, StreamId::MAX);
             for e in &batch.entries {
                 // Decode per entry (not `batch.records`) so each fold
@@ -134,13 +125,7 @@ impl ContinuousVertex {
                     cq.fold(i, e.id.ms, &r);
                 }
             }
-            arms.push(ArmFeed {
-                table,
-                group,
-                seed_epoch: batch.epoch,
-                seeded_through: batch.last_id,
-                folded_through: batch.last_id,
-            });
+            arms.push(ArmFeed { table, seed_epoch: batch.epoch, folded_through: batch.last_id });
         }
         Self {
             publisher: broker.publisher(name),
@@ -197,31 +182,21 @@ impl ContinuousVertex {
         inner.caught_up(&self.broker).then(|| inner.cq.result())
     }
 
-    /// Drain every arm's consumer group, fold the new records, and — when
-    /// the standing result changed — republish its rows to this vertex's
-    /// topic as measured records. Returns whether an emission happened.
-    /// `now_ms` stamps the published stream entries.
+    /// Read every arm's topic after its cursor, fold the new records,
+    /// and — when the standing result changed — republish its rows to
+    /// this vertex's topic as measured records. Returns whether an
+    /// emission happened. `now_ms` stamps the published stream entries.
     pub fn pump(&self, now_ms: u64) -> bool {
         let mut guard = self.inner.lock();
         let inner = &mut *guard;
         let mut folded = 0u64;
         for (i, arm) in inner.arms.iter_mut().enumerate() {
-            loop {
-                let entries = match arm.group.read_new("cq", 512) {
-                    Ok(e) if !e.is_empty() => e,
-                    _ => break,
-                };
-                for e in &entries {
-                    let _ = arm.group.ack(e.id);
-                    if arm.seeded_through.is_some_and(|s| e.id <= s) {
-                        continue; // already folded by the seed snapshot
-                    }
-                    if let Ok(r) = Record::decode(&e.payload) {
-                        inner.cq.fold(i, e.id.ms, &r);
-                        folded += 1;
-                    }
-                    arm.folded_through = Some(e.id);
+            for e in &self.broker.read_after(&arm.table, arm.folded_through, usize::MAX) {
+                if let Ok(r) = Record::decode(&e.payload) {
+                    inner.cq.fold(i, e.id.ms, &r);
+                    folded += 1;
                 }
+                arm.folded_through = Some(e.id);
             }
         }
         self.folds.add(folded);

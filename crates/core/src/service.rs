@@ -31,7 +31,7 @@ use apollo_query::exec::{
 };
 use apollo_runtime::event_loop::{EventLoop, TimerAction, TimerControl};
 use apollo_runtime::pool::WorkerPool;
-use apollo_streams::{Broker, CompactPolicy, SlabStore, StreamConfig};
+use apollo_streams::{Broker, CompactPolicy, PublishWaker, SlabStore, StreamConfig};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -165,7 +165,8 @@ pub struct InsightVertexSpec {
     pub inputs: Vec<String>,
     /// The insight builder.
     pub builder: InsightBuilder,
-    /// How often the vertex drains its subscriptions and recomputes.
+    /// The minimum spacing between recomputes: a publish to an input
+    /// wakes the vertex no sooner than one cadence after its last run.
     pub cadence: Duration,
     /// Modelled producer→vertex network latency (vertices are distinct
     /// processes, §3.1). Zero by default.
@@ -243,7 +244,7 @@ impl QueryPath {
     }
 }
 
-/// One periodic step on the service loop (see [`Apollo::schedule`]).
+/// One step on the service loop (see [`Apollo::schedule`]).
 struct Scheduled {
     /// The step's timer, cancelled when the step is unregistered or
     /// re-scheduled.
@@ -253,6 +254,8 @@ struct Scheduled {
     /// share one, so they never run concurrently — the invariant that
     /// keeps pool dispatch bit-identical to inline.
     lane: u64,
+    /// The timer's wakers on the step's input topics, removed with it.
+    _wakers: Vec<PublishWaker>,
 }
 
 /// The assembled Apollo service.
@@ -334,9 +337,10 @@ impl Apollo {
         }
     }
 
-    /// The one way a periodic step reaches the event loop. Every `every`
-    /// (or whatever the step re-programs through its [`TimerControl`])
-    /// the loop calls `step(ctl, now_ns)` with one clock reading.
+    /// The one way a step reaches the event loop. One `every` from now the
+    /// loop calls `step(ctl, now_ns)` with one clock reading, then again as
+    /// its [`TimerAction`] says: after `every` (or what it re-programs through
+    /// its [`TimerControl`]), or, parked, on a publish to a `wakes_on` topic.
     ///
     /// The step runs in the dispatch lane of the steps named in `joins`
     /// (merging their lanes when they differ), or in a fresh lane of its
@@ -346,8 +350,9 @@ impl Apollo {
         &mut self,
         name: &str,
         joins: &[String],
+        wakes_on: &[String],
         every: Duration,
-        mut step: impl FnMut(&TimerControl, u64) + Send + 'static,
+        mut step: impl FnMut(&TimerControl, u64) -> TimerAction + Send + 'static,
     ) {
         let joined: Vec<u64> =
             joins.iter().filter_map(|j| self.scheduled.get(j)).map(|s| s.lane).collect();
@@ -364,11 +369,12 @@ impl Apollo {
             }
         }
         let clock = self.el.clock().clone();
-        let timer = self.el.add_timer_keyed(lane, every, move |ctl| {
-            step(ctl, clock.now());
-            TimerAction::Continue
-        });
-        if let Some(previous) = self.scheduled.insert(name.to_string(), Scheduled { timer, lane }) {
+        let timer = self.el.add_timer_keyed(lane, every, move |ctl| step(ctl, clock.now()));
+        let woken = Arc::clone(&timer);
+        let wake = move || woken.wake();
+        let _wakers = wakes_on.iter().map(|t| self.broker.wake_on(t, wake.clone())).collect();
+        let step = Scheduled { timer, lane, _wakers };
+        if let Some(previous) = self.scheduled.insert(name.to_string(), step) {
             previous.timer.cancel();
         }
     }
@@ -424,7 +430,7 @@ impl Apollo {
         let dirty = self.registry.gauge("streams.slab.dirty_records");
         let lapped = self.registry.gauge("streams.slab.lapped_entries");
         self.slab = Some(Arc::clone(&store));
-        self.schedule("streams.slab.lifecycle", &[], every, move |_ctl, now_ns| {
+        self.schedule("streams.slab.lifecycle", &[], &[], every, move |_ctl, now_ns| {
             folded.add(store.consolidate().folded);
             let t0 = std::time::Instant::now();
             match store.flush() {
@@ -450,6 +456,7 @@ impl Apollo {
             pressure.set(stats.pressure());
             dirty.set(stats.dirty_records as f64);
             lapped.set(stats.lapped_entries as f64);
+            TimerAction::Continue
         });
     }
 
@@ -480,7 +487,10 @@ impl Apollo {
         let pump = PredictionPump::new(model, every, name.clone());
         pump.shared.instrument(&self.registry);
         let shared = Arc::clone(&pump.shared);
-        self.schedule(&name, &[], every, move |_ctl, now| shared.tick(now));
+        self.schedule(&name, &[], &[], every, move |_ctl, now| {
+            shared.tick(now);
+            TimerAction::Continue
+        });
         self.pumps.push(pump.clone());
         pump
     }
@@ -552,7 +562,7 @@ impl Apollo {
             spec.batched_prediction.iter().map(|p| p.name().to_string()).collect();
         let (polled, polled_at, tracker) =
             (Arc::clone(&vertex), Arc::clone(&last_poll), pump_tracker.clone());
-        self.schedule(vertex.name(), &joins, initial, move |ctl, now| {
+        self.schedule(vertex.name(), &joins, &[], initial, move |ctl, now| {
             let next = polled.poll(now);
             polled_at.store(now, Ordering::SeqCst);
             if let Some(t) = &tracker {
@@ -562,6 +572,7 @@ impl Apollo {
                 }
             }
             ctl.set_interval(next);
+            TimerAction::Continue
         });
         if let Some(pump) = spec.batched_prediction {
             pump.enroll(PumpSlot {
@@ -614,10 +625,16 @@ impl Apollo {
         vertex.instrument(&self.registry);
         // The insight joins its producers' dispatch lane: under pool
         // dispatch it never races the vertices feeding it, which is what
-        // keeps same-tick pump-vs-publish ordering deterministic.
+        // keeps same-tick pump-vs-publish ordering deterministic. Entries
+        // still in flight over the link re-arm it at cadence.
         let pumped = Arc::clone(&vertex);
-        self.schedule(vertex.name(), &inputs, spec.cadence, move |_ctl, now| {
+        self.schedule(vertex.name(), &inputs, &inputs, spec.cadence, move |_ctl, now| {
             pumped.pump(now);
+            if pumped.in_flight() {
+                TimerAction::Continue
+            } else {
+                TimerAction::Park
+            }
         });
         self.insights.push(Arc::clone(&vertex));
         Ok(vertex)
@@ -626,8 +643,9 @@ impl Apollo {
     /// Register a **continuous query**: `sql` becomes a standing,
     /// insight-style vertex named `name` that incrementally folds every
     /// record published to its input topics (seeded from one consistent
-    /// snapshot per topic, then fed through per-arm consumer groups on a
-    /// `cadence` timer). Whenever the standing result changes, its rows
+    /// snapshot per topic, then read after a per-arm cursor whenever an
+    /// input is published, at most once per `cadence`). Whenever the
+    /// standing result changes, its rows
     /// are republished to topic `name` as measured records — a query you
     /// can subscribe to. While the fold is caught up with every input's
     /// tail, [`Apollo::query`] serves the same SQL from the standing
@@ -647,13 +665,10 @@ impl Apollo {
         let query = apollo_query::parse(sql).map_err(ContinuousRegisterError::Parse)?;
         let cq = apollo_query::ContinuousQuery::new(query)
             .map_err(ContinuousRegisterError::Unsupported)?;
-        let mut inputs: Vec<String> = Vec::new();
-        for i in 0..cq.arm_count() {
-            let t = cq.table(i).to_string();
-            if !inputs.contains(&t) {
-                inputs.push(t);
-            }
-        }
+        let mut inputs: Vec<String> =
+            (0..cq.arm_count()).map(|i| cq.table(i).to_string()).collect();
+        inputs.sort_unstable();
+        inputs.dedup();
         self.graph.add_insight(&name, &inputs).map_err(ContinuousRegisterError::Graph)?;
         let vertex =
             Arc::new(ContinuousVertex::seed(name.clone(), cq, self.broker(), &self.registry));
@@ -661,10 +676,11 @@ impl Apollo {
         // Join the producers' dispatch lane: the pump never races the
         // vertices feeding it, so virtual-clock runs stay deterministic.
         let pumped = Arc::clone(&vertex);
-        self.schedule(&name, &inputs, cadence, move |_ctl, now| {
+        self.schedule(&name, &inputs, &inputs, cadence, move |_ctl, now| {
             let t0 = std::time::Instant::now();
             pumped.pump(now / 1_000_000);
             fold_ns.observe(t0.elapsed().as_nanos() as u64);
+            TimerAction::Park
         });
         self.continuous_registered.fetch_add(1, Ordering::SeqCst);
         self.query_path.continuous.push(Arc::clone(&vertex));
@@ -1147,8 +1163,9 @@ pub(crate) mod tests {
         apollo.run_for(Duration::from_secs(10));
         apollo.query("SELECT MAX(Timestamp), metric FROM cap").unwrap();
         let snap = apollo.metrics_snapshot();
-        // Runtime layer: timer fires.
-        assert!(snap.counter("runtime.timer.fires") >= 20, "{snap:?}");
+        // Runtime layer: ten polls, and one insight run on the one publish
+        // a constant fact makes.
+        assert_eq!(snap.counter("runtime.timer.fires"), 11, "{snap:?}");
         // Streams layer: publishes.
         assert!(snap.counter("streams.published_total") >= 2);
         // Core layer: per-vertex poll latency + suppression.
@@ -1629,6 +1646,98 @@ pub(crate) mod tests {
         for store in [first, second] {
             let _ = std::fs::remove_file(store.path());
         }
+    }
+
+    #[test]
+    fn idle_derived_vertices_do_not_run() {
+        // A constant fact publishes once, at 1 s. The insight over it and
+        // the standing query over the insight each run once on that
+        // publish and never again: nothing they read moves.
+        let mut apollo = Apollo::new_virtual();
+        let every = Duration::from_secs(1);
+        let source = Arc::new(ConstSource::new("c", 5.0));
+        apollo.register_fact(FactVertexSpec::fixed("cap", source, every)).unwrap();
+        apollo
+            .register_insight(InsightVertexSpec::sum_of("sum", vec!["cap".into()], every))
+            .unwrap();
+        apollo.register_continuous("cq/avg", "SELECT AVG(metric) FROM sum", every).unwrap();
+        apollo.run_for(Duration::from_secs(60));
+        let fires = |name: &str| apollo.scheduled[name].timer.fire_count();
+        assert_eq!((fires("cap"), fires("sum"), fires("cq/avg")), (60, 1, 1));
+        assert_eq!(apollo.metrics_snapshot().counter("runtime.timer.fires"), 62);
+        assert_eq!(apollo.continuous()[0].result().unwrap().rows[0].value, 5.0);
+    }
+
+    #[test]
+    fn hops_wait_only_on_their_own_rate_limit() {
+        // The benchmark's chain: a probe publishing every 7 ms into
+        // pass-through hops at 3, 5 and 11 ms. A 7 ms feed never
+        // rate-limits hops 0 and 1, so each publishes at the probe's
+        // virtual instant; hop 2 runs at most once per 11 ms.
+        const MS: u64 = 1_000_000;
+        let mut apollo = Apollo::new_virtual();
+        let series = TimeSeries::from_points((0..200).map(|i| (i * 7 * MS, i as f64)).collect());
+        let probe = Arc::new(TraceSource::new("probe", series));
+        apollo
+            .register_fact(FactVertexSpec::fixed("probe", probe, Duration::from_millis(7)))
+            .unwrap();
+        let mut input = "probe".to_string();
+        for (hop, every) in [3, 5, 11].into_iter().enumerate() {
+            let (name, read) = (format!("h{hop}"), input.clone());
+            let every = Duration::from_millis(every);
+            let pass = move |i: &InsightInputs| i.value(&read);
+            apollo
+                .register_insight(InsightVertexSpec::new(&name, vec![input], every, pass))
+                .unwrap();
+            input = name;
+        }
+        apollo.run_for(Duration::from_millis(700));
+        let stamps = |topic: &str| -> Vec<u64> {
+            let rows = apollo.query(&format!("SELECT metric FROM {topic}")).unwrap().rows;
+            rows.iter().map(|r| r.timestamp_ms).collect()
+        };
+        // From 100 ms on: past the first runs, which found nothing and
+        // spaced the next ones by a cadence.
+        let probed: Vec<u64> = stamps("probe").into_iter().filter(|&t| t >= 100).collect();
+        assert_eq!(probed.len(), 86);
+        for hop in ["h0", "h1"] {
+            let published = stamps(hop);
+            assert!(probed.iter().all(|t| published.contains(t)), "{hop}: {published:?}");
+        }
+        let h2 = stamps("h2");
+        assert!(h2.windows(2).all(|w| w[1] - w[0] >= 11), "{h2:?}");
+    }
+
+    #[test]
+    fn unregistering_derived_vertices_releases_their_inputs() {
+        use apollo_streams::{SlabConfig, SpillBackend};
+        let store = temp_store("unregister-derived", SlabConfig::default());
+        let streams = StreamConfig {
+            max_len: Some(64),
+            archive_evicted: true,
+            spill: SpillBackend::slab(Arc::clone(&store)),
+        };
+        let mut apollo = Apollo::with_config(EventLoop::new_virtual(), streams);
+        let every = Duration::from_secs(1);
+        let source = Arc::new(ConstSource::new("c", 5.0));
+        apollo.register_fact(FactVertexSpec::fixed("cap", source, every)).unwrap();
+        apollo
+            .register_insight(InsightVertexSpec::sum_of("sum", vec!["cap".into()], every))
+            .unwrap();
+        apollo.register_continuous("cq/avg", "SELECT AVG(metric) FROM cap", every).unwrap();
+        apollo.run_for(Duration::from_secs(5)); // both ran once, at 1 s, and parked
+        let broker = apollo.broker();
+        let info = broker.topic_info("cap").unwrap();
+        assert_eq!((info.subscribers, info.consumer_groups), (1, 0), "the insight's subscription");
+        let timers = apollo.el.timer_count();
+
+        apollo.unregister("cq/avg").unwrap();
+        apollo.unregister("sum").unwrap();
+        apollo.run_for(Duration::from_millis(1)); // one turn reaps both parked timers
+        assert_eq!(apollo.el.timer_count(), timers - 2);
+        let info = broker.topic_info("cap").unwrap();
+        assert_eq!((info.subscribers, info.consumer_groups), (0, 0));
+        let _ = std::fs::remove_file(store.path());
     }
 
     #[test]

@@ -655,7 +655,7 @@ pub fn run_compiled(config: &SoakConfig, compiled: &CompiledChaos) -> SoakOutcom
                 }
             }
             // Continuous-query equivalence: quiesce each standing fold
-            // (drain its consumer groups here, at a point where the
+            // (read its inputs to their tails here, at a point where the
             // event loop is idle) and demand the standing result be
             // bit-identical to a scratch rescan of the same query.
             // Results are compared through their Debug rendering, which

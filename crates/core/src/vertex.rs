@@ -553,6 +553,11 @@ impl InsightVertex {
         true
     }
 
+    /// Whether received entries still wait out their link delay.
+    pub(crate) fn in_flight(&self) -> bool {
+        !self.state.lock().in_flight.is_empty()
+    }
+
     /// Insights published so far.
     pub fn published(&self) -> u64 {
         self.published.load(Ordering::Relaxed)

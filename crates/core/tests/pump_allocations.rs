@@ -11,11 +11,16 @@
 //! payload in a refcounted heap block it was `B`; with a two-object
 //! payload (`Arc<Vec<u8>>`) published as a batch of one through
 //! intermediate `Vec`s it was `5·B`.
+//!
+//! Waking a derived reader is free too: a publish that arms a parked
+//! insight allocates nothing, and a standing query's pump pays for its
+//! read and its result, not per record it folds (a consumer-group feed
+//! allocated a pending-map key per record).
 
 use apollo_adaptive::controller::FixedInterval;
 use apollo_alloc_count::allocs_during;
 use apollo_cluster::metrics::{MetricError, MetricSource};
-use apollo_core::service::{Apollo, FactVertexSpec};
+use apollo_core::service::{Apollo, FactVertexSpec, InsightVertexSpec};
 use apollo_core::vertex::{FactVertex, InsightInputs, InsightVertex};
 use apollo_delphi::{Delphi, DelphiConfig};
 use apollo_runtime::event_loop::EventLoop;
@@ -58,6 +63,56 @@ fn a_record_costs_no_allocation() {
     a_warm_pump_tick_allocates_nothing();
     encoding_and_publishing_a_record_allocates_nothing();
     a_warm_poll_and_a_warm_insight_pump_allocate_nothing();
+    a_publish_that_wakes_a_parked_insight_allocates_nothing();
+    a_warm_standing_query_pump_allocates_per_pump_not_per_record();
+}
+
+fn sine(phase: f64) -> Arc<Sine> {
+    Arc::new(Sine { phase, samples: AtomicU64::new(0) })
+}
+
+fn a_publish_that_wakes_a_parked_insight_allocates_nothing() {
+    let mut apollo = Apollo::with_config(EventLoop::new_virtual(), bounded());
+    let every = Duration::from_secs(1);
+    apollo.register_fact(FactVertexSpec::fixed("woken/in", sine(0.0), every)).unwrap();
+    let insight = apollo
+        .register_insight(InsightVertexSpec::sum_of("woken/sum", vec!["woken/in".into()], every))
+        .unwrap();
+    // Ten polls: the insight ran on each one's publish and parked.
+    apollo.run_for(Duration::from_millis(10_500));
+    let runs = insight.recomputes();
+    let payload = Record::measured(10_500_000_000, 1.0).encode();
+    let broker = apollo.broker();
+    let allocs = allocs_during(|| {
+        broker.publish("woken/in", 10_500, payload);
+    });
+    assert_eq!(allocs, 0, "a publish that wakes a parked insight allocated");
+    apollo.run_for(Duration::from_millis(500));
+    assert_eq!(insight.recomputes(), runs + 1, "the wake armed the insight");
+}
+
+fn a_warm_standing_query_pump_allocates_per_pump_not_per_record() {
+    let streams =
+        StreamConfig { max_len: Some(64), archive_evicted: false, spill: SpillBackend::Heap };
+    let mut apollo = Apollo::with_config(EventLoop::new_virtual(), streams);
+    let hour = Duration::from_secs(3600);
+    apollo.register_fact(FactVertexSpec::fixed("cq/in", sine(0.0), hour)).unwrap();
+    let cq = apollo.register_continuous("cq/avg", "SELECT AVG(metric) FROM cq/in", hour).unwrap();
+    let broker = apollo.broker();
+    let mut ms = 0u64;
+    let mut pump = |records: u64| {
+        for _ in 0..records {
+            ms += 1;
+            broker.publish("cq/in", ms, Record::measured(ms * 1_000_000, ms as f64).encode());
+        }
+        allocs_during(|| assert!(cq.pump(ms), "a rising AVG changes every pump"))
+    };
+    // Warm: both windows at their bound.
+    for _ in 0..80 {
+        pump(1);
+    }
+    let (one, ten) = (pump(1), pump(10));
+    assert_eq!(one, ten, "a pump folding 10 records allocated {ten}, folding 1 {one}");
 }
 
 fn a_warm_pump_tick_allocates_nothing() {

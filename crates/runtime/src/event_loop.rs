@@ -4,7 +4,8 @@
 //! handle; through it the callback can read and **mutate its own interval**
 //! — the primitive Apollo's adaptive/dynamic monitoring interval (§3.4.1)
 //! is built on. The callback's [`TimerAction`] return value decides whether
-//! the timer re-arms or stops.
+//! the timer re-arms, stops, or parks until [`TimerControl::wake`] arms it
+//! no sooner than one interval after its last fire.
 //!
 //! The loop runs on an [`AnyClock`]: with a [`VirtualClock`] inside it is
 //! a deterministic discrete-event scheduler (used by every figure harness);
@@ -28,7 +29,7 @@ use crate::time::{duration_to_nanos, AnyClock, Nanos, RealClock, VirtualClock};
 use crate::timer::{EntryId, Expired, TimerHeap};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -41,9 +42,18 @@ pub struct TimerId(pub u64);
 pub enum TimerAction {
     /// Re-arm with the (possibly updated) interval.
     Continue,
+    /// Do not re-arm until [`TimerControl::wake`].
+    Park,
     /// Stop this timer; it will not fire again.
     Stop,
 }
+
+/// Values of `TimerControl::state`: on the heap (or popped, about to run),
+/// running, running with a wake pending, and parked until woken.
+const ARMED: u8 = 0;
+const RUNNING: u8 = 1;
+const WOKEN: u8 = 2;
+const PARKED: u8 = 3;
 
 /// Shared, mutable state of one timer, exposed to its callback.
 ///
@@ -56,9 +66,31 @@ pub struct TimerControl {
     interval: AtomicU64,
     cancelled: AtomicBool,
     fires: AtomicU64,
+    /// One of `ARMED`, `RUNNING`, `WOKEN`, `PARKED`.
+    state: AtomicU8,
+    /// Clock reading when the callback last started, stored as it parks.
+    last_fire: AtomicU64,
+    queue: Arc<Mutex<TimerHeap>>,
+    clock: AnyClock,
 }
 
 impl TimerControl {
+    /// Make a parked timer due at `max(now, last fire + interval)`. A wake
+    /// that lands while the callback runs re-arms the timer when it parks;
+    /// a wake on an armed timer does nothing. Callable from any thread; a
+    /// real-clock loop asleep toward a later deadline sees it at that turn.
+    pub fn wake(&self) {
+        let woken = self.state.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |s| match s {
+            PARKED => Some(ARMED),
+            RUNNING => Some(WOKEN),
+            _ => None,
+        });
+        if woken == Ok(PARKED) {
+            let due = self.last_fire.load(Ordering::Relaxed) + self.interval.load(Ordering::SeqCst);
+            self.queue.lock().insert(EntryId(self.id.0), self.clock.now().max(due));
+        }
+    }
+
     /// This timer's id.
     pub fn id(&self) -> TimerId {
         self.id
@@ -75,9 +107,13 @@ impl TimerControl {
         self.interval.store(duration_to_nanos(interval).max(1), Ordering::SeqCst);
     }
 
-    /// Cancel the timer from outside the callback.
+    /// Cancel the timer from outside the callback. A parked timer is armed
+    /// now, so the loop's next turn reaps it.
     pub fn cancel(&self) {
         self.cancelled.store(true, Ordering::SeqCst);
+        if self.state.compare_exchange(PARKED, ARMED, Ordering::SeqCst, Ordering::SeqCst).is_ok() {
+            self.queue.lock().insert(EntryId(self.id.0), self.clock.now());
+        }
     }
 
     /// Whether the timer has been cancelled.
@@ -294,6 +330,10 @@ impl EventLoop {
             interval: AtomicU64::new(duration_to_nanos(interval).max(1)),
             cancelled: AtomicBool::new(false),
             fires: AtomicU64::new(0),
+            state: AtomicU8::new(ARMED),
+            last_fire: AtomicU64::new(0),
+            queue: Arc::clone(&self.queue),
+            clock: self.clock.clone(),
         });
         let deadline = self.clock.now().saturating_add(control.interval.load(Ordering::SeqCst));
         self.timers.insert(
@@ -341,18 +381,17 @@ impl EventLoop {
     /// inline dispatch (loop thread) and pool lanes (worker threads): all
     /// state it touches is behind `Arc`s, and a retired slot is only
     /// *marked* here — the loop thread reaps it after the turn's barrier.
-    fn run_slot(
-        slot: &TimerSlot,
-        clock: &AnyClock,
-        queue: &Mutex<TimerHeap>,
-        panics: &AtomicU64,
-        obs: Option<&LoopObs>,
-    ) {
-        if slot.control.is_cancelled() {
+    fn run_slot(slot: &TimerSlot, panics: &AtomicU64, obs: Option<&LoopObs>) {
+        let ctl = &slot.control;
+        if ctl.is_cancelled() {
             slot.retired.store(true, Ordering::SeqCst);
             return;
         }
-        let fire = slot.control.fires.fetch_add(1, Ordering::SeqCst);
+        // A wake from here on asks for another run. Relaxed: a wake that reads
+        // an older state is not after this, so the input's lock shows its publish.
+        ctl.state.store(RUNNING, Ordering::Relaxed);
+        let started = ctl.clock.now();
+        let fire = ctl.fires.fetch_add(1, Ordering::SeqCst);
         // Counters are exact; only this timer's sampled fires are timed.
         let start = (obs.is_some() && apollo_obs::sampled(fire)).then(std::time::Instant::now);
         // A panicking callback (buggy monitor hook, bad insight builder)
@@ -360,14 +399,14 @@ impl EventLoop {
         // timer. The mutexes this crate hands out are non-poisoning, so
         // state shared with other callbacks stays usable.
         let mut cb = slot.callback.lock();
-        let action = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| (cb)(&slot.control)));
+        let action = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| (cb)(ctl)));
         drop(cb);
         if let Some(obs) = obs {
             obs.fires.inc();
             if let Some(start) = start {
                 let dur = start.elapsed().as_nanos() as u64;
                 obs.callback_ns.observe(dur);
-                if dur > slot.control.interval.load(Ordering::SeqCst) {
+                if dur > ctl.interval.load(Ordering::SeqCst) {
                     obs.overruns.inc();
                 }
             }
@@ -376,9 +415,18 @@ impl EventLoop {
             }
         }
         match action {
-            Ok(TimerAction::Continue) if !slot.control.is_cancelled() => {
-                let next = clock.now().saturating_add(slot.control.interval.load(Ordering::SeqCst));
-                queue.lock().insert(EntryId(slot.control.id.0), next);
+            Ok(TimerAction::Continue) if !ctl.is_cancelled() => {
+                let next = ctl.clock.now().saturating_add(ctl.interval.load(Ordering::SeqCst));
+                ctl.queue.lock().insert(EntryId(ctl.id.0), next);
+            }
+            Ok(TimerAction::Park) if !ctl.is_cancelled() => {
+                // The swap publishes `last_fire` to the wake that arms it.
+                ctl.last_fire.store(started, Ordering::Relaxed);
+                if ctl.state.swap(PARKED, Ordering::SeqCst) == WOKEN {
+                    ctl.wake(); // woken while it ran
+                } else if ctl.is_cancelled() {
+                    ctl.cancel(); // cancelled as it parked: armed, to be reaped
+                }
             }
             Ok(_) => {
                 slot.retired.store(true, Ordering::SeqCst);
@@ -393,7 +441,7 @@ impl EventLoop {
     fn fire_inline(&mut self, id: TimerId) {
         let Some(slot) = self.timers.get(&id) else { return };
         let slot = Arc::clone(slot);
-        Self::run_slot(&slot, &self.clock, &self.queue, &self.panics, self.obs.as_deref());
+        Self::run_slot(&slot, &self.panics, self.obs.as_deref());
         if slot.retired.load(Ordering::SeqCst) {
             self.timers.remove(&id);
         }
@@ -401,7 +449,7 @@ impl EventLoop {
 
     /// Run one iteration: wait for the earliest deadline (sleeping or
     /// advancing virtual time) and fire everything due. Returns `false`
-    /// when no timers remain.
+    /// when no timer is armed.
     pub fn turn(&mut self) -> bool {
         let next = self.queue.lock().next_deadline();
         let Some(deadline) = next else { return false };
@@ -434,14 +482,12 @@ impl EventLoop {
                 if occupied > 0 {
                     let latch = Arc::new(Latch::new(occupied));
                     for lane in lanes.into_iter().filter(|l| !l.is_empty()) {
-                        let clock = self.clock.clone();
-                        let queue = Arc::clone(&self.queue);
                         let panics = Arc::clone(&self.panics);
                         let obs = self.obs.clone();
                         let latch = Arc::clone(&latch);
                         pool.submit(move || {
                             for slot in &lane {
-                                Self::run_slot(slot, &clock, &queue, &panics, obs.as_deref());
+                                Self::run_slot(slot, &panics, obs.as_deref());
                             }
                             latch.count_down();
                         });
@@ -464,7 +510,7 @@ impl EventLoop {
         !self.timers.is_empty()
     }
 
-    /// Run until no timers remain or `horizon` (absolute clock time) is
+    /// Run until no timer is armed or `horizon` (absolute clock time) is
     /// reached. Timers whose next deadline is past the horizon stay armed
     /// but do not fire.
     pub fn run_until(&mut self, horizon: Nanos) {
@@ -844,5 +890,87 @@ mod tests {
         });
         el.run_for(Duration::from_millis(500));
         assert_eq!(n.load(Ordering::SeqCst), 3);
+    }
+
+    /// A timer that parks after every fire and logs the clock at each.
+    fn parking(el: &mut EventLoop, every_ms: u64) -> (Arc<TimerControl>, Arc<Mutex<Vec<Nanos>>>) {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let (sink, clock) = (Arc::clone(&log), el.clock().clone());
+        let ctl = el.add_timer(Duration::from_millis(every_ms), move |_| {
+            sink.lock().push(clock.now());
+            TimerAction::Park
+        });
+        (ctl, log)
+    }
+
+    const MS: Nanos = 1_000_000;
+
+    #[test]
+    fn a_parked_timer_never_fires() {
+        let mut el = EventLoop::new_virtual();
+        let (ctl, log) = parking(&mut el, 5);
+        el.run_for(Duration::from_secs(10));
+        assert_eq!(*log.lock(), [5 * MS], "fires at its first interval, then parks");
+        assert_eq!((ctl.fire_count(), el.timer_count()), (1, 1), "parked, not retired");
+        assert!(!el.turn(), "nothing is armed");
+    }
+
+    #[test]
+    fn a_wake_arms_no_earlier_than_one_interval_after_the_last_fire() {
+        let mut el = EventLoop::new_virtual();
+        let (ctl, log) = parking(&mut el, 5);
+        el.run_for(Duration::from_millis(6));
+        ctl.wake(); // at 6 ms: held back to 5 + 5
+        el.run_for(Duration::from_millis(10));
+        ctl.wake(); // at 16 ms, past 10 + 5: due now
+        el.run_for(Duration::from_millis(1));
+        assert_eq!(*log.lock(), [5 * MS, 10 * MS, 16 * MS]);
+    }
+
+    #[test]
+    fn two_wakes_give_one_expiry() {
+        let mut el = EventLoop::new_virtual();
+        let (ctl, log) = parking(&mut el, 5);
+        el.run_for(Duration::from_millis(20));
+        ctl.wake();
+        ctl.wake();
+        assert_eq!(el.queue.lock().len(), 1, "one heap entry per timer");
+        el.run_for(Duration::from_millis(20));
+        assert_eq!(*log.lock(), [5 * MS, 20 * MS]);
+    }
+
+    #[test]
+    fn a_wake_during_the_callback_rearms_it() {
+        // The first run wakes itself, as a publish landing mid-run would:
+        // it parks, and the wake re-arms it one interval later.
+        for pooled in [false, true] {
+            let mut el = if pooled { pooled_loop(2, 4) } else { EventLoop::new_virtual() };
+            let log = Arc::new(Mutex::new(Vec::new()));
+            let (sink, clock) = (Arc::clone(&log), el.clock().clone());
+            el.add_timer(Duration::from_millis(5), move |ctl| {
+                let mut log = sink.lock();
+                log.push(clock.now());
+                if log.len() == 1 {
+                    ctl.wake();
+                }
+                TimerAction::Park
+            });
+            el.run_for(Duration::from_millis(50));
+            assert_eq!(*log.lock(), [5 * MS, 10 * MS], "pooled: {pooled}");
+        }
+    }
+
+    #[test]
+    fn cancel_reaps_a_parked_timer() {
+        for pooled in [false, true] {
+            let mut el = if pooled { pooled_loop(2, 4) } else { EventLoop::new_virtual() };
+            let (ctl, log) = parking(&mut el, 5);
+            el.run_for(Duration::from_millis(20));
+            ctl.cancel();
+            assert_eq!(el.timer_count(), 1);
+            assert!(!el.turn(), "the next turn reaps it");
+            assert_eq!(el.timer_count(), 0, "pooled: {pooled}");
+            assert_eq!(log.lock().len(), 1, "the reap runs no callback");
+        }
     }
 }

@@ -14,9 +14,9 @@
 //!   ([`timer::TimerHeap`]).
 //! * [`event_loop`] — a libuv-style loop that drives repeating timers off
 //!   that heap, lets a running callback re-program its own interval — the
-//!   exact primitive the adaptive-interval module (§3.4.1) needs — and can
-//!   run either in real time or by jumping the virtual clock between
-//!   deadlines.
+//!   exact primitive the adaptive-interval module (§3.4.1) needs — or park
+//!   until woken, and can run either in real time or by jumping the
+//!   virtual clock between deadlines.
 //! * [`pool`] — a fixed worker pool used by vertices to offload insight
 //!   computation off the event-loop thread.
 //!

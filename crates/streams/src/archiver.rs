@@ -81,11 +81,6 @@ impl ArchiveLog {
         Self { slab: Some(series), ..Self::default() }
     }
 
-    /// True when this log records into a slab series.
-    pub fn is_slab_backed(&self) -> bool {
-        self.slab.is_some()
-    }
-
     /// The slab series behind this log, if slab-backed.
     pub fn slab_series(&self) -> Option<&SlabSeries> {
         self.slab.as_ref()

@@ -27,9 +27,10 @@
 //! wake-ups are **waiter-gated**: a subscriber queue counts its parked
 //! receivers and publishers under its own mutex, around the wait, and
 //! notifies a side only when its count is non-zero (closing always
-//! notifies). A topic's subscriber list is **copy-on-write**: an
-//! `Arc<[Subscriber]>` that `subscribe` and `Subscription::drop` replace
-//! and a publish clones after its append; no subscriber, no entry built.
+//! notifies). A topic's readers — subscribers, and derived readers' wakers
+//! ([`Broker::wake_on`]) — are **copy-on-write**: an `Arc<Readers>` that
+//! subscribing and dropping edit and a publish clones after its append
+//! and wakes; no subscriber, no entry built.
 
 use crate::entry::Entry;
 use crate::id::StreamId;
@@ -271,6 +272,13 @@ struct Subscriber {
     queue: Arc<SubQueue>,
 }
 
+/// What a publish reaches besides the window.
+#[derive(Clone, Default)]
+struct Readers {
+    subscribers: Vec<Subscriber>,
+    wakers: Vec<(SubscriptionId, Arc<dyn Fn() + Send + Sync>)>,
+}
+
 /// Per-group delivery state.
 #[derive(Debug, Default)]
 struct GroupState {
@@ -296,9 +304,9 @@ struct Topic {
     /// Poison entries routed off the hot path after exceeding the
     /// delivery cap.
     dead: Stream,
-    /// Copy-on-write: `subscribe` and `Subscription::drop` swap in a new
-    /// list, a publish clones the `Arc` and delivers with the lock released.
-    subscribers: Mutex<Arc<[Subscriber]>>,
+    /// Copy-on-write: subscribing and dropping edit it (a copy, if a publish
+    /// holds it), a publish clones the `Arc` and delivers with the lock released.
+    readers: Mutex<Arc<Readers>>,
     groups: Mutex<HashMap<String, GroupState>>,
     /// Behind an `Arc` so [`Broker::instrument`] can export the same cell
     /// as `streams.topic.<name>.published` without a second increment on
@@ -320,13 +328,18 @@ struct Topic {
 }
 
 impl Topic {
-    /// Swap in the subscriber list without those `keep` rejects; returns
-    /// how many went.
+    /// Edit the readers, copying them first if a publish holds them.
+    fn edit_readers<R>(&self, edit: impl FnOnce(&mut Readers) -> R) -> R {
+        edit(Arc::make_mut(&mut self.readers.lock()))
+    }
+
+    /// Drop the subscribers `keep` rejects; returns how many went.
     fn prune_subscribers(&self, keep: impl Fn(&Subscriber) -> bool) -> usize {
-        let mut subs = self.subscribers.lock();
-        let before = subs.len();
-        *subs = subs.iter().filter(|s| keep(s)).cloned().collect();
-        before - subs.len()
+        self.edit_readers(|r| {
+            let before = r.subscribers.len();
+            r.subscribers.retain(keep);
+            before - r.subscribers.len()
+        })
     }
 }
 
@@ -438,6 +451,19 @@ impl Drop for Subscription {
     fn drop(&mut self) {
         self.queue.close();
         self.topic.prune_subscribers(|s| s.id != self.id);
+    }
+}
+
+/// A waker on one topic, from [`Broker::wake_on`]: every publish to the
+/// topic calls it after the append. Dropping this removes it.
+pub struct PublishWaker {
+    id: SubscriptionId,
+    topic: Arc<Topic>,
+}
+
+impl Drop for PublishWaker {
+    fn drop(&mut self) {
+        self.topic.edit_readers(|r| r.wakers.retain(|(id, _)| *id != self.id));
     }
 }
 
@@ -648,7 +674,7 @@ impl Broker {
             Arc::new(Topic {
                 stream,
                 dead: Stream::new(format!("{name}::dead"), self.default_config.clone()),
-                subscribers: Mutex::new(Arc::new([])),
+                readers: Mutex::default(),
                 groups: Mutex::new(HashMap::new()),
                 published,
                 dropped: AtomicU64::new(0),
@@ -732,12 +758,13 @@ impl Broker {
         // subscribers costs nothing; the list is read once, after the append.
         let kept = payload.clone();
         let id = t.stream.append(ms, payload);
-        let targets = Arc::clone(&t.subscribers.lock());
-        let deepest = if targets.is_empty() {
+        let readers = Arc::clone(&t.readers.lock());
+        let deepest = if readers.subscribers.is_empty() {
             0
         } else {
-            Self::fan_out(t, &targets, &[Entry::new(id, kept)], start.is_some())
+            Self::fan_out(t, &readers.subscribers, &[Entry::new(id, kept)], start.is_some())
         };
+        readers.wakers.iter().for_each(|(_, wake)| wake());
         self.observe_sample(t, start, deepest);
         id
     }
@@ -778,29 +805,30 @@ impl Broker {
             && seq.next_multiple_of(apollo_obs::SAMPLE_PERIOD) < seq + expect)
             .then(Instant::now);
         // The entry list exists only for subscribers; their IDs are filled
-        // in once the append has assigned them. The list is locked once,
-        // across the append, so the read that decides whether to build the
-        // entries is also the snapshot they are delivered to.
-        let subscribers = t.subscribers.lock();
+        // in once the append has assigned them. The readers are locked
+        // once, across the append, so the read that decides whether to
+        // build the entries is also the snapshot they are delivered to.
+        let locked = t.readers.lock();
         let mut entries: Vec<Entry> = Vec::new();
         let ids = t.stream.append_batch(records.inspect(|(_, payload)| {
-            if !subscribers.is_empty() {
+            if !locked.subscribers.is_empty() {
                 entries.push(Entry::new(StreamId::MIN, payload.clone()));
             }
         }));
-        let targets = Arc::clone(&subscribers);
-        drop(subscribers);
+        let readers = Arc::clone(&locked);
+        drop(locked);
         let n = ids.len() as u64;
         t.published.fetch_add(n, Ordering::Relaxed);
         self.published_total.fetch_add(n, Ordering::Relaxed);
         for (entry, id) in entries.iter_mut().zip(&ids) {
             entry.id = *id;
         }
-        let deepest = if targets.is_empty() {
+        let deepest = if entries.is_empty() {
             0
         } else {
-            Self::fan_out(t, &targets, &entries, start.is_some())
+            Self::fan_out(t, &readers.subscribers, &entries, start.is_some())
         };
+        readers.wakers.iter().for_each(|(_, wake)| wake());
         self.observe_sample(t, start, deepest);
         ids
     }
@@ -873,11 +901,23 @@ impl Broker {
         let t = self.topic(topic);
         let queue = Arc::new(SubQueue::new(opts));
         let id = SubscriptionId(self.next_sub_id.fetch_add(1, Ordering::Relaxed));
-        let mut subs = t.subscribers.lock();
-        *subs =
-            subs.iter().cloned().chain([Subscriber { id, queue: Arc::clone(&queue) }]).collect();
-        drop(subs);
+        t.edit_readers(|r| r.subscribers.push(Subscriber { id, queue: Arc::clone(&queue) }));
         Subscription { id, topic: t, queue }
+    }
+
+    /// Call `waker` after every publish to `topic` until the returned handle
+    /// is dropped: how a derived reader learns its input moved. Creates the topic.
+    pub fn wake_on(&self, topic: &str, waker: impl Fn() + Send + Sync + 'static) -> PublishWaker {
+        let t = self.topic(topic);
+        let id = SubscriptionId(self.next_sub_id.fetch_add(1, Ordering::Relaxed));
+        t.edit_readers(|r| r.wakers.push((id, Arc::new(waker))));
+        PublishWaker { id, topic: t }
+    }
+
+    /// Up to `count` entries of `topic` after `cursor` (see
+    /// [`Stream::read_after`]); an unknown topic reads as empty.
+    pub fn read_after(&self, topic: &str, cursor: Option<StreamId>, count: usize) -> Vec<Entry> {
+        self.lookup(topic).map(|t| t.stream.read_after(cursor, count)).unwrap_or_default()
     }
 
     /// The latest entry on a topic (pull path). Reading a topic that was
@@ -975,7 +1015,7 @@ impl Broker {
     /// `XINFO`-style statistics for one topic, if it exists.
     pub fn topic_info(&self, topic: &str) -> Option<TopicInfo> {
         let t = self.lookup(topic)?;
-        let subscribers = t.subscribers.lock().len();
+        let subscribers = t.readers.lock().subscribers.len();
         let consumer_groups = t.groups.lock().len();
         Some(TopicInfo {
             name: topic.to_string(),
@@ -1389,7 +1429,7 @@ mod tests {
         // Publishing after drop must not panic and must prune.
         b.publish("t", 1, vec![]);
         let t = b.topic("t");
-        assert_eq!(t.subscribers.lock().len(), 0);
+        assert_eq!(t.readers.lock().subscribers.len(), 0);
     }
 
     #[test]

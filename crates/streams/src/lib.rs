@@ -44,8 +44,8 @@ pub mod stream;
 
 pub use archiver::ArchiveLog;
 pub use broker::{
-    BackpressurePolicy, Broker, ConsumerGroup, GroupError, Publisher, SubscribeOptions,
-    Subscription, TopicInfo,
+    BackpressurePolicy, Broker, ConsumerGroup, GroupError, PublishWaker, Publisher,
+    SubscribeOptions, Subscription, TopicInfo,
 };
 pub use codec::{Provenance, Record};
 pub use entry::Entry;

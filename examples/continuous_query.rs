@@ -2,8 +2,8 @@
 //!
 //! One Fact vertex replays a capacity ramp; a continuous query over it
 //! (`SELECT AVG(metric) FROM ...`) seeds from a consistent snapshot,
-//! folds each newly published record incrementally on a dispatch-lane
-//! timer, and republishes its result as ordinary facts whenever it
+//! folds each newly published record incrementally when the publish
+//! wakes it, and republishes its result as ordinary facts whenever it
 //! changes. While it is caught up, a matching `Apollo::query` is served
 //! straight from the standing result — no scan at all
 //! (`query.planner.incremental`) — and is bit-identical to a full

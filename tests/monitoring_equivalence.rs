@@ -3,11 +3,11 @@
 //! archive must never lose or reorder information; insight chains must
 //! compute the same answer as direct evaluation.
 
+use apollo_bench::ldms::{LdmsConfig, LdmsService};
 use apollo_cluster::metrics::{MetricSource, TraceSource};
 use apollo_cluster::series::TimeSeries;
 use apollo_cluster::workloads::hacc::{HaccConfig, HaccWorkload};
 use apollo_core::service::{Apollo, FactVertexSpec, InsightVertexSpec};
-use apollo_ldms::{LdmsConfig, LdmsService};
 use apollo_streams::codec::Record;
 use std::sync::Arc;
 use std::time::Duration;
