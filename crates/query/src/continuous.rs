@@ -83,7 +83,7 @@ impl ContinuousQuery {
             .map(|s| match s.aggregate {
                 Aggregate::Latest => ArmAcc::Latest(None),
                 Aggregate::All => ArmAcc::All(Vec::new()),
-                _ => ArmAcc::Scan(ScanState::new(s.bucket_ms)),
+                _ => ArmAcc::Scan(ScanState::new(s)),
             })
             .collect();
         Ok(Self { query, arms, folded: 0, break_fold: false })
@@ -231,6 +231,47 @@ mod tests {
             };
             publish_and_fold(&b, &mut cq, &arms, ts, rec);
             assert_equiv(&b, &cq);
+        }
+    }
+
+    #[test]
+    fn special_values_fold_bit_for_bit_at_every_step() {
+        // `neg` holds no positive value and `pos` no negative one, so MAX
+        // of the first and MIN of the second are ±0 once a zero is in. Row
+        // 1's zero comes first, but the lane holding rows 0, 8, … meets the
+        // other zero, so the ad-hoc lane fold must redo them in order to
+        // match this record-at-a-time fold. Compared via `Debug`: NaN never
+        // equals itself, and -0.0 equals 0.0.
+        let b = Broker::new(StreamConfig::default());
+        let q = parse(
+            "SELECT MAX(metric) FROM neg INCLUDE STALE UNION SELECT MIN(metric) FROM pos \
+             UNION SELECT AVG(metric) FROM neg UNION SELECT COUNT(*) FROM pos \
+             UNION SELECT MAX(metric) FROM neg GROUP BY BUCKET(Timestamp, 200) \
+             UNION SELECT MIN(metric) FROM pos GROUP BY BUCKET(Timestamp, 200) INCLUDE STALE",
+        )
+        .unwrap();
+        let mut cq = ContinuousQuery::new(q).unwrap();
+        let neg = [-1.0, 0.0, -0.0, f64::NAN, -5e-324, f64::NEG_INFINITY];
+        let pos = [1e-310, -0.0, 0.0, f64::NAN, 5e-324, f64::INFINITY];
+        for i in 0..120u64 {
+            // A record clock that regresses now and then revisits a bucket.
+            let ts = 10 + i * 7;
+            let record_ms = if i % 11 == 10 { ts - 60 } else { ts };
+            let at = (i % 6) as usize;
+            for (topic, v) in [("neg", neg[at]), ("pos", pos[at])] {
+                let rec = match i % 13 {
+                    12 => Record::stale(record_ms * 1_000_000, v),
+                    _ => Record::measured(record_ms * 1_000_000, v),
+                };
+                b.publish(topic, ts, rec.encode());
+                for arm in 0..cq.arm_count() {
+                    if cq.table(arm) == topic {
+                        cq.fold(arm, ts, &rec);
+                    }
+                }
+                let fresh = QueryEngine::new(&b).execute(cq.query());
+                assert_eq!(format!("{:?}", cq.result()), format!("{fresh:?}"), "step {i}");
+            }
         }
     }
 

@@ -42,6 +42,14 @@ pub struct AggregateCounts {
     pub stale: u64,
 }
 
+impl std::ops::AddAssign for AggregateCounts {
+    fn add_assign(&mut self, other: Self) {
+        self.measured += other.measured;
+        self.predicted += other.predicted;
+        self.stale += other.stale;
+    }
+}
+
 /// One result row.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Row {
@@ -448,22 +456,24 @@ impl TableProvider for CachedBroker<'_> {
 }
 
 /// Per-bucket accumulator of a `GROUP BY BUCKET` scan.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct BucketState {
     pub(crate) counts: AggregateCounts,
     pub(crate) acc: ScanAccumulator,
 }
 
-/// The sequential scan-aggregate state shared by the column path and
-/// continuous queries. Both feed records in the same (stream) order
-/// through [`ScanState::observe`] and read the result out of
+/// The scan-aggregate state shared by the column path and continuous
+/// queries. Both feed records in the same (stream) order — a row at a
+/// time through [`ScanState::observe`], or a bucket's run of rows at once
+/// through [`ScanState::observe_run`] — and read the result out of
 /// [`ScanState::finalize`], so their `f64` folds are bit-identical by
 /// construction.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct ScanState {
     /// Records seen in the time window (before predicates).
     pub(crate) total_in_window: u64,
-    /// Largest record timestamp over the whole window.
+    /// Largest record timestamp over the whole window; read by unbucketed
+    /// scans only (a bucket row carries its bucket's start).
     pub(crate) max_ts_all: u64,
     /// Provenance split of the admitted (predicate-passing) records.
     pub(crate) counts: AggregateCounts,
@@ -485,18 +495,33 @@ pub(crate) struct ScanState {
 }
 
 impl ScanState {
-    pub(crate) fn new(bucket_ms: Option<u64>) -> Self {
+    pub(crate) fn new(select: &Select) -> Self {
         Self {
             total_in_window: 0,
             max_ts_all: 0,
             counts: AggregateCounts::default(),
             admitted: 0,
-            acc: ScanAccumulator::new(),
+            acc: ScanAccumulator::new(select.aggregate),
             max_ts_included: 0,
-            buckets: bucket_ms.map(|_| BTreeMap::new()),
+            buckets: select.bucket_ms.map(|_| BTreeMap::new()),
             open: None,
-            bucket_ms: bucket_ms.unwrap_or(0),
+            bucket_ms: select.bucket_ms.unwrap_or(0),
         }
+    }
+
+    /// The state of bucket `key`, opened: the open one, one taken back out
+    /// of the map, or a new one.
+    fn bucket(&mut self, agg: Aggregate, key: u64) -> &mut BucketState {
+        let buckets = self.buckets.as_mut().expect("a bucketed scan");
+        if self.open.as_ref().is_none_or(|(open, _)| *open != key) {
+            let fresh =
+                BucketState { counts: AggregateCounts::default(), acc: ScanAccumulator::new(agg) };
+            let state = buckets.remove(&key).unwrap_or(fresh);
+            if let Some((closed, state)) = self.open.replace((key, state)) {
+                buckets.insert(closed, state);
+            }
+        }
+        &mut self.open.as_mut().expect("opened above").1
     }
 
     /// Feed one in-window record (time filtering happens upstream, on the
@@ -504,7 +529,7 @@ impl ScanState {
     pub(crate) fn observe(
         &mut self,
         select: &Select,
-        join: Option<&JoinIndex>,
+        join: Option<&mut JoinIndex>,
         ts_ms: u64,
         value: f64,
         provenance: Provenance,
@@ -517,32 +542,49 @@ impl ScanState {
             return;
         }
         self.admitted += 1;
-        match provenance {
-            Provenance::Measured => self.counts.measured += 1,
-            Provenance::Predicted => self.counts.predicted += 1,
-            Provenance::Stale => self.counts.stale += 1,
-        }
+        let one = AggregateCounts {
+            measured: u64::from(provenance == Provenance::Measured),
+            predicted: u64::from(provenance == Provenance::Predicted),
+            stale: u64::from(provenance == Provenance::Stale),
+        };
+        self.counts += one;
         let include = select.include_stale || provenance != Provenance::Stale;
-        if let Some(buckets) = &mut self.buckets {
-            let key = ts_ms - ts_ms % self.bucket_ms;
-            if self.open.as_ref().is_none_or(|(open, _)| *open != key) {
-                let state = buckets.remove(&key).unwrap_or_default();
-                if let Some((closed, state)) = self.open.replace((key, state)) {
-                    buckets.insert(closed, state);
-                }
-            }
-            let (_, b) = self.open.as_mut().expect("opened above");
-            match provenance {
-                Provenance::Measured => b.counts.measured += 1,
-                Provenance::Predicted => b.counts.predicted += 1,
-                Provenance::Stale => b.counts.stale += 1,
-            }
+        if self.buckets.is_some() {
+            let b = self.bucket(select.aggregate, ts_ms - ts_ms % self.bucket_ms);
+            b.counts += one;
             if include {
-                b.acc.push(value);
+                b.acc.add(value);
             }
         } else if include {
-            self.acc.push(value);
+            self.acc.add(value);
             self.max_ts_included = self.max_ts_included.max(ts_ms);
+        }
+    }
+
+    /// Feed a run of in-window records that all fall in bucket `key`, as
+    /// [`ScanState::observe`] on each would for an arm without value
+    /// predicates or join: counted at once, folded by the arm's aggregate.
+    pub(crate) fn observe_run(
+        &mut self,
+        select: &Select,
+        key: u64,
+        values: &[f64],
+        provenance: &[u8],
+    ) {
+        let counts = vector::provenance_counts(provenance);
+        self.total_in_window += values.len() as u64;
+        self.admitted += values.len() as u64;
+        self.counts += counts;
+        let b = self.bucket(select.aggregate, key);
+        b.counts += counts;
+        if select.include_stale || counts.stale == 0 {
+            return b.acc.add_all(values);
+        }
+        let stale = Provenance::Stale.wire();
+        for (&v, &p) in values.iter().zip(provenance) {
+            if p != stale {
+                b.acc.add(v);
+            }
         }
     }
 
@@ -569,7 +611,7 @@ impl ScanState {
                 rows.push(Row {
                     table: table.to_string(),
                     timestamp_ms: start,
-                    value: b.acc.value(agg),
+                    value: b.acc.value(),
                     provenance: None,
                     counts: Some(b.counts),
                 });
@@ -583,7 +625,7 @@ impl ScanState {
             return Ok(vec![Row {
                 table: table.to_string(),
                 timestamp_ms: self.max_ts_all,
-                value: self.acc.value(agg),
+                value: self.acc.value(),
                 provenance: None,
                 counts: Some(self.counts),
             }]);
@@ -597,7 +639,7 @@ impl ScanState {
         Ok(vec![Row {
             table: table.to_string(),
             timestamp_ms: self.max_ts_included,
-            value: self.acc.value(agg),
+            value: self.acc.value(),
             provenance: None,
             counts: Some(self.counts),
         }])
@@ -713,8 +755,8 @@ impl<'a, P: TableProvider> QueryEngine<'a, P> {
 
     /// Build the timestamp semi-join index for an arm, if it has one: the
     /// joined table's record timestamps over the arm's window widened by
-    /// the tolerance, sorted for binary-search matching. Only that one
-    /// column is read.
+    /// the tolerance, sorted for cursor matching. Only that one column is
+    /// read.
     fn join_index(&self, select: &Select, lo: u64, hi: u64) -> Option<JoinIndex> {
         select.join.as_ref().map(|j| {
             let rlo = lo.saturating_sub(j.tolerance_ms);
@@ -738,16 +780,16 @@ impl<'a, P: TableProvider> QueryEngine<'a, P> {
                 .ok_or_else(|| ExecError::EmptyTable(table.clone()))?;
             return Ok(vec![Row::record(table, &r)]);
         }
-        let join = self.join_index(select, lo, hi);
+        let mut join = self.join_index(select, lo, hi);
         let window = self.provider.columns(table, lo, hi);
         if select.aggregate != Aggregate::All {
-            return vector::run_scan_columns(select, &window, join.as_ref());
+            return vector::run_scan_columns(select, &window, join.as_mut());
         }
         let mut rows: Vec<Row> = window
             .records()
             .filter(|r| {
                 select.value_preds.iter().all(|p| p.admits(r.value))
-                    && join.as_ref().is_none_or(|j| j.matches(r.timestamp_ns / 1_000_000))
+                    && join.as_mut().is_none_or(|j| j.matches(r.timestamp_ns / 1_000_000))
             })
             .map(|r| Row::record(table, &r))
             .collect();
@@ -788,7 +830,7 @@ impl<'a, P: TableProvider> QueryEngine<'a, P> {
                 Aggregate::Latest if s.time_range.is_none() => "O(1) tail-read".to_string(),
                 Aggregate::Latest => "column scan, newest row".to_string(),
                 Aggregate::All => "column scan".to_string(),
-                other => format!("column scan + {other:?}"),
+                other => format!("column scan + {other:?} ({})", vector::fold_name(s)),
             };
             let mut filter = match s.time_range {
                 Some((lo, hi)) if hi == u64::MAX => format!(", Timestamp >= {lo}"),
@@ -1385,8 +1427,22 @@ mod tests {
                  UNION SELECT metric FROM load ORDER BY metric DESC LIMIT 3",
             )
             .unwrap();
-        assert!(plan.contains("column scan + Avg, Timestamp in [1, 9]"), "{plan}");
+        assert!(plan.contains("column scan + Avg (sum fold), Timestamp in [1, 9]"), "{plan}");
         assert!(plan.contains("limit 3"), "{plan}");
+
+        // Each scan arm names the fold its aggregate and clauses direct.
+        let plan = engine
+            .explain_sql(
+                "SELECT MAX(metric) FROM capacity GROUP BY BUCKET(Timestamp, 1s) \
+                 UNION SELECT COUNT(*) FROM load JOIN capacity ON Timestamp \
+                 UNION SELECT MIN(metric) FROM load \
+                 UNION SELECT COUNT(*) FROM load WHERE metric > 1",
+            )
+            .unwrap();
+        for fold in ["Max (bucket runs)", "Count (join cursor)", "Min (lane min)"] {
+            assert!(plan.contains(fold), "{fold}: {plan}");
+        }
+        assert!(plan.contains("Count (per-row (predicates)), metric > 1"), "{plan}");
     }
 
     #[test]

@@ -11,11 +11,16 @@
 //! collects the slice into a fresh `Vec`, so it allocates by design and is
 //! not counted here.
 //!
+//! Warm scan-aggregate executions over that tail allocate exactly what
+//! their result rows need: no directed fold, bucket run or join cursor
+//! allocates per row or per run.
+//!
 //! This file deliberately holds a single `#[test]`: the count is
 //! process-wide, so a second concurrently-running test would pollute it.
 
 use apollo_alloc_count::allocs_during;
-use apollo_query::exec::{CachedBroker, ScanCache, TableProvider};
+use apollo_query::exec::{CachedBroker, QueryEngine, ScanCache, TableProvider};
+use apollo_query::parse;
 use apollo_streams::codec::Record;
 use apollo_streams::{Broker, StreamConfig};
 
@@ -61,4 +66,29 @@ fn warm_range_hits_allocate_nothing() {
         assert_eq!(n, 0, "extension {i} allocated {n} times");
     }
     assert_eq!((cache.misses(), cache.invalidations()), (1, 0), "extended, never re-scanned");
+
+    // --- Warm scan aggregates ---------------------------------------------
+    // An execution over the unchanged tail allocates its result and nothing
+    // per row, per bucket run or per join probe: the per-arm result `Vec`,
+    // the rows' `Vec` and each row's table name (3 for one row); a bucketed
+    // arm's 5 rows take 2 `Vec` growths, 5 names and one node of the bucket
+    // map (9); a join adds its partner's timestamp index (4).
+    const PARTNER: &str = "node0/nvme1/load";
+    for i in 0..300u64 {
+        let ts_ms = 9_900 + i;
+        broker.publish(PARTNER, ts_ms, Record::measured(ts_ms * 1_000_000, 0.5).encode());
+    }
+    let engine = QueryEngine::new(&provider);
+    for (sql, want) in [
+        (format!("SELECT AVG(metric) FROM {TOPIC}"), 3),
+        (format!("SELECT COUNT(*) FROM {TOPIC}"), 3),
+        (format!("SELECT MAX(metric) FROM {TOPIC}"), 3),
+        (format!("SELECT MAX(metric) FROM {TOPIC} GROUP BY BUCKET(Timestamp, 1s)"), 9),
+        (format!("SELECT COUNT(*) FROM {TOPIC} JOIN {PARTNER} ON Timestamp WITHIN 5ms"), 4),
+    ] {
+        let query = parse(&sql).unwrap();
+        engine.execute(&query).unwrap();
+        let n = allocs_during(|| drop(engine.execute(&query).unwrap()));
+        assert_eq!(n, want, "{sql}");
+    }
 }

@@ -10,8 +10,11 @@
 //! the v2 surface — value predicates, time windows, `GROUP BY BUCKET`,
 //! joins with tolerance, unions with per-arm/post-merge ordering and arm
 //! errors — across broker states that exercise every provenance (measured
-//! / predicted / stale), corrupt payloads (one state ends a topic on one)
-//! and eviction-epoch churn behind the scan cache. Results are compared
+//! / predicted / stale), corrupt payloads (one state ends a topic on one),
+//! eviction-epoch churn behind the scan cache, and special values — signed
+//! zeros, NaN, infinities and subnormals, in slices across the lane (8) and
+//! provenance-chunk (255) edges, under record clocks that regress (bucket
+//! revisits, join cursor resets, unsorted batches). Results are compared
 //! through their `Debug` form, which round-trips `f64` bits exactly: the
 //! oracle's sums start at `0.0` and add in stream order, as the engine's
 //! do, so a single ULP of divergence fails the suite.
@@ -51,11 +54,15 @@ mod naive {
         }
     }
 
-    /// `agg` over `values`, folded front to back.
+    /// `agg` over `values`, folded front to back. MAX and MIN keep the
+    /// first of equal values and skip NaN: `f64::max` skips NaN too, but
+    /// leaves the sign of a zero answer unspecified.
     fn fold(agg: Aggregate, values: &[f64]) -> f64 {
         match agg {
-            Aggregate::Max => values.iter().fold(f64::NEG_INFINITY, |m, &v| m.max(v)),
-            Aggregate::Min => values.iter().fold(f64::INFINITY, |m, &v| m.min(v)),
+            Aggregate::Max => {
+                values.iter().fold(f64::NEG_INFINITY, |m, &v| if v > m { v } else { m })
+            }
+            Aggregate::Min => values.iter().fold(f64::INFINITY, |m, &v| if v < m { v } else { m }),
             Aggregate::Sum => values.iter().fold(0.0, |s, &v| s + v),
             Aggregate::Avg => fold(Aggregate::Sum, values) / values.len() as f64,
             Aggregate::Count => values.len() as f64,
@@ -202,6 +209,16 @@ fn battery() -> Vec<Query> {
         "SELECT metric FROM t UNION SELECT metric FROM u ORDER BY Timestamp LIMIT 5",
         "SELECT MAX(Timestamp), metric FROM missing",
     ];
+    // Lane folds over slices that keep their stale rows, and the bucket
+    // runs of every aggregate.
+    sqls.extend([
+        "SELECT MAX(metric) FROM t INCLUDE STALE",
+        "SELECT MIN(metric) FROM u INCLUDE STALE",
+        "SELECT MIN(metric) FROM u",
+        "SELECT COUNT(*) FROM t GROUP BY BUCKET(Timestamp, 100)",
+        "SELECT MAX(metric) FROM t GROUP BY BUCKET(Timestamp, 100) INCLUDE STALE",
+        "SELECT MIN(metric) FROM u GROUP BY BUCKET(Timestamp, 1s)",
+    ]);
     // Degenerate windows that select nothing must agree too.
     sqls.push("SELECT metric FROM t WHERE Timestamp BETWEEN 5 AND 6");
     sqls.push("SELECT AVG(metric) FROM t WHERE metric > 1000000000");
@@ -282,6 +299,75 @@ fn stale_only_topics_error_identically() {
         publish(&broker, "u", ts_ms, Record::stale(ts_ms * 1_000_000, -(i as f64)));
     }
     assert_matches_fold(&broker, &ScanCache::new(), "stale-only topics");
+}
+
+/// Values whose fold order shows in the bits, or that a lane fold could
+/// mishandle: signed zeros, NaN, infinities and subnormals.
+const SPECIAL: [f64; 9] =
+    [0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 5e-324, -5e-324, 1e-310, 0.75];
+
+/// Append `n` rows of [`SPECIAL`] values to `topic`, IDs 7 ms apart from
+/// `from_ms`. Provenance comes in runs, so some buckets and windows hold
+/// stale rows only; one record in eight runs 400 ms behind its ID, so
+/// buckets are revisited, join probes fall below the last one and the
+/// batch's timestamps are unsorted.
+fn seed_special(broker: &Broker, topic: &str, from_ms: u64, n: u64, rng: &mut StdRng) {
+    let mut kind = 0;
+    for i in 0..n {
+        let id_ms = from_ms + i * 7;
+        let behind = if rng.random_range(0..8u32) == 0 { 400 } else { 0 };
+        let ts_ns = id_ms.saturating_sub(behind) * 1_000_000;
+        if rng.random_range(0..16u32) == 0 {
+            kind = rng.random_range(0..3u32);
+        }
+        let value = SPECIAL[rng.random_range(0..SPECIAL.len())];
+        let record = match kind {
+            0 => Record::measured(ts_ns, value),
+            1 => Record::predicted(ts_ns, value),
+            _ => Record::stale(ts_ns, value),
+        };
+        publish(broker, topic, id_ms, record);
+    }
+}
+
+#[test]
+fn engine_matches_naive_fold_on_special_values() {
+    let mut rng = StdRng::seed_from_u64(0x5_9EC1A1);
+    // Slices across the lane (8) and chunk (255) edges, where a zero decides
+    // the extreme: `t` holds no positive value, so its MAX is ±0 whenever it
+    // holds a zero, and `u` no negative one, so its MIN is. One row, and
+    // all-NaN windows, too.
+    let t_values = [0.0, -0.0, -0.0, 0.0, -1.5, f64::NAN, -5e-324];
+    let u_values = [0.0, -0.0, 0.0, -0.0, 2.5, f64::NAN, 5e-324];
+    let all_nan = [f64::NAN];
+    for (n, t, u) in [1, 7, 8, 9, 255, 256, 257]
+        .map(|n| (n, &t_values[..], &u_values[..]))
+        .into_iter()
+        .chain([(9, &all_nan[..], &all_nan[..]), (300, &all_nan[..], &u_values[..])])
+    {
+        let broker = Broker::new(StreamConfig::default());
+        for i in 0..n {
+            let ms = (i + 1) * 3;
+            let (tv, uv) = (t[rng.random_range(0..t.len())], u[rng.random_range(0..u.len())]);
+            publish(&broker, "t", ms, Record::measured(ms * 1_000_000, tv));
+            publish(&broker, "u", ms, Record::predicted(ms * 1_000_000, uv));
+        }
+        let cache = ScanCache::new();
+        assert_matches_fold(&broker, &cache, &format!("{n} rows of mixed zeros (cold cache)"));
+        assert_matches_fold(&broker, &cache, &format!("{n} rows of mixed zeros (warm cache)"));
+    }
+    // Regressing record clocks and stale runs, appended between lookups so
+    // the cached tail is extended across the regressions.
+    let broker = Broker::new(StreamConfig::default());
+    let cache = ScanCache::new();
+    for round in 0..4 {
+        seed_special(&broker, "t", 1 + round * 1_400, 200, &mut rng);
+        seed_special(&broker, "u", 1 + round * 1_400, 120, &mut rng);
+        assert_matches_fold(&broker, &cache, &format!("special values, round {round}"));
+    }
+    let tail = CachedBroker::new(&broker, &cache).columns("t", 0, u64::MAX);
+    assert!(!tail.batch.timestamps_sorted(), "the record clock never regressed");
+    assert!(cache.hits() > 0, "the tail was never extended");
 }
 
 #[test]

@@ -176,6 +176,10 @@ pub struct ColumnBatch {
     /// re-created under its name is a different stream whose IDs and
     /// epochs start over, so the three parts alone cannot tell.
     source: u64,
+    /// Set, never cleared, when a decoded row's record timestamp was below
+    /// its predecessor's. Rows dropped by a rewind or a trim leave it set:
+    /// it may say "regressed" of a batch that is sorted, never the reverse.
+    ts_regressed: bool,
 }
 
 impl RowSink for ColumnBatch {
@@ -199,6 +203,7 @@ impl RowSink for ColumnBatch {
     fn push_row(&mut self, id: StreamId, payload: &[u8]) {
         match Record::decode(payload) {
             Ok(r) => {
+                self.ts_regressed |= self.timestamps_ns.last().is_some_and(|&t| r.timestamp_ns < t);
                 self.ids_ms.push(id.ms);
                 self.timestamps_ns.push(r.timestamp_ns);
                 self.values.push(r.value);
@@ -258,6 +263,13 @@ impl ColumnBatch {
         self.timestamps_ns.drain(..n);
         self.values.drain(..n);
         self.provenance.drain(..n);
+    }
+
+    /// True when the record timestamps are known never to decrease, so any
+    /// window's largest is its last row's. A batch whose record clock
+    /// regressed while it was decoded answers `false` from then on.
+    pub fn timestamps_sorted(&self) -> bool {
+        !self.ts_regressed
     }
 
     /// Decoded records in the batch.
@@ -748,6 +760,24 @@ mod tests {
         let err = s.append_entry(Entry::new(StreamId::new(5, 0), vec![])).unwrap_err();
         assert_eq!(err.offered, StreamId::new(5, 0));
         assert!(s.append_entry(Entry::new(StreamId::new(5, 1), vec![])).is_ok());
+    }
+
+    #[test]
+    fn a_regressed_record_clock_marks_the_batch_for_good() {
+        let s = Stream::with_defaults("t");
+        let at = |ms: u64| Record::measured(ms * 1_000_000, 0.0).encode();
+        for ms in [10, 20, 20, 30] {
+            s.append(ms, at(ms));
+        }
+        let mut tail = Arc::new(s.scan_columns(StreamId::MIN, StreamId::MAX));
+        assert!(tail.timestamps_sorted(), "equal timestamps are not a regression");
+        s.append(40, at(25));
+        s.append(50, at(50));
+        assert!(s.extend_columns(&mut tail) && !tail.timestamps_sorted());
+        // Trimming the row that regressed leaves the bit conservative.
+        Arc::make_mut(&mut tail).trim_before(45);
+        assert_eq!((tail.len(), tail.timestamps_sorted()), (1, false));
+        assert!(s.scan_columns_by_time(45, u64::MAX).timestamps_sorted());
     }
 
     #[test]
