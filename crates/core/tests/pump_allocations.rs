@@ -55,7 +55,7 @@ impl MetricSource for Sine {
 /// Windows bounded at 8 entries and evictions dropped, not archived: at
 /// the bound an append frees one entry and grows nothing.
 fn bounded() -> StreamConfig {
-    StreamConfig { max_len: Some(8), archive_evicted: false, spill: SpillBackend::Heap }
+    StreamConfig { max_len: Some(8), archive_evicted: false, spill: SpillBackend::Memory }
 }
 
 #[test]
@@ -93,7 +93,7 @@ fn a_publish_that_wakes_a_parked_insight_allocates_nothing() {
 
 fn a_warm_standing_query_pump_allocates_per_pump_not_per_record() {
     let streams =
-        StreamConfig { max_len: Some(64), archive_evicted: false, spill: SpillBackend::Heap };
+        StreamConfig { max_len: Some(64), archive_evicted: false, spill: SpillBackend::Memory };
     let mut apollo = Apollo::with_config(EventLoop::new_virtual(), streams);
     let hour = Duration::from_secs(3600);
     apollo.register_fact(FactVertexSpec::fixed("cq/in", sine(0.0), hour)).unwrap();

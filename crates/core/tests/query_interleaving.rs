@@ -113,7 +113,8 @@ fn tail_reader(handle: &ApolloHandle, until: Instant) -> u64 {
         let sql = format!("SELECT SUM(metric) FROM seq WHERE Timestamp >= {lo}");
         let k = run_ending_at(&handle.query(&sql).unwrap(), &sql);
         assert!(k >= newest.rows[0].value as u64, "slice older than the read before it");
-        // Nothing is ever lost here (heap archive): the whole topic is 1..=k.
+        // Nothing is ever lost here (the run fits the window plus its
+        // private ring): the whole topic is 1..=k.
         let count = handle.query("SELECT COUNT(*) FROM seq").unwrap();
         let all = count.rows[0].value as u64;
         assert!(all >= k && k >= last_k, "the tail went backwards: {last_k}, {k}, {all}");

@@ -1592,11 +1592,7 @@ mod tests {
         // shrinks even though the data went nowhere readable. The tail
         // must lose the same rows, or the cache would serve vanished
         // records.
-        let b = Broker::new(StreamConfig {
-            max_len: Some(2),
-            archive_evicted: false,
-            spill: apollo_streams::SpillBackend::Heap,
-        });
+        let b = Broker::new(StreamConfig { archive_evicted: false, ..StreamConfig::bounded(2) });
         for i in 0..2u64 {
             b.publish("t", i, Record::measured(i * 1_000_000, i as f64).encode());
         }

@@ -411,12 +411,13 @@ fn eviction_epoch_churn_keeps_paths_identical() {
 // a fresh `Broker::scan_columns_by_time(lo, hi)` taken at the same
 // `(epoch, last_id)` — timestamps, value bits, provenance bytes, row count.
 
-/// The spill backends a tail must stay a suffix of: a heap archive and a
-/// slab archive (nothing is ever lost), a slab ring shorter than the run
+/// The archives a tail must stay a suffix of: a stream's private ring
+/// (4 096 slots: lapped late in a run) and a file ring that holds the
+/// whole run (nothing is ever lost), a file ring shorter than the run
 /// (lapped mid-run: the head goes a row at a time) and no archive at all
 /// (the head goes with every eviction). Windows hold 16 rows throughout.
 fn over_backends(tag: &str, case: impl Fn(&str, &Broker)) {
-    case("heap archive", &Broker::new(StreamConfig::bounded(16)));
+    case("private ring", &Broker::new(StreamConfig::bounded(16)));
     let lossy = StreamConfig { archive_evicted: false, ..StreamConfig::bounded(16) };
     case("no archive", &Broker::new(lossy));
     for (name, slots) in [("slab archive", 8_192), ("lapped slab ring", 64)] {

@@ -365,17 +365,17 @@ impl TopicObs {
     ) -> Self {
         // The per-topic publish counter is backed by the atomic the
         // publish path already increments, so exporting it is free — and
-        // the scan-retry / group-lag counters are likewise backed by the
-        // cells the stream's read paths already maintain.
+        // the scan-retry / group-lag / rejected-eviction counters are
+        // likewise backed by the cells the stream already maintains.
         let _ = registry.counter_backed_by(&format!("streams.topic.{topic}.published"), published);
-        let _ = registry.counter_backed_by(
-            &format!("streams.topic.{topic}.scan_epoch_retries"),
-            stream.scan_epoch_retries_cell(),
-        );
-        let _ = registry.counter_backed_by(
-            &format!("streams.topic.{topic}.group_lagged"),
-            stream.group_lagged_cell(),
-        );
+        for (name, cell) in [
+            ("scan_epoch_retries", stream.scan_epoch_retries_cell()),
+            ("group_lagged", stream.group_lagged_cell()),
+            ("group_lapped", stream.group_lapped_cell()),
+            ("archive_rejected", stream.archive_rejected_cell()),
+        ] {
+            let _ = registry.counter_backed_by(&format!("streams.topic.{topic}.{name}"), cell);
+        }
         Self {
             dropped_entries: registry.counter(&format!("streams.topic.{topic}.dropped_entries")),
             dropped_entries_total: registry.counter("streams.dropped_entries_total"),
@@ -474,7 +474,7 @@ pub struct TopicInfo {
     pub name: String,
     /// Entries in the live window.
     pub window_len: usize,
-    /// Entries spilled to the archive.
+    /// Entries the archive ring holds.
     pub archived_len: usize,
     /// Entries ever published.
     pub published: u64,
@@ -1020,7 +1020,7 @@ impl Broker {
         Some(TopicInfo {
             name: topic.to_string(),
             window_len: t.stream.len(),
-            archived_len: t.stream.archive().len(),
+            archived_len: t.stream.archive().map_or(0, |ring| ring.live_len() as usize),
             published: t.published.load(Ordering::Relaxed),
             dropped_subscribers: t.dropped.load(Ordering::Relaxed),
             dropped_entries: t.dropped_entries.load(Ordering::Relaxed),
@@ -1874,6 +1874,30 @@ mod tests {
         // Everything is pending exactly once.
         assert_eq!(g.pending().unwrap().len(), 10);
         assert!(g.read_new("c", 100).unwrap().is_empty(), "no redelivery");
+    }
+
+    #[test]
+    fn a_group_lapped_by_the_ring_reads_from_its_floor_and_is_counted() {
+        // The group has read nothing while 98 entries were evicted into an
+        // 8-slot ring: the 90 oldest are gone. Delivery starts at the ring's
+        // floor, as before; the skip is no longer silent.
+        let path = std::env::temp_dir().join(format!("apollo-lapped-{}.slab", std::process::id()));
+        let cfg = crate::slab::SlabConfig { max_series: 2, slots: 8, ..Default::default() };
+        let store = crate::slab::SlabStore::create(&path, cfg).unwrap();
+        let b = Broker::new(StreamConfig::bounded(2).with_slab(store));
+        let reg = apollo_obs::Registry::new();
+        b.instrument(&reg);
+        let g = b.consumer_group("t", "g");
+        for i in 0..100u64 {
+            b.publish("t", i, vec![i as u8]);
+        }
+        let got = g.read_new("c", 1_000).unwrap();
+        assert_eq!(got.iter().map(|e| e.id.ms).collect::<Vec<_>>(), (90..100).collect::<Vec<_>>());
+        assert_eq!(reg.snapshot().counter("streams.topic.t.group_lapped"), 1);
+        assert_eq!(b.topic_info("t").unwrap().group_lagged, 8, "the ring's eight");
+        assert!(g.read_new("c", 1_000).unwrap().is_empty());
+        assert_eq!(reg.snapshot().counter("streams.topic.t.group_lapped"), 1, "caught up");
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -38,8 +38,8 @@ impl Entry {
     }
 }
 
-/// Where a range walk lands its rows: the slab ring, the heap archive and
-/// the stream window are each walked once, generically over the sink. A
+/// Where a range walk lands its rows: the archive's slab ring and the
+/// stream window are each walked once, generically over the sink. A
 /// `Vec<Entry>` materialises entries; a [`crate::ColumnBatch`] decodes each
 /// payload where the walk finds it and never builds one.
 pub(crate) trait RowSink {
@@ -53,7 +53,7 @@ pub(crate) trait RowSink {
     fn reserve(&mut self, rows: usize);
     /// A row borrowed from the walker's scratch: copy or decode it now.
     fn push_row(&mut self, id: StreamId, payload: &[u8]);
-    /// Rows that already exist as entries (window, heap archive), in bulk.
+    /// Rows that already exist as entries (the window's), in bulk.
     fn push_entries<'a>(&mut self, entries: impl Iterator<Item = &'a Entry>) {
         entries.for_each(|e| self.push_row(e.id, &e.payload));
     }

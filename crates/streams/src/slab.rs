@@ -1,9 +1,11 @@
 //! Durable memory-mapped slab store (rondo-style).
 //!
-//! A stream's hot window is a heap `VecDeque`; by default its evictions
-//! land in an in-memory archive that is unbounded by data volume and gone
-//! on restart. The [`SlabStore`] is the durable alternative — and the only
-//! on-disk format: a pre-allocated, memory-mapped file holding
+//! A stream's hot window is a heap `VecDeque`; its evictions land in a
+//! slab ring — always. A [`SlabStore`] is the one archive format: a
+//! pre-allocated, memory-mapped file shared by many streams, or, for a
+//! stream with no shared store, a private zeroed buffer
+//! ([`SlabStore::in_memory`]) of the same layout that is gone on restart.
+//! Either holds
 //!
 //! * a **header page** (magic, version, geometry, config hash),
 //! * a **series directory** (fixed-size dirents naming each ring),
@@ -48,17 +50,17 @@
 //! name. `apollo-core`'s event loop runs the lifecycle — consolidate,
 //! flush, compact — as one step; directory exhaustion surfaces as typed
 //! [`SlabDirError`]s plus the process-wide `streams.slab.dir_full`
-//! counter ([`dir_full_cell`]) instead of silent heap fallback.
+//! counter ([`dir_full_cell`]) instead of a silent fallback.
 //!
-//! The store sits beneath [`crate::ArchiveLog`], selected by
+//! A [`crate::Stream`] holds its ring directly, selected by
 //! [`crate::StreamConfig`]'s `spill` backend. The eviction-epoch
-//! exactly-once scan contract holds unchanged: the slab write happens under
-//! the stream's window write lock, *before* the epoch bump.
+//! exactly-once scan contract: the slot write happens under the stream's
+//! window write lock, *before* the epoch bump.
 
 use crate::entry::{Entry, RowSink};
 use crate::id::StreamId;
 use parking_lot::Mutex;
-use std::fs::{File, OpenOptions};
+use std::fs::OpenOptions;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -326,14 +328,19 @@ mod mem {
         fn msync(addr: *mut u8, len: usize, flags: i32) -> i32;
     }
 
-    /// A shared, writable mapping of a file.
+    /// A shared, writable mapping of a file, or a private zeroed buffer.
     pub struct Map {
         ptr: *mut u8,
         len: usize,
+        /// The words behind `ptr` when they are a private buffer, not a
+        /// file mapping (never resized, so `ptr` stays valid).
+        words: Option<Vec<u64>>,
     }
 
-    // The mapping is plain memory; all cross-thread coordination happens
-    // through atomics the store layers on top.
+    // SAFETY: `ptr` is plain memory valid for `len` bytes until drop (a
+    // shared file mapping, or `words`' buffer, which is never touched
+    // again after `in_memory` takes the pointer); all cross-thread
+    // coordination happens through atomics the store layers on top.
     unsafe impl Send for Map {}
     unsafe impl Sync for Map {}
 
@@ -353,16 +360,24 @@ mod mem {
             if ptr as isize == -1 {
                 return Err(io::Error::last_os_error());
             }
-            Ok(Self { ptr, len })
+            Ok(Self { ptr, len, words: None })
+        }
+
+        /// `len` zeroed bytes of private memory (untouched pages stay
+        /// unbacked).
+        pub fn in_memory(len: usize) -> Self {
+            let mut words = vec![0u64; len.div_ceil(8)];
+            Self { ptr: words.as_mut_ptr().cast(), len, words: Some(words) }
         }
 
         pub fn ptr(&self) -> *mut u8 {
             self.ptr
         }
 
-        /// `msync(MS_SYNC)` the whole mapping.
+        /// `msync(MS_SYNC)` the whole mapping; a private buffer has nothing
+        /// to sync.
         pub fn sync(&self) -> io::Result<()> {
-            if unsafe { msync(self.ptr, self.len, MS_SYNC) } != 0 {
+            if self.words.is_none() && unsafe { msync(self.ptr, self.len, MS_SYNC) } != 0 {
                 return Err(io::Error::last_os_error());
             }
             Ok(())
@@ -371,8 +386,12 @@ mod mem {
 
     impl Drop for Map {
         fn drop(&mut self) {
-            unsafe {
-                munmap(self.ptr, self.len);
+            if self.words.is_none() {
+                // SAFETY: `ptr`/`len` are the live mapping `of_file` made,
+                // unmapped once, here.
+                unsafe {
+                    munmap(self.ptr, self.len);
+                }
             }
         }
     }
@@ -389,7 +408,8 @@ mod mem {
     pub struct Map {
         buf: Box<[u64]>,
         len: usize,
-        file: Mutex<File>,
+        /// `None` for a private buffer, which has nothing to write back.
+        file: Option<Mutex<File>>,
     }
 
     unsafe impl Send for Map {}
@@ -402,7 +422,11 @@ mod mem {
             file.seek(SeekFrom::Start(0))?;
             let raw = unsafe { std::slice::from_raw_parts_mut(buf.as_mut_ptr() as *mut u8, len) };
             file.read_exact(raw)?;
-            Ok(Self { buf, len, file: Mutex::new(file) })
+            Ok(Self { buf, len, file: Some(Mutex::new(file)) })
+        }
+
+        pub fn in_memory(len: usize) -> Self {
+            Self { buf: vec![0u64; len.div_ceil(8)].into_boxed_slice(), len, file: None }
         }
 
         pub fn ptr(&self) -> *mut u8 {
@@ -410,7 +434,8 @@ mod mem {
         }
 
         pub fn sync(&self) -> io::Result<()> {
-            let mut f = self.file.lock().unwrap();
+            let Some(file) = &self.file else { return Ok(()) };
+            let mut f = file.lock().unwrap();
             f.seek(SeekFrom::Start(0))?;
             let raw = unsafe { std::slice::from_raw_parts(self.ptr(), self.len) };
             f.write_all(raw)?;
@@ -434,8 +459,8 @@ pub struct OpenReport {
 }
 
 /// Typed slab directory-exhaustion errors. These are the conditions that
-/// used to degrade silently to the heap archive; callers now decide —
-/// and count — the fallback explicitly (see [`record_exhaustion`]).
+/// used to degrade silently; callers now decide — and count — the
+/// fallback explicitly (see [`record_exhaustion`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SlabDirError {
     /// Every series dirent is live or tombstoned; no ring can be
@@ -569,8 +594,8 @@ pub struct SlabStats {
     pub consolidation_lag: u64,
     /// Payloads rejected because they exceed the inline slot capacity.
     pub oversize_rejected: u64,
-    /// `Stream`s that wanted a slab series but fell back to the heap
-    /// archive (directory full or name too long).
+    /// `Stream`s that wanted a slab series but fell back to a private
+    /// in-memory ring (directory full or name too long).
     pub series_fallbacks: u64,
     /// Series dirents mid-reclaim (tombstoned; freed once the scrub is
     /// durable, or on reopen).
@@ -642,8 +667,7 @@ impl TierBucket {
 /// layout and the durability contract.
 pub struct SlabStore {
     map: mem::Map,
-    #[allow(dead_code)] // kept open for the lifetime of the mapping
-    file: File,
+    /// Empty for an in-memory store.
     path: PathBuf,
     cfg: SlabConfig,
     layout: SlabLayout,
@@ -675,28 +699,14 @@ impl std::fmt::Debug for SlabStore {
 }
 
 impl SlabStore {
-    /// Create a fresh slab file at `path` (truncating any existing file).
-    pub fn create(path: impl AsRef<Path>, cfg: SlabConfig) -> io::Result<Arc<Self>> {
-        let path = path.as_ref().to_path_buf();
-        let cfg = cfg.validated()?;
-        let layout = SlabLayout::for_config(&cfg);
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        let file =
-            OpenOptions::new().read(true).write(true).create(true).truncate(true).open(&path)?;
-        // Sparse pre-allocation: pages materialize only when written.
-        file.set_len(layout.total_bytes() as u64)?;
-        let map = mem::Map::of_file(&file, layout.total_bytes())?;
+    /// A store over `map`, whose bytes are laid out for `cfg`.
+    fn with_map(map: mem::Map, path: PathBuf, cfg: SlabConfig) -> Self {
         let handles = (0..cfg.max_series as usize).map(|_| AtomicU64::new(0)).collect();
-        let store = Self {
+        Self {
             map,
-            file,
             path,
+            layout: SlabLayout::for_config(&cfg),
             cfg,
-            layout,
             dir_lock: Mutex::new(()),
             consolidate_lock: Mutex::new(()),
             handles,
@@ -705,9 +715,39 @@ impl SlabStore {
             cursor_fallbacks: AtomicU64::new(0),
             lapped: AtomicU64::new(0),
             dirty_records: AtomicU64::new(0),
-        };
+        }
+    }
+
+    /// Create a fresh slab file at `path` (truncating any existing file).
+    pub fn create(path: impl AsRef<Path>, cfg: SlabConfig) -> io::Result<Arc<Self>> {
+        let path = path.as_ref().to_path_buf();
+        let cfg = cfg.validated()?;
+        let len = SlabLayout::for_config(&cfg).total_bytes();
+        if let Some(parent) = path.parent() {
+            if !parent.as_os_str().is_empty() {
+                std::fs::create_dir_all(parent)?;
+            }
+        }
+        let file =
+            OpenOptions::new().read(true).write(true).create(true).truncate(true).open(&path)?;
+        // Sparse pre-allocation: pages materialize only when written.
+        file.set_len(len as u64)?;
+        let store = Self::with_map(mem::Map::of_file(&file, len)?, path, cfg);
         store.write_header();
         store.map.sync()?;
+        Ok(Arc::new(store))
+    }
+
+    /// A private store in zeroed memory: the same rings, walks, checksums
+    /// and directory as a file store, with no file behind it — nothing
+    /// survives the store, [`SlabStore::flush`] and compaction's scrub
+    /// barrier make no syscall, and [`SlabStore::path`] is empty. This is
+    /// what a stream without a shared store spills into.
+    pub fn in_memory(cfg: SlabConfig) -> io::Result<Arc<Self>> {
+        let cfg = cfg.validated()?;
+        let len = SlabLayout::for_config(&cfg).total_bytes();
+        let store = Self::with_map(mem::Map::in_memory(len), PathBuf::new(), cfg);
+        store.write_header();
         Ok(Arc::new(store))
     }
 
@@ -723,29 +763,13 @@ impl SlabStore {
         }
         let map = mem::Map::of_file(&file, flen)?;
         let cfg = read_header(map.ptr(), flen)?;
-        let layout = SlabLayout::for_config(&cfg);
-        if layout.total_bytes() != flen {
+        let implied = SlabLayout::for_config(&cfg).total_bytes();
+        if implied != flen {
             return Err(corrupt(format!(
-                "slab file is {flen} bytes but its header implies {}",
-                layout.total_bytes()
+                "slab file is {flen} bytes but its header implies {implied}"
             )));
         }
-        let handles = (0..cfg.max_series as usize).map(|_| AtomicU64::new(0)).collect();
-        let store = Self {
-            map,
-            file,
-            path,
-            cfg,
-            layout,
-            dir_lock: Mutex::new(()),
-            consolidate_lock: Mutex::new(()),
-            handles,
-            oversize_rejected: AtomicU64::new(0),
-            series_fallbacks: AtomicU64::new(0),
-            cursor_fallbacks: AtomicU64::new(0),
-            lapped: AtomicU64::new(0),
-            dirty_records: AtomicU64::new(0),
-        };
+        let store = Self::with_map(map, path, cfg);
         let mut report = OpenReport::default();
         for idx in 0..store.cfg.max_series as usize {
             let d = store.layout.series_dirent(idx);
@@ -793,7 +817,7 @@ impl SlabStore {
         }
     }
 
-    /// The store's file path.
+    /// The store's file path (empty for an in-memory store).
     pub fn path(&self) -> &Path {
         &self.path
     }
@@ -1366,8 +1390,7 @@ impl SlabSeries {
     /// bumping `head` with `Release`.
     ///
     /// Returns `false` (and counts the rejection) when the payload does
-    /// not fit the inline slot capacity — the caller keeps such entries on
-    /// its heap overflow path.
+    /// not fit the inline slot capacity: such an entry is not recorded.
     ///
     /// Single-writer: callers serialize writes per series (the stream's
     /// window write lock does this in practice). Concurrent readers are
@@ -1442,7 +1465,7 @@ impl SlabSeries {
     /// All committed entries with `start <= id <= end`, appended to `out`
     /// in ID order.
     pub fn range_into(&self, start: StreamId, end: StreamId, out: &mut Vec<Entry>) {
-        self.walk(start, end, usize::MAX, &[], out);
+        self.walk(start, end, usize::MAX, out);
     }
 
     /// Like [`SlabSeries::range_into`] but stops after `max` entries (the
@@ -1454,19 +1477,17 @@ impl SlabSeries {
         max: usize,
         out: &mut Vec<Entry>,
     ) {
-        self.walk(start, end, max, &[], out);
+        self.walk(start, end, max, out);
     }
 
     /// The one ring walk: the oldest `max` rows with `start <= id <= end`
-    /// go to `sink` in ID order, with `merge` (the archive's heap-overflow
-    /// rows of that range) interleaved by ID. Each slot is copied into one
-    /// scratch, checksum-verified there, and lent to the sink.
+    /// go to `sink` in ID order. Each slot is copied into one scratch,
+    /// checksum-verified there, and lent to the sink.
     pub(crate) fn walk<S: RowSink>(
         &self,
         start: StreamId,
         end: StreamId,
         max: usize,
-        merge: &[Entry],
         sink: &mut S,
     ) {
         let mark = sink.mark();
@@ -1483,21 +1504,10 @@ impl SlabSeries {
             // `hi >= lo` even for an inverted range, which selects nothing.
             let hi = self.partition(lo, head, |id| id <= end);
             let hi = hi.clamp(lo, lo.saturating_add(max as u64));
-            sink.reserve(((hi - lo) as usize + merge.len()).min(max));
-            let (mut merge, mut left) = (merge, max);
+            sink.reserve((hi - lo) as usize);
             for i in lo..hi {
                 match self.store.read_slot(self.slot_offset(i), &mut payload) {
-                    Some(id) => {
-                        // Overflow rows older than this one go first.
-                        let older = merge.partition_point(|e| e.id < id).min(left);
-                        sink.push_entries(merge[..older].iter());
-                        (merge, left) = (&merge[older..], left - older);
-                        if left == 0 {
-                            break;
-                        }
-                        sink.push_row(id, &payload);
-                        left -= 1;
-                    }
+                    Some(id) => sink.push_row(id, &payload),
                     None if verify => {} // torn mid-overwrite: drop just that slot
                     None => continue 'attempt,
                 }
@@ -1507,7 +1517,6 @@ impl SlabSeries {
             // attempt, trust the per-slot checksums).
             let head_now = self.head_cell().load(Ordering::Acquire);
             if verify || lo >= head_now.saturating_sub(self.store.cfg.slots as u64) {
-                sink.push_entries(merge.iter().take(left));
                 return;
             }
         }

@@ -2,29 +2,33 @@
 //!
 //! A [`Stream`] is the "dedicated, in-memory queue" each SCoRe vertex holds
 //! (§3.1). Entries are ID-ordered; the hot window lives in a `VecDeque`,
-//! and entries evicted by retention spill into the vertex's
-//! [`ArchiveLog`]. Range reads transparently stitch the archive and the
-//! live window together, which is exactly how the Query Executor "parses
-//! the queue (or the persisted log for evicted entries) using
-//! timestamp-based indexing" — one walk with two destinations: entries
-//! ([`Stream::range`]) or decoded columns ([`Stream::scan_columns`]).
+//! and entries evicted by retention spill into the vertex's archive — the
+//! Archiver that "stores the queue in a log" — which is always a slab ring
+//! ([`SlabSeries`]): a series of a shared [`SlabStore`], or a private
+//! in-memory ring created at the stream's first eviction. Range reads
+//! transparently stitch the ring and the live window together, which is
+//! exactly how the Query Executor "parses the queue (or the persisted log
+//! for evicted entries) using timestamp-based indexing" — one walk with two
+//! destinations: entries ([`Stream::range`]) or decoded columns
+//! ([`Stream::scan_columns`]).
 
-use crate::archiver::ArchiveLog;
 use crate::codec::Record;
 use crate::entry::{Entry, RowSink};
 use crate::id::StreamId;
-use crate::slab::SlabStore;
+use crate::slab::{SlabConfig, SlabSeries, SlabStore};
 use bytes::Bytes;
 use parking_lot::RwLock;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock, OnceLock};
 
-/// Where a stream's evicted entries go.
-#[derive(Clone)]
+/// Which slab ring a stream's evicted entries go to.
+#[derive(Debug, Clone)]
 pub enum SpillBackend {
-    /// In-memory heap archive segments (gone on restart).
-    Heap,
+    /// A private in-memory ring per stream, created at its first
+    /// eviction: the default ring geometry ([`SlabConfig`]: 4 096 slots of
+    /// 64 B), so it keeps the newest 4 096 evicted entries, gone on restart.
+    Memory,
     /// A durable memory-mapped slab store ([`crate::slab::SlabStore`]),
     /// shared by many streams. Each stream attaches to the series named
     /// after it, restoring archived history (and, via the broker,
@@ -32,25 +36,25 @@ pub enum SpillBackend {
     Slab(Arc<SlabStore>),
 }
 
-impl std::fmt::Debug for SpillBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            SpillBackend::Heap => "Heap",
-            SpillBackend::Slab(_) => "Slab",
-        })
-    }
-}
-
 impl SpillBackend {
     /// Durable slab spill into `store`.
     pub fn slab(store: Arc<SlabStore>) -> Self {
         SpillBackend::Slab(store)
     }
+}
 
-    /// True when evictions land in a slab store.
-    pub fn is_slab(&self) -> bool {
-        matches!(self, SpillBackend::Slab(_))
-    }
+/// The ring of a stream without a shared store: one series, no cursors,
+/// no tiers. Its geometry is built once per process, so creating a ring
+/// allocates only the ring.
+fn private_ring() -> SlabSeries {
+    static GEOMETRY: LazyLock<SlabConfig> = LazyLock::new(|| SlabConfig {
+        max_series: 1,
+        max_cursors: 0,
+        tiers: vec![],
+        ..SlabConfig::default()
+    });
+    let store = SlabStore::in_memory(GEOMETRY.clone()).expect("the default ring geometry is valid");
+    store.series("").expect("a fresh private store has a free dirent")
 }
 
 /// Retention configuration for a [`Stream`].
@@ -61,7 +65,7 @@ pub struct StreamConfig {
     pub max_len: Option<usize>,
     /// Spill evicted entries into the archive (vs. dropping them).
     pub archive_evicted: bool,
-    /// Backend the archive records into when `archive_evicted` is set.
+    /// Ring the archive records into when `archive_evicted` is set.
     pub spill: SpillBackend,
 }
 
@@ -74,12 +78,13 @@ impl Default for StreamConfig {
 impl StreamConfig {
     /// Keep everything in memory, never evict.
     pub fn unbounded() -> Self {
-        Self { max_len: None, archive_evicted: false, spill: SpillBackend::Heap }
+        Self { max_len: None, archive_evicted: false, spill: SpillBackend::Memory }
     }
 
-    /// Keep at most `n` entries in memory, archiving evictions on the heap.
+    /// Keep at most `n` entries in memory, archiving evictions in a
+    /// private in-memory ring.
     pub fn bounded(n: usize) -> Self {
-        Self { max_len: Some(n), archive_evicted: true, spill: SpillBackend::Heap }
+        Self { max_len: Some(n), archive_evicted: true, spill: SpillBackend::Memory }
     }
 
     /// `self` with evictions spilling into `store`.
@@ -174,7 +179,9 @@ pub struct ColumnBatch {
     pub first_id: Option<StreamId>,
     /// Which [`Stream`] the snapshot is of (0: none). A topic removed and
     /// re-created under its name is a different stream whose IDs and
-    /// epochs start over, so the three parts alone cannot tell.
+    /// epochs start over, and a ring that rejected an evicted entry lost a
+    /// row that is not the stream's oldest, so the three parts alone cannot
+    /// tell.
     source: u64,
     /// Set, never cleared, when a decoded row's record timestamp was below
     /// its predecessor's. Rows dropped by a rewind or a trim leave it set:
@@ -289,7 +296,10 @@ pub struct Stream {
     name: String,
     config: StreamConfig,
     window: RwLock<Window>,
-    archive: ArchiveLog,
+    /// The ring evictions land in: attached at creation to a shared
+    /// store's series, else created at the first eviction. Set under the
+    /// window write lock, before the epoch bump that eviction makes.
+    archive: OnceLock<SlabSeries>,
     /// Auto-ID appends whose `ms` was behind the last ID's ms-part (the
     /// wall clock regressed); their IDs were clamped forward to stay
     /// monotonic. See [`Stream::range_by_time`] for the contract.
@@ -307,9 +317,22 @@ pub struct Stream {
     /// cursor (a consumer group's, in practice) trailed the live window
     /// because retention evicted entries before they were delivered.
     group_lagged: Arc<AtomicU64>,
+    /// [`Stream::read_after`] calls whose cursor trailed a lapped ring's
+    /// floor: the rows between the cursor and the floor were skipped.
+    group_lapped: Arc<AtomicU64>,
+    /// Evicted entries the ring could not hold (payload over its slot
+    /// capacity): dropped, not archived.
+    archive_rejected: Arc<AtomicU64>,
     /// Process-unique, non-zero: what [`ColumnBatch`] snapshots name their
-    /// stream by.
-    incarnation: u64,
+    /// stream by. Renewed when the ring rejects an evicted entry, whose row
+    /// a snapshot may hold but the stream no longer does.
+    incarnation: AtomicU64,
+}
+
+/// A fresh process-unique, non-zero [`Stream`] incarnation.
+fn next_incarnation() -> u64 {
+    static INCARNATIONS: AtomicU64 = AtomicU64::new(1);
+    INCARNATIONS.fetch_add(1, Ordering::Relaxed)
 }
 
 /// What a range walk saw of its stream, read under one window lock.
@@ -317,6 +340,7 @@ struct Snapshot {
     epoch: u64,
     last_id: Option<StreamId>,
     first_id: Option<StreamId>,
+    source: u64,
 }
 
 /// Attempts [`Stream::range`] makes optimistically (archive scanned
@@ -325,46 +349,51 @@ struct Snapshot {
 const RANGE_OPTIMISTIC_ATTEMPTS: usize = 2;
 
 impl Stream {
-    /// Create a stream with the given retention config.
+    /// Create a stream with the given retention config. Nothing is
+    /// allocated for the archive until the first eviction.
     ///
     /// With a [`SpillBackend::Slab`] spill (and archiving enabled), the
     /// archive records into the slab series named after the stream, so a
     /// restarted stream finds its archived history and resumes ID
-    /// assignment after it. If the slab's series directory is
-    /// exhausted the stream falls back to a heap archive **loudly**: a
-    /// one-shot WARN, the process-wide `streams.slab.dir_full` counter,
-    /// and the store's `series_fallbacks` stat all record that this
-    /// stream's history will not survive a restart.
+    /// assignment after it. If the slab's series directory is exhausted
+    /// (or the name does not fit a dirent) the stream falls back to a
+    /// private in-memory ring **loudly**: a one-shot WARN, the
+    /// process-wide `streams.slab.dir_full` counter, and the store's
+    /// `series_fallbacks` stat all record that this stream's history will
+    /// not survive a restart.
     pub fn new(name: impl Into<String>, config: StreamConfig) -> Self {
         let name = name.into();
-        let archive = match &config.spill {
-            SpillBackend::Slab(store) if config.archive_evicted => match store.series(&name) {
-                Ok(series) => ArchiveLog::with_slab(series),
-                Err(e) => {
+        let attached = match &config.spill {
+            SpillBackend::Slab(store) if config.archive_evicted => store
+                .series(&name)
+                .inspect_err(|e| {
                     crate::slab::record_exhaustion(&format!(
                         "stream '{name}' wanted a slab series but got \"{e}\"; its evicted \
-                             entries fall back to the in-memory heap archive and will NOT \
-                             survive a restart"
-                    ));
-                    ArchiveLog::new()
-                }
-            },
-            _ => ArchiveLog::new(),
+                         entries fall back to a private in-memory ring and will NOT survive a \
+                         restart"
+                    ))
+                })
+                .ok(),
+            _ => None,
         };
         // Restart survival: resume ID assignment after the archived
-        // history (None for a fresh or heap-backed archive).
-        let window = Window { last_id: archive.last_id(), ..Window::default() };
-        static INCARNATIONS: AtomicU64 = AtomicU64::new(1);
+        // history (None for a fresh series or no series yet).
+        let window = Window {
+            last_id: attached.as_ref().and_then(SlabSeries::last_id),
+            ..Window::default()
+        };
         Self {
-            incarnation: INCARNATIONS.fetch_add(1, Ordering::Relaxed),
+            incarnation: AtomicU64::new(next_incarnation()),
             name,
             config,
             window: RwLock::new(window),
-            archive,
+            archive: attached.map_or_else(OnceLock::new, OnceLock::from),
             clock_regressions: AtomicU64::new(0),
             epoch: AtomicU64::new(0),
             scan_epoch_retries: Arc::new(AtomicU64::new(0)),
             group_lagged: Arc::new(AtomicU64::new(0)),
+            group_lapped: Arc::new(AtomicU64::new(0)),
+            archive_rejected: Arc::new(AtomicU64::new(0)),
         }
     }
 
@@ -444,7 +473,7 @@ impl Stream {
             while w.entries.len() > max {
                 let Some(evicted) = w.entries.pop_front() else { break };
                 if self.config.archive_evicted {
-                    self.archive.append(evicted);
+                    self.spill(&evicted);
                 }
                 evicted_any = true;
             }
@@ -459,6 +488,27 @@ impl Stream {
         }
     }
 
+    /// The one eviction site: record `evicted` in the archive ring (a
+    /// private ring is created here, at the first eviction), or count it
+    /// rejected when its payload exceeds the ring's slot capacity.
+    ///
+    /// # Panics
+    /// Panics if `evicted.id` is not above the ring's newest ID. The
+    /// window evicts oldest-first and resumes after the ring's history, so
+    /// only two streams writing one shared series can trip it.
+    fn spill(&self, evicted: &Entry) {
+        let ring = self.archive.get_or_init(private_ring);
+        if let Some(last) = ring.last_id() {
+            assert!(evicted.id > last, "archive append out of order: {} after {last}", evicted.id);
+        }
+        if !ring.record(evicted.id, &evicted.payload) {
+            self.archive_rejected.fetch_add(1, Ordering::Relaxed);
+            // The stream lost a row that is not its oldest: no snapshot
+            // taken before can be extended into what it holds now.
+            self.incarnation.store(next_incarnation(), Ordering::Relaxed);
+        }
+    }
+
     /// Number of entries currently in the in-memory window.
     pub fn len(&self) -> usize {
         self.window.read().entries.len()
@@ -469,9 +519,9 @@ impl Stream {
         self.len() == 0
     }
 
-    /// Total entries ever appended and retained (window + archive).
+    /// Entries retained: the window plus the archive ring's live span.
     pub fn total_len(&self) -> usize {
-        self.len() + self.archive.len()
+        self.len() + self.archive().map_or(0, |ring| ring.live_len() as usize)
     }
 
     /// The last assigned ID, if any entry was ever appended.
@@ -484,9 +534,10 @@ impl Stream {
         self.window.read().entries.back().cloned()
     }
 
-    /// The archive holding evicted entries.
-    pub fn archive(&self) -> &ArchiveLog {
-        &self.archive
+    /// The ring holding evicted entries; `None` until a private ring's
+    /// first eviction (and always when evictions are dropped).
+    pub fn archive(&self) -> Option<&SlabSeries> {
+        self.archive.get()
     }
 
     /// All entries with `start <= id <= end` in ID order, stitching the
@@ -519,8 +570,13 @@ impl Stream {
             sink.rewind(mark);
             let optimistic = attempt < RANGE_OPTIMISTIC_ATTEMPTS;
             let before = self.epoch.load(Ordering::Acquire);
+            let walk_ring = |sink: &mut S| {
+                if let Some(ring) = self.archive() {
+                    ring.walk(start, end, usize::MAX, sink);
+                }
+            };
             if optimistic {
-                self.archive.walk(start, end, usize::MAX, sink);
+                walk_ring(sink);
             }
             let w = self.window.read();
             let epoch = self.epoch.load(Ordering::Acquire);
@@ -537,7 +593,7 @@ impl Stream {
                 // write lock, so the archive is frozen while we hold the
                 // read lock (lock order window -> archive matches the
                 // eviction path).
-                self.archive.walk(start, end, usize::MAX, sink);
+                walk_ring(sink);
             }
             let lo = partition_point_deque(&w.entries, |e| e.id < start);
             // `hi >= lo` even for an inverted range, which selects nothing.
@@ -546,8 +602,10 @@ impl Stream {
             sink.push_entries(w.entries.range(lo..hi));
             // Evictions hold the window write lock, so the archive cannot
             // lose or gain a row while this reads its oldest.
-            let first_id = self.archive.first_id().or_else(|| w.entries.front().map(|e| e.id));
-            return Snapshot { epoch, last_id: w.last_id, first_id };
+            let first_id = (self.archive().and_then(SlabSeries::first_id))
+                .or_else(|| w.entries.front().map(|e| e.id));
+            let source = self.incarnation.load(Ordering::Relaxed);
+            return Snapshot { epoch, last_id: w.last_id, first_id, source };
         }
         unreachable!("range loop always returns")
     }
@@ -557,7 +615,9 @@ impl Stream {
     /// live window when the cursor trails it — a consumer-group cursor
     /// that fell behind retention is caught up from the archive instead
     /// of silently skipping the evicted entries. Entries served from the
-    /// archive are counted in [`Stream::group_lagged`].
+    /// archive are counted in [`Stream::group_lagged`]. A ring that lapped
+    /// the cursor has lost what lay between: the read starts at the ring's
+    /// floor and is counted in [`Stream::group_lapped`].
     pub fn read_after(&self, cursor: Option<StreamId>, count: usize) -> Vec<Entry> {
         let mut out = Vec::new();
         if count == 0 {
@@ -573,8 +633,13 @@ impl Stream {
         // Hold the window read lock across the archive read: evictions
         // need the write lock, so the stitch is a consistent snapshot.
         let w = self.window.read();
-        if self.archive.last_id().is_some_and(|a| a >= start) {
-            self.archive.range_limited_into(start, StreamId::MAX, count, &mut out);
+        if let Some(ring) = self.archive().filter(|r| r.last_id().is_some_and(|a| a >= start)) {
+            // Conservative by at most one read: a cursor on the last row
+            // the ring lost skipped nothing.
+            if ring.lapped_floor_id().is_some_and(|floor| start < floor) {
+                self.group_lapped.fetch_add(1, Ordering::Relaxed);
+            }
+            ring.range_limited_into(start, StreamId::MAX, count, &mut out);
             if !out.is_empty() {
                 self.group_lagged.fetch_add(out.len() as u64, Ordering::Relaxed);
             }
@@ -629,6 +694,28 @@ impl Stream {
         Arc::clone(&self.group_lagged)
     }
 
+    /// [`Stream::read_after`] calls whose cursor trailed the floor of a
+    /// ring that had lapped it: each skipped the rows the ring lost.
+    pub fn group_lapped(&self) -> u64 {
+        self.group_lapped.load(Ordering::Relaxed)
+    }
+
+    /// The lapped-read counter cell, for zero-cost metrics export.
+    pub(crate) fn group_lapped_cell(&self) -> Arc<AtomicU64> {
+        Arc::clone(&self.group_lapped)
+    }
+
+    /// Evicted entries dropped, not archived, because their payload
+    /// exceeds the ring's slot capacity ([`SlabConfig::payload_cap`]).
+    pub fn archive_rejected(&self) -> u64 {
+        self.archive_rejected.load(Ordering::Relaxed)
+    }
+
+    /// The rejected-eviction counter cell, for zero-cost metrics export.
+    pub(crate) fn archive_rejected_cell(&self) -> Arc<AtomicU64> {
+        Arc::clone(&self.archive_rejected)
+    }
+
     /// Consistent range scan with the payloads decoded as telemetry
     /// [`Record`]s in the same pass: entries, records, and the
     /// `(epoch, last_id)` snapshot key in one call, so the query path
@@ -658,9 +745,9 @@ impl Stream {
     /// the batch is itself the walk's sink: each payload is decoded where
     /// the walk finds it (slot scratch, window entry) and no entry is built.
     pub fn scan_columns(&self, start: StreamId, end: StreamId) -> ColumnBatch {
-        let mut out = ColumnBatch { source: self.incarnation, ..ColumnBatch::default() };
-        let snap = self.walk(start, end, &mut out);
-        (out.epoch, out.last_id, out.first_id) = (snap.epoch, snap.last_id, snap.first_id);
+        let mut out = ColumnBatch::default();
+        let Snapshot { epoch, last_id, first_id, source } = self.walk(start, end, &mut out);
+        (out.epoch, out.last_id, out.first_id, out.source) = (epoch, last_id, first_id, source);
         out
     }
 
@@ -670,15 +757,22 @@ impl Stream {
     /// and its three snapshot parts are refreshed, so it equals what a
     /// scan from the same start would return now, plus whatever head rows
     /// the stream has lost since (the caller compares `first_id`). The
-    /// `Arc` is un-shared only if something changed. Returns `false`, and
-    /// leaves `tail` alone, when it is not a snapshot of this stream.
+    /// `Arc` is un-shared only if something changed. Returns `false` when
+    /// `tail` is not a snapshot of this stream as it stands — another
+    /// stream, or this one after its ring rejected an evicted entry the
+    /// tail may hold (checked again once the walk is done) — and the tail
+    /// is to be scanned afresh.
     pub fn extend_columns(&self, tail: &mut Arc<ColumnBatch>) -> bool {
-        let Some(last) = tail.last_id.filter(|_| tail.source == self.incarnation) else {
+        let incarnation = self.incarnation.load(Ordering::Relaxed);
+        let Some(last) = tail.last_id.filter(|_| tail.source == incarnation) else {
             return false;
         };
         // Nothing can follow the largest ID, and nothing was evicted since.
         let Some(start) = last.successor() else { return true };
         let snap = self.walk(start, StreamId::MAX, &mut TailSink(tail));
+        if snap.source != tail.source {
+            return false; // a rejected eviction raced the walk
+        }
         if (snap.epoch, snap.last_id, snap.first_id) != (tail.epoch, tail.last_id, tail.first_id) {
             let t = Arc::make_mut(tail);
             (t.epoch, t.last_id, t.first_id) = (snap.epoch, snap.last_id, snap.first_id);
@@ -693,9 +787,9 @@ impl Stream {
 
     /// Approximate bytes of memory held by the in-memory window: each
     /// entry (ID + `Bytes` handle, an in-place payload included) plus the
-    /// heap block of a payload too long to sit in place. Archive segments
-    /// are excluded (they model the spill log). Used by the Figure 5
-    /// memory-overhead report.
+    /// heap block of a payload too long to sit in place. The archive ring
+    /// is excluded (it is the spill log: fixed-size slots the store
+    /// accounts for). Used by the Figure 5 memory-overhead report.
     pub fn approx_memory_bytes(&self) -> usize {
         let w = self.window.read();
         let per_entry = std::mem::size_of::<Entry>();
@@ -798,7 +892,7 @@ mod tests {
             s.append(i, vec![i as u8]);
         }
         assert_eq!(s.len(), 10);
-        assert_eq!(s.archive().len(), 90);
+        assert_eq!(s.archive().unwrap().live_len(), 90);
         assert_eq!(s.total_len(), 100);
         // Range spanning archive and window.
         let got = s.range(StreamId::new(85, 0), StreamId::new(95, u64::MAX));
@@ -809,15 +903,13 @@ mod tests {
 
     #[test]
     fn retention_without_archive_drops() {
-        let s = Stream::new(
-            "t",
-            StreamConfig { max_len: Some(5), archive_evicted: false, spill: SpillBackend::Heap },
-        );
+        let s =
+            Stream::new("t", StreamConfig { archive_evicted: false, ..StreamConfig::bounded(5) });
         for i in 0..20u64 {
             s.append(i, vec![]);
         }
         assert_eq!(s.len(), 5);
-        assert_eq!(s.archive().len(), 0);
+        assert!(s.archive().is_none());
         assert_eq!(s.total_len(), 5);
     }
 
@@ -904,7 +996,7 @@ mod tests {
             s.append(i / 100, Bytes::new());
         }
         assert_eq!(s.len(), 200_000);
-        assert_eq!(s.archive().len(), 0);
+        assert!(s.archive().is_none());
     }
 
     #[test]
@@ -919,10 +1011,8 @@ mod tests {
 
         // Archive-less eviction still changes what a range returns, so it
         // must still move the epoch (the cache invalidation key).
-        let dropping = Stream::new(
-            "t",
-            StreamConfig { max_len: Some(2), archive_evicted: false, spill: SpillBackend::Heap },
-        );
+        let dropping =
+            Stream::new("t", StreamConfig { archive_evicted: false, ..StreamConfig::bounded(2) });
         dropping.append(0, vec![]);
         dropping.append(1, vec![]);
         dropping.append(2, vec![]);
@@ -1018,6 +1108,80 @@ mod tests {
         let entry = std::mem::size_of::<Entry>();
         assert_eq!(records.approx_memory_bytes(), 10 * entry);
         assert_eq!(blobs.approx_memory_bytes(), 10 * (entry + 16 + 1024));
+    }
+
+    /// The cached-tail check of the private-ring contract: `tail`, kept
+    /// across every append by `extend_columns` and trimmed of the head rows
+    /// the stream lost, equals a fresh scan.
+    fn assert_tail_is_fresh(s: &Stream, tail: &mut Arc<ColumnBatch>) {
+        assert!(s.extend_columns(tail));
+        let first = tail.first_id.expect("rows retained");
+        Arc::make_mut(tail).trim_before(first.ms);
+        let fresh = s.scan_columns(StreamId::MIN, StreamId::MAX);
+        assert_eq!(tail.ids_ms, fresh.ids_ms);
+        assert_eq!(tail.values, fresh.values);
+        assert_eq!(tail.timestamps_ns, fresh.timestamps_ns);
+        let snap = |b: &ColumnBatch| (b.epoch, b.last_id, b.first_id, b.corrupt);
+        assert_eq!(snap(tail), snap(&fresh));
+    }
+
+    #[test]
+    fn a_directory_less_archive_keeps_the_newest_ring_of_evictions() {
+        let s = Stream::new("t", StreamConfig::bounded(8));
+        let at = |i: u64| Record::measured(i * 1_000_000, i as f64).encode();
+        let mut tail = None;
+        for i in 0..10_000u64 {
+            s.append(i, at(i));
+            if i == 99 {
+                tail = Some(Arc::new(s.scan_columns(StreamId::MIN, StreamId::MAX)));
+            }
+            if i % 1_000 == 999 {
+                assert_tail_is_fresh(&s, tail.as_mut().unwrap());
+            }
+        }
+        assert_eq!(s.archive().unwrap().live_len(), 4_096);
+        assert_eq!(s.archive_rejected(), 0);
+        let all = s.range(StreamId::MIN, StreamId::MAX);
+        assert!(all.iter().map(|e| e.id.ms).eq(10_000 - 4_104..10_000), "newest 4 104, once each");
+        assert!(all.iter().all(|e| e.payload == at(e.id.ms)));
+    }
+
+    #[test]
+    fn an_eviction_over_the_slot_capacity_is_dropped_and_counted() {
+        let cap = SlabConfig::default().payload_cap();
+        let s = Stream::new("t", StreamConfig::bounded(1));
+        let mut tail = Arc::new(ColumnBatch::default());
+        for (ms, len) in [(1, cap + 1), (2, cap), (3, 17)] {
+            let mut payload = Record::measured(ms * 1_000_000, ms as f64).encode().to_vec();
+            payload.resize(len, 0);
+            s.append(ms, payload);
+            if ms == 1 {
+                tail = Arc::new(s.scan_columns(StreamId::MIN, StreamId::MAX));
+            }
+        }
+        let ring = s.archive().unwrap();
+        assert_eq!((s.archive_rejected(), ring.store().stats().oversize_rejected), (1, 1));
+        let kept: Vec<(u64, usize)> =
+            s.range(StreamId::MIN, StreamId::MAX).iter().map(|e| (e.id.ms, e.len())).collect();
+        assert_eq!(kept, [(2, cap), (3, 17)], "the 41-byte row is gone, the 40-byte one archived");
+        assert!(!s.extend_columns(&mut tail), "a tail holding the dropped row is not extended");
+    }
+
+    #[test]
+    fn a_private_ring_is_created_at_the_first_eviction() {
+        let idle = Stream::with_defaults("t");
+        for i in 0..10u64 {
+            idle.append(i, vec![]);
+        }
+        assert!(idle.archive().is_none());
+        let s = Stream::new("t", StreamConfig::bounded(8));
+        for i in 0..8u64 {
+            s.append(i, vec![]);
+        }
+        assert!(s.archive().is_none(), "eight rows fit the window");
+        s.append(8, vec![]);
+        let ring = s.archive().expect("the ninth evicted the first");
+        assert_eq!((ring.live_len(), ring.store().path()), (1, std::path::Path::new("")));
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Proof of the slab spill's zero-allocation claim, counted by the
 //! workspace's counting allocator (`apollo-alloc-count`): archiving an
-//! evicted entry is a bounded mmap slot write — copy the payload into a
+//! evicted entry is a bounded slot write — copy the payload into a
 //! pre-allocated slot, write three header words, publish with one
 //! `Release` store, bump the dirty counter — so a warm
-//! [`SlabSeries::record`](apollo_streams::SlabSeries::record), and the
-//! slab-backed [`ArchiveLog::append`] in front of it, must perform
-//! **exactly zero** heap allocations per entry.
+//! [`SlabSeries::record`](apollo_streams::slab::SlabSeries::record), and
+//! a stream's eviction in front of it, must perform **exactly zero** heap
+//! allocations per entry. A stream without a shared store pays a fixed
+//! handful once, at its first eviction, for its private ring.
 //!
 //! The read side has the same kind of bound. A scan is one walk whose rows
 //! land in a sink: [`Stream::scan_columns`] decodes every archived row
@@ -19,9 +20,7 @@
 //! process-wide, so a second concurrently-running test would pollute it.
 
 use apollo_alloc_count::allocs_during;
-use apollo_streams::{
-    ArchiveLog, Entry, Record, SlabConfig, SlabStore, Stream, StreamConfig, StreamId,
-};
+use apollo_streams::{Record, SlabConfig, SlabStore, Stream, StreamConfig, StreamId};
 
 #[test]
 fn warm_slab_records_allocate_nothing() {
@@ -54,18 +53,30 @@ fn warm_slab_records_allocate_nothing() {
     assert_eq!(series.live_len(), ring_slots, "the ring wrapped during the measured calls");
     assert_eq!(store.dirty_records() - dirty_before, 10_000, "dirty tracking was live");
 
-    // --- ArchiveLog::append over a slab series -------------------------------
-    // An inline-sized payload goes straight to the ring: the ordering
-    // check reads the slab's last id, never the heap segments.
-    let log = ArchiveLog::with_slab(store.series("archive").expect("series"));
-    log.append(Entry::new(StreamId::new(1, 0), payload.clone()));
+    // --- Evictions into a private ring ---------------------------------------
+    // The first append allocates the window; the second, the first
+    // eviction, allocates the private ring: the store's zeroed words, its
+    // handle counts and its `Arc` (once the process has built the ring
+    // geometry, which the warm-up stream does). Every eviction after that,
+    // across two laps, is a slot write.
+    let warm_up = Stream::new("warm-up", StreamConfig::bounded(1));
+    for ms in 0..2 {
+        warm_up.append(ms, payload.clone());
+    }
+    let private = Stream::new("private", StreamConfig::bounded(1));
+    private.append(0, payload.clone());
+    let n = allocs_during(|| {
+        private.append(1, payload.clone());
+    });
+    assert_eq!(n, 3, "the first eviction allocated {n} blocks for its ring");
     let n = allocs_during(|| {
         for i in 0..10_000u64 {
-            log.append(Entry::new(StreamId::new(2 + i, 0), payload.clone()));
+            private.append(2 + i, payload.clone());
         }
     });
-    assert_eq!(n, 0, "slab-backed append() allocated {n} times over 10 000 calls");
-    assert_eq!(log.overflowed(), 0, "nothing fell back to the heap overflow");
+    assert_eq!(n, 0, "10 000 evictions into a private ring allocated {n} times");
+    let ring = private.archive().expect("a private ring");
+    assert_eq!((ring.live_len(), private.archive_rejected()), (ring_slots, 0), "it lapped");
 
     // --- Stream scans over 4 096 archived + 256 window rows -----------------
     const ARCHIVED: u64 = 4_096;
@@ -75,7 +86,7 @@ fn warm_slab_records_allocate_nothing() {
     for i in 0..ARCHIVED + WINDOW {
         stream.append(i, Record::measured(i * 1_000_000, i as f64).encode());
     }
-    assert_eq!(stream.archive().slab_series().expect("slab-backed").live_len(), ARCHIVED);
+    assert_eq!(stream.archive().expect("slab-backed").live_len(), ARCHIVED);
     assert_eq!(stream.len() as u64, WINDOW);
 
     let mut columns = None;

@@ -95,7 +95,8 @@ fn eviction_epoch_stays_monotone_while_skew_is_active() {
     // Archive ordering survived: the archive's own strictly-increasing
     // append assertion would have panicked otherwise, but check the
     // boundary explicitly — everything archived precedes the live window.
-    let archived_last = stream.archive().last_id().expect("evictions archived");
+    let archived_last =
+        stream.archive().and_then(|ring| ring.last_id()).expect("evictions archived");
     let window_first = stream
         .range(StreamId::MIN, StreamId::MAX)
         .iter()

@@ -2,14 +2,14 @@
 //! exhaustion, the bounded machine-crash loss window, and series GC
 //! under seeded churn with restarts.
 //!
-//! The two "teeth" tests first re-enact the pre-fix behavior (silent heap
-//! fallback; no background msync) and demonstrate the durable-history
-//! loss each one caused, then assert the fixed paths are loud/bounded.
+//! The two "teeth" tests show the durable-history loss each guards
+//! against (a stream refused a series; no background msync) and assert the
+//! paths are loud/bounded.
 
 use apollo_streams::slab::{dir_full_count, exhaustion_warned};
 use apollo_streams::{
-    ArchiveLog, Broker, CompactPolicy, Record, SlabConfig, SlabStore, SpillBackend, Stream,
-    StreamConfig, StreamId, TierConfig,
+    Broker, CompactPolicy, Record, SlabConfig, SlabStore, Stream, StreamConfig, StreamId,
+    TierConfig,
 };
 use std::fs;
 use std::path::PathBuf;
@@ -33,10 +33,11 @@ fn tiny_config() -> SlabConfig {
     }
 }
 
-/// Teeth: the pre-fix exhaustion path (`.unwrap_or_else(|_| heap)`) loses
-/// durable history without a trace; the fixed `Stream::new` / consumer
-/// group paths record every refusal on `streams.slab.dir_full` and warn
-/// once.
+/// Teeth: a stream refused a series on a full directory archives into a
+/// private in-memory ring — writes look fine, and its history is gone
+/// after a restart. That loss is never silent: `Stream::new` and the
+/// consumer-group path record every refusal on `streams.slab.dir_full`
+/// and the store's stats, and warn once.
 ///
 /// All exhaustion-triggering in this binary lives in this one test so the
 /// process-global counter deltas are race-free.
@@ -48,50 +49,32 @@ fn directory_exhaustion_is_loud_where_it_used_to_be_silent() {
         let _a = store.series("a").unwrap();
         let _b = store.series("b").unwrap();
 
-        // --- Pre-fix re-enactment: exactly what Stream::new used to do.
+        // --- Stream::new on the exhausted directory.
         let before = dir_full_count();
-        let log =
-            store.series("c").map(ArchiveLog::with_slab).unwrap_or_else(|_| ArchiveLog::new());
-        assert_eq!(dir_full_count(), before, "the old fallback left no trace anywhere");
+        assert!(!exhaustion_warned() || before > 0);
+        let c = Stream::new("c", StreamConfig::bounded(1).with_slab(Arc::clone(&store)));
+        assert_eq!(dir_full_count(), before + 1, "the refusal is counted");
+        assert!(exhaustion_warned(), "and warned about (once per process)");
+        assert_eq!(store.stats().series_fallbacks, 1, "the store records the fallback too");
+        // The stream still works — its evictions land in a private ring.
         for i in 0..10u64 {
-            log.append(apollo_streams::Entry::new(StreamId::new(i + 1, 0), vec![i as u8]));
+            c.append(i + 1, vec![i as u8]);
         }
-        assert_eq!(log.len(), 10, "writes LOOK fine — the loss is invisible until restart");
+        assert_eq!(c.range(StreamId::MIN, StreamId::MAX).len(), 10);
+        let ring = c.archive().expect("evictions archived");
+        assert_eq!(ring.live_len(), 9);
+        assert!(ring.store().path().as_os_str().is_empty(), "in memory, not in the file");
         store.flush().unwrap();
     }
 
-    // Restart: series "c" never existed in the slab, so its 10 entries are
-    // gone — the silent durable-history loss the fix makes loud.
+    // Restart: series "c" never existed in the slab, so its archived
+    // entries are gone — the loss the counter announced.
     let (store, report) = SlabStore::open(&path).unwrap();
     assert_eq!(store.stats().series_live, 2, "only a and b survived");
-    assert_eq!(report.recovered_entries, 0, "c's 10 entries were heap-only and died");
+    assert_eq!(report.recovered_entries, 0, "c's entries were in its private ring and died");
 
-    // --- Fixed path #1: Stream::new on the exhausted directory.
-    let before = dir_full_count();
-    assert!(!exhaustion_warned() || before > 0);
-    let s = Stream::new(
-        "c",
-        StreamConfig {
-            max_len: Some(1),
-            archive_evicted: true,
-            spill: SpillBackend::slab(Arc::clone(&store)),
-        },
-    );
-    assert_eq!(dir_full_count(), before + 1, "the refusal is now counted");
-    assert!(exhaustion_warned(), "and warned about (once per process)");
-    // The stream still works — degraded to heap, not dead.
-    for i in 0..5u64 {
-        s.append(i + 1, vec![i as u8]);
-    }
-    assert_eq!(s.range(StreamId::MIN, StreamId::MAX).len(), 5);
-    assert_eq!(store.stats().series_fallbacks, 1, "the store records the fallback too");
-
-    // --- Fixed path #2: consumer groups on a full cursor directory.
-    let broker = Broker::new(StreamConfig {
-        max_len: Some(2),
-        archive_evicted: true,
-        spill: SpillBackend::slab(Arc::clone(&store)),
-    });
+    // --- Consumer groups on a full cursor directory.
+    let broker = Broker::new(StreamConfig::bounded(2).with_slab(Arc::clone(&store)));
     let g0 = broker.consumer_group("t", "g0"); // takes the only cursor dirent
     let before = dir_full_count();
     let g1 = broker.consumer_group("t", "g1"); // refused a dirent

@@ -10,8 +10,7 @@
 
 use apollo_streams::slab::SlabLayout;
 use apollo_streams::{
-    ArchiveLog, Broker, Entry, Record, SlabConfig, SlabStore, SpillBackend, StreamConfig, StreamId,
-    TierConfig,
+    Broker, Record, SlabConfig, SlabStore, SpillBackend, StreamConfig, StreamId, TierConfig,
 };
 use std::fs;
 use std::path::PathBuf;
@@ -150,25 +149,6 @@ fn torn_newest_slot_is_rolled_back_on_reopen() {
     // The rolled-back slot is writable again: appends resume cleanly.
     assert!(series.record(StreamId::new(n + 10, 0), b"after"));
     assert_eq!(series.last_id(), Some(StreamId::new(n + 10, 0)));
-    let _ = fs::remove_file(&path);
-}
-
-#[test]
-fn oversize_payloads_overflow_to_the_heap_but_stay_readable_in_order() {
-    let path = temp_slab("oversize");
-    let store = SlabStore::create(&path, small_config()).unwrap();
-    let series = store.series("big").unwrap();
-    let cap = store.config().payload_cap();
-    let log = ArchiveLog::with_slab(series);
-    log.append(Entry::new(StreamId::new(1, 0), vec![1u8; 4]));
-    log.append(Entry::new(StreamId::new(2, 0), vec![2u8; cap + 100])); // heap overflow
-    log.append(Entry::new(StreamId::new(3, 0), vec![3u8; 4]));
-    assert_eq!(log.overflowed(), 1);
-    assert_eq!(log.len(), 3);
-    let got = log.range(StreamId::MIN, StreamId::MAX);
-    assert_eq!(got.iter().map(|e| e.id.ms).collect::<Vec<_>>(), vec![1, 2, 3]);
-    assert_eq!(got[1].payload.len(), cap + 100, "oversize payload intact");
-    assert_eq!(store.stats().oversize_rejected, 1);
     let _ = fs::remove_file(&path);
 }
 

@@ -3,7 +3,7 @@
 //!
 //! This drives the PR-7 surface end-to-end: a bounded stream spills its
 //! evictions into an mmap [`SlabStore`](apollo_streams::SlabStore)
-//! instead of a heap archive; [`Apollo::attach_slab`] consolidates the
+//! instead of a private in-memory ring; [`Apollo::attach_slab`] consolidates the
 //! raw 1 s entries into coarser tiers on the service event loop and exports
 //! `streams.slab.*` gauges; then the whole service is torn down and
 //! rebuilt over the same file, and both the archived history and a

@@ -61,8 +61,8 @@ fn soak_is_deterministic_per_seed_and_diverges_across_seeds() {
 }
 
 /// The same seeded smoke with every topic window spilling into a
-/// temp-dir slab store instead of the heap archive: the four verdicts
-/// must hold unchanged on the durable backend.
+/// temp-dir slab store instead of a private ring per topic: the four
+/// verdicts must hold unchanged on the durable store.
 #[test]
 fn slab_backed_soak_holds_the_same_verdicts() {
     use apollo_streams::{SlabConfig, SlabStore};
@@ -81,10 +81,10 @@ fn slab_backed_soak_holds_the_same_verdicts() {
         assert!(verdict.pass, "{name}: {}", verdict.detail);
     }
     // Teeth against a silently skipped arm: evictions really landed in
-    // the store, and none fell back to a heap archive.
+    // the store, and none fell back to a private ring.
     let stats = store.stats();
     assert!(stats.appended > 0, "no eviction was recorded into the slab");
-    assert_eq!(stats.series_fallbacks, 0, "a topic fell back to the heap archive");
+    assert_eq!(stats.series_fallbacks, 0, "a topic fell back to a private ring");
 }
 
 #[test]
@@ -210,8 +210,13 @@ fn pre_fix_scan_stitch_fails_exactly_once_teeth() {
         stream.append(1_000 + ms, ms.to_le_bytes().to_vec());
     }
 
-    let mut pre_fix: Vec<StreamId> =
-        stream.archive().range(StreamId::MIN, StreamId::MAX).iter().map(|e| e.id).collect();
+    let mut pre_fix: Vec<StreamId> = stream
+        .archive()
+        .unwrap()
+        .range(StreamId::MIN, StreamId::MAX)
+        .iter()
+        .map(|e| e.id)
+        .collect();
     // Concurrent producer lands 40 more appends; the bounded window
     // evicts 40 older entries into the archive after our snapshot.
     for ms in 100..140u64 {
