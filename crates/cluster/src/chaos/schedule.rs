@@ -64,7 +64,7 @@ pub enum ChaosLayer {
     /// At `at`, append `appends` records to each listed topic with a
     /// wall-clock timestamp regressed by `regression` — an NTP step
     /// backwards, which `Stream::append` must clamp without corrupting
-    /// eviction-epoch ordering.
+    /// eviction order.
     ClockSkew {
         /// Affected topics.
         topics: Vec<String>,

@@ -17,7 +17,9 @@
 //!   [`crate::service::ApolloHandle::query`] directly (the `incremental`
 //!   access path of [`apollo_query::ScanCache`]'s doc) whenever the fold
 //!   has caught up with every input topic's tail — a standing query
-//!   answers in O(rows) with no scan and no cache probe.
+//!   answers in O(rows) with no scan and no cache probe. Evictions do not
+//!   end that: while the stream still retains the oldest row the fold
+//!   consumed, a rescan reads every row the fold did.
 //!
 //! Seeding is race-free against concurrent publishes: each arm's cursor
 //! starts at the seed snapshot's last ID, so whatever is published after
@@ -27,7 +29,7 @@ use crate::graph::GraphError;
 use apollo_obs::{Counter, Registry};
 use apollo_query::exec::{ExecError, QueryResult};
 use apollo_query::{ContinuousError, ContinuousQuery, ParseError, Query};
-use apollo_streams::{Broker, Publisher, Record, StreamId};
+use apollo_streams::{Broker, Entry, Publisher, Record, StreamId};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -55,17 +57,42 @@ impl std::fmt::Display for ContinuousRegisterError {
 
 impl std::error::Error for ContinuousRegisterError {}
 
-/// Per-arm feed: the input topic and a cursor into it.
+/// Per-arm feed: the input topic, a cursor into it, and what a rescan
+/// must still see for the fold to stand in for it.
 struct ArmFeed {
     table: String,
-    /// Topic eviction epoch at seed time. The incremental tier only
-    /// serves while the epoch is unchanged: after an eviction a fresh
-    /// scan may see a different window than the fold consumed, so the
-    /// planner falls back to scanning rather than risk divergence.
-    seed_epoch: u64,
+    /// The stream incarnation ([`apollo_streams::ScanMeta::source`]) the
+    /// fold consumed its rows from, read before its first row was.
+    source: u64,
+    /// First entry folded: a rescan reads every row the fold consumed
+    /// while the stream retains it (not after a ring lap or a dropped
+    /// eviction).
+    folded_from: Option<StreamId>,
     /// Last entry folded (seed or pump): the next pump reads after it,
     /// and the fold is caught up when it equals the topic's live tail.
     folded_through: Option<StreamId>,
+}
+
+impl ArmFeed {
+    /// Fold `entries`, the arm's rows after its cursor, into arm `i` of
+    /// `cq`; `source` was read before them. Returns the records folded.
+    fn fold(&mut self, i: usize, cq: &mut ContinuousQuery, source: u64, entries: &[Entry]) -> u64 {
+        if let (None, Some(first)) = (self.folded_from, entries.first()) {
+            (self.source, self.folded_from) = (source, Some(first.id));
+        }
+        let mut folded = 0;
+        for e in entries {
+            // Decode per entry (not `ScanBatch::records`) so each fold
+            // keeps its publish timestamp; corrupt payloads are skipped
+            // exactly as a range scan skips them.
+            if let Ok(r) = Record::decode(&e.payload) {
+                cq.fold(i, e.id.ms, &r);
+                folded += 1;
+            }
+            self.folded_through = Some(e.id);
+        }
+        folded
+    }
 }
 
 struct Inner {
@@ -78,8 +105,11 @@ struct Inner {
 impl Inner {
     fn caught_up(&self, broker: &Broker) -> bool {
         self.arms.iter().all(|a| {
-            let (epoch, last) = broker.scan_meta(&a.table);
-            epoch == a.seed_epoch && last == a.folded_through
+            let now = broker.scan_meta(&a.table);
+            let retained = a.folded_from.is_none_or(|oldest| {
+                now.source == a.source && now.first_id.is_some_and(|first| first <= oldest)
+            });
+            retained && now.last_id == a.folded_through
         })
     }
 }
@@ -116,16 +146,11 @@ impl ContinuousVertex {
         let mut arms = Vec::with_capacity(cq.arm_count());
         for i in 0..cq.arm_count() {
             let table = cq.table(i).to_string();
+            let source = broker.scan_meta(&table).source;
             let batch = broker.scan_batch(&table, StreamId::MIN, StreamId::MAX);
-            for e in &batch.entries {
-                // Decode per entry (not `batch.records`) so each fold
-                // keeps its publish timestamp; corrupt payloads are
-                // skipped exactly as a range scan skips them.
-                if let Ok(r) = Record::decode(&e.payload) {
-                    cq.fold(i, e.id.ms, &r);
-                }
-            }
-            arms.push(ArmFeed { table, seed_epoch: batch.epoch, folded_through: batch.last_id });
+            let mut arm = ArmFeed { table, source, folded_from: None, folded_through: None };
+            arm.fold(i, &mut cq, source, &batch.entries);
+            arms.push(arm);
         }
         Self {
             publisher: broker.publisher(name),
@@ -159,8 +184,8 @@ impl ContinuousVertex {
     }
 
     /// Has the fold consumed every record published to every input topic,
-    /// with no eviction since the seed? Only then may the standing result
-    /// substitute for a fresh scan.
+    /// and does each topic still retain every record it consumed? Only
+    /// then may the standing result substitute for a fresh scan.
     pub fn caught_up(&self) -> bool {
         self.inner.lock().caught_up(&self.broker)
     }
@@ -191,13 +216,14 @@ impl ContinuousVertex {
         let inner = &mut *guard;
         let mut folded = 0u64;
         for (i, arm) in inner.arms.iter_mut().enumerate() {
-            for e in &self.broker.read_after(&arm.table, arm.folded_through, usize::MAX) {
-                if let Ok(r) = Record::decode(&e.payload) {
-                    inner.cq.fold(i, e.id.ms, &r);
-                    folded += 1;
-                }
-                arm.folded_through = Some(e.id);
-            }
+            // Read before the rows: an incarnation that changes in between
+            // leaves the arm stale, never wrongly caught up.
+            let source = match arm.folded_from {
+                Some(_) => arm.source,
+                None => self.broker.scan_meta(&arm.table).source,
+            };
+            let entries = self.broker.read_after(&arm.table, arm.folded_through, usize::MAX);
+            folded += arm.fold(i, &mut inner.cq, source, &entries);
         }
         self.folds.add(folded);
         let result = match inner.cq.result() {
@@ -233,13 +259,18 @@ mod tests {
     use apollo_cluster::metrics::TraceSource;
     use apollo_cluster::series::TimeSeries;
     use apollo_query::exec::QueryEngine;
+    use apollo_runtime::event_loop::EventLoop;
+    use apollo_streams::StreamConfig;
     use std::sync::Arc;
     use std::time::Duration;
 
     const NS: u64 = 1_000_000_000;
+    const AVG: &str = "SELECT AVG(metric) FROM cap";
 
-    fn ramp_service() -> Apollo {
-        let mut apollo = Apollo::new_virtual();
+    /// A 1 Hz ramp fact `cap` on a virtual-clock service whose topics
+    /// retain per `streams`.
+    fn ramp_service(streams: StreamConfig) -> Apollo {
+        let mut apollo = Apollo::with_config(EventLoop::new_virtual(), streams);
         let trace = TimeSeries::from_points((0..60u64).map(|i| (i * NS, i as f64)).collect());
         apollo
             .register_fact(FactVertexSpec::fixed(
@@ -253,7 +284,7 @@ mod tests {
 
     #[test]
     fn standing_query_seeds_folds_and_matches_rescan() {
-        let mut apollo = ramp_service();
+        let mut apollo = ramp_service(StreamConfig::default());
         // Pre-existing history exercises the seed path.
         apollo.run_for(Duration::from_secs(3));
         let cv = apollo
@@ -268,7 +299,7 @@ mod tests {
 
     #[test]
     fn caught_up_queries_serve_incrementally_without_scanning() {
-        let mut apollo = ramp_service();
+        let mut apollo = ramp_service(StreamConfig::default());
         apollo
             .register_continuous("cq/avg", "SELECT AVG(metric) FROM cap", Duration::from_secs(1))
             .unwrap();
@@ -287,9 +318,41 @@ mod tests {
         assert!(snap.histograms.contains_key("query.continuous.fold_ns"));
     }
 
+    /// A standing `AVG` over 20 ramp records, 12 of them evicted (kept or
+    /// dropped per `archive_evicted`), queried once and checked against a
+    /// rescan.
+    fn standing_avg_over_evictions(archive_evicted: bool) -> Apollo {
+        let mut apollo = ramp_service(StreamConfig { archive_evicted, ..StreamConfig::bounded(8) });
+        apollo.register_continuous("cq/avg", AVG, Duration::from_secs(1)).unwrap();
+        apollo.run_for(Duration::from_secs(20));
+        assert_eq!(apollo.broker().topic_info("cap").unwrap().window_len, 8, "the window evicted");
+        let out = apollo.query(AVG).unwrap();
+        let rescan = QueryEngine::new(apollo.broker().as_ref()).execute_sql(AVG).unwrap();
+        assert_eq!(out, rescan);
+        apollo
+    }
+
+    #[test]
+    fn an_archived_eviction_keeps_the_standing_query_serving() {
+        let apollo = standing_avg_over_evictions(true);
+        assert!(apollo.broker().topic_info("cap").unwrap().archived_len > 0);
+        let snap = apollo.metrics_snapshot();
+        assert_eq!(snap.counter("query.planner.incremental"), 1, "served by the standing fold");
+        assert_eq!(apollo.scan_cache().misses(), 0, "no scan happened");
+        assert_eq!(apollo.continuous()[0].result().unwrap().rows[0].counts.unwrap().measured, 20);
+    }
+
+    #[test]
+    fn a_dropped_eviction_falls_back_to_a_scan() {
+        let apollo = standing_avg_over_evictions(false);
+        assert_eq!(apollo.broker().topic_info("cap").unwrap().archived_len, 0);
+        assert_eq!(apollo.metrics_snapshot().counter("query.planner.incremental"), 0);
+        assert!(!apollo.continuous()[0].caught_up(), "the fold holds rows a rescan cannot see");
+    }
+
     #[test]
     fn stale_fold_falls_back_to_a_scan_then_recovers() {
-        let mut apollo = ramp_service();
+        let mut apollo = ramp_service(StreamConfig::default());
         apollo
             .register_continuous("cq/max", "SELECT MAX(metric) FROM cap", Duration::from_secs(1))
             .unwrap();
@@ -313,7 +376,7 @@ mod tests {
 
     #[test]
     fn changed_results_are_republished_as_facts() {
-        let mut apollo = ramp_service();
+        let mut apollo = ramp_service(StreamConfig::default());
         apollo
             .register_continuous("cq/avg", "SELECT AVG(metric) FROM cap", Duration::from_secs(1))
             .unwrap();
@@ -328,7 +391,7 @@ mod tests {
 
     #[test]
     fn join_queries_are_rejected_at_registration() {
-        let mut apollo = ramp_service();
+        let mut apollo = ramp_service(StreamConfig::default());
         let err = apollo
             .register_continuous(
                 "cq/j",
@@ -341,7 +404,7 @@ mod tests {
 
     #[test]
     fn unknown_input_topics_are_rejected() {
-        let mut apollo = ramp_service();
+        let mut apollo = ramp_service(StreamConfig::default());
         let err = apollo
             .register_continuous("cq/x", "SELECT AVG(metric) FROM nope", Duration::from_secs(1))
             .unwrap_err();

@@ -1175,11 +1175,11 @@ pub(crate) mod tests {
         // Query layer.
         assert_eq!(snap.counter("query.executed"), 1);
         // Scan-consistency layer: the decoded-scan cache counters and the
-        // per-topic epoch-retry/lag counters are all exported.
+        // per-topic lag/rejected-eviction counters are all exported.
         assert!(snap.counters.contains_key("query.scan_cache.hits"));
         assert!(snap.counters.contains_key("query.scan_cache.misses"));
         assert!(snap.counters.contains_key("query.scan_cache.invalidations"));
-        assert!(snap.counters.contains_key("streams.topic.cap.scan_epoch_retries"));
+        assert!(snap.counters.contains_key("streams.topic.cap.archive_rejected"));
         assert!(snap.counters.contains_key("streams.topic.cap.group_lagged"));
         // And the whole thing survives a JSON round-trip.
         let json = snap.to_json();

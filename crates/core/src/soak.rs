@@ -7,7 +7,7 @@
 //!
 //! 1. **`scan_exactly_once`** — no scan observation is lost or
 //!    duplicated: a consumer group drained at every checkpoint must see
-//!    exactly the entries an epoch-validated full-range stitch sees, and
+//!    exactly the entries a lock-held full-range stitch sees, and
 //!    that stitch must account for every append the topic ever took (the
 //!    `eviction_interleaving` contract, checked live under eviction
 //!    storms, clock skew and backpressure bursts).
@@ -696,7 +696,7 @@ pub fn run_compiled(config: &SoakConfig, compiled: &CompiledChaos) -> SoakOutcom
     let mut scanned_entries = 0u64;
     let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
     for (topic, _) in &groups {
-        // Authoritative epoch-validated stitch over archive + window.
+        // Authoritative stitch over archive + window, under the window lock.
         let full = broker.range(topic, StreamId::MIN, StreamId::MAX);
         let info = broker.topic_info(topic).expect("sampled topic exists");
         if full.len() as u64 != info.published {

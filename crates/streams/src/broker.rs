@@ -35,7 +35,7 @@
 use crate::entry::Entry;
 use crate::id::StreamId;
 use crate::slab::SlabCursor;
-use crate::stream::{ColumnBatch, ScanBatch, SpillBackend, Stream, StreamConfig};
+use crate::stream::{ColumnBatch, ScanBatch, ScanMeta, SpillBackend, Stream, StreamConfig};
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, VecDeque};
@@ -365,11 +365,10 @@ impl TopicObs {
     ) -> Self {
         // The per-topic publish counter is backed by the atomic the
         // publish path already increments, so exporting it is free — and
-        // the scan-retry / group-lag / rejected-eviction counters are
-        // likewise backed by the cells the stream already maintains.
+        // the group-lag / rejected-eviction counters are likewise backed
+        // by the cells the stream already maintains.
         let _ = registry.counter_backed_by(&format!("streams.topic.{topic}.published"), published);
         for (name, cell) in [
-            ("scan_epoch_retries", stream.scan_epoch_retries_cell()),
             ("group_lagged", stream.group_lagged_cell()),
             ("group_lapped", stream.group_lapped_cell()),
             ("archive_rejected", stream.archive_rejected_cell()),
@@ -495,9 +494,6 @@ pub struct TopicInfo {
     /// Auto-ID appends whose wall-clock `ms` regressed and were clamped
     /// forward to keep IDs monotonic (see [`Stream::clock_regressions`]).
     pub clock_regressions: u64,
-    /// Optimistic range stitches that retried because an eviction moved
-    /// the epoch mid-read (see [`Stream::scan_epoch_retries`]).
-    pub scan_epoch_retries: u64,
     /// Entries served to consumer groups out of the archive because the
     /// group cursor trailed the live window (see [`Stream::group_lagged`]).
     pub group_lagged: u64,
@@ -942,20 +938,10 @@ impl Broker {
 
     /// Consistent batched scan of a topic by ID: entries plus pre-decoded
     /// records in one pass (see [`Stream::scan_batch`]). An unknown topic
-    /// yields an empty batch with the `(0, None)` snapshot key — the same
-    /// key an existing-but-never-written topic reports, since both read
-    /// as empty.
+    /// yields an empty batch with no `last_id` — as an
+    /// existing-but-never-written topic does, since both read as empty.
     pub fn scan_batch(&self, topic: &str, start: StreamId, end: StreamId) -> ScanBatch {
-        match self.lookup(topic) {
-            Some(t) => t.stream.scan_batch(start, end),
-            None => ScanBatch {
-                entries: Vec::new(),
-                records: Vec::new(),
-                corrupt: 0,
-                epoch: 0,
-                last_id: None,
-            },
-        }
+        self.lookup(topic).map(|t| t.stream.scan_batch(start, end)).unwrap_or_default()
     }
 
     /// [`Broker::scan_batch`] keyed by millisecond timestamp.
@@ -966,8 +952,8 @@ impl Broker {
     /// Consistent columnar scan of a topic (see [`Stream::scan_columns`]):
     /// the decoded fields land in per-field vectors instead of
     /// `Record` structs — what the vectorized query path iterates. An
-    /// unknown topic yields an empty batch with the `(0, None)` snapshot
-    /// key, mirroring [`Broker::scan_batch`].
+    /// unknown topic yields an empty batch with the empty snapshot,
+    /// mirroring [`Broker::scan_batch`].
     pub fn scan_columns(&self, topic: &str, start: StreamId, end: StreamId) -> ColumnBatch {
         match self.lookup(topic) {
             Some(t) => t.stream.scan_columns(start, end),
@@ -987,10 +973,10 @@ impl Broker {
         self.lookup(topic).is_some_and(|t| t.stream.extend_columns(tail))
     }
 
-    /// A topic's `(eviction_epoch, last_id)` snapshot key (see
-    /// [`Stream::scan_meta`]); `(0, None)` for an unknown topic.
-    pub fn scan_meta(&self, topic: &str) -> (u64, Option<StreamId>) {
-        self.lookup(topic).map(|t| t.stream.scan_meta()).unwrap_or((0, None))
+    /// A topic's snapshot (see [`Stream::scan_meta`]); the empty one
+    /// (source 0, no IDs) for an unknown topic.
+    pub fn scan_meta(&self, topic: &str) -> ScanMeta {
+        self.lookup(topic).map(|t| t.stream.scan_meta()).unwrap_or_default()
     }
 
     /// Entries ever published on a topic (including archived).
@@ -1030,7 +1016,6 @@ impl Broker {
             last_id: t.stream.last_id(),
             memory_bytes: t.stream.approx_memory_bytes(),
             clock_regressions: t.stream.clock_regressions(),
-            scan_epoch_retries: t.stream.scan_epoch_retries(),
             group_lagged: t.stream.group_lagged(),
         })
     }
@@ -1810,7 +1795,7 @@ mod tests {
         assert!(b.range_by_time("ghost", 0, u64::MAX).is_empty());
         let batch = b.scan_batch("ghost", StreamId::MIN, StreamId::MAX);
         assert!(batch.entries.is_empty() && batch.records.is_empty());
-        assert_eq!(b.scan_meta("ghost"), (0, None));
+        assert_eq!(b.scan_meta("ghost"), ScanMeta::default());
         assert_eq!(b.topic_len("ghost"), 0);
         assert!(b.dead_letters("ghost").is_empty());
         assert!(b.topic_info("ghost").is_none());
@@ -1912,8 +1897,7 @@ mod tests {
         assert_eq!(batch.records.len(), 2);
         assert_eq!(batch.corrupt, 0);
         assert_eq!(batch.records[0].value, 1.0);
-        let (epoch, last_id) = b.scan_meta("cpu");
-        assert_eq!((batch.epoch, batch.last_id.is_some()), (epoch, last_id.is_some()));
+        assert_eq!(batch.last_id, b.scan_meta("cpu").last_id);
     }
 
     #[test]
@@ -1928,9 +1912,10 @@ mod tests {
         g.read_new("c", 100).unwrap();
         let snap = reg.snapshot();
         assert_eq!(snap.counter("streams.topic.t.group_lagged"), 4);
-        // No concurrent eviction raced these scans, so retries stay 0 —
-        // but the counter is registered and exported.
-        assert_eq!(snap.counter("streams.topic.t.scan_epoch_retries"), 0);
+        // Every eviction fit its slot, so nothing was rejected — but the
+        // counter is registered and exported.
+        assert!(snap.counters.contains_key("streams.topic.t.archive_rejected"));
+        assert_eq!(snap.counter("streams.topic.t.archive_rejected"), 0);
     }
 
     #[test]

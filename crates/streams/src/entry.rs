@@ -1,4 +1,4 @@
-//! Stream entries.
+//! Stream entries, and the sink a range walk lands them in.
 
 use crate::id::StreamId;
 use bytes::Bytes;
@@ -39,16 +39,12 @@ impl Entry {
 }
 
 /// Where a range walk lands its rows: the archive's slab ring and the
-/// stream window are each walked once, generically over the sink. A
-/// `Vec<Entry>` materialises entries; a [`crate::ColumnBatch`] decodes each
-/// payload where the walk finds it and never builds one.
+/// stream window are each walked once, under the stream's window read
+/// lock, generically over the sink. A walk makes one pass, so a sink only
+/// ever grows. A `Vec<Entry>` materialises entries; a
+/// [`crate::ColumnBatch`] decodes each payload where the walk finds it and
+/// never builds one.
 pub(crate) trait RowSink {
-    /// What [`RowSink::rewind`] needs to undo every push since `mark`.
-    type Mark: Copy;
-    fn mark(&self) -> Self::Mark;
-    /// Drop every row (and side count) pushed since `mark`: a lapped ring
-    /// read or an epoch that moved mid-stitch starts over from there.
-    fn rewind(&mut self, mark: Self::Mark);
     /// Make room for exactly `rows` more (no slack: batches are cached).
     fn reserve(&mut self, rows: usize);
     /// A row borrowed from the walker's scratch: copy or decode it now.
@@ -62,13 +58,6 @@ pub(crate) trait RowSink {
 /// A record row, from the slot scratch or the window, is copied into the
 /// entry in place: the sink allocates only the `Vec`.
 impl RowSink for Vec<Entry> {
-    type Mark = usize;
-    fn mark(&self) -> usize {
-        self.len()
-    }
-    fn rewind(&mut self, mark: usize) {
-        self.truncate(mark);
-    }
     fn reserve(&mut self, rows: usize) {
         self.reserve_exact(rows);
     }

@@ -52,7 +52,7 @@ pub use id::StreamId;
 pub use slab::{
     CompactPolicy, CompactReport, SlabConfig, SlabDirError, SlabStats, SlabStore, TierConfig,
 };
-pub use stream::{ColumnBatch, ScanBatch, SpillBackend, Stream, StreamConfig};
+pub use stream::{ColumnBatch, ScanBatch, ScanMeta, SpillBackend, Stream, StreamConfig};
 
 /// The Archiver's contract (§3.1: evicted entries stay readable by ID
 /// range), pinned over the ring a stream's evictions land in — the

@@ -53,9 +53,10 @@
 //! counter ([`dir_full_cell`]) instead of a silent fallback.
 //!
 //! A [`crate::Stream`] holds its ring directly, selected by
-//! [`crate::StreamConfig`]'s `spill` backend. The eviction-epoch
-//! exactly-once scan contract: the slot write happens under the stream's
-//! window write lock, *before* the epoch bump.
+//! [`crate::StreamConfig`]'s `spill` backend. The exactly-once scan
+//! contract is the stream's window lock: the slot write happens under its
+//! write lock, and every ring read the stream makes holds its read lock,
+//! so a read never races the ring's one writer.
 
 use crate::entry::{Entry, RowSink};
 use crate::id::StreamId;
@@ -108,10 +109,6 @@ const H_MAX_CURSORS: usize = 24;
 const H_TIER_COUNT: usize = 28;
 const H_TIERS: usize = 32; // MAX_TIERS × (interval_ms u64, buckets u64)
 const H_CONFIG_HASH: usize = H_TIERS + MAX_TIERS * 16;
-
-/// Ring reads retry this many times when the writer laps them mid-copy
-/// before falling back to per-entry checksum verification.
-const RING_READ_ATTEMPTS: usize = 8;
 
 /// One consolidation tier: fold raw records into `buckets` ring-buffered
 /// aggregate buckets of `interval_ms` width each.
@@ -1393,8 +1390,8 @@ impl SlabSeries {
     /// not fit the inline slot capacity: such an entry is not recorded.
     ///
     /// Single-writer: callers serialize writes per series (the stream's
-    /// window write lock does this in practice). Concurrent readers are
-    /// safe — they revalidate against `head` and the slot checksum.
+    /// window write lock does this in practice). A read is exact only
+    /// while no `record` on the series runs (see [`SlabSeries::range_into`]).
     pub fn record(&self, id: StreamId, payload: &[u8]) -> bool {
         if payload.len() > self.payload_cap {
             self.store.oversize_rejected.fetch_add(1, Ordering::Relaxed);
@@ -1464,12 +1461,17 @@ impl SlabSeries {
 
     /// All committed entries with `start <= id <= end`, appended to `out`
     /// in ID order.
+    ///
+    /// The read is exact while no [`SlabSeries::record`] on the series
+    /// runs; the owning [`crate::Stream`] guarantees that by reading under
+    /// its window lock, which every eviction holds for writing. A slot
+    /// that fails its checksum (a crash tore it) is skipped.
     pub fn range_into(&self, start: StreamId, end: StreamId, out: &mut Vec<Entry>) {
         self.walk(start, end, usize::MAX, out);
     }
 
-    /// Like [`SlabSeries::range_into`] but stops after `max` entries (the
-    /// oldest `max` in range).
+    /// Like [`SlabSeries::range_into`] (same contract) but stops after
+    /// `max` entries (the oldest `max` in range).
     pub fn range_limited_into(
         &self,
         start: StreamId,
@@ -1480,9 +1482,10 @@ impl SlabSeries {
         self.walk(start, end, max, out);
     }
 
-    /// The one ring walk: the oldest `max` rows with `start <= id <= end`
-    /// go to `sink` in ID order. Each slot is copied into one scratch,
-    /// checksum-verified there, and lent to the sink.
+    /// The one ring walk, one pass: the oldest `max` rows with
+    /// `start <= id <= end` go to `sink` in ID order. Each slot is copied
+    /// into one scratch, checksum-verified there, and lent to the sink.
+    /// Same contract as [`SlabSeries::range_into`].
     pub(crate) fn walk<S: RowSink>(
         &self,
         start: StreamId,
@@ -1490,39 +1493,25 @@ impl SlabSeries {
         max: usize,
         sink: &mut S,
     ) {
-        let mark = sink.mark();
+        let head = self.head_cell().load(Ordering::Acquire);
+        let floor = self.floor_for(head);
+        // Rows newer than any the ring holds — what extending a cached
+        // tail asks for nearly every time — need no search.
+        let all_older = floor < head && self.id_at(head - 1) < start;
+        let lo = if all_older { head } else { self.partition(floor, head, |id| id < start) };
+        // `hi >= lo` even for an inverted range, which selects nothing.
+        let hi = self.partition(lo, head, |id| id <= end);
+        let hi = hi.clamp(lo, lo.saturating_add(max as u64));
+        sink.reserve((hi - lo) as usize);
         let mut payload = Vec::new();
-        'attempt: for attempt in 0..=RING_READ_ATTEMPTS {
-            sink.rewind(mark);
-            let verify = attempt == RING_READ_ATTEMPTS;
-            let head = self.head_cell().load(Ordering::Acquire);
-            let floor = self.floor_for(head);
-            // Rows newer than any the ring holds — what extending a cached
-            // tail asks for nearly every time — need no search.
-            let all_older = floor < head && self.id_at(head - 1) < start;
-            let lo = if all_older { head } else { self.partition(floor, head, |id| id < start) };
-            // `hi >= lo` even for an inverted range, which selects nothing.
-            let hi = self.partition(lo, head, |id| id <= end);
-            let hi = hi.clamp(lo, lo.saturating_add(max as u64));
-            sink.reserve((hi - lo) as usize);
-            for i in lo..hi {
-                match self.store.read_slot(self.slot_offset(i), &mut payload) {
-                    Some(id) => sink.push_row(id, &payload),
-                    None if verify => {} // torn mid-overwrite: drop just that slot
-                    None => continue 'attempt,
-                }
-            }
-            // If the writer lapped the ring past our oldest copied slot,
-            // some copies may be torn — retry (or, on the final verified
-            // attempt, trust the per-slot checksums).
-            let head_now = self.head_cell().load(Ordering::Acquire);
-            if verify || lo >= head_now.saturating_sub(self.store.cfg.slots as u64) {
-                return;
+        for i in lo..hi {
+            if let Some(id) = self.store.read_slot(self.slot_offset(i), &mut payload) {
+                sink.push_row(id, &payload);
             }
         }
     }
 
-    /// Convenience wrapper over [`SlabSeries::range_into`].
+    /// Convenience wrapper over [`SlabSeries::range_into`] (same contract).
     pub fn range(&self, start: StreamId, end: StreamId) -> Vec<Entry> {
         let mut out = Vec::new();
         self.range_into(start, end, &mut out);

@@ -10,7 +10,9 @@
 //! exactly how the Query Executor "parses the queue (or the persisted log
 //! for evicted entries) using timestamp-based indexing" — one walk with two
 //! destinations: entries ([`Stream::range`]) or decoded columns
-//! ([`Stream::scan_columns`]).
+//! ([`Stream::scan_columns`]). The walk holds the window read lock across
+//! the ring and the window; evictions hold its write lock, so a stitched
+//! read is one snapshot with no retry.
 
 use crate::codec::Record;
 use crate::entry::{Entry, RowSink};
@@ -121,7 +123,7 @@ impl std::error::Error for IdNotIncreasing {}
 /// archive+window snapshot plus their payloads pre-decoded as telemetry
 /// [`Record`]s in the same pass — the batched read the query executor
 /// uses so a scan decodes each payload exactly once.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ScanBatch {
     /// The raw entries, in ID order.
     pub entries: Vec<Entry>,
@@ -130,8 +132,6 @@ pub struct ScanBatch {
     pub records: Vec<Record>,
     /// Payloads that were not valid [`Record`] frames.
     pub corrupt: u64,
-    /// The stream's eviction epoch at the snapshot point.
-    pub epoch: u64,
     /// The stream's last assigned ID at the snapshot point.
     pub last_id: Option<StreamId>,
 }
@@ -145,14 +145,14 @@ pub struct ScanBatch {
 /// [`ScanBatch::records`] skips them, so index *i* here is record *i*
 /// there.
 ///
-/// The batch carries the **three-part snapshot** its walk took under one
-/// window lock — `epoch`, `last_id`, `first_id` — which is what lets a
-/// cache keep a batch scanned to the stream's end as a *tail*:
+/// The batch carries the **snapshot** ([`ScanMeta`]) its walk took under
+/// the window lock — which stream, `last_id`, `first_id` — which is what
+/// lets a cache keep a batch scanned to the stream's end as a *tail*:
 /// [`Stream::extend_columns`] appends the rows published after `last_id`
-/// and refreshes the three parts, `first_id` says whether the stream
-/// still retains the batch's oldest rows ([`ColumnBatch::trim_before`]
-/// drops the ones it lost), and [`ColumnBatch::rows_in`] finds any
-/// window's rows by the ID milliseconds the window is defined on.
+/// and refreshes the snapshot, `first_id` says whether the stream still
+/// retains the batch's oldest rows ([`ColumnBatch::trim_before`] drops
+/// the ones it lost), and [`ColumnBatch::rows_in`] finds any window's rows
+/// by the ID milliseconds the window is defined on.
 #[derive(Debug, Clone, Default)]
 pub struct ColumnBatch {
     /// Millisecond part of each row's [`StreamId`] — the key time windows
@@ -168,39 +168,36 @@ pub struct ColumnBatch {
     pub provenance: Vec<u8>,
     /// Payloads that were not valid [`Record`] frames.
     pub corrupt: u64,
-    /// The stream's eviction epoch at the snapshot point.
-    pub epoch: u64,
-    /// The stream's last assigned ID at the snapshot point.
+    /// [`ScanMeta::last_id`] at the snapshot point.
     pub last_id: Option<StreamId>,
-    /// The oldest ID the stream still retained at the snapshot point (the
-    /// archive's oldest row, else the window's front): retention only
-    /// ever drops a stream's oldest rows, so every row appended with an
-    /// ID from here on was readable.
+    /// [`ScanMeta::first_id`] at the snapshot point: every row appended
+    /// with an ID from here on was readable.
     pub first_id: Option<StreamId>,
-    /// Which [`Stream`] the snapshot is of (0: none). A topic removed and
-    /// re-created under its name is a different stream whose IDs and
-    /// epochs start over, and a ring that rejected an evicted entry lost a
-    /// row that is not the stream's oldest, so the three parts alone cannot
-    /// tell.
+    /// [`ScanMeta::source`]: which [`Stream`] the snapshot is of.
     source: u64,
     /// Set, never cleared, when a decoded row's record timestamp was below
-    /// its predecessor's. Rows dropped by a rewind or a trim leave it set:
-    /// it may say "regressed" of a batch that is sorted, never the reverse.
+    /// its predecessor's. Rows dropped by a trim leave it set: it may say
+    /// "regressed" of a batch that is sorted, never the reverse.
     ts_regressed: bool,
 }
 
+/// A stream's snapshot, read under the window lock a walk's rows came
+/// from (or alone, by [`Stream::scan_meta`]); a [`ColumnBatch`] carries it.
+/// While it stands still the stream's content has not changed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ScanMeta {
+    /// Which [`Stream`] incarnation (0: none): a re-created topic's IDs
+    /// start over, and a ring that rejected an evicted entry lost a row
+    /// that is not the stream's oldest, so the two IDs alone cannot tell.
+    pub source: u64,
+    /// The oldest ID the stream retained (the archive's oldest row, else
+    /// the window's front): retention only drops a stream's oldest rows.
+    pub first_id: Option<StreamId>,
+    /// The stream's last assigned ID.
+    pub last_id: Option<StreamId>,
+}
+
 impl RowSink for ColumnBatch {
-    type Mark = (usize, u64);
-    fn mark(&self) -> (usize, u64) {
-        (self.len(), self.corrupt)
-    }
-    fn rewind(&mut self, (rows, corrupt): (usize, u64)) {
-        self.ids_ms.truncate(rows);
-        self.timestamps_ns.truncate(rows);
-        self.values.truncate(rows);
-        self.provenance.truncate(rows);
-        self.corrupt = corrupt;
-    }
     fn reserve(&mut self, rows: usize) {
         self.ids_ms.reserve_exact(rows);
         self.timestamps_ns.reserve_exact(rows);
@@ -229,15 +226,6 @@ impl RowSink for ColumnBatch {
 struct TailSink<'a>(&'a mut Arc<ColumnBatch>);
 
 impl RowSink for TailSink<'_> {
-    type Mark = (usize, u64);
-    fn mark(&self) -> (usize, u64) {
-        self.0.mark()
-    }
-    fn rewind(&mut self, mark: (usize, u64)) {
-        if self.0.mark() != mark {
-            Arc::make_mut(self.0).rewind(mark);
-        }
-    }
     fn reserve(&mut self, rows: usize) {
         if rows > 0 {
             let b = Arc::make_mut(self.0);
@@ -297,25 +285,18 @@ pub struct Stream {
     config: StreamConfig,
     window: RwLock<Window>,
     /// The ring evictions land in: attached at creation to a shared
-    /// store's series, else created at the first eviction. Set under the
-    /// window write lock, before the epoch bump that eviction makes.
+    /// store's series, else created at the first eviction. Set, and
+    /// written, only under the window write lock.
     archive: OnceLock<SlabSeries>,
     /// Auto-ID appends whose `ms` was behind the last ID's ms-part (the
     /// wall clock regressed); their IDs were clamped forward to stay
     /// monotonic. See [`Stream::range_by_time`] for the contract.
     clock_regressions: AtomicU64,
-    /// Eviction epoch: bumped (under the window write lock, after the
-    /// evicted entries have landed in the archive) every time a push
-    /// evicts. Readers use it to detect an eviction racing an
-    /// archive+window stitch; caches use it as an invalidation key.
-    epoch: AtomicU64,
-    /// Optimistic range stitches that observed the epoch move mid-read
-    /// and retried. Behind an `Arc` so the broker can export the cell as
-    /// a metrics counter without a second increment on the read path.
-    scan_epoch_retries: Arc<AtomicU64>,
     /// Entries served out of the archive by [`Stream::read_after`]: the
     /// cursor (a consumer group's, in practice) trailed the live window
     /// because retention evicted entries before they were delivered.
+    /// Behind an `Arc` so the broker can export the cell as a metrics
+    /// counter without a second increment on the read path.
     group_lagged: Arc<AtomicU64>,
     /// [`Stream::read_after`] calls whose cursor trailed a lapped ring's
     /// floor: the rows between the cursor and the floor were skipped.
@@ -323,7 +304,7 @@ pub struct Stream {
     /// Evicted entries the ring could not hold (payload over its slot
     /// capacity): dropped, not archived.
     archive_rejected: Arc<AtomicU64>,
-    /// Process-unique, non-zero: what [`ColumnBatch`] snapshots name their
+    /// Process-unique, non-zero: what [`ScanMeta`] snapshots name their
     /// stream by. Renewed when the ring rejects an evicted entry, whose row
     /// a snapshot may hold but the stream no longer does.
     incarnation: AtomicU64,
@@ -334,19 +315,6 @@ fn next_incarnation() -> u64 {
     static INCARNATIONS: AtomicU64 = AtomicU64::new(1);
     INCARNATIONS.fetch_add(1, Ordering::Relaxed)
 }
-
-/// What a range walk saw of its stream, read under one window lock.
-struct Snapshot {
-    epoch: u64,
-    last_id: Option<StreamId>,
-    first_id: Option<StreamId>,
-    source: u64,
-}
-
-/// Attempts [`Stream::range`] makes optimistically (archive scanned
-/// outside the window lock) before falling back to the pessimistic
-/// combined view that holds the window read lock across both reads.
-const RANGE_OPTIMISTIC_ATTEMPTS: usize = 2;
 
 impl Stream {
     /// Create a stream with the given retention config. Nothing is
@@ -389,8 +357,6 @@ impl Stream {
             window: RwLock::new(window),
             archive: attached.map_or_else(OnceLock::new, OnceLock::from),
             clock_regressions: AtomicU64::new(0),
-            epoch: AtomicU64::new(0),
-            scan_epoch_retries: Arc::new(AtomicU64::new(0)),
             group_lagged: Arc::new(AtomicU64::new(0)),
             group_lapped: Arc::new(AtomicU64::new(0)),
             archive_rejected: Arc::new(AtomicU64::new(0)),
@@ -468,22 +434,11 @@ impl Stream {
     fn push_locked(&self, w: &mut Window, entry: Entry) {
         w.last_id = Some(entry.id);
         w.entries.push_back(entry);
-        if let Some(max) = self.config.max_len {
-            let mut evicted_any = false;
-            while w.entries.len() > max {
-                let Some(evicted) = w.entries.pop_front() else { break };
-                if self.config.archive_evicted {
-                    self.spill(&evicted);
-                }
-                evicted_any = true;
-            }
-            // The epoch moves only after the evicted entries are fully
-            // readable from the archive (still under the write lock): an
-            // optimistic reader that saw a stable epoch around its archive
-            // read is guaranteed the archive already held everything the
-            // window no longer does.
-            if evicted_any {
-                self.epoch.fetch_add(1, Ordering::Release);
+        let Some(max) = self.config.max_len else { return };
+        while w.entries.len() > max {
+            let Some(evicted) = w.entries.pop_front() else { break };
+            if self.config.archive_evicted {
+                self.spill(&evicted);
             }
         }
     }
@@ -543,16 +498,10 @@ impl Stream {
     /// All entries with `start <= id <= end` in ID order, stitching the
     /// archive (older) and the live window (newer) together.
     ///
-    /// The stitch observes an **atomic archive+window snapshot**: a
-    /// concurrent eviction can never move an entry out of the window
-    /// between the two reads, so a scan racing retention sees no gaps and
-    /// no duplicates. The fast path scans the archive outside the window
-    /// lock and validates the eviction epoch after acquiring it; if the
-    /// epoch moved mid-read the stitch retries (counted in
-    /// [`Stream::scan_epoch_retries`]) and, under sustained eviction
-    /// pressure, falls back to holding the window read lock across both
-    /// reads — evictions need the write lock, so that view is consistent
-    /// by construction.
+    /// The stitch observes an **atomic archive+window snapshot**: it holds
+    /// the window read lock across both reads, and evictions need the
+    /// write lock, so a scan racing retention sees no gaps and no
+    /// duplicates.
     pub fn range(&self, start: StreamId, end: StreamId) -> Vec<Entry> {
         let mut out = Vec::new();
         self.walk(start, end, &mut out);
@@ -560,54 +509,31 @@ impl Stream {
     }
 
     /// The stitch behind [`Stream::range`], generic over where the rows
-    /// land. Returns the three-part snapshot observed under the window
-    /// lock the rows were read under (see [`Stream::scan_meta`]); a retried
-    /// attempt first rewinds the sink, so what it gained on return is
-    /// exactly one snapshot's rows and counts.
-    fn walk<S: RowSink>(&self, start: StreamId, end: StreamId, sink: &mut S) -> Snapshot {
-        let mark = sink.mark();
-        for attempt in 0.. {
-            sink.rewind(mark);
-            let optimistic = attempt < RANGE_OPTIMISTIC_ATTEMPTS;
-            let before = self.epoch.load(Ordering::Acquire);
-            let walk_ring = |sink: &mut S| {
-                if let Some(ring) = self.archive() {
-                    ring.walk(start, end, usize::MAX, sink);
-                }
-            };
-            if optimistic {
-                walk_ring(sink);
-            }
-            let w = self.window.read();
-            let epoch = self.epoch.load(Ordering::Acquire);
-            if optimistic && epoch != before {
-                // An eviction landed between the archive read and the
-                // window lock: the window may have shed entries our
-                // archive pass never saw. Re-stitch.
-                drop(w);
-                self.scan_epoch_retries.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            if !optimistic {
-                // Pessimistic combined view: evictions take the window
-                // write lock, so the archive is frozen while we hold the
-                // read lock (lock order window -> archive matches the
-                // eviction path).
-                walk_ring(sink);
-            }
-            let lo = partition_point_deque(&w.entries, |e| e.id < start);
-            // `hi >= lo` even for an inverted range, which selects nothing.
-            let hi = partition_point_deque(&w.entries, |e| e.id <= end).max(lo);
-            sink.reserve(hi - lo);
-            sink.push_entries(w.entries.range(lo..hi));
-            // Evictions hold the window write lock, so the archive cannot
-            // lose or gain a row while this reads its oldest.
-            let first_id = (self.archive().and_then(SlabSeries::first_id))
-                .or_else(|| w.entries.front().map(|e| e.id));
-            let source = self.incarnation.load(Ordering::Relaxed);
-            return Snapshot { epoch, last_id: w.last_id, first_id, source };
+    /// land: the ring, then the window, under one hold of the window read
+    /// lock (evictions, the ring's only writer, take it for writing, in
+    /// the same window -> ring order), and the snapshot read under it.
+    fn walk<S: RowSink>(&self, start: StreamId, end: StreamId, sink: &mut S) -> ScanMeta {
+        let w = self.window.read();
+        if let Some(ring) = self.archive() {
+            ring.walk(start, end, usize::MAX, sink);
         }
-        unreachable!("range loop always returns")
+        let lo = partition_point_deque(&w.entries, |e| e.id < start);
+        // `hi >= lo` even for an inverted range, which selects nothing.
+        let hi = partition_point_deque(&w.entries, |e| e.id <= end).max(lo);
+        sink.reserve(hi - lo);
+        sink.push_entries(w.entries.range(lo..hi));
+        self.meta_locked(&w)
+    }
+
+    /// The snapshot of a stream whose window lock `w` is held: the ring
+    /// cannot lose or gain a row while this reads its oldest.
+    fn meta_locked(&self, w: &Window) -> ScanMeta {
+        ScanMeta {
+            source: self.incarnation.load(Ordering::Relaxed),
+            first_id: (self.archive().and_then(SlabSeries::first_id))
+                .or_else(|| w.entries.front().map(|e| e.id)),
+            last_id: w.last_id,
+        }
     }
 
     /// All entries strictly after `cursor` (or from the very beginning
@@ -653,33 +579,10 @@ impl Stream {
         out
     }
 
-    /// The current eviction epoch: moves every time retention evicts at
-    /// least one entry. Stable epoch + stable [`Stream::last_id`] means
-    /// the stream's content is unchanged — the invalidation contract of
-    /// the query layer's decoded-window cache.
-    pub fn eviction_epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
-    }
-
-    /// `(eviction_epoch, last_id)` read under one lock: while the pair
-    /// stands still the stream's content has not changed. They are two
-    /// parts of the three-part snapshot every scan takes under that same
-    /// lock; the third, the oldest retained ID, travels with the columnar
-    /// form only ([`ColumnBatch::first_id`]), whose tails need it.
-    pub fn scan_meta(&self) -> (u64, Option<StreamId>) {
-        let w = self.window.read();
-        (self.epoch.load(Ordering::Acquire), w.last_id)
-    }
-
-    /// Optimistic range stitches that had to retry because an eviction
-    /// moved the epoch mid-read.
-    pub fn scan_epoch_retries(&self) -> u64 {
-        self.scan_epoch_retries.load(Ordering::Relaxed)
-    }
-
-    /// The retry counter cell, for zero-cost metrics export.
-    pub(crate) fn scan_epoch_retries_cell(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.scan_epoch_retries)
+    /// The snapshot every scan takes, read on its own under the window
+    /// lock: while it stands still the stream's content has not changed.
+    pub fn scan_meta(&self) -> ScanMeta {
+        self.meta_locked(&self.window.read())
     }
 
     /// Entries [`Stream::read_after`] served from the archive because the
@@ -717,12 +620,12 @@ impl Stream {
     }
 
     /// Consistent range scan with the payloads decoded as telemetry
-    /// [`Record`]s in the same pass: entries, records, and the
-    /// `(epoch, last_id)` snapshot key in one call, so the query path
-    /// decodes each payload exactly once per cache generation.
+    /// [`Record`]s in the same pass: entries, records, and the snapshot's
+    /// `last_id` in one call, so the query path decodes each payload
+    /// exactly once per cache generation.
     pub fn scan_batch(&self, start: StreamId, end: StreamId) -> ScanBatch {
         let mut entries = Vec::new();
-        let Snapshot { epoch, last_id, .. } = self.walk(start, end, &mut entries);
+        let last_id = self.walk(start, end, &mut entries).last_id;
         let mut records = Vec::with_capacity(entries.len());
         let mut corrupt = 0u64;
         for e in &entries {
@@ -731,7 +634,7 @@ impl Stream {
                 Err(_) => corrupt += 1,
             }
         }
-        ScanBatch { entries, records, corrupt, epoch, last_id }
+        ScanBatch { entries, records, corrupt, last_id }
     }
 
     /// [`Stream::scan_batch`] keyed by millisecond ID time (the contract
@@ -746,15 +649,15 @@ impl Stream {
     /// the walk finds it (slot scratch, window entry) and no entry is built.
     pub fn scan_columns(&self, start: StreamId, end: StreamId) -> ColumnBatch {
         let mut out = ColumnBatch::default();
-        let Snapshot { epoch, last_id, first_id, source } = self.walk(start, end, &mut out);
-        (out.epoch, out.last_id, out.first_id, out.source) = (epoch, last_id, first_id, source);
+        let ScanMeta { source, first_id, last_id } = self.walk(start, end, &mut out);
+        (out.source, out.first_id, out.last_id) = (source, first_id, last_id);
         out
     }
 
     /// Bring `tail` — a [`Stream::scan_columns`] of this stream that ran to
     /// its end — up to the present: the rows appended after its `last_id`
     /// land behind the ones it holds (one walk, one snapshot, as a scan)
-    /// and its three snapshot parts are refreshed, so it equals what a
+    /// and its snapshot is refreshed, so it equals what a
     /// scan from the same start would return now, plus whatever head rows
     /// the stream has lost since (the caller compares `first_id`). The
     /// `Arc` is un-shared only if something changed. Returns `false` when
@@ -773,9 +676,9 @@ impl Stream {
         if snap.source != tail.source {
             return false; // a rejected eviction raced the walk
         }
-        if (snap.epoch, snap.last_id, snap.first_id) != (tail.epoch, tail.last_id, tail.first_id) {
+        if (snap.first_id, snap.last_id) != (tail.first_id, tail.last_id) {
             let t = Arc::make_mut(tail);
-            (t.epoch, t.last_id, t.first_id) = (snap.epoch, snap.last_id, snap.first_id);
+            (t.first_id, t.last_id) = (snap.first_id, snap.last_id);
         }
         true
     }
@@ -1000,34 +903,26 @@ mod tests {
     }
 
     #[test]
-    fn epoch_bumps_on_eviction_even_without_archive() {
-        let archived = Stream::new("t", StreamConfig::bounded(2));
-        assert_eq!(archived.eviction_epoch(), 0);
-        archived.append(0, vec![]);
-        archived.append(1, vec![]);
-        assert_eq!(archived.eviction_epoch(), 0, "no eviction yet");
-        archived.append(2, vec![]);
-        assert_eq!(archived.eviction_epoch(), 1);
-
-        // Archive-less eviction still changes what a range returns, so it
-        // must still move the epoch (the cache invalidation key).
-        let dropping =
-            Stream::new("t", StreamConfig { archive_evicted: false, ..StreamConfig::bounded(2) });
-        dropping.append(0, vec![]);
-        dropping.append(1, vec![]);
-        dropping.append(2, vec![]);
-        assert_eq!(dropping.eviction_epoch(), 1);
-    }
-
-    #[test]
-    fn scan_meta_pairs_epoch_with_last_id() {
+    fn scan_meta_pairs_first_id_with_last_id() {
+        let ids = |m: ScanMeta| (m.first_id, m.last_id);
         let s = Stream::new("t", StreamConfig::bounded(2));
-        assert_eq!(s.scan_meta(), (0, None));
+        assert_eq!(ids(s.scan_meta()), (None, None));
         let a = s.append(5, vec![]);
-        assert_eq!(s.scan_meta(), (0, Some(a)));
+        assert_eq!(ids(s.scan_meta()), (Some(a), Some(a)));
         s.append(6, vec![]);
         let c = s.append(7, vec![]);
-        assert_eq!(s.scan_meta(), (1, Some(c)));
+        assert_eq!(ids(s.scan_meta()), (Some(a), Some(c)), "the eviction archived `a`");
+        let cols = s.scan_columns(StreamId::MIN, StreamId::MAX);
+        let carried =
+            ScanMeta { source: cols.source, first_id: cols.first_id, last_id: cols.last_id };
+        assert_eq!(s.scan_meta(), carried, "the snapshot a scan carries");
+
+        // An archive-less eviction changes what a range returns by moving
+        // the head.
+        let dropping =
+            Stream::new("t", StreamConfig { archive_evicted: false, ..StreamConfig::bounded(2) });
+        let ids: Vec<StreamId> = (5..8).map(|ms| dropping.append(ms, vec![])).collect();
+        assert_eq!(dropping.scan_meta().first_id, Some(ids[1]));
     }
 
     #[test]
@@ -1073,7 +968,7 @@ mod tests {
             batched.range(StreamId::MIN, StreamId::MAX),
             sequential.range(StreamId::MIN, StreamId::MAX)
         );
-        assert_eq!(batched.eviction_epoch(), sequential.eviction_epoch());
+        assert_eq!(batched.scan_meta().first_id, sequential.scan_meta().first_id);
         assert_eq!(batched.clock_regressions(), sequential.clock_regressions());
     }
 
@@ -1089,7 +984,6 @@ mod tests {
         assert_eq!(batch.entries.len(), 7);
         assert_eq!(batch.records.len(), 6);
         assert_eq!(batch.corrupt, 1);
-        assert_eq!(batch.epoch, s.eviction_epoch());
         assert_eq!(batch.last_id, s.last_id());
         assert!(batch.records.iter().enumerate().all(|(i, r)| r.value == i as f64));
 
@@ -1121,7 +1015,7 @@ mod tests {
         assert_eq!(tail.ids_ms, fresh.ids_ms);
         assert_eq!(tail.values, fresh.values);
         assert_eq!(tail.timestamps_ns, fresh.timestamps_ns);
-        let snap = |b: &ColumnBatch| (b.epoch, b.last_id, b.first_id, b.corrupt);
+        let snap = |b: &ColumnBatch| (b.last_id, b.first_id, b.corrupt);
         assert_eq!(snap(tail), snap(&fresh));
     }
 

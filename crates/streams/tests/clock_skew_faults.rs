@@ -8,8 +8,8 @@
 //! schedules and assert the clamp's contract:
 //!
 //! * assigned IDs stay strictly monotone no matter how far the clock
-//!   regresses, so eviction order — and therefore the eviction epoch and
-//!   the archive's ordered-append invariant — never corrupts;
+//!   regresses, so eviction order — and therefore the archive's
+//!   ordered-append invariant — never corrupts;
 //! * `clock_regressions` counts exactly the appends whose skewed
 //!   timestamp was not ahead of the stream head;
 //! * the full window+archive stitch loses nothing and stays ID-sorted
@@ -74,38 +74,6 @@ fn clamp_keeps_ids_monotone_through_skew_windows() {
 }
 
 #[test]
-fn eviction_epoch_stays_monotone_while_skew_is_active() {
-    let stream = Stream::new("skew-evict", StreamConfig::bounded(4));
-    // One long window covering most of the run: every in-window append
-    // regresses far behind the head, so the clamp fires while eviction is
-    // continuously active.
-    let windows = [SkewWindow { start_ms: 2_010, end_ms: 2_060, regression_ms: 1_000_000 }];
-
-    let mut epochs = Vec::new();
-    for true_ms in 2_000..2_080 {
-        stream.append(skewed_clock(&windows, true_ms), b"x".as_slice());
-        epochs.push(stream.eviction_epoch());
-        assert!(stream.len() <= 4, "window must stay bounded under skew");
-    }
-
-    assert!(epochs.windows(2).all(|w| w[0] <= w[1]), "eviction epoch regressed: {epochs:?}");
-    assert!(*epochs.last().unwrap() > 0, "eviction must have run");
-    assert!(stream.clock_regressions() >= 50, "whole window regresses");
-
-    // Archive ordering survived: the archive's own strictly-increasing
-    // append assertion would have panicked otherwise, but check the
-    // boundary explicitly — everything archived precedes the live window.
-    let archived_last =
-        stream.archive().and_then(|ring| ring.last_id()).expect("evictions archived");
-    let window_first = stream
-        .range(StreamId::MIN, StreamId::MAX)
-        .iter()
-        .map(|e| e.id)
-        .find(|id| *id > archived_last);
-    assert!(window_first.is_some(), "live window holds entries beyond the archive");
-}
-
-#[test]
 fn full_stitch_is_lossless_across_skew_and_eviction() {
     let stream = Stream::new("skew-stitch", StreamConfig::bounded(6));
     let windows = [
@@ -131,12 +99,13 @@ fn full_stitch_is_lossless_across_skew_and_eviction() {
         assert_eq!(u64::from_le_bytes(b), 3_000 + i as u64, "append order broken at {i}");
     }
 
-    // scan_batch over the full range agrees with range() and reports a
-    // stable epoch snapshot.
+    // scan_batch over the full range agrees with range(), and its snapshot
+    // is the stream's: the skewed run evicted, yet retains its first row.
     let scan = stream.scan_batch(StreamId::MIN, StreamId::MAX);
     assert_eq!(scan.entries.len(), all.len());
-    assert_eq!(scan.epoch, stream.eviction_epoch());
     assert_eq!(scan.last_id, stream.last_id());
+    let meta = stream.scan_meta();
+    assert_eq!((meta.first_id, meta.last_id), (Some(all[0].id), scan.last_id));
 }
 
 #[test]
@@ -202,5 +171,5 @@ fn concurrent_scans_stay_consistent_under_skewed_eviction() {
     // head (249 strictly-behind ticks; the tick that lands *on* the head
     // is a seq bump, not a regression); window 2 regresses for all 200.
     assert_eq!(stream.clock_regressions(), 249 + 200);
-    assert!(stream.eviction_epoch() > 0);
+    assert!(stream.archive().is_some_and(|ring| ring.live_len() > 0), "the run evicted");
 }

@@ -1,13 +1,13 @@
-//! Scan consistency under retention pressure: the eviction epoch, the
-//! archive stitch, batch publishing, and the epoch-invalidated query
-//! scan cache — driven end-to-end through the public `Apollo` surface.
+//! Scan consistency under retention pressure: the archive stitch, batch
+//! publishing, and the query scan cache's extended tail — driven
+//! end-to-end through the public `Apollo` surface.
 //!
 //! A topic with a tiny bounded window is filled far past retention, so
 //! almost every entry lives in the archive. The demo shows that range
 //! reads and consumer-group cursors still observe the full history
 //! exactly once, and that repeated AQE range queries are served from the
-//! scan cache until a publish or eviction moves the topic's
-//! `(epoch, last_id)` version.
+//! scan cache, whose tail a publish extends: the topic's snapshot
+//! `(first_id, last_id)` says what it holds.
 //!
 //! Run: `cargo run --release -p apollo-bench --example scan_consistency`
 
@@ -39,10 +39,17 @@ fn main() {
     println!("  range over everything: {} entries, strictly ordered: {ordered}", all.len());
     let batch = broker.scan_batch_by_time("pfs/capacity", 100, 199);
     println!(
-        "  scan_batch [100ms, 199ms]: {} entries, {} decoded records, snapshot epoch {}",
+        "  scan_batch [100ms, 199ms]: {} entries, {} decoded records",
         batch.entries.len(),
-        batch.records.len(),
-        batch.epoch
+        batch.records.len()
+    );
+    let meta = broker.scan_meta("pfs/capacity");
+    let show = |id: Option<StreamId>| id.map_or("-".to_string(), |id| id.to_string());
+    println!(
+        "  snapshot (first_id, last_id): ({}, {}), archived: {}",
+        show(meta.first_id),
+        show(meta.last_id),
+        info.archived_len
     );
 
     println!("\n== a slow consumer group is archive-stitched, not skipped ==");
@@ -64,8 +71,8 @@ fn main() {
     let info = broker.topic_info("pfs/capacity").expect("topic exists");
     println!("  cursor walk saw {seen} entries, gap-free: {gap_free}");
     println!(
-        "  served from archive (group_lagged): {}, epoch retries: {}",
-        info.group_lagged, info.scan_epoch_retries
+        "  served from archive (group_lagged): {}, archived: {}",
+        info.group_lagged, info.archived_len
     );
 
     println!("\n== repeated range queries hit the scan cache ==");
@@ -76,8 +83,8 @@ fn main() {
     let cache = apollo.scan_cache();
     println!("  after 2 runs: hits={} misses={}", cache.hits(), cache.misses());
 
-    // A fresh publish moves (epoch, last_id): the cached tail is
-    // extended by that one row, and the same query sees it.
+    // A fresh publish moves `last_id`: the cached tail is extended by
+    // that one row, and the same query sees it.
     broker.publish("pfs/capacity", 999, Record::measured(999_000_000, 5000.0).encode());
     let rows = apollo.query(sql).expect("query");
     println!(
@@ -94,7 +101,7 @@ fn main() {
         "query.scan_cache.misses",
         "query.scan_cache.invalidations",
         "streams.topic.pfs/capacity.group_lagged",
-        "streams.topic.pfs/capacity.scan_epoch_retries",
+        "streams.topic.pfs/capacity.archive_rejected",
     ] {
         println!("  {key:<45} = {}", snap.counters.get(key).copied().unwrap_or(0));
     }

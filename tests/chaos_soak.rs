@@ -10,8 +10,9 @@
 //!   schedule and seed.
 //! * `scan_exactly_once` is fed by the pre-fix scan stitch (archive and
 //!   window read under separate lock acquisitions) and must detect the
-//!   entries that evict between the two reads; the epoch-validated stitch
-//!   on the same interleaving loses nothing.
+//!   entries that evict between the two reads; the shipped stitch, which
+//!   holds the window read lock across both, loses nothing on the same
+//!   interleaving.
 
 use apollo_cluster::chaos::ChaosSchedule;
 use apollo_cluster::fault::FaultKind;
