@@ -268,6 +268,9 @@ pub struct Apollo {
     /// Every periodic step by name: vertices, prediction pumps and the
     /// slab lifecycle.
     scheduled: HashMap<String, Scheduled>,
+    /// Every lane's member steps by name, so a merge re-keys only the
+    /// lanes it folds, not every step.
+    lanes: HashMap<u64, Vec<String>>,
     /// The last lane key handed out; keys are never reused, so steps
     /// share a lane only by joining.
     next_lane: u64,
@@ -328,6 +331,7 @@ impl Apollo {
             facts: Vec::new(),
             insights: Vec::new(),
             scheduled: HashMap::new(),
+            lanes: HashMap::new(),
             next_lane: 0,
             pumps: Vec::new(),
             registry,
@@ -343,8 +347,9 @@ impl Apollo {
     /// its [`TimerControl`]), or, parked, on a publish to a `wakes_on` topic.
     ///
     /// The step runs in the dispatch lane of the steps named in `joins`
-    /// (merging their lanes when they differ), or in a fresh lane of its
-    /// own when `joins` names none. A step already scheduled under `name`
+    /// (merging their lanes when they differ: the first joined lane keeps
+    /// its key, and only the members of the others are re-keyed), or in a
+    /// fresh lane of its own when `joins` names none. A step already scheduled under `name`
     /// is cancelled, so a name never has two timers.
     fn schedule(
         &mut self,
@@ -360,13 +365,15 @@ impl Apollo {
             self.next_lane += 1;
             self.next_lane
         });
-        if joined.iter().any(|&l| l != lane) {
-            for s in self.scheduled.values_mut() {
-                if s.lane != lane && joined.contains(&s.lane) {
-                    s.lane = lane;
-                    self.el.set_timer_key(s.timer.id(), lane);
-                }
+        for l in joined.into_iter().filter(|&l| l != lane) {
+            // A lane already folded (joined twice) is gone from `lanes`.
+            let Some(members) = self.lanes.remove(&l) else { continue };
+            for m in &members {
+                let s = self.scheduled.get_mut(m).expect("a lane member is scheduled");
+                s.lane = lane;
+                self.el.set_timer_key(s.timer.id(), lane);
             }
+            self.lanes.entry(lane).or_default().extend(members);
         }
         let clock = self.el.clock().clone();
         let timer = self.el.add_timer_keyed(lane, every, move |ctl| step(ctl, clock.now()));
@@ -376,6 +383,18 @@ impl Apollo {
         let step = Scheduled { timer, lane, _wakers };
         if let Some(previous) = self.scheduled.insert(name.to_string(), step) {
             previous.timer.cancel();
+            self.leave_lane(name, previous.lane);
+        }
+        self.lanes.entry(lane).or_default().push(name.to_string());
+    }
+
+    /// Take `name` off `lane`'s member list, dropping the list once empty.
+    fn leave_lane(&mut self, name: &str, lane: u64) {
+        let members = self.lanes.get_mut(&lane).expect("a scheduled step's lane is listed");
+        let at = members.iter().position(|m| m == name).expect("a step is on its lane's list");
+        members.swap_remove(at);
+        if members.is_empty() {
+            self.lanes.remove(&lane);
         }
     }
 
@@ -594,6 +613,7 @@ impl Apollo {
         self.graph.remove(name)?;
         if let Some(step) = self.scheduled.remove(name) {
             step.timer.cancel();
+            self.leave_lane(name, step.lane);
         }
         self.facts.retain(|f| f.name() != name);
         self.insights.retain(|i| i.name() != name);
@@ -1389,11 +1409,18 @@ pub(crate) mod tests {
     }
 
     /// `members` are exactly the steps on one lane, and every scheduled
-    /// timer carries its step's lane on the loop.
+    /// timer carries its step's lane on the loop. The lane member lists
+    /// agree: each step is listed once, on its own lane, and no list is
+    /// empty.
     fn assert_one_lane(apollo: &Apollo, members: &[&str]) {
         for (name, step) in &apollo.scheduled {
             assert_eq!(apollo.el.timer_key(step.timer.id()), Some(step.lane), "{name}");
+            let listed = apollo.lanes[&step.lane].iter().filter(|m| *m == name).count();
+            assert_eq!(listed, 1, "{name} is listed once on its lane");
         }
+        let listed: usize = apollo.lanes.values().map(Vec::len).sum();
+        assert_eq!(listed, apollo.scheduled.len(), "only scheduled steps are listed");
+        assert!(apollo.lanes.values().all(|m| !m.is_empty()), "an empty lane is dropped");
         let lane = apollo.scheduled[members[0]].lane;
         let mut on_lane: Vec<&str> = apollo
             .scheduled
@@ -1405,6 +1432,123 @@ pub(crate) mod tests {
         let mut members = members.to_vec();
         members.sort_unstable();
         assert_eq!(on_lane, members);
+    }
+
+    /// Lanes are the connected components of every DAG edge and pump
+    /// enrolment ever made, over a seeded random fleet: a registration
+    /// joins components, `unregister` splits none, and a re-registered or
+    /// re-scheduled name is a new vertex. A union-find over registrations
+    /// is the model.
+    #[test]
+    fn lanes_are_the_dags_connected_components() {
+        /// Union-find over registrations; `node` maps a live name to its
+        /// latest registration.
+        #[derive(Default)]
+        struct Components {
+            parent: Vec<usize>,
+            node: HashMap<String, usize>,
+        }
+        impl Components {
+            fn root(&mut self, mut x: usize) -> usize {
+                while self.parent[x] != x {
+                    self.parent[x] = self.parent[self.parent[x]];
+                    x = self.parent[x];
+                }
+                x
+            }
+            /// Register `name` joined to the current registrations of
+            /// `joins` (its own earlier one included, as `schedule` does).
+            fn add(&mut self, name: &str, joins: &[String]) {
+                let n = self.parent.len();
+                self.parent.push(n);
+                for j in joins {
+                    let r = self.root(self.node[j]);
+                    self.parent[r] = n;
+                }
+                self.node.insert(name.to_string(), n);
+            }
+        }
+        let model = tiny_delphi();
+        let fact = |name: &str| {
+            FactVertexSpec::fixed(
+                name,
+                Arc::new(ConstSource::new(name, 1.0)),
+                Duration::from_secs(10),
+            )
+        };
+        for seed in [1u64, 7, 4242] {
+            let mut state = seed;
+            let mut rng = move |n: usize| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (state >> 33) as usize % n
+            };
+            let mut apollo = Apollo::new_virtual();
+            let mut uf = Components::default();
+            let pump = apollo.prediction_pump(model.clone(), Duration::from_secs(3));
+            let pumped = vec![pump.name().to_string()];
+            uf.add(&pumped[0], &[]);
+            let mut vertices: Vec<String> = Vec::new();
+            for i in 0..16 {
+                let name = format!("f{i}");
+                if rng(3) == 0 {
+                    apollo.register_fact(fact(&name).with_batched_prediction(&pump)).unwrap();
+                    uf.add(&name, &pumped);
+                } else {
+                    apollo.register_fact(fact(&name)).unwrap();
+                    uf.add(&name, &[]);
+                }
+                vertices.push(name);
+            }
+            for j in 0..12 {
+                let name = format!("i{j}");
+                let mut inputs: Vec<String> =
+                    (0..1 + rng(3)).map(|_| vertices[rng(vertices.len())].clone()).collect();
+                inputs.sort_unstable();
+                inputs.dedup();
+                uf.add(&name, &inputs);
+                apollo
+                    .register_insight(InsightVertexSpec::sum_of(
+                        name.clone(),
+                        inputs,
+                        Duration::from_secs(1),
+                    ))
+                    .unwrap();
+                vertices.push(name);
+            }
+            // Retire a few vertices nothing consumes; the rest refuse.
+            let mut retired = Vec::new();
+            for _ in 0..6 {
+                let name = vertices[rng(vertices.len())].clone();
+                if apollo.unregister(&name).is_ok() {
+                    uf.node.remove(&name);
+                    vertices.retain(|v| *v != name);
+                    retired.push(name);
+                }
+            }
+            assert!(!retired.is_empty(), "seed {seed}: some vertex retired");
+            // A retired name comes back as a fresh fact, pump-enrolled.
+            let back = retired[rng(retired.len())].clone();
+            apollo.register_fact(fact(&back).with_batched_prediction(&pump)).unwrap();
+            uf.add(&back, &pumped);
+            vertices.push(back);
+            // Re-scheduling a live name (what a second `attach_slab` does)
+            // leaves its old lane and joins the lanes it names.
+            let again = vertices[rng(vertices.len())].clone();
+            let joins = [vertices[rng(vertices.len())].clone()];
+            apollo.schedule(&again, &joins, &[], Duration::from_secs(1), |_, _| TimerAction::Park);
+            uf.add(&again, &joins);
+
+            let live: Vec<(String, usize)> =
+                uf.node.iter().map(|(name, &n)| (name.clone(), n)).collect();
+            let mut components: HashMap<usize, Vec<&str>> = HashMap::new();
+            for (name, n) in &live {
+                components.entry(uf.root(*n)).or_default().push(name);
+            }
+            for members in components.values() {
+                assert_one_lane(&apollo, members);
+            }
+            assert_eq!(apollo.lanes.len(), components.len(), "seed {seed}: one lane each");
+        }
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! Either holds
 //!
 //! * a **header page** (magic, version, geometry, config hash),
-//! * a **series directory** (fixed-size dirents naming each ring),
+//! * a **series directory** (fixed-size dirents naming each ring; an
+//!   in-memory name index over it makes an attach O(1), see
+//!   [`SlabStore::series`]),
 //! * a **cursor directory** (consumer-group positions that survive restart),
 //! * per-series **entry rings** (fixed-size columnar slots), and
 //! * per-series **consolidation tiers** (bucketed count/sum/min/max
@@ -41,9 +43,10 @@
 //! (zero live [`SlabSeries`] handles, consolidation caught up, newest
 //! entry older than the [`CompactPolicy`] retention horizon) is collected
 //! by [`SlabStore::compact`] in two crash-safe phases: the dirent state
-//! word is flipped to a **tombstone**, the ring, tier buckets, and dirent
-//! fields are scrubbed, the scrub is msync'd, and only then does the
-//! dirent return to the free state. A crash mid-reclaim leaves the
+//! word is flipped to a **tombstone** and its name leaves the index, the
+//! ring, tier buckets, and dirent fields are scrubbed, the scrub is
+//! msync'd, and only then does the dirent return to the free state (and
+//! the index's free dirents). A crash mid-reclaim leaves the
 //! tombstone behind; [`SlabStore::open`] completes the scrub
 //! ([`OpenReport::reclaimed_tombstones`]), so a reclaimed ring can never
 //! resurface a dead series' (still-checksummed) payloads under a new
@@ -61,6 +64,8 @@
 use crate::entry::{Entry, RowSink};
 use crate::id::StreamId;
 use parking_lot::Mutex;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::fs::OpenOptions;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -660,6 +665,21 @@ impl TierBucket {
     }
 }
 
+/// The series directory in memory, so an attach is one hash probe: live
+/// name → dirent, and the free dirents, lowest first. Tombstoned dirents
+/// are in neither. The mapped dirents stay the only durable state; this
+/// is rebuilt from them.
+#[derive(Default)]
+struct SeriesIndex {
+    live: HashMap<Box<[u8]>, usize>,
+    /// Live dirents whose name a lower live dirent holds too (only a
+    /// hand-edited file has any): the lower one wins, as a directory walk's
+    /// first match would, and this one takes over the name once the lower
+    /// is reclaimed.
+    shadowed: Vec<usize>,
+    free: BinaryHeap<Reverse<usize>>,
+}
+
 /// The embedded memory-mapped slab store. See the module docs for the
 /// layout and the durability contract.
 pub struct SlabStore {
@@ -668,8 +688,10 @@ pub struct SlabStore {
     path: PathBuf,
     cfg: SlabConfig,
     layout: SlabLayout,
-    /// Serializes series/cursor directory allocation.
-    dir_lock: Mutex<()>,
+    /// Serializes series/cursor directory allocation, and holds the
+    /// series directory's name index, built on the first lookup (or by
+    /// [`SlabStore::open`]).
+    dir_lock: Mutex<Option<SeriesIndex>>,
     /// Serializes consolidation passes and tier-bucket reads.
     consolidate_lock: Mutex<()>,
     /// Live `SlabSeries` handle count per dirent — the "no live `Stream`"
@@ -704,7 +726,7 @@ impl SlabStore {
             path,
             layout: SlabLayout::for_config(&cfg),
             cfg,
-            dir_lock: Mutex::new(()),
+            dir_lock: Mutex::new(None),
             consolidate_lock: Mutex::new(()),
             handles,
             oversize_rejected: AtomicU64::new(0),
@@ -766,7 +788,7 @@ impl SlabStore {
                 "slab file is {flen} bytes but its header implies {implied}"
             )));
         }
-        let store = Self::with_map(map, path, cfg);
+        let mut store = Self::with_map(map, path, cfg);
         let mut report = OpenReport::default();
         for idx in 0..store.cfg.max_series as usize {
             let d = store.layout.series_dirent(idx);
@@ -788,6 +810,8 @@ impl SlabStore {
             report.recovered_entries += live;
             report.rolled_back_slots += rolled_back;
         }
+        let index = store.index_series();
+        *store.dir_lock.get_mut() = Some(index);
         store.map.sync()?;
         Ok((Arc::new(store), report))
     }
@@ -854,7 +878,10 @@ impl SlabStore {
         self.handles[idx].load(Ordering::Acquire)
     }
 
-    /// Attach to the series named `name`, creating it if absent.
+    /// Attach to the series named `name`, creating it if absent in the
+    /// lowest free dirent. O(1): one probe of the directory's name index
+    /// (plus one pop of its free dirents for a new name), never a walk
+    /// over `max_series`.
     pub fn series(self: &Arc<Self>, name: &str) -> Result<SlabSeries, SlabDirError> {
         let fail = |store: &Self, e: SlabDirError| {
             store.series_fallbacks.fetch_add(1, Ordering::Relaxed);
@@ -863,30 +890,36 @@ impl SlabStore {
         if name.len() > NAME_CAP {
             return fail(self, SlabDirError::NameTooLong { len: name.len(), cap: NAME_CAP });
         }
-        let _guard = self.dir_lock.lock();
-        let mut free = None;
-        for idx in 0..self.cfg.max_series as usize {
-            let d = self.layout.series_dirent(idx);
-            match self.atom(d + D_STATE).load(Ordering::Acquire) {
-                STATE_LIVE => {}
-                // Tombstoned dirents are mid-reclaim (their scrub may not
-                // be durable yet) — never allocation candidates.
-                STATE_TOMBSTONE => continue,
-                _ => {
-                    if free.is_none() {
-                        free = Some(idx);
-                    }
-                    continue;
-                }
-            }
-            if self.dirent_name(d) == name.as_bytes() {
-                return Ok(SlabSeries::new(Arc::clone(self), idx));
-            }
+        let mut dir = self.dir_lock.lock();
+        let index = dir.get_or_insert_with(|| self.index_series());
+        if let Some(&idx) = index.live.get(name.as_bytes()) {
+            return Ok(SlabSeries::new(Arc::clone(self), idx));
         }
-        let Some(idx) = free else {
+        let Some(Reverse(idx)) = index.free.pop() else {
             return fail(self, SlabDirError::SeriesDirectoryFull { capacity: self.cfg.max_series });
         };
+        index.live.insert(name.as_bytes().into(), idx);
+        self.claim_series(idx, name);
+        Ok(SlabSeries::new(Arc::clone(self), idx))
+    }
+
+    /// Dirent 0, under the empty name, of a store nothing has attached to
+    /// yet: a private store's one ring, claimed without building the name
+    /// index, so the ring costs only the store's own allocations.
+    pub(crate) fn first_series(self: &Arc<Self>) -> SlabSeries {
+        let dir = self.dir_lock.lock();
+        let state = self.atom(self.layout.series_dirent(0) + D_STATE).load(Ordering::Relaxed);
+        assert!(dir.is_none() && state == STATE_FREE, "first_series on a store in use");
+        self.claim_series(0, "");
+        SlabSeries::new(Arc::clone(self), 0)
+    }
+
+    /// Write `name` and zeroed positions into free dirent `idx`, then
+    /// publish it live. Caller holds `dir_lock`.
+    fn claim_series(&self, idx: usize, name: &str) {
         let d = self.layout.series_dirent(idx);
+        // SAFETY: `name.len() <= NAME_CAP` (checked by the callers), so the
+        // copy stays inside dirent `idx`'s name field.
         unsafe {
             std::ptr::copy_nonoverlapping(name.as_ptr(), self.ptr_at(d + D_NAME), name.len());
         }
@@ -895,7 +928,53 @@ impl SlabStore {
         self.atom(d + D_CONSOLIDATED).store(0, Ordering::Relaxed);
         self.atom(d + D_TAIL).store(0, Ordering::Relaxed);
         self.atom(d + D_STATE).store(STATE_LIVE, Ordering::Release);
-        Ok(SlabSeries::new(Arc::clone(self), idx))
+    }
+
+    /// The series directory's name index, read from the dirents: the one
+    /// walk over `max_series` an attach ever pays for. Caller holds
+    /// `dir_lock` (or is single-threaded reopen).
+    fn index_series(&self) -> SeriesIndex {
+        let mut index = SeriesIndex::default();
+        let mut free = Vec::new();
+        for idx in 0..self.cfg.max_series as usize {
+            let d = self.layout.series_dirent(idx);
+            match self.atom(d + D_STATE).load(Ordering::Acquire) {
+                STATE_LIVE => {
+                    let name = self.dirent_name(d);
+                    if index.live.contains_key(name) {
+                        index.shadowed.push(idx);
+                    } else {
+                        index.live.insert(name.into(), idx);
+                    }
+                }
+                // Tombstoned dirents are mid-reclaim (their scrub may not
+                // be durable yet) — never allocation candidates.
+                STATE_TOMBSTONE => {}
+                _ => free.push(Reverse(idx)),
+            }
+        }
+        index.free = BinaryHeap::from(free);
+        index
+    }
+
+    /// Take live dirent `idx`, named `name`, out of `index` as it is
+    /// tombstoned; a shadowed dirent of the same name takes over the name.
+    fn unindex_series(&self, index: &mut SeriesIndex, name: &[u8], idx: usize) {
+        if index.live.get(name) != Some(&idx) {
+            index.shadowed.retain(|&s| s != idx);
+            return;
+        }
+        index.live.remove(name);
+        let heir = index
+            .shadowed
+            .iter()
+            .copied()
+            .filter(|&s| self.dirent_name(self.layout.series_dirent(s)) == name)
+            .min();
+        if let Some(heir) = heir {
+            index.shadowed.retain(|&s| s != heir);
+            index.live.insert(name.into(), heir);
+        }
     }
 
     /// Attach to the persistent cursor slot for `topic`/`group`, creating
@@ -962,7 +1041,7 @@ impl SlabStore {
     /// directory locks are held so allocation and consolidation cannot
     /// race a reclaim.
     pub fn compact(&self, now_ms: u64, policy: CompactPolicy) -> io::Result<CompactReport> {
-        let _dir = self.dir_lock.lock();
+        let mut dir = self.dir_lock.lock();
         let _cons = self.consolidate_lock.lock();
         let mut report = CompactReport::default();
         let slots = self.cfg.slots as u64;
@@ -994,6 +1073,9 @@ impl SlabStore {
                 }
             }
             self.atom(d + D_STATE).store(STATE_TOMBSTONE, Ordering::Release);
+            if let Some(index) = dir.as_mut() {
+                self.unindex_series(index, self.dirent_name(d), idx);
+            }
             report.reclaimed_entries += head - floor;
             self.scrub_series(idx);
             tombstoned.push(idx);
@@ -1005,11 +1087,15 @@ impl SlabStore {
         // reallocated: without this barrier a crash after reuse could
         // leave a new series' dirent pointing at the dead ring's intact,
         // checksummed payloads. On msync failure the tombstones stay
-        // behind and reopen finishes the job.
+        // behind, out of the name index and its free dirents, and reopen
+        // finishes the job.
         self.map.sync()?;
         for idx in tombstoned {
             let d = self.layout.series_dirent(idx);
             self.atom(d + D_STATE).store(STATE_FREE, Ordering::Release);
+            if let Some(index) = dir.as_mut() {
+                index.free.push(Reverse(idx));
+            }
             report.reclaimed += 1;
         }
         Ok(report)
@@ -2020,6 +2106,34 @@ mod tests {
         assert_eq!(s.index(), 0, "completed tombstone frees the dirent");
         assert_eq!(s.last_id(), None, "the dead ring's payloads are gone");
         assert!(s.range(StreamId::MIN, StreamId::MAX).is_empty());
+    }
+
+    #[test]
+    fn a_duplicated_live_name_resolves_to_its_lowest_dirent() {
+        let path = tmp("duplicate");
+        let store = SlabStore::create(&path, small_cfg()).unwrap();
+        for (name, ms) in [("m", 1), ("x", 2), ("y", 1_000)] {
+            store.series(name).unwrap().record(StreamId::new(ms, 0), &[0]);
+        }
+        // Hand-edit dirent 2 ("y") to carry dirent 0's name: no attach can
+        // write such a file, but a reopened one may hold it.
+        let renamed = store.layout().series_dirent(2) + D_NAME;
+        drop(store);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[renamed] = b'm';
+        std::fs::write(&path, &bytes).unwrap();
+        let (store, _) = SlabStore::open(&path).unwrap();
+        assert_eq!(store.series("m").unwrap().index(), 0, "the lowest dirent wins");
+        // Reclaiming the winner hands the name to the other dirent, as a
+        // directory walk would find it next.
+        store.consolidate();
+        let r = store.compact(1_500, CompactPolicy { retention_ms: 1_000 }).unwrap();
+        assert_eq!((r.reclaimed, r.kept_fresh), (2, 1), "dirents 0 and 1 went");
+        let heir = store.series("m").unwrap();
+        assert_eq!(heir.index(), 2);
+        assert_eq!(heir.last_id(), Some(StreamId::new(1_000, 0)));
+        assert_eq!(store.series("z").unwrap().index(), 0, "the lowest free dirent");
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

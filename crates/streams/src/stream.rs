@@ -46,8 +46,9 @@ impl SpillBackend {
 }
 
 /// The ring of a stream without a shared store: one series, no cursors,
-/// no tiers. Its geometry is built once per process, so creating a ring
-/// allocates only the ring.
+/// no tiers. Its geometry is built once per process, and its one series
+/// is claimed without a name index, so creating a ring allocates only the
+/// ring.
 fn private_ring() -> SlabSeries {
     static GEOMETRY: LazyLock<SlabConfig> = LazyLock::new(|| SlabConfig {
         max_series: 1,
@@ -56,7 +57,7 @@ fn private_ring() -> SlabSeries {
         ..SlabConfig::default()
     });
     let store = SlabStore::in_memory(GEOMETRY.clone()).expect("the default ring geometry is valid");
-    store.series("").expect("a fresh private store has a free dirent")
+    store.first_series()
 }
 
 /// Retention configuration for a [`Stream`].

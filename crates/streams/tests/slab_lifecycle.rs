@@ -6,11 +6,12 @@
 //! against (a stream refused a series; no background msync) and assert the
 //! paths are loud/bounded.
 
-use apollo_streams::slab::{dir_full_count, exhaustion_warned};
+use apollo_streams::slab::{dir_full_count, exhaustion_warned, SlabLayout, SlabSeries, NAME_CAP};
 use apollo_streams::{
-    Broker, CompactPolicy, Record, SlabConfig, SlabStore, Stream, StreamConfig, StreamId,
-    TierConfig,
+    Broker, CompactPolicy, Record, SlabConfig, SlabDirError, SlabStore, Stream, StreamConfig,
+    StreamId, TierConfig,
 };
+use std::collections::BTreeMap;
 use std::fs;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -193,4 +194,142 @@ fn seeded_churn_reaches_a_fixed_point_across_restarts() {
     }
     assert!(total_reclaimed >= 24, "{total_reclaimed} series cycled through 8 dirents");
     let _ = fs::remove_file(&path);
+}
+
+/// The series directory against a model of it, over seeded operations on
+/// an 8-dirent store with names drawn from a pool of 12: attaches (some
+/// handles held, some dropped), zero-retention compactions, hand-made
+/// tombstones completed by reopen, plain reopens and over-long names.
+/// After every operation each live name attaches to the model's dirent; a
+/// new name gets the lowest dirent the model has free, or
+/// `SeriesDirectoryFull` once all 8 are live; and the live, tombstoned and
+/// fallback counts agree. The model is the directory walk `series()` once
+/// was: first live match, else first free dirent.
+#[test]
+fn series_directory_matches_its_model_under_seeded_churn() {
+    const DIRENTS: usize = 8;
+    /// Live name → dirent, plus the fallbacks the store has counted since
+    /// it was opened.
+    #[derive(Default)]
+    struct Model {
+        live: BTreeMap<String, usize>,
+        fallbacks: u64,
+    }
+    impl Model {
+        fn attach(&self, name: &str) -> Option<usize> {
+            if let Some(&idx) = self.live.get(name) {
+                return Some(idx);
+            }
+            (0..DIRENTS).find(|idx| !self.live.values().any(|v| v == idx))
+        }
+    }
+    fn check(store: &Arc<SlabStore>, model: &Model, step: &str) {
+        for (name, &idx) in &model.live {
+            assert_eq!(store.series(name).unwrap().index(), idx, "{step}: {name}");
+        }
+        let st = store.stats();
+        assert_eq!(st.series_live, model.live.len(), "{step}: live dirents");
+        assert_eq!(st.series_tombstoned, 0, "{step}: no tombstone outlives its op");
+        assert_eq!(st.series_fallbacks, model.fallbacks, "{step}: fallbacks");
+    }
+
+    for seed in [3u64, 17, 2024, 0x5EED] {
+        let path = temp_slab(&format!("model-{seed}"));
+        let cfg = SlabConfig { max_series: DIRENTS as u32, slots: 8, ..tiny_config() };
+        let layout = SlabLayout::for_config(&cfg);
+        let mut store = SlabStore::create(&path, cfg).unwrap();
+        let mut state = seed;
+        let mut rng = move |n: u64| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) % n
+        };
+        let mut model = Model::default();
+        let mut held: Vec<(String, SlabSeries)> = Vec::new();
+        let mut ms = 1u64;
+        let (mut full, mut tombstoned) = (0, 0);
+        for op in 0..400 {
+            let step = format!("seed {seed} op {op}");
+            match rng(20) {
+                0..=11 => {
+                    let name = format!("pool/{:02}", rng(12));
+                    let got = store.series(&name);
+                    match model.attach(&name) {
+                        Some(idx) => {
+                            let series = got.unwrap();
+                            assert_eq!(series.index(), idx, "{step}: attach {name}");
+                            series
+                                .record(StreamId::new(ms, 0), &Record::measured(ms, 1.0).encode());
+                            ms += 1;
+                            model.live.insert(name.clone(), idx);
+                            if rng(2) == 0 {
+                                held.push((name, series));
+                            }
+                        }
+                        None => {
+                            assert!(
+                                matches!(
+                                    got,
+                                    Err(SlabDirError::SeriesDirectoryFull { capacity: 8 })
+                                ),
+                                "{step}: {name} on a full directory"
+                            );
+                            model.fallbacks += 1;
+                            full += 1;
+                        }
+                    }
+                }
+                12 => held.clear(),
+                13..=15 => {
+                    store.consolidate();
+                    let r = store.compact(u64::MAX, CompactPolicy { retention_ms: 0 }).unwrap();
+                    let before = model.live.len();
+                    model.live.retain(|name, _| held.iter().any(|(h, _)| h == name));
+                    assert_eq!(r.reclaimed, before - model.live.len(), "{step}: reclaimed");
+                }
+                16 | 17 => {
+                    // A crash between a tombstone's publish and its durable
+                    // scrub, then a restart.
+                    held.clear();
+                    drop(store);
+                    let victim = match model.live.len() {
+                        0 => None,
+                        n => model.live.keys().nth(rng(n as u64) as usize).cloned(),
+                    };
+                    if let Some(name) = &victim {
+                        let at = layout.series_dirent(model.live[name]);
+                        let mut bytes = fs::read(&path).unwrap();
+                        bytes[at..at + 8].copy_from_slice(&2u64.to_le_bytes());
+                        fs::write(&path, &bytes).unwrap();
+                        model.live.remove(name);
+                        tombstoned += 1;
+                    }
+                    let (reopened, report) = SlabStore::open(&path).unwrap();
+                    assert_eq!(report.reclaimed_tombstones, victim.is_some() as usize, "{step}");
+                    assert_eq!(report.series_live, model.live.len(), "{step}");
+                    store = reopened;
+                    model.fallbacks = 0;
+                }
+                18 => {
+                    held.clear();
+                    drop(store);
+                    let (reopened, report) = SlabStore::open(&path).unwrap();
+                    assert_eq!(report.series_live, model.live.len(), "{step}");
+                    store = reopened;
+                    model.fallbacks = 0;
+                }
+                _ => {
+                    let long = "n".repeat(NAME_CAP + 1);
+                    assert!(
+                        matches!(store.series(&long), Err(SlabDirError::NameTooLong { .. })),
+                        "{step}"
+                    );
+                    model.fallbacks += 1;
+                }
+            }
+            check(&store, &model, &step);
+        }
+        assert!(full > 0 && tombstoned > 0, "seed {seed}: {full} full, {tombstoned} tombstones");
+        drop((held, store));
+        let _ = fs::remove_file(&path);
+    }
 }

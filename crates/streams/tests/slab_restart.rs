@@ -10,7 +10,8 @@
 
 use apollo_streams::slab::SlabLayout;
 use apollo_streams::{
-    Broker, Record, SlabConfig, SlabStore, SpillBackend, StreamConfig, StreamId, TierConfig,
+    Broker, CompactPolicy, Record, SlabConfig, SlabStore, SpillBackend, StreamConfig, StreamId,
+    TierConfig,
 };
 use std::fs;
 use std::path::PathBuf;
@@ -181,5 +182,68 @@ fn consolidation_tiers_survive_restart() {
     let coarse = series.tier_bucket_at(1, 0).unwrap();
     assert_eq!(coarse.count, 8);
     assert_eq!(coarse.max, 7.0);
+    let _ = fs::remove_file(&path);
+}
+
+/// Restart at fleet scale: 2 100 series with a few rows each, three of
+/// them reclaimed, then a reopen re-attaches every name in shuffled
+/// order. Each lands on its original dirent and resumes its `last_id`,
+/// and a new name takes the lowest reclaimed dirent. Correctness only; no
+/// timing is asserted.
+#[test]
+fn fleet_scale_reopen_reattaches_every_series_in_place() {
+    const SERIES: usize = 2_100;
+    let path = temp_slab("fleet");
+    let cfg = SlabConfig {
+        max_series: SERIES as u32 + 16,
+        slots: 8,
+        slot_bytes: 64,
+        max_cursors: 0,
+        tiers: vec![],
+    };
+    let name = |i: usize| format!("fleet/topic/{i:04}");
+    let reclaimed = [1_700usize, 42, 999];
+    let mut placed = Vec::with_capacity(SERIES);
+    {
+        let store = SlabStore::create(&path, cfg).unwrap();
+        let mut handles = Vec::with_capacity(SERIES);
+        for i in 0..SERIES {
+            let series = store.series(&name(i)).unwrap();
+            assert_eq!(series.index(), i, "a fresh directory fills lowest first");
+            for r in 0..1 + i as u64 % 3 {
+                let id = StreamId::new(1_000 + r, i as u64);
+                assert!(series.record(id, &Record::measured(r, i as f64).encode()));
+            }
+            placed.push((series.index(), series.last_id().unwrap()));
+            handles.push(series);
+        }
+        for &i in &reclaimed {
+            handles[i] = store.series(&name(SERIES - 1)).unwrap(); // release i's handle
+        }
+        let r = store.compact(u64::MAX, CompactPolicy { retention_ms: 0 }).unwrap();
+        assert_eq!(r.reclaimed, reclaimed.len());
+        store.flush().unwrap();
+    }
+
+    let (store, report) = SlabStore::open(&path).unwrap();
+    assert_eq!(report.series_live, SERIES - reclaimed.len());
+    let mut order: Vec<usize> = (0..SERIES).filter(|i| !reclaimed.contains(i)).collect();
+    let mut state = 0x2545_F491_4F6C_DD1Du64;
+    for k in (1..order.len()).rev() {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        order.swap(k, (state % (k as u64 + 1)) as usize);
+    }
+    let mut handles = Vec::with_capacity(order.len());
+    for i in order {
+        let series = store.series(&name(i)).unwrap();
+        assert_eq!(series.index(), placed[i].0, "{} moved dirent", name(i));
+        assert_eq!(series.last_id(), Some(placed[i].1), "{} lost its tail", name(i));
+        handles.push(series);
+    }
+    assert_eq!(store.series("fleet/new").unwrap().index(), 42, "the lowest free dirent");
+    assert_eq!(store.stats().series_live, SERIES - reclaimed.len() + 1);
+    drop((handles, store));
     let _ = fs::remove_file(&path);
 }
