@@ -141,8 +141,8 @@ pub fn deploy_self_observer(
 /// polling every `every`: ring occupancy (0..=1), consolidation lag
 /// (committed entries the tier roll-ups have not folded yet), and
 /// directory/ring pressure (worst-case fill fraction across the series
-/// directory, cursor directory, and rings — 1.0 means new demand will be
-/// refused) of the attached slab store. Returns `None` — registering
+/// directory and rings — 1.0 means new demand will be refused) of the
+/// attached slab store. Returns `None` — registering
 /// nothing — when no slab is attached, so callers can deploy
 /// unconditionally.
 pub fn deploy_slab_observer(

@@ -1195,12 +1195,12 @@ pub(crate) mod tests {
         // Query layer.
         assert_eq!(snap.counter("query.executed"), 1);
         // Scan-consistency layer: the decoded-scan cache counters and the
-        // per-topic lag/rejected-eviction counters are all exported.
+        // per-topic lapped-cursor/rejected-eviction counters are all exported.
         assert!(snap.counters.contains_key("query.scan_cache.hits"));
         assert!(snap.counters.contains_key("query.scan_cache.misses"));
         assert!(snap.counters.contains_key("query.scan_cache.invalidations"));
         assert!(snap.counters.contains_key("streams.topic.cap.archive_rejected"));
-        assert!(snap.counters.contains_key("streams.topic.cap.group_lagged"));
+        assert!(snap.counters.contains_key("streams.topic.cap.cursor_lapped"));
         // And the whole thing survives a JSON round-trip.
         let json = snap.to_json();
         assert_eq!(apollo_obs::Snapshot::from_json(&json).unwrap(), snap);
@@ -1872,7 +1872,7 @@ pub(crate) mod tests {
         apollo.run_for(Duration::from_secs(5)); // both ran once, at 1 s, and parked
         let broker = apollo.broker();
         let info = broker.topic_info("cap").unwrap();
-        assert_eq!((info.subscribers, info.consumer_groups), (1, 0), "the insight's subscription");
+        assert_eq!(info.subscribers, 1, "the insight's subscription");
         let timers = apollo.el.timer_count();
 
         apollo.unregister("cq/avg").unwrap();
@@ -1880,7 +1880,7 @@ pub(crate) mod tests {
         apollo.run_for(Duration::from_millis(1)); // one turn reaps both parked timers
         assert_eq!(apollo.el.timer_count(), timers - 2);
         let info = broker.topic_info("cap").unwrap();
-        assert_eq!((info.subscribers, info.consumer_groups), (0, 0));
+        assert_eq!(info.subscribers, 0);
         let _ = std::fs::remove_file(store.path());
     }
 

@@ -6,9 +6,10 @@
 //! contracts the rest of the repo pins in isolation:
 //!
 //! 1. **`scan_exactly_once`** — no scan observation is lost or
-//!    duplicated: a consumer group drained at every checkpoint must see
-//!    exactly the entries a lock-held full-range stitch sees, and
-//!    that stitch must account for every append the topic ever took (the
+//!    duplicated: a cursor reader ([`apollo_streams::Broker::read_after`])
+//!    drained at every checkpoint must see exactly the entries a
+//!    lock-held full-range stitch sees, and that stitch must account
+//!    for every append the topic ever took (the
 //!    `eviction_interleaving` contract, checked live under eviction
 //!    storms, clock skew and backpressure bursts).
 //! 2. **`monotone_recovery`** — every vertex whose source has healed
@@ -263,7 +264,7 @@ impl SoakOutcome {
 
 /// Exactly-once accounting for live scan observations.
 ///
-/// Feed it every entry a continuously-draining consumer observes
+/// Feed it every entry a continuously-draining cursor reader observes
 /// ([`ScanLedger::observe`]); at the end, [`ScanLedger::verify`] compares
 /// against the authoritative full-range stitch. Duplicates are counted as
 /// they arrive; losses are whatever the stitch has that the consumer
@@ -433,7 +434,7 @@ pub fn run_compiled(config: &SoakConfig, compiled: &CompiledChaos) -> SoakOutcom
     deploy_self_observer(&mut apollo, config.checkpoint_every.min(Duration::from_secs(5)))
         .expect("self-observer registers");
 
-    // --- Ledger consumers over sampled topics ------------------------
+    // --- Ledger cursors over sampled topics --------------------------
     let faulted: Vec<String> = compiled.plans().keys().cloned().collect();
     let mut sampled: Vec<String> = faulted
         .iter()
@@ -453,8 +454,9 @@ pub fn run_compiled(config: &SoakConfig, compiled: &CompiledChaos) -> SoakOutcom
         }
     }
     let broker = apollo.broker();
-    let groups: Vec<_> =
-        sampled.iter().map(|t| (t.clone(), broker.consumer_group(t, "soak-ledger"))).collect();
+    // Each sampled topic's ledger cursor: the last entry it drained.
+    let mut cursors: Vec<(String, Option<StreamId>)> =
+        sampled.into_iter().map(|t| (t, None)).collect();
     let mut ledger = ScanLedger::new();
 
     // Vertices with a fault plan, and when their source heals for good.
@@ -556,12 +558,11 @@ pub fn run_compiled(config: &SoakConfig, compiled: &CompiledChaos) -> SoakOutcom
 
         let at_checkpoint = now >= next_cp || now >= horizon_ns;
         if at_checkpoint {
-            // Drain the ledger consumers (live exactly-once check feed).
-            for (topic, group) in &groups {
-                let entries =
-                    group.read_new_at("soak", usize::MAX, now / 1_000_000).expect("group exists");
-                for e in &entries {
-                    let _ = group.ack(e.id);
+            // Drain the ledger cursors (live exactly-once check feed).
+            for (topic, cursor) in &mut cursors {
+                let entries = broker.read_after(topic, *cursor, usize::MAX);
+                if let Some(last) = entries.last() {
+                    *cursor = Some(last.id);
                 }
                 ledger.observe(topic, entries.iter().map(|e| e.id));
             }
@@ -572,7 +573,7 @@ pub fn run_compiled(config: &SoakConfig, compiled: &CompiledChaos) -> SoakOutcom
                 memory_violations
                     .push(format!("t={}s: {memory} B > {ceiling} B", now / 1_000_000_000));
             }
-            for (topic, _) in &groups {
+            for (topic, _) in &cursors {
                 let len = broker.topic_info(topic).map_or(0, |i| i.window_len);
                 if len > config.window_bound() {
                     depth_violations
@@ -695,15 +696,14 @@ pub fn run_compiled(config: &SoakConfig, compiled: &CompiledChaos) -> SoakOutcom
     let mut scan_violations: Vec<String> = Vec::new();
     let mut scanned_entries = 0u64;
     let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
-    for (topic, _) in &groups {
+    for (topic, _) in &cursors {
         // Authoritative stitch over archive + window, under the window lock.
         let full = broker.range(topic, StreamId::MIN, StreamId::MAX);
-        let info = broker.topic_info(topic).expect("sampled topic exists");
-        if full.len() as u64 != info.published {
+        let published = broker.topic_info(topic).map_or(0, |info| info.published);
+        if full.len() as u64 != published {
             scan_violations.push(format!(
-                "{topic}: full stitch has {} entries, {} were published",
+                "{topic}: full stitch has {} entries, {published} were published",
                 full.len(),
-                info.published
             ));
         }
         let ids: Vec<StreamId> = full.iter().map(|e| e.id).collect();
@@ -743,7 +743,7 @@ pub fn run_compiled(config: &SoakConfig, compiled: &CompiledChaos) -> SoakOutcom
             name: "scan_exactly_once",
             pass: scan_violations.is_empty(),
             detail: if scan_violations.is_empty() {
-                format!("{} topics, {scanned_entries} entries, 0 lost, 0 duplicated", groups.len())
+                format!("{} topics, {scanned_entries} entries, 0 lost, 0 duplicated", cursors.len())
             } else {
                 scan_violations.join("; ")
             },

@@ -14,8 +14,7 @@
 //!
 //! Waking a derived reader is free too: a publish that arms a parked
 //! insight allocates nothing, and a standing query's pump pays for its
-//! read and its result, not per record it folds (a consumer-group feed
-//! allocated a pending-map key per record).
+//! read and its result, not per record it folds.
 
 use apollo_adaptive::controller::FixedInterval;
 use apollo_alloc_count::allocs_during;

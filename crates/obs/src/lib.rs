@@ -52,8 +52,8 @@
 //! `streams.slab.consolidation_lag` (committed entries the tier roll-ups
 //! have not folded yet), `streams.slab.series` (live series dirents),
 //! `streams.slab.pressure` (worst-case fill fraction across series
-//! directory, cursor directory, and rings — 1.0 means new demand will be
-//! refused), `streams.slab.dirty_records` (records written since the last
+//! directory and rings — 1.0 means new demand will be refused),
+//! `streams.slab.dirty_records` (records written since the last
 //! msync, i.e. the machine-crash loss window), and
 //! `streams.slab.lapped_entries` (entries overwritten before any
 //! consolidation pass folded them), plus the
@@ -64,9 +64,8 @@
 //! `streams.slab.reclaimed_series` / `streams.slab.reclaimed_entries` /
 //! `streams.slab.compact_errors` counters and the
 //! `streams.slab.compact_ns` histogram. `streams.slab.dir_full` counts
-//! directory-exhaustion refusals (a stream or consumer group asked for a
-//! durable series/cursor and fell back to heap-only state — losses on
-//! restart).
+//! directory-exhaustion refusals (a stream asked for a durable series and
+//! fell back to a private in-memory ring — losses on restart).
 //!
 //! **Counters are exact; wall-clock histograms are sampled.** A call site
 //! that times itself — a timer's callback (`runtime.timer.callback_ns`), a

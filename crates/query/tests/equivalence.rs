@@ -424,7 +424,7 @@ fn over_backends(tag: &str, case: impl Fn(&str, &Broker)) {
         let path =
             std::env::temp_dir().join(format!("apollo-tail-{}-{tag}-{slots}", std::process::id()));
         let _ = std::fs::remove_file(&path);
-        let cfg = SlabConfig { max_series: 4, slots, max_cursors: 1, ..SlabConfig::default() };
+        let cfg = SlabConfig { max_series: 4, slots, ..SlabConfig::default() };
         let store = SlabStore::create(&path, cfg).expect("create slab store");
         case(name, &Broker::new(StreamConfig::bounded(16).with_slab(Arc::clone(&store))));
         assert!(store.stats().appended > 0, "{name}: nothing was evicted into the ring");

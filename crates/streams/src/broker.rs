@@ -7,21 +7,12 @@
 //! value / a timestamp range on demand (how the Query Executor and
 //! middleware clients read, flow ⑥).
 //!
-//! Consumer groups provide exactly-once-per-group delivery with explicit
-//! acknowledgement, modelled on Redis Streams' `XGROUP`/`XREADGROUP`/`XACK`
-//! subset, extended with the failure-recovery surface a long-running
-//! observer needs:
-//!
-//! * **Reclamation** — [`ConsumerGroup::claim`] / [`ConsumerGroup::auto_claim`]
-//!   (the `XCLAIM`/`XAUTOCLAIM` analogues) move pending entries away from
-//!   dead consumers.
-//! * **Dead-lettering** — an entry whose delivery count would exceed the
-//!   broker's `max_deliveries` is poison (its consumer keeps crashing on
-//!   it); instead of being redelivered forever it is routed to the topic's
-//!   dead-letter stream, readable via [`Broker::dead_letters`].
-//! * **Backpressure** — subscriber queues are bounded; a
-//!   [`BackpressurePolicy`] decides whether a slow subscriber blocks the
-//!   publisher, loses its oldest entries, or is disconnected.
+//! A reader that must not miss an entry keeps its own cursor — the last
+//! [`StreamId`] it processed — and reads by [`Broker::read_after`]; the
+//! broker keeps no delivery state for it, so a reader restarted after a
+//! crash resumes from the cursor it saved. Subscriber queues are bounded:
+//! a [`BackpressurePolicy`] decides whether a slow subscriber blocks the
+//! publisher, loses its oldest entries, or is disconnected.
 //!
 //! A condvar notify is a futex syscall whether or not anyone waits, so
 //! wake-ups are **waiter-gated**: a subscriber queue counts its parked
@@ -34,43 +25,17 @@
 
 use crate::entry::Entry;
 use crate::id::StreamId;
-use crate::slab::SlabCursor;
-use crate::stream::{ColumnBatch, ScanBatch, ScanMeta, SpillBackend, Stream, StreamConfig};
+use crate::stream::{ColumnBatch, ScanBatch, ScanMeta, Stream, StreamConfig};
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Unique identifier for a subscription.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SubscriptionId(u64);
-
-/// Error operating on a consumer group.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum GroupError {
-    /// The group no longer exists on the topic (deleted while a handle
-    /// was still live).
-    UnknownGroup {
-        /// Topic the group belonged to.
-        topic: String,
-        /// The missing group name.
-        group: String,
-    },
-}
-
-impl std::fmt::Display for GroupError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            GroupError::UnknownGroup { topic, group } => {
-                write!(f, "consumer group {group:?} does not exist on topic {topic:?}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for GroupError {}
 
 /// What a publisher does when a subscriber's queue is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -279,44 +244,17 @@ struct Readers {
     wakers: Vec<(SubscriptionId, Arc<dyn Fn() + Send + Sync>)>,
 }
 
-/// Per-group delivery state.
-#[derive(Debug, Default)]
-struct GroupState {
-    /// Next undelivered position (entries <= cursor were delivered).
-    cursor: Option<StreamId>,
-    /// Delivered but unacknowledged:
-    /// id -> (consumer, delivery count, delivered_at_ms).
-    pending: HashMap<StreamId, (String, u32, u64)>,
-    /// Durable cursor slot in the broker's slab store, when topics spill
-    /// to a slab — delivery positions then survive restart
-    /// (at-least-once: a crash between delivery and save redelivers).
-    persist: Option<SlabCursor>,
-}
-
-/// A named consumer group over one topic.
-pub struct ConsumerGroup {
-    topic: Arc<Topic>,
-    name: String,
-}
-
 struct Topic {
     stream: Stream,
-    /// Poison entries routed off the hot path after exceeding the
-    /// delivery cap.
-    dead: Stream,
     /// Copy-on-write: subscribing and dropping edit it (a copy, if a publish
     /// holds it), a publish clones the `Arc` and delivers with the lock released.
     readers: Mutex<Arc<Readers>>,
-    groups: Mutex<HashMap<String, GroupState>>,
     /// Behind an `Arc` so [`Broker::instrument`] can export the same cell
     /// as `streams.topic.<name>.published` without a second increment on
     /// the publish hot path.
     published: Arc<AtomicU64>,
     dropped: AtomicU64,
     dropped_entries: AtomicU64,
-    dead_lettered: AtomicU64,
-    /// Shared with the owning broker (0 = unlimited).
-    max_deliveries: Arc<AtomicU32>,
     /// Set by [`Broker::remove_topic`]: a [`Publisher`] still holding this
     /// topic resolves the name again instead of publishing into a topic
     /// nobody can read.
@@ -345,12 +283,10 @@ impl Topic {
 
 /// Pre-resolved per-topic instrument handles. Each holds both the
 /// topic-scoped instrument and a clone of the broker-wide total, so the
-/// hot path and the dead-letter path never consult the registry maps.
+/// hot path never consults the registry maps.
 struct TopicObs {
     dropped_entries: apollo_obs::Counter,
     dropped_entries_total: apollo_obs::Counter,
-    dead_lettered: apollo_obs::Counter,
-    dead_lettered_total: apollo_obs::Counter,
     dropped_subscribers_total: apollo_obs::Counter,
     /// Deepest subscriber queue observed during the most recent publish.
     backlog: apollo_obs::Gauge,
@@ -365,12 +301,11 @@ impl TopicObs {
     ) -> Self {
         // The per-topic publish counter is backed by the atomic the
         // publish path already increments, so exporting it is free — and
-        // the group-lag / rejected-eviction counters are likewise backed
-        // by the cells the stream already maintains.
+        // the lapped-cursor / rejected-eviction counters are likewise
+        // backed by the cells the stream already maintains.
         let _ = registry.counter_backed_by(&format!("streams.topic.{topic}.published"), published);
         for (name, cell) in [
-            ("group_lagged", stream.group_lagged_cell()),
-            ("group_lapped", stream.group_lapped_cell()),
+            ("cursor_lapped", stream.cursor_lapped_cell()),
             ("archive_rejected", stream.archive_rejected_cell()),
         ] {
             let _ = registry.counter_backed_by(&format!("streams.topic.{topic}.{name}"), cell);
@@ -378,8 +313,6 @@ impl TopicObs {
         Self {
             dropped_entries: registry.counter(&format!("streams.topic.{topic}.dropped_entries")),
             dropped_entries_total: registry.counter("streams.dropped_entries_total"),
-            dead_lettered: registry.counter(&format!("streams.topic.{topic}.dead_lettered")),
-            dead_lettered_total: registry.counter("streams.dead_lettered_total"),
             dropped_subscribers_total: registry.counter("streams.dropped_subscribers_total"),
             backlog: registry.gauge(&format!("streams.topic.{topic}.backlog")),
         }
@@ -481,12 +414,8 @@ pub struct TopicInfo {
     pub dropped_subscribers: u64,
     /// Entries dropped from slow subscribers' queues (DropOldest).
     pub dropped_entries: u64,
-    /// Poison entries routed to the dead-letter stream.
-    pub dead_lettered: u64,
     /// Live push subscribers.
     pub subscribers: usize,
-    /// Registered consumer groups.
-    pub consumer_groups: usize,
     /// Most recent ID.
     pub last_id: Option<StreamId>,
     /// Approximate window memory.
@@ -494,9 +423,6 @@ pub struct TopicInfo {
     /// Auto-ID appends whose wall-clock `ms` regressed and were clamped
     /// forward to keep IDs monotonic (see [`Stream::clock_regressions`]).
     pub clock_regressions: u64,
-    /// Entries served to consumer groups out of the archive because the
-    /// group cursor trailed the live window (see [`Stream::group_lagged`]).
-    pub group_lagged: u64,
 }
 
 /// Number of lock stripes the topic namespace is split across. Parallel
@@ -534,8 +460,6 @@ pub struct Broker {
     /// [`Broker::instrument`] exports it as `streams.published_total`
     /// without adding a conditional increment to the hot path.
     published_total: Arc<AtomicU64>,
-    /// Delivery cap before a pending entry is dead-lettered (0 = never).
-    max_deliveries: Arc<AtomicU32>,
     /// Set once by [`Broker::instrument`].
     obs: OnceLock<BrokerObs>,
 }
@@ -555,13 +479,12 @@ impl Broker {
             default_config,
             next_sub_id: AtomicU64::new(1),
             published_total: Arc::new(AtomicU64::new(0)),
-            max_deliveries: Arc::new(AtomicU32::new(0)),
             obs: OnceLock::new(),
         }
     }
 
-    /// Wire publish/fan-out into `registry`: per-topic publish, drop and
-    /// dead-letter counters plus a backlog gauge (`streams.topic.<name>.*`),
+    /// Wire publish/fan-out into `registry`: per-topic publish, drop,
+    /// lapped-cursor and rejected-eviction counters plus a backlog gauge (`streams.topic.<name>.*`),
     /// broker-wide totals, and a publish-latency histogram
     /// (`streams.publish_ns`). Existing and future topics are both covered.
     /// Idempotent; a disabled registry leaves the broker uninstrumented.
@@ -578,8 +501,8 @@ impl Broker {
         let _ = registry
             .counter_backed_by("streams.shard_contention", Arc::clone(&self.shard_contention));
         // Slab-exhaustion fallbacks (process-wide cell bumped whenever a
-        // stream or consumer group wanted slab durability and couldn't
-        // get it — directory full or name too long).
+        // stream wanted a slab series and couldn't get one — directory
+        // full or name too long).
         let _ = registry.counter_backed_by("streams.slab.dir_full", crate::slab::dir_full_cell());
         let registry = &self.obs.get().expect("just set").registry;
         for shard in &self.shards {
@@ -588,24 +511,6 @@ impl Broker {
                     t.obs.set(TopicObs::new(registry, name, Arc::clone(&t.published), &t.stream));
             }
         }
-    }
-
-    /// Cap consumer-group deliveries: an entry delivered (or claimed)
-    /// `n` times without acknowledgement is routed to the topic's
-    /// dead-letter stream instead of being handed out again.
-    pub fn with_max_deliveries(self, n: u32) -> Self {
-        self.max_deliveries.store(n, Ordering::Relaxed);
-        self
-    }
-
-    /// Update the delivery cap at runtime (0 disables dead-lettering).
-    pub fn set_max_deliveries(&self, n: u32) {
-        self.max_deliveries.store(n, Ordering::Relaxed);
-    }
-
-    /// The current delivery cap (0 = unlimited).
-    pub fn max_deliveries(&self) -> u32 {
-        self.max_deliveries.load(Ordering::Relaxed)
     }
 
     /// Lifetime publishes across all topics (also exported to an
@@ -653,7 +558,7 @@ impl Broker {
     }
 
     /// Fetch-or-create a topic. This is the **write/registration path**
-    /// (`publish*`, `subscribe*`, `consumer_group`); every read accessor
+    /// (`publish*`, `subscribe*`, `wake_on`); every read accessor
     /// goes through [`Broker::lookup`] instead and never creates topics.
     fn topic(&self, name: &str) -> Arc<Topic> {
         if let Some(t) = self.shard_read(name).get(name) {
@@ -669,14 +574,10 @@ impl Broker {
             }
             Arc::new(Topic {
                 stream,
-                dead: Stream::new(format!("{name}::dead"), self.default_config.clone()),
                 readers: Mutex::default(),
-                groups: Mutex::new(HashMap::new()),
                 published,
                 dropped: AtomicU64::new(0),
                 dropped_entries: AtomicU64::new(0),
-                dead_lettered: AtomicU64::new(0),
-                max_deliveries: Arc::clone(&self.max_deliveries),
                 removed: AtomicBool::new(false),
                 obs,
             })
@@ -684,8 +585,8 @@ impl Broker {
     }
 
     /// Non-creating topic lookup: the single accessor every read path
-    /// (`latest`, `range`, `range_by_time`, `scan_*`, `topic_len`,
-    /// `dead_letters`, `topic_info`, `delete_group`) goes through.
+    /// (`read_after`, `latest`, `range`, `range_by_time`, `scan_*`,
+    /// `topic_len`, `topic_info`) goes through.
     /// **Reads never create topics** — reading a name no one has
     /// published or subscribed to returns empty and leaves the namespace
     /// untouched, so probing a topic before its first publish cannot
@@ -911,7 +812,9 @@ impl Broker {
     }
 
     /// Up to `count` entries of `topic` after `cursor` (see
-    /// [`Stream::read_after`]); an unknown topic reads as empty.
+    /// [`Stream::read_after`]); an unknown topic reads as empty. The cursor
+    /// is the caller's — a standing query's, or a reader's that saves the
+    /// last [`StreamId`] it processed and resumes from it after a restart.
     pub fn read_after(&self, topic: &str, cursor: Option<StreamId>, count: usize) -> Vec<Entry> {
         self.lookup(topic).map(|t| t.stream.read_after(cursor, count)).unwrap_or_default()
     }
@@ -984,11 +887,6 @@ impl Broker {
         self.lookup(topic).map(|t| t.stream.total_len()).unwrap_or(0)
     }
 
-    /// The poison entries dead-lettered off a topic, oldest first.
-    pub fn dead_letters(&self, topic: &str) -> Vec<Entry> {
-        self.lookup(topic).map(|t| t.dead.range(StreamId::MIN, StreamId::MAX)).unwrap_or_default()
-    }
-
     /// Approximate memory footprint of all topic windows (Figure 5's
     /// memory-overhead accounting).
     pub fn approx_memory_bytes(&self) -> usize {
@@ -1002,7 +900,6 @@ impl Broker {
     pub fn topic_info(&self, topic: &str) -> Option<TopicInfo> {
         let t = self.lookup(topic)?;
         let subscribers = t.readers.lock().subscribers.len();
-        let consumer_groups = t.groups.lock().len();
         Some(TopicInfo {
             name: topic.to_string(),
             window_len: t.stream.len(),
@@ -1010,13 +907,10 @@ impl Broker {
             published: t.published.load(Ordering::Relaxed),
             dropped_subscribers: t.dropped.load(Ordering::Relaxed),
             dropped_entries: t.dropped_entries.load(Ordering::Relaxed),
-            dead_lettered: t.dead_lettered.load(Ordering::Relaxed),
             subscribers,
-            consumer_groups,
             last_id: t.stream.last_id(),
             memory_bytes: t.stream.approx_memory_bytes(),
             clock_regressions: t.stream.clock_regressions(),
-            group_lagged: t.stream.group_lagged(),
         })
     }
 
@@ -1026,62 +920,6 @@ impl Broker {
             self.topic_names().iter().filter_map(|n| self.topic_info(n)).collect();
         out.sort_by(|a, b| a.name.cmp(&b.name));
         out
-    }
-
-    /// Create (or fetch) a consumer group positioned at the current end of
-    /// the topic — it sees only entries published after creation.
-    ///
-    /// On a broker whose topics spill to a slab store
-    /// ([`SpillBackend::Slab`]), the group's cursor is persisted there
-    /// alongside the topic's series: re-creating the group after a
-    /// restart resumes delivery right after the last position saved before
-    /// the crash (at-least-once), instead of starting at end-of-topic.
-    pub fn consumer_group(&self, topic: &str, group: &str) -> ConsumerGroup {
-        let t = self.topic(topic);
-        {
-            let mut groups = t.groups.lock();
-            if !groups.contains_key(group) {
-                let mut state = GroupState { cursor: t.stream.last_id(), ..GroupState::default() };
-                if let SpillBackend::Slab(store) = &self.default_config.spill {
-                    match store.cursor(topic, group) {
-                        Ok(cell) => {
-                            if let Some(saved) = cell.load() {
-                                // Restart: resume after the persisted cursor.
-                                state.cursor = Some(saved);
-                            }
-                            state.persist = Some(cell);
-                        }
-                        Err(e) => crate::slab::record_exhaustion(&format!(
-                            "consumer group '{group}' on topic '{topic}' wanted a persistent \
-                             cursor but got \"{e}\"; its delivery position will NOT survive a \
-                             restart"
-                        )),
-                    }
-                }
-                groups.insert(group.to_string(), state);
-            }
-        }
-        ConsumerGroup { topic: t, name: group.to_string() }
-    }
-
-    /// Delete a consumer group (`XGROUP DESTROY` analogue), discarding its
-    /// cursor and pending entries. Live [`ConsumerGroup`] handles start
-    /// returning [`GroupError::UnknownGroup`]. Returns whether it existed.
-    ///
-    /// If the group held a persistent slab cursor, its dirent is retired
-    /// so consumer-group churn cannot exhaust the cursor directory.
-    pub fn delete_group(&self, topic: &str, group: &str) -> bool {
-        let Some(t) = self.lookup(topic) else { return false };
-        let removed = t.groups.lock().remove(group);
-        match removed {
-            Some(state) => {
-                if let Some(cell) = state.persist {
-                    cell.retire();
-                }
-                true
-            }
-            None => false,
-        }
     }
 }
 
@@ -1144,149 +982,6 @@ impl Publisher {
 impl std::fmt::Debug for Publisher {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Publisher").field("topic", &self.name).finish()
-    }
-}
-
-impl ConsumerGroup {
-    fn unknown(&self) -> GroupError {
-        GroupError::UnknownGroup {
-            topic: self.topic.stream.name().to_string(),
-            group: self.name.clone(),
-        }
-    }
-
-    /// Route a poison entry to the topic's dead-letter stream. The
-    /// original payload and millisecond timestamp are preserved; the
-    /// dead-letter stream assigns its own (monotonic) sequence, since
-    /// poison entries from concurrent groups can arrive out of ID order.
-    fn dead_letter(&self, id: StreamId) {
-        if let Some(e) = self.topic.stream.range(id, id).into_iter().next() {
-            self.topic.dead.append(e.id.ms, e.payload);
-            self.topic.dead_lettered.fetch_add(1, Ordering::Relaxed);
-            if let Some(tobs) = self.topic.obs.get() {
-                tobs.dead_lettered.inc();
-                tobs.dead_lettered_total.inc();
-            }
-        }
-    }
-
-    /// Read up to `count` new (never-delivered) entries on behalf of
-    /// `consumer`. Delivered entries become pending until acknowledged.
-    pub fn read_new(&self, consumer: &str, count: usize) -> Result<Vec<Entry>, GroupError> {
-        self.read_new_at(consumer, count, 0)
-    }
-
-    /// [`ConsumerGroup::read_new`] with an explicit delivery timestamp
-    /// (ms), which [`ConsumerGroup::auto_claim`] uses for idle detection.
-    pub fn read_new_at(
-        &self,
-        consumer: &str,
-        count: usize,
-        now_ms: u64,
-    ) -> Result<Vec<Entry>, GroupError> {
-        let mut groups = self.topic.groups.lock();
-        let state = groups.get_mut(&self.name).ok_or_else(|| self.unknown())?;
-        let entries = self.topic.stream.read_after(state.cursor, count);
-        for e in &entries {
-            state.cursor = Some(e.id);
-            state.pending.insert(e.id, (consumer.to_string(), 1, now_ms));
-        }
-        if !entries.is_empty() {
-            if let (Some(persist), Some(cursor)) = (&state.persist, state.cursor) {
-                persist.save(cursor);
-            }
-        }
-        Ok(entries)
-    }
-
-    /// Acknowledge an entry; removes it from the pending list. Returns
-    /// whether it was pending (acknowledging an unknown or already-acked
-    /// id is not an error — it reports `false`, like `XACK` returning 0).
-    pub fn ack(&self, id: StreamId) -> Result<bool, GroupError> {
-        let mut groups = self.topic.groups.lock();
-        let state = groups.get_mut(&self.name).ok_or_else(|| self.unknown())?;
-        Ok(state.pending.remove(&id).is_some())
-    }
-
-    /// Pending (delivered, unacknowledged) entry IDs with their consumer
-    /// and delivery count, in ID order.
-    pub fn pending(&self) -> Result<Vec<(StreamId, String, u32)>, GroupError> {
-        let groups = self.topic.groups.lock();
-        let state = groups.get(&self.name).ok_or_else(|| self.unknown())?;
-        let mut out: Vec<_> =
-            state.pending.iter().map(|(id, (c, n, _))| (*id, c.clone(), *n)).collect();
-        out.sort_by_key(|(id, _, _)| *id);
-        Ok(out)
-    }
-
-    /// Reassign a pending entry to another consumer (failure recovery),
-    /// bumping its delivery count. Returns the entry if it was pending
-    /// and still deliverable; a claim that would exceed the broker's
-    /// `max_deliveries` dead-letters the entry and returns `None`.
-    pub fn claim(&self, id: StreamId, new_consumer: &str) -> Result<Option<Entry>, GroupError> {
-        let max = self.topic.max_deliveries.load(Ordering::Relaxed);
-        let mut groups = self.topic.groups.lock();
-        let state = groups.get_mut(&self.name).ok_or_else(|| self.unknown())?;
-        let Some(slot) = state.pending.get_mut(&id) else { return Ok(None) };
-        if max > 0 && slot.1 >= max {
-            state.pending.remove(&id);
-            drop(groups);
-            self.dead_letter(id);
-            return Ok(None);
-        }
-        slot.0 = new_consumer.to_string();
-        slot.1 += 1;
-        drop(groups);
-        Ok(self.topic.stream.range(id, id).into_iter().next())
-    }
-
-    /// Reassign every pending entry idle for at least `min_idle_ms` to
-    /// `new_consumer` (the `XAUTOCLAIM` analogue: a supervisor sweeping
-    /// work away from crashed insight builders). Entries whose delivery
-    /// count would exceed the broker's `max_deliveries` are dead-lettered
-    /// instead of reclaimed. Returns the reclaimed entries, oldest first.
-    pub fn auto_claim(
-        &self,
-        new_consumer: &str,
-        now_ms: u64,
-        min_idle_ms: u64,
-    ) -> Result<Vec<Entry>, GroupError> {
-        let max = self.topic.max_deliveries.load(Ordering::Relaxed);
-        let (reclaimed, poison) = {
-            let mut groups = self.topic.groups.lock();
-            let state = groups.get_mut(&self.name).ok_or_else(|| self.unknown())?;
-            let mut ids: Vec<StreamId> = state
-                .pending
-                .iter()
-                .filter(|(_, (owner, _, delivered_ms))| {
-                    owner != new_consumer && now_ms.saturating_sub(*delivered_ms) >= min_idle_ms
-                })
-                .map(|(id, _)| *id)
-                .collect();
-            ids.sort_unstable();
-            let mut reclaimed = Vec::new();
-            let mut poison = Vec::new();
-            for id in ids {
-                let Some(slot) = state.pending.get_mut(&id) else { continue };
-                if max > 0 && slot.1 >= max {
-                    state.pending.remove(&id);
-                    poison.push(id);
-                } else {
-                    slot.0 = new_consumer.to_string();
-                    slot.1 += 1;
-                    slot.2 = now_ms;
-                    reclaimed.push(id);
-                }
-            }
-            (reclaimed, poison)
-        };
-        for id in poison {
-            self.dead_letter(id);
-        }
-        Ok(reclaimed
-            .into_iter()
-            .filter_map(|id| self.topic.stream.range(id, id).into_iter().next())
-            .collect())
     }
 }
 
@@ -1430,149 +1125,6 @@ mod tests {
     }
 
     #[test]
-    fn consumer_group_exactly_once_and_ack() {
-        let b = Broker::default();
-        let g = b.consumer_group("t", "g1");
-        for i in 0..6u64 {
-            b.publish("t", i, vec![i as u8]);
-        }
-        let first = g.read_new("c1", 4).unwrap();
-        assert_eq!(first.len(), 4);
-        let second = g.read_new("c2", 10).unwrap();
-        assert_eq!(second.len(), 2, "no redelivery of consumed entries");
-        assert_eq!(g.pending().unwrap().len(), 6);
-        assert!(g.ack(first[0].id).unwrap());
-        assert!(!g.ack(first[0].id).unwrap(), "double-ack reports false");
-        assert_eq!(g.pending().unwrap().len(), 5);
-    }
-
-    #[test]
-    fn ack_of_never_delivered_id_reports_false() {
-        let b = Broker::default();
-        let g = b.consumer_group("t", "g");
-        b.publish("t", 1, vec![]);
-        assert!(!g.ack(StreamId::new(999, 0)).unwrap());
-        // Nothing was delivered yet, so nothing is pending either.
-        assert!(g.pending().unwrap().is_empty());
-    }
-
-    #[test]
-    fn deleted_group_surfaces_typed_error() {
-        let b = Broker::default();
-        let g = b.consumer_group("t", "g");
-        b.publish("t", 1, vec![]);
-        assert!(b.delete_group("t", "g"));
-        assert!(!b.delete_group("t", "g"), "second delete reports absence");
-        let err = g.read_new("c", 1).unwrap_err();
-        assert_eq!(err, GroupError::UnknownGroup { topic: "t".into(), group: "g".into() });
-        assert!(g.ack(StreamId::new(1, 0)).is_err());
-        assert!(g.pending().is_err());
-        assert!(g.claim(StreamId::new(1, 0), "x").is_err());
-        assert!(g.auto_claim("x", 0, 0).is_err());
-        // Recreating the group starts fresh at the end of the topic.
-        let g2 = b.consumer_group("t", "g");
-        assert!(g2.read_new("c", 10).unwrap().is_empty());
-    }
-
-    #[test]
-    fn consumer_group_starts_at_end_of_topic() {
-        let b = Broker::default();
-        b.publish("t", 1, vec![]);
-        let g = b.consumer_group("t", "g");
-        assert!(g.read_new("c", 10).unwrap().is_empty());
-        b.publish("t", 2, vec![]);
-        assert_eq!(g.read_new("c", 10).unwrap().len(), 1);
-    }
-
-    #[test]
-    fn auto_claim_reclaims_only_idle_entries() {
-        let b = Broker::default();
-        let g = b.consumer_group("t", "g");
-        for i in 0..4u64 {
-            b.publish("t", i, vec![i as u8]);
-        }
-        // Two old deliveries to a, two fresh ones to b.
-        let _old = g.read_new_at("worker-a", 2, 1_000).unwrap();
-        let _fresh = g.read_new_at("worker-b", 2, 9_000).unwrap();
-        // Sweep at t=10s with 5s idle threshold: only a's are stale.
-        let reclaimed = g.auto_claim("supervisor", 10_000, 5_000).unwrap();
-        assert_eq!(reclaimed.len(), 2);
-        assert!(reclaimed.windows(2).all(|w| w[0].id < w[1].id));
-        let pending = g.pending().unwrap();
-        let owners: Vec<&str> = pending.iter().map(|(_, c, _)| c.as_str()).collect();
-        assert_eq!(owners.iter().filter(|o| **o == "supervisor").count(), 2);
-        assert_eq!(owners.iter().filter(|o| **o == "worker-b").count(), 2);
-        // Re-sweeping immediately reclaims nothing (idle clocks reset).
-        assert!(g.auto_claim("supervisor", 10_000, 5_000).unwrap().is_empty());
-    }
-
-    #[test]
-    fn claim_reassigns_pending_entry() {
-        let b = Broker::default();
-        let g = b.consumer_group("t", "g");
-        b.publish("t", 5, vec![7]);
-        let got = g.read_new("worker-a", 1).unwrap();
-        let id = got[0].id;
-        let reclaimed = g.claim(id, "worker-b").unwrap().expect("entry still pending");
-        assert_eq!(reclaimed.payload[0], 7);
-        let pending = g.pending().unwrap();
-        assert_eq!(pending[0].1, "worker-b");
-        assert_eq!(pending[0].2, 2, "delivery count bumped");
-        assert!(g.claim(StreamId::new(999, 0), "x").unwrap().is_none());
-    }
-
-    #[test]
-    fn poison_entry_dead_letters_after_max_deliveries() {
-        let b = Broker::default().with_max_deliveries(2);
-        let g = b.consumer_group("t", "g");
-        b.publish("t", 5, vec![9]);
-        b.publish("t", 6, vec![1]);
-        let got = g.read_new("worker-a", 2).unwrap(); // delivery 1
-        let poison = got[0].id;
-        assert!(g.claim(poison, "worker-b").unwrap().is_some(), "delivery 2 allowed");
-        // A third delivery would exceed the cap: dead-lettered instead.
-        assert!(g.claim(poison, "worker-c").unwrap().is_none());
-        let dead = b.dead_letters("t");
-        assert_eq!(dead.len(), 1);
-        assert_eq!(dead[0].payload[0], 9);
-        assert_eq!(dead[0].id.ms, 5, "original timestamp preserved");
-        // Off the pending list; the healthy sibling entry is untouched.
-        let pending = g.pending().unwrap();
-        assert_eq!(pending.len(), 1);
-        assert_eq!(pending[0].0, got[1].id);
-        let info = b.topic_info("t").unwrap();
-        assert_eq!(info.dead_lettered, 1);
-    }
-
-    #[test]
-    fn auto_claim_dead_letters_poison_and_reclaims_rest() {
-        let b = Broker::default().with_max_deliveries(2);
-        let g = b.consumer_group("t", "g");
-        for i in 0..3u64 {
-            b.publish("t", i, vec![i as u8]);
-        }
-        let got = g.read_new_at("worker-a", 3, 0).unwrap();
-        // Burn the first entry's deliveries via claim.
-        assert!(g.claim(got[0].id, "worker-a").unwrap().is_some()); // delivery 2 (= cap)
-                                                                    // Sweep: entry 0 exceeds the cap → dead-letter; 1 and 2 reclaimed.
-        let reclaimed = g.auto_claim("supervisor", 10_000, 1_000).unwrap();
-        assert_eq!(reclaimed.len(), 2);
-        assert_eq!(reclaimed[0].id, got[1].id);
-        assert_eq!(b.dead_letters("t").len(), 1);
-        assert_eq!(g.pending().unwrap().len(), 2);
-    }
-
-    #[test]
-    fn independent_groups_independent_cursors() {
-        let b = Broker::default();
-        let g1 = b.consumer_group("t", "g1");
-        let g2 = b.consumer_group("t", "g2");
-        b.publish("t", 1, vec![]);
-        assert_eq!(g1.read_new("c", 10).unwrap().len(), 1);
-        assert_eq!(g2.read_new("c", 10).unwrap().len(), 1, "each group gets its own copy");
-    }
-
-    #[test]
     fn remove_topic() {
         let b = Broker::default();
         b.publish("t", 1, vec![]);
@@ -1588,7 +1140,6 @@ mod tests {
         let b = Broker::new(StreamConfig::bounded(4));
         assert!(b.topic_info("t").is_none());
         let _sub = b.subscribe("t");
-        b.consumer_group("t", "g");
         for i in 0..10u64 {
             b.publish("t", i, vec![0u8; 8]);
         }
@@ -1597,8 +1148,6 @@ mod tests {
         assert_eq!(info.archived_len, 6, "evicted to archive");
         assert_eq!(info.published, 10);
         assert_eq!(info.subscribers, 1);
-        assert_eq!(info.consumer_groups, 1);
-        assert_eq!(info.dead_lettered, 0);
         assert_eq!(info.dropped_entries, 0);
         assert_eq!(info.last_id.unwrap().ms, 9);
         assert!(info.memory_bytes > 0);
@@ -1797,9 +1346,8 @@ mod tests {
         assert!(batch.entries.is_empty() && batch.records.is_empty());
         assert_eq!(b.scan_meta("ghost"), ScanMeta::default());
         assert_eq!(b.topic_len("ghost"), 0);
-        assert!(b.dead_letters("ghost").is_empty());
+        assert!(b.read_after("ghost", None, 10).is_empty());
         assert!(b.topic_info("ghost").is_none());
-        assert!(!b.delete_group("ghost", "g"));
         // ...leaves the namespace untouched: no phantom topic registered.
         assert!(!b.has_topic("ghost"));
         assert!(b.topic_names().is_empty());
@@ -1813,7 +1361,6 @@ mod tests {
     fn publish_batch_matches_sequential_publishes() {
         let b = Broker::default();
         let sub = b.subscribe("batched");
-        let g = b.consumer_group("batched", "g");
         let records: Vec<(u64, Bytes)> =
             (0..10u64).map(|i| (i, Bytes::from(vec![i as u8]))).collect();
         let ids = b.publish_batch("batched", records.clone());
@@ -1823,11 +1370,11 @@ mod tests {
             records.iter().map(|(ms, p)| b.publish("sequential", *ms, p.clone())).collect();
         assert_eq!(ids, singles);
 
-        // Subscribers and consumer groups see every record, in order.
+        // Subscribers and cursor readers see every record, in order.
         let delivered = sub.drain();
         assert_eq!(delivered.iter().map(|e| e.id).collect::<Vec<_>>(), ids);
-        let consumed = g.read_new("c", 100).unwrap();
-        assert_eq!(consumed.len(), 10);
+        let read = b.read_after("batched", None, 100);
+        assert_eq!(read.iter().map(|e| e.id).collect::<Vec<_>>(), ids);
 
         // Counters stay exact.
         assert_eq!(b.topic_info("batched").unwrap().published, 10);
@@ -1840,48 +1387,48 @@ mod tests {
     }
 
     #[test]
-    fn group_read_stitches_evicted_entries_and_counts_lag() {
-        // A consumer group whose cursor trails the live window (retention
-        // evicted entries before delivery) must be caught up from the
-        // archive, not silently skipped past the gap.
+    fn cursor_read_stitches_evicted_entries() {
+        // A cursor that trails the live window (retention evicted entries
+        // before the reader got to them) is caught up from the archive,
+        // not silently skipped past the gap.
         let b = Broker::new(StreamConfig::bounded(2));
-        let g = b.consumer_group("t", "g");
-        for i in 0..10u64 {
+        let first = b.publish("t", 0, vec![0]);
+        for i in 1..10u64 {
             b.publish("t", i, vec![i as u8]);
         }
         // Window holds the last 2 entries; the 8 older ones are archived.
-        let got = g.read_new("c", 100).unwrap();
+        let got = b.read_after("t", None, 100);
         assert_eq!(got.len(), 10, "no entry skipped despite eviction");
         assert!(got.windows(2).all(|w| w[0].id < w[1].id));
         assert_eq!(got[0].payload[0], 0);
-        let info = b.topic_info("t").unwrap();
-        assert_eq!(info.group_lagged, 8, "eight entries served from the archive");
-        // Everything is pending exactly once.
-        assert_eq!(g.pending().unwrap().len(), 10);
-        assert!(g.read_new("c", 100).unwrap().is_empty(), "no redelivery");
+        // Resuming from a saved cursor delivers only what follows it.
+        let ids: Vec<StreamId> = got.iter().map(|e| e.id).collect();
+        let rest: Vec<StreamId> =
+            b.read_after("t", Some(first), 100).iter().map(|e| e.id).collect();
+        assert_eq!(rest, ids[1..]);
+        assert!(b.read_after("t", ids.last().copied(), 100).is_empty(), "caught up");
     }
 
     #[test]
-    fn a_group_lapped_by_the_ring_reads_from_its_floor_and_is_counted() {
-        // The group has read nothing while 98 entries were evicted into an
-        // 8-slot ring: the 90 oldest are gone. Delivery starts at the ring's
-        // floor, as before; the skip is no longer silent.
+    fn a_cursor_lapped_by_the_ring_reads_from_its_floor_and_is_counted() {
+        // The reader has read nothing while 98 entries were evicted into an
+        // 8-slot ring: the 90 oldest are gone. The read starts at the ring's
+        // floor, and the skip is not silent.
         let path = std::env::temp_dir().join(format!("apollo-lapped-{}.slab", std::process::id()));
-        let cfg = crate::slab::SlabConfig { max_series: 2, slots: 8, ..Default::default() };
+        let cfg = crate::slab::SlabConfig { max_series: 1, slots: 8, ..Default::default() };
         let store = crate::slab::SlabStore::create(&path, cfg).unwrap();
         let b = Broker::new(StreamConfig::bounded(2).with_slab(store));
         let reg = apollo_obs::Registry::new();
         b.instrument(&reg);
-        let g = b.consumer_group("t", "g");
-        for i in 0..100u64 {
+        let start = b.publish("t", 0, vec![0]);
+        for i in 1..100u64 {
             b.publish("t", i, vec![i as u8]);
         }
-        let got = g.read_new("c", 1_000).unwrap();
+        let got = b.read_after("t", Some(start), 1_000);
         assert_eq!(got.iter().map(|e| e.id.ms).collect::<Vec<_>>(), (90..100).collect::<Vec<_>>());
-        assert_eq!(reg.snapshot().counter("streams.topic.t.group_lapped"), 1);
-        assert_eq!(b.topic_info("t").unwrap().group_lagged, 8, "the ring's eight");
-        assert!(g.read_new("c", 1_000).unwrap().is_empty());
-        assert_eq!(reg.snapshot().counter("streams.topic.t.group_lapped"), 1, "caught up");
+        assert_eq!(reg.snapshot().counter("streams.topic.t.cursor_lapped"), 1);
+        assert!(b.read_after("t", got.last().map(|e| e.id), 1_000).is_empty());
+        assert_eq!(reg.snapshot().counter("streams.topic.t.cursor_lapped"), 1, "caught up");
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1905,17 +1452,19 @@ mod tests {
         let b = Broker::new(StreamConfig::bounded(2));
         let reg = apollo_obs::Registry::new();
         b.instrument(&reg);
-        let g = b.consumer_group("t", "g");
         for i in 0..6u64 {
             b.publish("t", i, vec![]);
         }
-        g.read_new("c", 100).unwrap();
+        assert_eq!(b.read_after("t", None, 100).len(), 6);
         let snap = reg.snapshot();
-        assert_eq!(snap.counter("streams.topic.t.group_lagged"), 4);
-        // Every eviction fit its slot, so nothing was rejected — but the
-        // counter is registered and exported.
-        assert!(snap.counters.contains_key("streams.topic.t.archive_rejected"));
-        assert_eq!(snap.counter("streams.topic.t.archive_rejected"), 0);
+        // The archive held every evicted entry and every eviction fit its
+        // slot, so nothing was lapped or rejected — but both counters are
+        // registered and exported.
+        for name in ["cursor_lapped", "archive_rejected"] {
+            let key = format!("streams.topic.t.{name}");
+            assert!(snap.counters.contains_key(&key), "{key}");
+            assert_eq!(snap.counter(&key), 0, "{key}");
+        }
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //! * **Range reads** by ID/timestamp (`XRANGE` analogue) — the
 //!   timestamp-based indexing the Query Executor relies on.
 //! * **Tail reads** (`XREAD` analogue): blocking and non-blocking reads of
-//!   entries after a cursor.
+//!   entries after a cursor. The cursor is the reader's own last
+//!   [`id::StreamId`]; a reader that must survive a crash saves it and
+//!   resumes with [`broker::Broker::read_after`].
 //! * **Retention** (`MAXLEN` analogue) with eviction into a slab ring
 //!   ([`slab::SlabSeries`]) — the per-vertex *Archiver* of §3.1 that
 //!   "stores the queue in a log"; evicted entries remain range-readable,
@@ -23,14 +25,11 @@
 //!   (series directory + fixed columnar slot rings + tiered consolidation
 //!   buckets). [`stream::StreamConfig`]'s [`stream::SpillBackend`] picks
 //!   which: a pre-allocated memory-mapped slab file shared by many
-//!   streams, whose history and consumer-group cursors survive restarts,
-//!   or by default a private in-memory ring per stream that keeps its
-//!   newest 4 096 evictions.
+//!   streams, one series per stream, whose history survives restarts, or
+//!   by default a private in-memory ring per stream that keeps its newest
+//!   4 096 evictions.
 //! * **Pub-Sub fan-out** ([`broker::Broker`]): subscribers receive new
-//!   entries over bounded queues with explicit [`broker::BackpressurePolicy`];
-//!   consumer groups provide exactly-once-per-group delivery with
-//!   acknowledgement, idle-entry reclamation (`XAUTOCLAIM` analogue), and
-//!   dead-lettering of poison entries past a delivery cap.
+//!   entries over bounded queues with explicit [`broker::BackpressurePolicy`].
 //! * **Typed telemetry codec** ([`codec`]): the `(timestamp, value,
 //!   provenance)` fact tuple of §3.1 — measured, predicted, or stale
 //!   (last-known-value republished during an outage) — encoded with `bytes`.
@@ -43,8 +42,7 @@ pub mod slab;
 pub mod stream;
 
 pub use broker::{
-    BackpressurePolicy, Broker, ConsumerGroup, GroupError, PublishWaker, Publisher,
-    SubscribeOptions, Subscription, TopicInfo,
+    BackpressurePolicy, Broker, PublishWaker, Publisher, SubscribeOptions, Subscription, TopicInfo,
 };
 pub use codec::{Provenance, Record};
 pub use entry::Entry;
@@ -125,7 +123,7 @@ mod archiver {
         #[test]
         #[should_panic(expected = "out of order")]
         fn out_of_order_append_panics() {
-            let cfg = SlabConfig { max_series: 1, max_cursors: 0, ..SlabConfig::default() };
+            let cfg = SlabConfig { max_series: 1, ..SlabConfig::default() };
             evict_behind_a_shared_series(SlabStore::in_memory(cfg).unwrap());
         }
 

@@ -11,7 +11,6 @@
 //! * a **series directory** (fixed-size dirents naming each ring; an
 //!   in-memory name index over it makes an attach O(1), see
 //!   [`SlabStore::series`]),
-//! * a **cursor directory** (consumer-group positions that survive restart),
 //! * per-series **entry rings** (fixed-size columnar slots), and
 //! * per-series **consolidation tiers** (bucketed count/sum/min/max
 //!   aggregates at coarsening resolutions, e.g. 1s × 10m → 10s × 6h →
@@ -22,10 +21,10 @@
 //! words, then **publish** by storing the bumped per-series `head` with
 //! `Release` ordering. The head is the commit word: entries below it are
 //! committed, the slot at `head % slots` is scratch. The checksum folds
-//! 8-byte words (format version 2; a version-1 file is refused, not
-//! migrated). Reads are one walk, generic over where the rows land: each
-//! slot is copied into one scratch buffer, verified there, and lent to the
-//! sink — entries copy it, columns decode it in place. Crash recovery in
+//! 8-byte words (format version 3; a file of an earlier version is
+//! refused, not migrated). Reads are one walk, generic over where the rows
+//! land: each slot is copied into one scratch buffer, verified there, and
+//! lent to the sink — entries copy it, columns decode it in place. Crash recovery in
 //! [`SlabStore::open`] re-validates every committed slot (checksum +
 //! strictly increasing IDs) and rolls torn or unsynced slots out of the
 //! committed range — a torn tail shrinks `head`, a destroyed oldest slot
@@ -75,12 +74,12 @@ use std::sync::{Arc, OnceLock};
 /// File magic, first 8 bytes of the header page.
 pub const SLAB_MAGIC: [u8; 8] = *b"APOLSLB1";
 /// On-disk format version.
-pub const SLAB_VERSION: u32 = 2;
+pub const SLAB_VERSION: u32 = 3;
 /// Size of the header page.
 pub const HEADER_BYTES: usize = 4096;
-/// Size of one series/cursor directory entry.
+/// Size of one series directory entry.
 pub const DIRENT_BYTES: usize = 256;
-/// Longest series / cursor name storable in a dirent.
+/// Longest series name storable in a dirent.
 pub const NAME_CAP: usize = DIRENT_BYTES - 40;
 /// Slot header: `ms u64 | seq u64 | (len+1) u32 | checksum u32`.
 pub const SLOT_HEADER_BYTES: usize = 24;
@@ -96,11 +95,11 @@ const STATE_FREE: u64 = 0;
 const STATE_LIVE: u64 = 1;
 const STATE_TOMBSTONE: u64 = 2;
 
-/// Dirent field offsets (shared by series and cursor dirents where noted).
+/// Series dirent field offsets.
 const D_STATE: usize = 0; // u64: see STATE_*
-const D_HEAD: usize = 8; // series: commit word | cursor: seq
-const D_CONSOLIDATED: usize = 16; // series: consolidation watermark | cursor: ms
-const D_TAIL: usize = 24; // series: readable floor | cursor: has-value flag
+const D_HEAD: usize = 8; // commit word
+const D_CONSOLIDATED: usize = 16; // consolidation watermark
+const D_TAIL: usize = 24; // readable floor
 const D_NAME_LEN: usize = 32;
 const D_NAME: usize = 40;
 
@@ -110,8 +109,7 @@ const H_VERSION: usize = 8;
 const H_MAX_SERIES: usize = 12;
 const H_SLOTS: usize = 16;
 const H_SLOT_BYTES: usize = 20;
-const H_MAX_CURSORS: usize = 24;
-const H_TIER_COUNT: usize = 28;
+const H_TIER_COUNT: usize = 24;
 const H_TIERS: usize = 32; // MAX_TIERS × (interval_ms u64, buckets u64)
 const H_CONFIG_HASH: usize = H_TIERS + MAX_TIERS * 16;
 
@@ -142,8 +140,6 @@ pub struct SlabConfig {
     pub slots: u32,
     /// Bytes per slot (header + inline payload); multiple of 8, ≥ 32.
     pub slot_bytes: u32,
-    /// Consumer-group cursor directory capacity.
-    pub max_cursors: u32,
     /// Consolidation tiers, coarsest last, strictly increasing intervals.
     pub tiers: Vec<TierConfig>,
 }
@@ -157,7 +153,6 @@ impl Default for SlabConfig {
             max_series: 256,
             slots: 4096,
             slot_bytes: 64,
-            max_cursors: 256,
             tiers: vec![
                 TierConfig::new(1_000, 600),     // 1 s buckets × 10 min
                 TierConfig::new(10_000, 2_160),  // 10 s buckets × 6 h
@@ -202,7 +197,7 @@ impl SlabConfig {
     /// header's config hash.
     pub fn hash(&self) -> u64 {
         let mut h = fold(FOLD_BASIS, SLAB_VERSION as u64);
-        for w in [self.max_series, self.slots, self.slot_bytes, self.max_cursors] {
+        for w in [self.max_series, self.slots, self.slot_bytes] {
             h = fold(h, w as u64);
         }
         h = fold(h, self.tiers.len() as u64);
@@ -249,7 +244,6 @@ fn slot_checksum(ms: u64, seq: u64, len: u32, payload: &[u8]) -> u32 {
 pub struct SlabLayout {
     cfg: SlabConfig,
     series_dir: usize,
-    cursor_dir: usize,
     rings: usize,
     ring_stride: usize,
     tier_base: Vec<usize>,
@@ -261,8 +255,7 @@ impl SlabLayout {
     /// Compute the layout for a geometry.
     pub fn for_config(cfg: &SlabConfig) -> Self {
         let series_dir = HEADER_BYTES;
-        let cursor_dir = series_dir + cfg.max_series as usize * DIRENT_BYTES;
-        let rings = cursor_dir + cfg.max_cursors as usize * DIRENT_BYTES;
+        let rings = series_dir + cfg.max_series as usize * DIRENT_BYTES;
         let ring_stride = cfg.slots as usize * cfg.slot_bytes as usize;
         let mut at = rings + cfg.max_series as usize * ring_stride;
         let mut tier_base = Vec::with_capacity(cfg.tiers.len());
@@ -273,16 +266,7 @@ impl SlabLayout {
             tier_stride.push(stride);
             at += cfg.max_series as usize * stride;
         }
-        Self {
-            cfg: cfg.clone(),
-            series_dir,
-            cursor_dir,
-            rings,
-            ring_stride,
-            tier_base,
-            tier_stride,
-            total: at,
-        }
+        Self { cfg: cfg.clone(), series_dir, rings, ring_stride, tier_base, tier_stride, total: at }
     }
 
     /// Total file size in bytes.
@@ -293,11 +277,6 @@ impl SlabLayout {
     /// Offset of series dirent `idx`.
     pub fn series_dirent(&self, idx: usize) -> usize {
         self.series_dir + idx * DIRENT_BYTES
-    }
-
-    /// Offset of cursor dirent `idx`.
-    pub fn cursor_dirent(&self, idx: usize) -> usize {
-        self.cursor_dir + idx * DIRENT_BYTES
     }
 
     /// Offset of ring slot `slot` of series `idx`.
@@ -471,12 +450,7 @@ pub enum SlabDirError {
         /// The store's `max_series`.
         capacity: u32,
     },
-    /// Every cursor dirent is live.
-    CursorDirectoryFull {
-        /// The store's `max_cursors`.
-        capacity: u32,
-    },
-    /// The series name / cursor key does not fit a dirent.
+    /// The series name does not fit a dirent.
     NameTooLong {
         /// Offered name length in bytes.
         len: usize,
@@ -490,9 +464,6 @@ impl std::fmt::Display for SlabDirError {
         match self {
             SlabDirError::SeriesDirectoryFull { capacity } => {
                 write!(f, "slab series directory full (max_series = {capacity})")
-            }
-            SlabDirError::CursorDirectoryFull { capacity } => {
-                write!(f, "slab cursor directory full (max_cursors = {capacity})")
             }
             SlabDirError::NameTooLong { len, cap } => {
                 write!(f, "slab dirent name too long ({len} bytes, cap {cap})")
@@ -509,8 +480,8 @@ impl From<SlabDirError> for io::Error {
     }
 }
 
-/// Process-wide count of slab-exhaustion fallbacks (series or cursor
-/// directory full, name too long). The broker exports it as the
+/// Process-wide count of slab-exhaustion fallbacks (series directory
+/// full, name too long). The broker exports it as the
 /// `streams.slab.dir_full` counter.
 pub fn dir_full_cell() -> Arc<AtomicU64> {
     static CELL: OnceLock<Arc<AtomicU64>> = OnceLock::new();
@@ -602,13 +573,6 @@ pub struct SlabStats {
     /// Series dirents mid-reclaim (tombstoned; freed once the scrub is
     /// durable, or on reopen).
     pub series_tombstoned: usize,
-    /// Live cursor dirents.
-    pub cursors_live: usize,
-    /// Cursor directory capacity.
-    pub cursors_capacity: usize,
-    /// Consumer groups that wanted a persistent cursor but fell back to
-    /// in-memory positions (cursor directory full or key too long).
-    pub cursor_fallbacks: u64,
     /// Committed entries that aged out of their ring before a
     /// consolidation pass folded them (ring-lap data loss).
     pub lapped_entries: u64,
@@ -619,15 +583,14 @@ pub struct SlabStats {
 
 impl SlabStats {
     /// Worst-case fill fraction across the exhaustion axes: series
-    /// directory (live + tombstoned), cursor directory, and ring
-    /// occupancy. 1.0 means an axis is saturated — new series/cursor
-    /// demand will be refused, or rings are lapping history. Exported as
-    /// the `apollo/self/slab_pressure` self-observer fact.
+    /// directory (live + tombstoned) and ring occupancy. 1.0 means an axis
+    /// is saturated — new series will be refused, or rings are lapping
+    /// history. Exported as the `apollo/self/slab_pressure` self-observer
+    /// fact.
     pub fn pressure(&self) -> f64 {
         let series = (self.series_live + self.series_tombstoned) as f64
             / (self.series_capacity.max(1)) as f64;
-        let cursors = self.cursors_live as f64 / (self.cursors_capacity.max(1)) as f64;
-        series.max(cursors).max(self.occupancy)
+        series.max(self.occupancy)
     }
 }
 
@@ -688,7 +651,7 @@ pub struct SlabStore {
     path: PathBuf,
     cfg: SlabConfig,
     layout: SlabLayout,
-    /// Serializes series/cursor directory allocation, and holds the
+    /// Serializes series directory allocation, and holds the
     /// series directory's name index, built on the first lookup (or by
     /// [`SlabStore::open`]).
     dir_lock: Mutex<Option<SeriesIndex>>,
@@ -700,7 +663,6 @@ pub struct SlabStore {
     handles: Box<[AtomicU64]>,
     oversize_rejected: AtomicU64,
     series_fallbacks: AtomicU64,
-    cursor_fallbacks: AtomicU64,
     /// Entries that aged out of a ring before consolidation folded them.
     lapped: AtomicU64,
     /// Records published since the last completed flush.
@@ -731,7 +693,6 @@ impl SlabStore {
             handles,
             oversize_rejected: AtomicU64::new(0),
             series_fallbacks: AtomicU64::new(0),
-            cursor_fallbacks: AtomicU64::new(0),
             lapped: AtomicU64::new(0),
             dirty_records: AtomicU64::new(0),
         }
@@ -977,54 +938,6 @@ impl SlabStore {
         }
     }
 
-    /// Attach to the persistent cursor slot for `topic`/`group`, creating
-    /// it if absent. Errors when the cursor directory is full or the key
-    /// does not fit a dirent.
-    pub fn cursor(self: &Arc<Self>, topic: &str, group: &str) -> Result<SlabCursor, SlabDirError> {
-        let fail = |store: &Self, e: SlabDirError| {
-            store.cursor_fallbacks.fetch_add(1, Ordering::Relaxed);
-            Err(e)
-        };
-        let key_len = topic.len() + 1 + group.len();
-        if key_len > NAME_CAP {
-            return fail(self, SlabDirError::NameTooLong { len: key_len, cap: NAME_CAP });
-        }
-        let mut key = Vec::with_capacity(key_len);
-        key.extend_from_slice(topic.as_bytes());
-        key.push(0);
-        key.extend_from_slice(group.as_bytes());
-        let _guard = self.dir_lock.lock();
-        let mut free = None;
-        for idx in 0..self.cfg.max_cursors as usize {
-            let d = self.layout.cursor_dirent(idx);
-            if self.atom(d + D_STATE).load(Ordering::Acquire) != STATE_LIVE {
-                if free.is_none() {
-                    free = Some(idx);
-                }
-                continue;
-            }
-            if self.dirent_name(d) == key.as_slice() {
-                return Ok(SlabCursor { store: Arc::clone(self), dirent: d });
-            }
-        }
-        let Some(idx) = free else {
-            return fail(
-                self,
-                SlabDirError::CursorDirectoryFull { capacity: self.cfg.max_cursors },
-            );
-        };
-        let d = self.layout.cursor_dirent(idx);
-        unsafe {
-            std::ptr::copy_nonoverlapping(key.as_ptr(), self.ptr_at(d + D_NAME), key.len());
-        }
-        self.atom(d + D_NAME_LEN).store(key.len() as u64, Ordering::Relaxed);
-        self.atom(d + D_HEAD).store(0, Ordering::Relaxed);
-        self.atom(d + D_CONSOLIDATED).store(0, Ordering::Relaxed);
-        self.atom(d + D_TAIL).store(0, Ordering::Relaxed);
-        self.atom(d + D_STATE).store(STATE_LIVE, Ordering::Release);
-        Ok(SlabCursor { store: Arc::clone(self), dirent: d })
-    }
-
     /// Reclaim retired series: tombstone, scrub, and free every series
     /// dirent with no live [`SlabSeries`] handle, no unconsolidated
     /// entries (when tiers are configured), and a newest entry at least
@@ -1191,20 +1104,12 @@ impl SlabStore {
         let slots = self.cfg.slots as u64;
         let mut s = SlabStats {
             series_capacity: self.cfg.max_series as usize,
-            cursors_capacity: self.cfg.max_cursors as usize,
             oversize_rejected: self.oversize_rejected.load(Ordering::Relaxed),
             series_fallbacks: self.series_fallbacks.load(Ordering::Relaxed),
-            cursor_fallbacks: self.cursor_fallbacks.load(Ordering::Relaxed),
             lapped_entries: self.lapped.load(Ordering::Relaxed),
             dirty_records: self.dirty_records.load(Ordering::Relaxed),
             ..SlabStats::default()
         };
-        for idx in 0..self.cfg.max_cursors as usize {
-            let d = self.layout.cursor_dirent(idx);
-            if self.atom(d + D_STATE).load(Ordering::Acquire) == STATE_LIVE {
-                s.cursors_live += 1;
-            }
-        }
         for idx in 0..self.cfg.max_series as usize {
             let d = self.layout.series_dirent(idx);
             match self.atom(d + D_STATE).load(Ordering::Acquire) {
@@ -1262,7 +1167,6 @@ impl SlabStore {
         w32(H_MAX_SERIES, self.cfg.max_series);
         w32(H_SLOTS, self.cfg.slots);
         w32(H_SLOT_BYTES, self.cfg.slot_bytes);
-        w32(H_MAX_CURSORS, self.cfg.max_cursors);
         w32(H_TIER_COUNT, self.cfg.tiers.len() as u32);
         for (i, t) in self.cfg.tiers.iter().enumerate() {
             self.atom(H_TIERS + i * 16).store(t.interval_ms, Ordering::Relaxed);
@@ -1366,7 +1270,6 @@ fn read_header(ptr: *mut u8, flen: usize) -> io::Result<SlabConfig> {
         max_series: r32(H_MAX_SERIES),
         slots: r32(H_SLOTS),
         slot_bytes: r32(H_SLOT_BYTES),
-        max_cursors: r32(H_MAX_CURSORS),
         tiers,
     }
     .validated()
@@ -1659,65 +1562,6 @@ impl SlabSeries {
     }
 }
 
-/// A consumer-group cursor persisted inside the slab, so group delivery
-/// positions survive restart.
-///
-/// `save` writes `seq` before `ms` before the presence flag: a crash
-/// between the stores can only leave a cursor at or **behind** the last
-/// delivered entry, never ahead — restart redelivers (at-least-once)
-/// rather than skipping.
-#[derive(Clone)]
-pub struct SlabCursor {
-    store: Arc<SlabStore>,
-    dirent: usize,
-}
-
-impl std::fmt::Debug for SlabCursor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SlabCursor").field("at", &self.load()).finish()
-    }
-}
-
-impl SlabCursor {
-    /// Persist the cursor position.
-    pub fn save(&self, id: StreamId) {
-        self.store.atom(self.dirent + D_HEAD).store(id.seq, Ordering::Relaxed);
-        self.store.atom(self.dirent + D_CONSOLIDATED).store(id.ms, Ordering::Release);
-        self.store.atom(self.dirent + D_TAIL).store(1, Ordering::Release);
-        self.store.dirty_records.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Free this cursor's dirent — called when its consumer group is
-    /// deleted, so group churn cannot exhaust the cursor directory.
-    ///
-    /// Cursors are advisory (at-least-once delivery), so retirement is
-    /// single-phase: the key and position are cleared before the state
-    /// word. A crash in between can only leave an unreclaimed dirent the
-    /// next retire or a full-directory sweep picks up, never a cursor
-    /// that resumes the wrong group.
-    pub fn retire(self) {
-        let _guard = self.store.dir_lock.lock();
-        self.store.atom(self.dirent + D_TAIL).store(0, Ordering::Release);
-        self.store.atom(self.dirent + D_HEAD).store(0, Ordering::Relaxed);
-        self.store.atom(self.dirent + D_CONSOLIDATED).store(0, Ordering::Relaxed);
-        self.store.atom(self.dirent + D_NAME_LEN).store(0, Ordering::Relaxed);
-        unsafe {
-            std::ptr::write_bytes(self.store.map.ptr().add(self.dirent + D_NAME), 0, NAME_CAP);
-        }
-        self.store.atom(self.dirent + D_STATE).store(STATE_FREE, Ordering::Release);
-    }
-
-    /// The last persisted position, if any.
-    pub fn load(&self) -> Option<StreamId> {
-        if self.store.atom(self.dirent + D_TAIL).load(Ordering::Acquire) == 0 {
-            return None;
-        }
-        let ms = self.store.atom(self.dirent + D_CONSOLIDATED).load(Ordering::Acquire);
-        let seq = self.store.atom(self.dirent + D_HEAD).load(Ordering::Relaxed);
-        Some(StreamId::new(ms, seq))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1730,7 +1574,7 @@ mod tests {
     }
 
     fn small_cfg() -> SlabConfig {
-        SlabConfig { max_series: 4, slots: 8, max_cursors: 4, ..SlabConfig::default() }
+        SlabConfig { max_series: 4, slots: 8, ..SlabConfig::default() }
     }
 
     #[test]
@@ -1813,7 +1657,7 @@ mod tests {
     }
 
     #[test]
-    fn reopen_restores_series_and_cursors() {
+    fn reopen_restores_series() {
         let path = tmp("reopen");
         {
             let store = SlabStore::create(&path, small_cfg()).unwrap();
@@ -1821,7 +1665,6 @@ mod tests {
             for i in 0..6u64 {
                 s.record(StreamId::new(i, 2), &[i as u8]);
             }
-            store.cursor("t", "g").unwrap().save(StreamId::new(4, 2));
             store.flush().unwrap();
         }
         let (store, report) = SlabStore::open(&path).unwrap();
@@ -1831,7 +1674,6 @@ mod tests {
         let s = store.series("m").unwrap();
         assert_eq!(s.last_id(), Some(StreamId::new(5, 2)));
         assert_eq!(s.range(StreamId::MIN, StreamId::MAX).len(), 6);
-        assert_eq!(store.cursor("t", "g").unwrap().load(), Some(StreamId::new(4, 2)));
     }
 
     #[test]
@@ -1907,17 +1749,22 @@ mod tests {
 
     #[test]
     fn version_1_file_is_refused_not_migrated() {
-        let path = tmp("v1");
-        drop(SlabStore::create(&path, small_cfg()).unwrap());
-        let mut raw = std::fs::read(&path).unwrap();
-        assert_eq!(raw[H_VERSION..H_VERSION + 4], SLAB_VERSION.to_le_bytes());
-        assert_eq!(SLAB_VERSION, 2);
-        raw[H_VERSION..H_VERSION + 4].copy_from_slice(&1u32.to_le_bytes());
-        std::fs::write(&path, raw).unwrap();
-        let err = SlabStore::open(&path).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("unsupported slab format version"), "{err}");
-        assert!(SlabStore::open_or_create(&path, small_cfg()).is_err(), "nor silently recreated");
+        assert_eq!(SLAB_VERSION, 3);
+        for old in [1u32, 2] {
+            let path = tmp(&format!("v{old}"));
+            drop(SlabStore::create(&path, small_cfg()).unwrap());
+            let mut raw = std::fs::read(&path).unwrap();
+            assert_eq!(raw[H_VERSION..H_VERSION + 4], SLAB_VERSION.to_le_bytes());
+            raw[H_VERSION..H_VERSION + 4].copy_from_slice(&old.to_le_bytes());
+            std::fs::write(&path, raw).unwrap();
+            let err = SlabStore::open(&path).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "v{old}");
+            assert!(err.to_string().contains("unsupported slab format version"), "v{old}: {err}");
+            assert!(
+                SlabStore::open_or_create(&path, small_cfg()).is_err(),
+                "nor recreated: v{old}"
+            );
+        }
     }
 
     #[test]
@@ -1925,7 +1772,6 @@ mod tests {
         let cfg = SlabConfig {
             max_series: 2,
             slots: 64,
-            max_cursors: 2,
             tiers: vec![TierConfig::new(1_000, 8), TierConfig::new(10_000, 4)],
             ..SlabConfig::default()
         };
@@ -1981,30 +1827,6 @@ mod tests {
     }
 
     #[test]
-    fn cursor_directory_full_errors_and_retire_frees() {
-        let store = SlabStore::create(tmp("cursors"), small_cfg()).unwrap();
-        for i in 0..4 {
-            assert!(store.cursor("t", &format!("g{i}")).is_ok());
-        }
-        assert!(matches!(
-            store.cursor("t", "g4"),
-            Err(SlabDirError::CursorDirectoryFull { capacity: 4 })
-        ));
-        assert_eq!(store.stats().cursor_fallbacks, 1);
-        // Existing keys still resolve.
-        assert!(store.cursor("t", "g0").is_ok());
-        // Retiring a cursor frees its dirent for a new key.
-        store.cursor("t", "g1").unwrap().retire();
-        let fresh = store.cursor("t", "g4").expect("retired dirent is reusable");
-        assert_eq!(fresh.load(), None, "no position leaks through a retire");
-        assert_eq!(store.stats().cursors_live, 4);
-        assert!(
-            matches!(store.cursor("t", "g1"), Err(SlabDirError::CursorDirectoryFull { .. })),
-            "the retired key is gone, not resolvable"
-        );
-    }
-
-    #[test]
     fn flush_reports_and_resets_dirty_records() {
         let store = SlabStore::create(tmp("dirty"), small_cfg()).unwrap();
         let s = store.series("m").unwrap();
@@ -2012,9 +1834,8 @@ mod tests {
         for i in 0..3u64 {
             s.record(StreamId::new(i, 0), &[i as u8]);
         }
-        store.cursor("t", "g").unwrap().save(StreamId::new(2, 0));
-        assert_eq!(store.dirty_records(), 4, "records and cursor saves both count");
-        assert_eq!(store.flush().unwrap(), 4);
+        assert_eq!(store.dirty_records(), 3);
+        assert_eq!(store.flush().unwrap(), 3);
         assert_eq!(store.dirty_records(), 0);
         assert_eq!(store.flush().unwrap(), 0, "nothing dirty, nothing claimed");
         assert_eq!(store.stats().dirty_records, 0);
@@ -2143,6 +1964,5 @@ mod tests {
         let _s: Vec<_> = (0..4).map(|i| store.series(&format!("s{i}")).unwrap()).collect();
         let st = store.stats();
         assert_eq!(st.pressure(), 1.0, "series directory saturated");
-        assert_eq!(st.cursors_live, 0);
     }
 }

@@ -33,8 +33,7 @@ pub enum SpillBackend {
     Memory,
     /// A durable memory-mapped slab store ([`crate::slab::SlabStore`]),
     /// shared by many streams. Each stream attaches to the series named
-    /// after it, restoring archived history (and, via the broker,
-    /// consumer-group cursors) across restarts.
+    /// after it, restoring archived history across restarts.
     Slab(Arc<SlabStore>),
 }
 
@@ -45,17 +44,12 @@ impl SpillBackend {
     }
 }
 
-/// The ring of a stream without a shared store: one series, no cursors,
-/// no tiers. Its geometry is built once per process, and its one series
-/// is claimed without a name index, so creating a ring allocates only the
-/// ring.
+/// The ring of a stream without a shared store: one series, no tiers.
+/// Its geometry is built once per process, and its one series is claimed
+/// without a name index, so creating a ring allocates only the ring.
 fn private_ring() -> SlabSeries {
-    static GEOMETRY: LazyLock<SlabConfig> = LazyLock::new(|| SlabConfig {
-        max_series: 1,
-        max_cursors: 0,
-        tiers: vec![],
-        ..SlabConfig::default()
-    });
+    static GEOMETRY: LazyLock<SlabConfig> =
+        LazyLock::new(|| SlabConfig { max_series: 1, tiers: vec![], ..SlabConfig::default() });
     let store = SlabStore::in_memory(GEOMETRY.clone()).expect("the default ring geometry is valid");
     store.first_series()
 }
@@ -293,15 +287,11 @@ pub struct Stream {
     /// wall clock regressed); their IDs were clamped forward to stay
     /// monotonic. See [`Stream::range_by_time`] for the contract.
     clock_regressions: AtomicU64,
-    /// Entries served out of the archive by [`Stream::read_after`]: the
-    /// cursor (a consumer group's, in practice) trailed the live window
-    /// because retention evicted entries before they were delivered.
-    /// Behind an `Arc` so the broker can export the cell as a metrics
-    /// counter without a second increment on the read path.
-    group_lagged: Arc<AtomicU64>,
     /// [`Stream::read_after`] calls whose cursor trailed a lapped ring's
     /// floor: the rows between the cursor and the floor were skipped.
-    group_lapped: Arc<AtomicU64>,
+    /// Behind an `Arc` so the broker can export the cell as a metrics
+    /// counter without a second increment on the read path.
+    cursor_lapped: Arc<AtomicU64>,
     /// Evicted entries the ring could not hold (payload over its slot
     /// capacity): dropped, not archived.
     archive_rejected: Arc<AtomicU64>,
@@ -358,8 +348,7 @@ impl Stream {
             window: RwLock::new(window),
             archive: attached.map_or_else(OnceLock::new, OnceLock::from),
             clock_regressions: AtomicU64::new(0),
-            group_lagged: Arc::new(AtomicU64::new(0)),
-            group_lapped: Arc::new(AtomicU64::new(0)),
+            cursor_lapped: Arc::new(AtomicU64::new(0)),
             archive_rejected: Arc::new(AtomicU64::new(0)),
         }
     }
@@ -539,12 +528,11 @@ impl Stream {
 
     /// All entries strictly after `cursor` (or from the very beginning
     /// when `None`), up to `count`, stitching the archive in front of the
-    /// live window when the cursor trails it — a consumer-group cursor
-    /// that fell behind retention is caught up from the archive instead
-    /// of silently skipping the evicted entries. Entries served from the
-    /// archive are counted in [`Stream::group_lagged`]. A ring that lapped
-    /// the cursor has lost what lay between: the read starts at the ring's
-    /// floor and is counted in [`Stream::group_lapped`].
+    /// live window when the cursor trails it — a cursor that fell behind
+    /// retention is caught up from the archive instead of silently
+    /// skipping the evicted entries. A ring that lapped the cursor has
+    /// lost what lay between: the read starts at the ring's floor and is
+    /// counted in [`Stream::cursor_lapped`].
     pub fn read_after(&self, cursor: Option<StreamId>, count: usize) -> Vec<Entry> {
         let mut out = Vec::new();
         if count == 0 {
@@ -564,12 +552,9 @@ impl Stream {
             // Conservative by at most one read: a cursor on the last row
             // the ring lost skipped nothing.
             if ring.lapped_floor_id().is_some_and(|floor| start < floor) {
-                self.group_lapped.fetch_add(1, Ordering::Relaxed);
+                self.cursor_lapped.fetch_add(1, Ordering::Relaxed);
             }
             ring.range_limited_into(start, StreamId::MAX, count, &mut out);
-            if !out.is_empty() {
-                self.group_lagged.fetch_add(out.len() as u64, Ordering::Relaxed);
-            }
         }
         let remaining = count - out.len();
         if remaining > 0 {
@@ -586,27 +571,15 @@ impl Stream {
         self.meta_locked(&self.window.read())
     }
 
-    /// Entries [`Stream::read_after`] served from the archive because the
-    /// caller's cursor trailed the live window (consumer-group lag under
-    /// retention pressure).
-    pub fn group_lagged(&self) -> u64 {
-        self.group_lagged.load(Ordering::Relaxed)
-    }
-
-    /// The lag counter cell, for zero-cost metrics export.
-    pub(crate) fn group_lagged_cell(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.group_lagged)
-    }
-
     /// [`Stream::read_after`] calls whose cursor trailed the floor of a
     /// ring that had lapped it: each skipped the rows the ring lost.
-    pub fn group_lapped(&self) -> u64 {
-        self.group_lapped.load(Ordering::Relaxed)
+    pub fn cursor_lapped(&self) -> u64 {
+        self.cursor_lapped.load(Ordering::Relaxed)
     }
 
     /// The lapped-read counter cell, for zero-cost metrics export.
-    pub(crate) fn group_lapped_cell(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.group_lapped)
+    pub(crate) fn cursor_lapped_cell(&self) -> Arc<AtomicU64> {
+        Arc::clone(&self.cursor_lapped)
     }
 
     /// Evicted entries dropped, not archived, because their payload
@@ -938,17 +911,15 @@ mod tests {
         // window front.
         let got = s.read_after(Some(ids[2]), 6);
         assert_eq!(got.iter().map(|e| e.id).collect::<Vec<_>>(), ids[3..9].to_vec());
-        assert_eq!(s.group_lagged(), 6, "all six came from the archive");
 
         // A read spanning the archive/window seam stays gap-free.
         let got = s.read_after(Some(ids[12]), 5);
         assert_eq!(got.iter().map(|e| e.id).collect::<Vec<_>>(), ids[13..18].to_vec());
-        assert_eq!(s.group_lagged(), 8, "two more archive entries (13, 14)");
 
-        // Cursor inside the window: pure window read, no lag counted.
+        // Cursor inside the window: pure window read.
         let got = s.read_after(Some(ids[16]), 10);
         assert_eq!(got.iter().map(|e| e.id).collect::<Vec<_>>(), ids[17..20].to_vec());
-        assert_eq!(s.group_lagged(), 8);
+        assert_eq!(s.cursor_lapped(), 0, "the ring lapped no cursor");
 
         // No cursor: replay everything from the very beginning.
         let all = s.read_after(None, usize::MAX);

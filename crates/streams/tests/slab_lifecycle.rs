@@ -25,20 +25,14 @@ fn temp_slab(tag: &str) -> PathBuf {
 }
 
 fn tiny_config() -> SlabConfig {
-    SlabConfig {
-        max_series: 2,
-        slots: 16,
-        slot_bytes: 64,
-        max_cursors: 1,
-        tiers: vec![TierConfig::new(1_000, 16)],
-    }
+    SlabConfig { max_series: 2, slots: 16, slot_bytes: 64, tiers: vec![TierConfig::new(1_000, 16)] }
 }
 
 /// Teeth: a stream refused a series on a full directory archives into a
 /// private in-memory ring — writes look fine, and its history is gone
-/// after a restart. That loss is never silent: `Stream::new` and the
-/// consumer-group path record every refusal on `streams.slab.dir_full`
-/// and the store's stats, and warn once.
+/// after a restart. That loss is never silent: `Stream::new` records
+/// every refusal on `streams.slab.dir_full` and the store's stats, and
+/// warns once.
 ///
 /// All exhaustion-triggering in this binary lives in this one test so the
 /// process-global counter deltas are race-free.
@@ -73,18 +67,34 @@ fn directory_exhaustion_is_loud_where_it_used_to_be_silent() {
     let (store, report) = SlabStore::open(&path).unwrap();
     assert_eq!(store.stats().series_live, 2, "only a and b survived");
     assert_eq!(report.recovered_entries, 0, "c's entries were in its private ring and died");
+    let _ = fs::remove_file(&path);
+}
 
-    // --- Consumer groups on a full cursor directory.
-    let broker = Broker::new(StreamConfig::bounded(2).with_slab(Arc::clone(&store)));
-    let g0 = broker.consumer_group("t", "g0"); // takes the only cursor dirent
-    let before = dir_full_count();
-    let g1 = broker.consumer_group("t", "g1"); // refused a dirent
-    assert_eq!(dir_full_count(), before + 1, "cursor refusal counted");
-    // Both groups still deliver; g1 just won't survive a restart.
-    broker.publish("t", 1, vec![7]);
-    assert_eq!(g0.read_new("c", 10).unwrap().len(), 1);
-    assert_eq!(g1.read_new("c", 10).unwrap().len(), 1);
-
+/// A slab-backed topic takes exactly one series, under its own name, so a
+/// name of exactly `NAME_CAP` bytes attaches durably: no fallback is
+/// counted and no exhaustion alarm is raised for a topic whose history
+/// does survive a restart.
+#[test]
+fn a_topic_named_at_the_name_cap_takes_one_durable_series() {
+    let path = temp_slab("name-cap");
+    let long = "t".repeat(NAME_CAP);
+    {
+        let store =
+            SlabStore::create(&path, SlabConfig { max_series: 4, ..tiny_config() }).unwrap();
+        let broker = Broker::new(StreamConfig::bounded(2).with_slab(Arc::clone(&store)));
+        for topic in [long.as_str(), "short"] {
+            for ms in 1..=3u64 {
+                broker.publish(topic, ms, vec![ms as u8]);
+            }
+        }
+        let stats = store.stats();
+        assert_eq!(stats.series_live, 2, "one series per topic");
+        assert_eq!(stats.series_fallbacks, 0, "no topic fell back to a private ring");
+    }
+    let (store, report) = SlabStore::open(&path).unwrap();
+    assert_eq!(report.series_live, 2);
+    let ring = store.series(&long).unwrap();
+    assert_eq!(ring.range(StreamId::MIN, StreamId::MAX).len(), 1, "its eviction survived");
     let _ = fs::remove_file(&path);
 }
 

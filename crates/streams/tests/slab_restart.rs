@@ -5,7 +5,7 @@
 //! crash; a torn newest slot — possible only when the machine dies between
 //! the slot write and the sync — is rolled back on reopen rather than
 //! served corrupt. These tests exercise that contract end-to-end through
-//! the broker (history, ID continuity, consumer-group cursors) and
+//! the broker (history, ID continuity, a reader's saved cursor) and
 //! directly against the file (byte-patched torn tails).
 
 use apollo_streams::slab::SlabLayout;
@@ -30,7 +30,6 @@ fn small_config() -> SlabConfig {
         max_series: 8,
         slots: 64,
         slot_bytes: 64,
-        max_cursors: 8,
         tiers: vec![TierConfig::new(1_000, 16), TierConfig::new(10_000, 8)],
     }
 }
@@ -79,38 +78,35 @@ fn reopen_restores_archived_history_and_id_continuity() {
 }
 
 #[test]
-fn consumer_group_cursor_survives_restart_and_redelivers_only_undelivered() {
+fn a_cursor_reader_resumes_after_restart_with_only_what_it_missed() {
     let path = temp_slab("cursor");
     let mut ids = Vec::new();
-    {
+    let saved = {
         let store = SlabStore::create(&path, small_config()).unwrap();
         let broker = slab_broker(&store, 2);
-        // Group created on the empty topic: cursor starts at None, so it
-        // is entitled to everything published afterwards.
-        let g = broker.consumer_group("cap", "g");
         for i in 0..10u64 {
             ids.push(broker.publish("cap", i + 1, vec![i as u8]));
         }
-        let first = g.read_new("c1", 6).unwrap();
+        let first = broker.read_after("cap", None, 6);
         assert_eq!(first.iter().map(|e| e.id).collect::<Vec<_>>(), ids[..6].to_vec());
-        // Crash here: 6 delivered (cursor persisted at ids[5]), 4 never
-        // delivered, of which ids[6..8] reached the slab archive and
-        // ids[8..10] were window-only.
-    }
+        // Crash here: the reader saved its cursor at ids[5]; of the 4 it
+        // never read, ids[6..8] reached the slab archive and ids[8..10]
+        // were window-only.
+        first.last().map(|e| e.id)
+    };
+    assert_eq!(saved, Some(ids[5]));
 
     let (store, _) = SlabStore::open(&path).unwrap();
     let broker = slab_broker(&store, 2);
-    let g = broker.consumer_group("cap", "g");
-    let redelivered = g.read_new("c2", 10).unwrap();
+    // The reader registers its waker again, as a standing query does on
+    // its input: that attaches the topic to its archived series.
+    let _waker = broker.wake_on("cap", || {});
+    let resumed = broker.read_after("cap", saved, 10);
     assert_eq!(
-        redelivered.iter().map(|e| e.id).collect::<Vec<_>>(),
+        resumed.iter().map(|e| e.id).collect::<Vec<_>>(),
         ids[6..8].to_vec(),
-        "resume right after the persisted cursor; no duplicates, no skips"
+        "resume right after the saved cursor; no duplicates, no skips"
     );
-    // Without the persisted cursor the group would have started at
-    // end-of-topic and redelivered nothing.
-    let fresh = broker.consumer_group("cap", "fresh");
-    assert!(fresh.read_new("c3", 10).unwrap().is_empty());
     let _ = fs::remove_file(&path);
 }
 
@@ -194,13 +190,8 @@ fn consolidation_tiers_survive_restart() {
 fn fleet_scale_reopen_reattaches_every_series_in_place() {
     const SERIES: usize = 2_100;
     let path = temp_slab("fleet");
-    let cfg = SlabConfig {
-        max_series: SERIES as u32 + 16,
-        slots: 8,
-        slot_bytes: 64,
-        max_cursors: 0,
-        tiers: vec![],
-    };
+    let cfg =
+        SlabConfig { max_series: SERIES as u32 + 16, slots: 8, slot_bytes: 64, tiers: vec![] };
     let name = |i: usize| format!("fleet/topic/{i:04}");
     let reclaimed = [1_700usize, 42, 999];
     let mut placed = Vec::with_capacity(SERIES);

@@ -1,13 +1,14 @@
-//! Durable slab spill: evicted history and consumer cursors survive a
-//! restart.
+//! Durable slab spill: evicted history survives a restart, and a reader
+//! that saved its cursor resumes where it stopped.
 //!
 //! This drives the PR-7 surface end-to-end: a bounded stream spills its
 //! evictions into an mmap [`SlabStore`](apollo_streams::SlabStore)
 //! instead of a private in-memory ring; [`Apollo::attach_slab`] consolidates the
 //! raw 1 s entries into coarser tiers on the service event loop and exports
 //! `streams.slab.*` gauges; then the whole service is torn down and
-//! rebuilt over the same file, and both the archived history and a
-//! consumer group's read position come back. A third life shortens the
+//! rebuilt over the same file: the archived history comes back, and an
+//! alert builder that saved the last `StreamId` it read resumes from it
+//! with `Broker::read_after`. A third life shortens the
 //! one deployment setting of the lifecycle — how long a retired series
 //! is kept — and watches series GC reclaim a retired job metric's dirent.
 //!
@@ -73,16 +74,15 @@ fn main() {
         .expect("store attached");
     assert_eq!(slab_topics.len(), SLAB_SELF_TOPICS.len());
 
-    // Group created on the empty topic: entitled to everything published
-    // afterwards. Its cursor is persisted in the slab as it reads.
+    // The alert builder reads the topic from its start by cursor, and
+    // keeps the last `StreamId` it read as its own saved state.
     let broker = apollo.broker();
-    let group = broker.consumer_group("disk/io_pressure", "alert-builder");
-
     apollo.run_for(Duration::from_secs(10));
-    let first_read = group.read_new("reader", 6).expect("read");
+    let first_read = broker.read_after("disk/io_pressure", None, 6);
+    let saved = first_read.last().map(|e| e.id);
     apollo.run_for(Duration::from_secs(20));
     println!("first life:  window+archive entries = {}", broker.topic_len("disk/io_pressure"));
-    println!("first life:  consumer read {} entries, cursor saved in slab", first_read.len());
+    println!("first life:  alert builder read {} entries, saved its cursor", first_read.len());
 
     let snap = apollo.metrics_snapshot();
     println!(
@@ -107,21 +107,23 @@ fn main() {
     let apollo = apollo_over(&store);
     let broker = apollo.broker();
 
-    // Touching the topic re-attaches its slab series and restores the
-    // archived history; the group resumes from its persisted cursor.
-    let group = broker.consumer_group("disk/io_pressure", "alert-builder");
-    let redelivered = group.read_new("reader", 100).expect("read");
+    // The alert builder registers its waker on the topic, which
+    // re-attaches the slab series and restores the archived history, and
+    // resumes from the cursor it saved.
+    let _waker = broker.wake_on("disk/io_pressure", || {});
+    let resumed = broker.read_after("disk/io_pressure", saved, 100);
     let history = broker.topic_len("disk/io_pressure");
     println!("second life: restored history = {history} entries");
     println!(
-        "second life: group redelivered {} entries (only what the first life never read)",
-        redelivered.len()
+        "second life: alert builder resumed with {} entries (only what the first life never read)",
+        resumed.len()
     );
     assert!(history > 4, "archived history must outlive the process");
     assert!(
-        !redelivered.is_empty() && redelivered.len() < history,
+        !resumed.is_empty() && resumed.len() < history,
         "cursor must resume mid-stream, not from zero"
     );
+    assert!(resumed.iter().all(|e| Some(e.id) > saved), "nothing it already read");
     let tiers = store.series("disk/io_pressure").expect("series").tier_buckets(0);
     println!("second life: tier-0 consolidation buckets = {}", tiers.len());
     assert!(!tiers.is_empty(), "consolidated tiers must survive restart");

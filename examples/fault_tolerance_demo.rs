@@ -1,5 +1,5 @@
 //! Fault-tolerance walkthrough: a monitor hook that errors, hangs, and
-//! recovers; a consumer that crashes; a poison entry; a slow subscriber.
+//! recovers, with its outage bridged by stale records; a slow subscriber.
 //!
 //! Run with:
 //! ```bash
@@ -13,7 +13,7 @@ use apollo_cluster::fault::{FaultKind, FaultPlan, FaultWindow, FlakySource};
 use apollo_cluster::metrics::ConstSource;
 use apollo_core::health::SupervisorConfig;
 use apollo_core::service::{Apollo, FactVertexSpec};
-use apollo_streams::{BackpressurePolicy, Provenance, Record, SubscribeOptions};
+use apollo_streams::{BackpressurePolicy, Provenance, SubscribeOptions};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -25,7 +25,6 @@ fn main() {
     let seed = 7u64;
     let mut apollo = Apollo::new_virtual();
     let broker = apollo.broker();
-    broker.set_max_deliveries(3);
 
     // A hook that goes dark from t=5s to t=30s, then hangs at t=40..43s.
     let plan = FaultPlan::none()
@@ -58,8 +57,6 @@ fn main() {
         ))
         .expect("register steady");
 
-    let group = broker.consumer_group("store/flaky", "insight-builders");
-
     println!("== 60s run with a 25s error burst and a 3s hang ==");
     for window in 0..6 {
         apollo.run_for(secs(10));
@@ -91,29 +88,6 @@ fn main() {
         count(Provenance::Measured),
         count(Provenance::Stale)
     );
-
-    println!("\n== consumer crash, reclamation, poison entry ==");
-    let taken = group.read_new_at("worker-a", usize::MAX, 1_000).expect("read");
-    println!("  worker-a took {} entries and crashed without acking", taken.len());
-    let reclaimed = group.auto_claim("worker-b", 120_000, 60_000).expect("sweep");
-    println!("  supervisor sweep reclaimed {} stranded entries for worker-b", reclaimed.len());
-    let poison = taken[0].id;
-    let _ = group.claim(poison, "worker-c").expect("claim");
-    let gone = group.claim(poison, "worker-c").expect("claim");
-    let dead = broker.dead_letters("store/flaky");
-    println!(
-        "  entry {poison} exceeded max_deliveries: returned={:?}, dead-lettered={} (value={})",
-        gone.map(|e| e.id),
-        dead.len(),
-        Record::decode(&dead[0].payload).map(|r| r.value).unwrap_or(f64::NAN),
-    );
-
-    println!("\n== deleting a group surfaces a typed error ==");
-    broker.delete_group("store/flaky", "insight-builders");
-    match group.read_new("worker-d", 1) {
-        Err(e) => println!("  read_new after delete -> {e}"),
-        Ok(_) => println!("  unexpected success"),
-    }
 
     println!("\n== slow subscriber under DropOldest backpressure ==");
     let sub = broker.subscribe_with(

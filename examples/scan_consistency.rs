@@ -4,7 +4,7 @@
 //!
 //! A topic with a tiny bounded window is filled far past retention, so
 //! almost every entry lives in the archive. The demo shows that range
-//! reads and consumer-group cursors still observe the full history
+//! reads and a reader's own cursor still observe the full history
 //! exactly once, and that repeated AQE range queries are served from the
 //! scan cache, whose tail a publish extends: the topic's snapshot
 //! `(first_id, last_id)` says what it holds.
@@ -22,9 +22,9 @@ fn main() {
     let apollo = Apollo::with_config(EventLoop::new_virtual(), StreamConfig::bounded(8));
     let broker = apollo.broker();
 
-    // Register the replayer group before the data lands, like a
+    // The replayer's cursor, taken before the data lands, like a
     // middleware consumer that connects early and then falls behind.
-    let group = broker.consumer_group("pfs/capacity", "replayer");
+    let mut cursor: Option<StreamId> = None;
 
     println!("== batch publish past retention ==");
     let records = (0..1000u64).map(|i| (i, Record::measured(i * 1_000_000, i as f64).encode()));
@@ -52,28 +52,21 @@ fn main() {
         info.archived_len
     );
 
-    println!("\n== a slow consumer group is archive-stitched, not skipped ==");
+    println!("\n== a slow cursor reader is archive-stitched, not skipped ==");
     let mut seen = 0usize;
     let mut gap_free = true;
     loop {
-        let got = group.read_new("worker-a", 64).expect("group read");
-        if got.is_empty() {
-            break;
-        }
+        let got = broker.read_after("pfs/capacity", cursor, 64);
+        let Some(last) = got.last() else { break };
+        cursor = Some(last.id);
         for e in &got {
             gap_free &= e.id == StreamId::new(seen as u64, 0);
             seen += 1;
         }
-        for e in &got {
-            group.ack(e.id).expect("ack");
-        }
     }
-    let info = broker.topic_info("pfs/capacity").expect("topic exists");
+    let lapped = apollo.metrics_snapshot().counter("streams.topic.pfs/capacity.cursor_lapped");
     println!("  cursor walk saw {seen} entries, gap-free: {gap_free}");
-    println!(
-        "  served from archive (group_lagged): {}, archived: {}",
-        info.group_lagged, info.archived_len
-    );
+    println!("  reads the ring had lapped (cursor_lapped): {lapped}");
 
     println!("\n== repeated range queries hit the scan cache ==");
     let sql = "SELECT AVG(metric) FROM pfs/capacity WHERE Timestamp BETWEEN 0 AND 999";
@@ -100,7 +93,7 @@ fn main() {
         "query.scan_cache.hits",
         "query.scan_cache.misses",
         "query.scan_cache.invalidations",
-        "streams.topic.pfs/capacity.group_lagged",
+        "streams.topic.pfs/capacity.cursor_lapped",
         "streams.topic.pfs/capacity.archive_rejected",
     ] {
         println!("  {key:<45} = {}", snap.counters.get(key).copied().unwrap_or(0));

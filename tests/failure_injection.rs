@@ -1,5 +1,5 @@
 //! Failure-injection integration tests: node loss, degraded devices and
-//! links, consumer crash/recovery over consumer groups, and vertex
+//! links, consumer crash/recovery from a saved cursor, and vertex
 //! unregistration — the operational corners a monitoring service must
 //! survive.
 
@@ -68,34 +68,25 @@ fn degraded_network_link_visible_in_ping_insight() {
 }
 
 #[test]
-fn consumer_crash_recovery_via_consumer_group_claim() {
+fn consumer_crash_recovery_resumes_from_its_saved_cursor() {
     let broker = Broker::new(StreamConfig::default());
-    let group = broker.consumer_group("facts", "insight-builders");
-    for i in 0..5u64 {
-        broker.publish("facts", i, vec![i as u8]);
-    }
+    let ids: Vec<_> = (0..5u64).map(|i| broker.publish("facts", i, vec![i as u8])).collect();
 
-    // Worker A takes the batch, then "crashes" before acking.
-    let taken = group.read_new("worker-a", 5).unwrap();
+    // Worker A takes the batch, processes three entries, saving its cursor
+    // after each, then "crashes".
+    let taken = broker.read_after("facts", None, 5);
     assert_eq!(taken.len(), 5);
+    let saved = taken[..3].last().map(|e| e.id);
 
-    // Supervisor reassigns the pending work to worker B.
-    let pending = group.pending().unwrap();
-    assert_eq!(pending.len(), 5);
-    for (id, owner, _) in &pending {
-        assert_eq!(owner, "worker-a");
-        let entry = group.claim(*id, "worker-b").unwrap().expect("still pending");
-        assert_eq!(entry.id, *id);
-    }
-    // B processes and acks everything.
-    for (id, _, _) in group.pending().unwrap() {
-        assert!(group.ack(id).unwrap());
-    }
-    assert!(group.pending().unwrap().is_empty());
+    // Worker B resumes from the saved cursor: exactly the two entries A
+    // never finished, none it did.
+    let resumed = broker.read_after("facts", saved, 10);
+    assert_eq!(resumed.iter().map(|e| e.id).collect::<Vec<_>>(), ids[3..].to_vec());
 
     // New work flows normally afterwards.
-    broker.publish("facts", 9, vec![9]);
-    assert_eq!(group.read_new("worker-b", 10).unwrap().len(), 1);
+    let next = broker.publish("facts", 9, vec![9]);
+    let more = broker.read_after("facts", resumed.last().map(|e| e.id), 10);
+    assert_eq!(more.iter().map(|e| e.id).collect::<Vec<_>>(), vec![next]);
 }
 
 #[test]
