@@ -65,9 +65,11 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-#[derive(Debug, Clone, PartialEq)]
-enum Token {
-    Ident(String),
+/// A token borrows its identifier from the SQL, so lexing allocates
+/// nothing per token.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Token<'a> {
+    Ident(&'a str),
     Number(u64),
     Float(f64),
     LParen,
@@ -84,125 +86,70 @@ enum Token {
     EqOp,
 }
 
-struct Lexer<'a> {
-    src: &'a str,
-    pos: usize,
-}
-
-impl<'a> Lexer<'a> {
-    fn new(src: &'a str) -> Self {
-        Self { src, pos: 0 }
-    }
-
-    fn tokens(mut self) -> Result<Vec<(Token, usize)>, ParseError> {
-        let mut out = Vec::new();
-        let bytes = self.src.as_bytes();
-        while self.pos < bytes.len() {
-            let c = bytes[self.pos] as char;
-            let start = self.pos;
-            match c {
-                ' ' | '\t' | '\n' | '\r' => {
-                    self.pos += 1;
-                }
-                '(' => {
-                    out.push((Token::LParen, start));
-                    self.pos += 1;
-                }
-                ')' => {
-                    out.push((Token::RParen, start));
-                    self.pos += 1;
-                }
-                ',' => {
-                    out.push((Token::Comma, start));
-                    self.pos += 1;
-                }
-                '*' => {
-                    out.push((Token::Star, start));
-                    self.pos += 1;
-                }
-                ';' => {
-                    out.push((Token::Semicolon, start));
-                    self.pos += 1;
-                }
-                '-' => {
-                    out.push((Token::Minus, start));
-                    self.pos += 1;
-                }
-                '=' => {
-                    out.push((Token::EqOp, start));
-                    self.pos += 1;
-                }
-                '>' | '<' => {
-                    let wide = self.pos + 1 < bytes.len() && bytes[self.pos + 1] as char == '=';
-                    let tok = match (c, wide) {
-                        ('>', true) => Token::Ge,
-                        ('>', false) => Token::Gt,
-                        ('<', true) => Token::Le,
-                        ('<', false) => Token::Lt,
-                        _ => unreachable!(),
-                    };
-                    out.push((tok, start));
-                    self.pos += if wide { 2 } else { 1 };
-                }
-                '0'..='9' => {
-                    let mut end = self.pos;
-                    while end < bytes.len() && (bytes[end] as char).is_ascii_digit() {
-                        end += 1;
-                    }
-                    // A dot followed by a digit continues a float literal
-                    // (a bare trailing dot stays with the next token).
-                    let is_float = end + 1 < bytes.len()
-                        && bytes[end] as char == '.'
-                        && (bytes[end + 1] as char).is_ascii_digit();
-                    if is_float {
-                        end += 1;
-                        while end < bytes.len() && (bytes[end] as char).is_ascii_digit() {
-                            end += 1;
-                        }
-                        let f: f64 = self.src[self.pos..end].parse().map_err(|_| ParseError {
-                            message: "bad numeric literal".into(),
-                            offset: start,
-                            kind: ParseErrorKind::Syntax,
-                        })?;
-                        out.push((Token::Float(f), start));
-                    } else {
-                        let n: u64 = self.src[self.pos..end].parse().map_err(|_| ParseError {
-                            message: "number too large".into(),
-                            offset: start,
-                            kind: ParseErrorKind::Syntax,
-                        })?;
-                        out.push((Token::Number(n), start));
-                    }
-                    self.pos = end;
-                }
-                c if c.is_ascii_alphabetic() || c == '_' => {
-                    let mut end = self.pos;
-                    while end < bytes.len() {
-                        let ch = bytes[end] as char;
-                        if ch.is_ascii_alphanumeric() || ch == '_' || ch == '/' || ch == '.' {
-                            end += 1;
-                        } else {
-                            break;
-                        }
-                    }
-                    out.push((Token::Ident(self.src[self.pos..end].to_string()), start));
-                    self.pos = end;
-                }
-                other => {
-                    return Err(ParseError {
-                        message: format!("unexpected character {other:?}"),
-                        offset: start,
-                        kind: ParseErrorKind::Syntax,
-                    })
+/// Split `src` into tokens, each with the byte offset it starts at.
+fn tokens(src: &str) -> Result<Vec<(Token<'_>, usize)>, ParseError> {
+    // A token per two bytes of SQL: a word and its separator. Denser runs
+    // (`(*)`, `>=-1`) are short, and at worst grow the `Vec`.
+    let mut out = Vec::with_capacity(src.len() / 2 + 1);
+    let bytes = src.as_bytes();
+    let run_end = |from: usize, more: fn(&u8) -> bool| {
+        from + bytes[from..].iter().take_while(|b| more(b)).count()
+    };
+    let syntax =
+        |message: String, offset| ParseError { message, offset, kind: ParseErrorKind::Syntax };
+    let mut pos = 0;
+    while pos < bytes.len() {
+        let wide = bytes.get(pos + 1) == Some(&b'=');
+        let (tok, end) = match bytes[pos] as char {
+            ' ' | '\t' | '\n' | '\r' => {
+                pos += 1;
+                continue;
+            }
+            '(' => (Token::LParen, pos + 1),
+            ')' => (Token::RParen, pos + 1),
+            ',' => (Token::Comma, pos + 1),
+            '*' => (Token::Star, pos + 1),
+            ';' => (Token::Semicolon, pos + 1),
+            '-' => (Token::Minus, pos + 1),
+            '=' => (Token::EqOp, pos + 1),
+            '>' if wide => (Token::Ge, pos + 2),
+            '>' => (Token::Gt, pos + 1),
+            '<' if wide => (Token::Le, pos + 2),
+            '<' => (Token::Lt, pos + 1),
+            '0'..='9' => {
+                let end = run_end(pos, u8::is_ascii_digit);
+                // A dot followed by a digit continues a float literal (a
+                // bare trailing dot stays with the next token).
+                if bytes.get(end) == Some(&b'.')
+                    && bytes.get(end + 1).is_some_and(u8::is_ascii_digit)
+                {
+                    let end = run_end(end + 1, u8::is_ascii_digit);
+                    let f = src[pos..end]
+                        .parse()
+                        .map_err(|_| syntax("bad numeric literal".into(), pos))?;
+                    (Token::Float(f), end)
+                } else {
+                    let n = src[pos..end]
+                        .parse()
+                        .map_err(|_| syntax("number too large".into(), pos))?;
+                    (Token::Number(n), end)
                 }
             }
-        }
-        Ok(out)
+            c if c.is_ascii_alphabetic() || c == '_' => {
+                let end =
+                    run_end(pos, |b| b.is_ascii_alphanumeric() || matches!(b, b'_' | b'/' | b'.'));
+                (Token::Ident(&src[pos..end]), end)
+            }
+            other => return Err(syntax(format!("unexpected character {other:?}"), pos)),
+        };
+        out.push((tok, pos));
+        pos = end;
     }
+    Ok(out)
 }
 
-struct Parser {
-    tokens: Vec<(Token, usize)>,
+struct Parser<'a> {
+    tokens: Vec<(Token<'a>, usize)>,
     pos: usize,
     end_offset: usize,
 }
@@ -211,17 +158,17 @@ struct Parser {
 /// bound appeared) plus the value predicates.
 type WhereClause = (Option<(u64, u64)>, Vec<ValuePred>);
 
-impl Parser {
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos).map(|(t, _)| t)
+impl<'a> Parser<'a> {
+    fn peek(&self) -> Option<Token<'a>> {
+        self.tokens.get(self.pos).map(|&(t, _)| t)
     }
 
     fn offset(&self) -> usize {
         self.tokens.get(self.pos).map(|&(_, o)| o).unwrap_or(self.end_offset)
     }
 
-    fn next(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).map(|(t, _)| t.clone());
+    fn next(&mut self) -> Option<Token<'a>> {
+        let t = self.peek();
         if t.is_some() {
             self.pos += 1;
         }
@@ -232,85 +179,63 @@ impl Parser {
         ParseError { message: message.into(), offset: self.offset(), kind: ParseErrorKind::Syntax }
     }
 
+    /// Consume the next token if `f` accepts it; a rejected token stays.
+    fn eat<T>(&mut self, f: impl FnOnce(Token<'a>) -> Option<T>) -> Option<T> {
+        let got = self.peek().and_then(f);
+        self.pos += usize::from(got.is_some());
+        got
+    }
+
+    fn eat_token(&mut self, t: Token<'a>) -> bool {
+        self.eat(|got| (got == t).then_some(())).is_some()
+    }
+
+    /// Consume keyword `kw`, in any case, if it is next.
+    fn eat_kw(&mut self, kw: &str) -> bool {
+        self.eat(|t| matches!(t, Token::Ident(s) if s.eq_ignore_ascii_case(kw)).then_some(()))
+            .is_some()
+    }
+
     fn expect_kw(&mut self, kw: &str) -> Result<(), ParseError> {
-        let saved = self.pos;
-        match self.next() {
-            Some(Token::Ident(s)) if s.eq_ignore_ascii_case(kw) => Ok(()),
-            _ => {
-                self.pos = saved;
-                Err(self.err(format!("expected keyword {kw}")))
-            }
-        }
+        self.eat_kw(kw).then_some(()).ok_or_else(|| self.err(format!("expected keyword {kw}")))
     }
 
-    fn peek_kw(&self, kw: &str) -> bool {
-        matches!(self.peek(), Some(Token::Ident(s)) if s.eq_ignore_ascii_case(kw))
+    fn expect_token(&mut self, t: Token<'a>, what: &str) -> Result<(), ParseError> {
+        self.eat_token(t).then_some(()).ok_or_else(|| self.err(format!("expected {what}")))
     }
 
-    fn expect_token(&mut self, t: Token, what: &str) -> Result<(), ParseError> {
-        let saved = self.pos;
-        match self.next() {
-            Some(got) if got == t => Ok(()),
-            _ => {
-                self.pos = saved;
-                Err(self.err(format!("expected {what}")))
-            }
-        }
-    }
-
-    fn ident(&mut self) -> Result<String, ParseError> {
-        let saved = self.pos;
-        match self.next() {
-            Some(Token::Ident(s)) => Ok(s),
-            _ => {
-                self.pos = saved;
-                Err(self.err("expected identifier"))
-            }
-        }
+    fn ident(&mut self) -> Result<&'a str, ParseError> {
+        let ident = |t| if let Token::Ident(s) = t { Some(s) } else { None };
+        self.eat(ident).ok_or_else(|| self.err("expected identifier"))
     }
 
     fn number(&mut self) -> Result<u64, ParseError> {
-        let saved = self.pos;
-        match self.next() {
-            Some(Token::Number(n)) => Ok(n),
-            _ => {
-                self.pos = saved;
-                Err(self.err("expected number"))
-            }
-        }
+        let number = |t| if let Token::Number(n) = t { Some(n) } else { None };
+        self.eat(number).ok_or_else(|| self.err("expected number"))
     }
 
     /// `[−] (integer | float)` — the literal of a value predicate.
     fn numeric_literal(&mut self) -> Result<f64, ParseError> {
-        let negative = if matches!(self.peek(), Some(Token::Minus)) {
-            self.next();
-            true
-        } else {
-            false
-        };
-        let saved = self.pos;
-        let magnitude = match self.next() {
-            Some(Token::Number(n)) => n as f64,
-            Some(Token::Float(f)) => f,
-            _ => {
-                self.pos = saved;
-                return Err(self.err("expected numeric literal"));
-            }
-        };
+        let negative = self.eat_token(Token::Minus);
+        let magnitude = self
+            .eat(|t| match t {
+                Token::Number(n) => Some(n as f64),
+                Token::Float(f) => Some(f),
+                _ => None,
+            })
+            .ok_or_else(|| self.err("expected numeric literal"))?;
         Ok(if negative { -magnitude } else { magnitude })
     }
 
     /// `n [ms|s|m|h]` → milliseconds. A bare number is milliseconds.
     fn duration_ms(&mut self) -> Result<u64, ParseError> {
+        const UNITS: [(&str, u64); 4] = [("ms", 1), ("s", 1_000), ("m", 60_000), ("h", 3_600_000)];
         let n = self.number()?;
         let multiplier = match self.peek() {
             Some(Token::Ident(unit)) => {
-                let m = match unit.to_ascii_lowercase().as_str() {
-                    "ms" => 1,
-                    "s" => 1_000,
-                    "m" => 60_000,
-                    "h" => 3_600_000,
-                    _ => return Err(self.err("expected duration unit (ms, s, m or h)")),
+                let Some((_, m)) = UNITS.into_iter().find(|(u, _)| unit.eq_ignore_ascii_case(u))
+                else {
+                    return Err(self.err("expected duration unit (ms, s, m or h)"));
                 };
                 self.next();
                 m
@@ -325,67 +250,61 @@ impl Parser {
     ///           | COUNT ( * )
     ///           | metric
     fn selector(&mut self) -> Result<Aggregate, ParseError> {
+        const SELECTORS: [(&str, Aggregate); 6] = [
+            ("MAX", Aggregate::Max),
+            ("MIN", Aggregate::Min),
+            ("AVG", Aggregate::Avg),
+            ("SUM", Aggregate::Sum),
+            ("COUNT", Aggregate::Count),
+            ("METRIC", Aggregate::All),
+        ];
         let name = self.ident()?;
-        let upper = name.to_ascii_uppercase();
-        match upper.as_str() {
-            "MAX" | "MIN" | "AVG" | "SUM" | "COUNT" => {
-                self.expect_token(Token::LParen, "(")?;
-                let agg = if upper == "COUNT" {
-                    self.expect_token(Token::Star, "*")?;
-                    Aggregate::Count
-                } else {
-                    let col = self.ident()?;
-                    if upper == "MAX" && col.eq_ignore_ascii_case("timestamp") {
-                        // MAX(Timestamp), metric
-                        self.expect_token(Token::RParen, ")")?;
-                        self.expect_token(Token::Comma, ", metric")?;
-                        let metric = self.ident()?;
-                        if !metric.eq_ignore_ascii_case("metric") {
-                            return Err(self.err("expected `metric` after MAX(Timestamp),"));
-                        }
-                        return Ok(Aggregate::Latest);
-                    }
-                    if !col.eq_ignore_ascii_case("metric") {
-                        return Err(self.err("aggregates apply to `metric` or `Timestamp`"));
-                    }
-                    match upper.as_str() {
-                        "MAX" => Aggregate::Max,
-                        "MIN" => Aggregate::Min,
-                        "AVG" => Aggregate::Avg,
-                        "SUM" => Aggregate::Sum,
-                        _ => unreachable!(),
-                    }
-                };
-                self.expect_token(Token::RParen, ")")?;
-                Ok(agg)
-            }
-            "METRIC" => Ok(Aggregate::All),
-            _ => Err(ParseError {
+        let Some((_, agg)) = SELECTORS.into_iter().find(|(kw, _)| name.eq_ignore_ascii_case(kw))
+        else {
+            return Err(ParseError {
                 message: format!("unknown selector {name:?}"),
                 offset: self.tokens[self.pos - 1].1,
                 kind: ParseErrorKind::Syntax,
-            }),
+            });
+        };
+        if agg == Aggregate::All {
+            return Ok(agg);
         }
+        self.expect_token(Token::LParen, "(")?;
+        if agg == Aggregate::Count {
+            self.expect_token(Token::Star, "*")?;
+        } else {
+            let col = self.ident()?;
+            if agg == Aggregate::Max && col.eq_ignore_ascii_case("timestamp") {
+                // MAX(Timestamp), metric
+                self.expect_token(Token::RParen, ")")?;
+                self.expect_token(Token::Comma, ", metric")?;
+                let metric = self.ident()?;
+                if !metric.eq_ignore_ascii_case("metric") {
+                    return Err(self.err("expected `metric` after MAX(Timestamp),"));
+                }
+                return Ok(Aggregate::Latest);
+            }
+            if !col.eq_ignore_ascii_case("metric") {
+                return Err(self.err("aggregates apply to `metric` or `Timestamp`"));
+            }
+        }
+        self.expect_token(Token::RParen, ")")?;
+        Ok(agg)
     }
 
     /// join := JOIN table ON Timestamp [WITHIN duration]
     fn join_clause(&mut self) -> Result<Option<Join>, ParseError> {
-        if !self.peek_kw("join") {
+        if !self.eat_kw("join") {
             return Ok(None);
         }
-        self.expect_kw("join")?;
-        let table = self.ident()?;
+        let table = self.ident()?.to_string();
         self.expect_kw("on")?;
         let col = self.ident()?;
         if !col.eq_ignore_ascii_case("timestamp") {
             return Err(self.err("JOIN matches ON Timestamp"));
         }
-        let tolerance_ms = if self.peek_kw("within") {
-            self.expect_kw("within")?;
-            self.duration_ms()?
-        } else {
-            0
-        };
+        let tolerance_ms = if self.eat_kw("within") { self.duration_ms()? } else { 0 };
         Ok(Some(Join { table, tolerance_ms }))
     }
 
@@ -401,8 +320,7 @@ impl Parser {
         let col_offset = self.offset();
         let col = self.ident()?;
         if col.eq_ignore_ascii_case("timestamp") {
-            if self.peek_kw("between") {
-                self.expect_kw("between")?;
+            if self.eat_kw("between") {
                 let bounds_offset = self.offset();
                 let b_lo = self.number()?;
                 self.expect_kw("and")?;
@@ -472,18 +390,15 @@ impl Parser {
     /// [`ParseErrorKind::ReversedTimeBounds`] error naming both bounds
     /// (the scan would otherwise silently match nothing).
     fn where_clause(&mut self) -> Result<WhereClause, ParseError> {
-        if !self.peek_kw("where") {
+        if !self.eat_kw("where") {
             return Ok((None, Vec::new()));
         }
-        self.expect_kw("where")?;
         let clause_offset = self.offset();
         let (mut lo, mut hi, mut any_ts) = (0u64, u64::MAX, false);
         let mut preds = Vec::new();
         loop {
             self.condition(&mut lo, &mut hi, &mut any_ts, &mut preds)?;
-            if self.peek_kw("and") {
-                self.expect_kw("and")?;
-            } else {
+            if !self.eat_kw("and") {
                 break;
             }
         }
@@ -502,10 +417,9 @@ impl Parser {
 
     /// group := GROUP BY BUCKET ( Timestamp , duration )
     fn group_clause(&mut self) -> Result<Option<u64>, ParseError> {
-        if !self.peek_kw("group") {
+        if !self.eat_kw("group") {
             return Ok(None);
         }
-        self.expect_kw("group")?;
         self.expect_kw("by")?;
         self.expect_kw("bucket")?;
         self.expect_token(Token::LParen, "(")?;
@@ -529,26 +443,21 @@ impl Parser {
 
     /// order := ORDER BY (Timestamp|metric) [ASC|DESC]
     fn order_clause(&mut self) -> Result<Option<OrderBy>, ParseError> {
-        if !self.peek_kw("order") {
+        if !self.eat_kw("order") {
             return Ok(None);
         }
-        self.expect_kw("order")?;
         self.expect_kw("by")?;
         let col = self.ident()?;
-        let descending = if self.peek_kw("desc") {
-            self.expect_kw("desc")?;
-            true
-        } else {
-            if self.peek_kw("asc") {
-                self.expect_kw("asc")?;
-            }
-            false
-        };
-        let order = match (col.to_ascii_lowercase().as_str(), descending) {
-            ("timestamp", false) => OrderBy::TimestampAsc,
-            ("timestamp", true) => OrderBy::TimestampDesc,
-            ("metric", false) => OrderBy::MetricAsc,
-            ("metric", true) => OrderBy::MetricDesc,
+        // ASC is the default, and may be spelt out.
+        let descending = self.eat_kw("desc");
+        if !descending {
+            self.eat_kw("asc");
+        }
+        let order = match descending {
+            false if col.eq_ignore_ascii_case("timestamp") => OrderBy::TimestampAsc,
+            true if col.eq_ignore_ascii_case("timestamp") => OrderBy::TimestampDesc,
+            false if col.eq_ignore_ascii_case("metric") => OrderBy::MetricAsc,
+            true if col.eq_ignore_ascii_case("metric") => OrderBy::MetricDesc,
             _ => return Err(self.err("ORDER BY supports Timestamp or metric")),
         };
         Ok(Some(order))
@@ -556,20 +465,18 @@ impl Parser {
 
     /// limit := LIMIT n
     fn limit_clause(&mut self) -> Result<Option<usize>, ParseError> {
-        if !self.peek_kw("limit") {
+        if !self.eat_kw("limit") {
             return Ok(None);
         }
-        self.expect_kw("limit")?;
         let n = self.number()?;
         Ok(Some(usize::try_from(n).map_err(|_| self.err("LIMIT too large"))?))
     }
 
     /// include := INCLUDE STALE
     fn include_stale_clause(&mut self) -> Result<bool, ParseError> {
-        if !self.peek_kw("include") {
+        if !self.eat_kw("include") {
             return Ok(false);
         }
-        self.expect_kw("include")?;
         self.expect_kw("stale")?;
         Ok(true)
     }
@@ -578,7 +485,7 @@ impl Parser {
         self.expect_kw("select")?;
         let aggregate = self.selector()?;
         self.expect_kw("from")?;
-        let table = self.ident()?;
+        let table = self.ident()?.to_string();
         let join = self.join_clause()?;
         let (time_range, value_preds) = self.where_clause()?;
         let bucket_ms = self.group_clause()?;
@@ -611,8 +518,7 @@ impl Parser {
 
     /// arm := select | ( select )
     fn arm(&mut self) -> Result<(Select, bool), ParseError> {
-        if matches!(self.peek(), Some(Token::LParen)) {
-            self.next();
+        if self.eat_token(Token::LParen) {
             let s = self.select()?;
             self.expect_token(Token::RParen, ")")?;
             Ok((s, true))
@@ -624,8 +530,7 @@ impl Parser {
     fn query(&mut self) -> Result<Query, ParseError> {
         let (first, mut last_parenthesized) = self.arm()?;
         let mut selects = vec![first];
-        while self.peek_kw("union") {
-            self.expect_kw("union")?;
+        while self.eat_kw("union") {
             let (s, parenthesized) = self.arm()?;
             selects.push(s);
             last_parenthesized = parenthesized;
@@ -642,9 +547,7 @@ impl Parser {
             order = last.order.take();
             limit = last.limit.take();
         }
-        if matches!(self.peek(), Some(Token::Semicolon)) {
-            self.next();
-        }
+        self.eat_token(Token::Semicolon);
         if self.peek().is_some() {
             return Err(self.err("trailing input after query"));
         }
@@ -654,7 +557,7 @@ impl Parser {
 
 /// Parse a query string.
 pub fn parse(src: &str) -> Result<Query, ParseError> {
-    let tokens = Lexer::new(src).tokens()?;
+    let tokens = tokens(src)?;
     let mut p = Parser { tokens, pos: 0, end_offset: src.len() };
     p.query()
 }
@@ -704,6 +607,85 @@ mod tests {
         let q = parse("select max(timestamp), METRIC from T1 union select Metric from t2").unwrap();
         assert_eq!(q.complexity(), 2);
         assert_eq!(q.selects[0].table, "T1", "table case is preserved");
+    }
+
+    #[test]
+    fn mixed_case_spellings_parse_as_upper_case() {
+        for (mixed, upper) in [
+            ("sElEcT metric FROM t", "SELECT metric FROM t"),
+            ("SELECT count(*) FROM t", "SELECT COUNT(*) FROM t"),
+            ("SELECT Max(TIMESTAMP), Metric FROM t", "SELECT MAX(Timestamp), metric FROM t"),
+            (
+                "SELECT AVG(metric) FROM t group by bucket(timestamp, 2S)",
+                "SELECT AVG(metric) FROM t GROUP BY BUCKET(Timestamp, 2s)",
+            ),
+            (
+                "SELECT COUNT(*) FROM a JOIN b ON Timestamp WITHIN 5Ms",
+                "SELECT COUNT(*) FROM a JOIN b ON Timestamp WITHIN 5ms",
+            ),
+            (
+                "SELECT metric FROM t order by METRIC desc",
+                "SELECT metric FROM t ORDER BY metric DESC",
+            ),
+            ("SELECT metric FROM t include Stale", "SELECT metric FROM t INCLUDE STALE"),
+        ] {
+            assert_eq!(parse(mixed).unwrap(), parse(upper).unwrap(), "{mixed}");
+        }
+    }
+
+    /// Where and how each malformed query fails is part of the parser's
+    /// contract: a change to the lexer or the parser must not move it.
+    #[test]
+    fn malformed_queries_keep_their_offsets_and_kinds() {
+        use ParseErrorKind::{ReversedTimeBounds, Syntax};
+        for (sql, offset, kind) in [
+            ("SELECT MAX(Timestamp), metric FROM", 34, Syntax),
+            ("SELECT BOGUS(metric) FROM t", 7, Syntax),
+            ("select bogus from t", 7, Syntax),
+            ("SELECT AVG(metric) FROM t GROUP BY BUCKET(Timestamp, 5d)", 54, Syntax),
+            ("SELECT AVG(metric) FROM t group by bucket(timestamp, 5Days)", 54, Syntax),
+            ("SELECT AVG(metric) FROM t GROUP BY BUCKET(Timestamp, 0)", 53, Syntax),
+            ("SELECT AVG(metric) FROM t GROUP BY BUCKET(Timestamp, 99999999999999h)", 68, Syntax),
+            ("SELECT AVG(metric) FROM t GROUP BY BUCKET(value, 1s)", 47, Syntax),
+            ("SELECT metric FROM t ORDER BY value DESC", 40, Syntax),
+            ("SELECT metric FROM t order by Value limit 3", 36, Syntax),
+            ("SELECT AVG(Timestamp) FROM t", 20, Syntax),
+            ("SELECT max(timestamp), value FROM t", 29, Syntax),
+            ("SELECT Max(Timestamp) FROM t", 22, Syntax),
+            ("SELECT COUNT(metric) FROM t", 13, Syntax),
+            (
+                "SELECT metric FROM t WHERE Timestamp BETWEEN 9 AND 5",
+                45,
+                ReversedTimeBounds { lo: 9, hi: 5 },
+            ),
+            (
+                "SELECT metric FROM t WHERE Timestamp >= 200 AND Timestamp <= 100",
+                27,
+                ReversedTimeBounds { lo: 200, hi: 100 },
+            ),
+            ("SELECT metric FROM t WHERE value >= 1", 27, Syntax),
+            ("SELECT metric FROM t WHERE Timestamp > 1", 37, Syntax),
+            ("SELECT metric FROM t WHERE metric ~ 1", 34, Syntax),
+            ("SELECT metric FROM t WHERE metric >= x", 37, Syntax),
+            ("SELECT metric FROM t; extra", 22, Syntax),
+            ("SELECT metric FROM t INCLUDE", 28, Syntax),
+            ("SELECT metric FROM t include fresh", 29, Syntax),
+            ("SELECT metric FROM a JOIN b ON value", 36, Syntax),
+            ("SELECT COUNT(*) FROM a join b on timestamp within 5parsecs", 51, Syntax),
+            ("SELECT metric FROM t LIMIT 99999999999999999999999", 27, Syntax),
+            ("SELECT MAX(Timestamp), metric FROM t WHERE metric > 1", 53, Syntax),
+            ("SELECT metric FROM t GROUP BY BUCKET(Timestamp, 10s)", 52, Syntax),
+            ("(SELECT metric FROM t", 21, Syntax),
+            ("SELECT metric FROM t UNION", 26, Syntax),
+            ("SELECT metric FROM t UNION SELECT COUNT(*) FROM", 47, Syntax),
+            ("Select Metric From", 18, Syntax),
+            ("FROM t", 0, Syntax),
+            ("", 0, Syntax),
+            ("SELECT", 6, Syntax),
+        ] {
+            let err = parse(sql).unwrap_err();
+            assert_eq!((err.offset, &err.kind), (offset, &kind), "{sql}: {err}");
+        }
     }
 
     #[test]

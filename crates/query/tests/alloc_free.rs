@@ -15,6 +15,9 @@
 //! their result rows need: no directed fold, bucket run or join cursor
 //! allocates per row or per run.
 //!
+//! Parsing a query allocates only what its AST owns, plus the token
+//! `Vec`: tokens borrow their identifiers from the SQL.
+//!
 //! This file deliberately holds a single `#[test]`: the count is
 //! process-wide, so a second concurrently-running test would pollute it.
 
@@ -89,6 +92,42 @@ fn warm_range_hits_allocate_nothing() {
         let query = parse(&sql).unwrap();
         engine.execute(&query).unwrap();
         let n = allocs_during(|| drop(engine.execute(&query).unwrap()));
+        assert_eq!(n, want, "{sql}");
+    }
+
+    // --- Parsing -----------------------------------------------------------
+    // Tokens borrow the SQL, so a parse allocates the token `Vec` and what
+    // the AST owns: the arm `Vec` and each table name (3 for one arm, a
+    // join's partner name 4). Eight arms own eight names, and the arm `Vec`
+    // grows twice past its first arm (12). No count follows the number of
+    // tokens: a WHERE of twenty bounds costs what one does.
+    let union8 = (0..8)
+        .map(|k| format!("SELECT MAX(Timestamp), metric FROM node{k}/nvme0/load"))
+        .collect::<Vec<_>>()
+        .join(" UNION ");
+    let twenty_bounds = (0..20).map(|k| format!("Timestamp >= {k}")).collect::<Vec<_>>();
+    for (sql, want) in [
+        (format!("SELECT MAX(Timestamp), metric FROM {TOPIC}"), 3),
+        (format!("SELECT COUNT(*) FROM {TOPIC}"), 3),
+        (format!("SELECT AVG(metric) FROM {TOPIC} WHERE Timestamp >= 9000"), 3),
+        (format!("SELECT AVG(metric) FROM {TOPIC} WHERE {}", twenty_bounds.join(" AND ")), 3),
+        (
+            format!(
+                "SELECT MAX(metric) FROM {TOPIC} WHERE Timestamp >= 9000 \
+                 GROUP BY BUCKET(Timestamp, 1s)"
+            ),
+            3,
+        ),
+        (
+            format!(
+                "SELECT COUNT(*) FROM {TOPIC} JOIN {PARTNER} ON Timestamp WITHIN 5ms \
+                 WHERE Timestamp >= 9000"
+            ),
+            4,
+        ),
+        (union8, 12),
+    ] {
+        let n = allocs_during(|| drop(parse(&sql).unwrap()));
         assert_eq!(n, want, "{sql}");
     }
 }

@@ -13,7 +13,7 @@
 //! every subscriber copy — and makes the 16 B metric-size of the Figure 6
 //! throughput tests realistic.
 
-use bytes::{Buf, Bytes};
+use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 
 /// How a record's value was obtained.
@@ -128,16 +128,23 @@ impl Record {
         Bytes::copy_from_slice(&frame)
     }
 
-    /// Decode from the front of `buf`.
-    pub fn decode(mut buf: &[u8]) -> Result<Self, DecodeError> {
-        if buf.len() < RECORD_WIRE_SIZE {
+    /// Decode from the front of `buf`: the frame [`Record::encode`] builds,
+    /// read as one array.
+    pub fn decode(buf: &[u8]) -> Result<Self, DecodeError> {
+        let Some(frame) = buf.first_chunk::<RECORD_WIRE_SIZE>() else {
             return Err(DecodeError::Truncated { got: buf.len() });
-        }
-        let timestamp_ns = buf.get_u64_le();
-        let value = buf.get_f64_le();
-        let b = buf.get_u8();
+        };
+        // Both splits are of a fixed-length array: they cannot fail, and
+        // compile to plain loads.
+        let (ts, rest) = frame.split_first_chunk::<8>().expect("a frame has a timestamp");
+        let (value, rest) = rest.split_first_chunk::<8>().expect("and a value");
+        let b = rest[0];
         let provenance = Provenance::from_wire(b).ok_or(DecodeError::BadProvenance(b))?;
-        Ok(Self { timestamp_ns, value, provenance })
+        Ok(Self {
+            timestamp_ns: u64::from_le_bytes(*ts),
+            value: f64::from_le_bytes(*value),
+            provenance,
+        })
     }
 }
 
@@ -213,5 +220,37 @@ mod prop_tests {
         fn decode_never_panics(raw in proptest::collection::vec(any::<u8>(), 0..64)) {
             let _ = Record::decode(&raw);
         }
+
+        /// The fixed-frame decode answers what the field-by-field cursor
+        /// answers, to the bit, on every byte string around the frame size.
+        #[test]
+        fn decode_matches_the_cursor_oracle(raw in proptest::collection::vec(any::<u8>(), 0..=40)) {
+            match (Record::decode(&raw), cursor_decode(&raw)) {
+                (Ok(got), Ok(want)) => {
+                    prop_assert_eq!(got.timestamp_ns, want.timestamp_ns);
+                    prop_assert_eq!(got.value.to_bits(), want.value.to_bits());
+                    prop_assert_eq!(got.provenance, want.provenance);
+                }
+                (got, want) => prop_assert_eq!(got.unwrap_err(), want.unwrap_err()),
+            }
+        }
+    }
+
+    /// The oracle: a read cursor that takes the timestamp, the value and
+    /// the provenance byte in turn, advancing past each.
+    fn cursor_decode(mut buf: &[u8]) -> Result<Record, DecodeError> {
+        if buf.len() < RECORD_WIRE_SIZE {
+            return Err(DecodeError::Truncated { got: buf.len() });
+        }
+        let mut take = |n: usize| {
+            let (head, tail) = buf.split_at(n);
+            buf = tail;
+            head
+        };
+        let timestamp_ns = u64::from_le_bytes(take(8).try_into().unwrap());
+        let value = f64::from_bits(u64::from_le_bytes(take(8).try_into().unwrap()));
+        let b = take(1)[0];
+        let provenance = Provenance::from_wire(b).ok_or(DecodeError::BadProvenance(b))?;
+        Ok(Record { timestamp_ns, value, provenance })
     }
 }

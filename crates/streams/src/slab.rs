@@ -67,6 +67,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::fs::OpenOptions;
 use std::io;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -1456,7 +1457,7 @@ impl SlabSeries {
     /// its window lock, which every eviction holds for writing. A slot
     /// that fails its checksum (a crash tore it) is skipped.
     pub fn range_into(&self, start: StreamId, end: StreamId, out: &mut Vec<Entry>) {
-        self.walk(start, end, usize::MAX, out);
+        self.range_limited_into(start, end, usize::MAX, out);
     }
 
     /// Like [`SlabSeries::range_into`] (same contract) but stops after
@@ -1468,20 +1469,15 @@ impl SlabSeries {
         max: usize,
         out: &mut Vec<Entry>,
     ) {
-        self.walk(start, end, max, out);
+        let span = self.span(start, end, max);
+        out.reserve_exact((span.end - span.start) as usize);
+        self.walk(span, out);
     }
 
-    /// The one ring walk, one pass: the oldest `max` rows with
-    /// `start <= id <= end` go to `sink` in ID order. Each slot is copied
-    /// into one scratch, checksum-verified there, and lent to the sink.
+    /// The logical indices `[lo, hi)` of the oldest `max` rows with
+    /// `start <= id <= end`: what [`SlabSeries::walk`] over them lands.
     /// Same contract as [`SlabSeries::range_into`].
-    pub(crate) fn walk<S: RowSink>(
-        &self,
-        start: StreamId,
-        end: StreamId,
-        max: usize,
-        sink: &mut S,
-    ) {
+    pub(crate) fn span(&self, start: StreamId, end: StreamId, max: usize) -> Range<u64> {
         let head = self.head_cell().load(Ordering::Acquire);
         let floor = self.floor_for(head);
         // Rows newer than any the ring holds — what extending a cached
@@ -1490,10 +1486,17 @@ impl SlabSeries {
         let lo = if all_older { head } else { self.partition(floor, head, |id| id < start) };
         // `hi >= lo` even for an inverted range, which selects nothing.
         let hi = self.partition(lo, head, |id| id <= end);
-        let hi = hi.clamp(lo, lo.saturating_add(max as u64));
-        sink.reserve((hi - lo) as usize);
+        lo..hi.clamp(lo, lo.saturating_add(max as u64))
+    }
+
+    /// The one ring walk, one pass: the rows of `span` (a
+    /// [`SlabSeries::span`] read under the same hold) go to `sink` in ID
+    /// order. Each slot is copied into one scratch, checksum-verified
+    /// there, and lent to the sink; a torn one is skipped. The caller has
+    /// sized the sink.
+    pub(crate) fn walk<S: RowSink>(&self, span: Range<u64>, sink: &mut S) {
         let mut payload = Vec::new();
-        for i in lo..hi {
+        for i in span {
             if let Some(id) = self.store.read_slot(self.slot_offset(i), &mut payload) {
                 sink.push_row(id, &payload);
             }

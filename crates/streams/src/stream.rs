@@ -502,15 +502,18 @@ impl Stream {
     /// land: the ring, then the window, under one hold of the window read
     /// lock (evictions, the ring's only writer, take it for writing, in
     /// the same window -> ring order), and the snapshot read under it.
+    /// Both spans are found first, so the sink is sized once for the two.
     fn walk<S: RowSink>(&self, start: StreamId, end: StreamId, sink: &mut S) -> ScanMeta {
         let w = self.window.read();
-        if let Some(ring) = self.archive() {
-            ring.walk(start, end, usize::MAX, sink);
-        }
+        let ring = self.archive().map(|ring| (ring, ring.span(start, end, usize::MAX)));
         let lo = partition_point_deque(&w.entries, |e| e.id < start);
         // `hi >= lo` even for an inverted range, which selects nothing.
         let hi = partition_point_deque(&w.entries, |e| e.id <= end).max(lo);
-        sink.reserve(hi - lo);
+        let ring_rows = ring.as_ref().map_or(0, |(_, span)| (span.end - span.start) as usize);
+        sink.reserve(ring_rows + (hi - lo));
+        if let Some((ring, span)) = ring {
+            ring.walk(span, sink);
+        }
         sink.push_entries(w.entries.range(lo..hi));
         self.meta_locked(&w)
     }

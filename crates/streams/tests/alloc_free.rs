@@ -13,8 +13,10 @@
 //! straight out of the checksum-verified slot scratch, so a full scan
 //! allocates a constant handful of blocks (the column vectors and the
 //! scratch) however many rows it covers, and [`Stream::range`] exactly
-//! three — the scratch and the entry `Vec` twice — since a record's
-//! payload is copied into its entry in place, from slot and window alike.
+//! two — the scratch and the entry `Vec` — since a record's payload is
+//! copied into its entry in place, from slot and window alike. The walk
+//! finds the ring's rows and the window's before it lands either, so each
+//! column or `Vec` is sized once for both.
 //!
 //! This file deliberately holds a single `#[test]`: the count is
 //! process-wide, so a second concurrently-running test would pollute it.
@@ -95,17 +97,17 @@ fn warm_slab_records_allocate_nothing() {
     assert_eq!(columns.len() as u64, ARCHIVED + WINDOW);
     assert_eq!((columns.values[0], columns.values[4_351]), (0.0, 4_351.0));
     assert_eq!(columns.values.capacity(), columns.len(), "a cached batch carries no slack");
-    // Four columns, each sized once for the ring rows and once more for
-    // the window rows, plus the slot scratch.
-    assert!(n <= 9, "scan_columns allocated {n} blocks for {} rows", columns.len());
+    // Four columns, each sized once for the ring and window rows together,
+    // plus the slot scratch.
+    assert_eq!(n, 5, "scan_columns allocated {n} blocks for {} rows", columns.len());
 
     let mut entries = Vec::new();
     let n = allocs_during(|| entries = stream.range(StreamId::MIN, StreamId::MAX));
     assert_eq!(entries.len() as u64, ARCHIVED + WINDOW);
     assert_eq!(entries.capacity(), entries.len(), "the entry vector is sized exactly");
-    // The slot scratch and the `Vec` (sized once for the ring rows, once
-    // more for the window rows): no block per row, archived or not.
-    assert_eq!(n, 3, "range allocated {n} blocks for {} rows", entries.len());
+    // The slot scratch and the `Vec`, sized once for the ring and window
+    // rows together: no block per row, archived or not.
+    assert_eq!(n, 2, "range allocated {n} blocks for {} rows", entries.len());
 
     let _ = std::fs::remove_file(&path);
 }
