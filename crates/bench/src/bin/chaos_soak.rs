@@ -1,5 +1,5 @@
 //! Chaos soak regression gate — drive a 10⁴-vertex SCoRe fleet on the
-//! pooled dispatcher and prediction pump under the standard composed
+//! service loop and prediction pump under the standard composed
 //! chaos schedule (cascading rack loss, correlated flaps, latency storm,
 //! clock skew, slow consumers, backpressure bursts), continuously
 //! asserting the live invariants, and persist the verdicts + latency /
@@ -17,7 +17,7 @@
 //! schema check in bench-smoke.
 
 use apollo_bench::report::{Report, Series};
-use apollo_core::soak::{self, SoakConfig};
+use apollo_bench::soak::{self, SoakConfig};
 use std::time::{Duration, Instant};
 
 struct Args {
@@ -62,7 +62,6 @@ fn main() {
         horizon: args.horizon,
         checkpoint_every: Duration::from_secs(if args.smoke { 5 } else { 10 }),
         scan_topics: if args.smoke { 16 } else { 32 },
-        workers: 4,
         pump_every: Some(Duration::from_secs(2)),
         pump_stride: 64,
         ..SoakConfig::default()

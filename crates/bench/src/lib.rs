@@ -18,19 +18,22 @@
 //! | `fig11_delphi_vs_lstm` | Fig 11 — Delphi vs per-metric LSTM |
 //! | `fig12_vs_ldms` | Fig 12 — Apollo vs LDMS latency/overhead |
 //! | `fig13_middleware` | Fig 13 — HDPE/HDFE/HDRE with Apollo |
-//! | `dispatch_scaling` | worker-pool vs inline hook dispatch (the pipeline runs inline only) |
 //! | `chaos_soak` | invariant verdicts of a 10⁴-vertex fleet under composed faults |
 //! | `gate` | evaluates the rows of `bench_gates.md` over `bench_results/` |
 //!
 //! Binaries print human-readable tables and write machine-readable JSON
 //! into `bench_results/` (see [`report`]). [`lstm`] and [`conv`] are the
 //! Figure 11 comparators Delphi is evaluated against, [`ldms`] the
-//! Figure 12 one; nothing serves on them.
+//! Figure 12 one; nothing serves on them. [`soak`] is the chaos soak
+//! harness the `chaos_soak` bin and integration test run.
 
 pub mod conv;
 pub mod ldms;
 pub mod lstm;
 pub mod report;
+pub mod soak;
+
+pub use soak::{ScanLedger, SlabChurnConfig, SoakConfig, SoakOutcome};
 
 /// The [`ldms`] comparator's tests.
 #[cfg(test)]

@@ -14,10 +14,8 @@
 
 use apollo_delphi::nn::Activation;
 use apollo_delphi::tensor::Matrix;
-use apollo_runtime::pool::WorkerPool;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use std::sync::{Arc, Mutex};
 
 fn sigmoid(x: f64) -> f64 {
     1.0 / (1.0 + (-x).exp())
@@ -58,15 +56,6 @@ impl LstmGrads {
         for g in [&mut self.dwx, &mut self.dwh, &mut self.db, &mut self.dwy, &mut self.dby] {
             g.fill_zero();
         }
-    }
-
-    /// `self += other * k` across every gradient buffer.
-    fn add_scaled(&mut self, other: &LstmGrads, k: f64) {
-        self.dwx.add_scaled_in_place(&other.dwx, k);
-        self.dwh.add_scaled_in_place(&other.dwh, k);
-        self.db.add_scaled_in_place(&other.db, k);
-        self.dwy.add_scaled_in_place(&other.dwy, k);
-        self.dby.add_scaled_in_place(&other.dby, k);
     }
 }
 
@@ -184,8 +173,7 @@ impl LstmModel {
 
     /// Full BPTT pass on one `(window, target)` pair: writes the clipped
     /// gradients into `out` (overwriting it) and returns the squared
-    /// error. Pure in `self`, so pooled shards can evaluate it against a
-    /// shared epoch-start snapshot.
+    /// error.
     fn sample_grads(&self, window: &[f64], target: f64, out: &mut LstmGrads) -> f64 {
         assert_eq!(window.len(), self.window, "window length mismatch");
         out.reset(self.hidden);
@@ -274,91 +262,6 @@ impl LstmModel {
     pub fn head_activation(&self) -> Activation {
         Activation::Linear
     }
-
-    /// Deterministic pooled training: each epoch shards the sliding
-    /// windows into contiguous blocks, computes per-sample clipped BPTT
-    /// gradients against an epoch-start snapshot (on `pool` workers when
-    /// given, inline otherwise), then applies the **mean** gradient by
-    /// reducing the shard sums on the caller thread in ascending shard
-    /// order. Every shard gradient is a pure function of the snapshot
-    /// and its block, so the loss curve is bit-identical for any worker
-    /// count, including `pool = None`.
-    ///
-    /// Note the optimizer differs from [`LstmModel::fit_series`]: one
-    /// synchronized mean-gradient step per epoch instead of per-sample
-    /// SGD (the price of parallel epochs). Returns the final epoch's
-    /// mean loss, measured at the epoch-start weights.
-    ///
-    /// # Panics
-    /// Panics if the series is shorter than `window + 1`.
-    pub fn fit_series_pooled(
-        &mut self,
-        series: &[f64],
-        epochs: usize,
-        lr: f64,
-        shards: usize,
-        pool: Option<&WorkerPool>,
-    ) -> f64 {
-        let (xs, ys) = apollo_delphi::features::windows(series, self.window);
-        assert!(!xs.is_empty(), "series shorter than window");
-        let n = xs.len();
-        let shards = shards.clamp(1, n);
-        let base = n / shards;
-        let rem = n % shards;
-        let mut bounds = Vec::with_capacity(shards);
-        let mut start = 0;
-        for s in 0..shards {
-            let len = base + usize::from(s < rem);
-            bounds.push((start, start + len));
-            start += len;
-        }
-        let bounds = Arc::new(bounds);
-        let data = Arc::new((xs, ys));
-        // Per-shard (sum-of-grads, per-sample temp, loss-sum) slots,
-        // reused across epochs.
-        type Slot = (LstmGrads, LstmGrads, f64);
-        let slots: Arc<Vec<Mutex<Slot>>> = Arc::new(
-            (0..shards)
-                .map(|_| Mutex::new((LstmGrads::default(), LstmGrads::default(), 0.0)))
-                .collect(),
-        );
-        let hidden = self.hidden;
-        let mut loss = f64::INFINITY;
-        for _ in 0..epochs {
-            let snapshot = Arc::new(self.clone());
-            let job: Arc<dyn Fn(usize) + Send + Sync> = {
-                let bounds = Arc::clone(&bounds);
-                let data = Arc::clone(&data);
-                let slots = Arc::clone(&slots);
-                Arc::new(move |s| {
-                    let (lo, hi) = bounds[s];
-                    let (xs, ys) = &*data;
-                    let mut slot = slots[s].lock().expect("shard slot poisoned");
-                    let (acc, tmp, loss_sum) = &mut *slot;
-                    acc.reset(hidden);
-                    *loss_sum = 0.0;
-                    for k in lo..hi {
-                        *loss_sum += snapshot.sample_grads(&xs[k], ys[k], tmp);
-                        acc.add_scaled(tmp, 1.0);
-                    }
-                })
-            };
-            match pool {
-                Some(p) => p.run_batch(shards, job),
-                None => (0..shards).for_each(|s| job(s)),
-            }
-            // Fixed ascending-shard reduction on the caller thread.
-            let inv = 1.0 / n as f64;
-            loss = 0.0;
-            for slot in slots.iter() {
-                let slot = slot.lock().expect("shard slot poisoned");
-                loss += slot.2;
-                self.apply_grads(&slot.0, -lr * inv);
-            }
-            loss *= inv;
-        }
-        loss
-    }
 }
 
 impl apollo_delphi::predictor::WindowModel for LstmModel {
@@ -440,34 +343,6 @@ mod tests {
     #[should_panic(expected = "window length mismatch")]
     fn wrong_window_panics() {
         LstmModel::new(4, 5, 0).predict(&[0.0; 3]);
-    }
-
-    #[test]
-    fn pooled_training_is_bit_identical_to_serial() {
-        let pool = WorkerPool::new(4);
-        let series: Vec<f64> = (0..80).map(|i| (i as f64 * 0.25).sin() * 0.4 + 0.5).collect();
-        let mut serial = LstmModel::new(8, 5, 11);
-        let mut pooled = serial.clone();
-        let ls = serial.fit_series_pooled(&series, 15, 0.05, 3, None);
-        let lp = pooled.fit_series_pooled(&series, 15, 0.05, 3, Some(&pool));
-        assert_eq!(ls, lp);
-        assert_eq!(serial.wx, pooled.wx);
-        assert_eq!(serial.wh, pooled.wh);
-        assert_eq!(serial.b, pooled.b);
-        assert_eq!(serial.wy, pooled.wy);
-        assert_eq!(serial.by, pooled.by);
-        let w = [0.5, 0.6, 0.7, 0.6, 0.5];
-        assert_eq!(serial.predict(&w), pooled.predict(&w));
-    }
-
-    #[test]
-    fn pooled_training_learns_constant_series() {
-        let mut m = LstmModel::new(8, 5, 12);
-        let series = vec![0.5; 60];
-        let loss = m.fit_series_pooled(&series, 200, 0.1, 4, None);
-        assert!(loss < 1e-2, "pooled constant loss {loss}");
-        let p = m.predict(&[0.5; 5]);
-        assert!((p - 0.5).abs() < 0.1, "prediction {p}");
     }
 
     #[test]

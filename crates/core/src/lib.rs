@@ -36,10 +36,6 @@
 //!   republishes Apollo's own internals (broker memory, stream depth,
 //!   poll p99, quarantine count, quarantine recoveries) as Fact vertices
 //!   queryable through the AQE.
-//! * [`soak`] — the invariant-checked chaos soak harness: drives a large
-//!   fleet under a compiled `apollo_cluster::chaos::ChaosSchedule` while
-//!   continuously asserting exactly-once scans, monotone health
-//!   recovery, bounded broker memory, and panic isolation.
 //!
 //! ```
 //! use apollo_core::service::{Apollo, FactVertexSpec};
@@ -70,7 +66,6 @@ pub mod kprobe;
 pub mod predict;
 pub mod selfobs;
 pub mod service;
-pub mod soak;
 pub mod vertex;
 
 pub use continuous::{ContinuousRegisterError, ContinuousVertex};
@@ -83,5 +78,4 @@ pub use predict::PredictionPump;
 pub use selfobs::{deploy_self_observer, SELF_TOPICS};
 pub use selfobs::{deploy_slab_observer, SLAB_SELF_TOPICS};
 pub use service::{Apollo, ApolloHandle, FactVertexSpec, InsightVertexSpec};
-pub use soak::{ScanLedger, SlabChurnConfig, SoakConfig, SoakOutcome};
 pub use vertex::{FactVertex, InsightInputs, InsightVertex};

@@ -167,22 +167,16 @@ impl PumpShared {
 #[derive(Clone)]
 pub struct PredictionPump {
     pub(crate) shared: Arc<PumpShared>,
-    pub(crate) name: String,
 }
 
 impl PredictionPump {
-    pub(crate) fn new(model: Delphi, every: Duration, name: String) -> Self {
-        Self { shared: Arc::new(PumpShared::new(model, every)), name }
+    pub(crate) fn new(model: Delphi, every: Duration) -> Self {
+        Self { shared: Arc::new(PumpShared::new(model, every)) }
     }
 
     /// Window length of the shared model.
     pub fn window(&self) -> usize {
         self.shared.model.window()
-    }
-
-    /// The pump's vertex-like name (its dispatch-component key).
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// Vertices currently enrolled.

@@ -30,7 +30,6 @@ use apollo_query::exec::{
     CachedBroker, ExecSqlError, QueryEngine, QueryMetrics, QueryResult, ScanCache,
 };
 use apollo_runtime::event_loop::{EventLoop, TimerAction, TimerControl};
-use apollo_runtime::pool::WorkerPool;
 use apollo_streams::{Broker, CompactPolicy, PublishWaker, SlabStore, StreamConfig};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -249,11 +248,6 @@ struct Scheduled {
     /// The step's timer, cancelled when the step is unregistered or
     /// re-scheduled.
     timer: Arc<TimerControl>,
-    /// Dispatch lane: the key the timer carries on the loop. Steps
-    /// connected through the DAG (a consumer, its producers, their pump)
-    /// share one, so they never run concurrently — the invariant that
-    /// keeps pool dispatch bit-identical to inline.
-    lane: u64,
     /// The timer's wakers on the step's input topics, removed with it.
     _wakers: Vec<PublishWaker>,
 }
@@ -268,12 +262,6 @@ pub struct Apollo {
     /// Every periodic step by name: vertices, prediction pumps and the
     /// slab lifecycle.
     scheduled: HashMap<String, Scheduled>,
-    /// Every lane's member steps by name, so a merge re-keys only the
-    /// lanes it folds, not every step.
-    lanes: HashMap<u64, Vec<String>>,
-    /// The last lane key handed out; keys are never reused, so steps
-    /// share a lane only by joining.
-    next_lane: u64,
     /// Batched Delphi prediction pumps (see [`Apollo::prediction_pump`]).
     pumps: Vec<PredictionPump>,
     /// The self-observation metrics registry every subsystem reports into.
@@ -331,8 +319,6 @@ impl Apollo {
             facts: Vec::new(),
             insights: Vec::new(),
             scheduled: HashMap::new(),
-            lanes: HashMap::new(),
-            next_lane: 0,
             pumps: Vec::new(),
             registry,
             query_path,
@@ -346,55 +332,24 @@ impl Apollo {
     /// its [`TimerAction`] says: after `every` (or what it re-programs through
     /// its [`TimerControl`]), or, parked, on a publish to a `wakes_on` topic.
     ///
-    /// The step runs in the dispatch lane of the steps named in `joins`
-    /// (merging their lanes when they differ: the first joined lane keeps
-    /// its key, and only the members of the others are re-keyed), or in a
-    /// fresh lane of its own when `joins` names none. A step already scheduled under `name`
-    /// is cancelled, so a name never has two timers.
+    /// A step already scheduled under `name` is cancelled, so a name never
+    /// has two timers.
     fn schedule(
         &mut self,
         name: &str,
-        joins: &[String],
         wakes_on: &[String],
         every: Duration,
         mut step: impl FnMut(&TimerControl, u64) -> TimerAction + Send + 'static,
     ) {
-        let joined: Vec<u64> =
-            joins.iter().filter_map(|j| self.scheduled.get(j)).map(|s| s.lane).collect();
-        let lane = joined.first().copied().unwrap_or_else(|| {
-            self.next_lane += 1;
-            self.next_lane
-        });
-        for l in joined.into_iter().filter(|&l| l != lane) {
-            // A lane already folded (joined twice) is gone from `lanes`.
-            let Some(members) = self.lanes.remove(&l) else { continue };
-            for m in &members {
-                let s = self.scheduled.get_mut(m).expect("a lane member is scheduled");
-                s.lane = lane;
-                self.el.set_timer_key(s.timer.id(), lane);
-            }
-            self.lanes.entry(lane).or_default().extend(members);
-        }
         let clock = self.el.clock().clone();
-        let timer = self.el.add_timer_keyed(lane, every, move |ctl| step(ctl, clock.now()));
+        let timer = self.el.add_timer(every, move |ctl| step(ctl, clock.now()));
         let woken = Arc::clone(&timer);
         let wake = move || woken.wake();
         let _wakers = wakes_on.iter().map(|t| self.broker.wake_on(t, wake.clone())).collect();
-        let step = Scheduled { timer, lane, _wakers };
-        if let Some(previous) = self.scheduled.insert(name.to_string(), step) {
+        if let Some(previous) =
+            self.scheduled.insert(name.to_string(), Scheduled { timer, _wakers })
+        {
             previous.timer.cancel();
-            self.leave_lane(name, previous.lane);
-        }
-        self.lanes.entry(lane).or_default().push(name.to_string());
-    }
-
-    /// Take `name` off `lane`'s member list, dropping the list once empty.
-    fn leave_lane(&mut self, name: &str, lane: u64) {
-        let members = self.lanes.get_mut(&lane).expect("a scheduled step's lane is listed");
-        let at = members.iter().position(|m| m == name).expect("a step is on its lane's list");
-        members.swap_remove(at);
-        if members.is_empty() {
-            self.lanes.remove(&lane);
         }
     }
 
@@ -449,7 +404,7 @@ impl Apollo {
         let dirty = self.registry.gauge("streams.slab.dirty_records");
         let lapped = self.registry.gauge("streams.slab.lapped_entries");
         self.slab = Some(Arc::clone(&store));
-        self.schedule("streams.slab.lifecycle", &[], &[], every, move |_ctl, now_ns| {
+        self.schedule("streams.slab.lifecycle", &[], every, move |_ctl, now_ns| {
             folded.add(store.consolidate().folded);
             let t0 = std::time::Instant::now();
             match store.flush() {
@@ -491,10 +446,7 @@ impl Apollo {
     /// returned handle to [`FactVertexSpec::with_batched_prediction`]
     /// before registering them.
     ///
-    /// Each enrolled vertex joins the pump's dispatch lane, so under
-    /// [`Apollo::use_worker_pool`] the pump never races its vertices'
-    /// poll timers and virtual-clock runs stay deterministic. Kernel wall
-    /// time and batch sizes report as `delphi.predict_ns` /
+    /// Kernel wall time and batch sizes report as `delphi.predict_ns` /
     /// `delphi.batch_size`.
     ///
     /// Batches are padded to the model's SIMD lane width
@@ -503,10 +455,10 @@ impl Apollo {
     /// (held at 0 by the padding).
     pub fn prediction_pump(&mut self, model: Delphi, every: Duration) -> PredictionPump {
         let name = format!("delphi.pump.{}", self.pumps.len());
-        let pump = PredictionPump::new(model, every, name.clone());
+        let pump = PredictionPump::new(model, every);
         pump.shared.instrument(&self.registry);
         let shared = Arc::clone(&pump.shared);
-        self.schedule(&name, &[], &[], every, move |_ctl, now| {
+        self.schedule(&name, &[], every, move |_ctl, now| {
             shared.tick(now);
             TimerAction::Continue
         });
@@ -517,19 +469,6 @@ impl Apollo {
     /// The pub-sub fabric (for subscribing middleware).
     pub fn broker(&self) -> Arc<Broker> {
         Arc::clone(&self.broker)
-    }
-
-    /// Execute vertex hooks on a `threads`-worker pool instead of the
-    /// loop thread (§3.4 overhead: independent vertices stop serializing
-    /// behind one another). Per-vertex ordering is preserved — every
-    /// timer of one vertex shares a dispatch key derived from the vertex
-    /// name, so a vertex never runs concurrently with itself — and
-    /// virtual-clock runs stay bit-identical to inline dispatch. The
-    /// pool reports into this service's registry as `runtime.pool.*`.
-    pub fn use_worker_pool(&mut self, threads: usize) {
-        let pool = Arc::new(WorkerPool::new(threads));
-        pool.instrument(&self.registry);
-        self.el.dispatch_to_pool(pool);
     }
 
     /// The metrics registry all subsystems report into.
@@ -575,13 +514,9 @@ impl Apollo {
             .as_ref()
             .map(|p| Arc::new(Mutex::new(apollo_delphi::WindowTracker::new(p.window()))));
 
-        // Share the pump's dispatch lane so a pooled-dispatch tick never
-        // races this vertex's poll.
-        let joins: Vec<String> =
-            spec.batched_prediction.iter().map(|p| p.name().to_string()).collect();
         let (polled, polled_at, tracker) =
             (Arc::clone(&vertex), Arc::clone(&last_poll), pump_tracker.clone());
-        self.schedule(vertex.name(), &joins, &[], initial, move |ctl, now| {
+        self.schedule(vertex.name(), &[], initial, move |ctl, now| {
             let next = polled.poll(now);
             polled_at.store(now, Ordering::SeqCst);
             if let Some(t) = &tracker {
@@ -613,7 +548,6 @@ impl Apollo {
         self.graph.remove(name)?;
         if let Some(step) = self.scheduled.remove(name) {
             step.timer.cancel();
-            self.leave_lane(name, step.lane);
         }
         self.facts.retain(|f| f.name() != name);
         self.insights.retain(|i| i.name() != name);
@@ -643,12 +577,9 @@ impl Apollo {
             spec.link_delay,
         ));
         vertex.instrument(&self.registry);
-        // The insight joins its producers' dispatch lane: under pool
-        // dispatch it never races the vertices feeding it, which is what
-        // keeps same-tick pump-vs-publish ordering deterministic. Entries
-        // still in flight over the link re-arm it at cadence.
+        // Entries still in flight over the link re-arm it at cadence.
         let pumped = Arc::clone(&vertex);
-        self.schedule(vertex.name(), &inputs, &inputs, spec.cadence, move |_ctl, now| {
+        self.schedule(vertex.name(), &inputs, spec.cadence, move |_ctl, now| {
             pumped.pump(now);
             if pumped.in_flight() {
                 TimerAction::Continue
@@ -693,10 +624,8 @@ impl Apollo {
         let vertex =
             Arc::new(ContinuousVertex::seed(name.clone(), cq, self.broker(), &self.registry));
         let fold_ns = self.registry.histogram("query.continuous.fold_ns");
-        // Join the producers' dispatch lane: the pump never races the
-        // vertices feeding it, so virtual-clock runs stay deterministic.
         let pumped = Arc::clone(&vertex);
-        self.schedule(&name, &inputs, &inputs, cadence, move |_ctl, now| {
+        self.schedule(&name, &inputs, cadence, move |_ctl, now| {
             let t0 = std::time::Instant::now();
             pumped.pump(now / 1_000_000);
             fold_ns.observe(t0.elapsed().as_nanos() as u64);
@@ -904,7 +833,7 @@ impl Drop for ApolloHandle {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use apollo_cluster::metrics::{ConstSource, TraceSource};
     use apollo_cluster::series::TimeSeries;
@@ -1312,55 +1241,6 @@ pub(crate) mod tests {
         );
     }
 
-    #[test]
-    fn worker_pool_service_matches_inline_run() {
-        // Same registrations, same virtual horizon: the pooled service
-        // must publish exactly the same records as the inline one.
-        let run = |workers: Option<usize>| {
-            let mut apollo = Apollo::new_virtual();
-            if let Some(n) = workers {
-                apollo.use_worker_pool(n);
-            }
-            for (name, v) in [("a", 10.0), ("b", 20.0), ("c", 30.0)] {
-                apollo
-                    .register_fact(FactVertexSpec::fixed(
-                        name,
-                        Arc::new(ConstSource::new(name, v)),
-                        Duration::from_secs(1),
-                    ))
-                    .unwrap();
-            }
-            apollo
-                .register_insight(InsightVertexSpec::sum_of(
-                    "total",
-                    vec!["a".into(), "b".into(), "c".into()],
-                    Duration::from_millis(500),
-                ))
-                .unwrap();
-            apollo.run_for(Duration::from_secs(10));
-            let total = apollo.query("SELECT MAX(Timestamp), metric FROM total").unwrap();
-            (apollo.total_hook_calls(), total.rows[0].value)
-        };
-        assert_eq!(run(Some(4)), run(None));
-    }
-
-    #[test]
-    fn worker_pool_reports_metrics() {
-        let mut apollo = Apollo::new_virtual();
-        apollo.use_worker_pool(2);
-        apollo
-            .register_fact(FactVertexSpec::fixed(
-                "cap",
-                Arc::new(ConstSource::new("c", 5.0)),
-                Duration::from_secs(1),
-            ))
-            .unwrap();
-        apollo.run_for(Duration::from_secs(5));
-        let snap = apollo.metrics_snapshot();
-        assert!(snap.histograms["runtime.pool.exec_ns"].count >= 5);
-        assert_eq!(snap.counter("runtime.timer.fires"), 5);
-    }
-
     /// Small Delphi for pump wiring tests (training speed matters here,
     /// prediction quality does not).
     fn tiny_delphi() -> apollo_delphi::Delphi {
@@ -1375,7 +1255,7 @@ pub(crate) mod tests {
 
     /// A fresh slab file under the temp dir; the test removes
     /// `store.path()` when it is done.
-    pub(crate) fn temp_store(tag: &str, config: apollo_streams::SlabConfig) -> Arc<SlabStore> {
+    fn temp_store(tag: &str, config: apollo_streams::SlabConfig) -> Arc<SlabStore> {
         let path =
             std::env::temp_dir().join(format!("apollo-core-{tag}-{}.slab", std::process::id()));
         let _ = std::fs::remove_file(&path);
@@ -1406,187 +1286,6 @@ pub(crate) mod tests {
         assert!(apollo.total_hook_calls() >= 12);
         apollo.unregister("b").unwrap();
         assert_eq!(pump.enrolled(), 0);
-    }
-
-    /// `members` are exactly the steps on one lane, and every scheduled
-    /// timer carries its step's lane on the loop. The lane member lists
-    /// agree: each step is listed once, on its own lane, and no list is
-    /// empty.
-    fn assert_one_lane(apollo: &Apollo, members: &[&str]) {
-        for (name, step) in &apollo.scheduled {
-            assert_eq!(apollo.el.timer_key(step.timer.id()), Some(step.lane), "{name}");
-            let listed = apollo.lanes[&step.lane].iter().filter(|m| *m == name).count();
-            assert_eq!(listed, 1, "{name} is listed once on its lane");
-        }
-        let listed: usize = apollo.lanes.values().map(Vec::len).sum();
-        assert_eq!(listed, apollo.scheduled.len(), "only scheduled steps are listed");
-        assert!(apollo.lanes.values().all(|m| !m.is_empty()), "an empty lane is dropped");
-        let lane = apollo.scheduled[members[0]].lane;
-        let mut on_lane: Vec<&str> = apollo
-            .scheduled
-            .iter()
-            .filter(|(_, step)| step.lane == lane)
-            .map(|(name, _)| name.as_str())
-            .collect();
-        on_lane.sort_unstable();
-        let mut members = members.to_vec();
-        members.sort_unstable();
-        assert_eq!(on_lane, members);
-    }
-
-    /// Lanes are the connected components of every DAG edge and pump
-    /// enrolment ever made, over a seeded random fleet: a registration
-    /// joins components, `unregister` splits none, and a re-registered or
-    /// re-scheduled name is a new vertex. A union-find over registrations
-    /// is the model.
-    #[test]
-    fn lanes_are_the_dags_connected_components() {
-        /// Union-find over registrations; `node` maps a live name to its
-        /// latest registration.
-        #[derive(Default)]
-        struct Components {
-            parent: Vec<usize>,
-            node: HashMap<String, usize>,
-        }
-        impl Components {
-            fn root(&mut self, mut x: usize) -> usize {
-                while self.parent[x] != x {
-                    self.parent[x] = self.parent[self.parent[x]];
-                    x = self.parent[x];
-                }
-                x
-            }
-            /// Register `name` joined to the current registrations of
-            /// `joins` (its own earlier one included, as `schedule` does).
-            fn add(&mut self, name: &str, joins: &[String]) {
-                let n = self.parent.len();
-                self.parent.push(n);
-                for j in joins {
-                    let r = self.root(self.node[j]);
-                    self.parent[r] = n;
-                }
-                self.node.insert(name.to_string(), n);
-            }
-        }
-        let model = tiny_delphi();
-        let fact = |name: &str| {
-            FactVertexSpec::fixed(
-                name,
-                Arc::new(ConstSource::new(name, 1.0)),
-                Duration::from_secs(10),
-            )
-        };
-        for seed in [1u64, 7, 4242] {
-            let mut state = seed;
-            let mut rng = move |n: usize| {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                (state >> 33) as usize % n
-            };
-            let mut apollo = Apollo::new_virtual();
-            let mut uf = Components::default();
-            let pump = apollo.prediction_pump(model.clone(), Duration::from_secs(3));
-            let pumped = vec![pump.name().to_string()];
-            uf.add(&pumped[0], &[]);
-            let mut vertices: Vec<String> = Vec::new();
-            for i in 0..16 {
-                let name = format!("f{i}");
-                if rng(3) == 0 {
-                    apollo.register_fact(fact(&name).with_batched_prediction(&pump)).unwrap();
-                    uf.add(&name, &pumped);
-                } else {
-                    apollo.register_fact(fact(&name)).unwrap();
-                    uf.add(&name, &[]);
-                }
-                vertices.push(name);
-            }
-            for j in 0..12 {
-                let name = format!("i{j}");
-                let mut inputs: Vec<String> =
-                    (0..1 + rng(3)).map(|_| vertices[rng(vertices.len())].clone()).collect();
-                inputs.sort_unstable();
-                inputs.dedup();
-                uf.add(&name, &inputs);
-                apollo
-                    .register_insight(InsightVertexSpec::sum_of(
-                        name.clone(),
-                        inputs,
-                        Duration::from_secs(1),
-                    ))
-                    .unwrap();
-                vertices.push(name);
-            }
-            // Retire a few vertices nothing consumes; the rest refuse.
-            let mut retired = Vec::new();
-            for _ in 0..6 {
-                let name = vertices[rng(vertices.len())].clone();
-                if apollo.unregister(&name).is_ok() {
-                    uf.node.remove(&name);
-                    vertices.retain(|v| *v != name);
-                    retired.push(name);
-                }
-            }
-            assert!(!retired.is_empty(), "seed {seed}: some vertex retired");
-            // A retired name comes back as a fresh fact, pump-enrolled.
-            let back = retired[rng(retired.len())].clone();
-            apollo.register_fact(fact(&back).with_batched_prediction(&pump)).unwrap();
-            uf.add(&back, &pumped);
-            vertices.push(back);
-            // Re-scheduling a live name (what a second `attach_slab` does)
-            // leaves its old lane and joins the lanes it names.
-            let again = vertices[rng(vertices.len())].clone();
-            let joins = [vertices[rng(vertices.len())].clone()];
-            apollo.schedule(&again, &joins, &[], Duration::from_secs(1), |_, _| TimerAction::Park);
-            uf.add(&again, &joins);
-
-            let live: Vec<(String, usize)> =
-                uf.node.iter().map(|(name, &n)| (name.clone(), n)).collect();
-            let mut components: HashMap<usize, Vec<&str>> = HashMap::new();
-            for (name, n) in &live {
-                components.entry(uf.root(*n)).or_default().push(name);
-            }
-            for members in components.values() {
-                assert_one_lane(&apollo, members);
-            }
-            assert_eq!(apollo.lanes.len(), components.len(), "seed {seed}: one lane each");
-        }
-    }
-
-    #[test]
-    fn unregistering_a_lane_member_keeps_the_pump_on_its_vertices_lane() {
-        let mut apollo = Apollo::new_virtual();
-        let pump = apollo.prediction_pump(tiny_delphi(), Duration::from_secs(3));
-        let fact = |name: &str| {
-            FactVertexSpec::fixed(
-                name,
-                Arc::new(ConstSource::new(name, 1.0)),
-                Duration::from_secs(10),
-            )
-        };
-        let p = pump.name();
-        apollo.register_fact(fact("a").with_batched_prediction(&pump)).unwrap();
-        assert_one_lane(&apollo, &[p, "a"]);
-        apollo.register_fact(fact("b").with_batched_prediction(&pump)).unwrap();
-        assert_one_lane(&apollo, &[p, "a", "b"]);
-        // The first member leaves: the pump and `b` stay on one lane.
-        apollo.unregister("a").unwrap();
-        assert_one_lane(&apollo, &[p, "b"]);
-        // The name comes back without the pump: a lane of its own, though
-        // the pump's lane once carried that name.
-        apollo.register_fact(fact("a")).unwrap();
-        assert_one_lane(&apollo, &["a"]);
-        apollo.register_fact(fact("c").with_batched_prediction(&pump)).unwrap();
-        assert_one_lane(&apollo, &[p, "b", "c"]);
-        // An insight over both fragments joins them, pump included.
-        apollo
-            .register_insight(InsightVertexSpec::sum_of(
-                "a+c",
-                vec!["a".into(), "c".into()],
-                Duration::from_secs(1),
-            ))
-            .unwrap();
-        assert_one_lane(&apollo, &[p, "a", "b", "c", "a+c"]);
-        apollo.register_fact(fact("z")).unwrap();
-        assert_one_lane(&apollo, &["z"]);
     }
 
     #[test]
@@ -1882,28 +1581,5 @@ pub(crate) mod tests {
         let info = broker.topic_info("cap").unwrap();
         assert_eq!(info.subscribers, 0);
         let _ = std::fs::remove_file(store.path());
-    }
-
-    #[test]
-    fn pump_shares_dispatch_lane_with_its_vertices() {
-        let mut apollo = Apollo::new_virtual();
-        apollo.use_worker_pool(4);
-        let pump = apollo.prediction_pump(tiny_delphi(), Duration::from_secs(3));
-        apollo
-            .register_fact(
-                FactVertexSpec::fixed(
-                    "m",
-                    Arc::new(ConstSource::new("m", 7.0)),
-                    Duration::from_secs(10),
-                )
-                .with_batched_prediction(&pump),
-            )
-            .unwrap();
-        // Pooled dispatch must serialize the pump with its vertices; the
-        // run completing without a data race or deadlock plus the change
-        // filter holding is the observable invariant.
-        apollo.run_for(Duration::from_secs(120));
-        let out = apollo.query("SELECT MAX(Timestamp), metric FROM m").unwrap();
-        assert_eq!(out.rows[0].value, 7.0);
     }
 }

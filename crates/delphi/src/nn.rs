@@ -7,10 +7,8 @@
 //! to validate backprop.
 
 use crate::tensor::Matrix;
-use apollo_runtime::pool::WorkerPool;
 use rand::rngs::StdRng;
 use rand::RngExt;
-use std::sync::{Arc, Mutex};
 
 /// Activation functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -198,7 +196,7 @@ impl Dense {
 }
 
 /// Per-layer activation and gradient buffers for one full-batch backprop
-/// pass. Caller-owned and reused across epochs/shards so pooled training
+/// pass. Caller-owned and reused across epochs/shards so sharded training
 /// does not allocate per epoch beyond first-use sizing.
 #[derive(Debug, Clone, Default)]
 pub struct GradBuffer {
@@ -281,9 +279,8 @@ impl Sequential {
     /// no update applied; activations and per-layer `(dW, db)` land in
     /// `buf` (overwritten). Returns the batch MSE.
     ///
-    /// Takes `&self`, so shard workers can compute gradients concurrently
-    /// against a shared snapshot — the foundation of the deterministic
-    /// pooled trainer ([`Sequential::fit_pooled`]).
+    /// Takes `&self`, so [`Sequential::fit_sharded`] computes every
+    /// shard's gradient against the same epoch-start weights.
     pub fn batch_grads(&self, x: &Matrix, y: &Matrix, buf: &mut GradBuffer) -> f64 {
         let n_layers = self.layers.len();
         buf.acts.resize(n_layers, Matrix::default());
@@ -355,65 +352,27 @@ impl Sequential {
         pred.sub(y).data().iter().map(|v| v * v).sum::<f64>() / n
     }
 
-    /// Deterministic pooled full-batch training. Each epoch shards the
-    /// rows into contiguous blocks, computes per-shard gradients against
-    /// an epoch-start snapshot (on `pool` workers when given, inline
-    /// otherwise), then reduces them on the caller thread in ascending
-    /// shard order, weighting each shard by its row fraction.
-    ///
-    /// Because every shard's gradient is a pure function of the snapshot
-    /// and its block (thread schedule cannot touch it) and the reduction
-    /// order is fixed, the loss curve is **bit-identical for any worker
-    /// count** — including `pool = None`, which executes the same shard
-    /// plan inline. Returns the final epoch's loss (measured at the
-    /// epoch-start weights, like [`Sequential::fit`]).
+    /// Deterministic sharded full-batch training. Each epoch shards the
+    /// rows into contiguous blocks, computes every shard's gradient
+    /// against the epoch-start weights, then applies them in ascending
+    /// shard order, weighting each shard by its row fraction. The shard
+    /// plan fixes the bits of the result: a different `shards` count
+    /// re-associates the reduction. Returns the final epoch's loss
+    /// (measured at the epoch-start weights, like [`Sequential::fit`]).
     ///
     /// # Panics
     /// Panics on empty data or row-count mismatch.
-    pub fn fit_pooled(
+    pub fn fit_sharded(
         &mut self,
         x: &Matrix,
         y: &Matrix,
         lr: f64,
         epochs: usize,
         shards: usize,
-        pool: Option<&WorkerPool>,
-    ) -> f64 {
-        self.fit_pooled_impl(x, y, lr, epochs, shards, pool, None)
-    }
-
-    /// [`Sequential::fit_pooled`] with each epoch's wall time reported to
-    /// `registry` as `delphi.train_epoch_ns`. A noop registry observes
-    /// nothing and skips the clock reads.
-    #[allow(clippy::too_many_arguments)]
-    pub fn fit_pooled_observed(
-        &mut self,
-        x: &Matrix,
-        y: &Matrix,
-        lr: f64,
-        epochs: usize,
-        shards: usize,
-        pool: Option<&WorkerPool>,
-        registry: &apollo_obs::Registry,
-    ) -> f64 {
-        let hist = registry.enabled().then(|| registry.histogram("delphi.train_epoch_ns"));
-        self.fit_pooled_impl(x, y, lr, epochs, shards, pool, hist.as_ref())
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn fit_pooled_impl(
-        &mut self,
-        x: &Matrix,
-        y: &Matrix,
-        lr: f64,
-        epochs: usize,
-        shards: usize,
-        pool: Option<&WorkerPool>,
-        epoch_ns: Option<&apollo_obs::Histogram>,
     ) -> f64 {
         let rows = x.rows();
-        assert!(rows > 0, "fit_pooled needs data");
-        assert_eq!(y.rows(), rows, "fit_pooled shape mismatch");
+        assert!(rows > 0, "fit_sharded needs data");
+        assert_eq!(y.rows(), rows, "fit_sharded shape mismatch");
         let shards = shards.clamp(1, rows);
         // Contiguous row blocks; the first `rem` shards take one extra row.
         let base = rows / shards;
@@ -429,37 +388,18 @@ impl Sequential {
         }
         let fractions: Vec<f64> =
             blocks.iter().map(|(bx, _)| bx.rows() as f64 / rows as f64).collect();
-        let blocks = Arc::new(blocks);
-        // Per-shard (gradient buffer, loss) slots, reused across epochs.
-        let slots: Arc<Vec<Mutex<(GradBuffer, f64)>>> =
-            Arc::new((0..shards).map(|_| Mutex::new((GradBuffer::default(), 0.0))).collect());
+        // Per-shard (gradient buffer, loss), reused across epochs.
+        let mut grads: Vec<(GradBuffer, f64)> =
+            (0..shards).map(|_| (GradBuffer::default(), 0.0)).collect();
         let mut loss = f64::INFINITY;
         for _ in 0..epochs {
-            let started = epoch_ns.map(|_| std::time::Instant::now());
-            let snapshot = Arc::new(self.clone());
-            let job: Arc<dyn Fn(usize) + Send + Sync> = {
-                let blocks = Arc::clone(&blocks);
-                let slots = Arc::clone(&slots);
-                Arc::new(move |s| {
-                    let (bx, by) = &blocks[s];
-                    let mut slot = slots[s].lock().expect("shard slot poisoned");
-                    let (buf, l) = &mut *slot;
-                    *l = snapshot.batch_grads(bx, by, buf);
-                })
-            };
-            match pool {
-                Some(p) => p.run_batch(shards, job),
-                None => (0..shards).for_each(|s| job(s)),
+            for ((bx, by), (buf, l)) in blocks.iter().zip(&mut grads) {
+                *l = self.batch_grads(bx, by, buf);
             }
-            // Fixed ascending-shard reduction on the caller thread.
             loss = 0.0;
-            for (s, frac) in fractions.iter().enumerate() {
-                let slot = slots[s].lock().expect("shard slot poisoned");
-                loss += slot.1 * frac;
-                self.apply_grads(&slot.0, -lr * frac);
-            }
-            if let (Some(h), Some(t)) = (epoch_ns, started) {
-                h.observe(t.elapsed().as_nanos() as u64);
+            for ((buf, l), frac) in grads.iter().zip(&fractions) {
+                loss += l * frac;
+                self.apply_grads(buf, -lr * frac);
             }
         }
         loss
@@ -702,15 +642,15 @@ mod tests {
     }
 
     #[test]
-    fn fit_pooled_serial_shards_converge() {
+    fn fit_sharded_converges() {
         // y = 2a - 3b + 1, same target as the SGD test; the sharded
         // full-batch path must also learn it.
         let x = Matrix::from_vec(4, 2, vec![0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0, 1.0]);
         let y = Matrix::from_vec(4, 1, vec![1.0, 3.0, -2.0, 0.0]);
         let mut m = Sequential::new();
         m.push(Dense::new(2, 1, Activation::Linear, &mut rng()));
-        let loss = m.fit_pooled(&x, &y, 0.1, 2000, 3, None);
-        assert!(loss < 1e-6, "pooled loss {loss}");
+        let loss = m.fit_sharded(&x, &y, 0.1, 2000, 3);
+        assert!(loss < 1e-6, "sharded loss {loss}");
     }
 
     #[test]

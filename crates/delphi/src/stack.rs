@@ -16,14 +16,11 @@ use crate::features::{mixed_dataset, windows, Feature};
 use crate::nn::{Activation, Dense, Sequential};
 use crate::simd;
 use crate::tensor::Matrix;
-use apollo_runtime::pool::WorkerPool;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::{Arc, Mutex};
 
-/// Shards used for combiner training (see [`Sequential::fit_pooled`]).
-/// Fixed so pooled and serial training follow the same shard plan and
-/// stay bit-identical.
+/// Shards used for combiner training (see [`Sequential::fit_sharded`]).
+/// The shard plan fixes the bits of the trained combiner.
 const COMBINER_SHARDS: usize = 4;
 
 /// Frozen lowered inference tables, built once when training ends. The
@@ -215,63 +212,8 @@ impl Delphi {
     /// pre-train the eight feature models, freeze them, then train the
     /// combiner on a mixed dataset.
     pub fn train(config: DelphiConfig) -> Self {
-        Self::train_with_pool(config, None)
-    }
-
-    /// [`Delphi::train`] with the eight independent feature-model
-    /// trainings fanned out over `pool` (one [`WorkerPool::run_batch`]
-    /// task per feature) and the combiner fitted with
-    /// [`Sequential::fit_pooled`]. Each feature model is a pure function
-    /// of `(feature, config)`, results are collected in [`Feature::ALL`]
-    /// order, and the combiner shard plan is fixed — so the trained model
-    /// is **bit-identical** with or without a pool.
-    ///
-    /// Feature models train with serial epochs inside their pool task:
-    /// nesting `run_batch` inside a pool job can deadlock (every worker
-    /// blocked on a latch whose subtasks sit behind other blocked jobs).
-    pub fn train_with_pool(config: DelphiConfig, pool: Option<&WorkerPool>) -> Self {
-        Self::train_impl(config, pool, None)
-    }
-
-    /// [`Delphi::train_with_pool`] with combiner epochs timed into the
-    /// `delphi.train_epoch_ns` histogram of `registry` (no-op when the
-    /// registry is disabled). Instrumentation never changes the math: the
-    /// trained model stays bit-identical to [`Delphi::train`].
-    pub fn train_observed(
-        config: DelphiConfig,
-        pool: Option<&WorkerPool>,
-        registry: &apollo_obs::Registry,
-    ) -> Self {
-        Self::train_impl(config, pool, Some(registry))
-    }
-
-    fn train_impl(
-        config: DelphiConfig,
-        pool: Option<&WorkerPool>,
-        registry: Option<&apollo_obs::Registry>,
-    ) -> Self {
-        let features: Vec<FeatureModel> = match pool {
-            None => Feature::ALL.iter().map(|&f| FeatureModel::train(f, &config)).collect(),
-            Some(pool) => {
-                let slots: Arc<Vec<Mutex<Option<FeatureModel>>>> =
-                    Arc::new(Feature::ALL.iter().map(|_| Mutex::new(None)).collect());
-                let job: Arc<dyn Fn(usize) + Send + Sync> = {
-                    let slots = Arc::clone(&slots);
-                    let config = config.clone();
-                    Arc::new(move |i| {
-                        let model = FeatureModel::train(Feature::ALL[i], &config);
-                        *slots[i].lock().expect("feature slot poisoned") = Some(model);
-                    })
-                };
-                pool.run_batch(Feature::ALL.len(), job);
-                slots
-                    .iter()
-                    .map(|s| {
-                        s.lock().expect("feature slot poisoned").take().expect("feature trained")
-                    })
-                    .collect()
-            }
-        };
+        let features: Vec<FeatureModel> =
+            Feature::ALL.iter().map(|&f| FeatureModel::train(f, &config)).collect();
 
         // Build the combiner training set: feature-model outputs -> truth.
         let mixed = mixed_dataset(config.combiner_samples, config.seed.wrapping_add(1));
@@ -289,22 +231,7 @@ impl Delphi {
         let mut combiner = Sequential::new();
         combiner.push(layer);
         let epochs = config.combiner_epochs.min(10);
-        match registry {
-            None => {
-                combiner.fit_pooled(&x, &y, config.lr, epochs, COMBINER_SHARDS, pool);
-            }
-            Some(registry) => {
-                combiner.fit_pooled_observed(
-                    &x,
-                    &y,
-                    config.lr,
-                    epochs,
-                    COMBINER_SHARDS,
-                    pool,
-                    registry,
-                );
-            }
-        }
+        combiner.fit_sharded(&x, &y, config.lr, epochs, COMBINER_SHARDS);
 
         let lowered = Self::build_lowered(config.window, &features, &combiner);
         Self { config, features, combiner, lowered }
@@ -657,21 +584,14 @@ mod tests {
 
     #[test]
     fn training_returns_the_lowered_serving_path() {
-        let pool = WorkerPool::new(2);
-        let registry = apollo_obs::Registry::new();
         let w = [0.3, 0.35, 0.4, 0.45, 0.5];
-        for d in [
-            Delphi::train(fast_config()),
-            Delphi::train_with_pool(fast_config(), Some(&pool)),
-            Delphi::train_observed(fast_config(), None, &registry),
-        ] {
-            assert_eq!(d.lane_width(), crate::simd::LANES);
-            // Served from the f32 tables, not the f64 weights they were
-            // packed from.
-            let p = d.predict(&w);
-            assert_eq!(p, f64::from(p as f32));
-            assert_ne!(p, d.predict_exact(&w));
-        }
+        let d = Delphi::train(fast_config());
+        assert_eq!(d.lane_width(), crate::simd::LANES);
+        // Served from the f32 tables, not the f64 weights they were
+        // packed from.
+        let p = d.predict(&w);
+        assert_eq!(p, f64::from(p as f32));
+        assert_ne!(p, d.predict_exact(&w));
     }
 
     /// Bits recorded from the f64 stack for this seeded model, on the
@@ -755,32 +675,5 @@ mod tests {
         // Single-row predictions pad internally: no tail either.
         d.predict_into(&window, &mut scratch);
         assert_eq!(scratch.tail_rows(), 0);
-    }
-
-    #[test]
-    fn pooled_training_is_bit_identical_to_serial() {
-        let pool = WorkerPool::new(4);
-        let serial = Delphi::train(fast_config());
-        let pooled = Delphi::train_with_pool(fast_config(), Some(&pool));
-        for (a, b) in serial.features.iter().zip(&pooled.features) {
-            assert_eq!(a.feature, b.feature);
-            assert_eq!(a.train_loss, b.train_loss);
-        }
-        assert_eq!(serial.combiner.layers()[0].weights, pooled.combiner.layers()[0].weights);
-        assert_eq!(serial.combiner.layers()[0].bias, pooled.combiner.layers()[0].bias);
-        let w = [0.3, 0.35, 0.4, 0.45, 0.5];
-        assert_eq!(serial.predict(&w), pooled.predict(&w));
-    }
-
-    #[test]
-    fn observed_training_emits_epoch_metric_without_changing_the_model() {
-        let registry = apollo_obs::Registry::new();
-        let plain = Delphi::train(fast_config());
-        let observed = Delphi::train_observed(fast_config(), None, &registry);
-        let w = [0.1, 0.25, 0.4, 0.3, 0.2];
-        assert_eq!(plain.predict(&w), observed.predict(&w));
-        let epochs = fast_config().combiner_epochs.min(10) as u64;
-        let snap = registry.snapshot();
-        assert_eq!(snap.histograms["delphi.train_epoch_ns"].count, epochs);
     }
 }

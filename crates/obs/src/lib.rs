@@ -18,14 +18,13 @@
 //!   are estimated from the bucket upper bounds.
 //!
 //! Metric families by convention share a dotted prefix with the subsystem
-//! that emits them: `runtime.*` (timer dispatch, worker pool), `streams.*`
+//! that emits them: `runtime.*` (timer dispatch), `streams.*`
 //! (pub-sub fabric), `core.*` / `score.*` (vertex polling and
 //! publication), `query.*` (AQE), and `delphi.*` for the ML layer —
 //! `delphi.predict_ns` and `delphi.batch_size` time and size each
 //! prediction-pump kernel call, `delphi.batch_tail_scalar` counts rows
 //! that fell off its vector path (0 while the pump pads to the
-//! `delphi.simd_lanes` gauge), and `delphi.train_epoch_ns` times each
-//! pooled combiner training epoch.
+//! `delphi.simd_lanes` gauge).
 //!
 //! The AQE family breaks down further. `query.executed` / `query.arm_ns`
 //! / `query.arm_errors` cover per-query execution;

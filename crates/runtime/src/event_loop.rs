@@ -12,19 +12,9 @@
 //! with a [`RealClock`] it sleeps between deadlines like libuv's
 //! `uv_run(UV_RUN_DEFAULT)`.
 //!
-//! # Dispatch modes
-//!
-//! By default expired callbacks run **inline** on the loop thread. With
-//! [`EventLoop::dispatch_to_pool`] the loop instead hands each turn's batch
-//! of expired callbacks to a [`WorkerPool`], grouped into shard lanes by
-//! each timer's dispatch key (see [`EventLoop::add_timer_keyed`]): timers
-//! sharing a key are executed sequentially in deadline order on one
-//! worker, so a vertex never runs concurrently with itself, while timers
-//! in different lanes overlap. The loop blocks on a per-turn barrier
-//! before computing the next deadline, which keeps virtual-clock runs
-//! bit-identical to inline dispatch.
+//! Expired callbacks run on the loop thread, in deadline order and, on a
+//! tie, timer-id order. Wakes and cancels may come from any thread.
 
-use crate::pool::WorkerPool;
 use crate::time::{duration_to_nanos, AnyClock, Nanos, RealClock, VirtualClock};
 use crate::timer::{EntryId, Expired, TimerHeap};
 use parking_lot::Mutex;
@@ -129,56 +119,10 @@ impl TimerControl {
 
 type Callback = Box<dyn FnMut(&TimerControl) -> TimerAction + Send>;
 
-/// One registered timer. Shared (`Arc`) between the loop's registry and
-/// in-flight dispatch lanes; the callback sits behind a mutex that is
-/// only ever contended by the single lane the timer's shard maps to.
+/// One registered timer, owned by the loop.
 struct TimerSlot {
     control: Arc<TimerControl>,
-    callback: Mutex<Callback>,
-    /// Dispatch-ordering key: slots sharing a key map to the same shard
-    /// lane and never run concurrently with each other. Atomic so
-    /// [`EventLoop::set_timer_key`] can merge lanes after registration
-    /// (only ever written between turns, on the loop thread).
-    key: AtomicU64,
-    /// Set when the callback stopped, panicked or was cancelled; the loop
-    /// reaps retired slots at the end of the turn.
-    retired: AtomicBool,
-}
-
-/// How expired callbacks are executed each turn.
-enum Dispatch {
-    /// On the loop thread, in deadline order (the default).
-    Inline,
-    /// On a worker pool, one sequential lane per shard, with a barrier at
-    /// the end of each turn.
-    Pool { pool: Arc<WorkerPool>, shards: usize },
-}
-
-/// Countdown barrier for one turn's dispatch batch.
-struct Latch {
-    remaining: std::sync::Mutex<usize>,
-    done: std::sync::Condvar,
-}
-
-impl Latch {
-    fn new(n: usize) -> Self {
-        Self { remaining: std::sync::Mutex::new(n), done: std::sync::Condvar::new() }
-    }
-
-    fn count_down(&self) {
-        let mut r = self.remaining.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        *r -= 1;
-        if *r == 0 {
-            self.done.notify_all();
-        }
-    }
-
-    fn wait(&self) {
-        let mut r = self.remaining.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        while *r > 0 {
-            r = self.done.wait(r).unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-    }
+    callback: Callback,
 }
 
 /// Pre-resolved instrument handles for the dispatch hot path.
@@ -202,17 +146,16 @@ struct LoopObs {
 pub struct EventLoop {
     clock: AnyClock,
     queue: Arc<Mutex<TimerHeap>>,
-    timers: HashMap<TimerId, Arc<TimerSlot>>,
+    timers: HashMap<TimerId, TimerSlot>,
     next_id: u64,
     /// Expired-entry scratch buffer, reused across iterations.
     scratch: Vec<Expired>,
     /// Callbacks that panicked (each kills only its own timer, never the
-    /// loop). Shared with worker lanes in pool dispatch.
-    panics: Arc<AtomicU64>,
+    /// loop).
+    panics: u64,
     /// Metrics handles; `None` until [`EventLoop::instrument`] is called
     /// with an enabled registry.
-    obs: Option<Arc<LoopObs>>,
-    dispatch: Dispatch,
+    obs: Option<LoopObs>,
 }
 
 impl EventLoop {
@@ -234,45 +177,8 @@ impl EventLoop {
             timers: HashMap::new(),
             next_id: 1,
             scratch: Vec::new(),
-            panics: Arc::new(AtomicU64::new(0)),
+            panics: 0,
             obs: None,
-            dispatch: Dispatch::Inline,
-        }
-    }
-
-    /// Execute expired callbacks on `pool` instead of the loop thread,
-    /// with one shard lane per worker ×4 (see
-    /// [`EventLoop::dispatch_to_pool_sharded`]).
-    pub fn dispatch_to_pool(&mut self, pool: Arc<WorkerPool>) {
-        let shards = pool.threads() * 4;
-        self.dispatch_to_pool_sharded(pool, shards);
-    }
-
-    /// Execute expired callbacks on `pool` with an explicit shard count.
-    ///
-    /// Each turn the loop pops every expired timer, groups them into
-    /// `shards` lanes by dispatch key (`key % shards`) and submits one
-    /// sequential job per occupied lane, then blocks until the whole
-    /// batch finished before advancing time. Per-key ordering is
-    /// preserved — timers registered with [`EventLoop::add_timer_keyed`]
-    /// under one key never run concurrently with each other — and
-    /// `catch_unwind` isolation plus panic accounting work exactly as in
-    /// inline mode. More shards than workers keeps lanes fine-grained so
-    /// a slow vertex delays only its own lane-mates.
-    pub fn dispatch_to_pool_sharded(&mut self, pool: Arc<WorkerPool>, shards: usize) {
-        self.dispatch = Dispatch::Pool { pool, shards: shards.max(1) };
-    }
-
-    /// Revert to inline dispatch on the loop thread.
-    pub fn dispatch_inline(&mut self) {
-        self.dispatch = Dispatch::Inline;
-    }
-
-    /// The worker pool callbacks are dispatched to, if any.
-    pub fn worker_pool(&self) -> Option<&Arc<WorkerPool>> {
-        match &self.dispatch {
-            Dispatch::Inline => None,
-            Dispatch::Pool { pool, .. } => Some(pool),
         }
     }
 
@@ -282,14 +188,12 @@ impl EventLoop {
     /// on each timer's sampled fires.
     /// Passing a no-op registry removes the instrumentation again.
     pub fn instrument(&mut self, registry: &apollo_obs::Registry) {
-        self.obs = registry.enabled().then(|| {
-            Arc::new(LoopObs {
-                fires: registry.counter("runtime.timer.fires"),
-                dispatch_lag: registry.histogram("runtime.timer.dispatch_lag_ns"),
-                callback_ns: registry.histogram("runtime.timer.callback_ns"),
-                overruns: registry.counter("runtime.timer.overruns"),
-                panics: registry.counter("runtime.timer.panics"),
-            })
+        self.obs = registry.enabled().then(|| LoopObs {
+            fires: registry.counter("runtime.timer.fires"),
+            dispatch_lag: registry.histogram("runtime.timer.dispatch_lag_ns"),
+            callback_ns: registry.histogram("runtime.timer.callback_ns"),
+            overruns: registry.counter("runtime.timer.overruns"),
+            panics: registry.counter("runtime.timer.panics"),
         });
     }
 
@@ -300,26 +204,9 @@ impl EventLoop {
 
     /// Register a repeating timer firing every `interval`, first firing one
     /// `interval` from now. Returns a control handle shared with the
-    /// callback. The timer gets a unique dispatch key (its own id), so
-    /// under pool dispatch it shares a lane only coincidentally; use
-    /// [`EventLoop::add_timer_keyed`] to serialize a group of timers.
+    /// callback.
     pub fn add_timer(
         &mut self,
-        interval: Duration,
-        callback: impl FnMut(&TimerControl) -> TimerAction + Send + 'static,
-    ) -> Arc<TimerControl> {
-        let key = self.next_id;
-        self.add_timer_keyed(key, interval, callback)
-    }
-
-    /// [`EventLoop::add_timer`] with an explicit dispatch key. Timers
-    /// sharing a key are executed sequentially (in deadline order) under
-    /// pool dispatch — the per-vertex ordering guarantee: register all of
-    /// one vertex's timers under the vertex's key and it never runs
-    /// concurrently with itself.
-    pub fn add_timer_keyed(
-        &mut self,
-        key: u64,
         interval: Duration,
         callback: impl FnMut(&TimerControl) -> TimerAction + Send + 'static,
     ) -> Arc<TimerControl> {
@@ -336,33 +223,10 @@ impl EventLoop {
             clock: self.clock.clone(),
         });
         let deadline = self.clock.now().saturating_add(control.interval.load(Ordering::SeqCst));
-        self.timers.insert(
-            id,
-            Arc::new(TimerSlot {
-                control: Arc::clone(&control),
-                callback: Mutex::new(Box::new(callback)),
-                key: AtomicU64::new(key),
-                retired: AtomicBool::new(false),
-            }),
-        );
+        self.timers
+            .insert(id, TimerSlot { control: Arc::clone(&control), callback: Box::new(callback) });
         self.queue.lock().insert(EntryId(id.0), deadline);
         control
-    }
-
-    /// Re-assign a registered timer's dispatch key, merging it into
-    /// another key's lane. Used when a dependency appears after
-    /// registration (e.g. an insight vertex joining its producers'
-    /// lane): from the next turn on, the timer serializes
-    /// with everything sharing the new key. No-op for unknown ids.
-    pub fn set_timer_key(&mut self, id: TimerId, key: u64) {
-        if let Some(slot) = self.timers.get(&id) {
-            slot.key.store(key, Ordering::SeqCst);
-        }
-    }
-
-    /// The dispatch key a registered timer currently carries.
-    pub fn timer_key(&self, id: TimerId) -> Option<u64> {
-        self.timers.get(&id).map(|slot| slot.key.load(Ordering::SeqCst))
     }
 
     /// Number of live (non-cancelled) timers.
@@ -374,18 +238,15 @@ impl EventLoop {
     /// and unregisters only the offending timer; the loop and all other
     /// timers keep running.
     pub fn callback_panics(&self) -> u64 {
-        self.panics.load(Ordering::SeqCst)
+        self.panics
     }
 
-    /// Run one expired timer's callback and decide its fate. Shared by
-    /// inline dispatch (loop thread) and pool lanes (worker threads): all
-    /// state it touches is behind `Arc`s, and a retired slot is only
-    /// *marked* here — the loop thread reaps it after the turn's barrier.
-    fn run_slot(slot: &TimerSlot, panics: &AtomicU64, obs: Option<&LoopObs>) {
+    /// Run one expired timer's callback and decide its fate. Returns
+    /// whether the timer retires: it stopped, panicked or was cancelled.
+    fn run_slot(slot: &mut TimerSlot, panics: &mut u64, obs: Option<&LoopObs>) -> bool {
         let ctl = &slot.control;
         if ctl.is_cancelled() {
-            slot.retired.store(true, Ordering::SeqCst);
-            return;
+            return true;
         }
         // A wake from here on asks for another run. Relaxed: a wake that reads
         // an older state is not after this, so the input's lock shows its publish.
@@ -398,9 +259,8 @@ impl EventLoop {
         // must not take the whole service down: isolate it and retire the
         // timer. The mutexes this crate hands out are non-poisoning, so
         // state shared with other callbacks stays usable.
-        let mut cb = slot.callback.lock();
-        let action = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| (cb)(ctl)));
-        drop(cb);
+        let cb = &mut slot.callback;
+        let action = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| cb(ctl)));
         if let Some(obs) = obs {
             obs.fires.inc();
             if let Some(start) = start {
@@ -418,6 +278,7 @@ impl EventLoop {
             Ok(TimerAction::Continue) if !ctl.is_cancelled() => {
                 let next = ctl.clock.now().saturating_add(ctl.interval.load(Ordering::SeqCst));
                 ctl.queue.lock().insert(EntryId(ctl.id.0), next);
+                false
             }
             Ok(TimerAction::Park) if !ctl.is_cancelled() => {
                 // The swap publishes `last_fire` to the wake that arms it.
@@ -427,23 +288,13 @@ impl EventLoop {
                 } else if ctl.is_cancelled() {
                     ctl.cancel(); // cancelled as it parked: armed, to be reaped
                 }
+                false
             }
-            Ok(_) => {
-                slot.retired.store(true, Ordering::SeqCst);
-            }
+            Ok(_) => true,
             Err(_) => {
-                panics.fetch_add(1, Ordering::SeqCst);
-                slot.retired.store(true, Ordering::SeqCst);
+                *panics += 1;
+                true
             }
-        }
-    }
-
-    fn fire_inline(&mut self, id: TimerId) {
-        let Some(slot) = self.timers.get(&id) else { return };
-        let slot = Arc::clone(slot);
-        Self::run_slot(&slot, &self.panics, self.obs.as_deref());
-        if slot.retired.load(Ordering::SeqCst) {
-            self.timers.remove(&id);
         }
     }
 
@@ -462,48 +313,11 @@ impl EventLoop {
                 obs.dispatch_lag.observe(now.saturating_sub(e.deadline));
             }
         }
-        match &self.dispatch {
-            Dispatch::Inline => {
-                for e in &expired {
-                    self.fire_inline(TimerId(e.id.0));
-                }
-            }
-            Dispatch::Pool { pool, shards } => {
-                // Group the batch into shard lanes, preserving deadline
-                // order within each lane (expired is already sorted).
-                let mut lanes: Vec<Vec<Arc<TimerSlot>>> = vec![Vec::new(); *shards];
-                for e in &expired {
-                    if let Some(slot) = self.timers.get(&TimerId(e.id.0)) {
-                        let lane = (slot.key.load(Ordering::Relaxed) % *shards as u64) as usize;
-                        lanes[lane].push(Arc::clone(slot));
-                    }
-                }
-                let occupied = lanes.iter().filter(|l| !l.is_empty()).count();
-                if occupied > 0 {
-                    let latch = Arc::new(Latch::new(occupied));
-                    for lane in lanes.into_iter().filter(|l| !l.is_empty()) {
-                        let panics = Arc::clone(&self.panics);
-                        let obs = self.obs.clone();
-                        let latch = Arc::clone(&latch);
-                        pool.submit(move || {
-                            for slot in &lane {
-                                Self::run_slot(slot, &panics, obs.as_deref());
-                            }
-                            latch.count_down();
-                        });
-                    }
-                    // Barrier: the batch must finish before the loop reads
-                    // the next deadline / advances virtual time, which is
-                    // what keeps pool runs bit-identical to inline runs.
-                    latch.wait();
-                    // Let the workers retire their loop iterations too
-                    // (the per-job metrics are recorded after the latch),
-                    // so a snapshot taken between turns is complete. The
-                    // loop is the pool's only submitter, making the brief
-                    // spin sound.
-                    pool.wait_idle();
-                    self.timers.retain(|_, s| !s.retired.load(Ordering::SeqCst));
-                }
+        for e in &expired {
+            let id = TimerId(e.id.0);
+            let Some(slot) = self.timers.get_mut(&id) else { continue };
+            if Self::run_slot(slot, &mut self.panics, self.obs.as_ref()) {
+                self.timers.remove(&id);
             }
         }
         self.scratch = expired;
@@ -723,159 +537,6 @@ mod tests {
         assert_eq!(reg.snapshot(), apollo_obs::Snapshot::default());
     }
 
-    fn pooled_loop(workers: usize, shards: usize) -> EventLoop {
-        let mut el = EventLoop::new_virtual();
-        el.dispatch_to_pool_sharded(Arc::new(WorkerPool::new(workers)), shards);
-        el
-    }
-
-    #[test]
-    fn pool_dispatch_fires_expected_counts() {
-        let mut el = pooled_loop(4, 16);
-        let n = Arc::new(AtomicUsize::new(0));
-        for _ in 0..64 {
-            let n2 = n.clone();
-            el.add_timer(Duration::from_millis(5), move |_| {
-                n2.fetch_add(1, Ordering::SeqCst);
-                TimerAction::Continue
-            });
-        }
-        el.run_for(Duration::from_millis(50));
-        assert_eq!(n.load(Ordering::SeqCst), 64 * 10);
-        assert_eq!(el.timer_count(), 64);
-    }
-
-    #[test]
-    fn pool_dispatch_preserves_per_key_order() {
-        // Two timers under ONE key must interleave exactly as inline
-        // dispatch would: sequential, in deadline order.
-        let run = |pool: bool| {
-            let mut el = EventLoop::new_virtual();
-            if pool {
-                el.dispatch_to_pool_sharded(Arc::new(WorkerPool::new(4)), 8);
-            }
-            let log = Arc::new(Mutex::new(Vec::new()));
-            let (l1, l2) = (log.clone(), log.clone());
-            el.add_timer_keyed(7, Duration::from_millis(2), move |_| {
-                l1.lock().push('a');
-                TimerAction::Continue
-            });
-            el.add_timer_keyed(7, Duration::from_millis(3), move |_| {
-                l2.lock().push('b');
-                TimerAction::Continue
-            });
-            el.run_for(Duration::from_millis(12));
-            let out = log.lock().clone();
-            out
-        };
-        assert_eq!(run(true), run(false));
-    }
-
-    #[test]
-    fn pool_dispatch_isolates_panics() {
-        let mut el = pooled_loop(2, 8);
-        let n = Arc::new(AtomicUsize::new(0));
-        let n2 = n.clone();
-        el.add_timer(Duration::from_millis(2), |_| panic!("bad vertex"));
-        el.add_timer(Duration::from_millis(1), move |_| {
-            n2.fetch_add(1, Ordering::SeqCst);
-            TimerAction::Continue
-        });
-        let hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        el.run_for(Duration::from_millis(10));
-        std::panic::set_hook(hook);
-        assert_eq!(el.callback_panics(), 1);
-        assert_eq!(el.timer_count(), 1);
-        assert_eq!(n.load(Ordering::SeqCst), 10);
-    }
-
-    #[test]
-    fn pool_dispatch_external_cancel_reaps_timer() {
-        let mut el = pooled_loop(2, 4);
-        let n = Arc::new(AtomicUsize::new(0));
-        let n2 = n.clone();
-        let ctl = el.add_timer(Duration::from_millis(1), move |_| {
-            n2.fetch_add(1, Ordering::SeqCst);
-            TimerAction::Continue
-        });
-        el.run_for(Duration::from_millis(2));
-        ctl.cancel();
-        el.run_for(Duration::from_millis(10));
-        assert_eq!(n.load(Ordering::SeqCst), 2);
-        assert_eq!(el.timer_count(), 0);
-    }
-
-    #[test]
-    fn pool_dispatch_is_deterministic_and_matches_inline() {
-        // Per-timer sample logs must be identical across pool runs and
-        // equal to the inline run: virtual time is frozen during each
-        // batch and every timer owns its own lane-ordered log.
-        let run = |pool: bool| -> Vec<Vec<(usize, Nanos)>> {
-            let mut el = EventLoop::new_virtual();
-            if pool {
-                el.dispatch_to_pool_sharded(Arc::new(WorkerPool::new(4)), 16);
-            }
-            let logs: Vec<_> = (0..16).map(|_| Arc::new(Mutex::new(Vec::new()))).collect();
-            for (i, log) in logs.iter().enumerate() {
-                let log = Arc::clone(log);
-                let clock = el.clock().clone();
-                let seq = Arc::new(AtomicUsize::new(0));
-                el.add_timer_keyed(i as u64, Duration::from_millis(1 + (i as u64 % 5)), {
-                    move |_| {
-                        let s = seq.fetch_add(1, Ordering::SeqCst);
-                        log.lock().push((s, clock.now()));
-                        TimerAction::Continue
-                    }
-                });
-            }
-            el.run_for(Duration::from_millis(40));
-            logs.iter().map(|l| l.lock().clone()).collect()
-        };
-        let inline = run(false);
-        let pooled_a = run(true);
-        let pooled_b = run(true);
-        assert_eq!(pooled_a, pooled_b);
-        assert_eq!(pooled_a, inline);
-    }
-
-    #[test]
-    fn pool_dispatch_instrumented_counts_fires_and_panics() {
-        let mut el = pooled_loop(2, 8);
-        let reg = apollo_obs::Registry::new();
-        el.instrument(&reg);
-        el.worker_pool().unwrap().instrument(&reg);
-        el.add_timer(Duration::from_millis(1), |_| TimerAction::Continue);
-        el.add_timer(Duration::from_millis(3), |_| panic!("bad hook"));
-        let hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        el.run_for(Duration::from_millis(5));
-        std::panic::set_hook(hook);
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter("runtime.timer.fires"), 6);
-        assert_eq!(snap.counter("runtime.timer.panics"), 1);
-        assert_eq!(snap.histograms["runtime.timer.callback_ns"].count, 2);
-        // Every turn's batch went through the pool.
-        assert!(snap.histograms["runtime.pool.exec_ns"].count >= 5);
-        assert!(snap.gauges.contains_key("runtime.pool.queued"));
-    }
-
-    #[test]
-    fn dispatch_inline_reverts_pool_mode() {
-        let mut el = pooled_loop(2, 4);
-        assert!(el.worker_pool().is_some());
-        el.dispatch_inline();
-        assert!(el.worker_pool().is_none());
-        let n = Arc::new(AtomicUsize::new(0));
-        let n2 = n.clone();
-        el.add_timer(Duration::from_millis(1), move |_| {
-            n2.fetch_add(1, Ordering::SeqCst);
-            TimerAction::Continue
-        });
-        el.run_for(Duration::from_millis(3));
-        assert_eq!(n.load(Ordering::SeqCst), 3);
-    }
-
     #[test]
     fn real_clock_smoke() {
         let mut el = EventLoop::new_real();
@@ -943,34 +604,30 @@ mod tests {
     fn a_wake_during_the_callback_rearms_it() {
         // The first run wakes itself, as a publish landing mid-run would:
         // it parks, and the wake re-arms it one interval later.
-        for pooled in [false, true] {
-            let mut el = if pooled { pooled_loop(2, 4) } else { EventLoop::new_virtual() };
-            let log = Arc::new(Mutex::new(Vec::new()));
-            let (sink, clock) = (Arc::clone(&log), el.clock().clone());
-            el.add_timer(Duration::from_millis(5), move |ctl| {
-                let mut log = sink.lock();
-                log.push(clock.now());
-                if log.len() == 1 {
-                    ctl.wake();
-                }
-                TimerAction::Park
-            });
-            el.run_for(Duration::from_millis(50));
-            assert_eq!(*log.lock(), [5 * MS, 10 * MS], "pooled: {pooled}");
-        }
+        let mut el = EventLoop::new_virtual();
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let (sink, clock) = (Arc::clone(&log), el.clock().clone());
+        el.add_timer(Duration::from_millis(5), move |ctl| {
+            let mut log = sink.lock();
+            log.push(clock.now());
+            if log.len() == 1 {
+                ctl.wake();
+            }
+            TimerAction::Park
+        });
+        el.run_for(Duration::from_millis(50));
+        assert_eq!(*log.lock(), [5 * MS, 10 * MS]);
     }
 
     #[test]
     fn cancel_reaps_a_parked_timer() {
-        for pooled in [false, true] {
-            let mut el = if pooled { pooled_loop(2, 4) } else { EventLoop::new_virtual() };
-            let (ctl, log) = parking(&mut el, 5);
-            el.run_for(Duration::from_millis(20));
-            ctl.cancel();
-            assert_eq!(el.timer_count(), 1);
-            assert!(!el.turn(), "the next turn reaps it");
-            assert_eq!(el.timer_count(), 0, "pooled: {pooled}");
-            assert_eq!(log.lock().len(), 1, "the reap runs no callback");
-        }
+        let mut el = EventLoop::new_virtual();
+        let (ctl, log) = parking(&mut el, 5);
+        el.run_for(Duration::from_millis(20));
+        ctl.cancel();
+        assert_eq!(el.timer_count(), 1);
+        assert!(!el.turn(), "the next turn reaps it");
+        assert_eq!(el.timer_count(), 0);
+        assert_eq!(log.lock().len(), 1, "the reap runs no callback");
     }
 }

@@ -16,9 +16,7 @@
 //!   that heap, lets a running callback re-program its own interval — the
 //!   exact primitive the adaptive-interval module (§3.4.1) needs — or park
 //!   until woken, and can run either in real time or by jumping the
-//!   virtual clock between deadlines.
-//! * [`pool`] — a fixed worker pool used by vertices to offload insight
-//!   computation off the event-loop thread.
+//!   virtual clock between deadlines. Callbacks run on the loop thread.
 //!
 //! ```
 //! use apollo_runtime::event_loop::{EventLoop, TimerAction};
@@ -37,10 +35,8 @@
 //! ```
 
 pub mod event_loop;
-pub mod pool;
 pub mod time;
 pub mod timer;
 
 pub use event_loop::{EventLoop, TimerAction, TimerControl, TimerId};
-pub use pool::WorkerPool;
 pub use time::{Nanos, RealClock, VirtualClock};

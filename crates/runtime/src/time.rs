@@ -106,7 +106,7 @@ impl VirtualClock {
 /// The clock handle an [`crate::event_loop::EventLoop`] runs on: either
 /// implementation, so services are built once and driven in real or
 /// virtual time. Cheap to clone (handles share state) and safe to read
-/// from many threads; worker-pool dispatch hands each job a clone.
+/// from many threads; every timer's control holds a clone.
 #[derive(Clone)]
 pub enum AnyClock {
     /// Wall-clock time.

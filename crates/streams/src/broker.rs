@@ -425,11 +425,11 @@ pub struct TopicInfo {
     pub clock_regressions: u64,
 }
 
-/// Number of lock stripes the topic namespace is split across. Parallel
-/// vertices publishing to different topics convoy on a single
+/// Number of lock stripes the topic namespace is split across. Query
+/// threads and publishers outside the service loop convoy on a single
 /// `RwLock<HashMap>`; 16 stripes keyed by topic hash keep the expected
-/// collision rate low for the dozens-of-workers pools the runtime spawns
-/// while costing only 16 small maps. Power of two so the hash folds with
+/// collision rate low for dozens of concurrent callers while costing only
+/// 16 small maps. Power of two so the hash folds with
 /// a mask.
 const TOPIC_SHARDS: usize = 16;
 

@@ -14,10 +14,10 @@
 //!   holds the window read lock across both, loses nothing on the same
 //!   interleaving.
 
+use apollo_bench::soak::{self, ScanLedger, SoakConfig};
 use apollo_cluster::chaos::ChaosSchedule;
 use apollo_cluster::fault::FaultKind;
 use apollo_core::health::SupervisorConfig;
-use apollo_core::soak::{self, ScanLedger, SoakConfig};
 use apollo_streams::{Stream, StreamConfig, StreamId};
 use std::time::Duration;
 
@@ -28,7 +28,6 @@ fn small_config(seed: u64) -> SoakConfig {
         horizon: Duration::from_secs(45),
         checkpoint_every: Duration::from_secs(5),
         scan_topics: 8,
-        workers: 2,
         pump_every: Some(Duration::from_secs(2)),
         pump_stride: 8,
         ..SoakConfig::default()
@@ -90,7 +89,7 @@ fn slab_backed_soak_holds_the_same_verdicts() {
 
 #[test]
 fn churned_soak_gc_is_deterministic_and_holds_the_fixed_point() {
-    use apollo_core::SlabChurnConfig;
+    use apollo_bench::SlabChurnConfig;
     use apollo_streams::{CompactPolicy, SlabConfig, SlabStore};
     let dir = std::env::temp_dir().join(format!("apollo-chaos-churn-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -153,7 +152,6 @@ fn flap_config(probation_polls: u32) -> SoakConfig {
         horizon: Duration::from_secs(95),
         checkpoint_every: Duration::from_secs(5),
         scan_topics: 4,
-        workers: 0,
         supervision: SupervisorConfig {
             poll_timeout: Duration::from_millis(250),
             backoff_base: Duration::from_secs(1),
