@@ -1,7 +1,7 @@
 //! # apollo-adaptive
 //!
 //! Apollo's **adaptive and dynamic monitoring interval** (HPDC '21,
-//! §3.4.1) and the evaluation harness behind Figures 8–10.
+//! §3.4.1): the interval controllers a fact vertex polls under.
 //!
 //! Two interval policies from the paper, plus the static baseline:
 //!
@@ -19,18 +19,13 @@
 //! permutation-entropy controller ([`entropy::EntropyInterval`]) that
 //! adapts to the *complexity* of the signal rather than single changes.
 //!
-//! [`eval`] replays a reference trace (the 1-second monitoring trace of
-//! §4.3.1) against any controller and scores **accuracy** (fraction of
-//! 1-second grid points whose reconstructed value matches the reference)
-//! and **cost** (hook calls relative to 1-second polling), optionally
-//! filling between polls with a [`eval::Forecaster`] such as Delphi.
+//! Figures 8–10 score these controllers through the running service
+//! (`apollo_bench::eval`), not in this crate.
 
 pub mod controller;
 pub mod entropy;
-pub mod eval;
 
 pub use controller::{
     AimdConfigError, AimdParams, ComplexAimd, FixedInterval, IntervalController, SimpleAimd,
 };
 pub use entropy::{EntropyInterval, EntropyParams};
-pub use eval::{evaluate, evaluate_with_forecaster, EvalOutcome, Forecaster};

@@ -4,7 +4,9 @@
 //! Paper setup (§4.3.1): 30-minute replays of the captured HACC capacity
 //! trace; policies are a fixed 5 s interval, simple AIMD, and complex
 //! AIMD with a rolling window of 10; accuracy/cost are scored against the
-//! 1-second monitoring trace.
+//! 1-second monitoring trace. Each policy monitors the trace inside a
+//! virtual-clock Apollo ([`apollo_bench::eval::monitor`]), and its
+//! accuracy is read back from the stored topic.
 //!
 //! Paper shape: on the regular workload the fixed 5 s interval is
 //! near-optimal (it matches the write period) and simple AIMD is decent
@@ -17,7 +19,7 @@ use apollo_adaptive::controller::{
     AimdParams, ChangeMode, ComplexAimd, FixedInterval, IntervalController, SimpleAimd,
 };
 use apollo_adaptive::entropy::{EntropyInterval, EntropyParams};
-use apollo_adaptive::eval::evaluate;
+use apollo_bench::eval::monitor;
 use apollo_bench::report::{Report, Series};
 use apollo_cluster::workloads::hacc::{HaccConfig, HaccWorkload};
 use std::time::Duration;
@@ -58,14 +60,16 @@ fn main() {
             // §6 future-work extension, included for comparison.
             Box::new(EntropyInterval::new(EntropyParams::default())),
         ];
-        for mut policy in policies {
-            let out = evaluate(policy.as_mut(), &reference);
+        for policy in policies {
+            let name = policy.name();
+            let out = monitor(policy, &reference, None, 0.0);
             println!(
-                "{workload_name:<12}{:<16}{:>10.4}{:>10.4}{:>12}",
-                out.policy, out.accuracy, out.cost, out.hook_calls
+                "{workload_name:<12}{name:<16}{:>10.4}{:>10.4}{:>12}",
+                out.accuracy, out.cost, out.hook_calls
             );
-            report.note(format!("{workload_name}_{}_accuracy", out.policy), out.accuracy);
-            report.note(format!("{workload_name}_{}_cost", out.policy), out.cost);
+            report.note(format!("{workload_name}_{name}_accuracy"), out.accuracy);
+            report.note(format!("{workload_name}_{name}_cost"), out.cost);
+            report.note(format!("{workload_name}_{name}_hook_calls"), out.hook_calls);
             acc_series.push(idx, out.accuracy);
             cost_series.push(idx, out.cost);
             idx += 1.0;
@@ -82,9 +86,9 @@ fn main() {
     let mut idx2 = 0.0;
     for threshold in [100.0, 1_000.0, 10_000.0, 40_000.0] {
         for factor in [1.5, 2.0, 4.0] {
-            let mut ctl =
+            let ctl =
                 ComplexAimd::new(AimdParams { threshold, decrease_factor: factor, ..params() }, 10);
-            let out = evaluate(&mut ctl, &sweep_ref);
+            let out = monitor(Box::new(ctl), &sweep_ref, None, 0.0);
             println!("{threshold:<12}{factor:<10}{:>10.4}{:>10.4}", out.accuracy, out.cost);
             report.note(
                 format!("sweep_t{threshold}_f{factor}"),

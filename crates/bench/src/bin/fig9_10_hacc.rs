@@ -14,13 +14,19 @@
 //!
 //! Run: `cargo run --release -p apollo-bench --bin fig9_10_hacc`
 
-use apollo_adaptive::controller::{AimdParams, ChangeMode, FixedInterval, SimpleAimd};
-use apollo_adaptive::eval::{evaluate, evaluate_with_forecaster};
+use apollo_adaptive::controller::{
+    AimdParams, ChangeMode, FixedInterval, IntervalController, SimpleAimd,
+};
+use apollo_bench::eval::monitor;
 use apollo_bench::report::{Report, Series};
 use apollo_cluster::workloads::hacc::{HaccConfig, HaccWorkload};
-use apollo_core::hook::DelphiForecaster;
-use apollo_delphi::stack::DelphiConfig;
+use apollo_delphi::stack::{Delphi, DelphiConfig};
 use std::time::Duration;
+
+/// A prediction counts as a match when it lands within ~12.5 kB of the
+/// true capacity (5e-8 of 250 GB) — less than one HACC write, so
+/// hold-last errors cannot sneak in.
+const TOLERANCE: f64 = 5e-8;
 
 fn params() -> AimdParams {
     AimdParams {
@@ -36,8 +42,7 @@ fn params() -> AimdParams {
 
 fn main() {
     println!("Training Delphi (stacked feature models + combiner)…");
-    let delphi_config = DelphiConfig::default();
-    let mut delphi = DelphiForecaster::train(delphi_config);
+    let delphi = Delphi::train(DelphiConfig::default());
 
     for (fig, workload_name, config) in [
         ("fig9", "irregular", HaccConfig::irregular(909)),
@@ -46,71 +51,65 @@ fn main() {
         let reference = HaccWorkload::generate(config).reference_trace_1s();
         let mut report = Report::new(fig, format!("Apollo on {workload_name} HACC-IO"));
 
-        // (a) capacity over time, per configuration.
-        let mut baseline = FixedInterval::new(Duration::from_secs(1));
-        let base = evaluate(&mut baseline, &reference);
-
-        // Simple AIMD: the low-cost end of the adaptive spectrum — the
-        // configuration where prediction between (long) polls matters.
-        let mut adaptive = SimpleAimd::new(params());
-        let adapt = evaluate(&mut adaptive, &reference);
-
-        let mut adaptive2 = SimpleAimd::new(params());
-        // Tolerance: a prediction counts as a match when it lands within
-        // ~12.5 kB of the true capacity (5e-8 of 250 GB) — less than one
-        // HACC write, so hold-last errors cannot sneak in.
-        let with_delphi = evaluate_with_forecaster(&mut adaptive2, &mut delphi, &reference, 5e-8);
+        // Each configuration monitors the capacity trace inside a
+        // virtual-clock Apollo. Simple AIMD is the low-cost end of the
+        // adaptive spectrum — where prediction between (long) polls
+        // matters.
+        let run = |controller: Box<dyn IntervalController>, delphi| {
+            monitor(controller, &reference, delphi, TOLERANCE)
+        };
+        let runs = [
+            (
+                "baseline-1s",
+                "baseline",
+                run(Box::new(FixedInterval::new(Duration::from_secs(1))), None),
+            ),
+            ("adaptive", "adaptive", run(Box::new(SimpleAimd::new(params())), None)),
+            (
+                "adaptive+delphi",
+                "adaptive_delphi",
+                run(Box::new(SimpleAimd::new(params())), Some(delphi.clone())),
+            ),
+        ];
 
         println!("\n== {fig} ({workload_name}) ==");
         println!(
-            "{:<22}{:>10}{:>10}{:>12}{:>12}",
-            "config", "accuracy", "cost", "hook calls", "rmse (kB)"
+            "{:<22}{:>10}{:>10}{:>12}{:>12}{:>11}",
+            "config", "accuracy", "cost", "hook calls", "rmse (kB)", "predicted"
         );
-        for out in [&base, &adapt, &with_delphi] {
-            let label = if std::ptr::eq(out, &base) {
-                "baseline-1s"
-            } else if std::ptr::eq(out, &adapt) {
-                "adaptive"
-            } else {
-                "adaptive+delphi"
-            };
-            // Reconstruction error against the reference view, in bytes.
-            let rmse = out.reconstructed.rmse(&reference);
+        for (label, series, out) in &runs {
             println!(
-                "{label:<22}{:>10.4}{:>10.4}{:>12}{:>12.2}",
+                "{label:<22}{:>10.4}{:>10.4}{:>12}{:>12.2}{:>11}",
                 out.accuracy,
                 out.cost,
                 out.hook_calls,
-                rmse / 1e3
+                out.rmse / 1e3,
+                out.predicted
             );
             report.note(format!("{label}_accuracy"), out.accuracy);
             report.note(format!("{label}_cost"), out.cost);
             report.note(format!("{label}_hook_calls"), out.hook_calls);
-            report.note(format!("{label}_rmse_bytes"), rmse);
-        }
-        // Delphi's accuracy scored with tolerance; the baseline's exact.
-        report.note("delphi_accuracy_tolerance", 5e-8);
-
-        // Downsample the capacity traces into plottable series (every 30s).
-        for (name, outcome) in
-            [("baseline", &base), ("adaptive", &adapt), ("adaptive_delphi", &with_delphi)]
-        {
-            let mut s = Series::new(format!("{name}_capacity_gb"));
-            for (t, v) in outcome.reconstructed.points().iter().step_by(30) {
+            report.note(format!("{label}_rmse_bytes"), out.rmse);
+            report.note(format!("{label}_predicted_points"), out.predicted);
+            // Capacity as each configuration saw it, every 30 s.
+            let mut s = Series::new(format!("{series}_capacity_gb"));
+            for (t, v) in out.belief.points().iter().step_by(30) {
                 s.push(*t as f64 / 1e9, v / 1e9);
             }
             report.add_series(s);
         }
+        report.note("accuracy_tolerance", TOLERANCE);
 
+        let (base, with_delphi) = (&runs[0].2, &runs[2].2);
         let frac = with_delphi.cost / base.cost;
         println!(
-            "adaptive+delphi reconstructs the 1s capacity view at {:.1}% of the \
-             polling cost, filling {} intermediate seconds with predictions \
-             (reconstruction RMSE {:.1} kB ≈ {:.1} writes on a 250 GB metric).",
+            "adaptive+delphi monitors the capacity at {:.1}% of the 1 s polling \
+             cost, storing {} predicted rows between polls (RMSE {:.1} kB ≈ {:.1} \
+             writes on a 250 GB metric).",
             frac * 100.0,
-            with_delphi.predicted_points,
-            with_delphi.reconstructed.rmse(&reference) / 1e3,
-            with_delphi.reconstructed.rmse(&reference) / 28_500.0
+            with_delphi.predicted,
+            with_delphi.rmse / 1e3,
+            with_delphi.rmse / 28_500.0
         );
         report.note("cost_fraction_vs_1s", frac);
         report.finish("time (s)", "capacity (GB)");

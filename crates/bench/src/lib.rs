@@ -22,12 +22,15 @@
 //! | `gate` | evaluates the rows of `bench_gates.md` over `bench_results/` |
 //!
 //! Binaries print human-readable tables and write machine-readable JSON
-//! into `bench_results/` (see [`report`]). [`lstm`] and [`conv`] are the
+//! into `bench_results/` (see [`report`]). [`eval`] scores a polling
+//! policy through a virtual-clock Apollo for Figures 8–10 and the
+//! `adaptive_monitoring` example. [`lstm`] and [`conv`] are the
 //! Figure 11 comparators Delphi is evaluated against, [`ldms`] the
 //! Figure 12 one; nothing serves on them. [`soak`] is the chaos soak
 //! harness the `chaos_soak` bin and integration test run.
 
 pub mod conv;
+pub mod eval;
 pub mod ldms;
 pub mod lstm;
 pub mod report;

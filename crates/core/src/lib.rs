@@ -11,10 +11,8 @@
 //!   Facts and insights are published **only when their value changes**
 //!   (§3.2.1); every vertex carries a [`apollo_runtime::time::PhaseTimer`]
 //!   so the Figure 4 anatomy can be reproduced.
-//! * [`hook`] — glue between the adaptive-interval controllers, the
-//!   Delphi predictor, and vertex scheduling: [`hook::DelphiForecaster`]
-//!   implements the adaptive evaluation's `Forecaster` over a trained
-//!   Delphi stack.
+//! * [`predict`] — [`predict::PredictionPump`]: Delphi predicts facts
+//!   between polls for every enrolled vertex in one kernel call per tick.
 //! * [`health`] — per-vertex supervision: the `Healthy → Degraded →
 //!   Quarantined` state machine, bounded retry with exponential backoff
 //!   and seeded jitter, and quarantine re-probing, so one failing monitor
@@ -61,7 +59,6 @@ pub mod curators;
 pub mod deploy;
 pub mod graph;
 pub mod health;
-pub mod hook;
 pub mod kprobe;
 pub mod predict;
 pub mod selfobs;
@@ -72,7 +69,6 @@ pub use continuous::{ContinuousRegisterError, ContinuousVertex};
 pub use deploy::{Deployment, MonitoringPlan};
 pub use graph::ScoreGraph;
 pub use health::{HealthMonitor, HealthState, SupervisorConfig};
-pub use hook::DelphiForecaster;
 pub use kprobe::EventFactVertex;
 pub use predict::PredictionPump;
 pub use selfobs::{deploy_self_observer, SELF_TOPICS};

@@ -1,15 +1,15 @@
-//! Online prediction wrapper used by monitor hooks.
+//! Scale-invariant windows for online prediction.
 //!
 //! The Delphi stack is trained on unit-scaled synthetic features; real
 //! metrics live on wildly different scales (an NVMe capacity is ~10¹¹
-//! bytes). [`OnlinePredictor`] makes the model scale-invariant: it keeps
-//! the last `window` observations, min-max normalizes the window, asks the
-//! model for the next normalized value, and denormalizes.
-//!
-//! This is the component the Monitor Hook / Insight Builder calls to emit
-//! *predicted* records between measurements (§3.1: "Delphi … predicts
-//! Facts for Fact Vertices and Insights for Insight Vertices between the
-//! monitoring intervals").
+//! bytes). [`WindowTracker`] keeps the last `window` observations and
+//! min-max normalizes them; the model predicts the next normalized value,
+//! which is then denormalized. The prediction pump in `apollo-core` stages
+//! its vertices' windows this way to emit *predicted* records between
+//! measurements (§3.1: "Delphi … predicts Facts for Fact Vertices and
+//! Insights for Insight Vertices between the monitoring intervals").
+//! [`OnlinePredictor`] is the same scheme for one series at a time — the
+//! per-vertex replay the pump's output is checked against.
 
 use std::collections::VecDeque;
 
@@ -74,19 +74,9 @@ impl WindowTracker {
         self.history.push_back(value);
     }
 
-    /// Number of observations currently held.
-    pub fn observed(&self) -> usize {
-        self.history.len()
-    }
-
     /// True once a full window is held.
     pub fn ready(&self) -> bool {
         self.history.len() == self.window
-    }
-
-    /// Drop all history (e.g. after a monitoring gap).
-    pub fn reset(&mut self) {
-        self.history.clear();
     }
 
     /// Min-max normalize the window into the internal reusable buffer.
@@ -163,16 +153,6 @@ impl<M: WindowModel> OnlinePredictor<M> {
         self.tracker.observe(value);
     }
 
-    /// Number of observations currently held.
-    pub fn observed(&self) -> usize {
-        self.tracker.observed()
-    }
-
-    /// True once enough history exists to predict.
-    pub fn ready(&self) -> bool {
-        self.tracker.ready()
-    }
-
     /// Predict the next value on the metric's real scale. Returns `None`
     /// until the window is full. Steady state this allocates nothing for
     /// models with a buffered fast path (e.g. the Delphi stack).
@@ -195,21 +175,6 @@ impl<M: WindowModel> OnlinePredictor<M> {
         let p = self.predict_next()?;
         self.observe(p);
         Some(p)
-    }
-
-    /// The wrapped model.
-    pub fn model(&self) -> &M {
-        &self.model
-    }
-
-    /// The underlying window state.
-    pub fn tracker(&self) -> &WindowTracker {
-        &self.tracker
-    }
-
-    /// Drop all history (e.g. after a monitoring gap).
-    pub fn reset(&mut self) {
-        self.tracker.reset();
     }
 }
 
@@ -235,14 +200,12 @@ mod tests {
     #[test]
     fn not_ready_until_window_full() {
         let mut p = OnlinePredictor::new(MeanModel(3));
-        assert!(!p.ready());
         assert_eq!(p.predict_next(), None);
+        assert_eq!(p.predict_and_advance(), None, "nothing to chain from");
         p.observe(1.0);
         p.observe(2.0);
-        assert_eq!(p.observed(), 2);
-        assert_eq!(p.predict_next(), None);
+        assert_eq!(p.predict_next(), None, "window not yet full");
         p.observe(3.0);
-        assert!(p.ready());
         assert!(p.predict_next().is_some());
     }
 
@@ -322,16 +285,6 @@ mod tests {
         assert_eq!(t.normalized_into(&mut row), Some((1.0, 6.0)));
         let (w, lo, span) = t.normalized().unwrap();
         assert_eq!((w, lo, span), (&row[..], 1.0, 6.0));
-    }
-
-    #[test]
-    fn reset_clears_history() {
-        let mut p = OnlinePredictor::new(MeanModel(2));
-        p.observe(1.0);
-        p.observe(2.0);
-        p.reset();
-        assert!(!p.ready());
-        assert_eq!(p.observed(), 0);
     }
 
     #[test]

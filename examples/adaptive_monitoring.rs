@@ -1,17 +1,17 @@
 //! Adaptive monitoring demo: the §3.4 machinery end-to-end.
 //!
-//! Replays the paper's irregular HACC capacity workload through three
-//! monitoring configurations — fixed 1 s polling, complex AIMD, and
-//! complex AIMD with Delphi filling values between polls — and prints the
-//! accuracy/cost trade-off each achieves (the Figures 8–9 story).
+//! Monitors the paper's irregular HACC capacity workload inside a
+//! virtual-clock Apollo under three configurations — fixed 1 s polling,
+//! complex AIMD, and complex AIMD with Delphi predicting values between
+//! polls — and prints the accuracy/cost trade-off each achieves, read
+//! back from the stored topic (the Figures 8–9 story).
 //!
 //! Run: `cargo run --release -p apollo-bench --example adaptive_monitoring`
 
 use apollo_adaptive::controller::{AimdParams, ChangeMode, ComplexAimd, FixedInterval};
-use apollo_adaptive::eval::{evaluate, evaluate_with_forecaster};
+use apollo_bench::eval::monitor;
 use apollo_cluster::workloads::hacc::{HaccConfig, HaccWorkload};
-use apollo_core::hook::DelphiForecaster;
-use apollo_delphi::stack::DelphiConfig;
+use apollo_delphi::stack::{Delphi, DelphiConfig};
 use std::time::Duration;
 
 fn main() {
@@ -39,38 +39,36 @@ fn main() {
     println!("\n{:<24}{:>10}{:>10}{:>12}", "configuration", "accuracy", "cost", "hook calls");
     println!("{}", "-".repeat(58));
 
-    let mut fixed = FixedInterval::new(Duration::from_secs(1));
-    let base = evaluate(&mut fixed, &reference);
+    let base = monitor(Box::new(FixedInterval::new(Duration::from_secs(1))), &reference, None, 0.0);
     println!(
         "{:<24}{:>10.4}{:>10.4}{:>12}",
         "fixed-1s (ideal)", base.accuracy, base.cost, base.hook_calls
     );
 
-    let mut aimd = ComplexAimd::new(params.clone(), 10);
-    let adaptive = evaluate(&mut aimd, &reference);
+    let adaptive = monitor(Box::new(ComplexAimd::new(params.clone(), 10)), &reference, None, 0.0);
     println!(
         "{:<24}{:>10.4}{:>10.4}{:>12}",
         "complex AIMD", adaptive.accuracy, adaptive.cost, adaptive.hook_calls
     );
 
     println!("\nTraining Delphi (eight frozen feature models + combiner)…");
-    let mut delphi = DelphiForecaster::train(DelphiConfig::default());
-    let mut aimd2 = ComplexAimd::new(params, 10);
-    let with_delphi = evaluate_with_forecaster(&mut aimd2, &mut delphi, &reference, 5e-8);
+    let delphi = Delphi::train(DelphiConfig::default());
+    let with_delphi =
+        monitor(Box::new(ComplexAimd::new(params, 10)), &reference, Some(delphi), 5e-8);
     println!(
-        "{:<24}{:>10.4}{:>10.4}{:>12}   ({} points predicted)",
+        "{:<24}{:>10.4}{:>10.4}{:>12}   ({} rows predicted)",
         "complex AIMD + Delphi",
         with_delphi.accuracy,
         with_delphi.cost,
         with_delphi.hook_calls,
-        with_delphi.predicted_points
+        with_delphi.predicted
     );
 
     println!(
         "\nThe adaptive interval polls {:.1}% as often as the 1 s baseline;\n\
-         Delphi fills {} intermediate seconds with predictions at no polling cost.",
+         Delphi stores {} predicted rows between polls at no polling cost.",
         with_delphi.cost * 100.0,
-        with_delphi.predicted_points
+        with_delphi.predicted
     );
     assert!(with_delphi.cost < 1.0);
 }
