@@ -100,7 +100,6 @@ fn main() {
     report.note("facts_published", outcome.facts_published);
     report.note("scanned_entries", outcome.scanned_entries);
     report.note("clock_regressions", outcome.clock_regressions);
-    report.note("dropped_entries", outcome.dropped_entries);
     report.note("digest", format!("{:016x}", outcome.digest));
 
     let mut memory = Series::new("memory_bytes");

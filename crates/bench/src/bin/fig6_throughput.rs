@@ -28,7 +28,7 @@ fn publish_scaling() {
     let mut series = Series::new("events_per_sec");
     let events_per_thread = 50_000u64;
     // One registry across all thread counts: the saved metrics are the
-    // whole experiment's publish/drop accounting.
+    // whole experiment's publish accounting.
     let registry = Registry::new();
 
     for threads in [1u32, 2, 4, 8, 16, 24, 32, 40] {

@@ -19,7 +19,9 @@
 //! 3. **`bounded_memory`** — the broker's live-window memory stays under
 //!    a ceiling proportional to `topics × window bound`, and no sampled
 //!    stream's window exceeds its configured bound (eviction works under
-//!    churn; slow subscribers stay inside their queue capacity).
+//!    churn). A slow subscriber holds no memory: it is a cursor, and at
+//!    release it must take, in order, every row published since it
+//!    attached, unless retention lapped it (checked with invariant 1).
 //! 4. **`no_escaped_panics`** — zero event-loop callbacks panic past
 //!    `catch_unwind` over the whole run.
 //!
@@ -37,13 +39,48 @@ use apollo_core::selfobs::deploy_self_observer;
 use apollo_core::service::{Apollo, FactVertexSpec, InsightVertexSpec};
 use apollo_core::vertex::FactVertex;
 use apollo_runtime::event_loop::EventLoop;
-use apollo_streams::{
-    BackpressurePolicy, CompactPolicy, Record, SlabStore, StreamConfig, StreamId, SubscribeOptions,
-    Subscription,
-};
+use apollo_streams::{CompactPolicy, Record, SlabStore, StreamConfig, StreamId, Subscription};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// A subscriber that stops draining for a while, and what its topic held
+/// when it attached.
+struct SlowSub {
+    release_ns: u64,
+    topic: String,
+    sub: Subscription,
+    /// The topic's last ID and publish count at attach.
+    from: Option<StreamId>,
+    published: u64,
+    /// The topic's `cursor_lapped` counter, and its value at attach.
+    lapped: apollo_obs::Counter,
+    lapped_before: u64,
+}
+
+impl SlowSub {
+    /// Drain the subscription: its IDs strictly increase, it ends at the
+    /// topic's last ID, and it holds every row published since it attached
+    /// unless retention lapped a cursor on the topic. Returns what failed.
+    fn release(&self, broker: &apollo_streams::Broker) -> Vec<String> {
+        let got = self.sub.drain();
+        let (last_id, published) =
+            broker.topic_info(&self.topic).map_or((None, 0), |i| (i.last_id, i.published));
+        let mut faults = Vec::new();
+        if !got.windows(2).all(|w| w[0].id < w[1].id) {
+            faults.push("IDs out of order".to_string());
+        }
+        let ended = got.last().map(|e| e.id).or(self.from);
+        if ended != last_id {
+            faults.push(format!("ends at {ended:?}, the topic at {last_id:?}"));
+        }
+        let due = published - self.published;
+        if self.lapped.get() == self.lapped_before && got.len() as u64 != due {
+            faults.push(format!("took {} rows of {due} published", got.len()));
+        }
+        faults.into_iter().map(|f| format!("{}: slow subscriber {f}", self.topic)).collect()
+    }
+}
 
 /// Canonical name of soak vertex `i` (also its topic).
 pub fn vertex_name(i: usize) -> String {
@@ -231,8 +268,6 @@ pub struct SoakOutcome {
     pub scanned_entries: u64,
     /// Clock-regression clamps across all topics.
     pub clock_regressions: u64,
-    /// Entries dropped from slow-subscriber queues (DropOldest).
-    pub dropped_entries: u64,
     /// Peak slab series-dirent occupancy (live + tombstoned) observed at
     /// any checkpoint; 0 without a [`SoakConfig::slab_churn`] layer.
     pub slab_peak_series: usize,
@@ -472,7 +507,8 @@ pub fn run_compiled(config: &SoakConfig, compiled: &CompiledChaos) -> SoakOutcom
     let deadline_ns = config.recovery_deadline.as_nanos() as u64;
     let perts = compiled.perturbations();
     let mut pert_idx = 0usize;
-    let mut slow_subs: Vec<(u64, String, usize, Subscription)> = Vec::new();
+    let mut slow_subs: Vec<SlowSub> = Vec::new();
+    let mut scan_violations: Vec<String> = Vec::new();
     let mut checkpoints: Vec<Checkpoint> = Vec::new();
     let mut peak_memory = 0usize;
     let mut memory_violations: Vec<String> = Vec::new();
@@ -496,8 +532,8 @@ pub fn run_compiled(config: &SoakConfig, compiled: &CompiledChaos) -> SoakOutcom
         if let Some(p) = perts.get(pert_idx) {
             next = next.min(p.at_ns.max(now + 1));
         }
-        for (release, ..) in &slow_subs {
-            next = next.min(*release);
+        for slow in &slow_subs {
+            next = next.min(slow.release_ns);
         }
         next = next.min(next_cp).max(now);
         if next > now {
@@ -505,18 +541,14 @@ pub fn run_compiled(config: &SoakConfig, compiled: &CompiledChaos) -> SoakOutcom
         }
         let now = apollo.now();
 
-        // Release slow subscribers whose hold expired; their queue must
-        // never have grown past its capacity.
-        slow_subs.retain(|(release, topic, queue, sub)| {
-            if *release <= now {
-                if sub.backlog() > *queue {
-                    depth_violations
-                        .push(format!("{topic}: slow-sub backlog {} > {queue}", sub.backlog()));
-                }
-                false
-            } else {
-                true
+        // Release slow subscribers whose hold expired (the rest at the
+        // horizon): each takes every row published since it attached.
+        slow_subs.retain(|slow| {
+            let due = slow.release_ns <= now;
+            if due {
+                scan_violations.extend(slow.release(&broker));
             }
+            !due
         });
 
         // Act out due perturbations.
@@ -531,15 +563,20 @@ pub fn run_compiled(config: &SoakConfig, compiled: &CompiledChaos) -> SoakOutcom
                         broker.publish(topic, skewed_ms, Record::measured(now, -1.0).encode());
                     }
                 }
-                PerturbationKind::SlowConsumer { topic, hold, queue } => {
-                    let sub = broker.subscribe_with(
-                        topic,
-                        SubscribeOptions {
-                            capacity: (*queue).max(1),
-                            policy: BackpressurePolicy::DropOldest,
-                        },
-                    );
-                    slow_subs.push((now + hold.as_nanos() as u64, topic.clone(), *queue, sub));
+                PerturbationKind::SlowConsumer { topic, hold } => {
+                    let sub = broker.subscribe(topic);
+                    let info = broker.topic_info(topic).expect("subscribing created it");
+                    let lapped =
+                        apollo.metrics().counter(&format!("streams.topic.{topic}.cursor_lapped"));
+                    slow_subs.push(SlowSub {
+                        release_ns: now + hold.as_nanos() as u64,
+                        topic: topic.clone(),
+                        sub,
+                        from: info.last_id,
+                        published: info.published,
+                        lapped_before: lapped.get(),
+                        lapped,
+                    });
                 }
                 PerturbationKind::BackpressureBurst { topic, records } => {
                     for _ in 0..*records {
@@ -687,7 +724,9 @@ pub fn run_compiled(config: &SoakConfig, compiled: &CompiledChaos) -> SoakOutcom
     }
 
     // --- Final verification ------------------------------------------
-    let mut scan_violations: Vec<String> = Vec::new();
+    for slow in &slow_subs {
+        scan_violations.extend(slow.release(&broker));
+    }
     let mut scanned_entries = 0u64;
     let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
     for (topic, _) in &cursors {
@@ -717,11 +756,7 @@ pub fn run_compiled(config: &SoakConfig, compiled: &CompiledChaos) -> SoakOutcom
     }
 
     let stats = apollo.stats();
-    let (mut clock_regressions, mut dropped_entries) = (0u64, 0u64);
-    for info in broker.info() {
-        clock_regressions += info.clock_regressions;
-        dropped_entries += info.dropped_entries;
-    }
+    let clock_regressions: u64 = broker.info().iter().map(|info| info.clock_regressions).sum();
     // Publish volume of the soak fleet only: the self-observer's
     // poll-p99 vertex republishes *wall-clock-measured* latencies, so
     // folding service-wide publishes into the digest would make two
@@ -760,7 +795,7 @@ pub fn run_compiled(config: &SoakConfig, compiled: &CompiledChaos) -> SoakOutcom
             name: "bounded_memory",
             pass: memory_violations.is_empty() && depth_violations.is_empty(),
             detail: if memory_violations.is_empty() && depth_violations.is_empty() {
-                format!("peak {peak_memory} B ≤ ceiling {ceiling} B; window/queue depths bounded")
+                format!("peak {peak_memory} B ≤ ceiling {ceiling} B; window depths bounded")
             } else {
                 memory_violations
                     .iter()
@@ -822,7 +857,6 @@ pub fn run_compiled(config: &SoakConfig, compiled: &CompiledChaos) -> SoakOutcom
         facts_published: fleet_published,
         scanned_entries,
         clock_regressions,
-        dropped_entries,
         slab_peak_series: churn_peak,
         slab_reclaimed_series: apollo.metrics().counter("streams.slab.reclaimed_series").get(),
         continuous_checks,
@@ -868,7 +902,6 @@ pub fn standard_schedule(vertices: usize, seed: u64, horizon: Duration) -> Chaos
             vec![name(0), pct(50)],
             Duration::from_secs(35),
             Duration::from_secs(20),
-            8,
         )
         .backpressure_burst(vec![name(1), pct(75)], Duration::from_secs(50), 256)
 }

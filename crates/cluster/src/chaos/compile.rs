@@ -30,15 +30,12 @@ pub enum PerturbationKind {
         /// Number of skewed appends.
         appends: u32,
     },
-    /// Attach a non-draining subscriber with a `queue`-entry buffer to
-    /// `topic` and hold it for `hold`.
+    /// Attach a non-draining subscriber to `topic` and hold it for `hold`.
     SlowConsumer {
         /// Target topic.
         topic: String,
         /// How long the subscriber refuses to drain.
         hold: Duration,
-        /// Subscriber queue capacity.
-        queue: usize,
     },
     /// Publish `records` extra records into `topic` in one burst.
     BackpressureBurst {
@@ -250,15 +247,11 @@ pub(super) fn compile(s: &ChaosSchedule) -> Result<CompiledChaos, FaultPlanError
                     });
                 }
             }
-            ChaosLayer::SlowConsumerStorm { topics, at, hold, queue } => {
+            ChaosLayer::SlowConsumerStorm { topics, at, hold } => {
                 for topic in topics {
                     perturbations.push(Perturbation {
                         at_ns: ns(*at).min(horizon_ns),
-                        kind: PerturbationKind::SlowConsumer {
-                            topic: topic.clone(),
-                            hold: *hold,
-                            queue: *queue,
-                        },
+                        kind: PerturbationKind::SlowConsumer { topic: topic.clone(), hold: *hold },
                     });
                 }
             }
@@ -325,7 +318,7 @@ mod tests {
             )
             .latency_storm(names("rack1/n", 2), Duration::from_millis(40), secs(30), secs(50))
             .clock_skew(vec!["rack0/n0".into()], secs(45), secs(20), 8)
-            .slow_consumer_storm(vec!["rack1/n0".into()], secs(20), secs(15), 16)
+            .slow_consumer_storm(vec!["rack1/n0".into()], secs(20), secs(15))
             .backpressure_burst(vec!["rack0/n1".into()], secs(70), 256)
     }
 

@@ -75,9 +75,8 @@ pub enum ChaosLayer {
         /// Skewed appends per topic.
         appends: u32,
     },
-    /// At `at`, attach a subscriber with a `queue`-entry buffer to each
-    /// listed topic and stop draining it for `hold` — exercising the
-    /// broker's bounded-queue backpressure paths.
+    /// At `at`, attach a subscriber to each listed topic and stop draining
+    /// it for `hold` — a cursor that trails its topic's stream.
     SlowConsumerStorm {
         /// Affected topics.
         topics: Vec<String>,
@@ -85,8 +84,6 @@ pub enum ChaosLayer {
         at: Duration,
         /// How long they refuse to drain.
         hold: Duration,
-        /// Their queue capacity.
-        queue: usize,
     },
     /// At `at`, publish `records` extra records into each listed topic in
     /// one burst — saturating the live window and forcing eviction storms.
@@ -194,14 +191,8 @@ impl ChaosSchedule {
     }
 
     /// Stack a [`ChaosLayer::SlowConsumerStorm`] layer.
-    pub fn slow_consumer_storm(
-        self,
-        topics: Vec<String>,
-        at: Duration,
-        hold: Duration,
-        queue: usize,
-    ) -> Self {
-        self.with_layer(ChaosLayer::SlowConsumerStorm { topics, at, hold, queue })
+    pub fn slow_consumer_storm(self, topics: Vec<String>, at: Duration, hold: Duration) -> Self {
+        self.with_layer(ChaosLayer::SlowConsumerStorm { topics, at, hold })
     }
 
     /// Stack a [`ChaosLayer::BackpressureBurst`] layer.

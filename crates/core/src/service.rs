@@ -1571,7 +1571,7 @@ mod tests {
         apollo.run_for(Duration::from_secs(5)); // both ran once, at 1 s, and parked
         let broker = apollo.broker();
         let info = broker.topic_info("cap").unwrap();
-        assert_eq!(info.subscribers, 1, "the insight's subscription");
+        assert_eq!(info.readers, 3, "the insight's subscription and both steps' wakers");
         let timers = apollo.el.timer_count();
 
         apollo.unregister("cq/avg").unwrap();
@@ -1579,7 +1579,7 @@ mod tests {
         apollo.run_for(Duration::from_millis(1)); // one turn reaps both parked timers
         assert_eq!(apollo.el.timer_count(), timers - 2);
         let info = broker.topic_info("cap").unwrap();
-        assert_eq!(info.subscribers, 0);
+        assert_eq!(info.readers, 0);
         let _ = std::fs::remove_file(store.path());
     }
 }

@@ -199,8 +199,8 @@ fn a_warm_poll_and_a_warm_insight_pump_allocate_nothing() {
         Arc::clone(&broker),
     );
     let tap = broker.subscribe("f0");
-    // Warm: windows at their bound, subscriber queues and the pump's
-    // buffers at the size a round of eight polls per fact needs.
+    // Warm: windows at their bound and the pump's buffers at the size a
+    // round of eight polls per fact needs.
     let mut now = 0;
     let mut polls = |n: usize| {
         for _ in 0..n {

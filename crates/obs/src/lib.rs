@@ -3,7 +3,7 @@
 //! Apollo's headline claim (paper Fig. 5–7) is that full-fidelity storage
 //! monitoring can ride along at negligible cost. To defend that claim the
 //! reproduction must be able to measure *its own* hot paths — the timer
-//! dispatch loop, the broker fan-out, vertex polling, and query execution —
+//! dispatch loop, the broker publish, vertex polling, and query execution —
 //! without perturbing them. This crate provides that substrate:
 //!
 //! * [`Registry`] — a named family of lock-cheap instruments. Handles are
@@ -69,9 +69,8 @@
 //! **Counters are exact; wall-clock histograms are sampled.** A call site
 //! that times itself — a timer's callback (`runtime.timer.callback_ns`), a
 //! vertex's poll or pump (`core.vertex.<name>.{poll,pump}_ns`,
-//! `score.*_ns`), a topic's publish (`streams.publish_ns`, the backlog
-//! gauge) — times its first call, then one in [`SAMPLE_PERIOD`]
-//! ([`sampled`]). There `count` is the number of timed calls, and
+//! `score.*_ns`), a topic's publish (`streams.publish_ns`) — times its
+//! first call, then one in [`SAMPLE_PERIOD`] ([`sampled`]). There `count` is the number of timed calls, and
 //! `runtime.timer.overruns` is judged on them. Everything counted is
 //! exact, as is `runtime.timer.dispatch_lag_ns` (no clock read).
 //!

@@ -1,320 +1,70 @@
-//! Pub-Sub fan-out over streams.
+//! Pub-Sub over streams: a subscription is a cursor.
 //!
 //! The [`Broker`] is SCoRe's communication fabric: every vertex owns a
 //! topic (backed by a [`Stream`]); downstream vertices either **subscribe**
-//! (push: each new entry is delivered over a bounded queue — how Insight
-//! vertices consume Facts, flow ③/④ of Figure 1b) or **pull** the latest
-//! value / a timestamp range on demand (how the Query Executor and
-//! middleware clients read, flow ⑥).
+//! (each new entry is read from the topic's stream after the last one the
+//! subscriber took — how Insight vertices consume Facts, flow ③/④ of
+//! Figure 1b) or **pull** the latest value / a timestamp range on demand
+//! (how the Query Executor and middleware clients read, flow ⑥).
 //!
-//! A reader that must not miss an entry keeps its own cursor — the last
-//! [`StreamId`] it processed — and reads by [`Broker::read_after`]; the
-//! broker keeps no delivery state for it, so a reader restarted after a
-//! crash resumes from the cursor it saved. Subscriber queues are bounded:
-//! a [`BackpressurePolicy`] decides whether a slow subscriber blocks the
-//! publisher, loses its oldest entries, or is disconnected.
+//! As in Redis Streams' `XREAD BLOCK`, a reader is a cursor — the last
+//! [`StreamId`] it took — and the stream holds no copy for it. A
+//! [`Subscription`] keeps its cursor in the broker's process; a reader
+//! that must survive a crash saves its own and reads by
+//! [`Broker::read_after`]. A slow subscriber holds no memory: it loses
+//! rows only when retention laps its cursor, and that read is counted in
+//! `streams.topic.<name>.cursor_lapped` as any cursor reader's is.
 //!
-//! A condvar notify is a futex syscall whether or not anyone waits, so
-//! wake-ups are **waiter-gated**: a subscriber queue counts its parked
-//! receivers and publishers under its own mutex, around the wait, and
-//! notifies a side only when its count is non-zero (closing always
-//! notifies). A topic's readers — subscribers, and derived readers' wakers
-//! ([`Broker::wake_on`]) — are **copy-on-write**: an `Arc<Readers>` that
-//! subscribing and dropping edit and a publish clones after its append
-//! and wakes; no subscriber, no entry built.
+//! A publish appends and then calls the topic's **wakers**: one per
+//! subscription and one per derived reader ([`Broker::wake_on`]). The
+//! waker list is **copy-on-write**: an `Arc` that subscribing and dropping
+//! edit and a publish clones after its append. A condvar notify is a
+//! futex syscall whether or not anyone waits, so a subscription's waker is
+//! **waiter-gated**: it notifies only when a receiver is parked.
 
 use crate::entry::Entry;
 use crate::id::StreamId;
 use crate::stream::{ColumnBatch, ScanBatch, ScanMeta, Stream, StreamConfig};
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::collections::HashMap;
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
-/// Unique identifier for a subscription.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SubscriptionId(u64);
-
-/// What a publisher does when a subscriber's queue is full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BackpressurePolicy {
-    /// Block the publisher until the subscriber drains. Lossless, but ties
-    /// publisher progress to the slowest subscriber — only sensible in
-    /// live (multi-threaded) mode; under a single-threaded virtual clock
-    /// it would deadlock.
-    Block,
-    /// Drop the subscriber's oldest buffered entry to make room. The
-    /// subscriber keeps up with the newest data at the price of gaps
-    /// (which it can detect via [`Subscription::dropped_entries`]).
-    DropOldest,
-    /// Disconnect the subscriber. It can still drain what was buffered,
-    /// then receives nothing more; the publisher never stalls and never
-    /// drops data for healthy subscribers.
-    DisconnectSlow,
-}
-
-/// Options for [`Broker::subscribe_with`].
-#[derive(Debug, Clone, Copy)]
-pub struct SubscribeOptions {
-    /// Queue capacity (entries buffered between publish and receive).
-    pub capacity: usize,
-    /// What happens when the queue is full.
-    pub policy: BackpressurePolicy,
-}
-
-impl Default for SubscribeOptions {
-    fn default() -> Self {
-        Self { capacity: 65_536, policy: BackpressurePolicy::DropOldest }
-    }
-}
-
-/// Outcome of pushing one entry to one subscriber.
-enum SendOutcome {
-    Delivered,
-    /// Delivered, but the subscriber's oldest buffered entry was dropped.
-    DroppedOldest,
-    /// The subscriber was disconnected (policy, or receiver gone).
-    Gone,
-}
-
-#[derive(Debug, Default)]
-struct SubQueueState {
-    buf: VecDeque<Entry>,
-    /// Receiver side dropped.
-    closed: bool,
-    /// Kicked by [`BackpressurePolicy::DisconnectSlow`].
-    disconnected: bool,
-    /// Entries discarded by [`BackpressurePolicy::DropOldest`].
-    dropped: u64,
-    /// Receivers parked on `not_empty` / publishers parked on `not_full`,
-    /// counted under this mutex so a notifier holding it sees every waiter.
-    parked_receivers: usize,
-    parked_senders: usize,
-}
-
-/// A bounded MPSC queue between the publisher and one subscriber.
-///
-/// Built on `std::sync` primitives (the workspace `parking_lot` has no
-/// condvar); lock poisoning is ignored — the state is a plain buffer and
-/// stays coherent even if a holder panicked.
-struct SubQueue {
-    state: std::sync::Mutex<SubQueueState>,
-    not_empty: std::sync::Condvar,
-    not_full: std::sync::Condvar,
-    capacity: usize,
-    policy: BackpressurePolicy,
-}
-
-impl SubQueue {
-    fn new(opts: SubscribeOptions) -> Self {
-        Self {
-            state: std::sync::Mutex::new(SubQueueState::default()),
-            not_empty: std::sync::Condvar::new(),
-            not_full: std::sync::Condvar::new(),
-            capacity: opts.capacity.max(1),
-            policy: opts.policy,
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, SubQueueState> {
-        self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Wake parked receivers / publishers, if any, with the state lock held.
-    fn wake_receivers(&self, st: &SubQueueState) {
-        if st.parked_receivers > 0 {
-            self.not_empty.notify_all();
-        }
-    }
-
-    fn wake_senders(&self, st: &SubQueueState) {
-        if st.parked_senders > 0 {
-            self.not_full.notify_all();
-        }
-    }
-
-    fn push(&self, entry: Entry) -> SendOutcome {
-        let mut st = self.lock();
-        if st.closed || st.disconnected {
-            return SendOutcome::Gone;
-        }
-        if st.buf.len() >= self.capacity {
-            match self.policy {
-                BackpressurePolicy::Block => {
-                    while st.buf.len() >= self.capacity && !st.closed {
-                        st.parked_senders += 1;
-                        st = self
-                            .not_full
-                            .wait(st)
-                            .unwrap_or_else(std::sync::PoisonError::into_inner);
-                        st.parked_senders -= 1;
-                    }
-                    if st.closed {
-                        return SendOutcome::Gone;
-                    }
-                }
-                BackpressurePolicy::DropOldest => {
-                    st.buf.pop_front();
-                    st.dropped += 1;
-                    st.buf.push_back(entry);
-                    self.wake_receivers(&st);
-                    return SendOutcome::DroppedOldest;
-                }
-                BackpressurePolicy::DisconnectSlow => {
-                    st.disconnected = true;
-                    // Wake a blocked receiver so it observes the disconnect.
-                    self.wake_receivers(&st);
-                    return SendOutcome::Gone;
-                }
-            }
-        }
-        st.buf.push_back(entry);
-        self.wake_receivers(&st);
-        SendOutcome::Delivered
-    }
-
-    fn try_pop(&self) -> Option<Entry> {
-        let mut st = self.lock();
-        let e = st.buf.pop_front();
-        if e.is_some() {
-            self.wake_senders(&st);
-        }
-        e
-    }
-
-    fn pop_timeout(&self, timeout: Duration) -> Option<Entry> {
-        let deadline = Instant::now() + timeout;
-        let mut st = self.lock();
-        loop {
-            if let Some(e) = st.buf.pop_front() {
-                self.wake_senders(&st);
-                return Some(e);
-            }
-            if st.disconnected {
-                return None;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            st.parked_receivers += 1;
-            let (guard, res) = self
-                .not_empty
-                .wait_timeout(st, deadline - now)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            st = guard;
-            st.parked_receivers -= 1;
-            if res.timed_out() && st.buf.is_empty() {
-                return None;
-            }
-        }
-    }
-
-    fn close(&self) {
-        let mut st = self.lock();
-        st.closed = true;
-        self.not_full.notify_all();
-    }
-
-    fn len(&self) -> usize {
-        self.lock().buf.len()
-    }
-
-    fn dropped(&self) -> u64 {
-        self.lock().dropped
-    }
-
-    fn is_disconnected(&self) -> bool {
-        self.lock().disconnected
-    }
-}
-
-#[derive(Clone)]
-struct Subscriber {
-    id: SubscriptionId,
-    queue: Arc<SubQueue>,
-}
-
-/// What a publish reaches besides the window.
-#[derive(Clone, Default)]
-struct Readers {
-    subscribers: Vec<Subscriber>,
-    wakers: Vec<(SubscriptionId, Arc<dyn Fn() + Send + Sync>)>,
-}
+/// What a publish calls after its append.
+type Waker = Arc<dyn Fn() + Send + Sync>;
 
 struct Topic {
     stream: Stream,
     /// Copy-on-write: subscribing and dropping edit it (a copy, if a publish
-    /// holds it), a publish clones the `Arc` and delivers with the lock released.
-    readers: Mutex<Arc<Readers>>,
+    /// holds it), a publish clones the `Arc` and wakes with the lock released.
+    wakers: Mutex<Arc<Vec<Waker>>>,
     /// Behind an `Arc` so [`Broker::instrument`] can export the same cell
     /// as `streams.topic.<name>.published` without a second increment on
     /// the publish hot path.
     published: Arc<AtomicU64>,
-    dropped: AtomicU64,
-    dropped_entries: AtomicU64,
     /// Set by [`Broker::remove_topic`]: a [`Publisher`] still holding this
     /// topic resolves the name again instead of publishing into a topic
     /// nobody can read.
     removed: AtomicBool,
-    /// Registry handles, set once by [`Broker::instrument`] (or at topic
-    /// creation on an instrumented broker). A plain atomic load on the
-    /// publish hot path when absent.
-    obs: OnceLock<TopicObs>,
 }
 
 impl Topic {
-    /// Edit the readers, copying them first if a publish holds them.
-    fn edit_readers<R>(&self, edit: impl FnOnce(&mut Readers) -> R) -> R {
-        edit(Arc::make_mut(&mut self.readers.lock()))
+    /// Edit the wakers, copying them first if a publish holds them.
+    fn edit_wakers(&self, edit: impl FnOnce(&mut Vec<Waker>)) {
+        edit(Arc::make_mut(&mut self.wakers.lock()));
     }
 
-    /// Drop the subscribers `keep` rejects; returns how many went.
-    fn prune_subscribers(&self, keep: impl Fn(&Subscriber) -> bool) -> usize {
-        self.edit_readers(|r| {
-            let before = r.subscribers.len();
-            r.subscribers.retain(keep);
-            before - r.subscribers.len()
-        })
-    }
-}
-
-/// Pre-resolved per-topic instrument handles. Each holds both the
-/// topic-scoped instrument and a clone of the broker-wide total, so the
-/// hot path never consults the registry maps.
-struct TopicObs {
-    dropped_entries: apollo_obs::Counter,
-    dropped_entries_total: apollo_obs::Counter,
-    dropped_subscribers_total: apollo_obs::Counter,
-    /// Deepest subscriber queue observed during the most recent publish.
-    backlog: apollo_obs::Gauge,
-}
-
-impl TopicObs {
-    fn new(
-        registry: &apollo_obs::Registry,
-        topic: &str,
-        published: Arc<AtomicU64>,
-        stream: &Stream,
-    ) -> Self {
-        // The per-topic publish counter is backed by the atomic the
-        // publish path already increments, so exporting it is free — and
-        // the lapped-cursor / rejected-eviction counters are likewise
-        // backed by the cells the stream already maintains.
-        let _ = registry.counter_backed_by(&format!("streams.topic.{topic}.published"), published);
-        for (name, cell) in [
-            ("cursor_lapped", stream.cursor_lapped_cell()),
-            ("archive_rejected", stream.archive_rejected_cell()),
+    /// Export the topic's publish, lapped-cursor and rejected-eviction
+    /// counters, each backed by the cell its hot path already increments.
+    fn register(&self, registry: &apollo_obs::Registry, name: &str) {
+        for (metric, cell) in [
+            ("published", Arc::clone(&self.published)),
+            ("cursor_lapped", self.stream.cursor_lapped_cell()),
+            ("archive_rejected", self.stream.archive_rejected_cell()),
         ] {
-            let _ = registry.counter_backed_by(&format!("streams.topic.{topic}.{name}"), cell);
-        }
-        Self {
-            dropped_entries: registry.counter(&format!("streams.topic.{topic}.dropped_entries")),
-            dropped_entries_total: registry.counter("streams.dropped_entries_total"),
-            dropped_subscribers_total: registry.counter("streams.dropped_subscribers_total"),
-            backlog: registry.gauge(&format!("streams.topic.{topic}.backlog")),
+            let _ = registry.counter_backed_by(&format!("streams.topic.{name}.{metric}"), cell);
         }
     }
 }
@@ -325,26 +75,90 @@ struct BrokerObs {
     publish_ns: apollo_obs::Histogram,
 }
 
-/// A push subscription delivering every entry published after the
-/// subscription was created, through a bounded queue.
+/// Where a [`Subscription::recv_timeout`] waits for a publish.
+#[derive(Default)]
+struct Park {
+    lock: std::sync::Mutex<()>,
+    published: std::sync::Condvar,
+    /// Receivers waiting, bumped under `lock` before they re-check the
+    /// stream: a waker that reads 0 after its append has nobody to wake.
+    parked: AtomicUsize,
+}
+
+impl Park {
+    fn wake(&self) {
+        // Orders the append before the read of `parked`, against the
+        // receiver's bump before its re-check: one of them sees the other.
+        fence(Ordering::SeqCst);
+        if self.parked.load(Ordering::SeqCst) > 0 {
+            let _held = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
+            self.published.notify_all();
+        }
+    }
+}
+
+/// A subscription's place in its topic's stream.
+struct Cursor {
+    /// The last ID taken; `None` before the topic's first append.
+    last: Option<StreamId>,
+    /// Room for the one entry [`Subscription::try_recv`] reads.
+    one: Vec<Entry>,
+}
+
+/// A cursor over one topic's stream, from [`Broker::subscribe`]: it takes
+/// every entry published after the subscription was created, in order.
+/// The stream keeps the entries; the subscription keeps only its cursor.
 pub struct Subscription {
-    id: SubscriptionId,
-    topic: Arc<Topic>,
-    queue: Arc<SubQueue>,
+    /// Registers the subscription's waker; holds the topic.
+    waker: PublishWaker,
+    cursor: Mutex<Cursor>,
+    park: Arc<Park>,
 }
 
 impl Subscription {
+    /// Read after the cursor onto `out`, up to `count`, and move the cursor
+    /// to the last entry read.
+    fn take(&self, cursor: &mut Option<StreamId>, count: usize, out: &mut Vec<Entry>) {
+        let before = out.len();
+        self.waker.topic.stream.read_after_into(*cursor, count, out);
+        if out.len() > before {
+            *cursor = out.last().map(|e| e.id);
+        }
+    }
+
     /// Receive the next entry, blocking up to `timeout`.
     pub fn recv_timeout(&self, timeout: Duration) -> Option<Entry> {
-        self.queue.pop_timeout(timeout)
+        if let Some(entry) = self.try_recv() {
+            return Some(entry);
+        }
+        let deadline = Instant::now() + timeout;
+        let park = &self.park;
+        let mut held = park.lock.lock().unwrap_or_else(PoisonError::into_inner);
+        park.parked.fetch_add(1, Ordering::SeqCst);
+        let got = loop {
+            if let Some(entry) = self.try_recv() {
+                break Some(entry);
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break None;
+            }
+            held =
+                park.published.wait_timeout(held, left).unwrap_or_else(PoisonError::into_inner).0;
+        };
+        park.parked.fetch_sub(1, Ordering::SeqCst);
+        got
     }
 
     /// Receive without blocking.
     pub fn try_recv(&self) -> Option<Entry> {
-        self.queue.try_pop()
+        let mut cursor = self.cursor.lock();
+        let Cursor { last, one } = &mut *cursor;
+        self.take(last, 1, one);
+        one.pop()
     }
 
-    /// Drain everything currently buffered.
+    /// Take every entry published since the last one taken.
     pub fn drain(&self) -> Vec<Entry> {
         let mut out = Vec::new();
         self.drain_into(&mut out);
@@ -352,50 +166,22 @@ impl Subscription {
     }
 
     /// [`Subscription::drain`] onto the end of a buffer the caller reuses:
-    /// one queue-lock hold, no allocation once `out` has the capacity.
+    /// no allocation once `out` has the capacity.
     pub fn drain_into(&self, out: &mut Vec<Entry>) {
-        let mut st = self.queue.lock();
-        if !st.buf.is_empty() {
-            out.extend(st.buf.drain(..));
-            self.queue.wake_senders(&st);
-        }
-    }
-
-    /// Entries buffered but not yet received.
-    pub fn backlog(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Entries this subscriber lost to [`BackpressurePolicy::DropOldest`].
-    pub fn dropped_entries(&self) -> u64 {
-        self.queue.dropped()
-    }
-
-    /// Whether this subscriber was disconnected by
-    /// [`BackpressurePolicy::DisconnectSlow`]. Buffered entries can still
-    /// be drained; nothing new arrives.
-    pub fn is_disconnected(&self) -> bool {
-        self.queue.is_disconnected()
-    }
-}
-
-impl Drop for Subscription {
-    fn drop(&mut self) {
-        self.queue.close();
-        self.topic.prune_subscribers(|s| s.id != self.id);
+        self.take(&mut self.cursor.lock().last, usize::MAX, out);
     }
 }
 
 /// A waker on one topic, from [`Broker::wake_on`]: every publish to the
 /// topic calls it after the append. Dropping this removes it.
 pub struct PublishWaker {
-    id: SubscriptionId,
+    waker: Waker,
     topic: Arc<Topic>,
 }
 
 impl Drop for PublishWaker {
     fn drop(&mut self) {
-        self.topic.edit_readers(|r| r.wakers.retain(|(id, _)| *id != self.id));
+        self.topic.edit_wakers(|w| w.retain(|waker| !Arc::ptr_eq(waker, &self.waker)));
     }
 }
 
@@ -410,12 +196,9 @@ pub struct TopicInfo {
     pub archived_len: usize,
     /// Entries ever published.
     pub published: u64,
-    /// Subscribers dropped after disconnecting.
-    pub dropped_subscribers: u64,
-    /// Entries dropped from slow subscribers' queues (DropOldest).
-    pub dropped_entries: u64,
-    /// Live push subscribers.
-    pub subscribers: usize,
+    /// Wakers a publish calls: one per subscription and per
+    /// [`Broker::wake_on`] reader.
+    pub readers: usize,
     /// Most recent ID.
     pub last_id: Option<StreamId>,
     /// Approximate window memory.
@@ -424,7 +207,6 @@ pub struct TopicInfo {
     /// forward to keep IDs monotonic (see [`Stream::clock_regressions`]).
     pub clock_regressions: u64,
 }
-
 /// Number of lock stripes the topic namespace is split across. Query
 /// threads and publishers outside the service loop convoy on a single
 /// `RwLock<HashMap>`; 16 stripes keyed by topic hash keep the expected
@@ -455,7 +237,6 @@ pub struct Broker {
     /// to block; exported as `streams.shard_contention`.
     shard_contention: Arc<AtomicU64>,
     default_config: StreamConfig,
-    next_sub_id: AtomicU64,
     /// Lifetime publishes across all topics; behind an `Arc` so
     /// [`Broker::instrument`] exports it as `streams.published_total`
     /// without adding a conditional increment to the hot path.
@@ -477,17 +258,16 @@ impl Broker {
             shards: (0..TOPIC_SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
             shard_contention: Arc::new(AtomicU64::new(0)),
             default_config,
-            next_sub_id: AtomicU64::new(1),
             published_total: Arc::new(AtomicU64::new(0)),
             obs: OnceLock::new(),
         }
     }
 
-    /// Wire publish/fan-out into `registry`: per-topic publish, drop,
-    /// lapped-cursor and rejected-eviction counters plus a backlog gauge (`streams.topic.<name>.*`),
-    /// broker-wide totals, and a publish-latency histogram
-    /// (`streams.publish_ns`). Existing and future topics are both covered.
-    /// Idempotent; a disabled registry leaves the broker uninstrumented.
+    /// Wire publishes into `registry`: per-topic publish, lapped-cursor and
+    /// rejected-eviction counters (`streams.topic.<name>.*`), broker-wide
+    /// totals, and a publish-latency histogram (`streams.publish_ns`).
+    /// Existing and future topics are both covered. Idempotent; a disabled
+    /// registry leaves the broker uninstrumented.
     pub fn instrument(&self, registry: &apollo_obs::Registry) {
         if !registry.enabled() {
             return;
@@ -507,8 +287,7 @@ impl Broker {
         let registry = &self.obs.get().expect("just set").registry;
         for shard in &self.shards {
             for (name, t) in shard.read().iter() {
-                let _ =
-                    t.obs.set(TopicObs::new(registry, name, Arc::clone(&t.published), &t.stream));
+                t.register(registry, name);
             }
         }
     }
@@ -566,21 +345,16 @@ impl Broker {
         }
         let mut topics = self.shard_write(name);
         Arc::clone(topics.entry(name.to_string()).or_insert_with(|| {
-            let published = Arc::new(AtomicU64::new(0));
-            let stream = Stream::new(name, self.default_config.clone());
-            let obs = OnceLock::new();
-            if let Some(b) = self.obs.get() {
-                let _ = obs.set(TopicObs::new(&b.registry, name, Arc::clone(&published), &stream));
-            }
-            Arc::new(Topic {
-                stream,
-                readers: Mutex::default(),
-                published,
-                dropped: AtomicU64::new(0),
-                dropped_entries: AtomicU64::new(0),
+            let t = Topic {
+                stream: Stream::new(name, self.default_config.clone()),
+                wakers: Mutex::default(),
+                published: Arc::new(AtomicU64::new(0)),
                 removed: AtomicBool::new(false),
-                obs,
-            })
+            };
+            if let Some(b) = self.obs.get() {
+                t.register(&b.registry, name);
+            }
+            Arc::new(t)
         }))
     }
 
@@ -629,17 +403,10 @@ impl Broker {
         Publisher { broker: Arc::clone(self), name: topic.into(), topic: Mutex::new(None) }
     }
 
-    /// Publish a payload on `topic` at millisecond timestamp `ms`.
-    /// Appends to the topic's stream and fans out to all subscribers,
-    /// applying each subscriber's backpressure policy.
-    ///
-    /// Delivery happens on a snapshot of the subscriber list taken under
-    /// the lock **after the append**, with the lock *released* while
-    /// queues are pushed — so a `subscribe()` that returned before this
-    /// call began receives the entry, and a subscriber blocked on a full
-    /// [`BackpressurePolicy::Block`] queue stalls only publishers of its
-    /// own entry, never subscription churn or healthy siblings of a
-    /// concurrent publish.
+    /// Publish a payload on `topic` at millisecond timestamp `ms`: append
+    /// it to the topic's stream, then call the topic's wakers. The waker
+    /// list is read **after the append**, so a `subscribe()` that returned
+    /// before this call began reads the entry and is woken for it.
     pub fn publish(&self, topic: &str, ms: u64, payload: impl Into<Bytes>) -> StreamId {
         self.publish_to(&self.topic(topic), ms, payload.into())
     }
@@ -648,33 +415,22 @@ impl Broker {
         let seq = t.published.fetch_add(1, Ordering::Relaxed);
         self.published_total.fetch_add(1, Ordering::Relaxed);
         // A clock read costs more than the rest of an uncontended publish,
-        // so the latency histogram and the backlog gauge sample one publish
-        // in `apollo_obs::SAMPLE_PERIOD`; counters stay exact.
+        // so the latency histogram samples one publish in
+        // `apollo_obs::SAMPLE_PERIOD`; counters stay exact.
         let start = (self.obs.get().is_some() && apollo_obs::sampled(seq)).then(Instant::now);
-        // A record's payload sits in its handle, so keeping a copy for the
-        // subscribers costs nothing; the list is read once, after the append.
-        let kept = payload.clone();
         let id = t.stream.append(ms, payload);
-        let readers = Arc::clone(&t.readers.lock());
-        let deepest = if readers.subscribers.is_empty() {
-            0
-        } else {
-            Self::fan_out(t, &readers.subscribers, &[Entry::new(id, kept)], start.is_some())
-        };
-        readers.wakers.iter().for_each(|(_, wake)| wake());
-        self.observe_sample(t, start, deepest);
+        self.wake(t, start);
         id
     }
 
     /// Publish a batch of `(ms, payload)` records on `topic` under a
     /// single topic lookup, a single window-lock acquisition, and a
-    /// single subscriber-list snapshot — the amortized flush SCoRe
-    /// vertices and the self-observer use when emitting several records
-    /// at once. Semantically identical to calling [`Broker::publish`]
-    /// per record (same IDs, same per-subscriber ordering, same exact
-    /// counters); only the lock traffic is amortized. Returns the
-    /// assigned IDs in record order — the only allocation when the topic
-    /// has no subscribers.
+    /// single waker-list read — the amortized flush SCoRe vertices and the
+    /// self-observer use when emitting several records at once.
+    /// Semantically identical to calling [`Broker::publish`] per record
+    /// (same IDs, same order, same exact counters); only the lock traffic
+    /// is amortized. Returns the assigned IDs in record order — the only
+    /// allocation.
     pub fn publish_batch(
         &self,
         topic: &str,
@@ -701,114 +457,50 @@ impl Broker {
         let start = (self.obs.get().is_some()
             && seq.next_multiple_of(apollo_obs::SAMPLE_PERIOD) < seq + expect)
             .then(Instant::now);
-        // The entry list exists only for subscribers; their IDs are filled
-        // in once the append has assigned them. The readers are locked
-        // once, across the append, so the read that decides whether to
-        // build the entries is also the snapshot they are delivered to.
-        let locked = t.readers.lock();
-        let mut entries: Vec<Entry> = Vec::new();
-        let ids = t.stream.append_batch(records.inspect(|(_, payload)| {
-            if !locked.subscribers.is_empty() {
-                entries.push(Entry::new(StreamId::MIN, payload.clone()));
-            }
-        }));
-        let readers = Arc::clone(&locked);
-        drop(locked);
+        let ids = t.stream.append_batch(records);
         let n = ids.len() as u64;
         t.published.fetch_add(n, Ordering::Relaxed);
         self.published_total.fetch_add(n, Ordering::Relaxed);
-        for (entry, id) in entries.iter_mut().zip(&ids) {
-            entry.id = *id;
-        }
-        let deepest = if entries.is_empty() {
-            0
-        } else {
-            Self::fan_out(t, &readers.subscribers, &entries, start.is_some())
-        };
-        readers.wakers.iter().for_each(|(_, wake)| wake());
-        self.observe_sample(t, start, deepest);
+        self.wake(t, start);
         ids
     }
 
-    /// Record a sampled publish: latency since `start` and the deepest
-    /// subscriber queue seen. Publish counts ride `t.published` /
+    /// Call `t`'s wakers, on a snapshot read after the append with the
+    /// lock released, and record a sampled publish's latency since
+    /// `start`. Publish counts ride `t.published` /
     /// `Broker::published_total` (exported via `counter_backed_by`), so
-    /// the instrumented hot path adds only a branch when unsampled; the
-    /// backlog gauge rides the same sample — it is a point-in-time depth
-    /// reading, not an exact count.
-    fn observe_sample(&self, t: &Topic, start: Option<Instant>, deepest: usize) {
-        let (Some(start), Some(obs)) = (start, self.obs.get()) else { return };
-        obs.publish_ns.observe(start.elapsed().as_nanos() as u64);
-        if let Some(tobs) = t.obs.get() {
-            tobs.backlog.set(deepest as f64);
+    /// the instrumented hot path adds only a branch when unsampled.
+    fn wake(&self, t: &Topic, start: Option<Instant>) {
+        let wakers = Arc::clone(&t.wakers.lock());
+        wakers.iter().for_each(|wake| wake());
+        if let (Some(start), Some(obs)) = (start, self.obs.get()) {
+            obs.publish_ns.observe(start.elapsed().as_nanos() as u64);
         }
     }
 
-    /// Deliver `entries` in order to `targets`, a snapshot of `t`'s
-    /// subscribers taken after the append (lock released during delivery
-    /// — see [`Broker::publish`]), applying backpressure policies and
-    /// pruning subscribers that went away. Returns the deepest queue
-    /// observed (for the backlog gauge) on a `sampled` publish, else 0.
-    fn fan_out(t: &Topic, targets: &[Subscriber], entries: &[Entry], sampled: bool) -> usize {
-        let mut gone: Vec<SubscriptionId> = Vec::new();
-        for entry in entries {
-            for sub in targets {
-                if gone.contains(&sub.id) {
-                    continue;
-                }
-                match sub.queue.push(entry.clone()) {
-                    SendOutcome::Delivered => {}
-                    SendOutcome::DroppedOldest => {
-                        t.dropped_entries.fetch_add(1, Ordering::Relaxed);
-                        if let Some(tobs) = t.obs.get() {
-                            tobs.dropped_entries.inc();
-                            tobs.dropped_entries_total.inc();
-                        }
-                    }
-                    SendOutcome::Gone => gone.push(sub.id),
-                }
-            }
-        }
-        if !gone.is_empty() {
-            // Re-acquire briefly to prune; count only subscribers this call
-            // actually removed (a racing `Subscription::drop` may have
-            // already pruned itself).
-            let removed = t.prune_subscribers(|s| !gone.contains(&s.id)) as u64;
-            if removed > 0 {
-                t.dropped.fetch_add(removed, Ordering::Relaxed);
-                if let Some(tobs) = t.obs.get() {
-                    tobs.dropped_subscribers_total.add(removed);
-                }
-            }
-        }
-        if !sampled {
-            return 0;
-        }
-        targets.iter().map(|s| s.queue.len()).max().unwrap_or(0)
-    }
-
-    /// Subscribe to a topic with default options (bounded queue,
-    /// drop-oldest backpressure); receives entries published from now on.
+    /// Subscribe to a topic: the subscription reads every entry published
+    /// from now on, from its cursor at the topic's last ID.
     pub fn subscribe(&self, topic: &str) -> Subscription {
-        self.subscribe_with(topic, SubscribeOptions::default())
-    }
-
-    /// Subscribe with an explicit queue capacity and backpressure policy.
-    pub fn subscribe_with(&self, topic: &str, opts: SubscribeOptions) -> Subscription {
-        let t = self.topic(topic);
-        let queue = Arc::new(SubQueue::new(opts));
-        let id = SubscriptionId(self.next_sub_id.fetch_add(1, Ordering::Relaxed));
-        t.edit_readers(|r| r.subscribers.push(Subscriber { id, queue: Arc::clone(&queue) }));
-        Subscription { id, topic: t, queue }
+        let park = Arc::new(Park::default());
+        let waker = {
+            let park = Arc::clone(&park);
+            self.wake_on(topic, move || park.wake())
+        };
+        let last = waker.topic.stream.last_id();
+        Subscription {
+            waker,
+            cursor: Mutex::new(Cursor { last, one: Vec::with_capacity(1) }),
+            park,
+        }
     }
 
     /// Call `waker` after every publish to `topic` until the returned handle
     /// is dropped: how a derived reader learns its input moved. Creates the topic.
     pub fn wake_on(&self, topic: &str, waker: impl Fn() + Send + Sync + 'static) -> PublishWaker {
         let t = self.topic(topic);
-        let id = SubscriptionId(self.next_sub_id.fetch_add(1, Ordering::Relaxed));
-        t.edit_readers(|r| r.wakers.push((id, Arc::new(waker))));
-        PublishWaker { id, topic: t }
+        let waker: Waker = Arc::new(waker);
+        t.edit_wakers(|w| w.push(Arc::clone(&waker)));
+        PublishWaker { waker, topic: t }
     }
 
     /// Up to `count` entries of `topic` after `cursor` (see
@@ -899,15 +591,13 @@ impl Broker {
     /// `XINFO`-style statistics for one topic, if it exists.
     pub fn topic_info(&self, topic: &str) -> Option<TopicInfo> {
         let t = self.lookup(topic)?;
-        let subscribers = t.readers.lock().subscribers.len();
+        let readers = t.wakers.lock().len();
         Some(TopicInfo {
             name: topic.to_string(),
             window_len: t.stream.len(),
             archived_len: t.stream.archive().map_or(0, |ring| ring.live_len() as usize),
             published: t.published.load(Ordering::Relaxed),
-            dropped_subscribers: t.dropped.load(Ordering::Relaxed),
-            dropped_entries: t.dropped_entries.load(Ordering::Relaxed),
-            subscribers,
+            readers,
             last_id: t.stream.last_id(),
             memory_bytes: t.stream.approx_memory_bytes(),
             clock_regressions: t.stream.clock_regressions(),
@@ -926,9 +616,9 @@ impl Broker {
 /// A publisher resolved to one topic, created by [`Broker::publisher`]:
 /// the topic's `Arc` plus the broker's shared counters and instruments,
 /// so a publish is the counter `fetch_add`s, the window append and the
-/// fan-out — no name hash, stripe lock or map probe. Records land exactly
+/// wakers — no name hash, stripe lock or map probe. Records land exactly
 /// as a by-name [`Broker::publish`] would put them (same IDs, counters,
-/// instruments and append-then-snapshot delivery order).
+/// instruments and append-then-wake order).
 ///
 /// * **Lazy**: the topic is resolved (and, if absent, created) on the
 ///   first publish, so a vertex that never published has no topic.
@@ -1109,7 +799,7 @@ mod tests {
         // Publishing after drop must not panic and must prune.
         b.publish("t", 1, vec![]);
         let t = b.topic("t");
-        assert_eq!(t.readers.lock().subscribers.len(), 0);
+        assert_eq!(t.wakers.lock().len(), 0);
     }
 
     #[test]
@@ -1147,8 +837,7 @@ mod tests {
         assert_eq!(info.window_len, 4, "bounded window");
         assert_eq!(info.archived_len, 6, "evicted to archive");
         assert_eq!(info.published, 10);
-        assert_eq!(info.subscribers, 1);
-        assert_eq!(info.dropped_entries, 0);
+        assert_eq!(info.readers, 1);
         assert_eq!(info.last_id.unwrap().ms, 9);
         assert!(info.memory_bytes > 0);
         let all = b.info();
@@ -1171,124 +860,11 @@ mod tests {
     }
 
     #[test]
-    fn drop_oldest_keeps_newest_entries() {
-        let b = Broker::default();
-        let sub = b.subscribe_with(
-            "t",
-            SubscribeOptions { capacity: 4, policy: BackpressurePolicy::DropOldest },
-        );
-        for i in 0..10u64 {
-            b.publish("t", i, vec![i as u8]);
-        }
-        let got = sub.drain();
-        assert_eq!(got.len(), 4);
-        let values: Vec<u8> = got.iter().map(|e| e.payload[0]).collect();
-        assert_eq!(values, vec![6, 7, 8, 9], "oldest dropped, newest kept");
-        assert_eq!(sub.dropped_entries(), 6);
-        assert_eq!(b.topic_info("t").unwrap().dropped_entries, 6);
-        assert!(!sub.is_disconnected());
-        // The topic's stream itself lost nothing.
-        assert_eq!(b.topic_len("t"), 10);
-    }
-
-    #[test]
-    fn disconnect_slow_kicks_subscriber_but_keeps_buffer() {
-        let b = Broker::default();
-        let sub = b.subscribe_with(
-            "t",
-            SubscribeOptions { capacity: 2, policy: BackpressurePolicy::DisconnectSlow },
-        );
-        for i in 0..5u64 {
-            b.publish("t", i, vec![i as u8]);
-        }
-        assert!(sub.is_disconnected());
-        // Buffered entries drain; nothing new arrives.
-        let got = sub.drain();
-        assert_eq!(got.len(), 2);
-        assert_eq!(got[0].payload[0], 0);
-        assert!(sub.recv_timeout(Duration::from_millis(10)).is_none());
-        let info = b.topic_info("t").unwrap();
-        assert_eq!(info.subscribers, 0, "publisher pruned the slow subscriber");
-        assert_eq!(info.dropped_subscribers, 1);
-    }
-
-    #[test]
-    fn block_policy_is_lossless_with_live_consumer() {
-        let b = Arc::new(Broker::default());
-        let sub = b.subscribe_with(
-            "t",
-            SubscribeOptions { capacity: 1, policy: BackpressurePolicy::Block },
-        );
-        let b2 = Arc::clone(&b);
-        let publisher = std::thread::spawn(move || {
-            for i in 0..50u64 {
-                b2.publish("t", i, vec![i as u8]);
-            }
-        });
-        let mut got = Vec::new();
-        while got.len() < 50 {
-            if let Some(e) = sub.recv_timeout(Duration::from_secs(5)) {
-                got.push(e);
-            } else {
-                panic!("timed out with {} entries", got.len());
-            }
-        }
-        publisher.join().unwrap();
-        assert!(got.windows(2).all(|w| w[0].id < w[1].id));
-        assert_eq!(sub.dropped_entries(), 0);
-    }
-
-    #[test]
-    fn blocked_subscriber_does_not_stall_concurrent_publish() {
-        // Regression: delivery used to happen while holding the topic's
-        // subscriber list lock, so one subscriber blocked on a full
-        // `Block`-policy queue serialized every other publisher (they
-        // queued on the lock, not on their own entries). A publish must
-        // now reach healthy subscribers even while another publisher is
-        // parked on the slow subscriber's queue.
-        let b = Arc::new(Broker::default());
-        let ok = b.subscribe("t"); // healthy; registered first, delivered first
-        let blocked = b.subscribe_with(
-            "t",
-            SubscribeOptions { capacity: 1, policy: BackpressurePolicy::Block },
-        );
-        b.publish("t", 0, vec![0]); // fills the blocked subscriber's queue
-        assert_eq!(ok.recv_timeout(Duration::from_secs(5)).unwrap().payload[0], 0);
-
-        let b1 = Arc::clone(&b);
-        let p1 = std::thread::spawn(move || b1.publish("t", 1, vec![1]));
-        // p1 delivered to `ok` and is now parked in the blocked queue's
-        // push; once `ok` has entry 1 we know p1 is past the healthy leg.
-        assert_eq!(ok.recv_timeout(Duration::from_secs(5)).unwrap().payload[0], 1);
-
-        let b2 = Arc::clone(&b);
-        let p2 = std::thread::spawn(move || b2.publish("t", 2, vec![2]));
-        // The concurrent publish must reach the healthy subscriber promptly
-        // even though p1 is still blocked (the old code deadlocked here
-        // until the slow subscriber drained).
-        let got = ok
-            .recv_timeout(Duration::from_secs(5))
-            .expect("concurrent publish delayed by an unrelated blocked subscriber");
-        assert_eq!(got.payload[0], 2);
-        assert_eq!(blocked.backlog(), 1, "slow queue still full while others progressed");
-
-        // Unblock the parked publishers and let them finish.
-        drop(blocked); // closes the queue; blocked pushes observe Gone
-        p1.join().unwrap();
-        p2.join().unwrap();
-        assert_eq!(b.topic_len("t"), 3, "the stream itself lost nothing");
-    }
-
-    #[test]
     fn instrumented_broker_exports_topic_metrics() {
         let b = Broker::default();
         b.publish("pre", 0, vec![]); // topic exists before instrumentation
         let reg = apollo_obs::Registry::new();
         b.instrument(&reg);
-        let sub = b.subscribe_with(
-            "pre",
-            SubscribeOptions { capacity: 2, policy: BackpressurePolicy::DropOldest },
-        );
         for i in 1..=5u64 {
             b.publish("pre", i, vec![]);
         }
@@ -1298,22 +874,17 @@ mod tests {
         assert_eq!(snap.counter("streams.topic.pre.published"), 6);
         assert_eq!(snap.counter("streams.published_total"), 6);
         assert_eq!(b.published_total(), 6);
-        assert_eq!(snap.counter("streams.topic.pre.dropped_entries"), 3);
-        assert_eq!(snap.counter("streams.dropped_entries_total"), 3);
-        // Latency/backlog sample 1-in-64 publishes keyed on the topic's
-        // publish sequence; "pre"'s seq 0 predates instrumentation, so
-        // nothing sampled yet — the backlog gauge is registered but unset.
+        // Latency samples 1-in-64 publishes keyed on the topic's publish
+        // sequence; "pre"'s seq 0 predates instrumentation, so nothing
+        // sampled yet.
         assert_eq!(snap.histograms["streams.publish_ns"].count, 0);
-        assert_eq!(snap.gauges["streams.topic.pre.backlog"], 0.0);
         // Topics created after instrumentation are covered too, and their
-        // first publish (seq 0) lands a latency sample + backlog reading.
+        // first publish (seq 0) lands a latency sample.
         b.publish("post", 1, vec![]);
         let snap = reg.snapshot();
         assert_eq!(snap.counter("streams.topic.post.published"), 1);
         assert_eq!(snap.counter("streams.published_total"), 7);
         assert_eq!(snap.histograms["streams.publish_ns"].count, 1);
-        assert_eq!(snap.gauges["streams.topic.post.backlog"], 0.0);
-        drop(sub);
     }
 
     #[test]
@@ -1392,6 +963,7 @@ mod tests {
         // before the reader got to them) is caught up from the archive,
         // not silently skipped past the gap.
         let b = Broker::new(StreamConfig::bounded(2));
+        let sub = b.subscribe("t");
         let first = b.publish("t", 0, vec![0]);
         for i in 1..10u64 {
             b.publish("t", i, vec![i as u8]);
@@ -1399,6 +971,12 @@ mod tests {
         // Window holds the last 2 entries; the 8 older ones are archived.
         let got = b.read_after("t", None, 100);
         assert_eq!(got.len(), 10, "no entry skipped despite eviction");
+        assert_eq!(
+            sub.drain(),
+            got,
+            "an undrained subscription reads the archive, then the window"
+        );
+        assert!(sub.drain().is_empty());
         assert!(got.windows(2).all(|w| w[0].id < w[1].id));
         assert_eq!(got[0].payload[0], 0);
         // Resuming from a saved cursor delivers only what follows it.
@@ -1413,23 +991,40 @@ mod tests {
     fn a_cursor_lapped_by_the_ring_reads_from_its_floor_and_is_counted() {
         // The reader has read nothing while 98 entries were evicted into an
         // 8-slot ring: the 90 oldest are gone. The read starts at the ring's
-        // floor, and the skip is not silent.
-        let path = std::env::temp_dir().join(format!("apollo-lapped-{}.slab", std::process::id()));
-        let cfg = crate::slab::SlabConfig { max_series: 1, slots: 8, ..Default::default() };
-        let store = crate::slab::SlabStore::create(&path, cfg).unwrap();
-        let b = Broker::new(StreamConfig::bounded(2).with_slab(store));
-        let reg = apollo_obs::Registry::new();
-        b.instrument(&reg);
-        let start = b.publish("t", 0, vec![0]);
-        for i in 1..100u64 {
-            b.publish("t", i, vec![i as u8]);
+        // floor, and the skip is not silent — whether the cursor is the
+        // caller's, read by name, or a subscription's.
+        for through_subscription in [false, true] {
+            let path = std::env::temp_dir()
+                .join(format!("apollo-lapped-{}-{through_subscription}.slab", std::process::id()));
+            let cfg = crate::slab::SlabConfig { max_series: 1, slots: 8, ..Default::default() };
+            let store = crate::slab::SlabStore::create(&path, cfg).unwrap();
+            let b = Broker::new(StreamConfig::bounded(2).with_slab(store));
+            let reg = apollo_obs::Registry::new();
+            b.instrument(&reg);
+            let mut cursor = Some(b.publish("t", 0, vec![0]));
+            let sub = b.subscribe("t");
+            for i in 1..100u64 {
+                b.publish("t", i, vec![i as u8]);
+            }
+            let mut read = || {
+                let got = if through_subscription {
+                    sub.drain()
+                } else {
+                    b.read_after("t", cursor, 1_000)
+                };
+                cursor = got.last().map(|e| e.id).or(cursor);
+                got
+            };
+            let got = read();
+            assert_eq!(
+                got.iter().map(|e| e.id.ms).collect::<Vec<_>>(),
+                (90..100).collect::<Vec<_>>()
+            );
+            assert_eq!(reg.snapshot().counter("streams.topic.t.cursor_lapped"), 1);
+            assert!(read().is_empty());
+            assert_eq!(reg.snapshot().counter("streams.topic.t.cursor_lapped"), 1, "caught up");
+            let _ = std::fs::remove_file(&path);
         }
-        let got = b.read_after("t", Some(start), 1_000);
-        assert_eq!(got.iter().map(|e| e.id.ms).collect::<Vec<_>>(), (90..100).collect::<Vec<_>>());
-        assert_eq!(reg.snapshot().counter("streams.topic.t.cursor_lapped"), 1);
-        assert!(b.read_after("t", got.last().map(|e| e.id), 1_000).is_empty());
-        assert_eq!(reg.snapshot().counter("streams.topic.t.cursor_lapped"), 1, "caught up");
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

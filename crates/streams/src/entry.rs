@@ -6,9 +6,9 @@ use bytes::Bytes;
 /// One entry in a stream: an ID plus an opaque payload.
 ///
 /// A 17-byte record frame sits inside its [`Bytes`], so an entry is 40
-/// contiguous bytes in the window and fan-out to many subscribers is a
-/// 40-byte copy — important for the Figure 6 throughput numbers where one
-/// published fact reaches up to 40×32 subscribers.
+/// contiguous bytes in the window and each subscription that reads it
+/// takes a 40-byte copy — important for the Figure 6 throughput numbers
+/// where one published fact reaches up to 40×32 subscribers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Entry {
     /// Unique, monotonically increasing ID (embeds the ms timestamp).

@@ -15,8 +15,9 @@
 //!   timestamp-based indexing the Query Executor relies on.
 //! * **Tail reads** (`XREAD` analogue): blocking and non-blocking reads of
 //!   entries after a cursor. The cursor is the reader's own last
-//!   [`id::StreamId`]; a reader that must survive a crash saves it and
-//!   resumes with [`broker::Broker::read_after`].
+//!   [`id::StreamId`]: a [`broker::Subscription`] keeps it for the reader,
+//!   and a reader that must survive a crash saves it and resumes with
+//!   [`broker::Broker::read_after`].
 //! * **Retention** (`MAXLEN` analogue) with eviction into a slab ring
 //!   ([`slab::SlabSeries`]) — the per-vertex *Archiver* of §3.1 that
 //!   "stores the queue in a log"; evicted entries remain range-readable,
@@ -28,8 +29,10 @@
 //!   streams, one series per stream, whose history survives restarts, or
 //!   by default a private in-memory ring per stream that keeps its newest
 //!   4 096 evictions.
-//! * **Pub-Sub fan-out** ([`broker::Broker`]): subscribers receive new
-//!   entries over bounded queues with explicit [`broker::BackpressurePolicy`].
+//! * **Pub-Sub** ([`broker::Broker`]): a publish appends and wakes the
+//!   topic's readers; a subscription is a cursor over the stream, so the
+//!   broker keeps no per-subscriber copy and a slow subscriber holds no
+//!   memory.
 //! * **Typed telemetry codec** ([`codec`]): the `(timestamp, value,
 //!   provenance)` fact tuple of §3.1 — measured, predicted, or stale
 //!   (last-known-value republished during an outage) — encoded with `bytes`.
@@ -41,9 +44,7 @@ pub mod id;
 pub mod slab;
 pub mod stream;
 
-pub use broker::{
-    BackpressurePolicy, Broker, PublishWaker, Publisher, SubscribeOptions, Subscription, TopicInfo,
-};
+pub use broker::{Broker, PublishWaker, Publisher, Subscription, TopicInfo};
 pub use codec::{Provenance, Record};
 pub use entry::Entry;
 pub use id::StreamId;

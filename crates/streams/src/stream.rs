@@ -538,34 +538,45 @@ impl Stream {
     /// counted in [`Stream::cursor_lapped`].
     pub fn read_after(&self, cursor: Option<StreamId>, count: usize) -> Vec<Entry> {
         let mut out = Vec::new();
-        if count == 0 {
-            return out;
-        }
+        self.read_after_into(cursor, count, &mut out);
+        out
+    }
+
+    /// [`Stream::read_after`] onto the end of `out`, which it grows by at
+    /// most `count`: a read of window rows allocates nothing once `out`
+    /// has the room. A cursor at the stream's last ID reads nothing.
+    pub fn read_after_into(&self, cursor: Option<StreamId>, count: usize, out: &mut Vec<Entry>) {
         let start = match cursor {
             None => StreamId::MIN,
             Some(c) => match c.successor() {
                 Some(s) => s,
-                None => return out,
+                None => return,
             },
         };
         // Hold the window read lock across the archive read: evictions
         // need the write lock, so the stitch is a consistent snapshot.
         let w = self.window.read();
-        if let Some(ring) = self.archive().filter(|r| r.last_id().is_some_and(|a| a >= start)) {
+        if count == 0 || w.last_id.is_none_or(|last| last < start) {
+            return;
+        }
+        let before = out.len();
+        // The ring holds only rows older than the window's first: a cursor
+        // past that reads the window alone.
+        let ring = self.archive().filter(|_| w.entries.front().is_none_or(|e| e.id >= start));
+        if let Some(ring) = ring.filter(|r| r.last_id().is_some_and(|a| a >= start)) {
             // Conservative by at most one read: a cursor on the last row
             // the ring lost skipped nothing.
             if ring.lapped_floor_id().is_some_and(|floor| start < floor) {
                 self.cursor_lapped.fetch_add(1, Ordering::Relaxed);
             }
-            ring.range_limited_into(start, StreamId::MAX, count, &mut out);
+            ring.range_limited_into(start, StreamId::MAX, count, out);
         }
-        let remaining = count - out.len();
+        let remaining = count - (out.len() - before);
         if remaining > 0 {
             let entries = &w.entries;
             let lo = partition_point_deque(entries, |e| e.id < start);
             out.extend(entries.iter().skip(lo).take(remaining).cloned());
         }
-        out
     }
 
     /// The snapshot every scan takes, read on its own under the window

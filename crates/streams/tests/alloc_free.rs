@@ -16,13 +16,15 @@
 //! two — the scratch and the entry `Vec` — since a record's payload is
 //! copied into its entry in place, from slot and window alike. The walk
 //! finds the ring's rows and the window's before it lands either, so each
-//! column or `Vec` is sized once for both.
+//! column or `Vec` is sized once for both. A subscription takes a window
+//! entry, or waits for one, without allocating.
 //!
 //! This file deliberately holds a single `#[test]`: the count is
 //! process-wide, so a second concurrently-running test would pollute it.
 
 use apollo_alloc_count::allocs_during;
-use apollo_streams::{Record, SlabConfig, SlabStore, Stream, StreamConfig, StreamId};
+use apollo_streams::{Broker, Record, SlabConfig, SlabStore, Stream, StreamConfig, StreamId};
+use std::time::Duration;
 
 #[test]
 fn warm_slab_records_allocate_nothing() {
@@ -108,6 +110,29 @@ fn warm_slab_records_allocate_nothing() {
     // The slot scratch and the `Vec`, sized once for the ring and window
     // rows together: no block per row, archived or not.
     assert_eq!(n, 2, "range allocated {n} blocks for {} rows", entries.len());
+
+    // --- A subscription's reads ---------------------------------------------
+    // A subscription is a cursor over the stream: taking a window entry
+    // copies it into the one slot the subscription keeps, and waiting for
+    // one parks on a condvar. Neither allocates.
+    let broker = Broker::new(StreamConfig::bounded(8));
+    let sub = broker.subscribe("t");
+    for ms in 0..16 {
+        broker.publish("t", ms, payload.clone());
+    }
+    assert_eq!(sub.drain().len(), 16, "the window at its bound, the ring built");
+    broker.publish("t", 16, payload.clone());
+    let n = allocs_during(|| {
+        assert!(sub.try_recv().is_some());
+        assert!(sub.try_recv().is_none());
+    });
+    assert_eq!(n, 0, "try_recv allocated {n} times");
+    broker.publish("t", 17, payload.clone());
+    let n = allocs_during(|| {
+        assert!(sub.recv_timeout(Duration::from_secs(1)).is_some());
+        assert!(sub.recv_timeout(Duration::from_millis(1)).is_none(), "parked, timed out");
+    });
+    assert_eq!(n, 0, "recv_timeout allocated {n} times");
 
     let _ = std::fs::remove_file(&path);
 }

@@ -4,7 +4,7 @@
 //! before a publish began receives that publish.
 
 use apollo_obs::Registry;
-use apollo_streams::{Broker, Publisher, StreamConfig, StreamId, SubscribeOptions, Subscription};
+use apollo_streams::{Broker, Publisher, StreamConfig, StreamId, Subscription};
 use bytes::Bytes;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -100,7 +100,7 @@ fn publishing_through_a_handle_after_remove_topic_recreates_it_as_a_by_name_publ
     assert_eq!(by_handle.subscriber_saw, by_handle.ids[4..]);
     assert_eq!((by_handle.published_total, by_handle.published_total_metric), (6, 6));
     let info = by_handle.info.expect("the topic exists again");
-    assert_eq!((info.window_len, info.published, info.subscribers), (2, 2, 1));
+    assert_eq!((info.window_len, info.published, info.readers), (2, 2, 1));
     assert!(by_handle.publish_ns_samples >= 2, "both topics' first publishes were sampled");
 }
 
@@ -125,7 +125,7 @@ fn every_returned_subscribe_sees_every_later_publish(
     const STRIDE: u64 = 64;
     /// Far more than `ROUNDS * STRIDE`: reached only if the subscribing
     /// thread is starved, and then the run fails rather than hangs.
-    const MOST: u64 = RESIDENT_CAPACITY as u64;
+    const MOST: u64 = RESIDENT_WINDOW as u64;
     let began = AtomicU64::new(0);
     let rounds = AtomicU64::new(0);
     std::thread::scope(|s| {
@@ -171,8 +171,9 @@ fn every_returned_subscribe_sees_every_later_publish(
     }
 }
 
-/// Queue capacity of the resident subscriber: it must never drop.
-const RESIDENT_CAPACITY: usize = 1_000_000;
+/// The default window: retention never laps the resident subscriber's
+/// cursor within this many publishes.
+const RESIDENT_WINDOW: usize = 65_536;
 
 #[test]
 fn a_subscribe_that_returned_sees_every_later_publish() {
@@ -195,10 +196,7 @@ fn a_subscribe_that_returned_sees_every_later_publish() {
         for with_resident in [false, true] {
             let broker = Arc::new(Broker::new(StreamConfig::default()));
             let publisher = broker.publisher("t");
-            let resident = with_resident.then(|| {
-                let opts = SubscribeOptions { capacity: RESIDENT_CAPACITY, ..Default::default() };
-                broker.subscribe_with("t", opts)
-            });
+            let resident = with_resident.then(|| broker.subscribe("t"));
             eprintln!("{path}, resident subscriber: {with_resident}");
             every_returned_subscribe_sees_every_later_publish(
                 &broker,

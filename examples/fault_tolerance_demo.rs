@@ -1,5 +1,6 @@
 //! Fault-tolerance walkthrough: a monitor hook that errors, hangs, and
-//! recovers, with its outage bridged by stale records; a slow subscriber.
+//! recovers, with its outage bridged by stale records; a slow subscriber
+//! catching up from the stream.
 //!
 //! Run with:
 //! ```bash
@@ -13,7 +14,7 @@ use apollo_cluster::fault::{FaultKind, FaultPlan, FaultWindow, FlakySource};
 use apollo_cluster::metrics::ConstSource;
 use apollo_core::health::SupervisorConfig;
 use apollo_core::service::{Apollo, FactVertexSpec};
-use apollo_streams::{BackpressurePolicy, Provenance, SubscribeOptions};
+use apollo_streams::Provenance;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -89,19 +90,16 @@ fn main() {
         count(Provenance::Stale)
     );
 
-    println!("\n== slow subscriber under DropOldest backpressure ==");
-    let sub = broker.subscribe_with(
-        "store/steady",
-        SubscribeOptions { capacity: 4, policy: BackpressurePolicy::DropOldest },
-    );
+    println!("\n== a slow subscriber catches up from the stream ==");
+    let sub = broker.subscribe("store/steady");
     for i in 0..10u64 {
         broker.publish("store/steady", 100 + i, vec![i as u8]);
     }
-    let kept: Vec<u8> = sub.drain().iter().map(|e| e.payload[0]).collect();
+    let taken: Vec<u8> = sub.drain().iter().map(|e| e.payload[0]).collect();
     println!(
-        "  published 10 into a capacity-4 queue: kept {:?}, dropped {} (stream itself lossless: {} entries)",
-        kept,
-        sub.dropped_entries(),
+        "  published 10 while it read nothing: one drain takes {:?} from its cursor \
+         (the stream holds {} entries, no copy for the reader)",
+        taken,
         broker.topic_len("store/steady"),
     );
 }
