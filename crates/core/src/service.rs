@@ -243,6 +243,22 @@ impl QueryPath {
     }
 }
 
+/// The schedule name of the slab lifecycle step ([`Apollo::attach_slab`]).
+const LIFECYCLE_STEP: &str = "streams.slab.lifecycle";
+/// The schedule names of the prediction pumps are this plus their number
+/// ([`Apollo::prediction_pump`]).
+const PUMP_STEP: &str = "delphi.pump.";
+
+/// A vertex may not take a service step's name, whichever registers
+/// first: the two would share one schedule entry, and the later would
+/// cancel the earlier.
+fn check_vertex_name(name: &str) -> Result<(), GraphError> {
+    if name == LIFECYCLE_STEP || name.starts_with(PUMP_STEP) {
+        return Err(GraphError::Duplicate(name.to_string()));
+    }
+    Ok(())
+}
+
 /// One step on the service loop (see [`Apollo::schedule`]).
 struct Scheduled {
     /// The step's timer, cancelled when the step is unregistered or
@@ -333,7 +349,8 @@ impl Apollo {
     /// its [`TimerControl`]), or, parked, on a publish to a `wakes_on` topic.
     ///
     /// A step already scheduled under `name` is cancelled, so a name never
-    /// has two timers.
+    /// has two timers. Vertices and service steps never share a name
+    /// ([`check_vertex_name`]), so only a step of the same kind is replaced.
     fn schedule(
         &mut self,
         name: &str,
@@ -404,7 +421,7 @@ impl Apollo {
         let dirty = self.registry.gauge("streams.slab.dirty_records");
         let lapped = self.registry.gauge("streams.slab.lapped_entries");
         self.slab = Some(Arc::clone(&store));
-        self.schedule("streams.slab.lifecycle", &[], every, move |_ctl, now_ns| {
+        self.schedule(LIFECYCLE_STEP, &[], every, move |_ctl, now_ns| {
             folded.add(store.consolidate().folded);
             let t0 = std::time::Instant::now();
             match store.flush() {
@@ -454,7 +471,7 @@ impl Apollo {
     /// any rows that fall off it count on `delphi.batch_tail_scalar`
     /// (held at 0 by the padding).
     pub fn prediction_pump(&mut self, model: Delphi, every: Duration) -> PredictionPump {
-        let name = format!("delphi.pump.{}", self.pumps.len());
+        let name = format!("{PUMP_STEP}{}", self.pumps.len());
         let pump = PredictionPump::new(model, every);
         pump.shared.instrument(&self.registry);
         let shared = Arc::clone(&pump.shared);
@@ -491,8 +508,11 @@ impl Apollo {
         self.el.clock().now()
     }
 
-    /// Register a fact vertex; returns its handle.
+    /// Register a fact vertex; returns its handle. A name held by a vertex
+    /// or a service step (`streams.slab.lifecycle`, `delphi.pump.N`) is
+    /// [`GraphError::Duplicate`].
     pub fn register_fact(&mut self, spec: FactVertexSpec) -> Result<Arc<FactVertex>, GraphError> {
+        check_vertex_name(&spec.name)?;
         self.graph.add_fact(&spec.name)?;
         let initial = spec.controller.current_interval();
         let mut supervision = spec.supervision.unwrap_or_default();
@@ -562,11 +582,13 @@ impl Apollo {
         Ok(())
     }
 
-    /// Register an insight vertex; returns its handle.
+    /// Register an insight vertex; returns its handle. Names are checked
+    /// as [`Apollo::register_fact`] checks them.
     pub fn register_insight(
         &mut self,
         spec: InsightVertexSpec,
     ) -> Result<Arc<InsightVertex>, GraphError> {
+        check_vertex_name(&spec.name)?;
         self.graph.add_insight(&spec.name, &spec.inputs)?;
         let inputs = spec.inputs.clone();
         let vertex = Arc::new(InsightVertex::with_link_delay(
@@ -604,8 +626,9 @@ impl Apollo {
     /// `query.planner.incremental`).
     ///
     /// Fails on parse errors, on JOIN arms (their admitted set can shrink
-    /// under eviction, which no append-only fold can track), and on input
-    /// topics that are not registered vertices.
+    /// under eviction, which no append-only fold can track), on input
+    /// topics that are not registered vertices, and on a name
+    /// [`Apollo::register_fact`] would refuse.
     pub fn register_continuous(
         &mut self,
         name: impl Into<String>,
@@ -620,7 +643,9 @@ impl Apollo {
             (0..cq.arm_count()).map(|i| cq.table(i).to_string()).collect();
         inputs.sort_unstable();
         inputs.dedup();
-        self.graph.add_insight(&name, &inputs).map_err(ContinuousRegisterError::Graph)?;
+        check_vertex_name(&name)
+            .and_then(|()| self.graph.add_insight(&name, &inputs))
+            .map_err(ContinuousRegisterError::Graph)?;
         let vertex =
             Arc::new(ContinuousVertex::seed(name.clone(), cq, self.broker(), &self.registry));
         let fold_ns = self.registry.histogram("query.continuous.fold_ns");
@@ -1489,6 +1514,62 @@ mod tests {
         for store in [first, second] {
             let _ = std::fs::remove_file(store.path());
         }
+    }
+
+    /// Registers a fact, an insight and a standing query under each
+    /// service step name and expects every one refused.
+    fn assert_step_names_refused(apollo: &mut Apollo) {
+        let every = Duration::from_secs(1);
+        for name in ["streams.slab.lifecycle", "delphi.pump.0"] {
+            let fact = FactVertexSpec::fixed(name, Arc::new(ConstSource::new(name, 1.0)), every);
+            let err = apollo.register_fact(fact).map(|_| ()).unwrap_err();
+            assert_eq!(err, GraphError::Duplicate(name.into()));
+            let insight = InsightVertexSpec::sum_of(name, vec!["a".into()], every);
+            let err = apollo.register_insight(insight).map(|_| ()).unwrap_err();
+            assert_eq!(err, GraphError::Duplicate(name.into()));
+            let err = apollo.register_continuous(name, "SELECT AVG(metric) FROM a", every);
+            assert!(matches!(err, Err(ContinuousRegisterError::Graph(GraphError::Duplicate(_)))));
+            assert_eq!(apollo.unregister(name), Err(GraphError::UnknownVertex(name.into())));
+        }
+    }
+
+    #[test]
+    fn a_vertex_named_like_a_running_service_step_is_refused() {
+        let store = temp_store("step-name-after", apollo_streams::SlabConfig::default());
+        let mut apollo = Apollo::new_virtual();
+        let every = Duration::from_secs(1);
+        apollo
+            .register_fact(FactVertexSpec::fixed("a", Arc::new(ConstSource::new("a", 1.0)), every))
+            .unwrap();
+        apollo.attach_slab(Arc::clone(&store), every);
+        apollo.prediction_pump(tiny_delphi(), every);
+        assert_step_names_refused(&mut apollo);
+
+        // The lifecycle and the pump still run: nothing cancelled them.
+        apollo.run_for(Duration::from_secs(3));
+        assert_eq!(apollo.el.timer_count(), 3, "fact a, the lifecycle and the pump");
+        assert_eq!(apollo.metrics_snapshot().counter("streams.slab.flushes"), 3);
+        let _ = std::fs::remove_file(store.path());
+    }
+
+    #[test]
+    fn a_vertex_named_like_a_service_step_is_refused_before_the_step_exists() {
+        let store = temp_store("step-name-before", apollo_streams::SlabConfig::default());
+        let mut apollo = Apollo::new_virtual();
+        let every = Duration::from_secs(1);
+        apollo
+            .register_fact(FactVertexSpec::fixed("a", Arc::new(ConstSource::new("a", 1.0)), every))
+            .unwrap();
+        assert_step_names_refused(&mut apollo);
+
+        // So the steps, started now, cancel no vertex.
+        apollo.attach_slab(Arc::clone(&store), every);
+        apollo.prediction_pump(tiny_delphi(), every);
+        apollo.run_for(Duration::from_secs(3));
+        assert_eq!(apollo.el.timer_count(), 3, "fact a, the lifecycle and the pump");
+        assert_eq!(apollo.metrics_snapshot().counter("streams.slab.flushes"), 3);
+        assert_eq!(apollo.query("SELECT COUNT(*) FROM a").unwrap().rows[0].value, 1.0);
+        let _ = std::fs::remove_file(store.path());
     }
 
     #[test]

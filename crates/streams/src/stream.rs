@@ -421,16 +421,25 @@ impl Stream {
         Ok(id)
     }
 
+    /// Evicts before it pushes, so a bounded window's buffer never holds
+    /// more than `max_len` entries and keeps the capacity of its bound.
     fn push_locked(&self, w: &mut Window, entry: Entry) {
         w.last_id = Some(entry.id);
-        w.entries.push_back(entry);
-        let Some(max) = self.config.max_len else { return };
-        while w.entries.len() > max {
+        let Some(max) = self.config.max_len else { return w.entries.push_back(entry) };
+        if max == 0 {
+            // No window: the entry is its own eviction.
+            if self.config.archive_evicted {
+                self.spill(&entry);
+            }
+            return;
+        }
+        while w.entries.len() >= max {
             let Some(evicted) = w.entries.pop_front() else { break };
             if self.config.archive_evicted {
                 self.spill(&evicted);
             }
         }
+        w.entries.push_back(entry);
     }
 
     /// The one eviction site: record `evicted` in the archive ring (a
@@ -802,6 +811,29 @@ mod tests {
         assert_eq!(s.len(), 5);
         assert!(s.archive().is_none());
         assert_eq!(s.total_len(), 5);
+    }
+
+    #[test]
+    fn a_bounded_window_keeps_the_capacity_of_its_bound() {
+        let s = Stream::new("t", StreamConfig::bounded(256));
+        for i in 0..1_000u64 {
+            s.append(i, vec![i as u8]);
+        }
+        let (len, capacity) = {
+            let w = s.window.read();
+            (w.entries.len(), w.entries.capacity())
+        };
+        assert_eq!((len, capacity), (256, 256), "evicting after the push doubles the buffer");
+        assert_eq!(s.archive().unwrap().live_len(), 744);
+
+        // A zero bound keeps no window and archives every entry.
+        let s = Stream::new("t", StreamConfig::bounded(0));
+        let ids: Vec<StreamId> = (0..100u64).map(|i| s.append(i, vec![i as u8])).collect();
+        assert!(s.is_empty());
+        assert_eq!(s.last_id(), ids.last().copied());
+        let all = s.range(StreamId::new(0, 0), StreamId::new(u64::MAX, u64::MAX));
+        assert_eq!(all.iter().map(|e| e.id).collect::<Vec<_>>(), ids);
+        assert!(all.iter().enumerate().all(|(i, e)| e.payload[..] == [i as u8]));
     }
 
     #[test]

@@ -116,6 +116,13 @@ fn sequence_number(payload: &[u8]) -> u64 {
 /// hold, gap-free and in order, every sequence number from the first
 /// publish that had not begun when its `subscribe()` returned up to the
 /// last one known to have completed.
+///
+/// The publisher is paced: it begins publish `k` only while `k` is less
+/// than two strides past the current round's first due publish. A round
+/// needs one stride, so the publisher never waits on a round that waits
+/// on it, and it stays under `2 * STRIDE * (ROUNDS + 1)` publishes however
+/// the two threads are scheduled: it can neither run out of its bound nor
+/// lap the resident subscriber's cursor.
 fn every_returned_subscribe_sees_every_later_publish(
     broker: &Arc<Broker>,
     resident: Option<&Subscription>,
@@ -123,14 +130,29 @@ fn every_returned_subscribe_sees_every_later_publish(
 ) {
     const ROUNDS: u64 = 200;
     const STRIDE: u64 = 64;
-    /// Far more than `ROUNDS * STRIDE`: reached only if the subscribing
-    /// thread is starved, and then the run fails rather than hangs.
+    /// Far more than the paced publisher reaches: reached only if the
+    /// subscribing thread stopped pacing it (it panicked), and then the
+    /// publisher stops rather than spins.
     const MOST: u64 = RESIDENT_WINDOW as u64;
     let began = AtomicU64::new(0);
     let rounds = AtomicU64::new(0);
+    // The publisher begins publish `k` only while `k < allowed`.
+    let allowed = AtomicU64::new(2 * STRIDE);
+    /// Lifts the pacing when the subscribing thread leaves, on a failed
+    /// assertion too, so the scope never waits on a paced publisher.
+    struct Unpace<'a>(&'a AtomicU64);
+    impl Drop for Unpace<'_> {
+        fn drop(&mut self) {
+            self.0.store(u64::MAX, Ordering::SeqCst);
+        }
+    }
     std::thread::scope(|s| {
         s.spawn(|| {
             for k in 0..MOST {
+                while k >= allowed.load(Ordering::SeqCst) && rounds.load(Ordering::SeqCst) < ROUNDS
+                {
+                    std::thread::yield_now();
+                }
                 if rounds.load(Ordering::SeqCst) >= ROUNDS {
                     break;
                 }
@@ -142,14 +164,16 @@ fn every_returned_subscribe_sees_every_later_publish(
             // Release a subscriber still waiting for the next stride.
             began.store(u64::MAX, Ordering::SeqCst);
         });
+        let _unpace = Unpace(&allowed);
         for round in 0..ROUNDS {
             let sub = broker.subscribe("t");
             let first_due = began.load(Ordering::SeqCst);
+            allowed.store(first_due.saturating_add(2 * STRIDE), Ordering::SeqCst);
             // Let the publisher run on. It announces `k + 1` only after
             // publish `k - 1` returned, so once `upto` is read everything
             // up to `upto - 2` has been delivered.
             let mut upto = first_due;
-            while upto < first_due + STRIDE {
+            while upto < first_due.saturating_add(STRIDE) {
                 std::thread::yield_now();
                 upto = began.load(Ordering::SeqCst);
             }
