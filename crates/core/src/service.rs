@@ -1194,6 +1194,34 @@ mod tests {
     }
 
     #[test]
+    fn whole_history_aggregates_resume_their_saved_fold() {
+        const AVG: &str = "SELECT AVG(metric) FROM cap";
+        let mut apollo = Apollo::new_virtual();
+        apollo
+            .register_fact(FactVertexSpec::fixed(
+                "cap",
+                Arc::new(ConstSource::new("c", 5.0)),
+                Duration::from_secs(1),
+            ))
+            .unwrap();
+        apollo.run_for(Duration::from_secs(5));
+        apollo.query(AVG).unwrap();
+        // The first fold is saved, not resumed; each later one folds only
+        // the rows published since onto it, and answers what a rescan does.
+        for (i, v) in [11.0, -3.5, 0.25].into_iter().enumerate() {
+            let ms = 7_000 + i as u64;
+            let r = apollo_streams::Record::measured(ms * 1_000_000, v);
+            apollo.broker().publish("cap", ms, r.encode());
+            let rescan = QueryEngine::new(apollo.broker().as_ref()).execute_sql(AVG).unwrap();
+            assert_eq!(apollo.query(AVG).unwrap(), rescan);
+        }
+        assert_eq!(apollo.scan_cache().fold_resumed(), 3);
+        let snap = apollo.metrics_snapshot();
+        assert_eq!(snap.counter("query.scan_cache.fold_resumed"), 3);
+        assert_eq!(snap.counter("query.scan_cache.hits"), 3);
+    }
+
+    #[test]
     fn latest_query_skips_a_corrupt_newest_payload() {
         let apollo = Apollo::new_virtual();
         let broker = apollo.broker();

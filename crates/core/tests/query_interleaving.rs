@@ -19,6 +19,11 @@
 //! batch that the other readers' lookups keep extending, so each answer
 //! must still be a run of consecutive numbers ending at its own `k`, and
 //! the run must end with cache hits to show.
+//!
+//! The fourth reader asks full-span aggregates the standing query does
+//! not serve, which the tail answers by resuming the fold it saved for
+//! each: folded on over whatever rows the other readers' lookups landed
+//! since, each must still be the exact fold of its own prefix `1..=k`.
 
 use apollo_cluster::metrics::{MetricError, MetricSource};
 use apollo_core::service::{Apollo, ApolloHandle, FactVertexSpec};
@@ -125,6 +130,30 @@ fn tail_reader(handle: &ApolloHandle, until: Instant) -> u64 {
     checked
 }
 
+/// Full-span `SUM(metric) INCLUDE STALE`, `MAX(metric)` and `COUNT(*)`,
+/// each resumed from the tail's saved fold of its kind: exactly
+/// `k(k+1)/2`, `k` and `k` for its own `k`. Returns how many were checked.
+fn resumed_reader(handle: &ApolloHandle, until: Instant) -> u64 {
+    let (mut last_k, mut checked) = (0u64, 0u64);
+    while Instant::now() < until {
+        for (sql, summed) in [
+            ("SELECT SUM(metric) FROM seq INCLUDE STALE", true),
+            ("SELECT MAX(metric) FROM seq", false),
+            ("SELECT COUNT(*) FROM seq", false),
+        ] {
+            let Ok(out) = handle.query(sql) else { continue }; // before the first sample
+            let row = &out.rows[0];
+            let k = row.counts.expect("aggregate rows carry counts").measured;
+            let want = if summed { k * (k + 1) / 2 } else { k };
+            assert_eq!(row.value, want as f64, "{sql} over {k} records");
+            assert!(k >= last_k, "{sql}: the topic went backwards: {k} after {last_k}");
+            last_k = k;
+            checked += 1;
+        }
+    }
+    checked
+}
+
 #[test]
 fn readers_interleave_with_pump_and_eviction() {
     let mut apollo = Apollo::with_config(EventLoop::new_real(), StreamConfig::bounded(WINDOW));
@@ -139,17 +168,20 @@ fn readers_interleave_with_pump_and_eviction() {
     let handle = apollo.spawn();
 
     let until = Instant::now() + RUN;
-    let (standing, sliding, tail) = std::thread::scope(|s| {
+    let (standing, sliding, tail, resumed) = std::thread::scope(|s| {
         let a = s.spawn(|| standing_reader(&handle, until));
         let b = s.spawn(|| sliding_reader(&handle, until));
         let c = s.spawn(|| tail_reader(&handle, until));
+        let d = s.spawn(|| resumed_reader(&handle, until));
         (
             a.join().expect("standing reader"),
             b.join().expect("sliding reader"),
             c.join().expect("tail reader"),
+            d.join().expect("resumed-fold reader"),
         )
     });
-    assert!(standing > 0 && sliding > 0 && tail > 0, "starved: {standing} / {sliding} / {tail}");
+    let counts = [standing, sliding, tail, resumed];
+    assert!(counts.iter().all(|&n| n > 0), "starved: {counts:?}");
 
     let apollo = handle.stop();
     let broker = apollo.broker();
@@ -173,6 +205,7 @@ fn readers_interleave_with_pump_and_eviction() {
     let cache = apollo.scan_cache();
     assert!(cache.hits() > cache.misses(), "{} hits, {} misses", cache.hits(), cache.misses());
     assert_eq!(cache.invalidations(), 0, "nothing is lost here: no tail is ever rebuilt for it");
+    assert!(cache.fold_resumed() > 0, "no full-span aggregate resumed a saved fold");
     // Two arms over the one topic, one after the other in one query, with
     // a publish before each query: the first arm extends the tail and the
     // second is served the same rows from it.

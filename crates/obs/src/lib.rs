@@ -32,7 +32,10 @@
 //! cache's per-topic tails (a hit is a window served from a tail,
 //! extended first by whatever was appended; a miss scanned and kept one;
 //! an invalidation is a tail re-scanned because the stream lost its head
-//! part-way through a millisecond or was re-created); the access path
+//! part-way through a millisecond or was re-created), and
+//! `query.scan_cache.fold_resumed` the whole-tail aggregates answered by
+//! folding only the rows appended since their tail's saved fold; the
+//! access path
 //! each range lookup took is tallied as
 //! `query.planner.{cached_scan,fresh_batch}` (a fresh batch is a closed
 //! window older than the tail, scanned alone and not kept) plus

@@ -12,7 +12,9 @@
 //! value and provenance columns. Every arm is answered from it: `SELECT
 //! metric` builds its rows from the slice, a ranged `Latest` takes its last
 //! row, a join reads its partner's timestamp column, and scan aggregates
-//! fold it in `vector::run_scan_columns`. The in-tree providers are the
+//! fold it in `vector::run_scan_columns` ([`TableProvider::fold`]: a cached
+//! tail resumes a whole-tail aggregate from its saved fold, through the
+//! same kernel). The in-tree providers are the
 //! pub-sub [`Broker`], whose scans transparently cover the live queue and
 //! the archived log ("the queue (or the persisted log for evicted entries)
 //! using timestamp-based indexing"), and the [`CachedBroker`] over it.
@@ -188,6 +190,20 @@ pub trait TableProvider {
     /// stream order, as columns: the one read every arm is answered from.
     fn columns(&self, table: &str, start_ms: u64, end_ms: u64) -> ColumnSlice;
 
+    /// `select`'s scan aggregate over its window `[start_ms, end_ms]`, its
+    /// join partner (if any) indexed in `join`. The default folds
+    /// [`TableProvider::columns`]; a provider that keeps a window's rows
+    /// may keep their fold as well, and resume it.
+    fn fold(
+        &self,
+        select: &Select,
+        start_ms: u64,
+        end_ms: u64,
+        join: Option<&mut JoinIndex>,
+    ) -> Result<Vec<Row>, ExecError> {
+        vector::run_scan_columns(select, &self.columns(&select.table, start_ms, end_ms), join)
+    }
+
     /// The same window as records, collected from
     /// [`TableProvider::columns`] into a fresh `Vec`. No query path calls
     /// it.
@@ -212,7 +228,7 @@ impl TableProvider for Broker {
 const MAX_CACHED_SCANS: usize = 256;
 
 /// One topic's cached scan: the decoded rows from `first` to the topic's
-/// `last_id` as of the last lookup.
+/// `last_id` as of the last lookup, and the folds kept over them.
 struct Tail {
     /// Every row the stream retains with `first <= id <= cols.last_id`.
     cols: Arc<ColumnBatch>,
@@ -222,13 +238,27 @@ struct Tail {
     /// The widest span (ms) any lookup has asked of the tail, back from
     /// the topic's newest row at the time.
     reach: u64,
+    /// One saved fold per resumable aggregate and stale policy asked (see
+    /// [`Tail::resume`]): the [`ScanState`] after the tail's rows
+    /// `0..total_in_window`. Row 0 moves only when the front is trimmed,
+    /// which clears them; a rebuilt tail starts without.
+    folds: Vec<(Aggregate, bool, ScanState)>,
 }
 
 impl Tail {
     /// A scan from `lo` that ran to its topic's end, as the topic's tail.
     fn new(cols: Arc<ColumnBatch>, lo: StreamId) -> Option<Self> {
         let (first, last) = (cols.first_id?, cols.last_id?);
-        Some(Self { cols, first: lo.max(first), reach: last.ms.saturating_sub(lo.ms) })
+        let reach = last.ms.saturating_sub(lo.ms);
+        Some(Self { cols, first: lo.max(first), reach, folds: Vec::new() })
+    }
+
+    /// Let go of the rows below `first`'s millisecond, and of every fold
+    /// that covers them.
+    fn trim(&mut self, first: StreamId) {
+        Arc::make_mut(&mut self.cols).trim_before(first.ms);
+        self.first = first;
+        self.folds.clear();
     }
 
     /// Note the span a lookup from `lo` asks for, and let go of the rows
@@ -241,9 +271,39 @@ impl Tail {
         let cut = StreamId::new(last.ms - self.reach.min(last.ms), 0);
         let dead = || self.cols.ids_ms.partition_point(|&ms| ms < cut.ms);
         if cut > self.first && dead() * 2 > self.cols.len() {
-            Arc::make_mut(&mut self.cols).trim_before(cut.ms);
-            self.first = cut;
+            self.trim(cut);
         }
+    }
+
+    /// `select`'s aggregate over the tail's `rows`, folded on from the
+    /// saved fold of the rows before them, which it then replaces; and
+    /// whether there was one. `None`, with nothing saved, unless the arm is
+    /// [`vector::resumable`] and `rows` start at the tail's first row and
+    /// end at or past where its saved fold does. The sum is continued in
+    /// stream order and the lanes from the saved extreme, so the answer is
+    /// the front-to-back fold of `rows`, bit for bit.
+    fn resume(
+        &mut self,
+        select: &Select,
+        rows: Range<usize>,
+    ) -> Option<(Result<Vec<Row>, ExecError>, bool)> {
+        if !vector::resumable(select) || rows.start != 0 {
+            return None;
+        }
+        let key = (select.aggregate, select.include_stale);
+        let at = self.folds.iter().position(|(agg, stale, _)| (*agg, *stale) == key);
+        let saved = at.map_or(0, |i| self.folds[i].2.total_in_window as usize);
+        if rows.end < saved {
+            return None;
+        }
+        let i = at.unwrap_or_else(|| {
+            self.folds.push((key.0, key.1, ScanState::new(select)));
+            self.folds.len() - 1
+        });
+        let rest = ColumnSlice { batch: Arc::clone(&self.cols), rows: saved..rows.end };
+        let st = &mut self.folds[i].2;
+        vector::fold_columns(select, st, &rest, None);
+        Some((st.finalize(select), at.is_some()))
     }
 }
 
@@ -271,6 +331,18 @@ impl Tail {
 /// publish path; a reader still folding the batch keeps it unchanged. The
 /// cache lives on the service, shared by every query on every thread.
 ///
+/// A tail also keeps the **fold** of each whole-tail aggregate asked of it
+/// — `COUNT`, `SUM`, `AVG`, `MAX` or `MIN`, with or without `INCLUDE
+/// STALE`, no value predicate, join or bucket — as the `ScanState` after
+/// its first rows. An arm whose window starts at the tail's first row and
+/// ends at or past the saved state's folds only the rows after it, then
+/// saves the state it reached (`query.scan_cache.fold_resumed` counts
+/// these). The sum goes on in stream order and the lanes start from the
+/// saved extreme, so the answer is the front-to-back fold, bit for bit.
+/// Any trim of the tail's front clears its folds and a rebuild starts
+/// without; a fold is read and advanced only under the topic's lock,
+/// together with the rows it covers. Every other arm folds its slice.
+///
 /// A window is served by one of three access paths, in increasing
 /// freshness cost, each counted under `query.planner.*`:
 ///
@@ -294,6 +366,7 @@ pub struct ScanCache {
     hits: Arc<AtomicU64>,
     misses: Arc<AtomicU64>,
     invalidations: Arc<AtomicU64>,
+    fold_resumed: Arc<AtomicU64>,
     planner_cached: Arc<AtomicU64>,
     planner_fresh: Arc<AtomicU64>,
 }
@@ -304,10 +377,12 @@ impl ScanCache {
         Self::default()
     }
 
-    /// Export the hit/miss/invalidation counters into `registry` as
-    /// `query.scan_cache.{hits,misses,invalidations}` and the access-path
-    /// tallies as `query.planner.{cached_scan,fresh_batch}`, backed by the
-    /// cells the lookup path already increments (zero added cost).
+    /// Export the hit/miss/invalidation and resumed-fold counters into
+    /// `registry` as
+    /// `query.scan_cache.{hits,misses,invalidations,fold_resumed}` and the
+    /// access-path tallies as `query.planner.{cached_scan,fresh_batch}`,
+    /// backed by the cells the lookup path already increments (zero added
+    /// cost).
     pub fn instrument(&self, registry: &apollo_obs::Registry) {
         if !registry.enabled() {
             return;
@@ -316,6 +391,8 @@ impl ScanCache {
         let _ = registry.counter_backed_by("query.scan_cache.misses", Arc::clone(&self.misses));
         let _ = registry
             .counter_backed_by("query.scan_cache.invalidations", Arc::clone(&self.invalidations));
+        let _ = registry
+            .counter_backed_by("query.scan_cache.fold_resumed", Arc::clone(&self.fold_resumed));
         let _ = registry
             .counter_backed_by("query.planner.cached_scan", Arc::clone(&self.planner_cached));
         let _ = registry
@@ -337,6 +414,12 @@ impl ScanCache {
     /// a millisecond, or is no longer the stream they were scanned from.
     pub fn invalidations(&self) -> u64 {
         self.invalidations.load(Ordering::Relaxed)
+    }
+
+    /// Scan aggregates answered from a tail's saved fold, folding only
+    /// the rows appended since it was saved.
+    pub fn fold_resumed(&self) -> u64 {
+        self.fold_resumed.load(Ordering::Relaxed)
     }
 
     /// Lookups scanned on their own with nothing kept (the `fresh_batch`
@@ -368,7 +451,8 @@ impl ScanCache {
 /// `latest` passes straight through (an O(1) tail-read is cheaper than
 /// any cache probe); `columns` serves a window as a slice of the topic's
 /// cached tail, extended first by whatever was appended since the
-/// last lookup, and scan only what no tail covers (see [`ScanCache`]). A
+/// last lookup, and scan only what no tail covers (see [`ScanCache`]);
+/// `fold` resumes a whole-tail aggregate from the tail's saved fold. A
 /// repeat lookup of an unchanged topic allocates nothing.
 pub struct CachedBroker<'a> {
     broker: &'a Broker,
@@ -394,8 +478,7 @@ impl<'a> CachedBroker<'a> {
             // Rows are kept to the millisecond: which of them a loss took
             // is only known when it ends where a millisecond does.
             Some(first) if first.seq == 0 => {
-                Arc::make_mut(&mut tail.cols).trim_before(first.ms);
-                tail.first = first;
+                tail.trim(first);
                 Some(first)
             }
             _ => None,
@@ -417,6 +500,46 @@ impl<'a> CachedBroker<'a> {
         *tail = rebuilt;
         Some(true)
     }
+
+    /// The window as a slice of its topic's tail, handed to `serve` with
+    /// the tail still locked; or, when no tail covers it, a scan of the
+    /// window alone, handed over with the tail it then becomes, if any.
+    fn serve<R>(
+        &self,
+        table: &str,
+        start_ms: u64,
+        end_ms: u64,
+        serve: impl FnOnce(Option<&mut Tail>, ColumnSlice) -> R,
+    ) -> R {
+        let (lo, hi) = (StreamId::new(start_ms, 0), StreamId::new(end_ms, u64::MAX));
+        let cell = self.cache.tails.lock().get(table).cloned();
+        if let Some(cell) = cell {
+            let tail = &mut *cell.lock();
+            if let Some(scanned) = self.refresh(table, tail, lo, hi) {
+                self.cache.count_cached(scanned);
+                let window = ColumnSlice::new(Arc::clone(&tail.cols), start_ms, end_ms);
+                return serve(Some(tail), window);
+            }
+        }
+        let cols = Arc::new(self.broker.scan_columns(table, lo, hi));
+        let window = ColumnSlice::new(Arc::clone(&cols), start_ms, end_ms);
+        // A scan that reached the topic's end is the topic's tail from now
+        // on; anything else (a window closed in the past, an empty or
+        // unknown topic) is served and forgotten.
+        let reached_end = cols.last_id.is_some_and(|last| last <= hi);
+        let Some(mut tail) = Tail::new(cols, lo).filter(|_| reached_end) else {
+            self.cache.planner_fresh.fetch_add(1, Ordering::Relaxed);
+            return serve(None, window);
+        };
+        self.cache.count_cached(true);
+        let out = serve(Some(&mut tail), window);
+        let mut tails = self.cache.tails.lock();
+        if tails.len() >= MAX_CACHED_SCANS && !tails.contains_key(table) {
+            tails.clear();
+        }
+        tails.insert(table.to_string(), Arc::new(Mutex::new(tail)));
+        out
+    }
 }
 
 impl TableProvider for CachedBroker<'_> {
@@ -426,32 +549,33 @@ impl TableProvider for CachedBroker<'_> {
 
     /// A slice of the topic's tail, or a scan of the window alone.
     fn columns(&self, table: &str, start_ms: u64, end_ms: u64) -> ColumnSlice {
-        let (lo, hi) = (StreamId::new(start_ms, 0), StreamId::new(end_ms, u64::MAX));
-        let cell = self.cache.tails.lock().get(table).cloned();
-        if let Some(cell) = cell {
-            let tail = &mut *cell.lock();
-            if let Some(scanned) = self.refresh(table, tail, lo, hi) {
-                self.cache.count_cached(scanned);
-                return ColumnSlice::new(Arc::clone(&tail.cols), start_ms, end_ms);
+        self.serve(table, start_ms, end_ms, |_, window| window)
+    }
+
+    /// A resumable arm over a window its topic's tail starts with folds,
+    /// under the tail's lock, only the rows past the tail's saved fold
+    /// (see [`ScanCache`]); any other arm folds its slice as the default
+    /// does, after the lock is let go.
+    fn fold(
+        &self,
+        select: &Select,
+        start_ms: u64,
+        end_ms: u64,
+        join: Option<&mut JoinIndex>,
+    ) -> Result<Vec<Row>, ExecError> {
+        let served = self.serve(&select.table, start_ms, end_ms, |tail, window| {
+            let resumed = tail.and_then(|tail| tail.resume(select, window.rows.clone()));
+            resumed.ok_or(window)
+        });
+        match served {
+            Ok((rows, resumed)) => {
+                if resumed {
+                    self.cache.fold_resumed.fetch_add(1, Ordering::Relaxed);
+                }
+                rows
             }
+            Err(window) => vector::run_scan_columns(select, &window, join),
         }
-        let cols = Arc::new(self.broker.scan_columns(table, lo, hi));
-        let slice = ColumnSlice::new(Arc::clone(&cols), start_ms, end_ms);
-        // A scan that reached the topic's end is the topic's tail from now
-        // on; anything else (a window closed in the past, an empty or
-        // unknown topic) is served and forgotten.
-        let reached_end = cols.last_id.is_some_and(|last| last <= hi);
-        let Some(tail) = Tail::new(cols, lo).filter(|_| reached_end) else {
-            self.cache.planner_fresh.fetch_add(1, Ordering::Relaxed);
-            return slice;
-        };
-        self.cache.count_cached(true);
-        let mut tails = self.cache.tails.lock();
-        if tails.len() >= MAX_CACHED_SCANS && !tails.contains_key(table) {
-            tails.clear();
-        }
-        tails.insert(table.to_string(), Arc::new(Mutex::new(tail)));
-        slice
     }
 }
 
@@ -781,10 +905,10 @@ impl<'a, P: TableProvider> QueryEngine<'a, P> {
             return Ok(vec![Row::record(table, &r)]);
         }
         let mut join = self.join_index(select, lo, hi);
-        let window = self.provider.columns(table, lo, hi);
         if select.aggregate != Aggregate::All {
-            return vector::run_scan_columns(select, &window, join.as_mut());
+            return self.provider.fold(select, lo, hi, join.as_mut());
         }
+        let window = self.provider.columns(table, lo, hi);
         let mut rows: Vec<Row> = window
             .records()
             .filter(|r| {

@@ -7,7 +7,9 @@
 //! `COUNT` no value, `SUM`/`AVG` the sum front to back, `MAX`/`MIN` eight
 //! lanes, folded again in order when the answer is ±0. Arms with value
 //! predicates or a join go row by row through the shared
-//! [`ScanState`](crate::exec), as continuous queries do.
+//! [`ScanState`](crate::exec), as continuous queries do. Each fold
+//! continues a state, so a cached tail resumes a whole-tail aggregate's
+//! saved fold over only the rows appended since.
 //!
 //! **Equivalence contract:** every result is bit-identical to a naive
 //! fold over the window's records, front to back. The naive fold is test
@@ -199,17 +201,41 @@ pub(crate) fn fold_name(select: &Select) -> &'static str {
     }
 }
 
+/// True when `select`'s fold of a window is its fold of the window's first
+/// rows continued over the rest, with nothing carried but the
+/// [`ScanState`]: a scan aggregate with no value predicate, join or
+/// bucket. A cached tail keeps such folds to resume them.
+pub(crate) fn resumable(select: &Select) -> bool {
+    let scan = !matches!(select.aggregate, Aggregate::Latest | Aggregate::All);
+    scan && select.value_preds.is_empty() && select.join.is_none() && select.bucket_ms.is_none()
+}
+
 /// Run `select`'s scan aggregate over a columnar window, directed by its
 /// aggregate (see the module docs). Arms with value predicates or a join
 /// take the shared per-row [`ScanState`] path.
 pub(crate) fn run_scan_columns(
     select: &Select,
     cols: &ColumnSlice,
-    mut join: Option<&mut JoinIndex>,
+    join: Option<&mut JoinIndex>,
 ) -> Result<Vec<Row>, ExecError> {
+    let mut st = ScanState::new(select);
+    fold_columns(select, &mut st, cols, join);
+    st.finalize(select)
+}
+
+/// Fold the window's rows into `st`, which holds the fold of the rows
+/// before them (a new state when there are none): the directed fold of
+/// [`run_scan_columns`], continued. The sum goes on in stream order and
+/// the lanes start from the extreme so far, so a fold resumed over a
+/// window's later rows is bit-identical to one over the whole window.
+pub(crate) fn fold_columns(
+    select: &Select,
+    st: &mut ScanState,
+    cols: &ColumnSlice,
+    mut join: Option<&mut JoinIndex>,
+) {
     let (timestamps_ns, values, provenance) =
         (cols.timestamps_ns(), cols.values(), cols.provenance());
-    let mut st = ScanState::new(select);
     if !select.value_preds.is_empty() || join.is_some() {
         for i in 0..values.len() {
             let provenance = Provenance::from_wire(provenance[i])
@@ -233,16 +259,17 @@ pub(crate) fn run_scan_columns(
         }
     } else {
         let counts = provenance_counts(provenance);
-        st.total_in_window = values.len() as u64;
-        st.admitted = values.len() as u64;
-        st.counts = counts;
+        st.total_in_window += values.len() as u64;
+        st.admitted += values.len() as u64;
+        st.counts += counts;
         // Sorted timestamps peak at the window's last row.
         let sorted = cols.batch.timestamps_sorted();
         let newest = if sorted { timestamps_ns.last() } else { timestamps_ns.iter().max() };
-        st.max_ts_all = newest.copied().unwrap_or(0) / 1_000_000;
+        let newest_ms = newest.copied().unwrap_or(0) / 1_000_000;
+        st.max_ts_all = st.max_ts_all.max(newest_ms);
         if select.include_stale || counts.stale == 0 {
             st.acc.add_all(values);
-            st.max_ts_included = st.max_ts_all;
+            st.max_ts_included = st.max_ts_included.max(newest_ms);
         } else {
             let stale = Provenance::Stale.wire();
             let mut max_ts_ns = 0;
@@ -252,10 +279,9 @@ pub(crate) fn run_scan_columns(
                     max_ts_ns = max_ts_ns.max(timestamps_ns[i]);
                 }
             }
-            st.max_ts_included = max_ts_ns / 1_000_000;
+            st.max_ts_included = st.max_ts_included.max(max_ts_ns / 1_000_000);
         }
     }
-    st.finalize(select)
 }
 
 #[cfg(test)]

@@ -13,7 +13,8 @@
 //!
 //! Warm scan-aggregate executions over that tail allocate exactly what
 //! their result rows need: no directed fold, bucket run or join cursor
-//! allocates per row or per run.
+//! allocates per row or per run. Nor does a whole-tail aggregate that
+//! resumes the tail's saved fold over rows appended since.
 //!
 //! Parsing a query allocates only what its AST owns, plus the token
 //! `Vec`: tokens borrow their identifiers from the SQL.
@@ -94,6 +95,27 @@ fn warm_range_hits_allocate_nothing() {
         let n = allocs_during(|| drop(engine.execute(&query).unwrap()));
         assert_eq!(n, want, "{sql}");
     }
+
+    // --- Resumed folds -----------------------------------------------------
+    // The whole-tail arms above left their folds on the tail. After a row
+    // lands, each extends the tail in place and folds that row onto its
+    // saved state: the state is advanced where it lies, not rebuilt or
+    // copied, so the arm still allocates only its result (3).
+    let resumed_before = cache.fold_resumed();
+    for i in 0..20u64 {
+        let ts_ms = 20_000 + i;
+        broker.publish(TOPIC, ts_ms, Record::measured(ts_ms * 1_000_000, i as f64).encode());
+        for sql in [
+            format!("SELECT AVG(metric) FROM {TOPIC}"),
+            format!("SELECT MAX(metric) FROM {TOPIC}"),
+            format!("SELECT COUNT(*) FROM {TOPIC}"),
+        ] {
+            let query = parse(&sql).unwrap();
+            let n = allocs_during(|| drop(engine.execute(&query).unwrap()));
+            assert_eq!(n, 3, "{sql} after append {i}");
+        }
+    }
+    assert_eq!(cache.fold_resumed() - resumed_before, 60, "every arm resumed its saved fold");
 
     // --- Parsing -----------------------------------------------------------
     // Tokens borrow the SQL, so a parse allocates the token `Vec` and what

@@ -17,7 +17,10 @@
 //! revisits, join cursor resets, unsorted batches). Results are compared
 //! through their `Debug` form, which round-trips `f64` bits exactly: the
 //! oracle's sums start at `0.0` and add in stream order, as the engine's
-//! do, so a single ULP of divergence fails the suite.
+//! do, so a single ULP of divergence fails the suite. The last test holds
+//! the tail's saved folds to the same oracle: whole-tail aggregates
+//! resumed across appends, evictions, head loss, reach trims and topic
+//! re-creation.
 
 use apollo_query::exec::{CachedBroker, QueryEngine, ScanCache, TableProvider};
 use apollo_query::{parse, Query};
@@ -482,6 +485,32 @@ impl Feed {
         }
     }
 
+    /// [`Feed::append`] with the fold's hard cases for values: a [`SPECIAL`]
+    /// value one row in twenty, signed zeros one in three, and the rest of
+    /// one sign per stretch of 50 rows (so `MAX` or `MIN` answers a zero).
+    /// Provenance comes in runs of 20, so a short tail may hold stale rows
+    /// only.
+    fn append_special(&mut self, broker: &Broker, n: u64) {
+        for _ in 0..n {
+            self.now_ms += self.rng.random_range(0..3u64);
+            self.rows += 1;
+            let ts_ns = self.now_ms * 1_000_000 + self.rows;
+            let sign = if (self.rows / 50).is_multiple_of(2) { -1.0 } else { 1.0 };
+            let value = match self.rng.random_range(0..60u32) {
+                0..=2 => SPECIAL[self.rng.random_range(0..SPECIAL.len())],
+                3..=22 => [0.0, -0.0][self.rng.random_range(0..2)],
+                _ => sign * self.rng.random_range(0.0..1.0),
+            };
+            let payload = match ((self.rows / 20) % 3, self.rng.random_range(0..24u32)) {
+                (_, 0) => vec![0xde, 0xad].into(),
+                (0, _) => Record::measured(ts_ns, value).encode(),
+                (1, _) => Record::predicted(ts_ns, value).encode(),
+                _ => Record::stale(ts_ns, value).encode(),
+            };
+            broker.publish("t", self.now_ms, payload);
+        }
+    }
+
     /// A window over the run so far: open-ended or closed, anywhere from
     /// before the first row to past the last.
     fn window(&mut self) -> (u64, u64) {
@@ -596,4 +625,96 @@ fn a_head_lost_mid_millisecond_rebuilds_the_tail() {
     assert_window_is_fresh(&cached, &broker, (0, u64::MAX), "mid-millisecond loss");
     assert_window_is_fresh(&cached, &broker, (12, 12), "the shared millisecond itself");
     assert_eq!((cache.misses(), cache.invalidations()), (2, 1), "rebuilt");
+}
+
+// ------------------------------------------------------------------------
+// Saved folds, differentially: a whole-tail aggregate through the cache
+// folds only the rows after its tail's saved fold. After every step of a
+// seeded run of appends, evictions, head loss (trimmed or rebuilt), reach
+// trims and topic re-creation, each such answer must equal the naive fold.
+
+/// `SELECT` aggregate `i` of the ten a tail keeps a fold of (`COUNT`,
+/// `SUM`, `AVG`, `MAX`, `MIN`, each with and without `INCLUDE STALE`) from
+/// `t`, with `filter` as its `WHERE` clause.
+fn saved_fold_sql(i: usize, filter: &str) -> String {
+    let agg = ["COUNT(*)", "SUM(metric)", "AVG(metric)", "MAX(metric)", "MIN(metric)"][i / 2];
+    let stale = if i % 2 == 1 { " INCLUDE STALE" } else { "" };
+    format!("SELECT {agg} FROM t{filter}{stale}")
+}
+
+fn assert_sql_matches_fold(cached: &CachedBroker<'_>, broker: &Broker, sql: &str, at: &str) {
+    let query = parse(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+    let got = QueryEngine::new(cached).execute(&query);
+    let want = naive::execute(broker, &query);
+    assert_eq!(format!("{got:?}"), format!("{want:?}"), "{at}: {sql}");
+}
+
+#[test]
+fn resumed_whole_tail_folds_match_the_naive_fold() {
+    over_backends("folds", |backend, broker| {
+        for seed in [0xF01Du64, 0xF01E] {
+            let at = format!("{backend}, seed {seed:#x}");
+            let cache = ScanCache::new();
+            let cached = CachedBroker::new(broker, &cache);
+            // Only ever asked a narrow window that slides with the newest
+            // row: its tail is trimmed to the window's width, and a window
+            // that starts at the trimmed front resumes the fold kept there.
+            let slid = ScanCache::new();
+            let sliding = CachedBroker::new(broker, &slid);
+            broker.remove_topic("t");
+            let mut feed = Feed { rng: StdRng::seed_from_u64(seed), now_ms: 1_000, rows: 0 };
+            feed.append_special(broker, 40);
+            for step in 0..160 {
+                match feed.rng.random_range(0..10u32) {
+                    // Re-created under the same name; one time in two its
+                    // IDs start over inside the span the old tail covers.
+                    _ if step % 100 == 50 => {
+                        broker.remove_topic("t");
+                        if feed.rng.random_range(0..2u32) == 0 {
+                            feed.now_ms = feed.now_ms.saturating_sub(200);
+                        }
+                        feed.append_special(broker, 3);
+                    }
+                    0..=4 => {
+                        let n = feed.rng.random_range(1..12u64);
+                        feed.append_special(broker, n);
+                    }
+                    // Longer than the window and the short ring: evictions,
+                    // and in the lossy archives a head lost on or inside a
+                    // millisecond (trimmed or rebuilt).
+                    5 => feed.append_special(broker, 90),
+                    _ => {}
+                }
+                let at = format!("{at}, step {step}");
+                for i in 0..10 {
+                    assert_sql_matches_fold(&cached, broker, &saved_fold_sql(i, ""), &at);
+                }
+                let slide = format!(" WHERE Timestamp >= {}", feed.now_ms.saturating_sub(25));
+                for i in 0..10 {
+                    assert_sql_matches_fold(&sliding, broker, &saved_fold_sql(i, &slide), &at);
+                }
+                // A window that ends before the saved folds do, and one whose
+                // lower bound falls before the tail's first row.
+                let Some(first) = broker.scan_meta("t").first_id else { continue };
+                let x = feed.rng.random_range(first.ms.min(feed.now_ms)..feed.now_ms + 1);
+                let before = saved_fold_sql(
+                    feed.rng.random_range(0..10),
+                    &format!(" WHERE Timestamp <= {x}"),
+                );
+                assert_sql_matches_fold(&cached, broker, &before, &at);
+                let lo = first.ms.saturating_sub(feed.rng.random_range(1..5u64));
+                let early = saved_fold_sql(
+                    feed.rng.random_range(0..10),
+                    &format!(" WHERE Timestamp >= {lo}"),
+                );
+                assert_sql_matches_fold(&cached, broker, &early, &at);
+            }
+            assert!(
+                cache.fold_resumed() > cache.misses(),
+                "{at}: {} resumed",
+                cache.fold_resumed()
+            );
+            assert!(slid.fold_resumed() > 0, "{at}: no sliding window resumed a fold");
+        }
+    });
 }
