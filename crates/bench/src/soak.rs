@@ -137,8 +137,8 @@ pub struct SoakConfig {
     /// quiesced and its standing result compared bit-for-bit against a
     /// full rescan — the `continuous_rescan_equivalence` invariant.
     pub continuous_queries: usize,
-    /// Teeth hook: deliberately drop every 5th folded record so the
-    /// equivalence invariant must FAIL (proves the check has teeth).
+    /// Teeth hook: deliberately move each standing result by one ULP so
+    /// the equivalence invariant must FAIL (proves the check has teeth).
     pub continuous_break_fold: bool,
 }
 
@@ -686,12 +686,12 @@ pub fn run_compiled(config: &SoakConfig, compiled: &CompiledChaos) -> SoakOutcom
                     ));
                 }
             }
-            // Continuous-query equivalence: quiesce each standing fold
-            // (read its inputs to their tails here, at a point where the
-            // event loop is idle) and demand the standing result be
-            // bit-identical to a scratch rescan of the same query.
-            // Results are compared through their Debug rendering, which
-            // round-trips f64 exactly — a single-bit fold divergence
+            // Continuous-query equivalence: pump each standing query (read
+            // its inputs to their tails here, at a point where the event
+            // loop is idle) and demand its result, served through the scan
+            // cache, be bit-identical to an uncached rescan of the same
+            // query. Results are compared through their Debug rendering,
+            // which round-trips f64 exactly — a single-bit divergence
             // shows up.
             for cv in &continuous {
                 cv.pump(now / 1_000_000);
@@ -701,10 +701,9 @@ pub fn run_compiled(config: &SoakConfig, compiled: &CompiledChaos) -> SoakOutcom
                 continuous_checks += 1;
                 if format!("{standing:?}") != format!("{fresh:?}") {
                     continuous_violations.push(format!(
-                        "{}: t={}s standing result diverges from rescan ({} records folded)",
+                        "{}: t={}s standing result diverges from rescan",
                         cv.name(),
                         now / 1_000_000_000,
-                        cv.folded(),
                     ));
                 }
             }
@@ -951,15 +950,15 @@ mod tests {
             vertices: 24,
             horizon: Duration::from_secs(60),
             scan_topics: 4,
-            // Drop every 5th folded record: the standing results MUST
-            // diverge from rescans — teeth for the invariant itself.
+            // Move every standing result by one ULP: it MUST diverge from
+            // rescans — teeth for the invariant itself.
             continuous_break_fold: true,
             ..SoakConfig::default()
         };
         let schedule = standard_schedule(config.vertices, config.seed, config.horizon);
         let outcome = run(&config, &schedule).unwrap();
         let v = outcome.verdict("continuous_rescan_equivalence").unwrap();
-        assert!(!v.pass, "a lossy fold must blow the equivalence check: {}", v.detail);
+        assert!(!v.pass, "a perturbed result must blow the equivalence check: {}", v.detail);
     }
 
     /// A 60 s churned soak over a fresh 64-series store keeping retired

@@ -1,36 +1,24 @@
 //! Continuous (standing) queries wired into the service.
 //!
-//! [`crate::service::Apollo::register_continuous`] turns a registered AQE
-//! query into an insight-style vertex: the query is seeded from one
-//! consistent snapshot per input topic, then a step that an input's publish
-//! wakes reads each arm's topic after its cursor and incrementally folds
-//! the new records through the engine's own
-//! [`apollo_query::ContinuousQuery`] machinery. The standing result:
-//!
-//! * is **bit-identical** to a full rescan at any quiescent point (the
-//!   soak harness checks this at every checkpoint, with a teeth test
-//!   proving a broken fold diverges);
-//! * is republished to the vertex's own topic as ordinary fact records
-//!   whenever it changes, so downstream consumers can subscribe to a
-//!   query the way they subscribe to any fact;
-//! * serves [`crate::service::Apollo::query`] and
-//!   [`crate::service::ApolloHandle::query`] directly (the `incremental`
-//!   access path of [`apollo_query::ScanCache`]'s doc) whenever the fold
-//!   has caught up with every input topic's tail — a standing query
-//!   answers in O(rows) with no scan and no cache probe. Evictions do not
-//!   end that: while the stream still retains the oldest row the fold
-//!   consumed, a rescan reads every row the fold did.
-//!
-//! Seeding is race-free against concurrent publishes: each arm's cursor
-//! starts at the seed snapshot's last ID, so whatever is published after
-//! the snapshot is read by the next pump, and nothing twice.
+//! [`crate::service::Apollo::register_continuous`] turns an AQE query into
+//! an insight-style vertex. A standing query is an ordinary query kept
+//! current: a step that an input's publish wakes runs it on the service's
+//! own cached path ([`CachedBroker`] over the service's [`ScanCache`]) and,
+//! whenever the result changed, republishes its rows to the vertex's own
+//! topic as measured records, so downstream consumers can subscribe to a
+//! query the way they subscribe to any fact. Its result is therefore what
+//! [`crate::service::Apollo::query`] returns for the same SQL, JOINs and
+//! dropped evictions included, and it costs what that query costs: the
+//! scan cache resumes a whole-history `COUNT`/`SUM`/`AVG`/`MAX`/`MIN` from
+//! the fold it saved, so a pump folds only the rows appended since.
 
 use crate::graph::GraphError;
 use apollo_obs::{Counter, Registry};
 use apollo_query::exec::{ExecError, QueryResult};
-use apollo_query::{ContinuousError, ContinuousQuery, ParseError, Query};
-use apollo_streams::{Broker, Entry, Publisher, Record, StreamId};
+use apollo_query::{CachedBroker, ParseError, Query, QueryEngine, ScanCache};
+use apollo_streams::{Broker, Publisher, Record, StreamId};
 use parking_lot::Mutex;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Why [`crate::service::Apollo::register_continuous`] refused a query.
@@ -38,8 +26,6 @@ use std::sync::Arc;
 pub enum ContinuousRegisterError {
     /// The SQL text failed to parse.
     Parse(ParseError),
-    /// The query cannot be folded incrementally (JOIN arms).
-    Unsupported(ContinuousError),
     /// The vertex could not join the DAG (duplicate name, unknown input
     /// topic, cycle).
     Graph(GraphError),
@@ -49,7 +35,6 @@ impl std::fmt::Display for ContinuousRegisterError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ContinuousRegisterError::Parse(e) => write!(f, "{e}"),
-            ContinuousRegisterError::Unsupported(e) => write!(f, "{e}"),
             ContinuousRegisterError::Graph(e) => write!(f, "{e}"),
         }
     }
@@ -57,75 +42,29 @@ impl std::fmt::Display for ContinuousRegisterError {
 
 impl std::error::Error for ContinuousRegisterError {}
 
-/// Per-arm feed: the input topic, a cursor into it, and what a rescan
-/// must still see for the fold to stand in for it.
-struct ArmFeed {
-    table: String,
-    /// The stream incarnation ([`apollo_streams::ScanMeta::source`]) the
-    /// fold consumed its rows from, read before its first row was.
-    source: u64,
-    /// First entry folded: a rescan reads every row the fold consumed
-    /// while the stream retains it (not after a ring lap or a dropped
-    /// eviction).
-    folded_from: Option<StreamId>,
-    /// Last entry folded (seed or pump): the next pump reads after it,
-    /// and the fold is caught up when it equals the topic's live tail.
-    folded_through: Option<StreamId>,
-}
-
-impl ArmFeed {
-    /// Fold `entries`, the arm's rows after its cursor, into arm `i` of
-    /// `cq`; `source` was read before them. Returns the records folded.
-    fn fold(&mut self, i: usize, cq: &mut ContinuousQuery, source: u64, entries: &[Entry]) -> u64 {
-        if let (None, Some(first)) = (self.folded_from, entries.first()) {
-            (self.source, self.folded_from) = (source, Some(first.id));
-        }
-        let mut folded = 0;
-        for e in entries {
-            // Decode per entry (not `ScanBatch::records`) so each fold
-            // keeps its publish timestamp; corrupt payloads are skipped
-            // exactly as a range scan skips them.
-            if let Ok(r) = Record::decode(&e.payload) {
-                cq.fold(i, e.id.ms, &r);
-                folded += 1;
-            }
-            self.folded_through = Some(e.id);
-        }
-        folded
-    }
-}
-
-struct Inner {
-    cq: ContinuousQuery,
-    arms: Vec<ArmFeed>,
+/// What the last pump read and emitted.
+struct Pumped {
+    /// Each input's `last_id` as the last pump read it, read before the
+    /// query ran: a publish in between leaves the vertex behind, never
+    /// wrongly caught up.
+    read_through: Vec<Option<StreamId>>,
     /// Last emitted standing result (change filter, §3.2.1 style).
     last: Option<QueryResult>,
 }
 
-impl Inner {
-    fn caught_up(&self, broker: &Broker) -> bool {
-        self.arms.iter().all(|a| {
-            let now = broker.scan_meta(&a.table);
-            let retained = a.folded_from.is_none_or(|oldest| {
-                now.source == a.source && now.first_id.is_some_and(|first| first <= oldest)
-            });
-            retained && now.last_id == a.folded_through
-        })
-    }
-}
-
-/// A registered standing query: per-arm cursors, the incremental fold,
-/// and change-filtered republication of result rows.
+/// A registered standing query: its parsed query, run on the service's
+/// cached path, and change-filtered republication of its result rows.
 pub struct ContinuousVertex {
     /// The output topic, resolved on the first republication.
     publisher: Publisher,
-    /// The standing query's AST, outside the lock: the query path
-    /// compares every incoming query against it.
     query: Query,
+    /// Every table the query reads, arms and join partners alike.
+    inputs: Vec<String>,
     broker: Arc<Broker>,
-    inner: Mutex<Inner>,
-    folds: Counter,
+    scan_cache: Arc<ScanCache>,
+    pumped: Mutex<Pumped>,
     emitted_rows: Counter,
+    break_result: AtomicBool,
 }
 
 impl std::fmt::Debug for ContinuousVertex {
@@ -135,30 +74,26 @@ impl std::fmt::Debug for ContinuousVertex {
 }
 
 impl ContinuousVertex {
-    /// Build the vertex: seed the fold from one consistent full-range
-    /// snapshot per input topic, and start each arm's cursor at its end.
-    pub(crate) fn seed(
+    /// The vertex `name` standing `query` over `inputs` (the tables it
+    /// reads), answered through `scan_cache`.
+    pub(crate) fn new(
         name: String,
-        mut cq: ContinuousQuery,
+        query: Query,
+        inputs: Vec<String>,
         broker: Arc<Broker>,
+        scan_cache: Arc<ScanCache>,
         registry: &Registry,
     ) -> Self {
-        let mut arms = Vec::with_capacity(cq.arm_count());
-        for i in 0..cq.arm_count() {
-            let table = cq.table(i).to_string();
-            let source = broker.scan_meta(&table).source;
-            let batch = broker.scan_batch(&table, StreamId::MIN, StreamId::MAX);
-            let mut arm = ArmFeed { table, source, folded_from: None, folded_through: None };
-            arm.fold(i, &mut cq, source, &batch.entries);
-            arms.push(arm);
-        }
+        let read_through = vec![None; inputs.len()];
         Self {
             publisher: broker.publisher(name),
-            query: cq.query().clone(),
+            query,
+            inputs,
             broker,
-            inner: Mutex::new(Inner { cq, arms, last: None }),
-            folds: registry.counter("query.continuous.folds"),
+            scan_cache,
+            pumped: Mutex::new(Pumped { read_through, last: None }),
             emitted_rows: registry.counter("query.continuous.emitted_rows"),
+            break_result: AtomicBool::new(false),
         }
     }
 
@@ -167,72 +102,43 @@ impl ContinuousVertex {
         self.publisher.topic()
     }
 
-    /// Clone of the underlying query AST (for rescan comparisons and
-    /// planner matching).
+    /// Clone of the underlying query AST (for rescan comparisons).
     pub fn query(&self) -> Query {
         self.query.clone()
     }
 
-    /// Records folded so far, seed included.
-    pub fn folded(&self) -> u64 {
-        self.inner.lock().cq.folded()
-    }
-
-    /// Does `q` name exactly this standing query?
-    pub fn matches(&self, q: &Query) -> bool {
-        self.query == *q
-    }
-
-    /// Has the fold consumed every record published to every input topic,
-    /// and does each topic still retain every record it consumed? Only
-    /// then may the standing result substitute for a fresh scan.
+    /// Did the last pump read every input up to the `last_id` it has now?
     pub fn caught_up(&self) -> bool {
-        self.inner.lock().caught_up(&self.broker)
+        let pumped = self.pumped.lock();
+        let now = self.inputs.iter().map(|t| self.broker.scan_meta(t).last_id);
+        now.eq(pumped.read_through.iter().copied())
     }
 
-    /// The standing result, in O(rows).
+    /// The standing result: the query run on the service's cached path,
+    /// which is what [`crate::service::Apollo::query`] answers for it.
     pub fn result(&self) -> Result<QueryResult, ExecError> {
-        self.inner.lock().cq.result()
-    }
-
-    /// The incremental tier: the standing result if `q` is this standing
-    /// query and the fold is caught up, checked and read under one hold
-    /// of the vertex lock (which [`ContinuousVertex::pump`] also holds
-    /// while it folds, so the result is never a half-folded one).
-    pub(crate) fn serve(&self, q: &Query) -> Option<Result<QueryResult, ExecError>> {
-        if !self.matches(q) {
-            return None;
+        let provider = CachedBroker::new(&self.broker, &self.scan_cache);
+        let mut out = QueryEngine::new(&provider).execute(&self.query);
+        if let Some(row) = out.as_mut().ok().and_then(|r| r.rows.first_mut()) {
+            if self.break_result.load(Ordering::Relaxed) {
+                row.value = f64::from_bits(row.value.to_bits() ^ 1);
+            }
         }
-        let inner = self.inner.lock();
-        inner.caught_up(&self.broker).then(|| inner.cq.result())
+        out
     }
 
-    /// Read every arm's topic after its cursor, fold the new records,
-    /// and — when the standing result changed — republish its rows to
-    /// this vertex's topic as measured records. Returns whether an
+    /// Run the query and — when its result changed — republish the rows
+    /// to this vertex's topic as measured records. Returns whether an
     /// emission happened. `now_ms` stamps the published stream entries.
     pub fn pump(&self, now_ms: u64) -> bool {
-        let mut guard = self.inner.lock();
-        let inner = &mut *guard;
-        let mut folded = 0u64;
-        for (i, arm) in inner.arms.iter_mut().enumerate() {
-            // Read before the rows: an incarnation that changes in between
-            // leaves the arm stale, never wrongly caught up.
-            let source = match arm.folded_from {
-                Some(_) => arm.source,
-                None => self.broker.scan_meta(&arm.table).source,
-            };
-            let entries = self.broker.read_after(&arm.table, arm.folded_through, usize::MAX);
-            folded += arm.fold(i, &mut inner.cq, source, &entries);
+        let mut pumped = self.pumped.lock();
+        let pumped = &mut *pumped;
+        for (table, read) in self.inputs.iter().zip(&mut pumped.read_through) {
+            *read = self.broker.scan_meta(table).last_id;
         }
-        self.folds.add(folded);
-        let result = match inner.cq.result() {
-            Ok(r) => r,
-            // Errors (empty window, stale-only) have nothing to emit;
-            // they still surface through `result()`/the query path.
-            Err(_) => return false,
-        };
-        if inner.last.as_ref() == Some(&result) {
+        // Errors (empty window, stale-only) have nothing to emit.
+        let Ok(result) = self.result() else { return false };
+        if pumped.last.as_ref() == Some(&result) {
             return false;
         }
         for row in &result.rows {
@@ -242,146 +148,263 @@ impl ContinuousVertex {
             );
         }
         self.emitted_rows.add(result.rows.len() as u64);
-        inner.last = Some(result);
+        pumped.last = Some(result);
         true
     }
 
-    /// Teeth hook: see [`ContinuousQuery::set_break_fold`].
+    /// Teeth hook for the soak harness: when on, [`ContinuousVertex::result`]
+    /// moves its first row's value by one ULP, so the equivalence check
+    /// against a rescan must fail.
     #[doc(hidden)]
     pub fn set_break_fold(&self, on: bool) {
-        self.inner.lock().cq.set_break_fold(on);
+        self.break_result.store(on, Ordering::Relaxed);
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::ContinuousVertex;
     use crate::service::{Apollo, FactVertexSpec};
-    use apollo_cluster::metrics::TraceSource;
+    use apollo_cluster::metrics::{ConstSource, TraceSource};
     use apollo_cluster::series::TimeSeries;
-    use apollo_query::exec::QueryEngine;
+    use apollo_query::exec::{ExecSqlError, QueryEngine};
     use apollo_runtime::event_loop::EventLoop;
-    use apollo_streams::StreamConfig;
+    use apollo_streams::{Record, StreamConfig};
     use std::sync::Arc;
     use std::time::Duration;
 
     const NS: u64 = 1_000_000_000;
+    const HOUR: Duration = Duration::from_secs(3600);
     const AVG: &str = "SELECT AVG(metric) FROM cap";
 
-    /// A 1 Hz ramp fact `cap` on a virtual-clock service whose topics
-    /// retain per `streams`.
-    fn ramp_service(streams: StreamConfig) -> Apollo {
+    /// A virtual-clock service whose topics retain per `streams`, with a
+    /// ramp fact per `(name, every)` that samples `i` at `i` s.
+    fn ramps(streams: StreamConfig, facts: &[(&str, u64)]) -> Apollo {
         let mut apollo = Apollo::with_config(EventLoop::new_virtual(), streams);
         let trace = TimeSeries::from_points((0..60u64).map(|i| (i * NS, i as f64)).collect());
+        for &(name, every) in facts {
+            let source = Arc::new(TraceSource::new(name, trace.clone()));
+            let spec = FactVertexSpec::fixed(name, source, Duration::from_secs(every));
+            apollo.register_fact(spec).unwrap();
+        }
         apollo
-            .register_fact(FactVertexSpec::fixed(
-                "cap",
-                Arc::new(TraceSource::new("cap", trace)),
-                Duration::from_secs(1),
-            ))
-            .unwrap();
+    }
+
+    /// A 1 Hz ramp fact `cap`.
+    fn ramp_service(streams: StreamConfig) -> Apollo {
+        ramps(streams, &[("cap", 1)])
+    }
+
+    /// A service whose `topics` are facts that first poll in an hour, so a
+    /// test publishes their rows itself, and the standing `sql` over them.
+    fn hand_fed(topics: &[&str], sql: &str) -> (Apollo, Arc<ContinuousVertex>) {
+        let mut apollo = Apollo::new_virtual();
+        for &t in topics {
+            let source = Arc::new(ConstSource::new(t, 0.0));
+            apollo.register_fact(FactVertexSpec::fixed(t, source, HOUR)).unwrap();
+        }
+        let cv = apollo.register_continuous("cq/out", sql, HOUR).unwrap();
+        (apollo, cv)
+    }
+
+    /// Pump `cv` at `now_ms`, then hold four readings to be bit-identical
+    /// (through `Debug`: NaN never equals itself, and -0.0 equals 0.0):
+    /// the row it last published, [`ContinuousVertex::result`],
+    /// [`Apollo::query`] of `sql` and an uncached rescan.
+    fn pump_and_check(apollo: &Apollo, cv: &ContinuousVertex, sql: &str, now_ms: u64, at: &str) {
+        cv.pump(now_ms);
+        assert!(cv.caught_up(), "{at}: the pump read every input");
+        let broker = apollo.broker();
+        let rescan = QueryEngine::new(broker.as_ref()).execute(&cv.query());
+        let want = format!("{rescan:?}");
+        assert_eq!(format!("{:?}", cv.result()), want, "{at}: result()");
+        let served = match apollo.query(sql) {
+            Err(ExecSqlError::Exec(e)) => Err(e),
+            served => Ok(served.unwrap()),
+        };
+        assert_eq!(format!("{served:?}"), want, "{at}: Apollo::query");
+        if let Some(row) = rescan.ok().and_then(|r| r.rows.last().cloned()) {
+            let entry = broker.latest(cv.name()).expect("a result was published");
+            let published = Record::decode(&entry.payload).unwrap();
+            let row = Record::measured(row.timestamp_ms * 1_000_000, row.value);
+            assert_eq!(format!("{published:?}"), format!("{row:?}"), "{at}: published row");
+        }
+    }
+
+    /// Register `sql` over `apollo`'s ramps after 5 s of history, then
+    /// check it after a pump at every second for 25 s.
+    fn every_pump_agrees(mut apollo: Apollo, sql: &str) -> Apollo {
+        apollo.run_for(Duration::from_secs(5));
+        let cv = apollo.register_continuous("cq/out", sql, Duration::from_secs(1)).unwrap();
+        for step in 0..25 {
+            apollo.run_for(Duration::from_secs(1));
+            pump_and_check(&apollo, &cv, sql, apollo.now() / 1_000_000, &format!("step {step}"));
+        }
         apollo
     }
 
     #[test]
-    fn standing_query_seeds_folds_and_matches_rescan() {
-        let mut apollo = ramp_service(StreamConfig::default());
-        // Pre-existing history exercises the seed path.
-        apollo.run_for(Duration::from_secs(3));
-        let cv = apollo
-            .register_continuous("cq/avg", "SELECT AVG(metric) FROM cap", Duration::from_secs(1))
-            .unwrap();
-        assert!(cv.folded() >= 3, "seed folded the existing records");
-        apollo.run_for(Duration::from_secs(7));
-        let standing = cv.result().unwrap();
+    fn an_evicting_archiveless_window_agrees_after_every_pump() {
+        let streams = StreamConfig { archive_evicted: false, ..StreamConfig::bounded(8) };
+        let apollo = every_pump_agrees(ramp_service(streams), AVG);
+        let info = apollo.broker().topic_info("cap").unwrap();
+        assert_eq!((info.window_len, info.archived_len), (8, 0), "the window evicted");
+    }
+
+    #[test]
+    fn bucketed_and_filtered_folds_match() {
+        let sql = "SELECT SUM(metric) FROM cap WHERE metric > 2 GROUP BY BUCKET(Timestamp, 4s)";
+        every_pump_agrees(ramp_service(StreamConfig::default()), sql);
+    }
+
+    #[test]
+    fn a_join_standing_query_agrees_after_every_pump() {
+        // Half of `cap`'s rows have a partner, and with evictions dropped
+        // the admitted set shrinks as `half` loses rows.
+        let streams = StreamConfig { archive_evicted: false, ..StreamConfig::bounded(8) };
+        let apollo = ramps(streams, &[("cap", 1), ("half", 2)]);
+        every_pump_agrees(apollo, "SELECT AVG(metric) FROM cap JOIN half ON Timestamp");
+    }
+
+    #[test]
+    fn aggregate_fold_matches_rescan_at_every_step() {
+        let sql = "SELECT AVG(metric) FROM cpu WHERE Timestamp BETWEEN 100 AND 800 \
+                   UNION SELECT COUNT(*) FROM cpu UNION SELECT MAX(Timestamp), metric FROM cpu";
+        let (apollo, cv) = hand_fed(&["cpu"], sql);
+        for i in 0..20u64 {
+            let (ts, v) = (50 + i * 50, (i as f64) * 1.25 - 3.0);
+            let rec = match i % 4 {
+                3 => Record::stale(ts * 1_000_000, v),
+                _ => Record::measured(ts * 1_000_000, v),
+            };
+            apollo.broker().publish("cpu", ts, rec.encode());
+            pump_and_check(&apollo, &cv, sql, ts, &format!("step {i}"));
+        }
+    }
+
+    #[test]
+    fn special_values_fold_bit_for_bit_at_every_step() {
+        // `neg` holds no positive value and `pos` no negative one, so MAX
+        // of the first and MIN of the second are ±0 once a zero is in, and
+        // the resumed folds must keep which zero came first.
+        let sql = "SELECT MAX(metric) FROM neg INCLUDE STALE UNION SELECT MIN(metric) FROM pos \
+                   UNION SELECT AVG(metric) FROM neg UNION SELECT COUNT(*) FROM pos \
+                   UNION SELECT MAX(metric) FROM neg GROUP BY BUCKET(Timestamp, 200) \
+                   UNION SELECT MIN(metric) FROM pos GROUP BY BUCKET(Timestamp, 200) INCLUDE STALE";
+        let (apollo, cv) = hand_fed(&["neg", "pos"], sql);
+        let neg = [-1.0, 0.0, -0.0, f64::NAN, -5e-324, f64::NEG_INFINITY];
+        let pos = [1e-310, -0.0, 0.0, f64::NAN, 5e-324, f64::INFINITY];
+        for i in 0..120u64 {
+            // A record clock that regresses now and then revisits a bucket.
+            let ts = 10 + i * 7;
+            let record_ms = if i % 11 == 10 { ts - 60 } else { ts };
+            let at = (i % 6) as usize;
+            for (topic, v) in [("neg", neg[at]), ("pos", pos[at])] {
+                let rec = match i % 13 {
+                    12 => Record::stale(record_ms * 1_000_000, v),
+                    _ => Record::measured(record_ms * 1_000_000, v),
+                };
+                apollo.broker().publish(topic, ts, rec.encode());
+                pump_and_check(&apollo, &cv, sql, ts, &format!("step {i} {topic}"));
+            }
+        }
+    }
+
+    #[test]
+    fn all_rows_with_order_limit_match() {
+        let sql = "SELECT metric FROM t ORDER BY metric DESC LIMIT 5";
+        let (apollo, cv) = hand_fed(&["t"], sql);
+        for i in 0..12u64 {
+            let rec = Record::measured(i * 10_000_000, ((i * 7) % 12) as f64);
+            apollo.broker().publish("t", i * 10, rec.encode());
+            pump_and_check(&apollo, &cv, sql, i * 10, &format!("step {i}"));
+        }
+    }
+
+    #[test]
+    fn empty_tables_error_identically() {
+        let (apollo, cv) = hand_fed(&["nothing"], "SELECT AVG(metric) FROM nothing");
+        pump_and_check(&apollo, &cv, "SELECT AVG(metric) FROM nothing", 0, "empty");
+        assert!(!cv.pump(0), "an error has nothing to emit");
+        assert!(apollo.broker().latest("cq/out").is_none());
+    }
+
+    #[test]
+    fn out_of_window_records_are_ignored() {
+        let sql = "SELECT SUM(metric) FROM t WHERE Timestamp BETWEEN 100 AND 200";
+        let (apollo, cv) = hand_fed(&["t"], sql);
+        for ts in [50u64, 100, 150, 200, 250] {
+            apollo.broker().publish("t", ts, Record::measured(ts * 1_000_000, ts as f64).encode());
+            pump_and_check(&apollo, &cv, sql, ts, &format!("at {ts} ms"));
+        }
+        assert_eq!(cv.result().unwrap().rows[0].value, 450.0);
+    }
+
+    #[test]
+    fn broken_fold_demonstrably_diverges() {
+        // Teeth: with the hook on, the standing result must NOT match the
+        // rescan, proving the equivalence check can fail.
+        let (apollo, cv) = hand_fed(&["t"], "SELECT SUM(metric) FROM t");
+        for i in 1..=10u64 {
+            apollo.broker().publish("t", i, Record::measured(i * 1_000_000, i as f64).encode());
+        }
         let fresh = QueryEngine::new(apollo.broker().as_ref()).execute(&cv.query()).unwrap();
-        assert_eq!(standing, fresh, "standing result bit-identical to a rescan");
+        cv.set_break_fold(true);
+        assert_ne!(cv.result().unwrap(), fresh, "a broken result must diverge");
+        cv.set_break_fold(false);
+        assert_eq!(cv.result().unwrap(), fresh);
     }
 
     #[test]
-    fn caught_up_queries_serve_incrementally_without_scanning() {
+    fn a_pump_resumes_the_cached_fold_and_is_not_an_aqe_query() {
         let mut apollo = ramp_service(StreamConfig::default());
-        apollo
-            .register_continuous("cq/avg", "SELECT AVG(metric) FROM cap", Duration::from_secs(1))
-            .unwrap();
-        apollo.run_for(Duration::from_secs(10));
-        let out = apollo.query("SELECT AVG(metric) FROM cap").unwrap();
-        let fresh = QueryEngine::new(apollo.broker().as_ref())
-            .execute(&apollo_query::parse("SELECT AVG(metric) FROM cap").unwrap())
-            .unwrap();
-        assert_eq!(out, fresh);
-        let snap = apollo.metrics_snapshot();
-        assert_eq!(snap.counter("query.planner.incremental"), 1, "served by the standing fold");
-        assert_eq!(snap.counter("query.executed"), 1);
-        assert_eq!(apollo.scan_cache().misses(), 0, "no scan happened");
-        assert_eq!(snap.counter("query.continuous.registered"), 1);
-        assert!(snap.counter("query.continuous.folds") >= 9, "{snap:?}");
-        assert!(snap.histograms.contains_key("query.continuous.fold_ns"));
-    }
-
-    /// A standing `AVG` over 20 ramp records, 12 of them evicted (kept or
-    /// dropped per `archive_evicted`), queried once and checked against a
-    /// rescan.
-    fn standing_avg_over_evictions(archive_evicted: bool) -> Apollo {
-        let mut apollo = ramp_service(StreamConfig { archive_evicted, ..StreamConfig::bounded(8) });
         apollo.register_continuous("cq/avg", AVG, Duration::from_secs(1)).unwrap();
-        apollo.run_for(Duration::from_secs(20));
-        assert_eq!(apollo.broker().topic_info("cap").unwrap().window_len, 8, "the window evicted");
+        apollo.run_for(Duration::from_secs(10));
+        let snap = apollo.metrics_snapshot();
+        assert_eq!(snap.counter("query.executed"), 0, "pumps are not AQE queries");
+        assert!(snap.counter("query.scan_cache.fold_resumed") >= 8, "{snap:?}");
+        assert_eq!(apollo.scan_cache().misses(), 1, "only the first pump scanned");
+        assert_eq!(snap.counter("query.continuous.registered"), 1);
+        assert!(snap.histograms.contains_key("query.continuous.fold_ns"));
         let out = apollo.query(AVG).unwrap();
-        let rescan = QueryEngine::new(apollo.broker().as_ref()).execute_sql(AVG).unwrap();
-        assert_eq!(out, rescan);
-        apollo
+        assert_eq!(out, QueryEngine::new(apollo.broker().as_ref()).execute_sql(AVG).unwrap());
+        assert_eq!(apollo.metrics_snapshot().counter("query.executed"), 1);
     }
 
     #[test]
     fn an_archived_eviction_keeps_the_standing_query_serving() {
-        let apollo = standing_avg_over_evictions(true);
+        let mut apollo = ramp_service(StreamConfig::bounded(8));
+        let cv = apollo.register_continuous("cq/avg", AVG, Duration::from_secs(1)).unwrap();
+        apollo.run_for(Duration::from_secs(20));
         assert!(apollo.broker().topic_info("cap").unwrap().archived_len > 0);
-        let snap = apollo.metrics_snapshot();
-        assert_eq!(snap.counter("query.planner.incremental"), 1, "served by the standing fold");
-        assert_eq!(apollo.scan_cache().misses(), 0, "no scan happened");
-        assert_eq!(apollo.continuous()[0].result().unwrap().rows[0].counts.unwrap().measured, 20);
+        assert_eq!(cv.result().unwrap().rows[0].counts.unwrap().measured, 20);
+        assert_eq!(cv.result().unwrap(), apollo.query(AVG).unwrap());
     }
 
     #[test]
-    fn a_dropped_eviction_falls_back_to_a_scan() {
-        let apollo = standing_avg_over_evictions(false);
-        assert_eq!(apollo.broker().topic_info("cap").unwrap().archived_len, 0);
-        assert_eq!(apollo.metrics_snapshot().counter("query.planner.incremental"), 0);
-        assert!(!apollo.continuous()[0].caught_up(), "the fold holds rows a rescan cannot see");
-    }
-
-    #[test]
-    fn stale_fold_falls_back_to_a_scan_then_recovers() {
+    fn a_publish_behind_the_pumps_back_is_read_by_the_next_pump() {
+        let max = "SELECT MAX(metric) FROM cap";
         let mut apollo = ramp_service(StreamConfig::default());
-        apollo
-            .register_continuous("cq/max", "SELECT MAX(metric) FROM cap", Duration::from_secs(1))
-            .unwrap();
+        let cv = apollo.register_continuous("cq/max", max, Duration::from_secs(1)).unwrap();
         apollo.run_for(Duration::from_secs(5));
-        // Publish behind the pump's back: the fold is no longer caught
-        // up, so the query must scan (and see the new record).
-        apollo.broker().publish(
-            "cap",
-            6_000,
-            apollo_streams::Record::measured(6 * NS, 500.0).encode(),
-        );
-        let out = apollo.query("SELECT MAX(metric) FROM cap").unwrap();
-        assert_eq!(out.rows[0].value, 500.0);
-        assert_eq!(apollo.metrics_snapshot().counter("query.planner.incremental"), 0);
-        // The next pump folds it; the incremental tier takes over again.
+        assert!(cv.caught_up());
+        apollo.broker().publish("cap", 5_500, Record::measured(5_500_000_000, 500.0).encode());
+        assert!(!cv.caught_up(), "the vertex has not read the new row");
+        assert_eq!(apollo.query(max).unwrap().rows[0].value, 500.0, "a query sees it");
+        assert_eq!(cv.result().unwrap().rows[0].value, 500.0, "and so does result()");
+        // The publish woke the vertex; its next pump reads and republishes.
         apollo.run_for(Duration::from_secs(1));
-        let out = apollo.query("SELECT MAX(metric) FROM cap").unwrap();
-        assert_eq!(out.rows[0].value, 500.0);
-        assert_eq!(apollo.metrics_snapshot().counter("query.planner.incremental"), 1);
+        assert!(cv.caught_up());
+        let latest = apollo.broker().latest("cq/max").unwrap();
+        assert_eq!(Record::decode(&latest.payload).unwrap().value, 500.0);
     }
 
     #[test]
     fn changed_results_are_republished_as_facts() {
         let mut apollo = ramp_service(StreamConfig::default());
-        apollo
-            .register_continuous("cq/avg", "SELECT AVG(metric) FROM cap", Duration::from_secs(1))
-            .unwrap();
+        apollo.register_continuous("cq/avg", AVG, Duration::from_secs(1)).unwrap();
         apollo.run_for(Duration::from_secs(10));
-        // The standing AVG over a ramp changes every fold, so the vertex
+        // The standing AVG over a ramp changes every pump, so the vertex
         // topic carries a history of result rows.
         let out = apollo.query("SELECT MAX(Timestamp), metric FROM cq/avg").unwrap();
         let standing = apollo.continuous()[0].result().unwrap();
@@ -390,24 +413,13 @@ mod tests {
     }
 
     #[test]
-    fn join_queries_are_rejected_at_registration() {
-        let mut apollo = ramp_service(StreamConfig::default());
-        let err = apollo
-            .register_continuous(
-                "cq/j",
-                "SELECT COUNT(*) FROM cap JOIN cap ON Timestamp",
-                Duration::from_secs(1),
-            )
-            .unwrap_err();
-        assert!(matches!(err, super::ContinuousRegisterError::Unsupported(_)), "{err}");
-    }
-
-    #[test]
     fn unknown_input_topics_are_rejected() {
         let mut apollo = ramp_service(StreamConfig::default());
-        let err = apollo
-            .register_continuous("cq/x", "SELECT AVG(metric) FROM nope", Duration::from_secs(1))
-            .unwrap_err();
-        assert!(matches!(err, super::ContinuousRegisterError::Graph(_)), "{err}");
+        for sql in
+            ["SELECT AVG(metric) FROM nope", "SELECT AVG(metric) FROM cap JOIN nope ON Timestamp"]
+        {
+            let err = apollo.register_continuous("cq/x", sql, Duration::from_secs(1)).unwrap_err();
+            assert!(matches!(err, super::ContinuousRegisterError::Graph(_)), "{err}");
+        }
     }
 }

@@ -26,10 +26,9 @@
 //!   queries (`query`). Every subsystem reports into a shared
 //!   `apollo_obs::Registry` (`metrics`/`metrics_snapshot`).
 //! * [`continuous`] — standing AQE queries as insight-style vertices:
-//!   [`service::Apollo::register_continuous`] seeds a query from one
-//!   consistent snapshot, folds newly published records incrementally on
-//!   a timer, republishes changed results as facts, and serves matching
-//!   `query()` calls with no scan while caught up.
+//!   [`service::Apollo::register_continuous`] reruns a query on the
+//!   service's cached query path whenever an input is published and
+//!   republishes changed results as facts.
 //! * [`selfobs`] — self-SCoRe: [`selfobs::deploy_self_observer`]
 //!   republishes Apollo's own internals (broker memory, stream depth,
 //!   poll p99, quarantine count, quarantine recoveries) as Fact vertices
@@ -56,7 +55,6 @@
 
 pub mod continuous;
 pub mod curators;
-pub mod deploy;
 pub mod graph;
 pub mod health;
 pub mod kprobe;
@@ -66,7 +64,6 @@ pub mod service;
 pub mod vertex;
 
 pub use continuous::{ContinuousRegisterError, ContinuousVertex};
-pub use deploy::{Deployment, MonitoringPlan};
 pub use graph::ScoreGraph;
 pub use health::{HealthMonitor, HealthState, SupervisorConfig};
 pub use kprobe::EventFactVertex;

@@ -206,36 +206,22 @@ impl InsightVertexSpec {
 }
 
 /// The one AQE query path behind [`Apollo::query`] and
-/// [`ApolloHandle::query`]. `spawn` gives the handle a clone; the list of
-/// standing queries only changes through `&mut Apollo`, which nobody
-/// holds while a handle exists, so the clone never goes out of date.
+/// [`ApolloHandle::query`]; `spawn` gives the handle a clone.
 #[derive(Clone)]
 struct QueryPath {
     broker: Arc<Broker>,
     /// Decoded-scan cache (one extended-in-place tail per topic) shared
-    /// by every AQE query (engines are per-call; the cache outlives them
-    /// here).
+    /// by every AQE query and standing query (engines are per-call; the
+    /// cache outlives them here).
     scan_cache: Arc<ScanCache>,
-    /// Registered standing queries ([`Apollo::register_continuous`]).
-    continuous: Vec<Arc<ContinuousVertex>>,
     /// `query.{executed,arm_ns,arm_errors}`, resolved once at wiring.
     metrics: Option<QueryMetrics>,
-    /// Queries served from a standing fold with no scan at all
-    /// (`query.planner.incremental`).
-    incremental: apollo_obs::Counter,
 }
 
 impl QueryPath {
-    /// Parse → incremental tier → cached-or-fresh scan → fold.
+    /// Parse → cached-or-fresh scan → fold.
     fn query(&self, sql: &str) -> Result<QueryResult, ExecSqlError> {
         let query = apollo_query::parse(sql).map_err(ExecSqlError::Parse)?;
-        if let Some(standing) = self.continuous.iter().find_map(|c| c.serve(&query)) {
-            self.incremental.inc();
-            if let Some(m) = &self.metrics {
-                m.queries.inc();
-            }
-            return standing.map_err(ExecSqlError::Exec);
-        }
         let provider = CachedBroker::new(&self.broker, &self.scan_cache);
         QueryEngine::with_resolved_metrics(&provider, self.metrics.as_ref())
             .execute(&query)
@@ -284,6 +270,8 @@ pub struct Apollo {
     registry: Registry,
     /// What [`Apollo::query`] runs on.
     query_path: QueryPath,
+    /// Registered standing queries ([`Apollo::register_continuous`]).
+    continuous: Vec<Arc<ContinuousVertex>>,
     /// Live registered-standing-query count, exported as
     /// `query.continuous.registered` and read by the self-observer.
     continuous_registered: Arc<AtomicU64>,
@@ -324,9 +312,7 @@ impl Apollo {
         let query_path = QueryPath {
             broker: Arc::clone(&broker),
             scan_cache,
-            continuous: Vec::new(),
             metrics: QueryMetrics::resolve(&registry),
-            incremental: registry.counter("query.planner.incremental"),
         };
         Self {
             broker,
@@ -338,6 +324,7 @@ impl Apollo {
             pumps: Vec::new(),
             registry,
             query_path,
+            continuous: Vec::new(),
             continuous_registered,
             slab: None,
         }
@@ -571,7 +558,7 @@ impl Apollo {
         }
         self.facts.retain(|f| f.name() != name);
         self.insights.retain(|i| i.name() != name);
-        let continuous = &mut self.query_path.continuous;
+        let continuous = &mut self.continuous;
         let before = continuous.len();
         continuous.retain(|c| c.name() != name);
         self.continuous_registered.fetch_sub((before - continuous.len()) as u64, Ordering::SeqCst);
@@ -614,20 +601,15 @@ impl Apollo {
     }
 
     /// Register a **continuous query**: `sql` becomes a standing,
-    /// insight-style vertex named `name` that incrementally folds every
-    /// record published to its input topics (seeded from one consistent
-    /// snapshot per topic, then read after a per-arm cursor whenever an
-    /// input is published, at most once per `cadence`). Whenever the
-    /// standing result changes, its rows
-    /// are republished to topic `name` as measured records — a query you
-    /// can subscribe to. While the fold is caught up with every input's
-    /// tail, [`Apollo::query`] serves the same SQL from the standing
-    /// result in O(rows) (the planner's incremental tier,
-    /// `query.planner.incremental`).
+    /// insight-style vertex named `name` that reruns the query on this
+    /// service's cached query path whenever one of its input topics is
+    /// published, at most once per `cadence`. Whenever the result changes,
+    /// its rows are republished to topic `name` as measured records — a
+    /// query you can subscribe to, carrying what [`Apollo::query`] returns
+    /// for the same SQL.
     ///
-    /// Fails on parse errors, on JOIN arms (their admitted set can shrink
-    /// under eviction, which no append-only fold can track), on input
-    /// topics that are not registered vertices, and on a name
+    /// Fails on parse errors, on input topics (arm or join tables) that
+    /// are not registered vertices, and on a name
     /// [`Apollo::register_fact`] would refuse.
     pub fn register_continuous(
         &mut self,
@@ -637,17 +619,25 @@ impl Apollo {
     ) -> Result<Arc<ContinuousVertex>, ContinuousRegisterError> {
         let name = name.into();
         let query = apollo_query::parse(sql).map_err(ContinuousRegisterError::Parse)?;
-        let cq = apollo_query::ContinuousQuery::new(query)
-            .map_err(ContinuousRegisterError::Unsupported)?;
-        let mut inputs: Vec<String> =
-            (0..cq.arm_count()).map(|i| cq.table(i).to_string()).collect();
+        let mut inputs: Vec<String> = query
+            .selects
+            .iter()
+            .flat_map(|s| std::iter::once(&s.table).chain(s.join.as_ref().map(|j| &j.table)))
+            .cloned()
+            .collect();
         inputs.sort_unstable();
         inputs.dedup();
         check_vertex_name(&name)
             .and_then(|()| self.graph.add_insight(&name, &inputs))
             .map_err(ContinuousRegisterError::Graph)?;
-        let vertex =
-            Arc::new(ContinuousVertex::seed(name.clone(), cq, self.broker(), &self.registry));
+        let vertex = Arc::new(ContinuousVertex::new(
+            name.clone(),
+            query,
+            inputs.clone(),
+            self.broker(),
+            Arc::clone(&self.query_path.scan_cache),
+            &self.registry,
+        ));
         let fold_ns = self.registry.histogram("query.continuous.fold_ns");
         let pumped = Arc::clone(&vertex);
         self.schedule(&name, &inputs, cadence, move |_ctl, now| {
@@ -657,13 +647,13 @@ impl Apollo {
             TimerAction::Park
         });
         self.continuous_registered.fetch_add(1, Ordering::SeqCst);
-        self.query_path.continuous.push(Arc::clone(&vertex));
+        self.continuous.push(Arc::clone(&vertex));
         Ok(vertex)
     }
 
     /// Registered continuous queries, in registration order.
     pub fn continuous(&self) -> &[Arc<ContinuousVertex>] {
-        &self.query_path.continuous
+        &self.continuous
     }
 
     /// Live registered-standing-query count cell (self-observer hook).
@@ -688,10 +678,7 @@ impl Apollo {
 
     /// Execute an AQE query (instrumented: `query.executed`,
     /// `query.arm_ns`, `query.arm_errors`) on the one query path this
-    /// service and its [`ApolloHandle`] share. A registered continuous
-    /// query whose AST matches `sql` and whose fold has caught up with
-    /// every input's tail answers from its standing result in O(rows)
-    /// (`query.planner.incremental`). Otherwise range scans go through
+    /// service and its [`ApolloHandle`] share. Range scans go through
     /// the scan cache (`query.scan_cache.{hits,misses,invalidations}`):
     /// a topic scanned before is decoded only for the rows appended
     /// since, whatever the window.

@@ -35,17 +35,16 @@
 //! part-way through a millisecond or was re-created), and
 //! `query.scan_cache.fold_resumed` the whole-tail aggregates answered by
 //! folding only the rows appended since their tail's saved fold; the
-//! access path
-//! each range lookup took is tallied as
+//! access path each range lookup took is tallied as
 //! `query.planner.{cached_scan,fresh_batch}` (a fresh batch is a closed
-//! window older than the tail, scanned alone and not kept) plus
-//! `query.planner.incremental` for queries (through `Apollo::query` or
-//! a spawned service's `ApolloHandle::query` — one path, one set of
-//! counters) served from a caught-up continuous query with no scan at
-//! all; and standing queries
-//! export `query.continuous.registered` (gauge-like counter backed by
-//! the service's registration cell), `query.continuous.folds` /
-//! `query.continuous.emitted_rows` counters, and the
+//! window older than the tail, scanned alone and not kept). The
+//! `query.*` execution counters count AQE callers only (`Apollo::query`
+//! or a spawned service's `ApolloHandle::query` — one path, one set of
+//! counters); a standing query's pump runs the same cached path
+//! uninstrumented, so it shows in the scan-cache and planner tallies
+//! alone. Standing queries export `query.continuous.registered`
+//! (gauge-like counter backed by the service's registration cell), the
+//! `query.continuous.emitted_rows` counter, and the
 //! `query.continuous.fold_ns` pump-latency histogram.
 //!
 //! Durability surfaces its own family. `streams.slab.*` reports the

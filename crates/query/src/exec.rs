@@ -343,14 +343,9 @@ impl Tail {
 /// without; a fold is read and advanced only under the topic's lock,
 /// together with the rows it covers. Every other arm folds its slice.
 ///
-/// A window is served by one of three access paths, in increasing
-/// freshness cost, each counted under `query.planner.*`:
+/// A window is served by one of two access paths, each counted under
+/// `query.planner.*`:
 ///
-/// * `incremental` — a registered continuous query whose AST matches and
-///   whose fold has caught up with the topic's tail answers from its
-///   standing result, with no scan. The service's query path (the one
-///   function behind `Apollo::query` and `ApolloHandle::query`) takes it
-///   before the cache is asked, so the cache never does.
 /// * `cached_scan` — the window is a slice of the topic's tail, which the
 ///   lookup first extends by the rows appended since (a *hit*), or scans
 ///   and keeps because the topic had none, the window reaches further
@@ -586,12 +581,12 @@ pub(crate) struct BucketState {
     pub(crate) acc: ScanAccumulator,
 }
 
-/// The scan-aggregate state shared by the column path and continuous
-/// queries. Both feed records in the same (stream) order — a row at a
-/// time through [`ScanState::observe`], or a bucket's run of rows at once
-/// through [`ScanState::observe_run`] — and read the result out of
-/// [`ScanState::finalize`], so their `f64` folds are bit-identical by
-/// construction.
+/// The scan-aggregate state of the column path, and of the folds a cached
+/// tail saves. Records are fed in stream order — a row at a time through
+/// [`ScanState::observe`], or a bucket's run of rows at once through
+/// [`ScanState::observe_run`] — and the result is read out of
+/// [`ScanState::finalize`], so a fold resumed from a saved state is
+/// bit-identical to one run front to back.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct ScanState {
     /// Records seen in the time window (before predicates).
@@ -771,11 +766,10 @@ impl ScanState {
 }
 
 /// Sort + truncate rows per an ORDER BY/LIMIT pair. Used per-arm (All
-/// scans), post-merge (union-level trailing clauses), and by continuous
-/// queries, so all three agree. Sorts are stable; rows arrive in stream
-/// order, so `Timestamp ASC` is a no-op for a single arm and a real merge
-/// for a union.
-pub(crate) fn apply_order_limit(rows: &mut Vec<Row>, order: Option<OrderBy>, limit: Option<usize>) {
+/// scans) and post-merge (union-level trailing clauses), so both agree.
+/// Sorts are stable; rows arrive in stream order, so `Timestamp ASC` is a
+/// no-op for a single arm and a real merge for a union.
+fn apply_order_limit(rows: &mut Vec<Row>, order: Option<OrderBy>, limit: Option<usize>) {
     match order {
         None => {}
         Some(OrderBy::TimestampAsc) => rows.sort_by_key(|r| r.timestamp_ms),
@@ -790,32 +784,6 @@ pub(crate) fn apply_order_limit(rows: &mut Vec<Row>, order: Option<OrderBy>, lim
     if let Some(n) = limit {
         rows.truncate(n);
     }
-}
-
-/// Combine per-arm outcomes into a [`QueryResult`] with the query's
-/// post-merge order/limit applied. Single-SELECT queries propagate their
-/// arm's error as `Err`; multi-arm unions keep the healthy arms and list
-/// failures in [`QueryResult::arm_errors`]. Shared between the engine and
-/// continuous queries so both report identically.
-pub(crate) fn merge_arm_results(
-    query: &Query,
-    results: Vec<Result<Vec<Row>, ExecError>>,
-) -> Result<QueryResult, ExecError> {
-    if results.len() == 1 {
-        let mut rows = results.into_iter().next().expect("one arm")?;
-        apply_order_limit(&mut rows, query.order, query.limit);
-        return Ok(QueryResult { rows, arm_errors: vec![] });
-    }
-    let mut rows = Vec::new();
-    let mut arm_errors = Vec::new();
-    for (arm, r) in results.into_iter().enumerate() {
-        match r {
-            Ok(arm_rows) => rows.extend(arm_rows),
-            Err(error) => arm_errors.push(ArmError { arm, error }),
-        }
-    }
-    apply_order_limit(&mut rows, query.order, query.limit);
-    Ok(QueryResult { rows, arm_errors })
 }
 
 /// Instrument handles for query execution, resolved by name once.
@@ -935,7 +903,20 @@ impl<'a, P: TableProvider> QueryEngine<'a, P> {
         if let Some(obs) = &self.obs {
             obs.queries.inc();
         }
-        merge_arm_results(query, query.selects.iter().map(|s| self.timed_select(s)).collect())
+        let results: Vec<_> = query.selects.iter().map(|s| self.timed_select(s)).collect();
+        let (mut rows, mut arm_errors) = (Vec::new(), Vec::new());
+        if results.len() == 1 {
+            rows = results.into_iter().next().expect("one arm")?;
+        } else {
+            for (arm, r) in results.into_iter().enumerate() {
+                match r {
+                    Ok(arm_rows) => rows.extend(arm_rows),
+                    Err(error) => arm_errors.push(ArmError { arm, error }),
+                }
+            }
+        }
+        apply_order_limit(&mut rows, query.order, query.limit);
+        Ok(QueryResult { rows, arm_errors })
     }
 
     /// Parse and execute in one call.

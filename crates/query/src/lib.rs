@@ -36,18 +36,13 @@
 //! * [`vector`] — columnar kernels: scan aggregates fold a slice of the
 //!   provider's [`apollo_streams::ColumnBatch`] in stream order,
 //!   bit-identical to a naive fold over the same records.
-//! * [`continuous`] — standing queries that fold newly published records
-//!   incrementally and read out in O(rows), bit-identical to a full
-//!   rescan at any quiescent point.
 
 pub mod ast;
-pub mod continuous;
 pub mod exec;
 pub mod parser;
 pub mod vector;
 
 pub use ast::{Aggregate, CmpOp, Join, Query, Select, ValuePred};
-pub use continuous::{ContinuousError, ContinuousQuery};
 pub use exec::{
     CachedBroker, ColumnSlice, QueryEngine, QueryMetrics, QueryResult, Row, ScanCache,
     TableProvider,

@@ -7,7 +7,7 @@
 //! `COUNT` no value, `SUM`/`AVG` the sum front to back, `MAX`/`MIN` eight
 //! lanes, folded again in order when the answer is ±0. Arms with value
 //! predicates or a join go row by row through the shared
-//! [`ScanState`](crate::exec), as continuous queries do. Each fold
+//! [`ScanState`](crate::exec). Each fold
 //! continues a state, so a cached tail resumes a whole-tail aggregate's
 //! saved fold over only the rows appended since.
 //!
@@ -22,9 +22,9 @@ use apollo_streams::codec::Provenance;
 /// Independent lanes of a `MAX`/`MIN` fold.
 const LANES: usize = 8;
 
-/// The fold of one scan aggregate, shared by the column path and
-/// continuous queries: one fold order, so both are bit-identical on the
-/// same value sequence. It folds only what its aggregate returns.
+/// The fold of one scan aggregate: one fold order, so any two folds of
+/// the same value sequence are bit-identical. It folds only what its
+/// aggregate returns.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScanAccumulator {
     agg: Aggregate,

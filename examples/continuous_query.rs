@@ -1,13 +1,13 @@
 //! Continuous queries: a registered AQE query as a standing vertex.
 //!
 //! One Fact vertex replays a capacity ramp; a continuous query over it
-//! (`SELECT AVG(metric) FROM ...`) seeds from a consistent snapshot,
-//! folds each newly published record incrementally when the publish
-//! wakes it, and republishes its result as ordinary facts whenever it
-//! changes. While it is caught up, a matching `Apollo::query` is served
-//! straight from the standing result — no scan at all
-//! (`query.planner.incremental`) — and is bit-identical to a full
-//! rescan, which this example checks on every tick.
+//! (`SELECT AVG(metric) FROM ...`) reruns on the service's cached query
+//! path when a publish wakes it, and republishes its result as ordinary
+//! facts whenever it changes. The scan cache keeps the AVG's fold and
+//! resumes it over only the rows appended since
+//! (`query.scan_cache.fold_resumed`), so a pump, and a matching
+//! `Apollo::query`, folds only the new rows — and is bit-identical to a
+//! full rescan, which this example checks on every tick.
 //!
 //! Run: `cargo run --release -p apollo-bench --example continuous_query`
 
@@ -33,7 +33,7 @@ fn main() {
         ))
         .expect("register fact");
 
-    // Build up some history first: the continuous query must seed from it.
+    // Build up some history first: the standing result must include it.
     apollo.run_for(Duration::from_secs(10));
 
     let sql = "SELECT AVG(metric) FROM node0/nvme/remaining_capacity";
@@ -41,34 +41,32 @@ fn main() {
         .register_continuous("cluster/avg_capacity", sql, Duration::from_secs(1))
         .expect("register continuous query");
     println!("registered standing query: {sql}");
-    println!("  seeded {} records from pre-registration history", standing.folded());
 
-    // Every tick: the standing result must match a full rescan bit-for-bit,
-    // and the service must serve it from the incremental tier (no scan).
+    // Every tick: the query path, the standing result and a full rescan
+    // agree bit-for-bit.
     let broker = apollo.broker();
     for tick in 0..20 {
         apollo.run_for(Duration::from_secs(1));
-        let served = apollo.query(sql).expect("incremental query");
-        // The oracle: a fresh engine over the raw broker — full scan,
-        // no cache, no standing result.
+        let served = apollo.query(sql).expect("standing query");
+        let kept = standing.result().expect("standing result");
+        // The oracle: a fresh engine over the raw broker — full scan, no
+        // cache.
         let rescan =
             apollo_query::QueryEngine::new(broker.as_ref()).execute_sql(sql).expect("full rescan");
-        assert_eq!(
-            format!("{served:?}"),
-            format!("{rescan:?}"),
-            "standing result diverged from rescan at tick {tick}"
-        );
+        let rescan = format!("{rescan:?}");
+        assert_eq!(format!("{served:?}"), rescan, "query path diverged at tick {tick}");
+        assert_eq!(format!("{kept:?}"), rescan, "standing result diverged at tick {tick}");
     }
     let snap = apollo.metrics_snapshot();
-    let incremental = snap.counter("query.planner.incremental");
-    let folds = snap.counter("query.continuous.folds");
+    let resumed = snap.counter("query.scan_cache.fold_resumed");
+    let misses = snap.counter("query.scan_cache.misses");
     let emitted = snap.counter("query.continuous.emitted_rows");
     println!("after 20 queried ticks:");
-    println!("  query.planner.incremental     = {incremental} (scan-free serves)");
-    println!("  query.continuous.folds        = {folds}");
+    println!("  query.scan_cache.fold_resumed = {resumed} (folds of only the new rows)");
+    println!("  query.scan_cache.misses       = {misses} (full scans)");
     println!("  query.continuous.emitted_rows = {emitted}");
-    assert!(incremental >= 15, "incremental tier barely used: {incremental}");
-    assert!(folds >= 20, "standing query stopped folding");
+    assert!(resumed >= 30, "the saved fold was barely resumed: {resumed}");
+    assert_eq!(misses, 1, "only the first lookup scanned the topic");
 
     // Changed results were republished as facts on the query's own topic.
     let history =
