@@ -12,7 +12,6 @@
 //! parameters — the same scale as the paper's 71 851 (whose exact layer
 //! shapes are unpublished).
 
-use apollo_delphi::nn::Activation;
 use apollo_delphi::tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -255,12 +254,6 @@ impl LstmModel {
             last = total / xs.len() as f64;
         }
         last
-    }
-
-    /// Activation used by the head (always linear; exposed for
-    /// completeness in reports).
-    pub fn head_activation(&self) -> Activation {
-        Activation::Linear
     }
 }
 

@@ -151,21 +151,6 @@ impl DeviceSpec {
         }
     }
 
-    /// RAM tier used by the middleware placement hierarchy.
-    pub fn ram_tier(capacity_bytes: u64) -> Self {
-        Self {
-            kind: DeviceKind::Ram,
-            capacity_bytes,
-            read_bw: 2.0e10,
-            write_bw: 2.0e10,
-            latency: Duration::from_nanos(200),
-            concurrency: 256,
-            power_active_w: 3.0,
-            power_idle_w: 2.5,
-            replication_level: 1,
-        }
-    }
-
     /// Remote shared burst buffer over SSDs (§4.4.1 tier 3).
     pub fn burst_buffer(capacity_bytes: u64) -> Self {
         Self {

@@ -167,9 +167,6 @@ pub struct InsightVertexSpec {
     /// The minimum spacing between recomputes: a publish to an input
     /// wakes the vertex no sooner than one cadence after its last run.
     pub cadence: Duration,
-    /// Modelled producer→vertex network latency (vertices are distinct
-    /// processes, §3.1). Zero by default.
-    pub link_delay: Duration,
 }
 
 impl InsightVertexSpec {
@@ -180,19 +177,7 @@ impl InsightVertexSpec {
         cadence: Duration,
         builder: impl FnMut(&InsightInputs) -> Option<f64> + Send + 'static,
     ) -> Self {
-        Self {
-            name: name.into(),
-            inputs,
-            builder: Box::new(builder),
-            cadence,
-            link_delay: Duration::ZERO,
-        }
-    }
-
-    /// Model a network hop of `delay` between producers and this vertex.
-    pub fn with_link_delay(mut self, delay: Duration) -> Self {
-        self.link_delay = delay;
-        self
+        Self { name: name.into(), inputs, builder: Box::new(builder), cadence }
     }
 
     /// An insight summing the latest values of all inputs once every
@@ -578,23 +563,17 @@ impl Apollo {
         check_vertex_name(&spec.name)?;
         self.graph.add_insight(&spec.name, &spec.inputs)?;
         let inputs = spec.inputs.clone();
-        let vertex = Arc::new(InsightVertex::with_link_delay(
+        let vertex = Arc::new(InsightVertex::new(
             spec.name,
             spec.inputs,
             spec.builder,
             Arc::clone(&self.broker),
-            spec.link_delay,
         ));
         vertex.instrument(&self.registry);
-        // Entries still in flight over the link re-arm it at cadence.
         let pumped = Arc::clone(&vertex);
         self.schedule(vertex.name(), &inputs, spec.cadence, move |_ctl, now| {
             pumped.pump(now);
-            if pumped.in_flight() {
-                TimerAction::Continue
-            } else {
-                TimerAction::Park
-            }
+            TimerAction::Park
         });
         self.insights.push(Arc::clone(&vertex));
         Ok(vertex)
@@ -1071,37 +1050,26 @@ mod tests {
     }
 
     #[test]
-    fn link_delay_adds_per_hop_propagation_latency() {
-        // fact -> i1 -> i2, each hop costing 2s of network latency: a
-        // fact value born at t reaches i2's queue only after both hops
-        // (plus pump cadence) — the Hamming-distance latency of Fig 7b.
+    fn an_input_stamped_ahead_of_the_clock_is_taken_at_the_next_pump() {
+        // An insight reads what its input topic holds, whatever the stamp:
+        // a record from a producer whose clock runs an hour ahead of the
+        // loop's is taken at the next pump, and the step parks again.
+        use apollo_streams::codec::Record;
         let mut apollo = Apollo::new_virtual();
-        let series = TimeSeries::from_points(vec![(0, 1.0), (5 * NS, 2.0)]);
-        apollo
-            .register_fact(FactVertexSpec::fixed(
-                "f",
-                Arc::new(TraceSource::new("f", series)),
-                Duration::from_secs(1),
-            ))
+        let every = Duration::from_secs(1);
+        let source = Arc::new(ConstSource::new("c", 5.0));
+        apollo.register_fact(FactVertexSpec::fixed("cap", source, every)).unwrap();
+        let sum = apollo
+            .register_insight(InsightVertexSpec::sum_of("sum", vec!["cap".into()], every))
             .unwrap();
-        for (name, input) in [("i1", "f"), ("i2", "i1")] {
-            apollo
-                .register_insight(
-                    InsightVertexSpec::new(name, vec![input.into()], Duration::from_secs(1), {
-                        let input = input.to_string();
-                        move |i: &InsightInputs| i.value(&input)
-                    })
-                    .with_link_delay(Duration::from_secs(2)),
-                )
-                .unwrap();
-        }
-        // The new value (2.0) is sampled at t=5s.
-        apollo.run_for(Duration::from_secs(6));
-        let at_6 = apollo.query("SELECT MAX(Timestamp), metric FROM i2").unwrap().rows[0].value;
-        assert_eq!(at_6, 1.0, "new value still in flight across two hops");
-        apollo.run_for(Duration::from_secs(6));
-        let later = apollo.query("SELECT MAX(Timestamp), metric FROM i2").unwrap().rows[0].value;
-        assert_eq!(later, 2.0, "value arrives after both link delays elapse");
+        apollo.run_for(Duration::from_secs(5));
+        let ahead = apollo.now() + 3_600 * NS;
+        apollo.broker().publish("cap", ahead / 1_000_000, Record::measured(ahead, 7.0).encode());
+        apollo.run_for(Duration::from_secs(5));
+        assert_eq!(apollo.scheduled["sum"].timer.fire_count(), 2, "one run per publish");
+        assert_eq!(sum.recomputes(), 2);
+        let latest = apollo.query("SELECT MAX(Timestamp), metric FROM sum").unwrap();
+        assert_eq!(latest.rows[0].value, 7.0);
     }
 
     #[test]

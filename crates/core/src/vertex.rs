@@ -368,8 +368,6 @@ pub struct InsightInputs {
     /// Records newly consumed in this cycle as `(slot, record)`, in the
     /// order they were drained (per topic, arrival order).
     pub fresh: Vec<(usize, Record)>,
-    /// Entries received but not yet network-visible, as `(slot, record)`.
-    in_flight: Vec<(usize, Record)>,
     /// The pump's drain buffer, empty between pumps.
     drained: Vec<apollo_streams::Entry>,
 }
@@ -408,10 +406,6 @@ pub struct InsightVertex {
     last_published: parking_lot::Mutex<Option<f64>>,
     published: AtomicU64,
     recomputes: AtomicU64,
-    /// Modelled one-way network latency from producers to this vertex
-    /// (vertices are "distinct processes in the cluster", §3.1): an
-    /// entry becomes visible only `link_delay` after its timestamp.
-    link_delay_ms: u64,
     obs: OnceLock<InsightObs>,
 }
 
@@ -424,18 +418,6 @@ impl InsightVertex {
         inputs: Vec<String>,
         builder: Builder,
         broker: Arc<Broker>,
-    ) -> Self {
-        Self::with_link_delay(name, inputs, builder, broker, Duration::ZERO)
-    }
-
-    /// [`InsightVertex::new`] with a modelled producer→vertex network
-    /// latency.
-    pub fn with_link_delay(
-        name: impl Into<String>,
-        inputs: Vec<String>,
-        builder: Builder,
-        broker: Arc<Broker>,
-        link_delay: Duration,
     ) -> Self {
         let mut inputs = inputs;
         inputs.sort();
@@ -456,7 +438,6 @@ impl InsightVertex {
             last_published: parking_lot::Mutex::new(None),
             published: AtomicU64::new(0),
             recomputes: AtomicU64::new(0),
-            link_delay_ms: link_delay.as_millis() as u64,
             obs: OnceLock::new(),
         }
     }
@@ -504,30 +485,17 @@ impl InsightVertex {
     fn pump_inner(&self, now_ns: u64, sampled: bool) -> bool {
         let mut state = self.state.lock();
         let consumed = self.timer.time(sampled, Phase::Consume, || {
-            let InsightInputs { latest, fresh, in_flight, drained, .. } = &mut *state;
+            let InsightInputs { latest, fresh, drained, .. } = &mut *state;
+            fresh.clear();
             for (slot, sub) in self.subscriptions.iter().enumerate() {
                 sub.drain_into(drained);
                 for entry in drained.drain(..) {
                     if let Ok(r) = Record::decode(&entry.payload) {
-                        in_flight.push((slot, r));
+                        latest[slot] = Some(r);
+                        fresh.push((slot, r));
                     }
                 }
             }
-            // Nothing arrived and nothing is waiting out its link delay.
-            if in_flight.is_empty() {
-                return false;
-            }
-            // Deliver entries whose network latency has elapsed.
-            let now_ms = now_ns / 1_000_000;
-            fresh.clear();
-            in_flight.retain(|&(slot, r)| {
-                let visible = r.timestamp_ns / 1_000_000 + self.link_delay_ms <= now_ms;
-                if visible {
-                    latest[slot] = Some(r);
-                    fresh.push((slot, r));
-                }
-                !visible
-            });
             !fresh.is_empty()
         });
         if !consumed {
@@ -551,11 +519,6 @@ impl InsightVertex {
             }
         }
         true
-    }
-
-    /// Whether received entries still wait out their link delay.
-    pub(crate) fn in_flight(&self) -> bool {
-        !self.state.lock().in_flight.is_empty()
     }
 
     /// Insights published so far.

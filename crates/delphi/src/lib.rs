@@ -24,7 +24,8 @@
 //! kernel to.
 //!
 //! Supporting modules: [`tensor`] (matrix math), [`nn`] (dense layers,
-//! SGD, gradient checking), [`predictor`] (the online scale-invariant
+//! one full-batch backprop path for SGD, the closed-form least-squares
+//! fit), [`predictor`] (the online scale-invariant
 //! wrapper monitor hooks call between polls), [`eval`] (RMSE/R²/inference
 //! timing). The Figure 11 comparators (LSTM, CNN) live beside their
 //! harness in `apollo-bench`.

@@ -1,10 +1,12 @@
-//! Dense layers, activations, SGD training, and gradient checking.
+//! Dense layers, activations, SGD training and the closed-form fit.
 //!
-//! Everything the Delphi stack needs: a [`Dense`] layer with forward and
-//! backward passes, a [`Sequential`] container with per-layer freezing
-//! (the paper sets pre-trained feature models "to be untrainable"), MSE
-//! loss, and a finite-difference gradient checker used by the test suite
-//! to validate backprop.
+//! Everything the Delphi stack needs: a [`Dense`] layer (weights, bias,
+//! activation and an inference pass), a [`Sequential`] container with
+//! per-layer freezing (the paper sets pre-trained feature models "to be
+//! untrainable") trained on MSE loss by one backprop path,
+//! [`Sequential::batch_grads`] + [`Sequential::apply_grads`], and
+//! [`least_squares`]. The test module holds backprop to a
+//! finite-difference gradient check.
 
 use crate::tensor::Matrix;
 use rand::rngs::StdRng;
@@ -63,16 +65,6 @@ pub struct Dense {
     /// When false, gradients are computed through but not applied to this
     /// layer (the paper's frozen feature models).
     pub trainable: bool,
-    // Cached forward state for backward(), held in reused buffers
-    // (swapped out with `mem::take`, refilled with `copy_from`) so a
-    // steady-state forward never clones or allocates.
-    last_input: Matrix,
-    last_output: Matrix,
-    cached: bool,
-    // Reused backprop scratch: dz, dw, db.
-    dz: Matrix,
-    dw: Matrix,
-    db: Matrix,
 }
 
 impl Dense {
@@ -84,12 +76,6 @@ impl Dense {
             bias: Matrix::zeros(1, outputs),
             activation,
             trainable: true,
-            last_input: Matrix::default(),
-            last_output: Matrix::default(),
-            cached: false,
-            dz: Matrix::default(),
-            dw: Matrix::default(),
-            db: Matrix::default(),
         }
     }
 
@@ -108,41 +94,7 @@ impl Dense {
         self.weights.len() + self.bias.len()
     }
 
-    /// Forward pass; caches state for backward. Equivalent to
-    /// [`Dense::forward_cached`] plus a clone of the output (kept for API
-    /// compatibility — hot paths use the `_into`/`_cached` variants).
-    pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        self.forward_cached(x).clone()
-    }
-
-    /// Forward pass via the fused [`Matrix::matmul_bias_act_into`] kernel,
-    /// caching input and output into reused buffers (no clones, no
-    /// steady-state allocations). Returns a reference to the cached
-    /// output.
-    pub fn forward_cached(&mut self, x: &Matrix) -> &Matrix {
-        // `mem::take` swaps the cache buffers out so the kernel can borrow
-        // `self` immutably while writing into them.
-        let mut input = std::mem::take(&mut self.last_input);
-        input.copy_from(x);
-        self.last_input = input;
-        let mut out = std::mem::take(&mut self.last_output);
-        let act = self.activation;
-        x.matmul_bias_act_into(&self.weights, &self.bias, |v| act.apply(v), &mut out);
-        self.last_output = out;
-        self.cached = true;
-        &self.last_output
-    }
-
-    /// The output cached by the last forward pass.
-    ///
-    /// # Panics
-    /// Panics if called before a forward pass.
-    pub fn cached_output(&self) -> &Matrix {
-        assert!(self.cached, "cached_output before forward");
-        &self.last_output
-    }
-
-    /// Forward pass without caching (inference).
+    /// Forward pass (inference).
     pub fn infer(&self, x: &Matrix) -> Matrix {
         let mut out = Matrix::default();
         self.infer_into(x, &mut out);
@@ -153,45 +105,6 @@ impl Dense {
     pub fn infer_into(&self, x: &Matrix, out: &mut Matrix) {
         let act = self.activation;
         x.matmul_bias_act_into(&self.weights, &self.bias, |v| act.apply(v), out);
-    }
-
-    /// Backward pass: given `dL/dy`, applies the SGD update (if trainable)
-    /// and returns `dL/dx`.
-    ///
-    /// # Panics
-    /// Panics if called before `forward`.
-    pub fn backward(&mut self, grad_output: &Matrix, lr: f64) -> Matrix {
-        let mut dx = Matrix::default();
-        self.backward_into(grad_output, lr, &mut dx);
-        dx
-    }
-
-    /// Backward pass into a caller-owned `dL/dx` buffer. Uses the fused
-    /// transposed-operand kernels ([`Matrix::matmul_at_into`] /
-    /// [`Matrix::matmul_bt_into`]) so no transpose is ever materialized,
-    /// and layer-owned scratch for `dz`/`dw`/`db` — zero steady-state
-    /// allocations.
-    ///
-    /// # Panics
-    /// Panics if called before `forward`.
-    pub fn backward_into(&mut self, grad_output: &Matrix, lr: f64, dx: &mut Matrix) {
-        assert!(self.cached, "backward before forward");
-        let act = self.activation;
-        // dL/dz = dL/dy ⊙ act'(y)
-        grad_output.hadamard_map_into(
-            &self.last_output,
-            |y| act.derivative_from_output(y),
-            &mut self.dz,
-        );
-        // dW = xᵀ·dz, db = Σ_rows dz, dx = dz·Wᵀ — all computed before the
-        // update so the applied order cannot change the math.
-        self.last_input.matmul_at_into(&self.dz, &mut self.dw);
-        self.dz.sum_rows_into(&mut self.db);
-        self.dz.matmul_bt_into(&self.weights, dx);
-        if self.trainable {
-            self.weights.add_scaled_in_place(&self.dw, -lr);
-            self.bias.add_scaled_in_place(&self.db, -lr);
-        }
     }
 }
 
@@ -250,21 +163,6 @@ impl Sequential {
     /// Trainable parameter count.
     pub fn trainable_param_count(&self) -> usize {
         self.layers.iter().filter(|l| l.trainable).map(Dense::param_count).sum()
-    }
-
-    /// Forward with caching (training). Each layer chains off the previous
-    /// layer's cached output — no intermediate allocations beyond the
-    /// returned clone.
-    pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        if self.layers.is_empty() {
-            return x.clone();
-        }
-        for i in 0..self.layers.len() {
-            let (done, rest) = self.layers.split_at_mut(i);
-            let input = if i == 0 { x } else { done[i - 1].cached_output() };
-            rest[0].forward_cached(input);
-        }
-        self.layers.last().unwrap().cached_output().clone()
     }
 
     /// Forward without caching (inference).
@@ -481,46 +379,6 @@ pub fn least_squares(x: &Matrix, y: &Matrix, ridge: f64) -> (Matrix, f64) {
     (Matrix::from_vec(d, 1, sol[..d].to_vec()), bias)
 }
 
-/// Finite-difference gradient check of a `Sequential` at input `x`,
-/// target `y`. Returns the maximum relative error between analytic and
-/// numeric weight gradients of the first layer.
-///
-/// Exposed (rather than test-only) so property tests in dependent crates
-/// can reuse it.
-pub fn gradient_check(model: &Sequential, x: &Matrix, y: &Matrix, eps: f64) -> f64 {
-    let mut worst: f64 = 0.0;
-    let loss_of = |m: &Sequential| m.mse(x, y);
-
-    // Analytic gradients for every weight at once: one batch_grads pass
-    // (no per-weight probe clones — the old implementation recomputed an
-    // identical train_step per probed weight).
-    let mut grads = GradBuffer::default();
-    model.batch_grads(x, y, &mut grads);
-
-    // Numeric gradients: ONE scratch clone, each probed entry perturbed
-    // and restored in place instead of cloning the whole model per weight.
-    let mut perturbed = model.clone();
-    for li in 0..model.layers().len() {
-        if !model.layers()[li].trainable {
-            continue;
-        }
-        for wi in 0..model.layers()[li].weights.len() {
-            let orig = model.layers()[li].weights.data()[wi];
-            perturbed.layers_mut()[li].weights.data_mut()[wi] = orig + eps;
-            let plus = loss_of(&perturbed);
-            perturbed.layers_mut()[li].weights.data_mut()[wi] = orig - eps;
-            let minus = loss_of(&perturbed);
-            perturbed.layers_mut()[li].weights.data_mut()[wi] = orig;
-            let numeric = (plus - minus) / (2.0 * eps);
-
-            let analytic = grads.grads[li].0.data()[wi];
-            let denom = numeric.abs().max(analytic.abs()).max(1e-8);
-            worst = worst.max((numeric - analytic).abs() / denom);
-        }
-    }
-    worst
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -528,6 +386,42 @@ mod tests {
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(42)
+    }
+
+    /// Finite-difference gradient check of a `Sequential` at input `x`,
+    /// target `y`: the oracle that holds `batch_grads` to the loss it
+    /// differentiates. Returns the maximum relative error between analytic
+    /// and numeric weight gradients over every trainable layer.
+    fn gradient_check(model: &Sequential, x: &Matrix, y: &Matrix, eps: f64) -> f64 {
+        let mut worst: f64 = 0.0;
+        let loss_of = |m: &Sequential| m.mse(x, y);
+
+        // Analytic gradients for every weight at once: one batch_grads pass.
+        let mut grads = GradBuffer::default();
+        model.batch_grads(x, y, &mut grads);
+
+        // Numeric gradients: one scratch clone, each probed entry perturbed
+        // and restored in place.
+        let mut perturbed = model.clone();
+        for li in 0..model.layers().len() {
+            if !model.layers()[li].trainable {
+                continue;
+            }
+            for wi in 0..model.layers()[li].weights.len() {
+                let orig = model.layers()[li].weights.data()[wi];
+                perturbed.layers_mut()[li].weights.data_mut()[wi] = orig + eps;
+                let plus = loss_of(&perturbed);
+                perturbed.layers_mut()[li].weights.data_mut()[wi] = orig - eps;
+                let minus = loss_of(&perturbed);
+                perturbed.layers_mut()[li].weights.data_mut()[wi] = orig;
+                let numeric = (plus - minus) / (2.0 * eps);
+
+                let analytic = grads.grads[li].0.data()[wi];
+                let denom = numeric.abs().max(analytic.abs()).max(1e-8);
+                worst = worst.max((numeric - analytic).abs() / denom);
+            }
+        }
+        worst
     }
 
     #[test]
@@ -570,6 +464,7 @@ mod tests {
         assert!((w.get(0, 0) - 2.0).abs() < 1e-3);
         assert!((w.get(1, 0) + 3.0).abs() < 1e-3);
         assert!((m.layers()[0].bias.get(0, 0) - 1.0).abs() < 1e-3);
+        assert_eq!(Sequential::new().infer(&x), x, "no layers: passthrough");
     }
 
     #[test]
@@ -651,18 +546,5 @@ mod tests {
         m.push(Dense::new(2, 1, Activation::Linear, &mut rng()));
         let loss = m.fit_sharded(&x, &y, 0.1, 2000, 3);
         assert!(loss < 1e-6, "sharded loss {loss}");
-    }
-
-    #[test]
-    fn infer_matches_forward() {
-        let mut r = rng();
-        let mut m = Sequential::new();
-        m.push(Dense::new(2, 3, Activation::Tanh, &mut r));
-        m.push(Dense::new(3, 1, Activation::Linear, &mut r));
-        let x = Matrix::from_vec(1, 2, vec![0.3, -0.7]);
-        let a = m.infer(&x);
-        let b = m.forward(&x);
-        assert_eq!(a, b);
-        assert_eq!(Sequential::new().infer(&x), x, "no layers: passthrough");
     }
 }

@@ -116,15 +116,6 @@ impl Matrix {
         self.data.resize(rows * cols, 0.0);
     }
 
-    /// Become a copy of `src`, reusing the existing allocation when its
-    /// capacity suffices.
-    pub fn copy_from(&mut self, src: &Matrix) {
-        self.rows = src.rows;
-        self.cols = src.cols;
-        self.data.clear();
-        self.data.extend_from_slice(&src.data);
-    }
-
     /// Zero every element without changing shape or capacity.
     pub fn fill_zero(&mut self) {
         self.data.fill(0.0);
@@ -528,10 +519,6 @@ mod tests {
         assert_eq!(m.get(0, 2), 9.0);
         m.resize(1, 2);
         assert_eq!((m.rows(), m.cols(), m.len()), (1, 2, 2));
-        let mut dst = Matrix::zeros(4, 4);
-        let src = Matrix::from_vec(1, 3, vec![7.0, 8.0, 9.0]);
-        dst.copy_from(&src);
-        assert_eq!(dst, src);
     }
 
     #[test]

@@ -70,12 +70,6 @@ impl ApolloView {
         Self { broker, cost: Duration::from_micros(100), reads: AtomicU64::new(0) }
     }
 
-    /// Override the simulated query cost.
-    pub fn with_query_cost(mut self, cost: Duration) -> Self {
-        self.cost = cost;
-        self
-    }
-
     /// Topic name carrying a target's capacity fact.
     pub fn capacity_topic(target: &str) -> String {
         format!("{target}/remaining_capacity")

@@ -207,35 +207,13 @@ pub struct TopicInfo {
     /// forward to keep IDs monotonic (see [`Stream::clock_regressions`]).
     pub clock_regressions: u64,
 }
-/// Number of lock stripes the topic namespace is split across. Query
-/// threads and publishers outside the service loop convoy on a single
-/// `RwLock<HashMap>`; 16 stripes keyed by topic hash keep the expected
-/// collision rate low for dozens of concurrent callers while costing only
-/// 16 small maps. Power of two so the hash folds with
-/// a mask.
-const TOPIC_SHARDS: usize = 16;
-
-/// FNV-1a over the topic name: cheap, deterministic across runs (shard
-/// assignment is stable for a given name) and well-mixed in the low bits
-/// used for the stripe mask.
-fn topic_shard_hash(name: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h
-}
 
 /// The pub-sub broker: a namespace of topics.
 pub struct Broker {
-    /// Topic namespace, lock-striped into [`TOPIC_SHARDS`] independent
-    /// maps keyed by topic-name hash, so parallel vertices touching
-    /// different topics do not convoy on one lock.
-    shards: Vec<RwLock<HashMap<String, Arc<Topic>>>>,
-    /// Shard lock acquisitions that found the stripe already held and had
-    /// to block; exported as `streams.shard_contention`.
-    shard_contention: Arc<AtomicU64>,
+    /// Topic namespace. A vertex's publishes hold its topic's `Arc` (see
+    /// [`Publisher`]), so the map is read on lookups and registration
+    /// only.
+    topics: RwLock<HashMap<String, Arc<Topic>>>,
     default_config: StreamConfig,
     /// Lifetime publishes across all topics; behind an `Arc` so
     /// [`Broker::instrument`] exports it as `streams.published_total`
@@ -255,8 +233,7 @@ impl Broker {
     /// Create a broker whose topics use `default_config` retention.
     pub fn new(default_config: StreamConfig) -> Self {
         Self {
-            shards: (0..TOPIC_SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
-            shard_contention: Arc::new(AtomicU64::new(0)),
+            topics: RwLock::default(),
             default_config,
             published_total: Arc::new(AtomicU64::new(0)),
             obs: OnceLock::new(),
@@ -278,17 +255,13 @@ impl Broker {
             registry: registry.clone(),
             publish_ns: registry.histogram("streams.publish_ns"),
         });
-        let _ = registry
-            .counter_backed_by("streams.shard_contention", Arc::clone(&self.shard_contention));
         // Slab-exhaustion fallbacks (process-wide cell bumped whenever a
         // stream wanted a slab series and couldn't get one — directory
         // full or name too long).
         let _ = registry.counter_backed_by("streams.slab.dir_full", crate::slab::dir_full_cell());
         let registry = &self.obs.get().expect("just set").registry;
-        for shard in &self.shards {
-            for (name, t) in shard.read().iter() {
-                t.register(registry, name);
-            }
+        for (name, t) in self.topics.read().iter() {
+            t.register(registry, name);
         }
     }
 
@@ -298,52 +271,14 @@ impl Broker {
         self.published_total.load(Ordering::Relaxed)
     }
 
-    /// The lock stripe owning `name`.
-    fn shard(&self, name: &str) -> &RwLock<HashMap<String, Arc<Topic>>> {
-        &self.shards[(topic_shard_hash(name) % TOPIC_SHARDS as u64) as usize]
-    }
-
-    /// Read-lock `name`'s stripe, counting the acquisition as contended
-    /// when the uncontended fast path (`try_read`) fails.
-    fn shard_read(
-        &self,
-        name: &str,
-    ) -> parking_lot::RwLockReadGuard<'_, HashMap<String, Arc<Topic>>> {
-        let shard = self.shard(name);
-        shard.try_read().unwrap_or_else(|| {
-            self.shard_contention.fetch_add(1, Ordering::Relaxed);
-            shard.read()
-        })
-    }
-
-    /// Write-lock `name`'s stripe, counting contention like
-    /// [`Broker::shard_read`].
-    fn shard_write(
-        &self,
-        name: &str,
-    ) -> parking_lot::RwLockWriteGuard<'_, HashMap<String, Arc<Topic>>> {
-        let shard = self.shard(name);
-        shard.try_write().unwrap_or_else(|| {
-            self.shard_contention.fetch_add(1, Ordering::Relaxed);
-            shard.write()
-        })
-    }
-
-    /// Shard lock acquisitions that found their stripe already held
-    /// (also exported to an instrumented registry as
-    /// `streams.shard_contention`).
-    pub fn shard_contention(&self) -> u64 {
-        self.shard_contention.load(Ordering::Relaxed)
-    }
-
     /// Fetch-or-create a topic. This is the **write/registration path**
     /// (`publish*`, `subscribe*`, `wake_on`); every read accessor
     /// goes through [`Broker::lookup`] instead and never creates topics.
     fn topic(&self, name: &str) -> Arc<Topic> {
-        if let Some(t) = self.shard_read(name).get(name) {
+        if let Some(t) = self.topics.read().get(name) {
             return Arc::clone(t);
         }
-        let mut topics = self.shard_write(name);
+        let mut topics = self.topics.write();
         Arc::clone(topics.entry(name.to_string()).or_insert_with(|| {
             let t = Topic {
                 stream: Stream::new(name, self.default_config.clone()),
@@ -367,28 +302,33 @@ impl Broker {
     /// register a phantom topic that later shows up in `info()` or
     /// metrics.
     fn lookup(&self, name: &str) -> Option<Arc<Topic>> {
-        self.shard_read(name).get(name).map(Arc::clone)
+        self.topics.read().get(name).map(Arc::clone)
     }
 
     /// Topic names currently registered.
     pub fn topic_names(&self) -> Vec<String> {
-        let mut names: Vec<String> =
-            self.shards.iter().flat_map(|s| s.read().keys().cloned().collect::<Vec<_>>()).collect();
+        let mut names: Vec<String> = self.topics.read().keys().cloned().collect();
         names.sort();
         names
     }
 
     /// True when a topic exists (has been published or subscribed to).
     pub fn has_topic(&self, name: &str) -> bool {
-        self.shard_read(name).contains_key(name)
+        self.topics.read().contains_key(name)
     }
 
-    /// Remove a topic and all its state. Existing subscriptions stop
+    /// Remove a topic from the namespace. Existing subscriptions stop
     /// receiving, and a [`Publisher`] resolved to the topic creates it
     /// anew on its next publish, as a by-name publish would. Returns
     /// whether the topic existed.
+    ///
+    /// On a slab-backed broker the topic's slab series is not retired
+    /// here: it survives until [`crate::SlabStore::compact`] reclaims it.
+    /// A topic re-created under the same name before then re-attaches the
+    /// series and inherits its archived rows (not the rows its window held
+    /// at removal), and its new IDs are clamped past the old ones.
     pub fn remove_topic(&self, name: &str) -> bool {
-        let removed = self.shard_write(name).remove(name);
+        let removed = self.topics.write().remove(name);
         if let Some(t) = &removed {
             // Release pairs with the Acquire load in `Publisher::with_topic`.
             t.removed.store(true, Ordering::Release);
@@ -582,10 +522,7 @@ impl Broker {
     /// Approximate memory footprint of all topic windows (Figure 5's
     /// memory-overhead accounting).
     pub fn approx_memory_bytes(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().values().map(|t| t.stream.approx_memory_bytes()).sum::<usize>())
-            .sum()
+        self.topics.read().values().map(|t| t.stream.approx_memory_bytes()).sum()
     }
 
     /// `XINFO`-style statistics for one topic, if it exists.
@@ -616,7 +553,7 @@ impl Broker {
 /// A publisher resolved to one topic, created by [`Broker::publisher`]:
 /// the topic's `Arc` plus the broker's shared counters and instruments,
 /// so a publish is the counter `fetch_add`s, the window append and the
-/// wakers — no name hash, stripe lock or map probe. Records land exactly
+/// wakers — no namespace lock or map probe. Records land exactly
 /// as a by-name [`Broker::publish`] would put them (same IDs, counters,
 /// instruments and append-then-wake order).
 ///
@@ -677,8 +614,7 @@ impl std::fmt::Debug for Publisher {
 
 impl std::fmt::Debug for Broker {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let topics: usize = self.shards.iter().map(|s| s.read().len()).sum();
-        f.debug_struct("Broker").field("topics", &topics).finish()
+        f.debug_struct("Broker").field("topics", &self.topics.read().len()).finish()
     }
 }
 
@@ -687,9 +623,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sharded_namespace_holds_many_topics() {
-        // Far more topics than stripes: every one must land in exactly one
-        // shard and stay reachable through all the namespace accessors.
+    fn namespace_holds_many_topics() {
+        // Every topic stays reachable through all the namespace accessors.
         let b = Broker::default();
         let names: Vec<String> = (0..128).map(|i| format!("topic-{i}")).collect();
         for (i, n) in names.iter().enumerate() {
@@ -706,19 +641,6 @@ mod tests {
         assert!(b.remove_topic("topic-7"));
         assert!(!b.has_topic("topic-7"));
         assert_eq!(b.topic_names().len(), 127);
-    }
-
-    #[test]
-    fn shard_assignment_is_stable_and_striped() {
-        // The hash must be deterministic (same name, same stripe across
-        // calls) and actually spread names over multiple stripes.
-        let stripes: std::collections::HashSet<u64> = (0..64)
-            .map(|i| topic_shard_hash(&format!("vertex/{i}")) % TOPIC_SHARDS as u64)
-            .collect();
-        assert!(stripes.len() > TOPIC_SHARDS / 2, "only {} stripes used", stripes.len());
-        for name in ["cpu", "apollo/self/health", "a-much-longer-topic-name"] {
-            assert_eq!(topic_shard_hash(name), topic_shard_hash(name));
-        }
     }
 
     #[test]
@@ -741,19 +663,6 @@ mod tests {
         for t in 0..8 {
             assert_eq!(b.topic_len(&format!("worker-{t}")), 200);
         }
-        // Contention is workload-dependent; the counter just has to be
-        // readable and consistent with `streams.shard_contention` export.
-        let _ = b.shard_contention();
-    }
-
-    #[test]
-    fn shard_contention_counter_is_exported() {
-        let reg = apollo_obs::Registry::new();
-        let b = Broker::default();
-        b.instrument(&reg);
-        b.publish("t", 1, vec![1]);
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter("streams.shard_contention"), b.shard_contention());
     }
 
     #[test]

@@ -58,14 +58,14 @@ pub use stream::{ColumnBatch, ScanBatch, ScanMeta, SpillBackend, Stream, StreamC
 /// private in-memory ring of a directory-less stream unless noted.
 #[cfg(test)]
 mod archiver {
-    use crate::{Entry, SlabConfig, SlabStore, Stream, StreamConfig, StreamId};
+    use crate::{SlabConfig, SlabStore, Stream, StreamConfig, StreamId};
 
     /// A stream that kept only `ms`'s last row in its window and evicted
     /// every earlier one into its ring.
     fn archived(ms: impl IntoIterator<Item = u64>) -> Stream {
         let s = Stream::new("a", StreamConfig::bounded(1));
         for ms in ms {
-            s.append_entry(Entry::new(StreamId::new(ms, 0), vec![ms as u8])).unwrap();
+            s.append(ms, vec![ms as u8]);
         }
         s
     }

@@ -97,23 +97,6 @@ struct Window {
     last_id: Option<StreamId>,
 }
 
-/// Error appending an explicit-ID entry.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IdNotIncreasing {
-    /// The rejected ID.
-    pub offered: StreamId,
-    /// The stream's current last ID.
-    pub last: StreamId,
-}
-
-impl std::fmt::Display for IdNotIncreasing {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "entry id {} must exceed last id {}", self.offered, self.last)
-    }
-}
-
-impl std::error::Error for IdNotIncreasing {}
-
 /// A consistent scan over a stream: the entries of one atomic
 /// archive+window snapshot plus their payloads pre-decoded as telemetry
 /// [`Record`]s in the same pass — the batched read the query executor
@@ -406,19 +389,6 @@ impl Stream {
     /// means ID time and wall time have diverged for some entries.
     pub fn clock_regressions(&self) -> u64 {
         self.clock_regressions.load(Ordering::Relaxed)
-    }
-
-    /// Append an entry with an explicit ID, which must exceed the last ID.
-    pub fn append_entry(&self, entry: Entry) -> Result<StreamId, IdNotIncreasing> {
-        let mut w = self.window.write();
-        if let Some(last) = w.last_id {
-            if entry.id <= last {
-                return Err(IdNotIncreasing { offered: entry.id, last });
-            }
-        }
-        let id = entry.id;
-        self.push_locked(&mut w, entry);
-        Ok(id)
     }
 
     /// Evicts before it pushes, so a bounded window's buffer never holds
@@ -745,15 +715,6 @@ mod tests {
         assert_eq!(c, StreamId::new(11, 0));
         assert_eq!(d, StreamId::new(11, 1));
         assert_eq!(s.last_id(), Some(d));
-    }
-
-    #[test]
-    fn explicit_append_rejects_non_increasing() {
-        let s = Stream::with_defaults("t");
-        s.append_entry(Entry::new(StreamId::new(5, 0), vec![])).unwrap();
-        let err = s.append_entry(Entry::new(StreamId::new(5, 0), vec![])).unwrap_err();
-        assert_eq!(err.offered, StreamId::new(5, 0));
-        assert!(s.append_entry(Entry::new(StreamId::new(5, 1), vec![])).is_ok());
     }
 
     #[test]
