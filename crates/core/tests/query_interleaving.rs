@@ -1,6 +1,6 @@
 //! Reader-vs-pump interleaving on the one query path.
 //!
-//! Four reader threads go through [`ApolloHandle::query`] while the
+//! Five reader threads go through [`ApolloHandle::query`] while the
 //! service thread publishes, pumps the continuous vertex and evicts into
 //! the archive. A reader takes a topic's scan-cache lock and then reads
 //! the broker; the pump takes the vertex lock, runs the same cached query
@@ -26,12 +26,18 @@
 //! one, which the tail answers by resuming the fold it saved for
 //! each: folded on over whatever rows the other readers' lookups landed
 //! since, each must still be the exact fold of its own prefix `1..=k`.
+//!
+//! The fifth runs the query mix's windowed shapes at the run's scale: a
+//! sliding `MAX … GROUP BY BUCKET`, which the tail answers by resuming its
+//! saved bucketed fold, and a sliding `COUNT(*) … JOIN` against a static
+//! partner topic, folded in one column pass. Each answer must equal an
+//! uncached rescan of the prefix `1..=k` it was taken at.
 
 use apollo_cluster::metrics::{MetricError, MetricSource};
 use apollo_core::service::{Apollo, ApolloHandle, FactVertexSpec};
 use apollo_query::QueryEngine;
 use apollo_runtime::event_loop::EventLoop;
-use apollo_streams::StreamConfig;
+use apollo_streams::{Broker, StreamConfig};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -155,6 +161,74 @@ fn resumed_reader(handle: &ApolloHandle, until: Instant) -> u64 {
     checked
 }
 
+/// The join partner: one record every `PACE_MS`, published before the run
+/// over the span it can last, and never written again.
+const PACE_MS: u64 = 13;
+const PACE_SPAN_MS: u64 = 30_000;
+
+/// The `seq` records with ID time at or after `lo_ms` in the prefix
+/// `1..=k`, as `(record ms, value)`, from an uncached scan. Nothing is
+/// lost in this run, so the prefix is all of the snapshot's window.
+fn prefix(broker: &Broker, lo_ms: u64, k: u64) -> Vec<(u64, f64)> {
+    let records = broker.scan_batch_by_time("seq", lo_ms, u64::MAX).records;
+    let rows = records.iter().map(|r| (r.timestamp_ns / 1_000_000, r.value));
+    rows.filter(|&(_, v)| v <= k as f64).collect()
+}
+
+/// A sliding bucketed `MAX` (600 ms in 50 ms buckets) and a sliding
+/// `COUNT(*)` joined to `pace` within 5 ms (200 ms), each checked against
+/// a rescan of its own snapshot. A bucket's `MAX` is its newest number,
+/// so the last bucket's names `k`; the join's row carries the window's
+/// newest record time, which names `k` up to records sharing that
+/// millisecond. Returns how many answers were checked.
+fn windowed_reader(handle: &ApolloHandle, until: Instant) -> u64 {
+    let broker = handle.broker();
+    let mut checked = 0u64;
+    while Instant::now() < until {
+        let Ok(newest) = handle.query("SELECT MAX(Timestamp), metric FROM seq") else { continue };
+        let now = newest.rows[0].timestamp_ms;
+        let lo = now.saturating_sub(600);
+        let sql = format!(
+            "SELECT MAX(metric) FROM seq WHERE Timestamp >= {lo} GROUP BY BUCKET(Timestamp, 50)"
+        );
+        let out = handle.query(&sql).unwrap();
+        let got: Vec<_> = out
+            .rows
+            .iter()
+            .map(|r| (r.timestamp_ms, r.value, r.counts.unwrap().measured))
+            .collect();
+        let k = got.last().expect("the window holds the newest record").1 as u64;
+        let mut want: Vec<(u64, f64, u64)> = Vec::new();
+        for (ms, v) in prefix(&broker, lo, k) {
+            match want.last_mut() {
+                Some(b) if b.0 == ms - ms % 50 => (b.1, b.2) = (v, b.2 + 1),
+                _ => want.push((ms - ms % 50, v, 1)),
+            }
+        }
+        assert_eq!(got, want, "{sql} at k = {k}");
+
+        let lo = now.saturating_sub(200);
+        let sql = format!(
+            "SELECT COUNT(*) FROM seq JOIN pace ON Timestamp WITHIN 5ms WHERE Timestamp >= {lo}"
+        );
+        let out = handle.query(&sql).unwrap();
+        let row = &out.rows[0];
+        assert_eq!(row.counts.unwrap().measured as f64, row.value, "{sql}: counts");
+        let window = prefix(&broker, lo, u64::MAX);
+        let matched = |&(ms, _): &(u64, f64)| ms % PACE_MS <= 5 || PACE_MS - ms % PACE_MS <= 5;
+        // Every prefix of the window that ends at a record of the row's
+        // millisecond is a snapshot the answer may have been taken at.
+        let candidates: Vec<f64> = (0..window.len())
+            .filter(|&end| window[end].0 == row.timestamp_ms)
+            .map(|end| window[..=end].iter().filter(|r| matched(r)).count() as f64)
+            .collect();
+        assert!(candidates.contains(&row.value), "{sql}: {} not in {candidates:?}", row.value);
+        assert!(window.iter().all(|&(ms, _)| ms + 5 <= PACE_SPAN_MS), "the partner ran out");
+        checked += 2;
+    }
+    checked
+}
+
 #[test]
 fn readers_interleave_with_pump_and_eviction() {
     let mut apollo = Apollo::with_config(EventLoop::new_real(), StreamConfig::bounded(WINDOW));
@@ -166,22 +240,28 @@ fn readers_interleave_with_pump_and_eviction() {
         ))
         .unwrap();
     apollo.register_continuous("cq/sum", STANDING, Duration::from_millis(3)).unwrap();
+    for ms in (0..=PACE_SPAN_MS).step_by(PACE_MS as usize) {
+        let pace = apollo_streams::Record::measured(ms * 1_000_000, 1.0);
+        apollo.broker().publish("pace", ms, pace.encode());
+    }
     let handle = apollo.spawn();
 
     let until = Instant::now() + RUN;
-    let (standing, sliding, tail, resumed) = std::thread::scope(|s| {
+    let (standing, sliding, tail, resumed, windowed) = std::thread::scope(|s| {
         let a = s.spawn(|| standing_reader(&handle, until));
         let b = s.spawn(|| sliding_reader(&handle, until));
         let c = s.spawn(|| tail_reader(&handle, until));
         let d = s.spawn(|| resumed_reader(&handle, until));
+        let e = s.spawn(|| windowed_reader(&handle, until));
         (
             a.join().expect("standing reader"),
             b.join().expect("sliding reader"),
             c.join().expect("tail reader"),
             d.join().expect("resumed-fold reader"),
+            e.join().expect("windowed reader"),
         )
     });
-    let counts = [standing, sliding, tail, resumed];
+    let counts = [standing, sliding, tail, resumed, windowed];
     assert!(counts.iter().all(|&n| n > 0), "starved: {counts:?}");
 
     let apollo = handle.stop();

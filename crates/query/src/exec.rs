@@ -11,13 +11,17 @@
 //! [`TableProvider::columns`]: a [`ColumnSlice`] of the window's timestamp,
 //! value and provenance columns. Every arm is answered from it: `SELECT
 //! metric` builds its rows from the slice, a ranged `Latest` takes its last
-//! row, a join reads its partner's timestamp column, and scan aggregates
-//! fold it in `vector::run_scan_columns` ([`TableProvider::fold`]: a cached
-//! tail resumes a whole-tail aggregate from its saved fold, through the
-//! same kernel). The in-tree providers are the
-//! pub-sub [`Broker`], whose scans transparently cover the live queue and
-//! the archived log ("the queue (or the persisted log for evicted entries)
-//! using timestamp-based indexing"), and the [`CachedBroker`] over it.
+//! row, a join walks its partner's timestamp column with a cursor, and
+//! scan aggregates fold it in one column pass, `vector::run_scan_columns`
+//! (an arm with value predicates or a join folds the rows its mask
+//! admits). Through [`TableProvider::fold`] a cached tail resumes a saved
+//! fold through the same kernel: a whole-tail aggregate over the rows
+//! appended since, and a sliding `GROUP BY BUCKET` arm over the one bucket
+//! its new start cuts and the rows appended since. The in-tree providers
+//! are the pub-sub [`Broker`], whose scans transparently cover the live
+//! queue and the archived log ("the queue (or the persisted log for
+//! evicted entries) using timestamp-based indexing"), and the
+//! [`CachedBroker`] over it.
 //! `tests/equivalence.rs` holds the results to a naive fold over the
 //! broker's decoded records, bit for bit.
 
@@ -28,7 +32,7 @@ use apollo_streams::{Broker, ColumnBatch, StreamId};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -230,19 +234,30 @@ const MAX_CACHED_SCANS: usize = 256;
 /// One topic's cached scan: the decoded rows from `first` to the topic's
 /// `last_id` as of the last lookup, and the folds kept over them.
 struct Tail {
-    /// Every row the stream retains with `first <= id <= cols.last_id`.
+    /// Every row the stream retains with `first <= id <= cols.last_id`,
+    /// behind the dead rows below `live`.
     cols: Arc<ColumnBatch>,
     /// Where the tail starts: its oldest scan's lower bound, moved up past
     /// the head rows the stream has lost, or the tail let go of, since.
     first: StreamId,
+    /// The first row at or past `first`. The rows before it are dead but
+    /// still held, and dropped in bulk once they outnumber the rest
+    /// ([`Tail::let_go`]): a stream that loses a head row on every append
+    /// costs no move of the whole tail per append.
+    live: usize,
     /// The widest span (ms) any lookup has asked of the tail, back from
     /// the topic's newest row at the time.
     reach: u64,
-    /// One saved fold per resumable aggregate and stale policy asked (see
-    /// [`Tail::resume`]): the [`ScanState`] after the tail's rows
-    /// `0..total_in_window`. Row 0 moves only when the front is trimmed,
-    /// which clears them; a rebuilt tail starts without.
-    folds: Vec<(Aggregate, bool, ScanState)>,
+    /// One saved fold per resumable arm kind asked (see [`Tail::fold`]).
+    folds: Vec<SavedFold>,
+}
+
+/// A fold a tail keeps: the [`ScanState`] of one kind of arm — aggregate,
+/// stale policy and bucket width — after the tail's rows `rows`.
+struct SavedFold {
+    key: (Aggregate, bool, Option<u64>),
+    rows: Range<usize>,
+    state: ScanState,
 }
 
 impl Tail {
@@ -250,60 +265,91 @@ impl Tail {
     fn new(cols: Arc<ColumnBatch>, lo: StreamId) -> Option<Self> {
         let (first, last) = (cols.first_id?, cols.last_id?);
         let reach = last.ms.saturating_sub(lo.ms);
-        Some(Self { cols, first: lo.max(first), reach, folds: Vec::new() })
+        Some(Self { cols, first: lo.max(first), live: 0, reach, folds: Vec::new() })
+    }
+
+    /// The rows of the window `[start_ms, end_ms]` the tail still holds
+    /// live.
+    fn window(&self, start_ms: u64, end_ms: u64) -> ColumnSlice {
+        let rows = self.cols.rows_in(start_ms, end_ms);
+        let start = rows.start.max(self.live);
+        ColumnSlice { batch: Arc::clone(&self.cols), rows: start..rows.end.max(start) }
     }
 
     /// Let go of the rows below `first`'s millisecond, and of every fold
-    /// that covers them.
-    fn trim(&mut self, first: StreamId) {
-        Arc::make_mut(&mut self.cols).trim_before(first.ms);
+    /// that covers one of them; drop them (and move the rest) only once
+    /// they outnumber the live rows, so each row is moved O(1) times.
+    fn let_go(&mut self, first: StreamId) {
         self.first = first;
-        self.folds.clear();
+        let live = self.cols.ids_ms.partition_point(|&ms| ms < first.ms);
+        self.live = live;
+        self.folds.retain(|f| f.rows.start >= live);
+        if live * 2 > self.cols.len() {
+            Arc::make_mut(&mut self.cols).trim_before(first.ms);
+            for f in &mut self.folds {
+                f.rows = f.rows.start - live..f.rows.end - live;
+                f.state.rebase(live);
+            }
+            self.live = 0;
+        }
     }
 
     /// Note the span a lookup from `lo` asks for, and let go of the rows
     /// older than the widest span asked so far: a window that slides keeps
     /// a tail of its own width, not of the stream's retention. Only once
-    /// those rows outnumber the rest, so each row is moved O(1) times.
+    /// those rows outnumber the rest.
     fn keep_reach(&mut self, lo: StreamId) {
         let Some(last) = self.cols.last_id else { return };
         self.reach = self.reach.max(last.ms.saturating_sub(lo.ms));
         let cut = StreamId::new(last.ms - self.reach.min(last.ms), 0);
         let dead = || self.cols.ids_ms.partition_point(|&ms| ms < cut.ms);
         if cut > self.first && dead() * 2 > self.cols.len() {
-            self.trim(cut);
+            self.let_go(cut);
         }
     }
 
     /// `select`'s aggregate over the tail's `rows`, folded on from the
-    /// saved fold of the rows before them, which it then replaces; and
-    /// whether there was one. `None`, with nothing saved, unless the arm is
-    /// [`vector::resumable`] and `rows` start at the tail's first row and
-    /// end at or past where its saved fold does. The sum is continued in
-    /// stream order and the lanes from the saved extreme, so the answer is
-    /// the front-to-back fold of `rows`, bit for bit.
-    fn resume(
+    /// fold saved for its kind, which it then replaces; and whether one
+    /// was resumed. `None`, leaving the folds as they are, unless the arm
+    /// is [`vector::resumable`] and its window suits a saved fold: it
+    /// starts at the tail's first live row (unbucketed) or over a batch
+    /// whose record clock never regressed (bucketed), and ends at or past
+    /// where the saved fold does. A saved fold is resumed when the window
+    /// starts where it does (unbucketed) or at or after it (bucketed);
+    /// otherwise the window is folded from its first row and saved. Either
+    /// way the answer is the front-to-back fold of `rows`, bit for bit
+    /// (see [`vector::refold`]).
+    fn fold(
         &mut self,
         select: &Select,
         rows: Range<usize>,
     ) -> Option<(Result<Vec<Row>, ExecError>, bool)> {
-        if !vector::resumable(select) || rows.start != 0 {
+        let suits = match select.bucket_ms {
+            None => rows.start == self.live,
+            Some(_) => self.cols.timestamps_sorted(),
+        };
+        if !vector::resumable(select) || !suits {
             return None;
         }
-        let key = (select.aggregate, select.include_stale);
-        let at = self.folds.iter().position(|(agg, stale, _)| (*agg, *stale) == key);
-        let saved = at.map_or(0, |i| self.folds[i].2.total_in_window as usize);
-        if rows.end < saved {
-            return None;
-        }
-        let i = at.unwrap_or_else(|| {
-            self.folds.push((key.0, key.1, ScanState::new(select)));
-            self.folds.len() - 1
-        });
-        let rest = ColumnSlice { batch: Arc::clone(&self.cols), rows: saved..rows.end };
-        let st = &mut self.folds[i].2;
-        vector::fold_columns(select, st, &rest, None);
-        Some((st.finalize(select), at.is_some()))
+        let key = (select.aggregate, select.include_stale, select.bucket_ms);
+        let fresh =
+            || SavedFold { key, rows: rows.start..rows.start, state: ScanState::new(select) };
+        let (i, resumed) = match self.folds.iter().position(|f| f.key == key) {
+            Some(i) if rows.end < self.folds[i].rows.end => return None,
+            Some(i) if rows.start >= self.folds[i].rows.start => (i, true),
+            Some(i) => {
+                self.folds[i] = fresh();
+                (i, false)
+            }
+            None => {
+                self.folds.push(fresh());
+                (self.folds.len() - 1, false)
+            }
+        };
+        let f = &mut self.folds[i];
+        vector::refold(select, &mut f.state, &self.cols, f.rows.clone(), rows.clone());
+        f.rows = rows;
+        Some((f.state.finalize(select), resumed))
     }
 }
 
@@ -317,31 +363,47 @@ impl Tail {
 /// snapshot, straight into the batch) and finds its window by binary
 /// search on the rows' ID milliseconds — a repeated or sliding range query
 /// pays for the rows that arrived since, not for the span. The snapshot's
-/// `first_id` says whether the stream still retains the tail's head: lost
-/// rows are trimmed when the loss ends on a millisecond boundary and the
-/// tail is re-scanned otherwise, as it is for a topic re-created under its
-/// name. A window reaching further back than the tail rebuilds it from the
-/// older start; a closed window wholly older than it is scanned on its own
-/// and not kept; empty and unknown topics get no entry. So a tail is a
-/// decoded suffix of what the stream itself retains — no more of it than
-/// twice the widest span a lookup has asked for, back from the newest row
-/// — at 25 B a row, for at most `MAX_CACHED_SCANS` topics.
+/// `first_id` says whether the stream still retains the tail's head: when
+/// a loss ends on a millisecond boundary the lost rows become a dead
+/// prefix that no window is served from, dropped in bulk once it
+/// outnumbers the live rows (a lapped ring loses a head row per append,
+/// and must not cost a move of the whole tail per append); otherwise the
+/// tail is re-scanned, as it is for a topic re-created under its name. A
+/// window reaching further back than the tail rebuilds it from the older
+/// start; a closed window wholly older than it is scanned on its own and
+/// not kept; empty and unknown topics get no entry. So a tail is a decoded
+/// suffix of what the stream itself retains, behind at most as many dead
+/// rows — no more of it than twice the widest span a lookup has asked
+/// for, back from the newest row — at 25 B a row, for at most
+/// `MAX_CACHED_SCANS` topics.
 ///
 /// Extension happens at lookup, under the topic's own lock, never on the
 /// publish path; a reader still folding the batch keeps it unchanged. The
 /// cache lives on the service, shared by every query on every thread.
 ///
-/// A tail also keeps the **fold** of each whole-tail aggregate asked of it
-/// — `COUNT`, `SUM`, `AVG`, `MAX` or `MIN`, with or without `INCLUDE
-/// STALE`, no value predicate, join or bucket — as the `ScanState` after
-/// its first rows. An arm whose window starts at the tail's first row and
-/// ends at or past the saved state's folds only the rows after it, then
-/// saves the state it reached (`query.scan_cache.fold_resumed` counts
-/// these). The sum goes on in stream order and the lanes start from the
-/// saved extreme, so the answer is the front-to-back fold, bit for bit.
-/// Any trim of the tail's front clears its folds and a rebuild starts
-/// without; a fold is read and advanced only under the topic's lock,
-/// together with the rows it covers. Every other arm folds its slice.
+/// A tail also keeps **folds**, one per kind of arm asked of it — `COUNT`,
+/// `SUM`, `AVG`, `MAX` or `MIN`, with or without `INCLUDE STALE` and
+/// `GROUP BY BUCKET` width, no value predicate or join — as the
+/// `ScanState` after a run of its rows:
+///
+/// * a whole-tail arm (its window starts at the tail's first live row)
+///   that ends at or past the saved state folds only the rows after it;
+/// * a bucketed arm over a batch whose record clock never regressed, so
+///   that each bucket is one run of rows, whose window starts at or after
+///   the saved state's and ends at or past it, drops the buckets that slid
+///   out, refolds the one bucket its start cuts and folds the rows after
+///   the saved state — a dashboard's "last minute in 1 s buckets" costs
+///   what changed, not the minute.
+///
+/// Either saves the state it reached (`query.scan_cache.fold_resumed`
+/// counts these). Sums go on in stream order and lanes start from the
+/// saved extreme, so the answer is the front-to-back fold, bit for bit. A
+/// bucketed window starting before its kind's saved fold is folded from
+/// its first row and replaces it; any window ending before it, a batch
+/// whose clock regressed and every other arm fold the slice, as a plain
+/// provider does. Letting go of head rows drops the folds that covered
+/// one of them, and a rebuild starts without; a fold is read and advanced
+/// only under the topic's lock, together with the rows it covers.
 ///
 /// A window is served by one of two access paths, each counted under
 /// `query.planner.*`:
@@ -412,7 +474,8 @@ impl ScanCache {
     }
 
     /// Scan aggregates answered from a tail's saved fold, folding only
-    /// the rows appended since it was saved.
+    /// the rows appended since it was saved — and, for a sliding bucketed
+    /// arm, the bucket its window's new start cuts.
     pub fn fold_resumed(&self) -> u64 {
         self.fold_resumed.load(Ordering::Relaxed)
     }
@@ -447,8 +510,9 @@ impl ScanCache {
 /// any cache probe); `columns` serves a window as a slice of the topic's
 /// cached tail, extended first by whatever was appended since the
 /// last lookup, and scan only what no tail covers (see [`ScanCache`]);
-/// `fold` resumes a whole-tail aggregate from the tail's saved fold. A
-/// repeat lookup of an unchanged topic allocates nothing.
+/// `fold` resumes a whole-tail aggregate or a sliding bucketed arm from
+/// the tail's saved fold. A repeat lookup of an unchanged topic allocates
+/// nothing.
 pub struct CachedBroker<'a> {
     broker: &'a Broker,
     cache: &'a ScanCache,
@@ -473,7 +537,7 @@ impl<'a> CachedBroker<'a> {
             // Rows are kept to the millisecond: which of them a loss took
             // is only known when it ends where a millisecond does.
             Some(first) if first.seq == 0 => {
-                tail.trim(first);
+                tail.let_go(first);
                 Some(first)
             }
             _ => None,
@@ -512,7 +576,7 @@ impl<'a> CachedBroker<'a> {
             let tail = &mut *cell.lock();
             if let Some(scanned) = self.refresh(table, tail, lo, hi) {
                 self.cache.count_cached(scanned);
-                let window = ColumnSlice::new(Arc::clone(&tail.cols), start_ms, end_ms);
+                let window = tail.window(start_ms, end_ms);
                 return serve(Some(tail), window);
             }
         }
@@ -547,10 +611,10 @@ impl TableProvider for CachedBroker<'_> {
         self.serve(table, start_ms, end_ms, |_, window| window)
     }
 
-    /// A resumable arm over a window its topic's tail starts with folds,
-    /// under the tail's lock, only the rows past the tail's saved fold
-    /// (see [`ScanCache`]); any other arm folds its slice as the default
-    /// does, after the lock is let go.
+    /// A resumable arm folds, under the tail's lock, only what changed
+    /// since the tail's saved fold of its kind (see [`ScanCache`]); any
+    /// other arm folds its slice as the default does, after the lock is
+    /// let go.
     fn fold(
         &self,
         select: &Select,
@@ -559,7 +623,7 @@ impl TableProvider for CachedBroker<'_> {
         join: Option<&mut JoinIndex>,
     ) -> Result<Vec<Row>, ExecError> {
         let served = self.serve(&select.table, start_ms, end_ms, |tail, window| {
-            let resumed = tail.and_then(|tail| tail.resume(select, window.rows.clone()));
+            let resumed = tail.and_then(|tail| tail.fold(select, window.rows.clone()));
             resumed.ok_or(window)
         });
         match served {
@@ -574,17 +638,22 @@ impl TableProvider for CachedBroker<'_> {
     }
 }
 
-/// Per-bucket accumulator of a `GROUP BY BUCKET` scan.
+/// One bucket of a `GROUP BY BUCKET` scan.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct BucketState {
+    /// The bucket's start (ms).
+    pub(crate) start: u64,
+    /// The batch row the bucket's first folded row sits at: where a
+    /// resumed fold finds the bucket's rows (a sorted batch holds each
+    /// bucket as one run).
+    pub(crate) first: usize,
     pub(crate) counts: AggregateCounts,
     pub(crate) acc: ScanAccumulator,
 }
 
 /// The scan-aggregate state of the column path, and of the folds a cached
-/// tail saves. Records are fed in stream order — a row at a time through
-/// [`ScanState::observe`], or a bucket's run of rows at once through
-/// [`ScanState::observe_run`] — and the result is read out of
+/// tail saves. Admitted records are fed in stream order, a run of rows at
+/// a time (`vector::fold_columns`), and the result is read out of
 /// [`ScanState::finalize`], so a fold resumed from a saved state is
 /// bit-identical to one run front to back.
 #[derive(Debug, Clone, PartialEq)]
@@ -594,23 +663,19 @@ pub(crate) struct ScanState {
     /// Largest record timestamp over the whole window; read by unbucketed
     /// scans only (a bucket row carries its bucket's start).
     pub(crate) max_ts_all: u64,
-    /// Provenance split of the admitted (predicate-passing) records.
+    /// Provenance split of the admitted (predicate-passing) records of an
+    /// unbucketed scan.
     pub(crate) counts: AggregateCounts,
-    /// Records admitted by value predicates and the join.
+    /// Records an unbucketed scan's value predicates and join admitted.
     pub(crate) admitted: u64,
     /// Fold over the included (admitted minus excluded-stale) records.
     pub(crate) acc: ScanAccumulator,
     /// Largest record timestamp among the included records.
     pub(crate) max_ts_included: u64,
-    /// Per-bucket accumulators when `GROUP BY BUCKET` is present — every
-    /// bucket but the open one.
-    buckets: Option<BTreeMap<u64, BucketState>>,
-    /// The bucket the last bucketed record fell in, held *beside* the map
-    /// so a run of rows in one bucket costs a key compare, not a probe. A
-    /// key that re-occurs (a clock regression) takes its state back out of
-    /// the map, so each bucket still folds its rows in stream order.
-    open: Option<(u64, BucketState)>,
-    bucket_ms: u64,
+    /// A bucketed scan's buckets, sorted by start. A key that re-occurs
+    /// (a clock regression) finds its state again, so each bucket still
+    /// folds its rows in stream order.
+    pub(crate) buckets: Vec<BucketState>,
 }
 
 impl ScanState {
@@ -622,79 +687,32 @@ impl ScanState {
             admitted: 0,
             acc: ScanAccumulator::new(select.aggregate),
             max_ts_included: 0,
-            buckets: select.bucket_ms.map(|_| BTreeMap::new()),
-            open: None,
-            bucket_ms: select.bucket_ms.unwrap_or(0),
+            buckets: Vec::new(),
         }
     }
 
-    /// The state of bucket `key`, opened: the open one, one taken back out
-    /// of the map, or a new one.
-    fn bucket(&mut self, agg: Aggregate, key: u64) -> &mut BucketState {
-        let buckets = self.buckets.as_mut().expect("a bucketed scan");
-        if self.open.as_ref().is_none_or(|(open, _)| *open != key) {
-            let fresh =
-                BucketState { counts: AggregateCounts::default(), acc: ScanAccumulator::new(agg) };
-            let state = buckets.remove(&key).unwrap_or(fresh);
-            if let Some((closed, state)) = self.open.replace((key, state)) {
-                buckets.insert(closed, state);
-            }
-        }
-        &mut self.open.as_mut().expect("opened above").1
-    }
-
-    /// Feed one in-window record (time filtering happens upstream, on the
-    /// entry's publish time, exactly as [`TableProvider::columns`] selects).
-    pub(crate) fn observe(
-        &mut self,
-        select: &Select,
-        join: Option<&mut JoinIndex>,
-        ts_ms: u64,
-        value: f64,
-        provenance: Provenance,
-    ) {
-        self.total_in_window += 1;
-        self.max_ts_all = self.max_ts_all.max(ts_ms);
-        let admitted = select.value_preds.iter().all(|p| p.admits(value))
-            && join.is_none_or(|j| j.matches(ts_ms));
-        if !admitted {
-            return;
-        }
-        self.admitted += 1;
-        let one = AggregateCounts {
-            measured: u64::from(provenance == Provenance::Measured),
-            predicted: u64::from(provenance == Provenance::Predicted),
-            stale: u64::from(provenance == Provenance::Stale),
-        };
-        self.counts += one;
-        let include = select.include_stale || provenance != Provenance::Stale;
-        if self.buckets.is_some() {
-            let b = self.bucket(select.aggregate, ts_ms - ts_ms % self.bucket_ms);
-            b.counts += one;
-            if include {
-                b.acc.add(value);
-            }
-        } else if include {
-            self.acc.add(value);
-            self.max_ts_included = self.max_ts_included.max(ts_ms);
-        }
-    }
-
-    /// Feed a run of in-window records that all fall in bucket `key`, as
-    /// [`ScanState::observe`] on each would for an arm without value
-    /// predicates or join: counted at once, folded by the arm's aggregate.
-    pub(crate) fn observe_run(
+    /// Fold a run of admitted records that all fall in bucket `key`, the
+    /// first at batch row `first`: counted at once, folded by the arm's
+    /// aggregate.
+    pub(crate) fn fold_run(
         &mut self,
         select: &Select,
         key: u64,
+        first: usize,
         values: &[f64],
         provenance: &[u8],
     ) {
         let counts = vector::provenance_counts(provenance);
-        self.total_in_window += values.len() as u64;
-        self.admitted += values.len() as u64;
-        self.counts += counts;
-        let b = self.bucket(select.aggregate, key);
+        let at = match self.buckets.last() {
+            Some(open) if open.start == key => self.buckets.len() - 1,
+            _ => self.buckets.binary_search_by_key(&key, |b| b.start).unwrap_or_else(|at| {
+                let (counts, acc) =
+                    (AggregateCounts::default(), ScanAccumulator::new(select.aggregate));
+                self.buckets.insert(at, BucketState { start: key, first, counts, acc });
+                at
+            }),
+        };
+        let b = &mut self.buckets[at];
         b.counts += counts;
         if select.include_stale || counts.stale == 0 {
             return b.acc.add_all(values);
@@ -707,6 +725,13 @@ impl ScanState {
         }
     }
 
+    /// The batch the state's rows sit in dropped its first `rows` rows.
+    fn rebase(&mut self, rows: usize) {
+        for b in &mut self.buckets {
+            b.first -= rows;
+        }
+    }
+
     /// Produce `select`'s aggregate rows. Mirrors the v1 semantics exactly
     /// for unfiltered scans: `COUNT` is an honest zero over an all-stale
     /// window, other aggregates error with [`ExecError::StaleOnly`].
@@ -715,21 +740,19 @@ impl ScanState {
         if self.total_in_window == 0 {
             return Err(ExecError::EmptyTable(table.to_string()));
         }
-        if let Some(buckets) = &self.buckets {
+        if select.bucket_ms.is_some() {
             // One row per bucket holding at least one admitted record, in
             // ascending bucket order; the row timestamp is the bucket
             // start. COUNT emits zero-valued rows for stale-only buckets;
             // other aggregates skip them.
-            let mut rows = Vec::new();
-            let open = self.open.as_ref().map(|(start, b)| (start, b));
-            let at = open.map_or(0, |(start, _)| *start);
-            for (&start, b) in buckets.range(..at).chain(open).chain(buckets.range(at..)) {
+            let mut rows = Vec::with_capacity(self.buckets.len());
+            for b in &self.buckets {
                 if agg != Aggregate::Count && b.acc.count == 0 {
                     continue;
                 }
                 rows.push(Row {
                     table: table.to_string(),
-                    timestamp_ms: start,
+                    timestamp_ms: b.start,
                     value: b.acc.value(),
                     provenance: None,
                     counts: Some(b.counts),
@@ -846,15 +869,13 @@ impl<'a, P: TableProvider> QueryEngine<'a, P> {
     }
 
     /// Build the timestamp semi-join index for an arm, if it has one: the
-    /// joined table's record timestamps over the arm's window widened by
-    /// the tolerance, sorted for cursor matching. Only that one column is
-    /// read.
+    /// joined table's window widened by the tolerance, whose record
+    /// timestamps a cursor walks. Only that one column is read.
     fn join_index(&self, select: &Select, lo: u64, hi: u64) -> Option<JoinIndex> {
         select.join.as_ref().map(|j| {
             let rlo = lo.saturating_sub(j.tolerance_ms);
             let rhi = hi.saturating_add(j.tolerance_ms);
-            let partner = self.provider.columns(&j.table, rlo, rhi);
-            JoinIndex::new(partner.timestamps_ns().iter().copied(), j.tolerance_ms)
+            JoinIndex::new(self.provider.columns(&j.table, rlo, rhi), j.tolerance_ms)
         })
     }
 
@@ -881,7 +902,7 @@ impl<'a, P: TableProvider> QueryEngine<'a, P> {
             .records()
             .filter(|r| {
                 select.value_preds.iter().all(|p| p.admits(r.value))
-                    && join.as_mut().is_none_or(|j| j.matches(r.timestamp_ns / 1_000_000))
+                    && join.as_mut().is_none_or(|j| j.matches(r.timestamp_ns))
             })
             .map(|r| Row::record(table, &r))
             .collect();
@@ -1541,13 +1562,20 @@ mod tests {
                 "SELECT MAX(metric) FROM capacity GROUP BY BUCKET(Timestamp, 1s) \
                  UNION SELECT COUNT(*) FROM load JOIN capacity ON Timestamp \
                  UNION SELECT MIN(metric) FROM load \
-                 UNION SELECT COUNT(*) FROM load WHERE metric > 1",
+                 UNION SELECT COUNT(*) FROM load WHERE metric > 1 \
+                 UNION SELECT AVG(metric) FROM load JOIN capacity ON Timestamp \
+                 WHERE metric > 1 GROUP BY BUCKET(Timestamp, 1s)",
             )
             .unwrap();
-        for fold in ["Max (bucket runs)", "Count (join cursor)", "Min (lane min)"] {
+        for fold in [
+            "Max (bucket runs, resumable), bucket 1000ms",
+            "Count (column pass, join cursor mask: count only)",
+            "Min (lane min)",
+            "Count (column pass, predicate mask: count only), metric > 1",
+            "Avg (column pass, predicate + join cursor mask: bucket runs)",
+        ] {
             assert!(plan.contains(fold), "{fold}: {plan}");
         }
-        assert!(plan.contains("Count (per-row (predicates)), metric > 1"), "{plan}");
     }
 
     #[test]
@@ -1719,6 +1747,62 @@ mod tests {
             (1, 0),
             "the loss ended on a millisecond boundary: trimmed, not re-scanned"
         );
+    }
+
+    #[test]
+    fn a_tail_losing_a_head_row_per_append_moves_only_once_half_is_dead() {
+        // No archive and a 64-row window, one row per millisecond: past
+        // the 64th, each append loses the head row on a millisecond
+        // boundary, as a lapped ring does. The tail keeps the lost rows as
+        // a dead prefix — its columns neither move nor shift — until they
+        // outnumber the live ones, and serves every window from its first
+        // live row.
+        let lossy = StreamConfig { archive_evicted: false, ..StreamConfig::bounded(64) };
+        let b = Broker::new(lossy);
+        let publish =
+            |ms: u64| b.publish("t", ms, Record::measured(ms * 1_000_000, ms as f64).encode());
+        let cache = ScanCache::new();
+        let cached = CachedBroker::new(&b, &cache);
+        let (engine, oracle) = (QueryEngine::new(&cached), QueryEngine::new(&b));
+        // The columns' allocation, their first row and the served window.
+        let tail = || {
+            let w = cached.columns("t", 0, u64::MAX);
+            (w.batch.timestamps_ns.as_ptr(), w.batch.timestamps_ns[0], w.rows.clone())
+        };
+        for ms in 1..=64 {
+            publish(ms);
+        }
+        engine.execute_sql("SELECT COUNT(*) FROM t").unwrap();
+        // The first extension grows the exactly sized columns (to 128 rows).
+        publish(65);
+        let (at, head, _) = tail();
+        let sliding = |ms: u64| {
+            format!(
+                "SELECT MAX(metric) FROM t WHERE Timestamp >= {} GROUP BY BUCKET(Timestamp, 10)",
+                ms - 30
+            )
+        };
+        let mut moves = 0;
+        for ms in 66..=400u64 {
+            publish(ms);
+            for sql in ["SELECT COUNT(*) FROM t", "SELECT SUM(metric) FROM t", &sliding(ms)] {
+                assert_eq!(engine.execute_sql(sql), oracle.execute_sql(sql), "{sql}");
+            }
+            let (now_at, now_head, rows) = tail();
+            assert_eq!(rows.len(), 64, "ms {ms}");
+            if ms <= 128 {
+                // 64 live rows behind up to 64 dead ones: nothing moved.
+                assert_eq!((now_at, now_head, rows.start), (at, head, ms as usize - 64), "ms {ms}");
+            }
+            moves += usize::from(now_head != head && rows.start == 0);
+        }
+        // 129 rows, 65 of them dead: dropped at once, and again each time
+        // 65 more are lost.
+        assert_eq!(moves, (400 - 128) / 65 + 1);
+        assert_eq!((cache.misses(), cache.invalidations()), (1, 0), "never rebuilt");
+        // The whole-tail folds covered a lost row at every append; the
+        // sliding bucketed arm's started past them, and kept resuming.
+        assert_eq!(cache.fold_resumed(), 400 - 66, "{}", cache.fold_resumed());
     }
 
     #[test]

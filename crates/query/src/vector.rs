@@ -5,11 +5,17 @@
 //! without materializing per-row records. Each arm's fold is directed by
 //! its aggregate and folds only what the aggregate returns (DESIGN §17):
 //! `COUNT` no value, `SUM`/`AVG` the sum front to back, `MAX`/`MIN` eight
-//! lanes, folded again in order when the answer is ±0. Arms with value
-//! predicates or a join go row by row through the shared
-//! [`ScanState`](crate::exec). Each fold
-//! continues a state, so a cached tail resumes a whole-tail aggregate's
-//! saved fold over only the rows appended since.
+//! lanes, folded again in order when the answer is ±0; a `GROUP BY
+//! BUCKET` arm folds each run of rows in one bucket that way. An arm with
+//! value predicates or a join takes the same one column pass: its
+//! admission is decided per row from the predicates and a [`JoinIndex`]
+//! cursor, the admitted rows are gathered a stack-held chunk at a time in
+//! stream order, and each chunk is folded as an unfiltered window is.
+//! Each fold continues a [`ScanState`](crate::exec), so a cached tail
+//! resumes a saved fold over only the rows that changed: a whole-tail
+//! aggregate over the rows appended since, and a bucketed arm (no
+//! predicate or join, record clock sorted) over the bucket its window's
+//! new start cuts and the rows appended since (`refold`).
 //!
 //! **Equivalence contract:** every result is bit-identical to a naive
 //! fold over the window's records, front to back. The naive fold is test
@@ -18,9 +24,15 @@
 use crate::ast::{Aggregate, Select};
 use crate::exec::{AggregateCounts, ColumnSlice, ExecError, Row, ScanState};
 use apollo_streams::codec::Provenance;
+use apollo_streams::ColumnBatch;
+use std::ops::Range;
 
 /// Independent lanes of a `MAX`/`MIN` fold.
 const LANES: usize = 8;
+
+/// Rows a filtered arm gathers at a time: the chunk's columns sit on the
+/// stack, so the pass allocates nothing per row or per chunk.
+const CHUNK: usize = 256;
 
 /// The fold of one scan aggregate: one fold order, so any two folds of
 /// the same value sequence are bit-identical. It folds only what its
@@ -130,42 +142,69 @@ fn extreme(init: f64, values: &[f64], op: impl Fn(f64, f64) -> f64 + Copy) -> f6
     out
 }
 
-/// The right side of a timestamp semi-join: the partner table's record
-/// timestamps (ms), sorted, probed through a cursor.
+/// The right side of a timestamp semi-join: the partner table's window,
+/// its record timestamps probed through a cursor.
 #[derive(Debug, Clone)]
 pub struct JoinIndex {
-    ts_ms: Vec<u64>,
+    /// The partner's window, whose timestamp column is probed in place
+    /// when its batch's record clock never regressed.
+    partner: ColumnSlice,
+    /// The partner's timestamps (ns), sorted, when it did; empty else.
+    sorted: Vec<u64>,
     tolerance_ms: u64,
-    /// The last probe's lower bound and the first partner at or above it.
-    lo: u64,
+    /// The last probe's lower bound (ns) and the first partner at or
+    /// above it.
+    lo_ns: u64,
     cursor: usize,
 }
 
 impl JoinIndex {
-    /// Index the partner rows' record timestamps (ns) with the given
-    /// match tolerance. Sorted here: rows arrive in ID order, and a record
-    /// timestamp may regress where an ID may not.
-    pub fn new(timestamps_ns: impl Iterator<Item = u64>, tolerance_ms: u64) -> Self {
-        let mut ts_ms: Vec<u64> = timestamps_ns.map(|ns| ns / 1_000_000).collect();
-        ts_ms.sort_unstable();
-        Self { ts_ms, tolerance_ms, lo: 0, cursor: 0 }
+    /// Index the partner's window with the given match tolerance. Rows
+    /// arrive in ID order, and a record timestamp may regress where an ID
+    /// may not: only then are the timestamps copied out and sorted.
+    pub fn new(partner: ColumnSlice, tolerance_ms: u64) -> Self {
+        let mut sorted = Vec::new();
+        if !partner.batch.timestamps_sorted() {
+            sorted.extend_from_slice(partner.timestamps_ns());
+            sorted.sort_unstable();
+        }
+        Self { partner, sorted, tolerance_ms, lo_ns: 0, cursor: 0 }
     }
 
-    /// Does any partner timestamp fall within ±tolerance of `ts_ms`? While
-    /// probes do not decrease the cursor only walks forward, so a window
-    /// of probes costs one pass over the partner; a probe below the last
-    /// binary-searches afresh.
-    #[inline]
-    pub fn matches(&mut self, ts_ms: u64) -> bool {
-        let lo = ts_ms.saturating_sub(self.tolerance_ms);
-        if lo < self.lo {
-            self.cursor = self.ts_ms.partition_point(|&t| t < lo);
+    /// Does any partner record fall within ±tolerance of the record
+    /// stamped `ts_ns`, both taken in whole milliseconds? The one-probe
+    /// form of the cursor walk a filtered fold takes over a window.
+    pub fn matches(&mut self, ts_ns: u64) -> bool {
+        let mut admit = [true];
+        self.mask(&[ts_ns], &mut admit);
+        admit[0]
+    }
+
+    /// Clear `admit[i]` unless a partner record falls within ±tolerance of
+    /// the record stamped `probes_ns[i]`. While probes do not decrease the
+    /// cursor only walks forward, so a window of probes costs one pass
+    /// over the partner; a probe below the last binary-searches afresh.
+    pub(crate) fn mask(&mut self, probes_ns: &[u64], admit: &mut [bool]) {
+        let ts: &[u64] =
+            if self.sorted.is_empty() { self.partner.timestamps_ns() } else { &self.sorted };
+        // A partner at `t` ns is at `t / 1e6` ms: inside `[lo, hi]` ms
+        // when `lo·1e6 <= t < (hi + 1)·1e6`.
+        let tolerance_ns = self.tolerance_ms.saturating_mul(1_000_000);
+        let (mut last_lo, mut cursor) = (self.lo_ns, self.cursor);
+        for (&probe, admit) in probes_ns.iter().zip(admit) {
+            let ms_ns = probe - probe % 1_000_000;
+            let lo = ms_ns.saturating_sub(tolerance_ns);
+            if lo < last_lo {
+                cursor = ts.partition_point(|&t| t < lo);
+            }
+            while cursor < ts.len() && ts[cursor] < lo {
+                cursor += 1;
+            }
+            last_lo = lo;
+            let hi = ms_ns.saturating_add(tolerance_ns).saturating_add(999_999);
+            *admit &= cursor < ts.len() && ts[cursor] <= hi;
         }
-        while self.ts_ms.get(self.cursor).is_some_and(|&t| t < lo) {
-            self.cursor += 1;
-        }
-        self.lo = lo;
-        self.ts_ms.get(self.cursor).is_some_and(|&t| t <= ts_ms.saturating_add(self.tolerance_ms))
+        (self.lo_ns, self.cursor) = (last_lo, cursor);
     }
 }
 
@@ -188,62 +227,151 @@ pub fn provenance_counts(provenance: &[u8]) -> AggregateCounts {
     counts
 }
 
-/// The fold `select`'s scan aggregate takes, as `EXPLAIN` names it.
-pub(crate) fn fold_name(select: &Select) -> &'static str {
-    match select.aggregate {
-        _ if !select.value_preds.is_empty() => "per-row (predicates)",
-        _ if select.join.is_some() => "join cursor",
+/// The fold `select`'s scan aggregate takes, as `EXPLAIN` names it: the
+/// admission mask of a filtered arm's column pass, if any, then the fold
+/// of the admitted rows.
+pub(crate) fn fold_name(select: &Select) -> String {
+    let mask = match (select.value_preds.is_empty(), select.join.is_none()) {
+        (true, true) => "",
+        (false, true) => "column pass, predicate mask: ",
+        (true, false) => "column pass, join cursor mask: ",
+        (false, false) => "column pass, predicate + join cursor mask: ",
+    };
+    let fold = match select.aggregate {
+        _ if select.bucket_ms.is_some() && resumable(select) => "bucket runs, resumable",
         _ if select.bucket_ms.is_some() => "bucket runs",
         Aggregate::Count => "count only",
         Aggregate::Max => "lane max",
         Aggregate::Min => "lane min",
         _ => "sum fold",
-    }
+    };
+    format!("{mask}{fold}")
 }
 
-/// True when `select`'s fold of a window is its fold of the window's first
-/// rows continued over the rest, with nothing carried but the
-/// [`ScanState`]: a scan aggregate with no value predicate, join or
-/// bucket. A cached tail keeps such folds to resume them.
+/// True when a cached tail may keep `select`'s fold and resume it (see
+/// [`refold`]): a scan aggregate with no value predicate or join. A
+/// bucketed one resumes only over a batch whose record clock never
+/// regressed, whose buckets are runs of rows.
 pub(crate) fn resumable(select: &Select) -> bool {
     let scan = !matches!(select.aggregate, Aggregate::Latest | Aggregate::All);
-    scan && select.value_preds.is_empty() && select.join.is_none() && select.bucket_ms.is_none()
+    scan && select.value_preds.is_empty() && select.join.is_none()
 }
 
 /// Run `select`'s scan aggregate over a columnar window, directed by its
-/// aggregate (see the module docs). Arms with value predicates or a join
-/// take the shared per-row [`ScanState`] path.
+/// aggregate (see the module docs).
 pub(crate) fn run_scan_columns(
     select: &Select,
     cols: &ColumnSlice,
     join: Option<&mut JoinIndex>,
 ) -> Result<Vec<Row>, ExecError> {
     let mut st = ScanState::new(select);
-    fold_columns(select, &mut st, cols, join);
+    fold_columns(select, &mut st, &cols.batch, cols.rows.clone(), join);
     st.finalize(select)
 }
 
-/// Fold the window's rows into `st`, which holds the fold of the rows
+/// Continue `st`, the fold of `batch`'s rows `saved`, to the fold of its
+/// rows `window` — which ends at or past `saved`, and for an unbucketed
+/// arm starts where it does. An unbucketed fold goes on over the rows
+/// appended since. A bucketed one (sorted record clock: each bucket is a
+/// run of rows) drops the buckets that slid out, refolds the one bucket
+/// the window's start cuts from that row on, and goes on over the rows
+/// appended since, the last saved bucket continued. Either way the answer
+/// is the front-to-back fold of `window`, bit for bit.
+pub(crate) fn refold(
+    select: &Select,
+    st: &mut ScanState,
+    batch: &ColumnBatch,
+    saved: Range<usize>,
+    window: Range<usize>,
+) {
+    if select.bucket_ms.is_none() {
+        return fold_columns(select, st, batch, saved.end..window.end, None);
+    }
+    let gone = st.buckets.partition_point(|b| b.first < window.start);
+    let cut_end = st.buckets.get(gone).map_or(saved.end, |b| b.first).max(window.start);
+    st.buckets.drain(..gone);
+    fold_columns(select, st, batch, window.start..cut_end, None);
+    fold_columns(select, st, batch, saved.end.max(cut_end)..window.end, None);
+    st.total_in_window = window.len() as u64;
+}
+
+/// Fold `batch`'s rows `rows` into `st`, which holds the fold of the rows
 /// before them (a new state when there are none): the directed fold of
 /// [`run_scan_columns`], continued. The sum goes on in stream order and
 /// the lanes start from the extreme so far, so a fold resumed over a
-/// window's later rows is bit-identical to one over the whole window.
+/// window's later rows is bit-identical to one over the whole window. An
+/// arm with value predicates or a join folds the rows it admits, gathered
+/// [`CHUNK`] at a time.
 pub(crate) fn fold_columns(
     select: &Select,
     st: &mut ScanState,
-    cols: &ColumnSlice,
+    batch: &ColumnBatch,
+    rows: Range<usize>,
     mut join: Option<&mut JoinIndex>,
 ) {
-    let (timestamps_ns, values, provenance) =
-        (cols.timestamps_ns(), cols.values(), cols.provenance());
-    if !select.value_preds.is_empty() || join.is_some() {
-        for i in 0..values.len() {
-            let provenance = Provenance::from_wire(provenance[i])
-                .expect("ColumnBatch holds only successfully decoded records");
-            let ts_ms = timestamps_ns[i] / 1_000_000;
-            st.observe(select, join.as_deref_mut(), ts_ms, values[i], provenance);
+    let (first, sorted) = (rows.start, batch.timestamps_sorted());
+    let timestamps_ns = &batch.timestamps_ns[rows.clone()];
+    let (values, provenance) = (&batch.values[rows.clone()], &batch.provenance[rows]);
+    st.total_in_window += values.len() as u64;
+    match select.bucket_ms {
+        None => st.max_ts_all = st.max_ts_all.max(newest_ms(timestamps_ns, sorted)),
+        // Sorted, the window spans at most this many buckets (and holds
+        // no more than a bucket a row): one allocation.
+        Some(width) if st.buckets.is_empty() && sorted && !timestamps_ns.is_empty() => {
+            let (lo, hi) = (timestamps_ns[0] / 1_000_000, newest_ms(timestamps_ns, true));
+            let span = (hi / width - lo / width).saturating_add(1);
+            st.buckets.reserve_exact(span.min(values.len() as u64) as usize);
         }
-    } else if let Some(width) = select.bucket_ms {
+        Some(_) => {}
+    }
+    if select.value_preds.is_empty() && join.is_none() {
+        return fold_rows(select, st, sorted, first, timestamps_ns, values, provenance);
+    }
+    let (mut ts, mut vs, mut ps) = ([0u64; CHUNK], [0f64; CHUNK], [0u8; CHUNK]);
+    let mut mask = [true; CHUNK];
+    for start in (0..values.len()).step_by(CHUNK) {
+        let end = values.len().min(start + CHUNK);
+        let admit = &mut mask[..end - start];
+        admit.fill(true);
+        for p in &select.value_preds {
+            for (a, &v) in admit.iter_mut().zip(&values[start..end]) {
+                *a &= p.admits(v);
+            }
+        }
+        if let Some(join) = join.as_deref_mut() {
+            join.mask(&timestamps_ns[start..end], admit);
+        }
+        let mut kept = 0;
+        for (i, &a) in (start..end).zip(admit.iter()) {
+            (ts[kept], vs[kept], ps[kept]) = (timestamps_ns[i], values[i], provenance[i]);
+            kept += usize::from(a);
+        }
+        // A filtered arm is never resumed, so its buckets' first rows go
+        // unread: the chunk's first row stands in.
+        fold_rows(select, st, sorted, first + start, &ts[..kept], &vs[..kept], &ps[..kept]);
+    }
+}
+
+/// The largest of `timestamps_ns`, in ms: the last when they are sorted.
+fn newest_ms(timestamps_ns: &[u64], sorted: bool) -> u64 {
+    let newest = if sorted { timestamps_ns.last() } else { timestamps_ns.iter().max() };
+    newest.copied().unwrap_or(0) / 1_000_000
+}
+
+/// Fold admitted rows — all of an unfiltered window's, or a filtered
+/// arm's gathered chunk — into `st`: the provenance split and the
+/// aggregate, per bucket run when the arm is bucketed. `first` is the
+/// batch row of the first of them.
+fn fold_rows(
+    select: &Select,
+    st: &mut ScanState,
+    sorted: bool,
+    first: usize,
+    timestamps_ns: &[u64],
+    values: &[f64],
+    provenance: &[u8],
+) {
+    if let Some(width) = select.bucket_ms {
         // A run is the rows from `i` up to the first outside the bucket of
         // row `i`, found by comparing with the bucket's bounds (ns).
         let width_ns = width.saturating_mul(1_000_000);
@@ -254,33 +382,27 @@ pub(crate) fn fold_columns(
             let outside = |&t: &u64| t < lo_ns || t - lo_ns >= width_ns;
             let run = timestamps_ns[i + 1..].iter().position(outside);
             let end = run.map_or(values.len(), |n| i + 1 + n);
-            st.observe_run(select, key, &values[i..end], &provenance[i..end]);
+            st.fold_run(select, key, first + i, &values[i..end], &provenance[i..end]);
             i = end;
         }
+        return;
+    }
+    let counts = provenance_counts(provenance);
+    st.admitted += values.len() as u64;
+    st.counts += counts;
+    if select.include_stale || counts.stale == 0 {
+        st.acc.add_all(values);
+        st.max_ts_included = st.max_ts_included.max(newest_ms(timestamps_ns, sorted));
     } else {
-        let counts = provenance_counts(provenance);
-        st.total_in_window += values.len() as u64;
-        st.admitted += values.len() as u64;
-        st.counts += counts;
-        // Sorted timestamps peak at the window's last row.
-        let sorted = cols.batch.timestamps_sorted();
-        let newest = if sorted { timestamps_ns.last() } else { timestamps_ns.iter().max() };
-        let newest_ms = newest.copied().unwrap_or(0) / 1_000_000;
-        st.max_ts_all = st.max_ts_all.max(newest_ms);
-        if select.include_stale || counts.stale == 0 {
-            st.acc.add_all(values);
-            st.max_ts_included = st.max_ts_included.max(newest_ms);
-        } else {
-            let stale = Provenance::Stale.wire();
-            let mut max_ts_ns = 0;
-            for i in 0..values.len() {
-                if provenance[i] != stale {
-                    st.acc.add(values[i]);
-                    max_ts_ns = max_ts_ns.max(timestamps_ns[i]);
-                }
+        let stale = Provenance::Stale.wire();
+        let mut max_ts_ns = 0;
+        for i in 0..values.len() {
+            if provenance[i] != stale {
+                st.acc.add(values[i]);
+                max_ts_ns = max_ts_ns.max(timestamps_ns[i]);
             }
-            st.max_ts_included = st.max_ts_included.max(max_ts_ns / 1_000_000);
         }
+        st.max_ts_included = st.max_ts_included.max(max_ts_ns / 1_000_000);
     }
 }
 
@@ -342,40 +464,67 @@ mod tests {
         assert_eq!(acc.value(), f64::INFINITY);
     }
 
+    /// `ms` as a record timestamp (ns).
+    fn at(ms: u64) -> u64 {
+        ms * 1_000_000
+    }
+
+    /// A partner window holding records at `ts_ms`, in that (ID) order: a
+    /// batch whose record clock regressed when they are not sorted.
+    fn partner(ts_ms: &[u64]) -> ColumnSlice {
+        let broker = apollo_streams::Broker::new(apollo_streams::StreamConfig::default());
+        for (i, &ms) in ts_ms.iter().enumerate() {
+            let record = apollo_streams::codec::Record::measured(ms * 1_000_000, 1.0);
+            broker.publish("p", i as u64 + 1, record.encode());
+        }
+        crate::exec::TableProvider::columns(&broker, "p", 0, u64::MAX)
+    }
+
     #[test]
     fn join_index_matches_within_tolerance() {
-        let partner = || [250u64, 100, 900].into_iter().map(|ms| ms * 1_000_000);
-        let mut idx = JoinIndex::new(partner(), 10);
-        assert!(idx.matches(100));
-        assert!(idx.matches(95));
-        assert!(idx.matches(110));
-        assert!(!idx.matches(111));
-        assert!(!idx.matches(0));
-        assert!(idx.matches(890) && idx.matches(910));
-        let mut exact = JoinIndex::new(partner(), 0);
-        assert!(exact.matches(250));
-        assert!(!exact.matches(249) && !exact.matches(251));
-        let mut empty = JoinIndex::new(std::iter::empty(), 1000);
-        assert!(!empty.matches(100));
+        for ts in [[250u64, 100, 900], [100, 250, 900]] {
+            let sorted = ts.is_sorted();
+            assert_eq!(partner(&ts).batch.timestamps_sorted(), sorted);
+            let mut idx = JoinIndex::new(partner(&ts), 10);
+            assert!(idx.matches(at(100)));
+            assert!(idx.matches(at(95)));
+            assert!(idx.matches(at(110)));
+            assert!(!idx.matches(at(111)));
+            assert!(!idx.matches(at(0)));
+            assert!(idx.matches(at(890)) && idx.matches(at(910)));
+            let mut exact = JoinIndex::new(partner(&ts), 0);
+            assert!(exact.matches(at(250)));
+            assert!(!exact.matches(at(249)) && !exact.matches(at(251)));
+        }
+        let mut empty = JoinIndex::new(partner(&[]), 1000);
+        assert!(!empty.matches(at(100)));
     }
 
     #[test]
     fn join_cursor_agrees_with_a_fresh_search_on_any_probe_order() {
-        let partner: Vec<u64> = (0..60u64).map(|i| (i * 37) % 1_000 * 1_000_000).collect();
-        let probes = (0..400u64).map(|i| if i % 50 == 49 { i } else { i * 3 });
-        let mut cursor = JoinIndex::new(partner.iter().copied(), 4);
-        for ts in probes {
-            let fresh = JoinIndex::new(partner.iter().copied(), 4).matches(ts);
-            assert_eq!(cursor.matches(ts), fresh, "probe {ts}");
+        let unsorted: Vec<u64> = (0..60u64).map(|i| (i * 37) % 1_000).collect();
+        let mut sorted = unsorted.clone();
+        sorted.sort_unstable();
+        for ts in [unsorted, sorted] {
+            let probes = (0..400u64).map(|i| if i % 50 == 49 { i } else { i * 3 });
+            let mut cursor = JoinIndex::new(partner(&ts), 4);
+            for probe in probes {
+                let fresh = ts.iter().any(|&t| t.abs_diff(probe) <= 4);
+                // Anywhere inside the probe's millisecond.
+                let ns = at(probe) + probe * 7_919 % 1_000_000;
+                assert_eq!(cursor.matches(ns), fresh, "probe {probe}");
+            }
         }
     }
 
     #[test]
     fn join_index_saturates_at_the_origin() {
-        let mut idx = JoinIndex::new(std::iter::once(0), 5);
-        assert!(idx.matches(0), "ts 0 with tolerance must not underflow");
-        assert!(idx.matches(3));
-        assert!(!idx.matches(6));
+        let mut idx = JoinIndex::new(partner(&[0]), 5);
+        assert!(idx.matches(at(0)), "ts 0 with tolerance must not underflow");
+        assert!(idx.matches(at(3)));
+        assert!(!idx.matches(at(6)));
+        let mut far = JoinIndex::new(partner(&[0]), u64::MAX);
+        assert!(far.matches(u64::MAX), "a tolerance to the end of time must not overflow");
     }
 
     #[test]

@@ -12,9 +12,10 @@
 //! not counted here.
 //!
 //! Warm scan-aggregate executions over that tail allocate exactly what
-//! their result rows need: no directed fold, bucket run or join cursor
-//! allocates per row or per run. Nor does a whole-tail aggregate that
-//! resumes the tail's saved fold over rows appended since.
+//! their result rows need: no directed fold, bucket run, predicate mask or
+//! join cursor allocates per row, per run or per chunk. Nor does a
+//! whole-tail aggregate that resumes the tail's saved fold over rows
+//! appended since, or a sliding bucketed arm that resumes its own.
 //!
 //! Parsing a query allocates only what its AST owns, plus the token
 //! `Vec`: tokens borrow their identifiers from the SQL.
@@ -73,10 +74,13 @@ fn warm_range_hits_allocate_nothing() {
 
     // --- Warm scan aggregates ---------------------------------------------
     // An execution over the unchanged tail allocates its result and nothing
-    // per row, per bucket run or per join probe: the per-arm result `Vec`,
-    // the rows' `Vec` and each row's table name (3 for one row); a bucketed
-    // arm's 5 rows take 2 `Vec` growths, 5 names and one node of the bucket
-    // map (9); a join adds its partner's timestamp index (4).
+    // per row, per bucket run, per join probe or per gathered chunk (the
+    // window's 357 rows are two): the per-arm result `Vec`, the rows' `Vec`
+    // and each row's table name (3 for one row). A bucketed arm's 5 rows
+    // take 5 names and one exactly sized rows `Vec` (7): its buckets live
+    // in the tail's saved fold. A filtered bucketed arm folds afresh, its
+    // bucket `Vec` sized once from the window's span (2 rows: 5). A join
+    // walks its partner's timestamp column in place (3).
     const PARTNER: &str = "node0/nvme1/load";
     for i in 0..300u64 {
         let ts_ms = 9_900 + i;
@@ -87,8 +91,15 @@ fn warm_range_hits_allocate_nothing() {
         (format!("SELECT AVG(metric) FROM {TOPIC}"), 3),
         (format!("SELECT COUNT(*) FROM {TOPIC}"), 3),
         (format!("SELECT MAX(metric) FROM {TOPIC}"), 3),
-        (format!("SELECT MAX(metric) FROM {TOPIC} GROUP BY BUCKET(Timestamp, 1s)"), 9),
-        (format!("SELECT COUNT(*) FROM {TOPIC} JOIN {PARTNER} ON Timestamp WITHIN 5ms"), 4),
+        (format!("SELECT MAX(metric) FROM {TOPIC} GROUP BY BUCKET(Timestamp, 1s)"), 7),
+        (format!("SELECT AVG(metric) FROM {TOPIC} WHERE metric > 100"), 3),
+        (
+            format!(
+                "SELECT MAX(metric) FROM {TOPIC} WHERE metric > 100 GROUP BY BUCKET(Timestamp, 1s)"
+            ),
+            5,
+        ),
+        (format!("SELECT COUNT(*) FROM {TOPIC} JOIN {PARTNER} ON Timestamp WITHIN 5ms"), 3),
     ] {
         let query = parse(&sql).unwrap();
         engine.execute(&query).unwrap();
@@ -116,6 +127,30 @@ fn warm_range_hits_allocate_nothing() {
         }
     }
     assert_eq!(cache.fold_resumed() - resumed_before, 60, "every arm resumed its saved fold");
+
+    // A bucketed arm over a window that slides with the newest row (rows
+    // 100 ms apart, 1 s buckets, 1.5 s back) resumes its saved fold after
+    // each append: it drops the buckets that slid out, refolds the one its
+    // start cuts and folds the new row, in the saved state's own bucket
+    // `Vec`, and allocates only its result: the result `Vec`, the rows'
+    // `Vec` and a name per bucket row. The first resumes the fold the
+    // whole-tail bucketed arm above saved (its window starts later and
+    // ends later), whose bucket `Vec` already holds more buckets than any
+    // of these windows do.
+    let resumed_before = cache.fold_resumed();
+    for i in 0..40u64 {
+        let ts_ms = 21_000 + i * 100;
+        broker.publish(TOPIC, ts_ms, Record::measured(ts_ms * 1_000_000, i as f64).encode());
+        let sql = format!(
+            "SELECT MAX(metric) FROM {TOPIC} WHERE Timestamp >= {} GROUP BY BUCKET(Timestamp, 1s)",
+            ts_ms - 1_500
+        );
+        let query = parse(&sql).unwrap();
+        let mut rows = 0;
+        let n = allocs_during(|| rows = engine.execute(&query).unwrap().rows.len());
+        assert_eq!(n, 2 + rows as u64, "{sql}: {rows} rows");
+    }
+    assert_eq!(cache.fold_resumed() - resumed_before, 40, "every append resumed");
 
     // --- Parsing -----------------------------------------------------------
     // Tokens borrow the SQL, so a parse allocates the token `Vec` and what

@@ -18,9 +18,9 @@
 //! through their `Debug` form, which round-trips `f64` bits exactly: the
 //! oracle's sums start at `0.0` and add in stream order, as the engine's
 //! do, so a single ULP of divergence fails the suite. The last test holds
-//! the tail's saved folds to the same oracle: whole-tail aggregates
-//! resumed across appends, evictions, head loss, reach trims and topic
-//! re-creation.
+//! the tail's saved folds to the same oracle: whole-tail aggregates and
+//! sliding bucketed arms resumed across appends, evictions, head loss,
+//! reach trims, topic re-creation and regressing record clocks.
 
 use apollo_query::exec::{CachedBroker, QueryEngine, ScanCache, TableProvider};
 use apollo_query::{parse, Query};
@@ -221,6 +221,15 @@ fn battery() -> Vec<Query> {
         "SELECT COUNT(*) FROM t GROUP BY BUCKET(Timestamp, 100)",
         "SELECT MAX(metric) FROM t GROUP BY BUCKET(Timestamp, 100) INCLUDE STALE",
         "SELECT MIN(metric) FROM u GROUP BY BUCKET(Timestamp, 1s)",
+    ]);
+    // The one column pass: predicates and a join cursor together, a
+    // joined arm's bucket runs, and a joined arm that keeps stale rows.
+    sqls.extend([
+        "SELECT AVG(metric) FROM t JOIN u ON Timestamp WITHIN 25ms WHERE metric > 0.1",
+        "SELECT MIN(metric) FROM t JOIN u ON Timestamp WITHIN 40ms GROUP BY BUCKET(Timestamp, 200)",
+        "SELECT COUNT(*) FROM t JOIN u ON Timestamp WITHIN 10ms \
+         WHERE Timestamp >= 200 AND metric <= 0.5 GROUP BY BUCKET(Timestamp, 150)",
+        "SELECT SUM(metric) FROM t JOIN u ON Timestamp WITHIN 25ms INCLUDE STALE",
     ]);
     // Degenerate windows that select nothing must agree too.
     sqls.push("SELECT metric FROM t WHERE Timestamp BETWEEN 5 AND 6");
@@ -629,9 +638,12 @@ fn a_head_lost_mid_millisecond_rebuilds_the_tail() {
 
 // ------------------------------------------------------------------------
 // Saved folds, differentially: a whole-tail aggregate through the cache
-// folds only the rows after its tail's saved fold. After every step of a
-// seeded run of appends, evictions, head loss (trimmed or rebuilt), reach
-// trims and topic re-creation, each such answer must equal the naive fold.
+// folds only the rows after its tail's saved fold, and a bucketed arm over
+// a sliding window only the bucket its new start cuts and the rows after
+// its saved fold. After every step of a seeded run of appends, evictions,
+// head loss (trimmed or rebuilt), reach trims, topic re-creation and a
+// stretch of regressing record clocks, each such answer must equal the
+// naive fold.
 
 /// `SELECT` aggregate `i` of the ten a tail keeps a fold of (`COUNT`,
 /// `SUM`, `AVG`, `MAX`, `MIN`, each with and without `INCLUDE STALE`) from
@@ -652,6 +664,7 @@ fn assert_sql_matches_fold(cached: &CachedBroker<'_>, broker: &Broker, sql: &str
 #[test]
 fn resumed_whole_tail_folds_match_the_naive_fold() {
     over_backends("folds", |backend, broker| {
+        let mut bucket_resumes = 0;
         for seed in [0xF01Du64, 0xF01E] {
             let at = format!("{backend}, seed {seed:#x}");
             let cache = ScanCache::new();
@@ -661,6 +674,11 @@ fn resumed_whole_tail_folds_match_the_naive_fold() {
             // that starts at the trimmed front resumes the fold kept there.
             let slid = ScanCache::new();
             let sliding = CachedBroker::new(broker, &slid);
+            // Only ever asked sliding bucketed arms: 5 ms buckets divide
+            // the 40 ms span, 7 ms ones do not, and the window's start
+            // moves by whatever a step appended.
+            let bucketed = ScanCache::new();
+            let buckets = CachedBroker::new(broker, &bucketed);
             broker.remove_topic("t");
             let mut feed = Feed { rng: StdRng::seed_from_u64(seed), now_ms: 1_000, rows: 0 };
             feed.append_special(broker, 40);
@@ -675,6 +693,10 @@ fn resumed_whole_tail_folds_match_the_naive_fold() {
                         }
                         feed.append_special(broker, 3);
                     }
+                    // Record clocks that regress: the tail's batch is
+                    // unsorted, and bucketed arms fold from their first
+                    // row, until the topic is re-created at step 150.
+                    _ if step == 120 => feed.append(broker, 30),
                     0..=4 => {
                         let n = feed.rng.random_range(1..12u64);
                         feed.append_special(broker, n);
@@ -693,6 +715,18 @@ fn resumed_whole_tail_folds_match_the_naive_fold() {
                 for i in 0..10 {
                     assert_sql_matches_fold(&sliding, broker, &saved_fold_sql(i, &slide), &at);
                 }
+                let slide = format!(" WHERE Timestamp >= {}", feed.now_ms.saturating_sub(40));
+                for i in 0..10 {
+                    for width in [5, 7] {
+                        let bucket = format!("{slide} GROUP BY BUCKET(Timestamp, {width})");
+                        assert_sql_matches_fold(&buckets, broker, &saved_fold_sql(i, &bucket), &at);
+                    }
+                }
+                // Whole-tail bucketed arms, beside the unbucketed ones.
+                for i in (0..10).step_by(3) {
+                    let bucket = saved_fold_sql(i, " GROUP BY BUCKET(Timestamp, 16)");
+                    assert_sql_matches_fold(&cached, broker, &bucket, &at);
+                }
                 // A window that ends before the saved folds do, and one whose
                 // lower bound falls before the tail's first row.
                 let Some(first) = broker.scan_meta("t").first_id else { continue };
@@ -701,6 +735,9 @@ fn resumed_whole_tail_folds_match_the_naive_fold() {
                     feed.rng.random_range(0..10),
                     &format!(" WHERE Timestamp <= {x}"),
                 );
+                assert_sql_matches_fold(&cached, broker, &before, &at);
+                let before = format!(" WHERE Timestamp <= {x} GROUP BY BUCKET(Timestamp, 16)");
+                let before = saved_fold_sql(feed.rng.random_range(0..10), &before);
                 assert_sql_matches_fold(&cached, broker, &before, &at);
                 let lo = first.ms.saturating_sub(feed.rng.random_range(1..5u64));
                 let early = saved_fold_sql(
@@ -715,6 +752,11 @@ fn resumed_whole_tail_folds_match_the_naive_fold() {
                 cache.fold_resumed()
             );
             assert!(slid.fold_resumed() > 0, "{at}: no sliding window resumed a fold");
+            bucket_resumes += bucketed.fold_resumed();
         }
+        // Per backend, not per seed: a slab series outlives its topic, so
+        // the next seed's `t` may inherit rows whose clock runs ahead of
+        // its own, and its batch is then unsorted throughout.
+        assert!(bucket_resumes > 0, "{backend}: no sliding bucketed arm resumed a fold");
     });
 }
