@@ -40,14 +40,13 @@ impl Entry {
 
 /// Where a range walk lands its rows: the archive's slab ring and the
 /// stream window are each walked once, under the stream's window read
-/// lock, generically over the sink. A walk makes one pass, so a sink only
-/// ever grows. A `Vec<Entry>` materialises entries; a
-/// [`crate::ColumnBatch`] decodes each payload where the walk finds it and
-/// never builds one.
+/// lock, generically over the sink. A walk makes one pass, and its caller
+/// sized the sink for both spans before the first row lands. A
+/// `Vec<Entry>` materialises entries; a column landing decodes each
+/// payload where the walk finds it and never builds one.
 pub(crate) trait RowSink {
-    /// Make room for exactly `rows` more (no slack: batches are cached).
-    fn reserve(&mut self, rows: usize);
-    /// A row borrowed from the walker's scratch: copy or decode it now.
+    /// A row lent by the walk (a slot's loaded words, or a window entry):
+    /// copy or decode it now.
     fn push_row(&mut self, id: StreamId, payload: &[u8]);
     /// Rows that already exist as entries (the window's), in bulk.
     fn push_entries<'a>(&mut self, entries: impl Iterator<Item = &'a Entry>) {
@@ -55,12 +54,9 @@ pub(crate) trait RowSink {
     }
 }
 
-/// A record row, from the slot scratch or the window, is copied into the
-/// entry in place: the sink allocates only the `Vec`.
+/// A record row, from a slot's loaded words or the window, is copied into
+/// the entry in place: the sink allocates only the `Vec`.
 impl RowSink for Vec<Entry> {
-    fn reserve(&mut self, rows: usize) {
-        self.reserve_exact(rows);
-    }
     fn push_row(&mut self, id: StreamId, payload: &[u8]) {
         self.push(Entry::new(id, Bytes::copy_from_slice(payload)));
     }

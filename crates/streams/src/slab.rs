@@ -23,8 +23,9 @@
 //! committed, the slot at `head % slots` is scratch. The checksum folds
 //! 8-byte words (format version 3; a file of an earlier version is
 //! refused, not migrated). Reads are one walk, generic over where the rows
-//! land: each slot is copied into one scratch buffer, verified there, and
-//! lent to the sink — entries copy it, columns decode it in place. Crash recovery in
+//! land: each slot's words are loaded once, verified against its checksum
+//! and lent to the sink from there — a record's from the stack, with no
+//! scratch buffer — and entries copy the bytes, columns decode them. Crash recovery in
 //! [`SlabStore::open`] re-validates every committed slot (checksum +
 //! strictly increasing IDs) and rolls torn or unsynced slots out of the
 //! committed range — a torn tail shrinks `head`, a destroyed oldest slot
@@ -60,6 +61,7 @@
 //! write lock, and every ring read the stream makes holds its read lock,
 //! so a read never races the ring's one writer.
 
+use crate::codec::RECORD_WIRE_SIZE;
 use crate::entry::{Entry, RowSink};
 use crate::id::StreamId;
 use parking_lot::Mutex;
@@ -217,25 +219,30 @@ fn fold(h: u64, word: u64) -> u64 {
     (h ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(32)
 }
 
-/// Checksum guarding one slot against torn writes: [`fold`], from
-/// [`FOLD_BASIS`], over `ms`, `seq`, `len`, then the payload as
-/// little-endian 8-byte words (the last one zero-padded); the stored field
-/// is the low 32 bits of `(h >> 32) ^ h`. `len` is a word of its own, so a
-/// payload never aliases its zero-extended neighbour.
+/// Checksum guarding one slot against torn writes: [`fold_slot`] over the
+/// payload as little-endian 8-byte words, the last one zero-padded. The
+/// write side; [`SlabStore::read_slot`] folds the words it loads.
 fn slot_checksum(ms: u64, seq: u64, len: u32, payload: &[u8]) -> u32 {
     let (words, tail) = payload.as_chunks::<8>();
-    let h = fold(fold(fold(FOLD_BASIS, ms), seq), len as u64);
-    let mut h = words.iter().fold(h, |h, w| fold(h, u64::from_le_bytes(*w)));
-    if !tail.is_empty() {
-        // The last 8 bytes shifted down (no variable-length copy per
-        // record); a payload shorter than a word is padded instead.
-        let mut last = [0u8; 8];
-        match payload.last_chunk::<8>() {
-            Some(w) => last = (u64::from_le_bytes(*w) >> (64 - 8 * tail.len())).to_le_bytes(),
-            None => last[..tail.len()].copy_from_slice(tail),
+    // The last 8 bytes shifted down (no variable-length copy per record);
+    // a payload shorter than a word is padded instead.
+    let last = (!tail.is_empty()).then(|| match payload.last_chunk::<8>() {
+        Some(w) => u64::from_le_bytes(*w) >> (64 - 8 * tail.len()),
+        None => {
+            let mut last = [0u8; 8];
+            last[..tail.len()].copy_from_slice(tail);
+            u64::from_le_bytes(last)
         }
-        h = fold(h, u64::from_le_bytes(last));
-    }
+    });
+    fold_slot(ms, seq, len, words.iter().map(|w| u64::from_le_bytes(*w)).chain(last))
+}
+
+/// [`fold`], from [`FOLD_BASIS`], over `ms`, `seq`, `len`, then the
+/// payload words; the stored field is the low 32 bits of `(h >> 32) ^ h`.
+/// `len` is a word of its own, so a payload never aliases its
+/// zero-extended neighbour.
+fn fold_slot(ms: u64, seq: u64, len: u32, words: impl IntoIterator<Item = u64>) -> u32 {
+    let h = words.into_iter().fold(fold(fold(fold(FOLD_BASIS, ms), seq), len as u64), fold);
     ((h >> 32) ^ h) as u32
 }
 
@@ -1075,13 +1082,11 @@ impl SlabStore {
             let from = done.max(floor);
             report.skipped += from - done;
             self.lapped.fetch_add(from - done, Ordering::Relaxed);
-            let mut payload = Vec::with_capacity(self.cfg.payload_cap());
+            let mut long = Vec::new();
             for i in from..head {
-                let Some(id) = self.read_slot(self.slot_of(idx, i), &mut payload) else {
-                    report.skipped += 1;
-                    continue;
-                };
-                let Ok(rec) = crate::codec::Record::decode(&payload) else {
+                let decode = |id, row: &[u8]| crate::Record::decode(row).map(|rec| (id, rec));
+                let Some(Ok((id, rec))) = self.read_slot(self.slot_of(idx, i), &mut long, decode)
+                else {
                     report.skipped += 1;
                     continue;
                 };
@@ -1202,32 +1207,50 @@ impl SlabStore {
         self.layout.slot(idx, (logical % self.cfg.slots as u64) as usize)
     }
 
-    /// Copy the slot at byte offset `slot` into `payload`. Returns its ID,
-    /// or `None` when the slot fails its checksum (torn or mid-overwrite).
-    fn read_slot(&self, slot: usize, payload: &mut Vec<u8>) -> Option<StreamId> {
+    /// Read the slot at byte offset `slot` once: its header and payload
+    /// words are loaded into locals, the checksum is verified over exactly
+    /// those words, and the row is lent to `land` from them (the mapping is
+    /// not read again). A 17-byte frame (every [`crate::Record`]) is three
+    /// words folded unrolled and lent from the stack; any other length
+    /// takes the word loop and is lent whole from `long`, the caller's
+    /// buffer for such rows (a walk of records never grows it). `None` when
+    /// the length word is past the payload capacity or the checksum fails
+    /// (torn or mid-overwrite).
+    #[inline]
+    pub(crate) fn read_slot<R>(
+        &self,
+        slot: usize,
+        long: &mut Vec<u8>,
+        land: impl FnOnce(StreamId, &[u8]) -> R,
+    ) -> Option<R> {
         let ms = self.atom(slot).load(Ordering::Relaxed);
         let seq = self.atom(slot + 8).load(Ordering::Relaxed);
         let meta = self.atom(slot + 16).load(Ordering::Relaxed);
-        let len1 = (meta & 0xffff_ffff) as u32;
-        let xsum = (meta >> 32) as u32;
-        if len1 == 0 || len1 as usize - 1 > self.cfg.payload_cap() {
+        let len = (meta as u32 as usize).checked_sub(1).filter(|&l| l <= self.cfg.payload_cap())?;
+        // Payload word `i`, masked to the payload's bytes: past `len` the
+        // slot may hold an older, longer payload's.
+        let word = |i: usize| {
+            let w = self.atom(slot + SLOT_HEADER_BYTES + 8 * i).load(Ordering::Relaxed);
+            u64::from_le(w) & (u64::MAX >> (64 - 8 * (len - 8 * i).min(8)))
+        };
+        let (id, xsum) = (StreamId::new(ms, seq), (meta >> 32) as u32);
+        if len == RECORD_WIRE_SIZE {
+            let frame = [word(0), word(1), word(2)];
+            let bytes = frame.map(u64::to_le_bytes);
+            let verified = fold_slot(ms, seq, len as u32, frame) == xsum;
+            return verified.then(|| land(id, &bytes.as_flattened()[..len]));
+        }
+        long.clear();
+        long.reserve(len.next_multiple_of(8));
+        let words = (0..len.div_ceil(8)).map(|i| {
+            let w = word(i);
+            long.extend_from_slice(&w.to_le_bytes());
+            w
+        });
+        if fold_slot(ms, seq, len as u32, words) != xsum {
             return None;
         }
-        let len = len1 as usize - 1;
-        payload.clear();
-        payload.reserve(len);
-        unsafe {
-            std::ptr::copy_nonoverlapping(
-                self.ptr_at(slot + SLOT_HEADER_BYTES),
-                payload.as_mut_ptr(),
-                len,
-            );
-            payload.set_len(len);
-        }
-        if slot_checksum(ms, seq, len as u32, payload) != xsum {
-            return None;
-        }
-        Some(StreamId::new(ms, seq))
+        Some(land(id, &long[..len]))
     }
 
     /// Validate the committed range of series `idx` after a reopen,
@@ -1239,10 +1262,12 @@ impl SlabStore {
         let stored_tail = self.atom(d + D_TAIL).load(Ordering::Relaxed);
         let floor = stored_tail.max(head.saturating_sub(slots));
         let mut rolled_back = 0u64;
-        let mut payload = Vec::with_capacity(self.cfg.payload_cap());
+        let mut long = Vec::new();
         // Torn / unsynced tail: the newest slots may have missed their
         // flush even though the head word made it out.
-        while head > floor && self.read_slot(self.slot_of(idx, head - 1), &mut payload).is_none() {
+        while head > floor
+            && self.read_slot(self.slot_of(idx, head - 1), &mut long, |_, _| ()).is_none()
+        {
             head -= 1;
             rolled_back += 1;
         }
@@ -1252,7 +1277,7 @@ impl SlabStore {
         let mut tail = floor;
         let mut prev: Option<StreamId> = None;
         for i in (floor..head).rev() {
-            match self.read_slot(self.slot_of(idx, i), &mut payload) {
+            match self.read_slot(self.slot_of(idx, i), &mut long, |id, _| id) {
                 Some(id) if prev.is_none_or(|p| id < p) => prev = Some(id),
                 _ => {
                     rolled_back += i + 1 - floor;
@@ -1512,15 +1537,14 @@ impl SlabSeries {
 
     /// The one ring walk, one pass: the rows of `span` (a
     /// [`SlabSeries::span`] read under the same hold) go to `sink` in ID
-    /// order. Each slot is copied into one scratch, checksum-verified
-    /// there, and lent to the sink; a torn one is skipped. The caller has
-    /// sized the sink.
+    /// order, each slot read once by [`SlabStore::read_slot`] and landed
+    /// from the words it loaded (a row that is not a record through one
+    /// buffer per walk); a torn one is skipped. The caller has sized the
+    /// sink.
     pub(crate) fn walk<S: RowSink>(&self, span: Range<u64>, sink: &mut S) {
-        let mut payload = Vec::new();
+        let mut long = Vec::new();
         for i in span {
-            if let Some(id) = self.store.read_slot(self.slot_offset(i), &mut payload) {
-                sink.push_row(id, &payload);
-            }
+            self.store.read_slot(self.slot_offset(i), &mut long, |id, row| sink.push_row(id, row));
         }
     }
 

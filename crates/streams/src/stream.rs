@@ -175,46 +175,63 @@ pub struct ScanMeta {
     pub last_id: Option<StreamId>,
 }
 
-impl RowSink for ColumnBatch {
-    fn reserve(&mut self, rows: usize) {
-        self.ids_ms.reserve_exact(rows);
-        self.timestamps_ns.reserve_exact(rows);
-        self.values.reserve_exact(rows);
-        self.provenance.reserve_exact(rows);
-    }
-    fn push_row(&mut self, id: StreamId, payload: &[u8]) {
-        match Record::decode(payload) {
-            Ok(r) => {
-                self.ts_regressed |= self.timestamps_ns.last().is_some_and(|&t| r.timestamp_ns < t);
-                self.ids_ms.push(id.ms);
-                self.timestamps_ns.push(r.timestamp_ns);
-                self.values.push(r.value);
-                self.provenance.push(r.provenance.wire());
+/// A walk's rows landing in a [`ColumnBatch`]: the columns are sized once
+/// for the walk, each decoded row is written at its index, and the drop
+/// cuts them to the rows that decoded. The clock-regression check runs on
+/// locals, carried from the batch's last row across the ring/window seam.
+struct ColumnSink<'a> {
+    batch: &'a mut ColumnBatch,
+    /// Where the next decoded row is written.
+    at: usize,
+    /// The last landed row's record timestamp (0 before any).
+    last_ts: u64,
+    regressed: bool,
+}
+
+impl<'a> ColumnSink<'a> {
+    /// Room for `rows` more: exactly for a one-shot scan (its batch is
+    /// cached as it is), amortised for a tail extended again and again.
+    fn new(batch: &'a mut ColumnBatch, rows: usize, exact: bool) -> Self {
+        fn grow<T: Copy + Default>(column: &mut Vec<T>, rows: usize, exact: bool) {
+            if exact {
+                column.reserve_exact(rows);
             }
-            Err(_) => self.corrupt += 1,
+            column.resize(column.len() + rows, T::default());
         }
+        let (at, last_ts) = (batch.len(), batch.timestamps_ns.last().copied().unwrap_or(0));
+        grow(&mut batch.ids_ms, rows, exact);
+        grow(&mut batch.timestamps_ns, rows, exact);
+        grow(&mut batch.values, rows, exact);
+        grow(&mut batch.provenance, rows, exact);
+        Self { batch, at, last_ts, regressed: false }
     }
 }
 
-/// The sink of [`Stream::extend_columns`]: lands rows in a shared batch,
-/// un-sharing it (`Arc::make_mut`) only when a row does land — a reader
-/// still folding the batch keeps the rows it started with, and a lookup
-/// that finds nothing new copies nothing. Growth is amortised, unlike a
-/// one-shot scan's exact reservation: a tail is extended again and again.
-struct TailSink<'a>(&'a mut Arc<ColumnBatch>);
-
-impl RowSink for TailSink<'_> {
-    fn reserve(&mut self, rows: usize) {
-        if rows > 0 {
-            let b = Arc::make_mut(self.0);
-            b.ids_ms.reserve(rows);
-            b.timestamps_ns.reserve(rows);
-            b.values.reserve(rows);
-            b.provenance.reserve(rows);
-        }
-    }
+impl RowSink for ColumnSink<'_> {
     fn push_row(&mut self, id: StreamId, payload: &[u8]) {
-        Arc::make_mut(self.0).push_row(id, payload);
+        let Ok(r) = Record::decode(payload) else {
+            self.batch.corrupt += 1;
+            return;
+        };
+        let (b, i) = (&mut *self.batch, self.at);
+        self.regressed |= r.timestamp_ns < self.last_ts;
+        self.last_ts = r.timestamp_ns;
+        b.ids_ms[i] = id.ms;
+        b.timestamps_ns[i] = r.timestamp_ns;
+        b.values[i] = r.value;
+        b.provenance[i] = r.provenance.wire();
+        self.at = i + 1;
+    }
+}
+
+impl Drop for ColumnSink<'_> {
+    fn drop(&mut self) {
+        let (b, at) = (&mut *self.batch, self.at);
+        b.ids_ms.truncate(at);
+        b.timestamps_ns.truncate(at);
+        b.values.truncate(at);
+        b.provenance.truncate(at);
+        b.ts_regressed |= self.regressed;
     }
 }
 
@@ -472,29 +489,37 @@ impl Stream {
     /// write lock, so a scan racing retention sees no gaps and no
     /// duplicates.
     pub fn range(&self, start: StreamId, end: StreamId) -> Vec<Entry> {
-        let mut out = Vec::new();
-        self.walk(start, end, &mut out);
-        out
+        self.walk(start, end, Vec::with_capacity).0.unwrap_or_default()
     }
 
     /// The stitch behind [`Stream::range`], generic over where the rows
     /// land: the ring, then the window, under one hold of the window read
     /// lock (evictions, the ring's only writer, take it for writing, in
     /// the same window -> ring order), and the snapshot read under it.
-    /// Both spans are found first, so the sink is sized once for the two.
-    fn walk<S: RowSink>(&self, start: StreamId, end: StreamId, sink: &mut S) -> ScanMeta {
+    /// Both spans are found first, and `sink` makes the sink for their row
+    /// count — sized once for the two — only when there are rows to land.
+    fn walk<S: RowSink>(
+        &self,
+        start: StreamId,
+        end: StreamId,
+        sink: impl FnOnce(usize) -> S,
+    ) -> (Option<S>, ScanMeta) {
         let w = self.window.read();
         let ring = self.archive().map(|ring| (ring, ring.span(start, end, usize::MAX)));
         let lo = partition_point_deque(&w.entries, |e| e.id < start);
         // `hi >= lo` even for an inverted range, which selects nothing.
         let hi = partition_point_deque(&w.entries, |e| e.id <= end).max(lo);
         let ring_rows = ring.as_ref().map_or(0, |(_, span)| (span.end - span.start) as usize);
-        sink.reserve(ring_rows + (hi - lo));
-        if let Some((ring, span)) = ring {
-            ring.walk(span, sink);
-        }
-        sink.push_entries(w.entries.range(lo..hi));
-        self.meta_locked(&w)
+        let rows = ring_rows + (hi - lo);
+        let sink = (rows > 0).then(|| {
+            let mut sink = sink(rows);
+            if let Some((ring, span)) = ring {
+                ring.walk(span, &mut sink);
+            }
+            sink.push_entries(w.entries.range(lo..hi));
+            sink
+        });
+        (sink, self.meta_locked(&w))
     }
 
     /// The snapshot of a stream whose window lock `w` is held: the ring
@@ -591,8 +616,8 @@ impl Stream {
     /// `last_id` in one call, so the query path decodes each payload
     /// exactly once per cache generation.
     pub fn scan_batch(&self, start: StreamId, end: StreamId) -> ScanBatch {
-        let mut entries = Vec::new();
-        let last_id = self.walk(start, end, &mut entries).last_id;
+        let (entries, snap) = self.walk(start, end, Vec::with_capacity);
+        let (entries, last_id) = (entries.unwrap_or_default(), snap.last_id);
         let mut records = Vec::with_capacity(entries.len());
         let mut corrupt = 0u64;
         for e in &entries {
@@ -612,12 +637,13 @@ impl Stream {
 
     /// Consistent range scan decoded straight into columns — same
     /// snapshot and same corrupt-skipping as [`Stream::scan_batch`], but
-    /// the batch is itself the walk's sink: each payload is decoded where
-    /// the walk finds it (slot scratch, window entry) and no entry is built.
+    /// each row is decoded where the walk finds it (a slot's loaded words,
+    /// a window entry), written at its index in columns sized once for the
+    /// walk, and no entry is built.
     pub fn scan_columns(&self, start: StreamId, end: StreamId) -> ColumnBatch {
         let mut out = ColumnBatch::default();
-        let ScanMeta { source, first_id, last_id } = self.walk(start, end, &mut out);
-        (out.source, out.first_id, out.last_id) = (source, first_id, last_id);
+        let (_, snap) = self.walk(start, end, |rows| ColumnSink::new(&mut out, rows, true));
+        (out.source, out.first_id, out.last_id) = (snap.source, snap.first_id, snap.last_id);
         out
     }
 
@@ -627,7 +653,8 @@ impl Stream {
     /// and its snapshot is refreshed, so it equals what a
     /// scan from the same start would return now, plus whatever head rows
     /// the stream has lost since (the caller compares `first_id`). The
-    /// `Arc` is un-shared only if something changed. Returns `false` when
+    /// `Arc` is un-shared once per extension that lands rows, and only
+    /// then; its columns grow amortised. Returns `false` when
     /// `tail` is not a snapshot of this stream as it stands — another
     /// stream, or this one after its ring rejected an evicted entry the
     /// tail may hold (checked again once the walk is done) — and the tail
@@ -639,7 +666,8 @@ impl Stream {
         };
         // Nothing can follow the largest ID, and nothing was evicted since.
         let Some(start) = last.successor() else { return true };
-        let snap = self.walk(start, StreamId::MAX, &mut TailSink(tail));
+        let (_, snap) = self
+            .walk(start, StreamId::MAX, |rows| ColumnSink::new(Arc::make_mut(tail), rows, false));
         if snap.source != tail.source {
             return false; // a rejected eviction raced the walk
         }
@@ -1083,9 +1111,167 @@ mod tests {
 #[cfg(test)]
 mod prop_tests {
     use super::*;
+    use crate::codec::Provenance;
     use proptest::prelude::*;
+    use std::collections::HashMap;
+
+    /// What decoding entries one by one lands: the oracle of a column batch.
+    #[derive(Debug, Default, PartialEq)]
+    struct Landed {
+        ids_ms: Vec<u64>,
+        timestamps_ns: Vec<u64>,
+        value_bits: Vec<u64>,
+        provenance: Vec<u8>,
+        corrupt: u64,
+        regressed: bool,
+    }
+
+    impl Landed {
+        fn decode(&mut self, entries: &[Entry]) {
+            for e in entries {
+                let Ok(r) = Record::decode(&e.payload) else {
+                    self.corrupt += 1;
+                    continue;
+                };
+                self.regressed |= self.timestamps_ns.last().is_some_and(|&t| r.timestamp_ns < t);
+                self.ids_ms.push(e.id.ms);
+                self.timestamps_ns.push(r.timestamp_ns);
+                self.value_bits.push(r.value.to_bits());
+                self.provenance.push(r.provenance.wire());
+            }
+        }
+
+        fn of(b: &ColumnBatch) -> Self {
+            Self {
+                ids_ms: b.ids_ms.clone(),
+                timestamps_ns: b.timestamps_ns.clone(),
+                value_bits: b.values.iter().map(|v| v.to_bits()).collect(),
+                provenance: b.provenance.clone(),
+                corrupt: b.corrupt,
+                regressed: !b.timestamps_sorted(),
+            }
+        }
+    }
+
+    /// A payload drawn from `a` and `b`: a record of any provenance, often
+    /// a special value (NaN, ±0, ±inf, subnormal), else an undecodable
+    /// frame — a bad provenance byte, 0–16 bytes, 18–`cap` bytes — or one
+    /// over the slot capacity, which the ring rejects at eviction.
+    fn payload(a: u64, b: u64, timestamp_ns: u64, cap: usize) -> Vec<u8> {
+        const SPECIAL: [f64; 8] = [
+            f64::NAN,
+            -0.0,
+            0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::from_bits(1),
+            -f64::MIN_POSITIVE / 2.0,
+            f64::MAX,
+        ];
+        let value = if a.is_multiple_of(3) { SPECIAL[(b % 8) as usize] } else { f64::from_bits(b) };
+        let provenance = Provenance::from_wire(((a >> 4) % 3) as u8).unwrap();
+        let mut frame = Record { timestamp_ns, value, provenance }.encode().to_vec();
+        match (a >> 8) % 16 {
+            0 => frame[16] = 3 + (b % 253) as u8,
+            1 => frame.truncate((b % 17) as usize),
+            2 => frame.resize(18 + (b % (cap as u64 - 17)) as usize, (b >> 8) as u8 | 1),
+            3 if a.is_multiple_of(5) => frame.resize(cap + 1 + (b % 8) as usize, 0xa5),
+            _ => {}
+        }
+        frame
+    }
 
     proptest! {
+        /// Ring and window rows land in columns as decoding the same
+        /// range's entries one by one does — columns bit for bit,
+        /// `corrupt`, the snapshot's `first_id`/`last_id` and
+        /// `timestamps_sorted()` — for one-shot scans of any window and
+        /// for a tail grown by `extend_columns` in random steps, over a
+        /// private ring and over a 16-slot slab ring that laps. Record
+        /// clocks regress (the flag is carried across the ring/window seam
+        /// and every extension), ID clocks regress into clamped IDs, and
+        /// the entries' payloads are the appended bytes, every length.
+        #[test]
+        fn column_landing_matches_decoding_the_range(
+            ops in prop::collection::vec((0u8..100, any::<u64>(), any::<u64>()), 1..400),
+            max_len in 1usize..24,
+            slab in any::<bool>(),
+        ) {
+            let config = StreamConfig::bounded(max_len);
+            let s = if slab {
+                let cfg = SlabConfig { max_series: 1, slots: 16, slot_bytes: 64, tiers: vec![] };
+                Stream::new("t", config.with_slab(SlabStore::in_memory(cfg).unwrap()))
+            } else {
+                Stream::new("t", config)
+            };
+            let cap = SlabConfig::default().payload_cap();
+            let (mut ms, mut ts) = (0u64, 1u64 << 40);
+            let mut appended = HashMap::new();
+            let mut tail: Option<(Arc<ColumnBatch>, Landed)> = None;
+            let mut reader: Option<(Arc<ColumnBatch>, Landed)> = None;
+            for (kind, a, b) in ops {
+                match kind {
+                    0..70 => {
+                        ms = (ms + a % 4).saturating_sub(if b.is_multiple_of(16) { 3 } else { 0 });
+                        ts = if b.is_multiple_of(13) { ts - a % 5_000 } else { ts + a % 3_000 };
+                        let bytes = payload(a, b, ts, cap);
+                        appended.insert(s.append(ms, bytes.clone()), bytes);
+                    }
+                    70..85 => {
+                        let (lo, hi) = (a % (ms + 3), b % (ms + 3));
+                        let (start, end) = (StreamId::new(lo, a % 3), StreamId::new(hi, u64::MAX - b % 2));
+                        let entries = s.range(start, end);
+                        prop_assert!(entries.iter().all(|e| e.payload.as_ref() == appended[&e.id]));
+                        // Every retained row in range, and only those: a row
+                        // over the slot capacity is gone once evicted.
+                        let (first, front) =
+                            (s.scan_meta().first_id, s.window.read().entries.front().map(|e| e.id));
+                        let mut retained: Vec<StreamId> = (appended.iter())
+                            .filter(|&(&id, bytes)| {
+                                (start..=end).contains(&id)
+                                    && first.is_some_and(|f| id >= f)
+                                    && (bytes.len() <= cap || front.is_some_and(|f| id >= f))
+                            })
+                            .map(|(&id, _)| id)
+                            .collect();
+                        retained.sort_unstable();
+                        prop_assert_eq!(entries.iter().map(|e| e.id).collect::<Vec<_>>(), retained);
+                        let mut want = Landed::default();
+                        want.decode(&entries);
+                        let got = s.scan_columns(start, end);
+                        prop_assert_eq!(Landed::of(&got), want);
+                        let meta = s.scan_meta();
+                        prop_assert_eq!((got.first_id, got.last_id), (meta.first_id, meta.last_id));
+                    }
+                    85..95 => {
+                        let extended = tail.as_mut().is_some_and(|(t, want)| {
+                            let from = t.last_id.and_then(StreamId::successor);
+                            let ok = s.extend_columns(t);
+                            if let (true, Some(from)) = (ok, from) {
+                                want.decode(&s.range(from, StreamId::MAX));
+                            }
+                            ok
+                        });
+                        if !extended {
+                            let mut want = Landed::default();
+                            want.decode(&s.range(StreamId::MIN, StreamId::MAX));
+                            tail = Some((Arc::new(s.scan_columns(StreamId::MIN, StreamId::MAX)), want));
+                        }
+                        let (t, want) = tail.as_ref().unwrap();
+                        prop_assert_eq!(&Landed::of(t), want);
+                        let meta = s.scan_meta();
+                        prop_assert_eq!((t.first_id, t.last_id), (meta.first_id, meta.last_id));
+                    }
+                    _ => {
+                        if let Some((held, want)) = &reader {
+                            prop_assert_eq!(&Landed::of(held), want, "a reader's tail moved");
+                        }
+                        reader = tail.as_ref().map(|(t, _)| (Arc::clone(t), Landed::of(t)));
+                    }
+                }
+            }
+        }
+
         /// With a bounded window, range over everything must still return
         /// every appended entry exactly once in order (archive + window).
         #[test]

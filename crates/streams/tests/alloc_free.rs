@@ -9,14 +9,19 @@
 //! handful once, at its first eviction, for its private ring.
 //!
 //! The read side has the same kind of bound. A scan is one walk whose rows
-//! land in a sink: [`Stream::scan_columns`] decodes every archived row
-//! straight out of the checksum-verified slot scratch, so a full scan
-//! allocates a constant handful of blocks (the column vectors and the
-//! scratch) however many rows it covers, and [`Stream::range`] exactly
-//! two — the scratch and the entry `Vec` — since a record's payload is
+//! land in a sink, and a slot is read once into locals — its words loaded,
+//! the checksum verified over them, the row landed from them — with no
+//! scratch buffer: [`Stream::scan_columns`] decodes every archived row
+//! from the words its read loaded, so a full scan allocates exactly its
+//! four columns however many rows it covers, and [`Stream::range`]
+//! exactly one block — the entry `Vec` — since a record's payload is
 //! copied into its entry in place, from slot and window alike. The walk
 //! finds the ring's rows and the window's before it lands either, so each
-//! column or `Vec` is sized once for both. A subscription takes a window
+//! column or `Vec` is sized once for both. Extending a uniquely held tail
+//! ([`Stream::extend_columns`]) un-shares nothing and allocates only its
+//! columns' growth, never a block per row. A payload that is not a record
+//! is lent from one buffer per walk, so a range over such rows allocates
+//! that buffer and the `Vec`. A subscription takes a window
 //! entry, or waits for one, without allocating.
 //!
 //! This file deliberately holds a single `#[test]`: the count is
@@ -24,6 +29,7 @@
 
 use apollo_alloc_count::allocs_during;
 use apollo_streams::{Broker, Record, SlabConfig, SlabStore, Stream, StreamConfig, StreamId};
+use std::sync::Arc;
 use std::time::Duration;
 
 #[test]
@@ -99,17 +105,56 @@ fn warm_slab_records_allocate_nothing() {
     assert_eq!(columns.len() as u64, ARCHIVED + WINDOW);
     assert_eq!((columns.values[0], columns.values[4_351]), (0.0, 4_351.0));
     assert_eq!(columns.values.capacity(), columns.len(), "a cached batch carries no slack");
-    // Four columns, each sized once for the ring and window rows together,
-    // plus the slot scratch.
-    assert_eq!(n, 5, "scan_columns allocated {n} blocks for {} rows", columns.len());
+    // Four columns, each sized once for the ring and window rows together;
+    // a slot is read into locals, not a scratch.
+    assert_eq!(n, 4, "scan_columns allocated {n} blocks for {} rows", columns.len());
 
     let mut entries = Vec::new();
     let n = allocs_during(|| entries = stream.range(StreamId::MIN, StreamId::MAX));
     assert_eq!(entries.len() as u64, ARCHIVED + WINDOW);
     assert_eq!(entries.capacity(), entries.len(), "the entry vector is sized exactly");
-    // The slot scratch and the `Vec`, sized once for the ring and window
-    // rows together: no block per row, archived or not.
-    assert_eq!(n, 2, "range allocated {n} blocks for {} rows", entries.len());
+    // The `Vec`, sized once for the ring and window rows together: no
+    // block per row, archived or not.
+    assert_eq!(n, 1, "range allocated {n} blocks for {} rows", entries.len());
+
+    // --- Extending a uniquely held tail --------------------------------------
+    // A tail of the whole stream, extended by K rows that cross the seam:
+    // the `Arc` is not shared, so nothing is copied, and the only blocks
+    // are the four columns' growth — none per row. An extension that fits
+    // the spare capacity growth left behind allocates nothing.
+    const K: u64 = 1_000;
+    let mut tail = Arc::new(columns);
+    for i in ARCHIVED + WINDOW..ARCHIVED + WINDOW + K {
+        stream.append(i, Record::measured(i * 1_000_000, i as f64).encode());
+    }
+    let before = Arc::as_ptr(&tail);
+    let n = allocs_during(|| assert!(stream.extend_columns(&mut tail)));
+    assert_eq!(tail.len() as u64, ARCHIVED + WINDOW + K, "every appended row landed");
+    assert_eq!(Arc::as_ptr(&tail), before, "a unique tail is extended in place");
+    assert_eq!(n, 4, "extending by {K} rows allocated {n} blocks: only the columns' growth");
+    let spare = (tail.values.capacity() - tail.len()) as u64;
+    assert!(spare >= 8, "amortised growth leaves room ({spare} rows)");
+    let next = ARCHIVED + WINDOW + K;
+    for i in next..next + 8 {
+        stream.append(i, Record::measured(i * 1_000_000, i as f64).encode());
+    }
+    let n = allocs_during(|| assert!(stream.extend_columns(&mut tail)));
+    assert_eq!((n, tail.len() as u64), (0, next + 8), "an extension into spare room allocated");
+
+    // --- Payloads that are not records ----------------------------------------
+    // A 16-byte event takes the slot reader's word loop, not the record
+    // path: its rows are lent from one buffer per walk, and each fits
+    // inside its entry's `Bytes`, so `range` over 1 024 archived events
+    // allocates that buffer and the entry `Vec` — never a block per row.
+    let events = Stream::new("events", StreamConfig::bounded(8).with_slab(store.clone()));
+    for i in 0..1_032u64 {
+        events.append(i, vec![i as u8; 16]);
+    }
+    let mut got = Vec::new();
+    let n = allocs_during(|| got = events.range(StreamId::MIN, StreamId::MAX));
+    assert_eq!(got.len(), 1_032);
+    assert!(got.iter().enumerate().all(|(i, e)| e.payload.as_ref() == [i as u8; 16]));
+    assert_eq!(n, 2, "range over 1 024 archived events allocated {n} blocks");
 
     // --- A subscription's reads ---------------------------------------------
     // A subscription is a cursor over the stream: taking a window entry

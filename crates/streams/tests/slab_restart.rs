@@ -149,6 +149,66 @@ fn torn_newest_slot_is_rolled_back_on_reopen() {
     let _ = fs::remove_file(&path);
 }
 
+/// A torn slot in the middle of a live ring — one payload bit flipped, one
+/// length word past the slot's payload capacity, one checksum zeroed — is
+/// skipped by every read that walks the ring, and every other row comes
+/// back in order. The damage is written through the file while the store
+/// is mapped (a shared mapping sees it), so no reopen rolls it away.
+#[cfg(unix)]
+#[test]
+fn torn_slots_mid_ring_are_skipped_by_every_read() {
+    use apollo_streams::Stream;
+    use std::os::unix::fs::FileExt;
+
+    let path = temp_slab("torn-mid");
+    let cfg = small_config();
+    let (layout, cap) = (SlabLayout::for_config(&cfg), cfg.payload_cap());
+    let store = SlabStore::create(&path, cfg).unwrap();
+    // 40 archived rows in a 64-slot ring, 8 in the window.
+    let stream = Stream::new("t", StreamConfig::bounded(8).with_slab(Arc::clone(&store)));
+    for i in 0..48u64 {
+        stream.append(i + 1, Record::measured(i * 1_000, i as f64).encode());
+    }
+    let ring = stream.archive().expect("slab-backed");
+    assert_eq!(ring.live_len(), 40);
+
+    let slot = |logical: usize| layout.slot(ring.index(), logical);
+    let file = fs::OpenOptions::new().write(true).open(&path).unwrap();
+    // Slot words: ms u64 | seq u64 | (len+1) u32 | checksum u32 | payload.
+    let value_byte = slot(10) + 24 + 9;
+    let mut byte = [0u8];
+    fs::File::open(&path).unwrap().read_exact_at(&mut byte, value_byte as u64).unwrap();
+    file.write_all_at(&[byte[0] ^ 0x10], value_byte as u64).unwrap();
+    file.write_all_at(&(cap as u32 + 2).to_le_bytes(), slot(20) as u64 + 16).unwrap();
+    file.write_all_at(&[0; 4], slot(30) as u64 + 20).unwrap();
+
+    let torn = [10u64, 20, 30];
+    let want: Vec<u64> = (0..48).filter(|i| !torn.contains(i)).collect();
+    let ids = |ms: &[u64]| ms.iter().map(|i| i + 1).collect::<Vec<_>>();
+
+    let columns = stream.scan_columns(StreamId::MIN, StreamId::MAX);
+    let values: Vec<u64> = columns.values.iter().map(|&v| v as u64).collect();
+    assert_eq!(values, want, "scan_columns");
+    assert_eq!(columns.ids_ms, ids(&want), "scan_columns ids");
+    assert_eq!(columns.corrupt, 0, "a torn slot is skipped, not decoded as corrupt");
+
+    let entry_ms = |entries: &[apollo_streams::Entry]| -> Vec<u64> {
+        entries.iter().map(|e| e.id.ms).collect()
+    };
+    let range = stream.range(StreamId::MIN, StreamId::MAX);
+    assert_eq!(entry_ms(&range), ids(&want), "range");
+    assert!(range
+        .iter()
+        .zip(&want)
+        .all(|(e, &i)| { e.payload == Record::measured(i * 1_000, i as f64).encode() }));
+    assert_eq!(entry_ms(&stream.read_after(None, usize::MAX)), ids(&want), "read_after");
+    let batch = stream.scan_batch(StreamId::MIN, StreamId::MAX);
+    assert_eq!(entry_ms(&batch.entries), ids(&want), "scan_batch entries");
+    let values: Vec<u64> = batch.records.iter().map(|r| r.value as u64).collect();
+    assert_eq!((values, batch.corrupt), (want, 0), "scan_batch records");
+    let _ = fs::remove_file(&path);
+}
+
 #[test]
 fn consolidation_tiers_survive_restart() {
     let path = temp_slab("tiers");
