@@ -14,11 +14,12 @@
 //! behaviour (NVMe ≫ SSD ≫ HDD, interference grows with queue depth) the
 //! experiments rely on.
 
-use crossbeam::channel::{Receiver, Sender};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::Sender;
+use std::task::Waker;
 use std::time::Duration;
 
 /// Kind of a device I/O event (KProbes-style notification, §6).
@@ -45,6 +46,30 @@ pub struct IoEvent {
     pub bytes: u64,
     /// Bytes in use after the operation.
     pub used_after: u64,
+}
+
+/// What an event fact publishes about its device.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EventMetric {
+    /// Bytes in use after each event.
+    UsedCapacity,
+    /// Remaining bytes after each event.
+    RemainingCapacity,
+    /// Bytes moved by each event.
+    TransferSize,
+}
+
+impl EventMetric {
+    /// The metric's value after `event` on a device of `capacity` bytes;
+    /// `None` for a read on a capacity metric, which moves no capacity.
+    pub fn value(self, event: &IoEvent, capacity: u64) -> Option<f64> {
+        match self {
+            _ if event.kind == IoEventKind::Read && self != Self::TransferSize => None,
+            Self::UsedCapacity => Some(event.used_after as f64),
+            Self::RemainingCapacity => Some(capacity.saturating_sub(event.used_after) as f64),
+            Self::TransferSize => Some(event.bytes as f64),
+        }
+    }
 }
 
 /// Device block size used for block accounting (bytes).
@@ -234,8 +259,8 @@ pub struct Device {
     write_window: Mutex<IoWindow>,
     /// Per-block access counters for the Block Hotness insight.
     block_access: Mutex<HashMap<u64, u64>>,
-    /// KProbes-style event subscribers.
-    event_subs: Mutex<Vec<Sender<IoEvent>>>,
+    /// KProbes-style event subscribers: queues and their wakers.
+    event_subs: Mutex<Vec<(Sender<IoEvent>, Waker)>>,
 }
 
 /// Error writing to a full device.
@@ -276,21 +301,23 @@ impl Device {
         }
     }
 
-    /// Subscribe to the device's KProbes-style I/O event stream: every
-    /// write/read/free emits one [`IoEvent`] with its exact timestamp —
-    /// the zero-polling monitoring path of the paper's §6 future work.
-    pub fn subscribe_events(&self) -> Receiver<IoEvent> {
-        let (tx, rx) = crossbeam::channel::unbounded();
-        self.event_subs.lock().push(tx);
-        rx
+    /// Subscribe `queue` to the device's KProbes-style I/O events (§6):
+    /// every write/read/free sends one [`IoEvent`] stamped with its caller's
+    /// time, then wakes `waker`. Dropping the receiver unsubscribes: the
+    /// next event drops the queue and its waker.
+    pub fn subscribe_events(&self, queue: Sender<IoEvent>, waker: Waker) {
+        self.event_subs.lock().push((queue, waker));
     }
 
-    fn emit_event(&self, event: IoEvent) {
+    /// Live event subscribers (a dropped one counts until the next event).
+    pub fn event_subscribers(&self) -> usize {
+        self.event_subs.lock().len()
+    }
+
+    fn emit_event(&self, kind: IoEventKind, timestamp_ns: u64, bytes: u64) {
+        let event = IoEvent { timestamp_ns, kind, bytes, used_after: self.used_bytes() };
         let mut subs = self.event_subs.lock();
-        if subs.is_empty() {
-            return;
-        }
-        subs.retain(|s| s.send(event).is_ok());
+        subs.retain(|(queue, waker)| queue.send(event).map(|()| waker.wake_by_ref()).is_ok());
     }
 
     /// Device name (e.g. `node3/nvme0`).
@@ -361,12 +388,7 @@ impl Device {
         self.bytes_written.fetch_add(bytes, Ordering::SeqCst);
         self.transfers.fetch_add(1, Ordering::SeqCst);
         self.write_window.lock().record(now_ns, bytes);
-        self.emit_event(IoEvent {
-            timestamp_ns: now_ns,
-            kind: IoEventKind::Write,
-            bytes,
-            used_after: self.used_bytes(),
-        });
+        self.emit_event(IoEventKind::Write, now_ns, bytes);
         Ok(t)
     }
 
@@ -388,17 +410,13 @@ impl Device {
                 *access.entry(b).or_insert(0) += 1;
             }
         }
-        self.emit_event(IoEvent {
-            timestamp_ns: now_ns,
-            kind: IoEventKind::Read,
-            bytes,
-            used_after: self.used_bytes(),
-        });
+        self.emit_event(IoEventKind::Read, now_ns, bytes);
         t
     }
 
-    /// Release `bytes` of stored data (flush/evict/delete).
-    pub fn free(&self, bytes: u64) {
+    /// Release `bytes` of stored data (flush/evict/delete) at simulated
+    /// time `now_ns`.
+    pub fn free(&self, now_ns: u64, bytes: u64) {
         let mut cur = self.used.load(Ordering::SeqCst);
         loop {
             let next = cur.saturating_sub(bytes);
@@ -407,12 +425,7 @@ impl Device {
                 Err(actual) => cur = actual,
             }
         }
-        self.emit_event(IoEvent {
-            timestamp_ns: 0,
-            kind: IoEventKind::Free,
-            bytes,
-            used_after: self.used_bytes(),
-        });
+        self.emit_event(IoEventKind::Free, now_ns, bytes);
     }
 
     /// Observed write bandwidth over the trailing 1 s window, bytes/s.
@@ -510,9 +523,9 @@ mod tests {
         assert_eq!(d.remaining_bytes(), 250_000_000_000);
         d.write(0, 1_000_000).unwrap();
         assert_eq!(d.used_bytes(), 1_000_000);
-        d.free(400_000);
+        d.free(0, 400_000);
         assert_eq!(d.used_bytes(), 600_000);
-        d.free(u64::MAX); // over-free clamps to zero
+        d.free(0, u64::MAX); // over-free clamps to zero
         assert_eq!(d.used_bytes(), 0);
     }
 
@@ -646,7 +659,7 @@ mod prop_tests {
                         expected += n;
                     }
                 } else {
-                    d.free(n);
+                    d.free(0, n);
                     expected = expected.saturating_sub(n);
                 }
             }

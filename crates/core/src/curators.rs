@@ -1,6 +1,6 @@
 //! Table-1 curations as SCoRe Insight vertices.
 //!
-//! [`apollo_insights`] computes the curations directly over cluster
+//! `apollo_insights` computes the curations directly over cluster
 //! state; this module packages the stream-computable ones as
 //! [`InsightVertexSpec`]s, so they live *inside* the DAG — continuously
 //! maintained, change-filtered, and queryable through the AQE like any

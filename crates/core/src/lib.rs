@@ -24,7 +24,8 @@
 //!   and the vertex registry; runs deterministically on a virtual clock
 //!   (`run_for`) or live on a background thread (`spawn`); answers AQE
 //!   queries (`query`). Every subsystem reports into a shared
-//!   `apollo_obs::Registry` (`metrics`/`metrics_snapshot`).
+//!   `apollo_obs::Registry` (`metrics`/`metrics_snapshot`). A device's I/O
+//!   events become facts through [`service::Apollo::register_events`] (§6).
 //! * [`continuous`] — standing AQE queries as insight-style vertices:
 //!   [`service::Apollo::register_continuous`] reruns a query on the
 //!   service's cached query path whenever an input is published and
@@ -57,7 +58,6 @@ pub mod continuous;
 pub mod curators;
 pub mod graph;
 pub mod health;
-pub mod kprobe;
 pub mod predict;
 pub mod selfobs;
 pub mod service;
@@ -66,7 +66,6 @@ pub mod vertex;
 pub use continuous::{ContinuousRegisterError, ContinuousVertex};
 pub use graph::ScoreGraph;
 pub use health::{HealthMonitor, HealthState, SupervisorConfig};
-pub use kprobe::EventFactVertex;
 pub use predict::PredictionPump;
 pub use selfobs::{deploy_self_observer, SELF_TOPICS};
 pub use selfobs::{deploy_slab_observer, SLAB_SELF_TOPICS};

@@ -23,6 +23,7 @@ use crate::vertex::{FactVertex, InsightInputs, InsightVertex};
 use apollo_adaptive::controller::{
     AimdParams, ComplexAimd, FixedInterval, IntervalController, SimpleAimd,
 };
+use apollo_cluster::device::{Device, EventMetric};
 use apollo_cluster::metrics::MetricSource;
 use apollo_delphi::stack::Delphi;
 use apollo_obs::Registry;
@@ -30,11 +31,12 @@ use apollo_query::exec::{
     CachedBroker, ExecSqlError, QueryEngine, QueryMetrics, QueryResult, ScanCache,
 };
 use apollo_runtime::event_loop::{EventLoop, TimerAction, TimerControl};
-use apollo_streams::{Broker, CompactPolicy, PublishWaker, SlabStore, StreamConfig};
+use apollo_streams::{Broker, CompactPolicy, PublishWaker, Record, SlabStore, StreamConfig};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::task::Waker;
 use std::time::Duration;
 
 /// Specification of a Fact vertex to register.
@@ -220,6 +222,9 @@ const LIFECYCLE_STEP: &str = "streams.slab.lifecycle";
 /// ([`Apollo::prediction_pump`]).
 const PUMP_STEP: &str = "delphi.pump.";
 
+/// How long a hot device's events wait, at most, for their event fact's drain.
+const EVENT_DRAIN_BOUND: Duration = Duration::from_millis(1);
+
 /// A vertex may not take a service step's name, whichever registers
 /// first: the two would share one schedule entry, and the later would
 /// cancel the earlier.
@@ -323,23 +328,24 @@ impl Apollo {
     /// A step already scheduled under `name` is cancelled, so a name never
     /// has two timers. Vertices and service steps never share a name
     /// ([`check_vertex_name`]), so only a step of the same kind is replaced.
+    /// Returns the step's timer, for a waker outside the broker.
     fn schedule(
         &mut self,
         name: &str,
         wakes_on: &[String],
         every: Duration,
         mut step: impl FnMut(&TimerControl, u64) -> TimerAction + Send + 'static,
-    ) {
+    ) -> Arc<TimerControl> {
         let clock = self.el.clock().clone();
         let timer = self.el.add_timer(every, move |ctl| step(ctl, clock.now()));
         let woken = Arc::clone(&timer);
         let wake = move || woken.wake();
         let _wakers = wakes_on.iter().map(|t| self.broker.wake_on(t, wake.clone())).collect();
-        if let Some(previous) =
-            self.scheduled.insert(name.to_string(), Scheduled { timer, _wakers })
-        {
+        let scheduled = Scheduled { timer: Arc::clone(&timer), _wakers };
+        if let Some(previous) = self.scheduled.insert(name.to_string(), scheduled) {
             previous.timer.cancel();
         }
+        timer
     }
 
     /// [`Apollo::attach_slab_with`] keeping a retired series for
@@ -529,6 +535,39 @@ impl Apollo {
         }
         self.facts.push(Arc::clone(&vertex));
         Ok(vertex)
+    }
+
+    /// Register an event fact (§6, KProbes-style): topic `name` carries
+    /// `metric` after each of `device`'s I/O events, change-filtered and
+    /// stamped with the event's own time. A graph fact like
+    /// [`Apollo::register_fact`]'s, it runs as one step that drains the
+    /// device's event queue (at most once a millisecond) and parks until
+    /// the device wakes it, so an idle device costs no timer fire.
+    pub fn register_events(
+        &mut self,
+        name: impl Into<String>,
+        device: &Device,
+        metric: EventMetric,
+    ) -> Result<(), GraphError> {
+        let name = name.into();
+        check_vertex_name(&name)?;
+        self.graph.add_fact(&name)?;
+        let (queue, events) = std::sync::mpsc::channel();
+        let capacity = device.spec.capacity_bytes;
+        let publisher = self.broker.publisher(name.as_str());
+        let mut last = None;
+        let step = self.schedule(&name, &[], EVENT_DRAIN_BOUND, move |_ctl, _now| {
+            for event in events.try_iter() {
+                let Some(value) = metric.value(&event, capacity) else { continue };
+                if last.replace(value) != Some(value) {
+                    let ts = event.timestamp_ns;
+                    publisher.publish(ts / 1_000_000, Record::measured(ts, value).encode());
+                }
+            }
+            TimerAction::Park
+        });
+        device.subscribe_events(queue, Waker::from(step));
+        Ok(())
     }
 
     /// Unregister a vertex at runtime (§3.1). Cancels its timer, removes

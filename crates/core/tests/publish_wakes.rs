@@ -1,14 +1,19 @@
-//! Lost-wake teeth for push-driven insights: a thread outside the service
-//! loop publishes into a fact topic of a spawned real-clock service, one
-//! record at a time, and publishes the next as soon as the insight's
-//! builder has seen the last — often while that run is still in progress.
-//! Nothing else feeds the insight, so a lost wake (one that lands mid-run
-//! and is dropped, or lands on a parked timer and arms nothing) leaves it
-//! parked for good, and the wait for the record times out.
+//! Lost-wake teeth for push-driven steps of a spawned real-clock service.
+//! A thread outside the service loop feeds one parked step one input at a
+//! time, and sends the next as soon as the step has landed the last — often
+//! while that run is still in progress:
+//!
+//! * records published into a fact topic, relayed by an insight;
+//! * writes to a device, drained by an event fact the device wakes.
+//!
+//! Nothing else feeds the step, so a lost wake (one that lands mid-run and
+//! is dropped, or lands on a parked timer and arms nothing) leaves it
+//! parked for good, and the wait for the input times out.
 //!
 //! A wake from outside the loop is served at the loop's next turn; a
-//! 1 ms fact the insight does not read keeps the loop turning.
+//! 1 ms fact the step does not read keeps the loop turning.
 
+use apollo_cluster::device::{Device, DeviceSpec, EventMetric};
 use apollo_cluster::metrics::ConstSource;
 use apollo_core::service::{Apollo, FactVertexSpec, InsightVertexSpec};
 use apollo_core::vertex::InsightInputs;
@@ -22,15 +27,21 @@ const RECORDS: u64 = 1_000;
 /// gets there; a loaded host gets there in milliseconds.
 const BOUND: Duration = Duration::from_secs(5);
 
-#[test]
-fn every_outside_publish_reaches_a_parked_insight() {
+/// A real-clock service whose loop a 1 ms fact keeps turning.
+fn turning_service() -> Apollo {
     let mut apollo = Apollo::new_real();
-    let never = Duration::from_secs(3600);
-    let source = Arc::new(ConstSource::new("outside", 0.0));
-    apollo.register_fact(FactVertexSpec::fixed("outside", source, never)).unwrap();
     let tick = Arc::new(ConstSource::new("tick", 1.0));
     let every_ms = Duration::from_millis(1);
     apollo.register_fact(FactVertexSpec::fixed("tick", tick, every_ms).publish_always()).unwrap();
+    apollo
+}
+
+#[test]
+fn every_outside_publish_reaches_a_parked_insight() {
+    let mut apollo = turning_service();
+    let never = Duration::from_secs(3600);
+    let source = Arc::new(ConstSource::new("outside", 0.0));
+    apollo.register_fact(FactVertexSpec::fixed("outside", source, never)).unwrap();
     let seen = Arc::new(AtomicU64::new(0));
     let relayed = Arc::clone(&seen);
     let relay = move |i: &InsightInputs| {
@@ -60,4 +71,29 @@ fn every_outside_publish_reaches_a_parked_insight() {
     let apollo = handle.stop();
     assert_eq!(apollo.insights()[0].recomputes(), RECORDS);
     eprintln!("{RECORDS} outside publishes relayed; slowest {worst:?}");
+}
+
+#[test]
+fn every_outside_write_reaches_a_parked_event_fact() {
+    let mut apollo = turning_service();
+    let device = Device::new("nvme0", DeviceSpec::nvme_250g());
+    apollo.register_events("used", &device, EventMetric::UsedCapacity).unwrap();
+    let handle = apollo.spawn();
+    let broker = handle.broker();
+    let landed =
+        || broker.latest("used").map_or(0.0, |e| Record::decode(&e.payload).unwrap().value);
+
+    let epoch = Instant::now();
+    let mut worst = Duration::ZERO;
+    for seq in 1..=RECORDS {
+        let sent = Instant::now();
+        device.write(epoch.elapsed().as_nanos() as u64, 1).unwrap();
+        while landed() < seq as f64 {
+            assert!(sent.elapsed() < BOUND, "write {seq} never landed: a lost wake");
+            std::thread::yield_now();
+        }
+        worst = worst.max(sent.elapsed());
+    }
+    handle.stop();
+    eprintln!("{RECORDS} outside writes landed; slowest {worst:?}");
 }

@@ -170,7 +170,7 @@ impl PlacementEngine {
                     report.flushes += 1;
                     let flush = (device.spec.capacity_bytes / FLUSH_FRACTION).max(op.bytes);
                     let flush = flush.min(device.used_bytes());
-                    device.free(flush);
+                    device.free(0, flush);
                     self.targets.pfs.write(0, flush).expect("PFS never fills");
                     let e = traffic.entry(self.targets.pfs.name().to_string()).or_default();
                     e.0 += flush;

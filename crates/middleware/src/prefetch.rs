@@ -118,7 +118,7 @@ impl PrefetchEngine {
                         e.0 += bytes;
                         e.1 += 1;
                         report.bytes_fast += bytes;
-                        cache.free(bytes);
+                        cache.free(0, bytes);
                         self.staged_fifo[cache_idx].retain(|k| *k != key);
                     }
                     None => {
@@ -187,7 +187,7 @@ impl PrefetchEngine {
                         Some(victim) => {
                             if let Some(vidx) = self.staged.remove(&victim) {
                                 debug_assert_eq!(vidx, idx);
-                                self.caches.targets[idx].free(bytes_of(victim, bytes));
+                                self.caches.targets[idx].free(0, bytes_of(victim, bytes));
                                 report.evictions += 1;
                             }
                         }

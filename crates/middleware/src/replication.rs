@@ -269,7 +269,7 @@ impl ReplicationEngine {
                     };
                     stalled = true;
                     for device in &set.devices {
-                        device.free(vbytes);
+                        device.free(0, vbytes);
                     }
                     self.pfs.write(0, vbytes).expect("PFS never fills");
                     let e = traffic.entry(self.pfs.name().to_string()).or_default();

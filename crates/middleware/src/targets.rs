@@ -72,9 +72,9 @@ impl TargetSet {
     /// Reset all capacity accounting (fresh run of another policy).
     pub fn reset(&self) {
         for d in &self.targets {
-            d.free(u64::MAX);
+            d.free(0, u64::MAX);
         }
-        self.pfs.free(u64::MAX);
+        self.pfs.free(0, u64::MAX);
     }
 }
 

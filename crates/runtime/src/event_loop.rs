@@ -117,6 +117,17 @@ impl TimerControl {
     }
 }
 
+/// A timer's [`std::task::Waker`] calls [`TimerControl::wake`].
+impl std::task::Wake for TimerControl {
+    fn wake(self: Arc<Self>) {
+        TimerControl::wake(&self);
+    }
+
+    fn wake_by_ref(self: &Arc<Self>) {
+        TimerControl::wake(self);
+    }
+}
+
 type Callback = Box<dyn FnMut(&TimerControl) -> TimerAction + Send>;
 
 /// One registered timer, owned by the loop.

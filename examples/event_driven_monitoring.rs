@@ -1,21 +1,19 @@
 //! Event-driven (KProbes-style) monitoring vs polling — the §6 future
 //! work, demonstrated.
 //!
-//! A bursty application hammers an NVMe. A polling fact vertex samples
-//! the device's capacity on a 1 s interval; an event-driven vertex
-//! attaches to the device's I/O event stream instead. The event path
-//! captures every capacity change with exact timestamps at zero sampling
-//! cost — "further reducing the minimum monitoring bound".
+//! A bursty application hammers an NVMe. One virtual-clock Apollo runs
+//! two facts over the device's capacity: a polling fact vertex samples it
+//! on a 1 s interval, and an event fact drains the device's I/O events
+//! instead, woken by the device after each one. The event path captures
+//! every capacity change with exact timestamps at zero sampling cost —
+//! "further reducing the minimum monitoring bound".
 //!
 //! Run: `cargo run --release -p apollo-bench --example event_driven_monitoring`
 
-use apollo_adaptive::controller::FixedInterval;
-use apollo_cluster::device::{Device, DeviceSpec};
+use apollo_cluster::device::{Device, DeviceSpec, EventMetric};
 use apollo_cluster::metrics::{DeviceMetric, MetricKind};
-use apollo_core::kprobe::{EventFactVertex, EventMetric};
-use apollo_core::vertex::FactVertex;
+use apollo_core::service::{Apollo, FactVertexSpec};
 use apollo_streams::codec::Record;
-use apollo_streams::{Broker, StreamConfig};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -23,28 +21,21 @@ const NS: u64 = 1_000_000_000;
 
 fn main() {
     let device = Arc::new(Device::new("nvme0", DeviceSpec::nvme_250g()));
-    let broker = Arc::new(Broker::new(StreamConfig::default()));
+    let mut apollo = Apollo::new_virtual();
 
-    // Polling path: classic monitor hook at 1 s.
-    let polling = FactVertex::new(
-        "cap/polled",
-        Arc::new(DeviceMetric::new(Arc::clone(&device), MetricKind::RemainingCapacity)),
-        Box::new(FixedInterval::new(Duration::from_secs(1))),
-        Arc::clone(&broker),
-        true,
-    );
-    // Event path: attach BEFORE the workload so no event is missed.
-    let events = EventFactVertex::attach(
-        "cap/events",
-        &device,
-        EventMetric::RemainingCapacity,
-        Arc::clone(&broker),
-    );
+    // Polling path: classic monitor hook at 1 s, first polling at 1 s.
+    let source = Arc::new(DeviceMetric::new(Arc::clone(&device), MetricKind::RemainingCapacity));
+    let polling = apollo
+        .register_fact(FactVertexSpec::fixed("cap/polled", source, Duration::from_secs(1)))
+        .unwrap();
+    // Event path: registered BEFORE the workload so no event is missed.
+    apollo.register_events("cap/events", &device, EventMetric::RemainingCapacity).unwrap();
 
-    // A bursty workload: three write bursts inside one second each,
-    // separated by quiet gaps — exactly what interval polling smears.
+    // A bursty workload, starting after the first poll: three write
+    // bursts inside one second each, separated by quiet gaps — exactly
+    // what interval polling smears.
     let mut writes: Vec<u64> = Vec::new();
-    let mut t = NS;
+    let mut t = 2 * NS;
     for burst in 0..3u64 {
         for i in 0..8u64 {
             writes.push(t + i * 50_000_000);
@@ -53,19 +44,18 @@ fn main() {
     }
     let end = t + NS;
 
-    // Drive the simulation chronologically: issue each second's writes,
-    // then take that second's poll.
+    // Drive the service chronologically: issue each second's writes, each
+    // stamped with its own time, then run the service through that second.
     let mut next_write = 0usize;
-    for s in 0..=(end / NS) {
-        let now = s * NS;
-        while next_write < writes.len() && writes[next_write] <= now {
+    for s in 1..=(end / NS) {
+        while next_write < writes.len() && writes[next_write] <= s * NS {
             device.write(writes[next_write], 10_000_000).unwrap();
             next_write += 1;
         }
-        polling.poll(now);
+        apollo.run_for(Duration::from_secs(1));
     }
-    events.pump(end);
 
+    let broker = apollo.broker();
     let polled = broker.range_by_time("cap/polled", 0, u64::MAX);
     let evented = broker.range_by_time("cap/events", 0, u64::MAX);
 
