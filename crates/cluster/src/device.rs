@@ -16,7 +16,7 @@
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
 use std::task::Waker;
@@ -213,31 +213,41 @@ impl DeviceSpec {
     }
 }
 
-/// Sliding-window I/O accounting for RealBW and rate metrics.
+/// Sliding-window I/O accounting for RealBW and rate metrics: a trim at
+/// `now` drops completions older than `now - 1 s`. One event per distinct
+/// timestamp, in order, beside their byte total: a trim pops only what it
+/// drops, and a clock that never moves holds one event.
 #[derive(Debug, Default)]
 struct IoWindow {
-    /// (timestamp_ns, bytes) of recent completions.
-    events: Vec<(u64, u64)>,
+    /// `(timestamp_ns, bytes)`, ascending by timestamp.
+    events: VecDeque<(u64, u64)>,
+    total: u64,
 }
 
 impl IoWindow {
     const WINDOW_NS: u64 = 1_000_000_000; // 1s
 
     fn record(&mut self, now_ns: u64, bytes: u64) {
-        self.events.push((now_ns, bytes));
+        let at = self.events.partition_point(|&(t, _)| t < now_ns);
+        match self.events.get_mut(at) {
+            Some((t, held)) if *t == now_ns => *held += bytes,
+            _ => self.events.insert(at, (now_ns, bytes)),
+        }
+        self.total += bytes;
         self.trim(now_ns);
     }
 
     fn trim(&mut self, now_ns: u64) {
         let cutoff = now_ns.saturating_sub(Self::WINDOW_NS);
-        self.events.retain(|&(t, _)| t >= cutoff);
+        while let Some((_, bytes)) = self.events.pop_front_if(|(t, _)| *t < cutoff) {
+            self.total -= bytes;
+        }
     }
 
     /// Bytes/second over the trailing window.
     fn rate(&mut self, now_ns: u64) -> f64 {
         self.trim(now_ns);
-        let total: u64 = self.events.iter().map(|&(_, b)| b).sum();
-        total as f64 / (Self::WINDOW_NS as f64 / 1e9)
+        self.total as f64 / (Self::WINDOW_NS as f64 / 1e9)
     }
 }
 
@@ -516,6 +526,73 @@ impl Device {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The window as it was first written: every completion in a `Vec`,
+    /// each trim a `retain` over all of them.
+    #[derive(Default)]
+    struct RetainWindow(Vec<(u64, u64)>);
+
+    impl RetainWindow {
+        fn record(&mut self, now_ns: u64, bytes: u64) {
+            self.0.push((now_ns, bytes));
+            self.trim(now_ns);
+        }
+
+        fn trim(&mut self, now_ns: u64) {
+            let cutoff = now_ns.saturating_sub(IoWindow::WINDOW_NS);
+            self.0.retain(|&(t, _)| t >= cutoff);
+        }
+
+        fn rate(&mut self, now_ns: u64) -> f64 {
+            self.trim(now_ns);
+            let total: u64 = self.0.iter().map(|&(_, b)| b).sum();
+            total as f64 / (IoWindow::WINDOW_NS as f64 / 1e9)
+        }
+    }
+
+    #[test]
+    fn io_window_rates_match_the_retain_reference_bit_for_bit() {
+        // Deterministic LCG so the test needs no external crate.
+        let mut state: u64 = 0x9E37_79B9_7F4A_7C15;
+        let mut next = move |bound: u64| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 16) % bound
+        };
+        // Timestamp schedules: a clock stuck at 0, a forward clock with
+        // repeats, and a clock that jumps back and forth across the window.
+        type Clock = fn(u64, u64) -> u64;
+        let clocks: [(&str, Clock); 3] = [
+            ("all-zero", |_, _| 0),
+            ("forward", |i, r| i * 7_000_000 + r % 3 * 1_000_000),
+            ("non-monotone", |i, r| (i * 50_000_000).saturating_sub(r % 3_000_000_000)),
+        ];
+        for (name, clock) in clocks {
+            let (mut window, mut reference) = (IoWindow::default(), RetainWindow::default());
+            for i in 0..4_000 {
+                let now = clock(i, next(u64::MAX));
+                if next(4) == 0 {
+                    let (got, want) = (window.rate(now), reference.rate(now));
+                    assert_eq!(got.to_bits(), want.to_bits(), "{name}: rate at step {i}");
+                } else {
+                    let bytes = next(1 << 20);
+                    window.record(now, bytes);
+                    reference.record(now, bytes);
+                }
+                let held: u64 = window.events.iter().map(|&(_, b)| b).sum();
+                assert_eq!(held, window.total, "{name}: running total at step {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn zero_time_writes_hold_one_event() {
+        let d = Device::new("d", DeviceSpec::nvme_250g());
+        for _ in 0..100_000 {
+            d.write(0, 4096).unwrap();
+        }
+        assert_eq!(d.write_window.lock().events.len(), 1);
+        assert_eq!(d.real_write_bw(0), 100_000.0 * 4096.0, "every byte ever written");
+    }
 
     #[test]
     fn capacity_accounting() {

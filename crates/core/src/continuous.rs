@@ -50,13 +50,14 @@ struct Pumped {
     read_through: Vec<Option<StreamId>>,
     /// Last emitted standing result (change filter, §3.2.1 style).
     last: Option<QueryResult>,
+    /// The output topic, resolved on the first republication.
+    publisher: Publisher,
 }
 
 /// A registered standing query: its parsed query, run on the service's
 /// cached path, and change-filtered republication of its result rows.
 pub struct ContinuousVertex {
-    /// The output topic, resolved on the first republication.
-    publisher: Publisher,
+    name: Arc<str>,
     query: Query,
     /// Every table the query reads, arms and join partners alike.
     inputs: Vec<String>,
@@ -84,14 +85,18 @@ impl ContinuousVertex {
         scan_cache: Arc<ScanCache>,
         registry: &Registry,
     ) -> Self {
-        let read_through = vec![None; inputs.len()];
+        let (read_through, name) = (vec![None; inputs.len()], Arc::<str>::from(name));
         Self {
-            publisher: broker.publisher(name),
+            pumped: Mutex::new(Pumped {
+                read_through,
+                last: None,
+                publisher: broker.publisher(Arc::clone(&name)),
+            }),
+            name,
             query,
             inputs,
             broker,
             scan_cache,
-            pumped: Mutex::new(Pumped { read_through, last: None }),
             emitted_rows: registry.counter("query.continuous.emitted_rows"),
             break_result: AtomicBool::new(false),
         }
@@ -99,7 +104,7 @@ impl ContinuousVertex {
 
     /// Vertex (and output topic) name.
     pub fn name(&self) -> &str {
-        self.publisher.topic()
+        &self.name
     }
 
     /// Clone of the underlying query AST (for rescan comparisons).
@@ -142,7 +147,7 @@ impl ContinuousVertex {
             return false;
         }
         for row in &result.rows {
-            self.publisher.publish(
+            pumped.publisher.publish(
                 now_ms,
                 Record::measured(row.timestamp_ms * 1_000_000, row.value).encode(),
             );

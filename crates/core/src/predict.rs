@@ -20,23 +20,20 @@
 //! [`Delphi::lane_width`] and the due rows padded with zero windows to
 //! the next lane multiple, so every tick runs entirely on the vector path
 //! (padding rows' outputs are computed and discarded).
+//!
+//! An enrolled vertex keeps its own sliding window and last-poll time in
+//! its state lock, beside its publisher: a poll re-anchors the window and
+//! stamps the time under the lock it already takes, and a tick stages a
+//! vertex, then publishes and re-observes its prediction, under one hold
+//! each (lock order: the pump's slots, then the vertex).
 
 use crate::vertex::FactVertex;
 use apollo_delphi::predictor::WindowTracker;
 use apollo_delphi::stack::{Delphi, DelphiScratch};
 use apollo_obs::Registry;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
-
-/// One enrolled vertex: its sliding window state plus the poll timestamp
-/// the staleness check reads.
-pub(crate) struct PumpSlot {
-    pub(crate) vertex: Arc<FactVertex>,
-    pub(crate) tracker: Arc<Mutex<WindowTracker>>,
-    pub(crate) last_poll: Arc<AtomicU64>,
-}
 
 /// Pre-resolved instrument handles (`delphi.*`).
 struct PumpObs {
@@ -65,7 +62,8 @@ struct TickScratch {
 pub(crate) struct PumpShared {
     model: Delphi,
     every_ns: u64,
-    slots: Mutex<Vec<PumpSlot>>,
+    /// The enrolled vertices, each tracking its own window.
+    slots: Mutex<Vec<Arc<FactVertex>>>,
     scratch: Mutex<TickScratch>,
     obs: OnceLock<PumpObs>,
 }
@@ -111,11 +109,12 @@ impl PumpShared {
         // later pad-to-lane shrink never has to grow the buffers.
         scratch.ds.begin_batch(slots.len().next_multiple_of(lane), window);
         let mut staged_rows = 0;
-        for (idx, slot) in slots.iter().enumerate() {
-            if now.saturating_sub(slot.last_poll.load(Ordering::SeqCst)) < self.every_ns {
+        for (idx, vertex) in slots.iter().enumerate() {
+            let mut state = vertex.state.lock();
+            let Some((tracker, polled_at)) = state.pump.as_deref_mut() else { continue };
+            if now.saturating_sub(*polled_at) < self.every_ns {
                 continue;
             }
-            let mut tracker = slot.tracker.lock();
             // Normalize straight into the next free staged row; a row
             // that is not kept (flat window) is simply overwritten.
             let Some((lo, span)) = tracker.normalized_into(scratch.ds.row_mut(staged_rows)) else {
@@ -123,8 +122,7 @@ impl PumpShared {
             };
             if span == 0.0 {
                 // Flat window: the model cannot move it; publish directly.
-                slot.vertex.publish_predicted(now, lo);
-                tracker.observe(lo);
+                vertex.predicted(&mut state, now, lo);
             } else {
                 scratch.staged.push((idx, lo, span));
                 staged_rows += 1;
@@ -147,10 +145,7 @@ impl PumpShared {
             o.batch_tail_scalar.add(scratch.ds.tail_rows() as u64);
         }
         for (&(idx, lo, span), &p) in scratch.staged.iter().zip(&scratch.out) {
-            let value = WindowTracker::denormalize(lo, span, p);
-            let slot = &slots[idx];
-            slot.vertex.publish_predicted(now, value);
-            slot.tracker.lock().observe(value);
+            slots[idx].publish_predicted(now, WindowTracker::denormalize(lo, span, p));
         }
     }
 }
@@ -184,12 +179,15 @@ impl PredictionPump {
         self.shared.slots.lock().len()
     }
 
-    pub(crate) fn enroll(&self, slot: PumpSlot) {
-        self.shared.slots.lock().push(slot);
+    /// Enroll `vertex`: each of its polls re-anchors a window of the
+    /// model's length from now on.
+    pub(crate) fn enroll(&self, vertex: Arc<FactVertex>) {
+        vertex.state.lock().pump = Some(Box::new((WindowTracker::new(self.window()), 0)));
+        self.shared.slots.lock().push(vertex);
     }
 
-    /// Drop every slot belonging to `vertex_name` (vertex retirement).
+    /// Drop `vertex_name` from the pump (vertex retirement).
     pub(crate) fn retire(&self, vertex_name: &str) {
-        self.shared.slots.lock().retain(|s| s.vertex.name() != vertex_name);
+        self.shared.slots.lock().retain(|v| v.name() != vertex_name);
     }
 }

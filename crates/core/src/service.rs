@@ -18,7 +18,7 @@
 use crate::continuous::{ContinuousRegisterError, ContinuousVertex};
 use crate::graph::{GraphError, ScoreGraph};
 use crate::health::{HealthState, SupervisorConfig};
-use crate::predict::{PredictionPump, PumpSlot};
+use crate::predict::PredictionPump;
 use crate::vertex::{FactVertex, InsightInputs, InsightVertex};
 use apollo_adaptive::controller::{
     AimdParams, ComplexAimd, FixedInterval, IntervalController, SimpleAimd,
@@ -32,7 +32,6 @@ use apollo_query::exec::{
 };
 use apollo_runtime::event_loop::{EventLoop, TimerAction, TimerControl};
 use apollo_streams::{Broker, CompactPolicy, PublishWaker, Record, SlabStore, StreamConfig};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -504,35 +503,15 @@ impl Apollo {
             supervision,
         ));
         vertex.instrument(&self.registry);
-        let last_poll = Arc::new(AtomicU64::new(0));
-
-        // Pump window state fed by the poll timer.
-        let pump_tracker: Option<Arc<Mutex<apollo_delphi::WindowTracker>>> = spec
-            .batched_prediction
-            .as_ref()
-            .map(|p| Arc::new(Mutex::new(apollo_delphi::WindowTracker::new(p.window()))));
-
-        let (polled, polled_at, tracker) =
-            (Arc::clone(&vertex), Arc::clone(&last_poll), pump_tracker.clone());
+        // Enrolled before its first poll, which re-anchors its window.
+        if let Some(pump) = spec.batched_prediction {
+            pump.enroll(Arc::clone(&vertex));
+        }
+        let polled = Arc::clone(&vertex);
         self.schedule(vertex.name(), &[], initial, move |ctl, now| {
-            let next = polled.poll(now);
-            polled_at.store(now, Ordering::SeqCst);
-            if let Some(t) = &tracker {
-                // Re-anchor the pump's window on the measured value.
-                if let Some(v) = polled.last_value() {
-                    t.lock().observe(v);
-                }
-            }
-            ctl.set_interval(next);
+            ctl.set_interval(polled.poll(now));
             TimerAction::Continue
         });
-        if let Some(pump) = spec.batched_prediction {
-            pump.enroll(PumpSlot {
-                vertex: Arc::clone(&vertex),
-                tracker: pump_tracker.expect("created above"),
-                last_poll,
-            });
-        }
         self.facts.push(Arc::clone(&vertex));
         Ok(vertex)
     }
@@ -554,7 +533,7 @@ impl Apollo {
         self.graph.add_fact(&name)?;
         let (queue, events) = std::sync::mpsc::channel();
         let capacity = device.spec.capacity_bytes;
-        let publisher = self.broker.publisher(name.as_str());
+        let mut publisher = self.broker.publisher(name.as_str());
         let mut last = None;
         let step = self.schedule(&name, &[], EVENT_DRAIN_BOUND, move |_ctl, _now| {
             for event in events.try_iter() {

@@ -19,10 +19,10 @@
 use crate::health::{HealthMonitor, HealthState, SupervisorConfig};
 use apollo_adaptive::controller::IntervalController;
 use apollo_cluster::metrics::{MetricError, MetricSource};
+use apollo_delphi::WindowTracker;
 use apollo_runtime::time::{Phase, PhaseTimer};
 use apollo_streams::codec::Record;
 use apollo_streams::{Broker, Publisher, Subscription};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -62,21 +62,30 @@ struct InsightObs {
     pump_ns_all: apollo_obs::Histogram,
 }
 
-/// A Fact Vertex: monitor hook + fact builder + fact queue.
-pub struct FactVertex {
-    source: Arc<dyn MetricSource>,
-    controller: parking_lot::Mutex<Box<dyn IntervalController>>,
+/// All a poll changes, under the one lock it takes after its hook returns.
+/// A prediction pump (`crate::predict`) stages and publishes under it too.
+pub(crate) struct FactState {
+    controller: Box<dyn IntervalController>,
     /// This vertex's fact queue, resolved on first publish: a vertex that
     /// never published has no topic.
     publisher: Publisher,
+    last_published: Option<f64>,
+    health: HealthMonitor,
+    /// An enrolled vertex's prediction window and last poll time.
+    pub(crate) pump: Option<Box<(WindowTracker, u64)>>,
+    published: u64,
+    suppressed: u64,
+    failures: u64,
+    retries: u64,
+    stale_published: u64,
+}
+
+/// A Fact Vertex: monitor hook + fact builder + fact queue.
+pub struct FactVertex {
+    name: Arc<str>,
+    source: Arc<dyn MetricSource>,
+    pub(crate) state: parking_lot::Mutex<FactState>,
     timer: PhaseTimer,
-    last_published: parking_lot::Mutex<Option<f64>>,
-    published: AtomicU64,
-    suppressed: AtomicU64,
-    failures: AtomicU64,
-    retries: AtomicU64,
-    stale_published: AtomicU64,
-    health: parking_lot::Mutex<HealthMonitor>,
     /// `SupervisorConfig::poll_timeout` / `max_retries`, copied out at
     /// construction: immutable, and read on every poll.
     poll_timeout: Duration,
@@ -115,20 +124,25 @@ impl FactVertex {
         publish_on_change_only: bool,
         supervision: SupervisorConfig,
     ) -> Self {
+        let name: Arc<str> = name.into().into();
         Self {
             source,
-            controller: parking_lot::Mutex::new(controller),
-            publisher: broker.publisher(name),
-            timer: PhaseTimer::new(),
-            last_published: parking_lot::Mutex::new(None),
-            published: AtomicU64::new(0),
-            suppressed: AtomicU64::new(0),
-            failures: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
-            stale_published: AtomicU64::new(0),
             poll_timeout: supervision.poll_timeout,
             max_retries: supervision.max_retries,
-            health: parking_lot::Mutex::new(HealthMonitor::new(supervision)),
+            state: parking_lot::Mutex::new(FactState {
+                controller,
+                publisher: broker.publisher(Arc::clone(&name)),
+                last_published: None,
+                health: HealthMonitor::new(supervision),
+                pump: None,
+                published: 0,
+                suppressed: 0,
+                failures: 0,
+                retries: 0,
+                stale_published: 0,
+            }),
+            name,
+            timer: PhaseTimer::new(),
             publish_on_change_only,
             obs: OnceLock::new(),
         }
@@ -157,7 +171,7 @@ impl FactVertex {
 
     /// Topic / table name of this vertex's queue.
     pub fn name(&self) -> &str {
-        self.publisher.topic()
+        &self.name
     }
 
     /// Execute one monitoring cycle at time `now_ns`: sample (with bounded
@@ -188,6 +202,7 @@ impl FactVertex {
         // timeout counts as a timeout even though it returned a value: a
         // live deployment would have abandoned the hook call.
         let mut outcome: Result<f64, MetricError> = Err(MetricError::Unavailable);
+        let mut retries = 0;
         for attempt in 0..=max_retries {
             let reading =
                 self.timer.time(sampled, Phase::MonitorHook, || self.source.sample(now_ns));
@@ -203,129 +218,118 @@ impl FactVertex {
                 break;
             }
             if attempt < max_retries {
-                self.retries.fetch_add(1, Ordering::Relaxed);
+                retries += 1;
             }
         }
 
-        let value = match outcome {
-            Ok(v) => v,
-            Err(_) => return self.on_poll_failure(now_ns, sampled, obs),
+        let mut state = self.state.lock();
+        let st = &mut *state;
+        st.retries += retries;
+        let next = match outcome {
+            Ok(value) => {
+                // Fact builder.
+                let record = self
+                    .timer
+                    .time(sampled, Phase::Build, || Record::measured(now_ns, value).encode());
+                // ② Publish, change-filtered.
+                if st.last_published != Some(value) || !self.publish_on_change_only {
+                    self.timer.time(sampled, Phase::Publish, || {
+                        st.publisher.publish(now_ns / 1_000_000, record);
+                    });
+                    st.published += 1;
+                    st.last_published = Some(value);
+                } else {
+                    st.suppressed += 1;
+                    if let Some(obs) = obs {
+                        obs.suppressed.inc();
+                    }
+                }
+                health_step(&mut st.health, obs, HealthMonitor::on_success);
+                st.controller.on_sample(value)
+            }
+            // All retries exhausted: republish the last-known value marked
+            // stale (downstream consumers see an explicit degraded signal,
+            // not silence), and let the health machine pick the interval.
+            Err(_) => {
+                st.failures += 1;
+                if let Some(prev) = st.last_published {
+                    let record = self
+                        .timer
+                        .time(sampled, Phase::Build, || Record::stale(now_ns, prev).encode());
+                    self.timer.time(sampled, Phase::Publish, || {
+                        st.publisher.publish(now_ns / 1_000_000, record);
+                    });
+                    st.stale_published += 1;
+                }
+                let normal = st.controller.current_interval();
+                health_step(&mut st.health, obs, |h| {
+                    h.on_failure();
+                    h.next_interval(normal)
+                })
+            }
         };
-
-        // Fact builder.
-        let record =
-            self.timer.time(sampled, Phase::Build, || Record::measured(now_ns, value).encode());
-
-        // ② Publish, change-filtered.
-        let mut last = self.last_published.lock();
-        let changed = last.is_none_or(|prev| prev != value);
-        if changed || !self.publish_on_change_only {
-            self.timer.time(sampled, Phase::Publish, || {
-                self.publisher.publish(now_ns / 1_000_000, record);
-            });
-            self.published.fetch_add(1, Ordering::Relaxed);
-            *last = Some(value);
-        } else {
-            self.suppressed.fetch_add(1, Ordering::Relaxed);
-            if let Some(obs) = obs {
-                obs.suppressed.inc();
+        // A pumped vertex re-anchors its window on what it has published and
+        // stamps the poll for the pump's staleness check.
+        if let Some((tracker, polled_at)) = st.pump.as_deref_mut() {
+            *polled_at = now_ns;
+            if let Some(v) = st.last_published {
+                tracker.observe(v);
             }
         }
-        drop(last);
-
-        self.health_step(obs, HealthMonitor::on_success);
-        self.controller.lock().on_sample(value)
-    }
-
-    /// All retries exhausted: republish the last-known value marked stale
-    /// (downstream consumers see an explicit degraded signal, not silence),
-    /// advance the health machine, and let it pick the next interval.
-    fn on_poll_failure(&self, now_ns: u64, sampled: bool, obs: Option<&FactObs>) -> Duration {
-        self.failures.fetch_add(1, Ordering::Relaxed);
-        if let Some(prev) = *self.last_published.lock() {
-            let record =
-                self.timer.time(sampled, Phase::Build, || Record::stale(now_ns, prev).encode());
-            self.timer.time(sampled, Phase::Publish, || {
-                self.publisher.publish(now_ns / 1_000_000, record);
-            });
-            self.stale_published.fetch_add(1, Ordering::Relaxed);
-        }
-        let normal = self.controller.lock().current_interval();
-        self.health_step(obs, |h| {
-            h.on_failure();
-            h.next_interval(normal)
-        })
-    }
-
-    /// Advance the health machine and export a state change read off the
-    /// same lock hold (the gauge starts at 0, the code of Healthy).
-    fn health_step<R>(
-        &self,
-        obs: Option<&FactObs>,
-        step: impl FnOnce(&mut HealthMonitor) -> R,
-    ) -> R {
-        let mut health = self.health.lock();
-        let before = health.state();
-        let out = step(&mut health);
-        let after = health.state();
-        drop(health);
-        if let Some(obs) = obs.filter(|_| after != before) {
-            obs.health_transitions.inc();
-            if before == HealthState::Quarantined && after == HealthState::Healthy {
-                obs.quarantine_recoveries.inc();
-            }
-            obs.health_state.set(health_code(after));
-        }
-        out
+        next
     }
 
     /// Publish a Delphi-predicted value between polls (flow ① with the
     /// prediction path of Figure 1b). Not change-filtered: a prediction is
-    /// only emitted when the model believes the value moved.
+    /// only emitted when the model believes the value moved. A vertex in a
+    /// prediction pump feeds it back into its window as pseudo-history for
+    /// chained multi-step forecasting.
     pub fn publish_predicted(&self, now_ns: u64, value: f64) {
-        self.publisher.publish(now_ns / 1_000_000, Record::predicted(now_ns, value).encode());
-        self.published.fetch_add(1, Ordering::Relaxed);
+        self.predicted(&mut self.state.lock(), now_ns, value);
     }
 
-    /// The most recently sampled value (the change filter guarantees the
-    /// cached publish value equals the latest sample).
-    pub fn last_value(&self) -> Option<f64> {
-        *self.last_published.lock()
+    /// [`FactVertex::publish_predicted`] under a state lock already held.
+    pub(crate) fn predicted(&self, st: &mut FactState, now_ns: u64, value: f64) {
+        st.publisher.publish(now_ns / 1_000_000, Record::predicted(now_ns, value).encode());
+        st.published += 1;
+        if let Some((tracker, _)) = st.pump.as_deref_mut() {
+            tracker.observe(value);
+        }
     }
 
     /// Records published so far.
     pub fn published(&self) -> u64 {
-        self.published.load(Ordering::Relaxed)
+        self.state.lock().published
     }
 
     /// Samples suppressed by the change filter.
     pub fn suppressed(&self) -> u64 {
-        self.suppressed.load(Ordering::Relaxed)
+        self.state.lock().suppressed
     }
 
     /// Polls that failed after exhausting all retries.
     pub fn failures(&self) -> u64 {
-        self.failures.load(Ordering::Relaxed)
+        self.state.lock().failures
     }
 
     /// In-poll retry attempts taken.
     pub fn retries(&self) -> u64 {
-        self.retries.load(Ordering::Relaxed)
+        self.state.lock().retries
     }
 
     /// Stale (last-known-value) records published during outages.
     pub fn stale_published(&self) -> u64 {
-        self.stale_published.load(Ordering::Relaxed)
+        self.state.lock().stale_published
     }
 
     /// Current supervision state of this vertex's hook.
     pub fn health(&self) -> HealthState {
-        self.health.lock().state()
+        self.state.lock().health.state()
     }
 
     /// Times the vertex recovered from quarantine.
     pub fn recoveries(&self) -> u64 {
-        self.health.lock().recoveries()
+        self.state.lock().health.recoveries()
     }
 
     /// Monitor-hook invocations (the monitoring *cost*).
@@ -340,8 +344,28 @@ impl FactVertex {
 
     /// Current interval of the attached controller.
     pub fn current_interval(&self) -> Duration {
-        self.controller.lock().current_interval()
+        self.state.lock().controller.current_interval()
     }
+}
+
+/// Advance a vertex's health machine and export a state change (the gauge
+/// starts at 0, the code of Healthy).
+fn health_step<R>(
+    health: &mut HealthMonitor,
+    obs: Option<&FactObs>,
+    step: impl FnOnce(&mut HealthMonitor) -> R,
+) -> R {
+    let before = health.state();
+    let out = step(health);
+    let after = health.state();
+    if let Some(obs) = obs.filter(|_| after != before) {
+        obs.health_transitions.inc();
+        if before == HealthState::Quarantined && after == HealthState::Healthy {
+            obs.quarantine_recoveries.inc();
+        }
+        obs.health_state.set(health_code(after));
+    }
+    out
 }
 
 impl std::fmt::Debug for FactVertex {
@@ -393,19 +417,25 @@ impl InsightInputs {
 
 type Builder = Box<dyn FnMut(&InsightInputs) -> Option<f64> + Send>;
 
+/// What a pump changes, under the one lock it takes.
+struct InsightState {
+    inputs: InsightInputs,
+    builder: Builder,
+    /// This vertex's insight queue, resolved on first publish.
+    publisher: Publisher,
+    last_published: Option<f64>,
+    published: u64,
+    recomputes: u64,
+}
+
 /// An Insight Vertex: subscriptions + insight builder + insight queue.
 pub struct InsightVertex {
+    name: Arc<str>,
     /// Sorted and de-duplicated; a topic's position is its slot.
     inputs: Vec<String>,
     subscriptions: Vec<Subscription>,
-    builder: parking_lot::Mutex<Builder>,
-    state: parking_lot::Mutex<InsightInputs>,
-    /// This vertex's insight queue, resolved on first publish.
-    publisher: Publisher,
+    state: parking_lot::Mutex<InsightState>,
     timer: PhaseTimer,
-    last_published: parking_lot::Mutex<Option<f64>>,
-    published: AtomicU64,
-    recomputes: AtomicU64,
     obs: OnceLock<InsightObs>,
 }
 
@@ -423,21 +453,25 @@ impl InsightVertex {
         inputs.sort();
         inputs.dedup();
         let subscriptions = inputs.iter().map(|t| broker.subscribe(t)).collect();
-        let state = InsightInputs {
-            latest: vec![None; inputs.len()],
-            topics: inputs.clone(),
-            ..InsightInputs::default()
+        let name: Arc<str> = name.into().into();
+        let state = InsightState {
+            inputs: InsightInputs {
+                latest: vec![None; inputs.len()],
+                topics: inputs.clone(),
+                ..InsightInputs::default()
+            },
+            builder,
+            publisher: broker.publisher(Arc::clone(&name)),
+            last_published: None,
+            published: 0,
+            recomputes: 0,
         };
         Self {
+            name,
             inputs,
             subscriptions,
-            builder: parking_lot::Mutex::new(builder),
             state: parking_lot::Mutex::new(state),
-            publisher: broker.publisher(name),
             timer: PhaseTimer::new(),
-            last_published: parking_lot::Mutex::new(None),
-            published: AtomicU64::new(0),
-            recomputes: AtomicU64::new(0),
             obs: OnceLock::new(),
         }
     }
@@ -458,7 +492,7 @@ impl InsightVertex {
 
     /// Topic / table name of this vertex's insight queue.
     pub fn name(&self) -> &str {
-        self.publisher.topic()
+        &self.name
     }
 
     /// The input topic names, sorted and de-duplicated.
@@ -484,8 +518,10 @@ impl InsightVertex {
 
     fn pump_inner(&self, now_ns: u64, sampled: bool) -> bool {
         let mut state = self.state.lock();
+        let InsightState { inputs, builder, publisher, last_published, published, recomputes } =
+            &mut *state;
         let consumed = self.timer.time(sampled, Phase::Consume, || {
-            let InsightInputs { latest, fresh, drained, .. } = &mut *state;
+            let InsightInputs { latest, fresh, drained, .. } = &mut *inputs;
             fresh.clear();
             for (slot, sub) in self.subscriptions.iter().enumerate() {
                 sub.drain_into(drained);
@@ -501,21 +537,17 @@ impl InsightVertex {
         if !consumed {
             return false;
         }
-        self.recomputes.fetch_add(1, Ordering::Relaxed);
-        let value = {
-            let mut builder = self.builder.lock();
-            self.timer.time(sampled, Phase::Other, || (builder)(&state))
-        };
+        *recomputes += 1;
+        let value = self.timer.time(sampled, Phase::Other, || builder(inputs));
         if let Some(v) = value {
-            let mut last = self.last_published.lock();
-            if last.is_none_or(|prev| prev != v) {
+            if last_published.is_none_or(|prev| prev != v) {
                 let record =
                     self.timer.time(sampled, Phase::Build, || Record::measured(now_ns, v).encode());
                 self.timer.time(sampled, Phase::Publish, || {
-                    self.publisher.publish(now_ns / 1_000_000, record);
+                    publisher.publish(now_ns / 1_000_000, record);
                 });
-                self.published.fetch_add(1, Ordering::Relaxed);
-                *last = Some(v);
+                *published += 1;
+                *last_published = Some(v);
             }
         }
         true
@@ -523,12 +555,12 @@ impl InsightVertex {
 
     /// Insights published so far.
     pub fn published(&self) -> u64 {
-        self.published.load(Ordering::Relaxed)
+        self.state.lock().published
     }
 
     /// Builder invocations.
     pub fn recomputes(&self) -> u64 {
-        self.recomputes.load(Ordering::Relaxed)
+        self.state.lock().recomputes
     }
 
     /// The anatomy instrumentation.

@@ -157,7 +157,7 @@ fn a_warm_pump_tick_allocates_nothing() {
 
 fn encoding_and_publishing_a_record_allocates_nothing() {
     let broker = Arc::new(Broker::new(bounded()));
-    let publisher = broker.publisher("by-handle");
+    let mut publisher = broker.publisher("by-handle");
     let record = |i: u64| Record::measured(i * 1_000_000, i as f64);
     // Warm: create both topics and fill their windows to the bound.
     for i in 0..16 {

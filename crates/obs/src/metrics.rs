@@ -183,13 +183,21 @@ impl Histogram {
     /// Record one observation (typically nanoseconds).
     #[inline]
     pub fn observe(&self, v: u64) {
-        if !self.enabled {
+        self.observe_n(v, 1);
+    }
+
+    /// Record `n` observations of `v` at once: what `n` calls of
+    /// [`Histogram::observe`] would leave, in buckets, sum and max.
+    #[inline]
+    pub fn observe_n(&self, v: u64, n: u64) {
+        if !self.enabled || n == 0 {
             return;
         }
         let inner = &*self.inner;
         let idx = inner.bounds.partition_point(|&b| b < v);
-        inner.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        inner.sum.fetch_add(v, Ordering::Relaxed);
+        inner.buckets[idx].fetch_add(n, Ordering::Relaxed);
+        // What `n` wrapping adds of `v` leave.
+        inner.sum.fetch_add(v.wrapping_mul(n), Ordering::Relaxed);
         if v > inner.max.load(Ordering::Relaxed) {
             inner.max.fetch_max(v, Ordering::Relaxed);
         }
@@ -596,6 +604,34 @@ mod tests {
         assert_eq!(snap.count, 5);
         assert_eq!(snap.sum, 10 + 11 + 100 + 1000 + 1001);
         assert_eq!(snap.max, 1001);
+    }
+
+    #[test]
+    fn observe_n_equals_n_single_observations() {
+        let reg = Registry::new();
+        let bounds = [10, 100, 1000];
+        for (k, &(v, n)) in
+            [(0, 0), (7, 0), (10, 1), (11, 3), (1000, 17), (1001, 2), (u64::MAX / 3, 5)]
+                .iter()
+                .enumerate()
+        {
+            let (batched, single) = (
+                reg.histogram_with(&format!("batched{k}"), &bounds),
+                reg.histogram_with(&format!("single{k}"), &bounds),
+            );
+            // A prior observation, so `max` and `sum` start off zero.
+            for h in [&batched, &single] {
+                h.observe(50);
+            }
+            batched.observe_n(v, n);
+            for _ in 0..n {
+                single.observe(v);
+            }
+            let snap = reg.snapshot();
+            let (b, s) =
+                (&snap.histograms[&format!("batched{k}")], &snap.histograms[&format!("single{k}")]);
+            assert_eq!((&b.buckets, b.sum, b.max), (&s.buckets, s.sum, s.max), "v={v} n={n}");
+        }
     }
 
     #[test]

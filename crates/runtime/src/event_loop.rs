@@ -18,7 +18,6 @@
 use crate::time::{duration_to_nanos, AnyClock, Nanos, RealClock, VirtualClock};
 use crate::timer::{EntryId, Expired, TimerHeap};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -76,7 +75,10 @@ impl TimerControl {
             _ => None,
         });
         if woken == Ok(PARKED) {
-            let due = self.last_fire.load(Ordering::Relaxed) + self.interval.load(Ordering::SeqCst);
+            // The read of PARKED acquires the park's swap, which released the
+            // callback's `set_interval` and `last_fire` stores: both Relaxed.
+            let due =
+                self.last_fire.load(Ordering::Relaxed) + self.interval.load(Ordering::Relaxed);
             self.queue.lock().insert(EntryId(self.id.0), self.clock.now().max(due));
         }
     }
@@ -88,13 +90,15 @@ impl TimerControl {
 
     /// Current interval.
     pub fn interval(&self) -> Duration {
-        Duration::from_nanos(self.interval.load(Ordering::SeqCst))
+        Duration::from_nanos(self.interval.load(Ordering::Relaxed))
     }
 
     /// Re-program the interval used for the next re-arm. Clamped to at
-    /// least 1ns to avoid a zero-interval spin.
+    /// least 1ns to avoid a zero-interval spin. Relaxed: the loop thread
+    /// re-arms from its own store, and a wake from another thread reads it
+    /// through the park's release/acquire chain (see [`TimerControl::wake`]).
     pub fn set_interval(&self, interval: Duration) {
-        self.interval.store(duration_to_nanos(interval).max(1), Ordering::SeqCst);
+        self.interval.store(duration_to_nanos(interval).max(1), Ordering::Relaxed);
     }
 
     /// Cancel the timer from outside the callback. A parked timer is armed
@@ -111,9 +115,10 @@ impl TimerControl {
         self.cancelled.load(Ordering::SeqCst)
     }
 
-    /// Number of times this timer's callback has run.
+    /// Number of times this timer's callback has run. Relaxed: a count
+    /// that publishes no other data.
     pub fn fire_count(&self) -> u64 {
-        self.fires.load(Ordering::SeqCst)
+        self.fires.load(Ordering::Relaxed)
     }
 }
 
@@ -157,10 +162,15 @@ struct LoopObs {
 pub struct EventLoop {
     clock: AnyClock,
     queue: Arc<Mutex<TimerHeap>>,
-    timers: HashMap<TimerId, TimerSlot>,
-    next_id: u64,
+    /// Indexed by the dense ids the loop hands out from 1; retired: `None`.
+    timers: Vec<Option<TimerSlot>>,
+    /// Timers registered and not yet retired.
+    live: usize,
     /// Expired-entry scratch buffer, reused across iterations.
     scratch: Vec<Expired>,
+    /// The turn's `Continue` re-arms, inserted under one queue lock as it
+    /// ends: each is later than its `now`, so no firing order changes.
+    rearms: Vec<(EntryId, Nanos)>,
     /// Callbacks that panicked (each kills only its own timer, never the
     /// loop).
     panics: u64,
@@ -185,16 +195,18 @@ impl EventLoop {
         Self {
             clock,
             queue: Arc::new(Mutex::new(TimerHeap::new())),
-            timers: HashMap::new(),
-            next_id: 1,
+            timers: vec![None],
+            live: 0,
             scratch: Vec::new(),
+            rearms: Vec::new(),
             panics: 0,
             obs: None,
         }
     }
 
-    /// Wire the dispatch path into `registry`: timer fire counts, dispatch
-    /// lag (`runtime.timer.dispatch_lag_ns`) and caught panics, exact, plus
+    /// Wire the dispatch path into `registry`: timer fire counts (added once
+    /// per turn), dispatch lag (`runtime.timer.dispatch_lag_ns`, observed
+    /// once per run of equal lags) and caught panics, exact, plus
     /// callback runtime (`runtime.timer.callback_ns`) and interval overruns
     /// on each timer's sampled fires.
     /// Passing a no-op registry removes the instrumentation again.
@@ -221,8 +233,7 @@ impl EventLoop {
         interval: Duration,
         callback: impl FnMut(&TimerControl) -> TimerAction + Send + 'static,
     ) -> Arc<TimerControl> {
-        let id = TimerId(self.next_id);
-        self.next_id += 1;
+        let id = TimerId(self.timers.len() as u64);
         let control = Arc::new(TimerControl {
             id,
             interval: AtomicU64::new(duration_to_nanos(interval).max(1)),
@@ -233,16 +244,17 @@ impl EventLoop {
             queue: Arc::clone(&self.queue),
             clock: self.clock.clone(),
         });
-        let deadline = self.clock.now().saturating_add(control.interval.load(Ordering::SeqCst));
+        let deadline = self.clock.now().saturating_add(control.interval.load(Ordering::Relaxed));
         self.timers
-            .insert(id, TimerSlot { control: Arc::clone(&control), callback: Box::new(callback) });
+            .push(Some(TimerSlot { control: Arc::clone(&control), callback: Box::new(callback) }));
+        self.live += 1;
         self.queue.lock().insert(EntryId(id.0), deadline);
         control
     }
 
     /// Number of live (non-cancelled) timers.
     pub fn timer_count(&self) -> usize {
-        self.timers.len()
+        self.live
     }
 
     /// Number of timer callbacks that have panicked. Each panic is caught
@@ -252,18 +264,27 @@ impl EventLoop {
         self.panics
     }
 
-    /// Run one expired timer's callback and decide its fate. Returns
-    /// whether the timer retires: it stopped, panicked or was cancelled.
-    fn run_slot(slot: &mut TimerSlot, panics: &mut u64, obs: Option<&LoopObs>) -> bool {
+    /// Run one expired timer's callback and decide its fate: `None` when
+    /// it was cancelled before it ran, else whether it retires (it stopped
+    /// or panicked, or was cancelled while it ran). A `Continue` re-arm
+    /// joins `rearms`.
+    fn run_slot(
+        slot: &mut TimerSlot,
+        panics: &mut u64,
+        obs: Option<&LoopObs>,
+        rearms: &mut Vec<(EntryId, Nanos)>,
+    ) -> Option<bool> {
         let ctl = &slot.control;
         if ctl.is_cancelled() {
-            return true;
+            return None;
         }
         // A wake from here on asks for another run. Relaxed: a wake that reads
         // an older state is not after this, so the input's lock shows its publish.
         ctl.state.store(RUNNING, Ordering::Relaxed);
         let started = ctl.clock.now();
-        let fire = ctl.fires.fetch_add(1, Ordering::SeqCst);
+        // Only the loop thread writes `fires`.
+        let fire = ctl.fires.load(Ordering::Relaxed);
+        ctl.fires.store(fire + 1, Ordering::Relaxed);
         // Counters are exact; only this timer's sampled fires are timed.
         let start = (obs.is_some() && apollo_obs::sampled(fire)).then(std::time::Instant::now);
         // A panicking callback (buggy monitor hook, bad insight builder)
@@ -273,11 +294,10 @@ impl EventLoop {
         let cb = &mut slot.callback;
         let action = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| cb(ctl)));
         if let Some(obs) = obs {
-            obs.fires.inc();
             if let Some(start) = start {
                 let dur = start.elapsed().as_nanos() as u64;
                 obs.callback_ns.observe(dur);
-                if dur > ctl.interval.load(Ordering::SeqCst) {
+                if dur > ctl.interval.load(Ordering::Relaxed) {
                     obs.overruns.inc();
                 }
             }
@@ -285,10 +305,10 @@ impl EventLoop {
                 obs.panics.inc();
             }
         }
-        match action {
+        Some(match action {
             Ok(TimerAction::Continue) if !ctl.is_cancelled() => {
-                let next = ctl.clock.now().saturating_add(ctl.interval.load(Ordering::SeqCst));
-                ctl.queue.lock().insert(EntryId(ctl.id.0), next);
+                let next = ctl.clock.now().saturating_add(ctl.interval.load(Ordering::Relaxed));
+                rearms.push((EntryId(ctl.id.0), next));
                 false
             }
             Ok(TimerAction::Park) if !ctl.is_cancelled() => {
@@ -306,7 +326,7 @@ impl EventLoop {
                 *panics += 1;
                 true
             }
-        }
+        })
     }
 
     /// Run one iteration: wait for the earliest deadline (sleeping or
@@ -319,20 +339,31 @@ impl EventLoop {
         let mut expired = std::mem::take(&mut self.scratch);
         expired.clear();
         self.queue.lock().pop_expired(now, &mut expired);
-        if let Some(obs) = &self.obs {
-            for e in &expired {
-                obs.dispatch_lag.observe(now.saturating_sub(e.deadline));
+        let Self { timers, live, panics, obs, rearms, .. } = self;
+        let mut fired = 0;
+        for e in &expired {
+            let entry = &mut timers[e.id.0 as usize];
+            let Some(slot) = entry.as_mut() else { continue };
+            let fate = Self::run_slot(slot, panics, obs.as_ref(), rearms);
+            fired += u64::from(fate.is_some());
+            if fate != Some(false) {
+                *entry = None;
+                *live -= 1;
             }
         }
-        for e in &expired {
-            let id = TimerId(e.id.0);
-            let Some(slot) = self.timers.get_mut(&id) else { continue };
-            if Self::run_slot(slot, &mut self.panics, self.obs.as_ref()) {
-                self.timers.remove(&id);
+        if !rearms.is_empty() {
+            let mut queue = self.queue.lock();
+            rearms.drain(..).for_each(|(id, next)| queue.insert(id, next));
+        }
+        if let Some(obs) = obs.as_ref() {
+            obs.fires.add(fired);
+            // Popped in deadline order, so equal lags are adjacent.
+            for run in expired.chunk_by(|a, b| a.deadline == b.deadline) {
+                obs.dispatch_lag.observe_n(now.saturating_sub(run[0].deadline), run.len() as u64);
             }
         }
         self.scratch = expired;
-        !self.timers.is_empty()
+        self.live > 0
     }
 
     /// Run until no timer is armed or `horizon` (absolute clock time) is
@@ -366,7 +397,7 @@ impl EventLoop {
 impl std::fmt::Debug for EventLoop {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventLoop")
-            .field("timers", &self.timers.len())
+            .field("timers", &self.live)
             .field("pending", &self.queue.lock().len())
             .finish()
     }
@@ -628,6 +659,108 @@ mod tests {
         });
         el.run_for(Duration::from_millis(50));
         assert_eq!(*log.lock(), [5 * MS, 10 * MS]);
+    }
+
+    /// 64 timers every 3 ms (id 1 cancels id 68 at 30 ms, in the turn both
+    /// are due), id 65 doubling its interval from 1 ms, id 66 parking after
+    /// every fire and id 67 waking it every 5 ms, id 68 every 3 ms until
+    /// cancelled: over 50 turns the fires follow a sorted `(deadline, id)`
+    /// model, whatever a turn re-arms, wakes or cancels before it ends.
+    #[test]
+    fn fires_follow_the_deadline_id_model_across_rearms_wakes_and_cancels() {
+        const REGULAR: u64 = 64;
+        const DOUBLING: u64 = 65;
+        const SLEEPING: u64 = 66;
+        const WAKING: u64 = 67;
+        const VICTIM: u64 = 68;
+        const TURNS: usize = 50;
+        let ms = Duration::from_millis;
+        let mut el = EventLoop::new_virtual();
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let victim: Arc<std::sync::OnceLock<Arc<TimerControl>>> = Arc::default();
+        let logged = |el: &EventLoop| {
+            let (sink, clock) = (Arc::clone(&log), el.clock().clone());
+            move |ctl: &TimerControl| {
+                sink.lock().push((clock.now(), ctl.id().0));
+                clock.now()
+            }
+        };
+        for _ in 0..REGULAR {
+            let (fire, victim) = (logged(&el), Arc::clone(&victim));
+            el.add_timer(ms(3), move |ctl| {
+                if fire(ctl) == 30 * MS && ctl.id().0 == 1 {
+                    victim.get().expect("registered").cancel();
+                }
+                TimerAction::Continue
+            });
+        }
+        let fire = logged(&el);
+        el.add_timer(ms(1), move |ctl| {
+            fire(ctl);
+            ctl.set_interval(ctl.interval() * 2);
+            TimerAction::Continue
+        });
+        let fire = logged(&el);
+        let sleeper = el.add_timer(ms(2), move |ctl| {
+            fire(ctl);
+            TimerAction::Park
+        });
+        let fire = logged(&el);
+        el.add_timer(ms(5), move |ctl| {
+            fire(ctl);
+            sleeper.wake();
+            TimerAction::Continue
+        });
+        let fire = logged(&el);
+        let cancelled = el.add_timer(ms(3), move |ctl| {
+            fire(ctl);
+            TimerAction::Continue
+        });
+        assert_eq!(cancelled.id().0, VICTIM);
+        let _ = victim.set(Arc::clone(&cancelled));
+        for _ in 0..TURNS {
+            assert!(el.turn());
+        }
+
+        // The model: every pending `(deadline, id)` in a sorted set; a turn
+        // takes what is due at the earliest deadline, and what its fires
+        // arm lands in the set for a later turn.
+        let mut pending: std::collections::BTreeSet<(Nanos, u64)> =
+            (1..=REGULAR).map(|id| (3 * MS, id)).collect();
+        pending.extend([(MS, DOUBLING), (2 * MS, SLEEPING), (5 * MS, WAKING), (3 * MS, VICTIM)]);
+        let (mut doubling_every, mut slept_at, mut victim_cancelled) = (MS, None, false);
+        let mut model = Vec::new();
+        for _ in 0..TURNS {
+            let now = pending.first().expect("always armed").0;
+            let later = pending.split_off(&(now + 1, 0));
+            for (_, id) in std::mem::replace(&mut pending, later) {
+                if id == VICTIM && victim_cancelled {
+                    continue; // reaped without a fire
+                }
+                model.push((now, id));
+                match id {
+                    DOUBLING => {
+                        doubling_every *= 2;
+                        pending.insert((now + doubling_every, id));
+                    }
+                    SLEEPING => slept_at = Some(now),
+                    WAKING => {
+                        if let Some(last) = slept_at.take() {
+                            pending.insert((now.max(last + 2 * MS), SLEEPING));
+                        }
+                        pending.insert((now + 5 * MS, id));
+                    }
+                    _ => {
+                        victim_cancelled |= id == 1 && now == 30 * MS;
+                        pending.insert((now + 3 * MS, id));
+                    }
+                }
+            }
+        }
+        assert_eq!(*log.lock(), model);
+        assert!(model.iter().any(|&(t, id)| id == SLEEPING && t > 2 * MS), "woken at least once");
+        assert_eq!(cancelled.fire_count(), 9, "fired at 3, 6, ..., 27 ms, reaped at 30 ms");
+        assert_eq!(el.timer_count(), 67, "the cancelled timer was reaped");
     }
 
     #[test]

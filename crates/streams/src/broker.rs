@@ -17,10 +17,12 @@
 //!
 //! A publish appends and then calls the topic's **wakers**: one per
 //! subscription and one per derived reader ([`Broker::wake_on`]). The
-//! waker list is **copy-on-write**: an `Arc` that subscribing and dropping
-//! edit and a publish clones after its append. A condvar notify is a
-//! futex syscall whether or not anyone waits, so a subscription's waker is
-//! **waiter-gated**: it notifies only when a receiver is parked.
+//! waker list is one mutex that subscribing and dropping edit and a
+//! publish holds while it calls the wakers after its append, so a waker
+//! must not publish to, subscribe to, or drop a waker on its own topic.
+//! A condvar notify is a futex syscall whether or not anyone waits, so a
+//! subscription's waker is **waiter-gated**: it notifies only when a
+//! receiver is parked.
 
 use crate::entry::Entry;
 use crate::id::StreamId;
@@ -37,9 +39,8 @@ type Waker = Arc<dyn Fn() + Send + Sync>;
 
 struct Topic {
     stream: Stream,
-    /// Copy-on-write: subscribing and dropping edit it (a copy, if a publish
-    /// holds it), a publish clones the `Arc` and wakes with the lock released.
-    wakers: Mutex<Arc<Vec<Waker>>>,
+    /// Subscribing and dropping edit it; a publish calls the wakers under it.
+    wakers: Mutex<Vec<Waker>>,
     /// Behind an `Arc` so [`Broker::instrument`] can export the same cell
     /// as `streams.topic.<name>.published` without a second increment on
     /// the publish hot path.
@@ -51,11 +52,6 @@ struct Topic {
 }
 
 impl Topic {
-    /// Edit the wakers, copying them first if a publish holds them.
-    fn edit_wakers(&self, edit: impl FnOnce(&mut Vec<Waker>)) {
-        edit(Arc::make_mut(&mut self.wakers.lock()));
-    }
-
     /// Export the topic's publish, lapped-cursor and rejected-eviction
     /// counters, each backed by the cell its hot path already increments.
     fn register(&self, registry: &apollo_obs::Registry, name: &str) {
@@ -181,7 +177,7 @@ pub struct PublishWaker {
 
 impl Drop for PublishWaker {
     fn drop(&mut self) {
-        self.topic.edit_wakers(|w| w.retain(|waker| !Arc::ptr_eq(waker, &self.waker)));
+        self.topic.wakers.lock().retain(|waker| !Arc::ptr_eq(waker, &self.waker));
     }
 }
 
@@ -339,8 +335,8 @@ impl Broker {
     /// A publisher resolved to `topic`: what a vertex that owns a topic
     /// holds instead of the name, so its publishes skip the namespace
     /// lookup (see [`Publisher`]). Creating one does not create the topic.
-    pub fn publisher(self: &Arc<Self>, topic: impl Into<String>) -> Publisher {
-        Publisher { broker: Arc::clone(self), name: topic.into(), topic: Mutex::new(None) }
+    pub fn publisher(self: &Arc<Self>, topic: impl Into<Arc<str>>) -> Publisher {
+        Publisher { broker: Arc::clone(self), name: topic.into(), topic: None }
     }
 
     /// Publish a payload on `topic` at millisecond timestamp `ms`: append
@@ -405,14 +401,13 @@ impl Broker {
         ids
     }
 
-    /// Call `t`'s wakers, on a snapshot read after the append with the
-    /// lock released, and record a sampled publish's latency since
-    /// `start`. Publish counts ride `t.published` /
-    /// `Broker::published_total` (exported via `counter_backed_by`), so
-    /// the instrumented hot path adds only a branch when unsampled.
+    /// Call `t`'s wakers under its waker lock, taken after the append, and
+    /// record a sampled publish's latency since `start`. Publish counts
+    /// ride `t.published` / `Broker::published_total` (exported via
+    /// `counter_backed_by`), so the instrumented hot path adds only a
+    /// branch when unsampled.
     fn wake(&self, t: &Topic, start: Option<Instant>) {
-        let wakers = Arc::clone(&t.wakers.lock());
-        wakers.iter().for_each(|wake| wake());
+        t.wakers.lock().iter().for_each(|wake| wake());
         if let (Some(start), Some(obs)) = (start, self.obs.get()) {
             obs.publish_ns.observe(start.elapsed().as_nanos() as u64);
         }
@@ -436,10 +431,14 @@ impl Broker {
 
     /// Call `waker` after every publish to `topic` until the returned handle
     /// is dropped: how a derived reader learns its input moved. Creates the topic.
+    ///
+    /// A waker runs under its topic's waker lock, so it must not publish
+    /// to, subscribe to, or drop a waker on that same topic: each would
+    /// wait on the lock its own publish holds. Another topic is fine.
     pub fn wake_on(&self, topic: &str, waker: impl Fn() + Send + Sync + 'static) -> PublishWaker {
         let t = self.topic(topic);
         let waker: Waker = Arc::new(waker);
-        t.edit_wakers(|w| w.push(Arc::clone(&waker)));
+        t.wakers.lock().push(Arc::clone(&waker));
         PublishWaker { waker, topic: t }
     }
 
@@ -553,7 +552,7 @@ impl Broker {
 /// A publisher resolved to one topic, created by [`Broker::publisher`]:
 /// the topic's `Arc` plus the broker's shared counters and instruments,
 /// so a publish is the counter `fetch_add`s, the window append and the
-/// wakers — no namespace lock or map probe. Records land exactly
+/// wakers — no namespace lock or map probe, and no lock of its own. Records land exactly
 /// as a by-name [`Broker::publish`] would put them (same IDs, counters,
 /// instruments and append-then-wake order).
 ///
@@ -563,13 +562,15 @@ impl Broker {
 ///   topic removed, the next publish resolves the name again and lands in
 ///   the topic a by-name publish would create.
 ///
-/// Publishes through one handle are serialized (the handle is held
-/// locked for the duration of a publish); a vertex owns its handle and
-/// never publishes concurrently with itself.
+/// A publish takes the handle by `&mut`: its owner holds it exclusively
+/// (an event fact's step) or under a lock it already takes for the record
+/// (a vertex's state lock), so publishes through one handle are serialized
+/// without a lock of the handle's own.
 pub struct Publisher {
     broker: Arc<Broker>,
-    name: String,
-    topic: Mutex<Option<Arc<Topic>>>,
+    /// Shared with the handle's owner, which names itself after its topic.
+    name: Arc<str>,
+    topic: Option<Arc<Topic>>,
 }
 
 impl Publisher {
@@ -580,24 +581,26 @@ impl Publisher {
 
     /// Run `f` on the live topic, resolving the name first when nothing is
     /// held yet or the held topic was removed.
-    fn with_topic<R>(&self, f: impl FnOnce(&Broker, &Topic) -> R) -> R {
-        let mut held = self.topic.lock();
+    fn with_topic<R>(&mut self, f: impl FnOnce(&Broker, &Topic) -> R) -> R {
         // Acquire pairs with the Release store in `Broker::remove_topic`.
-        let live = held.as_ref().is_some_and(|t| !t.removed.load(Ordering::Acquire));
+        let live = self.topic.as_ref().is_some_and(|t| !t.removed.load(Ordering::Acquire));
         if !live {
-            *held = Some(self.broker.topic(&self.name));
+            self.topic = Some(self.broker.topic(&self.name));
         }
-        f(&self.broker, held.as_ref().expect("resolved above"))
+        f(&self.broker, self.topic.as_ref().expect("resolved above"))
     }
 
     /// [`Broker::publish`] on the resolved topic.
-    pub fn publish(&self, ms: u64, payload: impl Into<Bytes>) -> StreamId {
+    pub fn publish(&mut self, ms: u64, payload: impl Into<Bytes>) -> StreamId {
         let payload = payload.into();
         self.with_topic(|broker, t| broker.publish_to(t, ms, payload))
     }
 
     /// [`Broker::publish_batch`] on the resolved topic.
-    pub fn publish_batch(&self, records: impl IntoIterator<Item = (u64, Bytes)>) -> Vec<StreamId> {
+    pub fn publish_batch(
+        &mut self,
+        records: impl IntoIterator<Item = (u64, Bytes)>,
+    ) -> Vec<StreamId> {
         let mut records = records.into_iter().peekable();
         if records.peek().is_none() {
             return Vec::new();
@@ -608,7 +611,7 @@ impl Publisher {
 
 impl std::fmt::Debug for Publisher {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Publisher").field("topic", &self.name).finish()
+        f.debug_struct("Publisher").field("topic", &&*self.name).finish()
     }
 }
 

@@ -19,7 +19,7 @@ fn instrumented() -> (Arc<Broker>, Registry) {
 #[test]
 fn a_publisher_that_never_published_has_no_topic() {
     let (broker, _) = instrumented();
-    let publisher = broker.publisher("idle");
+    let mut publisher = broker.publisher("idle");
     assert_eq!(publisher.topic(), "idle");
     assert!(publisher.publish_batch([]).is_empty());
     assert!(!broker.has_topic("idle"), "creating a handle or flushing nothing creates no topic");
@@ -84,12 +84,12 @@ fn publishing_through_a_handle_after_remove_topic_recreates_it_as_a_by_name_publ
     );
 
     let (handled, handled_registry) = instrumented();
-    let publisher = handled.publisher("t");
+    let publisher = std::cell::RefCell::new(handled.publisher("t"));
     let by_handle = remove_and_republish(
         &handled,
         &handled_registry,
-        |ms, p| publisher.publish(ms, p),
-        |records| publisher.publish_batch(records),
+        |ms, p| publisher.borrow_mut().publish(ms, p),
+        |records| publisher.borrow_mut().publish_batch(records),
     );
 
     assert_eq!(by_handle, by_name);
@@ -126,7 +126,7 @@ fn sequence_number(payload: &[u8]) -> u64 {
 fn every_returned_subscribe_sees_every_later_publish(
     broker: &Arc<Broker>,
     resident: Option<&Subscription>,
-    publish: impl Fn(u64, Bytes) + Sync,
+    mut publish: impl FnMut(u64, Bytes) + Send,
 ) {
     const ROUNDS: u64 = 200;
     const STRIDE: u64 = 64;
@@ -201,7 +201,7 @@ const RESIDENT_WINDOW: usize = 65_536;
 
 #[test]
 fn a_subscribe_that_returned_sees_every_later_publish() {
-    type Publish = fn(&Broker, &Publisher, u64, Bytes);
+    type Publish = fn(&Broker, &mut Publisher, u64, Bytes);
     let paths: [(&str, Publish); 4] = [
         ("Broker::publish", |b, _, ms, p| {
             b.publish("t", ms, p);
@@ -219,13 +219,13 @@ fn a_subscribe_that_returned_sees_every_later_publish() {
     for (path, publish) in paths {
         for with_resident in [false, true] {
             let broker = Arc::new(Broker::new(StreamConfig::default()));
-            let publisher = broker.publisher("t");
+            let mut publisher = broker.publisher("t");
             let resident = with_resident.then(|| broker.subscribe("t"));
             eprintln!("{path}, resident subscriber: {with_resident}");
             every_returned_subscribe_sees_every_later_publish(
                 &broker,
                 resident.as_ref(),
-                |ms, p| publish(&broker, &publisher, ms, p),
+                |ms, p| publish(&broker, &mut publisher, ms, p),
             );
         }
     }
