@@ -1356,13 +1356,13 @@ mod tests {
             ))
             .unwrap();
         // Five seconds in: the insight pumped (on nothing), the fact was
-        // never polled. The insight's *subscription* created its input
+        // never polled. The insight's *reader* created its input
         // topic; nothing created the outputs, and querying creates nothing.
         apollo.run_for(Duration::from_secs(5));
         assert!(apollo.query("SELECT MAX(Timestamp), metric FROM sum").is_err());
         let broker = apollo.broker();
         assert!(!broker.has_topic("sum"), "an insight that never published has no topic");
-        assert_eq!(broker.topic_names(), ["slow"], "the subscribed-to input, empty");
+        assert_eq!(broker.topic_names(), ["slow"], "the insight's input, empty");
         assert_eq!(broker.topic_len("slow"), 0);
         apollo.run_for(Duration::from_secs(6));
         assert_eq!(broker.topic_len("slow"), 1);
@@ -1653,7 +1653,7 @@ mod tests {
         apollo.run_for(Duration::from_secs(5)); // both ran once, at 1 s, and parked
         let broker = apollo.broker();
         let info = broker.topic_info("cap").unwrap();
-        assert_eq!(info.readers, 3, "the insight's subscription and both steps' wakers");
+        assert_eq!(info.readers, 2, "both steps' wakers");
         let timers = apollo.el.timer_count();
 
         apollo.unregister("cq/avg").unwrap();

@@ -7,9 +7,9 @@
 //! when the value changed (§3.2.1: "Facts and Insights are added only if
 //! there is a change from their previous value").
 //!
-//! An **Insight Vertex** subscribes to fact queues and/or other insight
-//! queues (③/④), recomputes its insight in the Insight Builder, and
-//! publishes to its own insight queue (⑤) for downstream consumption (⑥).
+//! An **Insight Vertex** reads fact and/or insight queues through a
+//! cursor per input (③/④), recomputes its insight in the Insight Builder,
+//! and publishes to its own insight queue (⑤) for downstream use (⑥).
 //!
 //! Both vertex types are instrumented with a [`PhaseTimer`] so the share
 //! of time spent in each internal component can be reported (Figure 4).
@@ -22,7 +22,7 @@ use apollo_cluster::metrics::{MetricError, MetricSource};
 use apollo_delphi::WindowTracker;
 use apollo_runtime::time::{Phase, PhaseTimer};
 use apollo_streams::codec::Record;
-use apollo_streams::{Broker, Publisher, Subscription};
+use apollo_streams::{Broker, Publisher, Reader, StreamId};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -394,6 +394,8 @@ pub struct InsightInputs {
     pub fresh: Vec<(usize, Record)>,
     /// The pump's drain buffer, empty between pumps.
     drained: Vec<apollo_streams::Entry>,
+    /// The last ID taken per slot.
+    cursors: Vec<Option<StreamId>>,
 }
 
 impl InsightInputs {
@@ -428,21 +430,21 @@ struct InsightState {
     recomputes: u64,
 }
 
-/// An Insight Vertex: subscriptions + insight builder + insight queue.
+/// An Insight Vertex: input cursors + insight builder + insight queue.
 pub struct InsightVertex {
     name: Arc<str>,
     /// Sorted and de-duplicated; a topic's position is its slot.
     inputs: Vec<String>,
-    subscriptions: Vec<Subscription>,
+    readers: Vec<Reader>,
     state: parking_lot::Mutex<InsightState>,
     timer: PhaseTimer,
     obs: OnceLock<InsightObs>,
 }
 
 impl InsightVertex {
-    /// Create an insight vertex named `name` consuming `inputs` topics.
-    /// Subscriptions are created immediately, so anything published to the
-    /// inputs after this call is seen.
+    /// Create an insight vertex named `name` consuming `inputs` topics
+    /// (created if absent). Each input's cursor starts at its topic's last
+    /// ID: what is published after this call is seen, nothing from before.
     pub fn new(
         name: impl Into<String>,
         inputs: Vec<String>,
@@ -452,12 +454,13 @@ impl InsightVertex {
         let mut inputs = inputs;
         inputs.sort();
         inputs.dedup();
-        let subscriptions = inputs.iter().map(|t| broker.subscribe(t)).collect();
+        let readers: Vec<Reader> = inputs.iter().map(|t| broker.reader(t)).collect();
         let name: Arc<str> = name.into().into();
         let state = InsightState {
             inputs: InsightInputs {
                 latest: vec![None; inputs.len()],
                 topics: inputs.clone(),
+                cursors: readers.iter().map(Reader::last_id).collect(),
                 ..InsightInputs::default()
             },
             builder,
@@ -469,7 +472,7 @@ impl InsightVertex {
         Self {
             name,
             inputs,
-            subscriptions,
+            readers,
             state: parking_lot::Mutex::new(state),
             timer: PhaseTimer::new(),
             obs: OnceLock::new(),
@@ -500,9 +503,9 @@ impl InsightVertex {
         &self.inputs
     }
 
-    /// One processing cycle (flow ③→⑤): drain subscriptions, rebuild the
-    /// insight, publish when it changed. Returns true when something new
-    /// was consumed.
+    /// One processing cycle (flow ③→⑤): read each input after its cursor,
+    /// rebuild the insight, publish when it changed. Returns true when
+    /// something new was consumed.
     pub fn pump(&self, now_ns: u64) -> bool {
         let sampled = self.timer.begin_call();
         let obs = self.obs.get();
@@ -521,10 +524,11 @@ impl InsightVertex {
         let InsightState { inputs, builder, publisher, last_published, published, recomputes } =
             &mut *state;
         let consumed = self.timer.time(sampled, Phase::Consume, || {
-            let InsightInputs { latest, fresh, drained, .. } = &mut *inputs;
+            let InsightInputs { latest, fresh, drained, cursors, .. } = &mut *inputs;
             fresh.clear();
-            for (slot, sub) in self.subscriptions.iter().enumerate() {
-                sub.drain_into(drained);
+            for (slot, (reader, cursor)) in self.readers.iter().zip(cursors).enumerate() {
+                reader.read_after_into(*cursor, usize::MAX, drained);
+                *cursor = drained.last().map(|e| e.id).or(*cursor);
                 for entry in drained.drain(..) {
                     if let Ok(r) = Record::decode(&entry.payload) {
                         latest[slot] = Some(r);
@@ -833,6 +837,43 @@ mod tests {
         assert_eq!(v.health(), HealthState::Healthy);
         assert_eq!(v.recoveries(), 1);
         assert_eq!(next, Duration::from_secs(1), "controller interval resumes");
+    }
+
+    #[test]
+    fn an_insight_cursor_lapped_by_the_ring_reads_from_its_floor_and_is_counted() {
+        // The insight read nothing while 98 rows were evicted into an 8-slot
+        // ring: the 90 oldest are gone. Its pump starts at the ring's oldest
+        // retained row and counts the skip, as any cursor reader's is.
+        let path =
+            std::env::temp_dir().join(format!("apollo-insight-lapped-{}.slab", std::process::id()));
+        let cfg = apollo_streams::SlabConfig { max_series: 1, slots: 8, ..Default::default() };
+        let store = apollo_streams::SlabStore::create(&path, cfg).unwrap();
+        let b = Arc::new(Broker::new(StreamConfig::bounded(2).with_slab(store)));
+        let reg = apollo_obs::Registry::new();
+        b.instrument(&reg);
+        let seen = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let builder_seen = Arc::clone(&seen);
+        let insight = InsightVertex::new(
+            "i",
+            vec!["t".into()],
+            Box::new(move |i: &InsightInputs| {
+                builder_seen.lock().extend(i.fresh.iter().map(|(_, r)| r.timestamp_ns));
+                Some(1.0)
+            }),
+            b.clone(),
+        );
+        for ms in 0..100u64 {
+            b.publish("t", ms, Record::measured(ms, ms as f64).encode());
+        }
+        let lapped = || reg.snapshot().counter("streams.topic.t.cursor_lapped");
+        assert!(insight.pump(1));
+        assert_eq!(lapped(), 1);
+        let oldest = b.range("t", StreamId::MIN, StreamId::MAX)[0].id.ms;
+        assert_eq!(oldest, 90, "the ring keeps the 8 rows the window evicted last");
+        assert_eq!(*seen.lock(), (oldest..100).collect::<Vec<_>>());
+        assert!(!insight.pump(2), "caught up: nothing left to consume");
+        assert_eq!(lapped(), 1, "a caught-up cursor is not lapped again");
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -1,15 +1,16 @@
 //! Pub-Sub over streams: a subscription is a cursor.
 //!
 //! The [`Broker`] is SCoRe's communication fabric: every vertex owns a
-//! topic (backed by a [`Stream`]); downstream vertices either **subscribe**
-//! (each new entry is read from the topic's stream after the last one the
-//! subscriber took — how Insight vertices consume Facts, flow ③/④ of
-//! Figure 1b) or **pull** the latest value / a timestamp range on demand
+//! topic (backed by a [`Stream`]); downstream vertices either **read**
+//! the entries after a cursor they keep (how Insight vertices consume
+//! Facts, flow ③/④ of Figure 1b: each holds a [`Reader`] and a cursor per
+//! input, and its step's [`Broker::wake_on`] waker runs it after a
+//! publish) or **pull** the latest value / a timestamp range on demand
 //! (how the Query Executor and middleware clients read, flow ⑥).
 //!
 //! As in Redis Streams' `XREAD BLOCK`, a reader is a cursor — the last
 //! [`StreamId`] it took — and the stream holds no copy for it. A
-//! [`Subscription`] keeps its cursor in the broker's process; a reader
+//! [`Subscription`] keeps its cursor for a blocking client; a reader
 //! that must survive a crash saves its own and reads by
 //! [`Broker::read_after`]. A slow subscriber holds no memory: it loses
 //! rows only when retention laps its cursor, and that read is counted in
@@ -20,9 +21,8 @@
 //! waker list is one mutex that subscribing and dropping edit and a
 //! publish holds while it calls the wakers after its append, so a waker
 //! must not publish to, subscribe to, or drop a waker on its own topic.
-//! A condvar notify is a futex syscall whether or not anyone waits, so a
-//! subscription's waker is **waiter-gated**: it notifies only when a
-//! receiver is parked.
+//! A subscription's waker unparks the threads blocked in its
+//! [`Subscription::recv_timeout`], if any.
 
 use crate::entry::Entry;
 use crate::id::StreamId;
@@ -30,8 +30,9 @@ use crate::stream::{ColumnBatch, ScanBatch, ScanMeta, Stream, StreamConfig};
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
-use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::thread::{self, Thread};
 use std::time::{Duration, Instant};
 
 /// What a publish calls after its append.
@@ -71,28 +72,6 @@ struct BrokerObs {
     publish_ns: apollo_obs::Histogram,
 }
 
-/// Where a [`Subscription::recv_timeout`] waits for a publish.
-#[derive(Default)]
-struct Park {
-    lock: std::sync::Mutex<()>,
-    published: std::sync::Condvar,
-    /// Receivers waiting, bumped under `lock` before they re-check the
-    /// stream: a waker that reads 0 after its append has nobody to wake.
-    parked: AtomicUsize,
-}
-
-impl Park {
-    fn wake(&self) {
-        // Orders the append before the read of `parked`, against the
-        // receiver's bump before its re-check: one of them sees the other.
-        fence(Ordering::SeqCst);
-        if self.parked.load(Ordering::SeqCst) > 0 {
-            let _held = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
-            self.published.notify_all();
-        }
-    }
-}
-
 /// A subscription's place in its topic's stream.
 struct Cursor {
     /// The last ID taken; `None` before the topic's first append.
@@ -108,7 +87,9 @@ pub struct Subscription {
     /// Registers the subscription's waker; holds the topic.
     waker: PublishWaker,
     cursor: Mutex<Cursor>,
-    park: Arc<Park>,
+    /// The threads blocked in [`Subscription::recv_timeout`], which the
+    /// waker unparks. A leaf lock: nothing is taken under it.
+    waiters: Arc<Mutex<Vec<Thread>>>,
 }
 
 impl Subscription {
@@ -122,27 +103,30 @@ impl Subscription {
         }
     }
 
-    /// Receive the next entry, blocking up to `timeout`.
+    /// Receive the next entry, blocking up to `timeout` (`Duration::MAX`:
+    /// until one arrives).
+    ///
+    /// No wake-up is lost: the thread joins the waiters before it re-checks
+    /// the stream, so a publish either appended before the re-check or
+    /// finds it listed, and an unpark before the park leaves its token.
     pub fn recv_timeout(&self, timeout: Duration) -> Option<Entry> {
         if let Some(entry) = self.try_recv() {
             return Some(entry);
         }
-        let deadline = Instant::now() + timeout;
-        let park = &self.park;
-        let mut held = park.lock.lock().unwrap_or_else(PoisonError::into_inner);
-        park.parked.fetch_add(1, Ordering::SeqCst);
+        let deadline = Instant::now().checked_add(timeout);
+        let me = thread::current();
+        self.waiters.lock().push(me.clone());
         let got = loop {
             if let Some(entry) = self.try_recv() {
                 break Some(entry);
             }
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                break None;
+            match deadline.map(|d| d.saturating_duration_since(Instant::now())) {
+                None => thread::park(),
+                Some(left) if left.is_zero() => break None,
+                Some(left) => thread::park_timeout(left),
             }
-            held =
-                park.published.wait_timeout(held, left).unwrap_or_else(PoisonError::into_inner).0;
         };
-        park.parked.fetch_sub(1, Ordering::SeqCst);
+        self.waiters.lock().retain(|t| t.id() != me.id());
         got
     }
 
@@ -157,14 +141,25 @@ impl Subscription {
     /// Take every entry published since the last one taken.
     pub fn drain(&self) -> Vec<Entry> {
         let mut out = Vec::new();
-        self.drain_into(&mut out);
+        self.take(&mut self.cursor.lock().last, usize::MAX, &mut out);
         out
     }
+}
 
-    /// [`Subscription::drain`] onto the end of a buffer the caller reuses:
-    /// no allocation once `out` has the capacity.
-    pub fn drain_into(&self, out: &mut Vec<Entry>) {
-        self.take(&mut self.cursor.lock().last, usize::MAX, out);
+/// A topic's stream, from [`Broker::reader`], for a reader that keeps its
+/// own cursor: it holds the topic as a [`Publisher`] does, with no lock
+/// and no waker of its own.
+pub struct Reader(Arc<Topic>);
+
+impl Reader {
+    /// [`Stream::read_after_into`] on the topic's stream.
+    pub fn read_after_into(&self, cursor: Option<StreamId>, count: usize, out: &mut Vec<Entry>) {
+        self.0.stream.read_after_into(cursor, count, out);
+    }
+
+    /// The topic's most recent ID.
+    pub fn last_id(&self) -> Option<StreamId> {
+        self.0.stream.last_id()
     }
 }
 
@@ -268,7 +263,7 @@ impl Broker {
     }
 
     /// Fetch-or-create a topic. This is the **write/registration path**
-    /// (`publish*`, `subscribe*`, `wake_on`); every read accessor
+    /// (`publish*`, `subscribe`, `reader`, `wake_on`); every read accessor
     /// goes through [`Broker::lookup`] instead and never creates topics.
     fn topic(&self, name: &str) -> Arc<Topic> {
         if let Some(t) = self.topics.read().get(name) {
@@ -416,17 +411,24 @@ impl Broker {
     /// Subscribe to a topic: the subscription reads every entry published
     /// from now on, from its cursor at the topic's last ID.
     pub fn subscribe(&self, topic: &str) -> Subscription {
-        let park = Arc::new(Park::default());
+        // Room for one waiter, so a single blocked receiver never allocates.
+        let waiters = Arc::new(Mutex::new(Vec::<Thread>::with_capacity(1)));
         let waker = {
-            let park = Arc::clone(&park);
-            self.wake_on(topic, move || park.wake())
+            let waiters = Arc::clone(&waiters);
+            self.wake_on(topic, move || waiters.lock().iter().for_each(Thread::unpark))
         };
         let last = waker.topic.stream.last_id();
         Subscription {
             waker,
             cursor: Mutex::new(Cursor { last, one: Vec::with_capacity(1) }),
-            park,
+            waiters,
         }
+    }
+
+    /// A handle on `topic`'s stream for a reader that keeps its own cursor
+    /// and learns of publishes through [`Broker::wake_on`]. Creates the topic.
+    pub fn reader(&self, topic: &str) -> Reader {
+        Reader(self.topic(topic))
     }
 
     /// Call `waker` after every publish to `topic` until the returned handle
@@ -768,6 +770,22 @@ mod tests {
         });
         let got = sub.recv_timeout(Duration::from_secs(5)).expect("entry arrives");
         assert_eq!(got.payload[0], 42);
+        h.join().unwrap();
+    }
+
+    #[test]
+    fn a_blocking_recv_without_a_deadline_waits_for_a_publish() {
+        // `Duration::MAX` overflows any deadline: the receiver parks until
+        // an entry arrives.
+        let b = Arc::new(Broker::default());
+        let sub = b.subscribe("t");
+        let b2 = Arc::clone(&b);
+        let h = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(50));
+            b2.publish("t", 1, vec![7]);
+        });
+        let got = sub.recv_timeout(Duration::MAX).expect("entry arrives");
+        assert_eq!(got.payload[0], 7);
         h.join().unwrap();
     }
 

@@ -15,9 +15,10 @@
 //!   timestamp-based indexing the Query Executor relies on.
 //! * **Tail reads** (`XREAD` analogue): blocking and non-blocking reads of
 //!   entries after a cursor. The cursor is the reader's own last
-//!   [`id::StreamId`]: a [`broker::Subscription`] keeps it for the reader,
-//!   and a reader that must survive a crash saves it and resumes with
-//!   [`broker::Broker::read_after`].
+//!   [`id::StreamId`]: an insight keeps one per input beside a
+//!   [`broker::Reader`], a [`broker::Subscription`] keeps it for a blocking
+//!   client, and a reader that must survive a crash saves it and resumes
+//!   with [`broker::Broker::read_after`].
 //! * **Retention** (`MAXLEN` analogue) with eviction into a slab ring
 //!   ([`slab::SlabSeries`]) — the per-vertex *Archiver* of §3.1 that
 //!   "stores the queue in a log"; evicted entries remain range-readable,
@@ -44,7 +45,7 @@ pub mod id;
 pub mod slab;
 pub mod stream;
 
-pub use broker::{Broker, PublishWaker, Publisher, Subscription, TopicInfo};
+pub use broker::{Broker, PublishWaker, Publisher, Reader, Subscription, TopicInfo};
 pub use codec::{Provenance, Record};
 pub use entry::Entry;
 pub use id::StreamId;

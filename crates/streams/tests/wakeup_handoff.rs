@@ -1,14 +1,13 @@
-//! Lost-wakeup teeth for a subscription's waiter-gated wake-up.
+//! Lost-wakeup teeth for a subscription's blocking receive.
 //!
-//! A subscription is a cursor over its topic's stream, and a publish
-//! notifies its parking slot only when a receiver is parked there. The
-//! gate is ordered: a receiver counts itself parked, under the slot's
-//! lock, before it re-checks the stream, and the publisher reads the
-//! count after its append, behind a fence, and notifies under the same
-//! lock. Reorder either side, or skip a notify while someone is parked,
-//! and one of these hand-offs stalls until its ten-second timeout and
-//! fails. The lockstep cases force a receiver to park before nearly every
-//! publish.
+//! A subscription is a cursor over its topic's stream, and a receiver
+//! blocked in `recv_timeout` parks its own thread. The hand-off rests on
+//! two locks and `park`'s token: a receiver joins the subscription's
+//! waiter list, under its lock, before it re-checks the stream, and the
+//! publish's waker unparks every listed thread under the same lock after
+//! its append. Re-check before joining, or skip an unpark, and one of
+//! these hand-offs stalls until its ten-second timeout and fails. The
+//! lockstep cases force a receiver to park before nearly every publish.
 
 use apollo_streams::{Broker, Entry, StreamConfig, Subscription};
 use std::sync::mpsc;
