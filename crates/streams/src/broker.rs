@@ -246,10 +246,15 @@ impl Broker {
             registry: registry.clone(),
             publish_ns: registry.histogram("streams.publish_ns"),
         });
-        // Slab-exhaustion fallbacks (process-wide cell bumped whenever a
-        // stream wanted a slab series and couldn't get one — directory
-        // full or name too long).
-        let _ = registry.counter_backed_by("streams.slab.dir_full", crate::slab::dir_full_cell());
+        // Slab-exhaustion fallbacks: topics that wanted a series of the
+        // store they spill to and were refused one (directory full or
+        // name too long).
+        if let crate::SpillBackend::Slab(store) = &self.default_config.spill {
+            let _ = registry.counter_backed_by(
+                "streams.slab.dir_full",
+                Arc::clone(store.series_fallbacks_cell()),
+            );
+        }
         let registry = &self.obs.get().expect("just set").registry;
         for (name, t) in self.topics.read().iter() {
             t.register(registry, name);
@@ -627,6 +632,12 @@ impl std::fmt::Debug for Broker {
 mod tests {
     use super::*;
 
+    /// The frame of a measured record of value `i` at `i` ms: what a
+    /// ring archives.
+    fn rec(i: u64) -> Bytes {
+        crate::Record::measured(i * 1_000_000, i as f64).encode()
+    }
+
     #[test]
     fn namespace_holds_many_topics() {
         // Every topic stays reachable through all the namespace accessors.
@@ -745,7 +756,7 @@ mod tests {
         assert!(b.topic_info("t").is_none());
         let _sub = b.subscribe("t");
         for i in 0..10u64 {
-            b.publish("t", i, vec![0u8; 8]);
+            b.publish("t", i, rec(i));
         }
         let info = b.topic_info("t").expect("exists");
         assert_eq!(info.window_len, 4, "bounded window");
@@ -894,9 +905,9 @@ mod tests {
         // not silently skipped past the gap.
         let b = Broker::new(StreamConfig::bounded(2));
         let sub = b.subscribe("t");
-        let first = b.publish("t", 0, vec![0]);
+        let first = b.publish("t", 0, rec(0));
         for i in 1..10u64 {
-            b.publish("t", i, vec![i as u8]);
+            b.publish("t", i, rec(i));
         }
         // Window holds the last 2 entries; the 8 older ones are archived.
         let got = b.read_after("t", None, 100);
@@ -908,7 +919,7 @@ mod tests {
         );
         assert!(sub.drain().is_empty());
         assert!(got.windows(2).all(|w| w[0].id < w[1].id));
-        assert_eq!(got[0].payload[0], 0);
+        assert_eq!(got[0].payload, rec(0));
         // Resuming from a saved cursor delivers only what follows it.
         let ids: Vec<StreamId> = got.iter().map(|e| e.id).collect();
         let rest: Vec<StreamId> =
@@ -931,10 +942,10 @@ mod tests {
             let b = Broker::new(StreamConfig::bounded(2).with_slab(store));
             let reg = apollo_obs::Registry::new();
             b.instrument(&reg);
-            let mut cursor = Some(b.publish("t", 0, vec![0]));
+            let mut cursor = Some(b.publish("t", 0, rec(0)));
             let sub = b.subscribe("t");
             for i in 1..100u64 {
-                b.publish("t", i, vec![i as u8]);
+                b.publish("t", i, rec(i));
             }
             let mut read = || {
                 let got = if through_subscription {
@@ -978,7 +989,7 @@ mod tests {
         let reg = apollo_obs::Registry::new();
         b.instrument(&reg);
         for i in 0..6u64 {
-            b.publish("t", i, vec![]);
+            b.publish("t", i, rec(i));
         }
         assert_eq!(b.read_after("t", None, 100).len(), 6);
         let snap = reg.snapshot();

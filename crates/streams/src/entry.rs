@@ -1,5 +1,6 @@
 //! Stream entries, and the sink a range walk lands them in.
 
+use crate::codec::Record;
 use crate::id::StreamId;
 use bytes::Bytes;
 
@@ -42,23 +43,21 @@ impl Entry {
 /// stream window are each walked once, under the stream's window read
 /// lock, generically over the sink. A walk makes one pass, and its caller
 /// sized the sink for both spans before the first row lands. A
-/// `Vec<Entry>` materialises entries; a column landing decodes each
-/// payload where the walk finds it and never builds one.
+/// `Vec<Entry>` materialises entries; a column landing takes a ring row's
+/// fields and decodes each window payload where the walk finds it, and
+/// never builds an entry.
 pub(crate) trait RowSink {
-    /// A row lent by the walk (a slot's loaded words, or a window entry):
-    /// copy or decode it now.
-    fn push_row(&mut self, id: StreamId, payload: &[u8]);
-    /// Rows that already exist as entries (the window's), in bulk.
-    fn push_entries<'a>(&mut self, entries: impl Iterator<Item = &'a Entry>) {
-        entries.for_each(|e| self.push_row(e.id, &e.payload));
-    }
+    /// A ring row: the record a slot's loaded words hold.
+    fn push_record(&mut self, id: StreamId, record: Record);
+    /// The window's rows, in bulk; a payload need not be a record.
+    fn push_entries<'a>(&mut self, entries: impl Iterator<Item = &'a Entry>);
 }
 
-/// A record row, from a slot's loaded words or the window, is copied into
-/// the entry in place: the sink allocates only the `Vec`.
+/// A ring row is encoded into the entry in place: the sink allocates
+/// only the `Vec`.
 impl RowSink for Vec<Entry> {
-    fn push_row(&mut self, id: StreamId, payload: &[u8]) {
-        self.push(Entry::new(id, Bytes::copy_from_slice(payload)));
+    fn push_record(&mut self, id: StreamId, record: Record) {
+        self.push(Entry::new(id, record.encode()));
     }
     fn push_entries<'a>(&mut self, entries: impl Iterator<Item = &'a Entry>) {
         self.extend(entries.cloned());

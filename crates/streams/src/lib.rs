@@ -59,14 +59,19 @@ pub use stream::{ColumnBatch, ScanBatch, ScanMeta, SpillBackend, Stream, StreamC
 /// private in-memory ring of a directory-less stream unless noted.
 #[cfg(test)]
 mod archiver {
-    use crate::{SlabConfig, SlabStore, Stream, StreamConfig, StreamId};
+    use crate::{Record, SlabConfig, SlabStore, Stream, StreamConfig, StreamId};
+
+    /// The record a test row at `ms` holds.
+    fn at(ms: u64) -> bytes::Bytes {
+        Record::measured(ms, ms as f64).encode()
+    }
 
     /// A stream that kept only `ms`'s last row in its window and evicted
     /// every earlier one into its ring.
     fn archived(ms: impl IntoIterator<Item = u64>) -> Stream {
         let s = Stream::new("a", StreamConfig::bounded(1));
         for ms in ms {
-            s.append(ms, vec![ms as u8]);
+            s.append(ms, at(ms));
         }
         s
     }
@@ -76,10 +81,10 @@ mod archiver {
     fn evict_behind_a_shared_series(store: std::sync::Arc<SlabStore>) {
         let config = StreamConfig::bounded(1).with_slab(store);
         let (ahead, behind) = (Stream::new("m", config.clone()), Stream::new("m", config));
-        ahead.append(5, vec![]);
-        ahead.append(6, vec![]);
-        behind.append(4, vec![]);
-        behind.append(7, vec![]);
+        ahead.append(5, at(5));
+        ahead.append(6, at(6));
+        behind.append(4, at(4));
+        behind.append(7, at(7));
     }
 
     mod tests {
@@ -92,7 +97,7 @@ mod archiver {
             assert_eq!(ring.live_len(), 100);
             let got = ring.range(StreamId::new(10, 0), StreamId::new(19, 0));
             assert_eq!(got.len(), 10);
-            assert_eq!((got[0].id.ms, got[0].payload[0]), (10, 10));
+            assert_eq!((got[0].id.ms, &got[0].payload), (10, &at(10)));
             assert_eq!(got[9].id.ms, 19);
         }
 
@@ -133,7 +138,7 @@ mod archiver {
         fn last_id_tracks() {
             let s = archived([3]);
             assert!(s.archive().is_none(), "nothing evicted, no ring");
-            s.append(4, vec![]);
+            s.append(4, at(4));
             assert_eq!(s.archive().unwrap().last_id(), Some(StreamId::new(3, 0)));
         }
 

@@ -16,16 +16,24 @@
 //!   aggregates at coarsening resolutions, e.g. 1s × 10m → 10s × 6h →
 //!   5m × 7d).
 //!
-//! A steady-state [`SlabSeries::record`] is a zero-alloc slot write into the
-//! mapping: copy the payload, write the `(ms, seq, len, checksum)` slot
-//! words, then **publish** by storing the bumped per-series `head` with
-//! `Release` ordering. The head is the commit word: entries below it are
-//! committed, the slot at `head % slots` is scratch. The checksum folds
-//! 8-byte words (format version 3; a file of an earlier version is
-//! refused, not migrated). Reads are one walk, generic over where the rows
-//! land: each slot's words are loaded once, verified against its checksum
-//! and lent to the sink from there — a record's from the stack, with no
-//! scratch buffer — and entries copy the bytes, columns decode them. Crash recovery in
+//! A ring slot is one [`crate::Record`] in five 8-byte words:
+//!
+//! ```text
+//! [ id ms ][ id seq ][ timestamp_ns ][ value bits ][ provenance wire + 1 | checksum << 32 ]
+//! ```
+//!
+//! 40 bytes ([`SLOT_BYTES`]), fixed: a slot holds nothing but a record, so
+//! [`SlabSeries::record`] refuses any other payload. A steady-state record
+//! is a zero-alloc slot write into the mapping: the five words, then
+//! **publish** by storing the bumped per-series `head` with `Release`
+//! ordering. The head is the commit word: entries below it are committed,
+//! the slot at `head % slots` is scratch. The checksum folds the first
+//! four words and the provenance half of the fifth (format version 4; a
+//! file of an earlier version is refused, not migrated), and a provenance
+//! half outside 1–3 is a never-written or damaged slot. Reads are one walk,
+//! generic over where the rows land: each slot's words are loaded once,
+//! verified against its checksum and lent to the sink as a record —
+//! entries encode it, columns take its fields. Crash recovery in
 //! [`SlabStore::open`] re-validates every committed slot (checksum +
 //! strictly increasing IDs) and rolls torn or unsynced slots out of the
 //! committed range — a torn tail shrinks `head`, a destroyed oldest slot
@@ -52,8 +60,9 @@
 //! resurface a dead series' (still-checksummed) payloads under a new
 //! name. `apollo-core`'s event loop runs the lifecycle — consolidate,
 //! flush, compact — as one step; directory exhaustion surfaces as typed
-//! [`SlabDirError`]s plus the process-wide `streams.slab.dir_full`
-//! counter ([`dir_full_cell`]) instead of a silent fallback.
+//! [`SlabDirError`]s, a one-shot WARN and the store's
+//! [`SlabStats::series_fallbacks`] (exported by an instrumented broker as
+//! `streams.slab.dir_full`) instead of a silent fallback.
 //!
 //! A [`crate::Stream`] holds its ring directly, selected by
 //! [`crate::StreamConfig`]'s `spill` backend. The exactly-once scan
@@ -61,7 +70,7 @@
 //! write lock, and every ring read the stream makes holds its read lock,
 //! so a read never races the ring's one writer.
 
-use crate::codec::RECORD_WIRE_SIZE;
+use crate::codec::{Provenance, Record, RECORD_WIRE_SIZE};
 use crate::entry::{Entry, RowSink};
 use crate::id::StreamId;
 use parking_lot::Mutex;
@@ -71,21 +80,22 @@ use std::fs::OpenOptions;
 use std::io;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// File magic, first 8 bytes of the header page.
 pub const SLAB_MAGIC: [u8; 8] = *b"APOLSLB1";
 /// On-disk format version.
-pub const SLAB_VERSION: u32 = 3;
+pub const SLAB_VERSION: u32 = 4;
 /// Size of the header page.
 pub const HEADER_BYTES: usize = 4096;
 /// Size of one series directory entry.
 pub const DIRENT_BYTES: usize = 256;
 /// Longest series name storable in a dirent.
 pub const NAME_CAP: usize = DIRENT_BYTES - 40;
-/// Slot header: `ms u64 | seq u64 | (len+1) u32 | checksum u32`.
-pub const SLOT_HEADER_BYTES: usize = 24;
+/// One ring slot: `ms u64 | seq u64 | timestamp_ns u64 | value bits u64 |
+/// (provenance wire + 1) u32 | checksum u32`.
+pub const SLOT_BYTES: usize = 40;
 /// Consolidation bucket: `start_ms u64 | count u64 | sum f64 | min f64 | max f64`.
 pub const BUCKET_BYTES: usize = 40;
 /// Most consolidation tiers a store can be configured with.
@@ -111,7 +121,6 @@ const H_MAGIC: usize = 0;
 const H_VERSION: usize = 8;
 const H_MAX_SERIES: usize = 12;
 const H_SLOTS: usize = 16;
-const H_SLOT_BYTES: usize = 20;
 const H_TIER_COUNT: usize = 24;
 const H_TIERS: usize = 32; // MAX_TIERS × (interval_ms u64, buckets u64)
 const H_CONFIG_HASH: usize = H_TIERS + MAX_TIERS * 16;
@@ -141,21 +150,18 @@ pub struct SlabConfig {
     pub max_series: u32,
     /// Entry slots per series ring.
     pub slots: u32,
-    /// Bytes per slot (header + inline payload); multiple of 8, ≥ 32.
-    pub slot_bytes: u32,
     /// Consolidation tiers, coarsest last, strictly increasing intervals.
     pub tiers: Vec<TierConfig>,
 }
 
 impl Default for SlabConfig {
-    /// 256 series × 4096 slots × 64 B slots with the ROADMAP's
-    /// 1s × 10m → 10s × 6h → 5m × 7d consolidation tiers (~113 MB virtual,
+    /// 256 series × 4096 slots × 40 B slots with the ROADMAP's
+    /// 1s × 10m → 10s × 6h → 5m × 7d consolidation tiers (~88 MB virtual,
     /// sparse until written).
     fn default() -> Self {
         Self {
             max_series: 256,
             slots: 4096,
-            slot_bytes: 64,
             tiers: vec![
                 TierConfig::new(1_000, 600),     // 1 s buckets × 10 min
                 TierConfig::new(10_000, 2_160),  // 10 s buckets × 6 h
@@ -175,10 +181,6 @@ impl SlabConfig {
         if self.slots < 2 {
             return bad("slab config: slots must be >= 2");
         }
-        if !self.slot_bytes.is_multiple_of(8) || (self.slot_bytes as usize) < SLOT_HEADER_BYTES + 8
-        {
-            return bad("slab config: slot_bytes must be a multiple of 8 and >= 32");
-        }
         if self.tiers.len() > MAX_TIERS {
             return bad("slab config: too many consolidation tiers");
         }
@@ -191,16 +193,11 @@ impl SlabConfig {
         Ok(self)
     }
 
-    /// Inline payload bytes per slot.
-    pub fn payload_cap(&self) -> usize {
-        self.slot_bytes as usize - SLOT_HEADER_BYTES
-    }
-
     /// Word fold (`fold`) over the version and the geometry — the
     /// header's config hash.
     pub fn hash(&self) -> u64 {
         let mut h = fold(FOLD_BASIS, SLAB_VERSION as u64);
-        for w in [self.max_series, self.slots, self.slot_bytes] {
+        for w in [self.max_series, self.slots] {
             h = fold(h, w as u64);
         }
         h = fold(h, self.tiers.len() as u64);
@@ -219,30 +216,33 @@ fn fold(h: u64, word: u64) -> u64 {
     (h ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(32)
 }
 
-/// Checksum guarding one slot against torn writes: [`fold_slot`] over the
-/// payload as little-endian 8-byte words, the last one zero-padded. The
-/// write side; [`SlabStore::read_slot`] folds the words it loads.
-fn slot_checksum(ms: u64, seq: u64, len: u32, payload: &[u8]) -> u32 {
-    let (words, tail) = payload.as_chunks::<8>();
-    // The last 8 bytes shifted down (no variable-length copy per record);
-    // a payload shorter than a word is padded instead.
-    let last = (!tail.is_empty()).then(|| match payload.last_chunk::<8>() {
-        Some(w) => u64::from_le_bytes(*w) >> (64 - 8 * tail.len()),
-        None => {
-            let mut last = [0u8; 8];
-            last[..tail.len()].copy_from_slice(tail);
-            u64::from_le_bytes(last)
-        }
-    });
-    fold_slot(ms, seq, len, words.iter().map(|w| u64::from_le_bytes(*w)).chain(last))
+/// The five words of the slot that stores `rec` under `id`; the last
+/// carries the checksum guarding the slot against torn writes.
+fn slot_words(id: StreamId, rec: &Record) -> [u64; 5] {
+    let (ts, value, prov) =
+        (rec.timestamp_ns, rec.value.to_bits(), rec.provenance.wire() as u64 + 1);
+    let xsum = slot_checksum([id.ms, id.seq, ts, value, prov]) as u64;
+    [id.ms, id.seq, ts, value, prov | xsum << 32]
 }
 
-/// [`fold`], from [`FOLD_BASIS`], over `ms`, `seq`, `len`, then the
-/// payload words; the stored field is the low 32 bits of `(h >> 32) ^ h`.
-/// `len` is a word of its own, so a payload never aliases its
-/// zero-extended neighbour.
-fn fold_slot(ms: u64, seq: u64, len: u32, words: impl IntoIterator<Item = u64>) -> u32 {
-    let h = words.into_iter().fold(fold(fold(fold(FOLD_BASIS, ms), seq), len as u64), fold);
+/// The row a slot's five loaded words hold: `None` when the checksum
+/// fails (torn or mid-overwrite) or the provenance half is outside 1–3
+/// (0 is a never-written slot).
+fn slot_row(w: [u64; 5]) -> Option<(StreamId, Record)> {
+    let prov = w[4] as u32 as u64;
+    if slot_checksum([w[0], w[1], w[2], w[3], prov]) != (w[4] >> 32) as u32 {
+        return None;
+    }
+    let provenance = Provenance::from_wire(u8::try_from(prov).ok()?.wrapping_sub(1))?;
+    let rec = Record { timestamp_ns: w[2], value: f64::from_bits(w[3]), provenance };
+    Some((StreamId::new(w[0], w[1]), rec))
+}
+
+/// [`fold`], from [`FOLD_BASIS`], over a slot's words with the checksum
+/// half of the last cleared; the stored field is the low 32 bits of
+/// `(h >> 32) ^ h`.
+fn slot_checksum(words: [u64; 5]) -> u32 {
+    let h = words.into_iter().fold(FOLD_BASIS, fold);
     ((h >> 32) ^ h) as u32
 }
 
@@ -250,7 +250,6 @@ fn fold_slot(ms: u64, seq: u64, len: u32, words: impl IntoIterator<Item = u64>) 
 /// surgically corrupt specific words when exercising recovery.
 #[derive(Debug, Clone)]
 pub struct SlabLayout {
-    cfg: SlabConfig,
     series_dir: usize,
     rings: usize,
     ring_stride: usize,
@@ -264,7 +263,7 @@ impl SlabLayout {
     pub fn for_config(cfg: &SlabConfig) -> Self {
         let series_dir = HEADER_BYTES;
         let rings = series_dir + cfg.max_series as usize * DIRENT_BYTES;
-        let ring_stride = cfg.slots as usize * cfg.slot_bytes as usize;
+        let ring_stride = cfg.slots as usize * SLOT_BYTES;
         let mut at = rings + cfg.max_series as usize * ring_stride;
         let mut tier_base = Vec::with_capacity(cfg.tiers.len());
         let mut tier_stride = Vec::with_capacity(cfg.tiers.len());
@@ -274,7 +273,7 @@ impl SlabLayout {
             tier_stride.push(stride);
             at += cfg.max_series as usize * stride;
         }
-        Self { cfg: cfg.clone(), series_dir, rings, ring_stride, tier_base, tier_stride, total: at }
+        Self { series_dir, rings, ring_stride, tier_base, tier_stride, total: at }
     }
 
     /// Total file size in bytes.
@@ -289,7 +288,7 @@ impl SlabLayout {
 
     /// Offset of ring slot `slot` of series `idx`.
     pub fn slot(&self, idx: usize, slot: usize) -> usize {
-        self.rings + idx * self.ring_stride + slot * self.cfg.slot_bytes as usize
+        self.rings + idx * self.ring_stride + slot * SLOT_BYTES
     }
 
     /// Offset of bucket `bucket` of tier `tier` of series `idx`.
@@ -298,7 +297,9 @@ impl SlabLayout {
     }
 }
 
-#[cfg(unix)]
+#[cfg(not(target_family = "unix"))]
+compile_error!("the slab store maps its file with unix mmap: build on a unix target");
+
 mod mem {
     //! Raw `mmap` wrapper. No mmap crate is vendored, and libc is always
     //! linked on unix, so the four calls are declared directly.
@@ -407,53 +408,6 @@ mod mem {
     }
 }
 
-#[cfg(not(unix))]
-mod mem {
-    //! Portable fallback: an aligned heap buffer loaded from the file at
-    //! map time and written back on `sync`. Durable only at sync points.
-    use std::fs::File;
-    use std::io::{self, Read, Seek, SeekFrom, Write};
-    use std::sync::Mutex;
-
-    pub struct Map {
-        buf: Box<[u64]>,
-        len: usize,
-        /// `None` for a private buffer, which has nothing to write back.
-        file: Option<Mutex<File>>,
-    }
-
-    unsafe impl Send for Map {}
-    unsafe impl Sync for Map {}
-
-    impl Map {
-        pub fn of_file(file: &File, len: usize) -> io::Result<Self> {
-            let mut file = file.try_clone()?;
-            let mut buf = vec![0u64; len.div_ceil(8)].into_boxed_slice();
-            file.seek(SeekFrom::Start(0))?;
-            let raw = unsafe { std::slice::from_raw_parts_mut(buf.as_mut_ptr() as *mut u8, len) };
-            file.read_exact(raw)?;
-            Ok(Self { buf, len, file: Some(Mutex::new(file)) })
-        }
-
-        pub fn in_memory(len: usize) -> Self {
-            Self { buf: vec![0u64; len.div_ceil(8)].into_boxed_slice(), len, file: None }
-        }
-
-        pub fn ptr(&self) -> *mut u8 {
-            self.buf.as_ptr() as *mut u8
-        }
-
-        pub fn sync(&self) -> io::Result<()> {
-            let Some(file) = &self.file else { return Ok(()) };
-            let mut f = file.lock().unwrap();
-            f.seek(SeekFrom::Start(0))?;
-            let raw = unsafe { std::slice::from_raw_parts(self.ptr(), self.len) };
-            f.write_all(raw)?;
-            f.sync_all()
-        }
-    }
-}
-
 /// What [`SlabStore::open`] found and repaired.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpenReport {
@@ -469,8 +423,8 @@ pub struct OpenReport {
 }
 
 /// Typed slab directory-exhaustion errors. These are the conditions that
-/// used to degrade silently; callers now decide — and count — the
-/// fallback explicitly (see [`record_exhaustion`]).
+/// used to degrade silently: [`SlabStore::series`] counts each in
+/// [`SlabStats::series_fallbacks`] and warns on the first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SlabDirError {
     /// Every series dirent is live or tombstoned; no ring can be
@@ -507,39 +461,6 @@ impl From<SlabDirError> for io::Error {
     fn from(e: SlabDirError) -> Self {
         io::Error::other(e.to_string())
     }
-}
-
-/// Process-wide count of slab-exhaustion fallbacks (series directory
-/// full, name too long). The broker exports it as the
-/// `streams.slab.dir_full` counter.
-pub fn dir_full_cell() -> Arc<AtomicU64> {
-    static CELL: OnceLock<Arc<AtomicU64>> = OnceLock::new();
-    Arc::clone(CELL.get_or_init(|| Arc::new(AtomicU64::new(0))))
-}
-
-/// Current value of [`dir_full_cell`].
-pub fn dir_full_count() -> u64 {
-    dir_full_cell().load(Ordering::Relaxed)
-}
-
-static EXHAUSTION_WARNED: AtomicBool = AtomicBool::new(false);
-
-/// Count one slab-exhaustion fallback and WARN on the first occurrence
-/// per process (later occurrences only bump the counter — exhaustion is
-/// typically hit once per stream at creation and must not spam).
-pub fn record_exhaustion(context: &str) {
-    dir_full_cell().fetch_add(1, Ordering::Relaxed);
-    if !EXHAUSTION_WARNED.swap(true, Ordering::Relaxed) {
-        eprintln!(
-            "WARN apollo-streams: slab exhausted — {context}; durable history is degraded. \
-             Further occurrences are counted in streams.slab.dir_full without logging."
-        );
-    }
-}
-
-/// Whether the process has emitted its one-shot slab-exhaustion WARN.
-pub fn exhaustion_warned() -> bool {
-    EXHAUSTION_WARNED.load(Ordering::Relaxed)
 }
 
 /// When [`SlabStore::compact`] may reclaim a retired series.
@@ -594,10 +515,12 @@ pub struct SlabStats {
     pub occupancy: f64,
     /// Committed entries not yet folded into consolidation tiers.
     pub consolidation_lag: u64,
-    /// Payloads rejected because they exceed the inline slot capacity.
-    pub oversize_rejected: u64,
-    /// `Stream`s that wanted a slab series but fell back to a private
-    /// in-memory ring (directory full or name too long).
+    /// Payloads [`SlabSeries::record`] refused: not a 17-byte
+    /// [`crate::Record`] frame.
+    pub rejected: u64,
+    /// [`SlabStore::series`] calls refused a series (directory full or
+    /// name too long): each such `Stream` falls back to a private
+    /// in-memory ring.
     pub series_fallbacks: u64,
     /// Series dirents mid-reclaim (tombstoned; freed once the scrub is
     /// durable, or on reopen).
@@ -630,8 +553,8 @@ pub struct ConsolidateReport {
     pub series: usize,
     /// Entries folded into tier buckets.
     pub folded: u64,
-    /// Entries that aged out of the ring (or were not decodable as
-    /// [`crate::Record`]s) before consolidation reached them.
+    /// Entries that aged out of the ring, or whose slot failed its
+    /// checksum, before consolidation reached them.
     pub skipped: u64,
 }
 
@@ -690,8 +613,11 @@ pub struct SlabStore {
     /// half of the GC eligibility test. In-memory only: handles cannot
     /// outlive a crash, so reopen correctly starts every count at zero.
     handles: Box<[AtomicU64]>,
-    oversize_rejected: AtomicU64,
-    series_fallbacks: AtomicU64,
+    rejected: AtomicU64,
+    /// Behind an `Arc` so a broker can export the cell as its
+    /// `streams.slab.dir_full` counter; made at the first refusal or
+    /// export, so a private ring's store allocates none.
+    series_fallbacks: OnceLock<Arc<AtomicU64>>,
     /// Entries that aged out of a ring before consolidation folded them.
     lapped: AtomicU64,
     /// Records published since the last completed flush.
@@ -720,8 +646,8 @@ impl SlabStore {
             dir_lock: Mutex::new(None),
             consolidate_lock: Mutex::new(()),
             handles,
-            oversize_rejected: AtomicU64::new(0),
-            series_fallbacks: AtomicU64::new(0),
+            rejected: AtomicU64::new(0),
+            series_fallbacks: OnceLock::new(),
             lapped: AtomicU64::new(0),
             dirty_records: AtomicU64::new(0),
         }
@@ -863,6 +789,12 @@ impl SlabStore {
         self.dirty_records.load(Ordering::Relaxed)
     }
 
+    /// The [`SlabStats::series_fallbacks`] cell, for zero-cost metrics
+    /// export.
+    pub(crate) fn series_fallbacks_cell(&self) -> &Arc<AtomicU64> {
+        self.series_fallbacks.get_or_init(Arc::default)
+    }
+
     /// Live [`SlabSeries`] handles onto series dirent `idx`.
     pub fn live_handles(&self, idx: usize) -> u64 {
         self.handles[idx].load(Ordering::Acquire)
@@ -872,9 +804,21 @@ impl SlabStore {
     /// lowest free dirent. O(1): one probe of the directory's name index
     /// (plus one pop of its free dirents for a new name), never a walk
     /// over `max_series`.
+    ///
+    /// A refusal is counted in [`SlabStats::series_fallbacks`], and the
+    /// store's first one is logged as a WARN: the caller (a `Stream`) falls
+    /// back to a private ring whose history will not survive a restart.
+    /// Later refusals are only counted — exhaustion is typically hit once
+    /// per stream at creation and must not spam.
     pub fn series(self: &Arc<Self>, name: &str) -> Result<SlabSeries, SlabDirError> {
         let fail = |store: &Self, e: SlabDirError| {
-            store.series_fallbacks.fetch_add(1, Ordering::Relaxed);
+            if store.series_fallbacks_cell().fetch_add(1, Ordering::Relaxed) == 0 {
+                eprintln!(
+                    "WARN apollo-streams: slab refused series '{name}' ({e}); its stream falls \
+                     back to a private in-memory ring and will NOT survive a restart. Further \
+                     refusals are counted in streams.slab.dir_full without logging."
+                );
+            }
             Err(e)
         };
         if name.len() > NAME_CAP {
@@ -1082,11 +1026,8 @@ impl SlabStore {
             let from = done.max(floor);
             report.skipped += from - done;
             self.lapped.fetch_add(from - done, Ordering::Relaxed);
-            let mut long = Vec::new();
             for i in from..head {
-                let decode = |id, row: &[u8]| crate::Record::decode(row).map(|rec| (id, rec));
-                let Some(Ok((id, rec))) = self.read_slot(self.slot_of(idx, i), &mut long, decode)
-                else {
+                let Some((id, rec)) = self.read_slot(self.slot_of(idx, i)) else {
                     report.skipped += 1;
                     continue;
                 };
@@ -1131,8 +1072,8 @@ impl SlabStore {
         let slots = self.cfg.slots as u64;
         let mut s = SlabStats {
             series_capacity: self.cfg.max_series as usize,
-            oversize_rejected: self.oversize_rejected.load(Ordering::Relaxed),
-            series_fallbacks: self.series_fallbacks.load(Ordering::Relaxed),
+            rejected: self.rejected.load(Ordering::Relaxed),
+            series_fallbacks: self.series_fallbacks.get().map_or(0, |c| c.load(Ordering::Relaxed)),
             lapped_entries: self.lapped.load(Ordering::Relaxed),
             dirty_records: self.dirty_records.load(Ordering::Relaxed),
             ..SlabStats::default()
@@ -1193,7 +1134,6 @@ impl SlabStore {
         w32(H_VERSION, SLAB_VERSION);
         w32(H_MAX_SERIES, self.cfg.max_series);
         w32(H_SLOTS, self.cfg.slots);
-        w32(H_SLOT_BYTES, self.cfg.slot_bytes);
         w32(H_TIER_COUNT, self.cfg.tiers.len() as u32);
         for (i, t) in self.cfg.tiers.iter().enumerate() {
             self.atom(H_TIERS + i * 16).store(t.interval_ms, Ordering::Relaxed);
@@ -1207,50 +1147,13 @@ impl SlabStore {
         self.layout.slot(idx, (logical % self.cfg.slots as u64) as usize)
     }
 
-    /// Read the slot at byte offset `slot` once: its header and payload
-    /// words are loaded into locals, the checksum is verified over exactly
-    /// those words, and the row is lent to `land` from them (the mapping is
-    /// not read again). A 17-byte frame (every [`crate::Record`]) is three
-    /// words folded unrolled and lent from the stack; any other length
-    /// takes the word loop and is lent whole from `long`, the caller's
-    /// buffer for such rows (a walk of records never grows it). `None` when
-    /// the length word is past the payload capacity or the checksum fails
-    /// (torn or mid-overwrite).
+    /// Read the slot at byte offset `slot` once: its five words are loaded
+    /// into locals, and the row they hold is returned (the mapping is not
+    /// read again). `None` when the slot fails its checksum (torn or
+    /// mid-overwrite) or was never written.
     #[inline]
-    pub(crate) fn read_slot<R>(
-        &self,
-        slot: usize,
-        long: &mut Vec<u8>,
-        land: impl FnOnce(StreamId, &[u8]) -> R,
-    ) -> Option<R> {
-        let ms = self.atom(slot).load(Ordering::Relaxed);
-        let seq = self.atom(slot + 8).load(Ordering::Relaxed);
-        let meta = self.atom(slot + 16).load(Ordering::Relaxed);
-        let len = (meta as u32 as usize).checked_sub(1).filter(|&l| l <= self.cfg.payload_cap())?;
-        // Payload word `i`, masked to the payload's bytes: past `len` the
-        // slot may hold an older, longer payload's.
-        let word = |i: usize| {
-            let w = self.atom(slot + SLOT_HEADER_BYTES + 8 * i).load(Ordering::Relaxed);
-            u64::from_le(w) & (u64::MAX >> (64 - 8 * (len - 8 * i).min(8)))
-        };
-        let (id, xsum) = (StreamId::new(ms, seq), (meta >> 32) as u32);
-        if len == RECORD_WIRE_SIZE {
-            let frame = [word(0), word(1), word(2)];
-            let bytes = frame.map(u64::to_le_bytes);
-            let verified = fold_slot(ms, seq, len as u32, frame) == xsum;
-            return verified.then(|| land(id, &bytes.as_flattened()[..len]));
-        }
-        long.clear();
-        long.reserve(len.next_multiple_of(8));
-        let words = (0..len.div_ceil(8)).map(|i| {
-            let w = word(i);
-            long.extend_from_slice(&w.to_le_bytes());
-            w
-        });
-        if fold_slot(ms, seq, len as u32, words) != xsum {
-            return None;
-        }
-        Some(land(id, &long[..len]))
+    pub(crate) fn read_slot(&self, slot: usize) -> Option<(StreamId, Record)> {
+        slot_row(std::array::from_fn(|i| self.atom(slot + 8 * i).load(Ordering::Relaxed)))
     }
 
     /// Validate the committed range of series `idx` after a reopen,
@@ -1262,12 +1165,9 @@ impl SlabStore {
         let stored_tail = self.atom(d + D_TAIL).load(Ordering::Relaxed);
         let floor = stored_tail.max(head.saturating_sub(slots));
         let mut rolled_back = 0u64;
-        let mut long = Vec::new();
         // Torn / unsynced tail: the newest slots may have missed their
         // flush even though the head word made it out.
-        while head > floor
-            && self.read_slot(self.slot_of(idx, head - 1), &mut long, |_, _| ()).is_none()
-        {
+        while head > floor && self.read_slot(self.slot_of(idx, head - 1)).is_none() {
             head -= 1;
             rolled_back += 1;
         }
@@ -1277,8 +1177,8 @@ impl SlabStore {
         let mut tail = floor;
         let mut prev: Option<StreamId> = None;
         for i in (floor..head).rev() {
-            match self.read_slot(self.slot_of(idx, i), &mut long, |id, _| id) {
-                Some(id) if prev.is_none_or(|p| id < p) => prev = Some(id),
+            match self.read_slot(self.slot_of(idx, i)) {
+                Some((id, _)) if prev.is_none_or(|p| id < p) => prev = Some(id),
                 _ => {
                     rolled_back += i + 1 - floor;
                     tail = i + 1;
@@ -1313,14 +1213,9 @@ fn read_header(ptr: *mut u8, flen: usize) -> io::Result<SlabConfig> {
     let tiers = (0..tier_count)
         .map(|i| TierConfig::new(r64(H_TIERS + i * 16), r64(H_TIERS + i * 16 + 8) as u32))
         .collect();
-    let cfg = SlabConfig {
-        max_series: r32(H_MAX_SERIES),
-        slots: r32(H_SLOTS),
-        slot_bytes: r32(H_SLOT_BYTES),
-        tiers,
-    }
-    .validated()
-    .map_err(|_| corrupt("slab header geometry invalid"))?;
+    let cfg = SlabConfig { max_series: r32(H_MAX_SERIES), slots: r32(H_SLOTS), tiers }
+        .validated()
+        .map_err(|_| corrupt("slab header geometry invalid"))?;
     if cfg.hash() != r64(H_CONFIG_HASH) {
         return Err(corrupt("slab header config hash mismatch"));
     }
@@ -1334,11 +1229,9 @@ pub struct SlabSeries {
     store: Arc<SlabStore>,
     idx: usize,
     dirent: usize,
-    payload_cap: usize,
     /// Byte offset of slot 0 of this series' ring (precomputed so the
     /// hot path does no layout arithmetic beyond one multiply-add).
     ring_base: usize,
-    slot_bytes: usize,
     /// `slots - 1` when the ring length is a power of two — `record`
     /// masks instead of dividing — else 0 (fall back to `%`).
     slot_mask: u64,
@@ -1357,9 +1250,7 @@ impl Clone for SlabSeries {
             store: Arc::clone(&self.store),
             idx: self.idx,
             dirent: self.dirent,
-            payload_cap: self.payload_cap,
             ring_base: self.ring_base,
-            slot_bytes: self.slot_bytes,
             slot_mask: self.slot_mask,
         }
     }
@@ -1375,12 +1266,10 @@ impl SlabSeries {
     fn new(store: Arc<SlabStore>, idx: usize) -> Self {
         store.handles[idx].fetch_add(1, Ordering::Relaxed);
         let dirent = store.layout.series_dirent(idx);
-        let payload_cap = store.cfg.payload_cap();
         let ring_base = store.layout.slot(idx, 0);
-        let slot_bytes = store.cfg.slot_bytes as usize;
         let slots = store.cfg.slots as u64;
         let slot_mask = if slots.is_power_of_two() { slots - 1 } else { 0 };
-        Self { store, idx, dirent, payload_cap, ring_base, slot_bytes, slot_mask }
+        Self { store, idx, dirent, ring_base, slot_mask }
     }
 
     /// Byte offset of the ring slot logical position `head` maps to.
@@ -1391,7 +1280,7 @@ impl SlabSeries {
         } else {
             head % self.store.cfg.slots as u64
         };
-        self.ring_base + pos as usize * self.slot_bytes
+        self.ring_base + pos as usize * SLOT_BYTES
     }
 
     /// The owning store.
@@ -1418,36 +1307,29 @@ impl SlabSeries {
         self.tail().max(head.saturating_sub(self.store.cfg.slots as u64))
     }
 
-    /// Record one entry. The zero-alloc hot path: copy the payload into
-    /// the slot at `head % slots`, write the slot words, publish by
-    /// bumping `head` with `Release`.
+    /// Record one entry. The zero-alloc hot path: write the five words of
+    /// the slot at `head % slots`, publish by bumping `head` with
+    /// `Release`.
     ///
-    /// Returns `false` (and counts the rejection) when the payload does
-    /// not fit the inline slot capacity: such an entry is not recorded.
+    /// Returns `false` (and counts the rejection in [`SlabStats::rejected`])
+    /// unless the payload is a 17-byte [`Record`] frame that
+    /// [`Record::decode`] accepts: such an entry is not recorded.
     ///
     /// Single-writer: callers serialize writes per series (the stream's
     /// window write lock does this in practice). A read is exact only
     /// while no `record` on the series runs (see [`SlabSeries::range_into`]).
     pub fn record(&self, id: StreamId, payload: &[u8]) -> bool {
-        if payload.len() > self.payload_cap {
-            self.store.oversize_rejected.fetch_add(1, Ordering::Relaxed);
+        let rec = Record::decode(payload).ok().filter(|_| payload.len() == RECORD_WIRE_SIZE);
+        let Some(rec) = rec else {
+            self.store.rejected.fetch_add(1, Ordering::Relaxed);
             return false;
-        }
+        };
         let head_cell = self.head_cell();
         let head = head_cell.load(Ordering::Relaxed);
         let slot = self.slot_offset(head);
-        unsafe {
-            std::ptr::copy_nonoverlapping(
-                payload.as_ptr(),
-                self.store.ptr_at(slot + SLOT_HEADER_BYTES),
-                payload.len(),
-            );
+        for (i, w) in slot_words(id, &rec).into_iter().enumerate() {
+            self.store.atom(slot + 8 * i).store(w, Ordering::Relaxed);
         }
-        let len1 = payload.len() as u64 + 1;
-        let xsum = slot_checksum(id.ms, id.seq, payload.len() as u32, payload) as u64;
-        self.store.atom(slot).store(id.ms, Ordering::Relaxed);
-        self.store.atom(slot + 8).store(id.seq, Ordering::Relaxed);
-        self.store.atom(slot + 16).store(len1 | (xsum << 32), Ordering::Relaxed);
         head_cell.store(head + 1, Ordering::Release);
         self.store.dirty_records.fetch_add(1, Ordering::Relaxed);
         true
@@ -1537,14 +1419,13 @@ impl SlabSeries {
 
     /// The one ring walk, one pass: the rows of `span` (a
     /// [`SlabSeries::span`] read under the same hold) go to `sink` in ID
-    /// order, each slot read once by [`SlabStore::read_slot`] and landed
-    /// from the words it loaded (a row that is not a record through one
-    /// buffer per walk); a torn one is skipped. The caller has sized the
-    /// sink.
+    /// order, each slot read once by [`SlabStore::read_slot`]; a torn one
+    /// is skipped. The caller has sized the sink.
     pub(crate) fn walk<S: RowSink>(&self, span: Range<u64>, sink: &mut S) {
-        let mut long = Vec::new();
         for i in span {
-            self.store.read_slot(self.slot_offset(i), &mut long, |id, row| sink.push_row(id, row));
+            if let Some((id, rec)) = self.store.read_slot(self.slot_offset(i)) {
+                sink.push_record(id, rec);
+            }
         }
     }
 
@@ -1625,11 +1506,15 @@ mod tests {
         SlabConfig { max_series: 4, slots: 8, ..SlabConfig::default() }
     }
 
+    /// The frame of a measured record of value `v` at `ms`.
+    fn frame(ms: u64, v: f64) -> bytes::Bytes {
+        Record::measured(ms * 1_000_000, v).encode()
+    }
+
     #[test]
     fn config_validation_rejects_bad_geometry() {
         assert!(SlabConfig { max_series: 0, ..SlabConfig::default() }.validated().is_err());
         assert!(SlabConfig { slots: 1, ..SlabConfig::default() }.validated().is_err());
-        assert!(SlabConfig { slot_bytes: 30, ..SlabConfig::default() }.validated().is_err());
         let shrinking = SlabConfig {
             tiers: vec![TierConfig::new(100, 4), TierConfig::new(50, 4)],
             ..SlabConfig::default()
@@ -1643,13 +1528,13 @@ mod tests {
         let store = SlabStore::create(tmp("roundtrip"), small_cfg()).unwrap();
         let s = store.series("m").unwrap();
         for i in 0..5u64 {
-            assert!(s.record(StreamId::new(i, 0), &[i as u8; 3]));
+            assert!(s.record(StreamId::new(i, 0), &frame(i, i as f64)));
         }
         assert_eq!(s.live_len(), 5);
         assert_eq!(s.last_id(), Some(StreamId::new(4, 0)));
         let got = s.range(StreamId::new(1, 0), StreamId::new(3, 0));
         assert_eq!(got.len(), 3);
-        assert_eq!(got[0], Entry::new(StreamId::new(1, 0), vec![1u8; 3]));
+        assert_eq!(got[0], Entry::new(StreamId::new(1, 0), frame(1, 1.0)));
         assert!(got.windows(2).all(|w| w[0].id < w[1].id));
     }
 
@@ -1658,7 +1543,7 @@ mod tests {
         let store = SlabStore::create(tmp("wrap"), small_cfg()).unwrap();
         let s = store.series("m").unwrap();
         for i in 0..20u64 {
-            s.record(StreamId::new(i, 0), &i.to_le_bytes());
+            s.record(StreamId::new(i, 0), &frame(i, i as f64));
         }
         assert_eq!(s.appended(), 20);
         assert_eq!(s.live_len(), 8, "ring holds `slots` newest entries");
@@ -1670,22 +1555,43 @@ mod tests {
         assert_eq!(limited.iter().map(|e| e.id.ms).collect::<Vec<_>>(), vec![12, 13, 14]);
     }
 
+    /// A slot holds a record and nothing else: a frame of any other
+    /// length, or of 17 bytes with a provenance byte past 2, is refused,
+    /// counted, and leaves the head where it was.
     #[test]
-    fn oversize_payload_rejected_and_counted() {
-        let store = SlabStore::create(tmp("oversize"), small_cfg()).unwrap();
+    fn non_record_frames_are_refused_counted_and_leave_the_head() {
+        let store = SlabStore::create(tmp("refused"), small_cfg()).unwrap();
         let s = store.series("m").unwrap();
-        let cap = store.config().payload_cap();
-        assert!(s.record(StreamId::new(1, 0), &vec![0u8; cap]));
-        assert!(!s.record(StreamId::new(2, 0), &vec![0u8; cap + 1]));
-        assert_eq!(store.stats().oversize_rejected, 1);
-        assert_eq!(s.live_len(), 1);
+        assert!(s.record(StreamId::new(1, 0), &frame(1, 1.0)));
+        let good = frame(2, 2.0);
+        let mut refused: Vec<Vec<u8>> = (0..=48)
+            .filter(|&n| n != 17)
+            .map(|n| {
+                let mut bytes = good.to_vec();
+                bytes.resize(n, 0);
+                bytes
+            })
+            .collect();
+        for b in 3..=255u8 {
+            let mut bytes = good.to_vec();
+            bytes[16] = b;
+            refused.push(bytes);
+        }
+        for (k, bytes) in refused.iter().enumerate() {
+            assert!(!s.record(StreamId::new(2, k as u64), bytes), "{} bytes", bytes.len());
+            assert_eq!((s.appended(), store.stats().rejected), (1, k as u64 + 1));
+        }
+        assert_eq!(store.dirty_records(), 1, "a refusal dirties nothing");
+        let ids: Vec<StreamId> =
+            s.range(StreamId::MIN, StreamId::MAX).iter().map(|e| e.id).collect();
+        assert_eq!(ids, [StreamId::new(1, 0)]);
     }
 
     #[test]
     fn series_attach_vs_fresh_and_directory_full() {
         let store = SlabStore::create(tmp("dir"), small_cfg()).unwrap();
         let a = store.series("x").unwrap();
-        a.record(StreamId::new(7, 0), &[1]);
+        a.record(StreamId::new(7, 0), &frame(7, 1.0));
         let again = store.series("x").unwrap();
         assert_eq!(again.index(), a.index(), "attach finds the same ring");
         assert_eq!(again.last_id(), Some(StreamId::new(7, 0)));
@@ -1711,7 +1617,7 @@ mod tests {
             let store = SlabStore::create(&path, small_cfg()).unwrap();
             let s = store.series("m").unwrap();
             for i in 0..6u64 {
-                s.record(StreamId::new(i, 2), &[i as u8]);
+                s.record(StreamId::new(i, 2), &frame(i, i as f64));
             }
             store.flush().unwrap();
         }
@@ -1733,72 +1639,31 @@ mod tests {
         assert!(SlabStore::open_or_create(&path, small_cfg()).is_ok());
     }
 
+    /// Every one of a slot's 320 bits guards the row: flipped alone, it
+    /// fails the checksum (or leaves a provenance outside 1–3), so a torn
+    /// slot is never read as a row.
     #[test]
     fn checksum_changes_on_every_single_bit_flip() {
-        let (ms, seq, len) = (1_700_000_000_123u64, 42u64, 17u32);
-        let payload: [u8; 17] = std::array::from_fn(|i| (i as u8).wrapping_mul(37) ^ 0x5a);
-        let base = slot_checksum(ms, seq, len, &payload);
-        let mut flips = 0;
-        for bit in 0..64 {
-            assert_ne!(slot_checksum(ms ^ (1 << bit), seq, len, &payload), base, "ms bit {bit}");
-            assert_ne!(slot_checksum(ms, seq ^ (1 << bit), len, &payload), base, "seq bit {bit}");
-            flips += 2;
+        let id = StreamId::new(1_700_000_000_123, 42);
+        let rec = Record::predicted(0x5a5a_1234_0000_0017, -1.5e-300);
+        let words = slot_words(id, &rec);
+        let (got_id, got) = slot_row(words).expect("an intact slot reads back");
+        assert_eq!(
+            (got_id, got.timestamp_ns, got.value.to_bits()),
+            (id, rec.timestamp_ns, rec.value.to_bits())
+        );
+        for bit in 0..SLOT_BYTES * 8 {
+            let mut torn = words;
+            torn[bit / 64] ^= 1 << (bit % 64);
+            assert!(slot_row(torn).is_none(), "bit {bit}");
         }
-        for bit in 0..32 {
-            assert_ne!(slot_checksum(ms, seq, len ^ (1 << bit), &payload), base, "len bit {bit}");
-            flips += 1;
-        }
-        for bit in 0..17 * 8 {
-            let mut torn = payload;
-            torn[bit / 8] ^= 1 << (bit % 8);
-            assert_ne!(slot_checksum(ms, seq, len, &torn), base, "payload bit {bit}");
-            flips += 1;
-        }
-        assert_eq!(flips, 8 * (8 + 8 + 4 + 17));
-    }
-
-    #[test]
-    fn checksum_tail_word_does_not_alias_zero_extension() {
-        // `len` is folded in as a word of its own: a payload and the same
-        // payload followed by zeros pad to the same tail word, and must
-        // still hash apart — as must two all-zero payloads of any two
-        // lengths, and one payload under two claimed lengths.
-        let lens = [0usize, 1, 7, 8, 9, 17, 40];
-        let zeros = [0u8; 48];
-        let bytes: [u8; 48] = std::array::from_fn(|i| i as u8 + 1);
-        for &n in &lens {
-            for longer in n + 1..=48 {
-                let mut extended = [0u8; 48];
-                extended[..n].copy_from_slice(&bytes[..n]);
-                assert_ne!(
-                    slot_checksum(5, 6, n as u32, &bytes[..n]),
-                    slot_checksum(5, 6, longer as u32, &extended[..longer]),
-                    "{n} bytes vs zero-extended to {longer}"
-                );
-                assert_ne!(
-                    slot_checksum(5, 6, n as u32, &zeros[..n]),
-                    slot_checksum(5, 6, longer as u32, &zeros[..longer]),
-                    "{n} zeros vs {longer} zeros"
-                );
-            }
-            assert_ne!(
-                slot_checksum(5, 6, n as u32, &bytes[..n]),
-                slot_checksum(5, 6, n as u32 + 1, &bytes[..n]),
-                "len {n} is part of the hash"
-            );
-        }
-        // The overlapping-read tail (payloads of a word or more) and the
-        // padded-copy tail (shorter ones) define the same zero-padded word.
-        let nine = slot_checksum(1, 2, 9, &bytes[..9]);
-        let mut padded = [0u8; 16];
-        padded[..9].copy_from_slice(&bytes[..9]);
-        assert_eq!(nine, slot_checksum(1, 2, 9, &padded), "tail == explicit zero padding");
+        assert!(slot_row([0; 5]).is_none(), "a never-written slot holds no row");
     }
 
     #[test]
     fn version_1_file_is_refused_not_migrated() {
-        assert_eq!(SLAB_VERSION, 3);
-        for old in [1u32, 2] {
+        assert_eq!(SLAB_VERSION, 4);
+        for old in [1u32, 2, 3] {
             let path = tmp(&format!("v{old}"));
             drop(SlabStore::create(&path, small_cfg()).unwrap());
             let mut raw = std::fs::read(&path).unwrap();
@@ -1821,13 +1686,12 @@ mod tests {
             max_series: 2,
             slots: 64,
             tiers: vec![TierConfig::new(1_000, 8), TierConfig::new(10_000, 4)],
-            ..SlabConfig::default()
         };
         let store = SlabStore::create(tmp("tiers"), cfg).unwrap();
         let s = store.series("m").unwrap();
         // Two records in the first 1s bucket, one in the next.
         for (i, (ms, v)) in [(100u64, 1.0f64), (900, 3.0), (1_500, 10.0)].iter().enumerate() {
-            let rec = crate::codec::Record::measured(ms * 1_000_000, *v);
+            let rec = Record::measured(ms * 1_000_000, *v);
             s.record(StreamId::new(*ms, i as u64), &rec.encode());
         }
         let report = store.consolidate();
@@ -1846,22 +1710,11 @@ mod tests {
     }
 
     #[test]
-    fn non_record_payloads_are_skipped_by_consolidation() {
-        let store = SlabStore::create(tmp("skip"), small_cfg()).unwrap();
-        let s = store.series("m").unwrap();
-        s.record(StreamId::new(1, 0), &[0xde, 0xad]);
-        let report = store.consolidate();
-        assert_eq!(report.folded, 0);
-        assert_eq!(report.skipped, 1);
-        assert_eq!(s.consolidation_lag(), 0, "skipped entries still advance the watermark");
-    }
-
-    #[test]
     fn stats_track_occupancy_and_lag() {
         let store = SlabStore::create(tmp("stats"), small_cfg()).unwrap();
         let s = store.series("m").unwrap();
         for i in 0..4u64 {
-            s.record(StreamId::new(i, 0), &[0]);
+            s.record(StreamId::new(i, 0), &frame(i, 0.0));
         }
         let st = store.stats();
         assert_eq!(st.series_live, 1);
@@ -1880,7 +1733,7 @@ mod tests {
         let s = store.series("m").unwrap();
         assert_eq!(store.dirty_records(), 0);
         for i in 0..3u64 {
-            s.record(StreamId::new(i, 0), &[i as u8]);
+            s.record(StreamId::new(i, 0), &frame(i, 0.0));
         }
         assert_eq!(store.dirty_records(), 3);
         assert_eq!(store.flush().unwrap(), 3);
@@ -1894,10 +1747,10 @@ mod tests {
         let store = SlabStore::create(tmp("compact"), small_cfg()).unwrap();
         let a = store.series("a").unwrap();
         for i in 0..5u64 {
-            a.record(StreamId::new(1_000 + i, 0), &[i as u8]);
+            a.record(StreamId::new(1_000 + i, 0), &frame(1_000 + i, 0.0));
         }
         let b = store.series("b").unwrap();
-        b.record(StreamId::new(2_000, 0), &[9]);
+        b.record(StreamId::new(2_000, 0), &frame(2_000, 9.0));
         store.consolidate();
 
         // Live handles pin both series.
@@ -1909,7 +1762,7 @@ mod tests {
         drop(a);
         assert_eq!(store.live_handles(a2.index()), 1);
         drop(a2);
-        b.record(StreamId::new(2_100, 0), &[1]);
+        b.record(StreamId::new(2_100, 0), &frame(2_100, 1.0));
         let r = store.compact(100_000_000, CompactPolicy::default()).unwrap();
         assert_eq!((r.reclaimed, r.reclaimed_entries, r.kept_live_handles), (1, 5, 1));
         assert_eq!(store.stats().series_live, 1);
@@ -1933,7 +1786,7 @@ mod tests {
         let store = SlabStore::create(tmp("stale"), small_cfg()).unwrap();
         let victim = store.series("victim").unwrap();
         for i in 0..8u64 {
-            let rec = crate::codec::Record::measured(i * 1_000_000, i as f64);
+            let rec = Record::measured(i * 1_000_000, i as f64);
             victim.record(StreamId::new(i, 0), &rec.encode());
         }
         store.consolidate();
@@ -1959,7 +1812,7 @@ mod tests {
             let store = SlabStore::create(&path, small_cfg()).unwrap();
             let s = store.series("m").unwrap();
             for i in 0..3u64 {
-                s.record(StreamId::new(i, 0), &[i as u8]);
+                s.record(StreamId::new(i, 0), &frame(i, 0.0));
             }
             drop(s);
             // Simulate a crash between the tombstone publish and the
@@ -1982,7 +1835,7 @@ mod tests {
         let path = tmp("duplicate");
         let store = SlabStore::create(&path, small_cfg()).unwrap();
         for (name, ms) in [("m", 1), ("x", 2), ("y", 1_000)] {
-            store.series(name).unwrap().record(StreamId::new(ms, 0), &[0]);
+            store.series(name).unwrap().record(StreamId::new(ms, 0), &frame(ms, 0.0));
         }
         // Hand-edit dirent 2 ("y") to carry dirent 0's name: no attach can
         // write such a file, but a reopened one may hold it.
@@ -2012,5 +1865,49 @@ mod tests {
         let _s: Vec<_> = (0..4).map(|i| store.series(&format!("s{i}")).unwrap()).collect();
         let st = store.stats();
         assert_eq!(st.pressure(), 1.0, "series directory saturated");
+    }
+}
+
+#[cfg(test)]
+mod prop_tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The slot oracle: a frame `record` accepts reads back as the
+        /// `(id, Record)` [`Record::decode`] gives for it, to the bit —
+        /// NaN payloads, ±0 and ±∞ included — through the entry walk, the
+        /// slot reader and a reopen's validation; a frame it refuses
+        /// leaves the ring as it was.
+        #[test]
+        fn a_recorded_frame_reads_back_as_it_decodes(
+            frames in prop::collection::vec((any::<u64>(), any::<u64>(), 0u8..6, 0u8..8), 1..40),
+        ) {
+            const SPECIAL: [f64; 6] = [f64::NAN, -f64::NAN, 0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY];
+            let store = SlabStore::in_memory(SlabConfig { max_series: 1, slots: 64, tiers: vec![] }).unwrap();
+            let s = store.series("m").unwrap();
+            let mut want = Vec::new();
+            for (k, (ts, bits, prov, special)) in frames.into_iter().enumerate() {
+                let value = SPECIAL.get(special as usize).copied().unwrap_or(f64::from_bits(bits));
+                let mut frame = Record::measured(ts, value).encode().to_vec();
+                frame[16] = prov;
+                let id = StreamId::new(k as u64, bits);
+                let decoded = Record::decode(&frame).ok();
+                prop_assert_eq!(s.record(id, &frame), decoded.is_some());
+                if let Some(rec) = decoded {
+                    want.push((id, rec.timestamp_ns, rec.value.to_bits(), rec.provenance));
+                }
+            }
+            let got: Vec<_> = s.range(StreamId::MIN, StreamId::MAX).iter().map(|e| {
+                let rec = Record::decode(&e.payload).unwrap();
+                (e.id, rec.timestamp_ns, rec.value.to_bits(), rec.provenance)
+            }).collect();
+            prop_assert_eq!(&got, &want);
+            let slots: Vec<_> = (0..s.appended()).filter_map(|i| store.read_slot(s.slot_offset(i))).map(|(id, rec)| {
+                (id, rec.timestamp_ns, rec.value.to_bits(), rec.provenance)
+            }).collect();
+            prop_assert_eq!(&slots, &want);
+            prop_assert_eq!(store.validate_series(s.index()), (want.len() as u64, 0));
+        }
     }
 }

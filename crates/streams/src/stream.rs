@@ -29,7 +29,8 @@ use std::sync::{Arc, LazyLock, OnceLock};
 pub enum SpillBackend {
     /// A private in-memory ring per stream, created at its first
     /// eviction: the default ring geometry ([`SlabConfig`]: 4 096 slots of
-    /// 64 B), so it keeps the newest 4 096 evicted entries, gone on restart.
+    /// 40 B, one record each), so it keeps the newest 4 096 evicted
+    /// records, gone on restart.
     Memory,
     /// A durable memory-mapped slab store ([`crate::slab::SlabStore`]),
     /// shared by many streams. Each stream attaches to the series named
@@ -208,11 +209,7 @@ impl<'a> ColumnSink<'a> {
 }
 
 impl RowSink for ColumnSink<'_> {
-    fn push_row(&mut self, id: StreamId, payload: &[u8]) {
-        let Ok(r) = Record::decode(payload) else {
-            self.batch.corrupt += 1;
-            return;
-        };
+    fn push_record(&mut self, id: StreamId, r: Record) {
         let (b, i) = (&mut *self.batch, self.at);
         self.regressed |= r.timestamp_ns < self.last_ts;
         self.last_ts = r.timestamp_ns;
@@ -221,6 +218,14 @@ impl RowSink for ColumnSink<'_> {
         b.values[i] = r.value;
         b.provenance[i] = r.provenance.wire();
         self.at = i + 1;
+    }
+    fn push_entries<'a>(&mut self, entries: impl Iterator<Item = &'a Entry>) {
+        for e in entries {
+            match Record::decode(&e.payload) {
+                Ok(r) => self.push_record(e.id, r),
+                Err(_) => self.batch.corrupt += 1,
+            }
+        }
     }
 }
 
@@ -292,8 +297,8 @@ pub struct Stream {
     /// Behind an `Arc` so the broker can export the cell as a metrics
     /// counter without a second increment on the read path.
     cursor_lapped: Arc<AtomicU64>,
-    /// Evicted entries the ring could not hold (payload over its slot
-    /// capacity): dropped, not archived.
+    /// Evicted entries the ring could not hold (payload not a record):
+    /// dropped, not archived.
     archive_rejected: Arc<AtomicU64>,
     /// Process-unique, non-zero: what [`ScanMeta`] snapshots name their
     /// stream by. Renewed when the ring rejects an evicted entry, whose row
@@ -316,23 +321,14 @@ impl Stream {
     /// restarted stream finds its archived history and resumes ID
     /// assignment after it. If the slab's series directory is exhausted
     /// (or the name does not fit a dirent) the stream falls back to a
-    /// private in-memory ring **loudly**: a one-shot WARN, the
-    /// process-wide `streams.slab.dir_full` counter, and the store's
-    /// `series_fallbacks` stat all record that this stream's history will
-    /// not survive a restart.
+    /// private in-memory ring **loudly**: the store's one-shot WARN and
+    /// its `series_fallbacks` stat (an instrumented broker's
+    /// `streams.slab.dir_full` counter) record that this stream's history
+    /// will not survive a restart.
     pub fn new(name: impl Into<String>, config: StreamConfig) -> Self {
         let name = name.into();
         let attached = match &config.spill {
-            SpillBackend::Slab(store) if config.archive_evicted => store
-                .series(&name)
-                .inspect_err(|e| {
-                    crate::slab::record_exhaustion(&format!(
-                        "stream '{name}' wanted a slab series but got \"{e}\"; its evicted \
-                         entries fall back to a private in-memory ring and will NOT survive a \
-                         restart"
-                    ))
-                })
-                .ok(),
+            SpillBackend::Slab(store) if config.archive_evicted => store.series(&name).ok(),
             _ => None,
         };
         // Restart survival: resume ID assignment after the archived
@@ -431,7 +427,7 @@ impl Stream {
 
     /// The one eviction site: record `evicted` in the archive ring (a
     /// private ring is created here, at the first eviction), or count it
-    /// rejected when its payload exceeds the ring's slot capacity.
+    /// rejected when its payload is not a record.
     ///
     /// # Panics
     /// Panics if `evicted.id` is not above the ring's newest ID. The
@@ -600,8 +596,8 @@ impl Stream {
         Arc::clone(&self.cursor_lapped)
     }
 
-    /// Evicted entries dropped, not archived, because their payload
-    /// exceeds the ring's slot capacity ([`SlabConfig::payload_cap`]).
+    /// Evicted entries dropped, not archived, because their payload is not
+    /// a record (see [`SlabSeries::record`]).
     pub fn archive_rejected(&self) -> u64 {
         self.archive_rejected.load(Ordering::Relaxed)
     }
@@ -731,6 +727,12 @@ fn partition_point_deque<T>(deque: &VecDeque<T>, pred: impl Fn(&T) -> bool) -> u
 mod tests {
     use super::*;
 
+    /// The frame of a measured record of value `i` at `i` ms: what a
+    /// ring archives.
+    fn rec(i: u64) -> Bytes {
+        Record::measured(i * 1_000_000, i as f64).encode()
+    }
+
     #[test]
     fn append_assigns_monotonic_ids() {
         let s = Stream::with_defaults("t");
@@ -778,7 +780,7 @@ mod tests {
     fn retention_evicts_to_archive_and_range_stitches() {
         let s = Stream::new("t", StreamConfig::bounded(10));
         for i in 0..100u64 {
-            s.append(i, vec![i as u8]);
+            s.append(i, rec(i));
         }
         assert_eq!(s.len(), 10);
         assert_eq!(s.archive().unwrap().live_len(), 90);
@@ -787,7 +789,7 @@ mod tests {
         let got = s.range(StreamId::new(85, 0), StreamId::new(95, u64::MAX));
         assert_eq!(got.len(), 11);
         assert!(got.windows(2).all(|w| w[0].id < w[1].id));
-        assert_eq!(got[0].payload[0], 85);
+        assert_eq!(got[0].payload, rec(85));
     }
 
     #[test]
@@ -806,7 +808,7 @@ mod tests {
     fn a_bounded_window_keeps_the_capacity_of_its_bound() {
         let s = Stream::new("t", StreamConfig::bounded(256));
         for i in 0..1_000u64 {
-            s.append(i, vec![i as u8]);
+            s.append(i, rec(i));
         }
         let (len, capacity) = {
             let w = s.window.read();
@@ -817,12 +819,12 @@ mod tests {
 
         // A zero bound keeps no window and archives every entry.
         let s = Stream::new("t", StreamConfig::bounded(0));
-        let ids: Vec<StreamId> = (0..100u64).map(|i| s.append(i, vec![i as u8])).collect();
+        let ids: Vec<StreamId> = (0..100u64).map(|i| s.append(i, rec(i))).collect();
         assert!(s.is_empty());
         assert_eq!(s.last_id(), ids.last().copied());
         let all = s.range(StreamId::new(0, 0), StreamId::new(u64::MAX, u64::MAX));
         assert_eq!(all.iter().map(|e| e.id).collect::<Vec<_>>(), ids);
-        assert!(all.iter().enumerate().all(|(i, e)| e.payload[..] == [i as u8]));
+        assert!(all.iter().enumerate().all(|(i, e)| e.payload == rec(i as u64)));
     }
 
     #[test]
@@ -916,10 +918,10 @@ mod tests {
         let ids = |m: ScanMeta| (m.first_id, m.last_id);
         let s = Stream::new("t", StreamConfig::bounded(2));
         assert_eq!(ids(s.scan_meta()), (None, None));
-        let a = s.append(5, vec![]);
+        let a = s.append(5, rec(5));
         assert_eq!(ids(s.scan_meta()), (Some(a), Some(a)));
-        s.append(6, vec![]);
-        let c = s.append(7, vec![]);
+        s.append(6, rec(6));
+        let c = s.append(7, rec(7));
         assert_eq!(ids(s.scan_meta()), (Some(a), Some(c)), "the eviction archived `a`");
         let cols = s.scan_columns(StreamId::MIN, StreamId::MAX);
         let carried =
@@ -939,7 +941,7 @@ mod tests {
         let s = Stream::new("t", StreamConfig::bounded(5));
         let mut ids = Vec::new();
         for i in 0..20u64 {
-            ids.push(s.append(i, vec![i as u8]));
+            ids.push(s.append(i, rec(i)));
         }
         // Window holds ids[15..20]; ids[0..15] are archived. A cursor at
         // ids[2] must be caught up from the archive, not skipped to the
@@ -965,8 +967,7 @@ mod tests {
     fn append_batch_matches_sequential_appends() {
         let batched = Stream::new("t", StreamConfig::bounded(4));
         let sequential = Stream::new("t", StreamConfig::bounded(4));
-        let records: Vec<(u64, Bytes)> =
-            (0..10u64).map(|i| (i / 2, Bytes::from(vec![i as u8]))).collect();
+        let records: Vec<(u64, Bytes)> = (0..10u64).map(|i| (i / 2, rec(i))).collect();
         let batch_ids = batched.append_batch(records.clone());
         let seq_ids: Vec<StreamId> =
             records.iter().map(|(ms, p)| sequential.append(*ms, p.clone())).collect();
@@ -1048,23 +1049,26 @@ mod tests {
     }
 
     #[test]
-    fn an_eviction_over_the_slot_capacity_is_dropped_and_counted() {
-        let cap = SlabConfig::default().payload_cap();
+    fn an_eviction_that_is_not_a_record_is_dropped_and_counted() {
         let s = Stream::new("t", StreamConfig::bounded(1));
         let mut tail = Arc::new(ColumnBatch::default());
-        for (ms, len) in [(1, cap + 1), (2, cap), (3, 17)] {
-            let mut payload = Record::measured(ms * 1_000_000, ms as f64).encode().to_vec();
-            payload.resize(len, 0);
+        let mut bad_provenance = rec(3).to_vec();
+        bad_provenance[16] = 3;
+        let mut long = rec(1).to_vec();
+        long.push(0);
+        for (ms, payload) in
+            [(1, long), (2, rec(2).to_vec()), (3, bad_provenance), (4, rec(4).to_vec())]
+        {
             s.append(ms, payload);
             if ms == 1 {
                 tail = Arc::new(s.scan_columns(StreamId::MIN, StreamId::MAX));
             }
         }
         let ring = s.archive().unwrap();
-        assert_eq!((s.archive_rejected(), ring.store().stats().oversize_rejected), (1, 1));
+        assert_eq!((s.archive_rejected(), ring.store().stats().rejected), (2, 2));
         let kept: Vec<(u64, usize)> =
             s.range(StreamId::MIN, StreamId::MAX).iter().map(|e| (e.id.ms, e.len())).collect();
-        assert_eq!(kept, [(2, cap), (3, 17)], "the 41-byte row is gone, the 40-byte one archived");
+        assert_eq!(kept, [(2, 17), (4, 17)], "the 18-byte row and the bad provenance are gone");
         assert!(!s.extend_columns(&mut tail), "a tail holding the dropped row is not extended");
     }
 
@@ -1077,10 +1081,10 @@ mod tests {
         assert!(idle.archive().is_none());
         let s = Stream::new("t", StreamConfig::bounded(8));
         for i in 0..8u64 {
-            s.append(i, vec![]);
+            s.append(i, rec(i));
         }
         assert!(s.archive().is_none(), "eight rows fit the window");
-        s.append(8, vec![]);
+        s.append(8, rec(8));
         let ring = s.archive().expect("the ninth evicted the first");
         assert_eq!((ring.live_len(), ring.store().path()), (1, std::path::Path::new("")));
     }
@@ -1155,9 +1159,10 @@ mod prop_tests {
 
     /// A payload drawn from `a` and `b`: a record of any provenance, often
     /// a special value (NaN, ±0, ±inf, subnormal), else an undecodable
-    /// frame — a bad provenance byte, 0–16 bytes, 18–`cap` bytes — or one
-    /// over the slot capacity, which the ring rejects at eviction.
-    fn payload(a: u64, b: u64, timestamp_ns: u64, cap: usize) -> Vec<u8> {
+    /// frame — a bad provenance byte, 0–16 bytes — or a record followed by
+    /// 1–24 more bytes. The ring rejects every one but a record at
+    /// eviction.
+    fn payload(a: u64, b: u64, timestamp_ns: u64) -> Vec<u8> {
         const SPECIAL: [f64; 8] = [
             f64::NAN,
             -0.0,
@@ -1174,11 +1179,15 @@ mod prop_tests {
         match (a >> 8) % 16 {
             0 => frame[16] = 3 + (b % 253) as u8,
             1 => frame.truncate((b % 17) as usize),
-            2 => frame.resize(18 + (b % (cap as u64 - 17)) as usize, (b >> 8) as u8 | 1),
-            3 if a.is_multiple_of(5) => frame.resize(cap + 1 + (b % 8) as usize, 0xa5),
+            2 => frame.resize(18 + (b % 24) as usize, (b >> 8) as u8 | 1),
             _ => {}
         }
         frame
+    }
+
+    /// What a ring archives: a 17-byte frame that decodes.
+    fn is_record(bytes: &[u8]) -> bool {
+        bytes.len() == 17 && Record::decode(bytes).is_ok()
     }
 
     proptest! {
@@ -1190,7 +1199,8 @@ mod prop_tests {
         /// private ring and over a 16-slot slab ring that laps. Record
         /// clocks regress (the flag is carried across the ring/window seam
         /// and every extension), ID clocks regress into clamped IDs, and
-        /// the entries' payloads are the appended bytes, every length.
+        /// the entries' payloads are the appended bytes, every length while
+        /// in the window.
         #[test]
         fn column_landing_matches_decoding_the_range(
             ops in prop::collection::vec((0u8..100, any::<u64>(), any::<u64>()), 1..400),
@@ -1199,12 +1209,11 @@ mod prop_tests {
         ) {
             let config = StreamConfig::bounded(max_len);
             let s = if slab {
-                let cfg = SlabConfig { max_series: 1, slots: 16, slot_bytes: 64, tiers: vec![] };
+                let cfg = SlabConfig { max_series: 1, slots: 16, tiers: vec![] };
                 Stream::new("t", config.with_slab(SlabStore::in_memory(cfg).unwrap()))
             } else {
                 Stream::new("t", config)
             };
-            let cap = SlabConfig::default().payload_cap();
             let (mut ms, mut ts) = (0u64, 1u64 << 40);
             let mut appended = HashMap::new();
             let mut tail: Option<(Arc<ColumnBatch>, Landed)> = None;
@@ -1214,7 +1223,7 @@ mod prop_tests {
                     0..70 => {
                         ms = (ms + a % 4).saturating_sub(if b.is_multiple_of(16) { 3 } else { 0 });
                         ts = if b.is_multiple_of(13) { ts - a % 5_000 } else { ts + a % 3_000 };
-                        let bytes = payload(a, b, ts, cap);
+                        let bytes = payload(a, b, ts);
                         appended.insert(s.append(ms, bytes.clone()), bytes);
                     }
                     70..85 => {
@@ -1223,14 +1232,14 @@ mod prop_tests {
                         let entries = s.range(start, end);
                         prop_assert!(entries.iter().all(|e| e.payload.as_ref() == appended[&e.id]));
                         // Every retained row in range, and only those: a row
-                        // over the slot capacity is gone once evicted.
+                        // that is not a record is gone once evicted.
                         let (first, front) =
                             (s.scan_meta().first_id, s.window.read().entries.front().map(|e| e.id));
                         let mut retained: Vec<StreamId> = (appended.iter())
                             .filter(|&(&id, bytes)| {
                                 (start..=end).contains(&id)
                                     && first.is_some_and(|f| id >= f)
-                                    && (bytes.len() <= cap || front.is_some_and(|f| id >= f))
+                                    && (is_record(bytes) || front.is_some_and(|f| id >= f))
                             })
                             .map(|(&id, _)| id)
                             .collect();
@@ -1285,7 +1294,7 @@ mod prop_tests {
             let mut ms = 0u64;
             for i in 0..n {
                 ms += ms_step[i % ms_step.len()];
-                appended.push(s.append(ms, vec![]));
+                appended.push(s.append(ms, Record::measured(ms, i as f64).encode()));
             }
             let got = s.range(StreamId::MIN, StreamId::MAX);
             prop_assert_eq!(got.len(), n);
@@ -1303,7 +1312,7 @@ mod prop_tests {
         ) {
             let s = Stream::new("t", StreamConfig::bounded(max_len));
             for i in 0..n {
-                s.append(i as u64, vec![]);
+                s.append(i as u64, Record::measured(i as u64, 0.0).encode());
             }
             let (start, end) = (StreamId::new(a.min(b), 0), StreamId::new(a.max(b), u64::MAX));
             let got: Vec<StreamId> = s.range(start, end).iter().map(|e| e.id).collect();

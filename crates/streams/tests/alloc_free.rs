@@ -1,27 +1,25 @@
 //! Proof of the slab spill's zero-allocation claim, counted by the
 //! workspace's counting allocator (`apollo-alloc-count`): archiving an
-//! evicted entry is a bounded slot write — copy the payload into a
-//! pre-allocated slot, write three header words, publish with one
-//! `Release` store, bump the dirty counter — so a warm
+//! evicted entry is a bounded slot write — store the record's five words
+//! into a pre-allocated slot, publish with one `Release` store, bump the
+//! dirty counter — so a warm
 //! [`SlabSeries::record`](apollo_streams::slab::SlabSeries::record), and
 //! a stream's eviction in front of it, must perform **exactly zero** heap
 //! allocations per entry. A stream without a shared store pays a fixed
 //! handful once, at its first eviction, for its private ring.
 //!
 //! The read side has the same kind of bound. A scan is one walk whose rows
-//! land in a sink, and a slot is read once into locals — its words loaded,
-//! the checksum verified over them, the row landed from them — with no
-//! scratch buffer: [`Stream::scan_columns`] decodes every archived row
-//! from the words its read loaded, so a full scan allocates exactly its
-//! four columns however many rows it covers, and [`Stream::range`]
-//! exactly one block — the entry `Vec` — since a record's payload is
-//! copied into its entry in place, from slot and window alike. The walk
+//! land in a sink, and a slot is read once into locals — its five words
+//! loaded, the checksum verified over them, the record taken from them —
+//! with no scratch buffer: [`Stream::scan_columns`] lands every archived
+//! row's fields from the words its read loaded, so a full scan allocates
+//! exactly its four columns however many rows it covers, and
+//! [`Stream::range`] exactly one block — the entry `Vec` — since a
+//! record's frame is built inside its entry, from slot and window alike. The walk
 //! finds the ring's rows and the window's before it lands either, so each
 //! column or `Vec` is sized once for both. Extending a uniquely held tail
 //! ([`Stream::extend_columns`]) un-shares nothing and allocates only its
-//! columns' growth, never a block per row. A payload that is not a record
-//! is lent from one buffer per walk, so a range over such rows allocates
-//! that buffer and the `Vec`. A subscription takes a window
+//! columns' growth, never a block per row. A subscription takes a window
 //! entry, or waits for one, without allocating.
 //!
 //! This file deliberately holds a single `#[test]`: the count is
@@ -39,7 +37,7 @@ fn warm_slab_records_allocate_nothing() {
     let path = dir.join("allocs.slab");
     let _ = std::fs::remove_file(&path);
 
-    // Default geometry (4096 × 64 B per series): 10 000 records lap the
+    // Default geometry (4096 × 40 B per series): 10 000 records lap the
     // ring more than twice.
     let cfg = SlabConfig { max_series: 4, ..SlabConfig::default() };
     let ring_slots = u64::from(cfg.slots);
@@ -140,21 +138,6 @@ fn warm_slab_records_allocate_nothing() {
     }
     let n = allocs_during(|| assert!(stream.extend_columns(&mut tail)));
     assert_eq!((n, tail.len() as u64), (0, next + 8), "an extension into spare room allocated");
-
-    // --- Payloads that are not records ----------------------------------------
-    // A 16-byte event takes the slot reader's word loop, not the record
-    // path: its rows are lent from one buffer per walk, and each fits
-    // inside its entry's `Bytes`, so `range` over 1 024 archived events
-    // allocates that buffer and the entry `Vec` — never a block per row.
-    let events = Stream::new("events", StreamConfig::bounded(8).with_slab(store.clone()));
-    for i in 0..1_032u64 {
-        events.append(i, vec![i as u8; 16]);
-    }
-    let mut got = Vec::new();
-    let n = allocs_during(|| got = events.range(StreamId::MIN, StreamId::MAX));
-    assert_eq!(got.len(), 1_032);
-    assert!(got.iter().enumerate().all(|(i, e)| e.payload.as_ref() == [i as u8; 16]));
-    assert_eq!(n, 2, "range over 1 024 archived events allocated {n} blocks");
 
     // --- A subscription's reads ---------------------------------------------
     // A subscription is a cursor over the stream: taking a window entry

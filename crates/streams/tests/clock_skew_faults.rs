@@ -18,7 +18,15 @@
 
 use apollo_streams::id::StreamId;
 use apollo_streams::stream::{Stream, StreamConfig};
+use apollo_streams::Record;
+use bytes::Bytes;
 use std::sync::Arc;
+
+/// The record a producer samples at `true_ms`: its value is the tick, so
+/// a read can tell the ticks apart after the clamp moved their IDs.
+fn tick(true_ms: u64) -> Bytes {
+    Record::measured(true_ms * 1_000_000, true_ms as f64).encode()
+}
 
 /// A skew fault window: between `start_ms..end_ms` (ticks, inclusive of
 /// start, exclusive of end) the producer clock reads `regression_ms` in
@@ -60,7 +68,7 @@ fn clamp_keeps_ids_monotone_through_skew_windows() {
         if last.is_some_and(|l| observed < l.ms) {
             expected_regressions += 1;
         }
-        let id = stream.append(observed, vec![true_ms as u8]);
+        let id = stream.append(observed, tick(true_ms));
         assert!(last.is_none_or(|l| id > l), "id must advance: {id} after {last:?}");
         // The clamp never *loses* time: the assigned ms is the max of the
         // observed clock and the stream head.
@@ -84,7 +92,7 @@ fn full_stitch_is_lossless_across_skew_and_eviction() {
 
     let total = 70u64;
     for true_ms in 3_000..3_000 + total {
-        stream.append(skewed_clock(&windows, true_ms), true_ms.to_le_bytes().to_vec());
+        stream.append(skewed_clock(&windows, true_ms), tick(true_ms));
     }
 
     let all = stream.range(StreamId::MIN, StreamId::MAX);
@@ -94,9 +102,7 @@ fn full_stitch_is_lossless_across_skew_and_eviction() {
     // Payload check: every appended tick is present exactly once, in
     // append order — the clamp reorders nothing.
     for (i, entry) in all.iter().enumerate() {
-        let mut b = [0u8; 8];
-        b.copy_from_slice(&entry.payload);
-        assert_eq!(u64::from_le_bytes(b), 3_000 + i as u64, "append order broken at {i}");
+        assert_eq!(entry.payload, tick(3_000 + i as u64), "append order broken at {i}");
     }
 
     // scan_batch over the full range agrees with range(), and its snapshot
@@ -115,7 +121,7 @@ fn time_range_reads_find_clamped_entries_at_or_after_their_slot() {
     // clock back to ~3_980 for ten ticks, then healthy again.
     let windows = [SkewWindow { start_ms: 4_010, end_ms: 4_020, regression_ms: 30 }];
     for true_ms in 4_000..4_030 {
-        stream.append(skewed_clock(&windows, true_ms), vec![1u8]);
+        stream.append(skewed_clock(&windows, true_ms), tick(true_ms));
     }
 
     // Clamped entries were assigned ms >= the pre-skew head (4_009), so a
@@ -141,7 +147,7 @@ fn concurrent_scans_stay_consistent_under_skewed_eviction() {
         let stream = Arc::clone(&stream);
         std::thread::spawn(move || {
             for true_ms in 5_000..5_000 + total {
-                stream.append(skewed_clock(&windows, true_ms), true_ms.to_le_bytes().to_vec());
+                stream.append(skewed_clock(&windows, true_ms), tick(true_ms));
             }
         })
     };

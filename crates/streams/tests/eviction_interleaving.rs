@@ -25,11 +25,11 @@
 //!
 //! The contract must also hold for both destinations of the one range
 //! walk: the entry sink (`range`, `scan_batch`) and the column sink
-//! (`scan_columns`, which decodes rows where the walk finds them and
-//! counts the undecodable ones in `corrupt`). The race takes every
-//! seam-biased scan through both; a seeded single-threaded case adds
-//! undecodable payloads on both sides of the seam and oversize payloads,
-//! which the ring rejects at eviction.
+//! (`scan_columns`, which takes a ring row's fields, decodes a window row
+//! where the walk finds it and counts the undecodable ones in `corrupt`).
+//! The race takes every seam-biased scan through both; a seeded
+//! single-threaded case adds payloads that are not records — readable
+//! while in the window, rejected by the ring at eviction.
 
 use apollo_streams::{
     ColumnBatch, Provenance, Record, ScanBatch, SlabConfig, SlabStore, Stream, StreamConfig,
@@ -64,17 +64,9 @@ impl Lcg {
     }
 }
 
-/// Entry `i`'s payload: the record `(i ms, i as f64, measured)`, except
-/// every seventh, which is two bytes no `Record` decodes from.
+/// Entry `i`'s payload: the record `(i ms, i as f64, measured)`.
 fn payload_of(i: u64) -> Vec<u8> {
-    if is_corrupt(i) {
-        return vec![0xde, (i % 251) as u8];
-    }
     Record::measured(i * 1_000_000, i as f64).encode().to_vec()
-}
-
-fn is_corrupt(i: u64) -> bool {
-    i.is_multiple_of(7)
 }
 
 /// The column and entry sinks must land the same rows: position by
@@ -181,13 +173,15 @@ fn scan_race(seed: u64, config: StreamConfig) {
                         continue;
                     }
                     // The same seam scan through the column sink: every
-                    // decodable row exactly once and in order, every
-                    // undecodable one counted exactly once.
+                    // row exactly once and in order.
                     let cols = stream.scan_columns_by_time(lo, hi);
-                    let rows: Vec<u64> = (lo..=hi).filter(|&i| !is_corrupt(i)).collect();
-                    assert_eq!(cols.len(), rows.len(), "seed {seed:#x}: columns [{lo}, {hi}]");
-                    assert_eq!(cols.corrupt, hi - lo + 1 - rows.len() as u64);
-                    for (k, &i) in rows.iter().enumerate() {
+                    assert_eq!(
+                        cols.len() as u64,
+                        hi - lo + 1,
+                        "seed {seed:#x}: columns [{lo}, {hi}]"
+                    );
+                    assert_eq!(cols.corrupt, 0);
+                    for (k, i) in (lo..=hi).enumerate() {
                         assert_eq!(cols.timestamps_ns[k], i * 1_000_000);
                         assert_eq!(cols.values[k].to_bits(), (i as f64).to_bits());
                         assert_eq!(cols.provenance[k], Provenance::Measured.wire());
@@ -207,17 +201,16 @@ fn scan_race(seed: u64, config: StreamConfig) {
 
     // A reader that scanned once and then only *extends* that batch in
     // place (the query layer's per-topic tail), pacing itself behind an
-    // 8-row window so most extensions start in the archive: every
-    // decodable entry exactly once and in order, every undecodable one
-    // counted once, and a batch someone still holds is never written
-    // under.
+    // 8-row window so most extensions start in the archive: every entry
+    // exactly once and in order, and a batch someone still holds is never
+    // written under.
     let tailer = {
         let stream = Arc::clone(&stream);
         let done = Arc::clone(&done);
         let extended = Arc::clone(&extended);
         std::thread::spawn(move || {
             let mut tail = Arc::new(stream.scan_columns(StreamId::MIN, StreamId::MAX));
-            let mut expect = (0u64..).filter(|&i| !is_corrupt(i));
+            let mut expect = 0u64..;
             let (mut checked, mut extensions) = (0usize, 0u64);
             loop {
                 let finished = done.load(Ordering::Acquire);
@@ -234,11 +227,7 @@ fn scan_race(seed: u64, config: StreamConfig) {
                 }
                 checked = tail.len();
                 let appended = tail.last_id.map_or(0, |id| id.ms + 1);
-                assert_eq!(
-                    tail.corrupt + checked as u64,
-                    appended,
-                    "seed {seed:#x}: corrupt count"
-                );
+                assert_eq!((tail.corrupt, checked as u64), (0, appended), "seed {seed:#x}: rows");
                 assert!(tail.first_id.is_none_or(|id| id == StreamId::MIN), "nothing is lost here");
                 extensions += 1;
                 extended.store(true, Ordering::Release);
@@ -262,44 +251,46 @@ fn scan_race(seed: u64, config: StreamConfig) {
     assert!(all.windows(2).all(|w| w[0].id < w[1].id));
 }
 
-/// Undecodable payloads on both sides of the seam, and oversize payloads
-/// (decodable and not) that the ring rejects at eviction — readable while
-/// in the window, dropped and counted once evicted: the column sink must
-/// still agree with the entry sink and with a model of what is readable —
-/// over the full span, and over every short range across the seam.
+/// Payloads that are not records — too short, a bad provenance byte, or
+/// a record with bytes after it — on both sides of the seam: readable
+/// while in the window (the last as its leading record), rejected and
+/// counted once evicted, since a ring slot holds nothing but a record.
+/// The column sink must still agree with the entry sink and with a model
+/// of what is readable — over the full span, and over every short range
+/// across the seam.
 #[test]
 fn both_sinks_agree_with_corrupt_and_oversize_rows_across_the_seam() {
     over_a_whole_run_ring("sinks", 16, |config| {
         const APPENDS: u64 = 400;
         let stream = Stream::new("sinks", config);
         let mut rng = Lcg(0x5eed_0c01);
-        // Per entry: oversize, and the value it decodes to (`None` =
-        // undecodable).
+        // Per entry: a record or not, and the value it decodes to (`None`
+        // = undecodable).
         let mut model: Vec<(bool, Option<f64>)> = Vec::new();
         for i in 0..APPENDS {
-            let mut payload = match rng.next() % 5 {
-                0 => vec![0xde, 0xad], // too short to be a record
-                _ => Record::predicted(i * 1_000_000, -(i as f64)).encode().to_vec(),
-            };
-            let oversize = rng.next().is_multiple_of(9);
-            if oversize {
-                payload.resize(80, 9); // past the 40-byte inline slot
+            let mut payload = Record::predicted(i * 1_000_000, -(i as f64)).encode().to_vec();
+            match rng.next() % 10 {
+                0 | 1 => payload.truncate(2),
+                2 => payload[16] = 3 + (rng.next() % 253) as u8,
+                3 => payload.resize(18 + (rng.next() % 63) as usize, 9),
+                _ => {}
             }
-            model.push((oversize, Record::decode(&payload).ok().map(|r| r.value)));
+            let record = payload.len() == 17 && Record::decode(&payload).is_ok();
+            model.push((record, Record::decode(&payload).ok().map(|r| r.value)));
             stream.append(i, payload);
         }
         let seam = APPENDS - stream.len() as u64;
-        // What a scan of `[lo, hi]` can read: an oversize entry only while
-        // it sits in the window.
+        // What a scan of `[lo, hi]` can read: a row that is not a record
+        // only while it sits in the window.
         let readable = |lo: u64, hi: u64| {
-            (lo..=hi).filter(|&i| i >= seam || !model[i as usize].0).map(|i| model[i as usize].1)
+            (lo..=hi).filter(|&i| i >= seam || model[i as usize].0).map(|i| model[i as usize].1)
         };
         let undecodable =
             |lo: u64, hi: u64| readable(lo, hi).filter(Option::is_none).count() as u64;
-        assert!(undecodable(0, seam - 1) > 0 && undecodable(seam, APPENDS - 1) > 0);
-        let oversize = |lo: u64, hi: u64| (lo..hi).filter(|&i| model[i as usize].0).count() as u64;
-        assert!(oversize(0, seam) > 0 && oversize(seam, APPENDS) > 0, "on both sides too");
-        assert_eq!(stream.archive_rejected(), oversize(0, seam), "every evicted one rejected");
+        assert!(undecodable(seam, APPENDS - 1) > 0, "the window holds undecodable rows");
+        let rejected = |lo: u64, hi: u64| (lo..hi).filter(|&i| !model[i as usize].0).count() as u64;
+        assert!(rejected(0, seam) > 0 && rejected(seam, APPENDS) > 0, "on both sides");
+        assert_eq!(stream.archive_rejected(), rejected(0, seam), "every evicted one rejected");
         let ranges = (seam - 40..seam + 4).map(|lo| (lo, lo + 12)).chain([(0, APPENDS - 1)]);
         for (lo, hi) in ranges {
             let cols = stream.scan_columns_by_time(lo, hi);
@@ -336,7 +327,7 @@ fn slow_cursor_walk(config: StreamConfig) {
         let done = Arc::clone(&done);
         std::thread::spawn(move || {
             for i in 0..APPENDS {
-                stream.append(i, vec![]);
+                stream.append(i, payload_of(i));
             }
             done.store(true, Ordering::Release);
         })
@@ -400,7 +391,7 @@ fn retained_from(last: u64) -> u64 {
     (last + 1).saturating_sub(64 + 8)
 }
 
-/// `cols`, read from `lo` on, holds exactly the decodable rows of
+/// `cols`, read from `lo` on, holds exactly the rows of
 /// `max(lo, first)..=last`, where `first..=last` is what the lap stream
 /// retained at the batch's snapshot, each decoded from its own
 /// `payload_of`. Returns `last`.
@@ -408,8 +399,9 @@ fn assert_retained_rows(cols: &ColumnBatch, lo: u64, what: &str) -> u64 {
     let last = cols.last_id.expect("rows were appended").ms;
     let first = retained_from(last);
     assert_eq!(cols.first_id, Some(StreamId::new(first, 0)), "{what}: the retained head");
-    let rows: Vec<u64> = (lo.max(first)..=last).filter(|&i| !is_corrupt(i)).collect();
+    let rows: Vec<u64> = (lo.max(first)..=last).collect();
     assert_eq!(cols.ids_ms, rows, "{what}: rows from {lo} to {last} not contiguous");
+    assert_eq!(cols.corrupt, 0, "{what}: a ring row is always a record");
     assert!(cols.values.iter().zip(&rows).all(|(&v, &i)| v == i as f64), "{what}: values");
     assert!(cols.timestamps_ns.iter().zip(&rows).all(|(&t, &i)| t == i * 1_000_000), "{what}");
     last
@@ -474,10 +466,7 @@ fn lap_race(seed: u64) {
                         last
                     } else {
                         let cols = stream.scan_columns(StreamId::new(lo, 0), StreamId::MAX);
-                        let last = assert_retained_rows(&cols, lo, &what);
-                        let span = lo.max(retained_from(last))..=last;
-                        assert_eq!(cols.corrupt, span.filter(|&i| is_corrupt(i)).count() as u64);
-                        last
+                        assert_retained_rows(&cols, lo, &what)
                     };
                     assert!(last >= n - 1, "{what}: older than the row before it");
                     scans.fetch_add(1, Ordering::Relaxed);

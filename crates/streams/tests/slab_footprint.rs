@@ -9,20 +9,22 @@
 //! The bound has teeth only on a kernel whose page cache maps a readahead
 //! folio on a write fault into a file hole, as Linux 6.18 over ext4 does:
 //! there, without the mapping's random-access advice, the store below
-//! (the default geometry, 256 series of 4 096 slots) is 39 MiB resident
-//! where it wrote 3 MiB — about 39 pages per ring for 3 written. The
-//! readahead grows with the faults a file takes, so a store of a few dozen
-//! small rings shows almost none of it. A kernel that faults single pages
-//! passes with or without the advice.
+//! (the default geometry, 256 series of 4 096 40-byte slots) is 2 168 KiB
+//! resident where it wrote 2 116 KiB, 13 pages over the bound (with
+//! 64-byte slots it was 39 MiB for 3 MiB). The readahead grows with the
+//! faults a file takes, so a store of a few dozen small rings shows almost
+//! none of it. A kernel that faults single pages passes with or without
+//! the advice.
 #![cfg(target_os = "linux")]
 
-use apollo_streams::{SlabConfig, SlabStore, StreamId};
+use apollo_streams::{Record, SlabConfig, SlabStore, StreamId};
 use std::collections::BTreeSet;
 use std::path::Path;
 
 /// Every dirent of the default geometry.
 const SERIES: usize = 256;
-/// Slots written per series: 144 × 64 B fill three 4 KiB pages.
+/// Slots written per series: 144 × 40 B fill one and a half 4 KiB pages,
+/// touching two (or three, where a ring starts mid-page).
 const WRITTEN: usize = 144;
 
 /// `(Rss, KernelPageSize)` in bytes of the one mapping of `path`.
@@ -54,7 +56,9 @@ fn a_file_store_is_resident_only_where_it_was_written() {
         (0..SERIES).map(|i| store.series(&format!("s{i}")).expect("a free dirent")).collect();
     for (i, s) in series.iter().enumerate() {
         for k in 0..WRITTEN as u64 {
-            assert!(s.record(StreamId::new(k, 0), &(i as u64 ^ k).to_le_bytes()));
+            assert!(
+                s.record(StreamId::new(k, 0), &Record::measured(k, (i as u64 ^ k) as f64).encode())
+            );
         }
     }
     store.flush().expect("msync");

@@ -6,10 +6,10 @@
 //! against (a stream refused a series; no background msync) and assert the
 //! paths are loud/bounded.
 
-use apollo_streams::slab::{dir_full_count, exhaustion_warned, SlabLayout, SlabSeries, NAME_CAP};
+use apollo_streams::slab::{SlabLayout, SlabSeries, NAME_CAP};
 use apollo_streams::{
-    Broker, CompactPolicy, Record, SlabConfig, SlabDirError, SlabStore, Stream, StreamConfig,
-    StreamId, TierConfig,
+    Broker, CompactPolicy, Record, SlabConfig, SlabDirError, SlabStore, StreamConfig, StreamId,
+    TierConfig,
 };
 use std::collections::BTreeMap;
 use std::fs;
@@ -25,17 +25,14 @@ fn temp_slab(tag: &str) -> PathBuf {
 }
 
 fn tiny_config() -> SlabConfig {
-    SlabConfig { max_series: 2, slots: 16, slot_bytes: 64, tiers: vec![TierConfig::new(1_000, 16)] }
+    SlabConfig { max_series: 2, slots: 16, tiers: vec![TierConfig::new(1_000, 16)] }
 }
 
 /// Teeth: a stream refused a series on a full directory archives into a
 /// private in-memory ring — writes look fine, and its history is gone
-/// after a restart. That loss is never silent: `Stream::new` records
-/// every refusal on `streams.slab.dir_full` and the store's stats, and
-/// warns once.
-///
-/// All exhaustion-triggering in this binary lives in this one test so the
-/// process-global counter deltas are race-free.
+/// after a restart. That loss is never silent: the store counts every
+/// refusal in its stats, an instrumented broker spilling to it exports
+/// that count as `streams.slab.dir_full`, and the store warns once.
 #[test]
 fn directory_exhaustion_is_loud_where_it_used_to_be_silent() {
     let path = temp_slab("exhaustion");
@@ -43,22 +40,20 @@ fn directory_exhaustion_is_loud_where_it_used_to_be_silent() {
         let store = SlabStore::create(&path, tiny_config()).unwrap();
         let _a = store.series("a").unwrap();
         let _b = store.series("b").unwrap();
+        let broker = Broker::new(StreamConfig::bounded(1).with_slab(Arc::clone(&store)));
+        let registry = apollo_obs::Registry::new();
+        broker.instrument(&registry);
+        assert_eq!(registry.snapshot().counter("streams.slab.dir_full"), 0);
 
-        // --- Stream::new on the exhausted directory.
-        let before = dir_full_count();
-        assert!(!exhaustion_warned() || before > 0);
-        let c = Stream::new("c", StreamConfig::bounded(1).with_slab(Arc::clone(&store)));
-        assert_eq!(dir_full_count(), before + 1, "the refusal is counted");
-        assert!(exhaustion_warned(), "and warned about (once per process)");
-        assert_eq!(store.stats().series_fallbacks, 1, "the store records the fallback too");
-        // The stream still works — its evictions land in a private ring.
+        // --- A topic created on the exhausted directory.
         for i in 0..10u64 {
-            c.append(i + 1, vec![i as u8]);
+            broker.publish("c", i + 1, Record::measured(i, i as f64).encode());
         }
-        assert_eq!(c.range(StreamId::MIN, StreamId::MAX).len(), 10);
-        let ring = c.archive().expect("evictions archived");
-        assert_eq!(ring.live_len(), 9);
-        assert!(ring.store().path().as_os_str().is_empty(), "in memory, not in the file");
+        assert_eq!(store.stats().series_fallbacks, 1, "the refusal is counted once");
+        assert_eq!(registry.snapshot().counter("streams.slab.dir_full"), 1, "and exported");
+        // The topic still works — its evictions land in a private ring.
+        assert_eq!(broker.range("c", StreamId::MIN, StreamId::MAX).len(), 10);
+        assert_eq!(broker.topic_info("c").unwrap().archived_len, 9);
         store.flush().unwrap();
     }
 
@@ -84,7 +79,7 @@ fn a_topic_named_at_the_name_cap_takes_one_durable_series() {
         let broker = Broker::new(StreamConfig::bounded(2).with_slab(Arc::clone(&store)));
         for topic in [long.as_str(), "short"] {
             for ms in 1..=3u64 {
-                broker.publish(topic, ms, vec![ms as u8]);
+                broker.publish(topic, ms, Record::measured(ms, 0.0).encode());
             }
         }
         let stats = store.stats();

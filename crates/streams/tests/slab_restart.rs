@@ -29,7 +29,6 @@ fn small_config() -> SlabConfig {
     SlabConfig {
         max_series: 8,
         slots: 64,
-        slot_bytes: 64,
         tiers: vec![TierConfig::new(1_000, 16), TierConfig::new(10_000, 8)],
     }
 }
@@ -85,7 +84,7 @@ fn a_cursor_reader_resumes_after_restart_with_only_what_it_missed() {
         let store = SlabStore::create(&path, small_config()).unwrap();
         let broker = slab_broker(&store, 2);
         for i in 0..10u64 {
-            ids.push(broker.publish("cap", i + 1, vec![i as u8]));
+            ids.push(broker.publish("cap", i + 1, Record::measured(i, i as f64).encode()));
         }
         let first = broker.read_after("cap", None, 6);
         assert_eq!(first.iter().map(|e| e.id).collect::<Vec<_>>(), ids[..6].to_vec());
@@ -120,17 +119,17 @@ fn torn_newest_slot_is_rolled_back_on_reopen() {
         let series = store.series("t").unwrap();
         let n = 9u64;
         for i in 0..n {
-            assert!(series.record(StreamId::new(i + 1, 0), format!("p{i}").as_bytes()));
+            assert!(series.record(StreamId::new(i + 1, 0), &Record::measured(i, i as f64).encode()));
         }
         store.flush().unwrap();
         (series.index(), StreamId::new(n - 1, 0), n)
     };
 
-    // Simulate a machine crash that lost the newest slot's payload page
-    // but kept the head bump: flip a payload byte so the slot checksum no
-    // longer matches.
+    // Simulate a machine crash that lost the newest slot's page but kept
+    // the head bump: flip a value byte so the slot checksum no longer
+    // matches.
     let newest_slot = ((n - 1) % 64) as usize;
-    let offset = layout.slot(series_idx, newest_slot) + 24; // past ms/seq/meta words
+    let offset = layout.slot(series_idx, newest_slot) + 24; // past ms/seq/timestamp words
     let mut bytes = fs::read(&path).unwrap();
     bytes[offset] ^= 0xff;
     fs::write(&path, &bytes).unwrap();
@@ -142,15 +141,15 @@ fn torn_newest_slot_is_rolled_back_on_reopen() {
     assert_eq!(series.last_id(), Some(last_good));
     let got = series.range(StreamId::MIN, StreamId::MAX);
     assert_eq!(got.len(), (n - 1) as usize);
-    assert_eq!(got.last().unwrap().payload.as_ref(), format!("p{}", n - 2).as_bytes());
+    assert_eq!(got.last().unwrap().payload, Record::measured(n - 2, (n - 2) as f64).encode());
     // The rolled-back slot is writable again: appends resume cleanly.
-    assert!(series.record(StreamId::new(n + 10, 0), b"after"));
+    assert!(series.record(StreamId::new(n + 10, 0), &Record::measured(n, 0.0).encode()));
     assert_eq!(series.last_id(), Some(StreamId::new(n + 10, 0)));
     let _ = fs::remove_file(&path);
 }
 
-/// A torn slot in the middle of a live ring — one payload bit flipped, one
-/// length word past the slot's payload capacity, one checksum zeroed — is
+/// A torn slot in the middle of a live ring — one value bit flipped, one
+/// provenance word outside 1–3, one checksum zeroed — is
 /// skipped by every read that walks the ring, and every other row comes
 /// back in order. The damage is written through the file while the store
 /// is mapped (a shared mapping sees it), so no reopen rolls it away.
@@ -162,7 +161,7 @@ fn torn_slots_mid_ring_are_skipped_by_every_read() {
 
     let path = temp_slab("torn-mid");
     let cfg = small_config();
-    let (layout, cap) = (SlabLayout::for_config(&cfg), cfg.payload_cap());
+    let layout = SlabLayout::for_config(&cfg);
     let store = SlabStore::create(&path, cfg).unwrap();
     // 40 archived rows in a 64-slot ring, 8 in the window.
     let stream = Stream::new("t", StreamConfig::bounded(8).with_slab(Arc::clone(&store)));
@@ -174,13 +173,14 @@ fn torn_slots_mid_ring_are_skipped_by_every_read() {
 
     let slot = |logical: usize| layout.slot(ring.index(), logical);
     let file = fs::OpenOptions::new().write(true).open(&path).unwrap();
-    // Slot words: ms u64 | seq u64 | (len+1) u32 | checksum u32 | payload.
-    let value_byte = slot(10) + 24 + 9;
+    // Slot words: ms | seq | timestamp_ns | value bits |
+    // (provenance + 1) u32, checksum u32.
+    let value_byte = slot(10) + 24 + 1;
     let mut byte = [0u8];
     fs::File::open(&path).unwrap().read_exact_at(&mut byte, value_byte as u64).unwrap();
     file.write_all_at(&[byte[0] ^ 0x10], value_byte as u64).unwrap();
-    file.write_all_at(&(cap as u32 + 2).to_le_bytes(), slot(20) as u64 + 16).unwrap();
-    file.write_all_at(&[0; 4], slot(30) as u64 + 20).unwrap();
+    file.write_all_at(&4u32.to_le_bytes(), slot(20) as u64 + 32).unwrap();
+    file.write_all_at(&[0; 4], slot(30) as u64 + 36).unwrap();
 
     let torn = [10u64, 20, 30];
     let want: Vec<u64> = (0..48).filter(|i| !torn.contains(i)).collect();
@@ -250,8 +250,7 @@ fn consolidation_tiers_survive_restart() {
 fn fleet_scale_reopen_reattaches_every_series_in_place() {
     const SERIES: usize = 2_100;
     let path = temp_slab("fleet");
-    let cfg =
-        SlabConfig { max_series: SERIES as u32 + 16, slots: 8, slot_bytes: 64, tiers: vec![] };
+    let cfg = SlabConfig { max_series: SERIES as u32 + 16, slots: 8, tiers: vec![] };
     let name = |i: usize| format!("fleet/topic/{i:04}");
     let reclaimed = [1_700usize, 42, 999];
     let mut placed = Vec::with_capacity(SERIES);

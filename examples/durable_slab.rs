@@ -51,7 +51,6 @@ fn main() {
         max_series: 16,
         slots: 256,
         tiers: vec![TierConfig::new(1_000, 64), TierConfig::new(10_000, 32)],
-        ..SlabConfig::default()
     };
 
     // ---- first life: publish, evict into the slab, read half ----------
