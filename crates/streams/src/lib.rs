@@ -21,11 +21,12 @@
 //!   with [`broker::Broker::read_after`].
 //! * **Retention** (`MAXLEN` analogue) with eviction into a slab ring
 //!   ([`slab::SlabSeries`]) — the per-vertex *Archiver* of §3.1 that
-//!   "stores the queue in a log"; evicted entries remain range-readable,
+//!   "stores the queue in a log"; evicted records remain range-readable
+//!   (a payload that is not a record is dropped and counted at eviction),
 //!   and steady-state eviction is a zero-alloc slot write.
 //! * **One spill backend** ([`slab`]): every ring lives in a slab store
-//!   (series directory + fixed columnar slot rings + tiered consolidation
-//!   buckets). [`stream::StreamConfig`]'s [`stream::SpillBackend`] picks
+//!   (series directory + rings of fixed 40-byte slots, one record each +
+//!   tiered consolidation buckets). [`stream::StreamConfig`]'s [`stream::SpillBackend`] picks
 //!   which: a pre-allocated memory-mapped slab file shared by many
 //!   streams, one series per stream, whose history survives restarts, or
 //!   by default a private in-memory ring per stream that keeps its newest
