@@ -1709,6 +1709,31 @@ mod tests {
         assert_eq!(store.consolidate().folded, 0);
     }
 
+    /// A slot that fails its read (a torn value word, a provenance word
+    /// outside 1–3) is skipped and counted, and the consolidated watermark
+    /// still moves past it.
+    #[test]
+    fn a_damaged_slot_is_skipped_by_consolidation() {
+        let cfg = SlabConfig { max_series: 2, slots: 8, tiers: vec![TierConfig::new(1_000, 4)] };
+        let store = SlabStore::create(tmp("consolidate-damage"), cfg).unwrap();
+        let s = store.series("m").unwrap();
+        for i in 0..4u64 {
+            assert!(s.record(StreamId::new(i, 0), &frame(i, 1.0)));
+        }
+        // Slot 1: the value word, under an unchanged checksum.
+        store.atom(s.slot_offset(1) + 24).fetch_xor(1, Ordering::Relaxed);
+        // Slot 2: a provenance word of 4, under a checksum that matches it.
+        let at = s.slot_offset(2);
+        let w: [u64; 4] = std::array::from_fn(|i| store.atom(at + 8 * i).load(Ordering::Relaxed));
+        let xsum = slot_checksum([w[0], w[1], w[2], w[3], 4]) as u64;
+        store.atom(at + 32).store(4 | xsum << 32, Ordering::Relaxed);
+        let report = store.consolidate();
+        assert_eq!((report.folded, report.skipped), (2, 2));
+        assert_eq!(s.consolidation_lag(), 0);
+        let b = s.tier_bucket_at(0, 0).unwrap();
+        assert_eq!((b.count, b.sum), (2, 2.0));
+    }
+
     #[test]
     fn stats_track_occupancy_and_lag() {
         let store = SlabStore::create(tmp("stats"), small_cfg()).unwrap();
