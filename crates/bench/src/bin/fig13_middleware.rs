@@ -38,7 +38,7 @@ fn publish_capacities(broker: &Broker, devices: &[Arc<Device>], t_ms: u64) {
         broker.publish(
             &ApolloView::capacity_topic(d.name()),
             t_ms,
-            Record::measured(t_ms * 1_000_000, d.remaining_bytes() as f64).encode(),
+            Record::measured(t_ms * 1_000_000, d.remaining_bytes() as f64),
         );
     }
 }

@@ -91,11 +91,10 @@ fn main() {
 
     let mem = apollo.approx_memory_bytes();
     // The footprint is retention-bound: with every queue window full
-    // (65 536 records of 17 B + bookkeeping) the service saturates at
-    // this ceiling — the figure's "steady state" number.
+    // (65 536 entries of 40 B) the service saturates at this ceiling —
+    // the figure's "steady state" number.
     let n_topics = apollo.facts().len() + apollo.insights().len();
-    let per_entry = 17 + 56; // payload + Entry bookkeeping
-    let saturated = n_topics * 65_536 * per_entry;
+    let saturated = n_topics * 65_536 * std::mem::size_of::<apollo_streams::Entry>();
     let node_ram: u64 = 96_000_000_000;
 
     let mut report = Report::new("fig5", "Apollo resource consumption under IOR");

@@ -38,19 +38,14 @@ fn publish_scaling() {
     for threads in [1u32, 2, 4, 8, 16, 24, 32, 40] {
         let broker = Arc::new(Broker::new(StreamConfig::bounded(65_536)));
         broker.instrument(&registry);
-        let payload = Record::measured(0, 0.0).encode();
+        let record = Record::measured(0, 0.0);
         let start = Instant::now();
         std::thread::scope(|s| {
             for t in 0..threads {
                 let broker = Arc::clone(&broker);
-                let payload = payload.clone();
                 s.spawn(move || {
                     for i in 0..events_per_thread {
-                        broker.publish(
-                            "queue",
-                            u64::from(t) * events_per_thread + i,
-                            payload.clone(),
-                        );
+                        broker.publish("queue", u64::from(t) * events_per_thread + i, record);
                     }
                 });
             }
@@ -100,9 +95,9 @@ fn subscribe_scaling() {
             }
             let broker = Arc::clone(&broker);
             s.spawn(move || {
-                let payload = Record::measured(0, 0.0).encode();
+                let record = Record::measured(0, 0.0);
                 for i in 0..events {
-                    broker.publish("queue", i, payload.clone());
+                    broker.publish("queue", i, record);
                 }
             });
         });

@@ -73,12 +73,8 @@ pub fn monitor(
         .expect("one vertex on a fresh service");
     apollo.run_for(Duration::from_nanos(span));
 
-    let records: Vec<Record> = apollo
-        .broker()
-        .range_by_time(TOPIC, 0, u64::MAX)
-        .iter()
-        .map(|e| Record::decode(&e.payload).expect("the vertex stores records"))
-        .collect();
+    let records: Vec<Record> =
+        apollo.broker().range_by_time(TOPIC, 0, u64::MAX).iter().map(|e| e.record).collect();
     let mut belief = TimeSeries::new();
     let (mut matches, mut sq_err, mut next) = (0u64, 0.0, 0);
     for &(t, truth) in reference.points() {

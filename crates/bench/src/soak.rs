@@ -560,7 +560,7 @@ pub fn run_compiled(config: &SoakConfig, compiled: &CompiledChaos) -> SoakOutcom
                     // Stream::append must clamp, not corrupt ordering.
                     let skewed_ms = now_ms.saturating_sub(regression.as_millis() as u64);
                     for _ in 0..*appends {
-                        broker.publish(topic, skewed_ms, Record::measured(now, -1.0).encode());
+                        broker.publish(topic, skewed_ms, Record::measured(now, -1.0));
                     }
                 }
                 PerturbationKind::SlowConsumer { topic, hold } => {
@@ -580,7 +580,7 @@ pub fn run_compiled(config: &SoakConfig, compiled: &CompiledChaos) -> SoakOutcom
                 }
                 PerturbationKind::BackpressureBurst { topic, records } => {
                     for _ in 0..*records {
-                        broker.publish(topic, now_ms, Record::measured(now, -2.0).encode());
+                        broker.publish(topic, now_ms, Record::measured(now, -2.0));
                     }
                 }
             }
@@ -654,9 +654,9 @@ pub fn run_compiled(config: &SoakConfig, compiled: &CompiledChaos) -> SoakOutcom
                                 ));
                             }
                             for r in 0..churn.records_per_series {
-                                series.record(
+                                series.push(
                                     StreamId::new(now_ms + r, k as u64),
-                                    &Record::measured(now, r as f64).encode(),
+                                    Record::measured(now, r as f64),
                                 );
                             }
                             let got = series.range(StreamId::MIN, StreamId::MAX);
@@ -747,7 +747,10 @@ pub fn run_compiled(config: &SoakConfig, compiled: &CompiledChaos) -> SoakOutcom
         for e in &full {
             digest = fnv(digest, &e.id.ms.to_le_bytes());
             digest = fnv(digest, &e.id.seq.to_le_bytes());
-            digest = fnv(digest, &e.payload);
+            // The record's fields in its frame's byte order.
+            digest = fnv(digest, &e.record.timestamp_ns.to_le_bytes());
+            digest = fnv(digest, &e.record.value.to_bits().to_le_bytes());
+            digest = fnv(digest, &[e.record.provenance.wire()]);
         }
     }
     if ledger.duplicates() > 0 {

@@ -147,10 +147,9 @@ impl ContinuousVertex {
             return false;
         }
         for row in &result.rows {
-            pumped.publisher.publish(
-                now_ms,
-                Record::measured(row.timestamp_ms * 1_000_000, row.value).encode(),
-            );
+            pumped
+                .publisher
+                .publish(now_ms, Record::measured(row.timestamp_ms * 1_000_000, row.value));
         }
         self.emitted_rows.add(result.rows.len() as u64);
         pumped.last = Some(result);
@@ -230,7 +229,7 @@ mod tests {
         assert_eq!(format!("{served:?}"), want, "{at}: Apollo::query");
         if let Some(row) = rescan.ok().and_then(|r| r.rows.last().cloned()) {
             let entry = broker.latest(cv.name()).expect("a result was published");
-            let published = Record::decode(&entry.payload).unwrap();
+            let published = entry.record;
             let row = Record::measured(row.timestamp_ms * 1_000_000, row.value);
             assert_eq!(format!("{published:?}"), format!("{row:?}"), "{at}: published row");
         }
@@ -282,7 +281,7 @@ mod tests {
                 3 => Record::stale(ts * 1_000_000, v),
                 _ => Record::measured(ts * 1_000_000, v),
             };
-            apollo.broker().publish("cpu", ts, rec.encode());
+            apollo.broker().publish("cpu", ts, rec);
             pump_and_check(&apollo, &cv, sql, ts, &format!("step {i}"));
         }
     }
@@ -309,7 +308,7 @@ mod tests {
                     12 => Record::stale(record_ms * 1_000_000, v),
                     _ => Record::measured(record_ms * 1_000_000, v),
                 };
-                apollo.broker().publish(topic, ts, rec.encode());
+                apollo.broker().publish(topic, ts, rec);
                 pump_and_check(&apollo, &cv, sql, ts, &format!("step {i} {topic}"));
             }
         }
@@ -321,7 +320,7 @@ mod tests {
         let (apollo, cv) = hand_fed(&["t"], sql);
         for i in 0..12u64 {
             let rec = Record::measured(i * 10_000_000, ((i * 7) % 12) as f64);
-            apollo.broker().publish("t", i * 10, rec.encode());
+            apollo.broker().publish("t", i * 10, rec);
             pump_and_check(&apollo, &cv, sql, i * 10, &format!("step {i}"));
         }
     }
@@ -339,7 +338,7 @@ mod tests {
         let sql = "SELECT SUM(metric) FROM t WHERE Timestamp BETWEEN 100 AND 200";
         let (apollo, cv) = hand_fed(&["t"], sql);
         for ts in [50u64, 100, 150, 200, 250] {
-            apollo.broker().publish("t", ts, Record::measured(ts * 1_000_000, ts as f64).encode());
+            apollo.broker().publish("t", ts, Record::measured(ts * 1_000_000, ts as f64));
             pump_and_check(&apollo, &cv, sql, ts, &format!("at {ts} ms"));
         }
         assert_eq!(cv.result().unwrap().rows[0].value, 450.0);
@@ -351,7 +350,7 @@ mod tests {
         // rescan, proving the equivalence check can fail.
         let (apollo, cv) = hand_fed(&["t"], "SELECT SUM(metric) FROM t");
         for i in 1..=10u64 {
-            apollo.broker().publish("t", i, Record::measured(i * 1_000_000, i as f64).encode());
+            apollo.broker().publish("t", i, Record::measured(i * 1_000_000, i as f64));
         }
         let fresh = QueryEngine::new(apollo.broker().as_ref()).execute(&cv.query()).unwrap();
         cv.set_break_fold(true);
@@ -393,7 +392,7 @@ mod tests {
         let cv = apollo.register_continuous("cq/max", max, Duration::from_secs(1)).unwrap();
         apollo.run_for(Duration::from_secs(5));
         assert!(cv.caught_up());
-        apollo.broker().publish("cap", 5_500, Record::measured(5_500_000_000, 500.0).encode());
+        apollo.broker().publish("cap", 5_500, Record::measured(5_500_000_000, 500.0));
         assert!(!cv.caught_up(), "the vertex has not read the new row");
         assert_eq!(apollo.query(max).unwrap().rows[0].value, 500.0, "a query sees it");
         assert_eq!(cv.result().unwrap().rows[0].value, 500.0, "and so does result()");
@@ -401,7 +400,7 @@ mod tests {
         apollo.run_for(Duration::from_secs(1));
         assert!(cv.caught_up());
         let latest = apollo.broker().latest("cq/max").unwrap();
-        assert_eq!(Record::decode(&latest.payload).unwrap().value, 500.0);
+        assert_eq!(latest.record.value, 500.0);
     }
 
     #[test]

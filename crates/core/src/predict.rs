@@ -48,9 +48,8 @@ struct PumpObs {
 }
 
 /// Reusable per-tick buffers: after the first tick at a given batch size,
-/// staging, the kernel call and its outputs allocate nothing — a tick's
-/// only heap allocations are the published payloads, one per predicted
-/// record (pinned by `tests/pump_allocations.rs`).
+/// staging, the kernel call, its outputs and the publishes allocate
+/// nothing (pinned by `tests/pump_allocations.rs`).
 #[derive(Default)]
 struct TickScratch {
     ds: DelphiScratch,

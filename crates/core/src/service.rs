@@ -540,7 +540,7 @@ impl Apollo {
                 let Some(value) = metric.value(&event, capacity) else { continue };
                 if last.replace(value) != Some(value) {
                     let ts = event.timestamp_ns;
-                    publisher.publish(ts / 1_000_000, Record::measured(ts, value).encode());
+                    publisher.publish(ts / 1_000_000, Record::measured(ts, value));
                 }
             }
             TimerAction::Park
@@ -677,13 +677,13 @@ impl Apollo {
     /// `query.arm_ns`, `query.arm_errors`) on the one query path this
     /// service and its [`ApolloHandle`] share. Range scans go through
     /// the scan cache (`query.scan_cache.{hits,misses,invalidations}`):
-    /// a topic scanned before is decoded only for the rows appended
+    /// a topic scanned before is landed only for the rows appended
     /// since, whatever the window.
     pub fn query(&self, sql: &str) -> Result<QueryResult, ExecSqlError> {
         self.query_path.query(sql)
     }
 
-    /// The decoded-scan cache behind both `query` entry points.
+    /// The scan cache behind both `query` entry points.
     pub fn scan_cache(&self) -> &ScanCache {
         &self.query_path.scan_cache
     }
@@ -1082,7 +1082,7 @@ mod tests {
             .unwrap();
         apollo.run_for(Duration::from_secs(5));
         let ahead = apollo.now() + 3_600 * NS;
-        apollo.broker().publish("cap", ahead / 1_000_000, Record::measured(ahead, 7.0).encode());
+        apollo.broker().publish("cap", ahead / 1_000_000, Record::measured(ahead, 7.0));
         apollo.run_for(Duration::from_secs(5));
         assert_eq!(apollo.scheduled["sum"].timer.fire_count(), 2, "one run per publish");
         assert_eq!(sum.recomputes(), 2);
@@ -1121,12 +1121,11 @@ mod tests {
         assert_eq!(snap.counter("core.vertex.cap.suppressed"), 9);
         // Query layer.
         assert_eq!(snap.counter("query.executed"), 1);
-        // Scan-consistency layer: the decoded-scan cache counters and the
-        // per-topic lapped-cursor/rejected-eviction counters are all exported.
+        // Scan-consistency layer: the scan cache counters and the
+        // per-topic lapped-cursor counter are all exported.
         assert!(snap.counters.contains_key("query.scan_cache.hits"));
         assert!(snap.counters.contains_key("query.scan_cache.misses"));
         assert!(snap.counters.contains_key("query.scan_cache.invalidations"));
-        assert!(snap.counters.contains_key("streams.topic.cap.archive_rejected"));
         assert!(snap.counters.contains_key("streams.topic.cap.cursor_lapped"));
         // And the whole thing survives a JSON round-trip.
         let json = snap.to_json();
@@ -1158,7 +1157,7 @@ mod tests {
         apollo.broker().publish(
             "cap",
             7_000,
-            apollo_streams::Record::measured(7 * 1_000_000_000, 11.0).encode(),
+            apollo_streams::Record::measured(7 * 1_000_000_000, 11.0),
         );
         let third = apollo.query("SELECT MAX(metric) FROM cap").unwrap();
         assert_eq!(third.rows[0].value, 11.0);
@@ -1184,7 +1183,7 @@ mod tests {
         for (i, v) in [11.0, -3.5, 0.25].into_iter().enumerate() {
             let ms = 7_000 + i as u64;
             let r = apollo_streams::Record::measured(ms * 1_000_000, v);
-            apollo.broker().publish("cap", ms, r.encode());
+            apollo.broker().publish("cap", ms, r);
             let rescan = QueryEngine::new(apollo.broker().as_ref()).execute_sql(AVG).unwrap();
             assert_eq!(apollo.query(AVG).unwrap(), rescan);
         }
@@ -1192,17 +1191,6 @@ mod tests {
         let snap = apollo.metrics_snapshot();
         assert_eq!(snap.counter("query.scan_cache.fold_resumed"), 3);
         assert_eq!(snap.counter("query.scan_cache.hits"), 3);
-    }
-
-    #[test]
-    fn latest_query_skips_a_corrupt_newest_payload() {
-        let apollo = Apollo::new_virtual();
-        let broker = apollo.broker();
-        broker.publish("t", 1, apollo_streams::Record::measured(1_000_000, 7.0).encode());
-        broker.publish("t", 2, vec![0xde, 0xad, 0xbe, 0xef]);
-        let out = apollo.query("SELECT MAX(Timestamp), metric FROM t").unwrap();
-        let row = &out.rows[0];
-        assert_eq!((row.value, row.provenance), (7.0, Some(apollo_streams::Provenance::Measured)));
     }
 
     #[test]
@@ -1322,7 +1310,7 @@ mod tests {
         apollo.attach_slab(Arc::clone(&store), Duration::from_secs(1));
         apollo.prediction_pump(tiny_delphi(), Duration::from_secs(3));
         let broker = apollo.broker();
-        broker.publish("some/raw/topic", 1, Record::measured(1, 1.0).encode());
+        broker.publish("some/raw/topic", 1, Record::measured(1, 1.0));
         apollo.run_for(Duration::from_secs(2));
 
         // Service steps (the lifecycle, the pump) are scheduled, not vertices.
@@ -1396,8 +1384,7 @@ mod tests {
         // A retained handle to the retired vertex still resolves the name
         // rather than writing into the removed topic nobody can read.
         old.poll(apollo.now());
-        let latest =
-            apollo_streams::Record::decode(&broker.latest("cap").unwrap().payload).unwrap();
+        let latest = broker.latest("cap").unwrap().record;
         assert_eq!((latest.value, broker.topic_len("cap")), (1.0, 3));
     }
 
@@ -1419,7 +1406,7 @@ mod tests {
             apollo.broker().publish(
                 "cap",
                 i + 1,
-                Record::measured((i + 1) * 1_000_000, (i + 1) as f64).encode(),
+                Record::measured((i + 1) * 1_000_000, (i + 1) as f64),
             );
         }
         assert!(store.stats().live_entries >= 14, "evictions recorded in the slab");
@@ -1454,7 +1441,7 @@ mod tests {
         {
             let series = store.series("job/tmp").unwrap();
             for i in 0..10u64 {
-                series.record(StreamId::new(i + 1, 0), &Record::measured(i, i as f64).encode());
+                series.push(StreamId::new(i + 1, 0), Record::measured(i, i as f64));
             }
         } // handle dropped: GC-eligible once consolidated and past retention
         assert_eq!(store.dirty_records(), 10);

@@ -228,9 +228,8 @@ impl FactVertex {
         let next = match outcome {
             Ok(value) => {
                 // Fact builder.
-                let record = self
-                    .timer
-                    .time(sampled, Phase::Build, || Record::measured(now_ns, value).encode());
+                let record =
+                    self.timer.time(sampled, Phase::Build, || Record::measured(now_ns, value));
                 // ② Publish, change-filtered.
                 if st.last_published != Some(value) || !self.publish_on_change_only {
                     self.timer.time(sampled, Phase::Publish, || {
@@ -253,9 +252,8 @@ impl FactVertex {
             Err(_) => {
                 st.failures += 1;
                 if let Some(prev) = st.last_published {
-                    let record = self
-                        .timer
-                        .time(sampled, Phase::Build, || Record::stale(now_ns, prev).encode());
+                    let record =
+                        self.timer.time(sampled, Phase::Build, || Record::stale(now_ns, prev));
                     self.timer.time(sampled, Phase::Publish, || {
                         st.publisher.publish(now_ns / 1_000_000, record);
                     });
@@ -290,7 +288,7 @@ impl FactVertex {
 
     /// [`FactVertex::publish_predicted`] under a state lock already held.
     pub(crate) fn predicted(&self, st: &mut FactState, now_ns: u64, value: f64) {
-        st.publisher.publish(now_ns / 1_000_000, Record::predicted(now_ns, value).encode());
+        st.publisher.publish(now_ns / 1_000_000, Record::predicted(now_ns, value));
         st.published += 1;
         if let Some((tracker, _)) = st.pump.as_deref_mut() {
             tracker.observe(value);
@@ -530,10 +528,8 @@ impl InsightVertex {
                 reader.read_after_into(*cursor, usize::MAX, drained);
                 *cursor = drained.last().map(|e| e.id).or(*cursor);
                 for entry in drained.drain(..) {
-                    if let Ok(r) = Record::decode(&entry.payload) {
-                        latest[slot] = Some(r);
-                        fresh.push((slot, r));
-                    }
+                    latest[slot] = Some(entry.record);
+                    fresh.push((slot, entry.record));
                 }
             }
             !fresh.is_empty()
@@ -545,8 +541,7 @@ impl InsightVertex {
         let value = self.timer.time(sampled, Phase::Other, || builder(inputs));
         if let Some(v) = value {
             if last_published.is_none_or(|prev| prev != v) {
-                let record =
-                    self.timer.time(sampled, Phase::Build, || Record::measured(now_ns, v).encode());
+                let record = self.timer.time(sampled, Phase::Build, || Record::measured(now_ns, v));
                 self.timer.time(sampled, Phase::Publish, || {
                     publisher.publish(now_ns / 1_000_000, record);
                 });
@@ -608,7 +603,7 @@ mod tests {
         let next = v.poll(1_000_000_000);
         assert_eq!(next, Duration::from_secs(1));
         let entry = b.latest("cap").unwrap();
-        let r = Record::decode(&entry.payload).unwrap();
+        let r = entry.record;
         assert_eq!(r.value, 7.0);
         assert!(r.is_measured());
         assert_eq!(v.published(), 1);
@@ -682,7 +677,7 @@ mod tests {
         let v =
             FactVertex::new("cap", Arc::new(ConstSource::new("c", 1.0)), fixed(1), b.clone(), true);
         v.publish_predicted(5_000_000, 3.5);
-        let r = Record::decode(&b.latest("cap").unwrap().payload).unwrap();
+        let r = b.latest("cap").unwrap().record;
         assert!(!r.is_measured());
         assert_eq!(r.value, 3.5);
     }
@@ -705,7 +700,7 @@ mod tests {
         fact_a.poll(1_000_000_000);
         fact_b.poll(1_000_000_000);
         assert!(insight.pump(2_000_000_000));
-        let r = Record::decode(&b.latest("total").unwrap().payload).unwrap();
+        let r = b.latest("total").unwrap().record;
         assert_eq!(r.value, 42.0);
         assert_eq!(insight.published(), 1);
     }
@@ -759,7 +754,7 @@ mod tests {
         fact.poll(1_000_000_000);
         mid.pump(1_100_000_000);
         top.pump(1_200_000_000);
-        let r = Record::decode(&b.latest("top").unwrap().payload).unwrap();
+        let r = b.latest("top").unwrap().record;
         assert_eq!(r.value, 21.0);
     }
 
@@ -781,7 +776,7 @@ mod tests {
         assert_eq!(v.retries(), 2, "default config retries twice in-poll");
         assert_eq!(v.stale_published(), 1);
         assert_eq!(v.health(), HealthState::Degraded);
-        let r = Record::decode(&b.latest("cap").unwrap().payload).unwrap();
+        let r = b.latest("cap").unwrap().record;
         assert!(r.is_stale());
         assert_eq!(r.value, 7.0, "stale record carries the last-known value");
         // Recovery: outside the window a single success re-heals.
@@ -863,7 +858,7 @@ mod tests {
             b.clone(),
         );
         for ms in 0..100u64 {
-            b.publish("t", ms, Record::measured(ms, ms as f64).encode());
+            b.publish("t", ms, Record::measured(ms, ms as f64));
         }
         let lapped = || reg.snapshot().counter("streams.topic.t.cursor_lapped");
         assert!(insight.pump(1));
@@ -890,7 +885,7 @@ mod tests {
         fact.poll(1);
         fact.poll(1_000_000_001);
         insight.pump(2_000_000_000);
-        let r = Record::decode(&b.latest("count").unwrap().payload).unwrap();
+        let r = b.latest("count").unwrap().record;
         assert_eq!(r.value, 2.0, "both records arrived in one pump");
     }
 }

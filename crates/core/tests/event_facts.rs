@@ -22,7 +22,7 @@ fn setup(metric: EventMetric) -> (Apollo, Arc<Device>) {
 
 fn records(apollo: &Apollo, topic: &str) -> Vec<Record> {
     let rows = apollo.broker().range_by_time(topic, 0, u64::MAX);
-    rows.iter().map(|e| Record::decode(&e.payload).unwrap()).collect()
+    rows.iter().map(|e| e.record).collect()
 }
 
 #[test]

@@ -60,7 +60,7 @@ fn every_outside_publish_reaches_a_parked_insight() {
     for seq in 1..=RECORDS {
         let now_ns = epoch.elapsed().as_nanos() as u64;
         let sent = Instant::now();
-        let record = Record::measured(now_ns, seq as f64).encode();
+        let record = Record::measured(now_ns, seq as f64);
         broker.publish("outside", now_ns / 1_000_000, record);
         while seen.load(Ordering::Acquire) < seq {
             assert!(sent.elapsed() < BOUND, "record {seq} never reached the insight: a lost wake");
@@ -80,8 +80,7 @@ fn every_outside_write_reaches_a_parked_event_fact() {
     apollo.register_events("used", &device, EventMetric::UsedCapacity).unwrap();
     let handle = apollo.spawn();
     let broker = handle.broker();
-    let landed =
-        || broker.latest("used").map_or(0.0, |e| Record::decode(&e.payload).unwrap().value);
+    let landed = || broker.latest("used").map_or(0.0, |e| e.record.value);
 
     let epoch = Instant::now();
     let mut worst = Duration::ZERO;

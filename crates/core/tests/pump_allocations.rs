@@ -1,7 +1,6 @@
 //! Allocation teeth for the record path: a record — predicted, polled or
-//! derived by an insight — costs **no** heap allocation. Its 17-byte frame
-//! sits inside the `Bytes` handle, so the window entry that owns it and
-//! every subscriber's copy are the record itself. Counted by the
+//! derived by an insight — costs **no** heap allocation. The window entry
+//! holds the record itself, and so does every subscriber's copy. Counted by the
 //! workspace's counting allocator (`apollo-alloc-count`); the count is
 //! process-wide, so this file deliberately holds a single `#[test]`.
 //!
@@ -80,7 +79,7 @@ fn a_publish_that_wakes_a_parked_insight_allocates_nothing() {
     // Ten polls: the insight ran on each one's publish and parked.
     apollo.run_for(Duration::from_millis(10_500));
     let runs = insight.recomputes();
-    let payload = Record::measured(10_500_000_000, 1.0).encode();
+    let payload = Record::measured(10_500_000_000, 1.0);
     let broker = apollo.broker();
     let allocs = allocs_during(|| {
         broker.publish("woken/in", 10_500, payload);
@@ -102,7 +101,7 @@ fn a_warm_standing_query_pump_allocates_per_pump_not_per_record() {
     let mut pump = |records: u64| {
         for _ in 0..records {
             ms += 1;
-            broker.publish("cq/in", ms, Record::measured(ms * 1_000_000, ms as f64).encode());
+            broker.publish("cq/in", ms, Record::measured(ms * 1_000_000, ms as f64));
         }
         allocs_during(|| assert!(cq.pump(ms), "a rising AVG changes every pump"))
     };
@@ -161,14 +160,14 @@ fn encoding_and_publishing_a_record_allocates_nothing() {
     let record = |i: u64| Record::measured(i * 1_000_000, i as f64);
     // Warm: create both topics and fill their windows to the bound.
     for i in 0..16 {
-        broker.publish("by-name", i, record(i).encode());
-        broker.publish_batch("by-name", [(i, record(i).encode())]);
-        publisher.publish(i, record(i).encode());
+        broker.publish("by-name", i, record(i));
+        broker.publish_batch("by-name", [(i, record(i))]);
+        publisher.publish(i, record(i));
     }
 
-    assert_eq!(allocs_during(|| drop(record(99).encode())), 0, "the payload sits in its handle");
-    // Payloads are built outside the counted regions.
-    let [p, q, r, s] = [100, 101, 102, 103].map(|i| record(i).encode());
+    // The frame a publish may still be handed sits in its handle.
+    assert_eq!(allocs_during(|| drop(record(99).encode())), 0, "the frame sits in its handle");
+    let [p, q, r, s] = [100, 101, 102, 103].map(record);
     let mut ids = [None; 2];
     assert_eq!(allocs_during(|| ids[0] = Some(broker.publish("by-name", 100, p))), 0);
     assert_eq!(allocs_during(|| ids[1] = Some(publisher.publish(100, q))), 0);

@@ -242,7 +242,7 @@ fn readers_interleave_with_pump_and_eviction() {
     apollo.register_continuous("cq/sum", STANDING, Duration::from_millis(3)).unwrap();
     for ms in (0..=PACE_SPAN_MS).step_by(PACE_MS as usize) {
         let pace = apollo_streams::Record::measured(ms * 1_000_000, 1.0);
-        apollo.broker().publish("pace", ms, pace.encode());
+        apollo.broker().publish("pace", ms, pace);
     }
     let handle = apollo.spawn();
 
@@ -291,11 +291,7 @@ fn readers_interleave_with_pump_and_eviction() {
     let (mut k, mut ms) = (rescan.rows[0].counts.unwrap().measured, apollo.now() / 1_000_000);
     for _ in 0..200 {
         (k, ms) = (k + 1, ms + 1);
-        broker.publish(
-            "seq",
-            ms,
-            apollo_streams::Record::measured(ms * 1_000_000, k as f64).encode(),
-        );
+        broker.publish("seq", ms, apollo_streams::Record::measured(ms * 1_000_000, k as f64));
         let arms = apollo
             .query("SELECT MAX(metric) FROM seq UNION SELECT MAX(metric) FROM seq WHERE Timestamp >= 0")
             .unwrap();

@@ -8,7 +8,6 @@
 //! each read is charged a simulated query cost (the "<1% overhead" the
 //! paper reports).
 
-use apollo_streams::codec::Record;
 use apollo_streams::Broker;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -80,8 +79,7 @@ impl CapacityView for ApolloView {
     fn remaining(&self, target: &str) -> Option<u64> {
         self.reads.fetch_add(1, Ordering::Relaxed);
         let entry = self.broker.latest(&Self::capacity_topic(target))?;
-        let record = Record::decode(&entry.payload).ok()?;
-        Some(record.value.max(0.0) as u64)
+        Some(entry.record.value.max(0.0) as u64)
     }
 
     fn query_cost(&self) -> Duration {
@@ -114,7 +112,7 @@ impl CapacityView for BlindView {
 mod tests {
     use super::*;
     use apollo_cluster::device::{Device, DeviceSpec};
-    use apollo_streams::StreamConfig;
+    use apollo_streams::{Record, StreamConfig};
 
     #[test]
     fn oracle_reads_ground_truth() {
@@ -132,18 +130,10 @@ mod tests {
         let broker = Arc::new(Broker::new(StreamConfig::default()));
         let view = ApolloView::new(Arc::clone(&broker));
         assert_eq!(view.remaining("nvme0"), None, "no fact published yet");
-        broker.publish(
-            "nvme0/remaining_capacity",
-            1,
-            Record::measured(1_000_000, 5_000.0).encode(),
-        );
+        broker.publish("nvme0/remaining_capacity", 1, Record::measured(1_000_000, 5_000.0));
         assert_eq!(view.remaining("nvme0"), Some(5_000));
         // A newer fact supersedes.
-        broker.publish(
-            "nvme0/remaining_capacity",
-            2,
-            Record::measured(2_000_000, 4_000.0).encode(),
-        );
+        broker.publish("nvme0/remaining_capacity", 2, Record::measured(2_000_000, 4_000.0));
         assert_eq!(view.remaining("nvme0"), Some(4_000));
         assert!(view.query_cost() > Duration::ZERO);
     }
@@ -153,7 +143,7 @@ mod tests {
         // The fact says 10 000 bytes remain even after the device filled —
         // exactly the staleness the engines must tolerate.
         let broker = Arc::new(Broker::new(StreamConfig::default()));
-        broker.publish("t/remaining_capacity", 1, Record::measured(1_000_000, 10_000.0).encode());
+        broker.publish("t/remaining_capacity", 1, Record::measured(1_000_000, 10_000.0));
         let view = ApolloView::new(broker);
         assert_eq!(view.remaining("t"), Some(10_000));
     }
@@ -169,7 +159,7 @@ mod tests {
     #[test]
     fn negative_capacity_clamps_to_zero() {
         let broker = Arc::new(Broker::new(StreamConfig::default()));
-        broker.publish("t/remaining_capacity", 1, Record::measured(1, -5.0).encode());
+        broker.publish("t/remaining_capacity", 1, Record::measured(1, -5.0));
         let view = ApolloView::new(broker);
         assert_eq!(view.remaining("t"), Some(0));
     }

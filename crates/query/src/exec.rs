@@ -23,7 +23,7 @@
 //! evicted entries) using timestamp-based indexing"), and the
 //! [`CachedBroker`] over it.
 //! `tests/equivalence.rs` holds the results to a naive fold over the
-//! broker's decoded records, bit for bit.
+//! broker's records, bit for bit.
 
 use crate::ast::{Aggregate, OrderBy, Query, Select};
 use crate::vector::{self, JoinIndex, ScanAccumulator};
@@ -140,7 +140,7 @@ pub struct QueryResult {
 
 /// One window of a shared [`ColumnBatch`] (a cached tail, usually): the
 /// rows whose ID millisecond lies in the looked-up range, in stream order
-/// — what a scan of exactly that window would have decoded.
+/// — what a scan of exactly that window would have landed.
 #[derive(Debug, Clone)]
 pub struct ColumnSlice {
     /// The batch the rows sit in; its snapshot parts are the slice's.
@@ -177,7 +177,7 @@ impl ColumnSlice {
         fields.map(|((&timestamp_ns, &value), &wire)| Record {
             timestamp_ns,
             value,
-            provenance: Provenance::from_wire(wire).expect("a batch holds only decoded rows"),
+            provenance: Provenance::from_wire(wire).expect("a batch holds only record rows"),
         })
     }
 }
@@ -185,12 +185,10 @@ impl ColumnSlice {
 /// Supplies table data to the executor.
 pub trait TableProvider {
     /// Most recent record of a table: an O(1) tail-read. `None` for an
-    /// unknown or empty table, and for one whose newest payload does not
-    /// decode — the executor then takes the newest row that does from
-    /// [`TableProvider::columns`].
+    /// unknown or empty table.
     fn latest(&self, table: &str) -> Option<Record>;
 
-    /// The decoded rows with `start_ms <= publish time <= end_ms`, in
+    /// The rows with `start_ms <= publish time <= end_ms`, in
     /// stream order, as columns: the one read every arm is answered from.
     fn columns(&self, table: &str, start_ms: u64, end_ms: u64) -> ColumnSlice;
 
@@ -218,7 +216,7 @@ pub trait TableProvider {
 
 impl TableProvider for Broker {
     fn latest(&self, table: &str) -> Option<Record> {
-        Broker::latest(self, table).and_then(|e| Record::decode(&e.payload).ok())
+        Broker::latest(self, table).map(|e| e.record)
     }
 
     fn columns(&self, table: &str, start_ms: u64, end_ms: u64) -> ColumnSlice {
@@ -231,7 +229,7 @@ impl TableProvider for Broker {
 /// re-admit the working set (no LRU bookkeeping on the query hot path).
 const MAX_CACHED_SCANS: usize = 256;
 
-/// One topic's cached scan: the decoded rows from `first` to the topic's
+/// One topic's cached scan: the rows from `first` to the topic's
 /// `last_id` as of the last lookup, and the folds kept over them.
 struct Tail {
     /// Every row the stream retains with `first <= id <= cols.last_id`,
@@ -353,7 +351,7 @@ impl Tail {
     }
 }
 
-/// A cache of decoded range scans: **one columnar tail per topic**, which
+/// A cache of columnar range scans: **one columnar tail per topic**, which
 /// a lookup extends by the rows appended since and serves as a slice.
 ///
 /// SCoRe queues only append and only ever lose their oldest rows, so a
@@ -371,7 +369,7 @@ impl Tail {
 /// tail is re-scanned, as it is for a topic re-created under its name. A
 /// window reaching further back than the tail rebuilds it from the older
 /// start; a closed window wholly older than it is scanned on its own and
-/// not kept; empty and unknown topics get no entry. So a tail is a decoded
+/// not kept; empty and unknown topics get no entry. So a tail is a columnar
 /// suffix of what the stream itself retains, behind at most as many dead
 /// rows — no more of it than twice the widest span a lookup has asked
 /// for, back from the newest row — at 25 B a row, for at most
@@ -884,13 +882,13 @@ impl<'a, P: TableProvider> QueryEngine<'a, P> {
         let table = &select.table;
         let (lo, hi) = select.time_range.unwrap_or((0, u64::MAX));
         if select.aggregate == Aggregate::Latest {
-            // The O(1) tail-read, unless the arm is ranged or the newest
-            // payload does not decode: then the window's newest row.
-            let tail = select.time_range.is_none().then(|| self.provider.latest(table));
-            let r = tail
-                .flatten()
-                .or_else(|| self.provider.columns(table, lo, hi).records().next_back())
-                .ok_or_else(|| ExecError::EmptyTable(table.clone()))?;
+            // The O(1) tail-read, unless the arm is ranged: then the
+            // window's newest row.
+            let r = match select.time_range {
+                None => self.provider.latest(table),
+                Some(_) => self.provider.columns(table, lo, hi).records().next_back(),
+            }
+            .ok_or_else(|| ExecError::EmptyTable(table.clone()))?;
             return Ok(vec![Row::record(table, &r)]);
         }
         let mut join = self.join_index(select, lo, hi);
@@ -1019,11 +1017,11 @@ mod tests {
         let b = Broker::new(StreamConfig::default());
         for (i, v) in [10.0, 20.0, 30.0, 40.0].iter().enumerate() {
             let ts_ms = (i as u64 + 1) * 100;
-            b.publish("capacity", ts_ms, Record::measured(ts_ms * 1_000_000, *v).encode());
+            b.publish("capacity", ts_ms, Record::measured(ts_ms * 1_000_000, *v));
         }
         for (i, v) in [5.0, 15.0].iter().enumerate() {
             let ts_ms = (i as u64 + 1) * 100;
-            b.publish("load", ts_ms, Record::measured(ts_ms * 1_000_000, *v).encode());
+            b.publish("load", ts_ms, Record::measured(ts_ms * 1_000_000, *v));
         }
         b
     }
@@ -1048,8 +1046,8 @@ mod tests {
     #[test]
     fn stale_records_surface_their_provenance() {
         let b = Broker::new(StreamConfig::default());
-        b.publish("t", 1, Record::measured(1_000_000, 9.0).encode());
-        b.publish("t", 2, Record::stale(2_000_000, 9.0).encode());
+        b.publish("t", 1, Record::measured(1_000_000, 9.0));
+        b.publish("t", 2, Record::stale(2_000_000, 9.0));
         let engine = QueryEngine::new(&b);
         let out = engine.execute_sql("SELECT MAX(Timestamp), metric FROM t").unwrap();
         assert_eq!(out.rows[0].provenance, Some(Provenance::Stale));
@@ -1206,7 +1204,7 @@ mod tests {
         let b = Broker::new(StreamConfig::default());
         let rows = [(100u64, 1e16), (300, 7.0), (150, 1.0), (350, 8.0), (120, -1e16), (500, 2.0)];
         for (i, (ts, v)) in rows.iter().enumerate() {
-            b.publish("skewed", 1_000 + i as u64, Record::measured(ts * 1_000_000, *v).encode());
+            b.publish("skewed", 1_000 + i as u64, Record::measured(ts * 1_000_000, *v));
         }
         let sql = "SELECT SUM(metric) FROM skewed GROUP BY BUCKET(Timestamp, 200)";
         let out = QueryEngine::new(&b).execute_sql(sql).unwrap();
@@ -1216,7 +1214,7 @@ mod tests {
         );
         assert_eq!(out.rows[0].counts.unwrap().measured, 3);
         // Ending on a revisit leaves an interior bucket open at finalize.
-        b.publish("skewed", 2_000, Record::measured(360 * 1_000_000, 1.0).encode());
+        b.publish("skewed", 2_000, Record::measured(360 * 1_000_000, 1.0));
         let out = QueryEngine::new(&b).execute_sql(sql).unwrap();
         assert_eq!(
             out.rows.iter().map(|r| (r.timestamp_ms, r.value)).collect::<Vec<_>>(),
@@ -1228,10 +1226,10 @@ mod tests {
     fn join_semi_join_filters_by_partner_timestamps() {
         let b = Broker::new(StreamConfig::default());
         for ts in [100u64, 200, 300, 400] {
-            b.publish("left", ts, Record::measured(ts * 1_000_000, ts as f64).encode());
+            b.publish("left", ts, Record::measured(ts * 1_000_000, ts as f64));
         }
         for ts in [105u64, 395] {
-            b.publish("right", ts, Record::measured(ts * 1_000_000, 1.0).encode());
+            b.publish("right", ts, Record::measured(ts * 1_000_000, 1.0));
         }
         let engine = QueryEngine::new(&b);
         let out = engine
@@ -1357,12 +1355,12 @@ mod tests {
         let b = Broker::new(StreamConfig::default());
         for (i, v) in [10.0, 20.0, 30.0].iter().enumerate() {
             let ts_ms = (i as u64 + 1) * 100;
-            b.publish("disk", ts_ms, Record::measured(ts_ms * 1_000_000, *v).encode());
+            b.publish("disk", ts_ms, Record::measured(ts_ms * 1_000_000, *v));
         }
         // Hook outage: the last value (30.0) is republished as stale.
         for i in 0..3u64 {
             let ts_ms = 400 + i * 100;
-            b.publish("disk", ts_ms, Record::stale(ts_ms * 1_000_000, 30.0).encode());
+            b.publish("disk", ts_ms, Record::stale(ts_ms * 1_000_000, 30.0));
         }
         b
     }
@@ -1461,7 +1459,7 @@ mod tests {
         let b = Broker::new(StreamConfig::default());
         for i in 0..32 {
             let t = format!("t{i}");
-            b.publish(&t, 1, Record::measured(1_000_000, i as f64).encode());
+            b.publish(&t, 1, Record::measured(1_000_000, i as f64));
         }
         let engine = QueryEngine::new(&b);
         let tables: Vec<String> = (0..32).map(|i| format!("t{i}")).collect();
@@ -1471,33 +1469,6 @@ mod tests {
         assert_eq!(out.rows.len(), 32);
         for (i, row) in out.rows.iter().enumerate() {
             assert_eq!(row.value, i as f64, "source order preserved");
-        }
-    }
-
-    #[test]
-    fn corrupt_payloads_are_skipped_by_provider() {
-        let b = Broker::new(StreamConfig::default());
-        b.publish("t", 1, vec![1, 2, 3]); // not a valid record
-        b.publish("t", 2, Record::measured(2_000_000, 9.0).encode());
-        b.publish("t", 3, vec![0xde, 0xad, 0xbe, 0xef]);
-        let engine = QueryEngine::new(&b);
-        let out = engine.execute_sql("SELECT metric FROM t").unwrap();
-        assert_eq!(out.rows.len(), 1);
-        assert_eq!(out.rows[0].value, 9.0);
-        // Same through the aggregate path.
-        let count = engine.execute_sql("SELECT COUNT(*) FROM t").unwrap();
-        assert_eq!(count.rows[0].value, 1.0);
-        // The newest entry does not decode either: a latest-value read
-        // answers the newest row that does, as its ranged form does.
-        let cache = ScanCache::new();
-        let cached = CachedBroker::new(&b, &cache);
-        let want = vec![Row::record("t", &Record::measured(2_000_000, 9.0))];
-        for sql in [
-            "SELECT MAX(Timestamp), metric FROM t",
-            "SELECT MAX(Timestamp), metric FROM t WHERE Timestamp >= 0",
-        ] {
-            assert_eq!(engine.execute_sql(sql).unwrap().rows, want, "{sql}");
-            assert_eq!(QueryEngine::new(&cached).execute_sql(sql).unwrap().rows, want, "{sql}");
         }
     }
 
@@ -1652,14 +1623,14 @@ mod tests {
         assert_eq!(before.rows[0].value, 100.0);
         let tail = cached.columns("capacity", 0, u64::MAX);
         // New data moves last_id: the tail is extended by exactly the
-        // appended rows — nothing it held is decoded again — and the
+        // appended rows — nothing it held is landed again — and the
         // batch a reader still holds is not written under.
-        b.publish("capacity", 500, Record::measured(500_000_000, 60.0).encode());
-        b.publish("capacity", 500, vec![0xde, 0xad]);
+        b.publish("capacity", 500, Record::measured(500_000_000, 60.0));
+        b.publish("capacity", 500, Record::measured(500_000_000, 0.0));
         let after = engine.execute_sql("SELECT SUM(metric) FROM capacity").unwrap();
         assert_eq!(after.rows[0].value, 160.0, "stale cache entry served after append");
         let extended = cached.columns("capacity", 0, u64::MAX);
-        assert_eq!((tail.rows.len(), extended.rows.len(), extended.batch.corrupt), (4, 5, 1));
+        assert_eq!((tail.rows.len(), extended.rows.len()), (4, 6));
         assert_eq!(extended.batch.last_id, Some(StreamId::new(500, 1)));
         assert_eq!((cache.misses(), cache.invalidations(), cache.len()), (1, 0, 1));
         assert_eq!(cache.hits(), 3, "an extended tail serves as a hit");
@@ -1671,8 +1642,7 @@ mod tests {
         // the window's lower bound moves each time, so no window is ever
         // asked for twice — and only the first lookup scans.
         let b = Broker::new(StreamConfig::default());
-        let publish =
-            |ms: u64| b.publish("t", ms, Record::measured(ms * 1_000_000, ms as f64).encode());
+        let publish = |ms: u64| b.publish("t", ms, Record::measured(ms * 1_000_000, ms as f64));
         for ms in 1..=200 {
             publish(ms);
         }
@@ -1727,7 +1697,7 @@ mod tests {
         // records.
         let b = Broker::new(StreamConfig { archive_evicted: false, ..StreamConfig::bounded(2) });
         for i in 0..2u64 {
-            b.publish("t", i, Record::measured(i * 1_000_000, i as f64).encode());
+            b.publish("t", i, Record::measured(i * 1_000_000, i as f64));
         }
         let cache = ScanCache::new();
         let cached = CachedBroker::new(&b, &cache);
@@ -1735,7 +1705,7 @@ mod tests {
         assert_eq!(engine.execute_sql("SELECT COUNT(*) FROM t").unwrap().rows[0].value, 2.0);
         // Two more publishes evict the first two entirely.
         for i in 2..4u64 {
-            b.publish("t", i, Record::measured(i * 1_000_000, i as f64).encode());
+            b.publish("t", i, Record::measured(i * 1_000_000, i as f64));
         }
         let out = engine.execute_sql("SELECT metric FROM t").unwrap();
         assert_eq!(out.rows.len(), 2);
@@ -1759,8 +1729,7 @@ mod tests {
         // live row.
         let lossy = StreamConfig { archive_evicted: false, ..StreamConfig::bounded(64) };
         let b = Broker::new(lossy);
-        let publish =
-            |ms: u64| b.publish("t", ms, Record::measured(ms * 1_000_000, ms as f64).encode());
+        let publish = |ms: u64| b.publish("t", ms, Record::measured(ms * 1_000_000, ms as f64));
         let cache = ScanCache::new();
         let cached = CachedBroker::new(&b, &cache);
         let (engine, oracle) = (QueryEngine::new(&cached), QueryEngine::new(&b));
@@ -1831,7 +1800,7 @@ mod tests {
         // One tail per topic, however many windows; topics are bounded.
         for i in 0..600u64 {
             let topic = format!("t{i}");
-            b.publish(&topic, 1, Record::measured(1_000_000, 1.0).encode());
+            b.publish(&topic, 1, Record::measured(1_000_000, 1.0));
             cached.columns(&topic, 0, i + 1);
             cached.columns("t0", 0, i);
             assert!(cache.len() <= 256, "cache grew past its bound: {}", cache.len());

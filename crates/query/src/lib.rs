@@ -29,7 +29,7 @@
 //!   read is a [`exec::ColumnSlice`] of a window (implemented for the
 //!   pub-sub [`apollo_streams::Broker`], reading the live queue or the
 //!   archived log via timestamp indexing), with a scan cache of one
-//!   decoded columnar tail per topic, extended in place by the rows
+//!   columnar tail per topic, extended in place by the rows
 //!   appended since the last lookup and served a slice per window; warm
 //!   hits are allocation-free. The cache's doc names the three access
 //!   paths a window is served by.

@@ -475,7 +475,7 @@ mod tests {
         let broker = apollo_streams::Broker::new(apollo_streams::StreamConfig::default());
         for (i, &ms) in ts_ms.iter().enumerate() {
             let record = apollo_streams::codec::Record::measured(ms * 1_000_000, 1.0);
-            broker.publish("p", i as u64 + 1, record.encode());
+            broker.publish("p", i as u64 + 1, record);
         }
         crate::exec::TableProvider::columns(&broker, "p", 0, u64::MAX)
     }

@@ -5,7 +5,7 @@
 //! and a lookup that extends the topic's tail by rows its columns have
 //! room for allocates nothing either.
 //!
-//! The first call is the miss that decodes the scan and keeps it as the
+//! The first call is the miss that scans the topic and keeps it as the
 //! topic's tail. Every hit after that touches only borrowed keys, atomics,
 //! and `Arc` reference counts. [`TableProvider::range`] is an adapter that
 //! collects the slice into a fresh `Vec`, so it allocates by design and is
@@ -35,13 +35,13 @@ fn warm_range_hits_allocate_nothing() {
     let broker = Broker::new(StreamConfig::default());
     for i in 0..256u64 {
         let ts_ms = (i + 1) * 10;
-        broker.publish(TOPIC, ts_ms, Record::measured(ts_ms * 1_000_000, i as f64).encode());
+        broker.publish(TOPIC, ts_ms, Record::measured(ts_ms * 1_000_000, i as f64));
     }
     let cache = ScanCache::new();
     let provider = CachedBroker::new(&broker, &cache);
 
     // --- Warm hits ---------------------------------------------------------
-    // Warm-up: the miss decodes the scan and keeps it as the tail.
+    // Warm-up: the miss scans the topic and keeps it as the tail.
     let first = provider.columns(TOPIC, 0, u64::MAX);
     assert_eq!(first.rows.len(), 256);
     let n = allocs_during(|| {
@@ -59,11 +59,11 @@ fn warm_range_hits_allocate_nothing() {
     // allocation-free (the publish itself happens outside the count). No
     // slice is held across an extension, so the tail is extended in place.
     drop(first);
-    broker.publish(TOPIC, 9_999, Record::measured(9_999_000_000, 1.0).encode());
+    broker.publish(TOPIC, 9_999, Record::measured(9_999_000_000, 1.0));
     assert_eq!(provider.columns(TOPIC, 0, u64::MAX).rows.len(), 257);
     for i in 0..100u64 {
         let ts_ms = 10_000 + i;
-        broker.publish(TOPIC, ts_ms, Record::measured(ts_ms * 1_000_000, i as f64).encode());
+        broker.publish(TOPIC, ts_ms, Record::measured(ts_ms * 1_000_000, i as f64));
         let n = allocs_during(|| {
             let cols = provider.columns(TOPIC, ts_ms - 50, u64::MAX);
             assert_eq!(cols.batch.len() as u64, 258 + i);
@@ -84,7 +84,7 @@ fn warm_range_hits_allocate_nothing() {
     const PARTNER: &str = "node0/nvme1/load";
     for i in 0..300u64 {
         let ts_ms = 9_900 + i;
-        broker.publish(PARTNER, ts_ms, Record::measured(ts_ms * 1_000_000, 0.5).encode());
+        broker.publish(PARTNER, ts_ms, Record::measured(ts_ms * 1_000_000, 0.5));
     }
     let engine = QueryEngine::new(&provider);
     for (sql, want) in [
@@ -115,7 +115,7 @@ fn warm_range_hits_allocate_nothing() {
     let resumed_before = cache.fold_resumed();
     for i in 0..20u64 {
         let ts_ms = 20_000 + i;
-        broker.publish(TOPIC, ts_ms, Record::measured(ts_ms * 1_000_000, i as f64).encode());
+        broker.publish(TOPIC, ts_ms, Record::measured(ts_ms * 1_000_000, i as f64));
         for sql in [
             format!("SELECT AVG(metric) FROM {TOPIC}"),
             format!("SELECT MAX(metric) FROM {TOPIC}"),
@@ -140,7 +140,7 @@ fn warm_range_hits_allocate_nothing() {
     let resumed_before = cache.fold_resumed();
     for i in 0..40u64 {
         let ts_ms = 21_000 + i * 100;
-        broker.publish(TOPIC, ts_ms, Record::measured(ts_ms * 1_000_000, i as f64).encode());
+        broker.publish(TOPIC, ts_ms, Record::measured(ts_ms * 1_000_000, i as f64));
         let sql = format!(
             "SELECT MAX(metric) FROM {TOPIC} WHERE Timestamp >= {} GROUP BY BUCKET(Timestamp, 1s)",
             ts_ms - 1_500

@@ -2,7 +2,7 @@
 //! cached-tail-vs-fresh-scan differential suite (second half).
 //!
 //! The oracle ([`naive::execute`]) answers a parsed query the obvious way:
-//! per arm, the window's decoded records
+//! per arm, the window's records
 //! (`Broker::scan_batch_by_time(..).records`), filtered, grouped into
 //! buckets and folded in stream order — none of the engine's code (no
 //! `ScanState`, no column kernel, no cache). The engine, over the plain
@@ -10,8 +10,7 @@
 //! the v2 surface — value predicates, time windows, `GROUP BY BUCKET`,
 //! joins with tolerance, unions with per-arm/post-merge ordering and arm
 //! errors — across broker states that exercise every provenance (measured
-//! / predicted / stale), corrupt payloads (one state ends a topic on one),
-//! eviction churn behind the scan cache, and special values — signed
+//! / predicted / stale), eviction churn behind the scan cache, and special values — signed
 //! zeros, NaN, infinities and subnormals, in slices across the lane (8) and
 //! provenance-chunk (255) edges, under record clocks that regress (bucket
 //! revisits, join cursor resets, unsorted batches). Results are compared
@@ -253,7 +252,7 @@ fn assert_matches_fold(broker: &Broker, cache: &ScanCache, state: &str) {
 }
 
 fn publish(broker: &Broker, topic: &str, ts_ms: u64, record: Record) {
-    broker.publish(topic, ts_ms, record.encode());
+    broker.publish(topic, ts_ms, record);
 }
 
 /// Seed `topic` with `n` records of mixed provenance from a deterministic
@@ -383,23 +382,6 @@ fn engine_matches_naive_fold_on_special_values() {
 }
 
 #[test]
-fn corrupt_payloads_are_handled_identically() {
-    let broker = Broker::new(StreamConfig::default());
-    for i in 0..20u64 {
-        let ts_ms = (i + 1) * 50;
-        if i % 5 == 4 {
-            // Undecodable garbage interleaved with real records — and as
-            // `t`'s newest entry, which a latest-value read must skip.
-            broker.publish("t", ts_ms, vec![0xde, 0xad, 0xbe, 0xef]);
-        } else {
-            publish(&broker, "t", ts_ms, Record::measured(ts_ms * 1_000_000, i as f64 * 0.3));
-        }
-        publish(&broker, "u", ts_ms, Record::measured(ts_ms * 1_000_000, 1.0));
-    }
-    assert_matches_fold(&broker, &ScanCache::new(), "corrupt interleaved");
-}
-
-#[test]
 fn eviction_churn_keeps_paths_identical() {
     // A tightly bounded live window forces evictions into the archive;
     // full-span scans stitch live + archive while the cached tail is
@@ -467,8 +449,8 @@ fn assert_window_is_fresh(
 }
 
 /// What a seeded run appends: IDs advance 0–2 ms a row (so milliseconds
-/// are shared, at trim boundaries too), one payload in eight is
-/// undecodable, and one record timestamp in four runs behind its ID's
+/// are shared, at trim boundaries too), and one record timestamp in four
+/// runs behind its ID's
 /// millisecond (a clock that regressed: ID ms ≠ record ms).
 struct Feed {
     rng: StdRng,
@@ -484,13 +466,12 @@ impl Feed {
             let behind = if self.rng.random_range(0..4u32) == 0 { 40 } else { 0 };
             let ts_ns = self.now_ms.saturating_sub(behind) * 1_000_000 + self.rows;
             let value = self.rng.random_range(-1.0..1.0);
-            let payload = match self.rng.random_range(0..8u32) {
-                0 => vec![0xde, 0xad].into(),
-                1 | 2 => Record::predicted(ts_ns, value).encode(),
-                3 => Record::stale(ts_ns, value).encode(),
-                _ => Record::measured(ts_ns, value).encode(),
+            let record = match self.rng.random_range(0..8u32) {
+                0..=2 => Record::predicted(ts_ns, value),
+                3 => Record::stale(ts_ns, value),
+                _ => Record::measured(ts_ns, value),
             };
-            broker.publish("t", self.now_ms, payload);
+            broker.publish("t", self.now_ms, record);
         }
     }
 
@@ -510,13 +491,12 @@ impl Feed {
                 3..=22 => [0.0, -0.0][self.rng.random_range(0..2)],
                 _ => sign * self.rng.random_range(0.0..1.0),
             };
-            let payload = match ((self.rows / 20) % 3, self.rng.random_range(0..24u32)) {
-                (_, 0) => vec![0xde, 0xad].into(),
-                (0, _) => Record::measured(ts_ns, value).encode(),
-                (1, _) => Record::predicted(ts_ns, value).encode(),
-                _ => Record::stale(ts_ns, value).encode(),
+            let record = match (self.rows / 20) % 3 {
+                0 => Record::measured(ts_ns, value),
+                1 => Record::predicted(ts_ns, value),
+                _ => Record::stale(ts_ns, value),
             };
-            broker.publish("t", self.now_ms, payload);
+            broker.publish("t", self.now_ms, record);
         }
     }
 

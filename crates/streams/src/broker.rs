@@ -23,7 +23,13 @@
 //! must not publish to, subscribe to, or drop a waker on its own topic.
 //! A subscription's waker unparks the threads blocked in its
 //! [`Subscription::recv_timeout`], if any.
+//!
+//! A publish carries a [`Record`]. [`Broker::publish`] and
+//! [`Broker::publish_batch`] also take a record's 17-byte frame
+//! ([`Record::encode`]) through [`IntoRecord`], decoded once here: the only
+//! place bytes still enter a stream.
 
+use crate::codec::Record;
 use crate::entry::Entry;
 use crate::id::StreamId;
 use crate::stream::{ColumnBatch, ScanBatch, ScanMeta, Stream, StreamConfig};
@@ -37,6 +43,32 @@ use std::time::{Duration, Instant};
 
 /// What a publish calls after its append.
 type Waker = Arc<dyn Fn() + Send + Sync>;
+
+/// What [`Broker::publish`] and [`Broker::publish_batch`] take: a
+/// [`Record`], or its 17-byte frame ([`Record::encode`]), decoded once at
+/// the door.
+pub trait IntoRecord {
+    /// The record to append.
+    ///
+    /// # Panics
+    /// Panics on a frame that is not a record: every row a stream holds
+    /// is one.
+    fn into_record(self) -> Record;
+}
+
+impl IntoRecord for Record {
+    fn into_record(self) -> Record {
+        self
+    }
+}
+
+impl IntoRecord for Bytes {
+    fn into_record(self) -> Record {
+        Record::of_frame(&self).unwrap_or_else(|| {
+            panic!("publish of a {}-byte frame that is not a record", self.len())
+        })
+    }
+}
 
 struct Topic {
     stream: Stream,
@@ -53,13 +85,12 @@ struct Topic {
 }
 
 impl Topic {
-    /// Export the topic's publish, lapped-cursor and rejected-eviction
-    /// counters, each backed by the cell its hot path already increments.
+    /// Export the topic's publish and lapped-cursor counters, each backed
+    /// by the cell its hot path already increments.
     fn register(&self, registry: &apollo_obs::Registry, name: &str) {
         for (metric, cell) in [
             ("published", Arc::clone(&self.published)),
             ("cursor_lapped", self.stream.cursor_lapped_cell()),
-            ("archive_rejected", self.stream.archive_rejected_cell()),
         ] {
             let _ = registry.counter_backed_by(&format!("streams.topic.{name}.{metric}"), cell);
         }
@@ -231,8 +262,8 @@ impl Broker {
         }
     }
 
-    /// Wire publishes into `registry`: per-topic publish, lapped-cursor and
-    /// rejected-eviction counters (`streams.topic.<name>.*`), broker-wide
+    /// Wire publishes into `registry`: per-topic publish and lapped-cursor
+    /// counters (`streams.topic.<name>.*`), broker-wide
     /// totals, and a publish-latency histogram (`streams.publish_ns`).
     /// Existing and future topics are both covered. Idempotent; a disabled
     /// registry leaves the broker uninstrumented.
@@ -339,27 +370,30 @@ impl Broker {
         Publisher { broker: Arc::clone(self), name: topic.into(), topic: None }
     }
 
-    /// Publish a payload on `topic` at millisecond timestamp `ms`: append
+    /// Publish a record on `topic` at millisecond timestamp `ms`: append
     /// it to the topic's stream, then call the topic's wakers. The waker
     /// list is read **after the append**, so a `subscribe()` that returned
     /// before this call began reads the entry and is woken for it.
-    pub fn publish(&self, topic: &str, ms: u64, payload: impl Into<Bytes>) -> StreamId {
-        self.publish_to(&self.topic(topic), ms, payload.into())
+    ///
+    /// # Panics
+    /// Panics on a frame that is not a record (see [`IntoRecord`]).
+    pub fn publish(&self, topic: &str, ms: u64, record: impl IntoRecord) -> StreamId {
+        self.publish_to(&self.topic(topic), ms, record.into_record())
     }
 
-    fn publish_to(&self, t: &Topic, ms: u64, payload: Bytes) -> StreamId {
+    fn publish_to(&self, t: &Topic, ms: u64, record: Record) -> StreamId {
         let seq = t.published.fetch_add(1, Ordering::Relaxed);
         self.published_total.fetch_add(1, Ordering::Relaxed);
         // A clock read costs more than the rest of an uncontended publish,
         // so the latency histogram samples one publish in
         // `apollo_obs::SAMPLE_PERIOD`; counters stay exact.
         let start = (self.obs.get().is_some() && apollo_obs::sampled(seq)).then(Instant::now);
-        let id = t.stream.append(ms, payload);
+        let id = t.stream.append(ms, record);
         self.wake(t, start);
         id
     }
 
-    /// Publish a batch of `(ms, payload)` records on `topic` under a
+    /// Publish a batch of `(ms, record)` pairs on `topic` under a
     /// single topic lookup, a single window-lock acquisition, and a
     /// single waker-list read — the amortized flush SCoRe vertices and the
     /// self-observer use when emitting several records at once.
@@ -367,22 +401,26 @@ impl Broker {
     /// (same IDs, same order, same exact counters); only the lock traffic
     /// is amortized. Returns the assigned IDs in record order — the only
     /// allocation.
-    pub fn publish_batch(
+    ///
+    /// # Panics
+    /// Panics on a frame that is not a record (see [`IntoRecord`]).
+    pub fn publish_batch<R: IntoRecord>(
         &self,
         topic: &str,
-        records: impl IntoIterator<Item = (u64, Bytes)>,
+        records: impl IntoIterator<Item = (u64, R)>,
     ) -> Vec<StreamId> {
         let mut records = records.into_iter().peekable();
         if records.peek().is_none() {
             return Vec::new();
         }
+        let records = records.map(|(ms, r)| (ms, r.into_record()));
         self.publish_batch_to(&self.topic(topic), records)
     }
 
     fn publish_batch_to(
         &self,
         t: &Topic,
-        records: impl Iterator<Item = (u64, Bytes)>,
+        records: impl Iterator<Item = (u64, Record)>,
     ) -> Vec<StreamId> {
         // Same sampling policy as `publish`: sample when the batch's
         // sequence span crosses a multiple of the period. The records are
@@ -477,8 +515,8 @@ impl Broker {
         self.lookup(topic).map(|t| t.stream.range_by_time(start_ms, end_ms)).unwrap_or_default()
     }
 
-    /// Consistent batched scan of a topic by ID: entries plus pre-decoded
-    /// records in one pass (see [`Stream::scan_batch`]). An unknown topic
+    /// Consistent batched scan of a topic by ID: entries plus their
+    /// records (see [`Stream::scan_batch`]). An unknown topic
     /// yields an empty batch with no `last_id` — as an
     /// existing-but-never-written topic does, since both read as empty.
     pub fn scan_batch(&self, topic: &str, start: StreamId, end: StreamId) -> ScanBatch {
@@ -491,7 +529,7 @@ impl Broker {
     }
 
     /// Consistent columnar scan of a topic (see [`Stream::scan_columns`]):
-    /// the decoded fields land in per-field vectors instead of
+    /// the record fields land in per-field vectors instead of
     /// `Record` structs — what the vectorized query path iterates. An
     /// unknown topic yields an empty batch with the empty snapshot,
     /// mirroring [`Broker::scan_batch`].
@@ -597,16 +635,15 @@ impl Publisher {
         f(&self.broker, self.topic.as_ref().expect("resolved above"))
     }
 
-    /// [`Broker::publish`] on the resolved topic.
-    pub fn publish(&mut self, ms: u64, payload: impl Into<Bytes>) -> StreamId {
-        let payload = payload.into();
-        self.with_topic(|broker, t| broker.publish_to(t, ms, payload))
+    /// [`Broker::publish`] of a record on the resolved topic.
+    pub fn publish(&mut self, ms: u64, record: Record) -> StreamId {
+        self.with_topic(|broker, t| broker.publish_to(t, ms, record))
     }
 
-    /// [`Broker::publish_batch`] on the resolved topic.
+    /// [`Broker::publish_batch`] of records on the resolved topic.
     pub fn publish_batch(
         &mut self,
-        records: impl IntoIterator<Item = (u64, Bytes)>,
+        records: impl IntoIterator<Item = (u64, Record)>,
     ) -> Vec<StreamId> {
         let mut records = records.into_iter().peekable();
         if records.peek().is_none() {
@@ -632,10 +669,9 @@ impl std::fmt::Debug for Broker {
 mod tests {
     use super::*;
 
-    /// The frame of a measured record of value `i` at `i` ms: what a
-    /// ring archives.
-    fn rec(i: u64) -> Bytes {
-        crate::Record::measured(i * 1_000_000, i as f64).encode()
+    /// A measured record of value `i` at `i` ms.
+    fn rec(i: u64) -> Record {
+        Record::measured(i * 1_000_000, i as f64)
     }
 
     #[test]
@@ -644,7 +680,7 @@ mod tests {
         let b = Broker::default();
         let names: Vec<String> = (0..128).map(|i| format!("topic-{i}")).collect();
         for (i, n) in names.iter().enumerate() {
-            b.publish(n, i as u64, vec![i as u8]);
+            b.publish(n, i as u64, rec(i as u64));
         }
         let mut expect = names.clone();
         expect.sort();
@@ -667,7 +703,7 @@ mod tests {
                 let b = Arc::clone(&b);
                 std::thread::spawn(move || {
                     for i in 0..200u64 {
-                        b.publish(&format!("worker-{t}"), i, vec![t as u8]);
+                        b.publish(&format!("worker-{t}"), i, rec(t));
                     }
                 })
             })
@@ -686,7 +722,7 @@ mod tests {
         let b = Broker::default();
         let sub = b.subscribe("cpu");
         for i in 0..10u64 {
-            b.publish("cpu", i, vec![i as u8]);
+            b.publish("cpu", i, rec(i));
         }
         let got = sub.drain();
         assert_eq!(got.len(), 10);
@@ -696,12 +732,12 @@ mod tests {
     #[test]
     fn subscriber_sees_only_post_subscription_entries() {
         let b = Broker::default();
-        b.publish("t", 1, vec![1]);
+        b.publish("t", 1, rec(1));
         let sub = b.subscribe("t");
-        b.publish("t", 2, vec![2]);
+        b.publish("t", 2, rec(2));
         let got = sub.drain();
         assert_eq!(got.len(), 1);
-        assert_eq!(got[0].payload[0], 2);
+        assert_eq!(got[0].record, rec(2));
     }
 
     #[test]
@@ -709,7 +745,7 @@ mod tests {
         let b = Broker::default();
         let subs: Vec<_> = (0..5).map(|_| b.subscribe("t")).collect();
         for i in 0..20u64 {
-            b.publish("t", i, vec![]);
+            b.publish("t", i, rec(i));
         }
         for s in &subs {
             assert_eq!(s.drain().len(), 20);
@@ -722,7 +758,7 @@ mod tests {
         let sub = b.subscribe("t");
         drop(sub);
         // Publishing after drop must not panic and must prune.
-        b.publish("t", 1, vec![]);
+        b.publish("t", 1, rec(1));
         let t = b.topic("t");
         assert_eq!(t.wakers.lock().len(), 0);
     }
@@ -731,9 +767,9 @@ mod tests {
     fn latest_and_range_pull_paths() {
         let b = Broker::default();
         for i in 0..5u64 {
-            b.publish("t", i * 10, vec![i as u8]);
+            b.publish("t", i * 10, rec(i));
         }
-        assert_eq!(b.latest("t").unwrap().payload[0], 4);
+        assert_eq!(b.latest("t").unwrap().record, rec(4));
         assert_eq!(b.range_by_time("t", 10, 30).len(), 3);
         assert!(b.latest("missing").is_none());
         assert!(b.range_by_time("missing", 0, 100).is_empty());
@@ -742,7 +778,7 @@ mod tests {
     #[test]
     fn remove_topic() {
         let b = Broker::default();
-        b.publish("t", 1, vec![]);
+        b.publish("t", 1, rec(1));
         assert!(b.has_topic("t"));
         assert!(b.remove_topic("t"));
         assert!(!b.has_topic("t"));
@@ -777,10 +813,10 @@ mod tests {
         let b2 = Arc::clone(&b);
         let h = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(20));
-            b2.publish("t", 1, vec![42]);
+            b2.publish("t", 1, rec(42));
         });
         let got = sub.recv_timeout(Duration::from_secs(5)).expect("entry arrives");
-        assert_eq!(got.payload[0], 42);
+        assert_eq!(got.record, rec(42));
         h.join().unwrap();
     }
 
@@ -793,21 +829,21 @@ mod tests {
         let b2 = Arc::clone(&b);
         let h = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(50));
-            b2.publish("t", 1, vec![7]);
+            b2.publish("t", 1, rec(7));
         });
         let got = sub.recv_timeout(Duration::MAX).expect("entry arrives");
-        assert_eq!(got.payload[0], 7);
+        assert_eq!(got.record, rec(7));
         h.join().unwrap();
     }
 
     #[test]
     fn instrumented_broker_exports_topic_metrics() {
         let b = Broker::default();
-        b.publish("pre", 0, vec![]); // topic exists before instrumentation
+        b.publish("pre", 0, rec(0)); // topic exists before instrumentation
         let reg = apollo_obs::Registry::new();
         b.instrument(&reg);
         for i in 1..=5u64 {
-            b.publish("pre", i, vec![]);
+            b.publish("pre", i, rec(i));
         }
         let snap = reg.snapshot();
         // Publish counters are backed by the broker's lifetime counts, so
@@ -821,7 +857,7 @@ mod tests {
         assert_eq!(snap.histograms["streams.publish_ns"].count, 0);
         // Topics created after instrumentation are covered too, and their
         // first publish (seq 0) lands a latency sample.
-        b.publish("post", 1, vec![]);
+        b.publish("post", 1, rec(1));
         let snap = reg.snapshot();
         assert_eq!(snap.counter("streams.topic.post.published"), 1);
         assert_eq!(snap.counter("streams.published_total"), 7);
@@ -833,15 +869,15 @@ mod tests {
         let b = Broker::default();
         let reg = apollo_obs::Registry::noop();
         b.instrument(&reg); // disabled registry: stays uninstrumented
-        b.publish("t", 1, vec![]);
+        b.publish("t", 1, rec(1));
         assert_eq!(reg.snapshot(), apollo_obs::Snapshot::default());
     }
 
     #[test]
     fn topic_info_surfaces_clock_regressions() {
         let b = Broker::default();
-        b.publish("t", 100, vec![]);
-        b.publish("t", 40, vec![]); // wall clock stepped backwards
+        b.publish("t", 100, rec(100));
+        b.publish("t", 40, rec(40)); // wall clock stepped backwards
         let info = b.topic_info("t").unwrap();
         assert_eq!(info.clock_regressions, 1);
         assert_eq!(info.last_id, Some(StreamId::new(100, 1)), "clamped forward");
@@ -864,8 +900,8 @@ mod tests {
         assert!(!b.has_topic("ghost"));
         assert!(b.topic_names().is_empty());
         // Read-before-first-publish then sees the data once it arrives.
-        b.publish("ghost", 7, vec![42]);
-        assert_eq!(b.latest("ghost").unwrap().payload[0], 42);
+        b.publish("ghost", 7, rec(42));
+        assert_eq!(b.latest("ghost").unwrap().record, rec(42));
         assert_eq!(b.range_by_time("ghost", 7, 7).len(), 1);
     }
 
@@ -873,13 +909,12 @@ mod tests {
     fn publish_batch_matches_sequential_publishes() {
         let b = Broker::default();
         let sub = b.subscribe("batched");
-        let records: Vec<(u64, Bytes)> =
-            (0..10u64).map(|i| (i, Bytes::from(vec![i as u8]))).collect();
+        let records: Vec<(u64, Record)> = (0..10u64).map(|i| (i, rec(i))).collect();
         let ids = b.publish_batch("batched", records.clone());
 
         // Same IDs as the sequential path produces on a fresh topic.
         let singles: Vec<StreamId> =
-            records.iter().map(|(ms, p)| b.publish("sequential", *ms, p.clone())).collect();
+            records.iter().map(|&(ms, r)| b.publish("sequential", ms, r)).collect();
         assert_eq!(ids, singles);
 
         // Subscribers and cursor readers see every record, in order.
@@ -894,7 +929,7 @@ mod tests {
         assert_eq!(b.topic_len("batched"), 10);
 
         // Empty batch is a no-op that does not even create the topic.
-        assert!(b.publish_batch("empty", Vec::new()).is_empty());
+        assert!(b.publish_batch("empty", Vec::<(u64, Record)>::new()).is_empty());
         assert!(!b.has_topic("empty"));
     }
 
@@ -919,7 +954,7 @@ mod tests {
         );
         assert!(sub.drain().is_empty());
         assert!(got.windows(2).all(|w| w[0].id < w[1].id));
-        assert_eq!(got[0].payload, rec(0));
+        assert_eq!(got[0].record, rec(0));
         // Resuming from a saved cursor delivers only what follows it.
         let ids: Vec<StreamId> = got.iter().map(|e| e.id).collect();
         let rest: Vec<StreamId> =
@@ -969,17 +1004,14 @@ mod tests {
     }
 
     #[test]
-    fn scan_batch_passthrough_decodes_records() {
+    fn scan_batch_passthrough_carries_records() {
         let b = Broker::default();
         for i in 0..4u64 {
-            let r = crate::codec::Record::measured(i * 1_000_000, i as f64);
-            b.publish("cpu", i, r.encode());
+            b.publish("cpu", i, rec(i));
         }
         let batch = b.scan_batch_by_time("cpu", 1, 2);
         assert_eq!(batch.entries.len(), 2);
-        assert_eq!(batch.records.len(), 2);
-        assert_eq!(batch.corrupt, 0);
-        assert_eq!(batch.records[0].value, 1.0);
+        assert_eq!(batch.records, [rec(1), rec(2)]);
         assert_eq!(batch.last_id, b.scan_meta("cpu").last_id);
     }
 
@@ -993,14 +1025,11 @@ mod tests {
         }
         assert_eq!(b.read_after("t", None, 100).len(), 6);
         let snap = reg.snapshot();
-        // The archive held every evicted entry and every eviction fit its
-        // slot, so nothing was lapped or rejected — but both counters are
-        // registered and exported.
-        for name in ["cursor_lapped", "archive_rejected"] {
-            let key = format!("streams.topic.t.{name}");
-            assert!(snap.counters.contains_key(&key), "{key}");
-            assert_eq!(snap.counter(&key), 0, "{key}");
-        }
+        // The archive held every evicted entry, so nothing was lapped —
+        // but the counter is registered and exported.
+        let key = "streams.topic.t.cursor_lapped";
+        assert!(snap.counters.contains_key(key), "{key}");
+        assert_eq!(snap.counter(key), 0, "{key}");
     }
 
     #[test]
@@ -1012,7 +1041,7 @@ mod tests {
             let b = Arc::clone(&b);
             handles.push(std::thread::spawn(move || {
                 for i in 0..1000u64 {
-                    b.publish("t", t * 10_000 + i, vec![]);
+                    b.publish("t", t * 10_000 + i, rec(i));
                 }
             }));
         }
@@ -1021,5 +1050,79 @@ mod tests {
         }
         assert_eq!(sub.drain().len(), 4000);
         assert_eq!(b.topic_len("t"), 4000);
+    }
+}
+
+#[cfg(test)]
+mod door_tests {
+    use super::*;
+    use crate::codec::Provenance;
+    use proptest::prelude::*;
+
+    /// An entry's ID and record fields, its value to the bit.
+    fn bits(e: &Entry) -> (StreamId, u64, u64, Provenance) {
+        (e.id, e.record.timestamp_ns, e.record.value.to_bits(), e.record.provenance)
+    }
+
+    #[test]
+    #[should_panic(expected = "not a record")]
+    fn publishing_a_frame_that_is_not_a_record_panics() {
+        Broker::default().publish("t", 1, Bytes::copy_from_slice(&[0xde, 0xad]));
+    }
+
+    proptest! {
+        /// The two publish doors land the same rows: a record published as
+        /// itself on one topic and as its frame ([`Record::encode`]) on
+        /// another — by `publish` or `publish_batch` — gets the same ID and
+        /// reads back to the bit, NaN, ±0, ±∞ and every provenance
+        /// included, from the window and from the ring, through `range`,
+        /// `read_after`, `scan_batch` and `scan_columns`.
+        #[test]
+        fn a_record_and_its_frame_land_the_same_row(
+            rows in prop::collection::vec((0u64..6, any::<u64>(), any::<u64>(), 0u8..30), 1..64),
+            window in 1usize..16,
+        ) {
+            const SPECIAL: [f64; 5] = [f64::NAN, 0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY];
+            let b = Broker::new(StreamConfig::bounded(window));
+            let (mut ms, mut want) = (0, Vec::new());
+            for &(step, ts, value_bits, kind) in &rows {
+                let batched = step >= 3;
+                ms += step % 3;
+                let special = SPECIAL.get(usize::from(kind / 3)).copied();
+                let value = special.unwrap_or(f64::from_bits(value_bits));
+                let provenance = Provenance::from_wire(kind % 3).unwrap();
+                let r = Record { timestamp_ns: ts, value, provenance };
+                let (id, frame_id) = if batched {
+                    (b.publish_batch("record", [(ms, r)])[0], b.publish_batch("frame", [(ms, r.encode())])[0])
+                } else {
+                    (b.publish("record", ms, r), b.publish("frame", ms, r.encode()))
+                };
+                prop_assert_eq!(id, frame_id);
+                want.push((id, ts, value.to_bits(), provenance));
+            }
+            let archived = rows.len().saturating_sub(window);
+            for topic in ["record", "frame"] {
+                prop_assert_eq!(b.topic_info(topic).unwrap().archived_len, archived);
+                let range = b.range(topic, StreamId::MIN, StreamId::MAX);
+                prop_assert_eq!(range.iter().map(bits).collect::<Vec<_>>(), want.clone());
+                let read = b.read_after(topic, None, usize::MAX);
+                prop_assert_eq!(read.iter().map(bits).collect::<Vec<_>>(), want.clone());
+                let batch = b.scan_batch(topic, StreamId::MIN, StreamId::MAX);
+                prop_assert_eq!(batch.entries.iter().map(bits).collect::<Vec<_>>(), want.clone());
+                let records: Vec<_> = (batch.records.iter().zip(&batch.entries))
+                    .map(|(&record, e)| bits(&Entry::new(e.id, record)))
+                    .collect();
+                prop_assert_eq!(records, want.clone());
+                let cols = b.scan_columns(topic, StreamId::MIN, StreamId::MAX);
+                let landed: Vec<_> = (0..cols.len())
+                    .map(|i| {
+                        let wire = Provenance::from_wire(cols.provenance[i]).unwrap();
+                        (cols.ids_ms[i], cols.timestamps_ns[i], cols.values[i].to_bits(), wire)
+                    })
+                    .collect();
+                let want_cols: Vec<_> = want.iter().map(|&(id, t, v, p)| (id.ms, t, v, p)).collect();
+                prop_assert_eq!(landed, want_cols);
+            }
+        }
     }
 }

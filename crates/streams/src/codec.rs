@@ -8,10 +8,10 @@
 //! [ timestamp_ns: u64 LE ][ value: f64 LE ][ provenance: u8 ]
 //! ```
 //!
-//! Fixed-size framing means an encoded record costs no heap allocation —
-//! 17 bytes fit inside the [`Bytes`] handle, which the stream window and
-//! every subscriber copy — and makes the 16 B metric-size of the Figure 6
-//! throughput tests realistic.
+//! A stream holds the [`Record`] itself; the frame is the wire form of a
+//! record handed in as bytes, which two doors still accept and check once:
+//! [`crate::Broker::publish`] (a frame that is not a record panics) and
+//! [`crate::slab::SlabSeries::record`] (refused and counted).
 
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
@@ -126,6 +126,13 @@ impl Record {
         frame[8..16].copy_from_slice(&self.value.to_bits().to_le_bytes());
         frame[16] = self.provenance.wire();
         Bytes::copy_from_slice(&frame)
+    }
+
+    /// The record a whole frame holds: exactly [`RECORD_WIRE_SIZE`] bytes
+    /// that [`Record::decode`] accepts. The one check of the doors that
+    /// take frames.
+    pub(crate) fn of_frame(frame: &[u8]) -> Option<Self> {
+        Self::decode(frame).ok().filter(|_| frame.len() == RECORD_WIRE_SIZE)
     }
 
     /// Decode from the front of `buf`: the frame [`Record::encode`] builds,

@@ -21,8 +21,7 @@
 //!   with [`broker::Broker::read_after`].
 //! * **Retention** (`MAXLEN` analogue) with eviction into a slab ring
 //!   ([`slab::SlabSeries`]) — the per-vertex *Archiver* of §3.1 that
-//!   "stores the queue in a log"; evicted records remain range-readable
-//!   (a payload that is not a record is dropped and counted at eviction),
+//!   "stores the queue in a log"; evicted records remain range-readable,
 //!   and steady-state eviction is a zero-alloc slot write.
 //! * **One spill backend** ([`slab`]): every ring lives in a slab store
 //!   (series directory + rings of fixed 40-byte slots, one record each +
@@ -35,9 +34,10 @@
 //!   topic's readers; a subscription is a cursor over the stream, so the
 //!   broker keeps no per-subscriber copy and a slow subscriber holds no
 //!   memory.
-//! * **Typed telemetry codec** ([`codec`]): the `(timestamp, value,
+//! * **Typed telemetry records** ([`codec`]): the `(timestamp, value,
 //!   provenance)` fact tuple of §3.1 — measured, predicted, or stale
-//!   (last-known-value republished during an outage) — encoded with `bytes`.
+//!   (last-known-value republished during an outage). An entry holds its
+//!   record from publish to scan; nothing in a stream decodes.
 
 pub mod broker;
 pub mod codec;
@@ -46,7 +46,7 @@ pub mod id;
 pub mod slab;
 pub mod stream;
 
-pub use broker::{Broker, PublishWaker, Publisher, Reader, Subscription, TopicInfo};
+pub use broker::{Broker, IntoRecord, PublishWaker, Publisher, Reader, Subscription, TopicInfo};
 pub use codec::{Provenance, Record};
 pub use entry::Entry;
 pub use id::StreamId;
@@ -63,8 +63,8 @@ mod archiver {
     use crate::{Record, SlabConfig, SlabStore, Stream, StreamConfig, StreamId};
 
     /// The record a test row at `ms` holds.
-    fn at(ms: u64) -> bytes::Bytes {
-        Record::measured(ms, ms as f64).encode()
+    fn at(ms: u64) -> Record {
+        Record::measured(ms, ms as f64)
     }
 
     /// A stream that kept only `ms`'s last row in its window and evicted
@@ -98,7 +98,7 @@ mod archiver {
             assert_eq!(ring.live_len(), 100);
             let got = ring.range(StreamId::new(10, 0), StreamId::new(19, 0));
             assert_eq!(got.len(), 10);
-            assert_eq!((got[0].id.ms, &got[0].payload), (10, &at(10)));
+            assert_eq!((got[0].id.ms, got[0].record), (10, at(10)));
             assert_eq!(got[9].id.ms, 19);
         }
 

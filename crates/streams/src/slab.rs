@@ -22,8 +22,8 @@
 //! [ id ms ][ id seq ][ timestamp_ns ][ value bits ][ provenance wire + 1 | checksum << 32 ]
 //! ```
 //!
-//! 40 bytes ([`SLOT_BYTES`]), fixed: a slot holds nothing but a record, so
-//! [`SlabSeries::record`] refuses any other payload. A steady-state record
+//! 40 bytes ([`SLOT_BYTES`]), fixed: a slot holds one record, and
+//! [`SlabSeries::push`] writes any record. A steady-state write
 //! is a zero-alloc slot write into the mapping: the five words, then
 //! **publish** by storing the bumped per-series `head` with `Release`
 //! ordering. The head is the commit word: entries below it are committed,
@@ -33,7 +33,7 @@
 //! half outside 1–3 is a never-written or damaged slot. Reads are one walk,
 //! generic over where the rows land: each slot's words are loaded once,
 //! verified against its checksum and lent to the sink as a record —
-//! entries encode it, columns take its fields. Crash recovery in
+//! entries hold it, columns take its fields. Crash recovery in
 //! [`SlabStore::open`] re-validates every committed slot (checksum +
 //! strictly increasing IDs) and rolls torn or unsynced slots out of the
 //! committed range — a torn tail shrinks `head`, a destroyed oldest slot
@@ -70,7 +70,7 @@
 //! write lock, and every ring read the stream makes holds its read lock,
 //! so a read never races the ring's one writer.
 
-use crate::codec::{Provenance, Record, RECORD_WIRE_SIZE};
+use crate::codec::{Provenance, Record};
 use crate::entry::{Entry, RowSink};
 use crate::id::StreamId;
 use parking_lot::Mutex;
@@ -515,7 +515,7 @@ pub struct SlabStats {
     pub occupancy: f64,
     /// Committed entries not yet folded into consolidation tiers.
     pub consolidation_lag: u64,
-    /// Payloads [`SlabSeries::record`] refused: not a 17-byte
+    /// Frames [`SlabSeries::record`] refused: not a 17-byte
     /// [`crate::Record`] frame.
     pub rejected: u64,
     /// [`SlabStore::series`] calls refused a series (directory full or
@@ -1307,31 +1307,33 @@ impl SlabSeries {
         self.tail().max(head.saturating_sub(self.store.cfg.slots as u64))
     }
 
-    /// Record one entry. The zero-alloc hot path: write the five words of
+    /// Record one row. The zero-alloc hot path: write the five words of
     /// the slot at `head % slots`, publish by bumping `head` with
-    /// `Release`.
-    ///
-    /// Returns `false` (and counts the rejection in [`SlabStats::rejected`])
-    /// unless the payload is a 17-byte [`Record`] frame that
-    /// [`Record::decode`] accepts: such an entry is not recorded.
+    /// `Release`. A slot holds any record, so this cannot refuse.
     ///
     /// Single-writer: callers serialize writes per series (the stream's
     /// window write lock does this in practice). A read is exact only
-    /// while no `record` on the series runs (see [`SlabSeries::range_into`]).
-    pub fn record(&self, id: StreamId, payload: &[u8]) -> bool {
-        let rec = Record::decode(payload).ok().filter(|_| payload.len() == RECORD_WIRE_SIZE);
-        let Some(rec) = rec else {
-            self.store.rejected.fetch_add(1, Ordering::Relaxed);
-            return false;
-        };
+    /// while no write on the series runs (see [`SlabSeries::range_into`]).
+    pub fn push(&self, id: StreamId, record: Record) {
         let head_cell = self.head_cell();
         let head = head_cell.load(Ordering::Relaxed);
         let slot = self.slot_offset(head);
-        for (i, w) in slot_words(id, &rec).into_iter().enumerate() {
+        for (i, w) in slot_words(id, &record).into_iter().enumerate() {
             self.store.atom(slot + 8 * i).store(w, Ordering::Relaxed);
         }
         head_cell.store(head + 1, Ordering::Release);
         self.store.dirty_records.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// [`SlabSeries::push`] of the record a 17-byte frame
+    /// ([`Record::encode`]) holds. Returns `false`, and counts the frame in
+    /// [`SlabStats::rejected`], when it is not a record: nothing is written.
+    pub fn record(&self, id: StreamId, frame: &[u8]) -> bool {
+        let Some(record) = Record::of_frame(frame) else {
+            self.store.rejected.fetch_add(1, Ordering::Relaxed);
+            return false;
+        };
+        self.push(id, record);
         true
     }
 
@@ -1506,9 +1508,9 @@ mod tests {
         SlabConfig { max_series: 4, slots: 8, ..SlabConfig::default() }
     }
 
-    /// The frame of a measured record of value `v` at `ms`.
-    fn frame(ms: u64, v: f64) -> bytes::Bytes {
-        Record::measured(ms * 1_000_000, v).encode()
+    /// A measured record of value `v` at `ms`.
+    fn rec(ms: u64, v: f64) -> Record {
+        Record::measured(ms * 1_000_000, v)
     }
 
     #[test]
@@ -1528,13 +1530,13 @@ mod tests {
         let store = SlabStore::create(tmp("roundtrip"), small_cfg()).unwrap();
         let s = store.series("m").unwrap();
         for i in 0..5u64 {
-            assert!(s.record(StreamId::new(i, 0), &frame(i, i as f64)));
+            s.push(StreamId::new(i, 0), rec(i, i as f64));
         }
         assert_eq!(s.live_len(), 5);
         assert_eq!(s.last_id(), Some(StreamId::new(4, 0)));
         let got = s.range(StreamId::new(1, 0), StreamId::new(3, 0));
         assert_eq!(got.len(), 3);
-        assert_eq!(got[0], Entry::new(StreamId::new(1, 0), frame(1, 1.0)));
+        assert_eq!(got[0], Entry::new(StreamId::new(1, 0), rec(1, 1.0)));
         assert!(got.windows(2).all(|w| w[0].id < w[1].id));
     }
 
@@ -1543,7 +1545,7 @@ mod tests {
         let store = SlabStore::create(tmp("wrap"), small_cfg()).unwrap();
         let s = store.series("m").unwrap();
         for i in 0..20u64 {
-            s.record(StreamId::new(i, 0), &frame(i, i as f64));
+            s.push(StreamId::new(i, 0), rec(i, i as f64));
         }
         assert_eq!(s.appended(), 20);
         assert_eq!(s.live_len(), 8, "ring holds `slots` newest entries");
@@ -1562,8 +1564,8 @@ mod tests {
     fn non_record_frames_are_refused_counted_and_leave_the_head() {
         let store = SlabStore::create(tmp("refused"), small_cfg()).unwrap();
         let s = store.series("m").unwrap();
-        assert!(s.record(StreamId::new(1, 0), &frame(1, 1.0)));
-        let good = frame(2, 2.0);
+        assert!(s.record(StreamId::new(1, 0), &rec(1, 1.0).encode()));
+        let good = rec(2, 2.0).encode();
         let mut refused: Vec<Vec<u8>> = (0..=48)
             .filter(|&n| n != 17)
             .map(|n| {
@@ -1591,7 +1593,7 @@ mod tests {
     fn series_attach_vs_fresh_and_directory_full() {
         let store = SlabStore::create(tmp("dir"), small_cfg()).unwrap();
         let a = store.series("x").unwrap();
-        a.record(StreamId::new(7, 0), &frame(7, 1.0));
+        a.push(StreamId::new(7, 0), rec(7, 1.0));
         let again = store.series("x").unwrap();
         assert_eq!(again.index(), a.index(), "attach finds the same ring");
         assert_eq!(again.last_id(), Some(StreamId::new(7, 0)));
@@ -1617,7 +1619,7 @@ mod tests {
             let store = SlabStore::create(&path, small_cfg()).unwrap();
             let s = store.series("m").unwrap();
             for i in 0..6u64 {
-                s.record(StreamId::new(i, 2), &frame(i, i as f64));
+                s.push(StreamId::new(i, 2), rec(i, i as f64));
             }
             store.flush().unwrap();
         }
@@ -1692,7 +1694,7 @@ mod tests {
         // Two records in the first 1s bucket, one in the next.
         for (i, (ms, v)) in [(100u64, 1.0f64), (900, 3.0), (1_500, 10.0)].iter().enumerate() {
             let rec = Record::measured(ms * 1_000_000, *v);
-            s.record(StreamId::new(*ms, i as u64), &rec.encode());
+            s.push(StreamId::new(*ms, i as u64), rec);
         }
         let report = store.consolidate();
         assert_eq!(report.folded, 3);
@@ -1718,7 +1720,7 @@ mod tests {
         let store = SlabStore::create(tmp("consolidate-damage"), cfg).unwrap();
         let s = store.series("m").unwrap();
         for i in 0..4u64 {
-            assert!(s.record(StreamId::new(i, 0), &frame(i, 1.0)));
+            s.push(StreamId::new(i, 0), rec(i, 1.0));
         }
         // Slot 1: the value word, under an unchanged checksum.
         store.atom(s.slot_offset(1) + 24).fetch_xor(1, Ordering::Relaxed);
@@ -1739,7 +1741,7 @@ mod tests {
         let store = SlabStore::create(tmp("stats"), small_cfg()).unwrap();
         let s = store.series("m").unwrap();
         for i in 0..4u64 {
-            s.record(StreamId::new(i, 0), &frame(i, 0.0));
+            s.push(StreamId::new(i, 0), rec(i, 0.0));
         }
         let st = store.stats();
         assert_eq!(st.series_live, 1);
@@ -1758,7 +1760,7 @@ mod tests {
         let s = store.series("m").unwrap();
         assert_eq!(store.dirty_records(), 0);
         for i in 0..3u64 {
-            s.record(StreamId::new(i, 0), &frame(i, 0.0));
+            s.push(StreamId::new(i, 0), rec(i, 0.0));
         }
         assert_eq!(store.dirty_records(), 3);
         assert_eq!(store.flush().unwrap(), 3);
@@ -1772,10 +1774,10 @@ mod tests {
         let store = SlabStore::create(tmp("compact"), small_cfg()).unwrap();
         let a = store.series("a").unwrap();
         for i in 0..5u64 {
-            a.record(StreamId::new(1_000 + i, 0), &frame(1_000 + i, 0.0));
+            a.push(StreamId::new(1_000 + i, 0), rec(1_000 + i, 0.0));
         }
         let b = store.series("b").unwrap();
-        b.record(StreamId::new(2_000, 0), &frame(2_000, 9.0));
+        b.push(StreamId::new(2_000, 0), rec(2_000, 9.0));
         store.consolidate();
 
         // Live handles pin both series.
@@ -1787,7 +1789,7 @@ mod tests {
         drop(a);
         assert_eq!(store.live_handles(a2.index()), 1);
         drop(a2);
-        b.record(StreamId::new(2_100, 0), &frame(2_100, 1.0));
+        b.push(StreamId::new(2_100, 0), rec(2_100, 1.0));
         let r = store.compact(100_000_000, CompactPolicy::default()).unwrap();
         assert_eq!((r.reclaimed, r.reclaimed_entries, r.kept_live_handles), (1, 5, 1));
         assert_eq!(store.stats().series_live, 1);
@@ -1812,7 +1814,7 @@ mod tests {
         let victim = store.series("victim").unwrap();
         for i in 0..8u64 {
             let rec = Record::measured(i * 1_000_000, i as f64);
-            victim.record(StreamId::new(i, 0), &rec.encode());
+            victim.push(StreamId::new(i, 0), rec);
         }
         store.consolidate();
         assert!(!victim.tier_buckets(0).is_empty());
@@ -1837,7 +1839,7 @@ mod tests {
             let store = SlabStore::create(&path, small_cfg()).unwrap();
             let s = store.series("m").unwrap();
             for i in 0..3u64 {
-                s.record(StreamId::new(i, 0), &frame(i, 0.0));
+                s.push(StreamId::new(i, 0), rec(i, 0.0));
             }
             drop(s);
             // Simulate a crash between the tombstone publish and the
@@ -1860,7 +1862,7 @@ mod tests {
         let path = tmp("duplicate");
         let store = SlabStore::create(&path, small_cfg()).unwrap();
         for (name, ms) in [("m", 1), ("x", 2), ("y", 1_000)] {
-            store.series(name).unwrap().record(StreamId::new(ms, 0), &frame(ms, 0.0));
+            store.series(name).unwrap().push(StreamId::new(ms, 0), rec(ms, 0.0));
         }
         // Hand-edit dirent 2 ("y") to carry dirent 0's name: no attach can
         // write such a file, but a reopened one may hold it.
@@ -1924,8 +1926,7 @@ mod prop_tests {
                 }
             }
             let got: Vec<_> = s.range(StreamId::MIN, StreamId::MAX).iter().map(|e| {
-                let rec = Record::decode(&e.payload).unwrap();
-                (e.id, rec.timestamp_ns, rec.value.to_bits(), rec.provenance)
+                (e.id, e.record.timestamp_ns, e.record.value.to_bits(), e.record.provenance)
             }).collect();
             prop_assert_eq!(&got, &want);
             let slots: Vec<_> = (0..s.appended()).filter_map(|i| store.read_slot(s.slot_offset(i))).map(|(id, rec)| {

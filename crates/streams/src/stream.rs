@@ -9,16 +9,17 @@
 //! transparently stitch the ring and the live window together, which is
 //! exactly how the Query Executor "parses the queue (or the persisted log
 //! for evicted entries) using timestamp-based indexing" — one walk with two
-//! destinations: entries ([`Stream::range`]) or decoded columns
+//! destinations: entries ([`Stream::range`]) or columns
 //! ([`Stream::scan_columns`]). The walk holds the window read lock across
 //! the ring and the window; evictions hold its write lock, so a stitched
-//! read is one snapshot with no retry.
+//! read is one snapshot with no retry. Every row is a [`Record`] from
+//! append to scan: nothing on the way decodes, and an eviction cannot be
+//! refused by the ring.
 
 use crate::codec::Record;
 use crate::entry::{Entry, RowSink};
 use crate::id::StreamId;
 use crate::slab::{SlabConfig, SlabSeries, SlabStore};
-use bytes::Bytes;
 use parking_lot::RwLock;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -99,30 +100,23 @@ struct Window {
 }
 
 /// A consistent scan over a stream: the entries of one atomic
-/// archive+window snapshot plus their payloads pre-decoded as telemetry
-/// [`Record`]s in the same pass — the batched read the query executor
-/// uses so a scan decodes each payload exactly once.
+/// archive+window snapshot, and their records as a column of their own.
 #[derive(Debug, Clone, Default)]
 pub struct ScanBatch {
-    /// The raw entries, in ID order.
+    /// The entries, in ID order.
     pub entries: Vec<Entry>,
-    /// Decoded records in entry order; payloads that failed to decode are
-    /// skipped (and counted in `corrupt`).
+    /// The entries' records, in entry order.
     pub records: Vec<Record>,
-    /// Payloads that were not valid [`Record`] frames.
-    pub corrupt: u64,
     /// The stream's last assigned ID at the snapshot point.
     pub last_id: Option<StreamId>,
 }
 
-/// A consistent range scan decoded straight into **columns** (structure
+/// A consistent range scan landed straight in **columns** (structure
 /// of arrays): one vector per record field instead of a `Vec<Record>` of
 /// structs. This is the snapshot the vectorized query path iterates —
 /// tight loops over `values`/`provenance` without materializing per-row
-/// [`Record`]s. Positions align across the four columns; payloads that
-/// failed to decode are skipped (and counted in `corrupt`), exactly as
-/// [`ScanBatch::records`] skips them, so index *i* here is record *i*
-/// there.
+/// [`Record`]s. Positions align across the four columns, and index *i*
+/// here is [`ScanBatch::records`]' record *i* there.
 ///
 /// The batch carries the **snapshot** ([`ScanMeta`]) its walk took under
 /// the window lock — which stream, `last_id`, `first_id` — which is what
@@ -145,8 +139,6 @@ pub struct ColumnBatch {
     /// Record provenance wire bytes ([`crate::codec::Provenance::wire`]), in entry
     /// order.
     pub provenance: Vec<u8>,
-    /// Payloads that were not valid [`Record`] frames.
-    pub corrupt: u64,
     /// [`ScanMeta::last_id`] at the snapshot point.
     pub last_id: Option<StreamId>,
     /// [`ScanMeta::first_id`] at the snapshot point: every row appended
@@ -154,7 +146,7 @@ pub struct ColumnBatch {
     pub first_id: Option<StreamId>,
     /// [`ScanMeta::source`]: which [`Stream`] the snapshot is of.
     source: u64,
-    /// Set, never cleared, when a decoded row's record timestamp was below
+    /// Set, never cleared, when a landed row's record timestamp was below
     /// its predecessor's. Rows dropped by a trim leave it set: it may say
     /// "regressed" of a batch that is sorted, never the reverse.
     ts_regressed: bool,
@@ -165,9 +157,9 @@ pub struct ColumnBatch {
 /// While it stands still the stream's content has not changed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScanMeta {
-    /// Which [`Stream`] incarnation (0: none): a re-created topic's IDs
-    /// start over, and a ring that rejected an evicted entry lost a row
-    /// that is not the stream's oldest, so the two IDs alone cannot tell.
+    /// Which [`Stream`] (0: none), set once when the stream is created: a
+    /// re-created topic's IDs start over, so the two IDs alone cannot tell
+    /// it from the stream it replaced.
     pub source: u64,
     /// The oldest ID the stream retained (the archive's oldest row, else
     /// the window's front): retention only drops a stream's oldest rows.
@@ -177,12 +169,13 @@ pub struct ScanMeta {
 }
 
 /// A walk's rows landing in a [`ColumnBatch`]: the columns are sized once
-/// for the walk, each decoded row is written at its index, and the drop
-/// cuts them to the rows that decoded. The clock-regression check runs on
-/// locals, carried from the batch's last row across the ring/window seam.
+/// for the walk, each row is written at its index, and the drop cuts them
+/// to the rows that landed (a torn ring slot lands none). The
+/// clock-regression check runs on locals, carried from the batch's last
+/// row across the ring/window seam.
 struct ColumnSink<'a> {
     batch: &'a mut ColumnBatch,
-    /// Where the next decoded row is written.
+    /// Where the next row is written.
     at: usize,
     /// The last landed row's record timestamp (0 before any).
     last_ts: u64,
@@ -221,10 +214,7 @@ impl RowSink for ColumnSink<'_> {
     }
     fn push_entries<'a>(&mut self, entries: impl Iterator<Item = &'a Entry>) {
         for e in entries {
-            match Record::decode(&e.payload) {
-                Ok(r) => self.push_record(e.id, r),
-                Err(_) => self.batch.corrupt += 1,
-            }
+            self.push_record(e.id, e.record);
         }
     }
 }
@@ -250,8 +240,7 @@ impl ColumnBatch {
     }
 
     /// Drop the leading rows whose ID millisecond is below `ms` (rows the
-    /// stream has since lost). `corrupt` keeps counting every undecodable
-    /// payload the batch ever walked past.
+    /// stream has since lost).
     pub fn trim_before(&mut self, ms: u64) {
         let n = self.ids_ms.partition_point(|&id_ms| id_ms < ms);
         self.ids_ms.drain(..n);
@@ -262,17 +251,17 @@ impl ColumnBatch {
 
     /// True when the record timestamps are known never to decrease, so any
     /// window's largest is its last row's. A batch whose record clock
-    /// regressed while it was decoded answers `false` from then on.
+    /// regressed while it landed answers `false` from then on.
     pub fn timestamps_sorted(&self) -> bool {
         !self.ts_regressed
     }
 
-    /// Decoded records in the batch.
+    /// Rows in the batch.
     pub fn len(&self) -> usize {
         self.timestamps_ns.len()
     }
 
-    /// True when no record decoded.
+    /// True when the batch holds no row.
     pub fn is_empty(&self) -> bool {
         self.timestamps_ns.is_empty()
     }
@@ -297,19 +286,9 @@ pub struct Stream {
     /// Behind an `Arc` so the broker can export the cell as a metrics
     /// counter without a second increment on the read path.
     cursor_lapped: Arc<AtomicU64>,
-    /// Evicted entries the ring could not hold (payload not a record):
-    /// dropped, not archived.
-    archive_rejected: Arc<AtomicU64>,
-    /// Process-unique, non-zero: what [`ScanMeta`] snapshots name their
-    /// stream by. Renewed when the ring rejects an evicted entry, whose row
-    /// a snapshot may hold but the stream no longer does.
-    incarnation: AtomicU64,
-}
-
-/// A fresh process-unique, non-zero [`Stream`] incarnation.
-fn next_incarnation() -> u64 {
-    static INCARNATIONS: AtomicU64 = AtomicU64::new(1);
-    INCARNATIONS.fetch_add(1, Ordering::Relaxed)
+    /// Process-unique, non-zero, set at creation: what [`ScanMeta`]
+    /// snapshots name their stream by.
+    incarnation: u64,
 }
 
 impl Stream {
@@ -337,15 +316,15 @@ impl Stream {
             last_id: attached.as_ref().and_then(SlabSeries::last_id),
             ..Window::default()
         };
+        static INCARNATIONS: AtomicU64 = AtomicU64::new(1);
         Self {
-            incarnation: AtomicU64::new(next_incarnation()),
+            incarnation: INCARNATIONS.fetch_add(1, Ordering::Relaxed),
             name,
             config,
             window: RwLock::new(window),
             archive: attached.map_or_else(OnceLock::new, OnceLock::from),
             clock_regressions: AtomicU64::new(0),
             cursor_lapped: Arc::new(AtomicU64::new(0)),
-            archive_rejected: Arc::new(AtomicU64::new(0)),
         }
     }
 
@@ -368,22 +347,22 @@ impl Stream {
     /// clamped time, not at `ms` — [`Stream::clock_regressions`] counts how
     /// often this happened, and [`Stream::range_by_time`] documents the
     /// resulting lookup contract.
-    pub fn append(&self, ms: u64, payload: impl Into<Bytes>) -> StreamId {
+    pub fn append(&self, ms: u64, record: Record) -> StreamId {
         let mut w = self.window.write();
-        self.append_locked(&mut w, ms, payload.into())
+        self.append_locked(&mut w, ms, record)
     }
 
-    /// Append many `(ms, payload)` records under a single window-lock
+    /// Append many `(ms, record)` pairs under a single window-lock
     /// acquisition — the batched flush SCoRe vertices use to amortize
     /// lock traffic. Equivalent to calling [`Stream::append`] per record
     /// (same IDs, same eviction, same clock-regression accounting), but
     /// with one lock round-trip for the whole batch.
-    pub fn append_batch(&self, records: impl IntoIterator<Item = (u64, Bytes)>) -> Vec<StreamId> {
+    pub fn append_batch(&self, records: impl IntoIterator<Item = (u64, Record)>) -> Vec<StreamId> {
         let mut w = self.window.write();
-        records.into_iter().map(|(ms, payload)| self.append_locked(&mut w, ms, payload)).collect()
+        records.into_iter().map(|(ms, record)| self.append_locked(&mut w, ms, record)).collect()
     }
 
-    fn append_locked(&self, w: &mut Window, ms: u64, payload: Bytes) -> StreamId {
+    fn append_locked(&self, w: &mut Window, ms: u64, record: Record) -> StreamId {
         let id = match w.last_id {
             Some(last) => {
                 if ms < last.ms {
@@ -393,7 +372,7 @@ impl Stream {
             }
             None => StreamId::new(ms, 0),
         };
-        self.push_locked(w, Entry::new(id, payload));
+        self.push_locked(w, Entry::new(id, record));
         id
     }
 
@@ -425,9 +404,8 @@ impl Stream {
         w.entries.push_back(entry);
     }
 
-    /// The one eviction site: record `evicted` in the archive ring (a
-    /// private ring is created here, at the first eviction), or count it
-    /// rejected when its payload is not a record.
+    /// The one eviction site: write `evicted` to the archive ring (a
+    /// private ring is created here, at the first eviction).
     ///
     /// # Panics
     /// Panics if `evicted.id` is not above the ring's newest ID. The
@@ -438,12 +416,7 @@ impl Stream {
         if let Some(last) = ring.last_id() {
             assert!(evicted.id > last, "archive append out of order: {} after {last}", evicted.id);
         }
-        if !ring.record(evicted.id, &evicted.payload) {
-            self.archive_rejected.fetch_add(1, Ordering::Relaxed);
-            // The stream lost a row that is not its oldest: no snapshot
-            // taken before can be extended into what it holds now.
-            self.incarnation.store(next_incarnation(), Ordering::Relaxed);
-        }
+        ring.push(evicted.id, evicted.record);
     }
 
     /// Number of entries currently in the in-memory window.
@@ -468,7 +441,7 @@ impl Stream {
 
     /// The most recent entry, if the window is non-empty.
     pub fn last(&self) -> Option<Entry> {
-        self.window.read().entries.back().cloned()
+        self.window.read().entries.back().copied()
     }
 
     /// The ring holding evicted entries; `None` until a private ring's
@@ -522,7 +495,7 @@ impl Stream {
     /// cannot lose or gain a row while this reads its oldest.
     fn meta_locked(&self, w: &Window) -> ScanMeta {
         ScanMeta {
-            source: self.incarnation.load(Ordering::Relaxed),
+            source: self.incarnation,
             first_id: (self.archive().and_then(SlabSeries::first_id))
                 .or_else(|| w.entries.front().map(|e| e.id)),
             last_id: w.last_id,
@@ -575,7 +548,7 @@ impl Stream {
         if remaining > 0 {
             let entries = &w.entries;
             let lo = partition_point_deque(entries, |e| e.id < start);
-            out.extend(entries.iter().skip(lo).take(remaining).cloned());
+            out.extend(entries.iter().skip(lo).take(remaining).copied());
         }
     }
 
@@ -596,33 +569,13 @@ impl Stream {
         Arc::clone(&self.cursor_lapped)
     }
 
-    /// Evicted entries dropped, not archived, because their payload is not
-    /// a record (see [`SlabSeries::record`]).
-    pub fn archive_rejected(&self) -> u64 {
-        self.archive_rejected.load(Ordering::Relaxed)
-    }
-
-    /// The rejected-eviction counter cell, for zero-cost metrics export.
-    pub(crate) fn archive_rejected_cell(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.archive_rejected)
-    }
-
-    /// Consistent range scan with the payloads decoded as telemetry
-    /// [`Record`]s in the same pass: entries, records, and the snapshot's
-    /// `last_id` in one call, so the query path decodes each payload
-    /// exactly once per cache generation.
+    /// Consistent range scan: entries, their records, and the snapshot's
+    /// `last_id` in one call.
     pub fn scan_batch(&self, start: StreamId, end: StreamId) -> ScanBatch {
         let (entries, snap) = self.walk(start, end, Vec::with_capacity);
-        let (entries, last_id) = (entries.unwrap_or_default(), snap.last_id);
-        let mut records = Vec::with_capacity(entries.len());
-        let mut corrupt = 0u64;
-        for e in &entries {
-            match Record::decode(&e.payload) {
-                Ok(r) => records.push(r),
-                Err(_) => corrupt += 1,
-            }
-        }
-        ScanBatch { entries, records, corrupt, last_id }
+        let entries = entries.unwrap_or_default();
+        let records = entries.iter().map(|e| e.record).collect();
+        ScanBatch { entries, records, last_id: snap.last_id }
     }
 
     /// [`Stream::scan_batch`] keyed by millisecond ID time (the contract
@@ -631,11 +584,11 @@ impl Stream {
         self.scan_batch(StreamId::new(start_ms, 0), StreamId::new(end_ms, u64::MAX))
     }
 
-    /// Consistent range scan decoded straight into columns — same
-    /// snapshot and same corrupt-skipping as [`Stream::scan_batch`], but
-    /// each row is decoded where the walk finds it (a slot's loaded words,
-    /// a window entry), written at its index in columns sized once for the
-    /// walk, and no entry is built.
+    /// Consistent range scan landed straight in columns — the same
+    /// snapshot and rows as [`Stream::scan_batch`], but each row's fields
+    /// are taken where the walk finds it (a slot's loaded words, a window
+    /// entry), written at its index in columns sized once for the walk,
+    /// and no entry is built.
     pub fn scan_columns(&self, start: StreamId, end: StreamId) -> ColumnBatch {
         let mut out = ColumnBatch::default();
         let (_, snap) = self.walk(start, end, |rows| ColumnSink::new(&mut out, rows, true));
@@ -650,23 +603,17 @@ impl Stream {
     /// scan from the same start would return now, plus whatever head rows
     /// the stream has lost since (the caller compares `first_id`). The
     /// `Arc` is un-shared once per extension that lands rows, and only
-    /// then; its columns grow amortised. Returns `false` when
-    /// `tail` is not a snapshot of this stream as it stands — another
-    /// stream, or this one after its ring rejected an evicted entry the
-    /// tail may hold (checked again once the walk is done) — and the tail
-    /// is to be scanned afresh.
+    /// then; its columns grow amortised. Returns `false` when `tail` is a
+    /// snapshot of another stream (or of none), and the tail is to be
+    /// scanned afresh.
     pub fn extend_columns(&self, tail: &mut Arc<ColumnBatch>) -> bool {
-        let incarnation = self.incarnation.load(Ordering::Relaxed);
-        let Some(last) = tail.last_id.filter(|_| tail.source == incarnation) else {
+        let Some(last) = tail.last_id.filter(|_| tail.source == self.incarnation) else {
             return false;
         };
         // Nothing can follow the largest ID, and nothing was evicted since.
         let Some(start) = last.successor() else { return true };
         let (_, snap) = self
             .walk(start, StreamId::MAX, |rows| ColumnSink::new(Arc::make_mut(tail), rows, false));
-        if snap.source != tail.source {
-            return false; // a rejected eviction raced the walk
-        }
         if (snap.first_id, snap.last_id) != (tail.first_id, tail.last_id) {
             let t = Arc::make_mut(tail);
             (t.first_id, t.last_id) = (snap.first_id, snap.last_id);
@@ -679,15 +626,12 @@ impl Stream {
         self.scan_columns(StreamId::new(start_ms, 0), StreamId::new(end_ms, u64::MAX))
     }
 
-    /// Approximate bytes of memory held by the in-memory window: each
-    /// entry (ID + `Bytes` handle, an in-place payload included) plus the
-    /// heap block of a payload too long to sit in place. The archive ring
-    /// is excluded (it is the spill log: fixed-size slots the store
-    /// accounts for). Used by the Figure 5 memory-overhead report.
+    /// Approximate bytes of memory held by the in-memory window: one
+    /// [`Entry`] per row. The archive ring is excluded (it is the spill
+    /// log: fixed-size slots the store accounts for). Used by the Figure 5
+    /// memory-overhead report.
     pub fn approx_memory_bytes(&self) -> usize {
-        let w = self.window.read();
-        let per_entry = std::mem::size_of::<Entry>();
-        w.entries.iter().map(|e| per_entry + e.payload.heap_size()).sum()
+        self.len() * std::mem::size_of::<Entry>()
     }
 
     /// Entries whose **assigned ID time** lies in `[start_ms, end_ms]` —
@@ -700,8 +644,7 @@ impl Stream {
     /// time of the entry it landed behind, not at its own wall time. A
     /// window query therefore never silently loses a clamped entry that
     /// overlaps the window's upper edge, and callers that need exact wall
-    /// time must carry it in the payload (as the `Record` codec's
-    /// `timestamp_ns` does). [`Stream::clock_regressions`] reports whether
+    /// time read the record's `timestamp_ns`. [`Stream::clock_regressions`] reports whether
     /// any divergence exists.
     pub fn range_by_time(&self, start_ms: u64, end_ms: u64) -> Vec<Entry> {
         self.range(StreamId::new(start_ms, 0), StreamId::new(end_ms, u64::MAX))
@@ -727,19 +670,18 @@ fn partition_point_deque<T>(deque: &VecDeque<T>, pred: impl Fn(&T) -> bool) -> u
 mod tests {
     use super::*;
 
-    /// The frame of a measured record of value `i` at `i` ms: what a
-    /// ring archives.
-    fn rec(i: u64) -> Bytes {
-        Record::measured(i * 1_000_000, i as f64).encode()
+    /// A measured record of value `i` at `i` ms.
+    fn rec(i: u64) -> Record {
+        Record::measured(i * 1_000_000, i as f64)
     }
 
     #[test]
     fn append_assigns_monotonic_ids() {
         let s = Stream::with_defaults("t");
-        let a = s.append(10, vec![1]);
-        let b = s.append(10, vec![2]);
-        let c = s.append(11, vec![3]);
-        let d = s.append(5, vec![4]); // clock skew backwards
+        let a = s.append(10, rec(1));
+        let b = s.append(10, rec(2));
+        let c = s.append(11, rec(3));
+        let d = s.append(5, rec(4)); // clock skew backwards
         assert_eq!(a, StreamId::new(10, 0));
         assert_eq!(b, StreamId::new(10, 1));
         assert_eq!(c, StreamId::new(11, 0));
@@ -750,7 +692,7 @@ mod tests {
     #[test]
     fn a_regressed_record_clock_marks_the_batch_for_good() {
         let s = Stream::with_defaults("t");
-        let at = |ms: u64| Record::measured(ms * 1_000_000, 0.0).encode();
+        let at = |ms: u64| Record::measured(ms * 1_000_000, 0.0);
         for ms in [10, 20, 20, 30] {
             s.append(ms, at(ms));
         }
@@ -769,11 +711,11 @@ mod tests {
     fn range_reads_window() {
         let s = Stream::with_defaults("t");
         for i in 0..50u64 {
-            s.append(i, vec![i as u8]);
+            s.append(i, rec(i));
         }
         let got = s.range(StreamId::new(10, 0), StreamId::new(14, u64::MAX));
         assert_eq!(got.len(), 5);
-        assert_eq!(got[0].payload[0], 10);
+        assert_eq!(got[0].record, rec(10));
     }
 
     #[test]
@@ -789,7 +731,7 @@ mod tests {
         let got = s.range(StreamId::new(85, 0), StreamId::new(95, u64::MAX));
         assert_eq!(got.len(), 11);
         assert!(got.windows(2).all(|w| w[0].id < w[1].id));
-        assert_eq!(got[0].payload, rec(85));
+        assert_eq!(got[0].record, rec(85));
     }
 
     #[test]
@@ -797,7 +739,7 @@ mod tests {
         let s =
             Stream::new("t", StreamConfig { archive_evicted: false, ..StreamConfig::bounded(5) });
         for i in 0..20u64 {
-            s.append(i, vec![]);
+            s.append(i, rec(i));
         }
         assert_eq!(s.len(), 5);
         assert!(s.archive().is_none());
@@ -824,7 +766,7 @@ mod tests {
         assert_eq!(s.last_id(), ids.last().copied());
         let all = s.range(StreamId::new(0, 0), StreamId::new(u64::MAX, u64::MAX));
         assert_eq!(all.iter().map(|e| e.id).collect::<Vec<_>>(), ids);
-        assert!(all.iter().enumerate().all(|(i, e)| e.payload == rec(i as u64)));
+        assert!(all.iter().enumerate().all(|(i, e)| e.record == rec(i as u64)));
     }
 
     #[test]
@@ -832,7 +774,7 @@ mod tests {
         let s = Stream::with_defaults("t");
         let mut ids = Vec::new();
         for i in 0..10u64 {
-            ids.push(s.append(i, vec![]));
+            ids.push(s.append(i, rec(i)));
         }
         let got = s.read_after(Some(ids[4]), 3);
         assert_eq!(got.iter().map(|e| e.id).collect::<Vec<_>>(), ids[5..8].to_vec());
@@ -846,7 +788,7 @@ mod tests {
     fn range_by_time_selects_ms_window() {
         let s = Stream::with_defaults("t");
         for ms in [100u64, 100, 200, 300, 300, 400] {
-            s.append(ms, vec![]);
+            s.append(ms, rec(ms));
         }
         assert_eq!(s.range_by_time(200, 300).len(), 3);
         assert_eq!(s.range_by_time(0, 99).len(), 0);
@@ -861,9 +803,9 @@ mod tests {
         // every entry reachable through range_by_time windows that respect
         // the documented ID-time contract.
         let s = Stream::with_defaults("t");
-        let a = s.append(100, vec![0]);
-        let b = s.append(50, vec![1]); // clock stepped backwards
-        let c = s.append(60, vec![2]); // still behind the clamped ms
+        let a = s.append(100, rec(0));
+        let b = s.append(50, rec(1)); // clock stepped backwards
+        let c = s.append(60, rec(2)); // still behind the clamped ms
         assert_eq!(a, StreamId::new(100, 0));
         assert_eq!(b, StreamId::new(100, 1), "regressed entry clamped forward");
         assert_eq!(c, StreamId::new(100, 2));
@@ -880,7 +822,7 @@ mod tests {
 
         // Once the clock recovers past the clamp point, appends resume
         // normal wall-time indexing without further regressions.
-        let d = s.append(101, vec![3]);
+        let d = s.append(101, rec(3));
         assert_eq!(d, StreamId::new(101, 0));
         assert_eq!(s.clock_regressions(), 2);
         assert_eq!(s.range_by_time(101, 101).len(), 1);
@@ -889,8 +831,8 @@ mod tests {
     #[test]
     fn same_ms_append_is_not_a_regression() {
         let s = Stream::with_defaults("t");
-        s.append(10, vec![]);
-        s.append(10, vec![]); // same ms: normal seq bump
+        s.append(10, rec(10));
+        s.append(10, rec(10)); // same ms: normal seq bump
         assert_eq!(s.clock_regressions(), 0);
     }
 
@@ -899,15 +841,15 @@ mod tests {
         let s = Stream::with_defaults("t");
         assert!(s.is_empty());
         assert!(s.last().is_none());
-        s.append(1, vec![9]);
-        assert_eq!(s.last().unwrap().payload[0], 9);
+        s.append(1, rec(9));
+        assert_eq!(s.last().unwrap().record, rec(9));
     }
 
     #[test]
     fn unbounded_never_evicts() {
         let s = Stream::new("t", StreamConfig::unbounded());
         for i in 0..200_000u64 {
-            s.append(i / 100, Bytes::new());
+            s.append(i / 100, rec(i));
         }
         assert_eq!(s.len(), 200_000);
         assert!(s.archive().is_none());
@@ -932,7 +874,7 @@ mod tests {
         // the head.
         let dropping =
             Stream::new("t", StreamConfig { archive_evicted: false, ..StreamConfig::bounded(2) });
-        let ids: Vec<StreamId> = (5..8).map(|ms| dropping.append(ms, vec![])).collect();
+        let ids: Vec<StreamId> = (5..8).map(|ms| dropping.append(ms, rec(ms))).collect();
         assert_eq!(dropping.scan_meta().first_id, Some(ids[1]));
     }
 
@@ -967,10 +909,10 @@ mod tests {
     fn append_batch_matches_sequential_appends() {
         let batched = Stream::new("t", StreamConfig::bounded(4));
         let sequential = Stream::new("t", StreamConfig::bounded(4));
-        let records: Vec<(u64, Bytes)> = (0..10u64).map(|i| (i / 2, rec(i))).collect();
+        let records: Vec<(u64, Record)> = (0..10u64).map(|i| (i / 2, rec(i))).collect();
         let batch_ids = batched.append_batch(records.clone());
         let seq_ids: Vec<StreamId> =
-            records.iter().map(|(ms, p)| sequential.append(*ms, p.clone())).collect();
+            records.iter().map(|&(ms, r)| sequential.append(ms, r)).collect();
         assert_eq!(batch_ids, seq_ids);
         assert_eq!(
             batched.range(StreamId::MIN, StreamId::MAX),
@@ -981,19 +923,16 @@ mod tests {
     }
 
     #[test]
-    fn scan_batch_decodes_in_one_pass_and_counts_corrupt() {
+    fn scan_batch_pairs_each_entry_with_its_record() {
         let s = Stream::new("t", StreamConfig::bounded(3));
-        for i in 0..6u64 {
-            let rec = Record::measured(i * 1_000_000, i as f64);
-            s.append(i, rec.encode());
+        for i in 0..7u64 {
+            s.append(i, rec(i));
         }
-        s.append(6, vec![0xde, 0xad]); // not a valid Record frame
         let batch = s.scan_batch(StreamId::MIN, StreamId::MAX);
-        assert_eq!(batch.entries.len(), 7);
-        assert_eq!(batch.records.len(), 6);
-        assert_eq!(batch.corrupt, 1);
+        assert_eq!(batch.entries.len(), 7, "four from the ring, three from the window");
+        assert!(batch.entries.iter().zip(&batch.records).all(|(e, r)| e.record == *r));
+        assert!(batch.records.iter().enumerate().all(|(i, r)| *r == rec(i as u64)));
         assert_eq!(batch.last_id, s.last_id());
-        assert!(batch.records.iter().enumerate().all(|(i, r)| r.value == i as f64));
 
         let by_time = s.scan_batch_by_time(2, 4);
         assert_eq!(by_time.entries.len(), 3);
@@ -1001,15 +940,12 @@ mod tests {
     }
 
     #[test]
-    fn window_memory_counts_the_entry_and_only_a_heap_payload() {
-        let (records, blobs) = (Stream::with_defaults("r"), Stream::with_defaults("b"));
+    fn window_memory_counts_one_entry_per_row() {
+        let s = Stream::with_defaults("r");
         for i in 0..10u64 {
-            records.append(i, Record::measured(i, 1.0).encode());
-            blobs.append(i, vec![0u8; 1024]);
+            s.append(i, rec(i));
         }
-        let entry = std::mem::size_of::<Entry>();
-        assert_eq!(records.approx_memory_bytes(), 10 * entry);
-        assert_eq!(blobs.approx_memory_bytes(), 10 * (entry + 16 + 1024));
+        assert_eq!(s.approx_memory_bytes(), 10 * 40);
     }
 
     /// The cached-tail check of the private-ring contract: `tail`, kept
@@ -1023,17 +959,16 @@ mod tests {
         assert_eq!(tail.ids_ms, fresh.ids_ms);
         assert_eq!(tail.values, fresh.values);
         assert_eq!(tail.timestamps_ns, fresh.timestamps_ns);
-        let snap = |b: &ColumnBatch| (b.last_id, b.first_id, b.corrupt);
+        let snap = |b: &ColumnBatch| (b.last_id, b.first_id);
         assert_eq!(snap(tail), snap(&fresh));
     }
 
     #[test]
     fn a_directory_less_archive_keeps_the_newest_ring_of_evictions() {
         let s = Stream::new("t", StreamConfig::bounded(8));
-        let at = |i: u64| Record::measured(i * 1_000_000, i as f64).encode();
         let mut tail = None;
         for i in 0..10_000u64 {
-            s.append(i, at(i));
+            s.append(i, rec(i));
             if i == 99 {
                 tail = Some(Arc::new(s.scan_columns(StreamId::MIN, StreamId::MAX)));
             }
@@ -1042,41 +977,16 @@ mod tests {
             }
         }
         assert_eq!(s.archive().unwrap().live_len(), 4_096);
-        assert_eq!(s.archive_rejected(), 0);
         let all = s.range(StreamId::MIN, StreamId::MAX);
         assert!(all.iter().map(|e| e.id.ms).eq(10_000 - 4_104..10_000), "newest 4 104, once each");
-        assert!(all.iter().all(|e| e.payload == at(e.id.ms)));
-    }
-
-    #[test]
-    fn an_eviction_that_is_not_a_record_is_dropped_and_counted() {
-        let s = Stream::new("t", StreamConfig::bounded(1));
-        let mut tail = Arc::new(ColumnBatch::default());
-        let mut bad_provenance = rec(3).to_vec();
-        bad_provenance[16] = 3;
-        let mut long = rec(1).to_vec();
-        long.push(0);
-        for (ms, payload) in
-            [(1, long), (2, rec(2).to_vec()), (3, bad_provenance), (4, rec(4).to_vec())]
-        {
-            s.append(ms, payload);
-            if ms == 1 {
-                tail = Arc::new(s.scan_columns(StreamId::MIN, StreamId::MAX));
-            }
-        }
-        let ring = s.archive().unwrap();
-        assert_eq!((s.archive_rejected(), ring.store().stats().rejected), (2, 2));
-        let kept: Vec<(u64, usize)> =
-            s.range(StreamId::MIN, StreamId::MAX).iter().map(|e| (e.id.ms, e.len())).collect();
-        assert_eq!(kept, [(2, 17), (4, 17)], "the 18-byte row and the bad provenance are gone");
-        assert!(!s.extend_columns(&mut tail), "a tail holding the dropped row is not extended");
+        assert!(all.iter().all(|e| e.record == rec(e.id.ms)));
     }
 
     #[test]
     fn a_private_ring_is_created_at_the_first_eviction() {
         let idle = Stream::with_defaults("t");
         for i in 0..10u64 {
-            idle.append(i, vec![]);
+            idle.append(i, rec(i));
         }
         assert!(idle.archive().is_none());
         let s = Stream::new("t", StreamConfig::bounded(8));
@@ -1098,7 +1008,7 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 let mut ids = Vec::new();
                 for i in 0..1000u64 {
-                    ids.push(s.append(t * 1000 + i, Bytes::new()));
+                    ids.push(s.append(t * 1000 + i, rec(i)));
                 }
                 ids
             }));
@@ -1119,26 +1029,22 @@ mod prop_tests {
     use proptest::prelude::*;
     use std::collections::HashMap;
 
-    /// What decoding entries one by one lands: the oracle of a column batch.
+    /// What taking entries' fields one by one lands: the oracle of a
+    /// column batch.
     #[derive(Debug, Default, PartialEq)]
     struct Landed {
         ids_ms: Vec<u64>,
         timestamps_ns: Vec<u64>,
         value_bits: Vec<u64>,
         provenance: Vec<u8>,
-        corrupt: u64,
         regressed: bool,
     }
 
     impl Landed {
-        fn decode(&mut self, entries: &[Entry]) {
-            for e in entries {
-                let Ok(r) = Record::decode(&e.payload) else {
-                    self.corrupt += 1;
-                    continue;
-                };
+        fn land(&mut self, entries: &[Entry]) {
+            for &Entry { id, record: r } in entries {
                 self.regressed |= self.timestamps_ns.last().is_some_and(|&t| r.timestamp_ns < t);
-                self.ids_ms.push(e.id.ms);
+                self.ids_ms.push(id.ms);
                 self.timestamps_ns.push(r.timestamp_ns);
                 self.value_bits.push(r.value.to_bits());
                 self.provenance.push(r.provenance.wire());
@@ -1151,18 +1057,14 @@ mod prop_tests {
                 timestamps_ns: b.timestamps_ns.clone(),
                 value_bits: b.values.iter().map(|v| v.to_bits()).collect(),
                 provenance: b.provenance.clone(),
-                corrupt: b.corrupt,
                 regressed: !b.timestamps_sorted(),
             }
         }
     }
 
-    /// A payload drawn from `a` and `b`: a record of any provenance, often
-    /// a special value (NaN, ±0, ±inf, subnormal), else an undecodable
-    /// frame — a bad provenance byte, 0–16 bytes — or a record followed by
-    /// 1–24 more bytes. The ring rejects every one but a record at
-    /// eviction.
-    fn payload(a: u64, b: u64, timestamp_ns: u64) -> Vec<u8> {
+    /// A record drawn from `a` and `b`: any provenance, often a special
+    /// value (NaN, ±0, ±inf, subnormal).
+    fn record(a: u64, b: u64, timestamp_ns: u64) -> Record {
         const SPECIAL: [f64; 8] = [
             f64::NAN,
             -0.0,
@@ -1175,32 +1077,24 @@ mod prop_tests {
         ];
         let value = if a.is_multiple_of(3) { SPECIAL[(b % 8) as usize] } else { f64::from_bits(b) };
         let provenance = Provenance::from_wire(((a >> 4) % 3) as u8).unwrap();
-        let mut frame = Record { timestamp_ns, value, provenance }.encode().to_vec();
-        match (a >> 8) % 16 {
-            0 => frame[16] = 3 + (b % 253) as u8,
-            1 => frame.truncate((b % 17) as usize),
-            2 => frame.resize(18 + (b % 24) as usize, (b >> 8) as u8 | 1),
-            _ => {}
-        }
-        frame
+        Record { timestamp_ns, value, provenance }
     }
 
-    /// What a ring archives: a 17-byte frame that decodes.
-    fn is_record(bytes: &[u8]) -> bool {
-        bytes.len() == 17 && Record::decode(bytes).is_ok()
+    /// A record's fields, its value to the bit.
+    fn bits(r: &Record) -> (u64, u64, Provenance) {
+        (r.timestamp_ns, r.value.to_bits(), r.provenance)
     }
 
     proptest! {
-        /// Ring and window rows land in columns as decoding the same
-        /// range's entries one by one does — columns bit for bit,
-        /// `corrupt`, the snapshot's `first_id`/`last_id` and
+        /// Ring and window rows land in columns as taking the same
+        /// range's entries one by one does — columns bit for bit, the
+        /// snapshot's `first_id`/`last_id` and
         /// `timestamps_sorted()` — for one-shot scans of any window and
         /// for a tail grown by `extend_columns` in random steps, over a
         /// private ring and over a 16-slot slab ring that laps. Record
         /// clocks regress (the flag is carried across the ring/window seam
         /// and every extension), ID clocks regress into clamped IDs, and
-        /// the entries' payloads are the appended bytes, every length while
-        /// in the window.
+        /// the entries' records are the appended ones, to the bit.
         #[test]
         fn column_landing_matches_decoding_the_range(
             ops in prop::collection::vec((0u8..100, any::<u64>(), any::<u64>()), 1..400),
@@ -1223,30 +1117,23 @@ mod prop_tests {
                     0..70 => {
                         ms = (ms + a % 4).saturating_sub(if b.is_multiple_of(16) { 3 } else { 0 });
                         ts = if b.is_multiple_of(13) { ts - a % 5_000 } else { ts + a % 3_000 };
-                        let bytes = payload(a, b, ts);
-                        appended.insert(s.append(ms, bytes.clone()), bytes);
+                        let r = record(a, b, ts);
+                        appended.insert(s.append(ms, r), r);
                     }
                     70..85 => {
                         let (lo, hi) = (a % (ms + 3), b % (ms + 3));
                         let (start, end) = (StreamId::new(lo, a % 3), StreamId::new(hi, u64::MAX - b % 2));
                         let entries = s.range(start, end);
-                        prop_assert!(entries.iter().all(|e| e.payload.as_ref() == appended[&e.id]));
-                        // Every retained row in range, and only those: a row
-                        // that is not a record is gone once evicted.
-                        let (first, front) =
-                            (s.scan_meta().first_id, s.window.read().entries.front().map(|e| e.id));
-                        let mut retained: Vec<StreamId> = (appended.iter())
-                            .filter(|&(&id, bytes)| {
-                                (start..=end).contains(&id)
-                                    && first.is_some_and(|f| id >= f)
-                                    && (is_record(bytes) || front.is_some_and(|f| id >= f))
-                            })
-                            .map(|(&id, _)| id)
+                        prop_assert!(entries.iter().all(|e| bits(&e.record) == bits(&appended[&e.id])));
+                        // Every retained row in range, and only those.
+                        let first = s.scan_meta().first_id;
+                        let mut retained: Vec<StreamId> = (appended.keys().copied())
+                            .filter(|&id| (start..=end).contains(&id) && first.is_some_and(|f| id >= f))
                             .collect();
                         retained.sort_unstable();
                         prop_assert_eq!(entries.iter().map(|e| e.id).collect::<Vec<_>>(), retained);
                         let mut want = Landed::default();
-                        want.decode(&entries);
+                        want.land(&entries);
                         let got = s.scan_columns(start, end);
                         prop_assert_eq!(Landed::of(&got), want);
                         let meta = s.scan_meta();
@@ -1257,13 +1144,13 @@ mod prop_tests {
                             let from = t.last_id.and_then(StreamId::successor);
                             let ok = s.extend_columns(t);
                             if let (true, Some(from)) = (ok, from) {
-                                want.decode(&s.range(from, StreamId::MAX));
+                                want.land(&s.range(from, StreamId::MAX));
                             }
                             ok
                         });
                         if !extended {
                             let mut want = Landed::default();
-                            want.decode(&s.range(StreamId::MIN, StreamId::MAX));
+                            want.land(&s.range(StreamId::MIN, StreamId::MAX));
                             tail = Some((Arc::new(s.scan_columns(StreamId::MIN, StreamId::MAX)), want));
                         }
                         let (t, want) = tail.as_ref().unwrap();
@@ -1294,7 +1181,7 @@ mod prop_tests {
             let mut ms = 0u64;
             for i in 0..n {
                 ms += ms_step[i % ms_step.len()];
-                appended.push(s.append(ms, Record::measured(ms, i as f64).encode()));
+                appended.push(s.append(ms, Record::measured(ms, i as f64)));
             }
             let got = s.range(StreamId::MIN, StreamId::MAX);
             prop_assert_eq!(got.len(), n);
@@ -1312,7 +1199,7 @@ mod prop_tests {
         ) {
             let s = Stream::new("t", StreamConfig::bounded(max_len));
             for i in 0..n {
-                s.append(i as u64, Record::measured(i as u64, 0.0).encode());
+                s.append(i as u64, Record::measured(i as u64, 0.0));
             }
             let (start, end) = (StreamId::new(a.min(b), 0), StreamId::new(a.max(b), u64::MAX));
             let got: Vec<StreamId> = s.range(start, end).iter().map(|e| e.id).collect();

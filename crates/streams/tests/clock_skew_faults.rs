@@ -19,13 +19,12 @@
 use apollo_streams::id::StreamId;
 use apollo_streams::stream::{Stream, StreamConfig};
 use apollo_streams::Record;
-use bytes::Bytes;
 use std::sync::Arc;
 
 /// The record a producer samples at `true_ms`: its value is the tick, so
 /// a read can tell the ticks apart after the clamp moved their IDs.
-fn tick(true_ms: u64) -> Bytes {
-    Record::measured(true_ms * 1_000_000, true_ms as f64).encode()
+fn tick(true_ms: u64) -> Record {
+    Record::measured(true_ms * 1_000_000, true_ms as f64)
 }
 
 /// A skew fault window: between `start_ms..end_ms` (ticks, inclusive of
@@ -99,10 +98,10 @@ fn full_stitch_is_lossless_across_skew_and_eviction() {
     assert_eq!(all.len() as u64, total, "stitch lost or duplicated entries");
     assert_eq!(all.len(), stream.total_len());
     assert!(all.windows(2).all(|w| w[0].id < w[1].id), "stitch out of ID order");
-    // Payload check: every appended tick is present exactly once, in
+    // Record check: every appended tick is present exactly once, in
     // append order — the clamp reorders nothing.
     for (i, entry) in all.iter().enumerate() {
-        assert_eq!(entry.payload, tick(3_000 + i as u64), "append order broken at {i}");
+        assert_eq!(entry.record, tick(3_000 + i as u64), "append order broken at {i}");
     }
 
     // scan_batch over the full range agrees with range(), and its snapshot

@@ -25,11 +25,8 @@
 //!
 //! The contract must also hold for both destinations of the one range
 //! walk: the entry sink (`range`, `scan_batch`) and the column sink
-//! (`scan_columns`, which takes a ring row's fields, decodes a window row
-//! where the walk finds it and counts the undecodable ones in `corrupt`).
-//! The race takes every seam-biased scan through both; a seeded
-//! single-threaded case adds payloads that are not records — readable
-//! while in the window, rejected by the ring at eviction.
+//! (`scan_columns`, which takes each row's fields where the walk finds
+//! it). The race takes every seam-biased scan through both.
 
 use apollo_streams::{
     ColumnBatch, Provenance, Record, ScanBatch, SlabConfig, SlabStore, Stream, StreamConfig,
@@ -64,18 +61,17 @@ impl Lcg {
     }
 }
 
-/// Entry `i`'s payload: the record `(i ms, i as f64, measured)`.
-fn payload_of(i: u64) -> Vec<u8> {
-    Record::measured(i * 1_000_000, i as f64).encode().to_vec()
+/// Entry `i`'s record: `(i ms, i as f64, measured)`.
+fn record_of(i: u64) -> Record {
+    Record::measured(i * 1_000_000, i as f64)
 }
 
 /// The column and entry sinks must land the same rows: position by
-/// position the same timestamp, value bits and provenance byte, and the
-/// same `corrupt` count. (Only meaningful for two scans of one snapshot,
-/// or of a range whose content is settled.)
+/// position the same timestamp, value bits and provenance byte. (Only
+/// meaningful for two scans of one snapshot, or of a range whose content
+/// is settled.)
 fn assert_same_rows(cols: &ColumnBatch, batch: &ScanBatch, what: &str) {
-    assert_eq!(cols.len(), batch.records.len(), "{what}: decoded row count");
-    assert_eq!(cols.corrupt, batch.corrupt, "{what}: corrupt count");
+    assert_eq!(cols.len(), batch.records.len(), "{what}: row count");
     for (k, r) in batch.records.iter().enumerate() {
         assert_eq!(cols.timestamps_ns[k], r.timestamp_ns, "{what}: row {k} timestamp");
         assert_eq!(cols.values[k].to_bits(), r.value.to_bits(), "{what}: row {k} value bits");
@@ -116,7 +112,7 @@ fn scan_race(seed: u64, config: StreamConfig) {
                 while i == APPENDS / 2 && !extended.load(Ordering::Acquire) {
                     std::thread::yield_now();
                 }
-                let id = stream.append(i, payload_of(i));
+                let id = stream.append(i, record_of(i));
                 assert_eq!(id, StreamId::new(i, 0), "distinct ms per append");
                 high_water.store(i + 1, Ordering::Release);
             }
@@ -166,7 +162,7 @@ fn scan_race(seed: u64, config: StreamConfig) {
                     );
                     for (k, e) in got.iter().enumerate() {
                         assert_eq!(e.id, StreamId::new(lo + k as u64, 0));
-                        assert_eq!(e.payload[..], payload_of(lo + k as u64)[..]);
+                        assert_eq!(e.record, record_of(lo + k as u64));
                     }
                     scans += 1;
                     if !seam {
@@ -180,7 +176,6 @@ fn scan_race(seed: u64, config: StreamConfig) {
                         hi - lo + 1,
                         "seed {seed:#x}: columns [{lo}, {hi}]"
                     );
-                    assert_eq!(cols.corrupt, 0);
                     for (k, i) in (lo..=hi).enumerate() {
                         assert_eq!(cols.timestamps_ns[k], i * 1_000_000);
                         assert_eq!(cols.values[k].to_bits(), (i as f64).to_bits());
@@ -227,7 +222,7 @@ fn scan_race(seed: u64, config: StreamConfig) {
                 }
                 checked = tail.len();
                 let appended = tail.last_id.map_or(0, |id| id.ms + 1);
-                assert_eq!((tail.corrupt, checked as u64), (0, appended), "seed {seed:#x}: rows");
+                assert_eq!(checked as u64, appended, "seed {seed:#x}: rows");
                 assert!(tail.first_id.is_none_or(|id| id == StreamId::MIN), "nothing is lost here");
                 extensions += 1;
                 extended.store(true, Ordering::Release);
@@ -251,62 +246,6 @@ fn scan_race(seed: u64, config: StreamConfig) {
     assert!(all.windows(2).all(|w| w[0].id < w[1].id));
 }
 
-/// Payloads that are not records — too short, a bad provenance byte, or
-/// a record with bytes after it — on both sides of the seam: readable
-/// while in the window (the last as its leading record), rejected and
-/// counted once evicted, since a ring slot holds nothing but a record.
-/// The column sink must still agree with the entry sink and with a model
-/// of what is readable — over the full span, and over every short range
-/// across the seam.
-#[test]
-fn both_sinks_agree_with_corrupt_and_oversize_rows_across_the_seam() {
-    over_a_whole_run_ring("sinks", 16, |config| {
-        const APPENDS: u64 = 400;
-        let stream = Stream::new("sinks", config);
-        let mut rng = Lcg(0x5eed_0c01);
-        // Per entry: a record or not, and the value it decodes to (`None`
-        // = undecodable).
-        let mut model: Vec<(bool, Option<f64>)> = Vec::new();
-        for i in 0..APPENDS {
-            let mut payload = Record::predicted(i * 1_000_000, -(i as f64)).encode().to_vec();
-            match rng.next() % 10 {
-                0 | 1 => payload.truncate(2),
-                2 => payload[16] = 3 + (rng.next() % 253) as u8,
-                3 => payload.resize(18 + (rng.next() % 63) as usize, 9),
-                _ => {}
-            }
-            let record = payload.len() == 17 && Record::decode(&payload).is_ok();
-            model.push((record, Record::decode(&payload).ok().map(|r| r.value)));
-            stream.append(i, payload);
-        }
-        let seam = APPENDS - stream.len() as u64;
-        // What a scan of `[lo, hi]` can read: a row that is not a record
-        // only while it sits in the window.
-        let readable = |lo: u64, hi: u64| {
-            (lo..=hi).filter(|&i| i >= seam || model[i as usize].0).map(|i| model[i as usize].1)
-        };
-        let undecodable =
-            |lo: u64, hi: u64| readable(lo, hi).filter(Option::is_none).count() as u64;
-        assert!(undecodable(seam, APPENDS - 1) > 0, "the window holds undecodable rows");
-        let rejected = |lo: u64, hi: u64| (lo..hi).filter(|&i| !model[i as usize].0).count() as u64;
-        assert!(rejected(0, seam) > 0 && rejected(seam, APPENDS) > 0, "on both sides");
-        assert_eq!(stream.archive_rejected(), rejected(0, seam), "every evicted one rejected");
-        let ranges = (seam - 40..seam + 4).map(|lo| (lo, lo + 12)).chain([(0, APPENDS - 1)]);
-        for (lo, hi) in ranges {
-            let cols = stream.scan_columns_by_time(lo, hi);
-            let batch = stream.scan_batch_by_time(lo, hi);
-            assert_eq!(cols.last_id, batch.last_id);
-            let rows = readable(lo, hi).count();
-            assert_eq!(batch.entries.len(), rows, "exactly once across the seam");
-            assert_same_rows(&cols, &batch, "quiescent scan");
-            assert_eq!(cols.corrupt, undecodable(lo, hi));
-            let want: Vec<u64> = readable(lo, hi).flatten().map(f64::to_bits).collect();
-            assert_eq!(cols.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), want);
-            assert!(cols.provenance.iter().all(|&p| p == Provenance::Predicted.wire()));
-        }
-    });
-}
-
 /// Same regime for the cursor path: a reader that paces itself slower
 /// than retention must be handed every entry exactly once via the archive
 /// stitch in `read_after`, and some of its reads must start below the
@@ -327,7 +266,7 @@ fn slow_cursor_walk(config: StreamConfig) {
         let done = Arc::clone(&done);
         std::thread::spawn(move || {
             for i in 0..APPENDS {
-                stream.append(i, payload_of(i));
+                stream.append(i, record_of(i));
             }
             done.store(true, Ordering::Release);
         })
@@ -393,15 +332,14 @@ fn retained_from(last: u64) -> u64 {
 
 /// `cols`, read from `lo` on, holds exactly the rows of
 /// `max(lo, first)..=last`, where `first..=last` is what the lap stream
-/// retained at the batch's snapshot, each decoded from its own
-/// `payload_of`. Returns `last`.
+/// retained at the batch's snapshot, each carrying its own
+/// `record_of`. Returns `last`.
 fn assert_retained_rows(cols: &ColumnBatch, lo: u64, what: &str) -> u64 {
     let last = cols.last_id.expect("rows were appended").ms;
     let first = retained_from(last);
     assert_eq!(cols.first_id, Some(StreamId::new(first, 0)), "{what}: the retained head");
     let rows: Vec<u64> = (lo.max(first)..=last).collect();
     assert_eq!(cols.ids_ms, rows, "{what}: rows from {lo} to {last} not contiguous");
-    assert_eq!(cols.corrupt, 0, "{what}: a ring row is always a record");
     assert!(cols.values.iter().zip(&rows).all(|(&v, &i)| v == i as f64), "{what}: values");
     assert!(cols.timestamps_ns.iter().zip(&rows).all(|(&t, &i)| t == i * 1_000_000), "{what}");
     last
@@ -412,7 +350,7 @@ fn assert_retained_rows(cols: &ColumnBatch, lo: u64, what: &str) -> u64 {
 /// the ring's floor (`range`, `scan_columns`) and a third only extends one
 /// columnar tail, trimmed to the stream's `first_id` after every
 /// extension. Every result is the contiguous run the stream retained at
-/// its snapshot, each row carrying its own payload, and the tail, carried
+/// its snapshot, each row carrying its own record, and the tail, carried
 /// across every lap, ends equal to a fresh scan.
 #[test]
 fn scans_racing_a_ring_lap_see_one_contiguous_snapshot() {
@@ -436,7 +374,7 @@ fn lap_race(seed: u64) {
                 || scans.load(Ordering::Relaxed) < 200 || extensions.load(Ordering::Relaxed) < 20;
             let mut i = 0;
             while i < APPENDS || (starved() && i < 100 * APPENDS) {
-                assert_eq!(stream.append(i, payload_of(i)), StreamId::new(i, 0));
+                assert_eq!(stream.append(i, record_of(i)), StreamId::new(i, 0));
                 i += 1;
                 appended.store(i, Ordering::Release);
             }
@@ -459,10 +397,7 @@ fn lap_race(seed: u64) {
                         let ids =
                             (lo.max(retained_from(last))..=last).map(|ms| StreamId::new(ms, 0));
                         assert!(got.iter().map(|e| e.id).eq(ids), "{what}: not contiguous");
-                        assert!(
-                            got.iter().all(|e| e.payload[..] == payload_of(e.id.ms)[..]),
-                            "{what}"
-                        );
+                        assert!(got.iter().all(|e| e.record == record_of(e.id.ms)), "{what}");
                         last
                     } else {
                         let cols = stream.scan_columns(StreamId::new(lo, 0), StreamId::MAX);

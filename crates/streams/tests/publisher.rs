@@ -4,8 +4,7 @@
 //! before a publish began receives that publish.
 
 use apollo_obs::Registry;
-use apollo_streams::{Broker, Publisher, StreamConfig, StreamId, Subscription};
-use bytes::Bytes;
+use apollo_streams::{Broker, Entry, Publisher, Record, StreamConfig, StreamId, Subscription};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -26,7 +25,7 @@ fn a_publisher_that_never_published_has_no_topic() {
     assert!(broker.latest("idle").is_none(), "and reads still never create one");
     assert!(broker.topic_names().is_empty());
 
-    publisher.publish(1, vec![1u8]);
+    publisher.publish(1, Record::measured(1, 1.0));
     assert!(broker.has_topic("idle"));
     assert_eq!(broker.topic_len("idle"), 1);
 }
@@ -47,10 +46,10 @@ struct Observed {
 fn remove_and_republish(
     broker: &Broker,
     registry: &Registry,
-    publish: impl Fn(u64, Bytes) -> StreamId,
-    publish_batch: impl Fn(Vec<(u64, Bytes)>) -> Vec<StreamId>,
+    publish: impl Fn(u64, Record) -> StreamId,
+    publish_batch: impl Fn(Vec<(u64, Record)>) -> Vec<StreamId>,
 ) -> Observed {
-    let payload = |i: u8| Bytes::from(vec![i]);
+    let payload = |i: u8| Record::measured(u64::from(i), f64::from(i));
     let mut ids = vec![publish(10, payload(0)), publish(10, payload(1))];
     ids.extend(publish_batch(vec![(11, payload(2)), (12, payload(3))]));
     assert_eq!(broker.topic_len("t"), 4);
@@ -104,8 +103,9 @@ fn publishing_through_a_handle_after_remove_topic_recreates_it_as_a_by_name_publ
     assert!(by_handle.publish_ns_samples >= 2, "both topics' first publishes were sampled");
 }
 
-fn sequence_number(payload: &[u8]) -> u64 {
-    u64::from_le_bytes(payload.try_into().expect("8-byte sequence number"))
+/// The sequence number a published record carries as its timestamp.
+fn sequence_number(e: &Entry) -> u64 {
+    e.record.timestamp_ns
 }
 
 /// Two threads. One publishes the sequence numbers `0, 1, 2, …` in
@@ -126,7 +126,7 @@ fn sequence_number(payload: &[u8]) -> u64 {
 fn every_returned_subscribe_sees_every_later_publish(
     broker: &Arc<Broker>,
     resident: Option<&Subscription>,
-    mut publish: impl FnMut(u64, Bytes) + Send,
+    mut publish: impl FnMut(u64, Record) + Send,
 ) {
     const ROUNDS: u64 = 200;
     const STRIDE: u64 = 64;
@@ -159,7 +159,7 @@ fn every_returned_subscribe_sees_every_later_publish(
                 // SeqCst: a subscriber that reads `began == k0` after its
                 // `subscribe()` returned knows no publish `>= k0` had begun.
                 began.store(k + 1, Ordering::SeqCst);
-                publish(k, Bytes::from(k.to_le_bytes().to_vec()));
+                publish(k, Record::measured(k, k as f64));
             }
             // Release a subscriber still waiting for the next stride.
             began.store(u64::MAX, Ordering::SeqCst);
@@ -178,7 +178,7 @@ fn every_returned_subscribe_sees_every_later_publish(
                 upto = began.load(Ordering::SeqCst);
             }
             assert_ne!(upto, u64::MAX, "the publisher gave up in round {round}: starved?");
-            let got: Vec<u64> = sub.drain().iter().map(|e| sequence_number(&e.payload)).collect();
+            let got: Vec<u64> = sub.drain().iter().map(sequence_number).collect();
             let (Some(&first), Some(&last)) = (got.first(), got.last()) else {
                 panic!("round {round} received nothing of {first_due}..{upto}");
             };
@@ -189,7 +189,7 @@ fn every_returned_subscribe_sees_every_later_publish(
         }
     });
     if let Some(resident) = resident {
-        let all: Vec<u64> = resident.drain().iter().map(|e| sequence_number(&e.payload)).collect();
+        let all: Vec<u64> = resident.drain().iter().map(sequence_number).collect();
         assert!(all.len() as u64 >= ROUNDS * STRIDE);
         assert!(all.iter().copied().eq(0..all.len() as u64), "the resident subscriber has a gap");
     }
@@ -201,7 +201,7 @@ const RESIDENT_WINDOW: usize = 65_536;
 
 #[test]
 fn a_subscribe_that_returned_sees_every_later_publish() {
-    type Publish = fn(&Broker, &mut Publisher, u64, Bytes);
+    type Publish = fn(&Broker, &mut Publisher, u64, Record);
     let paths: [(&str, Publish); 4] = [
         ("Broker::publish", |b, _, ms, p| {
             b.publish("t", ms, p);

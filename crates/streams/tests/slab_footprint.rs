@@ -56,9 +56,7 @@ fn a_file_store_is_resident_only_where_it_was_written() {
         (0..SERIES).map(|i| store.series(&format!("s{i}")).expect("a free dirent")).collect();
     for (i, s) in series.iter().enumerate() {
         for k in 0..WRITTEN as u64 {
-            assert!(
-                s.record(StreamId::new(k, 0), &Record::measured(k, (i as u64 ^ k) as f64).encode())
-            );
+            s.push(StreamId::new(k, 0), Record::measured(k, (i as u64 ^ k) as f64));
         }
     }
     store.flush().expect("msync");

@@ -47,7 +47,7 @@ fn directory_exhaustion_is_loud_where_it_used_to_be_silent() {
 
         // --- A topic created on the exhausted directory.
         for i in 0..10u64 {
-            broker.publish("c", i + 1, Record::measured(i, i as f64).encode());
+            broker.publish("c", i + 1, Record::measured(i, i as f64));
         }
         assert_eq!(store.stats().series_fallbacks, 1, "the refusal is counted once");
         assert_eq!(registry.snapshot().counter("streams.slab.dir_full"), 1, "and exported");
@@ -79,7 +79,7 @@ fn a_topic_named_at_the_name_cap_takes_one_durable_series() {
         let broker = Broker::new(StreamConfig::bounded(2).with_slab(Arc::clone(&store)));
         for topic in [long.as_str(), "short"] {
             for ms in 1..=3u64 {
-                broker.publish(topic, ms, Record::measured(ms, 0.0).encode());
+                broker.publish(topic, ms, Record::measured(ms, 0.0));
             }
         }
         let stats = store.stats();
@@ -110,7 +110,7 @@ fn flush_cadence_bounds_the_machine_crash_loss_window() {
         .unwrap();
     let series = store.series("m").unwrap();
     for i in 0..100u64 {
-        assert!(series.record(StreamId::new(i + 1, 0), &Record::measured(i, i as f64).encode()));
+        series.push(StreamId::new(i + 1, 0), Record::measured(i, i as f64));
     }
     assert_eq!(store.dirty_records(), 100, "every record since start is crash-exposed");
     assert_eq!(store.flush().unwrap(), 100, "flush reports what it made durable");
@@ -118,7 +118,7 @@ fn flush_cadence_bounds_the_machine_crash_loss_window() {
     fs::copy(&path, &snapshot).unwrap(); // disk state guaranteed from here on
 
     for i in 100..150u64 {
-        assert!(series.record(StreamId::new(i + 1, 0), &Record::measured(i, i as f64).encode()));
+        series.push(StreamId::new(i + 1, 0), Record::measured(i, i as f64));
     }
     assert_eq!(store.dirty_records(), 50, "the loss window is the 50 unflushed records");
 
@@ -172,9 +172,9 @@ fn seeded_churn_reaches_a_fixed_point_across_restarts() {
                             "reclaimed ring served stale payloads"
                         );
                         for r in 0..1 + rng() % 8 {
-                            series.record(
+                            series.push(
                                 StreamId::new(now_ms + r, k as u64),
-                                &Record::measured(now_ms, r as f64).encode(),
+                                Record::measured(now_ms, r as f64),
                             );
                         }
                         series
@@ -262,8 +262,7 @@ fn series_directory_matches_its_model_under_seeded_churn() {
                         Some(idx) => {
                             let series = got.unwrap();
                             assert_eq!(series.index(), idx, "{step}: attach {name}");
-                            series
-                                .record(StreamId::new(ms, 0), &Record::measured(ms, 1.0).encode());
+                            series.push(StreamId::new(ms, 0), Record::measured(ms, 1.0));
                             ms += 1;
                             model.live.insert(name.clone(), idx);
                             if rng(2) == 0 {

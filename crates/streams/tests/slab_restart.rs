@@ -49,7 +49,7 @@ fn reopen_restores_archived_history_and_id_continuity() {
         let store = SlabStore::create(&path, small_config()).unwrap();
         let broker = slab_broker(&store, 2);
         for i in 0..12u64 {
-            let id = broker.publish("cap", i + 1, Record::measured(i, i as f64).encode());
+            let id = broker.publish("cap", i + 1, Record::measured(i, i as f64));
             evicted_ids.push(id);
         }
         // Window keeps the last 2 in memory only; the first 10 are in the
@@ -63,7 +63,7 @@ fn reopen_restores_archived_history_and_id_continuity() {
     let broker = slab_broker(&store, 2);
     // Appending re-attaches the topic's slab series; the restored
     // archive seeds last_id, so IDs keep increasing across the restart.
-    let next = broker.publish("cap", 1, Record::measured(99, 99.0).encode());
+    let next = broker.publish("cap", 1, Record::measured(99, 99.0));
     assert!(next > evicted_ids[9], "{next} continues after the recovered archive tail");
     let got = broker.range("cap", StreamId::MIN, StreamId::MAX);
     // Pre-restart archived history (the 10 evicted entries) plus the new
@@ -84,7 +84,7 @@ fn a_cursor_reader_resumes_after_restart_with_only_what_it_missed() {
         let store = SlabStore::create(&path, small_config()).unwrap();
         let broker = slab_broker(&store, 2);
         for i in 0..10u64 {
-            ids.push(broker.publish("cap", i + 1, Record::measured(i, i as f64).encode()));
+            ids.push(broker.publish("cap", i + 1, Record::measured(i, i as f64)));
         }
         let first = broker.read_after("cap", None, 6);
         assert_eq!(first.iter().map(|e| e.id).collect::<Vec<_>>(), ids[..6].to_vec());
@@ -119,7 +119,7 @@ fn torn_newest_slot_is_rolled_back_on_reopen() {
         let series = store.series("t").unwrap();
         let n = 9u64;
         for i in 0..n {
-            assert!(series.record(StreamId::new(i + 1, 0), &Record::measured(i, i as f64).encode()));
+            series.push(StreamId::new(i + 1, 0), Record::measured(i, i as f64));
         }
         store.flush().unwrap();
         (series.index(), StreamId::new(n - 1, 0), n)
@@ -141,9 +141,9 @@ fn torn_newest_slot_is_rolled_back_on_reopen() {
     assert_eq!(series.last_id(), Some(last_good));
     let got = series.range(StreamId::MIN, StreamId::MAX);
     assert_eq!(got.len(), (n - 1) as usize);
-    assert_eq!(got.last().unwrap().payload, Record::measured(n - 2, (n - 2) as f64).encode());
+    assert_eq!(got.last().unwrap().record, Record::measured(n - 2, (n - 2) as f64));
     // The rolled-back slot is writable again: appends resume cleanly.
-    assert!(series.record(StreamId::new(n + 10, 0), &Record::measured(n, 0.0).encode()));
+    series.push(StreamId::new(n + 10, 0), Record::measured(n, 0.0));
     assert_eq!(series.last_id(), Some(StreamId::new(n + 10, 0)));
     let _ = fs::remove_file(&path);
 }
@@ -166,7 +166,7 @@ fn torn_slots_mid_ring_are_skipped_by_every_read() {
     // 40 archived rows in a 64-slot ring, 8 in the window.
     let stream = Stream::new("t", StreamConfig::bounded(8).with_slab(Arc::clone(&store)));
     for i in 0..48u64 {
-        stream.append(i + 1, Record::measured(i * 1_000, i as f64).encode());
+        stream.append(i + 1, Record::measured(i * 1_000, i as f64));
     }
     let ring = stream.archive().expect("slab-backed");
     assert_eq!(ring.live_len(), 40);
@@ -190,7 +190,6 @@ fn torn_slots_mid_ring_are_skipped_by_every_read() {
     let values: Vec<u64> = columns.values.iter().map(|&v| v as u64).collect();
     assert_eq!(values, want, "scan_columns");
     assert_eq!(columns.ids_ms, ids(&want), "scan_columns ids");
-    assert_eq!(columns.corrupt, 0, "a torn slot is skipped, not decoded as corrupt");
 
     let entry_ms = |entries: &[apollo_streams::Entry]| -> Vec<u64> {
         entries.iter().map(|e| e.id.ms).collect()
@@ -200,12 +199,12 @@ fn torn_slots_mid_ring_are_skipped_by_every_read() {
     assert!(range
         .iter()
         .zip(&want)
-        .all(|(e, &i)| { e.payload == Record::measured(i * 1_000, i as f64).encode() }));
+        .all(|(e, &i)| { e.record == Record::measured(i * 1_000, i as f64) }));
     assert_eq!(entry_ms(&stream.read_after(None, usize::MAX)), ids(&want), "read_after");
     let batch = stream.scan_batch(StreamId::MIN, StreamId::MAX);
     assert_eq!(entry_ms(&batch.entries), ids(&want), "scan_batch entries");
     let values: Vec<u64> = batch.records.iter().map(|r| r.value as u64).collect();
-    assert_eq!((values, batch.corrupt), (want, 0), "scan_batch records");
+    assert_eq!(values, want, "scan_batch records");
     let _ = fs::remove_file(&path);
 }
 
@@ -219,7 +218,7 @@ fn consolidation_tiers_survive_restart() {
         for i in 0..8u64 {
             let ms = i * 500;
             let v = i as f64;
-            assert!(series.record(StreamId::new(ms, 1), &Record::measured(ms, v).encode()));
+            series.push(StreamId::new(ms, 1), Record::measured(ms, v));
         }
         let report = store.consolidate();
         assert_eq!(report.folded, 8);
@@ -262,7 +261,7 @@ fn fleet_scale_reopen_reattaches_every_series_in_place() {
             assert_eq!(series.index(), i, "a fresh directory fills lowest first");
             for r in 0..1 + i as u64 % 3 {
                 let id = StreamId::new(1_000 + r, i as u64);
-                assert!(series.record(id, &Record::measured(r, i as f64).encode()));
+                series.push(id, Record::measured(r, i as f64));
             }
             placed.push((series.index(), series.last_id().unwrap()));
             handles.push(series);

@@ -3,7 +3,7 @@
 //! waker list churns, and nothing hangs. (Publishing to its own topic is
 //! what the contract rules out: that waits on the lock the publish holds.)
 
-use apollo_streams::{Broker, StreamConfig};
+use apollo_streams::{Broker, Record, StreamConfig};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -37,7 +37,7 @@ fn a_waker_that_publishes_to_another_topic_relays_every_publish_while_its_topic_
         let weak = Arc::downgrade(&broker);
         broker.wake_on("a", move || {
             if let Some(broker) = weak.upgrade() {
-                broker.publish("b", 0, vec![1u8]);
+                broker.publish("b", 0, Record::measured(0, 1.0));
             }
         })
     };
@@ -71,7 +71,7 @@ fn a_waker_that_publishes_to_another_topic_relays_every_publish_while_its_topic_
             }
             let mut a = broker.publisher("a");
             for i in 0..PUBLISHES {
-                a.publish(i, i.to_le_bytes().to_vec());
+                a.publish(i, Record::measured(i, i as f64));
             }
             publishing.store(false, Ordering::SeqCst);
         })

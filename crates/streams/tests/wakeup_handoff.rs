@@ -9,7 +9,7 @@
 //! these hand-offs stalls until its ten-second timeout and fails. The
 //! lockstep cases force a receiver to park before nearly every publish.
 
-use apollo_streams::{Broker, Entry, StreamConfig, Subscription};
+use apollo_streams::{Broker, Entry, Record, StreamConfig, Subscription};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread;
@@ -25,11 +25,11 @@ fn broker() -> Arc<Broker> {
 }
 
 fn seq(entry: &Entry) -> u32 {
-    u32::from_le_bytes(entry.payload[..4].try_into().expect("four-byte payload"))
+    entry.record.timestamp_ns as u32
 }
 
 fn publish(broker: &Broker, i: u32) {
-    broker.publish("t", u64::from(i), i.to_le_bytes().to_vec());
+    broker.publish("t", u64::from(i), Record::measured(u64::from(i), f64::from(i)));
 }
 
 #[test]

@@ -151,10 +151,7 @@ fn main() {
     {
         let scratch = store.series("job/1234/scratch_bytes").expect("scratch series");
         for i in 0..32u64 {
-            scratch.record(
-                StreamId::new(1_000 + i, 0),
-                &Record::measured(1_000 + i, i as f64).encode(),
-            );
+            scratch.push(StreamId::new(1_000 + i, 0), Record::measured(1_000 + i, i as f64));
         }
     } // job done: the handle drops, the series is GC-eligible after retention
     apollo.run_for(Duration::from_secs(20));

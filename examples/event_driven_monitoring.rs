@@ -13,7 +13,6 @@
 use apollo_cluster::device::{Device, DeviceSpec, EventMetric};
 use apollo_cluster::metrics::{DeviceMetric, MetricKind};
 use apollo_core::service::{Apollo, FactVertexSpec};
-use apollo_streams::codec::Record;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -70,8 +69,8 @@ fn main() {
     );
     println!("{:<16}{:>14}{:>16}{:>18}", "event-driven", 0, evented.len(), evented.len());
 
-    let last_polled = Record::decode(&polled.last().unwrap().payload).unwrap();
-    let last_evented = Record::decode(&evented.last().unwrap().payload).unwrap();
+    let last_polled = polled.last().unwrap().record;
+    let last_evented = evented.last().unwrap().record;
     assert_eq!(last_polled.value, last_evented.value, "both paths agree on the final state");
     assert_eq!(evented.len(), 24, "every write captured");
     assert!(polled.len() < evented.len(), "polling smears the bursts");

@@ -14,7 +14,7 @@ use apollo_cluster::fault::{FaultKind, FaultPlan, FaultWindow, FlakySource};
 use apollo_cluster::metrics::ConstSource;
 use apollo_core::health::SupervisorConfig;
 use apollo_core::service::{Apollo, FactVertexSpec};
-use apollo_streams::Provenance;
+use apollo_streams::{Provenance, Record};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -93,9 +93,9 @@ fn main() {
     println!("\n== a slow subscriber catches up from the stream ==");
     let sub = broker.subscribe("store/steady");
     for i in 0..10u64 {
-        broker.publish("store/steady", 100 + i, vec![i as u8]);
+        broker.publish("store/steady", 100 + i, Record::measured((100 + i) * 1_000_000, i as f64));
     }
-    let taken: Vec<u8> = sub.drain().iter().map(|e| e.payload[0]).collect();
+    let taken: Vec<u8> = sub.drain().iter().map(|e| e.record.value as u8).collect();
     println!(
         "  published 10 while it read nothing: one drain takes {:?} from its cursor \
          (the stream holds {} entries, no copy for the reader)",

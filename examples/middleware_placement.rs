@@ -50,8 +50,7 @@ fn main() {
                 broker.publish(
                     &ApolloView::capacity_topic(d.name()),
                     u64::from(step) + 1,
-                    Record::measured(u64::from(step) * 1_000_000_000, d.remaining_bytes() as f64)
-                        .encode(),
+                    Record::measured(u64::from(step) * 1_000_000_000, d.remaining_bytes() as f64),
                 );
             }
         });

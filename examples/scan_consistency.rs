@@ -27,7 +27,7 @@ fn main() {
     let mut cursor: Option<StreamId> = None;
 
     println!("== batch publish past retention ==");
-    let records = (0..1000u64).map(|i| (i, Record::measured(i * 1_000_000, i as f64).encode()));
+    let records = (0..1000u64).map(|i| (i, Record::measured(i * 1_000_000, i as f64)));
     let ids = broker.publish_batch("pfs/capacity", records);
     let info = broker.topic_info("pfs/capacity").expect("topic exists");
     println!("  published {} records into a window of 8", ids.len());
@@ -39,7 +39,7 @@ fn main() {
     println!("  range over everything: {} entries, strictly ordered: {ordered}", all.len());
     let batch = broker.scan_batch_by_time("pfs/capacity", 100, 199);
     println!(
-        "  scan_batch [100ms, 199ms]: {} entries, {} decoded records",
+        "  scan_batch [100ms, 199ms]: {} entries, {} records",
         batch.entries.len(),
         batch.records.len()
     );
@@ -78,7 +78,7 @@ fn main() {
 
     // A fresh publish moves `last_id`: the cached tail is extended by
     // that one row, and the same query sees it.
-    broker.publish("pfs/capacity", 999, Record::measured(999_000_000, 5000.0).encode());
+    broker.publish("pfs/capacity", 999, Record::measured(999_000_000, 5000.0));
     let rows = apollo.query(sql).expect("query");
     println!(
         "  after publish, same query sees the new row: AVG = {:?}, hits={} misses={}",
@@ -94,7 +94,6 @@ fn main() {
         "query.scan_cache.misses",
         "query.scan_cache.invalidations",
         "streams.topic.pfs/capacity.cursor_lapped",
-        "streams.topic.pfs/capacity.archive_rejected",
     ] {
         println!("  {key:<45} = {}", snap.counters.get(key).copied().unwrap_or(0));
     }

@@ -206,7 +206,7 @@ fn pre_fix_scan_stitch_fails_exactly_once_teeth() {
     // the two reads appear in neither half.
     let stream = Stream::new("teeth", StreamConfig::bounded(8));
     for ms in 0..100u64 {
-        stream.append(1_000 + ms, Record::measured(ms, ms as f64).encode());
+        stream.append(1_000 + ms, Record::measured(ms, ms as f64));
     }
 
     let mut pre_fix: Vec<StreamId> = stream
@@ -219,7 +219,7 @@ fn pre_fix_scan_stitch_fails_exactly_once_teeth() {
     // Concurrent producer lands 40 more appends; the bounded window
     // evicts 40 older entries into the archive after our snapshot.
     for ms in 100..140u64 {
-        stream.append(1_000 + ms, Record::measured(ms, ms as f64).encode());
+        stream.append(1_000 + ms, Record::measured(ms, ms as f64));
     }
     // Second half of the pre-fix read: the live window only.
     let full = stream.range(StreamId::MIN, StreamId::MAX);

@@ -8,7 +8,7 @@ use apollo_cluster::device::DeviceKind;
 use apollo_cluster::metrics::{DeviceMetric, MetricKind, NodeMetric};
 use apollo_core::service::{Apollo, FactVertexSpec, InsightVertexSpec};
 use apollo_insights as insights;
-use apollo_streams::{Broker, StreamConfig};
+use apollo_streams::{Broker, Record, StreamConfig};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -70,7 +70,8 @@ fn degraded_network_link_visible_in_ping_insight() {
 #[test]
 fn consumer_crash_recovery_resumes_from_its_saved_cursor() {
     let broker = Broker::new(StreamConfig::default());
-    let ids: Vec<_> = (0..5u64).map(|i| broker.publish("facts", i, vec![i as u8])).collect();
+    let ids: Vec<_> =
+        (0..5u64).map(|i| broker.publish("facts", i, Record::measured(i, i as f64))).collect();
 
     // Worker A takes the batch, processes three entries, saving its cursor
     // after each, then "crashes".
@@ -84,7 +85,7 @@ fn consumer_crash_recovery_resumes_from_its_saved_cursor() {
     assert_eq!(resumed.iter().map(|e| e.id).collect::<Vec<_>>(), ids[3..].to_vec());
 
     // New work flows normally afterwards.
-    let next = broker.publish("facts", 9, vec![9]);
+    let next = broker.publish("facts", 9, Record::measured(9, 9.0));
     let more = broker.read_after("facts", resumed.last().map(|e| e.id), 10);
     assert_eq!(more.iter().map(|e| e.id).collect::<Vec<_>>(), vec![next]);
 }

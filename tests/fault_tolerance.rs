@@ -12,7 +12,7 @@ use apollo_cluster::fault::{FaultKind, FaultPlan, FaultWindow, FlakySource};
 use apollo_cluster::metrics::ConstSource;
 use apollo_core::health::{HealthState, SupervisorConfig};
 use apollo_core::service::{Apollo, FactVertexSpec};
-use apollo_streams::{Provenance, StreamId};
+use apollo_streams::{Entry, Provenance, StreamId};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -20,8 +20,8 @@ const fn secs(s: u64) -> Duration {
     Duration::from_secs(s)
 }
 
-/// One stream entry flattened to (ms, seq, payload bytes).
-type FlatEntry = (u64, u64, Vec<u8>);
+/// One stream entry flattened to (ms, seq, timestamp, value bits, provenance).
+type FlatEntry = (u64, u64, u64, u64, Provenance);
 
 /// Everything observable about one scenario run; two runs with the same
 /// seed must produce equal digests.
@@ -124,7 +124,9 @@ fn run_scenario(seed: u64) -> Digest {
                 let entries = broker
                     .range(&name, StreamId::MIN, StreamId::MAX)
                     .into_iter()
-                    .map(|e| (e.id.ms, e.id.seq, e.payload.to_vec()))
+                    .map(|Entry { id, record: r }| {
+                        (id.ms, id.seq, r.timestamp_ns, r.value.to_bits(), r.provenance)
+                    })
                     .collect();
                 (name, entries)
             })

@@ -173,8 +173,7 @@ fn provenance_flags_survive_the_full_pipeline() {
     apollo.run_for(Duration::from_secs(200));
 
     let entries = apollo.broker().range_by_time("m", 0, u64::MAX);
-    let records: Vec<Record> =
-        entries.iter().map(|e| Record::decode(&e.payload).unwrap()).collect();
+    let records: Vec<Record> = entries.iter().map(|e| e.record).collect();
     let measured = records.iter().filter(|r| r.is_measured()).count();
     let predicted = records.len() - measured;
     assert!(measured >= 15, "10s polls over 200s: {measured}");
@@ -275,7 +274,7 @@ fn pump_matches_per_vertex_replay(vertices: usize) {
         let mut last_measured_ns = 0;
         let mut predicted = 0;
         for entry in apollo.broker().range_by_time(&name, 0, u64::MAX) {
-            let record = Record::decode(&entry.payload).unwrap();
+            let record = entry.record;
             if record.is_measured() {
                 replay.observe(record.value);
                 last_measured_ns = record.timestamp_ns;
