@@ -1194,6 +1194,21 @@ mod tests {
     }
 
     #[test]
+    fn latest_query_skips_a_corrupt_newest_payload() {
+        let apollo = Apollo::new_virtual();
+        let broker = apollo.broker();
+        broker.publish("t", 1, apollo_streams::Record::measured(1_000_000, 7.0).encode());
+        // A newest payload that is not a record is refused at the publish
+        // door (it panics there) and leaves no row.
+        let frame = bytes::Bytes::copy_from_slice(&[0xde, 0xad, 0xbe, 0xef]);
+        let publish = std::panic::AssertUnwindSafe(|| broker.publish("t", 2, frame));
+        assert!(std::panic::catch_unwind(publish).is_err());
+        let out = apollo.query("SELECT MAX(Timestamp), metric FROM t").unwrap();
+        let row = &out.rows[0];
+        assert_eq!((row.value, row.provenance), (7.0, Some(apollo_streams::Provenance::Measured)));
+    }
+
+    #[test]
     fn noop_registry_disables_self_observation() {
         let mut apollo = Apollo::with_registry(
             EventLoop::new_virtual(),

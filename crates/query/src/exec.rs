@@ -1472,6 +1472,40 @@ mod tests {
         }
     }
 
+    #[test]
+    fn corrupt_payloads_are_skipped_by_provider() {
+        // A payload that is not a record is refused at the publish door
+        // (it panics there) and never reaches a provider.
+        let b = Broker::new(StreamConfig::default());
+        let refused = |ms: u64, raw: &[u8]| {
+            let frame = bytes::Bytes::copy_from_slice(raw);
+            let publish = std::panic::AssertUnwindSafe(|| b.publish("t", ms, frame));
+            assert!(std::panic::catch_unwind(publish).is_err(), "a {}-byte frame", raw.len());
+        };
+        refused(1, &[1, 2, 3]);
+        b.publish("t", 2, Record::measured(2_000_000, 9.0).encode());
+        refused(3, &[0xde, 0xad, 0xbe, 0xef]);
+        let engine = QueryEngine::new(&b);
+        let out = engine.execute_sql("SELECT metric FROM t").unwrap();
+        assert_eq!(out.rows.len(), 1);
+        assert_eq!(out.rows[0].value, 9.0);
+        // Same through the aggregate path.
+        let count = engine.execute_sql("SELECT COUNT(*) FROM t").unwrap();
+        assert_eq!(count.rows[0].value, 1.0);
+        // The refused newest payload left no row: a latest-value read
+        // answers the newest record, as its ranged form does.
+        let cache = ScanCache::new();
+        let cached = CachedBroker::new(&b, &cache);
+        let want = vec![Row::record("t", &Record::measured(2_000_000, 9.0))];
+        for sql in [
+            "SELECT MAX(Timestamp), metric FROM t",
+            "SELECT MAX(Timestamp), metric FROM t WHERE Timestamp >= 0",
+        ] {
+            assert_eq!(engine.execute_sql(sql).unwrap().rows, want, "{sql}");
+            assert_eq!(QueryEngine::new(&cached).execute_sql(sql).unwrap().rows, want, "{sql}");
+        }
+    }
+
     /// A provider that notes which thread each `columns` call ran on.
     struct ThreadLog<'a> {
         inner: &'a Broker,

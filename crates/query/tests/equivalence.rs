@@ -382,6 +382,27 @@ fn engine_matches_naive_fold_on_special_values() {
 }
 
 #[test]
+fn corrupt_payloads_are_handled_identically() {
+    let broker = Broker::new(StreamConfig::default());
+    for i in 0..20u64 {
+        let ts_ms = (i + 1) * 50;
+        if i % 5 == 4 {
+            // Undecodable garbage interleaved with real records — and as
+            // `t`'s newest offer — is refused at the publish door (it
+            // panics there) and leaves no row for either path to read.
+            let frame = bytes::Bytes::copy_from_slice(&[0xde, 0xad, 0xbe, 0xef]);
+            let publish = std::panic::AssertUnwindSafe(|| broker.publish("t", ts_ms, frame));
+            assert!(std::panic::catch_unwind(publish).is_err(), "garbage at {ts_ms} ms");
+        } else {
+            publish(&broker, "t", ts_ms, Record::measured(ts_ms * 1_000_000, i as f64 * 0.3));
+        }
+        publish(&broker, "u", ts_ms, Record::measured(ts_ms * 1_000_000, 1.0));
+    }
+    assert_eq!(broker.topic_info("t").unwrap().published, 16, "only the records landed");
+    assert_matches_fold(&broker, &ScanCache::new(), "corrupt interleaved");
+}
+
+#[test]
 fn eviction_churn_keeps_paths_identical() {
     // A tightly bounded live window forces evictions into the archive;
     // full-span scans stitch live + archive while the cached tail is

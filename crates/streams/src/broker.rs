@@ -1004,10 +1004,12 @@ mod tests {
     }
 
     #[test]
-    fn scan_batch_passthrough_carries_records() {
+    fn scan_batch_passthrough_decodes_records() {
+        // Frames are decoded once, at the publish door; a scan hands the
+        // records through.
         let b = Broker::default();
         for i in 0..4u64 {
-            b.publish("cpu", i, rec(i));
+            b.publish("cpu", i, rec(i).encode());
         }
         let batch = b.scan_batch_by_time("cpu", 1, 2);
         assert_eq!(batch.entries.len(), 2);

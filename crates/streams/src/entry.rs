@@ -50,3 +50,26 @@ impl RowSink for Vec<Entry> {
         self.extend(entries.copied());
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn construction_and_len() {
+        let record = Record::measured(3_000_000, 1.5);
+        let e = Entry::new(StreamId::new(1, 2), record);
+        assert_eq!(e.id, StreamId::new(1, 2));
+        assert_eq!(e.record, record);
+        // The record sits in the entry: 40 bytes in all, and nothing on the heap.
+        assert_eq!(std::mem::size_of_val(&e), 40);
+    }
+
+    #[test]
+    fn empty_payload() {
+        // An empty payload is not a record, so no door turns it into an entry.
+        assert_eq!(Record::of_frame(&[]), None);
+        let e = Entry::new(StreamId::MIN, Record::measured(0, 0.0));
+        assert_eq!((e.record.timestamp_ns, e.record.value.to_bits()), (0, 0));
+    }
+}

@@ -29,9 +29,11 @@
 //! it). The race takes every seam-biased scan through both.
 
 use apollo_streams::{
-    ColumnBatch, Provenance, Record, ScanBatch, SlabConfig, SlabStore, Stream, StreamConfig,
-    StreamId,
+    Broker, ColumnBatch, Provenance, Record, ScanBatch, SlabConfig, SlabStore, Stream,
+    StreamConfig, StreamId,
 };
+use bytes::Bytes;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -244,6 +246,58 @@ fn scan_race(seed: u64, config: StreamConfig) {
     let all = stream.range(StreamId::MIN, StreamId::MAX);
     assert_eq!(all.len() as u64, APPENDS);
     assert!(all.windows(2).all(|w| w[0].id < w[1].id));
+}
+
+/// Payloads that are not records — too short, a bad provenance byte, or
+/// a record with bytes after it — offered at the broker's publish door
+/// between real records: each is refused there (the door panics), so none
+/// reaches the window or the ring, on either side of the seam. The column
+/// sink must still agree with the entry sink and with a model of the
+/// records that landed — over the full span, and over every short range
+/// across the seam.
+#[test]
+fn both_sinks_agree_with_corrupt_and_oversize_rows_across_the_seam() {
+    over_a_whole_run_ring("sinks", 16, |config| {
+        const APPENDS: u64 = 400;
+        let broker = Broker::new(config);
+        let mut rng = Lcg(0x5eed_0c01);
+        // Per offer: the value it landed, or `None` when it was refused.
+        let mut model: Vec<Option<f64>> = Vec::new();
+        for i in 0..APPENDS {
+            let mut payload = Record::predicted(i * 1_000_000, -(i as f64)).encode().to_vec();
+            match rng.next() % 10 {
+                0 | 1 => payload.truncate(2),
+                2 => payload[16] = 3 + (rng.next() % 253) as u8,
+                3 => payload.resize(18 + (rng.next() % 63) as usize, 9),
+                _ => {}
+            }
+            let record = payload.len() == 17 && Record::decode(&payload).is_ok();
+            let frame = Bytes::from(payload);
+            let publish = AssertUnwindSafe(|| broker.publish("sinks", i, frame));
+            assert_eq!(catch_unwind(publish).is_ok(), record, "offer {i}");
+            model.push(record.then_some(-(i as f64)));
+        }
+        let landed: Vec<u64> = (0..APPENDS).filter(|&i| model[i as usize].is_some()).collect();
+        let info = broker.topic_info("sinks").unwrap();
+        assert_eq!(info.window_len + info.archived_len, landed.len(), "only the records landed");
+        let seam = landed[landed.len() - info.window_len];
+        // What a scan of `[lo, hi]` reads: the records, on both sides of the seam.
+        let readable = |lo: u64, hi: u64| (lo..=hi).filter_map(|i| model[i as usize]);
+        let refused = |lo: u64, hi: u64| (lo..hi).filter(|&i| model[i as usize].is_none()).count();
+        assert!(refused(0, seam) > 0 && refused(seam, APPENDS) > 0, "on both sides");
+        let ranges = (seam - 40..seam + 4).map(|lo| (lo, lo + 12)).chain([(0, APPENDS - 1)]);
+        for (lo, hi) in ranges {
+            let cols = broker.scan_columns_by_time("sinks", lo, hi);
+            let batch = broker.scan_batch_by_time("sinks", lo, hi);
+            assert_eq!(cols.last_id, batch.last_id);
+            let rows = readable(lo, hi).count();
+            assert_eq!(batch.entries.len(), rows, "exactly once across the seam");
+            assert_same_rows(&cols, &batch, "quiescent scan");
+            let want: Vec<u64> = readable(lo, hi).map(f64::to_bits).collect();
+            assert_eq!(cols.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), want);
+            assert!(cols.provenance.iter().all(|&p| p == Provenance::Predicted.wire()));
+        }
+    });
 }
 
 /// Same regime for the cursor path: a reader that paces itself slower
